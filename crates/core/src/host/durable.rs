@@ -516,6 +516,11 @@ impl QueryHost {
                 self.stats.tweets_delivered, self.stats.gaps, fr.delivered, fr.gaps
             )));
         }
+        // Replayed registrations that share a frontier (a burst) reach
+        // here with nothing to pump and must not each pay a build.
+        if self.stats.tweets_delivered < fr.delivered || self.stats.gaps < fr.gaps {
+            self.ensure_index();
+        }
         if self.config.batched_source {
             while self.stats.tweets_delivered < fr.delivered || self.stats.gaps < fr.gaps {
                 if let Some((from, to)) = self.peeked_gap {

@@ -13,38 +13,46 @@
 //! conjunct groups has at least one keyword hit. 10k `contains` queries
 //! therefore cost one text scan per row, not 10k.
 //!
-//! Soundness: the prefilter may over-dispatch (the pipeline re-filters
-//! every row), but it must never under-dispatch. [`AhoCorasick`] folds
-//! *patterns* with full `str::to_lowercase` but haystack characters
-//! with the first char of their lowercase expansion, so automaton
-//! matching coincides with the pipeline's case-folded `contains` only
-//! for pure-ASCII needles. Groups containing any non-ASCII keyword are
-//! simply not indexed — the query keeps its other groups (or dispatches
-//! unconditionally), trading prefilter selectivity for correctness.
+//! The prefilter may over-dispatch (the pipeline re-filters every row),
+//! but it must never under-dispatch. It cannot: [`AhoCorasick`] accepts
+//! a needle exactly where the pipeline's case-folded `contains` does,
+//! for every needle, ASCII or not.
+//!
+//! The needle set and the automaton are two steps. Interning
+//! ([`FilterIndex::groups_for`]) is cheap and happens at registration,
+//! so the needle count is always current; [`FilterIndex::build`] is
+//! the expensive step and the host defers it to the next pump.
 
 use crate::plan::ApiCandidate;
 use std::collections::HashMap;
 use tweeql_firehose::FilterSpec;
 use tweeql_text::ac::AhoCorasick;
+use tweeql_text::fold_needle;
 
 /// Conjunctive groups of OR'd needle ids: a row is a candidate for the
 /// query iff *every* group has at least one matching needle.
 pub(crate) type NeedleGroups = Vec<Vec<u32>>;
 
-/// Accumulates needles across queries during an index rebuild.
+/// The interned needles, the automaton last built over them, and
+/// per-row match scratch.
 #[derive(Default)]
-pub(crate) struct IndexBuilder {
+pub(crate) struct FilterIndex {
+    /// Folded needles in id order.
     needles: Vec<String>,
     ids: HashMap<String, u32>,
+    /// Covers `needles` as of the last [`FilterIndex::build`].
+    ac: AhoCorasick,
+    /// `seen[id] == stamp` — needle `id` matched the current row.
+    seen: Vec<u64>,
+    /// Ids that matched the current row, each once.
+    touched: Vec<u32>,
+    /// Per-row version; never reset, so stale marks cannot collide.
+    stamp: u64,
 }
 
-impl IndexBuilder {
-    pub(crate) fn new() -> IndexBuilder {
-        IndexBuilder::default()
-    }
-
+impl FilterIndex {
     fn intern(&mut self, needle: &str) -> u32 {
-        let key = needle.to_lowercase();
+        let key = fold_needle(needle);
         if let Some(&id) = self.ids.get(&key) {
             return id;
         }
@@ -54,15 +62,22 @@ impl IndexBuilder {
         id
     }
 
-    /// Extract the indexable conjunct groups for one query from its
-    /// pushdown candidates. `None` ⇒ nothing indexable; the query must
-    /// be dispatched unconditionally.
+    /// Forget every needle (the caller re-interns the surviving
+    /// queries' groups).
+    pub(crate) fn clear(&mut self) {
+        self.needles.clear();
+        self.ids.clear();
+    }
+
+    /// Intern the indexable conjunct groups of one query's pushdown
+    /// candidates. `None` ⇒ nothing indexable; the query must be
+    /// dispatched unconditionally.
     pub(crate) fn groups_for(&mut self, candidates: &[ApiCandidate]) -> Option<NeedleGroups> {
         let mut groups = NeedleGroups::new();
         for c in candidates {
             if let FilterSpec::Track(kws) = &c.spec {
-                // ASCII-only: see the module docs on fold soundness.
-                if kws.is_empty() || !kws.iter().all(|k| !k.is_empty() && k.is_ascii()) {
+                // An empty keyword is contained in every text.
+                if kws.is_empty() || kws.iter().any(|k| k.is_empty()) {
                     continue;
                 }
                 groups.push(kws.iter().map(|k| self.intern(k)).collect());
@@ -71,36 +86,14 @@ impl IndexBuilder {
         (!groups.is_empty()).then_some(groups)
     }
 
-    pub(crate) fn finish(self) -> FilterIndex {
-        let ac = (!self.needles.is_empty())
-            .then(|| AhoCorasick::new(self.needles.iter().map(|s| s.as_str())));
-        let hits = vec![false; self.needles.len()];
-        FilterIndex {
-            needles: self.needles,
-            ac,
-            hits,
-            touched: Vec::new(),
-        }
+    /// Build the automaton over the needles interned so far.
+    pub(crate) fn build(&mut self) {
+        self.ac = AhoCorasick::new(&self.needles);
+        self.seen.clear();
+        self.seen.resize(self.needles.len(), 0);
+        self.touched.clear();
     }
-}
 
-/// The built automaton plus per-row match scratch.
-pub(crate) struct FilterIndex {
-    needles: Vec<String>,
-    ac: Option<AhoCorasick>,
-    /// `hits[id]` — did needle `id` match the current row's text?
-    hits: Vec<bool>,
-    /// Ids set in `hits`, for O(matches) clearing between rows.
-    touched: Vec<u32>,
-}
-
-impl Default for FilterIndex {
-    fn default() -> FilterIndex {
-        IndexBuilder::new().finish()
-    }
-}
-
-impl FilterIndex {
     /// Total distinct needles across all registered queries.
     pub(crate) fn needle_count(&self) -> usize {
         self.needles.len()
@@ -111,18 +104,35 @@ impl FilterIndex {
         self.needles.is_empty()
     }
 
-    /// Scan one row's text, recording which needles matched. Clears the
-    /// previous row's matches first.
+    /// States of the built automaton.
+    pub(crate) fn states(&self) -> usize {
+        self.ac.state_count()
+    }
+
+    /// Heap bytes of the built automaton's tables.
+    pub(crate) fn table_bytes(&self) -> usize {
+        self.ac.table_bytes()
+    }
+
+    /// Scan one row's text, recording which needles matched (replacing
+    /// the previous row's). Requires a [`FilterIndex::build`] since the
+    /// last interned needle.
     pub(crate) fn match_row(&mut self, text: &str) {
-        for id in self.touched.drain(..) {
-            self.hits[id as usize] = false;
-        }
-        if let Some(ac) = &self.ac {
-            for id in ac.matching_patterns(text) {
-                self.hits[id] = true;
-                self.touched.push(id as u32);
+        self.stamp += 1;
+        self.touched.clear();
+        let FilterIndex {
+            ac,
+            seen,
+            touched,
+            stamp,
+            ..
+        } = self;
+        ac.scan_into(text, &mut |id| {
+            if seen[id] != *stamp {
+                seen[id] = *stamp;
+                touched.push(id as u32);
             }
-        }
+        });
     }
 
     /// Did needle `id` match the most recently scanned row? The
@@ -130,7 +140,7 @@ impl FilterIndex {
     /// the direct oracle the tests check it against.
     #[cfg(test)]
     pub(crate) fn hit(&self, id: u32) -> bool {
-        self.hits[id as usize]
+        self.stamp > 0 && self.seen[id as usize] == self.stamp
     }
 
     /// Needle ids that matched the most recently scanned row. The
@@ -160,10 +170,9 @@ mod tests {
 
     #[test]
     fn interns_and_dedupes_across_queries() {
-        let mut b = IndexBuilder::new();
-        let g1 = b.groups_for(&[track(&["obama"]), track(&["speech", "rally"])]);
-        let g2 = b.groups_for(&[track(&["OBAMA"])]);
-        let idx = b.finish();
+        let mut idx = FilterIndex::default();
+        let g1 = idx.groups_for(&[track(&["obama"]), track(&["speech", "rally"])]);
+        let g2 = idx.groups_for(&[track(&["OBAMA"])]);
         assert_eq!(idx.needle_count(), 3, "obama shared case-insensitively");
         let g1 = g1.unwrap();
         let g2 = g2.unwrap();
@@ -174,11 +183,11 @@ mod tests {
 
     #[test]
     fn conjunctive_or_group_semantics() {
-        let mut b = IndexBuilder::new();
-        let groups = b
+        let mut idx = FilterIndex::default();
+        let groups = idx
             .groups_for(&[track(&["obama"]), track(&["speech", "rally"])])
             .unwrap();
-        let mut idx = b.finish();
+        idx.build();
         idx.match_row("obama gave a speech");
         assert!(idx.satisfies(&groups));
         idx.match_row("obama waved"); // first conjunct only
@@ -190,17 +199,35 @@ mod tests {
     }
 
     #[test]
-    fn non_ascii_and_non_track_groups_are_skipped() {
-        let mut b = IndexBuilder::new();
-        assert!(b.groups_for(&[track(&["café"])]).is_none());
-        assert!(b.groups_for(&[]).is_none());
-        // Mixed: the ASCII group still indexes.
-        let g = b
-            .groups_for(&[track(&["café"]), track(&["match"])])
+    fn repeated_occurrences_touch_a_needle_once() {
+        let mut idx = FilterIndex::default();
+        let g = idx.groups_for(&[track(&["aa", "b"])]).unwrap();
+        idx.build();
+        idx.match_row("aaaa b aa B");
+        let mut touched = idx.touched().to_vec();
+        touched.sort_unstable();
+        assert_eq!(touched, g[0]);
+        idx.match_row("nothing");
+        assert!(idx.touched().is_empty());
+    }
+
+    #[test]
+    fn non_ascii_groups_are_indexed_and_non_track_skipped() {
+        let mut idx = FilterIndex::default();
+        assert!(idx.groups_for(&[]).is_none());
+        assert!(idx.groups_for(&[track(&["x", ""])]).is_none());
+        let g = idx
+            .groups_for(&[track(&["café", "\u{0130}stanbul"]), track(&["地震"])])
             .unwrap();
-        assert_eq!(g.len(), 1);
-        let idx = b.finish();
-        assert_eq!(idx.needle_count(), 1);
+        assert_eq!(g.len(), 2);
+        assert_eq!(idx.needle_count(), 3);
+        idx.build();
+        idx.match_row("CAFÉ の 地震");
+        assert!(idx.satisfies(&g));
+        idx.match_row("istanbul 地震");
+        assert!(idx.satisfies(&g));
+        idx.match_row("cafe 地震");
+        assert!(!idx.satisfies(&g));
     }
 
     #[test]
@@ -208,6 +235,17 @@ mod tests {
         let mut idx = FilterIndex::default();
         assert!(idx.is_empty());
         idx.match_row("any text at all");
+        assert!(idx.touched().is_empty());
         assert!(idx.satisfies(&NeedleGroups::new()), "vacuous truth");
+    }
+
+    #[test]
+    fn clear_forgets_needles_until_reinterned() {
+        let mut idx = FilterIndex::default();
+        idx.groups_for(&[track(&["obama", "rally"])]);
+        idx.clear();
+        assert!(idx.is_empty());
+        let g = idx.groups_for(&[track(&["rally"])]).unwrap();
+        assert_eq!((idx.needle_count(), g[0][0]), (1, 0));
     }
 }

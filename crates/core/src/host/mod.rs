@@ -13,7 +13,11 @@
 //!   row's text is scanned once; a query whose conjunct groups all hit
 //!   becomes a dispatch target. Queries without indexable needles
 //!   dispatch unconditionally. The pipeline re-filters every row, so
-//!   the prefilter only needs to over-approximate.
+//!   the prefilter only needs to over-approximate. Register and drop
+//!   only intern needles and mark the index dirty; the automaton and
+//!   the dispatch table are built once at the next pump entry, so a
+//!   burst of registrations costs one build. The index is clean
+//!   whenever a batch is non-empty.
 //! * **Union liveness mask + shared row decode** — the host's
 //!   [`TweetBatch`] carries the union of all queries' live-column
 //!   masks, and each candidate row is materialized into a [`Record`]
@@ -39,6 +43,8 @@
 
 pub mod durable;
 pub(crate) mod index;
+#[cfg(test)]
+mod tests;
 
 use crate::catalog::Catalog;
 use crate::engine::{Diagnostics, EngineBuilder, EngineConfig, RegistryFn};
@@ -47,7 +53,7 @@ use crate::exec::supervise::{SourceBlock, SourceEvent, SourceFaultStats, Supervi
 use crate::parser::parse;
 use crate::plan::{plan, PlanConfig};
 use crate::udf::{Registry, SharedGeoService};
-use index::{FilterIndex, IndexBuilder, NeedleGroups};
+use index::{FilterIndex, NeedleGroups};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -113,6 +119,8 @@ pub struct HostStats {
     pub watermarks: u64,
     /// Coverage gaps broadcast to the queries.
     pub gaps: u64,
+    /// Times the filter automaton and dispatch table were built.
+    pub index_rebuilds: u64,
 }
 
 /// A result stream handle from [`QueryHost::subscribe`]: every row the
@@ -253,7 +261,7 @@ impl HostQuery {
 /// version-stamped saturation counters, so the per-row selection cost
 /// is O(automaton matches), never O(registered queries). Slot indices
 /// are positions in `QueryHost::queries` and are rebuilt (with the
-/// index) after every register/drop.
+/// index) at the first pump after a register/drop.
 #[derive(Default)]
 struct DispatchTable {
     /// Query slots dispatched unconditionally (running, no indexable
@@ -345,6 +353,10 @@ pub struct QueryHost {
     queries: Vec<HostQuery>,
     filter_index: FilterIndex,
     dispatch: DispatchTable,
+    /// A register/drop happened since the automaton, the dispatch
+    /// table, the union mask and `any_ts` were derived; see
+    /// [`QueryHost::ensure_index`].
+    index_dirty: bool,
     prefilter: bool,
     batch: TweetBatch,
     cache: RowCache,
@@ -353,7 +365,7 @@ pub struct QueryHost {
     /// empty between flushes (so register/drop slot shifts stay sound).
     active: Vec<u32>,
     /// Cached: any running query reacts to punctuation (see
-    /// [`QueryHost::rebuild_index`]).
+    /// [`QueryHost::ensure_index`]).
     any_ts: bool,
     next_wm: Option<Timestamp>,
     position: Timestamp,
@@ -392,6 +404,7 @@ impl QueryHost {
             queries: Vec::new(),
             filter_index: FilterIndex::default(),
             dispatch: DispatchTable::default(),
+            index_dirty: false,
             prefilter: true,
             batch: TweetBatch::new(),
             cache: RowCache::new(),
@@ -473,12 +486,13 @@ impl QueryHost {
             .as_ref()
             .map(|t| t.start(SpanKind::Query, "standing", None, now.millis()));
         let time_sensitive = planned.pipeline.time_sensitive();
+        let groups = self.filter_index.groups_for(&planned.api_candidates);
         self.queries.push(HostQuery {
             id,
             sql: sql.to_string(),
             planned,
             time_sensitive,
-            groups: None,
+            groups,
             state: QueryState::Running,
             sel: Vec::new(),
             scratch_in: Vec::new(),
@@ -495,7 +509,7 @@ impl QueryHost {
             span,
             retired: false,
         });
-        self.rebuild_index();
+        self.index_changed();
         Ok(id)
     }
 
@@ -518,7 +532,14 @@ impl QueryHost {
             .position(|q| q.id == id)
             .ok_or_else(|| QueryError::UnknownQuery(id.to_string()))?;
         let mut q = self.queries.remove(idx);
-        self.rebuild_index();
+        // Needle ids are dense: re-intern what the survivors still use.
+        self.filter_index.clear();
+        for q in &mut self.queries {
+            q.groups = (q.state == QueryState::Running)
+                .then(|| self.filter_index.groups_for(&q.planned.api_candidates))
+                .flatten();
+        }
+        self.index_changed();
         q.finish()?;
         Ok(std::mem::take(&mut q.pending))
     }
@@ -583,6 +604,7 @@ impl QueryHost {
     /// dispatcher. Returns the number of tweets delivered by this call.
     /// Stops early when the stream is exhausted.
     pub fn pump_until(&mut self, until: Timestamp) -> Result<u64, QueryError> {
+        self.ensure_index();
         let before = self.stats.tweets_delivered;
         if self.config.batched_source {
             self.pump_blocks(until)?;
@@ -613,6 +635,7 @@ impl QueryHost {
     /// Pump the whole remaining stream, then finish every running
     /// query. Returns the number of tweets delivered by this call.
     pub fn run_to_end(&mut self) -> Result<u64, QueryError> {
+        self.ensure_index();
         let before = self.stats.tweets_delivered;
         if self.config.batched_source {
             self.pump_blocks(Timestamp::from_millis(i64::MAX))?;
@@ -691,17 +714,30 @@ impl QueryHost {
             .ok_or_else(|| QueryError::UnknownQuery(id.to_string()))
     }
 
-    /// Rebuild the common-filter index and the union liveness mask
-    /// after any register/drop. Runs on an empty batch (callers flush
-    /// first), so the mask change never splits a batch's decode.
-    fn rebuild_index(&mut self) {
-        let mut b = IndexBuilder::new();
-        for q in &mut self.queries {
-            q.groups = (q.state == QueryState::Running)
-                .then(|| b.groups_for(&q.planned.api_candidates))
-                .flatten();
+    /// After a register/drop interned or released needles: the needle
+    /// count is current at once, everything derived from the query set
+    /// waits for [`QueryHost::ensure_index`].
+    fn index_changed(&mut self) {
+        self.index_dirty = true;
+        self.metrics
+            .gauge("tweeql_host_prefilter_needles", &[])
+            .set(self.filter_index.needle_count() as i64);
+    }
+
+    /// Every pump entry: if the query set changed, build the filter
+    /// automaton, the dispatch table, the union liveness mask and the
+    /// punctuation interest, once for however many register/drop calls
+    /// came since. Register and drop flush first and rows enter the
+    /// batch only inside a pump, so this runs on an empty batch (the
+    /// mask change never splits a batch's decode) and a non-empty batch
+    /// always meets a clean index.
+    fn ensure_index(&mut self) {
+        if !self.index_dirty {
+            return;
         }
-        self.filter_index = b.finish();
+        self.index_dirty = false;
+        self.stats.index_rebuilds += 1;
+        self.filter_index.build();
         self.dispatch
             .rebuild(&self.queries, self.filter_index.needle_count());
         // Union of per-query live-column masks: any query without a
@@ -733,7 +769,7 @@ impl QueryHost {
         // every watermark crossing would put an O(registered) term back
         // into the per-second hot path. A time-sensitive query that
         // finishes mid-stream leaves the flag conservatively true until
-        // the next register/drop — the broadcast re-checks per query.
+        // the next rebuild — the broadcast re-checks per query.
         self.any_ts = self
             .queries
             .iter()
@@ -1189,6 +1225,12 @@ impl QueryHost {
             .add(self.stats.rows_shared);
         m.gauge("tweeql_host_prefilter_needles", &[])
             .set(self.filter_index.needle_count() as i64);
+        m.gauge("tweeql_host_filter_index_states", &[])
+            .set(self.filter_index.states() as i64);
+        m.gauge("tweeql_host_filter_index_bytes", &[])
+            .set(self.filter_index.table_bytes() as i64);
+        m.counter("tweeql_host_filter_index_rebuilds_total", &[])
+            .add(self.stats.index_rebuilds);
         if let Some(s) = self.wal_stats() {
             m.counter("tweeql_wal_records_total", &[]).add(s.records);
             m.counter("tweeql_wal_bytes_total", &[]).add(s.bytes);

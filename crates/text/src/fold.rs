@@ -9,21 +9,23 @@
 //!   a memchr-style skip loop scans raw bytes, folding `A-Z` with a
 //!   single arithmetic op. No intermediate buffers.
 //! - **Unicode fallback**: a char-wise scan that folds each scalar via
-//!   `char::to_lowercase().next()` — the same one-char fold the
-//!   [`crate::ac::AhoCorasick`] automaton uses, so both engines agree.
+//!   `char::to_lowercase().next()`.
 //!
 //! Semantics note: the char-wise fold maps each scalar to the *first*
 //! char of its lowercase expansion (e.g. `İ` folds to `i`, dropping the
 //! combining dot), whereas `str::to_lowercase` expands it to two chars.
 //! For the handful of expanding code points the folded match is
-//! therefore slightly more permissive than a lowercased-string compare,
-//! but it is internally consistent across the interpreted, compiled,
-//! and Aho–Corasick paths — which is what differential testing demands.
+//! therefore slightly more permissive than a lowercased-string compare.
+//! Every `contains` path shares it: the interpreter, the compiled VM
+//! and the [`crate::ac::AhoCorasick`] automaton (which builds its
+//! patterns through [`fold_needle`] and folds haystack scalars with
+//! [`fold_char`]) accept exactly the same (haystack, needle) pairs.
 
 use std::fmt;
 
-/// One-char lowercase fold, identical to the fold used by the
-/// Aho–Corasick automaton when it builds its goto function.
+/// One-char lowercase fold. Idempotent, so folding an already folded
+/// needle again (as the automaton does with interned needles) is a
+/// no-op.
 #[inline]
 pub fn fold_char(c: char) -> char {
     if c.is_ascii() {
@@ -334,6 +336,14 @@ mod tests {
         // Needle unicode, haystack ascii.
         assert!(!contains_fold_both("plain", "\u{0130}stanbul"));
         assert!(contains_fold_both("istanbul", "\u{0130}stanbul"));
+    }
+
+    #[test]
+    fn fold_char_is_idempotent() {
+        for c in (0..=char::MAX as u32).filter_map(char::from_u32) {
+            let f = fold_char(c);
+            assert_eq!(fold_char(f), f, "U+{:04X}", c as u32);
+        }
     }
 
     #[test]
