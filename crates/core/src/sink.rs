@@ -1,105 +1,258 @@
 //! Result export: the "structured data for downstream applications" the
 //! paper's abstract promises. CSV and JSON-lines renderings of query
 //! output (hand-rolled — the sanctioned crate set has no serde_json).
+//!
+//! The writers append to one `String` and allocate nothing per row or
+//! per field; [`write_json_lines`] takes the caller's, so the server
+//! renders straight into the buffer it writes to the socket.
 
+use std::fmt::{self, Write};
 use tweeql_model::{Record, SchemaRef, Value};
 
-/// Escape one CSV field per RFC 4180.
-fn csv_field(s: &str) -> String {
-    if s.contains([',', '"', '\n', '\r']) {
-        format!("\"{}\"", s.replace('"', "\"\""))
-    } else {
-        s.to_string()
+/// Why the `fmt::Result`s below are not returned to the caller.
+const INFALLIBLE: &str = "writing to a String cannot fail";
+
+/// Append `s` as one CSV field per RFC 4180.
+fn write_csv_field(out: &mut String, s: &str) {
+    if !s.contains([',', '"', '\n', '\r']) {
+        out.push_str(s);
+        return;
     }
+    out.push('"');
+    for (i, run) in s.split('"').enumerate() {
+        if i > 0 {
+            out.push_str("\"\"");
+        }
+        out.push_str(run);
+    }
+    out.push('"');
 }
 
 /// Render records as CSV with a header row.
 pub fn to_csv(schema: &SchemaRef, rows: &[Record]) -> String {
     let mut out = String::new();
-    out.push_str(
-        &schema
-            .names()
-            .iter()
-            .map(|n| csv_field(n))
-            .collect::<Vec<_>>()
-            .join(","),
-    );
+    for (i, f) in schema.fields().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_csv_field(&mut out, &f.name);
+    }
     out.push('\n');
+    // A value's display text has to be whole before it can be quoted.
+    let mut text = String::new();
     for r in rows {
-        let line = r
-            .values()
-            .iter()
-            .map(|v| match v {
-                Value::Null => String::new(),
-                other => csv_field(&other.to_string()),
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&line);
+        for (i, v) in r.values().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match v {
+                Value::Null => {}
+                Value::Str(s) => write_csv_field(&mut out, s),
+                other => {
+                    text.clear();
+                    write!(text, "{other}").expect(INFALLIBLE);
+                    write_csv_field(&mut out, &text);
+                }
+            }
+        }
         out.push('\n');
     }
     out
 }
 
-/// Escape a JSON string body.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+/// Bytes a JSON string body cannot hold as they are: `"`, `\` and the
+/// control characters.
+const fn needs_escape() -> [bool; 256] {
+    let mut table = [false; 256];
+    let mut b = 0;
+    while b < 0x20 {
+        table[b] = true;
+        b += 1;
     }
-    out
+    table[b'"' as usize] = true;
+    table[b'\\' as usize] = true;
+    table
+}
+static NEEDS_ESCAPE: [bool; 256] = needs_escape();
+
+/// Append the body of a JSON string: runs of clean bytes are copied
+/// whole, escapes go between them. Every escaped byte is ASCII, so each
+/// cut falls on a character boundary.
+fn write_json_str(out: &mut String, s: &str) -> fmt::Result {
+    let mut rest = s;
+    while let Some(i) = rest.bytes().position(|b| NEEDS_ESCAPE[b as usize]) {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}")?,
+        }
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+    Ok(())
 }
 
-fn json_value(v: &Value) -> String {
+fn write_json_value(out: &mut String, v: &Value) -> fmt::Result {
     match v {
-        Value::Null => "null".to_string(),
-        Value::Bool(b) => b.to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => {
-            if f.is_finite() {
-                // Keep floats round-trippable.
-                format!("{f:?}")
-            } else {
-                "null".to_string()
-            }
+        Value::Bool(b) => write!(out, "{b}"),
+        Value::Int(i) => write!(out, "{i}"),
+        // `{:?}` keeps floats round-trippable; JSON has no NaN or inf.
+        Value::Float(f) if f.is_finite() => write!(out, "{f:?}"),
+        Value::Null | Value::Float(_) => out.write_str("null"),
+        Value::Str(s) => {
+            out.push('"');
+            write_json_str(out, s)?;
+            out.write_char('"')
         }
-        Value::Str(s) => format!("\"{}\"", json_escape(s)),
-        Value::Time(t) => t.millis().to_string(),
-        Value::List(l) => format!(
-            "[{}]",
-            l.iter().map(json_value).collect::<Vec<_>>().join(",")
-        ),
+        Value::Time(t) => write!(out, "{}", t.millis()),
+        Value::List(l) => {
+            out.push('[');
+            for (i, v) in l.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                write_json_value(out, v)?;
+            }
+            out.write_char(']')
+        }
+    }
+}
+
+/// Append records to `out` as JSON lines: one object per row, each
+/// newline-terminated, no raw newline inside a row.
+pub fn write_json_lines(out: &mut String, schema: &SchemaRef, rows: &[Record]) {
+    if rows.is_empty() {
+        return;
+    }
+    // `"name":` per column, escaped once per call and not once per row.
+    let keys: Vec<String> = schema
+        .fields()
+        .iter()
+        .map(|f| {
+            let mut key = String::from("\"");
+            write_json_str(&mut key, &f.name).expect(INFALLIBLE);
+            key.push_str("\":");
+            key
+        })
+        .collect();
+    for r in rows {
+        out.push('{');
+        for (i, (key, v)) in keys.iter().zip(r.values()).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(key);
+            write_json_value(out, v).expect(INFALLIBLE);
+        }
+        out.push_str("}\n");
     }
 }
 
 /// Render records as JSON lines (one object per row).
 pub fn to_json_lines(schema: &SchemaRef, rows: &[Record]) -> String {
-    let names = schema.names();
     let mut out = String::new();
-    for r in rows {
-        let fields = names
-            .iter()
-            .zip(r.values())
-            .map(|(n, v)| format!("\"{}\":{}", json_escape(n), json_value(v)))
-            .collect::<Vec<_>>()
-            .join(",");
-        out.push_str(&format!("{{{fields}}}\n"));
-    }
+    write_json_lines(&mut out, schema, rows);
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use tweeql_model::{DataType, Schema, Timestamp};
+
+    /// The implementation the writers above replaced, one `String` per
+    /// field and per row: the reference their output must equal byte
+    /// for byte.
+    mod oracle {
+        use tweeql_model::{Record, SchemaRef, Value};
+
+        fn csv_field(s: &str) -> String {
+            if s.contains([',', '"', '\n', '\r']) {
+                format!("\"{}\"", s.replace('"', "\"\""))
+            } else {
+                s.to_string()
+            }
+        }
+
+        pub fn to_csv(schema: &SchemaRef, rows: &[Record]) -> String {
+            let mut out = String::new();
+            out.push_str(
+                &schema
+                    .names()
+                    .iter()
+                    .map(|n| csv_field(n))
+                    .collect::<Vec<_>>()
+                    .join(","),
+            );
+            out.push('\n');
+            for r in rows {
+                let line = r
+                    .values()
+                    .iter()
+                    .map(|v| match v {
+                        Value::Null => String::new(),
+                        other => csv_field(&other.to_string()),
+                    })
+                    .collect::<Vec<_>>()
+                    .join(",");
+                out.push_str(&line);
+                out.push('\n');
+            }
+            out
+        }
+
+        pub fn json_escape(s: &str) -> String {
+            let mut out = String::with_capacity(s.len() + 2);
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out
+        }
+
+        fn json_value(v: &Value) -> String {
+            match v {
+                Value::Null => "null".to_string(),
+                Value::Bool(b) => b.to_string(),
+                Value::Int(i) => i.to_string(),
+                Value::Float(f) if f.is_finite() => format!("{f:?}"),
+                Value::Float(_) => "null".to_string(),
+                Value::Str(s) => format!("\"{}\"", json_escape(s)),
+                Value::Time(t) => t.millis().to_string(),
+                Value::List(l) => format!(
+                    "[{}]",
+                    l.iter().map(json_value).collect::<Vec<_>>().join(",")
+                ),
+            }
+        }
+
+        pub fn to_json_lines(schema: &SchemaRef, rows: &[Record]) -> String {
+            let names = schema.names();
+            let mut out = String::new();
+            for r in rows {
+                let fields = names
+                    .iter()
+                    .zip(r.values())
+                    .map(|(n, v)| format!("\"{}\":{}", json_escape(n), json_value(v)))
+                    .collect::<Vec<_>>()
+                    .join(",");
+                out.push_str(&format!("{{{fields}}}\n"));
+            }
+            out
+        }
+    }
 
     fn sample() -> (SchemaRef, Vec<Record>) {
         let schema = Schema::shared(&[
@@ -160,7 +313,9 @@ mod tests {
 
     #[test]
     fn json_escapes_control_chars() {
-        assert_eq!(json_escape("a\nb\tc\u{1}"), "a\\nb\\tc\\u0001");
+        let mut out = String::new();
+        write_json_str(&mut out, "a\nb\tc\u{1}").unwrap();
+        assert_eq!(out, "a\\nb\\tc\\u0001");
     }
 
     #[test]
@@ -168,5 +323,101 @@ mod tests {
         let (schema, _) = sample();
         assert_eq!(to_csv(&schema, &[]).lines().count(), 1);
         assert_eq!(to_json_lines(&schema, &[]), "");
+    }
+
+    #[test]
+    fn write_json_lines_appends_and_keeps_what_was_there() {
+        let (schema, rows) = sample();
+        let mut out = String::from("OK 2 q1\n");
+        write_json_lines(&mut out, &schema, &rows);
+        assert_eq!(
+            out,
+            format!("OK 2 q1\n{}", oracle::to_json_lines(&schema, &rows))
+        );
+    }
+
+    /// Text with everything either format escapes or quotes: control
+    /// characters, quotes, backslashes, commas, multi-byte scalars.
+    const TEXT: &str = "[\u{0}-\u{1f}\"\\,a-c \u{7f}é日\u{1F600}]{0,12}.{0,6}";
+
+    const FLOATS: [f64; 10] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        0.0,
+        1e16,
+        1e15,
+        -1e-7,
+        f64::MIN_POSITIVE,
+        f64::MAX,
+    ];
+    const INTS: [i64; 4] = [i64::MIN, i64::MAX, 0, -1];
+
+    /// One generated cell: which variant, a number, and a text.
+    type Cell = (u8, i64, String);
+
+    fn value(cell: &Cell, depth: u8) -> Value {
+        let (kind, n, text) = cell;
+        let pick = n.unsigned_abs() as usize;
+        match kind % 10 {
+            0 => Value::Null,
+            1 => Value::Bool(n % 2 == 0),
+            2 => Value::Int(*n),
+            3 => Value::Int(INTS[pick % INTS.len()]),
+            4 => Value::Float(*n as f64 / 7.0),
+            5 => Value::Float(FLOATS[pick % FLOATS.len()]),
+            6 | 7 => Value::from(text.as_str()),
+            8 => Value::Time(Timestamp::from_millis(*n)),
+            // Lists of 0..=3 items, nested up to two deep.
+            _ if depth < 2 => Value::List(
+                (0..pick % 4)
+                    .map(|k| value(&(kind / 10 + k as u8, n / 3, text.clone()), depth + 1))
+                    .collect(),
+            ),
+            _ => Value::List(Vec::new()),
+        }
+    }
+
+    fn table(names: &[String], cells: &[Cell]) -> (SchemaRef, Vec<Record>) {
+        let fields: Vec<(&str, DataType)> =
+            names.iter().map(|n| (n.as_str(), DataType::Any)).collect();
+        let schema = Schema::shared(&fields);
+        let rows = match names.len() {
+            // No columns: rows are still rows, `{}` each.
+            0 => cells
+                .iter()
+                .map(|_| Record::new(schema.clone(), Vec::new(), Timestamp::ZERO).unwrap())
+                .collect(),
+            width => cells
+                .chunks_exact(width)
+                .map(|row| {
+                    let values = row.iter().map(|c| value(c, 0)).collect();
+                    Record::new(schema.clone(), values, Timestamp::ZERO).unwrap()
+                })
+                .collect(),
+        };
+        (schema, rows)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn writers_equal_the_oracle(
+            names in collection::vec(TEXT, 0..5),
+            cells in collection::vec((0u8..=255, i64::MIN..=i64::MAX, TEXT), 0..40),
+        ) {
+            let (schema, rows) = table(&names, &cells);
+            prop_assert_eq!(to_json_lines(&schema, &rows), oracle::to_json_lines(&schema, &rows));
+            prop_assert_eq!(to_csv(&schema, &rows), oracle::to_csv(&schema, &rows));
+        }
+
+        #[test]
+        fn json_strings_equal_the_oracle(text in TEXT) {
+            let mut out = String::new();
+            write_json_str(&mut out, &text).unwrap();
+            prop_assert_eq!(out, oracle::json_escape(&text));
+        }
     }
 }

@@ -14,9 +14,21 @@
 //! Prints the response detail and body to stdout; exits non-zero when
 //! the server answers `ERR` (the message goes to stderr).
 
+use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use tweeql_server::client::Client;
-use tweeql_server::protocol::Request;
+use tweeql_server::protocol::{Request, Response};
+
+/// Detail line, then the body: one lock and one buffer for all of it,
+/// not a locked, line-buffered write per row.
+fn print(resp: &Response) -> io::Result<()> {
+    let mut out = BufWriter::new(io::stdout().lock());
+    if !resp.detail.is_empty() {
+        writeln!(out, "{}", resp.detail)?;
+    }
+    out.write_all(resp.body.as_str().as_bytes())?;
+    out.flush()
+}
 
 fn main() -> ExitCode {
     let mut port = 7878u16;
@@ -57,15 +69,13 @@ fn main() -> ExitCode {
         }
     };
     match client.request(&req) {
-        Ok(resp) if resp.ok => {
-            if !resp.detail.is_empty() {
-                println!("{}", resp.detail);
+        Ok(resp) if resp.ok => match print(&resp) {
+            Ok(()) => ExitCode::SUCCESS,
+            Err(e) => {
+                eprintln!("writing to stdout failed: {e}");
+                ExitCode::FAILURE
             }
-            for line in &resp.body {
-                println!("{line}");
-            }
-            ExitCode::SUCCESS
-        }
+        },
         Ok(resp) => {
             eprintln!("{}", resp.detail);
             ExitCode::FAILURE

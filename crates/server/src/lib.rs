@@ -10,10 +10,11 @@
 //!
 //! * `tweeql-server` — binds a local TCP port, owns the host, and
 //!   answers the line protocol in [`protocol`]. Each connection gets
-//!   its own session thread; the shared host is locked per request, so
-//!   concurrent clients interleave freely while stream progress stays
-//!   serialized through the one host (per-query dispatch already
-//!   shards across host workers).
+//!   its own session thread; the shared host is locked while a request
+//!   executes and released before its reply is rendered, so concurrent
+//!   clients interleave freely while stream progress stays serialized
+//!   through the one host (per-query dispatch already shards across
+//!   host workers).
 //! * `tweeql-client` — a one-shot CLI: renders its arguments as a
 //!   request line, prints the response, exits non-zero on `ERR`.
 //!
@@ -32,8 +33,8 @@
 pub mod client;
 pub mod protocol;
 
-use protocol::{Request, Response};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use protocol::{Body, Request, Response};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -41,12 +42,53 @@ use std::thread;
 use tweeql::prelude::*;
 use tweeql::sink;
 use tweeql_firehose::{generate, scenarios, StreamingApi};
-use tweeql_model::{Duration, VirtualClock};
+use tweeql_model::{Duration, Record, SchemaRef, VirtualClock};
 
 /// Executes protocol requests against a [`QueryHost`]. Transport-free:
-/// the TCP loop ([`serve`]) and tests drive the same entry point.
+/// the TCP loop ([`serve`]) and tests drive the same entry points.
 pub struct Service {
     host: QueryHost,
+}
+
+/// What `Service::execute` hands back: everything a request needed
+/// from the host. Turning it into text needs the host no longer, so
+/// the TCP loop does that after it has released the service lock.
+#[derive(Debug)]
+enum Reply {
+    /// A response that was complete when the host was done.
+    Done(Response),
+    /// Rows taken from query `id`'s output queue, still to be rendered.
+    Rows {
+        id: QueryId,
+        schema: SchemaRef,
+        rows: Vec<Record>,
+    },
+}
+
+impl Reply {
+    /// The reply as a response, rows rendered as its JSON body.
+    fn into_response(self) -> Response {
+        match self {
+            Reply::Done(r) => r,
+            Reply::Rows { id, schema, rows } => {
+                let mut text = String::new();
+                sink::write_json_lines(&mut text, &schema, &rows);
+                Response::with_body(id.to_string(), Body::from_json_lines(text, rows.len()))
+            }
+        }
+    }
+
+    /// Append the reply's whole frame to `out`; rows go from the
+    /// records into `out` and nowhere else.
+    fn render_into(&self, out: &mut String) {
+        match self {
+            Reply::Done(r) => r.render_into(out),
+            Reply::Rows { id, schema, rows } => {
+                protocol::write_header(out, true, rows.len(), id);
+                sink::write_json_lines(out, schema, rows);
+            }
+        }
+    }
 }
 
 impl Service {
@@ -60,42 +102,43 @@ impl Service {
         &self.host
     }
 
-    /// Execute one request. Never panics on user input: every failure
-    /// becomes an `ERR` frame.
+    /// Execute one request and render its reply. Never panics on user
+    /// input: every failure becomes an `ERR` frame.
     pub fn handle(&mut self, req: Request) -> Response {
-        match self.execute(req) {
-            Ok(r) => r,
-            Err(e) => Response::err(e.to_string()),
-        }
+        self.execute(req).into_response()
     }
 
-    fn execute(&mut self, req: Request) -> Result<Response, QueryError> {
-        Ok(match req {
+    /// The part of `handle` that needs the host: `POLL` and
+    /// `DROP` take their rows (a `mem::take` and a WAL record) and
+    /// leave the formatting to the [`Reply`].
+    fn execute(&mut self, req: Request) -> Reply {
+        self.try_execute(req)
+            .unwrap_or_else(|e| Reply::Done(Response::err(e.to_string())))
+    }
+
+    fn try_execute(&mut self, req: Request) -> Result<Reply, QueryError> {
+        let response = match req {
             Request::Register(sql) => Response::ok(self.host.register(&sql)?.to_string()),
             Request::Drop(id) => {
                 let schema = self.host.schema(id)?;
                 let rows = self.host.drop_query(id)?;
-                Response::with_body(id.to_string(), json_rows(&schema, &rows))
+                return Ok(Reply::Rows { id, schema, rows });
             }
             Request::List => {
-                let body: Vec<String> = self
-                    .host
-                    .list()
-                    .iter()
-                    .map(|q| {
-                        format!(
-                            "{} {} rows_in={} rows_out={} indexed={} {}",
-                            q.id, q.state, q.rows_in, q.rows_out, q.indexed, q.sql
-                        )
-                    })
-                    .collect();
-                Response::with_body("queries", body)
+                let queries = self.host.list();
+                let body = queries.iter().map(|q| {
+                    format!(
+                        "{} {} rows_in={} rows_out={} indexed={} {}",
+                        q.id, q.state, q.rows_in, q.rows_out, q.indexed, q.sql
+                    )
+                });
+                Response::with_body("queries", body.collect())
             }
             Request::Schema(id) => Response::ok(self.host.schema(id)?.names().join(",")),
             Request::Poll(id) => {
                 let schema = self.host.schema(id)?;
                 let rows = self.host.take_output(id)?;
-                Response::with_body(id.to_string(), json_rows(&schema, &rows))
+                return Ok(Reply::Rows { id, schema, rows });
             }
             Request::Step(secs) => {
                 let until = self.host.position() + Duration::from_secs(secs);
@@ -133,19 +176,9 @@ impl Service {
                 self.host.checkpoint()?;
                 Response::ok("bye")
             }
-        })
+        };
+        Ok(Reply::Done(response))
     }
-}
-
-/// One JSON object per row, split into protocol body lines.
-fn json_rows(schema: &tweeql_model::SchemaRef, rows: &[tweeql_model::Record]) -> Vec<String> {
-    if rows.is_empty() {
-        return Vec::new();
-    }
-    sink::to_json_lines(schema, rows)
-        .lines()
-        .map(str::to_string)
-        .collect()
 }
 
 /// Build a host over a named canned scenario (see
@@ -186,11 +219,17 @@ pub fn scenario_host_in(
     }
 }
 
+/// The longest request line a session accepts, terminator included.
+/// The longest legitimate one is a `REGISTER` with its SQL.
+const MAX_REQUEST_LINE: usize = 1 << 20;
+
 /// Accept connections until a client sends `SHUTDOWN`, serving each on
 /// its own thread. Sessions share one [`Service`] behind a mutex that
 /// is held per *request*, not per connection, so concurrent clients
 /// interleave against the same host state (registrations made by one
-/// client are visible to the next `LIST` from another).
+/// client are visible to the next `LIST` from another). A session that
+/// ends in an I/O error — its peer went away in the middle of a reply —
+/// is reported on stderr and ends alone.
 pub fn serve(listener: TcpListener, service: Service) -> io::Result<()> {
     let addr = listener.local_addr()?;
     let service = Arc::new(Mutex::new(service));
@@ -201,6 +240,11 @@ pub fn serve(listener: TcpListener, service: Service) -> io::Result<()> {
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
+        // One-shot clients come and go for as long as the server runs:
+        // join the sessions that have ended instead of keeping them all.
+        let (ended, live) = sessions.into_iter().partition(|s| s.is_finished());
+        sessions = live;
+        ended.into_iter().for_each(join_session);
         let svc = Arc::clone(&service);
         let flag = Arc::clone(&shutdown);
         sessions.push(thread::spawn(move || {
@@ -213,38 +257,56 @@ pub fn serve(listener: TcpListener, service: Service) -> io::Result<()> {
             Ok(())
         }));
     }
-    for session in sessions {
-        match session.join() {
-            Ok(r) => r?,
-            Err(p) => std::panic::resume_unwind(p),
-        }
-    }
+    sessions.into_iter().for_each(join_session);
     Ok(())
 }
 
+/// Join one session thread. Its I/O error is its own; its panic is a
+/// bug in this program and is passed on.
+fn join_session(session: thread::JoinHandle<io::Result<()>>) {
+    match session.join() {
+        Ok(Ok(())) => {}
+        Ok(Err(e)) => eprintln!("tweeql-server: session ended: {e}"),
+        Err(p) => std::panic::resume_unwind(p),
+    }
+}
+
 /// Serve one connection to disconnect; true means shutdown was asked.
-fn handle_connection(stream: TcpStream, service: &Mutex<Service>) -> io::Result<bool> {
+///
+/// The service lock is held while a request executes against the host
+/// and released before its reply is rendered: a large `POLL` is turned
+/// into JSON in this connection's own `frame` buffer while other
+/// sessions already use the host. One `write_all` per reply, so a
+/// header never travels as a small segment ahead of its body.
+fn handle_connection(mut stream: TcpStream, service: &Mutex<Service>) -> io::Result<bool> {
     let mut reader = BufReader::new(stream.try_clone()?);
-    let mut writer = BufWriter::new(stream);
     let mut line = String::new();
+    let mut frame = String::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let limit = MAX_REQUEST_LINE as u64;
+        if reader.by_ref().take(limit).read_line(&mut line)? == 0 {
+            return Ok(false);
+        }
+        if line.len() == MAX_REQUEST_LINE && !line.ends_with('\n') {
+            let refusal = Response::err("request line too long").render();
+            stream.write_all(refusal.as_bytes())?;
             return Ok(false);
         }
         if line.trim().is_empty() {
             continue;
         }
-        let (response, shutdown) = match Request::parse(&line) {
-            Ok(req) => {
-                let shutdown = req == Request::Shutdown;
-                let reply = service.lock().expect("service lock").handle(req);
-                (reply, shutdown)
-            }
-            Err(e) => (Response::err(e), false),
+        let request = Request::parse(&line);
+        let shutdown = request == Ok(Request::Shutdown);
+        let reply = match request {
+            // The guard is a temporary of this arm: the lock is free
+            // again before the reply is rendered.
+            Ok(req) => service.lock().expect("service lock").execute(req),
+            Err(e) => Reply::Done(Response::err(e)),
         };
-        writer.write_all(response.render().as_bytes())?;
-        writer.flush()?;
+        frame.clear();
+        reply.render_into(&mut frame);
+        stream.write_all(frame.as_bytes())?;
         if shutdown {
             return Ok(true);
         }
@@ -297,7 +359,7 @@ mod tests {
 
         let listed = ok(svc.handle(Request::List));
         assert_eq!(listed.body.len(), 1);
-        assert!(listed.body[0].contains("running"), "{}", listed.body[0]);
+        assert!(listed.body[0].contains("running"), "{}", &listed.body[0]);
 
         ok(svc.handle(Request::Run));
         let dropped = ok(svc.handle(Request::Drop(id)));
@@ -315,6 +377,124 @@ mod tests {
         let r = svc.handle(Request::Register("SELECT nope FROM twitter".into()));
         assert!(!r.ok);
         assert_eq!(r.render().lines().count(), 1, "diagnostics collapse");
+    }
+
+    /// The frame the TCP loop writes (`execute`, then `render_into` a
+    /// buffer that already served another reply) is the frame `handle`
+    /// renders, for every verb and for its error.
+    #[test]
+    fn split_steps_compose_to_handle_for_every_verb() {
+        let (mut whole, mut split) = (tiny_service(), tiny_service());
+        let q = |n| QueryId::new(n);
+        let session = vec![
+            Request::Ping,
+            Request::Register("SELECT text FROM twitter WHERE text contains 'kw'".into()),
+            Request::Register("SELECT screen_name, text, lang FROM twitter".into()),
+            Request::Register("SELECT nope FROM twitter".into()),
+            Request::List,
+            Request::Schema(q(2)),
+            Request::Schema(q(9)),
+            Request::Poll(q(1)),
+            Request::Step(60),
+            Request::Poll(q(1)),
+            Request::Poll(q(2)),
+            Request::Poll(q(2)),
+            Request::Poll(q(9)),
+            Request::Stats,
+            Request::Run,
+            Request::Drop(q(2)),
+            Request::Drop(q(2)),
+            Request::Poll(q(1)),
+            Request::List,
+            Request::Shutdown,
+        ];
+        let mut frame = String::from("left over from the last reply");
+        let mut bodies = 0;
+        for req in session {
+            let response = whole.handle(req.clone());
+            frame.clear();
+            split.execute(req.clone()).render_into(&mut frame);
+            assert_eq!(frame, response.render(), "{req}");
+            let (ok, n, detail) = Response::parse_header(frame.lines().next().unwrap()).unwrap();
+            // A diagnostic ends in a newline, sanitized to a space that
+            // `parse_header` trims.
+            assert_eq!(
+                (ok, n, detail.as_str()),
+                (response.ok, response.body.len(), response.detail.trim_end())
+            );
+            assert_eq!(frame.lines().count(), 1 + n, "{req}");
+            bodies += n;
+        }
+        assert!(bodies > 100, "the session must move rows: {bodies}");
+    }
+
+    #[test]
+    fn list_renders_one_line_per_query_whatever_the_sql_holds() {
+        let mut svc = tiny_service();
+        ok(svc.handle(Request::Register(
+            "SELECT text\rFROM twitter\r\nWHERE text contains 'kw'".into(),
+        )));
+        ok(svc.handle(Request::Register("SELECT lang FROM twitter".into())));
+        let listed = ok(svc.handle(Request::List));
+        assert_eq!(listed.body.len(), 2);
+        assert!(!listed.body.as_str().contains('\r'));
+        assert_eq!(listed.render().lines().count(), 3, "{}", listed.render());
+        assert!(listed.body[0].contains("SELECT text FROM twitter"));
+    }
+
+    /// A peer that never sends a newline gets an `ERR` frame and a
+    /// closed connection after [`MAX_REQUEST_LINE`] bytes, not a buffer
+    /// that grows for as long as it keeps sending.
+    #[test]
+    fn overlong_request_line_is_refused_and_the_connection_closed() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let server = std::thread::spawn(move || serve(listener, tiny_service()));
+
+        let mut peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let mut reading = peer.try_clone().unwrap();
+        let reader = std::thread::spawn(move || {
+            let mut reply = String::new();
+            // A reset after the frame is the server's close meeting
+            // the bytes it never read.
+            let _ = reading.read_to_string(&mut reply);
+            reply
+        });
+        // The server stops reading half-way, so the tail of this write
+        // may meet a closed socket.
+        let _ = peer.write_all(&vec![b'A'; 2 * MAX_REQUEST_LINE]);
+        assert_eq!(reader.join().unwrap(), "ERR 0 request line too long\n");
+
+        let mut c = client::Client::connect(port).unwrap();
+        assert!(c.request(&Request::Ping).unwrap().ok, "still serving");
+        assert!(c.request(&Request::Shutdown).unwrap().ok);
+        server
+            .join()
+            .unwrap()
+            .expect("a refused peer is not a server error");
+    }
+
+    /// A line of exactly the limit, newline included, is still a request.
+    #[test]
+    fn request_line_of_exactly_the_limit_is_served() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let server = std::thread::spawn(move || serve(listener, tiny_service()));
+
+        let mut peer = TcpStream::connect(("127.0.0.1", port)).unwrap();
+        let mut replies = BufReader::new(peer.try_clone().unwrap());
+        let mut line = vec![b' '; MAX_REQUEST_LINE];
+        line[..4].copy_from_slice(b"PING");
+        line[MAX_REQUEST_LINE - 1] = b'\n';
+        peer.write_all(&line).unwrap();
+        let mut reply = String::new();
+        replies.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "OK 0 pong\n");
+        peer.write_all(b"SHUTDOWN\n").unwrap();
+        reply.clear();
+        replies.read_line(&mut reply).unwrap();
+        assert_eq!(reply, "OK 0 bye\n");
+        server.join().unwrap().unwrap();
     }
 
     #[test]
@@ -421,7 +601,7 @@ mod tests {
         let mut svc = Service::new(host);
         let listed = ok(svc.handle(Request::List));
         assert_eq!(listed.body.len(), 1, "registration survived restart");
-        assert!(listed.body[0].contains(sql), "{}", listed.body[0]);
+        assert!(listed.body[0].contains(sql), "{}", &listed.body[0]);
         let replayed = ok(svc.handle(Request::Poll(id)));
         assert!(
             replayed.body.is_empty(),

@@ -98,6 +98,69 @@ impl fmt::Display for Request {
     }
 }
 
+/// The counted body of a response: newline-terminated lines in one
+/// buffer, and how many there are. No line holds a raw `\n` or `\r`.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct Body {
+    text: String,
+    lines: usize,
+}
+
+impl Body {
+    /// Wrap `lines` newline-terminated JSON rows as the sink wrote them:
+    /// it escapes `\n` and `\r`, so the text is taken unscanned.
+    pub(crate) fn from_json_lines(text: String, lines: usize) -> Body {
+        debug_assert_eq!(text.matches('\n').count(), lines);
+        Body { text, lines }
+    }
+
+    /// Append one line; newlines inside it become spaces.
+    pub fn push_line(&mut self, line: &str) {
+        push_sanitized(&mut self.text, line);
+        self.text.push('\n');
+        self.lines += 1;
+    }
+
+    /// Number of lines.
+    pub fn len(&self) -> usize {
+        self.lines
+    }
+
+    /// True when there are no lines.
+    pub fn is_empty(&self) -> bool {
+        self.lines == 0
+    }
+
+    /// The lines, without their terminators.
+    pub fn lines(&self) -> impl Iterator<Item = &str> {
+        self.text.split_terminator('\n')
+    }
+
+    /// All lines as they go on the wire, each newline-terminated.
+    pub fn as_str(&self) -> &str {
+        &self.text
+    }
+}
+
+impl<S: AsRef<str>> FromIterator<S> for Body {
+    fn from_iter<I: IntoIterator<Item = S>>(lines: I) -> Body {
+        let mut body = Body::default();
+        for line in lines {
+            body.push_line(line.as_ref());
+        }
+        body
+    }
+}
+
+impl std::ops::Index<usize> for Body {
+    type Output = str;
+
+    /// Line `i`; panics when out of range, as a slice does.
+    fn index(&self, i: usize) -> &str {
+        self.lines().nth(i).expect("body line index out of range")
+    }
+}
+
 /// A framed server response.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Response {
@@ -106,21 +169,17 @@ pub struct Response {
     /// Newline-free detail text (id, counts, error message, ...).
     pub detail: String,
     /// Counted body lines following the header.
-    pub body: Vec<String>,
+    pub body: Body,
 }
 
 impl Response {
     /// A bodyless success.
     pub fn ok(detail: impl Into<String>) -> Response {
-        Response {
-            ok: true,
-            detail: sanitize(&detail.into()),
-            body: Vec::new(),
-        }
+        Response::with_body(detail, Body::default())
     }
 
     /// A success carrying body lines.
-    pub fn with_body(detail: impl Into<String>, body: Vec<String>) -> Response {
+    pub fn with_body(detail: impl Into<String>, body: Body) -> Response {
         Response {
             ok: true,
             detail: sanitize(&detail.into()),
@@ -133,19 +192,21 @@ impl Response {
         Response {
             ok: false,
             detail: sanitize(&message.into()),
-            body: Vec::new(),
+            body: Body::default(),
         }
     }
 
     /// Render the full frame, every line newline-terminated.
     pub fn render(&self) -> String {
-        let status = if self.ok { "OK" } else { "ERR" };
-        let mut s = format!("{status} {} {}\n", self.body.len(), self.detail);
-        for line in &self.body {
-            s.push_str(&sanitize(line));
-            s.push('\n');
-        }
-        s
+        let mut frame = String::new();
+        self.render_into(&mut frame);
+        frame
+    }
+
+    /// Append the full frame to `out`.
+    pub fn render_into(&self, out: &mut String) {
+        write_header(out, self.ok, self.body.len(), &self.detail);
+        out.push_str(self.body.as_str());
     }
 
     /// Parse a header line; the caller reads the returned body-line
@@ -166,13 +227,30 @@ impl Response {
     }
 }
 
+/// Append a header line announcing `nbody` body lines. `detail` must be
+/// newline-free.
+pub(crate) fn write_header(out: &mut String, ok: bool, nbody: usize, detail: impl fmt::Display) {
+    use fmt::Write;
+    let status = if ok { "OK" } else { "ERR" };
+    writeln!(out, "{status} {nbody} {detail}").expect("writing to a String cannot fail");
+}
+
+/// Append `s` with every `\n` and `\r` replaced by a space.
+fn push_sanitized(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest.find(['\n', '\r']) {
+        out.push_str(&rest[..i]);
+        out.push(' ');
+        rest = &rest[i + 1..];
+    }
+    out.push_str(rest);
+}
+
 /// Collapse newlines so any text fits a single protocol line.
 pub fn sanitize(s: &str) -> String {
-    if s.contains(['\n', '\r']) {
-        s.replace(['\n', '\r'], " ")
-    } else {
-        s.to_string()
-    }
+    let mut out = String::with_capacity(s.len());
+    push_sanitized(&mut out, s);
+    out
 }
 
 #[cfg(test)]
@@ -223,7 +301,7 @@ mod tests {
 
     #[test]
     fn responses_frame_and_reparse() {
-        let r = Response::with_body("q1", vec!["{\"a\":1}".into(), "{\"a\":2}".into()]);
+        let r = Response::with_body("q1", ["{\"a\":1}", "{\"a\":2}"].into_iter().collect());
         let rendered = r.render();
         let mut lines = rendered.lines();
         let (ok, n, detail) = Response::parse_header(lines.next().unwrap()).unwrap();
@@ -236,6 +314,41 @@ mod tests {
         assert!(!ok);
         assert_eq!(n, 0);
         assert_eq!(msg, "unknown query: q5");
+    }
+
+    /// `Response::render` as it was with a `Vec<String>` body: every
+    /// line sanitized at render time.
+    fn render_line_by_line(ok: bool, detail: &str, body: &[&str]) -> String {
+        let status = if ok { "OK" } else { "ERR" };
+        let mut s = format!("{status} {} {detail}\n", body.len());
+        for line in body {
+            s.push_str(&line.replace(['\n', '\r'], " "));
+            s.push('\n');
+        }
+        s
+    }
+
+    #[test]
+    fn counted_body_renders_as_the_line_vector_did() {
+        let cases: [&[&str]; 4] = [
+            &[],
+            &["{\"a\":1}", "{\"a\":2}"],
+            &["", "two\nlines", "cr\r\nlf", "\n", "日本\r語"],
+            &["q1 running rows_in=0 rows_out=0 indexed=true SELECT text\rFROM twitter"],
+        ];
+        for lines in cases {
+            let body: Body = lines.iter().collect();
+            assert_eq!(body.len(), lines.len());
+            assert_eq!(body.is_empty(), lines.is_empty());
+            assert_eq!(body.lines().count(), lines.len(), "{lines:?}");
+            let r = Response::with_body("q1", body);
+            assert_eq!(r.render(), render_line_by_line(true, "q1", lines));
+            for (i, line) in lines.iter().enumerate() {
+                assert_eq!(r.body[i], line.replace(['\n', '\r'], " "));
+            }
+        }
+        let e = Response::err("no\nsuch");
+        assert_eq!(e.render(), render_line_by_line(false, "no such", &[]));
     }
 
     #[test]
