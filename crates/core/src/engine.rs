@@ -938,7 +938,7 @@ impl Engine {
             () => {
                 if columnar {
                     if !tbatch.is_empty() {
-                        planned.pipeline.push_tweet_batch(&mut tbatch, &mut out)?;
+                        planned.pipeline.drain_tweet_batch(&mut tbatch, &mut out)?;
                     }
                 } else if !batch.is_empty() {
                     planned.pipeline.push_batch(&mut batch, &mut out)?;
@@ -1040,7 +1040,7 @@ impl Engine {
             () => {
                 if columnar {
                     if !tbatch.is_empty() {
-                        planned.pipeline.push_tweet_batch(&mut tbatch, &mut out)?;
+                        planned.pipeline.drain_tweet_batch(&mut tbatch, &mut out)?;
                     }
                 } else if !batch.is_empty() {
                     planned.pipeline.push_batch(&mut batch, &mut out)?;

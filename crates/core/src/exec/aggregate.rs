@@ -22,7 +22,9 @@ use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
+use std::sync::Arc;
+use tweeql_model::record::twitter_schema;
+use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch, Value};
 
 /// Window policy (compiled form of [`crate::ast::WindowSpec`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -356,6 +358,57 @@ struct Group {
     last_ts: Timestamp,
 }
 
+impl Group {
+    fn new(aggs: &[AggExpr], ts: Timestamp) -> Group {
+        Group {
+            states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
+            n: 0,
+            confidence: ConfidenceTracker::new(),
+            last_ts: ts,
+        }
+    }
+
+    /// Fold one tuple's aggregate arguments in.
+    fn update(&mut self, arg_values: &[Option<Value>], ts: Timestamp) {
+        self.n += 1;
+        self.last_ts = ts;
+        for (state, v) in self.states.iter_mut().zip(arg_values) {
+            state.update(v.as_ref(), ts);
+        }
+    }
+}
+
+/// Group keys and aggregate arguments that are all plain columns of the
+/// `twitter` stream: what lets the operator read a [`TweetBatch`]
+/// without a [`Record`] per row.
+struct TweetColumns {
+    keys: Vec<usize>,
+    /// `None` for `COUNT(*)`.
+    args: Vec<Option<usize>>,
+}
+
+impl TweetColumns {
+    fn of(key_exprs: &[CExpr], aggs: &[AggExpr], input_schema: &SchemaRef) -> Option<Self> {
+        if !Arc::ptr_eq(input_schema, &twitter_schema()) {
+            return None;
+        }
+        let column = |e: &CExpr| match e {
+            CExpr::Column(c) => Some(*c),
+            _ => None,
+        };
+        Some(TweetColumns {
+            keys: key_exprs.iter().map(column).collect::<Option<_>>()?,
+            args: aggs
+                .iter()
+                .map(|a| match &a.arg {
+                    Some(e) => column(e).map(Some),
+                    None => Some(None),
+                })
+                .collect::<Option<_>>()?,
+        })
+    }
+}
+
 /// The aggregation operator.
 pub struct AggregateOp {
     key_exprs: Vec<CExpr>,
@@ -377,22 +430,34 @@ pub struct AggregateOp {
     windows_emitted: u64,
     /// Confidence-window emissions (CI target met or deadline hit).
     confidence_emits: u64,
+    /// Columnar head: set when the input is the `twitter` stream and
+    /// every key and argument is a plain column of it.
+    columns: Option<TweetColumns>,
+    /// The current tuple's group key and aggregate arguments, reused
+    /// across tuples so a tuple of an existing group allocates nothing.
+    key: Vec<Value>,
+    arg_values: Vec<Option<Value>>,
 }
 
 impl AggregateOp {
-    /// Build. `schema` must be `[keys..., aggs...]`. For
-    /// `WindowPolicy::Confidence`, `confidence_target` is the index (into
-    /// `aggs`) of the AVG whose CI is tracked.
+    /// Build. `schema` must be `[keys..., aggs...]`; `input_schema` is
+    /// what `key_exprs` and the aggregate arguments were compiled
+    /// against. For `WindowPolicy::Confidence`, `confidence_target` is
+    /// the index (into `aggs`) of the AVG whose CI is tracked.
     pub fn new(
         key_exprs: Vec<CExpr>,
         aggs: Vec<AggExpr>,
         ctx: EvalCtx,
         policy: WindowPolicy,
+        input_schema: &SchemaRef,
         schema: SchemaRef,
         confidence_target: usize,
     ) -> AggregateOp {
         debug_assert_eq!(schema.len(), key_exprs.len() + aggs.len());
         AggregateOp {
+            columns: TweetColumns::of(&key_exprs, &aggs, input_schema),
+            key: Vec::new(),
+            arg_values: Vec::new(),
             key_exprs,
             aggs,
             ctx,
@@ -572,12 +637,7 @@ impl AggregateOp {
             for (key, pg) in partial_groups {
                 let group = match self.groups.entry(key) {
                     Entry::Occupied(o) => o.into_mut(),
-                    Entry::Vacant(v) => v.insert(Group {
-                        states: self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                        n: 0,
-                        confidence: ConfidenceTracker::new(),
-                        last_ts: pg.last_ts,
-                    }),
+                    Entry::Vacant(v) => v.insert(Group::new(&self.aggs, pg.last_ts)),
                 };
                 group.n += pg.n;
                 group.last_ts = pg.last_ts;
@@ -637,20 +697,78 @@ impl AggregateOp {
                 continue;
             }
             let groups = self.sliding.entry(start).or_default();
-            let group = match groups.entry(key.to_vec()) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => v.insert(Group {
-                    states: self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                    n: 0,
-                    confidence: ConfidenceTracker::new(),
-                    last_ts: ts,
-                }),
+            let group = match groups.get_mut(key) {
+                Some(g) => g,
+                None => groups
+                    .entry(key.to_vec())
+                    .or_insert_with(|| Group::new(&self.aggs, ts)),
             };
-            group.n += 1;
-            group.last_ts = ts;
-            for (state, v) in group.states.iter_mut().zip(arg_values) {
-                state.update(v.as_ref(), ts);
+            group.update(arg_values, ts);
+        }
+    }
+
+    /// A tuple at `ts` closes the time windows it is past and opens the
+    /// tumbling window it falls in.
+    fn open_window(&mut self, ts: Timestamp, out: &mut Vec<Record>) {
+        self.advance_time_windows(ts, out);
+        if let (WindowPolicy::Time(d), None) = (&self.policy, self.window_end) {
+            self.window_end = Some(ts.truncate(*d) + *d);
+        }
+    }
+
+    /// Fold the tuple held in `self.key` / `self.arg_values` into its
+    /// group and emit whatever the window policy says is due.
+    fn ingest(&mut self, ts: Timestamp, out: &mut Vec<Record>) {
+        let key = std::mem::take(&mut self.key);
+        let arg_values = std::mem::take(&mut self.arg_values);
+        self.ingest_tuple(&key, &arg_values, ts, out);
+        self.key = key;
+        self.arg_values = arg_values;
+    }
+
+    fn ingest_tuple(
+        &mut self,
+        key: &[Value],
+        arg_values: &[Option<Value>],
+        ts: Timestamp,
+        out: &mut Vec<Record>,
+    ) {
+        if let WindowPolicy::Sliding { size, slide } = self.policy {
+            self.sliding_update(key, arg_values, ts, size, slide);
+            return;
+        }
+        let group = match self.groups.get_mut(key) {
+            Some(g) => g,
+            None => self
+                .groups
+                .entry(key.to_vec())
+                .or_insert_with(|| Group::new(&self.aggs, ts)),
+        };
+        group.update(arg_values, ts);
+
+        match &self.policy {
+            WindowPolicy::Count(n) if group.n >= *n => {
+                if let Some(g) = self.groups.remove(key) {
+                    self.windows_emitted += 1;
+                    self.emit_group(key, &g, out);
+                }
             }
+            WindowPolicy::Confidence { epsilon, max_age } => {
+                // Track the target aggregate's sample.
+                if let Some(Some(v)) = arg_values.get(self.confidence_target) {
+                    if let Ok(f) = v.as_float() {
+                        group.confidence.observe(f, ts);
+                    }
+                }
+                if group.confidence.should_emit(*epsilon, *max_age, ts) {
+                    if let Some(g) = self.groups.remove(key) {
+                        self.windows_emitted += 1;
+                        self.confidence_emits += 1;
+                        self.emit_group(key, &g, out);
+                    }
+                }
+            }
+            _ => {}
         }
     }
 }
@@ -720,71 +838,54 @@ impl Operator for AggregateOp {
 
     fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
         let ts = rec.timestamp();
-
         // A record past the current window closes it first.
-        self.advance_time_windows(ts, out);
-        if let (WindowPolicy::Time(d), None) = (&self.policy, self.window_end) {
-            let start = ts.truncate(*d);
-            self.window_end = Some(start + *d);
-        }
-
-        // Evaluate key and aggregate arguments.
-        let mut key = Vec::with_capacity(self.key_exprs.len());
+        self.open_window(ts, out);
+        self.key.clear();
         for e in &self.key_exprs {
-            key.push(e.eval(&rec, &mut self.ctx)?);
+            self.key.push(e.eval(&rec, &mut self.ctx)?);
         }
-        let mut arg_values: Vec<Option<Value>> = Vec::with_capacity(self.aggs.len());
+        self.arg_values.clear();
         for a in &self.aggs {
-            arg_values.push(match &a.arg {
+            self.arg_values.push(match &a.arg {
                 Some(e) => Some(e.eval(&rec, &mut self.ctx)?),
                 None => None,
             });
         }
+        self.ingest(ts, out);
+        Ok(())
+    }
 
-        if let WindowPolicy::Sliding { size, slide } = self.policy {
-            self.sliding_update(&key, &arg_values, ts, size, slide);
-            return Ok(());
-        }
+    fn wants_tweet_batch(&self) -> Option<&[bool]> {
+        // Plain column reads go through the batch's row store: nothing
+        // needs materializing.
+        self.columns.as_ref().map(|_| &[][..])
+    }
 
-        let group = match self.groups.entry(key.clone()) {
-            Entry::Occupied(o) => o.into_mut(),
-            Entry::Vacant(v) => v.insert(Group {
-                states: self.aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                n: 0,
-                confidence: ConfidenceTracker::new(),
-                last_ts: ts,
-            }),
+    fn on_tweet_batch(
+        &mut self,
+        batch: &TweetBatch,
+        sel: &[u32],
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        let Some(cols) = self.columns.take() else {
+            return super::row_shim(self, batch, sel, out);
         };
-        group.n += 1;
-        group.last_ts = ts;
-        for (state, v) in group.states.iter_mut().zip(&arg_values) {
-            state.update(v.as_ref(), ts);
+        // Per row exactly what `on_record` does, minus the `Record`:
+        // key and arguments come straight from the batch (dead columns
+        // read NULL, as in the pruned row decode).
+        for &i in sel {
+            let i = i as usize;
+            let ts = batch.ts(i);
+            self.open_window(ts, out);
+            self.key.clear();
+            self.key
+                .extend(cols.keys.iter().map(|&c| batch.value_at(i, c)));
+            self.arg_values.clear();
+            self.arg_values
+                .extend(cols.args.iter().map(|a| a.map(|c| batch.value_at(i, c))));
+            self.ingest(ts, out);
         }
-
-        match &self.policy {
-            WindowPolicy::Count(n) if group.n >= *n => {
-                if let Some(g) = self.groups.remove(&key) {
-                    self.windows_emitted += 1;
-                    self.emit_group(&key, &g, out);
-                }
-            }
-            WindowPolicy::Confidence { epsilon, max_age } => {
-                // Track the target aggregate's sample.
-                if let Some(Some(v)) = arg_values.get(self.confidence_target) {
-                    if let Ok(f) = v.as_float() {
-                        group.confidence.observe(f, ts);
-                    }
-                }
-                if group.confidence.should_emit(*epsilon, *max_age, ts) {
-                    if let Some(g) = self.groups.remove(&key) {
-                        self.windows_emitted += 1;
-                        self.confidence_emits += 1;
-                        self.emit_group(&key, &g, out);
-                    }
-                }
-            }
-            _ => {}
-        }
+        self.columns = Some(cols);
         Ok(())
     }
 
@@ -899,6 +1000,7 @@ mod tests {
             }],
             ctx,
             policy,
+            &in_schema(),
             out_schema(),
             0,
         )
@@ -1036,6 +1138,7 @@ mod tests {
             ],
             ctx,
             WindowPolicy::Unbounded,
+            &in_schema(),
             schema,
             0,
         );
@@ -1105,7 +1208,7 @@ mod tests {
                     arg: Some(arg("x", &mut ctx)),
                 },
             ];
-            AggregateOp::new(vec![key], aggs, ctx, policy, schema, 0)
+            AggregateOp::new(vec![key], aggs, ctx, policy, &in_schema(), schema, 0)
         };
         let records: Vec<Record> = [
             ("a", 3.0, 5),
@@ -1282,5 +1385,146 @@ mod tests {
         op.on_gap(Timestamp::from_secs(1), Timestamp::from_secs(2), &mut out)
             .unwrap();
         assert_eq!(op.gap_windows(), vec![Timestamp::ZERO]);
+    }
+
+    mod columnar {
+        use super::*;
+        use crate::exec::Pipeline;
+        use proptest::prelude::*;
+        use tweeql_model::batch::col as tcol;
+        use tweeql_model::{Tweet, User};
+
+        /// 60 tweets, two seconds apart, three languages, seven authors.
+        fn tweets() -> Vec<Tweet> {
+            (0..60u64)
+                .map(|i| {
+                    let mut user = User::new(i % 7, format!("user{}", i % 7));
+                    user.followers = (i * 5 % 37) as u32;
+                    Tweet::builder(i, format!("tweet {i}"))
+                        .user(user)
+                        .at(Timestamp::from_secs(100 + 2 * i as i64))
+                        .lang(["en", "ja", "es"][i as usize % 3])
+                        .build()
+                })
+                .collect()
+        }
+
+        /// `lang, count(*), count(distinct screen_name), avg(followers),
+        /// min(<last>)` over the twitter stream.
+        fn op(policy: WindowPolicy, last: &str) -> AggregateOp {
+            let mut reg = Registry::empty();
+            crate::expr::functions::register_builtins(&mut reg);
+            let mut ctx = EvalCtx::default();
+            let input = twitter_schema();
+            let mut c = |src: &str| {
+                compile_into(&parse_expr(src).unwrap(), &input, &reg, &mut ctx).unwrap()
+            };
+            let key = c("lang");
+            let aggs = vec![
+                AggExpr {
+                    func: AggFunc::Count,
+                    arg: None,
+                },
+                AggExpr {
+                    func: AggFunc::CountDistinct,
+                    arg: Some(c("screen_name")),
+                },
+                AggExpr {
+                    func: AggFunc::Avg,
+                    arg: Some(c("followers")),
+                },
+                AggExpr {
+                    func: AggFunc::Min,
+                    arg: Some(c(last)),
+                },
+            ];
+            let schema = Schema::shared(&[
+                ("lang", DataType::Str),
+                ("n", DataType::Int),
+                ("authors", DataType::Int),
+                ("reach", DataType::Float),
+                ("lo", DataType::Any),
+            ]);
+            AggregateOp::new(vec![key], aggs, ctx, policy, &input, schema, 0)
+        }
+
+        fn policy(which: usize) -> WindowPolicy {
+            match which {
+                0 => WindowPolicy::Time(Duration::from_secs(20)),
+                1 => WindowPolicy::Sliding {
+                    size: Duration::from_secs(30),
+                    slide: Duration::from_secs(10),
+                },
+                _ => WindowPolicy::Count(3),
+            }
+        }
+
+        #[test]
+        fn only_plain_twitter_columns_take_the_columnar_head() {
+            let unbounded = || WindowPolicy::Unbounded;
+            assert_eq!(
+                op(unbounded(), "followers").wants_tweet_batch(),
+                Some(&[][..]),
+                "reads the row store: nothing to materialize"
+            );
+            assert_eq!(op(unbounded(), "followers * 2").wants_tweet_batch(), None);
+            assert_eq!(
+                make_op(unbounded(), AggFunc::Count).wants_tweet_batch(),
+                None,
+                "non-twitter input"
+            );
+        }
+
+        fn digest(p: &Pipeline) -> u64 {
+            let mut d = tweeql_wal::Digest::new();
+            p.state_digest(&mut d);
+            d.finish()
+        }
+
+        proptest! {
+            /// `on_tweet_batch(batch, sel)` is `on_record` over the
+            /// selected rows decoded one by one — rows, order, stage
+            /// counts and `state_digest` — across two batches (window
+            /// state carries over), for tumbling, sliding and count
+            /// windows, empty to full selections, any liveness mask.
+            #[test]
+            fn selection_ingest_matches_row_ingest(
+                which in 0usize..3,
+                density in 0u8..=10,
+                draws in collection::vec(0u8..10, 60..61),
+                live_bits in 0u32..(1 << 12),
+            ) {
+                let live: Option<Arc<[bool]>> = (live_bits >> 11 == 0)
+                    .then(|| (0..tcol::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
+                let mut rows = Pipeline::new(vec![Box::new(op(policy(which), "followers"))]);
+                let mut cols = Pipeline::new(vec![Box::new(op(policy(which), "followers"))]);
+                let (mut row_out, mut col_out) = (Vec::new(), Vec::new());
+                for half in tweets().chunks(30) {
+                    let mut batch = TweetBatch::with_live(live.clone());
+                    for t in half {
+                        batch.push(t.clone());
+                    }
+                    let first = half[0].id as usize;
+                    let sel: Vec<u32> = (0..30u32)
+                        .filter(|&i| draws[first + i as usize] < density)
+                        .collect();
+                    let mut recs: Vec<Record> =
+                        sel.iter().map(|&i| batch.record_at(i as usize)).collect();
+                    rows.push_batch(&mut recs, &mut row_out).unwrap();
+                    cols.push_tweet_batch(&batch, &sel, &mut col_out).unwrap();
+                    prop_assert_eq!(digest(&rows), digest(&cols));
+                }
+                rows.finish(&mut row_out).unwrap();
+                cols.finish(&mut col_out).unwrap();
+                prop_assert_eq!(row_out, col_out);
+                let counts = |p: &Pipeline| -> Vec<(u64, u64)> {
+                    p.stage_stats()
+                        .iter()
+                        .map(|(_, s)| (s.records_in, s.records_out))
+                        .collect()
+                };
+                prop_assert_eq!(counts(&rows), counts(&cols));
+            }
+        }
     }
 }

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use tweeql_model::batch::col as tcol;
 use tweeql_model::record::twitter_schema;
-use tweeql_model::{DecodeStats, Record, SchemaRef, TweetBatch, Value};
+use tweeql_model::{Record, SchemaRef, TweetBatch, Value};
 
 /// One compiled `WHERE` conjunct with its runtime counters.
 struct Conjunct {
@@ -76,8 +76,6 @@ pub struct FusedScanOp {
     /// what a columnar batch must materialize. `None` (non-twitter
     /// input schema) keeps the operator on the row path.
     columnar: Option<Vec<bool>>,
-    /// Columnar decode counters accumulated by this instance.
-    decode: DecodeStats,
 }
 
 impl FusedScanOp {
@@ -145,7 +143,6 @@ impl FusedScanOp {
             reranks: 0,
             alpha: 0.2,
             columnar,
-            decode: DecodeStats::default(),
         })
     }
 
@@ -188,23 +185,28 @@ impl FusedScanOp {
     /// Run the conjunct chain over `recs`, leaving the surviving rows
     /// in `self.sel_a` (sorted ascending).
     fn run_filters(&mut self, recs: &[Record]) -> Result<(), QueryError> {
-        self.run_filter_chain(recs.len(), |vm, prog, sel_in, sel_out| {
-            vm.filter(prog, recs, sel_in, sel_out)
-        })
+        self.sel_a.clear();
+        self.sel_a.extend(0..recs.len() as u32);
+        self.run_filter_chain(|vm, prog, sel_in, sel_out| vm.filter(prog, recs, sel_in, sel_out))
     }
 
-    /// [`Self::run_filters`] over a columnar batch.
-    fn run_filters_cols(&mut self, batch: &TweetBatch) -> Result<(), QueryError> {
-        self.run_filter_chain(batch.len(), |vm, prog, sel_in, sel_out| {
+    /// [`Self::run_filters`] over the rows of a columnar batch listed
+    /// in `sel`. The selection is only where the chain starts: every
+    /// conjunct is still evaluated, so a caller's prefilter need only
+    /// over-approximate.
+    fn run_filters_cols(&mut self, batch: &TweetBatch, sel: &[u32]) -> Result<(), QueryError> {
+        self.sel_a.clear();
+        self.sel_a.extend_from_slice(sel);
+        self.run_filter_chain(|vm, prog, sel_in, sel_out| {
             vm.filter_cols(prog, batch, sel_in, sel_out)
         })
     }
 
-    /// The adaptive conjunct chain, generic over how one program is
-    /// evaluated (row records vs columnar batch).
+    /// The adaptive conjunct chain over the rows in `self.sel_a`,
+    /// generic over how one program is evaluated (row records vs
+    /// columnar batch).
     fn run_filter_chain(
         &mut self,
-        rows: usize,
         mut eval: impl FnMut(
             &mut BatchVm,
             &ExprProgram,
@@ -212,8 +214,6 @@ impl FusedScanOp {
             &mut Vec<u32>,
         ) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
-        self.sel_a.clear();
-        self.sel_a.extend(0..rows as u32);
         let adaptive = self.conjuncts.len() > 1;
         for k in 0..self.order.len() {
             let ci = self.order[k];
@@ -318,25 +318,21 @@ impl Operator for FusedScanOp {
         Ok(())
     }
 
-    fn wants_tweet_batch(&self) -> bool {
-        self.columnar.is_some()
+    fn wants_tweet_batch(&self) -> Option<&[bool]> {
+        self.columnar.as_deref()
     }
 
     fn on_tweet_batch(
         &mut self,
-        batch: &mut TweetBatch,
+        batch: &TweetBatch,
+        sel: &[u32],
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        let Some(needed) = &self.columnar else {
-            // Non-twitter input: fall back to the row shim.
-            let mut recs = batch.to_records();
-            return self.on_batch(&mut recs, out);
-        };
-        // Build only the columns this operator's programs read, only
-        // for rows the liveness mask keeps alive.
-        let stats = batch.materialize(needed);
-        self.decode.merge(&stats);
-        self.run_filters_cols(batch)?;
+        if self.columnar.is_none() {
+            // Non-twitter input.
+            return super::row_shim(self, batch, sel, out);
+        }
+        self.run_filters_cols(batch, sel)?;
         match &self.project {
             None => {
                 // Pure filter: materialize survivors straight from the
@@ -382,10 +378,6 @@ impl Operator for FusedScanOp {
         Ok(())
     }
 
-    fn decode_stats(&self) -> Option<DecodeStats> {
-        self.columnar.as_ref().map(|_| self.decode)
-    }
-
     fn parallel_clone(&self) -> Option<Box<dyn Operator>> {
         // Programs are stateless by construction (stateful UDFs fail
         // lowering), so a clone with fresh scratch is always safe.
@@ -416,7 +408,6 @@ impl Operator for FusedScanOp {
             reranks: 0,
             alpha: self.alpha,
             columnar: self.columnar.clone(),
-            decode: DecodeStats::default(),
         }))
     }
 
@@ -554,6 +545,8 @@ mod tests {
 
     mod columnar {
         use super::*;
+        use crate::exec::Pipeline;
+        use proptest::prelude::*;
         use tweeql_model::{Tweet, TweetBatch, User};
 
         fn tweets() -> Vec<Tweet> {
@@ -592,8 +585,15 @@ mod tests {
                 .collect()
         }
 
+        fn batch_of(src: Vec<Tweet>, live: Option<Arc<[bool]>>) -> TweetBatch {
+            let mut batch = TweetBatch::with_live(live);
+            for t in src {
+                batch.push(t);
+            }
+            batch
+        }
+
         fn run_both(mut op: FusedScanOp, live: Option<Arc<[bool]>>) -> (Vec<Record>, Vec<Record>) {
-            assert!(op.wants_tweet_batch(), "twitter input must opt in");
             let src = tweets();
             let mut rows: Vec<Record> = src
                 .iter()
@@ -606,15 +606,15 @@ mod tests {
             op.on_batch(&mut rows, &mut row_out).unwrap();
 
             let mut clone = op.parallel_clone().expect("fused ops always clone");
-            let mut batch = TweetBatch::new();
-            if let Some(l) = live {
-                batch.set_live(Some(l));
-            }
-            for t in src {
-                batch.push(t);
-            }
+            let mut batch = batch_of(src, live);
+            batch.materialize(
+                clone
+                    .wants_tweet_batch()
+                    .expect("twitter input must opt in"),
+            );
+            let full: Vec<u32> = (0..batch.len() as u32).collect();
             let mut col_out = Vec::new();
-            clone.on_tweet_batch(&mut batch, &mut col_out).unwrap();
+            clone.on_tweet_batch(&batch, &full, &mut col_out).unwrap();
             (row_out, col_out)
         }
 
@@ -651,21 +651,19 @@ mod tests {
         }
 
         #[test]
-        fn decode_stats_count_only_needed_live_columns() {
+        fn pipeline_materializes_only_what_the_head_reads() {
             let conj = tcexprs(&["lang = 'en'", "followers >= 0"]);
-            let mut op = FusedScanOp::try_new(&conj, None, twitter_schema(), "where").unwrap();
-            assert_eq!(
-                op.decode_stats(),
-                Some(DecodeStats::default()),
-                "columnar op reports stats before any batch"
-            );
-            let mut batch = TweetBatch::new();
-            for t in tweets() {
-                batch.push(t);
-            }
+            let op = FusedScanOp::try_new(&conj, None, twitter_schema(), "where").unwrap();
+            let mut wants = [false; tcol::COUNT];
+            wants[tcol::LANG] = true;
+            wants[tcol::FOLLOWERS] = true;
+            assert_eq!(op.wants_tweet_batch(), Some(&wants[..]));
+            let mut pipeline = Pipeline::new(vec![Box::new(op)]);
+            let mut batch = batch_of(tweets(), None);
             let mut out = Vec::new();
-            op.on_tweet_batch(&mut batch, &mut out).unwrap();
-            let stats = op.decode_stats().unwrap();
+            pipeline.drain_tweet_batch(&mut batch, &mut out).unwrap();
+            assert!(batch.is_empty(), "drain resets the batch");
+            let stats = pipeline.decode_stats();
             assert_eq!(stats.columns_materialized, 2, "lang + followers only");
             assert_eq!(stats.columns_skipped, (tcol::COUNT - 2) as u64);
             assert!(stats.dict_rows >= 40, "lang decodes via dictionary");
@@ -676,8 +674,68 @@ mod tests {
         fn non_twitter_schema_stays_on_row_path() {
             let conj = cexprs(&["followers > 10"]);
             let op = FusedScanOp::try_new(&conj, None, schema(), "where").unwrap();
-            assert!(!op.wants_tweet_batch());
-            assert_eq!(op.decode_stats(), None);
+            assert_eq!(op.wants_tweet_batch(), None);
+        }
+
+        /// The three operator shapes the planner lowers to.
+        fn shape(which: usize) -> FusedScanOp {
+            let conj = tcexprs(&["text contains 'obama'", "followers > 10"]);
+            let proj = tcexprs(&["upper(lang)", "followers * 2", "loc"]);
+            let out_schema = Schema::shared(&[
+                ("l", DataType::Str),
+                ("f2", DataType::Int),
+                ("loc", DataType::Str),
+            ]);
+            match which {
+                0 => FusedScanOp::try_new(&conj, None, twitter_schema(), "where"),
+                1 => FusedScanOp::try_new(&[], Some((&proj, out_schema)), twitter_schema(), "p"),
+                _ => FusedScanOp::try_new(&conj, Some((&proj, out_schema)), twitter_schema(), "wp"),
+            }
+            .unwrap()
+        }
+
+        fn counts(p: &Pipeline) -> Vec<(u64, u64, u64)> {
+            p.stage_stats()
+                .iter()
+                .map(|(_, s)| (s.records_in, s.records_out, s.batches))
+                .collect()
+        }
+
+        proptest! {
+            /// `on_tweet_batch(batch, sel)` is `on_batch` over the
+            /// selected rows decoded one by one: same rows, same order,
+            /// same stage counts — for empty, full and sparse
+            /// selections, with any liveness mask (dead columns read
+            /// NULL on both sides, even ones the programs touch).
+            #[test]
+            fn selection_ingest_matches_row_ingest(
+                which in 0usize..3,
+                // Share of rows selected, in tenths: 0 is the empty
+                // selection, 10 the full one, 1 a sparse one.
+                density in 0u8..=10,
+                draws in collection::vec(0u8..10, 40..41),
+                // Bit 11 set: no mask. Else bits 0..11 are the mask.
+                live_bits in 0u32..(1 << 12),
+            ) {
+                let live: Option<Arc<[bool]>> = (live_bits >> 11 == 0)
+                    .then(|| (0..tcol::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
+                let sel: Vec<u32> = (0..40u32).filter(|&i| draws[i as usize] < density).collect();
+                let mut batch = batch_of(tweets(), live);
+
+                let mut rows = Pipeline::new(vec![Box::new(shape(which))]);
+                let mut recs: Vec<Record> =
+                    sel.iter().map(|&i| batch.record_at(i as usize)).collect();
+                let mut row_out = Vec::new();
+                rows.push_batch(&mut recs, &mut row_out).unwrap();
+
+                let mut cols = Pipeline::new(vec![Box::new(shape(which))]);
+                batch.materialize(cols.tweet_columns());
+                let mut col_out = Vec::new();
+                cols.push_tweet_batch(&batch, &sel, &mut col_out).unwrap();
+
+                prop_assert_eq!(row_out, col_out);
+                prop_assert_eq!(counts(&rows), counts(&cols));
+            }
         }
     }
 }

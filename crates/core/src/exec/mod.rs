@@ -62,31 +62,33 @@ pub trait Operator: Send {
         Ok(())
     }
 
-    /// True when this operator consumes columnar [`TweetBatch`]es
-    /// natively via [`Operator::on_tweet_batch`]. Only source-side
-    /// scans over the `twitter` stream opt in; the engine's decoders
-    /// ship `TweetBatch`es to a pipeline head that wants them and fall
-    /// back to row decode otherwise.
-    fn wants_tweet_batch(&self) -> bool {
-        false
+    /// `Some` when this operator consumes columnar [`TweetBatch`]es
+    /// natively via [`Operator::on_tweet_batch`]: the mask of columns
+    /// it reads through the batch's materialized form, which whoever
+    /// owns the batch builds before the call (an empty mask asks for
+    /// none). Only source-side stages over the `twitter` stream opt
+    /// in; a pipeline whose head returns `None` gets rows instead.
+    fn wants_tweet_batch(&self) -> Option<&[bool]> {
+        None
     }
 
-    /// Consume a columnar tweet batch, pushing row outputs.
+    /// Consume the rows of a columnar tweet batch listed in `sel`
+    /// (ascending row indexes), pushing row outputs.
     ///
-    /// Mirrors the [`Operator::on_batch`] drain contract: the operator
-    /// consumes the batch's rows (the caller [`TweetBatch::reset`]s it
-    /// afterward and keeps the allocation). The default is the row
-    /// shim — materialize every row as a [`Record`] (honoring the
+    /// The batch is shared and read-only — the standing-query host
+    /// hands the same one to every query that selected rows from it —
+    /// and the caller resets it afterward. The default is the row
+    /// shim: materialize the selected rows as [`Record`]s (honoring the
     /// batch's liveness mask) and take the ordinary batch path; native
     /// implementations filter *before* materializing, which is where
     /// the columnar win comes from.
     fn on_tweet_batch(
         &mut self,
-        batch: &mut TweetBatch,
+        batch: &TweetBatch,
+        sel: &[u32],
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        let mut recs = batch.to_records();
-        self.on_batch(&mut recs, out)
+        row_shim(self, batch, sel, out)
     }
 
     /// Stream time has advanced to `wm`; flush anything due.
@@ -164,15 +166,6 @@ pub trait Operator: Send {
         Vec::new()
     }
 
-    /// Columnar decode counters accumulated by this operator, if it
-    /// decodes tweet batches natively. Unlike [`Operator::metric_counters`],
-    /// these ARE folded back from parallel worker clones (the workers
-    /// return them to the engine), so totals are exact at any worker
-    /// count.
-    fn decode_stats(&self) -> Option<DecodeStats> {
-        None
-    }
-
     /// Fold this operator's *semantic* state into a durability digest.
     ///
     /// The contract: two operators that would emit identical output for
@@ -183,6 +176,27 @@ pub trait Operator: Send {
     /// and LIMIT override this so checkpoint verification can catch
     /// replay divergence.
     fn state_digest(&self, _d: &mut tweeql_wal::Digest) {}
+}
+
+/// The row shim behind [`Operator::on_tweet_batch`]: decode the selected
+/// rows (honoring the batch's liveness mask) and take the batch path.
+pub(crate) fn row_shim<O: Operator + ?Sized>(
+    op: &mut O,
+    batch: &TweetBatch,
+    sel: &[u32],
+    out: &mut Vec<Record>,
+) -> Result<(), QueryError> {
+    let mut recs = sel.iter().map(|&i| batch.record_at(i as usize)).collect();
+    op.on_batch(&mut recs, out)
+}
+
+/// The selection `0..n`, served from an identity vector that only ever
+/// grows (its prefixes never change, so nothing is rewritten per batch).
+pub(crate) fn full_sel(identity: &mut Vec<u32>, n: usize) -> &[u32] {
+    if identity.len() < n {
+        identity.extend(identity.len() as u32..n as u32);
+    }
+    &identity[..n]
 }
 
 /// Per-operator tuple counters and timing.
@@ -270,9 +284,14 @@ pub struct Pipeline {
     stats: Vec<OpStats>,
     cur: Vec<Record>,
     next: Vec<Record>,
+    /// Head-stage output (or shimmed rows) of a tweet batch in flight.
+    staged: Vec<Record>,
+    /// Identity selection for [`Pipeline::drain_tweet_batch`].
+    full_sel: Vec<u32>,
     obs: Option<PipelineObs>,
-    /// Decode counters harvested from parallel worker clones.
-    extra_decode: DecodeStats,
+    /// Columns this pipeline materialized for its head stage, plus the
+    /// counters harvested from parallel worker clones.
+    decode: DecodeStats,
 }
 
 impl Pipeline {
@@ -284,8 +303,10 @@ impl Pipeline {
             stats,
             cur: Vec::new(),
             next: Vec::new(),
+            staged: Vec::new(),
+            full_sel: Vec::new(),
             obs: None,
-            extra_decode: DecodeStats::default(),
+            decode: DecodeStats::default(),
         }
     }
 
@@ -375,23 +396,27 @@ impl Pipeline {
         self.ops.iter().map(|o| o.metric_counters()).collect()
     }
 
-    /// Columnar decode counters summed across stages (in practice only
-    /// the head scan decodes). Worker-clone counters folded in via
-    /// [`Pipeline::add_decode_stats`] are included.
+    /// Columnar decode counters: what [`Pipeline::drain_tweet_batch`]
+    /// materialized for the head stage, plus worker-clone counters
+    /// folded in via [`Pipeline::add_decode_stats`].
     pub fn decode_stats(&self) -> DecodeStats {
-        let mut total = self.extra_decode;
-        for op in &self.ops {
-            if let Some(s) = op.decode_stats() {
-                total.merge(&s);
-            }
-        }
-        total
+        self.decode
+    }
+
+    /// The columns the head stage reads from a materialized
+    /// [`TweetBatch`] (see [`Operator::wants_tweet_batch`]); empty for
+    /// a head that takes rows or reads nothing materialized.
+    pub fn tweet_columns(&self) -> &[bool] {
+        self.ops
+            .first()
+            .and_then(|o| o.wants_tweet_batch())
+            .unwrap_or(&[])
     }
 
     /// Fold decode counters harvested from parallel worker clones into
     /// this pipeline's totals.
     pub fn add_decode_stats(&mut self, s: &DecodeStats) {
-        self.extra_decode.merge(s);
+        self.decode.merge(s);
     }
 
     /// Merge externally-tracked stats (worker clones) into stage `i`.
@@ -478,122 +503,144 @@ impl Pipeline {
         recs: &mut Vec<Record>,
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        let n = self.ops.len();
-        if start >= n {
+        if start >= self.ops.len() {
             out.append(recs);
             return Ok(());
         }
-        let mut obs = self.obs.take();
-        if let Some(o) = obs.as_mut() {
-            o.batch_rows.observe(recs.len() as u64);
-            if let Some(last) = recs.last() {
-                o.last_ts = o.last_ts.max(last.timestamp().millis());
-            }
-        }
-        let batch_ts = obs.as_ref().map(|o| o.last_ts).unwrap_or_default();
-        let mut cur = std::mem::take(&mut self.cur);
-        let mut next = std::mem::take(&mut self.next);
-        for i in start..n {
-            let input: &mut Vec<Record> = if i == start { recs } else { &mut cur };
-            self.stats[i].records_in += input.len() as u64;
-            self.stats[i].batches += 1;
-            next.clear();
-            let span = Self::batch_span_open(&obs, i, batch_ts);
-            let t0 = Instant::now();
-            let res = self.ops[i].on_batch(input, &mut next);
-            self.stats[i].busy_nanos += t0.elapsed().as_nanos() as u64;
-            self.stats[i].records_out += next.len() as u64;
-            Self::batch_span_close(&obs, span, batch_ts, next.len() as u64);
-            if let Err(e) = res {
-                self.cur = cur;
-                self.next = next;
-                self.obs = obs;
-                return Err(e);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        }
-        out.append(&mut cur);
-        self.cur = cur;
-        self.next = next;
-        self.obs = obs;
-        Ok(())
+        let batch_ts = self.observe_batch(recs.len(), recs.last().map(Record::timestamp));
+        self.batch_stages(start, recs, batch_ts, out)
     }
 
-    /// Push a columnar [`TweetBatch`] through every stage.
+    /// Push the rows of a columnar [`TweetBatch`] listed in `sel`
+    /// (ascending) through every stage — the one columnar entry point:
+    /// the engine passes the full selection, the standing-query host
+    /// each query's share of the batch it holds for all of them.
     ///
     /// When the first stage consumes tweet batches natively
-    /// ([`Operator::wants_tweet_batch`]), it filters the columns
-    /// directly and only survivors are materialized as records for
-    /// the downstream stages. Otherwise the whole batch crosses the
-    /// row shim first — behaviorally identical to decoding rows at
-    /// the source, including stats, batch spans, and the batch-rows
-    /// histogram (observed once per pipeline entry, like
-    /// [`Pipeline::push_batch`]).
-    ///
-    /// Drains the batch (the caller keeps the allocation).
+    /// ([`Operator::wants_tweet_batch`]; the caller has materialized
+    /// the columns it names), it reads the columns directly and only
+    /// its output becomes records for the downstream stages. Otherwise
+    /// the selected rows cross the row shim first — behaviorally
+    /// identical to decoding rows at the source, including stats,
+    /// batch spans, and the batch-rows histogram (observed once per
+    /// pipeline entry, like [`Pipeline::push_batch`]).
     pub fn push_tweet_batch(
+        &mut self,
+        batch: &TweetBatch,
+        sel: &[u32],
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        let last_ts = sel.last().map(|&i| batch.ts(i as usize));
+        let batch_ts = self.observe_batch(sel.len(), last_ts);
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.clear();
+        let columnar = self
+            .ops
+            .first()
+            .is_some_and(|o| o.wants_tweet_batch().is_some());
+        let res = if columnar {
+            self.stage(0, batch_ts, sel.len(), &mut staged, |op, next| {
+                op.on_tweet_batch(batch, sel, next)
+            })
+        } else {
+            staged.extend(sel.iter().map(|&i| batch.record_at(i as usize)));
+            Ok(())
+        };
+        let res =
+            res.and_then(|()| self.batch_stages(usize::from(columnar), &mut staged, batch_ts, out));
+        staged.clear();
+        self.staged = staged;
+        res
+    }
+
+    /// Push a whole [`TweetBatch`] the caller owns: materialize the
+    /// columns the head stage reads (counted into
+    /// [`Pipeline::decode_stats`]), push every row, and reset the batch
+    /// — even on error — so the caller keeps the allocation.
+    pub fn drain_tweet_batch(
         &mut self,
         batch: &mut TweetBatch,
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        let n = self.ops.len();
-        let mut obs = self.obs.take();
-        if let Some(o) = obs.as_mut() {
-            o.batch_rows.observe(batch.len() as u64);
-            if let Some(last) = batch.last_ts() {
-                o.last_ts = o.last_ts.max(last.millis());
-            }
+        if !self.tweet_columns().is_empty() {
+            let built = batch.materialize(self.tweet_columns());
+            self.decode.merge(&built);
         }
-        let batch_ts = obs.as_ref().map(|o| o.last_ts).unwrap_or_default();
+        let mut full = std::mem::take(&mut self.full_sel);
+        let res = self.push_tweet_batch(batch, full_sel(&mut full, batch.len()), out);
+        self.full_sel = full;
+        batch.reset();
+        res
+    }
+
+    /// Record one pipeline entry of `rows` rows ending at `last_ts` in
+    /// the batch-rows histogram and the stream-time high-water mark;
+    /// returns the timestamp batch spans are stamped with.
+    fn observe_batch(&mut self, rows: usize, last_ts: Option<Timestamp>) -> i64 {
+        let Some(o) = self.obs.as_mut() else {
+            return 0;
+        };
+        o.batch_rows.observe(rows as u64);
+        if let Some(last) = last_ts {
+            o.last_ts = o.last_ts.max(last.millis());
+        }
+        o.last_ts
+    }
+
+    /// Run `recs` through stages `start..` on the operators' batch
+    /// path, ping-ponging between the two scratch buffers.
+    fn batch_stages(
+        &mut self,
+        start: usize,
+        recs: &mut Vec<Record>,
+        batch_ts: i64,
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        if start >= self.ops.len() {
+            out.append(recs);
+            return Ok(());
+        }
         let mut cur = std::mem::take(&mut self.cur);
         let mut next = std::mem::take(&mut self.next);
-        cur.clear();
-        let columnar = n > 0 && self.ops[0].wants_tweet_batch();
-        if columnar {
-            self.stats[0].records_in += batch.len() as u64;
-            self.stats[0].batches += 1;
+        let mut res = Ok(());
+        for i in start..self.ops.len() {
+            let input: &mut Vec<Record> = if i == start { recs } else { &mut cur };
             next.clear();
-            let span = Self::batch_span_open(&obs, 0, batch_ts);
-            let t0 = Instant::now();
-            let res = self.ops[0].on_tweet_batch(batch, &mut next);
-            self.stats[0].busy_nanos += t0.elapsed().as_nanos() as u64;
-            self.stats[0].records_out += next.len() as u64;
-            Self::batch_span_close(&obs, span, batch_ts, next.len() as u64);
-            if let Err(e) = res {
-                batch.reset();
-                self.cur = cur;
-                self.next = next;
-                self.obs = obs;
-                return Err(e);
-            }
-            std::mem::swap(&mut cur, &mut next);
-        } else {
-            batch.append_records(&mut cur);
-        }
-        batch.reset();
-        for i in usize::from(columnar)..n {
-            self.stats[i].records_in += cur.len() as u64;
-            self.stats[i].batches += 1;
-            next.clear();
-            let span = Self::batch_span_open(&obs, i, batch_ts);
-            let t0 = Instant::now();
-            let res = self.ops[i].on_batch(&mut cur, &mut next);
-            self.stats[i].busy_nanos += t0.elapsed().as_nanos() as u64;
-            self.stats[i].records_out += next.len() as u64;
-            Self::batch_span_close(&obs, span, batch_ts, next.len() as u64);
-            if let Err(e) = res {
-                self.cur = cur;
-                self.next = next;
-                self.obs = obs;
-                return Err(e);
+            res = self.stage(i, batch_ts, input.len(), &mut next, |op, next| {
+                op.on_batch(input, next)
+            });
+            if res.is_err() {
+                break;
             }
             std::mem::swap(&mut cur, &mut next);
         }
-        out.append(&mut cur);
+        if res.is_ok() {
+            out.append(&mut cur);
+        }
         self.cur = cur;
         self.next = next;
-        self.obs = obs;
-        Ok(())
+        res
+    }
+
+    /// One batch-path call into stage `i`, with its stats, busy time
+    /// and batch span.
+    fn stage(
+        &mut self,
+        i: usize,
+        batch_ts: i64,
+        rows_in: usize,
+        next: &mut Vec<Record>,
+        call: impl FnOnce(&mut dyn Operator, &mut Vec<Record>) -> Result<(), QueryError>,
+    ) -> Result<(), QueryError> {
+        self.stats[i].records_in += rows_in as u64;
+        self.stats[i].batches += 1;
+        let span = Self::batch_span_open(&self.obs, i, batch_ts);
+        let t0 = Instant::now();
+        let res = call(self.ops[i].as_mut(), next);
+        self.stats[i].busy_nanos += t0.elapsed().as_nanos() as u64;
+        self.stats[i].records_out += next.len() as u64;
+        Self::batch_span_close(&self.obs, span, batch_ts, next.len() as u64);
+        res
     }
 
     /// Open a batch span under stage `i`'s operator span, if tracing.

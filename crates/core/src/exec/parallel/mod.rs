@@ -40,7 +40,7 @@ pub use reorder::Reorder;
 
 use super::aggregate::{PartialAggBuilder, PartialTable};
 use super::supervise::{SourceBlock, SourceEvent, SourceFaultStats, SupervisedSource};
-use super::{OpStats, Operator, Pipeline};
+use super::{full_sel, OpStats, Operator, Pipeline};
 use crate::error::QueryError;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -545,6 +545,10 @@ fn worker_loop(
     // inputs drop back in here, so a worker's steady state allocates
     // nothing per batch.
     let mut spares: Vec<Vec<Record>> = Vec::new();
+    // Columns built for the prefix's columnar head, and the identity
+    // selection it is handed (workers own their batches whole).
+    let mut decode = DecodeStats::default();
+    let mut identity: Vec<u32> = Vec::new();
     while let Some(Seq { seq, item }) = to_workers.pop() {
         let mut failed: Option<QueryError> = None;
         // Stages already consumed before the generic row loop below.
@@ -565,8 +569,17 @@ fn worker_loop(
                     stats[0].records_in += tb.len() as u64;
                     stats[0].batches += 1;
                     let t0 = Instant::now();
-                    let res = if op.wants_tweet_batch() {
-                        op.on_tweet_batch(&mut tb, &mut rows)
+                    let columnar = match op.wants_tweet_batch() {
+                        Some(cols) => {
+                            if !cols.is_empty() {
+                                decode.merge(&tb.materialize(cols));
+                            }
+                            true
+                        }
+                        None => false,
+                    };
+                    let res = if columnar {
+                        op.on_tweet_batch(&tb, full_sel(&mut identity, tb.len()), &mut rows)
                     } else {
                         // Row shim with a pooled buffer (the trait's
                         // default allocates a fresh Vec per batch).
@@ -648,12 +661,6 @@ fn worker_loop(
         };
         if to_merge.push(Seq { seq, item: done }).is_err() {
             break; // merge stopped early (LIMIT or error)
-        }
-    }
-    let mut decode = DecodeStats::default();
-    for op in &ops {
-        if let Some(s) = op.decode_stats() {
-            decode.merge(&s);
         }
     }
     (stats, builder_stat, decode)

@@ -4,12 +4,14 @@
 //! unstructured-text helpers the paper motivates: `regex_extract`,
 //! `hashtags`, `urls`, `mentions`.
 
+use super::value_as_str;
 use crate::error::QueryError;
 use crate::udf::{Registry, ScalarUdf};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
 use tweeql_model::{Timestamp, Value};
+use tweeql_text::fold::SmallBuf;
 use tweeql_text::Regex;
 
 /// A builtin backed by a plain function pointer.
@@ -350,24 +352,25 @@ impl ScalarUdf for RegexExtractUdf {
         if null_prop(args) {
             return Ok(Value::Null);
         }
-        let text = args[0].to_string();
-        let pattern = args[1].to_string();
+        let (mut tbuf, mut pbuf) = (SmallBuf::new(), SmallBuf::new());
+        let text = value_as_str(&args[0], &mut tbuf);
+        let pattern = value_as_str(&args[1], &mut pbuf);
         let group = args[2].as_int()? as usize;
         let regex = {
             let mut cache = self.cache.lock();
-            match cache.get(&pattern) {
+            match cache.get(pattern) {
                 Some(r) => Arc::clone(r),
                 None => {
                     let r = Arc::new(
-                        Regex::new(&pattern).map_err(|e| err("regex_extract", e.to_string()))?,
+                        Regex::new(pattern).map_err(|e| err("regex_extract", e.to_string()))?,
                     );
-                    cache.insert(pattern, Arc::clone(&r));
+                    cache.insert(pattern.to_string(), Arc::clone(&r));
                     r
                 }
             }
         };
         Ok(regex
-            .extract(&text, group)
+            .extract(text, group)
             .map(|s| Value::Str(s.into()))
             .unwrap_or(Value::Null))
     }

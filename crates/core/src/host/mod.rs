@@ -18,11 +18,14 @@
 //!   the dispatch table are built once at the next pump entry, so a
 //!   burst of registrations costs one build. The index is clean
 //!   whenever a batch is non-empty.
-//! * **Union liveness mask + shared row decode** — the host's
+//! * **Union liveness mask + shared columnar dispatch** — the host's
 //!   [`TweetBatch`] carries the union of all queries' live-column
-//!   masks, and each candidate row is materialized into a [`Record`]
-//!   at most once per batch ([`RowCache`]); additional consumers get
-//!   `Arc`-backed clones. One decode serves every query.
+//!   masks. Each flush builds, once, the columns the selecting
+//!   queries' head stages read, then hands every one of those
+//!   pipelines the same batch and its own selection vector
+//!   ([`crate::exec::Pipeline::push_tweet_batch`]). A columnar head
+//!   (fused scan, plain-column aggregate) never sees a [`Record`]; a
+//!   row-only head gets one for each row it selected, no more.
 //! * **Engine-identical cadence** — flush-before-watermark/gap,
 //!   absolute watermark boundaries, `batch_size` flush points counted
 //!   in delivered tweets, and a final `finish`: the exact serial-loop
@@ -59,8 +62,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use tweeql_firehose::api::{ConnectionStats, SourceBatch};
 use tweeql_firehose::{FilterSpec, StreamingApi};
+use tweeql_model::batch::col;
 use tweeql_model::{
-    Clock, Duration, Record, RowCache, SchemaRef, Timestamp, Tweet, TweetBatch, VirtualClock,
+    Clock, Duration, Record, SchemaRef, Timestamp, Tweet, TweetBatch, VirtualClock,
 };
 use tweeql_obs::{MetricsRegistry, QueryId, SpanKind, Tracer};
 
@@ -111,9 +115,10 @@ pub struct HostStats {
     pub batches: u64,
     /// Rows entering query pipelines, summed over queries.
     pub rows_dispatched: u64,
-    /// Rows materialized from the shared batch (first consumer).
+    /// Batch rows at least one query selected (each counted once).
     pub rows_decoded: u64,
-    /// Dispatched rows served as clones of an already-decoded record.
+    /// Dispatched rows beyond a row's first consumer: what sharing the
+    /// one batch saved over a decode per query.
     pub rows_shared: u64,
     /// Watermark boundaries broadcast to the queries.
     pub watermarks: u64,
@@ -161,7 +166,6 @@ struct HostQuery {
     state: QueryState,
     /// Row indices selected from the current batch (dispatch scratch).
     sel: Vec<u32>,
-    scratch_in: Vec<Record>,
     scratch_out: Vec<Record>,
     pending: Vec<Record>,
     subs: Vec<Arc<Mutex<VecDeque<Record>>>>,
@@ -359,8 +363,6 @@ pub struct QueryHost {
     index_dirty: bool,
     prefilter: bool,
     batch: TweetBatch,
-    cache: RowCache,
-    selected: Vec<bool>,
     /// Slots whose `sel` is non-empty for the batch being flushed;
     /// empty between flushes (so register/drop slot shifts stay sound).
     active: Vec<u32>,
@@ -407,8 +409,6 @@ impl QueryHost {
             index_dirty: false,
             prefilter: true,
             batch: TweetBatch::new(),
-            cache: RowCache::new(),
-            selected: Vec::new(),
             active: Vec::new(),
             any_ts: false,
             next_wm: None,
@@ -495,7 +495,6 @@ impl QueryHost {
             groups,
             state: QueryState::Running,
             sel: Vec::new(),
-            scratch_in: Vec::new(),
             scratch_out: Vec::new(),
             pending: Vec::new(),
             subs: Vec::new(),
@@ -1015,7 +1014,8 @@ impl QueryHost {
     }
 
     /// Dispatch the buffered batch: one prefilter scan per row, one
-    /// decode per candidate row, per-query `Arc`-clone fan-out.
+    /// build of the columns the selecting queries read, then every one
+    /// of those pipelines over the same batch with its own selection.
     fn flush_batch(&mut self) -> Result<(), QueryError> {
         let n = self.batch.len();
         if n == 0 {
@@ -1023,12 +1023,10 @@ impl QueryHost {
         }
         self.stats.batches += 1;
         // Single-query fast path: with exactly one running query there
-        // is nothing to share, so the prefilter scan, the row cache,
-        // and the per-query clone fan-out are pure overhead. Hand the
-        // batch straight to the pipeline — in columnar mode a fused
-        // scan materializes only the columns it reads, exactly like a
-        // dedicated engine. Register/drop flush first, so the
-        // condition cannot flip mid-batch.
+        // is nothing to share, so the prefilter scan is pure overhead.
+        // Hand the whole batch straight to the pipeline, exactly like a
+        // dedicated engine. Register/drop flush first, so the condition
+        // cannot flip mid-batch.
         if self.queries.len() == 1 && self.queries[0].state == QueryState::Running {
             let QueryHost {
                 ref mut batch,
@@ -1040,21 +1038,23 @@ impl QueryHost {
             q.rows_in += n as u64;
             stats.rows_dispatched += n as u64;
             stats.rows_decoded += n as u64;
-            // `push_tweet_batch` drains and resets the batch itself
-            // (binding preserved), even on error.
+            // `drain_tweet_batch` resets the batch itself (binding
+            // preserved), even on error.
             q.planned
                 .pipeline
-                .push_tweet_batch(batch, &mut q.scratch_out)?;
+                .drain_tweet_batch(batch, &mut q.scratch_out)?;
             q.deliver();
             return q.check_done();
         }
         // ---- select: which rows does each query want? ----
         // Invariant: every `sel` and the `active` slot list are empty
         // between flushes. Selection records a slot in `active` the
-        // moment its `sel` first becomes non-empty, so the union,
-        // dispatch, and cleanup phases below cost O(queries that
-        // matched) rather than O(queries registered).
+        // moment its `sel` first becomes non-empty, so the dispatch and
+        // cleanup phases below cost O(queries that matched) rather than
+        // O(queries registered).
         let use_index = self.prefilter && !self.filter_index.is_empty();
+        // Rows at least one query selected.
+        let mut decoded = 0u64;
         if use_index {
             let QueryHost {
                 ref mut filter_index,
@@ -1080,6 +1080,7 @@ impl QueryHost {
                 let t = batch.tweet_at(i);
                 filter_index.match_row(&t.text);
                 *stamp += 1;
+                let mut wanted = !always.is_empty();
                 for &nid in filter_index.touched() {
                     for &(q, g) in &needle_subs[nid as usize] {
                         let (q, g) = (q as usize, g as usize);
@@ -1097,12 +1098,14 @@ impl QueryHost {
                                 active.push(q as u32);
                             }
                             queries[q].sel.push(i as u32);
+                            wanted = true;
                         }
                     }
                 }
                 for &q in always {
                     queries[q as usize].sel.push(i as u32);
                 }
+                decoded += u64::from(wanted);
             }
         } else {
             let QueryHost {
@@ -1117,21 +1120,20 @@ impl QueryHost {
                 q.sel.extend(0..n as u32);
                 active.push(slot as u32);
             }
+            if !active.is_empty() {
+                decoded = n as u64;
+            }
         }
-        // ---- materialize the union of selected rows, once ----
-        self.cache.begin(n);
-        let decoded_before = self.cache.decoded();
-        self.selected.clear();
-        self.selected.resize(n, false);
+        // ---- build, once, the columns the selecting heads read ----
+        let mut columns = [false; col::COUNT];
         for &slot in &self.active {
-            for &i in &self.queries[slot as usize].sel {
-                self.selected[i as usize] = true;
+            let pipeline = &self.queries[slot as usize].planned.pipeline;
+            for (have, want) in columns.iter_mut().zip(pipeline.tweet_columns()) {
+                *have |= *want;
             }
         }
-        for i in 0..n {
-            if self.selected[i] {
-                let _ = self.cache.get(&self.batch, i);
-            }
+        if columns.contains(&true) {
+            self.batch.materialize(&columns);
         }
         // ---- dispatch: shard queries across host workers ----
         let dispatched: u64 = self
@@ -1143,22 +1145,17 @@ impl QueryHost {
         let result = if self.active.is_empty() {
             Ok(())
         } else {
-            let cache = &self.cache;
+            // Shared read-only from here on: every pipeline (on every
+            // shard thread) reads the one already-materialized batch.
+            let batch = &self.batch;
             let op = |q: &mut HostQuery| -> Result<(), QueryError> {
                 if q.state != QueryState::Running || q.sel.is_empty() {
                     return Ok(());
                 }
-                q.scratch_in.clear();
-                q.scratch_in.extend(q.sel.iter().map(|&i| {
-                    cache
-                        .peek(i as usize)
-                        .cloned()
-                        .expect("selected row materialized")
-                }));
-                q.rows_in += q.scratch_in.len() as u64;
+                q.rows_in += q.sel.len() as u64;
                 q.planned
                     .pipeline
-                    .push_batch(&mut q.scratch_in, &mut q.scratch_out)?;
+                    .push_tweet_batch(batch, &q.sel, &mut q.scratch_out)?;
                 q.deliver();
                 q.check_done()
             };
@@ -1179,10 +1176,9 @@ impl QueryHost {
                 Self::for_each(&mut self.queries, workers, &op)
             }
         };
-        let decoded = self.cache.decoded() - decoded_before;
         self.stats.rows_dispatched += dispatched;
         self.stats.rows_decoded += decoded;
-        self.stats.rows_shared += dispatched.saturating_sub(decoded);
+        self.stats.rows_shared += dispatched - decoded;
         self.batch.reset();
         // Restore the between-flush invariant even on error: register
         // and drop flush first, and `Vec::remove` shifts slot indices,

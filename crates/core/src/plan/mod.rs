@@ -486,6 +486,7 @@ fn lower(
             cags,
             ctx,
             policy,
+            &working_schema,
             agg_schema.clone(),
             confidence_target,
         )));

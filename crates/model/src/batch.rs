@@ -785,12 +785,15 @@ pub fn all_columns() -> [bool; col::COUNT] {
 
 /// A per-batch row materialization cache for multi-consumer dispatch.
 ///
-/// When many standing queries read the same [`TweetBatch`], each row a
-/// query wants is decoded into a [`Record`] at most **once** — under the
-/// batch's (union) liveness mask — and subsequent consumers get a cheap
-/// clone: `Record` values are `Arc`-backed, so a clone is reference
-/// bumps, not string copies. This is the "shared batch refcounting" the
-/// standing-query host's decode economics rest on.
+/// When several consumers read the same [`TweetBatch`] as rows, each
+/// row is decoded into a [`Record`] at most **once** — under the
+/// batch's liveness mask — and later consumers get a cheap clone
+/// (`Record` values are `Arc`-backed, so a clone is reference bumps,
+/// not string copies).
+///
+/// Nothing in the engine uses this any more: the standing-query host
+/// hands its queries the columnar batch itself. It stays exported
+/// because the benchmark's `model.row_decode_ns_per_row` rung times it.
 ///
 /// The cache is positional and valid for exactly one batch: call
 /// [`RowCache::begin`] before each dispatch round.

@@ -18,6 +18,11 @@
 //! The Pike VM guarantees linear time in `pattern × input` — no
 //! exponential backtracking, which matters for a stream processor fed
 //! adversarial tweet text.
+//!
+//! A case-sensitive pattern that starts with a literal run (`http://`
+//! in `http://[a-z./0-9-]+`) is searched by jumping to each occurrence
+//! of that literal with `str::find` and running the VM anchored there;
+//! everything else runs the VM over the whole input.
 
 mod nfa;
 mod parser;
@@ -34,6 +39,9 @@ pub struct Regex {
     pattern: String,
     program: Program,
     n_groups: usize,
+    /// The literal every match starts with; empty when the pattern has
+    /// no such prefix or folds case.
+    prefix: String,
 }
 
 /// Byte range of a match or capture group within the haystack.
@@ -44,11 +52,26 @@ impl Regex {
     pub fn new(pattern: &str) -> Result<Regex, RegexError> {
         let (ast, n_groups, case_insensitive) = parser::parse(pattern)?;
         let program = nfa::compile(&ast, n_groups, case_insensitive);
+        let prefix = if case_insensitive {
+            String::new()
+        } else {
+            literal_prefix(&ast)
+        };
         Ok(Regex {
             pattern: pattern.to_string(),
             program,
             n_groups,
+            prefix,
         })
+    }
+
+    /// Leftmost match with capture-group spans.
+    fn search(&self, text: &str) -> Option<pike::Captures> {
+        if self.prefix.is_empty() {
+            pike::search(&self.program, text)
+        } else {
+            pike::search_prefixed(&self.program, &self.prefix, text)
+        }
     }
 
     /// The source pattern.
@@ -63,18 +86,18 @@ impl Regex {
 
     /// Does the pattern match anywhere in `text`?
     pub fn is_match(&self, text: &str) -> bool {
-        pike::search(&self.program, text).is_some()
+        self.search(text).is_some()
     }
 
     /// Leftmost match span.
     pub fn find(&self, text: &str) -> Option<Span> {
-        pike::search(&self.program, text).map(|caps| caps[0].unwrap())
+        self.search(text).map(|caps| caps[0].unwrap())
     }
 
     /// Leftmost match with capture-group spans. Index 0 is the whole
     /// match; groups that did not participate are `None`.
     pub fn captures(&self, text: &str) -> Option<Vec<Option<Span>>> {
-        pike::search(&self.program, text)
+        self.search(text)
     }
 
     /// Text of capture group `idx` in the leftmost match.
@@ -90,7 +113,7 @@ impl Regex {
         let mut out = Vec::new();
         let mut at = 0;
         while at <= text.len() {
-            let Some(caps) = pike::search(&self.program, &text[at..]) else {
+            let Some(caps) = self.search(&text[at..]) else {
                 break;
             };
             let (s, e) = caps[0].unwrap();
@@ -107,6 +130,18 @@ impl Regex {
             at = next;
         }
         out
+    }
+}
+
+/// The literal characters every match of `ast` must start with.
+fn literal_prefix(ast: &Ast) -> String {
+    let literal = |node: &Ast| match node {
+        Ast::Literal(c) => Some(*c),
+        _ => None,
+    };
+    match ast {
+        Ast::Concat(parts) => parts.iter().map_while(literal).collect(),
+        node => literal(node).into_iter().collect(),
     }
 }
 
@@ -289,5 +324,86 @@ mod tests {
         assert!(caps[0].is_some());
         let re2 = Regex::new(r"magnitude\s+(\d+\.?\d*)").unwrap();
         assert_eq!(re2.extract("magnitude 6.3 quake hits", 1), Some("6.3"));
+    }
+
+    #[test]
+    fn match_may_start_after_a_newline() {
+        assert_eq!(Regex::new("b+").unwrap().find("a\nbb"), Some((2, 4)));
+        assert_eq!(Regex::new("[0-9]").unwrap().find("a\n7"), Some((2, 3)));
+        // `.` itself still excludes it.
+        assert!(!m("a.b", "a\nb"));
+    }
+
+    #[test]
+    fn literal_prefix_is_extracted_only_where_every_match_starts_with_it() {
+        let prefix = |pat: &str| Regex::new(pat).unwrap().prefix;
+        assert_eq!(prefix("http://[a-z./0-9-]+"), "http://");
+        assert_eq!(prefix("obama"), "obama");
+        assert_eq!(prefix("ab*"), "a");
+        assert_eq!(prefix(r"地震\d"), "地震");
+        assert_eq!(prefix("x"), "x");
+        for none in [
+            "(?i)obama",
+            "a|b",
+            "ab|cd",
+            "^ab",
+            r"\bcat",
+            "(ab)c",
+            "a?b",
+            "[ab]c",
+            "",
+        ] {
+            assert_eq!(prefix(none), "", "{none}");
+        }
+    }
+
+    #[test]
+    fn prefixed_search_tries_overlapping_occurrences() {
+        let re = Regex::new("aab").unwrap();
+        assert_eq!(re.find("aaab"), Some((1, 4)));
+        // The first `aa` cannot continue; the overlapping second can.
+        let re = Regex::new("aa[bc]").unwrap();
+        assert_eq!(re.find("aaab"), Some((1, 4)));
+        assert_eq!(re.find_all("aaab aac"), vec![(1, 4), (5, 8)]);
+    }
+
+    mod prefixed {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Pattern tails after the literal prefix: classes, repetition
+        /// (greedy and lazy), alternation, groups, `\b`/`\B`, `$`, and
+        /// tails that re-match the prefix's own characters.
+        const TAILS: &[&str] = &[
+            "", "b", "[bc]", "(b)", "[a-c]+", "a*b", "(a|b)c?", r"\b", r"\B", "$", ".", "a*?",
+            "(é|a)+", r"\b ", "b{1,2}", r"[^ ]*\b",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2048))]
+
+            /// The prefix-accelerated search is the plain Pike search:
+            /// every entry point, on patterns that start with a literal
+            /// run over a tiny alphabet (so prefixes occur often and
+            /// overlap) and haystacks with multibyte text and newlines.
+            #[test]
+            fn prefixed_search_equals_plain_search(
+                prefix in "[abé]{1,2}",
+                tail in 0usize..TAILS.len(),
+                text in "[ab]{0,8}[abcé \n]{0,8}",
+            ) {
+                let fast = Regex::new(&format!("{prefix}{}", TAILS[tail])).unwrap();
+                prop_assert!(fast.prefix.starts_with(&prefix));
+                let plain = Regex {
+                    prefix: String::new(),
+                    ..fast.clone()
+                };
+                prop_assert_eq!(fast.is_match(&text), plain.is_match(&text));
+                prop_assert_eq!(fast.find(&text), plain.find(&text));
+                prop_assert_eq!(fast.captures(&text), plain.captures(&text));
+                prop_assert_eq!(fast.extract(&text, 1), plain.extract(&text, 1));
+                prop_assert_eq!(fast.find_all(&text), plain.find_all(&text));
+            }
+        }
     }
 }

@@ -47,20 +47,29 @@ pub struct Program {
     pub case_insensitive: bool,
 }
 
+/// Where the pattern proper starts (`Save(0)`), past the unanchored
+/// prefix loop: entering here runs the program anchored.
+pub const PATTERN_ENTRY: usize = 3;
+
 /// Compile `ast` (with `n_groups` capture groups) into a program.
 ///
-/// The emitted program is *unanchored*: it begins with a lazy `.*?`
-/// prefix loop so the VM finds the leftmost match without an outer scan
-/// loop, then `Save(0) … body … Save(1) Match`.
+/// The emitted program is *unanchored*: it begins with a lazy skip
+/// loop so the VM finds the leftmost match without an outer scan loop,
+/// then `Save(0) … body … Save(1) Match`.
 pub fn compile(ast: &Ast, n_groups: usize, case_insensitive: bool) -> Program {
     let mut c = Compiler {
         insts: Vec::new(),
         case_insensitive,
     };
-    // Unanchored prefix: L0: Split(L2, L1); L1: Any; Jmp(L0); L2: ...
-    // (Prefer entering the pattern — leftmost semantics.)
-    c.insts.push(Inst::Split(3, 1)); // 0
-    c.insts.push(Inst::Any); // 1
+    // Unanchored prefix: L0: Split(L3, L1); L1: <any char>; Jmp(L0);
+    // L3: ... (Prefer entering the pattern — leftmost semantics.) The
+    // skip is the empty negated class, not `Any`: a match may start
+    // after a newline.
+    c.insts.push(Inst::Split(PATTERN_ENTRY, 1)); // 0
+    c.insts.push(Inst::Class {
+        negated: true,
+        items: Vec::new(),
+    }); // 1
     c.insts.push(Inst::Jmp(0)); // 2
     c.insts.push(Inst::Save(0)); // 3
     c.node(ast);

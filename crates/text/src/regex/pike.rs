@@ -6,7 +6,7 @@
 //! greedy-respecting semantics identical to backtracking engines for the
 //! supported syntax — without the exponential blowup.
 
-use super::nfa::{class_matches, Inst, Program};
+use super::nfa::{class_matches, Inst, Program, PATTERN_ENTRY};
 use std::rc::Rc;
 
 /// Persistent capture-slot list: cheap to share between threads, copied
@@ -61,92 +61,143 @@ impl ThreadList {
     }
 }
 
-/// Run the program, returning capture spans (byte offsets) for the
-/// leftmost match, or `None`.
-pub fn search(prog: &Program, text: &str) -> Option<Vec<Option<(usize, usize)>>> {
-    let n = prog.insts.len();
-    let mut clist = ThreadList::new(n);
-    let mut nlist = ThreadList::new(n);
-    let mut matched: Option<Slots> = None;
+/// Capture spans (byte offsets) of one match; index 0 is the whole
+/// match, groups that did not participate are `None`.
+pub type Captures = Vec<Option<(usize, usize)>>;
 
-    // Character positions: we step through char boundaries; `at` is the
-    // byte offset of the current input position.
-    let mut at = 0usize;
-    let mut iter = text.chars();
+/// Run the program, returning capture spans for the leftmost match, or
+/// `None`.
+pub fn search(prog: &Program, text: &str) -> Option<Captures> {
+    Vm::new(prog).run(text, 0, 0)
+}
 
-    add_thread(prog, &mut clist, 0, Slots::new(prog.n_slots), at, text);
-
-    loop {
-        let c = iter.next();
-        if clist.dense.is_empty() && matched.is_some() {
-            break;
+/// [`search`] for a program whose every match starts with the literal
+/// `prefix` (non-empty, matched case-sensitively): jump to each
+/// occurrence of the literal and run the program *anchored* there,
+/// instead of carrying a thread through every input char. The first
+/// occurrence that matches is the leftmost match, and the anchored run
+/// sees the whole text at its true offset, so assertions read the same
+/// context.
+pub fn search_prefixed(prog: &Program, prefix: &str, text: &str) -> Option<Captures> {
+    let first = prefix.chars().next()?.len_utf8();
+    let mut vm = Vm::new(prog);
+    let mut from = 0;
+    while let Some(off) = text[from..].find(prefix) {
+        let at = from + off;
+        if let Some(caps) = vm.run(text, PATTERN_ENTRY, at) {
+            return Some(caps);
         }
-        nlist.clear();
-        let next_at = at + c.map(|ch| ch.len_utf8()).unwrap_or(0);
-        let mut i = 0;
-        while i < clist.dense.len() {
-            let (pc, slots) = clist.dense[i].clone();
-            i += 1;
-            match &prog.insts[pc] {
-                Inst::Match => {
-                    // Highest-priority thread that matches at this
-                    // position wins; lower-priority threads are cut off.
-                    matched = Some(slots);
-                    break;
-                }
-                Inst::Char(want) => {
-                    if let Some(have) = c {
-                        let have = if prog.case_insensitive {
-                            have.to_lowercase().next().unwrap_or(have)
-                        } else {
-                            have
-                        };
-                        if have == *want {
-                            add_thread(prog, &mut nlist, pc + 1, slots, next_at, text);
-                        }
-                    }
-                }
-                Inst::Any => {
-                    if let Some(have) = c {
-                        if have != '\n' {
-                            add_thread(prog, &mut nlist, pc + 1, slots, next_at, text);
-                        }
-                    }
-                }
-                Inst::Class { negated, items } => {
-                    if let Some(have) = c {
-                        let have = if prog.case_insensitive {
-                            have.to_lowercase().next().unwrap_or(have)
-                        } else {
-                            have
-                        };
-                        if class_matches(*negated, items, have) {
-                            add_thread(prog, &mut nlist, pc + 1, slots, next_at, text);
-                        }
-                    }
-                }
-                // Split/Jmp/Save/Assert are handled eagerly in add_thread.
-                _ => unreachable!("non-consuming instruction in run list"),
-            }
-        }
-        std::mem::swap(&mut clist, &mut nlist);
-        at = next_at;
-        if c.is_none() {
-            break;
+        // Occurrences may overlap (`aa` in `aaab`): resume one char on.
+        from = at + first;
+    }
+    None
+}
+
+/// The two thread lists of a run, reusable across runs of one program.
+struct Vm<'p> {
+    prog: &'p Program,
+    clist: ThreadList,
+    nlist: ThreadList,
+}
+
+impl<'p> Vm<'p> {
+    fn new(prog: &'p Program) -> Vm<'p> {
+        let n = prog.insts.len();
+        Vm {
+            prog,
+            clist: ThreadList::new(n),
+            nlist: ThreadList::new(n),
         }
     }
 
-    matched.map(|slots| {
-        let v = &*slots.0;
-        let mut out = Vec::with_capacity(v.len() / 2);
-        for g in 0..v.len() / 2 {
-            out.push(match (v[2 * g], v[2 * g + 1]) {
-                (Some(s), Some(e)) => Some((s, e)),
-                _ => None,
-            });
+    /// Enter the program at `pc` with the input position at byte `at`
+    /// of `text` and run to the end of the input or of the threads.
+    fn run(&mut self, text: &str, pc: usize, at: usize) -> Option<Captures> {
+        let Vm { prog, clist, nlist } = self;
+        let prog = *prog;
+        let mut matched: Option<Slots> = None;
+
+        // Character positions: we step through char boundaries; `at` is
+        // the byte offset of the current input position.
+        let mut at = at;
+        let mut iter = text[at..].chars();
+
+        clist.clear();
+        add_thread(prog, clist, pc, Slots::new(prog.n_slots), at, text);
+
+        loop {
+            if clist.dense.is_empty() {
+                break;
+            }
+            let c = iter.next();
+            nlist.clear();
+            let next_at = at + c.map(|ch| ch.len_utf8()).unwrap_or(0);
+            let mut i = 0;
+            while i < clist.dense.len() {
+                let (pc, slots) = clist.dense[i].clone();
+                i += 1;
+                match &prog.insts[pc] {
+                    Inst::Match => {
+                        // Highest-priority thread that matches at this
+                        // position wins; lower-priority threads are cut
+                        // off.
+                        matched = Some(slots);
+                        break;
+                    }
+                    Inst::Char(want) => {
+                        if let Some(have) = c {
+                            let have = if prog.case_insensitive {
+                                have.to_lowercase().next().unwrap_or(have)
+                            } else {
+                                have
+                            };
+                            if have == *want {
+                                add_thread(prog, nlist, pc + 1, slots, next_at, text);
+                            }
+                        }
+                    }
+                    Inst::Any => {
+                        if let Some(have) = c {
+                            if have != '\n' {
+                                add_thread(prog, nlist, pc + 1, slots, next_at, text);
+                            }
+                        }
+                    }
+                    Inst::Class { negated, items } => {
+                        if let Some(have) = c {
+                            let have = if prog.case_insensitive {
+                                have.to_lowercase().next().unwrap_or(have)
+                            } else {
+                                have
+                            };
+                            if class_matches(*negated, items, have) {
+                                add_thread(prog, nlist, pc + 1, slots, next_at, text);
+                            }
+                        }
+                    }
+                    // Split/Jmp/Save/Assert are handled eagerly in add_thread.
+                    _ => unreachable!("non-consuming instruction in run list"),
+                }
+            }
+            std::mem::swap(clist, nlist);
+            at = next_at;
+            if c.is_none() {
+                break;
+            }
         }
-        out
-    })
+
+        matched.map(|slots| {
+            let v = &*slots.0;
+            let mut out = Vec::with_capacity(v.len() / 2);
+            for g in 0..v.len() / 2 {
+                out.push(match (v[2 * g], v[2 * g + 1]) {
+                    (Some(s), Some(e)) => Some((s, e)),
+                    _ => None,
+                });
+            }
+            out
+        })
+    }
 }
 
 /// Follow non-consuming instructions (Split/Jmp/Save/Assert) and enqueue

@@ -1,10 +1,11 @@
 //! Standing-query host differential battery.
 //!
 //! The contract under test: K standing queries on one [`QueryHost`]
-//! (one shared connection, shared-scan dispatch, shared row decode)
-//! produce output **byte-identical** to K independent engine runs over
-//! the same seeded stream with pushdown disabled — at any host worker
-//! count, with the prefilter on or off, under clean and chaos-faulted
+//! (one shared connection, shared-scan dispatch, one columnar batch
+//! handed to every query with its own selection) produce output
+//! **byte-identical** to K independent engine runs over the same seeded
+//! stream with pushdown disabled — at any host worker count and batch
+//! size, with the prefilter on or off, under clean and chaos-faulted
 //! sources, and across register/drop churn mid-stream.
 
 use proptest::prelude::*;
@@ -47,8 +48,11 @@ fn tweets() -> &'static Vec<Tweet> {
 }
 
 /// Standing-query corpus: filters, scalar UDFs, windowed aggregates,
-/// LIMIT early-exit. No joins (host rejects them) and no async UDFs
-/// (their stream-time batch release is tested engine-side).
+/// LIMIT early-exit, and the three pipeline-head shapes the dispatcher
+/// treats differently — a fused scan (columnar), an aggregate straight
+/// over the stream (columnar, needle-free: it sees every row), and an
+/// async-UDF stage (rows, only the ones it selected). No joins (the
+/// host rejects them).
 const CORPUS: &[&str] = &[
     "SELECT text FROM twitter WHERE text contains 'kw'",
     "SELECT count(*) AS c, lang FROM twitter WHERE text contains 'kw' \
@@ -58,13 +62,21 @@ const CORPUS: &[&str] = &[
     "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter \
      WHERE followers > 3 AND text contains 'kw'",
     "SELECT min(followers) AS mn, max(followers) AS mx FROM twitter WINDOW 2 minutes",
+    "SELECT latitude(loc) AS la, sentiment(text) AS s FROM twitter WHERE text contains 'spike'",
+    "SELECT lang, count(distinct screen_name) AS authors FROM twitter \
+     GROUP BY lang WINDOW 2 minutes",
+    "SELECT regex_extract(text, 'kw [a-z]+', 0) AS hit FROM twitter WHERE text contains 'kw'",
 ];
 
 fn host_with(workers: usize, fault: Option<FaultPlan>) -> QueryHost {
+    host_sized(workers, 16, fault)
+}
+
+fn host_sized(workers: usize, batch_size: usize, fault: Option<FaultPlan>) -> QueryHost {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
     let mut b = Engine::builder(api)
         .workers(workers)
-        .batch_size(16)
+        .batch_size(batch_size)
         .seed(99);
     if let Some(f) = fault {
         b = b.fault_policy(f);
@@ -78,10 +90,14 @@ fn host_with(workers: usize, fault: Option<FaultPlan>) -> QueryHost {
 /// both sides see the identical (possibly fault-injected) event
 /// sequence.
 fn engine_run(sql: &str, fault: Option<FaultPlan>) -> QueryResult {
+    engine_sized(sql, 16, fault)
+}
+
+fn engine_sized(sql: &str, batch_size: usize, fault: Option<FaultPlan>) -> QueryResult {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
     let mut b = Engine::builder(api)
         .workers(1)
-        .batch_size(16)
+        .batch_size(batch_size)
         .seed(99)
         .push_down(false);
     if let Some(f) = fault {
@@ -90,27 +106,32 @@ fn engine_run(sql: &str, fault: Option<FaultPlan>) -> QueryResult {
     b.build().execute(sql).expect(sql)
 }
 
+/// The whole corpus on one host against one independent engine run per
+/// query, at every batch size (1: every row its own flush; 256: flushes
+/// cut only by watermarks and gaps).
 fn assert_host_matches_engines(workers: usize, fault: Option<FaultPlan>) {
-    let mut host = host_with(workers, fault.clone());
-    let ids: Vec<QueryId> = CORPUS
-        .iter()
-        .map(|sql| host.register(sql).expect(sql))
-        .collect();
-    host.run_to_end().unwrap();
-    for (sql, id) in CORPUS.iter().zip(ids) {
-        let reference = engine_run(sql, fault.clone());
-        let got = host.take_output(id).unwrap();
-        assert_eq!(
-            host.schema(id).unwrap().names(),
-            reference.schema.names(),
-            "{sql}"
-        );
-        assert_eq!(
-            got,
-            reference.rows,
-            "rows diverged: {sql} (workers={workers}, fault={})",
-            fault.is_some()
-        );
+    for batch_size in [1, 16, 256] {
+        let mut host = host_sized(workers, batch_size, fault.clone());
+        let ids: Vec<QueryId> = CORPUS
+            .iter()
+            .map(|sql| host.register(sql).expect(sql))
+            .collect();
+        host.run_to_end().unwrap();
+        for (sql, id) in CORPUS.iter().zip(ids) {
+            let reference = engine_sized(sql, batch_size, fault.clone());
+            let got = host.take_output(id).unwrap();
+            assert_eq!(
+                host.schema(id).unwrap().names(),
+                reference.schema.names(),
+                "{sql}"
+            );
+            assert_eq!(
+                got,
+                reference.rows,
+                "rows diverged: {sql} (workers={workers}, batch_size={batch_size}, fault={})",
+                fault.is_some()
+            );
+        }
     }
 }
 
@@ -305,9 +326,9 @@ proptest! {
     /// engine run.
     #[test]
     fn churned_host_matches_engines(
-        first in 0usize..6,
-        second in 0usize..6,
-        noise_idx in 0usize..6,
+        first in 0usize..CORPUS.len(),
+        second in 0usize..CORPUS.len(),
+        noise_idx in 0usize..CORPUS.len(),
         churn_start_mins in 1i64..5,
         churn_len_mins in 1i64..4,
         wide in 0u8..2,
