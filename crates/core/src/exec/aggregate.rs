@@ -15,16 +15,18 @@
 //! projection to restore SELECT order.
 
 use super::confidence::ConfidenceTracker;
+use super::keys::{KeyParts, KeyTable};
 use super::topk::SpaceSaving;
 use super::Operator;
 use crate::ast::AggFunc;
 use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
+use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tweeql_model::record::twitter_schema;
-use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch, Value};
+use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, ValueRef};
 
 /// Window policy (compiled form of [`crate::ast::WindowSpec`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +69,7 @@ enum AggState {
     Min(Option<Value>),
     Max(Option<Value>),
     StdDev(ConfidenceTracker),
-    CountDistinct(HashSet<Value>),
+    CountDistinct(KeyTable<Value, ()>),
     TopK { sketch: SpaceSaving, k: usize },
 }
 
@@ -83,7 +85,7 @@ impl AggState {
             AggFunc::Min => AggState::Min(None),
             AggFunc::Max => AggState::Max(None),
             AggFunc::StdDev => AggState::StdDev(ConfidenceTracker::new()),
-            AggFunc::CountDistinct => AggState::CountDistinct(HashSet::new()),
+            AggFunc::CountDistinct => AggState::CountDistinct(KeyTable::default()),
             AggFunc::TopK(k) => AggState::TopK {
                 // 8× headroom keeps heavy hitters accurate under churn.
                 sketch: SpaceSaving::new((k as usize) * 8 + 8),
@@ -92,8 +94,10 @@ impl AggState {
         }
     }
 
-    /// Ingest one value (None = COUNT(*) with no argument).
-    fn update(&mut self, v: Option<&Value>, ts: Timestamp) {
+    /// Ingest one value (None = COUNT(*) with no argument), read through
+    /// a view; `own` builds the `Value` itself and is called only when
+    /// the state keeps it — a new minimum, a new distinct member.
+    fn update(&mut self, v: Option<ValueRef<'_>>, own: impl FnOnce() -> Value, ts: Timestamp) {
         match self {
             AggState::Count(n) => {
                 // COUNT(expr) skips NULLs; COUNT(*) counts rows.
@@ -102,74 +106,49 @@ impl AggState {
                 }
             }
             AggState::Sum { sum, seen } => {
-                if let Some(x) = v {
-                    if let Ok(f) = x.as_float() {
-                        *sum += f;
-                        *seen = true;
-                    }
+                if let Some(f) = v.and_then(|x| x.as_float()) {
+                    *sum += f;
+                    *seen = true;
                 }
             }
             AggState::Avg { sum, n } => {
-                if let Some(x) = v {
-                    if let Ok(f) = x.as_float() {
-                        *sum += f;
-                        *n += 1;
-                    }
+                if let Some(f) = v.and_then(|x| x.as_float()) {
+                    *sum += f;
+                    *n += 1;
                 }
             }
-            AggState::Min(cur) => {
-                if let Some(x) = v {
-                    if !x.is_null()
-                        && cur
-                            .as_ref()
-                            .is_none_or(|c| x.compare(c) == Some(std::cmp::Ordering::Less))
-                    {
-                        *cur = Some(x.clone());
-                    }
-                }
-            }
-            AggState::Max(cur) => {
-                if let Some(x) = v {
-                    if !x.is_null()
-                        && cur
-                            .as_ref()
-                            .is_none_or(|c| x.compare(c) == Some(std::cmp::Ordering::Greater))
-                    {
-                        *cur = Some(x.clone());
-                    }
-                }
-            }
+            AggState::Min(cur) => keep_if(cur, v, own, std::cmp::Ordering::Less),
+            AggState::Max(cur) => keep_if(cur, v, own, std::cmp::Ordering::Greater),
             AggState::StdDev(t) => {
-                if let Some(x) = v {
-                    if let Ok(f) = x.as_float() {
-                        t.observe(f, ts);
-                    }
+                if let Some(f) = v.and_then(|x| x.as_float()) {
+                    t.observe(f, ts);
                 }
             }
             AggState::CountDistinct(set) => {
-                if let Some(x) = v {
-                    if !x.is_null() {
-                        set.insert(x.clone());
-                    }
+                if let Some(x) = v.filter(|x| !x.is_null()) {
+                    set.get_or_insert_with(&x, own, || ());
                 }
             }
-            AggState::TopK { sketch, .. } => {
-                if let Some(x) = v {
-                    match x {
-                        Value::Null => {}
-                        // Lists (e.g. urls(text)) contribute each element.
-                        Value::List(items) => {
-                            for it in items {
-                                if !it.is_null() {
-                                    sketch.observe(it);
-                                }
-                            }
-                        }
-                        other => sketch.observe(other),
+            AggState::TopK { sketch, .. } => match v {
+                None | Some(ValueRef::Null) => {}
+                // Lists (e.g. urls(text)) contribute each element.
+                Some(ValueRef::List(items)) => {
+                    for it in items.iter().filter(|it| !it.is_null()) {
+                        sketch.observe(it);
                     }
                 }
-            }
+                Some(_) => sketch.observe(&own()),
+            },
         }
+    }
+
+    /// [`AggState::update`] for a value that is already owned.
+    fn update_value(&mut self, v: Option<&Value>, ts: Timestamp) {
+        self.update(
+            v.map(ValueRef::from),
+            || v.cloned().unwrap_or(Value::Null),
+            ts,
+        );
     }
 
     /// True when partial states of this function can be merged without
@@ -210,7 +189,9 @@ impl AggState {
                 }
             }
             (AggState::CountDistinct(set), AggState::CountDistinct(other)) => {
-                set.extend(other);
+                for (member, ()) in other.into_entries() {
+                    set.get_or_insert_with(&ValueRef::from(&member), || member.clone(), || ());
+                }
             }
             (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
             _ => debug_assert!(false, "merge on unmergeable aggregate state"),
@@ -247,6 +228,25 @@ impl AggState {
                     .map(|(item, _, _)| item)
                     .collect(),
             ),
+        }
+    }
+}
+
+/// MIN/MAX step: `v` replaces `cur` when it compares strictly `better`
+/// (so the first-seen value wins ties) or is the first non-NULL seen.
+fn keep_if(
+    cur: &mut Option<Value>,
+    v: Option<ValueRef<'_>>,
+    own: impl FnOnce() -> Value,
+    better: std::cmp::Ordering,
+) {
+    if let Some(x) = v {
+        if !x.is_null()
+            && cur
+                .as_ref()
+                .is_none_or(|c| x.compare(ValueRef::from(c)) == Some(better))
+        {
+            *cur = Some(own());
         }
     }
 }
@@ -335,7 +335,7 @@ impl PartialAggBuilder {
                     Some(e) => Some(e.eval(rec, &mut self.ctx)?),
                     None => None,
                 };
-                state.update(v.as_ref(), ts);
+                state.update_value(v.as_ref(), ts);
             }
         }
         Ok(PartialTable {
@@ -369,11 +369,11 @@ impl Group {
     }
 
     /// Fold one tuple's aggregate arguments in.
-    fn update(&mut self, arg_values: &[Option<Value>], ts: Timestamp) {
+    fn update(&mut self, t: &Tuple<'_>, ts: Timestamp) {
         self.n += 1;
         self.last_ts = ts;
-        for (state, v) in self.states.iter_mut().zip(arg_values) {
-            state.update(v.as_ref(), ts);
+        for (a, state) in self.states.iter_mut().enumerate() {
+            state.update(t.arg(a), || t.arg_value(a), ts);
         }
     }
 }
@@ -409,6 +409,100 @@ impl TweetColumns {
     }
 }
 
+/// One tuple's group key and aggregate arguments, read where they are.
+///
+/// The operator probes its tables with this (it is a [`KeyParts`]) and
+/// folds the arguments through [`ValueRef`]s; the `*_value` accessors
+/// build the owned `Value`s and are called only when a table keeps one.
+#[derive(Clone, Copy)]
+enum Tuple<'a> {
+    /// Evaluated key and argument expressions.
+    Values {
+        key: &'a [Value],
+        args: &'a [Option<Value>],
+    },
+    /// Plain columns of one row of a batch (dead columns read NULL, as
+    /// in the pruned row decode).
+    Row {
+        batch: &'a TweetBatch,
+        row: usize,
+        cols: &'a TweetColumns,
+    },
+}
+
+impl Tuple<'_> {
+    fn key_values(&self) -> Vec<Value> {
+        match *self {
+            Tuple::Values { key, .. } => key.to_vec(),
+            Tuple::Row { batch, row, cols } => {
+                cols.keys.iter().map(|&c| batch.value_at(row, c)).collect()
+            }
+        }
+    }
+
+    /// Argument `a`; `None` for `COUNT(*)`.
+    fn arg(&self, a: usize) -> Option<ValueRef<'_>> {
+        match *self {
+            Tuple::Values { args, .. } => args[a].as_ref().map(ValueRef::from),
+            Tuple::Row { batch, row, cols } => cols.args[a].map(|c| batch.view_at(row, c)),
+        }
+    }
+
+    fn arg_value(&self, a: usize) -> Value {
+        match *self {
+            Tuple::Values { args, .. } => args[a].clone().unwrap_or(Value::Null),
+            Tuple::Row { batch, row, cols } => {
+                cols.args[a].map_or(Value::Null, |c| batch.value_at(row, c))
+            }
+        }
+    }
+}
+
+impl KeyParts for Tuple<'_> {
+    fn len(&self) -> usize {
+        match *self {
+            Tuple::Values { key, .. } => key.len(),
+            Tuple::Row { cols, .. } => cols.keys.len(),
+        }
+    }
+
+    fn part(&self, k: usize) -> ValueRef<'_> {
+        match *self {
+            Tuple::Values { key, .. } => ValueRef::from(&key[k]),
+            Tuple::Row { batch, row, cols } => batch.view_at(row, cols.keys[k]),
+        }
+    }
+}
+
+/// One window's groups.
+type Groups = KeyTable<Vec<Value>, Group>;
+
+/// Groups in emission order: by the display rendering of the key, the
+/// values' types breaking ties (`'1'` and `1` render alike), each
+/// rendering built once. What every flush and the state digest walk, so
+/// nothing observable follows the table's own order.
+fn sorted_groups<K: Borrow<Vec<Value>>, G>(
+    groups: impl IntoIterator<Item = (K, G)>,
+) -> Vec<(K, G)> {
+    let type_tag = |v: &Value| match v {
+        Value::Null => 0u8,
+        Value::Bool(_) => 1,
+        Value::Int(_) => 2,
+        Value::Float(_) => 3,
+        Value::Str(_) => 4,
+        Value::Time(_) => 5,
+        Value::List(_) => 6,
+    };
+    let mut entries: Vec<(K, G)> = groups.into_iter().collect();
+    entries.sort_by_cached_key(|(k, _)| {
+        let key: &Vec<Value> = k.borrow();
+        let rendered: Vec<String> = key.iter().map(|v| v.to_string()).collect();
+        let tags: Vec<u8> = key.iter().map(type_tag).collect();
+        (rendered.join("\u{1}"), tags)
+    });
+    entries
+}
+
 /// The aggregation operator.
 pub struct AggregateOp {
     key_exprs: Vec<CExpr>,
@@ -416,11 +510,11 @@ pub struct AggregateOp {
     ctx: EvalCtx,
     policy: WindowPolicy,
     schema: SchemaRef,
-    groups: HashMap<Vec<Value>, Group>,
+    groups: Groups,
     /// Exclusive end of the current time window.
     window_end: Option<Timestamp>,
     /// Sliding-window state: window start (ms) → groups.
-    sliding: std::collections::BTreeMap<i64, HashMap<Vec<Value>, Group>>,
+    sliding: std::collections::BTreeMap<i64, Groups>,
     /// Index of the aggregate driving confidence emission.
     confidence_target: usize,
     /// Source coverage gaps reported by the supervisor, `[from, to)`.
@@ -433,8 +527,8 @@ pub struct AggregateOp {
     /// Columnar head: set when the input is the `twitter` stream and
     /// every key and argument is a plain column of it.
     columns: Option<TweetColumns>,
-    /// The current tuple's group key and aggregate arguments, reused
-    /// across tuples so a tuple of an existing group allocates nothing.
+    /// The evaluated group key and aggregate arguments of the record in
+    /// `on_record`, reused across records.
     key: Vec<Value>,
     arg_values: Vec<Option<Value>>,
 }
@@ -463,7 +557,7 @@ impl AggregateOp {
             ctx,
             policy,
             schema,
-            groups: HashMap::new(),
+            groups: Groups::default(),
             window_end: None,
             sliding: std::collections::BTreeMap::new(),
             confidence_target,
@@ -535,21 +629,19 @@ impl AggregateOp {
         ));
     }
 
-    fn flush_all(&mut self, out: &mut Vec<Record>) {
-        // Deterministic output order: sort keys by display rendering.
-        let mut entries: Vec<(Vec<Value>, Group)> = self.groups.drain().collect();
-        entries.sort_by_key(|(k, _)| {
-            k.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1}")
-        });
-        if !entries.is_empty() {
+    /// Emit every group of one closed window, in [`sorted_groups`] order.
+    fn flush_groups(&mut self, groups: Groups, out: &mut Vec<Record>) {
+        if !groups.is_empty() {
             self.windows_emitted += 1;
         }
-        for (key, group) in entries {
+        for (key, group) in sorted_groups(groups.into_entries()) {
             self.emit_group(&key, &group, out);
         }
+    }
+
+    fn flush_all(&mut self, out: &mut Vec<Record>) {
+        let groups = std::mem::take(&mut self.groups);
+        self.flush_groups(groups, out);
     }
 
     fn advance_time_windows(&mut self, now: Timestamp, out: &mut Vec<Record>) {
@@ -571,19 +663,7 @@ impl AggregateOp {
                     .collect();
                 for start in due {
                     if let Some(groups) = self.sliding.remove(&start) {
-                        let mut entries: Vec<(Vec<Value>, Group)> = groups.into_iter().collect();
-                        entries.sort_by_key(|(k, _)| {
-                            k.iter()
-                                .map(|v| v.to_string())
-                                .collect::<Vec<_>>()
-                                .join("\u{1}")
-                        });
-                        if !entries.is_empty() {
-                            self.windows_emitted += 1;
-                        }
-                        for (key, group) in entries {
-                            self.emit_group(&key, &group, out);
-                        }
+                        self.flush_groups(groups, out);
                     }
                 }
             }
@@ -635,10 +715,11 @@ impl AggregateOp {
                 }
             }
             for (key, pg) in partial_groups {
-                let group = match self.groups.entry(key) {
-                    Entry::Occupied(o) => o.into_mut(),
-                    Entry::Vacant(v) => v.insert(Group::new(&self.aggs, pg.last_ts)),
-                };
+                let group = self.groups.get_or_insert_with(
+                    &key,
+                    || key.clone(),
+                    || Group::new(&self.aggs, pg.last_ts),
+                );
                 group.n += pg.n;
                 group.last_ts = pg.last_ts;
                 for (state, partial) in group.states.iter_mut().zip(pg.states) {
@@ -649,21 +730,14 @@ impl AggregateOp {
         Ok(())
     }
 
-    /// Digest one groups table in emission order (display-key sort).
+    /// Digest one groups table in emission order ([`sorted_groups`]).
     /// Group state is folded in as `(key, n, last_ts, finalized
     /// values)`: two groups that would render identical output rows for
     /// any future flush digest identically, which is exactly the
     /// durability contract of [`Operator::state_digest`].
-    fn digest_groups(groups: &HashMap<Vec<Value>, Group>, d: &mut tweeql_wal::Digest) {
-        let mut entries: Vec<(&Vec<Value>, &Group)> = groups.iter().collect();
-        entries.sort_by_key(|(k, _)| {
-            k.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\u{1}")
-        });
-        d.write_u64(entries.len() as u64);
-        for (key, g) in entries {
+    fn digest_groups(groups: &Groups, d: &mut tweeql_wal::Digest) {
+        d.write_u64(groups.len() as u64);
+        for (key, g) in sorted_groups(groups.iter()) {
             d.write_u64(key.len() as u64);
             for v in key.iter() {
                 d.write_str(&v.to_string());
@@ -676,17 +750,10 @@ impl AggregateOp {
         }
     }
 
-    /// Feed one record into every sliding window covering its timestamp.
-    fn sliding_update(
-        &mut self,
-        key: &[Value],
-        arg_values: &[Option<Value>],
-        ts: Timestamp,
-        size: Duration,
-        slide: Duration,
-    ) {
+    /// Feed one tuple into every sliding window covering its timestamp.
+    fn sliding_update(&mut self, t: &Tuple<'_>, ts: Timestamp, size: Duration, slide: Duration) {
         let slide_ms = slide.millis().max(1);
-        // Window starts are multiples of `slide`; the record belongs to
+        // Window starts are multiples of `slide`; the tuple belongs to
         // starts in (ts - size, ts].
         let last = ts.truncate(slide).millis();
         let hops = (size.millis() - 1).div_euclid(slide_ms);
@@ -697,13 +764,9 @@ impl AggregateOp {
                 continue;
             }
             let groups = self.sliding.entry(start).or_default();
-            let group = match groups.get_mut(key) {
-                Some(g) => g,
-                None => groups
-                    .entry(key.to_vec())
-                    .or_insert_with(|| Group::new(&self.aggs, ts)),
-            };
-            group.update(arg_values, ts);
+            let group =
+                groups.get_or_insert_with(t, || t.key_values(), || Group::new(&self.aggs, ts));
+            group.update(t, ts);
         }
     }
 
@@ -716,59 +779,37 @@ impl AggregateOp {
         }
     }
 
-    /// Fold the tuple held in `self.key` / `self.arg_values` into its
-    /// group and emit whatever the window policy says is due.
-    fn ingest(&mut self, ts: Timestamp, out: &mut Vec<Record>) {
-        let key = std::mem::take(&mut self.key);
-        let arg_values = std::mem::take(&mut self.arg_values);
-        self.ingest_tuple(&key, &arg_values, ts, out);
-        self.key = key;
-        self.arg_values = arg_values;
-    }
-
-    fn ingest_tuple(
-        &mut self,
-        key: &[Value],
-        arg_values: &[Option<Value>],
-        ts: Timestamp,
-        out: &mut Vec<Record>,
-    ) {
+    /// Fold one tuple into its group and emit whatever the window
+    /// policy says is due.
+    fn ingest(&mut self, t: &Tuple<'_>, ts: Timestamp, out: &mut Vec<Record>) {
         if let WindowPolicy::Sliding { size, slide } = self.policy {
-            self.sliding_update(key, arg_values, ts, size, slide);
+            self.sliding_update(t, ts, size, slide);
             return;
         }
-        let group = match self.groups.get_mut(key) {
-            Some(g) => g,
-            None => self
-                .groups
-                .entry(key.to_vec())
-                .or_insert_with(|| Group::new(&self.aggs, ts)),
-        };
-        group.update(arg_values, ts);
+        // A tuple of an existing group builds no `Value`: its key
+        // becomes `Value`s only here, when the group is new.
+        let group =
+            (self.groups).get_or_insert_with(t, || t.key_values(), || Group::new(&self.aggs, ts));
+        group.update(t, ts);
 
-        match &self.policy {
-            WindowPolicy::Count(n) if group.n >= *n => {
-                if let Some(g) = self.groups.remove(key) {
-                    self.windows_emitted += 1;
-                    self.emit_group(key, &g, out);
-                }
-            }
+        let closed = match &self.policy {
+            WindowPolicy::Count(n) => group.n >= *n,
             WindowPolicy::Confidence { epsilon, max_age } => {
                 // Track the target aggregate's sample.
-                if let Some(Some(v)) = arg_values.get(self.confidence_target) {
-                    if let Ok(f) = v.as_float() {
-                        group.confidence.observe(f, ts);
-                    }
+                if let Some(f) = t.arg(self.confidence_target).and_then(|v| v.as_float()) {
+                    group.confidence.observe(f, ts);
                 }
-                if group.confidence.should_emit(*epsilon, *max_age, ts) {
-                    if let Some(g) = self.groups.remove(key) {
-                        self.windows_emitted += 1;
-                        self.confidence_emits += 1;
-                        self.emit_group(key, &g, out);
-                    }
-                }
+                let due = group.confidence.should_emit(*epsilon, *max_age, ts);
+                self.confidence_emits += u64::from(due);
+                due
             }
-            _ => {}
+            _ => false,
+        };
+        if closed {
+            if let Some((key, g)) = self.groups.remove(t) {
+                self.windows_emitted += 1;
+                self.emit_group(&key, &g, out);
+            }
         }
     }
 }
@@ -851,7 +892,16 @@ impl Operator for AggregateOp {
                 None => None,
             });
         }
-        self.ingest(ts, out);
+        let (key, args) = (
+            std::mem::take(&mut self.key),
+            std::mem::take(&mut self.arg_values),
+        );
+        let tuple = Tuple::Values {
+            key: &key,
+            args: &args,
+        };
+        self.ingest(&tuple, ts, out);
+        (self.key, self.arg_values) = (key, args);
         Ok(())
     }
 
@@ -870,20 +920,19 @@ impl Operator for AggregateOp {
         let Some(cols) = self.columns.take() else {
             return super::row_shim(self, batch, sel, out);
         };
-        // Per row exactly what `on_record` does, minus the `Record`:
-        // key and arguments come straight from the batch (dead columns
-        // read NULL, as in the pruned row decode).
+        // Per row exactly what `on_record` does, minus the `Record`
+        // and minus the `Value`s: key and arguments are read where the
+        // batch keeps them.
         for &i in sel {
-            let i = i as usize;
-            let ts = batch.ts(i);
+            let row = i as usize;
+            let ts = batch.ts(row);
             self.open_window(ts, out);
-            self.key.clear();
-            self.key
-                .extend(cols.keys.iter().map(|&c| batch.value_at(i, c)));
-            self.arg_values.clear();
-            self.arg_values
-                .extend(cols.args.iter().map(|a| a.map(|c| batch.value_at(i, c))));
-            self.ingest(ts, out);
+            let tuple = Tuple::Row {
+                batch,
+                row,
+                cols: &cols,
+            };
+            self.ingest(&tuple, ts, out);
         }
         self.columns = Some(cols);
         Ok(())
@@ -915,18 +964,7 @@ impl Operator for AggregateOp {
                 .filter(|(_, g)| g.confidence.should_emit(epsilon, Some(max_age), wm))
                 .map(|(k, _)| k.clone())
                 .collect();
-            let mut emitted: Vec<(Vec<Value>, Group)> = Vec::new();
-            for k in due {
-                if let Some(g) = self.groups.remove(&k) {
-                    emitted.push((k, g));
-                }
-            }
-            emitted.sort_by_key(|(k, _)| {
-                k.iter()
-                    .map(|v| v.to_string())
-                    .collect::<Vec<_>>()
-                    .join("\u{1}")
-            });
+            let emitted = sorted_groups(due.iter().filter_map(|k| self.groups.remove(k)));
             for (k, g) in emitted {
                 self.windows_emitted += 1;
                 self.confidence_emits += 1;
@@ -938,23 +976,8 @@ impl Operator for AggregateOp {
 
     fn finish(&mut self, out: &mut Vec<Record>) -> Result<(), QueryError> {
         // Flush remaining sliding windows, oldest first.
-        let starts: Vec<i64> = self.sliding.keys().copied().collect();
-        for start in starts {
-            if let Some(groups) = self.sliding.remove(&start) {
-                let mut entries: Vec<(Vec<Value>, Group)> = groups.into_iter().collect();
-                entries.sort_by_key(|(k, _)| {
-                    k.iter()
-                        .map(|v| v.to_string())
-                        .collect::<Vec<_>>()
-                        .join("\u{1}")
-                });
-                if !entries.is_empty() {
-                    self.windows_emitted += 1;
-                }
-                for (key, group) in entries {
-                    self.emit_group(&key, &group, out);
-                }
-            }
+        for (_, groups) in std::mem::take(&mut self.sliding) {
+            self.flush_groups(groups, out);
         }
         self.flush_all(out);
         Ok(())
@@ -1385,6 +1408,442 @@ mod tests {
         op.on_gap(Timestamp::from_secs(1), Timestamp::from_secs(2), &mut out)
             .unwrap();
         assert_eq!(op.gap_windows(), vec![Timestamp::ZERO]);
+    }
+
+    #[test]
+    fn flush_order_is_total_over_mixed_type_keys() {
+        // An `Any` key column holding '1', 1, 1.5, NULL and 'NULL':
+        // '1'/1 and NULL/'NULL' render alike, so the rendering alone
+        // left their order to the table's iteration order. The type
+        // breaks the tie (NULL < int < string), whatever order the
+        // groups were created in.
+        let schema = Schema::shared(&[("k", DataType::Any), ("x", DataType::Float)]);
+        let out_schema = Schema::shared(&[("k", DataType::Any), ("n", DataType::Int)]);
+        let keys = [
+            Value::from("1"),
+            Value::Int(1),
+            Value::Float(1.5),
+            Value::Null,
+            Value::from("NULL"),
+        ];
+        let run = |order: &[usize]| {
+            let mut reg = Registry::empty();
+            crate::expr::functions::register_builtins(&mut reg);
+            let mut ctx = EvalCtx::default();
+            let key = compile_into(&parse_expr("k").unwrap(), &schema, &reg, &mut ctx).unwrap();
+            let mut op = AggregateOp::new(
+                vec![key],
+                vec![AggExpr {
+                    func: AggFunc::Count,
+                    arg: None,
+                }],
+                ctx,
+                WindowPolicy::Unbounded,
+                &schema,
+                out_schema.clone(),
+                0,
+            );
+            let mut out = Vec::new();
+            for &i in order {
+                let rec = Record::new(
+                    schema.clone(),
+                    vec![keys[i].clone(), Value::Float(0.0)],
+                    Timestamp::ZERO,
+                )
+                .unwrap();
+                op.on_record(rec, &mut out).unwrap();
+            }
+            let mut d = tweeql_wal::Digest::new();
+            op.state_digest(&mut d);
+            op.finish(&mut out).unwrap();
+            let rendered: Vec<String> = out.iter().map(|r| format!("{:?}", r.value(0))).collect();
+            (rendered, d.finish())
+        };
+        let (forward, digest) = run(&[0, 1, 2, 3, 4]);
+        assert_eq!(
+            forward,
+            [
+                "Int(1)",
+                "Str(\"1\")",
+                "Float(1.5)",
+                "Null",
+                "Str(\"NULL\")"
+            ]
+        );
+        for order in [[4, 3, 2, 1, 0], [1, 0, 4, 2, 3], [3, 4, 0, 2, 1]] {
+            assert_eq!(run(&order), (forward.clone(), digest));
+        }
+    }
+
+    /// The ingest the operator had before its keys were borrowed: key
+    /// and arguments built as `Value`s for every tuple, the tables
+    /// probed and the states updated with those. Everything after the
+    /// fold (window bookkeeping, flush order, digest) is the
+    /// operator's own.
+    mod oracle {
+        use super::*;
+
+        fn update(state: &mut AggState, v: Option<&Value>, ts: Timestamp) {
+            match state {
+                AggState::Count(n) => {
+                    if v.is_none_or(|x| !x.is_null()) {
+                        *n += 1;
+                    }
+                }
+                AggState::Sum { sum, seen } => {
+                    if let Some(x) = v {
+                        if let Ok(f) = x.as_float() {
+                            *sum += f;
+                            *seen = true;
+                        }
+                    }
+                }
+                AggState::Avg { sum, n } => {
+                    if let Some(x) = v {
+                        if let Ok(f) = x.as_float() {
+                            *sum += f;
+                            *n += 1;
+                        }
+                    }
+                }
+                AggState::Min(cur) => {
+                    if let Some(x) = v {
+                        if !x.is_null()
+                            && cur
+                                .as_ref()
+                                .is_none_or(|c| x.compare(c) == Some(std::cmp::Ordering::Less))
+                        {
+                            *cur = Some(x.clone());
+                        }
+                    }
+                }
+                AggState::Max(cur) => {
+                    if let Some(x) = v {
+                        if !x.is_null()
+                            && cur
+                                .as_ref()
+                                .is_none_or(|c| x.compare(c) == Some(std::cmp::Ordering::Greater))
+                        {
+                            *cur = Some(x.clone());
+                        }
+                    }
+                }
+                AggState::StdDev(t) => {
+                    if let Some(x) = v {
+                        if let Ok(f) = x.as_float() {
+                            t.observe(f, ts);
+                        }
+                    }
+                }
+                AggState::CountDistinct(set) => {
+                    if let Some(x) = v {
+                        if !x.is_null() {
+                            set.get_or_insert_with(x, || x.clone(), || ());
+                        }
+                    }
+                }
+                AggState::TopK { sketch, .. } => {
+                    if let Some(x) = v {
+                        match x {
+                            Value::Null => {}
+                            Value::List(items) => {
+                                for it in items {
+                                    if !it.is_null() {
+                                        sketch.observe(it);
+                                    }
+                                }
+                            }
+                            other => sketch.observe(other),
+                        }
+                    }
+                }
+            }
+        }
+
+        fn update_group(g: &mut Group, arg_values: &[Option<Value>], ts: Timestamp) {
+            g.n += 1;
+            g.last_ts = ts;
+            for (state, v) in g.states.iter_mut().zip(arg_values) {
+                update(state, v.as_ref(), ts);
+            }
+        }
+
+        fn ingest(
+            op: &mut AggregateOp,
+            key: &[Value],
+            arg_values: &[Option<Value>],
+            ts: Timestamp,
+            out: &mut Vec<Record>,
+        ) {
+            let key = &key.to_vec();
+            if let WindowPolicy::Sliding { size, slide } = op.policy {
+                let slide_ms = slide.millis().max(1);
+                let last = ts.truncate(slide).millis();
+                let hops = (size.millis() - 1).div_euclid(slide_ms);
+                for h in 0..=hops {
+                    let start = last - h * slide_ms;
+                    if ts.millis() - start >= size.millis() {
+                        continue;
+                    }
+                    let group = op.sliding.entry(start).or_default().get_or_insert_with(
+                        key,
+                        || key.clone(),
+                        || Group::new(&op.aggs, ts),
+                    );
+                    update_group(group, arg_values, ts);
+                }
+                return;
+            }
+            let group =
+                (op.groups).get_or_insert_with(key, || key.clone(), || Group::new(&op.aggs, ts));
+            update_group(group, arg_values, ts);
+            match &op.policy {
+                WindowPolicy::Count(n) if group.n >= *n => {
+                    if let Some((_, g)) = op.groups.remove(key) {
+                        op.windows_emitted += 1;
+                        op.emit_group(key, &g, out);
+                    }
+                }
+                WindowPolicy::Confidence { epsilon, max_age } => {
+                    if let Some(Some(v)) = arg_values.get(op.confidence_target) {
+                        if let Ok(f) = v.as_float() {
+                            group.confidence.observe(f, ts);
+                        }
+                    }
+                    if group.confidence.should_emit(*epsilon, *max_age, ts) {
+                        if let Some((_, g)) = op.groups.remove(key) {
+                            op.windows_emitted += 1;
+                            op.confidence_emits += 1;
+                            op.emit_group(key, &g, out);
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// The old `on_record`.
+        pub fn on_record(op: &mut AggregateOp, rec: &Record, out: &mut Vec<Record>) {
+            let ts = rec.timestamp();
+            op.open_window(ts, out);
+            let key: Vec<Value> = (op.key_exprs.iter())
+                .map(|e| e.eval(rec, &mut op.ctx).unwrap())
+                .collect();
+            let args: Vec<Option<Value>> = (op.aggs.iter())
+                .map(|a| a.arg.as_ref().map(|e| e.eval(rec, &mut op.ctx).unwrap()))
+                .collect();
+            ingest(op, &key, &args, ts, out);
+        }
+
+        /// The old `on_tweet_batch` row loop.
+        pub fn on_rows(
+            op: &mut AggregateOp,
+            batch: &TweetBatch,
+            sel: &[u32],
+            out: &mut Vec<Record>,
+        ) {
+            let cols = op.columns.take().expect("columnar head");
+            for &i in sel {
+                let i = i as usize;
+                let ts = batch.ts(i);
+                op.open_window(ts, out);
+                let key: Vec<Value> = cols.keys.iter().map(|&c| batch.value_at(i, c)).collect();
+                let args: Vec<Option<Value>> = (cols.args.iter())
+                    .map(|a| a.map(|c| batch.value_at(i, c)))
+                    .collect();
+                ingest(op, &key, &args, ts, out);
+            }
+            op.columns = Some(cols);
+        }
+    }
+
+    mod borrowed_keys {
+        use super::*;
+        use proptest::prelude::*;
+        use tweeql_model::{Tweet, User};
+
+        fn policy(which: usize) -> WindowPolicy {
+            match which {
+                0 => WindowPolicy::Time(Duration::from_secs(20)),
+                1 => WindowPolicy::Sliding {
+                    size: Duration::from_secs(30),
+                    slide: Duration::from_secs(10),
+                },
+                2 => WindowPolicy::Count(3),
+                3 => WindowPolicy::Confidence {
+                    epsilon: 2.0,
+                    max_age: Some(Duration::from_secs(25)),
+                },
+                _ => WindowPolicy::Unbounded,
+            }
+        }
+
+        /// `avg(<x>)` first (the confidence target), then a count, a
+        /// distinct count and both extremes over `<s>`.
+        fn op(which: usize, input: &SchemaRef, keys: &[&str], x: &str, s: &str) -> AggregateOp {
+            let mut reg = Registry::empty();
+            crate::expr::functions::register_builtins(&mut reg);
+            let mut ctx = EvalCtx::default();
+            let mut c =
+                |src: &str| compile_into(&parse_expr(src).unwrap(), input, &reg, &mut ctx).unwrap();
+            let key_exprs: Vec<CExpr> = keys.iter().map(|k| c(k)).collect();
+            let aggs: Vec<AggExpr> = [
+                (AggFunc::Avg, Some(x)),
+                (AggFunc::Count, None),
+                (AggFunc::Count, Some(x)),
+                (AggFunc::CountDistinct, Some(s)),
+                (AggFunc::Min, Some(s)),
+                (AggFunc::Max, Some(s)),
+                (AggFunc::Min, Some(x)),
+                (AggFunc::StdDev, Some(x)),
+                (AggFunc::TopK(2), Some(s)),
+            ]
+            .into_iter()
+            .map(|(func, arg)| AggExpr {
+                func,
+                arg: arg.map(&mut c),
+            })
+            .collect();
+            let fields: Vec<(String, DataType)> = (0..keys.len() + aggs.len())
+                .map(|i| (format!("c{i}"), DataType::Any))
+                .collect();
+            let fields: Vec<(&str, DataType)> =
+                fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+            let schema = Schema::shared(&fields);
+            AggregateOp::new(key_exprs, aggs, ctx, policy(which), input, schema, 0)
+        }
+
+        fn digest(op: &AggregateOp) -> u64 {
+            let mut d = tweeql_wal::Digest::new();
+            op.state_digest(&mut d);
+            d.finish()
+        }
+
+        /// 60 tweets two seconds apart: three languages, seven authors,
+        /// a third geotagged, a fifth retweets, follower counts that
+        /// repeat.
+        fn tweets() -> Vec<Tweet> {
+            (0..60u64)
+                .map(|i| {
+                    let mut user = User::new(i % 7, format!("user{}", i % 7));
+                    user.followers = (i * 5 % 4) as u32;
+                    let mut t = Tweet::builder(i, format!("tweet {i}"))
+                        .user(user)
+                        .at(Timestamp::from_secs(100 + 2 * i as i64))
+                        .lang(["en", "ja", "es"][i as usize % 3]);
+                    if i % 3 == 0 {
+                        t = t.coordinates((i % 2) as f64, 1.0);
+                    }
+                    if i % 5 == 0 {
+                        t = t.retweet_of(i % 2);
+                    }
+                    t.build()
+                })
+                .collect()
+        }
+
+        /// The key/argument column sets tried over the twitter stream:
+        /// string, int, nullable float and nullable int keys.
+        const SHAPES: &[(&[&str], &str, &str)] = &[
+            (&["lang"], "followers", "screen_name"),
+            (&["followers"], "lat", "lang"),
+            (&["lat"], "followers", "screen_name"),
+            (&["retweet_of", "lang"], "lat", "screen_name"),
+            (&[], "followers", "lang"),
+        ];
+
+        /// The values an `Any` column is drawn from on the record path:
+        /// ints and floats equal across types, NULL, strings (one that
+        /// parses as a number).
+        fn any_value(pick: u8) -> Value {
+            match pick % 8 {
+                0 => Value::Int(1),
+                1 => Value::Float(1.0),
+                2 => Value::Null,
+                3 => Value::from("a"),
+                4 => Value::from("2"),
+                5 => Value::Float(0.5),
+                6 => Value::Int(0),
+                _ => Value::from("b"),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// Columnar head: borrowed-key ingest is `Value`-key ingest
+            /// — rows, order, and `state_digest` after every batch and
+            /// watermark — for every window policy and key shape.
+            #[test]
+            fn row_views_ingest_as_values_did(
+                which in 0usize..5,
+                shape in 0usize..SHAPES.len(),
+                density in 1u8..=10,
+                draws in collection::vec(0u8..10, 60..61),
+            ) {
+                let (keys, x, s) = SHAPES[shape];
+                let input = twitter_schema();
+                let mut new = op(which, &input, keys, x, s);
+                let mut old = op(which, &input, keys, x, s);
+                prop_assert!(new.wants_tweet_batch().is_some());
+                let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+                for chunk in tweets().chunks(15) {
+                    let mut batch = TweetBatch::new();
+                    for t in chunk {
+                        batch.push(t.clone());
+                    }
+                    let first = chunk[0].id as usize;
+                    let sel: Vec<u32> = (0..15u32)
+                        .filter(|&i| draws[first + i as usize] < density)
+                        .collect();
+                    new.on_tweet_batch(&batch, &sel, &mut new_out).unwrap();
+                    oracle::on_rows(&mut old, &batch, &sel, &mut old_out);
+                    prop_assert_eq!(digest(&new), digest(&old));
+                    let wm = batch.last_ts().unwrap();
+                    new.on_watermark(wm, &mut new_out).unwrap();
+                    old.on_watermark(wm, &mut old_out).unwrap();
+                    prop_assert_eq!(digest(&new), digest(&old));
+                    prop_assert_eq!(&new_out, &old_out);
+                }
+                new.finish(&mut new_out).unwrap();
+                old.finish(&mut old_out).unwrap();
+                prop_assert_eq!(new_out, old_out);
+            }
+
+            /// Record path: keys and arguments of mixed type in `Any`
+            /// columns — `Int(1)` and `Float(1.0)` are one group and one
+            /// distinct member, NULL is a group of its own.
+            #[test]
+            fn evaluated_keys_ingest_as_values_did(
+                which in 0usize..5,
+                rows in collection::vec((0u8..8, 0u8..8, 0u8..8), 0..50),
+            ) {
+                let input = Schema::shared(&[
+                    ("k", DataType::Any),
+                    ("x", DataType::Any),
+                    ("s", DataType::Any),
+                ]);
+                let mut new = op(which, &input, &["k"], "x", "s");
+                let mut old = op(which, &input, &["k"], "x", "s");
+                prop_assert!(new.wants_tweet_batch().is_none());
+                let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+                for (n, &(k, x, s)) in rows.iter().enumerate() {
+                    let rec = Record::new(
+                        input.clone(),
+                        vec![any_value(k), any_value(x), any_value(s)],
+                        Timestamp::from_secs(100 + 3 * n as i64),
+                    )
+                    .unwrap();
+                    new.on_record(rec.clone(), &mut new_out).unwrap();
+                    oracle::on_record(&mut old, &rec, &mut old_out);
+                    prop_assert_eq!(digest(&new), digest(&old));
+                    prop_assert_eq!(&new_out, &old_out);
+                }
+                new.finish(&mut new_out).unwrap();
+                old.finish(&mut old_out).unwrap();
+                prop_assert_eq!(new_out, old_out);
+            }
+        }
     }
 
     mod columnar {

@@ -11,7 +11,7 @@
 use super::Operator;
 use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
-use crate::udf::AsyncUdf;
+use crate::udf::{ArgBatch, AsyncUdf};
 use tweeql_geo::batch::Batcher;
 use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
 
@@ -21,7 +21,12 @@ pub struct AsyncUdfOp {
     arg_exprs: Vec<CExpr>,
     ctx: EvalCtx,
     schema: SchemaRef,
-    batcher: Batcher<(Record, Vec<Value>)>,
+    batcher: Batcher<Record>,
+    /// The pending records' arguments, evaluated as each arrived:
+    /// `arg_exprs.len()` values per record, in the batcher's order.
+    args: Vec<Value>,
+    /// The results of the batch being emitted.
+    results: Vec<Value>,
     label: String,
 }
 
@@ -45,6 +50,8 @@ impl AsyncUdfOp {
             ctx,
             schema,
             batcher: Batcher::new(max_batch, max_delay),
+            args: Vec::new(),
+            results: Vec::new(),
             label,
         }
     }
@@ -61,17 +68,45 @@ impl AsyncUdfOp {
         self.udf.modeled_service_time()
     }
 
-    fn run_batch(&mut self, items: Vec<(Record, Vec<Value>)>, out: &mut Vec<Record>) {
+    /// Evaluate `rec`'s arguments and queue it; a batch this fills is
+    /// issued at once.
+    fn push(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
+        let evaluated = self.args.len();
+        for e in &self.arg_exprs {
+            match e.eval(&rec, &mut self.ctx) {
+                Ok(v) => self.args.push(v),
+                Err(err) => {
+                    self.args.truncate(evaluated);
+                    return Err(err);
+                }
+            }
+        }
+        let ts = rec.timestamp();
+        if let Some(batch) = self.batcher.push(rec, ts) {
+            self.run_batch(batch, out);
+        }
+        Ok(())
+    }
+
+    /// Issue one request for `items` — always everything pending, so
+    /// `self.args` is exactly their arguments — and emit each record
+    /// with its result appended in place.
+    fn run_batch(&mut self, mut items: Vec<Record>, out: &mut Vec<Record>) {
         if items.is_empty() {
             return;
         }
-        let args: Vec<Vec<Value>> = items.iter().map(|(_, a)| a.clone()).collect();
-        let results = self.udf.call_batch(&args);
-        for ((rec, _), result) in items.into_iter().zip(results) {
-            let mut values = rec.values().to_vec();
+        let batch = ArgBatch::new(&self.args, self.arg_exprs.len(), items.len());
+        self.udf.call_batch(batch, &mut self.results);
+        self.args.clear();
+        debug_assert_eq!(self.results.len(), items.len());
+        out.reserve(items.len());
+        for (rec, result) in items.drain(..).zip(self.results.drain(..)) {
+            let ts = rec.timestamp();
+            let mut values = rec.into_values();
             values.push(result);
-            out.push(rec.with_shape(self.schema.clone(), values));
+            out.push(Record::new_unchecked(self.schema.clone(), values, ts));
         }
+        self.batcher.recycle(items);
     }
 }
 
@@ -89,15 +124,7 @@ impl Operator for AsyncUdfOp {
     }
 
     fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        let mut args = Vec::with_capacity(self.arg_exprs.len());
-        for e in &self.arg_exprs {
-            args.push(e.eval(&rec, &mut self.ctx)?);
-        }
-        let ts = rec.timestamp();
-        if let Some(batch) = self.batcher.push((rec, args), ts) {
-            self.run_batch(batch, out);
-        }
-        Ok(())
+        self.push(rec, out)
     }
 
     fn on_batch(
@@ -109,14 +136,7 @@ impl Operator for AsyncUdfOp {
         // batcher form full service batches even when the engine's
         // micro-batch is larger than `max_batch`.
         for rec in recs.drain(..) {
-            let mut args = Vec::with_capacity(self.arg_exprs.len());
-            for e in &self.arg_exprs {
-                args.push(e.eval(&rec, &mut self.ctx)?);
-            }
-            let ts = rec.timestamp();
-            if let Some(batch) = self.batcher.push((rec, args), ts) {
-                self.run_batch(batch, out);
-            }
+            self.push(rec, out)?;
         }
         Ok(())
     }
@@ -255,5 +275,232 @@ mod tests {
         let mut out = Vec::new();
         op.on_record(rec(&schema, "the moon", 0), &mut out).unwrap();
         assert_eq!(out[0].value(1), &Value::Null);
+    }
+
+    /// The operator as it was before a pending tuple stopped owning an
+    /// argument `Vec`: arguments boxed per tuple, cloned per batch, and
+    /// every emitted record rebuilt from a copy of its values. Runs on
+    /// the old service ([`crate::udf::oracle`]).
+    mod oracle {
+        use super::*;
+        use crate::udf::oracle::{call_batch, Service};
+
+        pub struct OldOp {
+            pub service: Service,
+            pub want_lat: bool,
+            pub arg_exprs: Vec<CExpr>,
+            pub ctx: EvalCtx,
+            pub schema: SchemaRef,
+            pub batcher: Batcher<(Record, Vec<Value>)>,
+        }
+
+        impl OldOp {
+            fn run_batch(&mut self, items: Vec<(Record, Vec<Value>)>, out: &mut Vec<Record>) {
+                if items.is_empty() {
+                    return;
+                }
+                let args: Vec<Vec<Value>> = items.iter().map(|(_, a)| a.clone()).collect();
+                let results = call_batch(&self.service, self.want_lat, &args);
+                for ((rec, _), result) in items.into_iter().zip(results) {
+                    let mut values = rec.values().to_vec();
+                    values.push(result);
+                    out.push(rec.with_shape(self.schema.clone(), values));
+                }
+            }
+
+            pub fn on_batch(&mut self, recs: &mut Vec<Record>, out: &mut Vec<Record>) {
+                for rec in recs.drain(..) {
+                    let mut args = Vec::with_capacity(self.arg_exprs.len());
+                    for e in &self.arg_exprs {
+                        args.push(e.eval(&rec, &mut self.ctx).unwrap());
+                    }
+                    let ts = rec.timestamp();
+                    if let Some(batch) = self.batcher.push((rec, args), ts) {
+                        self.run_batch(batch, out);
+                    }
+                }
+            }
+
+            pub fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<Record>) {
+                if let Some(batch) = self.batcher.poll(wm) {
+                    self.run_batch(batch, out);
+                }
+            }
+
+            pub fn finish(&mut self, out: &mut Vec<Record>) {
+                let batch = self.batcher.flush();
+                self.run_batch(batch, out);
+            }
+        }
+    }
+
+    mod in_place {
+        use super::oracle::OldOp;
+        use super::*;
+        use crate::udf::{GeocodeUdf, SharedGeoService};
+        use proptest::prelude::*;
+        use tweeql_geo::breaker::BreakerConfig;
+
+        /// Profile locations as they come: repeats, case and padding
+        /// that fold to one cache key, a non-ASCII name, junk, empty.
+        const LOCS: &[&str] = &[
+            "tokyo",
+            "Tokyo",
+            " TOKYO ",
+            "nyc",
+            "NYC",
+            "london",
+            "boston",
+            "paris",
+            "Zürich",
+            "ZÜRICH",
+            "the moon",
+            "",
+            "berlin",
+            "São Paulo",
+            "cape town",
+        ];
+
+        fn config(pick: (u8, u8, u8, u8, u8)) -> ServiceConfig {
+            let (latency, failure, cache, batch, fault) = pick;
+            ServiceConfig {
+                latency: match latency % 3 {
+                    0 => LatencyModel::Constant(Duration::from_millis(200)),
+                    1 => LatencyModel::web_service_default(),
+                    _ => {
+                        LatencyModel::Uniform(Duration::from_millis(20), Duration::from_millis(400))
+                    }
+                },
+                failure_rate: [0.0, 0.3, 1.0][failure as usize % 3],
+                cache_capacity: [0, 3, 1024][cache as usize % 3],
+                max_batch: [1, 4, 25][batch as usize % 3],
+                timeout: (fault & 1 == 1).then(|| Duration::from_millis(250)),
+                retries: u32::from(fault >> 1 & 1) * 2,
+                breaker: BreakerConfig {
+                    failure_threshold: 3,
+                    cooldown: Duration::from_secs(5),
+                    half_open_trials: 1,
+                },
+                ..ServiceConfig::default()
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            /// `latitude(loc)` then `longitude(loc)` over one shared
+            /// service, fed micro-batches and watermarks: the operator
+            /// emits the same rows at the same points, and leaves the
+            /// service with the same request count, cache statistics,
+            /// health and virtual clock, as the one it replaced.
+            #[test]
+            fn appends_in_place_what_the_copying_operator_appended(
+                pick in (0u8..3, 0u8..3, 0u8..3, 0u8..3, 0u8..4),
+                op_batch in 0usize..3,
+                events in collection::vec((0usize..LOCS.len() + 3, 1u8..5), 0..40),
+            ) {
+                let cfg = config(pick);
+                let max_batch = [1, 4, 25][op_batch];
+                let max_delay = Duration::from_secs(2);
+                let in_schema = Schema::shared(&[("loc", DataType::Any)]);
+                let lat_schema =
+                    Schema::shared(&[("loc", DataType::Any), ("lat", DataType::Any)]);
+                let lon_schema = Schema::shared(&[
+                    ("loc", DataType::Any),
+                    ("lat", DataType::Any),
+                    ("lon", DataType::Any),
+                ]);
+                let reg = Registry::empty();
+                let arg = |schema: &SchemaRef| compile(&parse_expr("loc").unwrap(), schema, &reg).unwrap();
+
+                let new_clock = VirtualClock::new();
+                let new_service = SharedGeoService::new(&cfg, Arc::clone(&new_clock));
+                let mut new_ops: Vec<AsyncUdfOp> = [("latitude", true, &in_schema, &lat_schema),
+                    ("longitude", false, &lat_schema, &lon_schema)]
+                    .into_iter()
+                    .map(|(name, want_lat, input, output)| {
+                        let (c, ctx) = arg(input);
+                        let udf = GeocodeUdf::new(name, new_service.clone(), want_lat);
+                        AsyncUdfOp::new(Box::new(udf), vec![c], ctx, output.clone(), max_batch, max_delay)
+                    })
+                    .collect();
+
+                let old_clock = VirtualClock::new();
+                let old_service = crate::udf::oracle::Service::new(&cfg, Arc::clone(&old_clock));
+                let mut old_ops: Vec<OldOp> = [(true, &in_schema, &lat_schema),
+                    (false, &lat_schema, &lon_schema)]
+                    .into_iter()
+                    .map(|(want_lat, input, output)| {
+                        let (c, ctx) = arg(input);
+                        OldOp {
+                            service: old_service.clone(),
+                            want_lat,
+                            arg_exprs: vec![c],
+                            ctx,
+                            schema: output.clone(),
+                            batcher: Batcher::new(max_batch, max_delay),
+                        }
+                    })
+                    .collect();
+
+                let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
+                let mut now = 0i64;
+                let mut pending: Vec<Record> = Vec::new();
+                for &(what, step) in &events {
+                    now += i64::from(step) * 300;
+                    let ts = Timestamp::from_millis(now);
+                    match LOCS.get(what) {
+                        // A tuple joins the micro-batch being formed.
+                        Some(loc) => {
+                            let value = if loc.is_empty() && step == 1 {
+                                Value::Null
+                            } else {
+                                Value::from(*loc)
+                            };
+                            pending.push(Record::new(in_schema.clone(), vec![value], ts).unwrap());
+                        }
+                        // The micro-batch is pushed, then a watermark.
+                        None => {
+                            let mut mid = Vec::new();
+                            new_ops[0].on_batch(&mut pending.clone(), &mut mid).unwrap();
+                            new_ops[0].on_watermark(ts, &mut mid).unwrap();
+                            new_ops[1].on_batch(&mut mid, &mut new_out).unwrap();
+                            new_ops[1].on_watermark(ts, &mut new_out).unwrap();
+                            let mut mid = Vec::new();
+                            old_ops[0].on_batch(&mut pending, &mut mid);
+                            old_ops[0].on_watermark(ts, &mut mid);
+                            old_ops[1].on_batch(&mut mid, &mut old_out);
+                            old_ops[1].on_watermark(ts, &mut old_out);
+                            prop_assert_eq!(&new_out, &old_out);
+                            prop_assert_eq!(new_clock.now(), old_clock.now());
+                        }
+                    }
+                }
+                let mut mid = Vec::new();
+                new_ops[0].on_batch(&mut pending.clone(), &mut mid).unwrap();
+                new_ops[0].finish(&mut mid).unwrap();
+                new_ops[1].on_batch(&mut mid, &mut new_out).unwrap();
+                new_ops[1].finish(&mut new_out).unwrap();
+                let mut mid = Vec::new();
+                old_ops[0].on_batch(&mut pending, &mut mid);
+                old_ops[0].finish(&mut mid);
+                old_ops[1].on_batch(&mut mid, &mut old_out);
+                old_ops[1].finish(&mut old_out);
+
+                prop_assert_eq!(new_out, old_out);
+                prop_assert_eq!(new_clock.now(), old_clock.now());
+                prop_assert_eq!(new_service.requests_issued(), old_service.requests_issued());
+                prop_assert_eq!(new_service.cache_stats(), old_service.cache_stats());
+                prop_assert_eq!(new_service.health(), old_service.health());
+                for op in &new_ops {
+                    prop_assert_eq!(op.requests_issued(), old_service.requests_issued());
+                    prop_assert_eq!(
+                        op.udf.cache_stats(),
+                        Some(old_service.cache_stats())
+                    );
+                    prop_assert_eq!(op.service_health(), Some(old_service.health()));
+                }
+            }
+        }
     }
 }

@@ -17,6 +17,7 @@ pub mod eddy;
 pub(crate) mod filter;
 pub(crate) mod fused;
 pub(crate) mod join;
+mod keys;
 pub(crate) mod limit;
 pub(crate) mod parallel;
 pub(crate) mod project;

@@ -4,14 +4,13 @@
 
 use crate::error::QueryError;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::Arc;
 use tweeql_geo::breaker::{BreakerConfig, CircuitBreaker, ServiceHealth};
 use tweeql_geo::cache::{CacheStats, LruCache};
-use tweeql_geo::geocoder::{
-    GazetteerGeocoder, GeocodeResult, Geocoder, RemoteError, SimulatedRemoteGeocoder,
-};
+use tweeql_geo::geocoder::{GazetteerGeocoder, Geocoder, RemoteError, SimulatedRemoteGeocoder};
 use tweeql_geo::latency::LatencyModel;
+use tweeql_geo::GeoPoint;
 use tweeql_model::{Duration, Timestamp, Value, VirtualClock};
 use tweeql_text::sentiment::{LexiconClassifier, SentimentClassifier};
 
@@ -36,10 +35,10 @@ pub trait StatefulUdf: Send {
 pub trait AsyncUdf: Send {
     /// Function name.
     fn name(&self) -> &str;
-    /// Evaluate a batch of argument tuples. Failures map to `Null`
-    /// (stream processing does not abort a long-running query on one
-    /// bad web-service call).
-    fn call_batch(&mut self, batch: &[Vec<Value>]) -> Vec<Value>;
+    /// Evaluate a batch of argument tuples, appending one result per
+    /// tuple to `out`. Failures map to `Null` (stream processing does
+    /// not abort a long-running query on one bad web-service call).
+    fn call_batch(&mut self, batch: ArgBatch<'_>, out: &mut Vec<Value>);
     /// Remote requests issued so far.
     fn requests_issued(&self) -> u64;
     /// Total modeled service latency so far.
@@ -51,6 +50,39 @@ pub trait AsyncUdf: Send {
     /// Health counters of the backing remote service, when there is one.
     fn health(&self) -> Option<ServiceHealth> {
         None
+    }
+}
+
+/// The argument tuples of one async batch, row-major in one slice: the
+/// operator evaluates every pending tuple's arguments into one reused
+/// buffer and hands the UDF a view of it.
+#[derive(Debug, Clone, Copy)]
+pub struct ArgBatch<'a> {
+    values: &'a [Value],
+    arity: usize,
+    rows: usize,
+}
+
+impl<'a> ArgBatch<'a> {
+    /// `rows` tuples of `arity` values each; `values` holds them back
+    /// to back.
+    pub fn new(values: &'a [Value], arity: usize, rows: usize) -> ArgBatch<'a> {
+        assert_eq!(values.len(), arity * rows, "row-major argument buffer");
+        ArgBatch {
+            values,
+            arity,
+            rows,
+        }
+    }
+
+    /// Number of tuples.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The arguments of tuple `r`.
+    pub fn row(&self, r: usize) -> &'a [Value] {
+        &self.values[r * self.arity..(r + 1) * self.arity]
     }
 }
 
@@ -248,15 +280,58 @@ impl ScalarUdf for SentimentUdf {
 /// never poison the cache with a transient NULL.
 struct GeoInner {
     remote: SimulatedRemoteGeocoder<GazetteerGeocoder>,
-    cache: LruCache<String, Option<GeocodeResult>>,
+    /// Normalized location → coordinate (negatives included). Only the
+    /// point is kept: it is all `latitude`/`longitude` read, and a hit
+    /// copies two floats where a whole result carried a `String`.
+    cache: LruCache<String, Option<GeoPoint>>,
     breaker: CircuitBreaker,
     health: ServiceHealth,
+    scratch: GeoScratch,
 }
 
 impl GeoInner {
     fn refresh_health(&mut self) {
         self.health.state = self.breaker.state();
         self.health.breaker_opens = self.breaker.opens();
+    }
+}
+
+/// Per-batch working state of [`SharedGeoService::geocode_batch_by`],
+/// kept across batches so a batch of cache hits allocates nothing.
+#[derive(Default)]
+struct GeoScratch {
+    /// The batch's cache keys back to back; key `i` ends at `key_ends[i]`.
+    keys: String,
+    key_ends: Vec<usize>,
+    /// Items the cache did not answer.
+    misses: Vec<usize>,
+    /// The first miss of each distinct key, and for every miss the
+    /// position of its key in that list.
+    distinct: Vec<usize>,
+    miss_slot: Vec<usize>,
+    /// Per distinct key: what the service returned (`None` = no
+    /// answer), and whether its chunk was given up on.
+    fetched: Vec<Option<Option<GeoPoint>>>,
+    degraded: Vec<bool>,
+}
+
+impl GeoScratch {
+    fn key(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.key_ends[i - 1] };
+        &self.keys[start..self.key_ends[i]]
+    }
+
+    /// Append the cache key of `loc` — `loc.trim().to_lowercase()`.
+    fn push_key(&mut self, loc: &str) {
+        let loc = loc.trim();
+        if loc.is_ascii() {
+            let start = self.keys.len();
+            self.keys.push_str(loc);
+            self.keys[start..].make_ascii_lowercase();
+        } else {
+            self.keys.push_str(&loc.to_lowercase());
+        }
+        self.key_ends.push(self.keys.len());
     }
 }
 
@@ -292,91 +367,121 @@ impl SharedGeoService {
                 cache: LruCache::new(config.cache_capacity.max(1)),
                 breaker: CircuitBreaker::new(config.breaker.clone(), clock),
                 health: ServiceHealth::default(),
+                scratch: GeoScratch::default(),
             })),
             cache_disabled: config.cache_capacity == 0,
             retries: config.retries,
         }
     }
 
-    /// Geocode a batch of location strings: cache hits first, then the
-    /// distinct misses in `max_batch`-sized requests through the
-    /// breaker/retry layer. Unavailable chunks degrade to NULL and are
-    /// NOT cached.
-    pub fn geocode_batch(&self, locs: &[&str]) -> Vec<Option<tweeql_geo::GeoPoint>> {
+    /// Geocode a batch of location strings: [`geocode_batch_by`]
+    /// (SharedGeoService::geocode_batch_by) over a slice.
+    pub fn geocode_batch(&self, locs: &[&str]) -> Vec<Option<GeoPoint>> {
+        let mut out = Vec::with_capacity(locs.len());
+        self.geocode_batch_by(locs.len(), |i| locs[i], &mut out);
+        out
+    }
+
+    /// Geocode the `n` location strings `loc(0..n)`, appending one
+    /// result each to `out`: cache hits first, then the distinct misses
+    /// in `max_batch`-sized requests through the breaker/retry layer.
+    /// Unavailable chunks degrade to NULL and are NOT cached.
+    pub fn geocode_batch_by<'a>(
+        &self,
+        n: usize,
+        loc: impl Fn(usize) -> &'a str,
+        out: &mut Vec<Option<GeoPoint>>,
+    ) {
         let mut guard = self.inner.lock();
-        let g = &mut *guard;
-        let keys: Vec<String> = locs.iter().map(|l| l.trim().to_lowercase()).collect();
-        let mut out: Vec<Option<Option<GeocodeResult>>> = vec![None; locs.len()];
-        let mut misses: Vec<usize> = Vec::new();
-        if self.cache_disabled {
-            misses.extend(0..locs.len());
-        } else {
-            for (i, key) in keys.iter().enumerate() {
-                match g.cache.get(key.as_str()) {
-                    Some(hit) => out[i] = Some(hit),
-                    None => misses.push(i),
+        let GeoInner {
+            remote,
+            cache,
+            breaker,
+            health,
+            scratch: s,
+        } = &mut *guard;
+        let base = out.len();
+        out.resize(base + n, None);
+        s.keys.clear();
+        s.key_ends.clear();
+        s.misses.clear();
+        for i in 0..n {
+            s.push_key(loc(i));
+            if self.cache_disabled {
+                s.misses.push(i);
+            } else {
+                match cache.get(s.key(i)) {
+                    Some(hit) => out[base + i] = hit,
+                    None => s.misses.push(i),
                 }
             }
         }
+        if s.misses.is_empty() {
+            guard.refresh_health();
+            return;
+        }
+
         // With a cache, each distinct key is fetched once; without one
         // every slot is its own request item (preserving per-call
         // request counts).
-        let distinct: Vec<usize> = if self.cache_disabled {
-            misses.clone()
-        } else {
-            let mut d: Vec<usize> = Vec::new();
-            for &i in &misses {
-                if !d.iter().any(|&j| keys[j] == keys[i]) {
-                    d.push(i);
-                }
+        s.distinct.clear();
+        s.miss_slot.clear();
+        for &i in &s.misses {
+            let known = if self.cache_disabled {
+                None
+            } else {
+                s.distinct.iter().position(|&j| s.key(j) == s.key(i))
+            };
+            s.miss_slot.push(known.unwrap_or(s.distinct.len()));
+            if known.is_none() {
+                s.distinct.push(i);
             }
-            d
-        };
+        }
 
-        let max_batch = g.remote.max_batch();
-        let mut fetched: Vec<Option<Option<GeocodeResult>>> = vec![None; distinct.len()];
-        let mut degraded_keys: HashSet<&str> = HashSet::new();
+        let max_batch = remote.max_batch();
+        s.fetched.clear();
+        s.fetched.resize(s.distinct.len(), None);
+        s.degraded.clear();
+        s.degraded.resize(s.distinct.len(), false);
         let mut pos = 0;
-        while pos < distinct.len() {
-            let end = (pos + max_batch).min(distinct.len());
-            let chunk: Vec<&str> = distinct[pos..end].iter().map(|&i| locs[i]).collect();
-            if !g.breaker.allow() {
-                g.health.short_circuits += 1;
+        while pos < s.distinct.len() {
+            let end = (pos + max_batch).min(s.distinct.len());
+            let mut give_up = |health: &mut ServiceHealth| {
                 if self.cache_disabled {
-                    g.health.degraded_rows += (end - pos) as u64;
+                    health.degraded_rows += (end - pos) as u64;
                 } else {
-                    degraded_keys.extend(distinct[pos..end].iter().map(|&i| keys[i].as_str()));
+                    s.degraded[pos..end].fill(true);
                 }
+            };
+            if !breaker.allow() {
+                health.short_circuits += 1;
+                give_up(health);
                 pos = end;
                 continue;
             }
+            let chunk: Vec<&str> = s.distinct[pos..end].iter().map(|&i| loc(i)).collect();
             let mut attempt = 0;
             loop {
-                g.health.requests += 1;
-                match g.remote.try_request(&chunk) {
+                health.requests += 1;
+                match remote.try_request(&chunk) {
                     Ok(results) => {
-                        g.breaker.on_success();
+                        breaker.on_success();
                         for (slot, res) in (pos..end).zip(results) {
-                            fetched[slot] = Some(res);
+                            s.fetched[slot] = Some(res.map(|r| r.point));
                         }
                         break;
                     }
                     Err(e) => {
-                        g.health.failures += 1;
+                        health.failures += 1;
                         if e == RemoteError::Timeout {
-                            g.health.timeouts += 1;
+                            health.timeouts += 1;
                         }
-                        g.breaker.on_failure();
-                        if attempt < self.retries && g.breaker.allow() {
+                        breaker.on_failure();
+                        if attempt < self.retries && breaker.allow() {
                             attempt += 1;
-                            g.health.retries += 1;
+                            health.retries += 1;
                         } else {
-                            if self.cache_disabled {
-                                g.health.degraded_rows += (end - pos) as u64;
-                            } else {
-                                degraded_keys
-                                    .extend(distinct[pos..end].iter().map(|&i| keys[i].as_str()));
-                            }
+                            give_up(health);
                             break;
                         }
                     }
@@ -387,27 +492,24 @@ impl SharedGeoService {
 
         // Write back: cache successful lookups (negatives included —
         // unresolvable repeats just as often), fill output slots.
-        for (slot, &i) in distinct.iter().enumerate() {
-            if let Some(res) = fetched[slot].take() {
+        for (slot, &i) in s.distinct.iter().enumerate() {
+            if let Some(res) = s.fetched[slot] {
                 if self.cache_disabled {
-                    out[i] = Some(res);
+                    out[base + i] = res;
                 } else {
-                    g.cache.put(keys[i].clone(), res);
+                    cache.put(s.key(i).to_string(), res);
                 }
             }
         }
         if !self.cache_disabled {
-            for &i in &misses {
-                if degraded_keys.contains(keys[i].as_str()) {
-                    g.health.degraded_rows += 1;
+            for (&i, &slot) in s.misses.iter().zip(&s.miss_slot) {
+                if s.degraded[slot] {
+                    health.degraded_rows += 1;
                 }
-                out[i] = Some(g.cache.get(keys[i].as_str()).unwrap_or(None));
+                out[base + i] = cache.get(s.key(i)).unwrap_or(None);
             }
         }
-        g.refresh_health();
-        out.into_iter()
-            .map(|o| o.flatten().map(|r| r.point))
-            .collect()
+        guard.refresh_health();
     }
 
     /// Remote requests issued.
@@ -449,6 +551,8 @@ pub struct GeocodeUdf {
     base_cache: CacheStats,
     base_requests: u64,
     base_service_ms: i64,
+    /// The service's answers for the batch in hand (reused).
+    points: Vec<Option<GeoPoint>>,
 }
 
 impl GeocodeUdf {
@@ -467,6 +571,7 @@ impl GeocodeUdf {
             base_cache,
             base_requests,
             base_service_ms,
+            points: Vec::new(),
         }
     }
 }
@@ -476,22 +581,18 @@ impl AsyncUdf for GeocodeUdf {
         self.name
     }
 
-    fn call_batch(&mut self, batch: &[Vec<Value>]) -> Vec<Value> {
-        let locs: Vec<&str> = batch
-            .iter()
-            .map(|args| match args.first() {
-                Some(Value::Str(s)) => s,
-                _ => "",
-            })
-            .collect();
+    fn call_batch(&mut self, batch: ArgBatch<'_>, out: &mut Vec<Value>) {
+        let loc = |r: usize| match batch.row(r).first() {
+            Some(Value::Str(s)) => &**s,
+            _ => "",
+        };
+        self.points.clear();
         self.service
-            .geocode_batch(&locs)
-            .into_iter()
-            .map(|p| match p {
-                Some(point) => Value::Float(if self.want_lat { point.lat } else { point.lon }),
-                None => Value::Null,
-            })
-            .collect()
+            .geocode_batch_by(batch.rows(), loc, &mut self.points);
+        out.extend(self.points.iter().map(|p| match p {
+            Some(point) => Value::Float(if self.want_lat { point.lat } else { point.lon }),
+            None => Value::Null,
+        }));
     }
 
     fn requests_issued(&self) -> u64 {
@@ -580,13 +681,13 @@ impl AsyncUdf for EntityUdf {
         "named_entities"
     }
 
-    fn call_batch(&mut self, batch: &[Vec<Value>]) -> Vec<Value> {
-        let mut out = Vec::with_capacity(batch.len());
-        for chunk in batch.chunks(self.max_batch) {
+    fn call_batch(&mut self, batch: ArgBatch<'_>, out: &mut Vec<Value>) {
+        for start in (0..batch.rows()).step_by(self.max_batch) {
+            let chunk = start..(start + self.max_batch).min(batch.rows());
             if !self.breaker.allow() {
                 self.health.short_circuits += 1;
                 self.health.degraded_rows += chunk.len() as u64;
-                out.extend(chunk.iter().map(|_| Value::Null));
+                out.extend(chunk.map(|_| Value::Null));
                 continue;
             }
             let mut ok = false;
@@ -607,11 +708,11 @@ impl AsyncUdf for EntityUdf {
             }
             if !ok {
                 self.health.degraded_rows += chunk.len() as u64;
-                out.extend(chunk.iter().map(|_| Value::Null));
+                out.extend(chunk.map(|_| Value::Null));
                 continue;
             }
-            for args in chunk {
-                let v = match args.first() {
+            for r in chunk {
+                let v = match batch.row(r).first() {
                     Some(Value::Str(s)) => Value::List(
                         tweeql_text::entity::extract_entities(s)
                             .into_iter()
@@ -625,7 +726,6 @@ impl AsyncUdf for EntityUdf {
         }
         self.health.state = self.breaker.state();
         self.health.breaker_opens = self.breaker.opens();
-        out
     }
 
     fn requests_issued(&self) -> u64 {
@@ -644,10 +744,209 @@ impl AsyncUdf for EntityUdf {
     }
 }
 
+/// The geocoding service and UDF as they were before the batch path
+/// stopped allocating per item: a `Vec` of argument `Vec`s in, a key
+/// `String` and a cloned `GeocodeResult` per item, fresh working
+/// vectors per batch. Kept as the reference the operator and service
+/// are compared against (rows, request counts, cache statistics,
+/// health, virtual clock).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use std::collections::HashSet;
+    use tweeql_geo::geocoder::GeocodeResult;
+
+    struct Inner {
+        remote: SimulatedRemoteGeocoder<GazetteerGeocoder>,
+        cache: LruCache<String, Option<GeocodeResult>>,
+        breaker: CircuitBreaker,
+        health: ServiceHealth,
+    }
+
+    #[derive(Clone)]
+    pub struct Service {
+        inner: Arc<Mutex<Inner>>,
+        cache_disabled: bool,
+        retries: u32,
+    }
+
+    impl Service {
+        pub fn new(config: &ServiceConfig, clock: Arc<VirtualClock>) -> Service {
+            let mut remote = SimulatedRemoteGeocoder::with_model(
+                GazetteerGeocoder::new(),
+                Arc::clone(&clock),
+                config.latency.clone(),
+                config.seed,
+            )
+            .with_failure_rate(config.failure_rate)
+            .with_batching(config.max_batch.max(1), config.batch_per_item);
+            if let Some(timeout) = config.timeout {
+                remote = remote.with_timeout(timeout);
+            }
+            Service {
+                inner: Arc::new(Mutex::new(Inner {
+                    remote,
+                    cache: LruCache::new(config.cache_capacity.max(1)),
+                    breaker: CircuitBreaker::new(config.breaker.clone(), clock),
+                    health: ServiceHealth::default(),
+                })),
+                cache_disabled: config.cache_capacity == 0,
+                retries: config.retries,
+            }
+        }
+
+        pub fn geocode_batch(&self, locs: &[&str]) -> Vec<Option<GeoPoint>> {
+            let mut guard = self.inner.lock();
+            let g = &mut *guard;
+            let keys: Vec<String> = locs.iter().map(|l| l.trim().to_lowercase()).collect();
+            let mut out: Vec<Option<Option<GeocodeResult>>> = vec![None; locs.len()];
+            let mut misses: Vec<usize> = Vec::new();
+            if self.cache_disabled {
+                misses.extend(0..locs.len());
+            } else {
+                for (i, key) in keys.iter().enumerate() {
+                    match g.cache.get(key.as_str()) {
+                        Some(hit) => out[i] = Some(hit),
+                        None => misses.push(i),
+                    }
+                }
+            }
+            let distinct: Vec<usize> = if self.cache_disabled {
+                misses.clone()
+            } else {
+                let mut d: Vec<usize> = Vec::new();
+                for &i in &misses {
+                    if !d.iter().any(|&j| keys[j] == keys[i]) {
+                        d.push(i);
+                    }
+                }
+                d
+            };
+
+            let max_batch = g.remote.max_batch();
+            let mut fetched: Vec<Option<Option<GeocodeResult>>> = vec![None; distinct.len()];
+            let mut degraded_keys: HashSet<&str> = HashSet::new();
+            let mut pos = 0;
+            while pos < distinct.len() {
+                let end = (pos + max_batch).min(distinct.len());
+                let chunk: Vec<&str> = distinct[pos..end].iter().map(|&i| locs[i]).collect();
+                if !g.breaker.allow() {
+                    g.health.short_circuits += 1;
+                    if self.cache_disabled {
+                        g.health.degraded_rows += (end - pos) as u64;
+                    } else {
+                        degraded_keys.extend(distinct[pos..end].iter().map(|&i| keys[i].as_str()));
+                    }
+                    pos = end;
+                    continue;
+                }
+                let mut attempt = 0;
+                loop {
+                    g.health.requests += 1;
+                    match g.remote.try_request(&chunk) {
+                        Ok(results) => {
+                            g.breaker.on_success();
+                            for (slot, res) in (pos..end).zip(results) {
+                                fetched[slot] = Some(res);
+                            }
+                            break;
+                        }
+                        Err(e) => {
+                            g.health.failures += 1;
+                            if e == RemoteError::Timeout {
+                                g.health.timeouts += 1;
+                            }
+                            g.breaker.on_failure();
+                            if attempt < self.retries && g.breaker.allow() {
+                                attempt += 1;
+                                g.health.retries += 1;
+                            } else {
+                                if self.cache_disabled {
+                                    g.health.degraded_rows += (end - pos) as u64;
+                                } else {
+                                    degraded_keys.extend(
+                                        distinct[pos..end].iter().map(|&i| keys[i].as_str()),
+                                    );
+                                }
+                                break;
+                            }
+                        }
+                    }
+                }
+                pos = end;
+            }
+
+            for (slot, &i) in distinct.iter().enumerate() {
+                if let Some(res) = fetched[slot].take() {
+                    if self.cache_disabled {
+                        out[i] = Some(res);
+                    } else {
+                        g.cache.put(keys[i].clone(), res);
+                    }
+                }
+            }
+            if !self.cache_disabled {
+                for &i in &misses {
+                    if degraded_keys.contains(keys[i].as_str()) {
+                        g.health.degraded_rows += 1;
+                    }
+                    out[i] = Some(g.cache.get(keys[i].as_str()).unwrap_or(None));
+                }
+            }
+            g.health.state = g.breaker.state();
+            g.health.breaker_opens = g.breaker.opens();
+            out.into_iter()
+                .map(|o| o.flatten().map(|r| r.point))
+                .collect()
+        }
+
+        pub fn requests_issued(&self) -> u64 {
+            self.inner.lock().remote.requests_issued()
+        }
+
+        pub fn cache_stats(&self) -> CacheStats {
+            self.inner.lock().cache.stats()
+        }
+
+        pub fn health(&self) -> ServiceHealth {
+            let mut g = self.inner.lock();
+            g.health.state = g.breaker.state();
+            g.health.breaker_opens = g.breaker.opens();
+            g.health
+        }
+    }
+
+    /// The old `GeocodeUdf::call_batch`.
+    pub fn call_batch(service: &Service, want_lat: bool, batch: &[Vec<Value>]) -> Vec<Value> {
+        let locs: Vec<&str> = batch
+            .iter()
+            .map(|args| match args.first() {
+                Some(Value::Str(s)) => s,
+                _ => "",
+            })
+            .collect();
+        service
+            .geocode_batch(&locs)
+            .into_iter()
+            .map(|p| match p {
+                Some(point) => Value::Float(if want_lat { point.lat } else { point.lon }),
+                None => Value::Null,
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use tweeql_model::Clock;
+
+    /// `call_batch` over one-argument tuples.
+    fn call(udf: &mut dyn AsyncUdf, args: &[Value]) -> Vec<Value> {
+        let mut out = Vec::new();
+        udf.call_batch(ArgBatch::new(args, 1, args.len()), &mut out);
+        out
+    }
 
     #[test]
     fn registry_standard_knows_the_paper_udfs() {
@@ -688,9 +987,9 @@ mod tests {
         let mut lat = (r.async_udf("latitude").unwrap())();
         let mut lon = (r.async_udf("longitude").unwrap())();
 
-        let args = vec![vec![Value::Str("tokyo".into())]];
-        let lat_v = lat.call_batch(&args);
-        let lon_v = lon.call_batch(&args);
+        let args = [Value::Str("tokyo".into())];
+        let lat_v = call(&mut *lat, &args);
+        let lon_v = call(&mut *lon, &args);
         assert!(matches!(lat_v[0], Value::Float(v) if (v - 35.67).abs() < 0.1));
         assert!(matches!(lon_v[0], Value::Float(v) if (v - 139.65).abs() < 0.1));
         // The longitude call hit the latitude call's cache entry: only
@@ -709,11 +1008,14 @@ mod tests {
         };
         let svc = SharedGeoService::new(&cfg, clock);
         let mut udf = GeocodeUdf::new("latitude", svc, true);
-        let out = udf.call_batch(&[
-            vec![Value::Str("the moon".into())],
-            vec![Value::Null],
-            vec![Value::Str("nyc".into())],
-        ]);
+        let out = call(
+            &mut udf,
+            &[
+                Value::Str("the moon".into()),
+                Value::Null,
+                Value::Str("nyc".into()),
+            ],
+        );
         assert_eq!(out[0], Value::Null);
         assert_eq!(out[1], Value::Null);
         assert!(matches!(out[2], Value::Float(_)));
@@ -730,7 +1032,7 @@ mod tests {
         let svc = SharedGeoService::new(&cfg, Arc::clone(&clock));
         let mut udf = GeocodeUdf::new("latitude", svc, true);
         for _ in 0..5 {
-            udf.call_batch(&[vec![Value::Str("nyc".into())]]);
+            call(&mut udf, &[Value::Str("nyc".into())]);
         }
         assert_eq!(udf.requests_issued(), 5);
         assert_eq!(clock.now().millis(), 250);
@@ -744,7 +1046,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let mut udf = EntityUdf::new(&cfg, Arc::clone(&clock));
-        let out = udf.call_batch(&[vec![Value::Str("obama meets tevez in tokyo".into())]]);
+        let out = call(&mut udf, &[Value::Str("obama meets tevez in tokyo".into())]);
         match &out[0] {
             Value::List(names) => {
                 let names: Vec<String> = names.iter().map(|v| v.to_string()).collect();
@@ -872,10 +1174,10 @@ mod tests {
             ..ServiceConfig::default()
         };
         let mut udf = EntityUdf::new(&cfg, Arc::clone(&clock));
-        let args: Vec<Vec<Value>> = (0..5)
-            .map(|i| vec![Value::Str(format!("obama news {i}").into())])
+        let args: Vec<Value> = (0..5)
+            .map(|i| Value::Str(format!("obama news {i}").into()))
             .collect();
-        let out = udf.call_batch(&args);
+        let out = call(&mut udf, &args);
         assert!(out.iter().all(|v| *v == Value::Null));
         let h = udf.health().unwrap();
         assert_eq!(h.timeouts, 2, "breaker opened after 2 timeouts");

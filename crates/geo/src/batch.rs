@@ -68,6 +68,15 @@ impl<T> Batcher<T> {
         self.take()
     }
 
+    /// Hand a released batch's (emptied) vector back, so the next batch
+    /// collects in it instead of growing a new one.
+    pub fn recycle(&mut self, mut spent: Vec<T>) {
+        spent.clear();
+        if self.items.capacity() == 0 {
+            self.items = spent;
+        }
+    }
+
     fn take(&mut self) -> Vec<T> {
         self.oldest = None;
         std::mem::take(&mut self.items)
@@ -124,6 +133,26 @@ mod tests {
     fn size_one_releases_immediately() {
         let mut b = Batcher::new(1, Duration::ZERO);
         assert_eq!(b.push(9, ts(0)).unwrap(), vec![9]);
+    }
+
+    #[test]
+    fn recycled_vector_collects_the_next_batch() {
+        let mut b = Batcher::new(3, Duration::from_millis(10));
+        b.push(1, ts(0));
+        b.push(2, ts(0));
+        let mut batch = b.push(3, ts(0)).unwrap();
+        let buffer = batch.as_ptr();
+        batch.drain(..).for_each(drop);
+        b.recycle(batch);
+        b.push(4, ts(1));
+        let next = b.flush();
+        assert_eq!(next, vec![4]);
+        assert_eq!(next.as_ptr(), buffer, "same allocation");
+        // A vector handed back while items are pending is dropped, not
+        // swapped in over them.
+        b.push(5, ts(2));
+        b.recycle(vec![9, 9]);
+        assert_eq!(b.flush(), vec![5]);
     }
 
     #[test]

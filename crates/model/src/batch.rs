@@ -38,7 +38,7 @@
 use crate::record::Record;
 use crate::time::Timestamp;
 use crate::tweet::Tweet;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 use std::sync::Arc;
 
 /// Column indexes of the `twitter` schema, in schema order.
@@ -741,6 +741,32 @@ impl TweetBatch {
         }
     }
 
+    /// [`value_at`](TweetBatch::value_at) without the `Value`: the
+    /// same slot borrowed from the row store, so a reader that only
+    /// hashes, compares or sums it bumps no `Arc`.
+    pub fn view_at(&self, i: usize, c: usize) -> ValueRef<'_> {
+        if !self.alive(c) {
+            return ValueRef::Null;
+        }
+        let t = self.tweet_at(i);
+        let int = |o: Option<u64>| o.map_or(ValueRef::Null, |x| ValueRef::Int(x as i64));
+        let float = |o: Option<f64>| o.map_or(ValueRef::Null, ValueRef::Float);
+        match c {
+            col::ID => ValueRef::Int(t.id as i64),
+            col::TEXT => ValueRef::Str(&t.text),
+            col::USER_ID => ValueRef::Int(t.user.id as i64),
+            col::SCREEN_NAME => ValueRef::Str(&t.user.screen_name),
+            col::LOC => ValueRef::Str(&t.user.location),
+            col::LAT => float(t.coordinates.map(|(la, _)| la)),
+            col::LON => float(t.coordinates.map(|(_, lo)| lo)),
+            col::CREATED_AT => ValueRef::Time(t.created_at),
+            col::LANG => ValueRef::Str(&t.lang),
+            col::FOLLOWERS => ValueRef::Int(t.user.followers as i64),
+            col::RETWEET_OF => int(t.retweet_of),
+            _ => ValueRef::Null,
+        }
+    }
+
     /// Row `i` as a [`Record`] — the row-shim boundary. Defers to
     /// `Record::from_tweet{,_pruned}` so shim output is identical to
     /// the row pipeline by construction.
@@ -950,6 +976,27 @@ mod tests {
                 let rec = Record::from_tweet(t);
                 for c in 0..col::COUNT {
                     assert_eq!(b.value_at(i, c), *rec.value(c), "row {i} col {c}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn view_at_is_value_at_borrowed() {
+        // Same variant, same payload, dead columns NULL, out of range
+        // NULL: `Debug` tells `Int(1)` from `Float(1.0)` where `==`
+        // would not.
+        let dead_text: Arc<[bool]> = (0..col::COUNT).map(|c| c != col::TEXT).collect();
+        for live in [None, Some(dead_text)] {
+            let b = batch(23, live);
+            for i in 0..b.len() {
+                for c in 0..=col::COUNT {
+                    let owned = b.value_at(i, c);
+                    assert_eq!(
+                        format!("{:?}", b.view_at(i, c)),
+                        format!("{:?}", ValueRef::from(&owned)),
+                        "row {i} col {c}"
+                    );
                 }
             }
         }

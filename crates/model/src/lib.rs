@@ -34,4 +34,4 @@ pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use time::{Duration, Timestamp};
 pub use tweet::{TruthPolarity, Tweet, TweetBuilder, TweetId};
 pub use user::{User, UserId};
-pub use value::Value;
+pub use value::{Value, ValueRef};

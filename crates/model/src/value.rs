@@ -75,19 +75,12 @@ impl Value {
 
     /// Coerce to `f64`.
     pub fn as_float(&self) -> Result<f64, ModelError> {
-        match self {
-            Value::Float(f) => Ok(*f),
-            Value::Int(i) => Ok(*i as f64),
-            Value::Bool(b) => Ok(*b as i64 as f64),
-            Value::Str(s) => s.trim().parse().map_err(|_| ModelError::TypeMismatch {
+        ValueRef::from(self)
+            .as_float()
+            .ok_or_else(|| ModelError::TypeMismatch {
                 expected: "Float",
                 found: format!("{self:?}"),
-            }),
-            _ => Err(ModelError::TypeMismatch {
-                expected: "Float",
-                found: format!("{self:?}"),
-            }),
-        }
+            })
     }
 
     /// Coerce to string (identity for `Str`, display rendering otherwise).
@@ -189,17 +182,7 @@ impl Value {
     /// numeric promotion between Int/Float, lexicographic for strings.
     /// Cross-type non-numeric comparisons are unknown.
     pub fn compare(&self, other: &Value) -> Option<Ordering> {
-        match (self, other) {
-            (Value::Null, _) | (_, Value::Null) => None,
-            (Value::Int(a), Value::Int(b)) => Some(a.cmp(b)),
-            (Value::Bool(a), Value::Bool(b)) => Some(a.cmp(b)),
-            (Value::Str(a), Value::Str(b)) => Some(a.cmp(b)),
-            (Value::Time(a), Value::Time(b)) => Some(a.cmp(b)),
-            (a, b) => {
-                let (fa, fb) = (a.as_float().ok()?, b.as_float().ok()?);
-                fa.partial_cmp(&fb)
-            }
-        }
+        ValueRef::from(self).compare(ValueRef::from(other))
     }
 
     /// SQL equality via [`Value::compare`]; `None` means unknown.
@@ -225,17 +208,7 @@ impl Value {
 /// Int/Float compare numerically, NaN equals NaN (so grouping is total).
 impl PartialEq for Value {
     fn eq(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Value::Null, Value::Null) => true,
-            (Value::Bool(a), Value::Bool(b)) => a == b,
-            (Value::Int(a), Value::Int(b)) => a == b,
-            (Value::Float(a), Value::Float(b)) => a == b || (a.is_nan() && b.is_nan()),
-            (Value::Int(a), Value::Float(b)) | (Value::Float(b), Value::Int(a)) => *a as f64 == *b,
-            (Value::Str(a), Value::Str(b)) => a == b,
-            (Value::Time(a), Value::Time(b)) => a == b,
-            (Value::List(a), Value::List(b)) => a == b,
-            _ => false,
-        }
+        ValueRef::from(self) == ValueRef::from(other)
     }
 }
 
@@ -245,33 +218,127 @@ impl Eq for Value {}
 /// an integer hash like that integer; NaN hashes to a fixed bucket).
 impl std::hash::Hash for Value {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        ValueRef::from(self).hash(state)
+    }
+}
+
+/// A [`Value`] borrowed from wherever it lives — a record slot, a
+/// tweet's own fields — without an `Arc` bump or an allocation.
+///
+/// It *is* the grouping equality, hash, comparison and float coercion
+/// of `Value` (whose impls go through it), so a table keyed by `Value`s
+/// can be probed with a view and the two can never disagree.
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    /// SQL NULL.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 64-bit signed integer.
+    Int(i64),
+    /// 64-bit float.
+    Float(f64),
+    /// UTF-8 string.
+    Str(&'a str),
+    /// Stream timestamp.
+    Time(Timestamp),
+    /// List.
+    List(&'a [Value]),
+}
+
+impl<'a> From<&'a Value> for ValueRef<'a> {
+    fn from(v: &'a Value) -> ValueRef<'a> {
+        match v {
+            Value::Null => ValueRef::Null,
+            Value::Bool(b) => ValueRef::Bool(*b),
+            Value::Int(i) => ValueRef::Int(*i),
+            Value::Float(f) => ValueRef::Float(*f),
+            Value::Str(s) => ValueRef::Str(s),
+            Value::Time(t) => ValueRef::Time(*t),
+            Value::List(l) => ValueRef::List(l),
+        }
+    }
+}
+
+impl ValueRef<'_> {
+    /// True when `Null`.
+    pub fn is_null(&self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    /// [`Value::as_float`], `None` where that is an error.
+    pub fn as_float(&self) -> Option<f64> {
         match self {
-            Value::Null => state.write_u8(0),
-            Value::Bool(b) => {
+            ValueRef::Float(f) => Some(*f),
+            ValueRef::Int(i) => Some(*i as f64),
+            ValueRef::Bool(b) => Some(*b as i64 as f64),
+            ValueRef::Str(s) => s.trim().parse().ok(),
+            _ => None,
+        }
+    }
+
+    /// [`Value::compare`].
+    pub fn compare(self, other: ValueRef<'_>) -> Option<Ordering> {
+        match (self, other) {
+            (ValueRef::Null, _) | (_, ValueRef::Null) => None,
+            (ValueRef::Int(a), ValueRef::Int(b)) => Some(a.cmp(&b)),
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => Some(a.cmp(&b)),
+            (ValueRef::Str(a), ValueRef::Str(b)) => Some(a.cmp(b)),
+            (ValueRef::Time(a), ValueRef::Time(b)) => Some(a.cmp(&b)),
+            (a, b) => a.as_float()?.partial_cmp(&b.as_float()?),
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (*self, *other) {
+            (ValueRef::Null, ValueRef::Null) => true,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a == b,
+            (ValueRef::Int(a), ValueRef::Int(b)) => a == b,
+            (ValueRef::Float(a), ValueRef::Float(b)) => a == b || (a.is_nan() && b.is_nan()),
+            (ValueRef::Int(a), ValueRef::Float(b)) | (ValueRef::Float(b), ValueRef::Int(a)) => {
+                a as f64 == b
+            }
+            (ValueRef::Str(a), ValueRef::Str(b)) => a == b,
+            (ValueRef::Time(a), ValueRef::Time(b)) => a == b,
+            (ValueRef::List(a), ValueRef::List(b)) => a == b,
+            _ => false,
+        }
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl std::hash::Hash for ValueRef<'_> {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        match self {
+            ValueRef::Null => state.write_u8(0),
+            ValueRef::Bool(b) => {
                 state.write_u8(1);
                 b.hash(state);
             }
-            Value::Int(i) => {
+            ValueRef::Int(i) => {
                 state.write_u8(2);
                 // Hash ints through the float path when exactly
                 // representable so Int(1) and Float(1.0) group together.
                 canonical_float_hash(*i as f64, state);
             }
-            Value::Float(f) => {
+            ValueRef::Float(f) => {
                 state.write_u8(2);
                 canonical_float_hash(*f, state);
             }
-            Value::Str(s) => {
+            ValueRef::Str(s) => {
                 state.write_u8(3);
                 s.hash(state);
             }
-            Value::Time(t) => {
+            ValueRef::Time(t) => {
                 state.write_u8(4);
                 t.hash(state);
             }
-            Value::List(l) => {
+            ValueRef::List(l) => {
                 state.write_u8(5);
-                for v in l {
+                for v in *l {
                     v.hash(state);
                 }
             }

@@ -272,6 +272,9 @@ fn join_session(session: thread::JoinHandle<io::Result<()>>) {
 }
 
 /// Serve one connection to disconnect; true means shutdown was asked.
+/// A poisoned service lock is answered `ERR internal: service
+/// unavailable` and ends the connection — it does not panic this
+/// session too.
 ///
 /// The service lock is held while a request executes against the host
 /// and released before its reply is rendered: a large `POLL` is turned
@@ -299,9 +302,20 @@ fn handle_connection(mut stream: TcpStream, service: &Mutex<Service>) -> io::Res
         let request = Request::parse(&line);
         let shutdown = request == Ok(Request::Shutdown);
         let reply = match request {
-            // The guard is a temporary of this arm: the lock is free
-            // again before the reply is rendered.
-            Ok(req) => service.lock().expect("service lock").execute(req),
+            Ok(req) => match service.lock() {
+                // The guard lives to the end of this arm: the lock is
+                // free again before the reply is rendered.
+                Ok(mut service) => service.execute(req),
+                // A request panicked while it held the lock. The host
+                // may be half-updated, so no session touches it again:
+                // this one is told so and closed. `SHUTDOWN` still
+                // stops the server (without the checkpoint).
+                Err(_poisoned) => {
+                    let refusal = Response::err("internal: service unavailable").render();
+                    stream.write_all(refusal.as_bytes())?;
+                    return Ok(shutdown);
+                }
+            },
             Err(e) => Reply::Done(Response::err(e)),
         };
         frame.clear();
@@ -495,6 +509,43 @@ mod tests {
         replies.read_line(&mut reply).unwrap();
         assert_eq!(reply, "OK 0 bye\n");
         server.join().unwrap().unwrap();
+    }
+
+    /// A connected pair of local sockets: `(client, server side)`.
+    fn socket_pair() -> (TcpStream, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        (client, served)
+    }
+
+    #[test]
+    fn poisoned_service_lock_is_an_err_frame_not_a_second_panic() {
+        let service = Arc::new(Mutex::new(tiny_service()));
+        // A request that panics inside `execute` leaves the lock poisoned.
+        let holder = Arc::clone(&service);
+        let panicked = thread::spawn(move || {
+            let _guard = holder.lock().unwrap();
+            panic!("a bug inside execute");
+        })
+        .join();
+        assert!(panicked.is_err() && service.is_poisoned());
+
+        // Every later request, on any connection, is refused and its
+        // connection closed; `SHUTDOWN` still reports that the accept
+        // loop is to end.
+        for (request, ends_server) in [("PING\n", false), ("SHUTDOWN\n", true)] {
+            let (mut client, served) = socket_pair();
+            let svc = Arc::clone(&service);
+            let session = thread::spawn(move || handle_connection(served, &svc));
+            client.write_all(request.as_bytes()).unwrap();
+            // Reading to end of stream: the connection was closed.
+            let mut reply = String::new();
+            client.read_to_string(&mut reply).unwrap();
+            assert_eq!(reply, "ERR 0 internal: service unavailable\n", "{request}");
+            let ended = session.join().expect("the session does not panic");
+            assert_eq!(ended.unwrap(), ends_server, "{request}");
+        }
     }
 
     #[test]

@@ -7,8 +7,9 @@
 //! * [`mod@tokenize`] / [`normalize`] — a tweet-aware tokenizer (hashtags,
 //!   mentions, URLs, emoticons, elongation squashing);
 //! * [`regex`] — a small regular-expression engine (parser → Thompson
-//!   NFA → Pike VM with capture groups) backing the TweeQL `MATCHES`
-//!   predicate and `regex_extract` UDF;
+//!   NFA → Pike VM with capture groups, and a DFA for group-0
+//!   requests) backing the TweeQL `MATCHES` predicate and
+//!   `regex_extract` UDF;
 //! * [`ac`] — an Aho–Corasick automaton for streaming multi-keyword
 //!   matching (the `contains` predicate over many tracked terms);
 //! * [`sentiment`] — the classification framework: an embedded lexicon
@@ -36,4 +37,4 @@ pub use ac::AhoCorasick;
 pub use fold::{contains_fold_both, contains_folded, fold_needle, SmallBuf};
 pub use regex::Regex;
 pub use sentiment::{Polarity, SentimentClassifier};
-pub use tokenize::{tokenize, Token, TokenKind};
+pub use tokenize::{tokenize, tokens, Token, TokenKind, TokenRef};

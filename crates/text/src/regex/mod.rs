@@ -3,10 +3,17 @@
 //! TweeQL's `MATCHES` predicate and `regex_extract(text, pattern, group)`
 //! UDF need streaming-safe regular expressions; the sanctioned offline
 //! crate set has no regex crate, so this module implements the classic
-//! pipeline:
+//! pipeline, with a determinised fast path for the requests that ask
+//! only *where* the pattern matched:
 //!
 //! ```text
-//! pattern ──parser──▶ AST ──compiler──▶ NFA program ──Pike VM──▶ captures
+//! pattern ─parser─▶ AST ─compiler─▶ NFA program ─┬────────────────────▶ Pike VM ─▶ captures,
+//!                                                │                        ▲        extract(_, n ≥ 1)
+//!                                                │         not covered:   │
+//!                                                │  lazy quantifier, \b, \B, > 256 states
+//!                                                │                        │
+//!                                                └─ subset construction ─▶ DFA ──▶ is_match, find,
+//!                                                   (once, in Regex::new)          extract(_, 0), find_all
 //! ```
 //!
 //! Supported syntax: literals, `.`, escapes (`\d \w \s \D \W \S \n \t \r`
@@ -17,13 +24,20 @@
 //!
 //! The Pike VM guarantees linear time in `pattern × input` — no
 //! exponential backtracking, which matters for a stream processor fed
-//! adversarial tweet text.
+//! adversarial tweet text — and is the only thing that tracks capture
+//! groups. A group-0 request on a covered pattern never enters it: the
+//! program's thread lists are determinised once, in [`Regex::new`]
+//! (`dfa.rs`), and a search is one table load per char.
 //!
-//! A case-sensitive pattern that starts with a literal run (`http://`
-//! in `http://[a-z./0-9-]+`) is searched by jumping to each occurrence
-//! of that literal with `str::find` and running the VM anchored there;
-//! everything else runs the VM over the whole input.
+//! * A case-sensitive pattern that starts with a literal run (`http://`
+//!   in `http://[a-z./0-9-]+`) jumps to each occurrence of that literal
+//!   with `str::find` and runs the pattern's DFA *anchored* there (the
+//!   VM, when the pattern is not covered).
+//! * Any other covered pattern runs the unanchored DFA forwards to the
+//!   end of the leftmost match, then the reversed pattern's DFA
+//!   backwards from that end to its start: two linear passes.
 
+mod dfa;
 mod nfa;
 mod parser;
 mod pike;
@@ -31,6 +45,7 @@ mod pike;
 pub use nfa::Program;
 pub use parser::{Ast, ClassItem, RegexError};
 
+use dfa::{Dfa, Semantics};
 use std::fmt;
 
 /// A compiled regular expression.
@@ -42,6 +57,26 @@ pub struct Regex {
     /// The literal every match starts with; empty when the pattern has
     /// no such prefix or folds case.
     prefix: String,
+    /// The determinised program, when the pattern is covered.
+    dfa: Option<Accel>,
+}
+
+/// How a group-0 request is answered without the VM.
+#[derive(Debug, Clone)]
+enum Accel {
+    /// Every match starts with `prefix`: the pattern's DFA, entered
+    /// anchored at each occurrence of it.
+    Prefixed { anchored: Dfa },
+    /// `forward` (unanchored) finds the end of the leftmost match;
+    /// `reverse` (the reversed pattern, anchored at that end, longest
+    /// match) walks back to its start.
+    Scan {
+        forward: Dfa,
+        reverse: Dfa,
+        /// Does the pattern match the empty text? There `^` and `$`
+        /// hold at the same position, which no DFA state stands for.
+        matches_empty: bool,
+    },
 }
 
 /// Byte range of a match or capture group within the haystack.
@@ -57,11 +92,31 @@ impl Regex {
         } else {
             literal_prefix(&ast)
         };
+        let dfa = if !dfa_covers(&ast) {
+            None
+        } else if prefix.is_empty() {
+            let backwards = nfa::compile(&reversed(&ast), n_groups, case_insensitive);
+            Dfa::build(&program, 0, Semantics::LeftmostFirst)
+                .zip(Dfa::build(
+                    &backwards,
+                    nfa::PATTERN_ENTRY,
+                    Semantics::Longest,
+                ))
+                .map(|(forward, reverse)| Accel::Scan {
+                    forward,
+                    reverse,
+                    matches_empty: pike::search(&program, "").is_some(),
+                })
+        } else {
+            Dfa::build(&program, nfa::PATTERN_ENTRY, Semantics::LeftmostFirst)
+                .map(|anchored| Accel::Prefixed { anchored })
+        };
         Ok(Regex {
             pattern: pattern.to_string(),
             program,
             n_groups,
             prefix,
+            dfa,
         })
     }
 
@@ -71,6 +126,44 @@ impl Regex {
             pike::search(&self.program, text)
         } else {
             pike::search_prefixed(&self.program, &self.prefix, text)
+        }
+    }
+
+    /// Span of the leftmost match: group 0 of [`Regex::search`], from
+    /// the DFA when there is one. With `earliest`, any span that proves
+    /// there is a match.
+    fn span(&self, text: &str, earliest: bool) -> Option<Span> {
+        match &self.dfa {
+            None => self.search(text).map(|caps| caps[0].unwrap()),
+            Some(Accel::Prefixed { anchored }) => {
+                // As `pike::search_prefixed`: the first occurrence the
+                // anchored run matches from is the leftmost match.
+                let first = self.prefix.chars().next()?.len_utf8();
+                let mut from = 0;
+                while let Some(off) = text[from..].find(&self.prefix) {
+                    let at = from + off;
+                    if let Some(end) = anchored.forward(text, at, earliest) {
+                        return Some((at, end));
+                    }
+                    from = at + first;
+                }
+                None
+            }
+            Some(Accel::Scan { matches_empty, .. }) if text.is_empty() => {
+                matches_empty.then_some((0, 0))
+            }
+            Some(Accel::Scan {
+                forward, reverse, ..
+            }) => {
+                let end = forward.forward(text, 0, earliest)?;
+                if earliest {
+                    return Some((end, end));
+                }
+                let start = reverse
+                    .backward(text, end)
+                    .expect("a match that ends somewhere starts somewhere");
+                Some((start, end))
+            }
         }
     }
 
@@ -86,12 +179,12 @@ impl Regex {
 
     /// Does the pattern match anywhere in `text`?
     pub fn is_match(&self, text: &str) -> bool {
-        self.search(text).is_some()
+        self.span(text, true).is_some()
     }
 
     /// Leftmost match span.
     pub fn find(&self, text: &str) -> Option<Span> {
-        self.search(text).map(|caps| caps[0].unwrap())
+        self.span(text, false)
     }
 
     /// Leftmost match with capture-group spans. Index 0 is the whole
@@ -102,8 +195,11 @@ impl Regex {
 
     /// Text of capture group `idx` in the leftmost match.
     pub fn extract<'t>(&self, text: &'t str, idx: usize) -> Option<&'t str> {
-        let caps = self.captures(text)?;
-        let (s, e) = (*caps.get(idx)?)?;
+        let (s, e) = if idx == 0 {
+            self.find(text)?
+        } else {
+            (*self.captures(text)?.get(idx)?)?
+        };
         Some(&text[s..e])
     }
 
@@ -113,10 +209,9 @@ impl Regex {
         let mut out = Vec::new();
         let mut at = 0;
         while at <= text.len() {
-            let Some(caps) = self.search(&text[at..]) else {
+            let Some((s, e)) = self.find(&text[at..]) else {
                 break;
             };
-            let (s, e) = caps[0].unwrap();
             out.push((at + s, at + e));
             let next = at
                 + if e > s {
@@ -130,6 +225,45 @@ impl Regex {
             at = next;
         }
         out
+    }
+}
+
+/// Can the DFA stand in for the VM on `ast`? Not with a lazy quantifier
+/// or a word boundary in it (the latter is also refused by
+/// [`Dfa::build`], which sees the program, not the AST).
+fn dfa_covers(ast: &Ast) -> bool {
+    match ast {
+        Ast::Repeat { greedy: false, .. } | Ast::WordBoundary { .. } => false,
+        Ast::Concat(parts) | Ast::Alternate(parts) => parts.iter().all(dfa_covers),
+        Ast::Repeat { node, .. } | Ast::Group { node, .. } => dfa_covers(node),
+        _ => true,
+    }
+}
+
+/// The pattern that matches exactly the reversals of what `ast`
+/// matches, with `^` and `$` trading places.
+fn reversed(ast: &Ast) -> Ast {
+    match ast {
+        Ast::Concat(parts) => Ast::Concat(parts.iter().rev().map(reversed).collect()),
+        Ast::Alternate(branches) => Ast::Alternate(branches.iter().map(reversed).collect()),
+        Ast::Repeat {
+            node,
+            min,
+            max,
+            greedy,
+        } => Ast::Repeat {
+            node: Box::new(reversed(node)),
+            min: *min,
+            max: *max,
+            greedy: *greedy,
+        },
+        Ast::Group { index, node } => Ast::Group {
+            index: *index,
+            node: Box::new(reversed(node)),
+        },
+        Ast::AnchorStart => Ast::AnchorEnd,
+        Ast::AnchorEnd => Ast::AnchorStart,
+        other => other.clone(),
     }
 }
 
@@ -367,40 +501,111 @@ mod tests {
         assert_eq!(re.find_all("aaab aac"), vec![(1, 4), (5, 8)]);
     }
 
-    mod prefixed {
+    mod determinised {
         use super::*;
         use proptest::prelude::*;
 
-        /// Pattern tails after the literal prefix: classes, repetition
-        /// (greedy and lazy), alternation, groups, `\b`/`\B`, `$`, and
-        /// tails that re-match the prefix's own characters.
-        const TAILS: &[&str] = &[
-            "", "b", "[bc]", "(b)", "[a-c]+", "a*b", "(a|b)c?", r"\b", r"\B", "$", ".", "a*?",
-            "(é|a)+", r"\b ", "b{1,2}", r"[^ ]*\b",
+        /// Pattern tails after the literal head, and whether the DFA
+        /// must cover them: classes, repetition, alternation, groups,
+        /// anchors, nested repetition, multi-byte class members, tails
+        /// that re-match the head's own characters — and the shapes
+        /// that must stay on the VM (lazy, `\b`/`\B`, over the cap).
+        const TAILS: &[(&str, bool)] = &[
+            ("", true),
+            ("b", true),
+            ("[bc]", true),
+            ("(b)", true),
+            ("[a-c]+", true),
+            ("a*b", true),
+            ("(a|b)c?", true),
+            ("$", true),
+            (".", true),
+            ("(é|a)+", true),
+            ("b{1,2}", true),
+            ("a|b", true),
+            ("ab|a", true),
+            ("a|ab", true),
+            ("(a|ab)(c|bcd)?", true),
+            ("b|", true),
+            ("(a*)*", true),
+            ("(a+)+b", true),
+            ("(a|b)*a", true),
+            ("(ab?)+$", true),
+            ("(a{1,2}){2}", true),
+            ("[aé]", true),
+            ("[^é]", true),
+            ("[é-ü]+", true),
+            ("[^a]*", true),
+            (r"\w+", true),
+            (r"\s", true),
+            (r"\S+", true),
+            (r"[\w-]+\d?", true),
+            (r"\W", true),
+            ("^a", true),
+            ("(^|b)a", true),
+            ("a($|b)", true),
+            ("^$", true),
+            ("$^", true),
+            ("(a|b)*a(a|b){3}", true),
+            ("a*?", false),
+            ("(a|b)+?c", false),
+            (r"\b", false),
+            (r"\B", false),
+            (r"\b ", false),
+            (r"[^ ]*\b", false),
+            ("(a|b)*a(a|b){9}", false),
         ];
+
+        /// The VM alone, no prefix jump: `pike::search`.
+        fn plain(re: &Regex) -> Regex {
+            Regex {
+                prefix: String::new(),
+                dfa: None,
+                ..re.clone()
+            }
+        }
+
+        #[test]
+        fn coverage_is_what_the_table_says() {
+            for head in ["", "a", "é"] {
+                for flags in ["", "(?i)"] {
+                    for &(tail, covered) in TAILS {
+                        let re = Regex::new(&format!("{flags}{head}{tail}")).unwrap();
+                        assert_eq!(re.dfa.is_some(), covered, "{}", re.pattern());
+                        let prefixed = matches!(re.dfa, Some(Accel::Prefixed { .. }));
+                        assert_eq!(prefixed, covered && !re.prefix.is_empty());
+                    }
+                }
+            }
+            // The benchmark's pattern: seven states past the literal.
+            let re = Regex::new("http://[a-z./0-9-]+").unwrap();
+            match &re.dfa {
+                Some(Accel::Prefixed { anchored }) => assert!(anchored.states() <= 12),
+                other => panic!("{other:?}"),
+            }
+        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 
-            /// The prefix-accelerated search is the plain Pike search:
-            /// every entry point, on patterns that start with a literal
-            /// run over a tiny alphabet (so prefixes occur often and
-            /// overlap) and haystacks with multibyte text and newlines.
+            /// Every entry point answers as the plain Pike search does,
+            /// DFA or prefix jump or both in front of it, on patterns
+            /// over a tiny alphabet (so heads occur often and overlap)
+            /// and haystacks with multibyte text, case and newlines.
             #[test]
-            fn prefixed_search_equals_plain_search(
-                prefix in "[abé]{1,2}",
+            fn every_entry_point_equals_plain_pike_search(
+                flags in 0usize..2,
+                head in "[abé]{0,2}",
                 tail in 0usize..TAILS.len(),
-                text in "[ab]{0,8}[abcé \n]{0,8}",
+                text in "[ab]{0,6}[abcABé ÉİK\n]{0,8}",
             ) {
-                let fast = Regex::new(&format!("{prefix}{}", TAILS[tail])).unwrap();
-                prop_assert!(fast.prefix.starts_with(&prefix));
-                let plain = Regex {
-                    prefix: String::new(),
-                    ..fast.clone()
-                };
+                let flags = ["", "(?i)"][flags];
+                let fast = Regex::new(&format!("{flags}{head}{}", TAILS[tail].0)).unwrap();
+                let plain = plain(&fast);
                 prop_assert_eq!(fast.is_match(&text), plain.is_match(&text));
                 prop_assert_eq!(fast.find(&text), plain.find(&text));
                 prop_assert_eq!(fast.captures(&text), plain.captures(&text));
+                prop_assert_eq!(fast.extract(&text, 0), plain.extract(&text, 0));
                 prop_assert_eq!(fast.extract(&text, 1), plain.extract(&text, 1));
                 prop_assert_eq!(fast.find_all(&text), plain.find_all(&text));
             }

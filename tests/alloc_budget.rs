@@ -1,0 +1,130 @@
+//! An allocation budget for the dashboard's pump.
+//!
+//! Timings under a millisecond cannot gate anything on a shared CI
+//! host; a count of allocations repeats exactly. Eight standing queries
+//! shaped like TwitInfo's own dashboard (the `dashboard` workload of
+//! `benchmark/`) run on one [`QueryHost`] over a seeded `obama_month`
+//! stream, and once every table, buffer and cache has reached its
+//! working size the pump may allocate [`BUDGET_PER_100_TWEETS`] times
+//! per hundred delivered tweets — what is left is one allocation per
+//! *output* row and per *new* group, distinct member, cache entry or
+//! batch, none per dispatched row. Before the leaf kernels stopped
+//! allocating per row (a `String` per token in `sentiment`, a thread
+//! list per step in `regex_extract`, a key `Vec` per aggregated row, an
+//! argument `Vec` and a copied record per geocoded row) the same pump
+//! made 6.97 a tweet.
+//!
+//! This file holds one test: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use tweeql::prelude::*;
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::{Duration, Timestamp, VirtualClock};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+/// Delegates to [`System`] and counts `alloc` + `realloc` calls.
+struct CountingAlloc;
+
+// SAFETY: pure delegation to `System`; the counter is a relaxed atomic
+// that allocates nothing, so the GlobalAlloc contract is System's.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The eight panels of `benchmark/src/workloads.rs::DASHBOARD`.
+const DASHBOARD: [&str; 8] = [
+    "SELECT count(*) AS mentions FROM twitter WHERE text contains 'obama' WINDOW 1 minutes",
+    "SELECT lang, avg(sentiment(text)) AS mood, count(*) AS n FROM twitter \
+     WHERE text contains 'obama' GROUP BY lang WINDOW 10 minutes SLIDE 5 minutes",
+    "SELECT sentiment(text), latitude(loc), longitude(loc) FROM twitter \
+     WHERE text contains 'president'",
+    "SELECT screen_name, text FROM twitter WHERE text contains 'budget'",
+    "SELECT regex_extract(text, 'http://[a-z./0-9-]+', 0) AS link FROM twitter \
+     WHERE text contains 'http://'",
+    "SELECT lang, count(distinct screen_name) AS authors FROM twitter \
+     GROUP BY lang WINDOW 5 minutes",
+    "SELECT screen_name, followers FROM twitter WHERE followers > 10000",
+    "SELECT avg(sentiment(text)), floor(latitude(loc)) AS cell_lat, \
+     floor(longitude(loc)) AS cell_lon FROM twitter WHERE text contains 'obama' \
+     GROUP BY cell_lat, cell_lon WINDOW 3 hours",
+];
+
+/// Allocations the steady-state pump may make per hundred delivered
+/// tweets: the 96 this stream measures (59,132 for 61,649 tweets and
+/// 8,210 output rows), plus 10 %.
+const BUDGET_PER_100_TWEETS: u64 = 105;
+
+/// Virtual minutes of stream.
+const MINUTES: i64 = 60;
+
+#[test]
+fn dashboard_pump_stays_inside_its_allocation_budget() {
+    // The benchmark's stream in small: the scenario's five news cycles
+    // in one virtual hour at six times the rates (about 27 tweets a
+    // virtual second), the first twenty minutes warm-up.
+    let mut scenario = scenarios::obama_month();
+    let shrink = |ms: i64| ms * MINUTES / scenario.duration.millis().max(1) * 60_000;
+    for burst in &mut scenario.bursts {
+        burst.start = Timestamp::from_millis(shrink(burst.start.millis()));
+        burst.ramp_up = Duration::from_millis(shrink(burst.ramp_up.millis()));
+        burst.ramp_down = Duration::from_millis(shrink(burst.ramp_down.millis()));
+    }
+    scenario.duration = Duration::from_mins(MINUTES);
+    scenario.background_rate_per_min *= 6.0;
+    scenario.population_size = 20_000;
+    for topic in &mut scenario.topics {
+        topic.base_rate_per_min *= 6.0;
+    }
+    let api = StreamingApi::new(generate(&scenario, 42), VirtualClock::new());
+    let mut host = Engine::builder(api).workers(1).seed(42).build_host();
+    let ids: Vec<QueryId> = DASHBOARD
+        .iter()
+        .map(|sql| host.register(sql).expect(sql))
+        .collect();
+
+    let warm = host.pump_until(Timestamp::from_mins(MINUTES / 3)).unwrap();
+    let mut rows = 0;
+    for &id in &ids {
+        rows += host.take_output(id).unwrap().len();
+    }
+    assert!(warm > 10_000 && rows > 100, "{warm} tweets, {rows} rows");
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let tweets = host.run_to_end().unwrap();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let rows: usize = (ids.iter())
+        .map(|&id| host.take_output(id).unwrap().len())
+        .sum();
+
+    assert!(
+        tweets > 20_000 && rows > 1_000,
+        "{tweets} tweets, {rows} rows"
+    );
+    println!(
+        "steady state: {allocs} allocations for {tweets} tweets and {rows} rows: {:.2} a tweet",
+        allocs as f64 / tweets as f64
+    );
+    assert!(
+        allocs * 100 <= tweets * BUDGET_PER_100_TWEETS,
+        "{allocs} allocations for {tweets} tweets: {:.2} a tweet, budget {:.2}",
+        allocs as f64 / tweets as f64,
+        BUDGET_PER_100_TWEETS as f64 / 100.0
+    );
+}

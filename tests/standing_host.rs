@@ -66,6 +66,15 @@ const CORPUS: &[&str] = &[
     "SELECT lang, count(distinct screen_name) AS authors FROM twitter \
      GROUP BY lang WINDOW 2 minutes",
     "SELECT regex_extract(text, 'kw [a-z]+', 0) AS hit FROM twitter WHERE text contains 'kw'",
+    // An int group key read straight from the batch, string distinct
+    // members: both tables probed with borrowed views.
+    "SELECT followers, count(distinct lang) AS langs FROM twitter \
+     GROUP BY followers WINDOW 2 minutes",
+    // The dashboard's map panel: two async UDFs on one shared service
+    // under an aggregate keyed by their (nullable float) results.
+    "SELECT avg(sentiment(text)) AS mood, floor(latitude(loc)) AS cell_lat, \
+     floor(longitude(loc)) AS cell_lon FROM twitter WHERE text contains 'kw' \
+     GROUP BY cell_lat, cell_lon WINDOW 3 minutes",
 ];
 
 fn host_with(workers: usize, fault: Option<FaultPlan>) -> QueryHost {
