@@ -12,6 +12,7 @@ use crate::scenario::Scenario;
 use crate::textgen::{generate_text, TextSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use tweeql_model::{Timestamp, TruthPolarity, Tweet, TweetBuilder};
 
 /// Generate the full tweet log for `scenario`, deterministically from
@@ -108,6 +109,9 @@ pub fn generate(scenario: &Scenario, seed: u64) -> Vec<Tweet> {
         }
     }
     debug_assert_eq!(n, out.len());
+    // The log outlives this call by the whole run; growth by doubling
+    // would leave up to a second log's worth of unused rows behind it.
+    out.shrink_to_fit();
     out
 }
 
@@ -170,9 +174,9 @@ fn build_background_tweet(
     };
     let text = generate_text(rng, &spec);
     TweetBuilder::new(id, text)
-        .user(author.user.clone())
+        .user(Arc::clone(&author.user))
         .at(ts)
-        .lang(author.user.lang.clone())
+        .lang(Arc::clone(&author.user.lang))
         .truth_polarity(polarity)
         .build()
 }
@@ -208,9 +212,9 @@ fn build_topic_tweet(
     };
     let text = generate_text(rng, &spec);
     let mut builder = TweetBuilder::new(id, text)
-        .user(author.user.clone())
+        .user(Arc::clone(&author.user))
         .at(ts)
-        .lang(author.user.lang.clone())
+        .lang(Arc::clone(&author.user.lang))
         .truth_polarity(polarity);
     if let Some(bi) = burst_idx {
         builder = builder.truth_burst(bi);

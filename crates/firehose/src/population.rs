@@ -9,6 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 use tweeql_geo::gazetteer::{self, City};
 use tweeql_geo::point::GeoPoint;
 use tweeql_model::{User, UserId};
@@ -16,8 +17,9 @@ use tweeql_model::{User, UserId};
 /// One synthetic user and generator-side truth about them.
 #[derive(Debug, Clone)]
 pub struct SyntheticUser {
-    /// The streamable user record.
-    pub user: User,
+    /// The streamable user record, shared with every tweet the
+    /// generator attributes to this author.
+    pub user: Arc<User>,
     /// Gazetteer index of the home city (truth, even when the profile
     /// location string is garbage).
     pub city_index: usize,
@@ -113,13 +115,13 @@ impl Population {
             by_city[city_index].push(i);
 
             users.push(SyntheticUser {
-                user: User {
+                user: Arc::new(User {
                     id: (i as UserId) + 1,
                     screen_name: screen_name.into(),
                     location: location.into(),
                     followers,
                     lang: lang.into(),
-                },
+                }),
                 city_index,
                 home,
             });

@@ -12,8 +12,11 @@
 //!   texts is two allocations instead of 256 `Arc` bumps;
 //! * low-cardinality strings (`loc`, `lang`) **dictionary-encoded**:
 //!   per-row `u32` codes into a small distinct-value table, with a
-//!   pointer-identity fast path (the firehose interns these as shared
-//!   `Arc<str>`s, so most rows resolve without hashing a byte). The
+//!   pointer-identity fast path (the generator and the log decoder
+//!   both share one `Arc<User>` per author, and a tweet's `lang` is
+//!   its author's allocation when the two are equal, so an author's
+//!   second row in a batch resolves without hashing a byte; two
+//!   authors with equal strings still hash once each). The
 //!   encoding is *adaptive*: if a batch proves high-cardinality (more
 //!   than `DICT_MAX_ENTRIES` distinct values, e.g. `loc` over a
 //!   large messy-location population), the builder bails out to the
@@ -33,7 +36,7 @@
 //! no `source` (client application) field, so the low-cardinality
 //! dictionary columns here are `lang` and `loc` — `loc` plays the
 //! `source` role from the original design (small distinct set, heavy
-//! reuse of interned `Arc<str>` values).
+//! reuse of per-author `Arc<str>` values).
 
 use crate::record::Record;
 use crate::time::Timestamp;

@@ -5,7 +5,7 @@ use crate::entities::Entities;
 use crate::time::Timestamp;
 use crate::user::User;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Numeric tweet identifier (monotone within a generated stream).
 pub type TweetId = u64;
@@ -35,15 +35,15 @@ pub struct Tweet {
     /// cloning a tweet (per-connection delivery) and projecting it onto
     /// a record are refcount bumps, not copies.
     pub text: Arc<str>,
-    /// The author.
-    pub user: User,
+    /// The author, shared by every tweet of theirs a source holds:
+    /// the generator and the log decoder allocate one `User` per
+    /// distinct author, and a tweet costs a pointer.
+    pub user: Arc<User>,
     /// Stream time of creation.
     pub created_at: Timestamp,
     /// Exact GPS coordinate, present only for the minority of tweets sent
     /// with geotagging enabled (the paper's Tweet Map uses only these).
     pub coordinates: Option<(f64, f64)>,
-    /// Pre-parsed entities.
-    pub entities: Entities,
     /// BCP-47-ish language code.
     pub lang: Arc<str>,
     /// `Some(original_id)` when this is a retweet.
@@ -75,38 +75,57 @@ impl Tweet {
     pub fn latlon(&self) -> Option<(f64, f64)> {
         self.coordinates
     }
+
+    /// Hashtags, mentions and URLs, parsed from the text on each call.
+    /// Computed, not stored: TwitInfo's two link panels are the only
+    /// readers, and three `Vec`s would cost every held tweet 72 bytes
+    /// for the 0.13 entities an average tweet has.
+    pub fn entities(&self) -> Entities {
+        Entities::parse(&self.text)
+    }
+}
+
+/// The stream is held as one `Vec<Tweet>`: its stride is half the
+/// resident set of every server, so growth here is a decision.
+const _: () = assert!(std::mem::size_of::<Tweet>() <= 128);
+
+/// The placeholder author every builder starts from, allocated once.
+fn anon() -> Arc<User> {
+    static ANON: OnceLock<Arc<User>> = OnceLock::new();
+    Arc::clone(ANON.get_or_init(|| Arc::new(User::new(0, "anon"))))
 }
 
 /// Fluent builder used pervasively by the generator and tests.
 #[derive(Debug, Clone)]
 pub struct TweetBuilder {
     tweet: Tweet,
-    parse_entities: bool,
 }
 
 impl TweetBuilder {
     /// New builder with required fields; everything else defaulted.
+    /// The default author and language are one shared static, so a
+    /// builder whose caller sets both allocates nothing for them.
     pub fn new(id: TweetId, text: impl Into<Arc<str>>) -> TweetBuilder {
+        let anon = anon();
         TweetBuilder {
             tweet: Tweet {
                 id,
                 text: text.into(),
-                user: User::new(0, "anon"),
+                lang: Arc::clone(&anon.lang),
+                user: anon,
                 created_at: Timestamp::ZERO,
                 coordinates: None,
-                entities: Entities::default(),
-                lang: Arc::from("en"),
                 retweet_of: None,
                 truth_polarity: None,
                 truth_burst: None,
             },
-            parse_entities: true,
         }
     }
 
-    /// Set the author.
-    pub fn user(mut self, user: User) -> Self {
-        self.tweet.user = user;
+    /// Set the author: a `User` by value, or an `Arc<User>` to share
+    /// one allocation among the author's tweets.
+    pub fn user(mut self, user: impl Into<Arc<User>>) -> Self {
+        self.tweet.user = user.into();
         self
     }
 
@@ -146,18 +165,8 @@ impl TweetBuilder {
         self
     }
 
-    /// Supply pre-computed entities instead of parsing from text.
-    pub fn entities(mut self, e: Entities) -> Self {
-        self.tweet.entities = e;
-        self.parse_entities = false;
-        self
-    }
-
-    /// Finish, parsing entities from the text unless provided.
-    pub fn build(mut self) -> Tweet {
-        if self.parse_entities {
-            self.tweet.entities = Entities::parse(&self.tweet.text);
-        }
+    /// Finish.
+    pub fn build(self) -> Tweet {
         self.tweet
     }
 }
@@ -170,19 +179,21 @@ mod tests {
     fn builder_defaults_and_entity_parse() {
         let t = Tweet::builder(1, "GOAL #mcfc http://t.co/x").build();
         assert_eq!(t.id, 1);
-        assert_eq!(t.entities.hashtags[0].tag, "mcfc");
-        assert_eq!(t.entities.urls[0].url, "http://t.co/x");
+        assert_eq!(t.entities().hashtags[0].tag, "mcfc");
+        assert_eq!(t.entities().urls[0].url, "http://t.co/x");
         assert_eq!(&*t.lang, "en");
+        assert_eq!(*t.user, User::new(0, "anon"));
         assert!(t.coordinates.is_none());
         assert!(t.retweet_of.is_none());
     }
 
     #[test]
-    fn explicit_entities_skip_parse() {
-        let t = Tweet::builder(2, "#skipme")
-            .entities(Entities::default())
-            .build();
-        assert!(t.entities.is_empty());
+    fn default_author_and_language_are_shared() {
+        let a = Tweet::builder(1, "a").build();
+        let b = Tweet::builder(2, "b").build();
+        assert!(Arc::ptr_eq(&a.user, &b.user));
+        assert!(Arc::ptr_eq(&a.lang, &b.lang));
+        assert!(Arc::ptr_eq(&a.lang, &a.user.lang));
     }
 
     #[test]
@@ -206,7 +217,7 @@ mod tests {
             .truth_polarity(TruthPolarity::Positive)
             .truth_burst(2)
             .build();
-        assert_eq!(t.user, u);
+        assert_eq!(*t.user, u);
         assert_eq!(t.created_at, Timestamp::from_secs(30));
         assert_eq!(t.latlon(), Some((42.36, -71.09)));
         assert_eq!(t.retweet_of, Some(1));

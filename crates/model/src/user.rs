@@ -15,8 +15,9 @@ pub type UserId = u64;
 pub struct User {
     /// Stable numeric id (the streaming API `follow` filter matches this).
     pub id: UserId,
-    /// Handle without the leading `@`. Shared: users are cloned into
-    /// every tweet they author and again per delivered tweet.
+    /// Handle without the leading `@`. An `Arc<str>` so projecting it
+    /// onto a record is a refcount bump; the `User` itself is shared
+    /// behind [`Tweet::user`](crate::Tweet::user).
     pub screen_name: Arc<str>,
     /// Free-text, user-provided profile location, e.g. `"NYC"`,
     /// `"Tokyo, Japan"`, or empty. This is *not* a coordinate: the

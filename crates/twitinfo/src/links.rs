@@ -20,21 +20,18 @@ pub fn popular_links(
     end: Timestamp,
     k: usize,
 ) -> Vec<PopularLink> {
-    let mut counts: HashMap<&str, u64> = HashMap::new();
+    let mut counts: HashMap<String, u64> = HashMap::new();
     for t in tweets {
         if t.created_at < start || t.created_at >= end {
             continue;
         }
-        for u in &t.entities.urls {
-            *counts.entry(u.url.as_str()).or_insert(0) += 1;
+        for u in t.entities().urls {
+            *counts.entry(u.url).or_insert(0) += 1;
         }
     }
     let mut ranked: Vec<PopularLink> = counts
         .into_iter()
-        .map(|(url, count)| PopularLink {
-            url: url.to_string(),
-            count,
-        })
+        .map(|(url, count)| PopularLink { url, count })
         .collect();
     ranked.sort_by(|a, b| b.count.cmp(&a.count).then_with(|| a.url.cmp(&b.url)));
     ranked.truncate(k);
@@ -69,6 +66,40 @@ mod tests {
         assert_eq!(links[0].count, 3);
         assert_eq!(links[1].url, "http://b.com/y");
         assert_eq!(links[2].count, 1);
+    }
+
+    /// Counts recorded when every tweet stored its parsed entities;
+    /// the panel now parses the tweets of the timeframe on each call.
+    #[test]
+    fn soccer_match_links_are_what_stored_entities_gave() {
+        let tweets = tweeql_firehose::generate(&tweeql_firehose::scenarios::soccer_match(), 42);
+        let link = |url: &str, count| PopularLink {
+            url: url.to_string(),
+            count,
+        };
+        assert_eq!(
+            popular_links(&tweets, Timestamp::ZERO, Timestamp::from_mins(10_000), 5),
+            [
+                link("http://bbc.in/mcfc-goal3", 1013),
+                link("http://bbc.in/mcfc-goal2", 631),
+                link("http://bbc.in/mcfc-goal1", 608),
+                link("http://t.co/1dad34", 2),
+                link("http://t.co/00070b", 1),
+            ]
+        );
+        assert_eq!(
+            popular_links(
+                &tweets,
+                Timestamp::from_mins(60),
+                Timestamp::from_mins(120),
+                3
+            ),
+            [
+                link("http://bbc.in/mcfc-goal3", 1013),
+                link("http://bbc.in/mcfc-goal2", 365),
+                link("http://t.co/1dad34", 2),
+            ]
+        );
     }
 
     #[test]

@@ -110,8 +110,8 @@ impl LiveEvent {
             Polarity::Negative => self.negative += 1,
             Polarity::Neutral => self.neutral += 1,
         }
-        for u in &tweet.entities.urls {
-            *self.link_counts.entry(u.url.clone()).or_insert(0) += 1;
+        for u in tweet.entities().urls {
+            *self.link_counts.entry(u.url).or_insert(0) += 1;
         }
         self.df.add_document(&tweet.text);
         if self.recent.len() == self.recent_cap {
@@ -256,6 +256,26 @@ mod tests {
         assert_eq!(live_apexes, batch_apexes);
         // Timeline totals agree.
         assert_eq!(live.timeline().total(), batch.timeline.total());
+    }
+
+    /// Counts recorded when every tweet stored its parsed entities;
+    /// the panel now parses each matched tweet as it is pushed.
+    #[test]
+    fn links_panel_counts_what_stored_entities_counted() {
+        let (mut live, tweets) = live_over_soccer();
+        for t in &tweets {
+            live.push(t);
+        }
+        live.finish();
+        let want = [
+            ("http://bbc.in/mcfc-goal3", 958),
+            ("http://bbc.in/mcfc-goal2", 592),
+            ("http://bbc.in/mcfc-goal1", 565),
+            ("http://t.co/00070b", 1),
+            ("http://t.co/007ef7", 1),
+        ]
+        .map(|(url, n)| (url.to_string(), n));
+        assert_eq!(live.top_links(5), want);
     }
 
     #[test]

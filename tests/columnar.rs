@@ -138,6 +138,35 @@ proptest! {
     }
 }
 
+/// A replayed log decodes to the columns its generated stream does:
+/// same values, same dictionaries in the same order, same counters.
+/// Only `dict_ptr_hits` may differ — it counts pointer-cache hits, and
+/// the two streams' strings live at different addresses.
+#[test]
+fn decoded_log_and_generated_stream_materialize_identical_columns() {
+    use tweeql_firehose::replay::{decode_log, encode_log};
+    let generated = corpus();
+    let decoded = decode_log(encode_log(generated)).expect("a log this suite encoded");
+    assert_eq!(&decoded, generated);
+    for (a, b) in generated.chunks(256).zip(decoded.chunks(256)) {
+        let (mut from_gen, mut from_log) = (TweetBatch::new(), TweetBatch::new());
+        a.iter().for_each(|t| from_gen.push(t.clone()));
+        b.iter().for_each(|t| from_log.push(t.clone()));
+        let mut gen_stats = from_gen.materialize(&tweeql_model::batch::all_columns());
+        let mut log_stats = from_log.materialize(&tweeql_model::batch::all_columns());
+        for c in 0..col::COUNT {
+            assert_eq!(
+                format!("{:?}", from_gen.column(c)),
+                format!("{:?}", from_log.column(c)),
+                "column {c}"
+            );
+        }
+        assert!(gen_stats.dict_rows > 0);
+        (gen_stats.dict_ptr_hits, log_stats.dict_ptr_hits) = (0, 0);
+        assert_eq!(gen_stats, log_stats);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Engine-level differential
 // ---------------------------------------------------------------------

@@ -1,0 +1,132 @@
+//! A memory budget for the held stream.
+//!
+//! Resident set is a gated end-to-end metric, but a test cannot read
+//! it steadily; counts of allocations and of live heap bytes repeat
+//! exactly. A seeded `obama_month` stream is generated, encoded and
+//! decoded, and each way of obtaining a `Vec<Tweet>` must hold what
+//! the layout promises: the 120-byte row, one text allocation, and a
+//! share of its author.
+//! With a 248-byte row, its own copy of five strings per tweet and a
+//! `Bytes` → `Vec` → `Arc` hop for each, `decode_log` made 19
+//! allocations and kept 416 bytes a tweet.
+//!
+//! This file holds one test: the counters are process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use tweeql_firehose::replay::{decode_log, encode_log};
+use tweeql_firehose::{generate, scenarios};
+use tweeql_model::Duration;
+
+/// `alloc` + `realloc` calls.
+static CALLS: AtomicU64 = AtomicU64::new(0);
+/// Allocations made and not yet freed.
+static LIVE: AtomicU64 = AtomicU64::new(0);
+/// Requested bytes of those.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+
+/// Delegates to [`System`] and counts.
+struct CountingAlloc;
+
+// SAFETY: pure delegation to `System`; the counters are relaxed atomics
+// that allocate nothing, so the GlobalAlloc contract is System's.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocator calls `f` makes.
+fn calls_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.load(Ordering::Relaxed);
+    let out = f();
+    (out, CALLS.load(Ordering::Relaxed) - before)
+}
+
+/// What a value holds, read as what dropping it frees: allocations
+/// and requested bytes.
+fn held_by<T>(value: T) -> (u64, u64) {
+    let before = (
+        LIVE.load(Ordering::Relaxed),
+        LIVE_BYTES.load(Ordering::Relaxed),
+    );
+    drop(value);
+    (
+        before.0 - LIVE.load(Ordering::Relaxed),
+        before.1 - LIVE_BYTES.load(Ordering::Relaxed),
+    )
+}
+
+/// Allocations a held tweet may own, in hundredths: its text, and its
+/// share of an author's `User` and three strings.
+const ALLOCS_PER_100_TWEETS: u64 = 150;
+
+/// Live heap bytes a held tweet may cost: 120 of row, the text behind
+/// its `Arc` header, its share of an author.
+const LIVE_BYTES_PER_TWEET: u64 = 200;
+
+#[test]
+fn a_held_stream_stays_inside_its_memory_budget() {
+    // Four hours of `obama_month` without its bursts (a burst must end
+    // inside the scenario), one author per ~20 tweets as in the
+    // benchmark's stream.
+    let mut scenario = scenarios::obama_month();
+    scenario.bursts.clear();
+    scenario.duration = Duration::from_mins(240);
+    scenario.population_size = 3_000;
+
+    let (generated, gen_calls) = calls_during(|| generate(&scenario, 42));
+    let n = generated.len() as u64;
+    assert!(n > 50_000, "{n} tweets");
+    let raw = encode_log(&generated).to_vec();
+    let (decoded, dec_calls) =
+        calls_during(|| decode_log(raw.into()).expect("a log this test encoded"));
+    assert_eq!(decoded, generated);
+
+    // The decoder borrows its input: what it calls the allocator for,
+    // it keeps. (The generator composes each text in scratch strings,
+    // so only what it holds is budgeted.)
+    assert!(
+        dec_calls * 100 <= n * ALLOCS_PER_100_TWEETS,
+        "decode_log made {dec_calls} allocator calls for {n} tweets"
+    );
+    for (what, calls, (allocs, bytes)) in [
+        ("decode_log", dec_calls, held_by(decoded)),
+        ("generate", gen_calls, held_by(generated)),
+    ] {
+        println!(
+            "{what}: {n} tweets, {calls} allocator calls ({:.2} a tweet), \
+             {allocs} allocations held ({:.2} a tweet), {bytes} bytes held ({:.1} a tweet)",
+            calls as f64 / n as f64,
+            allocs as f64 / n as f64,
+            bytes as f64 / n as f64,
+        );
+        assert!(
+            allocs * 100 <= n * ALLOCS_PER_100_TWEETS,
+            "{what} holds {allocs} allocations for {n} tweets"
+        );
+        assert!(
+            bytes <= n * LIVE_BYTES_PER_TWEET,
+            "{what} holds {bytes} bytes for {n} tweets"
+        );
+    }
+}
