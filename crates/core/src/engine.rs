@@ -10,7 +10,7 @@ use crate::exec::join::Side;
 use crate::exec::supervise::{
     RetryPolicy, SourceBlock, SourceEvent, SourceFaultStats, SupervisedSource,
 };
-use crate::exec::OpStats;
+use crate::exec::{OpStats, Pipeline};
 use crate::parser::parse;
 use crate::plan::{plan, PlanConfig, PlannedQuery};
 use crate::selectivity::{choose_filter, PushdownDecision};
@@ -23,7 +23,7 @@ use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_geo::cache::CacheStats;
 use tweeql_model::{
-    DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, VirtualClock,
+    Cadence, DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, VirtualClock,
 };
 use tweeql_obs::{
     MetricsRegistry, QueryId, QueryProfile, SpanKind, StageProfile, TraceSink, Tracer,
@@ -908,210 +908,79 @@ impl Engine {
             };
             return crate::exec::parallel::run_parallel(src, &mut planned.pipeline, &pcfg, sink);
         }
+        let mut fill = SerialFill::new(&self.config, &self.clock, planned);
         if self.config.batched_source {
-            return self.run_single_batched(planned, src, sink);
+            return Self::run_single_batched(fill, src, sink);
         }
         // Serial engine, micro-batched: tweets accumulate into one
-        // reused buffer and flush through the pipeline's batch path
-        // (which drives the compiled operators at full width) whenever
-        // the buffer fills or stream order demands it — before every
-        // watermark and gap, so punctuation interleaves with data
-        // exactly as in the per-record loop. In columnar mode the
-        // buffer is a `TweetBatch` and decode is deferred to the
-        // pipeline head; in row mode each tweet becomes a `Record`
-        // immediately. Batch boundaries are identical either way.
-        let columnar = self.config.columnar_decode;
+        // reused buffer ([`SerialFill`]) and flush through the
+        // pipeline's batch path, which drives the compiled operators at
+        // full width.
         let mut src = src;
-        let wm_interval = self.config.watermark_interval;
-        let batch_size = self.config.batch_size.max(1);
-        let live = planned.live_columns.clone();
-        let mut next_wm: Option<Timestamp> = None;
-        let mut out = Vec::new();
-        let mut batch: Vec<Record> = Vec::new();
-        let mut tbatch = TweetBatch::new();
-        if columnar {
-            tbatch.set_live(live.clone());
-        } else {
-            batch.reserve(batch_size);
-        }
-        macro_rules! flush {
-            () => {
-                if columnar {
-                    if !tbatch.is_empty() {
-                        planned.pipeline.drain_tweet_batch(&mut tbatch, &mut out)?;
-                    }
-                } else if !batch.is_empty() {
-                    planned.pipeline.push_batch(&mut batch, &mut out)?;
-                }
-            };
-        }
-        'stream: for event in src.by_ref() {
+        for event in src.by_ref() {
             match event {
-                SourceEvent::Gap { from, to } => {
-                    flush!();
-                    planned.pipeline.gap(from, to, &mut out)?;
-                }
+                SourceEvent::Gap { from, to } => fill.gap(from, to)?,
                 SourceEvent::Tweet(tweet) => {
                     // `Record::from_tweet` stamps the record with
                     // `created_at`, so both decode modes see the same
                     // stream time here.
-                    let ts = tweet.created_at;
-                    // Inject punctuation when stream time crosses
-                    // boundaries — every boundary the stream jumped
-                    // over, not just one, so idle gaps still tick
-                    // time-driven flushes.
-                    if let Some(wm) = next_wm {
-                        if ts >= wm {
-                            flush!();
-                            let last = ts.truncate(wm_interval);
-                            let mut boundary = wm;
-                            while boundary <= last {
-                                planned.pipeline.watermark(boundary, &mut out)?;
-                                boundary += wm_interval;
-                            }
-                        }
+                    fill.reach(tweet.created_at)?;
+                    match fill.columnar {
+                        true => fill.tweets.push(tweet),
+                        false => fill.row(&tweet),
                     }
-                    next_wm = Some(ts.truncate(wm_interval) + wm_interval);
-                    let full = if columnar {
-                        tbatch.push(tweet);
-                        tbatch.len() >= batch_size
-                    } else {
-                        batch.push(match &live {
-                            Some(l) => Record::from_tweet_pruned(&tweet, l),
-                            None => Record::from_tweet(&tweet),
-                        });
-                        batch.len() >= batch_size
-                    };
-                    if full {
-                        flush!();
-                    }
+                    fill.flush_if_full()?;
                 }
             }
-            if !out.is_empty() {
-                for r in out.drain(..) {
-                    sink(&r);
-                }
-                if planned.pipeline.done() {
-                    break 'stream;
-                }
+            if fill.emit(sink) {
+                break;
             }
         }
-        if !planned.pipeline.done() {
-            flush!();
-        }
-        planned.pipeline.finish(&mut out)?;
-        for r in out.drain(..) {
-            sink(&r);
-        }
+        fill.finish(sink)?;
         Ok((src.stats(), src.fault_stats()))
     }
 
-    /// The serial loop over zero-copy source blocks: same flush /
-    /// watermark / gap boundaries as the per-tweet loop, but tweets
-    /// arrive as log indices and (in columnar mode) the batch is a
-    /// shared view into the firehose log — no `Tweet` is cloned
-    /// anywhere between the log and the operators. The virtual clock is
-    /// advanced lazily, exactly at the pipeline-observable points where
-    /// the per-tweet path's value is the current tweet's timestamp, so
-    /// modeled service latency accrues from identical bases.
+    /// The serial loop over zero-copy source blocks: the per-tweet loop
+    /// event for event, but tweets arrive as log indices and (in
+    /// columnar mode) the batch is a shared view into the firehose log —
+    /// no `Tweet` is cloned anywhere between the log and the operators.
+    /// The block source leaves the virtual clock alone; every flush puts
+    /// it at the latest buffered tweet, which is where the per-tweet
+    /// source has it at the same flush, so modeled service latency
+    /// accrues from identical bases.
     fn run_single_batched(
-        &mut self,
-        planned: &mut PlannedQuery,
+        mut fill: SerialFill<'_>,
         mut src: SupervisedSource,
         sink: &mut dyn FnMut(&Record),
     ) -> Result<(ConnectionStats, SourceFaultStats), QueryError> {
-        let columnar = self.config.columnar_decode;
-        let wm_interval = self.config.watermark_interval;
-        let batch_size = self.config.batch_size.max(1);
-        let live = planned.live_columns.clone();
-        let clock = Arc::clone(&self.clock);
         let log = Arc::clone(src.log());
-        let mut next_wm: Option<Timestamp> = None;
-        let mut out = Vec::new();
-        let mut batch: Vec<Record> = Vec::new();
-        let mut tbatch = TweetBatch::new();
-        if columnar {
-            tbatch.set_live(live.clone());
-            tbatch.bind_log(&log);
-        } else {
-            batch.reserve(batch_size);
+        if fill.columnar {
+            fill.tweets.bind_log(&log);
         }
-        macro_rules! flush {
-            () => {
-                if columnar {
-                    if !tbatch.is_empty() {
-                        planned.pipeline.drain_tweet_batch(&mut tbatch, &mut out)?;
-                    }
-                } else if !batch.is_empty() {
-                    planned.pipeline.push_batch(&mut batch, &mut out)?;
-                }
-            };
-        }
-        'stream: while let Some(block) = src.next_block(batch_size) {
+        'stream: while let Some(block) = src.next_block(fill.batch_size) {
             match block {
-                SourceBlock::Gap { from, to } => {
-                    flush!();
-                    planned.pipeline.gap(from, to, &mut out)?;
-                }
+                SourceBlock::Gap { from, to } => fill.gap(from, to)?,
                 SourceBlock::Tweets(b) => {
                     for &i in &b.sel {
                         let tweet = &log[i as usize];
-                        let ts = tweet.created_at;
-                        if let Some(wm) = next_wm {
-                            if ts >= wm {
-                                clock.advance_to(ts);
-                                flush!();
-                                let last = ts.truncate(wm_interval);
-                                let mut boundary = wm;
-                                while boundary <= last {
-                                    planned.pipeline.watermark(boundary, &mut out)?;
-                                    boundary += wm_interval;
-                                }
-                            }
+                        fill.reach(tweet.created_at)?;
+                        match fill.columnar {
+                            true => fill.tweets.push_index(i),
+                            false => fill.row(tweet),
                         }
-                        next_wm = Some(ts.truncate(wm_interval) + wm_interval);
-                        let full = if columnar {
-                            tbatch.push_index(i);
-                            tbatch.len() >= batch_size
-                        } else {
-                            batch.push(match &live {
-                                Some(l) => Record::from_tweet_pruned(tweet, l),
-                                None => Record::from_tweet(tweet),
-                            });
-                            batch.len() >= batch_size
-                        };
-                        if full {
-                            clock.advance_to(ts);
-                            flush!();
-                        }
-                        if !out.is_empty() {
-                            for r in out.drain(..) {
-                                sink(&r);
-                            }
-                            if planned.pipeline.done() {
-                                break 'stream;
-                            }
+                        fill.flush_if_full()?;
+                        if fill.emit(sink) {
+                            break 'stream;
                         }
                     }
                 }
             }
-            if !out.is_empty() {
-                for r in out.drain(..) {
-                    sink(&r);
-                }
-                if planned.pipeline.done() {
-                    break 'stream;
-                }
+            if fill.emit(sink) {
+                break;
             }
         }
-        clock.advance_to(src.frontier());
-        if !planned.pipeline.done() {
-            flush!();
-        }
-        planned.pipeline.finish(&mut out)?;
-        for r in out.drain(..) {
-            sink(&r);
-        }
+        fill.clock.advance_to(src.frontier());
+        fill.finish(sink)?;
         Ok((src.stats(), src.fault_stats()))
     }
 
@@ -1179,6 +1048,119 @@ impl Engine {
             sink(&r);
         }
         Ok((left.stats(), SourceFaultStats::default()))
+    }
+}
+
+/// What both serial loops do with a delivered tweet: buffer it, note
+/// the watermark boundaries stream time crossed to reach it, flush when
+/// the buffer fills or a gap or the end of the stream demands it.
+///
+/// In columnar mode the buffer is a [`TweetBatch`], decode is deferred
+/// to the pipeline head, and a crossing only *rides in the batch*: the
+/// pipeline delivers itself the watermarks that are due when the batch
+/// is drained ([`Pipeline::push_tweet_batch`]). In row mode
+/// (`columnar_decode = false`, the reference path) each tweet becomes a
+/// [`Record`] at once and every crossing cuts the batch and runs every
+/// boundary through the pipeline — the cadence the columnar path is
+/// differentially tested against.
+struct SerialFill<'a> {
+    pipeline: &'a mut Pipeline,
+    clock: &'a VirtualClock,
+    cadence: Cadence,
+    batch_size: usize,
+    columnar: bool,
+    live: Option<Arc<[bool]>>,
+    tweets: TweetBatch,
+    rows: Vec<Record>,
+    out: Vec<Record>,
+}
+
+impl<'a> SerialFill<'a> {
+    fn new(config: &EngineConfig, clock: &'a VirtualClock, planned: &'a mut PlannedQuery) -> Self {
+        SerialFill {
+            clock,
+            cadence: Cadence::new(config.watermark_interval),
+            batch_size: config.batch_size.max(1),
+            columnar: config.columnar_decode,
+            tweets: TweetBatch::with_live(planned.live_columns.clone()),
+            live: planned.live_columns.clone(),
+            pipeline: &mut planned.pipeline,
+            rows: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Stream time reaches `ts`, the timestamp of the row about to be
+    /// buffered.
+    fn reach(&mut self, ts: Timestamp) -> Result<(), QueryError> {
+        let Some(crossed) = self.cadence.advance(ts) else {
+            return Ok(());
+        };
+        if self.columnar {
+            self.tweets.cross(crossed);
+            return Ok(());
+        }
+        // Every boundary the stream jumped over, not just one, so idle
+        // gaps still tick time-driven flushes.
+        self.flush()?;
+        for wm in crossed.boundaries() {
+            self.pipeline.watermark(wm, &mut self.out)?;
+        }
+        Ok(())
+    }
+
+    fn row(&mut self, tweet: &tweeql_model::Tweet) {
+        self.rows.push(match &self.live {
+            Some(l) => Record::from_tweet_pruned(tweet, l),
+            None => Record::from_tweet(tweet),
+        });
+    }
+
+    fn flush_if_full(&mut self) -> Result<(), QueryError> {
+        if self.tweets.len() + self.rows.len() >= self.batch_size {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), QueryError> {
+        self.clock.advance_to(self.cadence.high());
+        if !self.tweets.is_empty() {
+            self.pipeline
+                .drain_tweet_batch(&mut self.tweets, &mut self.out)?;
+        }
+        if !self.rows.is_empty() {
+            self.pipeline.push_batch(&mut self.rows, &mut self.out)?;
+        }
+        Ok(())
+    }
+
+    fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
+        self.flush()?;
+        self.pipeline.gap(from, to, &mut self.out)
+    }
+
+    /// Hand what the pipeline produced to the sink; true once it will
+    /// produce no more (LIMIT reached) and the source can be left.
+    fn emit(&mut self, sink: &mut dyn FnMut(&Record)) -> bool {
+        if self.out.is_empty() {
+            return false;
+        }
+        for r in self.out.drain(..) {
+            sink(&r);
+        }
+        self.pipeline.done()
+    }
+
+    fn finish(&mut self, sink: &mut dyn FnMut(&Record)) -> Result<(), QueryError> {
+        if !self.pipeline.done() {
+            self.flush()?;
+        }
+        self.pipeline.finish(&mut self.out)?;
+        for r in self.out.drain(..) {
+            sink(&r);
+        }
+        Ok(())
     }
 }
 

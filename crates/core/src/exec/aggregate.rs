@@ -17,7 +17,7 @@
 use super::confidence::ConfidenceTracker;
 use super::keys::{KeyParts, KeyTable};
 use super::topk::SpaceSaving;
-use super::Operator;
+use super::{earlier, Operator};
 use crate::ast::AggFunc;
 use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
@@ -658,7 +658,7 @@ impl AggregateOp {
                 // Flush every window whose end has passed, oldest first.
                 let due: Vec<i64> = self
                     .sliding
-                    .range(..=(now.millis() - size.millis()))
+                    .range(..=now.millis().saturating_sub(size.millis()))
                     .map(|(&s, _)| s)
                     .collect();
                 for start in due {
@@ -775,7 +775,7 @@ impl AggregateOp {
     fn open_window(&mut self, ts: Timestamp, out: &mut Vec<Record>) {
         self.advance_time_windows(ts, out);
         if let (WindowPolicy::Time(d), None) = (&self.policy, self.window_end) {
-            self.window_end = Some(ts.truncate(*d) + *d);
+            self.window_end = Some(ts.truncate(*d).saturating_add(*d));
         }
     }
 
@@ -821,6 +821,54 @@ impl Operator for AggregateOp {
 
     fn time_sensitive(&self) -> bool {
         true
+    }
+
+    /// Per policy, the earliest watermark [`AggregateOp::on_watermark`]
+    /// acts on, over the windows open now and the ones a row at or
+    /// after `unseen` can open.
+    fn next_deadline(&self, unseen: Option<Timestamp>) -> Option<Timestamp> {
+        match self.policy {
+            // The open window closes at its end; with none open, the
+            // next row opens the one it falls in, and a row past the
+            // open window's end closes it itself and opens a later one.
+            WindowPolicy::Time(d) => earlier(
+                self.window_end,
+                unseen.map(|u| u.truncate(d).saturating_add(d)),
+            ),
+            // Windows close oldest first, each `size` after its start.
+            // A row at `u` joins the windows starting in `(u - size, u]`
+            // on the `slide` grid; the first of those ends soonest.
+            WindowPolicy::Sliding { size, slide } => earlier(
+                self.sliding
+                    .keys()
+                    .next()
+                    .map(|&s| Timestamp::from_millis(s)),
+                unseen.map(|u| {
+                    let after = Timestamp::from_millis(u.millis().saturating_sub(size.millis()));
+                    after.truncate(slide).saturating_add(slide)
+                }),
+            )
+            .map(|start| start.saturating_add(size)),
+            // A group left in the table has not met its CI target (it
+            // would have been emitted by the row that met it), so only
+            // age can release it: `max_age` after its first observation,
+            // which for a group yet to be observed is at or after
+            // `unseen`.
+            WindowPolicy::Confidence {
+                max_age: Some(max_age),
+                ..
+            } => {
+                let first_seen = self
+                    .groups
+                    .iter()
+                    .filter_map(|(_, g)| g.confidence.first_ts());
+                earlier(first_seen.min(), unseen).map(|t| t.saturating_add(max_age))
+            }
+            // Emitted by rows or at end of stream, never by time.
+            WindowPolicy::Unbounded | WindowPolicy::Count(_) | WindowPolicy::Confidence { .. } => {
+                None
+            }
+        }
     }
 
     fn as_aggregate(&mut self) -> Option<&mut AggregateOp> {

@@ -8,7 +8,7 @@
 //! bound, then invokes the UDF's batch endpoint; the UDF layer below
 //! adds caching and charges modeled latency to the virtual clock.
 
-use super::Operator;
+use super::{earlier, Operator};
 use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
 use crate::udf::{ArgBatch, AsyncUdf};
@@ -27,6 +27,9 @@ pub struct AsyncUdfOp {
     args: Vec<Value>,
     /// The results of the batch being emitted.
     results: Vec<Value>,
+    /// Earliest timestamp among the pending records (which need not be
+    /// the first to arrive, on a stream delivered out of order).
+    held_since: Option<Timestamp>,
     label: String,
 }
 
@@ -52,6 +55,7 @@ impl AsyncUdfOp {
             batcher: Batcher::new(max_batch, max_delay),
             args: Vec::new(),
             results: Vec::new(),
+            held_since: None,
             label,
         }
     }
@@ -82,6 +86,7 @@ impl AsyncUdfOp {
             }
         }
         let ts = rec.timestamp();
+        self.held_since = Some(self.held_since.map_or(ts, |held| held.min(ts)));
         if let Some(batch) = self.batcher.push(rec, ts) {
             self.run_batch(batch, out);
         }
@@ -95,6 +100,7 @@ impl AsyncUdfOp {
         if items.is_empty() {
             return;
         }
+        self.held_since = None;
         let batch = ArgBatch::new(&self.args, self.arg_exprs.len(), items.len());
         self.udf.call_batch(batch, &mut self.results);
         self.args.clear();
@@ -117,6 +123,25 @@ impl Operator for AsyncUdfOp {
 
     fn time_sensitive(&self) -> bool {
         true
+    }
+
+    /// A watermark releases the pending batch once it is `max_delay`
+    /// past the arrival of the oldest pending record; a row at or after
+    /// `unseen` that finds the batcher empty becomes that oldest. So
+    /// nothing can happen before `min(oldest, unseen) + max_delay`.
+    fn next_deadline(&self, unseen: Option<Timestamp>) -> Option<Timestamp> {
+        let waiting_since = earlier(self.batcher.oldest(), unseen)?;
+        let max_delay = self.batcher.max_delay();
+        Some(if max_delay > Duration::ZERO {
+            waiting_since.saturating_add(max_delay)
+        } else {
+            // No delay: any watermark at all releases what is pending.
+            Timestamp::MIN
+        })
+    }
+
+    fn holds_since(&self) -> Option<Timestamp> {
+        self.held_since
     }
 
     fn schema(&self) -> SchemaRef {

@@ -76,6 +76,12 @@ impl ConfidenceTracker {
         self.variance().map(|v| Z_95 * (v / self.n as f64).sqrt())
     }
 
+    /// Stream time of the first observation (the age basis); `None`
+    /// while empty.
+    pub fn first_ts(&self) -> Option<Timestamp> {
+        self.first_ts
+    }
+
     /// Age of the bucket at `now` (zero when empty).
     pub fn age(&self, now: Timestamp) -> Duration {
         match self.first_ts {

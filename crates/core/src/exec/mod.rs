@@ -27,7 +27,7 @@ pub(crate) mod topk;
 use crate::error::QueryError;
 use std::time::Instant;
 use tweeql_geo::breaker::ServiceHealth;
-use tweeql_model::{DecodeStats, Record, SchemaRef, Timestamp, TweetBatch};
+use tweeql_model::{DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch};
 use tweeql_obs::{Histogram, SpanKind, Tracer};
 
 /// A streaming operator.
@@ -100,12 +100,38 @@ pub trait Operator: Send {
     /// True when the operator reacts to stream-time punctuation —
     /// it overrides [`Operator::on_watermark`] or [`Operator::on_gap`]
     /// with real behavior. For everything else punctuation is a no-op
-    /// traversal, so a pipeline of only time-insensitive operators can
-    /// skip the broadcast entirely with byte-identical output (the
-    /// standing-query host relies on this to keep per-watermark cost
-    /// proportional to windowed queries, not registered queries).
+    /// traversal: a pipeline of only time-insensitive operators takes
+    /// every batch whole and is never shown a watermark or a gap.
+    /// A time-sensitive operator says *which* watermarks matter through
+    /// [`Operator::next_deadline`].
     fn time_sensitive(&self) -> bool {
         false
+    }
+
+    /// A lower bound on the first watermark that can change this
+    /// operator's state or output, given its current state and that the
+    /// earliest row it has not yet been shown is at `unseen` (`None`:
+    /// no such row is in sight). `None` means no watermark ever will.
+    ///
+    /// The contract the pipeline's punctuation walk rests on: a
+    /// watermark *below* the returned deadline leaves
+    /// [`Operator::state_digest`] and the output untouched, and stays a
+    /// no-op after the operator is fed any rows at or after `unseen`.
+    /// Too low an answer only costs a delivery that does nothing; the
+    /// default — every watermark, for a [`time_sensitive`]
+    /// (Operator::time_sensitive) operator — is always sound.
+    fn next_deadline(&self, _unseen: Option<Timestamp>) -> Option<Timestamp> {
+        self.time_sensitive().then_some(Timestamp::MIN)
+    }
+
+    /// A lower bound on the timestamps of rows this operator has taken
+    /// in and may still emit (`None`: it holds nothing back). The stages
+    /// after it have not seen those rows, so the pipeline lowers their
+    /// `unseen` to this. The default suits operators that emit a row
+    /// when it arrives or never; a time-sensitive operator that does
+    /// not say is taken to hold rows from the beginning of time.
+    fn holds_since(&self) -> Option<Timestamp> {
+        self.time_sensitive().then_some(Timestamp::MIN)
     }
 
     /// The source lost coverage over `[from, to)` (a disconnect the
@@ -177,6 +203,15 @@ pub trait Operator: Send {
     /// and LIMIT override this so checkpoint verification can catch
     /// replay divergence.
     fn state_digest(&self, _d: &mut tweeql_wal::Digest) {}
+}
+
+/// The earlier of two optional points in stream time, `None` standing
+/// for "never" (deadlines) or "nothing" (rows held or unseen).
+pub(crate) fn earlier(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Timestamp> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
 }
 
 /// The row shim behind [`Operator::on_tweet_batch`]: decode the selected
@@ -261,7 +296,10 @@ struct TraceCtx {
 /// sections — the serial loop and the parallel merge thread.
 pub struct PipelineObs {
     trace: Option<TraceCtx>,
-    /// Batch-size distribution (`tweeql_batch_rows`).
+    /// Rows per pipeline entry (`tweeql_batch_rows`): one observation
+    /// per record batch and per *segment* of a tweet batch — the rows
+    /// between two watermarks that were due — so it reads how wide the
+    /// operators really ran, not where the source cut.
     batch_rows: Histogram,
     /// High-water stream time seen by this run, milliseconds.
     last_ts: i64,
@@ -293,6 +331,11 @@ pub struct Pipeline {
     /// Columns this pipeline materialized for its head stage, plus the
     /// counters harvested from parallel worker clones.
     decode: DecodeStats,
+    /// Whether any stage reacts to punctuation (fixed at construction).
+    time_sensitive: bool,
+    /// Watermarks run through the stages (not the ones skipped as
+    /// below the deadline).
+    watermarks_delivered: u64,
 }
 
 impl Pipeline {
@@ -300,6 +343,8 @@ impl Pipeline {
     pub fn new(ops: Vec<Box<dyn Operator>>) -> Pipeline {
         let stats = vec![OpStats::default(); ops.len()];
         Pipeline {
+            time_sensitive: ops.iter().any(|o| o.time_sensitive()),
+            watermarks_delivered: 0,
             ops,
             stats,
             cur: Vec::new(),
@@ -473,9 +518,29 @@ impl Pipeline {
     }
 
     /// True when any stage reacts to watermarks or coverage gaps;
-    /// false means punctuation broadcast can be skipped outright.
+    /// false means the pipeline never needs to be shown either.
     pub fn time_sensitive(&self) -> bool {
-        self.ops.iter().any(|o| o.time_sensitive())
+        self.time_sensitive
+    }
+
+    /// The first watermark that can change anything in this pipeline
+    /// ([`Operator::next_deadline`] folded over the stages), given that
+    /// the earliest source row not yet pushed is at `unseen`. Each stage
+    /// is asked with `unseen` lowered to what the stages before it
+    /// still hold back ([`Operator::holds_since`]).
+    pub fn next_deadline(&self, mut unseen: Option<Timestamp>) -> Option<Timestamp> {
+        let mut deadline = None;
+        for op in &self.ops {
+            deadline = earlier(deadline, op.next_deadline(unseen));
+            unseen = earlier(unseen, op.holds_since());
+        }
+        deadline
+    }
+
+    /// Watermarks this pipeline's stages have been run through — the
+    /// ones at or past a deadline, not every boundary the stream crossed.
+    pub fn watermarks_delivered(&self) -> u64 {
+        self.watermarks_delivered
     }
 
     /// Push one source record through every stage, collecting final
@@ -517,15 +582,83 @@ impl Pipeline {
     /// the engine passes the full selection, the standing-query host
     /// each query's share of the batch it holds for all of them.
     ///
-    /// When the first stage consumes tweet batches natively
-    /// ([`Operator::wants_tweet_batch`]; the caller has materialized
-    /// the columns it names), it reads the columns directly and only
-    /// its output becomes records for the downstream stages. Otherwise
-    /// the selected rows cross the row shim first — behaviorally
-    /// identical to decoding rows at the source, including stats,
-    /// batch spans, and the batch-rows histogram (observed once per
-    /// pipeline entry, like [`Pipeline::push_batch`]).
+    /// Punctuation rides in the batch ([`TweetBatch::crossings`]) and is
+    /// resolved here, against this pipeline's own deadline
+    /// ([`Pipeline::next_deadline`]): the rows before the first crossing
+    /// that reaches the deadline enter as one segment, then the
+    /// watermarks from the first boundary at or past the deadline are
+    /// delivered, re-asking the deadline after each. Every watermark
+    /// skipped is below the deadline, hence a no-op by the operators'
+    /// contract — so the stages see exactly the rows and effective
+    /// watermarks, in exactly the order, that a flush at every boundary
+    /// would have shown them, wherever the batch happens to be cut. A
+    /// pipeline that is [`done`](Pipeline::done) takes nothing further.
+    ///
+    /// Per segment: when the first stage consumes tweet batches
+    /// natively ([`Operator::wants_tweet_batch`]; the caller has
+    /// materialized the columns it names), it reads the columns
+    /// directly and only its output becomes records for the downstream
+    /// stages. Otherwise the selected rows cross the row shim first —
+    /// behaviorally identical to decoding rows at the source, including
+    /// stats, batch spans, and the batch-rows histogram (observed once
+    /// per segment, like [`Pipeline::push_batch`]).
     pub fn push_tweet_batch(
+        &mut self,
+        batch: &TweetBatch,
+        sel: &[u32],
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        let crossings = batch.crossings();
+        if crossings.is_empty() || !self.time_sensitive {
+            return self.push_segment(batch, sel, out);
+        }
+        // The earliest row not yet pushed: the next one, unless the
+        // source delivered out of order (a reorder the supervisor could
+        // not heal), in which case the rest is searched.
+        let ts = |&i: &u32| batch.ts(i as usize);
+        let ordered = sel.windows(2).all(|w| ts(&w[0]) <= ts(&w[1]));
+        let unseen = |pos: usize| match ordered {
+            true => sel.get(pos).map(ts),
+            false => sel[pos..].iter().map(ts).min(),
+        };
+        let mut pos = 0;
+        let mut deadline = self.next_deadline(unseen(pos));
+        for &(before_row, crossed) in crossings {
+            let Some(due) = deadline else { break };
+            if crossed.last < due {
+                continue;
+            }
+            let end = pos + sel[pos..].partition_point(|&i| i < before_row);
+            if end > pos {
+                self.push_segment(batch, &sel[pos..end], out)?;
+                pos = end;
+                if self.done() {
+                    return Ok(());
+                }
+                deadline = self.next_deadline(unseen(pos));
+            }
+            let mut from = crossed.first;
+            while let Some(wm) = deadline.and_then(|due| crossed.at_or_after(due.max(from))) {
+                self.watermark(wm, out)?;
+                if self.done() || wm == crossed.last {
+                    break;
+                }
+                from = wm.saturating_add(Duration::from_millis(1));
+                deadline = self.next_deadline(unseen(pos));
+            }
+            if self.done() {
+                return Ok(());
+            }
+        }
+        if pos < sel.len() {
+            self.push_segment(batch, &sel[pos..], out)?;
+        }
+        Ok(())
+    }
+
+    /// One run of rows with no watermark due among them, through every
+    /// stage.
+    fn push_segment(
         &mut self,
         batch: &TweetBatch,
         sel: &[u32],
@@ -700,6 +833,7 @@ impl Pipeline {
     /// Propagate a watermark through every stage.
     pub fn watermark(&mut self, wm: Timestamp, out: &mut Vec<Record>) -> Result<(), QueryError> {
         self.cur.clear();
+        self.watermarks_delivered += 1;
         self.advance_obs_ts(wm);
         self.run_from(0, None, Some(wm), false, out)
     }

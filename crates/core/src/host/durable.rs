@@ -437,7 +437,7 @@ impl QueryHost {
         put_u64(&mut buf, last_lsn);
         put_frontier(&mut buf, self.current_frontier());
         put_i64(&mut buf, self.position.millis());
-        match self.next_wm {
+        match self.cadence.next() {
             Some(t) => {
                 put_u8(&mut buf, 1);
                 put_i64(&mut buf, t.millis());
@@ -619,7 +619,7 @@ impl QueryHost {
                 c.position
             ));
         }
-        if self.next_wm.map(|t| t.millis()) != c.next_wm {
+        if self.cadence.next().map(|t| t.millis()) != c.next_wm {
             bad.push("watermark cursor diverged".into());
         }
         if self.stats.watermarks != c.watermarks {

@@ -26,13 +26,17 @@
 //!   ([`crate::exec::Pipeline::push_tweet_batch`]). A columnar head
 //!   (fused scan, plain-column aggregate) never sees a [`Record`]; a
 //!   row-only head gets one for each row it selected, no more.
-//! * **Engine-identical cadence** — flush-before-watermark/gap,
-//!   absolute watermark boundaries, `batch_size` flush points counted
-//!   in delivered tweets, and a final `finish`: the exact serial-loop
-//!   protocol, so a standing query's output is byte-identical to an
+//! * **Punctuation rides in the batch** — the pump only fills: each
+//!   watermark-boundary crossing is recorded in the batch
+//!   ([`TweetBatch::cross`]) and the batch is flushed when it is full,
+//!   at a source gap, at the end of a pump or of the stream, and before
+//!   register, drop and checkpoint. Each query's pipeline then delivers
+//!   itself the watermarks that are due *to it*, between the right rows
+//!   ([`crate::exec::Pipeline::push_tweet_batch`]), so what a query
+//!   sees is a function of the stream alone — byte-identical to an
 //!   independent engine run over the same seeded (even chaos-faulted)
-//!   stream with pushdown disabled. `tests/standing_host.rs` enforces
-//!   this differentially.
+//!   stream with pushdown disabled, wherever the flushes fall.
+//!   `tests/standing_host.rs` enforces this differentially.
 //!
 //! Hosts are assembled through the same [`EngineBuilder`]
 //! (`Engine::builder(api).fault_policy(plan).build_host()`), so fault
@@ -64,7 +68,7 @@ use tweeql_firehose::api::{ConnectionStats, SourceBatch};
 use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_model::batch::col;
 use tweeql_model::{
-    Clock, Duration, Record, SchemaRef, Timestamp, Tweet, TweetBatch, VirtualClock,
+    Cadence, Clock, Duration, Record, SchemaRef, Timestamp, Tweet, TweetBatch, VirtualClock,
 };
 use tweeql_obs::{MetricsRegistry, QueryId, SpanKind, Tracer};
 
@@ -111,7 +115,10 @@ pub struct QueryInfo {
 pub struct HostStats {
     /// Tweets the shared source delivered.
     pub tweets_delivered: u64,
-    /// Micro-batches flushed through the dispatcher.
+    /// Micro-batches flushed through the dispatcher: one per
+    /// `batch_size` tweets, plus the partial ones cut by a pump's end, a
+    /// source gap, a register, a drop or a checkpoint — never by a
+    /// watermark boundary.
     pub batches: u64,
     /// Rows entering query pipelines, summed over queries.
     pub rows_dispatched: u64,
@@ -120,7 +127,9 @@ pub struct HostStats {
     /// Dispatched rows beyond a row's first consumer: what sharing the
     /// one batch saved over a decode per query.
     pub rows_shared: u64,
-    /// Watermark boundaries broadcast to the queries.
+    /// Watermark boundaries the stream crossed. How many of them a
+    /// query's pipeline actually ran is
+    /// [`Pipeline::watermarks_delivered`](crate::exec::Pipeline::watermarks_delivered).
     pub watermarks: u64,
     /// Coverage gaps broadcast to the queries.
     pub gaps: u64,
@@ -159,8 +168,8 @@ struct HostQuery {
     sql: String,
     planned: crate::plan::PlannedQuery,
     /// Whether any pipeline stage reacts to watermarks/gaps; cached at
-    /// registration so punctuation broadcast can skip the (typically
-    /// vast) stateless majority.
+    /// registration so punctuation skips the (typically vast)
+    /// stateless majority.
     time_sensitive: bool,
     groups: Option<NeedleGroups>,
     state: QueryState,
@@ -238,15 +247,21 @@ impl HostQuery {
         }
         self.retired = true;
         self.planned.pipeline.close_obs();
-        if self.rows_in > 0 || self.rows_out > 0 {
+        // `tweeql_host_watermarks_delivered_total` against
+        // `tweeql_host_watermarks_total` (boundaries crossed) is the
+        // share of punctuation this query had any use for.
+        let delivered = self.planned.pipeline.watermarks_delivered();
+        if self.rows_in > 0 || self.rows_out > 0 || delivered > 0 {
             let label = self.id.label();
             let l = [("query", label.as_str())];
-            self.metrics
-                .counter("tweeql_host_rows_in_total", &l)
-                .add(self.rows_in);
-            self.metrics
-                .counter("tweeql_host_rows_out_total", &l)
-                .add(self.rows_out);
+            let publish = |name, n| self.metrics.counter(name, &l).add(n);
+            if self.rows_in > 0 || self.rows_out > 0 {
+                publish("tweeql_host_rows_in_total", self.rows_in);
+                publish("tweeql_host_rows_out_total", self.rows_out);
+            }
+            if delivered > 0 {
+                publish("tweeql_host_watermarks_delivered_total", delivered);
+            }
         }
         if let (Some(t), Some(span)) = (&self.tracer, self.span.take()) {
             t.end(
@@ -358,7 +373,7 @@ pub struct QueryHost {
     filter_index: FilterIndex,
     dispatch: DispatchTable,
     /// A register/drop happened since the automaton, the dispatch
-    /// table, the union mask and `any_ts` were derived; see
+    /// table, the union mask and `punctual` were derived; see
     /// [`QueryHost::ensure_index`].
     index_dirty: bool,
     prefilter: bool,
@@ -366,10 +381,16 @@ pub struct QueryHost {
     /// Slots whose `sel` is non-empty for the batch being flushed;
     /// empty between flushes (so register/drop slot shifts stay sound).
     active: Vec<u32>,
-    /// Cached: any running query reacts to punctuation (see
-    /// [`QueryHost::ensure_index`]).
-    any_ts: bool,
-    next_wm: Option<Timestamp>,
+    /// Slots of the running queries that react to punctuation (see
+    /// [`QueryHost::ensure_index`]): shown every batch that carries a
+    /// crossing, and every gap, whether or not they selected a row.
+    punctual: Vec<u32>,
+    cadence: Cadence,
+    /// Test oracle: cut the batch at every boundary and broadcast each
+    /// one, as every drive loop did before punctuation rode in the
+    /// batch (see `tests.rs`).
+    #[cfg(test)]
+    cut_at_boundaries: bool,
     position: Timestamp,
     stats: HostStats,
     host_metrics_published: bool,
@@ -388,6 +409,9 @@ impl QueryHost {
             catalog.register(&name, schema);
         }
         QueryHost {
+            cadence: Cadence::new(b.config.watermark_interval),
+            #[cfg(test)]
+            cut_at_boundaries: false,
             config: b.config,
             api: b.api,
             clock,
@@ -410,8 +434,7 @@ impl QueryHost {
             prefilter: true,
             batch: TweetBatch::new(),
             active: Vec::new(),
-            any_ts: false,
-            next_wm: None,
+            punctual: Vec::new(),
             position: Timestamp::ZERO,
             stats: HostStats::default(),
             host_metrics_published: false,
@@ -623,9 +646,7 @@ impl QueryHost {
         if self.exhausted {
             self.finish_stream()?;
         } else {
-            // Drain the batch tail to pollers: with no time-sensitive
-            // queries there may have been no watermark flush since the
-            // last batch_size boundary.
+            // Drain the batch tail to pollers.
             self.flush_batch()?;
         }
         Ok(self.stats.tweets_delivered - before)
@@ -764,15 +785,15 @@ impl QueryHost {
         }
         let union: Option<Arc<[bool]>> = if any_full { None } else { acc.map(Into::into) };
         self.batch.set_live(union);
-        // Cached punctuation interest: re-scanning the query list at
-        // every watermark crossing would put an O(registered) term back
-        // into the per-second hot path. A time-sensitive query that
-        // finishes mid-stream leaves the flag conservatively true until
-        // the next rebuild — the broadcast re-checks per query.
-        self.any_ts = self
-            .queries
-            .iter()
-            .any(|q| q.state == QueryState::Running && q.time_sensitive);
+        // Cached punctuation interest, so a flush never scans the
+        // registered queries for it. A time-sensitive query that
+        // finishes mid-stream stays listed until the next rebuild; its
+        // state is re-checked where the list is used.
+        self.punctual.clear();
+        self.punctual
+            .extend((0u32..).zip(&self.queries).filter_map(|(slot, q)| {
+                (q.state == QueryState::Running && q.time_sensitive).then_some(slot)
+            }));
     }
 
     fn ensure_source(&mut self) {
@@ -809,90 +830,64 @@ impl QueryHost {
         }
     }
 
-    /// Process one stream event with the serial engine's exact cadence:
-    /// flush before gaps and watermark boundaries, emit every crossed
-    /// boundary, flush when the batch fills.
+    /// Process one stream event of the per-tweet source.
     fn pump_event(&mut self, event: SourceEvent) -> Result<(), QueryError> {
-        let wm_interval = self.config.watermark_interval;
-        let batch_size = self.config.batch_size.max(1);
         match event {
-            SourceEvent::Gap { from, to } => {
-                self.pump_gap(from, to)?;
-            }
-            SourceEvent::Tweet(tweet) => {
-                let ts = tweet.created_at;
-                self.position = self.position.max(ts);
-                if let Some(wm) = self.next_wm {
-                    if ts >= wm {
-                        let last = ts.truncate(wm_interval);
-                        if self.any_ts {
-                            self.flush_batch()?;
-                            let mut boundaries = Vec::new();
-                            let mut boundary = wm;
-                            while boundary <= last {
-                                boundaries.push(boundary);
-                                boundary += wm_interval;
-                            }
-                            self.stats.watermarks += boundaries.len() as u64;
-                            let workers = self.config.workers.max(1);
-                            Self::for_each(&mut self.queries, workers, &|q| {
-                                if q.state != QueryState::Running || !q.time_sensitive {
-                                    return Ok(());
-                                }
-                                for &b in &boundaries {
-                                    q.planned.pipeline.watermark(b, &mut q.scratch_out)?;
-                                }
-                                q.deliver();
-                                q.check_done()
-                            })?;
-                        } else {
-                            // Same boundary count as the broadcast
-                            // path, without materializing or flushing
-                            // (see the gap arm for why that's sound).
-                            let crossed =
-                                (last.millis() - wm.millis()) / wm_interval.millis().max(1) + 1;
-                            self.stats.watermarks += crossed as u64;
-                        }
-                    }
-                }
-                self.next_wm = Some(ts.truncate(wm_interval) + wm_interval);
-                self.batch.push(tweet);
-                self.stats.tweets_delivered += 1;
-                if self.batch.len() >= batch_size {
-                    self.flush_batch()?;
-                }
-                self.maybe_checkpoint()?;
-            }
+            SourceEvent::Gap { from, to } => self.pump_gap(from, to),
+            SourceEvent::Tweet(tweet) => self.pump_row(tweet.created_at, |batch| batch.push(tweet)),
         }
-        Ok(())
     }
 
-    /// Broadcast a source coverage gap to time-sensitive queries, with
-    /// the same flush-first cadence as the per-record path.
+    /// One delivered tweet at `ts`, which `push` adds to the batch. A
+    /// boundary crossing on the way there is recorded in the batch,
+    /// before that row — not acted on; the batch is flushed when full.
+    fn pump_row(
+        &mut self,
+        ts: Timestamp,
+        push: impl FnOnce(&mut TweetBatch),
+    ) -> Result<(), QueryError> {
+        self.position = self.position.max(ts);
+        if let Some(crossed) = self.cadence.advance(ts) {
+            self.stats.watermarks += crossed.count();
+            #[cfg(test)]
+            if self.cut_at_boundaries {
+                self.cut_and_broadcast(crossed)?;
+            } else {
+                self.batch.cross(crossed);
+            }
+            #[cfg(not(test))]
+            self.batch.cross(crossed);
+        }
+        push(&mut self.batch);
+        self.stats.tweets_delivered += 1;
+        if self.batch.len() >= self.config.batch_size.max(1) {
+            self.flush_batch()?;
+        }
+        self.maybe_checkpoint()
+    }
+
+    /// A source coverage gap: everything buffered goes first, then the
+    /// gap reaches the time-sensitive queries.
     fn pump_gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
         self.position = self.position.max(to);
         self.stats.gaps += 1;
-        // Punctuation only matters to time-sensitive pipelines; with
-        // none registered, rows keep their order through the regular
-        // batch_size flushes, so skipping the flush here is
-        // output-invariant.
-        if self.any_ts {
-            self.flush_batch()?;
-            let workers = self.config.workers.max(1);
-            Self::for_each(&mut self.queries, workers, &|q| {
-                if q.state != QueryState::Running || !q.time_sensitive {
-                    return Ok(());
-                }
-                q.planned.pipeline.gap(from, to, &mut q.scratch_out)?;
-                q.deliver();
-                q.check_done()
-            })?;
+        self.flush_batch()?;
+        if self.punctual.is_empty() {
+            return Ok(());
         }
-        Ok(())
+        let workers = self.config.workers.max(1);
+        Self::for_each(&mut self.queries, workers, &|q| {
+            if q.state != QueryState::Running || !q.time_sensitive {
+                return Ok(());
+            }
+            q.planned.pipeline.gap(from, to, &mut q.scratch_out)?;
+            q.deliver();
+            q.check_done()
+        })
     }
 
     /// The batched pump: consume zero-copy source blocks up to `until`,
-    /// with the exact per-event cadence of [`QueryHost::pump_event`].
+    /// event for event what [`QueryHost::pump_event`] does per tweet.
     /// Stops mid-block on the first tweet past `until` (the cursor
     /// keeps the position for the next call) and stashes an overshot
     /// gap marker the same way.
@@ -915,7 +910,6 @@ impl QueryHost {
                 }
                 self.hcursor += 1;
                 self.pump_index(i, ts)?;
-                self.maybe_checkpoint()?;
                 continue;
             }
             if !self.refill_block() {
@@ -965,62 +959,24 @@ impl QueryHost {
         }
     }
 
-    /// One delivered tweet, as a log index: identical watermark and
-    /// flush cadence to the `SourceEvent::Tweet` arm, but the row joins
-    /// the shared-view batch without being cloned. The clock advances
-    /// lazily, only where a flush makes it observable.
+    /// One delivered tweet, as a log index: the row joins the
+    /// shared-view batch without being cloned.
     fn pump_index(&mut self, i: u32, ts: Timestamp) -> Result<(), QueryError> {
-        let wm_interval = self.config.watermark_interval;
-        let batch_size = self.config.batch_size.max(1);
-        self.position = self.position.max(ts);
-        if let Some(wm) = self.next_wm {
-            if ts >= wm {
-                let last = ts.truncate(wm_interval);
-                if self.any_ts {
-                    self.clock.advance_to(ts);
-                    self.flush_batch()?;
-                    let mut boundaries = Vec::new();
-                    let mut boundary = wm;
-                    while boundary <= last {
-                        boundaries.push(boundary);
-                        boundary += wm_interval;
-                    }
-                    self.stats.watermarks += boundaries.len() as u64;
-                    let workers = self.config.workers.max(1);
-                    Self::for_each(&mut self.queries, workers, &|q| {
-                        if q.state != QueryState::Running || !q.time_sensitive {
-                            return Ok(());
-                        }
-                        for &b in &boundaries {
-                            q.planned.pipeline.watermark(b, &mut q.scratch_out)?;
-                        }
-                        q.deliver();
-                        q.check_done()
-                    })?;
-                } else {
-                    let crossed = (last.millis() - wm.millis()) / wm_interval.millis().max(1) + 1;
-                    self.stats.watermarks += crossed as u64;
-                }
-            }
-        }
-        self.next_wm = Some(ts.truncate(wm_interval) + wm_interval);
-        self.batch.push_index(i);
-        self.stats.tweets_delivered += 1;
-        if self.batch.len() >= batch_size {
-            self.clock.advance_to(ts);
-            self.flush_batch()?;
-        }
-        Ok(())
+        self.pump_row(ts, |batch| batch.push_index(i))
     }
 
     /// Dispatch the buffered batch: one prefilter scan per row, one
     /// build of the columns the selecting queries read, then every one
     /// of those pipelines over the same batch with its own selection.
+    /// The virtual clock moves to the latest buffered tweet first —
+    /// where the per-tweet source left it anyway — so modeled service
+    /// latency accrues from one base whichever way the rows arrived.
     fn flush_batch(&mut self) -> Result<(), QueryError> {
         let n = self.batch.len();
         if n == 0 {
             return Ok(());
         }
+        self.clock.advance_to(self.cadence.high());
         self.stats.batches += 1;
         // Single-query fast path: with exactly one running query there
         // is nothing to share, so the prefilter scan is pure overhead.
@@ -1135,6 +1091,18 @@ impl QueryHost {
         if columns.contains(&true) {
             self.batch.materialize(&columns);
         }
+        // A batch that carries a crossing also goes to the time-sensitive
+        // queries that selected none of its rows: a window of theirs may
+        // be due all the same.
+        let crossed = !self.batch.crossings().is_empty();
+        if crossed {
+            for &slot in &self.punctual {
+                let q = &self.queries[slot as usize];
+                if q.sel.is_empty() && q.state == QueryState::Running {
+                    self.active.push(slot);
+                }
+            }
+        }
         // ---- dispatch: shard queries across host workers ----
         let dispatched: u64 = self
             .active
@@ -1149,7 +1117,8 @@ impl QueryHost {
             // shard thread) reads the one already-materialized batch.
             let batch = &self.batch;
             let op = |q: &mut HostQuery| -> Result<(), QueryError> {
-                if q.state != QueryState::Running || q.sel.is_empty() {
+                let wanted = !q.sel.is_empty() || (crossed && q.time_sensitive);
+                if q.state != QueryState::Running || !wanted {
                     return Ok(());
                 }
                 q.rows_in += q.sel.len() as u64;
@@ -1219,6 +1188,8 @@ impl QueryHost {
             .add(self.stats.rows_decoded);
         m.counter("tweeql_host_rows_shared_total", &[])
             .add(self.stats.rows_shared);
+        m.counter("tweeql_host_watermarks_total", &[])
+            .add(self.stats.watermarks);
         m.gauge("tweeql_host_prefilter_needles", &[])
             .set(self.filter_index.needle_count() as i64);
         m.gauge("tweeql_host_filter_index_states", &[])

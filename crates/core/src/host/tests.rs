@@ -190,3 +190,309 @@ fn non_ascii_needles_are_prefiltered_and_match_a_dedicated_engine() {
         }
     }
 }
+
+// ---- the previous cadence, kept as the oracle -----------------------
+
+impl QueryHost {
+    /// What every drive loop did at a boundary crossing before
+    /// punctuation rode in the batch: flush what is buffered, then run
+    /// every crossed boundary through every time-sensitive query.
+    pub(super) fn cut_and_broadcast(
+        &mut self,
+        crossed: tweeql_model::Crossing,
+    ) -> Result<(), QueryError> {
+        if self.punctual.is_empty() {
+            return Ok(());
+        }
+        self.flush_batch()?;
+        for q in &mut self.queries {
+            if q.state != QueryState::Running || !q.time_sensitive {
+                continue;
+            }
+            for wm in crossed.boundaries() {
+                q.planned.pipeline.watermark(wm, &mut q.scratch_out)?;
+            }
+            q.deliver();
+            q.check_done()?;
+        }
+        Ok(())
+    }
+}
+
+mod cadence_oracle {
+    use super::*;
+    use crate::engine::EngineConfig;
+    use proptest::prelude::*;
+    use tweeql_firehose::fault::FaultPlan;
+    use tweeql_model::User;
+
+    /// Every window policy, the async-UDF shapes, LIMIT early exit and a
+    /// plain scan. Window lengths on and off the one-second boundary
+    /// grid, so windows close by watermark and by row.
+    const SHAPES: &[&str] = &[
+        "SELECT count(*) AS c, lang FROM twitter WHERE text contains 'kw' \
+         GROUP BY lang WINDOW 7 seconds",
+        "SELECT max(followers) AS m FROM twitter WINDOW 2500 ms",
+        "SELECT count(*) AS c FROM twitter WINDOW 1 minutes",
+        "SELECT count(*) AS c, lang FROM twitter GROUP BY lang WINDOW 10 seconds SLIDE 4 seconds",
+        "SELECT sum(followers) AS s FROM twitter WHERE text contains 'kw' \
+         WINDOW 3500 ms SLIDE 1500 ms",
+        "SELECT avg(followers) AS a, lang FROM twitter GROUP BY lang \
+         WINDOW CONFIDENCE 40.0 MAX 9 seconds",
+        "SELECT avg(followers) AS a FROM twitter WINDOW CONFIDENCE 0.5",
+        "SELECT count(*) AS c, lang FROM twitter GROUP BY lang WINDOW 5 TUPLES",
+        "SELECT count(distinct lang) AS langs FROM twitter",
+        "SELECT latitude(loc) AS la, text FROM twitter WHERE text contains 'kw'",
+        "SELECT latitude(loc) AS la, longitude(loc) AS lo FROM twitter",
+        "SELECT avg(followers) AS a, floor(latitude(loc)) AS cell FROM twitter \
+         GROUP BY cell WINDOW 12 seconds SLIDE 6 seconds",
+        "SELECT count(*) AS c, floor(longitude(loc)) AS cell FROM twitter \
+         WHERE text contains 'kw' GROUP BY cell WINDOW 8 seconds",
+        "SELECT count(*) AS c, floor(latitude(loc)) AS cell FROM twitter \
+         GROUP BY cell WINDOW 3 seconds",
+        "SELECT avg(latitude(loc)) AS a, lang FROM twitter GROUP BY lang \
+         WINDOW CONFIDENCE 0.01 MAX 4 seconds",
+        "SELECT text FROM twitter WHERE text contains 'kw' LIMIT 7",
+        "SELECT count(*) AS c FROM twitter WINDOW 5 seconds LIMIT 3",
+        "SELECT upper(lang) AS l, followers FROM twitter WHERE followers > 40",
+    ];
+
+    const LOCS: &[&str] = &["tokyo", "nyc", "london", "", "the moon", "boston", "paris"];
+    const LANGS: &[&str] = &["en", "ja", "es"];
+
+    /// A stream whose clock moves as `steps` say: bursts inside one
+    /// second, idle seconds, jumps over many boundaries at once — and,
+    /// with `disorder`, steps backwards (what a reorder the supervisor
+    /// could not heal looks like to a pipeline).
+    fn stream(steps: &[(u8, u16, u8)], disorder: bool) -> Vec<Tweet> {
+        let mut now = 0i64;
+        steps
+            .iter()
+            .enumerate()
+            .map(|(i, &(kind, amount, pick))| {
+                now += match kind {
+                    0..=5 => i64::from(amount % 400),
+                    6 | 7 => 1000 + i64::from(amount) * 3,
+                    8 => 20_000 + i64::from(amount) * 40,
+                    _ if disorder => -i64::from(amount % 2500).min(now),
+                    _ => 0,
+                };
+                let pick = usize::from(pick);
+                let mut user = User::new(i as u64 % 17, format!("u{}", i % 17));
+                user.location = LOCS[pick % LOCS.len()].into();
+                user.followers = (pick as u32 * 37) % 200;
+                let text = match pick % 3 {
+                    0 => format!("tweet {i} with kw inside"),
+                    _ => format!("tweet {i} about nothing"),
+                };
+                Tweet::builder(i as u64, text)
+                    .user(user)
+                    .lang(LANGS[pick % LANGS.len()])
+                    .at(Timestamp::from_millis(now))
+                    .build()
+            })
+            .collect()
+    }
+
+    struct Setup {
+        tweets: Vec<Tweet>,
+        config: EngineConfig,
+    }
+
+    impl Setup {
+        fn host(&self, cut_at_boundaries: bool) -> QueryHost {
+            let api = StreamingApi::new(self.tweets.clone(), VirtualClock::new());
+            let mut host = Engine::builder(api)
+                .config(self.config.clone())
+                .build_host();
+            host.cut_at_boundaries = cut_at_boundaries;
+            host
+        }
+    }
+
+    fn digests(host: &QueryHost) -> Vec<(QueryId, QueryState, u64, u64)> {
+        host.queries
+            .iter()
+            .map(|q| {
+                let mut d = tweeql_wal::Digest::new();
+                q.planned.pipeline.state_digest(&mut d);
+                (q.id, q.state, q.rows_out, d.finish())
+            })
+            .collect()
+    }
+
+    /// A pipeline planned for `sql`, with its own fresh services.
+    fn planned(sql: &str, config: &EngineConfig) -> crate::plan::PlannedQuery {
+        let api = StreamingApi::new(Vec::new(), VirtualClock::new());
+        let engine = Engine::builder(api).config(config.clone()).build();
+        engine.checked_plan(sql).expect(sql)
+    }
+
+    fn digest(p: &crate::exec::Pipeline) -> u64 {
+        let mut d = tweeql_wal::Digest::new();
+        p.state_digest(&mut d);
+        d.finish()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// The contract of `Operator::next_deadline`, through
+        /// `Pipeline::next_deadline` so that the fold over the stages
+        /// (an async stage holding rows back from an aggregate) is held
+        /// to it too: from any state rows and watermarks can reach, a
+        /// watermark below the deadline given for `unseen` changes
+        /// neither output nor digest — not now, and not after any rows
+        /// at or after `unseen`. `spared` is never shown the watermarks
+        /// below the deadline; `shown` is shown every one.
+        #[test]
+        fn a_watermark_below_the_deadline_is_a_no_op(
+            shape in 0usize..SHAPES.len(),
+            knobs in (0usize..3, 0usize..3),
+            steps in collection::vec((0u8..10, 0u16..1000, 0u8..250), 1..80),
+            // Per tweet: whether a watermark follows it, and which — one
+            // somewhere around the tweet's own time, the last one below
+            // the deadline, or the deadline itself.
+            marks in collection::vec((0u8..6, 0i64..9000), 80..81),
+        ) {
+            let config = EngineConfig {
+                async_max_batch: [1, 3, 25][knobs.0],
+                async_max_delay: Duration::from_secs([0, 2, 10][knobs.1]),
+                ..EngineConfig::default()
+            };
+            let mut shown = planned(SHAPES[shape], &config).pipeline;
+            let mut spared = planned(SHAPES[shape], &config).pipeline;
+            let (mut out_shown, mut out_spared) = (Vec::new(), Vec::new());
+            let tweets = stream(&steps, true);
+            // The earliest row yet to come, from each position on.
+            let mut unseen_from = vec![None; tweets.len() + 1];
+            for (i, t) in tweets.iter().enumerate().rev() {
+                unseen_from[i] = Some(unseen_from[i + 1].map_or(t.created_at, |u: Timestamp| u.min(t.created_at)));
+            }
+            let mut deadline = spared.next_deadline(unseen_from[0]);
+            for (i, (tweet, &(mark, back))) in tweets.iter().zip(&marks).enumerate() {
+                for p in [(&mut shown, &mut out_shown), (&mut spared, &mut out_spared)] {
+                    p.0.push_batch(&mut vec![Record::from_tweet(tweet)], p.1).unwrap();
+                }
+                prop_assert_eq!(&out_shown, &out_spared);
+                prop_assert_eq!(digest(&shown), digest(&spared));
+                if shown.done() {
+                    break;
+                }
+                let unseen = unseen_from[i + 1];
+                let wm = match (mark, deadline) {
+                    (0, _) => Some(Timestamp::from_millis(tweet.created_at.millis() + 2000 - back)),
+                    (1, Some(due)) if due > Timestamp::MIN => Some(Timestamp::from_millis(due.millis() - 1)),
+                    (2, Some(due)) => Some(due),
+                    _ => None,
+                };
+                if let Some(wm) = wm {
+                    shown.watermark(wm, &mut out_shown).unwrap();
+                    if deadline.is_some_and(|due| wm >= due) {
+                        spared.watermark(wm, &mut out_spared).unwrap();
+                        deadline = spared.next_deadline(unseen);
+                    }
+                    prop_assert_eq!(&out_shown, &out_spared);
+                    prop_assert_eq!(digest(&shown), digest(&spared));
+                } else if mark == 3 {
+                    // Asking again is always allowed, never required.
+                    deadline = spared.next_deadline(unseen);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The host as it is — crossings ride in the batch, each
+        /// pipeline delivers itself what is due — against the same host
+        /// cutting the batch at every boundary and broadcasting every
+        /// one: equal rows per poll, equal operator state at every poll,
+        /// equal crossed-boundary count, equal final clock.
+        #[test]
+        fn riding_punctuation_equals_cutting_at_every_boundary(
+            steps in collection::vec((0u8..10, 0u16..1000, 0u8..250), 20..260),
+            shapes in collection::vec(0usize..SHAPES.len(), 1..9),
+            knobs in (0usize..3, 0usize..3, 0usize..3, 0u8..2, 0usize..2),
+            fault_pick in 0u8..3,
+            polls in collection::vec(0u16..1000, 0..6),
+            churn in (0usize..SHAPES.len(), 0usize..8, 0u16..1000),
+            chaos in 0u64..1000,
+        ) {
+            let (batch_pick, async_batch, async_delay, batched, workers) = knobs;
+            let mut config = EngineConfig {
+                batch_size: [1, 16, 256][batch_pick],
+                async_max_batch: [1, 3, 25][async_batch],
+                async_max_delay: Duration::from_secs([0, 2, 10][async_delay]),
+                batched_source: batched == 1,
+                workers: [1, 3][workers],
+                allow_pushdown: false,
+                ..EngineConfig::default()
+            };
+            config.fault = match fault_pick {
+                0 => None,
+                1 => Some(FaultPlan::chaos(chaos)),
+                // Disconnects only, often: source gaps between the rows.
+                _ => Some(FaultPlan {
+                    seed: chaos,
+                    disconnect_rate: 0.02,
+                    max_disconnects: 6,
+                    ..FaultPlan::none()
+                }),
+            };
+            let setup = Setup { tweets: stream(&steps, false), config };
+            // One query: the host's single-pipeline fast path. Up to
+            // eight: shared dispatch.
+            let mut new = setup.host(false);
+            let mut old = setup.host(true);
+            let mut ids = Vec::new();
+            for &shape in &shapes {
+                let id = new.register(SHAPES[shape]).unwrap();
+                prop_assert_eq!(old.register(SHAPES[shape]).unwrap(), id);
+                ids.push(id);
+            }
+            let end = setup.tweets.last().map_or(0, |t| t.created_at.millis());
+            let at = |permille: u16| Timestamp::from_millis(end * i64::from(permille) / 1000);
+            let mut polls: Vec<Timestamp> = polls.iter().map(|&p| at(p)).collect();
+            polls.sort();
+            let (churn_shape, churn_drop, churn_at) = churn;
+            let churn_at = at(churn_at);
+            let mut churned = false;
+            for until in polls.into_iter().map(Some).chain([None]) {
+                if !churned && until.is_none_or(|u| u >= churn_at) {
+                    // Mid-stream: one query arrives, one leaves.
+                    churned = true;
+                    prop_assert_eq!(new.pump_until(churn_at).unwrap(), old.pump_until(churn_at).unwrap());
+                    let id = new.register(SHAPES[churn_shape]).unwrap();
+                    prop_assert_eq!(old.register(SHAPES[churn_shape]).unwrap(), id);
+                    let gone = ids[churn_drop % ids.len()];
+                    prop_assert_eq!(new.drop_query(gone).unwrap(), old.drop_query(gone).unwrap());
+                    ids.retain(|&q| q != gone);
+                    ids.push(id);
+                }
+                let (a, b) = match until {
+                    Some(until) => (new.pump_until(until).unwrap(), old.pump_until(until).unwrap()),
+                    None => (new.run_to_end().unwrap(), old.run_to_end().unwrap()),
+                };
+                prop_assert_eq!(a, b);
+                for &id in &ids {
+                    prop_assert_eq!(new.take_output(id).unwrap(), old.take_output(id).unwrap());
+                }
+                prop_assert_eq!(digests(&new), digests(&old));
+                prop_assert_eq!(new.stats.watermarks, old.stats.watermarks);
+                prop_assert_eq!(new.stats.gaps, old.stats.gaps);
+                prop_assert_eq!(new.position, old.position);
+            }
+            // Modeled service latency accrues from the clock at each
+            // flush, so with an async UDF in play the clock follows the
+            // cuts (as it always followed `batch_size`); without one it
+            // is the stream's alone.
+            let charges_clock = |sql: &str| sql.contains("itude(");
+            if !shapes.iter().chain([&churn_shape]).any(|&s| charges_clock(SHAPES[s])) {
+                prop_assert_eq!(new.clock.now(), old.clock.now());
+            }
+            prop_assert!(new.stats.batches <= old.stats.batches);
+        }
+    }
+}

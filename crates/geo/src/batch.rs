@@ -38,6 +38,18 @@ impl<T> Batcher<T> {
         self.items.is_empty()
     }
 
+    /// Arrival time of the oldest pending item (`None` when nothing is
+    /// pending): [`poll`](Batcher::poll) releases once `now` is
+    /// [`max_delay`](Batcher::max_delay) past it.
+    pub fn oldest(&self) -> Option<Timestamp> {
+        self.oldest.filter(|_| !self.items.is_empty())
+    }
+
+    /// The age bound this batcher was built with.
+    pub fn max_delay(&self) -> Duration {
+        self.max_delay
+    }
+
     /// Add an item arriving at `now`. Returns a full batch if this push
     /// filled it.
     pub fn push(&mut self, item: T, now: Timestamp) -> Option<Vec<T>> {

@@ -39,7 +39,7 @@
 //! reuse of per-author `Arc<str>` values).
 
 use crate::record::Record;
-use crate::time::Timestamp;
+use crate::time::{Crossing, Timestamp};
 use crate::tweet::Tweet;
 use crate::value::{Value, ValueRef};
 use std::sync::Arc;
@@ -491,6 +491,9 @@ pub struct TweetBatch {
     /// entries.
     cols: Vec<Column>,
     live: Option<Arc<[bool]>>,
+    /// Punctuation riding with the rows: the watermark boundaries
+    /// stream time crossed just before row `.0` (ascending rows).
+    crossings: Vec<(u32, Crossing)>,
 }
 
 impl TweetBatch {
@@ -505,6 +508,7 @@ impl TweetBatch {
             rows: RowStore::default(),
             cols: Vec::new(),
             live,
+            crossings: Vec::new(),
         }
     }
 
@@ -526,6 +530,7 @@ impl TweetBatch {
     /// buffers) keeps the selection allocation.
     pub fn bind_log(&mut self, log: &Arc<Vec<Tweet>>) {
         self.cols.clear();
+        self.crossings.clear();
         match &mut self.rows {
             RowStore::Shared { log: bound, sel } if Arc::ptr_eq(bound, log) => sel.clear(),
             rows => {
@@ -575,6 +580,22 @@ impl TweetBatch {
             RowStore::Shared { sel, .. } => sel.extend_from_slice(idxs),
             RowStore::Owned(_) => panic!("extend_indices into a batch with no bound log"),
         }
+    }
+
+    /// Record that stream time crossed the boundaries in `c` before
+    /// the next row pushed. Whoever fills the batch calls this (with
+    /// what its [`Cadence`](crate::Cadence) reported) instead of cutting
+    /// the batch there; whoever drains it delivers the watermarks that
+    /// are due, between the right rows
+    /// (`Pipeline::push_tweet_batch` in the engine crate).
+    pub fn cross(&mut self, c: Crossing) {
+        self.crossings.push((self.len() as u32, c));
+    }
+
+    /// The recorded crossings as `(before_row, boundaries)`, in row
+    /// order. Every one is followed by at least one row.
+    pub fn crossings(&self) -> &[(u32, Crossing)] {
+        &self.crossings
     }
 
     /// Number of rows.
@@ -796,14 +817,16 @@ impl TweetBatch {
         out
     }
 
-    /// Drop rows and columns, keeping the row-store allocation, the
-    /// log binding (in shared mode), and the liveness mask for reuse.
+    /// Drop rows, columns and crossings, keeping the row-store
+    /// allocation, the log binding (in shared mode), and the liveness
+    /// mask for reuse.
     pub fn reset(&mut self) {
         match &mut self.rows {
             RowStore::Owned(tweets) => tweets.clear(),
             RowStore::Shared { sel, .. } => sel.clear(),
         }
         self.cols.clear();
+        self.crossings.clear();
     }
 }
 

@@ -31,7 +31,7 @@ pub use entities::{Entities, Hashtag, Mention, UrlEntity};
 pub use error::ModelError;
 pub use record::Record;
 pub use schema::{DataType, Field, Schema, SchemaRef};
-pub use time::{Duration, Timestamp};
+pub use time::{Cadence, Crossing, Duration, Timestamp};
 pub use tweet::{TruthPolarity, Tweet, TweetBuilder, TweetId};
 pub use user::{User, UserId};
 pub use value::{Value, ValueRef};

@@ -23,6 +23,8 @@ impl Timestamp {
     pub const ZERO: Timestamp = Timestamp(0);
     /// Largest representable timestamp; used as an "infinite" watermark.
     pub const MAX: Timestamp = Timestamp(i64::MAX);
+    /// Smallest representable timestamp: "before every row".
+    pub const MIN: Timestamp = Timestamp(i64::MIN);
 
     /// Build from whole milliseconds.
     pub const fn from_millis(ms: i64) -> Self {
@@ -48,15 +50,23 @@ impl Timestamp {
     /// tumbling-window and timeline-bin assignment.
     ///
     /// `bucket` must be positive; negative timestamps floor toward
-    /// negative infinity so bins are consistent across the epoch.
+    /// negative infinity so bins are consistent across the epoch (and
+    /// clamp at [`Timestamp::MIN`] instead of overflowing).
     pub fn truncate(self, bucket: Duration) -> Timestamp {
         let b = bucket.millis().max(1);
-        Timestamp(self.0.div_euclid(b) * b)
+        Timestamp(self.0.div_euclid(b).saturating_mul(b))
+    }
+
+    /// `self + d`, clamped to the representable range: deadline
+    /// arithmetic on timestamps nobody vetted (`decode_log` accepts any
+    /// `i64`) must not overflow.
+    pub fn saturating_add(self, d: Duration) -> Timestamp {
+        Timestamp(self.0.saturating_add(d.0))
     }
 
     /// Elapsed time from `earlier` to `self` (saturating at zero).
     pub fn since(self, earlier: Timestamp) -> Duration {
-        Duration::from_millis((self.0 - earlier.0).max(0))
+        Duration::from_millis(self.0.saturating_sub(earlier.0).max(0))
     }
 
     /// Render as `HH:MM:SS` into the scenario (negative times prefixed `-`).
@@ -91,6 +101,123 @@ impl Sub<Duration> for Timestamp {
     type Output = Timestamp;
     fn sub(self, rhs: Duration) -> Timestamp {
         Timestamp(self.0 - rhs.0)
+    }
+}
+
+/// The watermark boundaries `first, first + interval, …, last` that
+/// stream time stepped over between one row and the next — one value
+/// however many there are, so a ten-year jump costs what a one-second
+/// step does until somebody asks for a boundary by name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crossing {
+    /// The earliest boundary crossed.
+    pub first: Timestamp,
+    /// The latest boundary crossed (`>= first`, on the same grid).
+    pub last: Timestamp,
+    interval: Duration,
+}
+
+impl Crossing {
+    /// `at - first` for an `at` inside the crossing: non-negative, but
+    /// wider than an `i64` when the crossing spans most of time.
+    fn offset(&self, at: Timestamp) -> u64 {
+        at.0.wrapping_sub(self.first.0) as u64
+    }
+
+    /// How many boundaries were crossed.
+    pub fn count(&self) -> u64 {
+        self.offset(self.last) / self.interval.0 as u64 + 1
+    }
+
+    /// The earliest crossed boundary at or after `at`; `None` when the
+    /// crossing ends before it.
+    pub fn at_or_after(&self, at: Timestamp) -> Option<Timestamp> {
+        if at <= self.first {
+            return Some(self.first);
+        }
+        if at > self.last {
+            return None;
+        }
+        // Rounded up on the grid; at most `last`, which is on it.
+        let steps = self.offset(at).div_ceil(self.interval.0 as u64);
+        let offset = steps * self.interval.0 as u64;
+        Some(Timestamp(self.first.0.wrapping_add(offset as i64)))
+    }
+
+    /// Every crossed boundary in order — O(count), for the paths that
+    /// still deliver each one.
+    pub fn boundaries(self) -> impl Iterator<Item = Timestamp> {
+        let mut next = Some(self.first);
+        std::iter::from_fn(move || {
+            let at = next?;
+            next = (at < self.last).then(|| at + self.interval);
+            Some(at)
+        })
+    }
+}
+
+/// The stream-time cursor of whoever fills a batch: which watermark
+/// boundary comes next, and how far the rows seen so far reach.
+///
+/// Boundaries are the multiples of `interval`. A row at `ts` crosses
+/// every boundary in `[next, ts]`; afterwards the next boundary is the
+/// one just past `ts` — also when `ts` went *backwards* (a reordered row
+/// the supervisor could not heal), so a boundary can be crossed twice,
+/// exactly as the per-row loops always did. `next` is always on the
+/// grid: where the grid runs off either end of the `i64` range
+/// (`decode_log` accepts any timestamp) there is simply no boundary.
+#[derive(Debug, Clone)]
+pub struct Cadence {
+    interval: Duration,
+    next: Option<Timestamp>,
+    high: Timestamp,
+}
+
+impl Cadence {
+    /// A cursor before the first row (`interval` is at least 1 ms).
+    pub fn new(interval: Duration) -> Cadence {
+        Cadence {
+            interval: Duration(interval.0.max(1)),
+            next: None,
+            high: Timestamp::MIN,
+        }
+    }
+
+    /// A row at `ts` arrives: the boundaries stream time crossed to
+    /// reach it, if any. The first row crosses nothing.
+    pub fn advance(&mut self, ts: Timestamp) -> Option<Crossing> {
+        self.high = self.high.max(ts);
+        let iv = self.interval.0;
+        let floor = ts.0.div_euclid(iv);
+        // The boundary at or below `ts`, unless it lies below `i64::MIN`.
+        let last = floor.checked_mul(iv);
+        let crossed = match (self.next, last) {
+            (Some(first), Some(last)) if ts >= first => Some(Crossing {
+                first,
+                last: Timestamp(last),
+                interval: self.interval,
+            }),
+            _ => None,
+        };
+        // The boundary just above `ts`, unless it lies above `i64::MAX`.
+        self.next = match last {
+            Some(last) => last.checked_add(iv),
+            None => (floor + 1).checked_mul(iv),
+        }
+        .map(Timestamp);
+        crossed
+    }
+
+    /// The boundary the next crossing starts at: `None` before the
+    /// first row (and past the last boundary an `i64` can name).
+    pub fn next(&self) -> Option<Timestamp> {
+        self.next
+    }
+
+    /// The latest row timestamp seen ([`Timestamp::MIN`] before the
+    /// first): where a flush puts the virtual clock.
+    pub fn high(&self) -> Timestamp {
+        self.high
     }
 }
 
@@ -265,6 +392,84 @@ mod tests {
             Timestamp::from_secs(-1).truncate(m),
             Timestamp::from_secs(-60)
         );
+    }
+
+    #[test]
+    fn cadence_reports_each_crossing_once_as_a_range() {
+        let mut c = Cadence::new(Duration::from_secs(1));
+        assert_eq!(c.advance(Timestamp::from_millis(200)), None, "first row");
+        assert_eq!(c.next(), Some(Timestamp::from_secs(1)));
+        assert_eq!(c.advance(Timestamp::from_millis(900)), None);
+        let one = c.advance(Timestamp::from_millis(1000)).unwrap();
+        assert_eq!(
+            (one.first, one.last, one.count()),
+            (Timestamp::from_secs(1), Timestamp::from_secs(1), 1)
+        );
+        let jump = c.advance(Timestamp::from_millis(6500)).unwrap();
+        assert_eq!(
+            (jump.first, jump.last, jump.count()),
+            (Timestamp::from_secs(2), Timestamp::from_secs(6), 5)
+        );
+        assert_eq!(
+            jump.boundaries().collect::<Vec<_>>(),
+            (2..=6).map(Timestamp::from_secs).collect::<Vec<_>>()
+        );
+        assert_eq!(
+            jump.at_or_after(Timestamp::MIN),
+            Some(Timestamp::from_secs(2))
+        );
+        assert_eq!(
+            jump.at_or_after(Timestamp::from_millis(3001)),
+            Some(Timestamp::from_secs(4))
+        );
+        assert_eq!(
+            jump.at_or_after(Timestamp::from_secs(6)),
+            Some(Timestamp::from_secs(6))
+        );
+        assert_eq!(jump.at_or_after(Timestamp::from_millis(6001)), None);
+        // A row that went backwards re-arms the boundary behind it.
+        assert_eq!(c.advance(Timestamp::from_millis(5200)), None);
+        let again = c.advance(Timestamp::from_millis(6100)).unwrap();
+        assert_eq!(
+            (again.first, again.last),
+            (Timestamp::from_secs(6), Timestamp::from_secs(6))
+        );
+        assert_eq!(c.high(), Timestamp::from_millis(6500));
+    }
+
+    /// `decode_log` accepts any `i64` as `created_at`; where the grid
+    /// runs off the `i64` range there is no boundary, and nothing
+    /// overflows on the way (`ts.truncate(iv) + iv` used to).
+    #[test]
+    fn cadence_runs_off_the_ends_of_time_quietly() {
+        for iv in [1, 1000, 60_000, i64::MAX] {
+            let mut c = Cadence::new(Duration::from_millis(iv));
+            assert_eq!(c.advance(Timestamp::MIN), None);
+            let all = c.advance(Timestamp::MAX).expect("crosses everything");
+            assert!(all.first <= all.last, "{all:?}");
+            assert_eq!((all.first.0 % iv, all.last.0 % iv), (0, 0), "on the grid");
+            assert_eq!(all.at_or_after(Timestamp::MIN), Some(all.first));
+            assert_eq!(all.at_or_after(all.last), Some(all.last));
+            assert_eq!(
+                all.at_or_after(Timestamp(all.first.0 + 1))
+                    .map(|b| b.0 % iv),
+                Some(0)
+            );
+            assert_eq!(all.boundaries().next(), Some(all.first));
+            assert_eq!(
+                all.count(),
+                ((all.last.0 as i128 - all.first.0 as i128) / iv as i128 + 1) as u64
+            );
+            assert_eq!(c.next(), None, "no boundary above i64::MAX");
+            assert_eq!(c.advance(Timestamp::MAX), None);
+            assert_eq!(c.advance(Timestamp::MIN), None);
+            assert_eq!(c.high(), Timestamp::MAX);
+        }
+        // Ten virtual years in one step: one value, counted not walked.
+        let mut c = Cadence::new(Duration::from_secs(1));
+        c.advance(Timestamp::ZERO);
+        let ten_years = c.advance(Timestamp::from_secs(315_360_000)).unwrap();
+        assert_eq!(ten_years.count(), 315_360_000);
     }
 
     #[test]

@@ -75,18 +75,29 @@ fn run_e1(workers: usize, seed: u64) -> (QueryResult, MetricsRegistry) {
 /// records decoded, flowing through each operator, and the windows
 /// emitted do not.
 fn portable_counters(registry: &MetricsRegistry) -> BTreeMap<String, i64> {
+    series(registry, |name| {
+        name == "tweeql_records_decoded_total"
+            || name == "tweeql_gap_windows_total"
+            || name == "tweeql_op_records_in_total"
+            || name == "tweeql_op_records_out_total"
+            || name == "tweeql_windows_emitted_total"
+            || name.starts_with("tweeql_source_")
+    })
+}
+
+/// The `tweeql_decode_*` series count columns built *per batch*, so
+/// they follow the batch cuts — by size in the serial engine, at every
+/// watermark second in the parallel one — and are pinned run to run at
+/// each worker count rather than across worker counts.
+fn decode_series(registry: &MetricsRegistry) -> BTreeMap<String, i64> {
+    series(registry, |name| name.starts_with("tweeql_decode_"))
+}
+
+fn series(registry: &MetricsRegistry, keep: impl Fn(&str) -> bool) -> BTreeMap<String, i64> {
     registry
         .snapshot()
         .into_iter()
-        .filter(|(name, _, _)| {
-            name == "tweeql_records_decoded_total"
-                || name == "tweeql_gap_windows_total"
-                || name == "tweeql_op_records_in_total"
-                || name == "tweeql_op_records_out_total"
-                || name == "tweeql_windows_emitted_total"
-                || name.starts_with("tweeql_source_")
-                || name.starts_with("tweeql_decode_")
-        })
+        .filter(|(name, _, _)| keep(name))
         .map(|(name, labels, v)| (format!("{name}{labels}"), v))
         .collect()
 }
@@ -126,15 +137,19 @@ fn e1_two_same_seeded_runs_publish_identical_registries() {
         portable_counters(&d),
         "parallel same-seed runs diverged on portable counters"
     );
+    assert_eq!(
+        decode_series(&c),
+        decode_series(&d),
+        "parallel same-seed runs diverged on decode counters"
+    );
 }
 
 #[test]
 fn e1_publishes_columnar_decode_metrics() {
     // The E1 dashboard runs on the default columnar path, so the decode
-    // counters must land in the registry: the fused scan materializes
-    // the columns the query touches and skips the rest, and the
-    // dictionary gauge reflects the same fold at every worker count
-    // (the per-worker stats are summed back into one total).
+    // counters must land in the registry at every worker count (the
+    // per-worker stats are summed back into one total): the fused scan
+    // materializes the columns the query touches and skips the rest.
     let (_, serial) = run_e1(1, 7);
     assert!(
         serial.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
@@ -144,25 +159,27 @@ fn e1_publishes_columnar_decode_metrics() {
         serial.counter_value("tweeql_decode_columns_skipped_total", &[]) > 0,
         "E1 touches a strict subset of columns, so some must be skipped"
     );
-    let decode_series = |m: &MetricsRegistry| -> BTreeMap<String, i64> {
-        m.snapshot()
-            .into_iter()
-            .filter(|(name, _, _)| name.starts_with("tweeql_decode_"))
-            .map(|(name, labels, v)| (format!("{name}{labels}"), v))
-            .collect()
-    };
     let (_, parallel) = run_e1(4, 7);
     assert_eq!(
+        decode_series(&serial).keys().collect::<Vec<_>>(),
+        decode_series(&parallel).keys().collect::<Vec<_>>(),
+        "workers=1 and workers=4 publish different decode series"
+    );
+    assert!(
+        parallel.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
+        "parallel columnar run materialized no columns"
+    );
+    assert_eq!(
         decode_series(&serial),
-        decode_series(&parallel),
-        "decode metrics diverged between workers=1 and workers=4"
+        decode_series(&run_e1(1, 7).1),
+        "decode metrics diverged between two serial runs"
     );
 
     // E1 never touches `lang` or `loc`, so no dictionary is built and
     // the reuse gauge stays unpublished. A projection over `lang`
-    // drives the dictionary path; its gauge must be identical at every
-    // worker count because the per-worker stats fold back into one
-    // total.
+    // drives the dictionary path; its gauge is published at every
+    // worker count (the per-worker stats fold back into one total) and
+    // repeats run to run.
     let lang_sql = "SELECT upper(lang) AS l FROM twitter WHERE text contains 'soccer'";
     let run_lang = |workers: usize| {
         let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
@@ -183,11 +200,14 @@ fn e1_publishes_columnar_decode_metrics() {
         panic!("dictionary reuse gauge missing after GROUP BY lang: {lang_decode:?}")
     });
     assert!((0..=1000).contains(reuse), "permille out of range: {reuse}");
+    assert_eq!(lang_decode, decode_series(&run_lang(1)), "serial rerun");
+    let lang_parallel = decode_series(&run_lang(4));
     assert_eq!(
-        lang_decode,
-        decode_series(&run_lang(4)),
-        "dictionary gauge diverged between workers=1 and workers=4"
+        lang_decode.keys().collect::<Vec<_>>(),
+        lang_parallel.keys().collect::<Vec<_>>(),
+        "workers=1 and workers=4 publish different decode series"
     );
+    assert_eq!(lang_parallel, decode_series(&run_lang(4)), "parallel rerun");
 
     // With columnar decode disabled the fused scan never runs, so no
     // decode counters may be published at all.

@@ -9,12 +9,45 @@
 //! sources, and across register/drop churn mid-stream.
 
 use proptest::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::OnceLock;
 use tweeql::prelude::*;
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::scenario::{Burst, Scenario, Topic};
 use tweeql_firehose::StreamingApi;
 use tweeql_model::{Duration, Record, Timestamp, Tweet, VirtualClock};
+
+thread_local! {
+    /// Bytes this thread has asked the allocator for.
+    static REQUESTED: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Delegates to [`System`] and adds up the bytes each thread requests
+/// (per thread, so tests running side by side do not see each other).
+struct CountingAlloc;
+
+// SAFETY: pure delegation to `System`; the counter is a const-initialized
+// thread-local `Cell` that allocates nothing, and `try_with` declines
+// quietly while a thread is being torn down.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = REQUESTED.try_with(|b| b.set(b.get() + layout.size() as u64));
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = REQUESTED.try_with(|b| b.set(b.get() + new_size as u64));
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Deterministic firehose: a keyword topic, a burst, quiet tail.
 fn tweets() -> &'static Vec<Tweet> {
@@ -75,6 +108,14 @@ const CORPUS: &[&str] = &[
     "SELECT avg(sentiment(text)) AS mood, floor(latitude(loc)) AS cell_lat, \
      floor(longitude(loc)) AS cell_lon FROM twitter WHERE text contains 'kw' \
      GROUP BY cell_lat, cell_lon WINDOW 3 minutes",
+    // A confidence window with a deadline: dense groups emit on their
+    // CI, sparse ones when a watermark finds them `MAX` old.
+    "SELECT avg(followers) AS a, lang FROM twitter WHERE text contains 'kw' \
+     GROUP BY lang WINDOW CONFIDENCE 25.0 MAX 90 seconds",
+    // Sliding windows over an async UDF's result: the aggregate's next
+    // window can hang on rows the batcher upstream still holds.
+    "SELECT count(*) AS n, floor(latitude(loc)) AS cell FROM twitter \
+     WHERE text contains 'kw' GROUP BY cell WINDOW 2 minutes SLIDE 30 seconds",
 ];
 
 fn host_with(workers: usize, fault: Option<FaultPlan>) -> QueryHost {
@@ -117,7 +158,7 @@ fn engine_sized(sql: &str, batch_size: usize, fault: Option<FaultPlan>) -> Query
 
 /// The whole corpus on one host against one independent engine run per
 /// query, at every batch size (1: every row its own flush; 256: flushes
-/// cut only by watermarks and gaps).
+/// cut only by gaps and the end of the stream).
 fn assert_host_matches_engines(workers: usize, fault: Option<FaultPlan>) {
     for batch_size in [1, 16, 256] {
         let mut host = host_sized(workers, batch_size, fault.clone());
@@ -323,6 +364,76 @@ fn limit_query_finishes_early_without_stopping_the_host() {
         host.take_output(standing).unwrap(),
         engine_run(CORPUS[0], None).rows
     );
+}
+
+/// A jump in stream time costs what is *due*, not what was jumped:
+/// `decode_log` accepts any `i64` as `created_at`, so two tweets ten
+/// virtual years apart — 315,360,000 one-second boundaries — must not
+/// buy 315 million watermark deliveries (or a `Vec` of that many
+/// boundaries) per windowed query. Host and engine, every kind of
+/// operator that watches the clock; inside two seconds and a few
+/// megabytes (26 hosts and engines, gazetteers included) where walking the boundaries took a minute and 2.5 GB.
+#[test]
+fn ten_year_gap_is_bounded() {
+    const TEN_YEARS_S: i64 = 10 * 365 * 24 * 3600;
+    let queries = [
+        ("SELECT count(*) AS c FROM twitter WINDOW 1 minutes", 2),
+        // Each tweet falls in ten one-minute hops of a ten-minute window.
+        (
+            "SELECT count(*) AS c FROM twitter WINDOW 10 minutes SLIDE 1 minutes",
+            20,
+        ),
+        (
+            "SELECT avg(followers) AS a, lang FROM twitter GROUP BY lang \
+             WINDOW CONFIDENCE 0.1 MAX 1 hours",
+            2,
+        ),
+        ("SELECT latitude(loc) AS la, text FROM twitter", 2),
+    ];
+    let tweets: Vec<Tweet> = [0, TEN_YEARS_S]
+        .iter()
+        .zip(0u64..)
+        .map(|(&at, id)| {
+            Tweet::builder(id, format!("tweet {id}"))
+                .at(Timestamp::from_secs(at))
+                .build()
+        })
+        .collect();
+    let started = std::time::Instant::now();
+    let before = REQUESTED.with(Cell::get);
+    for batched in [true, false] {
+        let builder = || {
+            Engine::builder(StreamingApi::new(tweets.clone(), VirtualClock::new()))
+                .batched_source(batched)
+                .push_down(false)
+        };
+        // All four on one host (shared dispatch), then each alone (the
+        // host's single-query path, and a dedicated engine).
+        let mut host = builder().build_host();
+        let ids: Vec<QueryId> = queries
+            .iter()
+            .map(|(sql, _)| host.register(sql).expect(sql))
+            .collect();
+        host.pump_until(Timestamp::from_secs(TEN_YEARS_S / 2))
+            .unwrap();
+        host.run_to_end().unwrap();
+        assert_eq!(host.stats().watermarks, TEN_YEARS_S as u64);
+        for (&(sql, rows), id) in queries.iter().zip(ids) {
+            let shared = host.take_output(id).unwrap();
+            assert_eq!(shared.len(), rows, "{sql}");
+            let mut alone = builder().build_host();
+            let id = alone.register(sql).expect(sql);
+            alone.run_to_end().unwrap();
+            assert_eq!(alone.take_output(id).unwrap(), shared, "{sql}");
+            let engine = builder().build().execute(sql).expect(sql);
+            assert_eq!(engine.rows, shared, "{sql}");
+        }
+    }
+    let requested = REQUESTED.with(Cell::get) - before;
+    let took = started.elapsed();
+    println!("ten-year gap: {took:?}, {requested} bytes requested");
+    assert!(took < std::time::Duration::from_secs(2), "took {took:?}");
+    assert!(requested < 64 << 20, "{requested} bytes requested");
 }
 
 proptest! {
