@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! cargo run --release -p tweeql-bench --bin obs_probe -- \
-//!     [--seed N] [--workers N] [--trace-out PATH] [--profile-out PATH]
+//!     [--seed N] [--trace-out PATH] [--profile-out PATH]
 //! ```
 //!
 //! CI's `metrics-determinism` job runs this twice with identical flags
@@ -26,19 +26,12 @@ const SQL: &str = "SELECT count(*) AS n, AVG(latitude(loc)) AS lat FROM twitter 
 
 fn main() {
     let mut seed = 42u64;
-    let mut workers = 1usize;
     let mut trace_out = String::from("obs_trace.jsonl");
     let mut profile_out = String::from("obs_profile.json");
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--seed" => seed = args.next().and_then(|s| s.parse().ok()).expect("--seed N"),
-            "--workers" => {
-                workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .expect("--workers N");
-            }
             "--trace-out" => trace_out = args.next().expect("--trace-out PATH"),
             "--profile-out" => profile_out = args.next().expect("--profile-out PATH"),
             other => {
@@ -49,14 +42,10 @@ fn main() {
     }
 
     let tweets = generate(&scenarios::soccer_match(), seed);
-    eprintln!(
-        "obs probe: {} tweets, seed {seed}, workers {workers}",
-        tweets.len()
-    );
+    eprintln!("obs probe: {} tweets, seed {seed}", tweets.len());
     let api = StreamingApi::new(tweets, VirtualClock::new());
     let sink = Arc::new(JsonlSink::create(&trace_out).expect("create trace file"));
     let mut engine = Engine::builder(api)
-        .workers(workers)
         .fault_policy(FaultPlan {
             disconnect_rate: 0.003,
             max_disconnects: 7,

@@ -1,14 +1,9 @@
 //! Experiment harness for the reproduction: one module per experiment
-//! in DESIGN.md's index (E1–E13). Each returns structured results; the
+//! in DESIGN.md's index (E1–E8). Each returns structured results; the
 //! `report` binary renders them as the tables recorded in
 //! EXPERIMENTS.md, and the Criterion benches reuse the same runners for
 //! wall-time measurement.
 
-pub mod alloc_counter;
-pub mod e10_expr;
-pub mod e13_server;
-pub mod e14_source;
-pub mod e15_durability;
 pub mod e1_dashboard;
 pub mod e2_peaks;
 pub mod e3_selectivity;
@@ -17,7 +12,6 @@ pub mod e5_latency;
 pub mod e6_engine;
 pub mod e7_sentiment;
 pub mod e8_eddy;
-pub mod e9_parallel;
 
 /// Render a markdown table from a header and rows.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {

@@ -2,7 +2,7 @@
 //! stream → collect.
 //!
 //! Engines are assembled with the fluent [`EngineBuilder`]
-//! (`Engine::builder(api).workers(4).fault_policy(plan).build()`).
+//! (`Engine::builder(api).seed(7).fault_policy(plan).build()`).
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
@@ -54,15 +54,9 @@ pub struct EngineConfig {
     pub async_max_batch: usize,
     /// Max stream-time a tuple waits in a partial async batch.
     pub async_max_delay: Duration,
-    /// Prefix worker threads for single-stream queries. `1` runs the
-    /// serial engine; `>= 2` runs the parallel micro-batched engine
-    /// (decoder thread + workers + merge), which produces identical
-    /// output.
-    pub workers: usize,
-    /// Records per micro-batch in the parallel engine.
+    /// Tweets buffered before a flush through the pipeline: the
+    /// engine's fill and the standing-query host's shared batch.
     pub batch_size: usize,
-    /// Bounded-channel capacity (in-flight batches) per queue.
-    pub channel_capacity: usize,
     /// Decode the firehose column-at-a-time ([`TweetBatch`]) instead of
     /// row-at-a-time (`Record::from_tweet`). Columnar batches defer all
     /// materialization to the operators: a fused scan builds only the
@@ -101,9 +95,7 @@ impl Default for EngineConfig {
             optimize_plans: true,
             async_max_batch: 25,
             async_max_delay: Duration::from_secs(2),
-            workers: 1,
             batch_size: 256,
-            channel_capacity: 8,
             columnar_decode: true,
             fault: None,
             retry: RetryPolicy::default(),
@@ -192,8 +184,7 @@ pub struct QueryStats {
     /// Stream time consumed by the run.
     pub stream_time: Duration,
     /// Columnar decode counters (zero when the run decoded row-at-a-
-    /// time). Folded across parallel worker clones, so totals are exact
-    /// at any worker count.
+    /// time).
     pub decode: DecodeStats,
 }
 
@@ -285,7 +276,7 @@ impl QueryResult {
 ///
 /// ```ignore
 /// let engine = Engine::builder(api)
-///     .workers(4)
+///     .seed(7)
 ///     .fault_policy(FaultPlan::chaos(7))
 ///     .configure_registry(|r| udfs::register(r, PeakDetectorConfig::default()))
 ///     .build();
@@ -318,21 +309,18 @@ impl EngineBuilder {
         self
     }
 
-    /// Worker threads (1 = serial engine).
-    pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = workers;
+    // Accepted and ignored: the parallel engine is gone and there is no
+    // config field behind this. `benchmark/**` (frozen to source PRs)
+    // still calls it in `reference.rs`, `ladder.rs` and `bench_server.rs`;
+    // it goes when a `[benchmark]` PR deletes the `w2` rungs.
+    #[doc(hidden)]
+    pub fn workers(self, _: usize) -> Self {
         self
     }
 
-    /// Records per micro-batch in the parallel engine.
+    /// Tweets buffered before a flush through the pipeline.
     pub fn batch_size(mut self, batch_size: usize) -> Self {
         self.config.batch_size = batch_size;
-        self
-    }
-
-    /// Bounded-channel capacity per queue in the parallel engine.
-    pub fn channel_capacity(mut self, capacity: usize) -> Self {
-        self.config.channel_capacity = capacity;
         self
     }
 
@@ -753,8 +741,7 @@ impl Engine {
         let decode = planned.pipeline.decode_stats();
         if let (Some(t), Some(span)) = (&tracer, query_span) {
             // Close the query span at the last *stream* timestamp the
-            // pipeline saw — deterministic, unlike the shared clock,
-            // which worker threads may have advanced concurrently.
+            // pipeline saw.
             let end_ts = obs
                 .as_ref()
                 .map(|o| o.last_ts())
@@ -790,13 +777,7 @@ impl Engine {
             decode,
         };
         self.publish_metrics(&stats, &stage_counters);
-        self.last_profile = Some(build_profile(
-            sql,
-            &stats,
-            &stage_counters,
-            &decision,
-            self.config.workers,
-        ));
+        self.last_profile = Some(build_profile(sql, &stats, &stage_counters, &decision));
         Ok((planned.output_schema.clone(), stats))
     }
 
@@ -896,19 +877,13 @@ impl Engine {
             self.config.retry.clone(),
             self.config.seed,
         );
-        if self.config.workers > 1 {
-            let pcfg = crate::exec::parallel::ParallelConfig {
-                workers: self.config.workers,
-                batch_size: self.config.batch_size,
-                channel_capacity: self.config.channel_capacity,
-                watermark_interval: self.config.watermark_interval,
-                live_columns: planned.live_columns.clone(),
-                columnar_decode: self.config.columnar_decode,
-                batched_source: self.config.batched_source,
-            };
-            return crate::exec::parallel::run_parallel(src, &mut planned.pipeline, &pcfg, sink);
-        }
         let mut fill = SerialFill::new(&self.config, &self.clock, planned);
+        if fill.pipeline.done() {
+            // `LIMIT 0`: `emit` only reports done after output, and there
+            // will be none, so the source is never pulled at all.
+            fill.finish(sink)?;
+            return Ok((src.stats(), src.fault_stats()));
+        }
         if self.config.batched_source {
             return Self::run_single_batched(fill, src, sink);
         }
@@ -1005,7 +980,7 @@ impl Engine {
             Some(l) => Record::from_tweet_pruned(tw, l),
             None => Record::from_tweet(tw),
         };
-        loop {
+        while !planned.pipeline.done() {
             let mut joined: Vec<Record> = Vec::new();
             let mut l_records = Vec::new();
             let nl = left.poll_until(t.min(horizon), |tw| {
@@ -1027,9 +1002,6 @@ impl Engine {
             planned.pipeline.watermark(t, &mut out)?;
             for r in out.drain(..) {
                 sink(&r);
-            }
-            if planned.pipeline.done() {
-                break;
             }
             // End of stream only when *both* connections have scanned
             // the whole firehose — the sides can drain at different
@@ -1170,7 +1142,6 @@ fn build_profile(
     stats: &QueryStats,
     stage_counters: &[Vec<(&'static str, u64)>],
     decision: &PushdownDecision,
-    workers: usize,
 ) -> QueryProfile {
     // The chosen pushdown candidate's probe estimate anchors the
     // "estimated vs observed" comparison on the scan stage. NaN marks
@@ -1226,7 +1197,6 @@ fn build_profile(
         geo_cache_hits: stats.geo_cache.hits,
         geo_cache_misses: stats.geo_cache.misses,
         stream_time_ms: stats.stream_time.millis(),
-        workers,
     }
 }
 
@@ -1333,6 +1303,27 @@ mod tests {
             assert!(row.value(0).to_string().to_lowercase().contains("obama"));
         }
         assert!(r.stats.pushdown.contains("track"));
+    }
+
+    #[test]
+    fn limit_zero_returns_nothing_and_leaves_the_stream_unread() {
+        let join = "SELECT screen_name FROM twitter JOIN twitter \
+                    ON screen_name = screen_name WINDOW 1 minutes LIMIT 0";
+        for batched in [true, false] {
+            for sql in ["SELECT text FROM twitter LIMIT 0", join] {
+                let mut e = Engine::builder(small_api(VirtualClock::new()))
+                    .batched_source(batched)
+                    .build();
+                let r = e.execute(sql).unwrap();
+                assert!(r.rows.is_empty(), "{sql}");
+                let block = e.config.batch_size as u64;
+                assert!(
+                    r.stats.source.scanned <= block,
+                    "{sql} (batched_source={batched}): scanned {} tweets, one block is {block}",
+                    r.stats.source.scanned
+                );
+            }
+        }
     }
 
     #[test]
@@ -1552,11 +1543,11 @@ mod tests {
     fn builder_seed_flows_into_service_and_engine() {
         let clock = VirtualClock::new();
         let api = small_api(clock);
-        let b = Engine::builder(api).seed(42).workers(2).use_eddy(true);
+        let b = Engine::builder(api).seed(42).batch_size(64).use_eddy(true);
         assert_eq!(b.config.seed, 42);
         assert_eq!(b.config.service.seed, 42);
         let e = b.build();
-        assert_eq!(e.config.workers, 2);
+        assert_eq!(e.config.batch_size, 64);
         assert!(e.config.use_eddy);
     }
 

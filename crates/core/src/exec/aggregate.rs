@@ -22,8 +22,6 @@ use crate::ast::AggFunc;
 use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
 use std::borrow::Borrow;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
 use tweeql_model::record::twitter_schema;
 use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, ValueRef};
@@ -142,62 +140,6 @@ impl AggState {
         }
     }
 
-    /// [`AggState::update`] for a value that is already owned.
-    fn update_value(&mut self, v: Option<&Value>, ts: Timestamp) {
-        self.update(
-            v.map(ValueRef::from),
-            || v.cloned().unwrap_or(Value::Null),
-            ts,
-        );
-    }
-
-    /// True when partial states of this function can be merged without
-    /// changing the result for *any* input order: the function must be
-    /// commutative, associative, and insensitive to float summation
-    /// order. SUM/AVG/STDDEV fail the last test (float addition is not
-    /// associative, so re-bracketing across workers could flip low
-    /// bits); TOPK's SpaceSaving sketch is order-dependent.
-    fn mergeable(func: AggFunc) -> bool {
-        matches!(
-            func,
-            AggFunc::Count | AggFunc::Min | AggFunc::Max | AggFunc::CountDistinct
-        )
-    }
-
-    /// Merge a partial state built from a *later* slice of the stream.
-    ///
-    /// Only called for [`AggState::mergeable`] functions. MIN/MAX
-    /// replace the current value only on a strict comparison so the
-    /// first-seen value wins ties, matching serial semantics.
-    fn merge(&mut self, other: AggState) {
-        match (self, other) {
-            (AggState::Count(n), AggState::Count(m)) => *n += m,
-            (AggState::Min(cur), AggState::Min(Some(x))) => {
-                if cur
-                    .as_ref()
-                    .is_none_or(|c| x.compare(c) == Some(std::cmp::Ordering::Less))
-                {
-                    *cur = Some(x);
-                }
-            }
-            (AggState::Max(cur), AggState::Max(Some(x))) => {
-                if cur
-                    .as_ref()
-                    .is_none_or(|c| x.compare(c) == Some(std::cmp::Ordering::Greater))
-                {
-                    *cur = Some(x);
-                }
-            }
-            (AggState::CountDistinct(set), AggState::CountDistinct(other)) => {
-                for (member, ()) in other.into_entries() {
-                    set.get_or_insert_with(&ValueRef::from(&member), || member.clone(), || ());
-                }
-            }
-            (AggState::Min(_), AggState::Min(None)) | (AggState::Max(_), AggState::Max(None)) => {}
-            _ => debug_assert!(false, "merge on unmergeable aggregate state"),
-        }
-    }
-
     fn finalize(&self) -> Value {
         match self {
             AggState::Count(n) => Value::Int(*n as i64),
@@ -248,103 +190,6 @@ fn keep_if(
         {
             *cur = Some(own());
         }
-    }
-}
-
-/// Per-group state accumulated by a worker over one micro-batch.
-struct PartialGroup {
-    states: Vec<AggState>,
-    n: u64,
-    last_ts: Timestamp,
-}
-
-/// One window bucket's groups: `(key values, partial state)` pairs.
-type BucketGroups = Vec<(Vec<Value>, PartialGroup)>;
-
-/// A partial aggregation table built on a worker thread from one
-/// micro-batch, merged into the real [`AggregateOp`] in batch order.
-///
-/// Buckets are tumbling-window starts in ascending order (a single
-/// bucket of `0` for unbounded windows); the firehose log is
-/// time-ordered, so a batch spans at most a handful of windows.
-pub struct PartialTable {
-    buckets: Vec<(i64, BucketGroups)>,
-    records: u64,
-}
-
-impl PartialTable {
-    /// Records that contributed to this table (stage `records_in`).
-    pub fn records(&self) -> u64 {
-        self.records
-    }
-}
-
-/// Worker-side factory for [`PartialTable`]s.
-///
-/// Obtained from [`AggregateOp::partial_spec`], which only succeeds when
-/// the policy is order-insensitive (unbounded or tumbling time), every
-/// aggregate function is mergeable, and the expressions are stateless —
-/// the preconditions for pre-aggregating out of order across threads.
-pub struct PartialAggBuilder {
-    key_exprs: Vec<CExpr>,
-    args: Vec<(AggFunc, Option<CExpr>)>,
-    window: Option<Duration>,
-    ctx: EvalCtx,
-}
-
-impl Clone for PartialAggBuilder {
-    fn clone(&self) -> PartialAggBuilder {
-        PartialAggBuilder {
-            key_exprs: self.key_exprs.clone(),
-            args: self.args.iter().map(|(f, a)| (*f, a.clone())).collect(),
-            window: self.window,
-            // partial_spec guarantees statelessness, so a fresh empty
-            // context evaluates identically.
-            ctx: EvalCtx::default(),
-        }
-    }
-}
-
-impl PartialAggBuilder {
-    /// Aggregate one micro-batch into a mergeable partial table.
-    pub fn build(&mut self, recs: &[Record]) -> Result<PartialTable, QueryError> {
-        let mut buckets: std::collections::BTreeMap<i64, HashMap<Vec<Value>, PartialGroup>> =
-            std::collections::BTreeMap::new();
-        for rec in recs {
-            let ts = rec.timestamp();
-            let bucket = match self.window {
-                Some(d) => ts.truncate(d).millis(),
-                None => 0,
-            };
-            let mut key = Vec::with_capacity(self.key_exprs.len());
-            for e in &self.key_exprs {
-                key.push(e.eval(rec, &mut self.ctx)?);
-            }
-            let group = match buckets.entry(bucket).or_default().entry(key) {
-                Entry::Occupied(o) => o.into_mut(),
-                Entry::Vacant(v) => v.insert(PartialGroup {
-                    states: self.args.iter().map(|(f, _)| AggState::new(*f)).collect(),
-                    n: 0,
-                    last_ts: ts,
-                }),
-            };
-            group.n += 1;
-            group.last_ts = ts;
-            for (state, (_, arg)) in group.states.iter_mut().zip(&self.args) {
-                let v = match arg {
-                    Some(e) => Some(e.eval(rec, &mut self.ctx)?),
-                    None => None,
-                };
-                state.update_value(v.as_ref(), ts);
-            }
-        }
-        Ok(PartialTable {
-            records: recs.len() as u64,
-            buckets: buckets
-                .into_iter()
-                .map(|(b, g)| (b, g.into_iter().collect()))
-                .collect(),
-        })
     }
 }
 
@@ -567,55 +412,6 @@ impl AggregateOp {
         }
     }
 
-    /// Window start timestamps whose input may be under-sampled because
-    /// a source coverage gap overlaps them. Computed from the reported
-    /// gap intervals directly — a window wholly inside a gap (which
-    /// never saw a record) is still flagged.
-    pub fn gap_windows(&self) -> Vec<Timestamp> {
-        let mut starts = std::collections::BTreeSet::new();
-        match self.policy {
-            WindowPolicy::Time(d) if d > Duration::ZERO => {
-                for &(from, to) in &self.gaps {
-                    let mut w = from.truncate(d);
-                    while w < to {
-                        starts.insert(w);
-                        w += d;
-                    }
-                }
-            }
-            WindowPolicy::Sliding { size, slide }
-                if size > Duration::ZERO && slide > Duration::ZERO =>
-            {
-                for &(from, to) in &self.gaps {
-                    // First window that could overlap `from` starts at
-                    // from - size + 1ms, rounded down to a slide multiple.
-                    let first = (from + Duration::from_millis(1) - size).truncate(slide);
-                    let first = if first < Timestamp::ZERO {
-                        Timestamp::ZERO
-                    } else {
-                        first
-                    };
-                    let mut w = first;
-                    while w < to {
-                        if w + size > from {
-                            starts.insert(w);
-                        }
-                        w += slide;
-                    }
-                }
-            }
-            // Unbounded output covers the whole stream: any gap taints
-            // the single result set.
-            WindowPolicy::Unbounded if !self.gaps.is_empty() => {
-                starts.insert(Timestamp::ZERO);
-            }
-            // Count/Confidence windows are data-driven, not time-aligned;
-            // a gap shifts them rather than under-filling them.
-            _ => {}
-        }
-        starts.into_iter().collect()
-    }
-
     fn emit_group(&self, key: &[Value], g: &Group, out: &mut Vec<Record>) {
         let mut values = Vec::with_capacity(self.schema.len());
         values.extend(key.iter().cloned());
@@ -669,65 +465,6 @@ impl AggregateOp {
             }
             _ => {}
         }
-    }
-
-    /// A worker-side pre-aggregation builder, when this aggregate can be
-    /// computed as mergeable partials (see [`PartialAggBuilder`]).
-    pub fn partial_spec(&self) -> Option<PartialAggBuilder> {
-        if !self.ctx.is_stateless() {
-            return None;
-        }
-        let window = match self.policy {
-            WindowPolicy::Unbounded => None,
-            WindowPolicy::Time(d) => Some(d),
-            // Count/Confidence emission and Sliding membership depend on
-            // per-record arrival order — keep those serial.
-            _ => return None,
-        };
-        if !self.aggs.iter().all(|a| AggState::mergeable(a.func)) {
-            return None;
-        }
-        Some(PartialAggBuilder {
-            key_exprs: self.key_exprs.clone(),
-            args: self.aggs.iter().map(|a| (a.func, a.arg.clone())).collect(),
-            window,
-            ctx: EvalCtx::default(),
-        })
-    }
-
-    /// Merge a worker-built partial table, flushing any tumbling windows
-    /// it crosses — the batch-level analogue of `on_record`'s
-    /// "record past the current window closes it first".
-    ///
-    /// Tables must arrive in stream order (the parallel engine's
-    /// sequence-number merge guarantees this).
-    pub fn absorb_partial(
-        &mut self,
-        table: PartialTable,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        for (bucket, partial_groups) in table.buckets {
-            if let WindowPolicy::Time(d) = self.policy {
-                let bucket_ts = Timestamp::from_millis(bucket);
-                self.advance_time_windows(bucket_ts, out);
-                if self.window_end.is_none() {
-                    self.window_end = Some(bucket_ts + d);
-                }
-            }
-            for (key, pg) in partial_groups {
-                let group = self.groups.get_or_insert_with(
-                    &key,
-                    || key.clone(),
-                    || Group::new(&self.aggs, pg.last_ts),
-                );
-                group.n += pg.n;
-                group.last_ts = pg.last_ts;
-                for (state, partial) in group.states.iter_mut().zip(pg.states) {
-                    state.merge(partial);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Digest one groups table in emission order ([`sorted_groups`]).
@@ -871,8 +608,53 @@ impl Operator for AggregateOp {
         }
     }
 
-    fn as_aggregate(&mut self) -> Option<&mut AggregateOp> {
-        Some(self)
+    /// Window start timestamps whose input may be under-sampled because
+    /// a source coverage gap overlaps them. Computed from the reported
+    /// gap intervals directly — a window wholly inside a gap (which
+    /// never saw a record) is still flagged.
+    fn gap_windows(&self) -> Vec<Timestamp> {
+        let mut starts = std::collections::BTreeSet::new();
+        match self.policy {
+            WindowPolicy::Time(d) if d > Duration::ZERO => {
+                for &(from, to) in &self.gaps {
+                    let mut w = from.truncate(d);
+                    while w < to {
+                        starts.insert(w);
+                        w += d;
+                    }
+                }
+            }
+            WindowPolicy::Sliding { size, slide }
+                if size > Duration::ZERO && slide > Duration::ZERO =>
+            {
+                for &(from, to) in &self.gaps {
+                    // First window that could overlap `from` starts at
+                    // from - size + 1ms, rounded down to a slide multiple.
+                    let first = (from + Duration::from_millis(1) - size).truncate(slide);
+                    let first = if first < Timestamp::ZERO {
+                        Timestamp::ZERO
+                    } else {
+                        first
+                    };
+                    let mut w = first;
+                    while w < to {
+                        if w + size > from {
+                            starts.insert(w);
+                        }
+                        w += slide;
+                    }
+                }
+            }
+            // Unbounded output covers the whole stream: any gap taints
+            // the single result set.
+            WindowPolicy::Unbounded if !self.gaps.is_empty() => {
+                starts.insert(Timestamp::ZERO);
+            }
+            // Count/Confidence windows are data-driven, not time-aligned;
+            // a gap shifts them rather than under-filling them.
+            _ => {}
+        }
+        starts.into_iter().collect()
     }
 
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
@@ -1239,147 +1021,6 @@ mod tests {
         op.on_record(rec("a", 4.0, 1), &mut out).unwrap();
         op.finish(&mut out).unwrap();
         assert_eq!(vals(&out), vec![("a".into(), 4.0)]);
-    }
-
-    #[test]
-    fn partial_tables_merge_to_serial_result() {
-        // COUNT + MIN + MAX + COUNT DISTINCT are the mergeable set; the
-        // partial path over arbitrary batch cuts must equal per-record.
-        let mut reg = Registry::empty();
-        crate::expr::functions::register_builtins(&mut reg);
-        let build = |policy: WindowPolicy| {
-            let mut ctx = EvalCtx::default();
-            let key =
-                compile_into(&parse_expr("k").unwrap(), &in_schema(), &reg, &mut ctx).unwrap();
-            let arg = |s: &str, ctx: &mut EvalCtx| {
-                compile_into(&parse_expr(s).unwrap(), &in_schema(), &reg, ctx).unwrap()
-            };
-            let schema = Schema::shared(&[
-                ("k", DataType::Str),
-                ("c", DataType::Int),
-                ("mn", DataType::Float),
-                ("mx", DataType::Float),
-                ("cd", DataType::Int),
-            ]);
-            let aggs = vec![
-                AggExpr {
-                    func: AggFunc::Count,
-                    arg: None,
-                },
-                AggExpr {
-                    func: AggFunc::Min,
-                    arg: Some(arg("x", &mut ctx)),
-                },
-                AggExpr {
-                    func: AggFunc::Max,
-                    arg: Some(arg("x", &mut ctx)),
-                },
-                AggExpr {
-                    func: AggFunc::CountDistinct,
-                    arg: Some(arg("x", &mut ctx)),
-                },
-            ];
-            AggregateOp::new(vec![key], aggs, ctx, policy, &in_schema(), schema, 0)
-        };
-        let records: Vec<Record> = [
-            ("a", 3.0, 5),
-            ("b", 1.0, 20),
-            ("a", -2.0, 30),
-            ("b", 1.0, 70), // second window for Time(60s)
-            ("a", 9.0, 80),
-        ]
-        .iter()
-        .map(|(k, x, ts)| rec(k, *x, *ts))
-        .collect();
-
-        for policy in [
-            WindowPolicy::Unbounded,
-            WindowPolicy::Time(Duration::from_secs(60)),
-        ] {
-            let mut serial = build(policy.clone());
-            let mut expected = Vec::new();
-            for r in &records {
-                serial.on_record(r.clone(), &mut expected).unwrap();
-            }
-            serial.finish(&mut expected).unwrap();
-
-            // Batch cuts of 2 records, absorbed in order.
-            let mut par = build(policy.clone());
-            let mut builder = par.partial_spec().expect("mergeable spec");
-            let mut got = Vec::new();
-            for chunk in records.chunks(2) {
-                let table = builder.build(chunk).unwrap();
-                par.absorb_partial(table, &mut got).unwrap();
-            }
-            par.finish(&mut got).unwrap();
-            assert_eq!(expected, got, "policy {policy:?}");
-        }
-    }
-
-    #[test]
-    fn partial_spec_rejects_order_dependent_shapes() {
-        // AVG sums floats — not associative across workers.
-        assert!(make_op(WindowPolicy::Unbounded, AggFunc::Avg)
-            .partial_spec()
-            .is_none());
-        // Count windows emit on per-group arrival order.
-        assert!(make_op(WindowPolicy::Count(5), AggFunc::Count)
-            .partial_spec()
-            .is_none());
-        // Sliding windows flush by per-record time progress.
-        assert!(make_op(
-            WindowPolicy::Sliding {
-                size: Duration::from_secs(60),
-                slide: Duration::from_secs(30)
-            },
-            AggFunc::Count
-        )
-        .partial_spec()
-        .is_none());
-        // The happy path.
-        assert!(make_op(WindowPolicy::Unbounded, AggFunc::Count)
-            .partial_spec()
-            .is_some());
-        assert!(
-            make_op(WindowPolicy::Time(Duration::from_secs(60)), AggFunc::Min)
-                .partial_spec()
-                .is_some()
-        );
-    }
-
-    #[test]
-    fn partial_merge_keeps_first_seen_on_min_ties() {
-        // Int(5) and Float(5.0) compare equal but render differently;
-        // serial MIN keeps the first-seen one, and so must the merge.
-        let mut serial = make_op(WindowPolicy::Unbounded, AggFunc::Min);
-        let tie_a = Record::new(
-            in_schema(),
-            vec![Value::from("g"), Value::Int(5)],
-            Timestamp::ZERO,
-        )
-        .unwrap();
-        let tie_b = Record::new(
-            in_schema(),
-            vec![Value::from("g"), Value::Float(5.0)],
-            Timestamp::from_secs(1),
-        )
-        .unwrap();
-        let mut expected = Vec::new();
-        serial.on_record(tie_a.clone(), &mut expected).unwrap();
-        serial.on_record(tie_b.clone(), &mut expected).unwrap();
-        serial.finish(&mut expected).unwrap();
-        assert_eq!(expected[0].value(1), &Value::Int(5));
-
-        let mut par = make_op(WindowPolicy::Unbounded, AggFunc::Min);
-        let mut builder = par.partial_spec().unwrap();
-        let mut got = Vec::new();
-        let t1 = builder.build(std::slice::from_ref(&tie_a)).unwrap();
-        let t2 = builder.build(std::slice::from_ref(&tie_b)).unwrap();
-        par.absorb_partial(t1, &mut got).unwrap();
-        par.absorb_partial(t2, &mut got).unwrap();
-        par.finish(&mut got).unwrap();
-        assert_eq!(expected, got);
-        assert_eq!(got[0].value(1), &Value::Int(5));
     }
 
     #[test]

@@ -60,18 +60,6 @@ impl Operator for FilterOp {
         }
         Ok(())
     }
-
-    fn parallel_clone(&self) -> Option<Box<dyn Operator>> {
-        if !self.ctx.is_stateless() {
-            return None;
-        }
-        Some(Box::new(FilterOp {
-            predicate: self.predicate.clone(),
-            ctx: EvalCtx::default(),
-            schema: self.schema.clone(),
-            label: self.label.clone(),
-        }))
-    }
 }
 
 #[cfg(test)]

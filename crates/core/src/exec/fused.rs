@@ -15,9 +15,7 @@
 //! drop-rate-per-nanosecond, so a needle going viral (pass rate up) or
 //! a cheap predicate turning expensive demotes itself. Because a
 //! conjunction's survivor set is order-independent, re-ranking never
-//! changes *what* the operator emits — only how much work it does — so
-//! worker clones may adapt independently without breaking the parallel
-//! engine's determinism.
+//! changes *what* the operator emits — only how much work it does.
 //!
 //! Unlike the eddy there is no per-record exploration: pass rates for
 //! later conjuncts are measured conditioned on earlier ones. That bias
@@ -378,39 +376,6 @@ impl Operator for FusedScanOp {
         Ok(())
     }
 
-    fn parallel_clone(&self) -> Option<Box<dyn Operator>> {
-        // Programs are stateless by construction (stateful UDFs fail
-        // lowering), so a clone with fresh scratch is always safe.
-        Some(Box::new(FusedScanOp {
-            conjuncts: self
-                .conjuncts
-                .iter()
-                .map(|c| Conjunct {
-                    prog: c.prog.clone(),
-                    stats: c.stats,
-                    cost_ewma: c.cost_ewma,
-                })
-                .collect(),
-            order: self.order.clone(),
-            project: self.project.as_ref().map(|p| Projection {
-                cols: p.cols.clone(),
-                schema: p.schema.clone(),
-            }),
-            schema: self.schema.clone(),
-            label: self.label.clone(),
-            vm: BatchVm::new(),
-            sel_a: Vec::new(),
-            sel_b: Vec::new(),
-            col_scratch: Vec::new(),
-            one: Vec::new(),
-            batches: 0,
-            rerank_every: self.rerank_every,
-            reranks: 0,
-            alpha: self.alpha,
-            columnar: self.columnar.clone(),
-        }))
-    }
-
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
         if self.conjuncts.len() > 1 {
             vec![("conjunct_reranks", self.reranks)]
@@ -532,17 +497,6 @@ mod tests {
         assert_eq!(out[0].value(0), &Value::Int(8));
     }
 
-    #[test]
-    fn parallel_clone_is_equivalent() {
-        let conj = cexprs(&["followers > 10", "text contains 'a'"]);
-        let op = FusedScanOp::try_new(&conj, None, schema(), "where").unwrap();
-        let mut clone = op.parallel_clone().expect("fused ops always clone");
-        let mut batch = vec![rec("abc", 100), rec("xyz", 100), rec("a", 2)];
-        let mut out = Vec::new();
-        clone.on_batch(&mut batch, &mut out).unwrap();
-        assert_eq!(out.len(), 1);
-    }
-
     mod columnar {
         use super::*;
         use crate::exec::Pipeline;
@@ -605,16 +559,11 @@ mod tests {
             let mut row_out = Vec::new();
             op.on_batch(&mut rows, &mut row_out).unwrap();
 
-            let mut clone = op.parallel_clone().expect("fused ops always clone");
             let mut batch = batch_of(src, live);
-            batch.materialize(
-                clone
-                    .wants_tweet_batch()
-                    .expect("twitter input must opt in"),
-            );
+            batch.materialize(op.wants_tweet_batch().expect("twitter input must opt in"));
             let full: Vec<u32> = (0..batch.len() as u32).collect();
             let mut col_out = Vec::new();
-            clone.on_tweet_batch(&batch, &full, &mut col_out).unwrap();
+            op.on_tweet_batch(&batch, &full, &mut col_out).unwrap();
             (row_out, col_out)
         }
 

@@ -4,13 +4,11 @@
 //! pushes results downstream. Watermarks are what make replay
 //! deterministic: time windows flush on watermark, not on wall clock.
 
-// Only the submodules external code actually needs stay public:
-// `aggregate` (partial-merge types appear in `Operator::as_aggregate` /
-// `Pipeline::absorb_partial` signatures), `eddy` (benchmarked
-// directly), and `supervise` (fault-tolerance tests build
+// Only the submodules external code actually needs stay public: `eddy`
+// (benchmarked directly) and `supervise` (fault-tolerance tests build
 // `RetryPolicy` / consume `SourceEvent`s). The rest are lowering
 // details reachable only through `plan::plan` and the engine/host.
-pub mod aggregate;
+pub(crate) mod aggregate;
 pub(crate) mod asyncop;
 pub(crate) mod confidence;
 pub mod eddy;
@@ -19,7 +17,6 @@ pub(crate) mod fused;
 pub(crate) mod join;
 mod keys;
 pub(crate) mod limit;
-pub(crate) mod parallel;
 pub(crate) mod project;
 pub mod supervise;
 pub(crate) mod topk;
@@ -46,8 +43,7 @@ pub trait Operator: Send {
     /// The operator takes the records by draining `recs` — it must
     /// leave the vector empty — so the *caller keeps the allocation*
     /// and can refill it for the next batch instead of allocating a
-    /// fresh `Vec` per send (the parallel engine recycles these
-    /// buffers across its channels).
+    /// fresh `Vec` per flush.
     ///
     /// The default loops [`Operator::on_record`]; operators with a
     /// cheaper vectorized path (filter, project, fused scans, async
@@ -158,23 +154,10 @@ pub trait Operator: Send {
         false
     }
 
-    /// An independent copy of this operator that may process a disjoint
-    /// subset of the stream on another worker thread.
-    ///
-    /// `None` (the default) marks the operator as stateful or
-    /// order-dependent: the parallel engine keeps it on the single
-    /// stateful-suffix thread. Only operators whose per-record output
-    /// is a pure function of that record (stateless filters and
-    /// projections) return `Some`.
-    fn parallel_clone(&self) -> Option<Box<dyn Operator>> {
-        None
-    }
-
-    /// Downcast hook: `Some` when this operator is the grouped
-    /// aggregate, letting the parallel engine merge worker-built
-    /// partial tables into it without `dyn Any` gymnastics.
-    fn as_aggregate(&mut self) -> Option<&mut aggregate::AggregateOp> {
-        None
+    /// Window start timestamps this operator flagged as under-sampled
+    /// because of source coverage gaps (windowed aggregates only).
+    fn gap_windows(&self) -> Vec<Timestamp> {
+        Vec::new()
     }
 
     /// Health counters of the remote service behind this operator, if
@@ -186,9 +169,7 @@ pub trait Operator: Send {
     /// Operator-specific counters for the metrics registry and the
     /// profiler (e.g. windows emitted, conjunct re-ranks). Keys become
     /// `tweeql_<key>_total{op=...}` metric families; values must be
-    /// deterministic for a seeded run at a fixed worker count (worker
-    /// clones' counters are not folded back, so parallel prefixes
-    /// report the merge-thread copy only).
+    /// deterministic for a seeded run.
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
         Vec::new()
     }
@@ -245,9 +226,7 @@ pub struct OpStats {
     /// Micro-batches consumed via the vectorized path (0 for purely
     /// record-at-a-time stages).
     pub batches: u64,
-    /// Wall time spent inside the operator, in nanoseconds. Under data
-    /// parallelism this sums the busy time of every worker clone, so it
-    /// can exceed the run's elapsed wall time.
+    /// Wall time spent inside the operator, in nanoseconds.
     pub busy_nanos: u64,
     /// Remote-service health, for stages backed by a web service.
     pub health: Option<ServiceHealth>,
@@ -260,19 +239,6 @@ impl OpStats {
             return 0.0;
         }
         self.records_in as f64 / (self.busy_nanos as f64 / 1e9)
-    }
-
-    /// Accumulate another stat block (worker-clone merge).
-    pub fn absorb(&mut self, other: &OpStats) {
-        self.records_in += other.records_in;
-        self.records_out += other.records_out;
-        self.batches += other.batches;
-        self.busy_nanos += other.busy_nanos;
-        match (&mut self.health, &other.health) {
-            (Some(mine), Some(theirs)) => mine.absorb(theirs),
-            (None, Some(theirs)) => self.health = Some(*theirs),
-            _ => {}
-        }
     }
 }
 
@@ -292,8 +258,7 @@ struct TraceCtx {
 /// All timestamps are *stream time*: batch spans are stamped with the
 /// batch's last record timestamp and punctuation advances `last_ts`, so
 /// a seeded replay emits byte-identical traces (a wall clock never
-/// leaks in). Spans are only emitted from the engine's single-threaded
-/// sections — the serial loop and the parallel merge thread.
+/// leaks in).
 pub struct PipelineObs {
     trace: Option<TraceCtx>,
     /// Rows per pipeline entry (`tweeql_batch_rows`): one observation
@@ -328,8 +293,7 @@ pub struct Pipeline {
     /// Identity selection for [`Pipeline::drain_tweet_batch`].
     full_sel: Vec<u32>,
     obs: Option<PipelineObs>,
-    /// Columns this pipeline materialized for its head stage, plus the
-    /// counters harvested from parallel worker clones.
+    /// Columns this pipeline materialized for its head stage.
     decode: DecodeStats,
     /// Whether any stage reacts to punctuation (fixed at construction).
     time_sensitive: bool,
@@ -443,8 +407,7 @@ impl Pipeline {
     }
 
     /// Columnar decode counters: what [`Pipeline::drain_tweet_batch`]
-    /// materialized for the head stage, plus worker-clone counters
-    /// folded in via [`Pipeline::add_decode_stats`].
+    /// materialized for the head stage.
     pub fn decode_stats(&self) -> DecodeStats {
         self.decode
     }
@@ -457,48 +420,6 @@ impl Pipeline {
             .first()
             .and_then(|o| o.wants_tweet_batch())
             .unwrap_or(&[])
-    }
-
-    /// Fold decode counters harvested from parallel worker clones into
-    /// this pipeline's totals.
-    pub fn add_decode_stats(&mut self, s: &DecodeStats) {
-        self.decode.merge(s);
-    }
-
-    /// Merge externally-tracked stats (worker clones) into stage `i`.
-    pub fn add_stage_stats(&mut self, i: usize, s: &OpStats) {
-        if let Some(slot) = self.stats.get_mut(i) {
-            slot.absorb(s);
-        }
-    }
-
-    /// Mutable access to stage `i` (parallel partial-aggregate merge).
-    pub(crate) fn op_mut(&mut self, i: usize) -> &mut Box<dyn Operator> {
-        &mut self.ops[i]
-    }
-
-    /// Length of the longest stateless prefix: leading stages whose
-    /// [`Operator::parallel_clone`] succeeds, safe to fan out across a
-    /// worker pool.
-    pub fn parallel_prefix_len(&self) -> usize {
-        self.ops
-            .iter()
-            .take_while(|o| o.parallel_clone().is_some())
-            .count()
-    }
-
-    /// Clone the first `len` stages for a worker thread.
-    ///
-    /// Panics if a stage refuses to clone — callers must not exceed
-    /// [`Pipeline::parallel_prefix_len`].
-    pub fn clone_prefix(&self, len: usize) -> Vec<Box<dyn Operator>> {
-        self.ops[..len]
-            .iter()
-            .map(|o| {
-                o.parallel_clone()
-                    .expect("clone_prefix beyond parallel prefix")
-            })
-            .collect()
     }
 
     /// True once the pipeline will never produce more output.
@@ -548,7 +469,7 @@ impl Pipeline {
     pub fn push(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
         self.cur.clear();
         self.cur.push(rec);
-        self.run_from(0, None, None, false, out)
+        self.run(None, None, false, out)
     }
 
     /// Push a micro-batch through every stage via the operators' batch
@@ -558,23 +479,12 @@ impl Pipeline {
         recs: &mut Vec<Record>,
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        self.push_batch_from(0, recs, out)
-    }
-
-    /// Push a micro-batch through stages `start..`. Drains `recs`;
-    /// intermediate results ping-pong between pipeline-owned scratch.
-    pub fn push_batch_from(
-        &mut self,
-        start: usize,
-        recs: &mut Vec<Record>,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        if start >= self.ops.len() {
+        if self.ops.is_empty() {
             out.append(recs);
             return Ok(());
         }
         let batch_ts = self.observe_batch(recs.len(), recs.last().map(Record::timestamp));
-        self.batch_stages(start, recs, batch_ts, out)
+        self.batch_stages(0, recs, batch_ts, out)
     }
 
     /// Push the rows of a columnar [`TweetBatch`] listed in `sel`
@@ -807,47 +717,12 @@ impl Pipeline {
         }
     }
 
-    /// Merge a worker-built partial aggregation table into stage
-    /// `stage` (which must be the aggregate), then run whatever it
-    /// flushed through the downstream stages.
-    pub fn absorb_partial(
-        &mut self,
-        stage: usize,
-        table: aggregate::PartialTable,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        self.cur.clear();
-        self.stats[stage].records_in += table.records();
-        let mut buf = std::mem::take(&mut self.cur);
-        let t0 = Instant::now();
-        let agg = self.ops[stage]
-            .as_aggregate()
-            .expect("absorb_partial targets a non-aggregate stage");
-        agg.absorb_partial(table, &mut buf)?;
-        self.stats[stage].busy_nanos += t0.elapsed().as_nanos() as u64;
-        self.stats[stage].records_out += buf.len() as u64;
-        self.cur = buf;
-        self.run_from(stage + 1, None, None, false, out)
-    }
-
     /// Propagate a watermark through every stage.
     pub fn watermark(&mut self, wm: Timestamp, out: &mut Vec<Record>) -> Result<(), QueryError> {
         self.cur.clear();
         self.watermarks_delivered += 1;
         self.advance_obs_ts(wm);
-        self.run_from(0, None, Some(wm), false, out)
-    }
-
-    /// Propagate a watermark through stages `start..`.
-    pub fn watermark_from(
-        &mut self,
-        start: usize,
-        wm: Timestamp,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        self.cur.clear();
-        self.advance_obs_ts(wm);
-        self.run_from(start, None, Some(wm), false, out)
+        self.run(None, Some(wm), false, out)
     }
 
     /// Advance the observed stream time high-water mark (punctuation
@@ -872,56 +747,31 @@ impl Pipeline {
     ) -> Result<(), QueryError> {
         self.cur.clear();
         self.advance_obs_ts(to);
-        self.run_from(0, Some((from, to)), None, false, out)
-    }
-
-    /// Propagate a source coverage gap through stages `start..`.
-    pub fn gap_from(
-        &mut self,
-        start: usize,
-        from: Timestamp,
-        to: Timestamp,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        self.cur.clear();
-        self.advance_obs_ts(to);
-        self.run_from(start, Some((from, to)), None, false, out)
+        self.run(Some((from, to)), None, false, out)
     }
 
     /// Window start timestamps the aggregate stage (if any) flagged as
     /// under-sampled because of source coverage gaps.
-    pub fn gap_windows(&mut self) -> Vec<Timestamp> {
-        for op in &mut self.ops {
-            if let Some(agg) = op.as_aggregate() {
-                return agg.gap_windows();
-            }
-        }
-        Vec::new()
+    pub fn gap_windows(&self) -> Vec<Timestamp> {
+        self.ops.iter().flat_map(|o| o.gap_windows()).collect()
     }
 
     /// End of stream: flush every stage in order.
     pub fn finish(&mut self, out: &mut Vec<Record>) -> Result<(), QueryError> {
         self.cur.clear();
-        self.run_from(0, None, None, true, out)
+        self.run(None, None, true, out)
     }
 
-    /// End of stream for stages `start..` only.
-    pub fn finish_from(&mut self, start: usize, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        self.cur.clear();
-        self.run_from(start, None, None, true, out)
-    }
-
-    /// Run `self.cur` (plus optional punctuation / finish) from stage
-    /// `start`, ping-ponging between the two scratch buffers.
-    fn run_from(
+    /// Run `self.cur` (plus optional punctuation / finish) through every
+    /// stage, ping-ponging between the two scratch buffers.
+    fn run(
         &mut self,
-        start: usize,
         gap: Option<(Timestamp, Timestamp)>,
         wm: Option<Timestamp>,
         finishing: bool,
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        for i in start..self.ops.len() {
+        for i in 0..self.ops.len() {
             let op = &mut self.ops[i];
             self.next.clear();
             self.stats[i].records_in += self.cur.len() as u64;

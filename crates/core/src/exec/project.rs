@@ -54,17 +54,6 @@ impl Operator for ProjectOp {
         }
         Ok(())
     }
-
-    fn parallel_clone(&self) -> Option<Box<dyn Operator>> {
-        if !self.ctx.is_stateless() {
-            return None;
-        }
-        Some(Box::new(ProjectOp {
-            exprs: self.exprs.clone(),
-            ctx: EvalCtx::default(),
-            schema: self.schema.clone(),
-        }))
-    }
 }
 
 #[cfg(test)]

@@ -112,7 +112,6 @@ pub enum Instr {
 /// A single pre-folded literal needle with a pre-built bad-character
 /// table — the amortized-setup scan the per-record interpreter never
 /// builds (it linear-scans via `contains_folded`).
-#[derive(Clone)]
 pub struct LitMatcher {
     /// Needle with every char through the one-char lowercase fold.
     pub needle: String,
@@ -136,7 +135,6 @@ impl LitMatcher {
 }
 
 /// Multi-needle matcher backing [`Instr::MultiContains`].
-#[derive(Clone)]
 pub struct MultiMatcher {
     /// Pre-folded needles; the ASCII fast path tries each searcher in
     /// turn (k is small — one per `contains` in the query).
@@ -183,10 +181,7 @@ pub enum Unsupported {
     TooLarge,
 }
 
-/// A compiled, immutable expression program. Cloning is cheap-ish
-/// (UDF handles are `Arc`s) and exists so fused operators can hand
-/// copies to parallel workers.
-#[derive(Clone)]
+/// A compiled, immutable expression program.
 pub struct ExprProgram {
     pub(crate) instrs: Vec<Instr>,
     pub(crate) consts: Vec<Value>,

@@ -44,16 +44,6 @@ pub struct EvalCtx {
     stateful: Vec<Box<dyn StatefulUdf>>,
 }
 
-impl EvalCtx {
-    /// True when no stateful UDF instances live here, i.e. every
-    /// expression compiled into this context is a pure function of its
-    /// input record — the precondition for running it on a parallel
-    /// worker clone.
-    pub fn is_stateless(&self) -> bool {
-        self.stateful.is_empty()
-    }
-}
-
 impl std::fmt::Debug for EvalCtx {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "EvalCtx({} stateful udfs)", self.stateful.len())
@@ -64,8 +54,7 @@ impl std::fmt::Debug for EvalCtx {
 ///
 /// `Debug` renders only the node kind — compiled regexes and UDF handles
 /// have no useful debug form. `Clone` is cheap-ish (UDF handles are
-/// `Arc`s; automata/regexes clone their tables) and exists so stateless
-/// operators can hand copies to parallel worker threads.
+/// `Arc`s; automata/regexes clone their tables).
 #[derive(Clone)]
 pub enum CExpr {
     /// Positional column read.

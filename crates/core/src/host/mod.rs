@@ -875,15 +875,15 @@ impl QueryHost {
         if self.punctual.is_empty() {
             return Ok(());
         }
-        let workers = self.config.workers.max(1);
-        Self::for_each(&mut self.queries, workers, &|q| {
+        for q in &mut self.queries {
             if q.state != QueryState::Running || !q.time_sensitive {
-                return Ok(());
+                continue;
             }
             q.planned.pipeline.gap(from, to, &mut q.scratch_out)?;
             q.deliver();
-            q.check_done()
-        })
+            q.check_done()?;
+        }
+        Ok(())
     }
 
     /// The batched pump: consume zero-copy source blocks up to `until`,
@@ -1094,8 +1094,7 @@ impl QueryHost {
         // A batch that carries a crossing also goes to the time-sensitive
         // queries that selected none of its rows: a window of theirs may
         // be due all the same.
-        let crossed = !self.batch.crossings().is_empty();
-        if crossed {
+        if !self.batch.crossings().is_empty() {
             for &slot in &self.punctual {
                 let q = &self.queries[slot as usize];
                 if q.sel.is_empty() && q.state == QueryState::Running {
@@ -1103,48 +1102,25 @@ impl QueryHost {
                 }
             }
         }
-        // ---- dispatch: shard queries across host workers ----
+        // ---- dispatch: every active pipeline reads the one batch ----
         let dispatched: u64 = self
             .active
             .iter()
             .map(|&slot| self.queries[slot as usize].sel.len() as u64)
             .sum();
-        let workers = self.config.workers.max(1);
-        let result = if self.active.is_empty() {
-            Ok(())
-        } else {
-            // Shared read-only from here on: every pipeline (on every
-            // shard thread) reads the one already-materialized batch.
-            let batch = &self.batch;
-            let op = |q: &mut HostQuery| -> Result<(), QueryError> {
-                let wanted = !q.sel.is_empty() || (crossed && q.time_sensitive);
-                if q.state != QueryState::Running || !wanted {
-                    return Ok(());
-                }
-                q.rows_in += q.sel.len() as u64;
-                q.planned
-                    .pipeline
-                    .push_tweet_batch(batch, &q.sel, &mut q.scratch_out)?;
-                q.deliver();
-                q.check_done()
-            };
-            if workers <= 1 {
-                // Serial: visit only the slots that matched.
-                let mut r = Ok(());
-                for &slot in &self.active {
-                    r = op(&mut self.queries[slot as usize]);
-                    if r.is_err() {
-                        break;
-                    }
-                }
-                r
-            } else {
-                // Sharded threads need disjoint `&mut` chunks, so the
-                // full scan stays; idle slots return at the `sel`
-                // emptiness check above.
-                Self::for_each(&mut self.queries, workers, &op)
+        let batch = &self.batch;
+        let result = self.active.iter().try_for_each(|&slot| {
+            let q = &mut self.queries[slot as usize];
+            if q.state != QueryState::Running {
+                return Ok(());
             }
-        };
+            q.rows_in += q.sel.len() as u64;
+            q.planned
+                .pipeline
+                .push_tweet_batch(batch, &q.sel, &mut q.scratch_out)?;
+            q.deliver();
+            q.check_done()
+        });
         self.stats.rows_dispatched += dispatched;
         self.stats.rows_decoded += decoded;
         self.stats.rows_shared += dispatched - decoded;
@@ -1163,13 +1139,11 @@ impl QueryHost {
     /// metrics. Idempotent.
     fn finish_stream(&mut self) -> Result<(), QueryError> {
         self.flush_batch()?;
-        let workers = self.config.workers.max(1);
-        Self::for_each(&mut self.queries, workers, &|q| {
+        for q in &mut self.queries {
             if q.state == QueryState::Running {
                 q.finish()?;
             }
-            Ok(())
-        })?;
+        }
         self.publish_host_metrics();
         Ok(())
     }
@@ -1206,51 +1180,6 @@ impl QueryHost {
                 .add(s.checkpoints);
             m.counter("tweeql_wal_checkpoint_bytes_total", &[])
                 .add(s.checkpoint_bytes);
-        }
-    }
-
-    /// Apply `op` to every query, sharded across up to `workers`
-    /// scoped threads (serial when `workers == 1`). Pipelines are
-    /// independent, so per-query outputs are identical at any worker
-    /// count; the first error (in shard order) wins.
-    fn for_each(
-        queries: &mut [HostQuery],
-        workers: usize,
-        op: &(dyn Fn(&mut HostQuery) -> Result<(), QueryError> + Sync),
-    ) -> Result<(), QueryError> {
-        if workers <= 1 || queries.len() <= 1 {
-            for q in queries.iter_mut() {
-                op(q)?;
-            }
-            return Ok(());
-        }
-        let shards = workers.min(queries.len());
-        let chunk = queries.len().div_ceil(shards);
-        let mut first_err: Option<QueryError> = None;
-        std::thread::scope(|s| {
-            let mut handles = Vec::with_capacity(shards);
-            for shard in queries.chunks_mut(chunk) {
-                handles.push(s.spawn(move || -> Result<(), QueryError> {
-                    for q in shard.iter_mut() {
-                        op(q)?;
-                    }
-                    Ok(())
-                }));
-            }
-            for h in handles {
-                let res = h.join().unwrap_or_else(|_| {
-                    Err(QueryError::Exec("host dispatch worker panicked".into()))
-                });
-                if let Err(e) = res {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        });
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
         }
     }
 }

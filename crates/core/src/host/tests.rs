@@ -70,6 +70,23 @@ fn registration_burst_reads_final_values_and_builds_once() {
     assert!(m.gauge("tweeql_host_filter_index_bytes", &[]).get() > 4 * 999);
 }
 
+/// One registered query has nothing to share a scan with: every batch
+/// goes to its pipeline whole, so each delivered tweet is dispatched and
+/// decoded exactly once although the query keeps one in five (through
+/// the index only those 240 rows would be dispatched).
+#[test]
+fn a_lone_query_takes_every_batch_whole() {
+    let mut host = builder(stream()).build_host();
+    let id = host.register(&kw_query(0)).expect("registers");
+    host.run_to_end().expect("drains");
+    let s = host.stats();
+    assert_eq!(s.tweets_delivered, 1200);
+    assert_eq!(s.rows_dispatched, s.tweets_delivered);
+    assert_eq!(s.rows_decoded, s.tweets_delivered);
+    assert_eq!(s.rows_shared, 0);
+    assert_eq!(host.take_output(id).expect("output").len(), 240);
+}
+
 /// Register and drop between pumps, at one prefilter setting. Returns
 /// every row handed out, in a fixed order.
 fn churn(prefilter: bool) -> Vec<Vec<Record>> {
@@ -414,19 +431,18 @@ mod cadence_oracle {
         fn riding_punctuation_equals_cutting_at_every_boundary(
             steps in collection::vec((0u8..10, 0u16..1000, 0u8..250), 20..260),
             shapes in collection::vec(0usize..SHAPES.len(), 1..9),
-            knobs in (0usize..3, 0usize..3, 0usize..3, 0u8..2, 0usize..2),
+            knobs in (0usize..3, 0usize..3, 0usize..3, 0u8..2),
             fault_pick in 0u8..3,
             polls in collection::vec(0u16..1000, 0..6),
             churn in (0usize..SHAPES.len(), 0usize..8, 0u16..1000),
             chaos in 0u64..1000,
         ) {
-            let (batch_pick, async_batch, async_delay, batched, workers) = knobs;
+            let (batch_pick, async_batch, async_delay, batched) = knobs;
             let mut config = EngineConfig {
                 batch_size: [1, 16, 256][batch_pick],
                 async_max_batch: [1, 3, 25][async_batch],
                 async_max_delay: Duration::from_secs([0, 2, 10][async_delay]),
                 batched_source: batched == 1,
-                workers: [1, 3][workers],
                 allow_pushdown: false,
                 ..EngineConfig::default()
             };

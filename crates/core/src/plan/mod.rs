@@ -21,7 +21,7 @@
 //!    a canonical `[keys…, aggs…]` layout plus a post-projection
 //!    restoring SELECT order.
 //!
-//! Both the serial and the parallel engine consume the same
+//! The engine and the standing-query host consume the same
 //! [`PlannedQuery`]; `explain` carries one `rule <name>: …` line per
 //! applied rewrite.
 

@@ -64,8 +64,6 @@ pub struct QueryProfile {
     pub geo_cache_misses: u64,
     /// Stream time consumed, virtual milliseconds.
     pub stream_time_ms: i64,
-    /// Worker threads the run used (1 = serial engine).
-    pub workers: usize,
 }
 
 impl QueryProfile {
@@ -76,13 +74,12 @@ impl QueryProfile {
         out.push_str(&format!("Pushdown: {}\n", self.pushdown));
         out.push_str(&format!(
             "Source: {} records decoded, {} disconnect(s), {} gap(s); \
-             {} window(s) flagged; stream time {}ms; workers {}\n",
+             {} window(s) flagged; stream time {}ms\n",
             self.records_decoded,
             self.source_disconnects,
             self.source_gaps,
             self.gap_windows,
             self.stream_time_ms,
-            self.workers,
         ));
         if self.geo_requests > 0 || self.geo_cache_hits > 0 {
             out.push_str(&format!(
@@ -130,7 +127,6 @@ impl QueryProfile {
         out.push_str(&format!("{p1}\"query_id\": {},\n", self.query.raw()));
         out.push_str(&format!("{p1}\"sql\": {:?},\n", self.sql.trim()));
         out.push_str(&format!("{p1}\"pushdown\": {:?},\n", self.pushdown));
-        out.push_str(&format!("{p1}\"workers\": {},\n", self.workers));
         out.push_str(&format!(
             "{p1}\"records_decoded\": {},\n",
             self.records_decoded
@@ -218,7 +214,6 @@ mod tests {
                 },
             ],
             records_decoded: 100,
-            workers: 1,
             ..QueryProfile::default()
         }
     }

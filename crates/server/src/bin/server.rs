@@ -1,8 +1,7 @@
 //! `tweeql-server` — serve a standing-query host on a local TCP port.
 //!
 //! ```text
-//! tweeql-server [--port N] [--scenario NAME] [--seed N] [--workers N]
-//!               [--data-dir PATH]
+//! tweeql-server [--port N] [--scenario NAME] [--seed N] [--data-dir PATH]
 //! ```
 //!
 //! Prints `LISTENING <port>` once the socket is bound (`--port 0` picks
@@ -22,7 +21,6 @@ struct Args {
     port: u16,
     scenario: String,
     seed: u64,
-    workers: usize,
     data_dir: Option<PathBuf>,
 }
 
@@ -31,7 +29,6 @@ fn parse_args() -> Result<Args, String> {
         port: 7878,
         scenario: "soccer".into(),
         seed: 42,
-        workers: 1,
         data_dir: None,
     };
     let mut it = std::env::args().skip(1);
@@ -49,16 +46,11 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|e| format!("--workers: {e}"))?
-            }
             "--data-dir" => args.data_dir = Some(PathBuf::from(value("--data-dir")?)),
             "--help" | "-h" => {
                 return Err(
                     "usage: tweeql-server [--port N] [--scenario NAME] [--seed N] \
-                     [--workers N] [--data-dir PATH]"
+                     [--data-dir PATH]"
                         .into(),
                 )
             }
@@ -76,12 +68,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let host = match scenario_host_in(
-        &args.scenario,
-        args.seed,
-        args.workers,
-        args.data_dir.as_deref(),
-    ) {
+    let host = match scenario_host_in(&args.scenario, args.seed, args.data_dir.as_deref()) {
         Ok(h) => h,
         Err(e) => {
             eprintln!("{e}");

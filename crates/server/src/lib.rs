@@ -13,8 +13,7 @@
 //!   its own session thread; the shared host is locked while a request
 //!   executes and released before its reply is rendered, so concurrent
 //!   clients interleave freely while stream progress stays serialized
-//!   through the one host (per-query dispatch already shards across
-//!   host workers).
+//!   through the one host.
 //! * `tweeql-client` — a one-shot CLI: renders its arguments as a
 //!   request line, prints the response, exits non-zero on `ERR`.
 //!
@@ -183,8 +182,8 @@ impl Service {
 
 /// Build a host over a named canned scenario (see
 /// [`tweeql_firehose::scenarios::all`]).
-pub fn scenario_host(name: &str, seed: u64, workers: usize) -> Result<QueryHost, String> {
-    scenario_host_in(name, seed, workers, None)
+pub fn scenario_host(name: &str, seed: u64) -> Result<QueryHost, String> {
+    scenario_host_in(name, seed, None)
 }
 
 /// Like [`scenario_host`], but with optional durability: when
@@ -195,7 +194,6 @@ pub fn scenario_host(name: &str, seed: u64, workers: usize) -> Result<QueryHost,
 pub fn scenario_host_in(
     name: &str,
     seed: u64,
-    workers: usize,
     data_dir: Option<&std::path::Path>,
 ) -> Result<QueryHost, String> {
     let scenario = scenarios::all()
@@ -210,7 +208,7 @@ pub fn scenario_host_in(
             format!("unknown scenario {name:?}; have: {}", names.join(", "))
         })?;
     let api = StreamingApi::new(generate(&scenario, seed), VirtualClock::new());
-    let builder = Engine::builder(api).workers(workers).seed(seed);
+    let builder = Engine::builder(api).seed(seed);
     match data_dir {
         Some(dir) => builder
             .recover_from(dir)
@@ -632,7 +630,7 @@ mod tests {
         let dir = tweeql_wal::TempDir::new("tweeql-server-dur");
         let sql = "SELECT text FROM twitter WHERE text contains 'goal'";
 
-        let host = scenario_host_in("soccer", 7, 1, Some(dir.path())).unwrap();
+        let host = scenario_host_in("soccer", 7, Some(dir.path())).unwrap();
         let mut svc = Service::new(host);
         let r = ok(svc.handle(Request::Register(sql.into())));
         let id: QueryId = r.detail.parse().unwrap();
@@ -648,7 +646,7 @@ mod tests {
         drop(svc);
 
         // "Restart": same scenario + seed + data dir, fresh process.
-        let host = scenario_host_in("soccer", 7, 1, Some(dir.path())).unwrap();
+        let host = scenario_host_in("soccer", 7, Some(dir.path())).unwrap();
         let mut svc = Service::new(host);
         let listed = ok(svc.handle(Request::List));
         assert_eq!(listed.body.len(), 1, "registration survived restart");
@@ -670,14 +668,14 @@ mod tests {
     #[test]
     fn restart_with_wrong_seed_is_an_error() {
         let dir = tweeql_wal::TempDir::new("tweeql-server-seed");
-        let mut svc = Service::new(scenario_host_in("soccer", 7, 1, Some(dir.path())).unwrap());
+        let mut svc = Service::new(scenario_host_in("soccer", 7, Some(dir.path())).unwrap());
         ok(svc.handle(Request::Register(
             "SELECT text FROM twitter WHERE text contains 'goal'".into(),
         )));
         ok(svc.handle(Request::Shutdown));
         drop(svc);
 
-        let err = match scenario_host_in("soccer", 8, 1, Some(dir.path())) {
+        let err = match scenario_host_in("soccer", 8, Some(dir.path())) {
             Err(e) => e,
             Ok(_) => panic!("wrong-seed recovery accepted"),
         };
@@ -686,8 +684,8 @@ mod tests {
 
     #[test]
     fn scenario_host_lookup() {
-        assert!(scenario_host("soccer", 1, 1).is_ok());
-        let err = match scenario_host("nope", 1, 1) {
+        assert!(scenario_host("soccer", 1).is_ok());
+        let err = match scenario_host("nope", 1) {
             Err(e) => e,
             Ok(_) => panic!("bogus scenario accepted"),
         };

@@ -101,7 +101,7 @@ impl Session {
 
 #[test]
 fn large_poll_is_byte_equal_to_the_in_process_sink() {
-    let mut host = scenario_host("soccer", SEED, 1).unwrap();
+    let mut host = scenario_host("soccer", SEED).unwrap();
     let id = host.register(EXPORT).unwrap();
     host.run_to_end().unwrap();
     let schema = host.schema(id).unwrap();

@@ -14,12 +14,16 @@
 //! argument `Vec` and a copied record per geocoded row) the same pump
 //! made 6.97 a tweet.
 //!
-//! This file holds one test: the counter is process-wide.
+//! Under the pump, the batched source pull has a budget of its own:
+//! exactly zero.
+//!
+//! This file holds one test, running its two cases in turn: the counter
+//! is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tweeql::prelude::*;
-use tweeql_firehose::StreamingApi;
+use tweeql_firehose::{FilterSpec, SourceBatch, StreamingApi};
 use tweeql_model::{Timestamp, VirtualClock};
 
 mod common;
@@ -58,10 +62,29 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// watermark seconds instead of every 256 tweets.
 const BUDGET_PER_100_TWEETS: u64 = 80;
 
+/// `Connection::next_batch` hands out log indices in a buffer the
+/// caller owns, so once that buffer has its capacity a pull allocates
+/// nothing, however many tweets it delivers. (The pull leaves the
+/// virtual clock alone, so the stream is still unread for the pump.)
+fn batched_source_pull_allocates_nothing(api: &StreamingApi) {
+    let mut conn = api.connect(FilterSpec::Sample(1.0));
+    let mut block = SourceBatch::new();
+    assert_eq!(conn.next_batch(256, &mut block), 256, "sizes the buffer");
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let mut delivered = 0;
+    while conn.next_batch(256, &mut block) > 0 {
+        delivered += block.len();
+    }
+    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert!(delivered > 20_000, "{delivered} tweets");
+    assert_eq!(allocs, 0, "{allocs} allocations for {delivered} tweets");
+}
+
 #[test]
 fn dashboard_pump_stays_inside_its_allocation_budget() {
     let api = StreamingApi::new(dashboard_stream(42), VirtualClock::new());
-    let mut host = Engine::builder(api).workers(1).seed(42).build_host();
+    batched_source_pull_allocates_nothing(&api);
+    let mut host = Engine::builder(api).seed(42).build_host();
     let ids: Vec<QueryId> = DASHBOARD
         .iter()
         .map(|sql| host.register(sql).expect(sql))

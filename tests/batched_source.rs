@@ -4,8 +4,8 @@
 //! `TweetBatch`) must be byte-identical to the per-tweet facade it
 //! replaced: same output rows, same `ConnectionStats`, same supervisor
 //! fault stats and gap windows, same final virtual clock — across
-//! seeds, worker counts, and chaos `FaultPlan`s, for both the engine
-//! and the standing-query host. The per-tweet path stays available
+//! seeds and chaos `FaultPlan`s, for both the engine and the
+//! standing-query host. The per-tweet path stays available
 //! behind `batched_source(false)` as the reference implementation.
 //!
 //! The fixed-seed tests are what CI runs; the proptest sweeps a wider
@@ -59,17 +59,10 @@ struct EngineRun {
     clock: Timestamp,
 }
 
-fn run_engine(
-    sql: &str,
-    workers: usize,
-    batch_size: usize,
-    plan: Option<FaultPlan>,
-    batched: bool,
-) -> EngineRun {
+fn run_engine(sql: &str, batch_size: usize, plan: Option<FaultPlan>, batched: bool) -> EngineRun {
     let clock = VirtualClock::new();
     let api = StreamingApi::new(corpus().clone(), Arc::clone(&clock));
     let mut b = Engine::builder(api)
-        .workers(workers)
         .batch_size(batch_size)
         .batched_source(batched);
     if let Some(p) = plan {
@@ -83,11 +76,11 @@ fn run_engine(
 }
 
 /// Engine-level comparison: rows, source stats, fault stats, gap
-/// windows, and (serially) the final clock must all match.
-fn assert_engine_identical(sql: &str, workers: usize, batch_size: usize, plan: Option<FaultPlan>) {
-    let per_tweet = run_engine(sql, workers, batch_size, plan.clone(), false);
-    let batched = run_engine(sql, workers, batch_size, plan.clone(), true);
-    let tag = format!("sql={sql:?} workers={workers} batch={batch_size} plan={plan:?}");
+/// windows, and the final clock must all match.
+fn assert_engine_identical(sql: &str, batch_size: usize, plan: Option<FaultPlan>) {
+    let per_tweet = run_engine(sql, batch_size, plan.clone(), false);
+    let batched = run_engine(sql, batch_size, plan.clone(), true);
+    let tag = format!("sql={sql:?} batch={batch_size} plan={plan:?}");
     assert_eq!(
         batched.result.rows, per_tweet.result.rows,
         "rows diverge: {tag}"
@@ -110,23 +103,14 @@ fn assert_engine_identical(sql: &str, workers: usize, batch_size: usize, plan: O
 #[test]
 fn engine_batched_matches_per_tweet_clean() {
     for sql in FULL_STREAM_QUERIES {
-        for workers in [1usize, 4] {
-            assert_engine_identical(sql, workers, 256, None);
-        }
+        assert_engine_identical(sql, 256, None);
     }
 }
 
 #[test]
 fn engine_batched_matches_per_tweet_under_chaos() {
     for seed in [7u64, 42, 1234] {
-        for workers in [1usize, 4] {
-            assert_engine_identical(
-                FULL_STREAM_QUERIES[1],
-                workers,
-                256,
-                Some(FaultPlan::chaos(seed)),
-            );
-        }
+        assert_engine_identical(FULL_STREAM_QUERIES[1], 256, Some(FaultPlan::chaos(seed)));
     }
 }
 
@@ -135,7 +119,6 @@ fn engine_batched_matches_at_odd_batch_sizes() {
     for batch_size in [1usize, 7, 1024] {
         assert_engine_identical(
             FULL_STREAM_QUERIES[1],
-            1,
             batch_size,
             Some(FaultPlan::chaos(99)),
         );
@@ -148,11 +131,9 @@ fn engine_batched_matches_at_odd_batch_sizes() {
 #[test]
 fn engine_batched_matches_rows_under_limit() {
     let sql = "SELECT text FROM twitter WHERE text contains 'kw' LIMIT 25";
-    for workers in [1usize, 4] {
-        let per_tweet = run_engine(sql, workers, 256, None, false);
-        let batched = run_engine(sql, workers, 256, None, true);
-        assert_eq!(batched.result.rows, per_tweet.result.rows);
-    }
+    let per_tweet = run_engine(sql, 256, None, false);
+    let batched = run_engine(sql, 256, None, true);
+    assert_eq!(batched.result.rows, per_tweet.result.rows);
 }
 
 /// The async geo UDF charges modeled latency to the shared clock; the
@@ -161,7 +142,7 @@ fn engine_batched_matches_rows_under_limit() {
 fn engine_batched_matches_with_async_udf() {
     let sql = "SELECT latitude(loc) AS la, longitude(loc) AS lo \
                FROM twitter WHERE text contains 'kw'";
-    assert_engine_identical(sql, 1, 256, None);
+    assert_engine_identical(sql, 256, None);
 }
 
 struct HostRun {
@@ -171,11 +152,10 @@ struct HostRun {
     clock: Timestamp,
 }
 
-fn run_host(workers: usize, plan: Option<FaultPlan>, batched: bool, queries: &[&str]) -> HostRun {
+fn run_host(plan: Option<FaultPlan>, batched: bool, queries: &[&str]) -> HostRun {
     let clock = VirtualClock::new();
     let api = StreamingApi::new(corpus().clone(), Arc::clone(&clock));
     let mut b = Engine::builder(api)
-        .workers(workers)
         .batched_source(batched)
         .push_down(false);
     if let Some(p) = plan {
@@ -205,10 +185,10 @@ fn run_host(workers: usize, plan: Option<FaultPlan>, batched: bool, queries: &[&
     }
 }
 
-fn assert_host_identical(workers: usize, plan: Option<FaultPlan>, queries: &[&str]) {
-    let per_tweet = run_host(workers, plan.clone(), false, queries);
-    let batched = run_host(workers, plan.clone(), true, queries);
-    let tag = format!("workers={workers} plan={plan:?} queries={}", queries.len());
+fn assert_host_identical(plan: Option<FaultPlan>, queries: &[&str]) {
+    let per_tweet = run_host(plan.clone(), false, queries);
+    let batched = run_host(plan.clone(), true, queries);
+    let tag = format!("plan={plan:?} queries={}", queries.len());
     assert_eq!(
         batched.outputs, per_tweet.outputs,
         "host outputs diverge: {tag}"
@@ -223,17 +203,13 @@ fn assert_host_identical(workers: usize, plan: Option<FaultPlan>, queries: &[&st
 
 #[test]
 fn host_batched_matches_per_tweet_clean() {
-    for workers in [1usize, 4] {
-        assert_host_identical(workers, None, FULL_STREAM_QUERIES);
-    }
+    assert_host_identical(None, FULL_STREAM_QUERIES);
 }
 
 #[test]
 fn host_batched_matches_per_tweet_under_chaos() {
     for seed in [7u64, 1234] {
-        for workers in [1usize, 4] {
-            assert_host_identical(workers, Some(FaultPlan::chaos(seed)), FULL_STREAM_QUERIES);
-        }
+        assert_host_identical(Some(FaultPlan::chaos(seed)), FULL_STREAM_QUERIES);
     }
 }
 
@@ -243,27 +219,25 @@ fn host_batched_matches_per_tweet_under_chaos() {
 #[test]
 fn host_single_query_fast_path_matches() {
     for plan in [None, Some(FaultPlan::chaos(42))] {
-        assert_host_identical(1, plan, &FULL_STREAM_QUERIES[1..2]);
+        assert_host_identical(plan, &FULL_STREAM_QUERIES[1..2]);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random seed × batch size × workers × chaos: batched delivery is
+    /// Random seed × batch size × chaos: batched delivery is
     /// always byte-identical to the per-tweet reference.
     #[test]
     fn batched_source_always_matches(
         seed in 0u64..500,
         batch_pick in 0usize..4,
-        worker_pick in 0usize..2,
         chaos in 0u8..2,
     ) {
         let batch_size = [1usize, 7, 64, 256][batch_pick];
-        let workers = [1usize, 4][worker_pick];
         let plan = (chaos == 1).then(|| FaultPlan::chaos(seed));
-        let per_tweet = run_engine(FULL_STREAM_QUERIES[1], workers, batch_size, plan.clone(), false);
-        let batched = run_engine(FULL_STREAM_QUERIES[1], workers, batch_size, plan, true);
+        let per_tweet = run_engine(FULL_STREAM_QUERIES[1], batch_size, plan.clone(), false);
+        let batched = run_engine(FULL_STREAM_QUERIES[1], batch_size, plan, true);
         prop_assert_eq!(batched.result.rows, per_tweet.result.rows);
         prop_assert_eq!(batched.result.stats.source, per_tweet.result.stats.source);
         prop_assert_eq!(

@@ -30,7 +30,6 @@ const WATERMARKS: u64 = 3_599;
 fn run(batch_size: usize) -> (HostStats, u64, Vec<usize>) {
     let api = StreamingApi::new(dashboard_stream(42), VirtualClock::new());
     let mut host = Engine::builder(api)
-        .workers(1)
         .seed(42)
         .batch_size(batch_size)
         .fault_policy(FaultPlan::chaos(42))

@@ -9,9 +9,9 @@
 //!    locations — under every liveness mask, including the fail-open
 //!    wrong-width masks.
 //! 2. **Engine-level**: `columnar_decode(true)` and `(false)` produce
-//!    byte-identical rows and per-stage record counts at workers 1 and
-//!    4, for filters, projections, windowed aggregates, geo bounding
-//!    boxes, LIMIT early-exit — and under chaos fault injection.
+//!    byte-identical rows and per-stage record counts for filters,
+//!    projections, windowed aggregates, geo bounding boxes, LIMIT
+//!    early-exit — and under chaos fault injection.
 
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -216,12 +216,10 @@ const QUERIES: &[&str] = &[
      FROM twitter WINDOW 3 minutes",
 ];
 
-fn run(sql: &str, workers: usize, columnar: bool, fault: Option<FaultPlan>) -> QueryResult {
+fn run(sql: &str, columnar: bool, fault: Option<FaultPlan>) -> QueryResult {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
     let mut b = Engine::builder(api)
-        .workers(workers)
         .batch_size(64)
-        .channel_capacity(4)
         .columnar_decode(columnar);
     if let Some(f) = fault {
         b = b.fault_policy(f);
@@ -240,23 +238,20 @@ fn stage_counts(r: &QueryResult) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-fn assert_columnar_equivalent(sql: &str, workers: usize, fault: Option<FaultPlan>) {
-    let row = run(sql, workers, false, fault.clone());
-    let col = run(sql, workers, true, fault);
+fn assert_columnar_equivalent(sql: &str, fault: Option<FaultPlan>) {
+    let row = run(sql, false, fault.clone());
+    let col = run(sql, true, fault);
     assert_eq!(row.schema.names(), col.schema.names(), "{sql}");
-    assert_eq!(
-        row.rows, col.rows,
-        "rows diverged: {sql} (workers={workers})"
-    );
-    // Under LIMIT the parallel engine's overscan past the early exit is
-    // timing-dependent (it races the merge thread's stop), so per-stage
-    // counts are only comparable without it — same carve-out as the
-    // serial-vs-parallel suite.
+    assert_eq!(row.rows, col.rows, "rows diverged: {sql}");
+    // Under LIMIT how far the scan reads past the early exit follows
+    // the flush cuts — the row path also cuts at every watermark
+    // boundary, the columnar path by size only — so per-stage counts
+    // are only comparable without it.
     if !sql.contains("LIMIT") {
         assert_eq!(
             stage_counts(&row),
             stage_counts(&col),
-            "stage counts diverged: {sql} (workers={workers})"
+            "stage counts diverged: {sql}"
         );
     }
     assert_eq!(
@@ -268,83 +263,55 @@ fn assert_columnar_equivalent(sql: &str, workers: usize, fault: Option<FaultPlan
 #[test]
 fn columnar_matches_row_engine_serial() {
     for sql in QUERIES {
-        assert_columnar_equivalent(sql, 1, None);
-    }
-}
-
-#[test]
-fn columnar_matches_row_engine_workers_4() {
-    for sql in QUERIES {
-        assert_columnar_equivalent(sql, 4, None);
+        assert_columnar_equivalent(sql, None);
     }
 }
 
 #[test]
 fn columnar_matches_row_engine_under_chaos() {
     for seed in [0xC0FFEE_u64, 1337, 99] {
-        for workers in [1, 4] {
-            assert_columnar_equivalent(QUERIES[3], workers, Some(FaultPlan::chaos(seed)));
-            assert_columnar_equivalent(QUERIES[1], workers, Some(FaultPlan::chaos(seed)));
-        }
+        assert_columnar_equivalent(QUERIES[3], Some(FaultPlan::chaos(seed)));
+        assert_columnar_equivalent(QUERIES[1], Some(FaultPlan::chaos(seed)));
     }
 }
 
-/// Decode counters: a fused-scan query materializes only what it reads.
-/// What is counted per *row* (rows through each stage, rows through the
-/// dictionary encoder) is identical at every worker count; what is
-/// counted per *batch* (columns built or skipped, dictionary entries
-/// and pointer hits) follows where the batches are cut — by size in the
-/// serial engine, still at every watermark second in the parallel one —
-/// and is pinned run to run at each worker count instead.
+/// Decode counters: a fused-scan query materializes only what it reads,
+/// and what it counts — per row (rows through the dictionary encoder)
+/// and per batch (columns built or skipped, dictionary entries) —
+/// repeats exactly run to run.
 #[test]
-fn decode_counters_deterministic_across_worker_counts() {
+fn decode_counters_deterministic_run_to_run() {
     let sql = QUERIES[1]; // reads text, lang, followers
-    let serial = run(sql, 1, true, None);
-    let parallel = run(sql, 4, true, None);
-    let d1 = serial.stats.decode;
-    let d4 = parallel.stats.decode;
-    assert!(d1.columns_materialized > 0, "fused scan decodes columns");
-    assert!(d1.columns_skipped > 0, "untouched columns stay cold");
-    assert_eq!(
-        stage_counts(&serial),
-        stage_counts(&parallel),
-        "rows through each stage must not depend on worker count"
-    );
-    assert_eq!(
-        d1.dict_rows, d4.dict_rows,
-        "rows through the dictionary encoder must not depend on worker count"
-    );
-    assert_eq!(d1, run(sql, 1, true, None).stats.decode, "serial rerun");
-    assert_eq!(d4, run(sql, 4, true, None).stats.decode, "parallel rerun");
+    let d = run(sql, true, None).stats.decode;
+    assert!(d.columns_materialized > 0, "fused scan decodes columns");
+    assert!(d.columns_skipped > 0, "untouched columns stay cold");
+    assert_eq!(d, run(sql, true, None).stats.decode, "rerun");
     // Dictionaries are rebuilt per batch, so reuse depends on the corpus
     // and on the cuts — assert only the invariants: the lang column went
     // through the dictionary, and a dictionary never holds more entries
     // than rows.
-    for d in [d1, d4] {
-        assert!(d.dict_rows > 0, "lang column should be dictionary-encoded");
-        assert!(
-            d.dict_entries <= d.dict_rows,
-            "dictionary can't have more entries than rows: {d:?}"
-        );
-    }
+    assert!(d.dict_rows > 0, "lang column should be dictionary-encoded");
+    assert!(
+        d.dict_entries <= d.dict_rows,
+        "dictionary can't have more entries than rows: {d:?}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random query template × worker count × chaos seed: columnar and
-    /// row decode never diverge.
+    /// Random query template × chaos seed: columnar and row decode never
+    /// diverge.
     #[test]
     fn columnar_equivalence_sweep(
         template in 0usize..7,
-        workers in 1usize..=4,
         chaos_seed in 0u64..1_000,
         inject in 0u8..2,
     ) {
         let sql = QUERIES[template % QUERIES.len()];
         let fault = (inject == 1).then(|| FaultPlan::chaos(chaos_seed));
-        let row = run(sql, workers, false, fault.clone());
-        let col = run(sql, workers, true, fault);
+        let row = run(sql, false, fault.clone());
+        let col = run(sql, true, fault);
         prop_assert_eq!(&row.rows, &col.rows);
         if !sql.contains("LIMIT") {
             prop_assert_eq!(stage_counts(&row), stage_counts(&col));

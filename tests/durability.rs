@@ -12,9 +12,9 @@
 //! batch cadence.
 //!
 //! Fixed regressions cover each recovery shape (WAL-only, checkpoint +
-//! tail, post-checkpoint churn, drops, multi-kill, workers=4); a
-//! proptest sweeps seeds × workers × chaos plans × kill schedules ×
-//! batch sizes × checkpoint cadences.
+//! tail, post-checkpoint churn, drops, multi-kill); a proptest sweeps
+//! seeds × chaos plans × kill schedules × batch sizes × checkpoint
+//! cadences.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -74,16 +74,14 @@ const CORPUS: &[&str] = &[
 /// Host-construction knobs a whole differential comparison shares.
 #[derive(Clone)]
 struct Params {
-    workers: usize,
     fault: Option<FaultPlan>,
     batch: usize,
     ckpt_every: u64,
 }
 
 impl Params {
-    fn serial() -> Params {
+    fn base() -> Params {
         Params {
-            workers: 1,
             fault: None,
             batch: 16,
             ckpt_every: 64,
@@ -97,10 +95,7 @@ impl Params {
 /// nothing the OS already has.
 fn durable_host(dir: &Path, p: &Params) -> QueryHost {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
-    let mut b = tweeql::Engine::builder(api)
-        .workers(p.workers)
-        .batch_size(p.batch)
-        .seed(99);
+    let mut b = tweeql::Engine::builder(api).batch_size(p.batch).seed(99);
     if let Some(f) = &p.fault {
         b = b.fault_policy(f.clone());
     }
@@ -279,7 +274,7 @@ fn kill_and_recover_matches_uninterrupted() {
         (mins(2), Act::PollAll),
         (mins(6), Act::PollAll),
     ];
-    let p = Params::serial();
+    let p = Params::base();
     assert_crash_equivalent(&p, &sched, &[Timestamp::from_millis(3 * 60_000 + 17_000)]);
 
     // And the recovered output is the engine gold standard, not merely
@@ -289,7 +284,6 @@ fn kill_and_recover_matches_uninterrupted() {
     let got = run(dir.path(), &p, &sched, &[mins(4)]);
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
     let reference = tweeql::Engine::builder(api)
-        .workers(1)
         .batch_size(16)
         .seed(99)
         .push_down(false)
@@ -309,7 +303,7 @@ fn chaos_faulted_windowed_aggregates_survive_kills() {
     for fault_seed in [3u64, 11] {
         let p = Params {
             fault: Some(FaultPlan::chaos(fault_seed)),
-            ..Params::serial()
+            ..Params::base()
         };
         assert_crash_equivalent(
             &p,
@@ -325,7 +319,7 @@ fn wal_only_recovery_before_any_checkpoint() {
     // exercises pure WAL replay.
     let p = Params {
         ckpt_every: 0,
-        ..Params::serial()
+        ..Params::base()
     };
     let sched = vec![
         (mins(0), Act::Reg(0)),
@@ -350,7 +344,7 @@ fn checkpoint_plus_tail_with_post_checkpoint_register() {
     // checkpoint AND a WAL tail.
     let p = Params {
         ckpt_every: 50,
-        ..Params::serial()
+        ..Params::base()
     };
     let sched = vec![
         (mins(0), Act::Reg(1)),
@@ -376,7 +370,7 @@ fn dropped_queries_stay_dropped_across_recovery() {
         (mins(0), Act::Reg(2)),
         (mins(3), Act::Drop(0)),
     ];
-    let p = Params::serial();
+    let p = Params::base();
     assert_crash_equivalent(&p, &sched, &[mins(4)]);
 
     let dir = TempDir::new("tweeql-dur-drop");
@@ -385,21 +379,6 @@ fn dropped_queries_stay_dropped_across_recovery() {
     let listed = host.list();
     assert_eq!(listed.len(), 1, "dropped query must not resurrect");
     assert_eq!(listed[0].sql, CORPUS[2]);
-}
-
-#[test]
-fn sharded_dispatch_is_crash_equivalent() {
-    let sched = vec![
-        (mins(0), Act::Reg(0)),
-        (mins(0), Act::Reg(1)),
-        (mins(0), Act::Reg(4)),
-        (mins(3), Act::PollAll),
-    ];
-    let p = Params {
-        workers: 4,
-        ..Params::serial()
-    };
-    assert_crash_equivalent(&p, &sched, &[Timestamp::from_millis(5 * 60_000 + 7_000)]);
 }
 
 #[test]
@@ -413,7 +392,7 @@ fn repeated_kills_between_every_poll() {
     ];
     let p = Params {
         ckpt_every: 100,
-        ..Params::serial()
+        ..Params::base()
     };
     assert_crash_equivalent(
         &p,
@@ -428,7 +407,7 @@ fn repeated_kills_between_every_poll() {
 
 #[test]
 fn recovered_host_accepts_new_queries() {
-    let p = Params::serial();
+    let p = Params::base();
     let dir = TempDir::new("tweeql-dur-newq");
     let mut host = durable_host(dir.path(), &p);
     let first = host.register(CORPUS[0]).unwrap();
@@ -455,7 +434,7 @@ fn recovered_host_accepts_new_queries() {
 fn explicit_checkpoint_then_clean_restart_preserves_queries() {
     let p = Params {
         ckpt_every: 0,
-        ..Params::serial()
+        ..Params::base()
     };
     let dir = TempDir::new("tweeql-dur-ckpt");
     let mut host = durable_host(dir.path(), &p);
@@ -477,7 +456,7 @@ fn explicit_checkpoint_then_clean_restart_preserves_queries() {
 
 #[test]
 fn recovery_rejects_a_different_engine_configuration() {
-    let p = Params::serial();
+    let p = Params::base();
     let dir = TempDir::new("tweeql-dur-fp");
     let mut host = durable_host(dir.path(), &p);
     host.register(CORPUS[0]).unwrap();
@@ -490,7 +469,6 @@ fn recovery_rejects_a_different_engine_configuration() {
     // refuse.
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
     let err = match tweeql::Engine::builder(api)
-        .workers(1)
         .batch_size(16)
         .seed(100)
         .recover_with(DurabilityConfig::new(dir.path()).fsync(false))
@@ -515,13 +493,12 @@ fn non_durable_host_reports_no_wal() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Randomized crash-equivalence: seeds × workers 1/4 × clean/chaos
+    /// Randomized crash-equivalence: seeds × clean/chaos
     /// × 1–3 seeded kill points × batch sizes × checkpoint cadences ×
     /// registration/poll schedules.
     #[test]
     fn crash_equivalence_randomized(
         kill_seed in 0u64..1_000,
-        wide in 0u8..2,
         chaos in 0u64..100,
         nkills in 1usize..4,
         batch_sel in 0usize..3,
@@ -532,7 +509,6 @@ proptest! {
         poll_min in 1i64..8,
     ) {
         let p = Params {
-            workers: if wide == 0 { 1 } else { 4 },
             // Odd draws run chaos-faulted; even draws run clean.
             fault: (chaos % 2 == 1).then(|| FaultPlan::chaos(chaos)),
             batch: [7, 16, 64][batch_sel],

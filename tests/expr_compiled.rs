@@ -3,8 +3,8 @@
 //! tree-walk (`CExpr::eval`) — the reference implementation — on
 //! randomly generated expressions and records, including NULLs,
 //! non-ASCII text, empty needles, and error cases. A second suite runs
-//! whole queries compiled vs interpreted through the engine, serial
-//! and parallel, clean and under fault injection.
+//! whole queries compiled vs interpreted through the engine, clean and
+//! under fault injection.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -256,7 +256,7 @@ fn generator_produces_compilable_expressions() {
     );
 }
 
-// ---- engine-level: compiled vs interpreted, serial and parallel ----
+// ---- engine-level: compiled vs interpreted ----
 
 fn corpus() -> &'static Vec<Tweet> {
     static CORPUS: OnceLock<Vec<Tweet>> = OnceLock::new();
@@ -274,11 +274,9 @@ fn corpus() -> &'static Vec<Tweet> {
     })
 }
 
-fn run_engine(sql: &str, compiled: bool, workers: usize, fault: Option<FaultPlan>) -> QueryResult {
+fn run_engine(sql: &str, compiled: bool, fault: Option<FaultPlan>) -> QueryResult {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
-    let mut b = Engine::builder(api)
-        .workers(workers)
-        .compiled_expressions(compiled);
+    let mut b = Engine::builder(api).compiled_expressions(compiled);
     if let Some(plan) = fault {
         b = b.fault_policy(plan);
     }
@@ -299,19 +297,17 @@ const ENGINE_QUERIES: &[&str] = &[
 ];
 
 /// Same query, same stream: compiled output must equal interpreted
-/// output exactly, at one worker and four.
+/// output exactly.
 #[test]
 fn compiled_engine_matches_interpreted() {
     for sql in ENGINE_QUERIES {
-        let reference = run_engine(sql, false, 1, None);
-        for workers in [1usize, 4] {
-            let compiled = run_engine(sql, true, workers, None);
-            assert_eq!(reference.schema.names(), compiled.schema.names(), "{sql}");
-            assert_eq!(
-                reference.rows, compiled.rows,
-                "compiled (workers={workers}) diverged from interpreted: {sql}"
-            );
-        }
+        let reference = run_engine(sql, false, None);
+        let compiled = run_engine(sql, true, None);
+        assert_eq!(reference.schema.names(), compiled.schema.names(), "{sql}");
+        assert_eq!(
+            reference.rows, compiled.rows,
+            "compiled diverged from interpreted: {sql}"
+        );
     }
 }
 
@@ -323,18 +319,16 @@ fn compiled_engine_matches_interpreted_under_chaos() {
     let sql = "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter \
                WHERE text contains 'kw'";
     for seed in [3u64, 17] {
-        for workers in [1usize, 4] {
-            let interp = run_engine(sql, false, workers, Some(FaultPlan::chaos(seed)));
-            let compiled = run_engine(sql, true, workers, Some(FaultPlan::chaos(seed)));
-            assert_eq!(
-                interp.rows, compiled.rows,
-                "chaos seed {seed} workers {workers}: compiled diverged"
-            );
-            assert_eq!(
-                interp.stats.source_faults.disconnects, compiled.stats.source_faults.disconnects,
-                "fault schedule itself diverged (test harness bug)"
-            );
-        }
+        let interp = run_engine(sql, false, Some(FaultPlan::chaos(seed)));
+        let compiled = run_engine(sql, true, Some(FaultPlan::chaos(seed)));
+        assert_eq!(
+            interp.rows, compiled.rows,
+            "chaos seed {seed}: compiled diverged"
+        );
+        assert_eq!(
+            interp.stats.source_faults.disconnects, compiled.stats.source_faults.disconnects,
+            "fault schedule itself diverged (test harness bug)"
+        );
     }
 }
 

@@ -1,7 +1,7 @@
 //! Chaos tests for the fault-tolerance subsystem: a seeded [`FaultPlan`]
 //! over a replay corpus must yield the same aggregate rows as the
 //! fault-free run — modulo windows the supervisor flagged as
-//! under-sampled — for both serial and parallel execution.
+//! under-sampled.
 //!
 //! The `chaos_smoke_*` tests run three fixed seeds and are what CI's
 //! `chaos-smoke` job executes; the proptest sweeps a wider seed range.
@@ -61,16 +61,15 @@ fn by_window(result: &QueryResult) -> BTreeMap<Timestamp, Vec<String>> {
     map
 }
 
-fn run_plain(workers: usize) -> QueryResult {
+fn run_plain() -> QueryResult {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
-    let mut engine = Engine::builder(api).workers(workers).build();
+    let mut engine = Engine::builder(api).build();
     engine.execute(SQL).expect("fault-free query runs")
 }
 
-fn run_chaos(seed: u64, workers: usize, replay_overlap: Duration) -> QueryResult {
+fn run_chaos(seed: u64, replay_overlap: Duration) -> QueryResult {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
     let mut engine = Engine::builder(api)
-        .workers(workers)
         .fault_policy(FaultPlan::chaos(seed))
         .retry_policy(RetryPolicy {
             replay_overlap,
@@ -103,35 +102,29 @@ fn assert_equivalent_modulo_gaps(baseline: &QueryResult, faulted: &QueryResult, 
 }
 
 /// One full chaos comparison: fault-free baseline vs a seeded chaos run,
-/// at workers=1 and workers=4, with and without replay overlap.
+/// with and without replay overlap.
 fn chaos_round(seed: u64) {
-    let baseline = run_plain(1);
-    for workers in [1usize, 4] {
-        // Generous overlap: every disconnect is fully replayed, so the
-        // output must match the baseline exactly — no flagged windows.
-        let healed = run_chaos(seed, workers, Duration::from_mins(30));
-        assert!(
-            healed.stats.gap_windows.is_empty(),
-            "seed {seed} workers {workers}: generous overlap still left gaps"
-        );
-        assert_equivalent_modulo_gaps(
-            &baseline,
-            &healed,
-            &format!("seed {seed} healed w{workers}"),
-        );
+    let baseline = run_plain();
+    // Generous overlap: every disconnect is fully replayed, so the
+    // output must match the baseline exactly — no flagged windows.
+    let healed = run_chaos(seed, Duration::from_mins(30));
+    assert!(
+        healed.stats.gap_windows.is_empty(),
+        "seed {seed}: generous overlap still left gaps"
+    );
+    assert_equivalent_modulo_gaps(&baseline, &healed, &format!("seed {seed} healed"));
 
-        // No overlap: disconnect backoff opens real coverage gaps; the
-        // supervisor must flag every affected window, and everything
-        // outside those windows must still match.
-        let gappy = run_chaos(seed, workers, Duration::ZERO);
-        assert_equivalent_modulo_gaps(&baseline, &gappy, &format!("seed {seed} gappy w{workers}"));
-        let faults = &gappy.stats.source_faults;
-        if faults.disconnects > 0 {
-            assert_eq!(
-                faults.reconnects, faults.disconnects,
-                "seed {seed} workers {workers}: supervisor did not reconnect every drop"
-            );
-        }
+    // No overlap: disconnect backoff opens real coverage gaps; the
+    // supervisor must flag every affected window, and everything
+    // outside those windows must still match.
+    let gappy = run_chaos(seed, Duration::ZERO);
+    assert_equivalent_modulo_gaps(&baseline, &gappy, &format!("seed {seed} gappy"));
+    let faults = &gappy.stats.source_faults;
+    if faults.disconnects > 0 {
+        assert_eq!(
+            faults.reconnects, faults.disconnects,
+            "seed {seed}: supervisor did not reconnect every drop"
+        );
     }
 }
 
@@ -154,27 +147,25 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Any seed's chaos run agrees with the fault-free baseline on
-    /// non-flagged windows, serial and parallel.
+    /// non-flagged windows.
     #[test]
     fn chaos_equivalence_over_seeds(seed in 0u64..10_000) {
-        let baseline = run_plain(1);
-        for workers in [1usize, 4] {
-            let gappy = run_chaos(seed, workers, Duration::ZERO);
-            let window = Duration::from_mins(WINDOW_MINS);
-            let flagged: Vec<Timestamp> = gappy
-                .stats
-                .gap_windows
-                .iter()
-                .map(|t| t.truncate(window))
-                .collect();
-            let mut base = by_window(&baseline);
-            let mut chaos = by_window(&gappy);
-            for t in &flagged {
-                base.remove(t);
-                chaos.remove(t);
-            }
-            prop_assert_eq!(base, chaos);
+        let baseline = run_plain();
+        let gappy = run_chaos(seed, Duration::ZERO);
+        let window = Duration::from_mins(WINDOW_MINS);
+        let flagged: Vec<Timestamp> = gappy
+            .stats
+            .gap_windows
+            .iter()
+            .map(|t| t.truncate(window))
+            .collect();
+        let mut base = by_window(&baseline);
+        let mut chaos = by_window(&gappy);
+        for t in &flagged {
+            base.remove(t);
+            chaos.remove(t);
         }
+        prop_assert_eq!(base, chaos);
     }
 }
 
@@ -183,7 +174,7 @@ proptest! {
 /// ~20% geocode timeout rate. The engine must finish without panicking,
 /// resume the pushed-down keyword filter across reconnects, surface
 /// breaker transitions through `OpStats`, and agree with the fault-free
-/// baseline on all non-gap windows — serial and parallel.
+/// baseline on all non-gap windows.
 #[test]
 fn e1_dashboard_workload_survives_disconnects_and_geocode_timeouts() {
     let tweets: &'static Vec<Tweet> = {
@@ -212,7 +203,7 @@ fn e1_dashboard_workload_survives_disconnects_and_geocode_timeouts() {
     };
 
     // Part 1: timeline aggregate (the dashboard's peak feed) matches
-    // the fault-free baseline on non-gap windows, serial and parallel.
+    // the fault-free baseline on non-gap windows.
     let window = Duration::from_mins(2);
     let baseline = {
         let api = StreamingApi::new(tweets.clone(), VirtualClock::new());
@@ -221,43 +212,35 @@ fn e1_dashboard_workload_survives_disconnects_and_geocode_timeouts() {
             .execute(&timeline_sql)
             .expect("baseline timeline")
     };
-    for workers in [1usize, 4] {
-        let api = StreamingApi::new(tweets.clone(), VirtualClock::new());
-        let mut engine = Engine::builder(api)
-            .workers(workers)
-            .fault_policy(plan.clone())
-            .build();
-        let faulted = engine.execute(&timeline_sql).expect("faulted timeline");
-        let faults = &faulted.stats.source_faults;
-        assert!(
-            faults.disconnects >= 5,
-            "workers {workers}: only {} disconnects injected",
-            faults.disconnects
-        );
-        assert_eq!(
-            faults.reconnects, faults.disconnects,
-            "workers {workers}: reconnect count"
-        );
-        // The reconnects resubscribed the pushed-down keyword filter.
-        assert!(
-            faulted.stats.pushdown.contains("track"),
-            "workers {workers}: pushdown lost: {}",
-            faulted.stats.pushdown
-        );
-        let flagged: Vec<Timestamp> = faulted
-            .stats
-            .gap_windows
-            .iter()
-            .map(|t| t.truncate(window))
-            .collect();
-        let mut base = by_window(&baseline);
-        let mut chaos = by_window(&faulted);
-        for t in &flagged {
-            base.remove(t);
-            chaos.remove(t);
-        }
-        assert_eq!(base, chaos, "workers {workers}: non-gap windows diverged");
+    let api = StreamingApi::new(tweets.clone(), VirtualClock::new());
+    let mut engine = Engine::builder(api).fault_policy(plan.clone()).build();
+    let faulted = engine.execute(&timeline_sql).expect("faulted timeline");
+    let faults = &faulted.stats.source_faults;
+    assert!(
+        faults.disconnects >= 5,
+        "only {} disconnects injected",
+        faults.disconnects
+    );
+    assert_eq!(faults.reconnects, faults.disconnects, "reconnect count");
+    // The reconnects resubscribed the pushed-down keyword filter.
+    assert!(
+        faulted.stats.pushdown.contains("track"),
+        "pushdown lost: {}",
+        faulted.stats.pushdown
+    );
+    let flagged: Vec<Timestamp> = faulted
+        .stats
+        .gap_windows
+        .iter()
+        .map(|t| t.truncate(window))
+        .collect();
+    let mut base = by_window(&baseline);
+    let mut chaos = by_window(&faulted);
+    for t in &flagged {
+        base.remove(t);
+        chaos.remove(t);
     }
+    assert_eq!(base, chaos, "non-gap windows diverged");
 
     // Part 2: the geocoding leg of the dashboard under the same fault
     // plan plus the flaky service — breaker transitions must show up in

@@ -1,7 +1,6 @@
 //! Deterministic test battery for the observability layer: the E1
 //! dashboard workload (faulted source + flaky geocoder) must publish
-//! identical counters across worker counts and across two same-seeded
-//! runs; traces must form well-formed span trees stamped in virtual
+//! identical counters across two same-seeded runs; traces must form well-formed span trees stamped in virtual
 //! stream time; the profiler must report every stage of every fixture
 //! plan shape; and the Prometheus exposition must parse.
 
@@ -52,12 +51,11 @@ fn flaky_service(seed: u64) -> ServiceConfig {
     }
 }
 
-/// Run the E1 workload at the given worker count with its own registry.
-fn run_e1(workers: usize, seed: u64) -> (QueryResult, MetricsRegistry) {
+/// Run the E1 workload with its own registry.
+fn run_e1(seed: u64) -> (QueryResult, MetricsRegistry) {
     let api = StreamingApi::new(soccer_corpus().clone(), VirtualClock::new());
     let registry = MetricsRegistry::new();
     let mut engine = Engine::builder(api)
-        .workers(workers)
         .fault_policy(FaultPlan {
             disconnect_rate: 0.003,
             max_disconnects: 7,
@@ -70,25 +68,8 @@ fn run_e1(workers: usize, seed: u64) -> (QueryResult, MetricsRegistry) {
     (result, registry)
 }
 
-/// The counters that must be identical at every worker count: batching
-/// and busy-time vary with the merge schedule, but the number of
-/// records decoded, flowing through each operator, and the windows
-/// emitted do not.
-fn portable_counters(registry: &MetricsRegistry) -> BTreeMap<String, i64> {
-    series(registry, |name| {
-        name == "tweeql_records_decoded_total"
-            || name == "tweeql_gap_windows_total"
-            || name == "tweeql_op_records_in_total"
-            || name == "tweeql_op_records_out_total"
-            || name == "tweeql_windows_emitted_total"
-            || name.starts_with("tweeql_source_")
-    })
-}
-
 /// The `tweeql_decode_*` series count columns built *per batch*, so
-/// they follow the batch cuts — by size in the serial engine, at every
-/// watermark second in the parallel one — and are pinned run to run at
-/// each worker count rather than across worker counts.
+/// they follow the batch cuts and are pinned run to run.
 fn decode_series(registry: &MetricsRegistry) -> BTreeMap<String, i64> {
     series(registry, |name| name.starts_with("tweeql_decode_"))
 }
@@ -103,96 +84,51 @@ fn series(registry: &MetricsRegistry, keep: impl Fn(&str) -> bool) -> BTreeMap<S
 }
 
 #[test]
-fn e1_counters_equal_across_worker_counts() {
-    let (serial_result, serial_metrics) = run_e1(1, 7);
-    let (parallel_result, parallel_metrics) = run_e1(4, 7);
+fn e1_two_same_seeded_runs_publish_identical_registries() {
+    // Same seed: the ENTIRE registry must match, histograms included
+    // (batch boundaries are deterministic).
+    let (_, a) = run_e1(7);
+    let (_, b) = run_e1(7);
     assert!(
-        serial_metrics.counter_value("tweeql_records_decoded_total", &[]) > 0,
+        a.counter_value("tweeql_records_decoded_total", &[]) > 0,
         "workload decoded nothing"
     );
-    assert_eq!(
-        portable_counters(&serial_metrics),
-        portable_counters(&parallel_metrics),
-        "portable counters diverged between workers=1 and workers=4"
-    );
-    assert_eq!(
-        serial_result.stats.gap_windows, parallel_result.stats.gap_windows,
-        "gap windows diverged across worker counts"
-    );
-    assert_eq!(serial_result.rows.len(), parallel_result.rows.len());
-}
-
-#[test]
-fn e1_two_same_seeded_runs_publish_identical_registries() {
-    // Same seed, same worker count: the ENTIRE registry must match,
-    // histograms included (batch boundaries are deterministic in the
-    // serial path).
-    let (_, a) = run_e1(1, 7);
-    let (_, b) = run_e1(1, 7);
-    assert_eq!(a.snapshot(), b.snapshot(), "serial runs diverged");
-    let (_, c) = run_e1(4, 7);
-    let (_, d) = run_e1(4, 7);
-    assert_eq!(
-        portable_counters(&c),
-        portable_counters(&d),
-        "parallel same-seed runs diverged on portable counters"
-    );
-    assert_eq!(
-        decode_series(&c),
-        decode_series(&d),
-        "parallel same-seed runs diverged on decode counters"
-    );
+    assert_eq!(a.snapshot(), b.snapshot(), "same-seed runs diverged");
 }
 
 #[test]
 fn e1_publishes_columnar_decode_metrics() {
     // The E1 dashboard runs on the default columnar path, so the decode
-    // counters must land in the registry at every worker count (the
-    // per-worker stats are summed back into one total): the fused scan
-    // materializes the columns the query touches and skips the rest.
-    let (_, serial) = run_e1(1, 7);
+    // counters must land in the registry: the fused scan materializes
+    // the columns the query touches and skips the rest.
+    let (_, metrics) = run_e1(7);
     assert!(
-        serial.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
+        metrics.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
         "columnar run materialized no columns"
     );
     assert!(
-        serial.counter_value("tweeql_decode_columns_skipped_total", &[]) > 0,
+        metrics.counter_value("tweeql_decode_columns_skipped_total", &[]) > 0,
         "E1 touches a strict subset of columns, so some must be skipped"
     );
-    let (_, parallel) = run_e1(4, 7);
     assert_eq!(
-        decode_series(&serial).keys().collect::<Vec<_>>(),
-        decode_series(&parallel).keys().collect::<Vec<_>>(),
-        "workers=1 and workers=4 publish different decode series"
-    );
-    assert!(
-        parallel.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
-        "parallel columnar run materialized no columns"
-    );
-    assert_eq!(
-        decode_series(&serial),
-        decode_series(&run_e1(1, 7).1),
-        "decode metrics diverged between two serial runs"
+        decode_series(&metrics),
+        decode_series(&run_e1(7).1),
+        "decode metrics diverged between two runs"
     );
 
     // E1 never touches `lang` or `loc`, so no dictionary is built and
     // the reuse gauge stays unpublished. A projection over `lang`
-    // drives the dictionary path; its gauge is published at every
-    // worker count (the per-worker stats fold back into one total) and
-    // repeats run to run.
+    // drives the dictionary path; its gauge is published and repeats
+    // run to run.
     let lang_sql = "SELECT upper(lang) AS l FROM twitter WHERE text contains 'soccer'";
-    let run_lang = |workers: usize| {
+    let run_lang = || {
         let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
         let registry = MetricsRegistry::new();
-        let mut engine = Engine::builder(api)
-            .workers(workers)
-            .metrics(registry.clone())
-            .build();
+        let mut engine = Engine::builder(api).metrics(registry.clone()).build();
         engine.execute(lang_sql).expect("lang query runs");
         registry
     };
-    let lang_serial = run_lang(1);
-    let lang_decode = decode_series(&lang_serial);
+    let lang_decode = decode_series(&run_lang());
     let gauge = lang_decode
         .iter()
         .find(|(k, _)| k.starts_with("tweeql_decode_dict_reuse_permille"));
@@ -200,14 +136,7 @@ fn e1_publishes_columnar_decode_metrics() {
         panic!("dictionary reuse gauge missing after GROUP BY lang: {lang_decode:?}")
     });
     assert!((0..=1000).contains(reuse), "permille out of range: {reuse}");
-    assert_eq!(lang_decode, decode_series(&run_lang(1)), "serial rerun");
-    let lang_parallel = decode_series(&run_lang(4));
-    assert_eq!(
-        lang_decode.keys().collect::<Vec<_>>(),
-        lang_parallel.keys().collect::<Vec<_>>(),
-        "workers=1 and workers=4 publish different decode series"
-    );
-    assert_eq!(lang_parallel, decode_series(&run_lang(4)), "parallel rerun");
+    assert_eq!(lang_decode, decode_series(&run_lang()), "rerun");
 
     // With columnar decode disabled the fused scan never runs, so no
     // decode counters may be published at all.
@@ -228,7 +157,7 @@ fn e1_publishes_columnar_decode_metrics() {
 
 #[test]
 fn serial_batch_histogram_is_populated_and_consistent() {
-    let (result, metrics) = run_e1(1, 7);
+    let (result, metrics) = run_e1(7);
     let h = metrics.histogram("tweeql_batch_rows", &[]);
     assert!(h.count() > 0, "no batches observed");
     assert_eq!(
@@ -270,11 +199,10 @@ fn fixture_queries() -> Vec<(String, String)> {
     out
 }
 
-fn trace_run(sql: &str, workers: usize) -> Vec<SpanEvent> {
+fn trace_run(sql: &str) -> Vec<SpanEvent> {
     let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
     let sink = Arc::new(VecSink::new(1 << 20));
     let mut engine = Engine::builder(api)
-        .workers(workers)
         .service(flaky_service(7))
         .trace_sink(sink.clone())
         .build();
@@ -288,7 +216,7 @@ fn fixture_traces_are_well_formed_and_reproducible() {
     let fixtures = fixture_queries();
     assert!(fixtures.len() >= 4, "expected the four plan-shape fixtures");
     for (name, sql) in &fixtures {
-        let events = trace_run(sql, 1);
+        let events = trace_run(sql);
         assert!(!events.is_empty(), "{name}: empty trace");
         if let Some(err) = validate_span_tree(&events) {
             panic!("{name}: malformed span tree: {err}");
@@ -305,17 +233,7 @@ fn fixture_traces_are_well_formed_and_reproducible() {
             assert!(w[0].ts_ms <= w[1].ts_ms, "{name}: time went backwards");
         }
         // Same seed, same query: identical event stream.
-        assert_eq!(events, trace_run(sql, 1), "{name}: trace not reproducible");
-    }
-}
-
-#[test]
-fn parallel_trace_is_well_formed() {
-    for (name, sql) in &fixture_queries() {
-        let events = trace_run(sql, 4);
-        if let Some(err) = validate_span_tree(&events) {
-            panic!("{name} (workers=4): malformed span tree: {err}");
-        }
+        assert_eq!(events, trace_run(sql), "{name}: trace not reproducible");
     }
 }
 
@@ -527,7 +445,6 @@ proptest! {
         limit in 1u64..40,
         mins in 1i64..6,
         shape in 0usize..4,
-        workers in 1usize..3,
     ) {
         let kw = ["soccer", "liverpool", "manchester", "goal"][kw_idx];
         let sql = match shape {
@@ -545,7 +462,7 @@ proptest! {
                  WHERE text contains '{kw}' LIMIT {limit}"
             ),
         };
-        let events = trace_run(&sql, workers);
+        let events = trace_run(&sql);
         prop_assert!(!events.is_empty());
         let verdict = validate_span_tree(&events);
         prop_assert!(verdict.is_none(), "{}: {:?}", sql, verdict);

@@ -1,6 +1,6 @@
 //! Differential tests for the verified plan optimizer: every query must
-//! produce bit-identical output with the optimizer on and off, serial
-//! and parallel. The "off" engine lowers the plan exactly as written —
+//! produce bit-identical output with the optimizer on and off. The
+//! "off" engine lowers the plan exactly as written —
 //! no folding, fusion, pushdown rewriting, pruning, or reordering — and
 //! serves as the reference implementation. In debug builds (how CI runs
 //! this suite) the [`PlanVerifier`] is in strict mode, so any rule that
@@ -31,12 +31,9 @@ fn corpus() -> &'static Vec<Tweet> {
     })
 }
 
-fn run(sql: &str, optimize: bool, workers: usize) -> QueryResult {
+fn run(sql: &str, optimize: bool) -> QueryResult {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
-    let mut engine = Engine::builder(api)
-        .workers(workers)
-        .plan_optimizer(optimize)
-        .build();
+    let mut engine = Engine::builder(api).plan_optimizer(optimize).build();
     engine.execute(sql).expect(sql)
 }
 
@@ -61,19 +58,17 @@ const QUERIES: &[&str] = &[
 ];
 
 /// Same query, same stream: optimized output must equal the as-written
-/// plan's output exactly, at one worker and four.
+/// plan's output exactly.
 #[test]
 fn optimizer_preserves_output_on_fixed_queries() {
     for sql in QUERIES {
-        let reference = run(sql, false, 1);
-        for workers in [1usize, 4] {
-            let optimized = run(sql, true, workers);
-            assert_eq!(reference.schema.names(), optimized.schema.names(), "{sql}");
-            assert_eq!(
-                reference.rows, optimized.rows,
-                "optimized (workers={workers}) diverged from as-written: {sql}"
-            );
-        }
+        let reference = run(sql, false);
+        let optimized = run(sql, true);
+        assert_eq!(reference.schema.names(), optimized.schema.names(), "{sql}");
+        assert_eq!(
+            reference.rows, optimized.rows,
+            "optimized diverged from as-written: {sql}"
+        );
     }
 }
 
@@ -82,7 +77,7 @@ fn optimizer_preserves_output_on_fixed_queries() {
 #[test]
 fn optimizer_emits_no_fallback_notices_on_clean_runs() {
     for sql in QUERIES {
-        let result = run(sql, true, 1);
+        let result = run(sql, true);
         assert!(
             result.stats.diagnostics.notices.is_empty(),
             "{sql} produced notices: {:?}",
@@ -145,20 +140,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
     /// Random conjunctions over the tweet schema: the optimized plan and
-    /// the as-written plan agree row-for-row, serial and parallel. With
-    /// debug assertions on, every rewrite inside these runs also passed
-    /// the strict plan verifier.
+    /// the as-written plan agree row-for-row. With debug assertions on,
+    /// every rewrite inside these runs also passed the strict plan
+    /// verifier.
     #[test]
     fn optimizer_preserves_output_on_random_queries(seed in 0u64..100_000) {
         let mut rng = StdRng::seed_from_u64(seed);
         let sql = random_query(&mut rng);
-        let reference = run(&sql, false, 1);
-        for workers in [1usize, 4] {
-            let optimized = run(&sql, true, workers);
-            prop_assert!(
-                reference.rows == optimized.rows,
-                "optimized (workers={}) diverged on {}", workers, &sql
-            );
-        }
+        let reference = run(&sql, false);
+        let optimized = run(&sql, true);
+        prop_assert!(reference.rows == optimized.rows, "optimized diverged on {}", &sql);
     }
 }

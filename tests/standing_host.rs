@@ -118,16 +118,13 @@ const CORPUS: &[&str] = &[
      WHERE text contains 'kw' GROUP BY cell WINDOW 2 minutes SLIDE 30 seconds",
 ];
 
-fn host_with(workers: usize, fault: Option<FaultPlan>) -> QueryHost {
-    host_sized(workers, 16, fault)
+fn host_with(fault: Option<FaultPlan>) -> QueryHost {
+    host_sized(16, fault)
 }
 
-fn host_sized(workers: usize, batch_size: usize, fault: Option<FaultPlan>) -> QueryHost {
+fn host_sized(batch_size: usize, fault: Option<FaultPlan>) -> QueryHost {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
-    let mut b = Engine::builder(api)
-        .workers(workers)
-        .batch_size(batch_size)
-        .seed(99);
+    let mut b = Engine::builder(api).batch_size(batch_size).seed(99);
     if let Some(f) = fault {
         b = b.fault_policy(f);
     }
@@ -146,7 +143,6 @@ fn engine_run(sql: &str, fault: Option<FaultPlan>) -> QueryResult {
 fn engine_sized(sql: &str, batch_size: usize, fault: Option<FaultPlan>) -> QueryResult {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
     let mut b = Engine::builder(api)
-        .workers(1)
         .batch_size(batch_size)
         .seed(99)
         .push_down(false);
@@ -159,9 +155,9 @@ fn engine_sized(sql: &str, batch_size: usize, fault: Option<FaultPlan>) -> Query
 /// The whole corpus on one host against one independent engine run per
 /// query, at every batch size (1: every row its own flush; 256: flushes
 /// cut only by gaps and the end of the stream).
-fn assert_host_matches_engines(workers: usize, fault: Option<FaultPlan>) {
+fn assert_host_matches_engines(fault: Option<FaultPlan>) {
     for batch_size in [1, 16, 256] {
-        let mut host = host_sized(workers, batch_size, fault.clone());
+        let mut host = host_sized(batch_size, fault.clone());
         let ids: Vec<QueryId> = CORPUS
             .iter()
             .map(|sql| host.register(sql).expect(sql))
@@ -178,7 +174,7 @@ fn assert_host_matches_engines(workers: usize, fault: Option<FaultPlan>) {
             assert_eq!(
                 got,
                 reference.rows,
-                "rows diverged: {sql} (workers={workers}, batch_size={batch_size}, fault={})",
+                "rows diverged: {sql} (batch_size={batch_size}, fault={})",
                 fault.is_some()
             );
         }
@@ -187,19 +183,13 @@ fn assert_host_matches_engines(workers: usize, fault: Option<FaultPlan>) {
 
 #[test]
 fn host_matches_independent_engines_serial() {
-    assert_host_matches_engines(1, None);
-}
-
-#[test]
-fn host_matches_independent_engines_workers4() {
-    assert_host_matches_engines(4, None);
+    assert_host_matches_engines(None);
 }
 
 #[test]
 fn host_matches_independent_engines_under_chaos() {
     for seed in [3, 11] {
-        assert_host_matches_engines(1, Some(FaultPlan::chaos(seed)));
-        assert_host_matches_engines(4, Some(FaultPlan::chaos(seed)));
+        assert_host_matches_engines(Some(FaultPlan::chaos(seed)));
     }
 }
 
@@ -208,7 +198,7 @@ fn host_matches_independent_engines_under_chaos() {
 /// invariant.
 #[test]
 fn churn_does_not_perturb_standing_queries() {
-    let mut host = host_with(2, None);
+    let mut host = host_with(None);
     let target = host.register(CORPUS[1]).unwrap();
     host.pump_until(Timestamp::from_mins(2)).unwrap();
     let noise1 = host.register(CORPUS[0]).unwrap();
@@ -232,7 +222,7 @@ fn re_registration_gets_fresh_state() {
     let sql = CORPUS[1];
     let churn_at = Timestamp::from_mins(4);
 
-    let mut host_a = host_with(1, None);
+    let mut host_a = host_with(None);
     let first = host_a.register(sql).unwrap();
     host_a.pump_until(churn_at).unwrap();
     let first_rows = host_a.drop_query(first).unwrap();
@@ -243,7 +233,7 @@ fn re_registration_gets_fresh_state() {
 
     // Reference: same host timeline, but the query only ever existed
     // from the churn point on.
-    let mut host_b = host_with(1, None);
+    let mut host_b = host_with(None);
     host_b.pump_until(churn_at).unwrap();
     let fresh = host_b.register(sql).unwrap();
     host_b.run_to_end().unwrap();
@@ -260,7 +250,7 @@ fn re_registration_gets_fresh_state() {
 #[test]
 fn prefilter_is_output_invariant_and_saves_dispatch() {
     let run = |prefilter: bool| {
-        let mut host = host_with(1, None);
+        let mut host = host_with(None);
         host.prefilter(prefilter);
         let ids: Vec<QueryId> = CORPUS
             .iter()
@@ -288,7 +278,7 @@ fn prefilter_is_output_invariant_and_saves_dispatch() {
 /// rows, most dispatched rows must be clone-served, not re-decoded.
 #[test]
 fn shared_decode_serves_overlapping_queries_from_one_materialization() {
-    let mut host = host_with(1, None);
+    let mut host = host_with(None);
     host.prefilter(false); // every query sees every row
     for sql in CORPUS.iter().take(3) {
         host.register(sql).unwrap();
@@ -303,7 +293,7 @@ fn shared_decode_serves_overlapping_queries_from_one_materialization() {
 /// Session-layer semantics: list/subscribe/drop/unknown-id/joins.
 #[test]
 fn session_layer_api() {
-    let mut host = host_with(1, None);
+    let mut host = host_with(None);
     let id = host.register(CORPUS[0]).unwrap();
     let sub = host.subscribe(id).unwrap();
     assert_eq!(sub.id(), id);
@@ -350,7 +340,7 @@ fn session_layer_api() {
 /// A LIMIT query finishes mid-stream while its neighbors keep running.
 #[test]
 fn limit_query_finishes_early_without_stopping_the_host() {
-    let mut host = host_with(1, None);
+    let mut host = host_with(None);
     let limited = host.register(CORPUS[3]).unwrap();
     let standing = host.register(CORPUS[0]).unwrap();
     host.run_to_end().unwrap();
@@ -441,9 +431,8 @@ proptest! {
 
     /// Randomized churn schedules: any subset of the corpus registered
     /// up front, noise queries registered and dropped at random stream
-    /// times, serial and sharded dispatch, clean or chaos-faulted
-    /// source — every surviving query still matches its independent
-    /// engine run.
+    /// times, clean or chaos-faulted source — every surviving query
+    /// still matches its independent engine run.
     #[test]
     fn churned_host_matches_engines(
         first in 0usize..CORPUS.len(),
@@ -451,17 +440,15 @@ proptest! {
         noise_idx in 0usize..CORPUS.len(),
         churn_start_mins in 1i64..5,
         churn_len_mins in 1i64..4,
-        wide in 0u8..2,
         chaos in 0u64..100,
     ) {
         // Odd draws run chaos-faulted; even draws run clean.
         let fault = (chaos % 2 == 1).then(|| FaultPlan::chaos(chaos));
-        let workers = if wide == 0 { 1 } else { 4 };
         let mut subset = vec![first];
         if second != first {
             subset.push(second);
         }
-        let mut host = host_with(workers, fault.clone());
+        let mut host = host_with(fault.clone());
         let ids: Vec<(usize, QueryId)> = subset
             .iter()
             .map(|&i| (i, host.register(CORPUS[i]).unwrap()))
