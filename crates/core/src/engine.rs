@@ -1,15 +1,19 @@
 //! The TweeQL engine: parse → plan → optimize → choose pushdown →
 //! stream → collect.
 //!
+//! A single-stream query is one `Feed` (the supervised source, its
+//! cursor and the batch it fills; shared with the standing-query host)
+//! drained into one pipeline; LIMIT stops the pull. Joins read two
+//! connections of their own.
+//!
 //! Engines are assembled with the fluent [`EngineBuilder`]
 //! (`Engine::builder(api).seed(7).fault_policy(plan).build()`).
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
+use crate::exec::feed::{Drain, Feed};
 use crate::exec::join::Side;
-use crate::exec::supervise::{
-    RetryPolicy, SourceBlock, SourceEvent, SourceFaultStats, SupervisedSource,
-};
+use crate::exec::supervise::{RetryPolicy, SourceFaultStats};
 use crate::exec::{OpStats, Pipeline};
 use crate::parser::parse;
 use crate::plan::{plan, PlanConfig, PlannedQuery};
@@ -23,7 +27,7 @@ use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_geo::cache::CacheStats;
 use tweeql_model::{
-    Cadence, DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, VirtualClock,
+    Crossing, DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, VirtualClock,
 };
 use tweeql_obs::{
     MetricsRegistry, QueryId, QueryProfile, SpanKind, StageProfile, TraceSink, Tracer,
@@ -38,8 +42,6 @@ pub struct EngineConfig {
     pub watermark_interval: Duration,
     /// Firehose tweets scanned per candidate during selectivity probing.
     pub selectivity_sample: usize,
-    /// Use the adaptive eddy for multi-predicate filters.
-    pub use_eddy: bool,
     /// Lower stateless WHERE/SELECT expressions to compiled batch
     /// programs (vectorized scan with adaptive conjunct ordering).
     /// Expressions the lowering rejects fall back to the interpreted
@@ -90,7 +92,6 @@ impl Default for EngineConfig {
             service: ServiceConfig::default(),
             watermark_interval: Duration::from_secs(1),
             selectivity_sample: 2000,
-            use_eddy: false,
             compile_exprs: true,
             optimize_plans: true,
             async_max_batch: 25,
@@ -102,6 +103,21 @@ impl Default for EngineConfig {
             seed: 0x5EED,
             allow_pushdown: true,
             batched_source: true,
+        }
+    }
+}
+
+impl EngineConfig {
+    /// The planner's projection of this configuration, with conjunct
+    /// ordering seeded from `selectivity_hints`.
+    pub(crate) fn plan_config(&self, selectivity_hints: Vec<(String, f64)>) -> PlanConfig {
+        PlanConfig {
+            compile_exprs: self.compile_exprs,
+            optimize: self.optimize_plans,
+            selectivity_hints,
+            async_max_batch: self.async_max_batch,
+            async_max_delay: self.async_max_delay,
+            default_join_window: Duration::from_mins(5),
         }
     }
 }
@@ -342,12 +358,6 @@ impl EngineBuilder {
     /// Tweets scanned per candidate during selectivity probing.
     pub fn selectivity_sample(mut self, sample: usize) -> Self {
         self.config.selectivity_sample = sample;
-        self
-    }
-
-    /// Use the adaptive eddy for multi-predicate filters.
-    pub fn use_eddy(mut self, on: bool) -> Self {
-        self.config.use_eddy = on;
         self
     }
 
@@ -620,20 +630,9 @@ impl Engine {
         })
     }
 
-    fn plan_config(&self) -> PlanConfig {
-        PlanConfig {
-            use_eddy: self.config.use_eddy,
-            compile_exprs: self.config.compile_exprs,
-            optimize: self.config.optimize_plans,
-            selectivity_hints: self.selectivity_hints.clone(),
-            async_max_batch: self.config.async_max_batch,
-            async_max_delay: self.config.async_max_delay,
-            default_join_window: Duration::from_mins(5),
-        }
-    }
-
     fn plan_stmt(&self, stmt: &crate::ast::SelectStmt) -> Result<PlannedQuery, QueryError> {
-        plan(stmt, &self.catalog, &self.registry, &self.plan_config())
+        let config = self.config.plan_config(self.selectivity_hints.clone());
+        plan(stmt, &self.catalog, &self.registry, &config)
     }
 
     /// Parse, run static analysis (errors abort with the rendered
@@ -864,99 +863,41 @@ impl Engine {
             .add(stats.geo_requests);
     }
 
+    /// One feed drained into the query's one pipeline; LIMIT stops the
+    /// pull (`LIMIT 0` before the first). Row decode
+    /// (`columnar_decode = false`) runs the feed's reference cadence.
     fn run_single(
         &mut self,
         planned: &mut PlannedQuery,
         filter: FilterSpec,
         sink: &mut dyn FnMut(&Record),
     ) -> Result<(ConnectionStats, SourceFaultStats), QueryError> {
-        let src = SupervisedSource::new(
-            self.api.clone(),
-            filter,
-            self.config.fault.clone(),
-            self.config.retry.clone(),
-            self.config.seed,
-        );
-        let mut fill = SerialFill::new(&self.config, &self.clock, planned);
-        if fill.pipeline.done() {
-            // `LIMIT 0`: `emit` only reports done after output, and there
-            // will be none, so the source is never pulled at all.
-            fill.finish(sink)?;
-            return Ok((src.stats(), src.fault_stats()));
+        let columnar = self.config.columnar_decode;
+        let mut feed = Feed::new(&self.api, filter, &self.config);
+        feed.set_live(planned.live_columns.clone());
+        feed.reference_cadence = !columnar;
+        let mut run = Run {
+            pipeline: &mut planned.pipeline,
+            columnar,
+            rows: Vec::new(),
+            out: Vec::new(),
+            sink,
+        };
+        while !run.pipeline.done() {
+            let Some(next) = feed.peek() else { break };
+            feed.take(next, &mut run)?;
         }
-        if self.config.batched_source {
-            return Self::run_single_batched(fill, src, sink);
+        // LIMIT or the end of the stream: either way the pull is over.
+        feed.stop();
+        if !run.pipeline.done() {
+            feed.flush(&mut run)?;
         }
-        // Serial engine, micro-batched: tweets accumulate into one
-        // reused buffer ([`SerialFill`]) and flush through the
-        // pipeline's batch path, which drives the compiled operators at
-        // full width.
-        let mut src = src;
-        for event in src.by_ref() {
-            match event {
-                SourceEvent::Gap { from, to } => fill.gap(from, to)?,
-                SourceEvent::Tweet(tweet) => {
-                    // `Record::from_tweet` stamps the record with
-                    // `created_at`, so both decode modes see the same
-                    // stream time here.
-                    fill.reach(tweet.created_at)?;
-                    match fill.columnar {
-                        true => fill.tweets.push(tweet),
-                        false => fill.row(&tweet),
-                    }
-                    fill.flush_if_full()?;
-                }
-            }
-            if fill.emit(sink) {
-                break;
-            }
-        }
-        fill.finish(sink)?;
-        Ok((src.stats(), src.fault_stats()))
-    }
-
-    /// The serial loop over zero-copy source blocks: the per-tweet loop
-    /// event for event, but tweets arrive as log indices and (in
-    /// columnar mode) the batch is a shared view into the firehose log —
-    /// no `Tweet` is cloned anywhere between the log and the operators.
-    /// The block source leaves the virtual clock alone; every flush puts
-    /// it at the latest buffered tweet, which is where the per-tweet
-    /// source has it at the same flush, so modeled service latency
-    /// accrues from identical bases.
-    fn run_single_batched(
-        mut fill: SerialFill<'_>,
-        mut src: SupervisedSource,
-        sink: &mut dyn FnMut(&Record),
-    ) -> Result<(ConnectionStats, SourceFaultStats), QueryError> {
-        let log = Arc::clone(src.log());
-        if fill.columnar {
-            fill.tweets.bind_log(&log);
-        }
-        'stream: while let Some(block) = src.next_block(fill.batch_size) {
-            match block {
-                SourceBlock::Gap { from, to } => fill.gap(from, to)?,
-                SourceBlock::Tweets(b) => {
-                    for &i in &b.sel {
-                        let tweet = &log[i as usize];
-                        fill.reach(tweet.created_at)?;
-                        match fill.columnar {
-                            true => fill.tweets.push_index(i),
-                            false => fill.row(tweet),
-                        }
-                        fill.flush_if_full()?;
-                        if fill.emit(sink) {
-                            break 'stream;
-                        }
-                    }
-                }
-            }
-            if fill.emit(sink) {
-                break;
-            }
-        }
-        fill.clock.advance_to(src.frontier());
-        fill.finish(sink)?;
-        Ok((src.stats(), src.fault_stats()))
+        let finished = run.pipeline.finish(&mut run.out);
+        run.emit(finished)?;
+        Ok(feed
+            .source()
+            .map(|s| (s.stats(), s.fault_stats()))
+            .unwrap_or_default())
     }
 
     fn run_join(
@@ -1023,116 +964,53 @@ impl Engine {
     }
 }
 
-/// What both serial loops do with a delivered tweet: buffer it, note
-/// the watermark boundaries stream time crossed to reach it, flush when
-/// the buffer fills or a gap or the end of the stream demands it.
-///
-/// In columnar mode the buffer is a [`TweetBatch`], decode is deferred
-/// to the pipeline head, and a crossing only *rides in the batch*: the
-/// pipeline delivers itself the watermarks that are due when the batch
-/// is drained ([`Pipeline::push_tweet_batch`]). In row mode
-/// (`columnar_decode = false`, the reference path) each tweet becomes a
-/// [`Record`] at once and every crossing cuts the batch and runs every
-/// boundary through the pipeline — the cadence the columnar path is
-/// differentially tested against.
-struct SerialFill<'a> {
+/// The engine's side of the feed: the query's one pipeline, its output
+/// handed to the sink as it is produced.
+struct Run<'a> {
     pipeline: &'a mut Pipeline,
-    clock: &'a VirtualClock,
-    cadence: Cadence,
-    batch_size: usize,
+    /// `false` builds a [`Record`] per row at flush: row decode, the
+    /// reference the columnar path is differentially tested against.
     columnar: bool,
-    live: Option<Arc<[bool]>>,
-    tweets: TweetBatch,
     rows: Vec<Record>,
     out: Vec<Record>,
+    sink: &'a mut dyn FnMut(&Record),
 }
 
-impl<'a> SerialFill<'a> {
-    fn new(config: &EngineConfig, clock: &'a VirtualClock, planned: &'a mut PlannedQuery) -> Self {
-        SerialFill {
-            clock,
-            cadence: Cadence::new(config.watermark_interval),
-            batch_size: config.batch_size.max(1),
-            columnar: config.columnar_decode,
-            tweets: TweetBatch::with_live(planned.live_columns.clone()),
-            live: planned.live_columns.clone(),
-            pipeline: &mut planned.pipeline,
-            rows: Vec::new(),
-            out: Vec::new(),
+impl Run<'_> {
+    fn emit(&mut self, produced: Result<(), QueryError>) -> Result<(), QueryError> {
+        produced?;
+        for r in self.out.drain(..) {
+            (self.sink)(&r);
         }
+        Ok(())
     }
+}
 
-    /// Stream time reaches `ts`, the timestamp of the row about to be
-    /// buffered.
-    fn reach(&mut self, ts: Timestamp) -> Result<(), QueryError> {
-        let Some(crossed) = self.cadence.advance(ts) else {
+impl Drain for Run<'_> {
+    fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError> {
+        if batch.is_empty() {
             return Ok(());
+        }
+        let produced = if self.columnar {
+            self.pipeline.drain_tweet_batch(batch, &mut self.out)
+        } else {
+            batch.append_records(&mut self.rows);
+            batch.reset();
+            self.pipeline.push_batch(&mut self.rows, &mut self.out)
         };
-        if self.columnar {
-            self.tweets.cross(crossed);
-            return Ok(());
-        }
-        // Every boundary the stream jumped over, not just one, so idle
-        // gaps still tick time-driven flushes.
-        self.flush()?;
-        for wm in crossed.boundaries() {
-            self.pipeline.watermark(wm, &mut self.out)?;
-        }
-        Ok(())
-    }
-
-    fn row(&mut self, tweet: &tweeql_model::Tweet) {
-        self.rows.push(match &self.live {
-            Some(l) => Record::from_tweet_pruned(tweet, l),
-            None => Record::from_tweet(tweet),
-        });
-    }
-
-    fn flush_if_full(&mut self) -> Result<(), QueryError> {
-        if self.tweets.len() + self.rows.len() >= self.batch_size {
-            self.flush()?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), QueryError> {
-        self.clock.advance_to(self.cadence.high());
-        if !self.tweets.is_empty() {
-            self.pipeline
-                .drain_tweet_batch(&mut self.tweets, &mut self.out)?;
-        }
-        if !self.rows.is_empty() {
-            self.pipeline.push_batch(&mut self.rows, &mut self.out)?;
-        }
-        Ok(())
+        self.emit(produced)
     }
 
     fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
-        self.flush()?;
-        self.pipeline.gap(from, to, &mut self.out)
+        let produced = self.pipeline.gap(from, to, &mut self.out);
+        self.emit(produced)
     }
 
-    /// Hand what the pipeline produced to the sink; true once it will
-    /// produce no more (LIMIT reached) and the source can be left.
-    fn emit(&mut self, sink: &mut dyn FnMut(&Record)) -> bool {
-        if self.out.is_empty() {
-            return false;
-        }
-        for r in self.out.drain(..) {
-            sink(&r);
-        }
-        self.pipeline.done()
-    }
-
-    fn finish(&mut self, sink: &mut dyn FnMut(&Record)) -> Result<(), QueryError> {
-        if !self.pipeline.done() {
-            self.flush()?;
-        }
-        self.pipeline.finish(&mut self.out)?;
-        for r in self.out.drain(..) {
-            sink(&r);
-        }
-        Ok(())
+    fn boundaries(&mut self, crossed: Crossing) -> Result<(), QueryError> {
+        let produced = crossed
+            .boundaries()
+            .try_for_each(|wm| self.pipeline.watermark(wm, &mut self.out));
+        self.emit(produced)
     }
 }
 
@@ -1543,12 +1421,15 @@ mod tests {
     fn builder_seed_flows_into_service_and_engine() {
         let clock = VirtualClock::new();
         let api = small_api(clock);
-        let b = Engine::builder(api).seed(42).batch_size(64).use_eddy(true);
+        let b = Engine::builder(api)
+            .seed(42)
+            .batch_size(64)
+            .plan_optimizer(false);
         assert_eq!(b.config.seed, 42);
         assert_eq!(b.config.service.seed, 42);
         let e = b.build();
         assert_eq!(e.config.batch_size, 64);
-        assert!(e.config.use_eddy);
+        assert!(!e.config.optimize_plans);
     }
 
     #[test]

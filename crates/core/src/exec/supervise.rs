@@ -365,18 +365,24 @@ impl SupervisedSource {
         }
     }
 
-    fn push_gap(&mut self, from: Timestamp, to: Timestamp) {
+    /// Record the coverage gap `[from, to)` clamped to the log end;
+    /// `None` when nothing is left of it.
+    fn record_gap(&mut self, from: Timestamp, to: Timestamp) -> Option<(Timestamp, Timestamp)> {
         let to = to.min(self.log_end());
-        if to > from {
+        (to > from).then(|| {
             self.fstats.gaps.push((from, to));
-            self.pending.push_back(SourceEvent::Gap { from, to });
-        }
+            (from, to)
+        })
     }
 
-    fn handle_disconnect(&mut self) {
+    /// The reconnect machinery both pulls share: count the disconnect,
+    /// close the epoch, then give up after `max_attempts` or back off
+    /// and resubscribe. Returns the coverage gap the disconnect leaves
+    /// (already recorded), which the caller queues behind the tweets
+    /// the heal buffer held.
+    fn reconnect(&mut self) -> Option<(Timestamp, Timestamp)> {
         self.fstats.disconnects += 1;
         self.close_segment();
-        self.drain_heap_to_pending();
         self.consecutive += 1;
         // Conservative loss start: the last stream time we know we
         // delivered. (Not clock.now() — async UDF latency inflates the
@@ -385,10 +391,8 @@ impl SupervisedSource {
         let t_d = self.max_seen_ts;
         if self.consecutive > self.retry.max_attempts {
             self.fstats.gave_up = true;
-            let end = self.log_end();
-            self.push_gap(t_d, end);
             self.done = true;
-            return;
+            return self.record_gap(t_d, self.log_end());
         }
         // Capped exponential backoff with deterministic jitter
         // (at most delay/4, from a seeded splitmix).
@@ -408,10 +412,15 @@ impl SupervisedSource {
         // disconnect point and the resume point is lost for good.
         let resume_ms = t_d.millis() + delay.millis() - self.retry.replay_overlap.millis();
         let resume = Timestamp::from_millis(resume_ms.max(0));
-        if resume > t_d {
-            self.push_gap(t_d, resume);
-        }
         self.open_segment(resume);
+        self.record_gap(t_d, resume)
+    }
+
+    fn handle_disconnect(&mut self) {
+        self.drain_heap_to_pending();
+        if let Some((from, to)) = self.reconnect() {
+            self.pending.push_back(SourceEvent::Gap { from, to });
+        }
     }
 
     // ------------------------------------------------------------------
@@ -528,10 +537,7 @@ impl SupervisedSource {
                         None if self.sbatch.sel.is_empty() => {
                             // End of stream: release the hold buffer.
                             self.close_segment();
-                            let drained = self.drain_iheap();
-                            if !drained.is_empty() {
-                                self.pending_blocks.push_back(PendingBlock::Sel(drained));
-                            }
+                            self.drain_iheap_to_pending();
                             self.done = true;
                         }
                         None => {}
@@ -545,56 +551,24 @@ impl SupervisedSource {
         }
     }
 
-    fn drain_iheap(&mut self) -> Vec<u32> {
-        let mut out = Vec::with_capacity(self.iheap.len());
+    /// Queue the index heal buffer, in stream order, as one block (the
+    /// index-level [`drain_heap_to_pending`](Self::drain_heap_to_pending)).
+    fn drain_iheap_to_pending(&mut self) {
+        let mut held = Vec::with_capacity(self.iheap.len());
         while let Some(Reverse(h)) = self.iheap.pop() {
-            out.push(h.idx);
+            held.push(h.idx);
         }
-        out
+        if !held.is_empty() {
+            self.pending_blocks.push_back(PendingBlock::Sel(held));
+        }
     }
 
     /// [`handle_disconnect`](Self::handle_disconnect) over pending
-    /// *blocks*: identical counter updates, backoff arithmetic, and
-    /// event order (held tweets first, then the gap marker).
+    /// *blocks*: the same reconnect, the same event order (held tweets
+    /// first, then the gap marker).
     fn handle_disconnect_batched(&mut self) {
-        self.fstats.disconnects += 1;
-        self.close_segment();
-        let drained = self.drain_iheap();
-        if !drained.is_empty() {
-            self.pending_blocks.push_back(PendingBlock::Sel(drained));
-        }
-        self.consecutive += 1;
-        let t_d = self.max_seen_ts;
-        if self.consecutive > self.retry.max_attempts {
-            self.fstats.gave_up = true;
-            let end = self.log_end();
-            self.push_gap_block(t_d, end);
-            self.done = true;
-            return;
-        }
-        let exp = (self.consecutive - 1).min(20);
-        let base_ms = self.retry.base.millis().max(1);
-        let delay_ms = base_ms
-            .saturating_mul(1i64 << exp)
-            .min(self.retry.cap.millis().max(1));
-        let jitter_ms = (splitmix(self.seed ^ (self.fstats.reconnects.wrapping_mul(0x9E37) + 1))
-            % (delay_ms as u64 / 4 + 1)) as i64;
-        let delay = Duration::from_millis(delay_ms + jitter_ms);
-        self.clock.advance(delay);
-        self.fstats.backoff_total = self.fstats.backoff_total + delay;
-        self.fstats.reconnects += 1;
-        let resume_ms = t_d.millis() + delay.millis() - self.retry.replay_overlap.millis();
-        let resume = Timestamp::from_millis(resume_ms.max(0));
-        if resume > t_d {
-            self.push_gap_block(t_d, resume);
-        }
-        self.open_segment(resume);
-    }
-
-    fn push_gap_block(&mut self, from: Timestamp, to: Timestamp) {
-        let to = to.min(self.log_end());
-        if to > from {
-            self.fstats.gaps.push((from, to));
+        self.drain_iheap_to_pending();
+        if let Some((from, to)) = self.reconnect() {
             self.pending_blocks.push_back(PendingBlock::Gap(from, to));
         }
     }
@@ -995,8 +969,17 @@ mod tests {
                 idx,
             }));
         }
-        assert_eq!(src.drain_iheap(), vec![20, 30, 90, 50]);
+        src.drain_iheap_to_pending();
         assert!(src.iheap.is_empty());
+        assert!(matches!(
+            src.pending_blocks.pop_front(),
+            Some(PendingBlock::Sel(sel)) if sel == [20, 30, 90, 50]
+        ));
+        src.drain_iheap_to_pending();
+        assert!(
+            src.pending_blocks.is_empty(),
+            "an empty buffer queues nothing"
+        );
     }
 
     #[test]
@@ -1052,13 +1035,16 @@ mod tests {
         let mut src = idle_faulty_source();
         let end = src.log_end();
         // Past-the-end gap clamps to the log end.
-        src.push_gap(end - Duration::from_secs(1), end + Duration::from_mins(5));
-        assert_eq!(src.fstats.gaps, vec![(end - Duration::from_secs(1), end)]);
+        let clamped = (end - Duration::from_secs(1), end);
+        assert_eq!(
+            src.record_gap(clamped.0, end + Duration::from_mins(5)),
+            Some(clamped)
+        );
+        assert_eq!(src.fstats.gaps, vec![clamped]);
         // Empty and inverted intervals are ignored entirely.
-        src.push_gap(end, end);
-        src.push_gap(end, end - Duration::from_secs(1));
+        assert_eq!(src.record_gap(end, end), None);
+        assert_eq!(src.record_gap(end, end - Duration::from_secs(1)), None);
         assert_eq!(src.fstats.gaps.len(), 1);
-        assert_eq!(src.pending.len(), 1);
     }
 
     /// The batched block pull must be byte-identical to the per-tweet

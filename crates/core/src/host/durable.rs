@@ -38,7 +38,7 @@
 use super::{QueryHost, QueryState};
 use crate::engine::{EngineBuilder, EngineConfig};
 use crate::error::QueryError;
-use crate::exec::supervise::SourceEvent;
+use crate::exec::feed::Next;
 use std::collections::HashMap;
 use std::path::PathBuf;
 use tweeql_obs::QueryId;
@@ -345,7 +345,7 @@ impl QueryHost {
         Frontier {
             delivered: self.stats.tweets_delivered,
             gaps: self.stats.gaps,
-            exhausted: self.exhausted,
+            exhausted: self.feed.exhausted(),
         }
     }
 
@@ -438,7 +438,7 @@ impl QueryHost {
         put_u64(&mut buf, last_lsn);
         put_frontier(&mut buf, self.current_frontier());
         put_i64(&mut buf, self.position.millis());
-        match self.cadence.next() {
+        match self.feed.cadence().next() {
             Some(t) => {
                 put_u8(&mut buf, 1);
                 put_i64(&mut buf, t.millis());
@@ -495,7 +495,7 @@ impl QueryHost {
     /// Cadence-invariant digest of the supervised source (dedup set,
     /// heal heaps, fault counters). Zero before the first pump.
     fn source_digest(&self) -> u64 {
-        match &self.source {
+        match self.feed.source() {
             None => 0,
             Some(s) => {
                 let mut d = Digest::new();
@@ -522,61 +522,23 @@ impl QueryHost {
         if self.stats.tweets_delivered < fr.delivered || self.stats.gaps < fr.gaps {
             self.ensure_index();
         }
-        if self.config.batched_source {
-            while self.stats.tweets_delivered < fr.delivered || self.stats.gaps < fr.gaps {
-                if let Some((from, to)) = self.peeked_gap {
-                    if self.stats.gaps >= fr.gaps {
-                        return Err(QueryError::Durability(
-                            "replay found a gap where the log recorded a tweet".into(),
-                        ));
-                    }
-                    self.peeked_gap = None;
-                    self.pump_gap(from, to)?;
+        while self.stats.tweets_delivered < fr.delivered || self.stats.gaps < fr.gaps {
+            let mismatch = match self.feed.peek() {
+                None => "stream ended before the logged frontier",
+                Some(Next::Tweet(_)) if self.stats.tweets_delivered >= fr.delivered => {
+                    "replay found a tweet where the log recorded a gap"
+                }
+                Some(Next::Gap(..)) if self.stats.gaps >= fr.gaps => {
+                    "replay found a gap where the log recorded a tweet"
+                }
+                Some(next) => {
+                    self.take_next(next)?;
                     continue;
                 }
-                if self.hcursor < self.hblock.sel.len() {
-                    if self.stats.tweets_delivered >= fr.delivered {
-                        return Err(QueryError::Durability(
-                            "replay found a tweet where the log recorded a gap".into(),
-                        ));
-                    }
-                    let i = self.hblock.sel[self.hcursor];
-                    let ts = self.hlog.as_ref().expect("log bound with the block")[i as usize]
-                        .created_at;
-                    self.hcursor += 1;
-                    self.pump_index(i, ts)?;
-                    continue;
-                }
-                if !self.refill_block() {
-                    return Err(QueryError::Durability(
-                        "stream ended before the logged frontier".into(),
-                    ));
-                }
-            }
-        } else {
-            while self.stats.tweets_delivered < fr.delivered || self.stats.gaps < fr.gaps {
-                let Some(ev) = self.next_event() else {
-                    return Err(QueryError::Durability(
-                        "stream ended before the logged frontier".into(),
-                    ));
-                };
-                match &ev {
-                    SourceEvent::Tweet(_) if self.stats.tweets_delivered >= fr.delivered => {
-                        return Err(QueryError::Durability(
-                            "replay found a tweet where the log recorded a gap".into(),
-                        ));
-                    }
-                    SourceEvent::Gap { .. } if self.stats.gaps >= fr.gaps => {
-                        return Err(QueryError::Durability(
-                            "replay found a gap where the log recorded a tweet".into(),
-                        ));
-                    }
-                    _ => {}
-                }
-                self.pump_event(ev)?;
-            }
+            };
+            return Err(QueryError::Durability(mismatch.into()));
         }
-        if fr.exhausted && !self.exhausted {
+        if fr.exhausted && !self.feed.exhausted() {
             self.run_to_end()?;
         }
         Ok(())
@@ -620,7 +582,7 @@ impl QueryHost {
                 c.position
             ));
         }
-        if self.cadence.next().map(|t| t.millis()) != c.next_wm {
+        if self.feed.cadence().next().map(|t| t.millis()) != c.next_wm {
             bad.push("watermark cursor diverged".into());
         }
         if self.stats.watermarks != c.watermarks {

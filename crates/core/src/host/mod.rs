@@ -2,10 +2,13 @@
 //! live queries.
 //!
 //! [`QueryHost`] is the multi-query counterpart of [`crate::engine::Engine`].
-//! Where an engine runs one query to completion over its own
-//! connection, a host owns a **single** full-stream
-//! [`SupervisedSource`] and dispatches every micro-batch to all
-//! registered queries through a shared-scan dispatcher:
+//! Where an engine drains its feed into one query's pipeline, a host
+//! owns a **single** full-stream `Feed` — the same source cursor and
+//! batch filler the engine uses — and dispatches every batch it
+//! flushes to all registered queries through a shared-scan dispatcher
+//! (`Dispatch`). `pump_until`, `run_to_end` and durable replay are
+//! one loop each over that feed, differing only in where they stop.
+//! The dispatcher:
 //!
 //! * **Common-filter index** ([`index`]) — every query's `contains`
 //!   needles (taken from its optimized logical plan's pushdown
@@ -26,7 +29,7 @@
 //!   ([`crate::exec::Pipeline::push_tweet_batch`]). A columnar head
 //!   (fused scan, plain-column aggregate) never sees a [`Record`]; a
 //!   row-only head gets one for each row it selected, no more.
-//! * **Punctuation rides in the batch** — the pump only fills: each
+//! * **Punctuation rides in the batch** — the feed only fills: each
 //!   watermark-boundary crossing is recorded in the batch
 //!   ([`TweetBatch::cross`]) and the batch is flushed when it is full,
 //!   at a source gap, at the end of a pump or of the stream, and before
@@ -56,20 +59,20 @@ mod tests;
 use crate::catalog::Catalog;
 use crate::engine::{Diagnostics, EngineBuilder, EngineConfig, RegistryFn};
 use crate::error::QueryError;
-use crate::exec::supervise::{SourceBlock, SourceEvent, SourceFaultStats, SupervisedSource};
+use crate::exec::feed::{Drain, Feed, Next};
+use crate::exec::supervise::SourceFaultStats;
+use crate::exec::Pipeline;
 use crate::parser::parse;
-use crate::plan::{plan, PlanConfig};
+use crate::plan::plan;
 use crate::udf::{Registry, SharedGeoService};
 use index::{FilterIndex, NeedleGroups};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tweeql_firehose::api::{ConnectionStats, SourceBatch};
-use tweeql_firehose::{FilterSpec, StreamingApi};
+use tweeql_firehose::api::ConnectionStats;
+use tweeql_firehose::FilterSpec;
 use tweeql_model::batch::col;
-use tweeql_model::{
-    Cadence, Clock, Duration, Record, SchemaRef, Timestamp, Tweet, TweetBatch, VirtualClock,
-};
+use tweeql_model::{Clock, Crossing, Record, SchemaRef, Timestamp, TweetBatch, VirtualClock};
 use tweeql_obs::{MetricsRegistry, QueryId, SpanKind, Tracer};
 
 /// Lifecycle of a registered query.
@@ -352,22 +355,13 @@ impl DispatchTable {
 /// ```
 pub struct QueryHost {
     config: EngineConfig,
-    api: StreamingApi,
     clock: Arc<VirtualClock>,
     catalog: Catalog,
     registry_fns: Vec<RegistryFn>,
     metrics: MetricsRegistry,
     tracer: Option<Tracer>,
-    source: Option<SupervisedSource>,
-    peeked: Option<SourceEvent>,
-    /// Batched pull state: the block being consumed, the cursor into
-    /// its selection, a gap stashed in arrival order, and the shared
-    /// firehose log the indices point into.
-    hblock: SourceBatch,
-    hcursor: usize,
-    peeked_gap: Option<(Timestamp, Timestamp)>,
-    hlog: Option<Arc<Vec<Tweet>>>,
-    exhausted: bool,
+    /// The shared connection, its cursor, and the batch it fills.
+    feed: Feed,
     next_id: u64,
     queries: Vec<HostQuery>,
     filter_index: FilterIndex,
@@ -377,7 +371,6 @@ pub struct QueryHost {
     /// [`QueryHost::ensure_index`].
     index_dirty: bool,
     prefilter: bool,
-    batch: TweetBatch,
     /// Slots whose `sel` is non-empty for the batch being flushed;
     /// empty between flushes (so register/drop slot shifts stay sound).
     active: Vec<u32>,
@@ -385,12 +378,6 @@ pub struct QueryHost {
     /// [`QueryHost::ensure_index`]): shown every batch that carries a
     /// crossing, and every gap, whether or not they selected a row.
     punctual: Vec<u32>,
-    cadence: Cadence,
-    /// Test oracle: cut the batch at every boundary and broadcast each
-    /// one, as every drive loop did before punctuation rode in the
-    /// batch (see `tests.rs`).
-    #[cfg(test)]
-    cut_at_boundaries: bool,
     position: Timestamp,
     stats: HostStats,
     host_metrics_published: bool,
@@ -409,30 +396,19 @@ impl QueryHost {
             catalog.register(&name, schema);
         }
         QueryHost {
-            cadence: Cadence::new(b.config.watermark_interval),
-            #[cfg(test)]
-            cut_at_boundaries: false,
+            feed: Feed::new(&b.api, FilterSpec::Sample(1.0), &b.config),
             config: b.config,
-            api: b.api,
             clock,
             catalog,
             registry_fns: b.registry_fns,
             metrics: b.metrics.unwrap_or_default(),
             tracer: b.trace.map(Tracer::new),
-            source: None,
-            peeked: None,
-            hblock: SourceBatch::default(),
-            hcursor: 0,
-            peeked_gap: None,
-            hlog: None,
-            exhausted: false,
             next_id: 0,
             queries: Vec::new(),
             filter_index: FilterIndex::default(),
             dispatch: DispatchTable::default(),
             index_dirty: false,
             prefilter: true,
-            batch: TweetBatch::new(),
             active: Vec::new(),
             punctual: Vec::new(),
             position: Timestamp::ZERO,
@@ -482,7 +458,8 @@ impl QueryHost {
             let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
             return Err(QueryError::Check(crate::check::render_all(&errors, sql)));
         }
-        let mut planned = plan(&stmt, &self.catalog, &registry, &self.plan_config())?;
+        let config = self.config.plan_config(Vec::new());
+        let mut planned = plan(&stmt, &self.catalog, &registry, &config)?;
         if planned.join.is_some() {
             return Err(QueryError::Plan(
                 "standing joins are not supported on a shared-scan host; \
@@ -628,22 +605,13 @@ impl QueryHost {
     pub fn pump_until(&mut self, until: Timestamp) -> Result<u64, QueryError> {
         self.ensure_index();
         let before = self.stats.tweets_delivered;
-        if self.config.batched_source {
-            self.pump_blocks(until)?;
-        } else {
-            while let Some(ev) = self.next_event() {
-                let at = match &ev {
-                    SourceEvent::Tweet(t) => t.created_at,
-                    SourceEvent::Gap { from, .. } => *from,
-                };
-                if at > until {
-                    self.peeked = Some(ev);
-                    break;
-                }
-                self.pump_event(ev)?;
+        while let Some(next) = self.feed.peek() {
+            if next.at() > until {
+                break;
             }
+            self.take_next(next)?;
         }
-        if self.exhausted {
+        if self.feed.exhausted() {
             self.finish_stream()?;
         } else {
             // Drain the batch tail to pollers.
@@ -655,17 +623,9 @@ impl QueryHost {
     /// Pump the whole remaining stream, then finish every running
     /// query. Returns the number of tweets delivered by this call.
     pub fn run_to_end(&mut self) -> Result<u64, QueryError> {
-        self.ensure_index();
-        let before = self.stats.tweets_delivered;
-        if self.config.batched_source {
-            self.pump_blocks(Timestamp::from_millis(i64::MAX))?;
-        } else {
-            while let Some(ev) = self.next_event() {
-                self.pump_event(ev)?;
-            }
-        }
-        self.finish_stream()?;
-        Ok(self.stats.tweets_delivered - before)
+        // No event is past the end of time, so the pump stops only at
+        // the end of the stream, which finishes every query.
+        self.pump_until(Timestamp::MAX)
     }
 
     /// High-water stream time of the events processed so far.
@@ -693,7 +653,7 @@ impl QueryHost {
     /// Shared-source connection and supervisor statistics (None until
     /// the first pump).
     pub fn source_stats(&self) -> Option<(ConnectionStats, SourceFaultStats)> {
-        self.source.as_ref().map(|s| (s.stats(), s.fault_stats()))
+        self.feed.source().map(|s| (s.stats(), s.fault_stats()))
     }
 
     /// The metrics registry the host and its queries publish into.
@@ -707,18 +667,6 @@ impl QueryHost {
     }
 
     // ---- internals --------------------------------------------------
-
-    fn plan_config(&self) -> PlanConfig {
-        PlanConfig {
-            use_eddy: self.config.use_eddy,
-            compile_exprs: self.config.compile_exprs,
-            optimize: self.config.optimize_plans,
-            selectivity_hints: Vec::new(),
-            async_max_batch: self.config.async_max_batch,
-            async_max_delay: self.config.async_max_delay,
-            default_join_window: Duration::from_mins(5),
-        }
-    }
 
     fn query(&self, id: QueryId) -> Result<&HostQuery, QueryError> {
         self.queries
@@ -784,7 +732,7 @@ impl QueryHost {
             }
         }
         let union: Option<Arc<[bool]>> = if any_full { None } else { acc.map(Into::into) };
-        self.batch.set_live(union);
+        self.feed.set_live(union);
         // Cached punctuation interest, so a flush never scans the
         // registered queries for it. A time-sensitive query that
         // finishes mid-stream stays listed until the next rebuild; its
@@ -796,343 +744,45 @@ impl QueryHost {
             }));
     }
 
-    fn ensure_source(&mut self) {
-        if self.source.is_none() && !self.exhausted {
-            let src = SupervisedSource::new(
-                self.api.clone(),
-                FilterSpec::Sample(1.0),
-                self.config.fault.clone(),
-                self.config.retry.clone(),
-                self.config.seed,
-            );
-            if self.config.batched_source {
-                // Shared-view mode: buffered rows are indices into the
-                // firehose log, never cloned tweets. `flush_batch`
-                // resets preserve the binding.
-                self.hlog = Some(Arc::clone(src.log()));
-                self.batch.bind_log(src.log());
+    /// Take the event the feed peeked: a tweet through the feed into the
+    /// batch, a gap to the time-sensitive queries; then the host's own
+    /// counters and, after a tweet, a due checkpoint.
+    fn take_next(&mut self, next: Next) -> Result<(), QueryError> {
+        let (feed, mut dispatch) = self.split();
+        let crossed = feed.take(next, &mut dispatch)?;
+        match next {
+            Next::Tweet(ts) => {
+                self.position = self.position.max(ts);
+                self.stats.watermarks += crossed;
+                self.stats.tweets_delivered += 1;
+                self.maybe_checkpoint()
             }
-            self.source = Some(src);
-        }
-    }
-
-    fn next_event(&mut self) -> Option<SourceEvent> {
-        if let Some(e) = self.peeked.take() {
-            return Some(e);
-        }
-        self.ensure_source();
-        match self.source.as_mut()?.next() {
-            Some(e) => Some(e),
-            None => {
-                self.exhausted = true;
-                None
+            Next::Gap(_, to) => {
+                self.position = self.position.max(to);
+                self.stats.gaps += 1;
+                Ok(())
             }
         }
     }
 
-    /// Process one stream event of the per-tweet source.
-    fn pump_event(&mut self, event: SourceEvent) -> Result<(), QueryError> {
-        match event {
-            SourceEvent::Gap { from, to } => self.pump_gap(from, to),
-            SourceEvent::Tweet(tweet) => self.pump_row(tweet.created_at, |batch| batch.push(tweet)),
-        }
-    }
-
-    /// One delivered tweet at `ts`, which `push` adds to the batch. A
-    /// boundary crossing on the way there is recorded in the batch,
-    /// before that row — not acted on; the batch is flushed when full.
-    fn pump_row(
-        &mut self,
-        ts: Timestamp,
-        push: impl FnOnce(&mut TweetBatch),
-    ) -> Result<(), QueryError> {
-        self.position = self.position.max(ts);
-        if let Some(crossed) = self.cadence.advance(ts) {
-            self.stats.watermarks += crossed.count();
-            #[cfg(test)]
-            if self.cut_at_boundaries {
-                self.cut_and_broadcast(crossed)?;
-            } else {
-                self.batch.cross(crossed);
-            }
-            #[cfg(not(test))]
-            self.batch.cross(crossed);
-        }
-        push(&mut self.batch);
-        self.stats.tweets_delivered += 1;
-        if self.batch.len() >= self.config.batch_size.max(1) {
-            self.flush_batch()?;
-        }
-        self.maybe_checkpoint()
-    }
-
-    /// A source coverage gap: everything buffered goes first, then the
-    /// gap reaches the time-sensitive queries.
-    fn pump_gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
-        self.position = self.position.max(to);
-        self.stats.gaps += 1;
-        self.flush_batch()?;
-        if self.punctual.is_empty() {
-            return Ok(());
-        }
-        for q in &mut self.queries {
-            if q.state != QueryState::Running || !q.time_sensitive {
-                continue;
-            }
-            q.planned.pipeline.gap(from, to, &mut q.scratch_out)?;
-            q.deliver();
-            q.check_done()?;
-        }
-        Ok(())
-    }
-
-    /// The batched pump: consume zero-copy source blocks up to `until`,
-    /// event for event what [`QueryHost::pump_event`] does per tweet.
-    /// Stops mid-block on the first tweet past `until` (the cursor
-    /// keeps the position for the next call) and stashes an overshot
-    /// gap marker the same way.
-    fn pump_blocks(&mut self, until: Timestamp) -> Result<(), QueryError> {
-        loop {
-            if let Some((from, to)) = self.peeked_gap {
-                if from > until {
-                    break;
-                }
-                self.peeked_gap = None;
-                self.pump_gap(from, to)?;
-                continue;
-            }
-            if self.hcursor < self.hblock.sel.len() {
-                let i = self.hblock.sel[self.hcursor];
-                let ts =
-                    self.hlog.as_ref().expect("log bound with the block")[i as usize].created_at;
-                if ts > until {
-                    break;
-                }
-                self.hcursor += 1;
-                self.pump_index(i, ts)?;
-                continue;
-            }
-            if !self.refill_block() {
-                break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Pull the next block (or gap) from the supervised source into the
-    /// host-side stash. Returns false at end of stream.
-    fn refill_block(&mut self) -> bool {
-        self.ensure_source();
-        let batch_size = self.config.batch_size.max(1);
-        let QueryHost {
-            ref mut source,
-            ref mut hblock,
-            ref mut hcursor,
-            ref mut peeked_gap,
-            ref mut exhausted,
-            ref clock,
-            ..
-        } = *self;
-        let Some(src) = source.as_mut() else {
-            *exhausted = true;
-            return false;
-        };
-        match src.next_block(batch_size) {
-            Some(SourceBlock::Tweets(b)) => {
-                hblock.sel.clear();
-                hblock.sel.extend_from_slice(&b.sel);
-                hblock.scan_end = b.scan_end;
-                *hcursor = 0;
-                true
-            }
-            Some(SourceBlock::Gap { from, to }) => {
-                *peeked_gap = Some((from, to));
-                true
-            }
-            None => {
-                // Mirror the per-tweet supervisor's trailing scan: the
-                // clock ends at the stream frontier.
-                clock.advance_to(src.frontier());
-                *exhausted = true;
-                false
-            }
-        }
-    }
-
-    /// One delivered tweet, as a log index: the row joins the
-    /// shared-view batch without being cloned.
-    fn pump_index(&mut self, i: u32, ts: Timestamp) -> Result<(), QueryError> {
-        self.pump_row(ts, |batch| batch.push_index(i))
-    }
-
-    /// Dispatch the buffered batch: one prefilter scan per row, one
-    /// build of the columns the selecting queries read, then every one
-    /// of those pipelines over the same batch with its own selection.
-    /// The virtual clock moves to the latest buffered tweet first —
-    /// where the per-tweet source left it anyway — so modeled service
-    /// latency accrues from one base whichever way the rows arrived.
+    /// Dispatch the buffered batch now (see [`Dispatch`]).
     fn flush_batch(&mut self) -> Result<(), QueryError> {
-        let n = self.batch.len();
-        if n == 0 {
-            return Ok(());
-        }
-        self.clock.advance_to(self.cadence.high());
-        self.stats.batches += 1;
-        // Single-query fast path: with exactly one running query there
-        // is nothing to share, so the prefilter scan is pure overhead.
-        // Hand the whole batch straight to the pipeline, exactly like a
-        // dedicated engine. Register/drop flush first, so the condition
-        // cannot flip mid-batch.
-        if self.queries.len() == 1 && self.queries[0].state == QueryState::Running {
-            let QueryHost {
-                ref mut batch,
-                ref mut queries,
-                ref mut stats,
-                ..
-            } = *self;
-            let q = &mut queries[0];
-            q.rows_in += n as u64;
-            stats.rows_dispatched += n as u64;
-            stats.rows_decoded += n as u64;
-            // `drain_tweet_batch` resets the batch itself (binding
-            // preserved), even on error.
-            q.planned
-                .pipeline
-                .drain_tweet_batch(batch, &mut q.scratch_out)?;
-            q.deliver();
-            return q.check_done();
-        }
-        // ---- select: which rows does each query want? ----
-        // Invariant: every `sel` and the `active` slot list are empty
-        // between flushes. Selection records a slot in `active` the
-        // moment its `sel` first becomes non-empty, so the dispatch and
-        // cleanup phases below cost O(queries that matched) rather than
-        // O(queries registered).
-        let use_index = self.prefilter && !self.filter_index.is_empty();
-        // Rows at least one query selected.
-        let mut decoded = 0u64;
-        if use_index {
-            let QueryHost {
-                ref mut filter_index,
-                ref mut dispatch,
-                ref mut queries,
-                ref mut active,
-                ref batch,
-                ..
-            } = *self;
-            let DispatchTable {
-                ref always,
-                ref group_count,
-                ref needle_subs,
-                ref mut q_mark,
-                ref mut sat,
-                ref mut g_mark,
-                ref mut stamp,
-            } = *dispatch;
-            // A non-empty batch hands every needle-free query at least
-            // one row, so their slots go straight onto the active list.
-            active.extend_from_slice(always);
-            for i in 0..n {
-                let t = batch.tweet_at(i);
-                filter_index.match_row(&t.text);
-                *stamp += 1;
-                let mut wanted = !always.is_empty();
-                for &nid in filter_index.touched() {
-                    for &(q, g) in &needle_subs[nid as usize] {
-                        let (q, g) = (q as usize, g as usize);
-                        if g_mark[g] == *stamp {
-                            continue;
-                        }
-                        g_mark[g] = *stamp;
-                        if q_mark[q] != *stamp {
-                            q_mark[q] = *stamp;
-                            sat[q] = 0;
-                        }
-                        sat[q] += 1;
-                        if sat[q] == group_count[q] {
-                            if queries[q].sel.is_empty() {
-                                active.push(q as u32);
-                            }
-                            queries[q].sel.push(i as u32);
-                            wanted = true;
-                        }
-                    }
-                }
-                for &q in always {
-                    queries[q as usize].sel.push(i as u32);
-                }
-                decoded += u64::from(wanted);
-            }
-        } else {
-            let QueryHost {
-                ref mut queries,
-                ref mut active,
-                ..
-            } = *self;
-            for (slot, q) in queries.iter_mut().enumerate() {
-                if q.state != QueryState::Running {
-                    continue;
-                }
-                q.sel.extend(0..n as u32);
-                active.push(slot as u32);
-            }
-            if !active.is_empty() {
-                decoded = n as u64;
-            }
-        }
-        // ---- build, once, the columns the selecting heads read ----
-        let mut columns = [false; col::COUNT];
-        for &slot in &self.active {
-            let pipeline = &self.queries[slot as usize].planned.pipeline;
-            for (have, want) in columns.iter_mut().zip(pipeline.tweet_columns()) {
-                *have |= *want;
-            }
-        }
-        if columns.contains(&true) {
-            self.batch.materialize(&columns);
-        }
-        // A batch that carries a crossing also goes to the time-sensitive
-        // queries that selected none of its rows: a window of theirs may
-        // be due all the same.
-        if !self.batch.crossings().is_empty() {
-            for &slot in &self.punctual {
-                let q = &self.queries[slot as usize];
-                if q.sel.is_empty() && q.state == QueryState::Running {
-                    self.active.push(slot);
-                }
-            }
-        }
-        // ---- dispatch: every active pipeline reads the one batch ----
-        let dispatched: u64 = self
-            .active
-            .iter()
-            .map(|&slot| self.queries[slot as usize].sel.len() as u64)
-            .sum();
-        let batch = &self.batch;
-        let result = self.active.iter().try_for_each(|&slot| {
-            let q = &mut self.queries[slot as usize];
-            if q.state != QueryState::Running {
-                return Ok(());
-            }
-            q.rows_in += q.sel.len() as u64;
-            q.planned
-                .pipeline
-                .push_tweet_batch(batch, &q.sel, &mut q.scratch_out)?;
-            q.deliver();
-            q.check_done()
-        });
-        self.stats.rows_dispatched += dispatched;
-        self.stats.rows_decoded += decoded;
-        self.stats.rows_shared += dispatched - decoded;
-        self.batch.reset();
-        // Restore the between-flush invariant even on error: register
-        // and drop flush first, and `Vec::remove` shifts slot indices,
-        // so a stale `active` entry or `sel` row would be unsound.
-        for &slot in &self.active {
-            self.queries[slot as usize].sel.clear();
-        }
-        self.active.clear();
-        result
+        let (feed, mut dispatch) = self.split();
+        feed.flush(&mut dispatch)
+    }
+
+    /// The feed, and the dispatcher it flushes into, borrowed apart.
+    fn split(&mut self) -> (&mut Feed, Dispatch<'_>) {
+        let dispatch = Dispatch {
+            queries: &mut self.queries,
+            filter_index: &mut self.filter_index,
+            table: &mut self.dispatch,
+            active: &mut self.active,
+            punctual: &self.punctual,
+            stats: &mut self.stats,
+            prefilter: self.prefilter,
+        };
+        (&mut self.feed, dispatch)
     }
 
     /// End of stream: flush, finish every running query, publish host
@@ -1181,5 +831,203 @@ impl QueryHost {
             m.counter("tweeql_wal_checkpoint_bytes_total", &[])
                 .add(s.checkpoint_bytes);
         }
+    }
+}
+
+/// The host's side of the feed: everything a flush, a gap or a
+/// boundary touches, borrowed apart from the [`Feed`] that calls it
+/// ([`QueryHost::split`]).
+struct Dispatch<'a> {
+    queries: &'a mut [HostQuery],
+    filter_index: &'a mut FilterIndex,
+    table: &'a mut DispatchTable,
+    active: &'a mut Vec<u32>,
+    punctual: &'a [u32],
+    stats: &'a mut HostStats,
+    prefilter: bool,
+}
+
+impl Dispatch<'_> {
+    /// Show punctuation to every running time-sensitive query.
+    fn punctuate(
+        &mut self,
+        mut show: impl FnMut(&mut Pipeline, &mut Vec<Record>) -> Result<(), QueryError>,
+    ) -> Result<(), QueryError> {
+        if self.punctual.is_empty() {
+            return Ok(());
+        }
+        for q in self.queries.iter_mut() {
+            if q.state != QueryState::Running || !q.time_sensitive {
+                continue;
+            }
+            show(&mut q.planned.pipeline, &mut q.scratch_out)?;
+            q.deliver();
+            q.check_done()?;
+        }
+        Ok(())
+    }
+}
+
+impl Drain for Dispatch<'_> {
+    /// Dispatch the buffered batch: one prefilter scan per row, one
+    /// build of the columns the selecting queries read, then every one
+    /// of those pipelines over the same batch with its own selection.
+    fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError> {
+        let n = batch.len();
+        if n == 0 {
+            return Ok(());
+        }
+        self.stats.batches += 1;
+        // Single-query fast path: with exactly one running query there
+        // is nothing to share, so the prefilter scan is pure overhead.
+        // Hand the whole batch straight to the pipeline, exactly like a
+        // dedicated engine. Register/drop flush first, so the condition
+        // cannot flip mid-batch.
+        if self.queries.len() == 1 && self.queries[0].state == QueryState::Running {
+            let q = &mut self.queries[0];
+            q.rows_in += n as u64;
+            self.stats.rows_dispatched += n as u64;
+            self.stats.rows_decoded += n as u64;
+            // `drain_tweet_batch` resets the batch itself (binding
+            // preserved), even on error.
+            q.planned
+                .pipeline
+                .drain_tweet_batch(batch, &mut q.scratch_out)?;
+            q.deliver();
+            return q.check_done();
+        }
+        // ---- select: which rows does each query want? ----
+        // Invariant: every `sel` and the `active` slot list are empty
+        // between flushes. Selection records a slot in `active` the
+        // moment its `sel` first becomes non-empty, so the dispatch and
+        // cleanup phases below cost O(queries that matched) rather than
+        // O(queries registered).
+        let use_index = self.prefilter && !self.filter_index.is_empty();
+        // Rows at least one query selected.
+        let mut decoded = 0u64;
+        if use_index {
+            let DispatchTable {
+                ref always,
+                ref group_count,
+                ref needle_subs,
+                ref mut q_mark,
+                ref mut sat,
+                ref mut g_mark,
+                ref mut stamp,
+            } = *self.table;
+            // A non-empty batch hands every needle-free query at least
+            // one row, so their slots go straight onto the active list.
+            self.active.extend_from_slice(always);
+            for i in 0..n {
+                let t = batch.tweet_at(i);
+                self.filter_index.match_row(&t.text);
+                *stamp += 1;
+                let mut wanted = !always.is_empty();
+                for &nid in self.filter_index.touched() {
+                    for &(q, g) in &needle_subs[nid as usize] {
+                        let (q, g) = (q as usize, g as usize);
+                        if g_mark[g] == *stamp {
+                            continue;
+                        }
+                        g_mark[g] = *stamp;
+                        if q_mark[q] != *stamp {
+                            q_mark[q] = *stamp;
+                            sat[q] = 0;
+                        }
+                        sat[q] += 1;
+                        if sat[q] == group_count[q] {
+                            if self.queries[q].sel.is_empty() {
+                                self.active.push(q as u32);
+                            }
+                            self.queries[q].sel.push(i as u32);
+                            wanted = true;
+                        }
+                    }
+                }
+                for &q in always {
+                    self.queries[q as usize].sel.push(i as u32);
+                }
+                decoded += u64::from(wanted);
+            }
+        } else {
+            for (slot, q) in self.queries.iter_mut().enumerate() {
+                if q.state != QueryState::Running {
+                    continue;
+                }
+                q.sel.extend(0..n as u32);
+                self.active.push(slot as u32);
+            }
+            if !self.active.is_empty() {
+                decoded = n as u64;
+            }
+        }
+        // ---- build, once, the columns the selecting heads read ----
+        let mut columns = [false; col::COUNT];
+        for &slot in self.active.iter() {
+            let pipeline = &self.queries[slot as usize].planned.pipeline;
+            for (have, want) in columns.iter_mut().zip(pipeline.tweet_columns()) {
+                *have |= *want;
+            }
+        }
+        if columns.contains(&true) {
+            batch.materialize(&columns);
+        }
+        // A batch that carries a crossing also goes to the time-sensitive
+        // queries that selected none of its rows: a window of theirs may
+        // be due all the same.
+        if !batch.crossings().is_empty() {
+            for &slot in self.punctual {
+                let q = &self.queries[slot as usize];
+                if q.sel.is_empty() && q.state == QueryState::Running {
+                    self.active.push(slot);
+                }
+            }
+        }
+        // ---- dispatch: every active pipeline reads the one batch ----
+        let dispatched: u64 = self
+            .active
+            .iter()
+            .map(|&slot| self.queries[slot as usize].sel.len() as u64)
+            .sum();
+        let shared: &TweetBatch = batch;
+        let result = self.active.iter().try_for_each(|&slot| {
+            let q = &mut self.queries[slot as usize];
+            if q.state != QueryState::Running {
+                return Ok(());
+            }
+            q.rows_in += q.sel.len() as u64;
+            q.planned
+                .pipeline
+                .push_tweet_batch(shared, &q.sel, &mut q.scratch_out)?;
+            q.deliver();
+            q.check_done()
+        });
+        self.stats.rows_dispatched += dispatched;
+        self.stats.rows_decoded += decoded;
+        self.stats.rows_shared += dispatched - decoded;
+        batch.reset();
+        // Restore the between-flush invariant even on error: register
+        // and drop flush first, and `Vec::remove` shifts slot indices,
+        // so a stale `active` entry or `sel` row would be unsound.
+        for &slot in self.active.iter() {
+            self.queries[slot as usize].sel.clear();
+        }
+        self.active.clear();
+        result
+    }
+
+    /// A source coverage gap reaches the time-sensitive queries.
+    fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
+        self.punctuate(|pipeline, out| pipeline.gap(from, to, out))
+    }
+
+    /// The reference cadence: every crossed boundary through every
+    /// time-sensitive query.
+    fn boundaries(&mut self, crossed: Crossing) -> Result<(), QueryError> {
+        self.punctuate(|pipeline, out| {
+            crossed
+                .boundaries()
+                .try_for_each(|wm| pipeline.watermark(wm, out))
+        })
     }
 }

@@ -3,6 +3,8 @@
 use super::*;
 use crate::engine::Engine;
 use crate::host::durable::DurabilityConfig;
+use tweeql_firehose::StreamingApi;
+use tweeql_model::{Duration, Tweet};
 use tweeql_wal::TempDir;
 
 /// Ten minutes, two tweets a second, keywords `kw0`..`kw4` in rotation.
@@ -208,33 +210,7 @@ fn non_ascii_needles_are_prefiltered_and_match_a_dedicated_engine() {
     }
 }
 
-// ---- the previous cadence, kept as the oracle -----------------------
-
-impl QueryHost {
-    /// What every drive loop did at a boundary crossing before
-    /// punctuation rode in the batch: flush what is buffered, then run
-    /// every crossed boundary through every time-sensitive query.
-    pub(super) fn cut_and_broadcast(
-        &mut self,
-        crossed: tweeql_model::Crossing,
-    ) -> Result<(), QueryError> {
-        if self.punctual.is_empty() {
-            return Ok(());
-        }
-        self.flush_batch()?;
-        for q in &mut self.queries {
-            if q.state != QueryState::Running || !q.time_sensitive {
-                continue;
-            }
-            for wm in crossed.boundaries() {
-                q.planned.pipeline.watermark(wm, &mut q.scratch_out)?;
-            }
-            q.deliver();
-            q.check_done()?;
-        }
-        Ok(())
-    }
-}
+// ---- the reference cadence, kept as the oracle ----------------------
 
 mod cadence_oracle {
     use super::*;
@@ -317,12 +293,14 @@ mod cadence_oracle {
     }
 
     impl Setup {
-        fn host(&self, cut_at_boundaries: bool) -> QueryHost {
+        /// `reference`: the feed's reference cadence, which cuts the
+        /// batch at every crossing and broadcasts every boundary.
+        fn host(&self, reference: bool) -> QueryHost {
             let api = StreamingApi::new(self.tweets.clone(), VirtualClock::new());
             let mut host = Engine::builder(api)
                 .config(self.config.clone())
                 .build_host();
-            host.cut_at_boundaries = cut_at_boundaries;
+            host.feed.reference_cadence = reference;
             host
         }
     }

@@ -16,8 +16,8 @@
 //!    (calls WHERE needs run before the filter, all others after, so
 //!    tuples the filter drops never cost a web-service call; §2
 //!    "High-latency Operators"), filters compile into
-//!    [`crate::exec::fused::FusedScanOp`] scans or the adaptive
-//!    [`crate::exec::eddy::EddyFilter`], and windowed aggregation uses
+//!    [`crate::exec::fused::FusedScanOp`] scans (which re-rank their
+//!    conjuncts adaptively), and windowed aggregation uses
 //!    a canonical `[keys…, aggs…]` layout plus a post-projection
 //!    restoring SELECT order.
 //!
@@ -35,7 +35,6 @@ use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::exec::aggregate::{AggExpr, AggregateOp, WindowPolicy};
 use crate::exec::asyncop::AsyncUdfOp;
-use crate::exec::eddy::EddyFilter;
 use crate::exec::filter::FilterOp;
 use crate::exec::fused::FusedScanOp;
 use crate::exec::join::SymmetricHashJoin;
@@ -51,8 +50,6 @@ use tweeql_model::{DataType, Duration, Field, Schema, SchemaRef, Value};
 /// Planner knobs (a projection of the engine config).
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
-    /// Use the adaptive eddy for multi-conjunct local filters.
-    pub use_eddy: bool,
     /// Lower stateless WHERE/SELECT expressions into compiled batch
     /// programs ([`crate::exec::fused::FusedScanOp`]); expressions the
     /// lowering rejects (stateful UDFs) fall back to the interpreted
@@ -77,7 +74,6 @@ pub struct PlanConfig {
 impl Default for PlanConfig {
     fn default() -> Self {
         PlanConfig {
-            use_eddy: false,
             compile_exprs: true,
             async_max_batch: 25,
             async_max_delay: Duration::from_secs(2),
@@ -331,56 +327,41 @@ fn lower(
     add_async(0..where_hoists, &mut working_schema, &mut ops, &mut explain)?;
 
     // WHERE fuses into the final projection scan only when nothing —
-    // async stage, aggregation, eddy — sits between filter and
-    // project. Decided upfront (conjunct order is already final: the
-    // ordering rule ran at the logical level).
+    // async stage, aggregation — sits between filter and project.
+    // Decided upfront (conjunct order is already final: the ordering
+    // rule ran at the logical level).
     let fuse_where = !conjuncts.is_empty()
         && config.compile_exprs
         && plain_select
-        && hoists.len() == where_hoists
-        && !(config.use_eddy && conjuncts.len() > 1);
+        && hoists.len() == where_hoists;
 
     if !conjuncts.is_empty() && !fuse_where {
-        if config.use_eddy && conjuncts.len() > 1 {
+        let mut fused = None;
+        if config.compile_exprs {
             let mut ctx = EvalCtx::default();
             let mut compiled = Vec::with_capacity(conjuncts.len());
             for c in &conjuncts {
                 compiled.push(compile_into(c, &working_schema, registry, &mut ctx)?);
             }
-            explain.push(format!("eddy filter over {} predicates", compiled.len()));
-            ops.push(Box::new(EddyFilter::new(
-                compiled,
-                ctx,
-                working_schema.clone(),
-            )));
-        } else {
-            let mut fused = None;
-            if config.compile_exprs {
-                let mut ctx = EvalCtx::default();
-                let mut compiled = Vec::with_capacity(conjuncts.len());
-                for c in &conjuncts {
-                    compiled.push(compile_into(c, &working_schema, registry, &mut ctx)?);
-                }
-                // Stateful UDFs fail lowering → interpreted fallback.
-                fused = FusedScanOp::try_new(&compiled, None, working_schema.clone(), "where").ok();
-                if fused.is_some() {
-                    explain.push(format!(
-                        "compiled filter ({} conjuncts, adaptive order)",
-                        compiled.len()
-                    ));
-                }
+            // Stateful UDFs fail lowering → interpreted fallback.
+            fused = FusedScanOp::try_new(&compiled, None, working_schema.clone(), "where").ok();
+            if fused.is_some() {
+                explain.push(format!(
+                    "compiled filter ({} conjuncts, adaptive order)",
+                    compiled.len()
+                ));
             }
-            match fused {
-                Some(op) => ops.push(Box::new(op)),
-                None => {
-                    let expr = Expr::and_all(conjuncts.clone());
-                    let mut ctx = EvalCtx::default();
-                    let compiled = compile_into(&expr, &working_schema, registry, &mut ctx)?;
-                    explain.push("filter (cost-ordered conjuncts)".to_string());
-                    ops.push(Box::new(
-                        FilterOp::new(compiled, ctx, working_schema.clone()).with_label("where"),
-                    ));
-                }
+        }
+        match fused {
+            Some(op) => ops.push(Box::new(op)),
+            None => {
+                let expr = Expr::and_all(conjuncts.clone());
+                let mut ctx = EvalCtx::default();
+                let compiled = compile_into(&expr, &working_schema, registry, &mut ctx)?;
+                explain.push("filter (cost-ordered conjuncts)".to_string());
+                ops.push(Box::new(
+                    FilterOp::new(compiled, ctx, working_schema.clone()).with_label("where"),
+                ));
             }
         }
     }
@@ -1167,16 +1148,6 @@ mod tests {
         let pj = p.join.as_ref().expect("join planned");
         assert!(pj.left_live.is_none());
         assert!(pj.right_live.is_none());
-    }
-
-    #[test]
-    fn eddy_used_when_configured() {
-        let (c, r, mut cfg) = setup();
-        cfg.use_eddy = true;
-        let stmt =
-            parse("SELECT text FROM twitter WHERE text contains 'a' AND followers > 10").unwrap();
-        let p = plan(&stmt, &c, &r, &cfg).unwrap();
-        assert!(p.explain.contains("eddy"), "{}", p.explain);
     }
 
     #[test]

@@ -1,0 +1,353 @@
+//! Golden pin for the single-stream drive path.
+//!
+//! One FNV-1a digest per engine run and per host run over a fixed
+//! grid: source mode (blocks or per-tweet) × decode mode (columnar or
+//! rows) × clean or chaos-faulted stream × batch size 1 or 256. An
+//! engine digest covers the output rows, every `QueryStats` field
+//! except operator busy time (wall clock), the final virtual clock and
+//! the rendered metrics registry. A host digest covers the rows of
+//! every poll between staged `pump_until` calls, `HostStats`, the
+//! source statistics, the final clock and the registry.
+//!
+//! The async query also runs against a flaky geocoder (timeouts and a
+//! circuit breaker whose cooldown is read off the virtual clock), which
+//! makes where the clock stands at each flush part of the output.
+//!
+//! The values were recorded before the engine and host loops were
+//! folded into one source cursor and batch filler, so any change in
+//! what the drive path delivers — rows, counters, where the clock
+//! stands — shows up here as a changed digest.
+
+use std::sync::{Arc, OnceLock};
+use tweeql::engine::Engine;
+use tweeql::exec::supervise::RetryPolicy;
+use tweeql::udf::ServiceConfig;
+use tweeql_firehose::fault::FaultPlan;
+use tweeql_firehose::scenario::{Scenario, Topic};
+use tweeql_firehose::{generate, StreamingApi};
+use tweeql_geo::breaker::BreakerConfig;
+use tweeql_geo::latency::LatencyModel;
+use tweeql_model::{Clock, Duration, Timestamp, Tweet, VirtualClock};
+
+fn corpus() -> &'static Vec<Tweet> {
+    static CORPUS: OnceLock<Vec<Tweet>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let s = Scenario {
+            name: "drive-golden".into(),
+            duration: Duration::from_mins(10),
+            background_rate_per_min: 110.0,
+            topics: vec![Topic::new("kw", vec!["kw"], 50.0)],
+            bursts: vec![],
+            geotag_rate: 0.4,
+            population_size: 400,
+        };
+        generate(&s, 90210)
+    })
+}
+
+/// `tests/batched_source.rs`'s three queries, LIMIT, a confidence
+/// window and an async UDF.
+const QUERIES: &[&str] = &[
+    "SELECT text FROM twitter WHERE text contains 'kw'",
+    "SELECT count(*) AS n, lang FROM twitter \
+     WHERE text contains 'kw' GROUP BY lang WINDOW 2 minutes",
+    "SELECT sentiment(text) AS s, followers FROM twitter WHERE followers > 2000",
+    "SELECT text FROM twitter WHERE text contains 'kw' LIMIT 25",
+    "SELECT avg(followers) AS a, lang FROM twitter GROUP BY lang \
+     WINDOW CONFIDENCE 40.0 MAX 90 seconds",
+    "SELECT latitude(loc) AS la, longitude(loc) AS lo \
+     FROM twitter WHERE text contains 'kw'",
+];
+
+/// The async query.
+const GEO: usize = 5;
+
+/// Every engine run: each query on a healthy geocoder, then the async
+/// one on the flaky geocoder.
+fn engine_runs() -> impl Iterator<Item = (usize, bool)> {
+    (0..QUERIES.len()).map(|q| (q, false)).chain([(GEO, true)])
+}
+
+/// The host registers `tests/batched_source.rs`'s three and the async
+/// query, on the flaky geocoder.
+const HOST_QUERIES: [usize; 4] = [0, 1, 2, GEO];
+
+/// Uniform 100–500 ms latency against a 420 ms deadline, no cache, and
+/// a breaker that opens after three failures.
+fn flaky_geocoder() -> ServiceConfig {
+    ServiceConfig {
+        latency: LatencyModel::Uniform(Duration::from_millis(100), Duration::from_millis(500)),
+        timeout: Some(Duration::from_millis(420)),
+        cache_capacity: 0,
+        breaker: BreakerConfig {
+            failure_threshold: 3,
+            ..BreakerConfig::default()
+        },
+        ..ServiceConfig::default()
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
+struct Grid {
+    batched: bool,
+    columnar: bool,
+    chaos: bool,
+    batch: usize,
+}
+
+fn grid() -> Vec<Grid> {
+    let mut out = Vec::new();
+    for batched in [true, false] {
+        for columnar in [true, false] {
+            for chaos in [false, true] {
+                for batch in [1, 256] {
+                    out.push(Grid {
+                        batched,
+                        columnar,
+                        chaos,
+                        batch,
+                    });
+                }
+            }
+        }
+    }
+    out
+}
+
+fn builder(g: Grid, flaky: bool, clock: &Arc<VirtualClock>) -> tweeql::EngineBuilder {
+    let api = StreamingApi::new(corpus().clone(), Arc::clone(clock));
+    let mut b = Engine::builder(api)
+        .batch_size(g.batch)
+        .batched_source(g.batched)
+        .columnar_decode(g.columnar);
+    if flaky {
+        b = b.service(flaky_geocoder());
+    }
+    if g.chaos {
+        b = b
+            .fault_policy(FaultPlan::chaos(7))
+            .retry_policy(RetryPolicy {
+                replay_overlap: Duration::from_secs(20),
+                ..RetryPolicy::default()
+            });
+    }
+    b
+}
+
+fn fnv(text: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+fn engine_digest(sql: &str, g: Grid, flaky: bool) -> u64 {
+    let clock = VirtualClock::new();
+    let mut engine = builder(g, flaky, &clock).build();
+    let r = engine.execute(sql).expect(sql);
+    let mut stats = r.stats.clone();
+    for (_, s) in &mut stats.stages {
+        s.busy_nanos = 0;
+    }
+    fnv(&format!(
+        "{:?}\n{:?}\n{}\n{}",
+        r.rows,
+        stats,
+        clock.now().millis(),
+        engine.render_prometheus()
+    ))
+}
+
+fn host_digest(g: Grid) -> u64 {
+    let clock = VirtualClock::new();
+    let mut host = builder(g, true, &clock).build_host();
+    let ids: Vec<_> = HOST_QUERIES
+        .iter()
+        .map(|&q| host.register(QUERIES[q]).expect(QUERIES[q]))
+        .collect();
+    let mut text = String::new();
+    for minute in [3, 6, 9, i64::MAX] {
+        let delivered = match minute {
+            i64::MAX => host.run_to_end().expect("drains"),
+            m => host.pump_until(Timestamp::from_mins(m)).expect("pumps"),
+        };
+        text.push_str(&format!("{delivered}\n"));
+        for &id in &ids {
+            text.push_str(&format!("{:?}\n", host.take_output(id).expect("output")));
+        }
+    }
+    text.push_str(&format!(
+        "{:?}\n{:?}\n{}\n{}",
+        host.stats(),
+        host.source_stats(),
+        clock.now().millis(),
+        host.metrics().render_prometheus()
+    ));
+    fnv(&text)
+}
+
+/// Every digest, recorded before the drive loops were unified.
+const GOLDEN: &[u64] = &[
+    0x471ce39465446abf, // engine q0 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0xb0c7a14c223abb31, // engine q1 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0x1c4f5a03be815eee, // engine q2 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0xc491d1aaa3e9d9e5, // engine q3 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0xba229d50a28195b9, // engine q4 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0x103633ca13b01e70, // engine q5 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0xd49953d7dc2c58e8, // engine q5 flaky Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0x39049216b12f2539, // host Grid { batched: true, columnar: true, chaos: false, batch: 1 }
+    0x17f7410498335929, // engine q0 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0x642e7e764f2a2e8f, // engine q1 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0x46fee8354a940afb, // engine q2 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0xa4e0168a9ccdcd50, // engine q3 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0x025aa8246b03e90a, // engine q4 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0x73f48d9fcece370b, // engine q5 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0xce0f2ab31527a522, // engine q5 flaky Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0x8c1da060f16fc646, // host Grid { batched: true, columnar: true, chaos: false, batch: 256 }
+    0x4617af6dcc4ee74c, // engine q0 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0xe0bcf805e50c4ccc, // engine q1 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0xdbe05e00d3abfd61, // engine q2 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0xf653def007f2675a, // engine q3 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0x12bf8576bed2ba5e, // engine q4 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0x8b9038471e0a0d6f, // engine q5 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0x2d51960a241e154f, // engine q5 flaky Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0x82b1208b67004c51, // host Grid { batched: true, columnar: true, chaos: true, batch: 1 }
+    0xe371538aff381f38, // engine q0 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0x62c9ed57d9f6fd16, // engine q1 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0xbee4e821fd3d5d92, // engine q2 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0x2f246e4bf07502cf, // engine q3 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0xcbdfff1b60168a9b, // engine q4 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0xbd92e673f79f302e, // engine q5 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0x170bd303b45eee31, // engine q5 flaky Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0xd790477f4e0b519e, // host Grid { batched: true, columnar: true, chaos: true, batch: 256 }
+    0xa2009a2653a0ae5f, // engine q0 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x2243ef9d56468831, // engine q1 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x37fa8b746d762a7c, // engine q2 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x07460ff3075d9d59, // engine q3 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0xba229d50a28195b9, // engine q4 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x1b58bd8772aec450, // engine q5 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x03a70bef1a7c25f6, // engine q5 flaky Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x39049216b12f2539, // host Grid { batched: true, columnar: false, chaos: false, batch: 1 }
+    0x810e1beeeebc6717, // engine q0 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0x2789389b5357bde5, // engine q1 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0x51a566a015aa7774, // engine q2 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0x5f964e55b3d082c7, // engine q3 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0x99fa236853e33db9, // engine q4 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0xb943ab9af8107287, // engine q5 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0xdc6005aeacb1d391, // engine q5 flaky Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0x8c1da060f16fc646, // host Grid { batched: true, columnar: false, chaos: false, batch: 256 }
+    0xf4053e0ee178e244, // engine q0 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0xc4ae4798100a145c, // engine q1 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0xdab8f2ee192bc16f, // engine q2 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0xef2e2f784c701156, // engine q3 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0x12bf8576bed2ba5e, // engine q4 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0x9d280fa769ab4ecf, // engine q5 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0x26a2504e781f187d, // engine q5 flaky Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0x82b1208b67004c51, // host Grid { batched: true, columnar: false, chaos: true, batch: 1 }
+    0xfb51ecc93fd3f61e, // engine q0 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0xfdd6d7b346655c32, // engine q1 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0x45965da73a2a5033, // engine q2 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0x3b16209faa445280, // engine q3 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0x1fd28d5d7ff5e566, // engine q4 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0x6173fe15d1ff653e, // engine q5 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0xbc8de871848ce57c, // engine q5 flaky Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0xd790477f4e0b519e, // host Grid { batched: true, columnar: false, chaos: true, batch: 256 }
+    0x471ce39465446abf, // engine q0 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0xb0c7a14c223abb31, // engine q1 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0x1c4f5a03be815eee, // engine q2 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0xc491d1aaa3e9d9e5, // engine q3 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0xba229d50a28195b9, // engine q4 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0x103633ca13b01e70, // engine q5 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0xd49953d7dc2c58e8, // engine q5 flaky Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0x39049216b12f2539, // host Grid { batched: false, columnar: true, chaos: false, batch: 1 }
+    0x17f7410498335929, // engine q0 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0x642e7e764f2a2e8f, // engine q1 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0x46fee8354a940afb, // engine q2 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0xa4e0168a9ccdcd50, // engine q3 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0x025aa8246b03e90a, // engine q4 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0x73f48d9fcece370b, // engine q5 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0xce0f2ab31527a522, // engine q5 flaky Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0x8c1da060f16fc646, // host Grid { batched: false, columnar: true, chaos: false, batch: 256 }
+    0x4617af6dcc4ee74c, // engine q0 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0xe0bcf805e50c4ccc, // engine q1 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0xdbe05e00d3abfd61, // engine q2 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0xf653def007f2675a, // engine q3 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0x12bf8576bed2ba5e, // engine q4 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0x8b9038471e0a0d6f, // engine q5 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0xed4e813a154c1fe6, // engine q5 flaky Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0xc256b587318e4a80, // host Grid { batched: false, columnar: true, chaos: true, batch: 1 }
+    0xe371538aff381f38, // engine q0 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0x62c9ed57d9f6fd16, // engine q1 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0xbee4e821fd3d5d92, // engine q2 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0x082699baaf41774b, // engine q3 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0xcbdfff1b60168a9b, // engine q4 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0xbd92e673f79f302e, // engine q5 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0x170bd303b45eee31, // engine q5 flaky Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0xd790477f4e0b519e, // host Grid { batched: false, columnar: true, chaos: true, batch: 256 }
+    0xa2009a2653a0ae5f, // engine q0 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x2243ef9d56468831, // engine q1 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x37fa8b746d762a7c, // engine q2 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x07460ff3075d9d59, // engine q3 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0xba229d50a28195b9, // engine q4 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x1b58bd8772aec450, // engine q5 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x03a70bef1a7c25f6, // engine q5 flaky Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x39049216b12f2539, // host Grid { batched: false, columnar: false, chaos: false, batch: 1 }
+    0x810e1beeeebc6717, // engine q0 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0x2789389b5357bde5, // engine q1 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0x51a566a015aa7774, // engine q2 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0x86c8523bf191c3c0, // engine q3 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0x99fa236853e33db9, // engine q4 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0xb943ab9af8107287, // engine q5 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0xdc6005aeacb1d391, // engine q5 flaky Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0x8c1da060f16fc646, // host Grid { batched: false, columnar: false, chaos: false, batch: 256 }
+    0xf4053e0ee178e244, // engine q0 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0xc4ae4798100a145c, // engine q1 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0xdab8f2ee192bc16f, // engine q2 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0xef2e2f784c701156, // engine q3 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0x12bf8576bed2ba5e, // engine q4 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0x9d280fa769ab4ecf, // engine q5 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0xce6aa677e2cb4836, // engine q5 flaky Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0xc256b587318e4a80, // host Grid { batched: false, columnar: false, chaos: true, batch: 1 }
+    0xfb51ecc93fd3f61e, // engine q0 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0xfdd6d7b346655c32, // engine q1 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0x45965da73a2a5033, // engine q2 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0xe0c5d93b4ad3af5a, // engine q3 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0x1fd28d5d7ff5e566, // engine q4 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0x6173fe15d1ff653e, // engine q5 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0xa89485fce6c770cb, // engine q5 flaky Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0xd790477f4e0b519e, // host Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+];
+
+#[test]
+fn drive_path_digests_are_unchanged() {
+    let mut got = Vec::new();
+    let mut labels = Vec::new();
+    for g in grid() {
+        for (q, flaky) in engine_runs() {
+            got.push(engine_digest(QUERIES[q], g, flaky));
+            let geocoder = if flaky { " flaky" } else { "" };
+            labels.push(format!("engine q{q}{geocoder} {g:?}"));
+        }
+        got.push(host_digest(g));
+        labels.push(format!("host {g:?}"));
+    }
+    if got != GOLDEN {
+        let mut report = String::from("const GOLDEN: &[u64] = &[\n");
+        for (d, label) in got.iter().zip(&labels) {
+            report.push_str(&format!("    {d:#018x}, // {label}\n"));
+        }
+        report.push_str("];\n");
+        let diverged: Vec<&String> = labels
+            .iter()
+            .zip(got.iter().zip(GOLDEN.iter().chain(std::iter::repeat(&0))))
+            .filter(|(_, (a, b))| a != b)
+            .map(|(l, _)| l)
+            .collect();
+        panic!(
+            "{} digests diverge: {diverged:#?}\n{report}",
+            diverged.len()
+        );
+    }
+}

@@ -77,6 +77,9 @@ struct Params {
     fault: Option<FaultPlan>,
     batch: usize,
     ckpt_every: u64,
+    /// Block source (`true`) or the per-tweet reference iterator, which
+    /// recovery replays through the same feed.
+    batched: bool,
 }
 
 impl Params {
@@ -85,6 +88,7 @@ impl Params {
             fault: None,
             batch: 16,
             ckpt_every: 64,
+            batched: true,
         }
     }
 }
@@ -95,7 +99,10 @@ impl Params {
 /// nothing the OS already has.
 fn durable_host(dir: &Path, p: &Params) -> QueryHost {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
-    let mut b = tweeql::Engine::builder(api).batch_size(p.batch).seed(99);
+    let mut b = tweeql::Engine::builder(api)
+        .batch_size(p.batch)
+        .batched_source(p.batched)
+        .seed(99);
     if let Some(f) = &p.fault {
         b = b.fault_policy(f.clone());
     }
@@ -313,6 +320,28 @@ fn chaos_faulted_windowed_aggregates_survive_kills() {
     }
 }
 
+/// Replay through the per-tweet source: the same kills, checkpoint
+/// verification and gap frontiers as the block source, over chaos.
+#[test]
+fn per_tweet_source_replays_chaos_to_the_same_output() {
+    let sched = vec![
+        (mins(0), Act::Reg(1)),
+        (mins(1), Act::Reg(0)),
+        (mins(3), Act::PollAll),
+        (mins(5), Act::Drop(1)),
+    ];
+    let p = Params {
+        fault: Some(FaultPlan::chaos(11)),
+        batched: false,
+        ..Params::base()
+    };
+    assert_crash_equivalent(
+        &p,
+        &sched,
+        &[Timestamp::from_millis(2 * 60_000 + 31_000), mins(6)],
+    );
+}
+
 #[test]
 fn wal_only_recovery_before_any_checkpoint() {
     // checkpoint_every = 0: no automatic checkpoints, so the kill
@@ -495,7 +524,7 @@ proptest! {
 
     /// Randomized crash-equivalence: seeds × clean/chaos
     /// × 1–3 seeded kill points × batch sizes × checkpoint cadences ×
-    /// registration/poll schedules.
+    /// block or per-tweet source × registration/poll schedules.
     #[test]
     fn crash_equivalence_randomized(
         kill_seed in 0u64..1_000,
@@ -503,6 +532,7 @@ proptest! {
         nkills in 1usize..4,
         batch_sel in 0usize..3,
         ckpt_sel in 0usize..3,
+        batched in 0u8..2,
         qa in 0usize..6,
         qb in 0usize..6,
         reg2_min in 1i64..5,
@@ -513,6 +543,7 @@ proptest! {
             fault: (chaos % 2 == 1).then(|| FaultPlan::chaos(chaos)),
             batch: [7, 16, 64][batch_sel],
             ckpt_every: [0, 32, 256][ckpt_sel],
+            batched: batched == 1,
         };
         let sched = vec![
             (mins(0), Act::Reg(qa)),

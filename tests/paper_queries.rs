@@ -221,29 +221,3 @@ fn named_entities_udf_runs_in_queries() {
         .count();
     assert!(nonempty > 20, "nonempty = {nonempty}");
 }
-
-#[test]
-fn eddy_mode_produces_identical_results() {
-    let sql = "SELECT text FROM twitter \
-               WHERE text contains 'obama' AND followers > 50 AND lang = 'en'";
-    let mut plain = obama_engine(5);
-    let baseline = plain.execute(sql).expect("plain");
-
-    let mut topic = Topic::new("obama", vec!["obama"], 40.0);
-    topic.hotspot_cities = vec!["New York".into(), "Washington".into()];
-    topic.hotspot_boost = 3.0;
-    topic.sentiment_bias = 0.25;
-    let scenario = Scenario {
-        name: "integration".into(),
-        duration: Duration::from_mins(5),
-        background_rate_per_min: 120.0,
-        topics: vec![topic],
-        bursts: vec![],
-        geotag_rate: 0.25,
-        population_size: 1200,
-    };
-    let api = StreamingApi::new(generate(&scenario, 1234), VirtualClock::new());
-    let mut eddy_engine = Engine::builder(api).use_eddy(true).build();
-    let eddy = eddy_engine.execute(sql).expect("eddy");
-    assert_eq!(baseline.rows.len(), eddy.rows.len());
-}
