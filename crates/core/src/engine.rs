@@ -1,10 +1,10 @@
 //! The TweeQL engine: parse → plan → optimize → choose pushdown →
 //! stream → collect.
 //!
-//! A single-stream query is one `Feed` (the supervised source, its
-//! cursor and the batch it fills; shared with the standing-query host)
-//! drained into one pipeline; LIMIT stops the pull. Joins read two
-//! connections of their own.
+//! Every query is one `Feed` (the supervised source, its cursor and the
+//! batch it fills; shared with the standing-query host) drained into
+//! one pipeline; LIMIT stops the pull. A join is that pipeline's head
+//! stage, both of its sides fed by the one connection.
 //!
 //! Engines are assembled with the fluent [`EngineBuilder`]
 //! (`Engine::builder(api).seed(7).fault_policy(plan).build()`).
@@ -12,11 +12,9 @@
 use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::exec::feed::{Drain, Feed};
-use crate::exec::join::Side;
 use crate::exec::supervise::{RetryPolicy, SourceFaultStats};
 use crate::exec::{OpStats, Pipeline};
-use crate::parser::parse;
-use crate::plan::{plan, PlanConfig, PlannedQuery};
+use crate::plan::{prepare, PlanConfig, PlannedQuery};
 use crate::selectivity::{choose_filter, PushdownDecision};
 use crate::udf::{
     AsyncFactory, Registry, ScalarUdf, ServiceConfig, SharedGeoService, StatefulFactory,
@@ -287,8 +285,9 @@ impl QueryResult {
     }
 }
 
-/// Fluent engine assembly: configuration knobs plus deferred UDF and
-/// stream registration, resolved in one [`EngineBuilder::build`] call.
+/// Fluent engine assembly: configuration knobs plus deferred UDF
+/// registration, resolved in one [`EngineBuilder::build`] call. The
+/// catalog holds the one stream the API serves, `twitter`.
 ///
 /// ```ignore
 /// let engine = Engine::builder(api)
@@ -301,7 +300,6 @@ pub struct EngineBuilder {
     pub(crate) config: EngineConfig,
     pub(crate) api: StreamingApi,
     pub(crate) registry_fns: Vec<RegistryFn>,
-    pub(crate) streams: Vec<(String, SchemaRef)>,
     pub(crate) metrics: Option<MetricsRegistry>,
     pub(crate) trace: Option<Arc<dyn TraceSink>>,
 }
@@ -442,12 +440,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Register an additional named stream in the catalog.
-    pub fn register_stream(mut self, name: &str, schema: SchemaRef) -> Self {
-        self.streams.push((name.to_string(), schema));
-        self
-    }
-
     /// Escape hatch: arbitrary registry setup (e.g. a whole UDF pack
     /// like TwitInfo's `udfs::register`). The closure may run more than
     /// once: the standing-query host applies it to every registered
@@ -483,15 +475,11 @@ impl EngineBuilder {
         for f in &self.registry_fns {
             f(&mut registry);
         }
-        let mut catalog = Catalog::with_twitter();
-        for (name, schema) in self.streams {
-            catalog.register(&name, schema);
-        }
         Engine {
             config: self.config,
             api: self.api,
             clock,
-            catalog,
+            catalog: Catalog::with_twitter(),
             registry,
             geo,
             metrics: self.metrics.unwrap_or_default(),
@@ -563,7 +551,6 @@ impl Engine {
             config: EngineConfig::default(),
             api,
             registry_fns: Vec::new(),
-            streams: Vec::new(),
             metrics: None,
             trace: None,
         }
@@ -630,23 +617,11 @@ impl Engine {
         })
     }
 
-    fn plan_stmt(&self, stmt: &crate::ast::SelectStmt) -> Result<PlannedQuery, QueryError> {
-        let config = self.config.plan_config(self.selectivity_hints.clone());
-        plan(stmt, &self.catalog, &self.registry, &config)
-    }
-
-    /// Parse, run static analysis (errors abort with the rendered
-    /// diagnostics), then plan. Lint warnings attach to the plan.
+    /// [`prepare`] `sql` against this engine's registry, conjunct
+    /// ordering seeded from the last run's measured selectivities.
     pub(crate) fn checked_plan(&self, sql: &str) -> Result<PlannedQuery, QueryError> {
-        let stmt = parse(sql)?;
-        let diags = crate::check::check(&stmt, &self.catalog, &self.registry);
-        if diags.iter().any(|d| d.is_error()) {
-            let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
-            return Err(QueryError::Check(crate::check::render_all(&errors, sql)));
-        }
-        let mut planned = self.plan_stmt(&stmt)?;
-        planned.warnings = diags;
-        Ok(planned)
+        let config = self.config.plan_config(self.selectivity_hints.clone());
+        prepare(sql, &self.catalog, &self.registry, &config)
     }
 
     /// Parse, plan, run to end of stream, and collect all output rows.
@@ -723,10 +698,7 @@ impl Engine {
             started_at.millis(),
         );
 
-        let run_result = match planned.join.take() {
-            None => self.run_single(&mut planned, filter, sink),
-            Some(join) => self.run_join(&mut planned, join, sink),
-        };
+        let run_result = self.run_single(&mut planned, filter, sink);
         let obs = planned.pipeline.close_obs();
         let (source_stats, source_faults) = run_result?;
 
@@ -898,69 +870,6 @@ impl Engine {
             .source()
             .map(|s| (s.stats(), s.fault_stats()))
             .unwrap_or_default())
-    }
-
-    fn run_join(
-        &mut self,
-        planned: &mut PlannedQuery,
-        mut pj: crate::plan::PlannedJoin,
-        sink: &mut dyn FnMut(&Record),
-    ) -> Result<(ConnectionStats, SourceFaultStats), QueryError> {
-        // Both sides read the full stream (no pushdown across a join).
-        let mut left = self.api.connect(FilterSpec::Sample(1.0));
-        let mut right = self.api.connect(FilterSpec::Sample(1.0));
-        let _ = &pj.right_stream;
-        let step = self.config.watermark_interval;
-        let mut t = Timestamp::ZERO + step;
-        let mut out = Vec::new();
-        let horizon = Timestamp::from_millis(i64::MAX / 2);
-        // Per-side pruned decode: columns nothing reads (join key,
-        // WHERE, SELECT) decode to `Value::Null`, exactly like the
-        // single-stream scan's pruned path.
-        let decode = |tw: &tweeql_model::Tweet, live: &Option<Arc<[bool]>>| match live {
-            Some(l) => Record::from_tweet_pruned(tw, l),
-            None => Record::from_tweet(tw),
-        };
-        while !planned.pipeline.done() {
-            let mut joined: Vec<Record> = Vec::new();
-            let mut l_records = Vec::new();
-            let nl = left.poll_until(t.min(horizon), |tw| {
-                l_records.push(decode(&tw, &pj.left_live))
-            });
-            for rec in l_records {
-                joined.extend(pj.join.push(Side::Left, rec)?);
-            }
-            let mut r_records = Vec::new();
-            let nr = right.poll_until(t.min(horizon), |tw| {
-                r_records.push(decode(&tw, &pj.right_live))
-            });
-            for rec in r_records {
-                joined.extend(pj.join.push(Side::Right, rec)?);
-            }
-            for rec in joined {
-                planned.pipeline.push(rec, &mut out)?;
-            }
-            planned.pipeline.watermark(t, &mut out)?;
-            for r in out.drain(..) {
-                sink(&r);
-            }
-            // End of stream only when *both* connections have scanned
-            // the whole firehose — the sides can drain at different
-            // rates under delivery caps.
-            if nl == 0
-                && nr == 0
-                && left.stats().scanned as usize >= self.api.firehose_len()
-                && right.stats().scanned as usize >= self.api.firehose_len()
-            {
-                break;
-            }
-            t += step;
-        }
-        planned.pipeline.finish(&mut out)?;
-        for r in out.drain(..) {
-            sink(&r);
-        }
-        Ok((left.stats(), SourceFaultStats::default()))
     }
 }
 
@@ -1395,6 +1304,9 @@ mod tests {
             )
             .unwrap();
         assert_eq!(r.rows.len(), 5);
+        // The join heads the pipeline, and LIMIT stops the one pull.
+        assert_eq!(r.stats.stages[0].0, "join");
+        assert!(r.stats.source.scanned <= e.config.batch_size as u64);
     }
 
     #[test]

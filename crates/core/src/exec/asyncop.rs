@@ -61,15 +61,9 @@ impl AsyncUdfOp {
     }
 
     /// Remote requests issued by the wrapped UDF.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn requests_issued(&self) -> u64 {
         self.udf.requests_issued()
-    }
-
-    /// Modeled service time accumulated by the wrapped UDF.
-    #[allow(dead_code)]
-    pub fn modeled_service_time(&self) -> Duration {
-        self.udf.modeled_service_time()
     }
 
     /// Evaluate `rec`'s arguments and queue it; a batch this fills is

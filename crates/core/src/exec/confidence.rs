@@ -50,14 +50,8 @@ impl ConfidenceTracker {
         self.last_ts = Some(ts);
     }
 
-    /// Number of observations.
-    #[allow(dead_code)]
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
     /// Running mean (0 when empty).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn mean(&self) -> f64 {
         self.mean
     }
@@ -111,12 +105,6 @@ impl ConfidenceTracker {
             }
         }
         false
-    }
-
-    /// Reset after emission.
-    #[allow(dead_code)]
-    pub fn reset(&mut self) {
-        *self = ConfidenceTracker::new();
     }
 }
 
@@ -187,14 +175,5 @@ mod tests {
         let t = ConfidenceTracker::new();
         assert!(!t.should_emit(100.0, Some(Duration::ZERO), ts(1000)));
         assert_eq!(t.age(ts(5)), Duration::ZERO);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let mut t = ConfidenceTracker::new();
-        t.observe(5.0, ts(0));
-        t.reset();
-        assert_eq!(t.count(), 0);
-        assert_eq!(t.mean(), 0.0);
     }
 }

@@ -145,7 +145,7 @@ impl FusedScanOp {
     }
 
     /// Tune the adaptive reordering (tests and experiments).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn with_rerank_every(mut self, every: u64) -> FusedScanOp {
         self.rerank_every = every.max(1);
         self
@@ -153,13 +153,13 @@ impl FusedScanOp {
 
     /// `(evaluations, passes, est_pass_rate)` per conjunct, in plan
     /// order (not current evaluation order).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn conjunct_stats(&self) -> Vec<PredicateStats> {
         self.conjuncts.iter().map(|c| c.stats).collect()
     }
 
     /// Current evaluation order over plan-order conjunct indexes.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn current_order(&self) -> &[usize] {
         &self.order
     }

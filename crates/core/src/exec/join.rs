@@ -1,4 +1,5 @@
-//! Windowed symmetric hash join over two streams.
+//! Windowed symmetric hash join, the head stage of a join query's
+//! pipeline.
 //!
 //! TweeQL offers "windowed select-project-join-aggregate queries"; the
 //! join is equality-keyed and time-windowed: a pair joins when the two
@@ -6,15 +7,22 @@
 //! are hashed; each arrival probes the opposite table and inserts into
 //! its own (the classic symmetric hash join, which never blocks —
 //! essential on unbounded streams).
+//!
+//! The streaming API grants one connection, so both sides read the one
+//! feed: every row goes into the left side, then the right side, in
+//! arrival order. A row therefore meets every earlier row in the window
+//! on both sides, and itself once.
 
+use super::Operator;
 use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
 use std::collections::HashMap;
+use std::sync::Arc;
 use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
 
-/// Which input a record arrived on.
+/// Which table a record goes into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Side {
+enum Side {
     /// The FROM stream.
     Left,
     /// The JOIN stream.
@@ -28,10 +36,12 @@ pub struct SymmetricHashJoin {
     ctx: EvalCtx,
     window: Duration,
     schema: SchemaRef,
+    /// The source columns the query reads (`None`: all); only these
+    /// enter [`Operator::state_digest`], since the rest of a stored row
+    /// depends on what else shares the batch.
+    live: Option<Arc<[bool]>>,
     left_table: HashMap<Value, Vec<Record>>,
     right_table: HashMap<Value, Vec<Record>>,
-    /// Matches produced.
-    pub matches: u64,
 }
 
 impl SymmetricHashJoin {
@@ -43,6 +53,7 @@ impl SymmetricHashJoin {
         ctx: EvalCtx,
         window: Duration,
         schema: SchemaRef,
+        live: Option<Arc<[bool]>>,
     ) -> SymmetricHashJoin {
         SymmetricHashJoin {
             left_key,
@@ -50,19 +61,14 @@ impl SymmetricHashJoin {
             ctx,
             window,
             schema,
+            live,
             left_table: HashMap::new(),
             right_table: HashMap::new(),
-            matches: 0,
         }
     }
 
-    /// Output schema.
-    pub fn schema(&self) -> SchemaRef {
-        self.schema.clone()
-    }
-
-    /// Push one record from `side`; returns joined outputs.
-    pub fn push(&mut self, side: Side, rec: Record) -> Result<Vec<Record>, QueryError> {
+    /// Push one record into `side`, joined outputs into `out`.
+    fn push(&mut self, side: Side, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
         let ts = rec.timestamp();
         self.expire(ts);
 
@@ -70,47 +76,34 @@ impl SymmetricHashJoin {
             Side::Left => self.left_key.eval(&rec, &mut self.ctx)?,
             Side::Right => self.right_key.eval(&rec, &mut self.ctx)?,
         };
-        let mut out = Vec::new();
         if key.is_null() {
             // NULL keys never join, and are not retained.
-            return Ok(out);
+            return Ok(());
         }
 
-        {
-            // Probe the opposite table.
-            let opposite = match side {
-                Side::Left => &self.right_table,
-                Side::Right => &self.left_table,
-            };
-            if let Some(candidates) = opposite.get(&key) {
-                for other in candidates {
-                    if ts.since(other.timestamp()) <= self.window
-                        && other.timestamp().since(ts) <= self.window
-                    {
-                        self.matches += 1;
-                        let (l, r) = match side {
-                            Side::Left => (&rec, other),
-                            Side::Right => (other, &rec),
-                        };
-                        let mut values = l.values().to_vec();
-                        values.extend(r.values().iter().cloned());
-                        out.push(Record::new_unchecked(
-                            self.schema.clone(),
-                            values,
-                            ts.max(other.timestamp()),
-                        ));
-                    }
-                }
+        let (opposite, own) = match side {
+            Side::Left => (&self.right_table, &mut self.left_table),
+            Side::Right => (&self.left_table, &mut self.right_table),
+        };
+        for other in opposite.get(&key).into_iter().flatten() {
+            if ts.since(other.timestamp()) <= self.window
+                && other.timestamp().since(ts) <= self.window
+            {
+                let (l, r) = match side {
+                    Side::Left => (&rec, other),
+                    Side::Right => (other, &rec),
+                };
+                let mut values = l.values().to_vec();
+                values.extend(r.values().iter().cloned());
+                out.push(Record::new_unchecked(
+                    self.schema.clone(),
+                    values,
+                    ts.max(other.timestamp()),
+                ));
             }
         }
-
-        // Insert into own table.
-        let own = match side {
-            Side::Left => &mut self.left_table,
-            Side::Right => &mut self.right_table,
-        };
         own.entry(key).or_default().push(rec);
-        Ok(out)
+        Ok(())
     }
 
     /// Drop buffered tuples older than the window relative to `now`.
@@ -124,10 +117,51 @@ impl SymmetricHashJoin {
         }
     }
 
-    /// Buffered tuple count (memory diagnostics).
-    pub fn buffered(&self) -> usize {
+    /// Buffered tuple count.
+    #[cfg(test)]
+    fn buffered(&self) -> usize {
         self.left_table.values().map(Vec::len).sum::<usize>()
             + self.right_table.values().map(Vec::len).sum::<usize>()
+    }
+
+    /// One table's rows, folded independently of insertion and hash
+    /// order: a sum of per-row digests over the live columns.
+    fn digest_table(&self, table: &HashMap<Value, Vec<Record>>, d: &mut tweeql_wal::Digest) {
+        let (mut rows, mut mix) = (0u64, 0u64);
+        for rec in table.values().flatten() {
+            let mut h = tweeql_wal::Digest::new();
+            h.write_i64(rec.timestamp().millis());
+            for (i, v) in rec.values().iter().enumerate() {
+                if self.live.as_ref().is_none_or(|l| l.get(i) != Some(&false)) {
+                    h.write_str(&v.to_string());
+                }
+            }
+            rows += 1;
+            mix = mix.wrapping_add(h.finish());
+        }
+        d.write_u64(rows);
+        d.write_u64(mix);
+    }
+}
+
+impl Operator for SymmetricHashJoin {
+    fn name(&self) -> &str {
+        "join"
+    }
+
+    fn schema(&self) -> SchemaRef {
+        self.schema.clone()
+    }
+
+    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
+        self.push(Side::Left, rec.clone(), out)?;
+        self.push(Side::Right, rec, out)
+    }
+
+    fn state_digest(&self, d: &mut tweeql_wal::Digest) {
+        d.write_i64(self.window.millis());
+        self.digest_table(&self.left_table, d);
+        self.digest_table(&self.right_table, d);
     }
 }
 
@@ -148,7 +182,7 @@ mod tests {
         let lk = compile_into(&parse_expr("k").unwrap(), &left, &reg, &mut ctx).unwrap();
         let rk = compile_into(&parse_expr("k").unwrap(), &right, &reg, &mut ctx).unwrap();
         (
-            SymmetricHashJoin::new(lk, rk, ctx, Duration::from_secs(window_s), out),
+            SymmetricHashJoin::new(lk, rk, ctx, Duration::from_secs(window_s), out, None),
             left,
             right,
         )
@@ -163,51 +197,73 @@ mod tests {
         .unwrap()
     }
 
+    fn push(j: &mut SymmetricHashJoin, side: Side, rec: Record) -> Vec<Record> {
+        let mut out = Vec::new();
+        j.push(side, rec, &mut out).unwrap();
+        out
+    }
+
+    fn digest(j: &SymmetricHashJoin) -> u64 {
+        let mut d = tweeql_wal::Digest::new();
+        j.state_digest(&mut d);
+        d.finish()
+    }
+
     #[test]
     fn equal_keys_within_window_join() {
         let (mut j, l, r) = setup(60);
-        assert!(j.push(Side::Left, rec(&l, "a", 1, 0)).unwrap().is_empty());
-        let out = j.push(Side::Right, rec(&r, "a", 2, 30)).unwrap();
+        assert!(push(&mut j, Side::Left, rec(&l, "a", 1, 0)).is_empty());
+        let out = push(&mut j, Side::Right, rec(&r, "a", 2, 30));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("lv").unwrap(), &Value::Int(1));
         assert_eq!(out[0].get("rv").unwrap(), &Value::Int(2));
         // Duplicate right-side column got suffixed.
         assert_eq!(out[0].get("k_r").unwrap(), &Value::from("a"));
-        assert_eq!(j.matches, 1);
     }
 
     #[test]
     fn keys_outside_window_do_not_join() {
         let (mut j, l, r) = setup(60);
-        j.push(Side::Left, rec(&l, "a", 1, 0)).unwrap();
-        let out = j.push(Side::Right, rec(&r, "a", 2, 61)).unwrap();
-        assert!(out.is_empty());
+        push(&mut j, Side::Left, rec(&l, "a", 1, 0));
+        assert!(push(&mut j, Side::Right, rec(&r, "a", 2, 61)).is_empty());
     }
 
     #[test]
     fn different_keys_do_not_join() {
         let (mut j, l, r) = setup(60);
-        j.push(Side::Left, rec(&l, "a", 1, 0)).unwrap();
-        assert!(j.push(Side::Right, rec(&r, "b", 2, 1)).unwrap().is_empty());
+        push(&mut j, Side::Left, rec(&l, "a", 1, 0));
+        assert!(push(&mut j, Side::Right, rec(&r, "b", 2, 1)).is_empty());
     }
 
     #[test]
     fn many_to_many_produces_cross_matches() {
         let (mut j, l, r) = setup(60);
-        j.push(Side::Left, rec(&l, "a", 1, 0)).unwrap();
-        j.push(Side::Left, rec(&l, "a", 2, 1)).unwrap();
-        let out = j.push(Side::Right, rec(&r, "a", 9, 2)).unwrap();
-        assert_eq!(out.len(), 2);
-        let out2 = j.push(Side::Right, rec(&r, "a", 10, 3)).unwrap();
-        assert_eq!(out2.len(), 2);
-        assert_eq!(j.matches, 4);
+        push(&mut j, Side::Left, rec(&l, "a", 1, 0));
+        push(&mut j, Side::Left, rec(&l, "a", 2, 1));
+        assert_eq!(push(&mut j, Side::Right, rec(&r, "a", 9, 2)).len(), 2);
+        assert_eq!(push(&mut j, Side::Right, rec(&r, "a", 10, 3)).len(), 2);
+    }
+
+    #[test]
+    fn a_row_on_the_one_feed_meets_earlier_rows_on_both_sides_and_itself() {
+        let (mut j, l, _r) = setup(60);
+        let mut out = Vec::new();
+        j.on_record(rec(&l, "a", 1, 0), &mut out).unwrap();
+        assert_eq!(out.len(), 1, "(a1, a1)");
+        out.clear();
+        j.on_record(rec(&l, "a", 2, 5), &mut out).unwrap();
+        let pairs: Vec<(i64, i64)> = out
+            .iter()
+            .map(|o| (o.value(1).as_int().unwrap(), o.value(3).as_int().unwrap()))
+            .collect();
+        assert_eq!(pairs, vec![(2, 1), (1, 2), (2, 2)]);
     }
 
     #[test]
     fn expiry_bounds_memory() {
         let (mut j, l, _r) = setup(10);
         for i in 0..100 {
-            j.push(Side::Left, rec(&l, "a", i, i)).unwrap();
+            push(&mut j, Side::Left, rec(&l, "a", i, i));
         }
         // Only tuples within the last 10s survive.
         assert!(j.buffered() <= 12, "buffered = {}", j.buffered());
@@ -218,14 +274,42 @@ mod tests {
         let (mut j, l, r) = setup(60);
         let null_rec =
             Record::new(l.clone(), vec![Value::Null, Value::Int(1)], Timestamp::ZERO).unwrap();
-        j.push(Side::Left, null_rec).unwrap();
-        let out = j
-            .push(
-                Side::Right,
-                Record::new(r, vec![Value::Null, Value::Int(2)], Timestamp::ZERO).unwrap(),
-            )
-            .unwrap();
+        push(&mut j, Side::Left, null_rec);
+        let out = push(
+            &mut j,
+            Side::Right,
+            Record::new(r, vec![Value::Null, Value::Int(2)], Timestamp::ZERO).unwrap(),
+        );
         assert!(out.is_empty());
         assert_eq!(j.buffered(), 0);
+    }
+
+    #[test]
+    fn state_digest_ignores_insertion_order_and_counts_every_row() {
+        let rows = [("a", 1, 0), ("b", 2, 1), ("a", 3, 2), ("c", 4, 3)];
+        let (mut a, l, _) = setup(600);
+        let (mut b, _, _) = setup(600);
+        let mut out = Vec::new();
+        for &(k, v, t) in &rows {
+            a.on_record(rec(&l, k, v, t), &mut out).unwrap();
+        }
+        for &(k, v, t) in rows.iter().rev() {
+            b.on_record(rec(&l, k, v, t), &mut out).unwrap();
+        }
+        assert_eq!(digest(&a), digest(&b), "same contents, other order");
+        b.on_record(rec(&l, "a", 5, 4), &mut out).unwrap();
+        assert_ne!(digest(&a), digest(&b), "one more row");
+    }
+
+    #[test]
+    fn state_digest_reads_only_live_columns() {
+        let (mut a, l, _) = setup(600);
+        let (mut b, _, _) = setup(600);
+        a.live = Some(Arc::from([true, false]));
+        b.live = Some(Arc::from([true, false]));
+        let mut out = Vec::new();
+        a.on_record(rec(&l, "a", 1, 0), &mut out).unwrap();
+        b.on_record(rec(&l, "a", 2, 0), &mut out).unwrap();
+        assert_eq!(digest(&a), digest(&b), "a dead column is not state");
     }
 }

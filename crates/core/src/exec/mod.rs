@@ -466,14 +466,6 @@ impl Pipeline {
         self.watermarks_delivered
     }
 
-    /// Push one source record through every stage, collecting final
-    /// outputs into `out`.
-    pub fn push(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        self.cur.clear();
-        self.cur.push(rec);
-        self.run(None, None, false, out)
-    }
-
     /// Push a micro-batch through every stage via the operators' batch
     /// path. Drains `recs`, leaving the caller its allocation.
     pub fn push_batch(
@@ -867,9 +859,9 @@ mod tests {
             }),
         ]);
         let mut out = Vec::new();
-        for v in [1, 2, 3, 4] {
-            p.push(rec(v), &mut out).unwrap();
-        }
+        let mut batch = vec![rec(1), rec(2), rec(3), rec(4)];
+        p.push_batch(&mut batch, &mut out).unwrap();
+        assert!(batch.is_empty(), "the batch is drained");
         // 2→4→8, 4→8→16 (all doubles stay even).
         let vals: Vec<i64> = out.iter().map(|r| r.value(0).as_int().unwrap()).collect();
         assert_eq!(vals, vec![8, 16]);
@@ -878,6 +870,7 @@ mod tests {
         assert_eq!(stats[0].1.records_out, 2);
         assert_eq!(stats[1].1.records_in, 2);
         assert_eq!(stats[1].1.records_out, 2);
+        assert_eq!(stats[0].1.batches, 1);
     }
 
     #[test]
@@ -892,8 +885,8 @@ mod tests {
             }),
         ]);
         let mut out = Vec::new();
-        p.push(rec(2), &mut out).unwrap();
-        p.push(rec(4), &mut out).unwrap();
+        p.push_batch(&mut vec![rec(2)], &mut out).unwrap();
+        p.push_batch(&mut vec![rec(4)], &mut out).unwrap();
         assert!(out.is_empty(), "buffered stage holds records");
         p.finish(&mut out).unwrap();
         let vals: Vec<i64> = out.iter().map(|r| r.value(0).as_int().unwrap()).collect();
@@ -905,7 +898,7 @@ mod tests {
         let mut p = Pipeline::new(vec![]);
         assert!(p.is_empty());
         let mut out = Vec::new();
-        p.push(rec(7), &mut out).unwrap();
+        p.push_batch(&mut vec![rec(7)], &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert!(p.output_schema().is_none());
     }

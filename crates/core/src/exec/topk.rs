@@ -93,13 +93,13 @@ impl SpaceSaving {
     }
 
     /// Monitored item count (≤ capacity).
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn len(&self) -> usize {
         self.slots.len()
     }
 
     /// True when nothing observed.
-    #[allow(dead_code)]
+    #[cfg(test)]
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }

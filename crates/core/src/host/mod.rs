@@ -62,12 +62,9 @@ use crate::error::QueryError;
 use crate::exec::feed::{Drain, Feed, Next};
 use crate::exec::supervise::SourceFaultStats;
 use crate::exec::Pipeline;
-use crate::parser::parse;
-use crate::plan::plan;
-use crate::udf::{Registry, SharedGeoService};
+use crate::plan::prepare;
+use crate::udf::Registry;
 use index::{FilterIndex, NeedleGroups};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
 use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::FilterSpec;
@@ -140,31 +137,6 @@ pub struct HostStats {
     pub index_rebuilds: u64,
 }
 
-/// A result stream handle from [`QueryHost::subscribe`]: every row the
-/// query emits after subscription is pushed into this queue.
-pub struct Subscription {
-    id: QueryId,
-    schema: SchemaRef,
-    queue: Arc<Mutex<VecDeque<Record>>>,
-}
-
-impl Subscription {
-    /// The subscribed query.
-    pub fn id(&self) -> QueryId {
-        self.id
-    }
-
-    /// The query's output schema.
-    pub fn schema(&self) -> &SchemaRef {
-        &self.schema
-    }
-
-    /// Drain everything emitted since the last poll.
-    pub fn poll(&self) -> Vec<Record> {
-        self.queue.lock().drain(..).collect()
-    }
-}
-
 /// One registered standing query.
 struct HostQuery {
     id: QueryId,
@@ -180,18 +152,14 @@ struct HostQuery {
     sel: Vec<u32>,
     scratch_out: Vec<Record>,
     pending: Vec<Record>,
-    subs: Vec<Arc<Mutex<VecDeque<Record>>>>,
     rows_in: u64,
     rows_out: u64,
-    /// Rows to swallow before anything reaches `pending`/subscribers:
+    /// Rows to swallow before anything reaches `pending`:
     /// set during recovery to the query's logged cumulative
     /// `take_output` count, so a restart never re-delivers output the
     /// caller already took. Counted rows still increment `rows_out`.
     suppress: u64,
     registered_at: Timestamp,
-    /// Private geo service: fresh caches/breaker per registration.
-    #[allow(dead_code)]
-    geo: SharedGeoService,
     metrics: MetricsRegistry,
     tracer: Option<Tracer>,
     span: Option<u64>,
@@ -199,8 +167,7 @@ struct HostQuery {
 }
 
 impl HostQuery {
-    /// Move freshly produced rows to the pending buffer and every
-    /// subscriber queue.
+    /// Move freshly produced rows to the pending buffer.
     fn deliver(&mut self) {
         if self.scratch_out.is_empty() {
             return;
@@ -210,9 +177,6 @@ impl HostQuery {
             if self.suppress > 0 {
                 self.suppress -= 1;
                 continue;
-            }
-            for sub in &self.subs {
-                sub.lock().push_back(r.clone());
             }
             self.pending.push(r);
         }
@@ -348,9 +312,8 @@ impl DispatchTable {
 /// ```ignore
 /// let mut host = Engine::builder(api).build_host();
 /// let id = host.register("SELECT text FROM twitter WHERE text contains 'obama'")?;
-/// let sub = host.subscribe(id)?;
 /// host.pump_until(Timestamp::from_mins(5))?;
-/// for row in sub.poll() { /* ... */ }
+/// for row in host.take_output(id)? { /* ... */ }
 /// host.drop_query(id)?;
 /// ```
 pub struct QueryHost {
@@ -391,15 +354,11 @@ impl QueryHost {
     /// point is [`EngineBuilder::build_host`]).
     pub(crate) fn from_builder(b: EngineBuilder) -> QueryHost {
         let clock = b.api.clock();
-        let mut catalog = Catalog::with_twitter();
-        for (name, schema) in b.streams {
-            catalog.register(&name, schema);
-        }
         QueryHost {
             feed: Feed::new(&b.api, FilterSpec::Sample(1.0), &b.config),
             config: b.config,
             clock,
-            catalog,
+            catalog: Catalog::with_twitter(),
             registry_fns: b.registry_fns,
             metrics: b.metrics.unwrap_or_default(),
             tracer: b.trace.map(Tracer::new),
@@ -421,9 +380,9 @@ impl QueryHost {
     // ---- session/catalog layer -------------------------------------
 
     /// Register a standing query; it sees every stream event from the
-    /// current position on. Errors on parse/check/plan failure and on
-    /// join queries (a shared-scan host has one connection; run joins
-    /// through [`crate::engine::Engine::execute`]).
+    /// current position on. Errors on parse/check/plan failure. A join
+    /// is a query like any other: its pipeline's head stage joins the
+    /// rows the shared connection dispatches to it.
     pub fn register(&mut self, sql: &str) -> Result<QueryId, QueryError> {
         let id = self.register_inner(sql, None)?;
         // Logged only after the in-memory registration succeeded: an
@@ -443,31 +402,15 @@ impl QueryHost {
         // Flush buffered rows first: the new query starts at a clean
         // batch boundary and never sees pre-registration tweets.
         self.flush_batch()?;
-        let stmt = parse(sql)?;
         // A private registry + geo service per query: stateful UDFs,
         // service caches, and breaker state are never shared across
         // queries or registrations (fresh-state-on-re-register).
-        let geo = SharedGeoService::new(&self.config.service, Arc::clone(&self.clock));
-        let mut registry =
-            Registry::standard_with_geo(&self.config.service, Arc::clone(&self.clock), geo.clone());
+        let mut registry = Registry::standard(&self.config.service, Arc::clone(&self.clock));
         for f in &self.registry_fns {
             f(&mut registry);
         }
-        let diags = crate::check::check(&stmt, &self.catalog, &registry);
-        if diags.iter().any(|d| d.is_error()) {
-            let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
-            return Err(QueryError::Check(crate::check::render_all(&errors, sql)));
-        }
         let config = self.config.plan_config(Vec::new());
-        let mut planned = plan(&stmt, &self.catalog, &registry, &config)?;
-        if planned.join.is_some() {
-            return Err(QueryError::Plan(
-                "standing joins are not supported on a shared-scan host; \
-                 run join queries through Engine::execute"
-                    .into(),
-            ));
-        }
-        planned.warnings = diags;
+        let mut planned = prepare(sql, &self.catalog, &registry, &config)?;
         let (id, now) = match forced {
             Some((fid, at_millis)) => {
                 self.next_id = self.next_id.max(fid.raw());
@@ -497,12 +440,10 @@ impl QueryHost {
             sel: Vec::new(),
             scratch_out: Vec::new(),
             pending: Vec::new(),
-            subs: Vec::new(),
             rows_in: 0,
             rows_out: 0,
             suppress: 0,
             registered_at: now,
-            geo,
             metrics: self.metrics.clone(),
             tracer: self.tracer.clone(),
             span,
@@ -557,20 +498,6 @@ impl QueryHost {
                 indexed: q.groups.is_some(),
             })
             .collect()
-    }
-
-    /// Subscribe to a query's result stream: rows emitted after this
-    /// call are pushed into the returned handle's queue (in addition to
-    /// the host-side pending buffer read by [`QueryHost::take_output`]).
-    pub fn subscribe(&mut self, id: QueryId) -> Result<Subscription, QueryError> {
-        let q = self.query_mut(id)?;
-        let queue = Arc::new(Mutex::new(VecDeque::new()));
-        q.subs.push(Arc::clone(&queue));
-        Ok(Subscription {
-            id,
-            schema: q.planned.output_schema.clone(),
-            queue,
-        })
     }
 
     /// Drain the query's pending output buffer.

@@ -60,6 +60,6 @@ pub mod udf;
 pub use engine::{Diagnostics, Engine, EngineBuilder, EngineConfig, Explanation, QueryResult};
 pub use error::QueryError;
 pub use host::durable::{DurabilityConfig, KillPlan};
-pub use host::{HostStats, QueryHost, QueryInfo, QueryState, Subscription};
+pub use host::{HostStats, QueryHost, QueryInfo, QueryState};
 pub use tweeql_obs::QueryId;
 pub use tweeql_wal::WalStats;

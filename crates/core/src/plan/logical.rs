@@ -31,8 +31,6 @@ pub(crate) struct LogicalPlan {
     pub stream: String,
     /// Schema of the FROM stream alone.
     pub left_schema: SchemaRef,
-    /// Schema of the JOIN stream, when present.
-    pub right_schema: Option<SchemaRef>,
     /// JOIN clause, when present.
     pub join: Option<JoinClause>,
     /// Scan schema the filter/select run over (left ++ right for joins).
@@ -65,12 +63,9 @@ impl LogicalPlan {
     /// are rewrite rules.
     pub fn build(stmt: &SelectStmt, catalog: &Catalog) -> Result<LogicalPlan, QueryError> {
         let left_schema = catalog.resolve(&stmt.from)?;
-        let (schema, right_schema) = match &stmt.join {
-            None => (Arc::clone(&left_schema), None),
-            Some(jc) => {
-                let right = catalog.resolve(&jc.stream)?;
-                (Arc::new(left_schema.concat(&right)), Some(right))
-            }
+        let schema = match &stmt.join {
+            None => Arc::clone(&left_schema),
+            Some(jc) => Arc::new(left_schema.concat(&*catalog.resolve(&jc.stream)?)),
         };
 
         let filter: Vec<Expr> = match &stmt.where_clause {
@@ -101,7 +96,6 @@ impl LogicalPlan {
         Ok(LogicalPlan {
             stream: stmt.from.clone(),
             left_schema,
-            right_schema,
             join: stmt.join.clone(),
             schema,
             filter,

@@ -11,7 +11,9 @@
 //!    Selectivities"), column-liveness projection pruning, and
 //!    cost-based conjunct ordering — with the
 //!    [`verify::PlanVerifier`] re-checking the plan after every rule;
-//! 3. lowering emits the operator pipeline: **async UDF calls are
+//! 3. lowering emits the operator pipeline: a join becomes its head
+//!    stage ([`crate::exec::join::SymmetricHashJoin`], both sides fed
+//!    by the one source), **async UDF calls are
 //!    hoisted** into [`crate::exec::asyncop::AsyncUdfOp`] stages
 //!    (calls WHERE needs run before the filter, all others after, so
 //!    tuples the filter drops never cost a web-service call; §2
@@ -93,36 +95,23 @@ pub struct ApiCandidate {
     pub description: String,
 }
 
-/// A planned join (driven by the engine, which owns both connections).
-pub struct PlannedJoin {
-    /// Right-side stream name.
-    pub right_stream: String,
-    /// The join operator.
-    pub join: SymmetricHashJoin,
-    /// Live columns of the left source stream (`None` = decode all).
-    /// Join keys are always forced live.
-    pub left_live: Option<Arc<[bool]>>,
-    /// Live columns of the right source stream (`None` = decode all).
-    pub right_live: Option<Arc<[bool]>>,
-}
-
 /// The output of planning.
 pub struct PlannedQuery {
-    /// Post-scan operator chain.
+    /// The operator chain over the source rows; a join is its head.
     pub pipeline: Pipeline,
     /// Final output schema.
     pub output_schema: SchemaRef,
     /// Pushdown candidates extracted from WHERE (empty ⇒ full stream).
     pub api_candidates: Vec<ApiCandidate>,
-    /// Join, when present.
-    pub join: Option<PlannedJoin>,
     /// Textual plan description.
     pub explain: String,
-    /// Analyzer warnings attached by the engine (empty when planning
+    /// Analyzer warnings attached by [`prepare`] (empty when planning
     /// is invoked directly).
     pub warnings: Vec<crate::check::Diagnostic>,
-    /// Live source columns from the projection-pruning rule (`None` ⇒
-    /// decode every column). Indexed against the source scan schema.
+    /// Live source columns (`None` ⇒ decode every column), indexed
+    /// against the source stream's schema: the projection-pruning
+    /// rule's mask, or for a join the union of both sides' columns with
+    /// both keys forced live.
     pub live_columns: Option<Arc<[bool]>>,
     /// Optimizer notices — verifier fallbacks in release builds. The
     /// engine merges these into the run's diagnostics.
@@ -140,6 +129,26 @@ struct Hoist {
     name: String,
     args: Vec<Expr>,
     col: String,
+}
+
+/// Parse `sql`, run static analysis (errors abort with the rendered
+/// diagnostics), then plan; lint warnings attach to the plan. The one
+/// preparation path of the engine and the standing-query host.
+pub(crate) fn prepare(
+    sql: &str,
+    catalog: &Catalog,
+    registry: &Registry,
+    config: &PlanConfig,
+) -> Result<PlannedQuery, QueryError> {
+    let stmt = crate::parser::parse(sql)?;
+    let diags = crate::check::check(&stmt, catalog, registry);
+    if diags.iter().any(|d| d.is_error()) {
+        let errors: Vec<_> = diags.into_iter().filter(|d| d.is_error()).collect();
+        return Err(QueryError::Check(crate::check::render_all(&errors, sql)));
+    }
+    let mut planned = plan(&stmt, catalog, registry, config)?;
+    planned.warnings = diags;
+    Ok(planned)
 }
 
 /// Plan `stmt`: build the logical IR, run the verified rewrite pass,
@@ -176,83 +185,74 @@ fn lower(
 ) -> Result<PlannedQuery, QueryError> {
     let mut explain = Vec::new();
 
-    // ---- join ----
-    let (mut working_schema, join) = match &lp.join {
-        None => (Arc::clone(&lp.schema), None),
-        Some(jc) => {
-            let right_schema = lp
-                .right_schema
-                .as_ref()
-                .expect("join plan has right schema");
-            let joined = Arc::clone(&lp.schema);
-            let window = match &lp.window {
-                Some(WindowSpec::Time(d)) => *d,
-                _ => config.default_join_window,
-            };
-            let mut ctx = EvalCtx::default();
-            let lk = compile_into(
-                &Expr::col(&jc.left_col),
-                &lp.left_schema,
-                registry,
-                &mut ctx,
-            )?;
-            let rk = compile_into(&Expr::col(&jc.right_col), right_schema, registry, &mut ctx)?;
-            explain.push(format!(
-                "join {} ⋈ {} on {} = {} within {}",
-                lp.stream, jc.stream, jc.left_col, jc.right_col, window
-            ));
-            // Per-side decode pruning. The projection-pruning *rule*
-            // skips join plans (its verifier only models single-stream
-            // scans), so the masks are computed here: combined-schema
-            // liveness split at the left schema's width, with each
-            // side's join key forced live for the join operator itself.
-            let (left_live, right_live) = if config.optimize {
-                let mut live = lp
-                    .live_columns()
-                    .unwrap_or_else(|| vec![true; lp.schema.len()]);
-                if let Some(i) = lp.left_schema.index_of(&jc.left_col) {
+    let mut ops: Vec<Box<dyn Operator>> = Vec::new();
+    let mut working_schema = Arc::clone(&lp.schema);
+    let mut live_columns = lp.live.clone().map(Arc::from);
+
+    // ---- join: the head stage, both sides over the one feed ----
+    if let Some(jc) = &lp.join {
+        if !jc.stream.eq_ignore_ascii_case(&lp.stream) {
+            return Err(QueryError::Plan(format!(
+                "{} JOIN {}: both join sides read the one connection, so a join \
+                 must be a self-join",
+                lp.stream, jc.stream
+            )));
+        }
+        let window = match &lp.window {
+            Some(WindowSpec::Time(d)) => *d,
+            _ => config.default_join_window,
+        };
+        let mut ctx = EvalCtx::default();
+        let lk = compile_into(
+            &Expr::col(&jc.left_col),
+            &lp.left_schema,
+            registry,
+            &mut ctx,
+        )?;
+        let rk = compile_into(
+            &Expr::col(&jc.right_col),
+            &lp.left_schema,
+            registry,
+            &mut ctx,
+        )?;
+        explain.push(format!(
+            "join {} ⋈ {} on {} = {} within {}",
+            lp.stream, jc.stream, jc.left_col, jc.right_col, window
+        ));
+        // The projection-pruning *rule* skips join plans (its verifier
+        // only models single-stream scans), so the decode mask is built
+        // here: combined-schema liveness folded onto the one source
+        // schema, with both join keys forced live for the join itself.
+        if config.optimize {
+            let width = lp.left_schema.len();
+            let mut live = lp.live_columns().unwrap_or_else(|| vec![true; 2 * width]);
+            let (l, r) = live.split_at_mut(width);
+            for (a, b) in l.iter_mut().zip(r.iter()) {
+                *a |= *b;
+            }
+            for key in [&jc.left_col, &jc.right_col] {
+                if let Some(i) = lp.left_schema.index_of(key) {
                     live[i] = true;
                 }
-                if let Some(i) = right_schema.index_of(&jc.right_col) {
-                    live[lp.left_schema.len() + i] = true;
-                }
-                let (l, r) = live.split_at(lp.left_schema.len());
-                let side = |s: &[bool]| -> Option<Arc<[bool]>> {
-                    if s.iter().all(|&b| b) {
-                        None
-                    } else {
-                        Some(Arc::from(s))
-                    }
-                };
-                (side(l), side(r))
-            } else {
-                (None, None)
-            };
-            if let Some(l) = &left_live {
-                explain.push(format!(
-                    "prune left decode to {}/{} columns",
-                    l.iter().filter(|b| **b).count(),
-                    l.len()
-                ));
             }
-            if let Some(r) = &right_live {
+            live.truncate(width);
+            if !live.iter().all(|&b| b) {
                 explain.push(format!(
-                    "prune right decode to {}/{} columns",
-                    r.iter().filter(|b| **b).count(),
-                    r.len()
+                    "prune decode to {}/{width} columns (both join sides)",
+                    live.iter().filter(|b| **b).count(),
                 ));
+                live_columns = Some(Arc::from(live));
             }
-            (
-                Arc::clone(&joined),
-                Some(PlannedJoin {
-                    right_stream: jc.stream.clone(),
-                    join: SymmetricHashJoin::new(lk, rk, ctx, window, joined),
-                    left_live,
-                    right_live,
-                }),
-            )
         }
-    };
+        ops.push(Box::new(SymmetricHashJoin::new(
+            lk,
+            rk,
+            ctx,
+            window,
+            Arc::clone(&lp.schema),
+            live_columns.clone(),
+        )));
+    }
 
     let mut conjuncts: Vec<Expr> = lp.filter.clone();
     let api_candidates: Vec<ApiCandidate> = lp.candidates.iter().map(|(_, c)| c.clone()).collect();
@@ -285,9 +285,6 @@ fn lower(
     // aggregation, grouping, or HAVING) — the shape the compiled
     // `where+project` fusion applies to.
     let plain_select = lp.having.is_none() && aggs.is_empty() && lp.group_by.is_empty();
-
-    // ---- build the pipeline ----
-    let mut ops: Vec<Box<dyn Operator>> = Vec::new();
 
     let add_async = |range: std::ops::Range<usize>,
                      schema: &mut SchemaRef,
@@ -424,7 +421,7 @@ fn lower(
         }
         let agg_schema = Arc::new(Schema::new(fields));
 
-        let policy = window_policy(&lp.window, join.is_some());
+        let policy = window_policy(&lp.window, lp.join.is_some());
         let confidence_target = if let WindowPolicy::Confidence { .. } = policy {
             match aggs.iter().position(|(f, _)| *f == AggFunc::Avg) {
                 Some(i) => i,
@@ -600,10 +597,9 @@ fn lower(
         pipeline: Pipeline::new(ops),
         output_schema,
         api_candidates,
-        join,
         explain: explain.join("\n"),
         warnings: Vec::new(),
-        live_columns: lp.live.clone().map(Arc::from),
+        live_columns,
         notices,
     })
 }
@@ -985,7 +981,6 @@ mod tests {
     fn simple_projection_plan() {
         let p = plan_sql("SELECT text, followers FROM twitter WHERE text contains 'obama'");
         assert_eq!(p.output_schema.names(), vec!["text", "followers"]);
-        assert!(p.join.is_none());
         assert_eq!(p.api_candidates.len(), 1);
         assert!(p.api_candidates[0].description.contains("track"));
         // filter + project fuse into one compiled scan
@@ -1105,34 +1100,49 @@ mod tests {
     }
 
     #[test]
-    fn join_plan_built() {
+    fn join_is_the_head_stage() {
         let p = plan_sql(
             "SELECT text FROM twitter JOIN twitter ON screen_name = screen_name \
              WINDOW 5 minutes",
         );
-        assert!(p.join.is_some());
+        let stages: Vec<String> = p
+            .pipeline
+            .stage_stats()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
+        assert_eq!(stages[0], "join", "{}", p.explain);
         assert!(p.api_candidates.is_empty(), "no pushdown for joins");
     }
 
     #[test]
-    fn join_sides_get_pruned_decode_with_keys_forced_live() {
+    fn join_decode_is_the_union_of_both_sides_with_keys_forced_live() {
         let p = plan_sql(
-            "SELECT text FROM twitter JOIN twitter ON screen_name = screen_name \
+            "SELECT text, lang_r FROM twitter JOIN twitter ON user_id = retweet_of \
              WHERE followers > 10 WINDOW 5 minutes",
         );
-        let pj = p.join.as_ref().expect("join planned");
+        let live = p.live_columns.as_ref().expect("narrow join prunes");
         let schema = tweeql_model::record::twitter_schema();
-        let sn = schema.index_of("screen_name").unwrap();
-        let left = pj.left_live.as_ref().expect("narrow join prunes left");
-        assert!(left[sn], "join key must stay live");
-        assert!(left[schema.index_of("text").unwrap()]);
-        assert!(left[schema.index_of("followers").unwrap()]);
-        assert!(!left[schema.index_of("loc").unwrap()]);
-        // Right side only feeds the join key here (text/followers
-        // resolve to the left copy of the self-join).
-        let right = pj.right_live.as_ref().expect("narrow join prunes right");
-        assert!(right[sn], "join key must stay live");
-        assert!(!right[schema.index_of("loc").unwrap()]);
+        let is_live = |c: &str| live[schema.index_of(c).unwrap()];
+        // Left side reads text and followers, the right side lang; the
+        // keys come from one side each.
+        for c in ["text", "followers", "lang", "user_id", "retweet_of"] {
+            assert!(is_live(c), "{c} must be live");
+        }
+        assert!(!is_live("loc"));
+        assert!(p.explain.contains("prune decode to 5/11"), "{}", p.explain);
+    }
+
+    #[test]
+    fn join_of_two_streams_is_refused() {
+        let (mut c, r, cfg) = setup();
+        c.register("news", Schema::shared(&[("screen_name", DataType::Str)]));
+        let stmt = parse(
+            "SELECT text FROM twitter JOIN news ON screen_name = screen_name WINDOW 5 minutes",
+        )
+        .unwrap();
+        let err = plan(&stmt, &c, &r, &cfg).unwrap_err();
+        assert!(matches!(err, QueryError::Plan(_)), "{err}");
     }
 
     #[test]
@@ -1144,10 +1154,7 @@ mod tests {
              WINDOW 5 minutes",
         )
         .unwrap();
-        let p = plan(&stmt, &c, &r, &cfg).unwrap();
-        let pj = p.join.as_ref().expect("join planned");
-        assert!(pj.left_live.is_none());
-        assert!(pj.right_live.is_none());
+        assert!(plan(&stmt, &c, &r, &cfg).unwrap().live_columns.is_none());
     }
 
     #[test]

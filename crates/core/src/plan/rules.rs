@@ -257,6 +257,9 @@ fn fuse_multicontains_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(Logic
 /// `locations` / `follow`) from the WHERE conjuncts — the engine
 /// probes their selectivities and pushes the rarest one into the
 /// firehose connection (the API accepts exactly one filter type).
+/// Joins get none: their WHERE holds only after the join, and a
+/// connection filter — or the standing-query host's prefilter, built
+/// from these candidates — would drop rows the other side still needs.
 fn pushdown_filter_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
     if p.join.is_some() || !p.stream.eq_ignore_ascii_case("twitter") || p.filter.is_empty() {
         return None;

@@ -28,5 +28,5 @@ pub use crate::engine::{
 };
 pub use crate::error::QueryError;
 pub use crate::host::durable::{DurabilityConfig, KillPlan};
-pub use crate::host::{HostStats, QueryHost, QueryInfo, QueryState, Subscription};
+pub use crate::host::{HostStats, QueryHost, QueryInfo, QueryState};
 pub use tweeql_obs::QueryId;

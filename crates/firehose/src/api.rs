@@ -183,11 +183,6 @@ impl StreamingApi {
         self
     }
 
-    /// The underlying log size.
-    pub fn firehose_len(&self) -> usize {
-        self.tweets.len()
-    }
-
     /// The shared clock.
     pub fn clock(&self) -> Arc<VirtualClock> {
         Arc::clone(&self.clock)
@@ -332,19 +327,6 @@ impl Connection {
         out.sel.len()
     }
 
-    /// Deliver tweets until stream time `until`, via callback; returns
-    /// the number delivered. Use when interleaving multiple connections.
-    pub fn poll_until(&mut self, until: Timestamp, mut f: impl FnMut(Tweet)) -> usize {
-        let mut n = 0;
-        while self.pos < self.tweets.len() && self.tweets[self.pos].created_at <= until {
-            if let Some(t) = self.step() {
-                f(t);
-                n += 1;
-            }
-        }
-        n
-    }
-
     /// Scan exactly `n` firehose tweets (or to end of stream),
     /// discarding deliveries, and return the stats — the primitive
     /// selectivity probing uses.
@@ -469,7 +451,7 @@ mod tests {
         let mut conn = api.connect(FilterSpec::Track(vec!["obama".into()]));
         for _ in conn.by_ref() {}
         let s = conn.stats();
-        assert_eq!(s.scanned as usize, api.firehose_len());
+        assert_eq!(s.scanned as usize, api.ground_truth().len());
         // Topic is 30/90 of traffic → selectivity ≈ 1/3.
         assert!(
             (0.2..=0.5).contains(&s.selectivity()),
@@ -505,7 +487,7 @@ mod tests {
         let a: Vec<u64> = api.connect(FilterSpec::Sample(0.1)).map(|t| t.id).collect();
         let b: Vec<u64> = api.connect(FilterSpec::Sample(0.1)).map(|t| t.id).collect();
         assert_eq!(a, b, "sampling must be deterministic");
-        let frac = a.len() as f64 / api.firehose_len() as f64;
+        let frac = a.len() as f64 / api.ground_truth().len() as f64;
         assert!((0.06..=0.14).contains(&frac), "frac = {frac}");
     }
 
@@ -529,21 +511,6 @@ mod tests {
         assert_eq!(clock.now(), first.created_at);
         for _ in conn.by_ref() {}
         assert!(clock.now() >= Timestamp::from_mins(19));
-    }
-
-    #[test]
-    fn poll_until_respects_time_bound() {
-        let api = api();
-        let mut conn = api.connect(FilterSpec::Sample(1.0));
-        let mut seen = Vec::new();
-        conn.poll_until(Timestamp::from_mins(5), |t| seen.push(t));
-        assert!(!seen.is_empty());
-        assert!(seen.iter().all(|t| t.created_at <= Timestamp::from_mins(5)));
-        let before = seen.len();
-        conn.poll_until(Timestamp::from_mins(5), |t| seen.push(t));
-        assert_eq!(seen.len(), before, "no double delivery");
-        conn.poll_until(Timestamp::from_mins(20), |t| seen.push(t));
-        assert_eq!(seen.len(), api.firehose_len());
     }
 
     /// Drain a connection through the batched path, collecting ids.

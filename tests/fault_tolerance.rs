@@ -143,6 +143,55 @@ fn chaos_smoke_seed_c() {
     chaos_round(99);
 }
 
+/// A join reads the one supervised connection like every other query:
+/// its disconnects show in its stats, and a fully replayed run joins the
+/// same pairs as the fault-free one.
+#[test]
+fn join_under_chaos_is_supervised() {
+    let sql = "SELECT id, id_r FROM twitter JOIN twitter ON screen_name = screen_name \
+               WINDOW 30 seconds";
+    let pairs = |r: &QueryResult| {
+        let mut v: Vec<(i64, i64)> = r
+            .rows
+            .iter()
+            .map(|row| {
+                (
+                    row.value(0).as_int().unwrap(),
+                    row.value(1).as_int().unwrap(),
+                )
+            })
+            .collect();
+        v.sort_unstable();
+        v
+    };
+    let run = |fault: Option<FaultPlan>| {
+        let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
+        let mut b = Engine::builder(api).retry_policy(RetryPolicy {
+            replay_overlap: Duration::from_mins(30),
+            ..RetryPolicy::default()
+        });
+        if let Some(f) = fault {
+            b = b.fault_policy(f);
+        }
+        b.build().execute(sql).expect("join runs")
+    };
+    let clean = run(None);
+    let chaos = run(Some(FaultPlan::chaos(7)));
+    let faults = &chaos.stats.source_faults;
+    assert!(
+        faults.disconnects > 0,
+        "no disconnects reported: {faults:?}"
+    );
+    assert_eq!(faults.reconnects, faults.disconnects);
+    assert_eq!(chaos.stats.stages[0].0, "join");
+    assert!(!clean.rows.is_empty());
+    assert_eq!(
+        pairs(&chaos),
+        pairs(&clean),
+        "healed chaos changed the join"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -204,6 +204,60 @@ fn queries_advance_stream_time_deterministically() {
     assert_eq!(n1, r2.rows[0].value(0).as_int().unwrap());
 }
 
+/// The windowed self-join against a brute-force nested-loop join over
+/// the log: as multisets, every `(id, id_r)` pair with equal non-null
+/// keys and |Δt| ≤ w, each tweet paired with itself too.
+#[test]
+fn windowed_self_join_matches_a_nested_loop_over_the_log() {
+    for (seed, population, w) in [(99u64, 300usize, 60i64), (7, 200, 30), (3, 100, 120)] {
+        let scenario = Scenario {
+            name: "self-join".into(),
+            duration: Duration::from_mins(20),
+            background_rate_per_min: 120.0,
+            topics: vec![Topic::new("obama", vec!["obama"], 40.0)],
+            bursts: vec![],
+            geotag_rate: 0.3,
+            population_size: population,
+        };
+        let log = generate(&scenario, seed);
+        let api = StreamingApi::new(log.clone(), VirtualClock::new());
+        let window = Duration::from_secs(w);
+        let mut oracle = Vec::new();
+        for l in &log {
+            for r in &log {
+                let near = l.created_at.since(r.created_at) <= window
+                    && r.created_at.since(l.created_at) <= window;
+                if near && l.user.screen_name == r.user.screen_name {
+                    oracle.push((l.id as i64, r.id as i64));
+                }
+            }
+        }
+        let sql = format!(
+            "SELECT id, id_r FROM twitter JOIN twitter ON screen_name = screen_name \
+             WINDOW {w} seconds"
+        );
+        let result = Engine::builder(api)
+            .build()
+            .execute(&sql)
+            .expect("join runs");
+        let mut got: Vec<(i64, i64)> = result
+            .rows
+            .iter()
+            .map(|r| (r.value(0).as_int().unwrap(), r.value(1).as_int().unwrap()))
+            .collect();
+        got.sort_unstable();
+        oracle.sort_unstable();
+        assert_eq!(
+            got.len(),
+            oracle.len(),
+            "seed {seed}: {} pairs, the log has {}",
+            got.len(),
+            oracle.len()
+        );
+        assert_eq!(got, oracle, "seed {seed}");
+    }
+}
+
 #[test]
 fn named_entities_udf_runs_in_queries() {
     let mut engine = obama_engine(5);

@@ -84,8 +84,8 @@ fn tweets() -> &'static Vec<Tweet> {
 /// LIMIT early-exit, and the three pipeline-head shapes the dispatcher
 /// treats differently — a fused scan (columnar), an aggregate straight
 /// over the stream (columnar, needle-free: it sees every row), and an
-/// async-UDF stage (rows, only the ones it selected). No joins (the
-/// host rejects them).
+/// async-UDF stage (rows, only the ones it selected) — and a windowed
+/// self-join, whose head stage takes every row into both of its sides.
 const CORPUS: &[&str] = &[
     "SELECT text FROM twitter WHERE text contains 'kw'",
     "SELECT count(*) AS c, lang FROM twitter WHERE text contains 'kw' \
@@ -116,7 +116,13 @@ const CORPUS: &[&str] = &[
     // window can hang on rows the batcher upstream still holds.
     "SELECT count(*) AS n, floor(latitude(loc)) AS cell FROM twitter \
      WHERE text contains 'kw' GROUP BY cell WINDOW 2 minutes SLIDE 30 seconds",
+    SELF_JOIN,
 ];
+
+/// A join filtered after the join: its `contains` must not prefilter
+/// the rows the join stage is dispatched.
+const SELF_JOIN: &str = "SELECT id, id_r, lang_r FROM twitter JOIN twitter \
+     ON screen_name = screen_name WHERE text contains 'kw' WINDOW 30 seconds";
 
 fn host_with(fault: Option<FaultPlan>) -> QueryHost {
     host_sized(16, fault)
@@ -290,32 +296,40 @@ fn shared_decode_serves_overlapping_queries_from_one_materialization() {
     assert_eq!(s.rows_shared, 2 * s.tweets_delivered);
 }
 
-/// Session-layer semantics: list/subscribe/drop/unknown-id/joins.
+/// Session-layer semantics: list/schema/take/drop/unknown-id/joins.
 #[test]
 fn session_layer_api() {
     let mut host = host_with(None);
     let id = host.register(CORPUS[0]).unwrap();
-    let sub = host.subscribe(id).unwrap();
-    assert_eq!(sub.id(), id);
-    assert_eq!(sub.schema().names(), vec!["text"]);
+    assert_eq!(host.schema(id).unwrap().names(), vec!["text"]);
+    // The host runs joins: the join stage heads the query's pipeline.
+    let join = host.register(SELF_JOIN).unwrap();
+    assert_eq!(
+        host.schema(join).unwrap().names(),
+        vec!["id", "id_r", "lang_r"]
+    );
 
     let listed = host.list();
-    assert_eq!(listed.len(), 1);
+    assert_eq!(listed.len(), 2);
     assert_eq!(listed[0].id, id);
     assert_eq!(listed[0].state, QueryState::Running);
     assert!(listed[0].indexed, "contains-query joins the filter index");
+    assert!(!listed[1].indexed, "a join's sides need every row");
 
     host.run_to_end().unwrap();
-    let polled = sub.poll();
-    let reference = engine_run(CORPUS[0], None);
-    assert_eq!(polled, reference.rows, "subscription sees every row");
     assert_eq!(
         host.take_output(id).unwrap(),
-        reference.rows,
-        "pending buffer holds the same rows"
+        engine_run(CORPUS[0], None).rows,
+        "pending buffer holds every row"
     );
+    assert!(host.take_output(id).unwrap().is_empty(), "taken once");
+    let joined = host.take_output(join).unwrap();
+    assert!(!joined.is_empty());
+    assert_eq!(joined, engine_run(SELF_JOIN, None).rows);
+    assert!(host.list()[1].rows_in > 0);
     assert_eq!(host.list()[0].state, QueryState::Finished);
 
+    host.drop_query(join).unwrap();
     host.drop_query(id).unwrap();
     assert!(host.list().is_empty());
     assert!(matches!(
@@ -326,12 +340,6 @@ fn session_layer_api() {
         host.drop_query(QueryId::new(999)),
         Err(QueryError::UnknownQuery(_))
     ));
-
-    // Standing joins need two connections; the host refuses them.
-    let err = host
-        .register("SELECT text FROM twitter JOIN twitter ON user_id = user_id WINDOW 1 minutes")
-        .unwrap_err();
-    assert!(matches!(err, QueryError::Plan(_)), "{err}");
 
     // Bad SQL surfaces check diagnostics, not a panic.
     assert!(host.register("SELECT nope FROM twitter").is_err());
