@@ -367,6 +367,46 @@ mod tests {
         }
     }
 
+    /// FNV-1a over every generated field of a log, in order.
+    fn log_digest(tweets: &[Tweet]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for t in tweets {
+            let line = format!(
+                "{}|{}|{}|{}|{:?}|{}|{:?}|{:?}\n",
+                t.id,
+                t.created_at.millis(),
+                t.user.id,
+                t.text,
+                t.coordinates,
+                t.lang,
+                t.truth_polarity,
+                t.truth_burst
+            );
+            for b in line.bytes() {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn scenario_logs_are_pinned_by_digest() {
+        let pinned: &[(&str, usize, u64)] = &[
+            ("soccer", 40_813, 10_356_590_249_374_688_970),
+            ("earthquakes", 88_680, 4_614_932_773_416_495_371),
+            ("obama", 189_746, 5_537_579_392_065_406_547),
+        ];
+        let got: Vec<(&str, usize, u64)> = crate::scenarios::all()
+            .iter()
+            .map(|(slug, s)| {
+                let log = generate(s, 42);
+                (*slug, log.len(), log_digest(&log))
+            })
+            .collect();
+        assert_eq!(got, pinned);
+    }
+
     #[test]
     #[should_panic(expected = "invalid scenario")]
     fn invalid_scenario_panics() {
