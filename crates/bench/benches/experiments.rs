@@ -104,10 +104,11 @@ fn bench_e7_sentiment(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_e8_eddy(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e8_eddy");
-    g.bench_function("drift_20k_tuples", |b| {
-        b.iter(|| black_box(e8_eddy::run(10_000)))
+fn bench_e8_reorder(c: &mut Criterion) {
+    let mut g = c.benchmark_group("e8_reorder");
+    g.sample_size(10);
+    g.bench_function("drift_400k_tuples", |b| {
+        b.iter(|| black_box(e8_reorder::run(200_000)))
     });
     g.finish();
 }
@@ -121,6 +122,6 @@ criterion_group!(
     bench_e5_latency,
     bench_e6_engine,
     bench_e7_sentiment,
-    bench_e8_eddy,
+    bench_e8_reorder,
 );
 criterion_main!(benches);

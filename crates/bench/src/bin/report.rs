@@ -263,8 +263,8 @@ fn main() {
     );
 
     // ---- E8 ----
-    println!("## E8 — eddy vs static predicate order under drift\n");
-    let e8 = e8_eddy::run(20_000);
+    println!("## E8 — adaptive vs frozen conjunct order under drift\n");
+    let e8 = e8_reorder::run(200_000);
     let rows: Vec<Vec<String>> = e8
         .iter()
         .map(|r| {
@@ -273,13 +273,20 @@ fn main() {
                 r.tuples.to_string(),
                 r.evaluations.to_string(),
                 format!("{:.3}", r.evals_per_tuple),
+                r.output.len().to_string(),
             ]
         })
         .collect();
     println!(
         "{}",
         markdown_table(
-            &["strategy", "tuples", "predicate evaluations", "evals/tuple"],
+            &[
+                "strategy",
+                "tuples",
+                "predicate evaluations",
+                "evals/tuple",
+                "rows out"
+            ],
             &rows,
         )
     );

@@ -1,0 +1,114 @@
+//! E8 — Eddies-style adaptive reordering (§2's "exploring" extension):
+//! when predicate selectivities drift mid-stream, a conjunct order
+//! fixed at plan time goes stale. The fused scan every `WHERE` lowers
+//! to re-ranks its conjuncts from batch statistics; this experiment
+//! runs it frozen at plan order and adaptive over the same stream.
+//! Cost metric: predicate evaluations per tuple (the work the paper's
+//! reordering saves).
+
+use tweeql::exec::fused::FusedScanOp;
+use tweeql::exec::Operator;
+use tweeql::expr::{compile_into, EvalCtx};
+use tweeql::parser::parse_expr;
+use tweeql::udf::Registry;
+use tweeql::EngineConfig;
+use tweeql_model::{DataType, Record, Schema, SchemaRef, Timestamp, Value};
+
+/// One strategy's cost.
+#[derive(Debug, Clone)]
+pub struct E8Row {
+    /// Strategy label.
+    pub strategy: String,
+    /// Tuples processed.
+    pub tuples: u64,
+    /// Total predicate evaluations.
+    pub evaluations: u64,
+    /// Evaluations per tuple (lower is better; oracle ≈ 1 under drift).
+    pub evals_per_tuple: f64,
+    /// Rows emitted (identical across strategies).
+    pub output: Vec<Record>,
+}
+
+fn schema() -> SchemaRef {
+    Schema::shared(&[("a", DataType::Int), ("b", DataType::Int)])
+}
+
+/// Tuple `i` of a two-phase drifting stream over `a < 0 AND b < 0`.
+/// In phase 1 `a < 0` fails and `b < 0` passes; halfway through the
+/// roles flip. Every hundredth tuple satisfies both.
+fn tuple(s: &SchemaRef, i: usize, n_per_phase: usize) -> Record {
+    let (j, phase2) = (i % n_per_phase, i >= n_per_phase);
+    let v = if j % 100 == 0 { -1 } else { (j % 100) as i64 };
+    let (a, b) = if phase2 { (-1, v) } else { (v, -1) };
+    Record::new(
+        s.clone(),
+        vec![Value::Int(a), Value::Int(b)],
+        Timestamp::from_millis(i as i64),
+    )
+    .unwrap()
+}
+
+/// Feed the drifting stream through one fused scan in engine-sized
+/// batches; `rerank_every` is `None` for the operator's default.
+fn run_arm(strategy: &str, n_per_phase: usize, rerank_every: Option<u64>) -> E8Row {
+    let s = schema();
+    let reg = Registry::empty();
+    let mut ctx = EvalCtx::default();
+    let conjuncts: Vec<_> = ["a < 0", "b < 0"]
+        .iter()
+        .map(|src| compile_into(&parse_expr(src).unwrap(), &s, &reg, &mut ctx).unwrap())
+        .collect();
+    let mut op = FusedScanOp::try_new(&conjuncts, None, s.clone(), "where").unwrap();
+    if let Some(every) = rerank_every {
+        op = op.with_rerank_every(every);
+    }
+    let tuples = 2 * n_per_phase;
+    let batch_size = EngineConfig::default().batch_size;
+    let mut batch = Vec::with_capacity(batch_size);
+    let mut output = Vec::new();
+    for start in (0..tuples).step_by(batch_size) {
+        batch.extend((start..tuples.min(start + batch_size)).map(|i| tuple(&s, i, n_per_phase)));
+        op.on_batch(&mut batch, &mut output).unwrap();
+    }
+    let evaluations = op.conjunct_stats().iter().map(|c| c.evaluations).sum();
+    E8Row {
+        strategy: strategy.into(),
+        tuples: tuples as u64,
+        evaluations,
+        evals_per_tuple: evaluations as f64 / tuples as f64,
+        output,
+    }
+}
+
+/// Run both arms over the drifting stream. The plan order `a < 0,
+/// b < 0` is optimal *for phase 1* (what a plan-time optimizer would
+/// pick from its initial sample).
+pub fn run(n_per_phase: usize) -> Vec<E8Row> {
+    vec![
+        run_arm("frozen (plan order)", n_per_phase, Some(u64::MAX)),
+        run_arm("re-ranked (adaptive)", n_per_phase, None),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn reranker_beats_frozen_plan_order_under_drift() {
+        let rows = run(200_000);
+        let (frozen, adaptive) = (&rows[0], &rows[1]);
+        // Identical, non-empty results.
+        assert_eq!(frozen.output.len(), 4_000);
+        assert_eq!(frozen.output, adaptive.output);
+        // Frozen pays ~1 eval/tuple in phase 1 ("a<0" fails fast) but
+        // 2 in phase 2 ("a<0" now always passes) → ~1.5 overall.
+        assert!(frozen.evals_per_tuple >= 1.45, "{}", frozen.evals_per_tuple);
+        // The re-ranker converges to ~1 in both phases.
+        assert!(
+            adaptive.evals_per_tuple <= 1.10,
+            "{}",
+            adaptive.evals_per_tuple
+        );
+    }
+}

@@ -11,7 +11,7 @@ pub mod e4_confidence;
 pub mod e5_latency;
 pub mod e6_engine;
 pub mod e7_sentiment;
-pub mod e8_eddy;
+pub mod e8_reorder;
 
 /// Render a markdown table from a header and rows.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {

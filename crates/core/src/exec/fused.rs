@@ -7,23 +7,20 @@
 //! only over the survivors, and output records materialize once at the
 //! end — no intermediate `Record` vector between the stages.
 //!
-//! **Adaptive conjunct ordering** (the paper's answer to uncertain
-//! stream selectivities, batched): every conjunct carries the same
-//! [`PredicateStats`] the per-record [`super::eddy::EddyFilter`] uses,
-//! fed batch-at-a-time, plus an EWMA of its per-row evaluation cost.
-//! Every `rerank_every` batches the conjuncts re-sort by
-//! drop-rate-per-nanosecond, so a needle going viral (pass rate up) or
-//! a cheap predicate turning expensive demotes itself. Because a
-//! conjunction's survivor set is order-independent, re-ranking never
-//! changes *what* the operator emits — only how much work it does.
+//! **Adaptive conjunct ordering** (§2's Eddies-style reordering for
+//! drifting selectivities, batched): every conjunct carries a
+//! [`PredicateStats`] pass-rate estimate fed batch-at-a-time, plus an
+//! EWMA of its per-row evaluation cost. Every `rerank_every` batches
+//! the measured conjuncts re-sort by drop-rate-per-nanosecond, so a
+//! needle going viral (pass rate up) or a cheap predicate turning
+//! expensive demotes itself; a conjunct no row has reached yet keeps
+//! its place behind them. Because a conjunction's survivor set is
+//! order-independent, re-ranking never changes *what* the operator
+//! emits — only how much work it does.
 //!
-//! Unlike the eddy there is no per-record exploration: pass rates for
-//! later conjuncts are measured conditioned on earlier ones. That bias
-//! is bounded (the first conjunct always sees the raw stream, and rank
-//! flips re-condition the estimates) and is the price of keeping the
-//! hot loop allocation- and branch-free.
+//! A later conjunct's pass rate is measured over the rows earlier ones
+//! let through; a rank flip re-conditions it.
 
-use super::eddy::PredicateStats;
 use super::Operator;
 use crate::error::QueryError;
 use crate::expr::compile::Unsupported;
@@ -33,6 +30,40 @@ use std::time::Instant;
 use tweeql_model::batch::col as tcol;
 use tweeql_model::record::twitter_schema;
 use tweeql_model::{Record, SchemaRef, TweetBatch, Value};
+
+/// Per-conjunct runtime statistics.
+#[derive(Debug, Clone, Copy)]
+pub struct PredicateStats {
+    /// Rows evaluated.
+    pub evaluations: u64,
+    /// Rows that passed.
+    pub passes: u64,
+    /// Exponentially-decayed pass-rate estimate.
+    pub est_pass_rate: f64,
+}
+
+impl PredicateStats {
+    fn new() -> PredicateStats {
+        PredicateStats {
+            evaluations: 0,
+            passes: 0,
+            // Optimistic prior; converges fast under decay.
+            est_pass_rate: 0.5,
+        }
+    }
+
+    /// Record a whole micro-batch of outcomes at once: one EWMA step
+    /// toward the batch's pass fraction.
+    fn observe_batch(&mut self, evals: u64, passes: u64, alpha: f64) {
+        if evals == 0 {
+            return;
+        }
+        self.evaluations += evals;
+        self.passes += passes;
+        let frac = passes as f64 / evals as f64;
+        self.est_pass_rate = (1.0 - alpha) * self.est_pass_rate + alpha * frac;
+    }
+}
 
 /// One compiled `WHERE` conjunct with its runtime counters.
 struct Conjunct {
@@ -144,16 +175,13 @@ impl FusedScanOp {
         })
     }
 
-    /// Tune the adaptive reordering (tests and experiments).
-    #[cfg(test)]
+    /// Re-rank every `every` batches (`u64::MAX` freezes plan order).
     pub fn with_rerank_every(mut self, every: u64) -> FusedScanOp {
         self.rerank_every = every.max(1);
         self
     }
 
-    /// `(evaluations, passes, est_pass_rate)` per conjunct, in plan
-    /// order (not current evaluation order).
-    #[cfg(test)]
+    /// Per-conjunct stats, in plan order (not current evaluation order).
     pub fn conjunct_stats(&self) -> Vec<PredicateStats> {
         self.conjuncts.iter().map(|c| c.stats).collect()
     }
@@ -165,12 +193,17 @@ impl FusedScanOp {
     }
 
     /// Re-sort conjuncts by expected cost saved per nanosecond spent:
-    /// drop-rate / cost-per-row, highest first.
+    /// drop-rate / cost-per-row, highest first. A conjunct with no cost
+    /// sample has only its prior, so it stays behind the measured ones
+    /// (the sort is stable).
     fn rerank(&mut self) {
         let conj = &self.conjuncts;
         self.order.sort_by(|&a, &b| {
             let score = |i: usize| {
                 let c = &conj[i];
+                if c.stats.evaluations == 0 {
+                    return f64::NEG_INFINITY;
+                }
                 let drop = 1.0 - c.stats.est_pass_rate;
                 drop / c.cost_ewma.max(1.0)
             };
@@ -481,6 +514,24 @@ mod tests {
         // Once the order flips, conjunct 0 stops being evaluated.
         let stats = op.conjunct_stats();
         assert!(stats[1].evaluations > stats[0].evaluations, "{stats:?}");
+    }
+
+    #[test]
+    fn unmeasured_conjunct_stays_behind_measured_ones() {
+        // Conjunct 0 drops everything, so conjunct 1 never sees a row
+        // and keeps only its prior: re-ranking must not promote it.
+        let conj = cexprs(&["followers < 0", "followers >= 0"]);
+        let mut op = FusedScanOp::try_new(&conj, None, schema(), "where")
+            .unwrap()
+            .with_rerank_every(4);
+        let mut out = Vec::new();
+        for _ in 0..16 {
+            let mut batch: Vec<Record> = (0..64).map(|i| rec("x", i)).collect();
+            op.on_batch(&mut batch, &mut out).unwrap();
+        }
+        assert!(out.is_empty());
+        assert_eq!(op.current_order(), &[0, 1]);
+        assert_eq!(op.conjunct_stats()[1].evaluations, 0);
     }
 
     #[test]

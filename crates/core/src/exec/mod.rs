@@ -4,18 +4,17 @@
 //! pushes results downstream. Watermarks are what make replay
 //! deterministic: time windows flush on watermark, not on wall clock.
 
-// Only the submodules external code actually needs stay public: `eddy`
-// (benchmarked directly) and `supervise` (fault-tolerance tests build
-// `RetryPolicy` / consume `SourceEvent`s). The rest are lowering
-// details reachable only through `plan::plan`, and `feed`, the source
-// half both the engine and the host drive.
+// Only the submodules external code actually needs stay public: `fused`
+// (E8 drives its conjunct re-ranker directly) and `supervise`
+// (fault-tolerance tests build `RetryPolicy` / consume `SourceEvent`s).
+// The rest are lowering details reachable only through `plan::plan`,
+// and `feed`, the source half both the engine and the host drive.
 pub(crate) mod aggregate;
 pub(crate) mod asyncop;
 pub(crate) mod confidence;
-pub mod eddy;
 pub(crate) mod feed;
 pub(crate) mod filter;
-pub(crate) mod fused;
+pub mod fused;
 pub(crate) mod join;
 mod keys;
 pub(crate) mod limit;

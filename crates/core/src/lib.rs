@@ -35,7 +35,8 @@
 //!   [`udf`] (sentiment classification, geocoding, entity extraction);
 //! * uncertain selectivities — [`selectivity`] + [`plan::optimizer`]
 //!   (sample both candidate filters, push down the lowest-selectivity
-//!   one), with Eddies-style adaptive reordering in [`exec::eddy`];
+//!   one), with Eddies-style adaptive conjunct reordering in
+//!   [`exec::fused`];
 //! * uneven aggregate groups — [`exec::confidence`] (CONTROL-style
 //!   confidence-interval windows);
 //! * high-latency operators — [`exec::asyncop`] (caching + batching +

@@ -152,8 +152,8 @@ pub fn fold_constants(expr: &Expr) -> Expr {
     }
 }
 
-/// Heuristic evaluation cost of a predicate (used to order the local
-/// filter chain when the eddy is off): lower runs first.
+/// Heuristic evaluation cost of a predicate (the plan order the fused
+/// scan's conjunct re-ranker starts from): lower runs first.
 pub fn predicate_cost(expr: &Expr) -> u32 {
     match &expr.kind {
         ExprKind::Literal(_) => 0,

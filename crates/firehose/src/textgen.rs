@@ -8,6 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::Rng;
+use std::fmt::Write;
 use tweeql_model::TruthPolarity;
 use tweeql_text::sentiment::lexicon::{negative_vocabulary, positive_vocabulary};
 
@@ -97,40 +98,63 @@ fn pick_string_front<'a>(rng: &mut StdRng, items: &'a [String]) -> Option<&'a st
 }
 
 /// Occasionally elongate the final vowel run of a word ("goal"→"goooal").
-fn maybe_elongate(rng: &mut StdRng, word: &str) -> String {
+fn push_maybe_elongated(rng: &mut StdRng, out: &mut String, word: &str) {
     if rng.random_range(0..10) != 0 || word.len() < 3 {
-        return word.to_string();
+        out.push_str(word);
+        return;
     }
-    let mut out = String::with_capacity(word.len() + 4);
-    let chars: Vec<char> = word.chars().collect();
-    for (i, &c) in chars.iter().enumerate() {
+    let last = word.chars().count().saturating_sub(1);
+    for (i, c) in word.chars().enumerate() {
         out.push(c);
-        if "aeiou".contains(c) && i + 1 == chars.len().saturating_sub(1) {
+        if "aeiou".contains(c) && i + 1 == last {
             for _ in 0..rng.random_range(2..5) {
                 out.push(c);
             }
         }
     }
-    out
+}
+
+/// The tweet under construction: space-separated parts in one buffer.
+struct Parts {
+    text: String,
+    any: bool,
+}
+
+impl Parts {
+    /// Start the next part, returning the buffer to write it into.
+    fn next(&mut self) -> &mut String {
+        if self.any {
+            self.text.push(' ');
+        }
+        self.any = true;
+        &mut self.text
+    }
+
+    fn push(&mut self, part: &str) {
+        self.next().push_str(part);
+    }
 }
 
 /// Generate one tweet's text.
 pub fn generate_text(rng: &mut StdRng, spec: &TextSpec<'_>) -> String {
-    let mut parts: Vec<String> = Vec::new();
+    let mut parts = Parts {
+        text: String::with_capacity(160),
+        any: false,
+    };
 
     // Opening filler ~70%.
     if rng.random_range(0..10) < 7 {
-        parts.push(pick(rng, NEUTRAL_FILLER).to_string());
+        parts.push(pick(rng, NEUTRAL_FILLER));
     }
 
     // A topic keyword (always at least one so keyword filters see it).
     if let Some(kw) = pick_string(rng, spec.keywords) {
-        parts.push(maybe_elongate(rng, kw));
+        push_maybe_elongated(rng, parts.next(), kw);
         // Second keyword 25%.
         if spec.keywords.len() > 1 && rng.random_range(0..4) == 0 {
             if let Some(kw2) = pick_string(rng, spec.keywords) {
                 if kw2 != kw {
-                    parts.push(kw2.to_string());
+                    parts.push(kw2);
                 }
             }
         }
@@ -139,79 +163,75 @@ pub fn generate_text(rng: &mut StdRng, spec: &TextSpec<'_>) -> String {
     // Burst phrase with priority (80% when bursting), else topic phrase 40%.
     if !spec.burst_phrases.is_empty() && rng.random_range(0..10) < 8 {
         if let Some(p) = pick_string_front(rng, spec.burst_phrases) {
-            parts.push(p.to_string());
+            parts.push(p);
         }
     } else if rng.random_range(0..10) < 4 {
         if let Some(p) = pick_string(rng, spec.phrases) {
-            parts.push(p.to_string());
+            parts.push(p);
         }
     }
 
     // Sentiment payload: 1-2 polar words, plus emoticon 35%.
-    match spec.polarity {
+    let polar = match spec.polarity {
         TruthPolarity::Positive => {
-            let vocab = positive_vocabulary();
+            Some((positive_vocabulary(), &[":)", ":D", ":-)", "<3", ";)"][..]))
+        }
+        TruthPolarity::Negative => Some((negative_vocabulary(), &[":(", ":-(", "D:", ":/"][..])),
+        TruthPolarity::Neutral => None,
+    };
+    match polar {
+        Some((vocab, emoticons)) => {
             let w = vocab[rng.random_range(0..vocab.len())];
-            parts.push(maybe_elongate(rng, w));
+            push_maybe_elongated(rng, parts.next(), w);
             if rng.random_range(0..3) == 0 {
-                parts.push(vocab[rng.random_range(0..vocab.len())].to_string());
+                parts.push(vocab[rng.random_range(0..vocab.len())]);
             }
             if rng.random_range(0..100) < 35 {
-                parts.push(pick(rng, &[":)", ":D", ":-)", "<3", ";)"]).to_string());
+                parts.push(pick(rng, emoticons));
             }
         }
-        TruthPolarity::Negative => {
-            let vocab = negative_vocabulary();
-            let w = vocab[rng.random_range(0..vocab.len())];
-            parts.push(maybe_elongate(rng, w));
-            if rng.random_range(0..3) == 0 {
-                parts.push(vocab[rng.random_range(0..vocab.len())].to_string());
-            }
-            if rng.random_range(0..100) < 35 {
-                parts.push(pick(rng, &[":(", ":-(", "D:", ":/"]).to_string());
-            }
-        }
-        TruthPolarity::Neutral => {
+        None => {
             if rng.random_range(0..10) < 6 {
-                parts.push(pick(rng, NEUTRAL_TAIL).to_string());
+                parts.push(pick(rng, NEUTRAL_TAIL));
             }
         }
     }
 
-    // Exclamation bursts 30%.
-    if rng.random_range(0..10) < 3 {
-        if let Some(last) = parts.last_mut() {
-            let n = rng.random_range(1..4);
-            last.push_str(&"!".repeat(n));
+    // Exclamation bursts 30%, on the last part.
+    if rng.random_range(0..10) < 3 && parts.any {
+        for _ in 0..rng.random_range(1..4) {
+            parts.text.push('!');
         }
     }
 
     // Hashtag 45%.
     if rng.random_range(0..100) < 45 {
         if let Some(h) = pick_string(rng, spec.hashtags) {
-            parts.push(format!("#{h}"));
+            let out = parts.next();
+            out.push('#');
+            out.push_str(h);
         }
     }
 
     // URL: 60% when a burst URL exists, 8% generic otherwise.
     if let Some(url) = spec.url {
         if rng.random_range(0..10) < 6 {
-            parts.push(url.to_string());
+            parts.push(url);
         }
     } else if rng.random_range(0..100) < 8 {
-        parts.push(format!(
-            "http://t.co/{:06x}",
-            rng.random_range(0..0xffffffu32)
-        ));
+        let id = rng.random_range(0..0xffffffu32);
+        let _ = write!(parts.next(), "http://t.co/{id:06x}");
     }
 
-    let mut text = parts.join(" ").trim().to_string();
+    let mut text = parts.text;
+    text.truncate(text.trim_end().len());
+    text.drain(..text.len() - text.trim_start().len());
     if text.is_empty() {
-        text = "...".to_string();
+        text.push_str("...");
     }
     // 2011 limit.
-    if text.chars().count() > 140 {
-        text = text.chars().take(140).collect();
+    if let Some((cut, _)) = text.char_indices().nth(140) {
+        text.truncate(cut);
     }
     text
 }
