@@ -55,7 +55,7 @@ fn delivered(api: &StreamingApi, filter: FilterSpec) -> (u64, u64) {
     let mut answer = 0;
     for t in conn.by_ref() {
         let in_nyc = t
-            .coordinates
+            .coordinates()
             .map(|(lat, lon)| nyc.contains(&tweeql_geo::GeoPoint::new(lat, lon)))
             .unwrap_or(false);
         if in_nyc && t.contains("obama") {

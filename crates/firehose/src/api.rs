@@ -79,7 +79,7 @@ impl CompiledFilter {
         match self {
             CompiledFilter::Track(ac) => ac.is_match(&tweet.text),
             CompiledFilter::Locations(b) => tweet
-                .coordinates
+                .coordinates()
                 .map(|(lat, lon)| b.contains(&tweeql_geo::GeoPoint::new(lat, lon)))
                 .unwrap_or(false),
             CompiledFilter::Follow(ids) => ids.binary_search(&tweet.user.id).is_ok(),
@@ -467,7 +467,7 @@ mod tests {
         let tweets: Vec<Tweet> = api.connect(FilterSpec::Locations(tokyo)).collect();
         assert!(!tweets.is_empty(), "Tokyo users are plentiful");
         for t in &tweets {
-            let (lat, lon) = t.coordinates.unwrap();
+            let (lat, lon) = t.coordinates().unwrap();
             assert!(tokyo.contains(&tweeql_geo::GeoPoint::new(lat, lon)));
         }
     }

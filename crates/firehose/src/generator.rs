@@ -105,7 +105,7 @@ pub fn generate(scenario: &Scenario, seed: u64) -> Vec<Tweet> {
         if rng.random_range(0.0..1.0) < scenario.geotag_rate {
             let user_idx = (tweet.user.id - 1) as usize;
             let home = population.users()[user_idx].home;
-            tweet.coordinates = Some((home.lat, home.lon));
+            tweet.set_coordinates(home.lat, home.lon);
         }
     }
     debug_assert_eq!(n, out.len());
@@ -311,12 +311,12 @@ mod tests {
         );
         // Truth labels present only inside the burst envelope.
         for t in &tweets {
-            if t.truth_burst == Some(0) {
+            if t.truth_burst() == Some(0) {
                 let m = t.created_at.millis() / 60_000;
                 assert!((10..=15).contains(&m), "burst tweet at minute {m}");
             }
         }
-        let labeled = tweets.iter().filter(|t| t.truth_burst == Some(0)).count();
+        let labeled = tweets.iter().filter(|t| t.truth_burst() == Some(0)).count();
         assert!(labeled > 50, "labeled = {labeled}");
     }
 
@@ -338,7 +338,7 @@ mod tests {
     fn geotag_rate_honored() {
         let s = small_scenario();
         let tweets = generate(&s, 5);
-        let tagged = tweets.iter().filter(|t| t.coordinates.is_some()).count();
+        let tagged = tweets.iter().filter(|t| t.coordinates().is_some()).count();
         let frac = tagged as f64 / tweets.len() as f64;
         assert!((0.02..=0.09).contains(&frac), "frac = {frac}");
     }
@@ -347,7 +347,10 @@ mod tests {
     fn burst_sentiment_bias_shows_in_truth() {
         let s = small_scenario();
         let tweets = generate(&s, 11);
-        let burst: Vec<_> = tweets.iter().filter(|t| t.truth_burst == Some(0)).collect();
+        let burst: Vec<_> = tweets
+            .iter()
+            .filter(|t| t.truth_burst() == Some(0))
+            .collect();
         let pos = burst
             .iter()
             .filter(|t| t.truth_polarity == Some(TruthPolarity::Positive))
@@ -377,10 +380,10 @@ mod tests {
                 t.created_at.millis(),
                 t.user.id,
                 t.text,
-                t.coordinates,
-                t.lang,
+                t.coordinates(),
+                t.lang(),
                 t.truth_polarity,
-                t.truth_burst
+                t.truth_burst()
             );
             for b in line.bytes() {
                 h ^= b as u64;

@@ -9,7 +9,7 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tweeql_model::{Timestamp, TruthPolarity, Tweet, User, UserId};
+use tweeql_model::{Timestamp, TruthPolarity, Tweet, TweetBuilder, User, UserId};
 
 /// File magic: "TWEEQL log, version 1".
 const MAGIC: u32 = 0x7EE1_0001;
@@ -56,8 +56,8 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
         put_str(&mut buf, &t.user.location);
         buf.put_u32_le(t.user.followers);
         put_str(&mut buf, &t.user.lang);
-        put_str(&mut buf, &t.lang);
-        match t.coordinates {
+        put_str(&mut buf, t.lang());
+        match t.coordinates() {
             Some((lat, lon)) => {
                 buf.put_u8(1);
                 buf.put_f64_le(lat);
@@ -65,7 +65,7 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
             }
             None => buf.put_u8(0),
         }
-        match t.retweet_of {
+        match t.retweet_of() {
             Some(id) => {
                 buf.put_u8(1);
                 buf.put_u64_le(id);
@@ -78,7 +78,7 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
             Some(TruthPolarity::Negative) => 2,
             Some(TruthPolarity::Neutral) => 3,
         });
-        match t.truth_burst {
+        match t.truth_burst() {
             Some(b) => {
                 buf.put_u8(1);
                 buf.put_u32_le(b as u32);
@@ -145,12 +145,14 @@ impl<'a> Reader<'a> {
 
 /// Decode a tweet log in one pass over the borrowed input.
 ///
-/// A tweet costs one allocation, its text. Authors are shared: the
+/// A tweet costs one allocation, its text, plus its box of rare fields
+/// when one of them is present (see [`Tweet`]). Authors are shared: the
 /// first tweet of a `user_id` allocates the [`User`], later ones clone
 /// the `Arc` — but only after comparing every profile field, so an
 /// author whose followers, location or language change mid-log gets a
 /// fresh `User` from that tweet on. A tweet's `lang` is its author's
-/// allocation when the two are equal, as [`crate::generate`] builds it.
+/// allocation when the two are equal, as [`crate::generate`] builds it,
+/// and is then not stored in the row at all.
 pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
     let mut r = Reader { rest: &buf };
     if r.rest.len() < 12 || r.u32()? != MAGIC {
@@ -198,36 +200,27 @@ pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
         } else {
             Arc::from(lang)
         };
+        let mut tweet = TweetBuilder::new(id, text)
+            .user(user)
+            .at(created_at)
+            .lang(lang);
 
-        let coordinates = match r.u8()? {
-            1 => Some((r.f64()?, r.f64()?)),
-            _ => None,
+        if r.u8()? == 1 {
+            tweet = tweet.coordinates(r.f64()?, r.f64()?);
+        }
+        if r.u8()? == 1 {
+            tweet = tweet.retweet_of(r.u64()?);
+        }
+        tweet = match r.u8()? {
+            1 => tweet.truth_polarity(TruthPolarity::Positive),
+            2 => tweet.truth_polarity(TruthPolarity::Negative),
+            3 => tweet.truth_polarity(TruthPolarity::Neutral),
+            _ => tweet,
         };
-        let retweet_of = match r.u8()? {
-            1 => Some(r.u64()?),
-            _ => None,
-        };
-        let truth_polarity = match r.u8()? {
-            1 => Some(TruthPolarity::Positive),
-            2 => Some(TruthPolarity::Negative),
-            3 => Some(TruthPolarity::Neutral),
-            _ => None,
-        };
-        let truth_burst = match r.u8()? {
-            1 => Some(r.u32()? as usize),
-            _ => None,
-        };
-        out.push(Tweet {
-            id,
-            text: Arc::from(text),
-            user,
-            created_at,
-            coordinates,
-            lang,
-            retweet_of,
-            truth_polarity,
-            truth_burst,
-        });
+        if r.u8()? == 1 {
+            tweet = tweet.truth_burst(r.u32()? as usize);
+        }
+        out.push(tweet.build());
     }
     Ok(out)
 }
@@ -545,8 +538,8 @@ mod tests {
         let got = decode_log(encode_log(&log)).unwrap();
         assert_eq!(got, log);
         assert!(Arc::ptr_eq(&got[0].user, &got[1].user));
-        assert!(Arc::ptr_eq(&got[0].lang, &got[0].user.lang));
-        assert_eq!(&*got[1].lang, "pt");
+        assert!(Arc::ptr_eq(got[0].lang(), &got[0].user.lang));
+        assert_eq!(&**got[1].lang(), "pt");
         assert!(!Arc::ptr_eq(&got[1].user, &got[2].user));
         assert_eq!(got[2].user.followers, 11);
         assert!(!Arc::ptr_eq(&got[2].user, &got[3].user));
@@ -596,6 +589,51 @@ mod tests {
         assert_eq!(encode_log(&want).to_vec(), fixture);
     }
 
+    /// Coordinates no scenario writes: NaN, both infinities, signed
+    /// zero and the ends of `f64`.
+    const EDGE_COORDS: [f64; 6] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        -0.0,
+        f64::MAX,
+        f64::MIN_POSITIVE,
+    ];
+
+    /// One tweet by `profile(k)` whose boxed fields take edge values.
+    /// The low four bits of `flags` choose coordinates, retweet, burst
+    /// and a tweet language that is not the author's; `coords` picks
+    /// two of [`EDGE_COORDS`]; `ends` picks 0, the type's maximum or
+    /// the drawn value for the retweet id and for the burst.
+    fn edge_tweet(i: usize, k: u8, flags: u8, coords: usize, ends: u8, drawn: (u64, u32)) -> Tweet {
+        let user = profile(k);
+        let mut b = TweetBuilder::new(i as u64, "edge")
+            .lang(if flags & 8 != 0 { "pt" } else { &*user.lang }.to_string())
+            .user(user);
+        if flags & 1 != 0 {
+            b = b.coordinates(EDGE_COORDS[coords % 6], EDGE_COORDS[coords / 6 % 6]);
+        }
+        if flags & 2 != 0 {
+            b = b.retweet_of([0, u64::MAX, drawn.0][usize::from(ends % 3)]);
+        }
+        if flags & 4 != 0 {
+            b = b.truth_burst([0, u32::MAX, drawn.1][usize::from(ends / 3 % 3)] as usize);
+        }
+        b.build()
+    }
+
+    /// The boxed fields with coordinates as their bits, so a NaN
+    /// compares equal to itself.
+    fn boxed_fields(t: &Tweet) -> String {
+        format!(
+            "{:?} {:?} {:?} {}",
+            t.coordinates().map(|(la, lo)| (la.to_bits(), lo.to_bits())),
+            t.retweet_of(),
+            t.truth_burst(),
+            t.lang(),
+        )
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -611,6 +649,29 @@ mod tests {
             let raw = encode_log(&log);
             assert_decoders_agree(&raw);
             prop_assert_eq!(decode_log(raw).unwrap(), log);
+        }
+
+        #[test]
+        fn edge_values_of_the_boxed_fields_round_trip(
+            rows in collection::vec(
+                (0u8..7, 0u8..16, 0usize..36, 0u8..9, (0u64..=u64::MAX, 0u32..=u32::MAX)),
+                1..12,
+            ),
+        ) {
+            let log: Vec<Tweet> = rows
+                .iter()
+                .enumerate()
+                .map(|(i, &(k, flags, coords, ends, drawn))| edge_tweet(i, k, flags, coords, ends, drawn))
+                .collect();
+            let raw = encode_log(&log);
+            let decoded = decode_log(raw.clone()).unwrap();
+            // Compared encoded: a NaN coordinate is not equal to itself.
+            prop_assert_eq!(encode_log(&decoded), raw.clone());
+            prop_assert_eq!(oracle::decode_log(raw.clone()).map(|t| encode_log(&t)), Ok(raw));
+            prop_assert_eq!(
+                decoded.iter().map(boxed_fields).collect::<Vec<_>>(),
+                log.iter().map(boxed_fields).collect::<Vec<_>>()
+            );
         }
 
         /// Any byte after the header may be anything: a flag that is

@@ -282,14 +282,14 @@ fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats) -> Column 
         col::USER_ID => dense_int_column(rows, |t| t.user.id as i64),
         col::SCREEN_NAME => str_column(rows, |t| &t.user.screen_name),
         col::LOC => dict_column(rows, |t| &t.user.location, stats),
-        col::LAT => float_column(rows, |t| t.coordinates.map(|(la, _)| la)),
-        col::LON => float_column(rows, |t| t.coordinates.map(|(_, lo)| lo)),
+        col::LAT => float_column(rows, |t| t.coordinates().map(|(la, _)| la)),
+        col::LON => float_column(rows, |t| t.coordinates().map(|(_, lo)| lo)),
         col::CREATED_AT => Column::Time {
             vals: (0..rows.len()).map(|i| rows.get(i).created_at).collect(),
         },
-        col::LANG => dict_column(rows, |t| &t.lang, stats),
+        col::LANG => dict_column(rows, |t| t.lang(), stats),
         col::FOLLOWERS => dense_int_column(rows, |t| t.user.followers as i64),
-        col::RETWEET_OF => int_column(rows, |t| t.retweet_of.map(|id| id as i64)),
+        col::RETWEET_OF => int_column(rows, |t| t.retweet_of().map(|id| id as i64)),
         _ => {
             debug_assert!(false, "column index {c} out of twitter schema");
             Column::Missing
@@ -706,7 +706,7 @@ impl TweetBatch {
                     col::TEXT => Some(&t.text),
                     col::SCREEN_NAME => Some(&t.user.screen_name),
                     col::LOC => Some(&t.user.location),
-                    col::LANG => Some(&t.lang),
+                    col::LANG => Some(t.lang()),
                     _ => None,
                 }
             }
@@ -724,8 +724,8 @@ impl TweetBatch {
             _ => {
                 let t = self.tweet_at(i);
                 match c {
-                    col::LAT => t.coordinates.map(|(la, _)| la),
-                    col::LON => t.coordinates.map(|(_, lo)| lo),
+                    col::LAT => t.coordinates().map(|(la, _)| la),
+                    col::LON => t.coordinates().map(|(_, lo)| lo),
                     _ => None,
                 }
             }
@@ -747,18 +747,18 @@ impl TweetBatch {
             col::SCREEN_NAME => Value::Str(Arc::clone(&t.user.screen_name)),
             col::LOC => Value::Str(Arc::clone(&t.user.location)),
             col::LAT => t
-                .coordinates
+                .coordinates()
                 .map(|(la, _)| Value::Float(la))
                 .unwrap_or(Value::Null),
             col::LON => t
-                .coordinates
+                .coordinates()
                 .map(|(_, lo)| Value::Float(lo))
                 .unwrap_or(Value::Null),
             col::CREATED_AT => Value::Time(t.created_at),
-            col::LANG => Value::Str(Arc::clone(&t.lang)),
+            col::LANG => Value::Str(Arc::clone(t.lang())),
             col::FOLLOWERS => Value::Int(t.user.followers as i64),
             col::RETWEET_OF => t
-                .retweet_of
+                .retweet_of()
                 .map(|id| Value::Int(id as i64))
                 .unwrap_or(Value::Null),
             _ => Value::Null,
@@ -781,12 +781,12 @@ impl TweetBatch {
             col::USER_ID => ValueRef::Int(t.user.id as i64),
             col::SCREEN_NAME => ValueRef::Str(&t.user.screen_name),
             col::LOC => ValueRef::Str(&t.user.location),
-            col::LAT => float(t.coordinates.map(|(la, _)| la)),
-            col::LON => float(t.coordinates.map(|(_, lo)| lo)),
+            col::LAT => float(t.coordinates().map(|(la, _)| la)),
+            col::LON => float(t.coordinates().map(|(_, lo)| lo)),
             col::CREATED_AT => ValueRef::Time(t.created_at),
-            col::LANG => ValueRef::Str(&t.lang),
+            col::LANG => ValueRef::Str(t.lang()),
             col::FOLLOWERS => ValueRef::Int(t.user.followers as i64),
-            col::RETWEET_OF => int(t.retweet_of),
+            col::RETWEET_OF => int(t.retweet_of()),
             _ => ValueRef::Null,
         }
     }
@@ -1040,10 +1040,10 @@ mod tests {
                 assert_eq!(b.str_at(i, col::TEXT), Some(&*t.text));
                 assert_eq!(b.str_at(i, col::SCREEN_NAME), Some(&*t.user.screen_name));
                 assert_eq!(b.str_at(i, col::LOC), Some(&*t.user.location));
-                assert_eq!(b.str_at(i, col::LANG), Some(&*t.lang));
+                assert_eq!(b.str_at(i, col::LANG), Some(&**t.lang()));
                 assert_eq!(b.str_at(i, col::ID), None, "non-string col");
-                assert_eq!(b.float_at(i, col::LAT), t.coordinates.map(|(la, _)| la));
-                assert_eq!(b.float_at(i, col::LON), t.coordinates.map(|(_, lo)| lo));
+                assert_eq!(b.float_at(i, col::LAT), t.coordinates().map(|(la, _)| la));
+                assert_eq!(b.float_at(i, col::LON), t.coordinates().map(|(_, lo)| lo));
                 assert_eq!(b.float_at(i, col::TEXT), None, "non-float col");
             }
         }
@@ -1060,7 +1060,7 @@ mod tests {
             assert_eq!(b.str_at(i, col::TEXT), None);
             assert_eq!(b.float_at(i, col::LAT), None);
             // Live columns still read through.
-            assert_eq!(b.str_at(i, col::LANG), Some(&*b.tweets()[i].lang));
+            assert_eq!(b.str_at(i, col::LANG), Some(&**b.tweets()[i].lang()));
         }
     }
 
@@ -1104,7 +1104,7 @@ mod tests {
                 assert_eq!(codes.len(), 50);
                 assert_eq!(dict.len(), 2);
                 for (i, code) in codes.iter().enumerate() {
-                    assert_eq!(&*dict[*code as usize], &*b.tweets()[i].lang);
+                    assert_eq!(&*dict[*code as usize], &**b.tweets()[i].lang());
                 }
             }
             other => panic!("lang should dictionary-encode, got {other:?}"),
@@ -1113,12 +1113,11 @@ mod tests {
 
     #[test]
     fn dict_ptr_fast_path_hits_on_shared_allocations() {
-        let shared: Arc<str> = "en".into();
+        // One author: every row reads the author's `lang` allocation.
+        let author = Arc::new(User::new(1, "shared"));
         let mut b = TweetBatch::new();
         for i in 0..20u64 {
-            let mut t = tweet(i);
-            t.lang = Arc::clone(&shared);
-            b.push(t);
+            b.push(Tweet::builder(i, "x").user(Arc::clone(&author)).build());
         }
         let mut needed = [false; col::COUNT];
         needed[col::LANG] = true;

@@ -152,7 +152,7 @@ impl Record {
     /// tweet into a record performs no string copies, which keeps the
     /// per-record cost on the hot decode path at one `Vec` allocation.
     pub fn from_tweet(tweet: &Tweet) -> Record {
-        let (lat, lon) = match tweet.coordinates {
+        let (lat, lon) = match tweet.coordinates() {
             Some((la, lo)) => (Value::Float(la), Value::Float(lo)),
             None => (Value::Null, Value::Null),
         };
@@ -167,10 +167,10 @@ impl Record {
                 lat,
                 lon,
                 Value::Time(tweet.created_at),
-                Value::Str(Arc::clone(&tweet.lang)),
+                Value::Str(Arc::clone(tweet.lang())),
                 Value::Int(tweet.user.followers as i64),
                 tweet
-                    .retweet_of
+                    .retweet_of()
                     .map(|id| Value::Int(id as i64))
                     .unwrap_or(Value::Null),
             ],
@@ -213,24 +213,24 @@ impl Record {
             col!(
                 5,
                 tweet
-                    .coordinates
+                    .coordinates()
                     .map(|(la, _)| Value::Float(la))
                     .unwrap_or(Value::Null)
             ),
             col!(
                 6,
                 tweet
-                    .coordinates
+                    .coordinates()
                     .map(|(_, lo)| Value::Float(lo))
                     .unwrap_or(Value::Null)
             ),
             col!(7, Value::Time(tweet.created_at)),
-            col!(8, Value::Str(Arc::clone(&tweet.lang))),
+            col!(8, Value::Str(Arc::clone(tweet.lang()))),
             col!(9, Value::Int(tweet.user.followers as i64)),
             col!(
                 10,
                 tweet
-                    .retweet_of
+                    .retweet_of()
                     .map(|id| Value::Int(id as i64))
                     .unwrap_or(Value::Null)
             ),

@@ -31,14 +31,16 @@ impl Timestamp {
         Timestamp(ms)
     }
 
-    /// Build from whole seconds.
+    /// Build from whole seconds, saturating at [`Timestamp::MIN`] and
+    /// [`Timestamp::MAX`].
     pub const fn from_secs(s: i64) -> Self {
-        Timestamp(s * 1000)
+        Timestamp(s.saturating_mul(1000))
     }
 
-    /// Build from whole minutes.
+    /// Build from whole minutes, saturating like
+    /// [`from_secs`](Timestamp::from_secs).
     pub const fn from_mins(m: i64) -> Self {
-        Timestamp(m * 60_000)
+        Timestamp(m.saturating_mul(60_000))
     }
 
     /// Milliseconds since the epoch.
@@ -236,19 +238,22 @@ impl Duration {
         Duration(ms)
     }
 
-    /// Build from seconds.
+    /// Build from seconds, saturating at the ends of `i64`
+    /// milliseconds: a span read off the wire may be any `i64`.
     pub const fn from_secs(s: i64) -> Self {
-        Duration(s * 1000)
+        Duration(s.saturating_mul(1000))
     }
 
-    /// Build from minutes.
+    /// Build from minutes, saturating like
+    /// [`from_secs`](Duration::from_secs).
     pub const fn from_mins(m: i64) -> Self {
-        Duration(m * 60_000)
+        Duration(m.saturating_mul(60_000))
     }
 
-    /// Build from hours.
+    /// Build from hours, saturating like
+    /// [`from_secs`](Duration::from_secs).
     pub const fn from_hours(h: i64) -> Self {
-        Duration(h * 3_600_000)
+        Duration(h.saturating_mul(3_600_000))
     }
 
     /// Span length in milliseconds.
@@ -369,6 +374,15 @@ mod tests {
         assert!(Duration::parse("hours").is_err());
         assert!(Duration::parse("3 fortnights").is_err());
         assert!(Duration::parse("x3 hours").is_err());
+    }
+
+    #[test]
+    fn unit_constructors_saturate() {
+        assert_eq!(Duration::from_secs(i64::MAX), Duration(i64::MAX));
+        assert_eq!(Duration::from_hours(i64::MIN), Duration(i64::MIN));
+        assert_eq!(Timestamp::from_secs(i64::MAX), Timestamp::MAX);
+        assert_eq!(Timestamp::from_mins(i64::MIN), Timestamp::MIN);
+        assert_eq!(Duration::from_mins(-2), Duration(-120_000));
     }
 
     #[test]

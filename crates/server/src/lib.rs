@@ -140,7 +140,12 @@ impl Service {
                 return Ok(Reply::Rows { id, schema, rows });
             }
             Request::Step(secs) => {
-                let until = self.host.position() + Duration::from_secs(secs);
+                // Saturating: a `STEP` past the end of time runs to the
+                // end of the stream, like `RUN`.
+                let until = self
+                    .host
+                    .position()
+                    .saturating_add(Duration::from_secs(secs));
                 let n = self.host.pump_until(until)?;
                 Response::ok(format!(
                     "tweets={n} position={}",

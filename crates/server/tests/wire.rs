@@ -156,3 +156,27 @@ fn peer_that_leaves_mid_poll_ends_its_own_session_only() {
         "one line per ended session at most: {stderr}"
     );
 }
+
+#[test]
+fn a_step_past_the_end_of_time_runs_to_the_end_on_a_live_service() {
+    let server = Server::start();
+    let mut s = server.connect();
+    s.ask(&format!("REGISTER {EXPORT}"));
+    s.ask("STEP 60");
+    // Seconds whose milliseconds overflow `i64`, from a position past
+    // zero: the step saturates to the end of the stream.
+    let (_, stepped) = s.ask(&format!("STEP {}", i64::MAX));
+    let position = stepped.split_once(" position=").expect("position").1;
+    assert_ne!(position, "0", "{stepped}");
+
+    // The service is still up for every connection, and `RUN` finds
+    // the stream already at its end.
+    let mut other = server.connect();
+    assert_eq!(other.ask("PING").1, "pong");
+    assert_eq!(other.ask("RUN").1, format!("tweets=0 position={position}"));
+    // The server joins every open session before it exits.
+    drop(other);
+    assert_eq!(s.ask("SHUTDOWN").1, "bye");
+    let (clean, stderr) = server.wait();
+    assert!(clean, "{stderr}");
+}

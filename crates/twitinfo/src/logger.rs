@@ -126,7 +126,7 @@ mod tests {
         let geo = analysis
             .matched
             .iter()
-            .filter(|t| t.coordinates.is_some())
+            .filter(|t| t.coordinates().is_some())
             .count();
         assert!(
             geo * 3 > analysis.matched.len() / 3,

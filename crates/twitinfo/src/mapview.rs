@@ -41,7 +41,7 @@ pub fn markers(
         .iter()
         .filter(|t| t.created_at >= start && t.created_at < end)
         .filter_map(|t| {
-            t.coordinates.map(|(lat, lon)| Marker {
+            t.coordinates().map(|(lat, lon)| Marker {
                 point: GeoPoint::new(lat, lon),
                 sentiment: classifier.classify(&t.text),
                 tweet_id: t.id,

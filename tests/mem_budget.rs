@@ -4,16 +4,20 @@
 //! it steadily; counts of allocations and of live heap bytes repeat
 //! exactly. A seeded `obama_month` stream is generated, encoded and
 //! decoded, and each way of obtaining a `Vec<Tweet>` must hold what
-//! the layout promises: the 120-byte row, one text allocation, and a
-//! share of its author.
+//! the layout promises: the 56-byte row, one text allocation, a share
+//! of its author, and a box of rare fields only on the tweets that have
+//! one.
 //! With a 248-byte row, its own copy of five strings per tweet and a
 //! `Bytes` → `Vec` → `Arc` hop for each, `decode_log` made 19
-//! allocations and kept 416 bytes a tweet.
+//! allocations and kept 416 bytes a tweet; with a 120-byte row it kept
+//! 171.
 //!
 //! This file holds one test: the counters are process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tweeql_firehose::replay::{decode_log, encode_log};
 use tweeql_firehose::{generate, scenarios};
 use tweeql_model::Duration;
@@ -80,9 +84,10 @@ fn held_by<T>(value: T) -> (u64, u64) {
 /// share of an author's `User` and three strings.
 const ALLOCS_PER_100_TWEETS: u64 = 150;
 
-/// Live heap bytes a held tweet may cost: 120 of row, the text behind
-/// its `Arc` header, its share of an author.
-const LIVE_BYTES_PER_TWEET: u64 = 200;
+/// Live heap bytes a held tweet may cost: 56 of row, the text behind
+/// its `Arc` header, its share of an author and of the geotagged
+/// minority's boxes (108.9 measured).
+const LIVE_BYTES_PER_TWEET: u64 = 119;
 
 #[test]
 fn a_held_stream_stays_inside_its_memory_budget() {
@@ -129,4 +134,29 @@ fn a_held_stream_stays_inside_its_memory_budget() {
             "{what} holds {bytes} bytes for {n} tweets"
         );
     }
+
+    // Without geotags, retweets, bursts or a tweet `lang` that is not
+    // its author's, no tweet boxes anything: what the decoded log holds
+    // is its `Vec`, one text per tweet, and per distinct author the
+    // `User` and its three strings.
+    scenario.geotag_rate = 0.0;
+    scenario.duration = Duration::from_mins(30);
+    let raw = encode_log(&generate(&scenario, 7)).to_vec();
+    let plain = decode_log(raw.into()).expect("a log this test encoded");
+    let n = plain.len() as u64;
+    assert!(plain.iter().all(|t| t.coordinates().is_none()
+        && t.retweet_of().is_none()
+        && t.truth_burst().is_none()
+        && Arc::ptr_eq(t.lang(), &t.user.lang)));
+    let authors = plain
+        .iter()
+        .map(|t| Arc::as_ptr(&t.user))
+        .collect::<HashSet<_>>()
+        .len() as u64;
+    let (allocs, _) = held_by(plain);
+    assert_eq!(
+        allocs,
+        1 + n + 4 * authors,
+        "{n} plain tweets by {authors} authors hold a box of rare fields"
+    );
 }

@@ -127,7 +127,7 @@ fn earthquake_mainshock_and_aftershocks() {
     assert!(japanish >= 2, "top clusters: {:?}", analysis.clusters);
 
     // Ground-truth burst labels exist on matched tweets.
-    assert!(tweets.iter().any(|t| t.truth_burst == Some(0)));
+    assert!(tweets.iter().any(|t| t.truth_burst() == Some(0)));
 }
 
 #[test]
