@@ -1,8 +1,9 @@
 //! Golden pin for the single-stream drive path.
 //!
 //! One FNV-1a digest per engine run and per host run over a fixed
-//! grid: source mode (blocks or per-tweet) × decode mode (columnar or
-//! rows) × clean or chaos-faulted stream × batch size 1 or 256. An
+//! grid: the fast configuration or the reference one
+//! (`EngineBuilder::reference`) × clean or chaos-faulted stream × batch
+//! size 1 or 256. An
 //! engine digest covers the output rows, every `QueryStats` field
 //! except operator busy time (wall clock), the final virtual clock and
 //! the rendered metrics registry. A host digest covers the rows of
@@ -13,10 +14,12 @@
 //! circuit breaker whose cooldown is read off the virtual clock), which
 //! makes where the clock stands at each flush part of the output.
 //!
-//! The values were recorded before the engine and host loops were
-//! folded into one source cursor and batch filler, so any change in
-//! what the drive path delivers — rows, counters, where the clock
-//! stands — shows up here as a changed digest.
+//! The fast values were recorded before the engine and host loops were
+//! folded into one source cursor and batch filler, and the reference
+//! values before the four per-layer mode flags became the one
+//! `reference` switch, so any change in what either drive path
+//! delivers — rows, counters, where the clock stands — shows up here as
+//! a changed digest.
 
 use std::sync::{Arc, OnceLock};
 use tweeql::engine::Engine;
@@ -89,25 +92,21 @@ fn flaky_geocoder() -> ServiceConfig {
 
 #[derive(Clone, Copy, Debug)]
 struct Grid {
-    batched: bool,
-    columnar: bool,
+    reference: bool,
     chaos: bool,
     batch: usize,
 }
 
 fn grid() -> Vec<Grid> {
     let mut out = Vec::new();
-    for batched in [true, false] {
-        for columnar in [true, false] {
-            for chaos in [false, true] {
-                for batch in [1, 256] {
-                    out.push(Grid {
-                        batched,
-                        columnar,
-                        chaos,
-                        batch,
-                    });
-                }
+    for reference in [false, true] {
+        for chaos in [false, true] {
+            for batch in [1, 256] {
+                out.push(Grid {
+                    reference,
+                    chaos,
+                    batch,
+                });
             }
         }
     }
@@ -118,8 +117,10 @@ fn builder(g: Grid, flaky: bool, clock: &Arc<VirtualClock>) -> tweeql::EngineBui
     let api = StreamingApi::new(corpus().clone(), Arc::clone(clock));
     let mut b = Engine::builder(api)
         .batch_size(g.batch)
-        .batched_source(g.batched)
-        .columnar_decode(g.columnar);
+        .batched_source(!g.reference)
+        .columnar_decode(!g.reference)
+        .compiled_expressions(!g.reference)
+        .plan_optimizer(!g.reference);
     if flaky {
         b = b.service(flaky_geocoder());
     }
@@ -163,6 +164,7 @@ fn engine_digest(sql: &str, g: Grid, flaky: bool) -> u64 {
 fn host_digest(g: Grid) -> u64 {
     let clock = VirtualClock::new();
     let mut host = builder(g, true, &clock).build_host();
+    host.prefilter(!g.reference);
     let ids: Vec<_> = HOST_QUERIES
         .iter()
         .map(|&q| host.register(QUERIES[q]).expect(QUERIES[q]))
@@ -188,136 +190,73 @@ fn host_digest(g: Grid) -> u64 {
     fnv(&text)
 }
 
-/// Every digest, recorded before the drive loops were unified.
+/// Every digest: the fast ones recorded before the drive loops were
+/// unified, the reference ones before the one `reference` switch.
 const GOLDEN: &[u64] = &[
-    0x471ce39465446abf, // engine q0 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0xb0c7a14c223abb31, // engine q1 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0x1c4f5a03be815eee, // engine q2 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0xc491d1aaa3e9d9e5, // engine q3 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0xba229d50a28195b9, // engine q4 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0x103633ca13b01e70, // engine q5 Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0xd49953d7dc2c58e8, // engine q5 flaky Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0x39049216b12f2539, // host Grid { batched: true, columnar: true, chaos: false, batch: 1 }
-    0x17f7410498335929, // engine q0 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0x642e7e764f2a2e8f, // engine q1 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0x46fee8354a940afb, // engine q2 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0xa4e0168a9ccdcd50, // engine q3 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0x025aa8246b03e90a, // engine q4 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0x73f48d9fcece370b, // engine q5 Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0xce0f2ab31527a522, // engine q5 flaky Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0x8c1da060f16fc646, // host Grid { batched: true, columnar: true, chaos: false, batch: 256 }
-    0x4617af6dcc4ee74c, // engine q0 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0xe0bcf805e50c4ccc, // engine q1 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0xdbe05e00d3abfd61, // engine q2 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0xf653def007f2675a, // engine q3 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0x12bf8576bed2ba5e, // engine q4 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0x8b9038471e0a0d6f, // engine q5 Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0x2d51960a241e154f, // engine q5 flaky Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0x82b1208b67004c51, // host Grid { batched: true, columnar: true, chaos: true, batch: 1 }
-    0xe371538aff381f38, // engine q0 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0x62c9ed57d9f6fd16, // engine q1 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0xbee4e821fd3d5d92, // engine q2 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0x2f246e4bf07502cf, // engine q3 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0xcbdfff1b60168a9b, // engine q4 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0xbd92e673f79f302e, // engine q5 Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0x170bd303b45eee31, // engine q5 flaky Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0xd790477f4e0b519e, // host Grid { batched: true, columnar: true, chaos: true, batch: 256 }
-    0xa2009a2653a0ae5f, // engine q0 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x2243ef9d56468831, // engine q1 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x37fa8b746d762a7c, // engine q2 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x07460ff3075d9d59, // engine q3 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0xba229d50a28195b9, // engine q4 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x1b58bd8772aec450, // engine q5 Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x03a70bef1a7c25f6, // engine q5 flaky Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x39049216b12f2539, // host Grid { batched: true, columnar: false, chaos: false, batch: 1 }
-    0x810e1beeeebc6717, // engine q0 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0x2789389b5357bde5, // engine q1 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0x51a566a015aa7774, // engine q2 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0x5f964e55b3d082c7, // engine q3 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0x99fa236853e33db9, // engine q4 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0xb943ab9af8107287, // engine q5 Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0xdc6005aeacb1d391, // engine q5 flaky Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0x8c1da060f16fc646, // host Grid { batched: true, columnar: false, chaos: false, batch: 256 }
-    0xf4053e0ee178e244, // engine q0 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0xc4ae4798100a145c, // engine q1 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0xdab8f2ee192bc16f, // engine q2 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0xef2e2f784c701156, // engine q3 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0x12bf8576bed2ba5e, // engine q4 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0x9d280fa769ab4ecf, // engine q5 Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0x26a2504e781f187d, // engine q5 flaky Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0x82b1208b67004c51, // host Grid { batched: true, columnar: false, chaos: true, batch: 1 }
-    0xfb51ecc93fd3f61e, // engine q0 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0xfdd6d7b346655c32, // engine q1 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0x45965da73a2a5033, // engine q2 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0x3b16209faa445280, // engine q3 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0x1fd28d5d7ff5e566, // engine q4 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0x6173fe15d1ff653e, // engine q5 Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0xbc8de871848ce57c, // engine q5 flaky Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0xd790477f4e0b519e, // host Grid { batched: true, columnar: false, chaos: true, batch: 256 }
-    0x471ce39465446abf, // engine q0 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0xb0c7a14c223abb31, // engine q1 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0x1c4f5a03be815eee, // engine q2 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0xc491d1aaa3e9d9e5, // engine q3 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0xba229d50a28195b9, // engine q4 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0x103633ca13b01e70, // engine q5 Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0xd49953d7dc2c58e8, // engine q5 flaky Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0x39049216b12f2539, // host Grid { batched: false, columnar: true, chaos: false, batch: 1 }
-    0x17f7410498335929, // engine q0 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0x642e7e764f2a2e8f, // engine q1 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0x46fee8354a940afb, // engine q2 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0xa4e0168a9ccdcd50, // engine q3 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0x025aa8246b03e90a, // engine q4 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0x73f48d9fcece370b, // engine q5 Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0xce0f2ab31527a522, // engine q5 flaky Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0x8c1da060f16fc646, // host Grid { batched: false, columnar: true, chaos: false, batch: 256 }
-    0x4617af6dcc4ee74c, // engine q0 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0xe0bcf805e50c4ccc, // engine q1 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0xdbe05e00d3abfd61, // engine q2 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0xf653def007f2675a, // engine q3 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0x12bf8576bed2ba5e, // engine q4 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0x8b9038471e0a0d6f, // engine q5 Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0xed4e813a154c1fe6, // engine q5 flaky Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0xc256b587318e4a80, // host Grid { batched: false, columnar: true, chaos: true, batch: 1 }
-    0xe371538aff381f38, // engine q0 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0x62c9ed57d9f6fd16, // engine q1 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0xbee4e821fd3d5d92, // engine q2 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0x082699baaf41774b, // engine q3 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0xcbdfff1b60168a9b, // engine q4 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0xbd92e673f79f302e, // engine q5 Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0x170bd303b45eee31, // engine q5 flaky Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0xd790477f4e0b519e, // host Grid { batched: false, columnar: true, chaos: true, batch: 256 }
-    0xa2009a2653a0ae5f, // engine q0 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x2243ef9d56468831, // engine q1 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x37fa8b746d762a7c, // engine q2 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x07460ff3075d9d59, // engine q3 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0xba229d50a28195b9, // engine q4 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x1b58bd8772aec450, // engine q5 Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x03a70bef1a7c25f6, // engine q5 flaky Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x39049216b12f2539, // host Grid { batched: false, columnar: false, chaos: false, batch: 1 }
-    0x810e1beeeebc6717, // engine q0 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0x2789389b5357bde5, // engine q1 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0x51a566a015aa7774, // engine q2 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0x86c8523bf191c3c0, // engine q3 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0x99fa236853e33db9, // engine q4 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0xb943ab9af8107287, // engine q5 Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0xdc6005aeacb1d391, // engine q5 flaky Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0x8c1da060f16fc646, // host Grid { batched: false, columnar: false, chaos: false, batch: 256 }
-    0xf4053e0ee178e244, // engine q0 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0xc4ae4798100a145c, // engine q1 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0xdab8f2ee192bc16f, // engine q2 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0xef2e2f784c701156, // engine q3 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0x12bf8576bed2ba5e, // engine q4 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0x9d280fa769ab4ecf, // engine q5 Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0xce6aa677e2cb4836, // engine q5 flaky Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0xc256b587318e4a80, // host Grid { batched: false, columnar: false, chaos: true, batch: 1 }
-    0xfb51ecc93fd3f61e, // engine q0 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0xfdd6d7b346655c32, // engine q1 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0x45965da73a2a5033, // engine q2 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0xe0c5d93b4ad3af5a, // engine q3 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0x1fd28d5d7ff5e566, // engine q4 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0x6173fe15d1ff653e, // engine q5 Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0xa89485fce6c770cb, // engine q5 flaky Grid { batched: false, columnar: false, chaos: true, batch: 256 }
-    0xd790477f4e0b519e, // host Grid { batched: false, columnar: false, chaos: true, batch: 256 }
+    0x471ce39465446abf, // engine q0 Grid { reference: false, chaos: false, batch: 1 }
+    0xb0c7a14c223abb31, // engine q1 Grid { reference: false, chaos: false, batch: 1 }
+    0x1c4f5a03be815eee, // engine q2 Grid { reference: false, chaos: false, batch: 1 }
+    0xc491d1aaa3e9d9e5, // engine q3 Grid { reference: false, chaos: false, batch: 1 }
+    0xba229d50a28195b9, // engine q4 Grid { reference: false, chaos: false, batch: 1 }
+    0x103633ca13b01e70, // engine q5 Grid { reference: false, chaos: false, batch: 1 }
+    0xd49953d7dc2c58e8, // engine q5 flaky Grid { reference: false, chaos: false, batch: 1 }
+    0x39049216b12f2539, // host Grid { reference: false, chaos: false, batch: 1 }
+    0x17f7410498335929, // engine q0 Grid { reference: false, chaos: false, batch: 256 }
+    0x642e7e764f2a2e8f, // engine q1 Grid { reference: false, chaos: false, batch: 256 }
+    0x46fee8354a940afb, // engine q2 Grid { reference: false, chaos: false, batch: 256 }
+    0xa4e0168a9ccdcd50, // engine q3 Grid { reference: false, chaos: false, batch: 256 }
+    0x025aa8246b03e90a, // engine q4 Grid { reference: false, chaos: false, batch: 256 }
+    0x73f48d9fcece370b, // engine q5 Grid { reference: false, chaos: false, batch: 256 }
+    0xce0f2ab31527a522, // engine q5 flaky Grid { reference: false, chaos: false, batch: 256 }
+    0x8c1da060f16fc646, // host Grid { reference: false, chaos: false, batch: 256 }
+    0x4617af6dcc4ee74c, // engine q0 Grid { reference: false, chaos: true, batch: 1 }
+    0xe0bcf805e50c4ccc, // engine q1 Grid { reference: false, chaos: true, batch: 1 }
+    0xdbe05e00d3abfd61, // engine q2 Grid { reference: false, chaos: true, batch: 1 }
+    0xf653def007f2675a, // engine q3 Grid { reference: false, chaos: true, batch: 1 }
+    0x12bf8576bed2ba5e, // engine q4 Grid { reference: false, chaos: true, batch: 1 }
+    0x8b9038471e0a0d6f, // engine q5 Grid { reference: false, chaos: true, batch: 1 }
+    0x2d51960a241e154f, // engine q5 flaky Grid { reference: false, chaos: true, batch: 1 }
+    0x82b1208b67004c51, // host Grid { reference: false, chaos: true, batch: 1 }
+    0xe371538aff381f38, // engine q0 Grid { reference: false, chaos: true, batch: 256 }
+    0x62c9ed57d9f6fd16, // engine q1 Grid { reference: false, chaos: true, batch: 256 }
+    0xbee4e821fd3d5d92, // engine q2 Grid { reference: false, chaos: true, batch: 256 }
+    0x2f246e4bf07502cf, // engine q3 Grid { reference: false, chaos: true, batch: 256 }
+    0xcbdfff1b60168a9b, // engine q4 Grid { reference: false, chaos: true, batch: 256 }
+    0xbd92e673f79f302e, // engine q5 Grid { reference: false, chaos: true, batch: 256 }
+    0x170bd303b45eee31, // engine q5 flaky Grid { reference: false, chaos: true, batch: 256 }
+    0xd790477f4e0b519e, // host Grid { reference: false, chaos: true, batch: 256 }
+    0x8bb660608f3801c0, // engine q0 Grid { reference: true, chaos: false, batch: 1 }
+    0x187d1dd65bdc00d2, // engine q1 Grid { reference: true, chaos: false, batch: 1 }
+    0x43fde870065624e4, // engine q2 Grid { reference: true, chaos: false, batch: 1 }
+    0xed766d8dfde9354a, // engine q3 Grid { reference: true, chaos: false, batch: 1 }
+    0xba229d50a28195b9, // engine q4 Grid { reference: true, chaos: false, batch: 1 }
+    0x252421919003c751, // engine q5 Grid { reference: true, chaos: false, batch: 1 }
+    0xea941477007aebbe, // engine q5 flaky Grid { reference: true, chaos: false, batch: 1 }
+    0xc41d42ec9c150a0a, // host Grid { reference: true, chaos: false, batch: 1 }
+    0xf15bc8fad8c47bc8, // engine q0 Grid { reference: true, chaos: false, batch: 256 }
+    0xc6abf775dce88fb0, // engine q1 Grid { reference: true, chaos: false, batch: 256 }
+    0xdeab46ca1216d0c0, // engine q2 Grid { reference: true, chaos: false, batch: 256 }
+    0x49b44baf7d8a2096, // engine q3 Grid { reference: true, chaos: false, batch: 256 }
+    0x99fa236853e33db9, // engine q4 Grid { reference: true, chaos: false, batch: 256 }
+    0xfcb49be79de3c58d, // engine q5 Grid { reference: true, chaos: false, batch: 256 }
+    0xbd96e1ec04153f2c, // engine q5 flaky Grid { reference: true, chaos: false, batch: 256 }
+    0xf888ffc793cabf2b, // host Grid { reference: true, chaos: false, batch: 256 }
+    0x15de8704339fe5f5, // engine q0 Grid { reference: true, chaos: true, batch: 1 }
+    0x91d695e9147e24cb, // engine q1 Grid { reference: true, chaos: true, batch: 1 }
+    0x6456c8baa7bd4ca1, // engine q2 Grid { reference: true, chaos: true, batch: 1 }
+    0x8a9c800027a56c02, // engine q3 Grid { reference: true, chaos: true, batch: 1 }
+    0x12bf8576bed2ba5e, // engine q4 Grid { reference: true, chaos: true, batch: 1 }
+    0x611950a44fbb5af2, // engine q5 Grid { reference: true, chaos: true, batch: 1 }
+    0xe6a574734261c099, // engine q5 flaky Grid { reference: true, chaos: true, batch: 1 }
+    0x27677d218d05cf73, // host Grid { reference: true, chaos: true, batch: 1 }
+    0xdcb264315d4ab27d, // engine q0 Grid { reference: true, chaos: true, batch: 256 }
+    0xbb64890d43149851, // engine q1 Grid { reference: true, chaos: true, batch: 256 }
+    0x62ab226294a80c45, // engine q2 Grid { reference: true, chaos: true, batch: 256 }
+    0x52f11f00a4e5f48a, // engine q3 Grid { reference: true, chaos: true, batch: 256 }
+    0x1fd28d5d7ff5e566, // engine q4 Grid { reference: true, chaos: true, batch: 256 }
+    0xf030011d77494e96, // engine q5 Grid { reference: true, chaos: true, batch: 256 }
+    0x5ecbaf62e81d6355, // engine q5 flaky Grid { reference: true, chaos: true, batch: 256 }
+    0xb8c043ae9583f403, // host Grid { reference: true, chaos: true, batch: 256 }
 ];
 
 #[test]
