@@ -31,25 +31,17 @@ use tweeql_obs::{
     MetricsRegistry, QueryId, QueryProfile, SpanKind, StageProfile, TraceSink, Tracer,
 };
 
+/// Stream-time spacing of the watermark boundaries (punctuation).
+pub(crate) const WATERMARK_INTERVAL: Duration = Duration::from_secs(1);
+
+/// Firehose tweets scanned per candidate during selectivity probing.
+const SELECTIVITY_SAMPLE: usize = 2000;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Simulated web-service knobs (latency, cache, batching, breaker).
     pub service: ServiceConfig,
-    /// How often punctuation is injected (stream time).
-    pub watermark_interval: Duration,
-    /// Firehose tweets scanned per candidate during selectivity probing.
-    pub selectivity_sample: usize,
-    /// Lower stateless WHERE/SELECT expressions to compiled batch
-    /// programs (vectorized scan with adaptive conjunct ordering).
-    /// Expressions the lowering rejects fall back to the interpreted
-    /// operators per-stage; `false` forces the interpreter everywhere.
-    pub compile_exprs: bool,
-    /// Run the verified logical-plan optimizer (constant folding,
-    /// contains fusion, filter pushdown, projection pruning, conjunct
-    /// ordering). `false` lowers every plan exactly as written — the
-    /// reference the optimizer is differentially tested against.
-    pub optimize_plans: bool,
     /// Async-UDF batch release bounds.
     pub async_max_batch: usize,
     /// Max stream-time a tuple waits in a partial async batch.
@@ -57,13 +49,6 @@ pub struct EngineConfig {
     /// Tweets buffered before a flush through the pipeline: the
     /// engine's fill and the standing-query host's shared batch.
     pub batch_size: usize,
-    /// Decode the firehose column-at-a-time ([`TweetBatch`]) instead of
-    /// row-at-a-time (`Record::from_tweet`). Columnar batches defer all
-    /// materialization to the operators: a fused scan builds only the
-    /// columns its programs read, and only survivors become `Record`s.
-    /// `false` forces the row decoder everywhere — the reference the
-    /// columnar path is differentially tested against.
-    pub columnar_decode: bool,
     /// Fault-injection plan for the source connection (None = clean).
     pub fault: Option<FaultPlan>,
     /// Reconnect policy for the supervised source.
@@ -76,31 +61,30 @@ pub struct EngineConfig {
     /// the standing-query host runs in, since one shared connection
     /// cannot serve per-query pushdowns.
     pub allow_pushdown: bool,
-    /// Pull the source in zero-copy index batches (`SourceBatch`)
-    /// instead of tweet-at-a-time. Delivered tweet set, stats, and gap
-    /// windows are byte-identical either way; `false` keeps the
-    /// per-tweet facade as the reference implementation the batched
-    /// path is differentially tested against.
-    pub batched_source: bool,
+    /// Run the reference implementation every fast layer is
+    /// differentially tested against: the plan exactly as written (no
+    /// rewrite rules), the interpreted operators, row decode
+    /// (`Record::from_tweet`) cut at every watermark boundary, and the
+    /// per-tweet source facade. Output, gap windows and (with pushdown
+    /// off) source statistics equal the default configuration's. A
+    /// standing-query host keeps its columnar dispatch and cadence; its
+    /// as-written plans have no index needles, so every row reaches
+    /// every query.
+    pub reference: bool,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             service: ServiceConfig::default(),
-            watermark_interval: Duration::from_secs(1),
-            selectivity_sample: 2000,
-            compile_exprs: true,
-            optimize_plans: true,
             async_max_batch: 25,
             async_max_delay: Duration::from_secs(2),
             batch_size: 256,
-            columnar_decode: true,
             fault: None,
             retry: RetryPolicy::default(),
             seed: 0x5EED,
             allow_pushdown: true,
-            batched_source: true,
+            reference: false,
         }
     }
 }
@@ -110,12 +94,10 @@ impl EngineConfig {
     /// ordering seeded from `selectivity_hints`.
     pub(crate) fn plan_config(&self, selectivity_hints: Vec<(String, f64)>) -> PlanConfig {
         PlanConfig {
-            compile_exprs: self.compile_exprs,
-            optimize: self.optimize_plans,
+            reference: self.reference,
             selectivity_hints,
             async_max_batch: self.async_max_batch,
             async_max_delay: self.async_max_delay,
-            default_join_window: Duration::from_mins(5),
         }
     }
 }
@@ -338,42 +320,36 @@ impl EngineBuilder {
         self
     }
 
-    /// Toggle columnar [`TweetBatch`] decode (`true` by default).
-    /// `false` decodes the firehose row-at-a-time through
-    /// `Record::from_tweet` — the reference implementation the columnar
-    /// path is differentially tested against.
-    pub fn columnar_decode(mut self, on: bool) -> Self {
-        self.config.columnar_decode = on;
+    /// Run the reference implementation instead of the fast layers
+    /// (`false` by default); see [`EngineConfig::reference`].
+    pub fn reference(mut self, on: bool) -> Self {
+        self.config.reference = on;
         self
     }
 
-    /// Watermark injection interval.
-    pub fn watermark_interval(mut self, interval: Duration) -> Self {
-        self.config.watermark_interval = interval;
-        self
+    // `columnar_decode`, `compiled_expressions`, `plan_optimizer` and
+    // `batched_source` are the four per-layer switches `reference`
+    // replaced. `benchmark/**` (frozen to source PRs) still calls them
+    // in `reference.rs`, all four off; they go when a `[benchmark]` PR
+    // calls `reference(true)` there.
+    #[doc(hidden)]
+    pub fn columnar_decode(self, on: bool) -> Self {
+        self.reference(!on)
     }
 
-    /// Tweets scanned per candidate during selectivity probing.
-    pub fn selectivity_sample(mut self, sample: usize) -> Self {
-        self.config.selectivity_sample = sample;
-        self
+    #[doc(hidden)]
+    pub fn compiled_expressions(self, on: bool) -> Self {
+        self.reference(!on)
     }
 
-    /// Toggle the compiled expression pipeline (`true` by default).
-    /// `false` runs every stage on the interpreted tree-walk — the
-    /// reference implementation the compiled path is differentially
-    /// tested against.
-    pub fn compiled_expressions(mut self, on: bool) -> Self {
-        self.config.compile_exprs = on;
-        self
+    #[doc(hidden)]
+    pub fn plan_optimizer(self, on: bool) -> Self {
+        self.reference(!on)
     }
 
-    /// Toggle the verified logical-plan optimizer (`true` by default).
-    /// `false` lowers every plan exactly as written — the reference
-    /// the optimized plans are differentially tested against.
-    pub fn plan_optimizer(mut self, on: bool) -> Self {
-        self.config.optimize_plans = on;
-        self
+    #[doc(hidden)]
+    pub fn batched_source(self, on: bool) -> Self {
+        self.reference(!on)
     }
 
     /// One seed for everything the engine randomizes: service latency
@@ -403,15 +379,6 @@ impl EngineBuilder {
     /// run in.
     pub fn push_down(mut self, on: bool) -> Self {
         self.config.allow_pushdown = on;
-        self
-    }
-
-    /// Toggle batched zero-copy source delivery (`true` by default).
-    /// `false` pulls the source tweet-at-a-time through the cloning
-    /// facade — the reference implementation the batched path is
-    /// differentially tested against.
-    pub fn batched_source(mut self, on: bool) -> Self {
-        self.config.batched_source = on;
         self
     }
 
@@ -662,11 +629,7 @@ impl Engine {
         // run reads the exact event sequence a standing-query host's
         // shared connection would deliver.
         let decision: PushdownDecision = if self.config.allow_pushdown {
-            choose_filter(
-                &self.api,
-                &planned.api_candidates,
-                self.config.selectivity_sample,
-            )
+            choose_filter(&self.api, &planned.api_candidates, SELECTIVITY_SAMPLE)
         } else {
             PushdownDecision {
                 chosen: None,
@@ -836,21 +799,21 @@ impl Engine {
     }
 
     /// One feed drained into the query's one pipeline; LIMIT stops the
-    /// pull (`LIMIT 0` before the first). Row decode
-    /// (`columnar_decode = false`) runs the feed's reference cadence.
+    /// pull (`LIMIT 0` before the first). The reference configuration
+    /// decodes rows at the feed's reference cadence.
     fn run_single(
         &mut self,
         planned: &mut PlannedQuery,
         filter: FilterSpec,
         sink: &mut dyn FnMut(&Record),
     ) -> Result<(ConnectionStats, SourceFaultStats), QueryError> {
-        let columnar = self.config.columnar_decode;
+        let reference = self.config.reference;
         let mut feed = Feed::new(&self.api, filter, &self.config);
         feed.set_live(planned.live_columns.clone());
-        feed.reference_cadence = !columnar;
+        feed.reference_cadence = reference;
         let mut run = Run {
             pipeline: &mut planned.pipeline,
-            columnar,
+            row_decode: reference,
             rows: Vec::new(),
             out: Vec::new(),
             sink,
@@ -877,9 +840,9 @@ impl Engine {
 /// handed to the sink as it is produced.
 struct Run<'a> {
     pipeline: &'a mut Pipeline,
-    /// `false` builds a [`Record`] per row at flush: row decode, the
-    /// reference the columnar path is differentially tested against.
-    columnar: bool,
+    /// Build a [`Record`] per row at flush: row decode, the reference
+    /// the columnar path is differentially tested against.
+    row_decode: bool,
     rows: Vec<Record>,
     out: Vec<Record>,
     sink: &'a mut dyn FnMut(&Record),
@@ -900,12 +863,12 @@ impl Drain for Run<'_> {
         if batch.is_empty() {
             return Ok(());
         }
-        let produced = if self.columnar {
-            self.pipeline.drain_tweet_batch(batch, &mut self.out)
-        } else {
+        let produced = if self.row_decode {
             batch.append_records(&mut self.rows);
             batch.reset();
             self.pipeline.push_batch(&mut self.rows, &mut self.out)
+        } else {
+            self.pipeline.drain_tweet_batch(batch, &mut self.out)
         };
         self.emit(produced)
     }
@@ -1096,17 +1059,17 @@ mod tests {
     fn limit_zero_returns_nothing_and_leaves_the_stream_unread() {
         let join = "SELECT screen_name FROM twitter JOIN twitter \
                     ON screen_name = screen_name WINDOW 1 minutes LIMIT 0";
-        for batched in [true, false] {
+        for reference in [false, true] {
             for sql in ["SELECT text FROM twitter LIMIT 0", join] {
                 let mut e = Engine::builder(small_api(VirtualClock::new()))
-                    .batched_source(batched)
+                    .reference(reference)
                     .build();
                 let r = e.execute(sql).unwrap();
                 assert!(r.rows.is_empty(), "{sql}");
                 let block = e.config.batch_size as u64;
                 assert!(
                     r.stats.source.scanned <= block,
-                    "{sql} (batched_source={batched}): scanned {} tweets, one block is {block}",
+                    "{sql} (reference={reference}): scanned {} tweets, one block is {block}",
                     r.stats.source.scanned
                 );
             }
@@ -1333,15 +1296,12 @@ mod tests {
     fn builder_seed_flows_into_service_and_engine() {
         let clock = VirtualClock::new();
         let api = small_api(clock);
-        let b = Engine::builder(api)
-            .seed(42)
-            .batch_size(64)
-            .plan_optimizer(false);
+        let b = Engine::builder(api).seed(42).batch_size(64).reference(true);
         assert_eq!(b.config.seed, 42);
         assert_eq!(b.config.service.seed, 42);
         let e = b.build();
         assert_eq!(e.config.batch_size, 64);
-        assert!(!e.config.optimize_plans);
+        assert!(e.config.reference);
     }
 
     #[test]

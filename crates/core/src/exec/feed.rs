@@ -4,8 +4,8 @@
 //!
 //! A [`Feed`] owns the [`SupervisedSource`], the cursor into it (the
 //! block being consumed, or the event the per-tweet iterator delivered
-//! ahead — `EngineConfig::batched_source` is read here and nowhere
-//! else), and the [`TweetBatch`] the tweets fill with its [`Cadence`].
+//! ahead; the per-tweet source is the reference configuration's), and
+//! the [`TweetBatch`] the tweets fill with its [`Cadence`].
 //! The consumer [`peek`](Feed::peek)s the next event and
 //! [`take`](Feed::take)s it or stops; what a flushed batch means is its
 //! [`Drain`]'s. The rules kept for every consumer:
@@ -18,11 +18,11 @@
 //!   to the source frontier, where the per-tweet scan ends;
 //! * a watermark-boundary crossing rides in the batch
 //!   ([`TweetBatch::cross`]). Under the reference cadence it cuts the
-//!   batch and each boundary goes to the drain instead: the engine's
-//!   row-decode mode runs it, and the host's cadence oracle tests the
-//!   riding cadence against it.
+//!   batch and each boundary goes to the drain instead: the reference
+//!   engine runs it, and the host's cadence oracle tests the riding
+//!   cadence against it.
 
-use crate::engine::EngineConfig;
+use crate::engine::{EngineConfig, WATERMARK_INTERVAL};
 use crate::error::QueryError;
 use crate::exec::supervise::{SourceBlock, SourceEvent, SupervisedSource};
 use std::sync::Arc;
@@ -86,8 +86,8 @@ pub(crate) struct Feed {
 
 impl Feed {
     /// A feed over `api` subscribed with `filter`, under the config's
-    /// fault plan, retry policy, seed, batch size and watermark
-    /// interval. Nothing is pulled before the first [`peek`](Feed::peek).
+    /// fault plan, retry policy, seed, batch size and source mode.
+    /// Nothing is pulled before the first [`peek`](Feed::peek).
     pub(crate) fn new(api: &StreamingApi, filter: FilterSpec, config: &EngineConfig) -> Feed {
         let source = SupervisedSource::new(
             api.clone(),
@@ -96,7 +96,7 @@ impl Feed {
             config.retry.clone(),
             config.seed,
         );
-        let blocks = config.batched_source;
+        let blocks = !config.reference;
         let mut batch = TweetBatch::new();
         if blocks {
             // Rows are indices into the log; resets keep the binding.
@@ -111,7 +111,7 @@ impl Feed {
             block: Vec::new(),
             cursor: 0,
             ahead: None,
-            cadence: Cadence::new(config.watermark_interval),
+            cadence: Cadence::new(WATERMARK_INTERVAL),
             batch,
             batch_size: config.batch_size.max(1),
             reference_cadence: false,

@@ -36,7 +36,7 @@
 //! micro-batch bookkeeping, so recovery is exact at any batch cadence.
 
 use super::{QueryHost, QueryState};
-use crate::engine::{EngineBuilder, EngineConfig};
+use crate::engine::{EngineBuilder, EngineConfig, WATERMARK_INTERVAL};
 use crate::error::QueryError;
 use crate::exec::feed::Next;
 use std::collections::HashMap;
@@ -308,12 +308,19 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, QueryError> {
 /// suites. The parallel engine's knobs (worker count, channel depth)
 /// were never hashed, so checkpoints logged while they existed still
 /// recover.
+///
+/// The byte layout is the one checkpoints were written under before
+/// the watermark interval became a constant and four per-layer mode
+/// flags became the one `reference` switch: the constant interval
+/// still sits where its field was, and `!reference` fills each of the
+/// four flag positions, so checkpoints logged before that change
+/// recover.
 pub(crate) fn config_fingerprint(c: &EngineConfig) -> u64 {
     let mut d = Digest::new();
     d.write_str("tweeql-config-v1");
     d.write_u64(c.seed);
     d.write_u64(c.batch_size as u64);
-    d.write_i64(c.watermark_interval.millis());
+    d.write_i64(WATERMARK_INTERVAL.millis());
     d.write_i64(c.retry.base.millis());
     d.write_i64(c.retry.cap.millis());
     d.write_u32(c.retry.max_attempts);
@@ -332,10 +339,10 @@ pub(crate) fn config_fingerprint(c: &EngineConfig) -> u64 {
             d.write_u64(p.malformed_rate.to_bits());
         }
     }
-    d.write_bool(c.batched_source);
-    d.write_bool(c.columnar_decode);
-    d.write_bool(c.compile_exprs);
-    d.write_bool(c.optimize_plans);
+    // Source blocks, columnar decode, compiled programs, optimizer.
+    for _ in 0..4 {
+        d.write_bool(!c.reference);
+    }
     d.finish()
 }
 
@@ -809,6 +816,20 @@ mod tests {
         let mut c = base;
         c.fault = Some(tweeql_firehose::FaultPlan::chaos(3));
         assert_ne!(fp, config_fingerprint(&c), "fault plan included");
+    }
+
+    /// Fingerprints of checkpoints written before the `reference`
+    /// switch replaced the four per-layer flags: the default
+    /// configuration and the all-four-off one.
+    #[test]
+    fn fingerprints_of_older_checkpoints_are_unchanged() {
+        let fast = EngineConfig::default();
+        assert_eq!(config_fingerprint(&fast), 0x3097_aa06_af2e_3c25);
+        let reference = EngineConfig {
+            reference: true,
+            ..fast
+        };
+        assert_eq!(config_fingerprint(&reference), 0x852d_aa0f_007e_db81);
     }
 
     #[test]

@@ -43,8 +43,8 @@
 //!
 //! Hosts are assembled through the same [`EngineBuilder`]
 //! (`Engine::builder(api).fault_policy(plan).build_host()`), so fault
-//! policy, UDF packs, metrics, tracing, and optimizer settings carry
-//! over unchanged.
+//! policy, UDF packs, metrics, tracing, and the `reference` switch
+//! carry over unchanged.
 //!
 //! Each registered query gets a **private** registry and geo service,
 //! so aggregate windows, dedup state, and service caches start fresh on
@@ -333,7 +333,6 @@ pub struct QueryHost {
     /// table, the union mask and `punctual` were derived; see
     /// [`QueryHost::ensure_index`].
     index_dirty: bool,
-    prefilter: bool,
     /// Slots whose `sel` is non-empty for the batch being flushed;
     /// empty between flushes (so register/drop slot shifts stay sound).
     active: Vec<u32>,
@@ -367,7 +366,6 @@ impl QueryHost {
             filter_index: FilterIndex::default(),
             dispatch: DispatchTable::default(),
             index_dirty: false,
-            prefilter: true,
             active: Vec::new(),
             punctual: Vec::new(),
             position: Timestamp::ZERO,
@@ -570,13 +568,6 @@ impl QueryHost {
         self.filter_index.needle_count()
     }
 
-    /// Toggle the common-filter prefilter (on by default). With it off
-    /// every row is dispatched to every query — the reference mode the
-    /// prefilter is differentially tested against.
-    pub fn prefilter(&mut self, on: bool) {
-        self.prefilter = on;
-    }
-
     /// Shared-source connection and supervisor statistics (None until
     /// the first pump).
     pub fn source_stats(&self) -> Option<(ConnectionStats, SourceFaultStats)> {
@@ -707,7 +698,6 @@ impl QueryHost {
             active: &mut self.active,
             punctual: &self.punctual,
             stats: &mut self.stats,
-            prefilter: self.prefilter,
         };
         (&mut self.feed, dispatch)
     }
@@ -771,7 +761,6 @@ struct Dispatch<'a> {
     active: &'a mut Vec<u32>,
     punctual: &'a [u32],
     stats: &'a mut HostStats,
-    prefilter: bool,
 }
 
 impl Dispatch<'_> {
@@ -829,10 +818,9 @@ impl Drain for Dispatch<'_> {
         // moment its `sel` first becomes non-empty, so the dispatch and
         // cleanup phases below cost O(queries that matched) rather than
         // O(queries registered).
-        let use_index = self.prefilter && !self.filter_index.is_empty();
         // Rows at least one query selected.
         let mut decoded = 0u64;
-        if use_index {
+        if !self.filter_index.is_empty() {
             let DispatchTable {
                 ref always,
                 ref group_count,

@@ -89,11 +89,10 @@ fn a_lone_query_takes_every_batch_whole() {
     assert_eq!(host.take_output(id).expect("output").len(), 240);
 }
 
-/// Register and drop between pumps, at one prefilter setting. Returns
-/// every row handed out, in a fixed order.
-fn churn(prefilter: bool) -> Vec<Vec<Record>> {
-    let mut host = builder(stream()).build_host();
-    host.prefilter(prefilter);
+/// Register and drop between pumps, on the fast or the reference
+/// configuration. Returns every row handed out, in a fixed order.
+fn churn(reference: bool) -> Vec<Vec<Record>> {
+    let mut host = builder(stream()).reference(reference).build_host();
     let mut out = Vec::new();
     let mut ids: Vec<QueryId> = (0..3)
         .map(|i| host.register(&kw_query(i)).expect("registers"))
@@ -124,10 +123,10 @@ fn churn(prefilter: bool) -> Vec<Vec<Record>> {
 }
 
 #[test]
-fn churn_between_pumps_matches_prefilter_off() {
-    let (on, off) = (churn(true), churn(false));
-    assert!(on.iter().filter(|rows| !rows.is_empty()).count() >= 5);
-    assert_eq!(on, off);
+fn churn_between_pumps_matches_the_reference() {
+    let (fast, reference) = (churn(false), churn(true));
+    assert!(fast.iter().filter(|rows| !rows.is_empty()).count() >= 5);
+    assert_eq!(fast, reference);
 }
 
 #[test]
@@ -415,12 +414,12 @@ mod cadence_oracle {
             churn in (0usize..SHAPES.len(), 0usize..8, 0u16..1000),
             chaos in 0u64..1000,
         ) {
-            let (batch_pick, async_batch, async_delay, batched) = knobs;
+            let (batch_pick, async_batch, async_delay, reference) = knobs;
             let mut config = EngineConfig {
                 batch_size: [1, 16, 256][batch_pick],
                 async_max_batch: [1, 3, 25][async_batch],
                 async_max_delay: Duration::from_secs([0, 2, 10][async_delay]),
-                batched_source: batched == 1,
+                reference: reference == 1,
                 allow_pushdown: false,
                 ..EngineConfig::default()
             };

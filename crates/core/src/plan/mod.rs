@@ -49,24 +49,25 @@ use std::sync::Arc;
 use tweeql_firehose::FilterSpec;
 use tweeql_model::{DataType, Duration, Field, Schema, SchemaRef, Value};
 
+/// Join window when the query gives none.
+const DEFAULT_JOIN_WINDOW: Duration = Duration::from_mins(5);
+
 /// Planner knobs (a projection of the engine config).
 #[derive(Debug, Clone)]
 pub struct PlanConfig {
-    /// Lower stateless WHERE/SELECT expressions into compiled batch
-    /// programs ([`crate::exec::fused::FusedScanOp`]); expressions the
-    /// lowering rejects (stateful UDFs) fall back to the interpreted
-    /// operators automatically.
-    pub compile_exprs: bool,
+    /// Lower the plan exactly as written, onto the interpreted
+    /// operators: no rewrite rules (folding, fusion, pushdown
+    /// extraction, pruning, conjunct ordering) and no compiled batch
+    /// programs. The reference the optimized, compiled plans are
+    /// differentially tested against. Otherwise stateless WHERE/SELECT
+    /// expressions lower into [`crate::exec::fused::FusedScanOp`]s, and
+    /// what the lowering rejects (stateful UDFs) falls back to the
+    /// interpreted operators stage by stage.
+    pub reference: bool,
     /// Async operator batch size (1 = unbatched).
     pub async_max_batch: usize,
     /// Max stream-time an async tuple waits for batch peers.
     pub async_max_delay: Duration,
-    /// Join window when the query gives none.
-    pub default_join_window: Duration,
-    /// Run the rule-based rewriter over the logical plan. Off ⇒ the
-    /// plan lowers exactly as written: no folding, pruning, pushdown
-    /// extraction, or conjunct ordering.
-    pub optimize: bool,
     /// `(pushdown-candidate description, measured selectivity)` pairs
     /// from a previous execution's probe — seeds the conjunct-ordering
     /// rule for repeated/standing queries.
@@ -76,11 +77,9 @@ pub struct PlanConfig {
 impl Default for PlanConfig {
     fn default() -> Self {
         PlanConfig {
-            compile_exprs: true,
+            reference: false,
             async_max_batch: 25,
             async_max_delay: Duration::from_secs(2),
-            default_join_window: Duration::from_mins(5),
-            optimize: true,
             selectivity_hints: Vec::new(),
         }
     }
@@ -160,7 +159,7 @@ pub fn plan(
     config: &PlanConfig,
 ) -> Result<PlannedQuery, QueryError> {
     let lp = logical::LogicalPlan::build(stmt, catalog)?;
-    let (lp, attributions, notices) = if config.optimize {
+    let (lp, attributions, notices) = if !config.reference {
         let ctx = rules::RuleCtx {
             registry,
             hints: &config.selectivity_hints,
@@ -200,7 +199,7 @@ fn lower(
         }
         let window = match &lp.window {
             Some(WindowSpec::Time(d)) => *d,
-            _ => config.default_join_window,
+            _ => DEFAULT_JOIN_WINDOW,
         };
         let mut ctx = EvalCtx::default();
         let lk = compile_into(
@@ -223,7 +222,7 @@ fn lower(
         // only models single-stream scans), so the decode mask is built
         // here: combined-schema liveness folded onto the one source
         // schema, with both join keys forced live for the join itself.
-        if config.optimize {
+        if !config.reference {
             let width = lp.left_schema.len();
             let mut live = lp.live_columns().unwrap_or_else(|| vec![true; 2 * width]);
             let (l, r) = live.split_at_mut(width);
@@ -327,14 +326,12 @@ fn lower(
     // async stage, aggregation — sits between filter and project.
     // Decided upfront (conjunct order is already final: the ordering
     // rule ran at the logical level).
-    let fuse_where = !conjuncts.is_empty()
-        && config.compile_exprs
-        && plain_select
-        && hoists.len() == where_hoists;
+    let fuse_where =
+        !conjuncts.is_empty() && !config.reference && plain_select && hoists.len() == where_hoists;
 
     if !conjuncts.is_empty() && !fuse_where {
         let mut fused = None;
-        if config.compile_exprs {
+        if !config.reference {
             let mut ctx = EvalCtx::default();
             let mut compiled = Vec::with_capacity(conjuncts.len());
             for c in &conjuncts {
@@ -532,7 +529,7 @@ fn lower(
         // Compiled scan: deferred WHERE conjuncts (if any) fused with
         // the projection into a single batch operator.
         let mut fused = None;
-        if config.compile_exprs {
+        if !config.reference {
             let mut cwhere = Vec::new();
             if fuse_where {
                 let mut fctx = EvalCtx::default();
@@ -1146,9 +1143,9 @@ mod tests {
     }
 
     #[test]
-    fn join_liveness_skipped_when_optimizer_off() {
+    fn join_liveness_skipped_in_the_reference_plan() {
         let (c, r, mut cfg) = setup();
-        cfg.optimize = false;
+        cfg.reference = true;
         let stmt = parse(
             "SELECT text FROM twitter JOIN twitter ON screen_name = screen_name \
              WINDOW 5 minutes",
@@ -1203,14 +1200,15 @@ mod tests {
     }
 
     #[test]
-    fn optimizer_off_lowers_plan_as_written() {
+    fn reference_lowers_plan_as_written_onto_the_interpreter() {
         let (c, r, mut cfg) = setup();
-        cfg.optimize = false;
+        cfg.reference = true;
         let stmt = parse("SELECT text FROM twitter WHERE 1 = 1 AND text contains 'obama'").unwrap();
         let p = plan(&stmt, &c, &r, &cfg).unwrap();
         assert!(p.live_columns.is_none());
         assert!(p.api_candidates.is_empty(), "pushdown extraction is a rule");
         assert!(!p.explain.contains("rule "), "{}", p.explain);
+        assert!(!p.explain.contains("compiled"), "{}", p.explain);
     }
 
     #[test]

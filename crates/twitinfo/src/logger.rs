@@ -63,12 +63,10 @@ pub fn log_event_via_tweeql(
         }
         tweets.push(b.build());
     })?;
-    for t in &tweets {
-        // The store re-checks the window restriction; keyword matching
-        // already happened inside the engine.
-        store.log(t);
-    }
-    let _ = event_id;
+    // The store re-checks the event's keywords and window, and logs into
+    // this event alone: another event the tweets also match has a query
+    // of its own.
+    store.log(event_id, &tweets);
     Ok(stats)
 }
 
@@ -78,9 +76,9 @@ mod tests {
     use crate::store::AnalysisConfig;
     use tweeql_firehose::scenario::{Scenario, Topic};
     use tweeql_firehose::{generate, StreamingApi};
-    use tweeql_model::{Duration, VirtualClock};
+    use tweeql_model::{Duration, Tweet, VirtualClock};
 
-    fn engine() -> Engine {
+    fn tweets() -> Vec<Tweet> {
         let s = Scenario {
             name: "logger".into(),
             duration: Duration::from_mins(10),
@@ -90,9 +88,11 @@ mod tests {
             geotag_rate: 0.2,
             population_size: 400,
         };
-        let clock = VirtualClock::new();
-        let api = StreamingApi::new(generate(&s, 12), clock);
-        Engine::builder(api).build()
+        generate(&s, 12)
+    }
+
+    fn engine() -> Engine {
+        Engine::builder(StreamingApi::new(tweets(), VirtualClock::new())).build()
     }
 
     #[test]
@@ -150,5 +150,31 @@ mod tests {
             .iter()
             .all(|t| t.created_at <= Timestamp::from_mins(3)));
         assert!(!analysis.matched.is_empty());
+    }
+
+    /// Two events whose keywords overlap: each logs exactly what its own
+    /// query matches, once.
+    #[test]
+    fn overlapping_events_log_only_their_own_matches() {
+        let firehose = tweets();
+        let mut store = EventStore::new();
+        let specs = [
+            EventSpec::new("soccer", &["soccer", "goal"]),
+            EventSpec::new("goals", &["goal"]),
+        ];
+        let ids = specs.clone().map(|spec| store.create_event(spec));
+        for (&id, spec) in ids.iter().zip(&specs) {
+            log_event_via_tweeql(&mut engine(), &mut store, id, spec).unwrap();
+        }
+        for (&id, spec) in ids.iter().zip(&specs) {
+            let want = crate::store::analyze(spec, &firehose, &AnalysisConfig::default());
+            assert!(!want.matched.is_empty(), "{}", spec.name);
+            assert_eq!(
+                store.logged_count(id),
+                Some(want.matched.len()),
+                "{}",
+                spec.name
+            );
+        }
     }
 }

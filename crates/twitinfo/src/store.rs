@@ -234,15 +234,15 @@ impl EventStore {
         self.next_id
     }
 
-    /// Log a tweet against every matching event (the TweeQL logger
-    /// pushes matched tweets here).
-    pub fn log(&mut self, tweet: &Tweet) {
-        for (spec, log) in self.events.values_mut() {
-            let matcher = spec.matcher();
-            if spec.matches(tweet, &matcher) {
-                log.push(tweet.clone());
-            }
-        }
+    /// Log into event `id` the tweets that match its keywords within its
+    /// window (the TweeQL logger pushes the event's query output here).
+    /// Unknown ids log nothing.
+    pub fn log(&mut self, id: u64, tweets: &[Tweet]) {
+        let Some((spec, log)) = self.events.get_mut(&id) else {
+            return;
+        };
+        let matcher = spec.matcher();
+        log.extend(tweets.iter().filter(|t| spec.matches(t, &matcher)).cloned());
     }
 
     /// Bulk-log a stream.
@@ -378,14 +378,15 @@ mod tests {
     }
 
     #[test]
-    fn single_log_matches_individual_events() {
+    fn log_keeps_the_events_matches_only() {
         let mut store = EventStore::new();
         let id = store.create_event(EventSpec::new("e", &["goal"]));
+        let other = store.create_event(EventSpec::new("o", &["goal", "lunch"]));
         let hit = tweeql_model::TweetBuilder::new(1, "GOAL by tevez").build();
         let miss = tweeql_model::TweetBuilder::new(2, "lunch").build();
-        store.log(&hit);
-        store.log(&miss);
+        store.log(id, &[hit, miss]);
         assert_eq!(store.logged_count(id), Some(1));
+        assert_eq!(store.logged_count(other), Some(0), "another event's log");
         assert_eq!(store.spec(id).unwrap().keywords, vec!["goal"]);
     }
 

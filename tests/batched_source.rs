@@ -1,26 +1,40 @@
-//! Differential suite for zero-copy batched source delivery.
+//! The fast-vs-reference differential suite.
 //!
-//! The batched path (`SourceBatch` → `SourceBlock` → shared-view
-//! `TweetBatch`) must be byte-identical to the per-tweet facade it
-//! replaced: same output rows, same `ConnectionStats`, same supervisor
-//! fault stats and gap windows, same final virtual clock — across
-//! seeds and chaos `FaultPlan`s, for both the engine and the
-//! standing-query host. The per-tweet path stays available
-//! behind `batched_source(false)` as the reference implementation.
+//! `EngineBuilder::reference(true)` selects the implementation every
+//! fast layer is held to: the plan exactly as written, the interpreted
+//! operators, row decode cut at every watermark boundary, and the
+//! per-tweet source facade. The default engine — optimized plan,
+//! compiled batch programs, columnar decode, zero-copy source blocks —
+//! must match it byte for byte: same output rows, same gap windows,
+//! same `ConnectionStats` and supervisor fault stats, same final
+//! virtual clock, over fixed and random queries, chaos `FaultPlan`s and
+//! batch sizes, for the engine and the standing-query host. Two
+//! carve-outs, each explained where it is made: LIMIT and async UDFs.
+//! On a clean stream the default engine is also run with connection
+//! pushdown, which may change what is delivered but not the rows.
 //!
-//! The fixed-seed tests are what CI runs; the proptest sweeps a wider
-//! seed × batch-size space.
+//! In debug builds the plan verifier is strict, so a rewrite rule that
+//! breaks a plan invariant panics here; in release it would fall back
+//! to the as-written plan with a notice, which every fast run checks it
+//! did not emit.
+//!
+//! The fixed cases are what CI runs; the proptest sweeps random queries
+//! over a wider seed × batch-size × chaos space.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::{Arc, OnceLock};
 use tweeql::engine::{Engine, QueryResult};
 use tweeql::exec::supervise::RetryPolicy;
 use tweeql::host::HostStats;
 use tweeql_firehose::fault::FaultPlan;
-use tweeql_firehose::scenario::{Scenario, Topic};
+use tweeql_firehose::scenario::{Burst, Scenario, Topic};
 use tweeql_firehose::{generate, StreamingApi};
-use tweeql_model::{Clock, Duration, Record, Timestamp, Tweet, VirtualClock};
+use tweeql_model::{Clock, DecodeStats, Duration, Record, Timestamp, Tweet, VirtualClock};
 
+/// A keyword topic with a burst, geotagged tweets for the bounding-box
+/// queries, twelve minutes so windowed queries close several windows.
 fn corpus() -> &'static Vec<Tweet> {
     static CORPUS: OnceLock<Vec<Tweet>> = OnceLock::new();
     CORPUS.get_or_init(|| {
@@ -28,8 +42,22 @@ fn corpus() -> &'static Vec<Tweet> {
             name: "batched-source".into(),
             duration: Duration::from_mins(12),
             background_rate_per_min: 110.0,
-            topics: vec![Topic::new("kw", vec!["kw"], 50.0)],
-            bursts: vec![],
+            topics: vec![{
+                let mut t = Topic::new("kw", vec!["kw"], 50.0);
+                t.sentiment_bias = 0.3;
+                t
+            }],
+            bursts: vec![Burst {
+                topic: 0,
+                label: "spike".into(),
+                start: Timestamp::from_mins(3),
+                ramp_up: Duration::from_mins(1),
+                ramp_down: Duration::from_mins(1),
+                peak_multiplier: 5.0,
+                phrases: vec!["kw spike".into()],
+                sentiment_bias: 0.4,
+                url: None,
+            }],
             geotag_rate: 0.4,
             population_size: 400,
         };
@@ -37,15 +65,45 @@ fn corpus() -> &'static Vec<Tweet> {
     })
 }
 
-/// Queries that exercise the paths the source feeds: plain
-/// filter+project, a windowed aggregate (time-sensitive, watermark
-/// driven), and a UDF projection.
-const FULL_STREAM_QUERIES: &[&str] = &[
+/// Filters, projections, scalar UDFs, windowed aggregates with and
+/// without HAVING, geo bounding boxes, and one query per rewrite rule:
+/// constant folding (tautology and contradiction), OR-of-contains
+/// fusion, projection pruning and conjunct ordering.
+const FIXED: &[&str] = &[
     "SELECT text FROM twitter WHERE text contains 'kw'",
     "SELECT count(*) AS n, lang FROM twitter \
      WHERE text contains 'kw' GROUP BY lang WINDOW 2 minutes",
     "SELECT sentiment(text) AS s, followers FROM twitter WHERE followers > 2000",
+    "SELECT text FROM twitter WHERE 1 = 1 AND text contains 'kw'",
+    "SELECT text FROM twitter WHERE 2 < 1 AND text contains 'kw'",
+    "SELECT text FROM twitter WHERE text contains 'kw' OR text contains 'speech' \
+     OR text contains 'zzz'",
+    "SELECT lang, followers FROM twitter WHERE text contains 'kw'",
+    "SELECT text FROM twitter WHERE text contains 'kw' AND followers > 40 AND lang = 'en'",
+    "SELECT lang, count(*) AS n FROM twitter WHERE text contains 'kw' \
+     GROUP BY lang HAVING count(*) > 2 WINDOW 2 minutes",
+    "SELECT text FROM twitter WHERE location in [bounding box for NYC]",
+    "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter WHERE text contains 'kw'",
+    "SELECT lang, followers FROM twitter WHERE followers >= 0",
+    "SELECT text FROM twitter WHERE text contains 'kw' AND location in [bounding box for NYC]",
+    "SELECT min(followers) AS mn, max(followers) AS mx, count(distinct screen_name) AS cd \
+     FROM twitter WINDOW 3 minutes",
+    "SELECT count(*) AS c, lang FROM twitter WHERE text contains 'kw' AND followers >= 0 \
+     GROUP BY lang WINDOW 2 minutes",
+    "SELECT lower(screen_name) AS s, followers + 1 AS f1 FROM twitter",
 ];
+
+/// LIMIT early exit behind a fused scan, an interpreted projection and
+/// a plain filter.
+const LIMITED: &[&str] = &[
+    "SELECT text FROM twitter WHERE text contains 'kw' LIMIT 25",
+    "SELECT upper(lang) AS l, followers + 1 AS f1 FROM twitter WHERE followers >= 0 LIMIT 25",
+    "SELECT sentiment(text) AS s, text FROM twitter WHERE text contains 'kw' LIMIT 20",
+];
+
+/// The async geo UDFs charge modeled latency to the shared clock.
+const ASYNC: &str = "SELECT latitude(loc) AS la, longitude(loc) AS lo \
+                     FROM twitter WHERE text contains 'kw'";
 
 fn chaos_policy() -> RetryPolicy {
     RetryPolicy {
@@ -54,95 +112,118 @@ fn chaos_policy() -> RetryPolicy {
     }
 }
 
+/// The engines a case runs.
+#[derive(Clone, Copy, PartialEq)]
+enum Mode {
+    Reference,
+    /// The default engine on the full stream, like the reference.
+    Fast,
+    /// The default engine with its rarest filter pushed into the
+    /// connection.
+    FastPushdown,
+}
+
 struct EngineRun {
     result: QueryResult,
     clock: Timestamp,
 }
 
-fn run_engine(sql: &str, batch_size: usize, plan: Option<FaultPlan>, batched: bool) -> EngineRun {
+fn run_engine(sql: &str, batch_size: usize, plan: Option<FaultPlan>, mode: Mode) -> EngineRun {
     let clock = VirtualClock::new();
     let api = StreamingApi::new(corpus().clone(), Arc::clone(&clock));
     let mut b = Engine::builder(api)
         .batch_size(batch_size)
-        .batched_source(batched);
+        .reference(mode == Mode::Reference)
+        .push_down(mode == Mode::FastPushdown);
     if let Some(p) = plan {
         b = b.fault_policy(p).retry_policy(chaos_policy());
     }
-    let result = b.build().execute(sql).expect("query runs");
+    let result = b.build().execute(sql).expect(sql);
+    let notices = &result.stats.diagnostics.notices;
+    assert!(
+        !notices.iter().any(|n| n.contains("falling back")),
+        "the optimizer fell back to the as-written plan on {sql}: {notices:?}"
+    );
     EngineRun {
         result,
         clock: clock.now(),
     }
 }
 
-/// Engine-level comparison: rows, source stats, fault stats, gap
-/// windows, and the final clock must all match.
-fn assert_engine_identical(sql: &str, batch_size: usize, plan: Option<FaultPlan>) {
-    let per_tweet = run_engine(sql, batch_size, plan.clone(), false);
-    let batched = run_engine(sql, batch_size, plan.clone(), true);
+/// `sql` on the reference and on the default engine: everything the two
+/// must agree on.
+fn assert_engine_matches(sql: &str, batch_size: usize, plan: Option<FaultPlan>) {
+    let reference = run_engine(sql, batch_size, plan.clone(), Mode::Reference);
+    let fast = run_engine(sql, batch_size, plan.clone(), Mode::Fast);
     let tag = format!("sql={sql:?} batch={batch_size} plan={plan:?}");
+    let (r, f) = (&reference.result, &fast.result);
+    assert_eq!(f.schema.names(), r.schema.names(), "schema: {tag}");
+    assert_eq!(f.rows, r.rows, "rows diverge: {tag}");
     assert_eq!(
-        batched.result.rows, per_tweet.result.rows,
-        "rows diverge: {tag}"
-    );
-    assert_eq!(
-        batched.result.stats.source, per_tweet.result.stats.source,
-        "source stats diverge: {tag}"
-    );
-    assert_eq!(
-        batched.result.stats.source_faults, per_tweet.result.stats.source_faults,
-        "fault stats diverge: {tag}"
-    );
-    assert_eq!(
-        batched.result.stats.gap_windows, per_tweet.result.stats.gap_windows,
+        f.stats.gap_windows, r.stats.gap_windows,
         "gap windows diverge: {tag}"
     );
-    assert_eq!(batched.clock, per_tweet.clock, "clock diverges: {tag}");
+    assert_eq!(
+        r.stats.decode,
+        DecodeStats::default(),
+        "row decode reports no columnar counters: {tag}"
+    );
+    // LIMIT stops the pull where the source stands: a block source has
+    // read to the end of its block, the per-tweet source only to the
+    // tweet, so what was scanned, faulted and clocked differs.
+    if !sql.contains("LIMIT") {
+        assert_eq!(f.stats.source, r.stats.source, "source stats: {tag}");
+        assert_eq!(
+            f.stats.source_faults, r.stats.source_faults,
+            "fault stats: {tag}"
+        );
+        // An async UDF charges modeled latency from the clock at each
+        // flush, and the reference cuts a flush at every boundary.
+        if !sql.contains("itude(") {
+            assert_eq!(fast.clock, reference.clock, "clock diverges: {tag}");
+        }
+    }
+    // A fault plan rolls per delivered tweet, so only a clean stream can
+    // be narrowed by pushdown and still be the same stream.
+    if plan.is_none() {
+        let pushed = run_engine(sql, batch_size, None, Mode::FastPushdown);
+        assert_eq!(pushed.result.rows, r.rows, "pushdown changed rows: {tag}");
+    }
 }
 
 #[test]
 fn engine_batched_matches_per_tweet_clean() {
-    for sql in FULL_STREAM_QUERIES {
-        assert_engine_identical(sql, 256, None);
+    for sql in FIXED {
+        assert_engine_matches(sql, 256, None);
     }
 }
 
 #[test]
 fn engine_batched_matches_per_tweet_under_chaos() {
-    for seed in [7u64, 42, 1234] {
-        assert_engine_identical(FULL_STREAM_QUERIES[1], 256, Some(FaultPlan::chaos(seed)));
+    for seed in [3u64, 7, 17, 42, 99, 1234, 1337, 0xC0FFEE] {
+        for sql in [FIXED[1], FIXED[10]] {
+            assert_engine_matches(sql, 256, Some(FaultPlan::chaos(seed)));
+        }
     }
 }
 
 #[test]
 fn engine_batched_matches_at_odd_batch_sizes() {
-    for batch_size in [1usize, 7, 1024] {
-        assert_engine_identical(
-            FULL_STREAM_QUERIES[1],
-            batch_size,
-            Some(FaultPlan::chaos(99)),
-        );
+    for batch_size in [1usize, 7, 64, 1024] {
+        assert_engine_matches(FIXED[1], batch_size, Some(FaultPlan::chaos(99)));
     }
 }
 
-/// LIMIT exits the stream early; the batched source legitimately scans
-/// ahead of the per-tweet path (pull granularity), so only the output
-/// rows are pinned here.
 #[test]
 fn engine_batched_matches_rows_under_limit() {
-    let sql = "SELECT text FROM twitter WHERE text contains 'kw' LIMIT 25";
-    let per_tweet = run_engine(sql, 256, None, false);
-    let batched = run_engine(sql, 256, None, true);
-    assert_eq!(batched.result.rows, per_tweet.result.rows);
+    for sql in LIMITED {
+        assert_engine_matches(sql, 256, None);
+    }
 }
 
-/// The async geo UDF charges modeled latency to the shared clock; the
-/// lazy batched clock protocol must accrue it from identical bases.
 #[test]
 fn engine_batched_matches_with_async_udf() {
-    let sql = "SELECT latitude(loc) AS la, longitude(loc) AS lo \
-               FROM twitter WHERE text contains 'kw'";
-    assert_engine_identical(sql, 256, None);
+    assert_engine_matches(ASYNC, 256, None);
 }
 
 struct HostRun {
@@ -152,12 +233,10 @@ struct HostRun {
     clock: Timestamp,
 }
 
-fn run_host(plan: Option<FaultPlan>, batched: bool, queries: &[&str]) -> HostRun {
+fn run_host(plan: Option<FaultPlan>, reference: bool, queries: &[&str]) -> HostRun {
     let clock = VirtualClock::new();
     let api = StreamingApi::new(corpus().clone(), Arc::clone(&clock));
-    let mut b = Engine::builder(api)
-        .batched_source(batched)
-        .push_down(false);
+    let mut b = Engine::builder(api).reference(reference).push_down(false);
     if let Some(p) = plan {
         b = b.fault_policy(p).retry_policy(chaos_policy());
     }
@@ -185,65 +264,124 @@ fn run_host(plan: Option<FaultPlan>, batched: bool, queries: &[&str]) -> HostRun
     }
 }
 
-fn assert_host_identical(plan: Option<FaultPlan>, queries: &[&str]) {
-    let per_tweet = run_host(plan.clone(), false, queries);
-    let batched = run_host(plan.clone(), true, queries);
+fn assert_host_matches(plan: Option<FaultPlan>, queries: &[&str]) {
+    let reference = run_host(plan.clone(), true, queries);
+    let fast = run_host(plan.clone(), false, queries);
     let tag = format!("plan={plan:?} queries={}", queries.len());
+    assert_eq!(fast.outputs, reference.outputs, "host outputs: {tag}");
+    assert_eq!(fast.delivered, reference.delivered, "deliveries: {tag}");
+    assert_eq!(fast.clock, reference.clock, "clock diverges: {tag}");
+    // The reference plans give the filter index no needles, so every
+    // row reaches every query; the fast host's index may dispatch
+    // fewer. Everything else the dispatcher counts is the stream's.
+    assert!(fast.stats.rows_dispatched <= reference.stats.rows_dispatched);
+    let stream = |s: HostStats| HostStats {
+        rows_dispatched: 0,
+        rows_decoded: 0,
+        rows_shared: 0,
+        ..s
+    };
     assert_eq!(
-        batched.outputs, per_tweet.outputs,
-        "host outputs diverge: {tag}"
+        stream(fast.stats),
+        stream(reference.stats),
+        "host stats: {tag}"
     );
-    assert_eq!(
-        batched.delivered, per_tweet.delivered,
-        "per-stage delivery counts diverge: {tag}"
-    );
-    assert_eq!(batched.stats, per_tweet.stats, "host stats diverge: {tag}");
-    assert_eq!(batched.clock, per_tweet.clock, "clock diverges: {tag}");
 }
 
 #[test]
 fn host_batched_matches_per_tweet_clean() {
-    assert_host_identical(None, FULL_STREAM_QUERIES);
+    assert_host_matches(None, &FIXED[..3]);
 }
 
 #[test]
 fn host_batched_matches_per_tweet_under_chaos() {
     for seed in [7u64, 1234] {
-        assert_host_identical(Some(FaultPlan::chaos(seed)), FULL_STREAM_QUERIES);
+        assert_host_matches(Some(FaultPlan::chaos(seed)), &FIXED[..3]);
     }
 }
 
-/// The single-query fast path dispatches whole shared batches without
-/// the prefilter/row-cache machinery; it must stay output- and
-/// stats-identical between source modes too.
+/// One query takes every batch whole on both hosts, so even the
+/// dispatch counters agree.
 #[test]
 fn host_single_query_fast_path_matches() {
     for plan in [None, Some(FaultPlan::chaos(42))] {
-        assert_host_identical(plan, &FULL_STREAM_QUERIES[1..2]);
+        let reference = run_host(plan.clone(), true, &FIXED[1..2]);
+        let fast = run_host(plan, false, &FIXED[1..2]);
+        assert_eq!(fast.outputs, reference.outputs);
+        assert_eq!(fast.stats, reference.stats);
+        assert_eq!(fast.clock, reference.clock);
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+// ---- random queries over the twitter schema ----
 
-    /// Random seed × batch size × chaos: batched delivery is
-    /// always byte-identical to the per-tweet reference.
+const NEEDLES: &[&str] = &["kw", "speech", "news", "zzz", "K"];
+const LANGS: &[&str] = &["en", "es", "ja"];
+
+fn predicate(rng: &mut StdRng) -> String {
+    match rng.random_range(0u32..9) {
+        0 => format!(
+            "text contains '{}'",
+            NEEDLES[rng.random_range(0usize..NEEDLES.len())]
+        ),
+        1 => {
+            // OR-of-contains: the fusion rule's input shape.
+            let k = rng.random_range(2usize..4);
+            let parts: Vec<String> = (0..k)
+                .map(|_| {
+                    format!(
+                        "text contains '{}'",
+                        NEEDLES[rng.random_range(0usize..NEEDLES.len())]
+                    )
+                })
+                .collect();
+            format!("({})", parts.join(" OR "))
+        }
+        2 => format!("followers > {}", rng.random_range(0i64..400)),
+        3 => format!("followers <= {}", rng.random_range(0i64..400)),
+        4 => "1 = 1".into(),
+        5 => "2 < 1".into(),
+        6 => "lat is not null".into(),
+        7 => format!("lang = '{}'", LANGS[rng.random_range(0usize..LANGS.len())]),
+        _ => format!("length(text) > {}", rng.random_range(0i64..60)),
+    }
+}
+
+fn random_query(rng: &mut StdRng) -> String {
+    let select = [
+        "text",
+        "lang, followers",
+        "text, followers + 1 AS f1",
+        "upper(lang) AS u, lat",
+    ][rng.random_range(0usize..4)];
+    let n = rng.random_range(1usize..4);
+    let preds: Vec<String> = (0..n).map(|_| predicate(rng)).collect();
+    let tail = ["", " LIMIT 20"][rng.random_range(0usize..2)];
+    format!(
+        "SELECT {select} FROM twitter WHERE {}{tail}",
+        preds.join(" AND ")
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A random conjunction over the tweet schema or a fixed query, at
+    /// a random batch size, clean or chaos-faulted: the default engine
+    /// always matches the reference.
     #[test]
     fn batched_source_always_matches(
-        seed in 0u64..500,
+        seed in 0u64..100_000,
+        random in 0u8..2,
         batch_pick in 0usize..4,
         chaos in 0u8..2,
     ) {
+        let sql = match random {
+            1 => random_query(&mut StdRng::seed_from_u64(seed)),
+            _ => FIXED[seed as usize % FIXED.len()].to_string(),
+        };
         let batch_size = [1usize, 7, 64, 256][batch_pick];
         let plan = (chaos == 1).then(|| FaultPlan::chaos(seed));
-        let per_tweet = run_engine(FULL_STREAM_QUERIES[1], batch_size, plan.clone(), false);
-        let batched = run_engine(FULL_STREAM_QUERIES[1], batch_size, plan, true);
-        prop_assert_eq!(batched.result.rows, per_tweet.result.rows);
-        prop_assert_eq!(batched.result.stats.source, per_tweet.result.stats.source);
-        prop_assert_eq!(
-            batched.result.stats.source_faults,
-            per_tweet.result.stats.source_faults
-        );
-        prop_assert_eq!(batched.clock, per_tweet.clock);
+        assert_engine_matches(&sql, batch_size, plan);
     }
 }

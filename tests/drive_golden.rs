@@ -117,10 +117,7 @@ fn builder(g: Grid, flaky: bool, clock: &Arc<VirtualClock>) -> tweeql::EngineBui
     let api = StreamingApi::new(corpus().clone(), Arc::clone(clock));
     let mut b = Engine::builder(api)
         .batch_size(g.batch)
-        .batched_source(!g.reference)
-        .columnar_decode(!g.reference)
-        .compiled_expressions(!g.reference)
-        .plan_optimizer(!g.reference);
+        .reference(g.reference);
     if flaky {
         b = b.service(flaky_geocoder());
     }
@@ -164,7 +161,6 @@ fn engine_digest(sql: &str, g: Grid, flaky: bool) -> u64 {
 fn host_digest(g: Grid) -> u64 {
     let clock = VirtualClock::new();
     let mut host = builder(g, true, &clock).build_host();
-    host.prefilter(!g.reference);
     let ids: Vec<_> = HOST_QUERIES
         .iter()
         .map(|&q| host.register(QUERIES[q]).expect(QUERIES[q]))

@@ -80,9 +80,10 @@ struct Params {
     fault: Option<FaultPlan>,
     batch: usize,
     ckpt_every: u64,
-    /// Block source (`true`) or the per-tweet reference iterator, which
-    /// recovery replays through the same feed.
-    batched: bool,
+    /// The reference configuration (`EngineBuilder::reference`): its
+    /// per-tweet source, which recovery replays through the same feed,
+    /// and its as-written, interpreted plans.
+    reference: bool,
 }
 
 impl Params {
@@ -91,7 +92,7 @@ impl Params {
             fault: None,
             batch: 16,
             ckpt_every: 64,
-            batched: true,
+            reference: false,
         }
     }
 }
@@ -104,7 +105,7 @@ fn durable_host(dir: &Path, p: &Params) -> QueryHost {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
     let mut b = tweeql::Engine::builder(api)
         .batch_size(p.batch)
-        .batched_source(p.batched)
+        .reference(p.reference)
         .seed(99);
     if let Some(f) = &p.fault {
         b = b.fault_policy(f.clone());
@@ -323,8 +324,9 @@ fn chaos_faulted_windowed_aggregates_survive_kills() {
     }
 }
 
-/// Replay through the per-tweet source: the same kills, checkpoint
-/// verification and gap frontiers as the block source, over chaos.
+/// The reference configuration, whose per-tweet source recovery replays
+/// through: the same kills, checkpoint verification and gap frontiers
+/// as the fast configuration's block source, over chaos.
 #[test]
 fn per_tweet_source_replays_chaos_to_the_same_output() {
     let sched = vec![
@@ -335,7 +337,7 @@ fn per_tweet_source_replays_chaos_to_the_same_output() {
     ];
     let p = Params {
         fault: Some(FaultPlan::chaos(11)),
-        batched: false,
+        reference: true,
         ..Params::base()
     };
     assert_crash_equivalent(
@@ -561,7 +563,7 @@ proptest! {
         nkills in 1usize..4,
         batch_sel in 0usize..3,
         ckpt_sel in 0usize..3,
-        batched in 0u8..2,
+        reference in 0u8..2,
         qa in 0usize..CORPUS.len(),
         qb in 0usize..CORPUS.len(),
         reg2_min in 1i64..5,
@@ -572,7 +574,7 @@ proptest! {
             fault: (chaos % 2 == 1).then(|| FaultPlan::chaos(chaos)),
             batch: [7, 16, 64][batch_sel],
             ckpt_every: [0, 32, 256][ckpt_sel],
-            batched: batched == 1,
+            reference: reference == 1,
         };
         let sched = vec![
             (mins(0), Act::Reg(qa)),

@@ -138,12 +138,12 @@ fn e1_publishes_columnar_decode_metrics() {
     assert!((0..=1000).contains(reuse), "permille out of range: {reuse}");
     assert_eq!(lang_decode, decode_series(&run_lang()), "rerun");
 
-    // With columnar decode disabled the fused scan never runs, so no
-    // decode counters may be published at all.
+    // The reference configuration decodes rows, so the fused scan never
+    // runs and no decode counters may be published at all.
     let api = StreamingApi::new(soccer_corpus().clone(), VirtualClock::new());
     let registry = MetricsRegistry::new();
     let mut engine = Engine::builder(api)
-        .columnar_decode(false)
+        .reference(true)
         .service(flaky_service(7))
         .metrics(registry.clone())
         .build();
