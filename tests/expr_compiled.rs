@@ -2,17 +2,25 @@
 //! register-program VM ([`BatchVm`]) must agree with the interpreted
 //! tree-walk (`CExpr::eval`) — the reference implementation — on
 //! randomly generated expressions and records, including NULLs,
-//! non-ASCII text, empty needles, and error cases. Whole queries over
-//! compiled programs against the interpreting reference engine are
-//! `tests/batched_source.rs`.
+//! non-ASCII text, empty needles, and error cases. A second suite runs
+//! whole queries through the default engine (compiled) and the
+//! interpreting reference configuration (`EngineBuilder::reference`),
+//! clean and under fault injection.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::OnceLock;
+use tweeql::engine::{Engine, QueryResult};
 use tweeql::expr::{compile_into, BatchVm, CExpr, EvalCtx, ExprProgram};
 use tweeql::parser::parse_expr;
 use tweeql::udf::{Registry, ServiceConfig};
-use tweeql_model::{DataType, Record, Schema, SchemaRef, Timestamp, Value, VirtualClock};
+use tweeql_firehose::fault::FaultPlan;
+use tweeql_firehose::scenario::{Scenario, Topic};
+use tweeql_firehose::StreamingApi;
+use tweeql_model::{
+    DataType, Duration, Record, Schema, SchemaRef, Timestamp, Tweet, Value, VirtualClock,
+};
 
 // ---- random expression generation ----
 
@@ -247,6 +255,86 @@ fn generator_produces_compilable_expressions() {
         compiled_ok * 4 >= total,
         "only {compiled_ok}/{total} generated expressions compiled — generator drifted"
     );
+}
+
+// ---- engine-level: compiled vs interpreted ----
+
+fn corpus() -> &'static Vec<Tweet> {
+    static CORPUS: OnceLock<Vec<Tweet>> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let s = Scenario {
+            name: "expr-compiled".into(),
+            duration: Duration::from_mins(10),
+            background_rate_per_min: 80.0,
+            topics: vec![Topic::new("kw", vec!["kw"], 35.0)],
+            bursts: vec![],
+            geotag_rate: 0.0,
+            population_size: 300,
+        };
+        tweeql_firehose::generate(&s, 2026)
+    })
+}
+
+/// `compiled` runs the default engine, otherwise the reference. The
+/// reference pushes no filter into the connection, so neither does the
+/// default engine here: a fault plan rolls per delivered tweet, and both
+/// must see the same stream.
+fn run_engine(sql: &str, compiled: bool, fault: Option<FaultPlan>) -> QueryResult {
+    let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
+    let mut b = Engine::builder(api).reference(!compiled).push_down(false);
+    if let Some(plan) = fault {
+        b = b.fault_policy(plan);
+    }
+    let mut engine = b.build();
+    engine.execute(sql).expect(sql)
+}
+
+const ENGINE_QUERIES: &[&str] = &[
+    // Fused where+project.
+    "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter WHERE text contains 'kw'",
+    // Multi-needle OR (compiles to one multi-pattern matcher).
+    "SELECT text FROM twitter WHERE text contains 'kw' OR text contains 'speech' OR text contains 'news'",
+    // Solo fused filter in front of an interpreted aggregate.
+    "SELECT count(*) AS c, lang FROM twitter WHERE text contains 'kw' AND followers >= 0 \
+     GROUP BY lang WINDOW 2 minutes",
+    // Pure compiled projection, no WHERE.
+    "SELECT lower(screen_name) AS s, followers + 1 AS f1 FROM twitter",
+];
+
+/// Same query, same stream: compiled output must equal interpreted
+/// output exactly.
+#[test]
+fn compiled_engine_matches_interpreted() {
+    for sql in ENGINE_QUERIES {
+        let reference = run_engine(sql, false, None);
+        let compiled = run_engine(sql, true, None);
+        assert_eq!(reference.schema.names(), compiled.schema.names(), "{sql}");
+        assert_eq!(
+            reference.rows, compiled.rows,
+            "compiled diverged from interpreted: {sql}"
+        );
+    }
+}
+
+/// Under chaos fault injection the two paths see the same supervised
+/// stream (same seed ⇒ same faults), so output must still be identical
+/// — the compiled pipeline cannot change fault-recovery behavior.
+#[test]
+fn compiled_engine_matches_interpreted_under_chaos() {
+    let sql = "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter \
+               WHERE text contains 'kw'";
+    for seed in [3u64, 17] {
+        let interp = run_engine(sql, false, Some(FaultPlan::chaos(seed)));
+        let compiled = run_engine(sql, true, Some(FaultPlan::chaos(seed)));
+        assert_eq!(
+            interp.rows, compiled.rows,
+            "chaos seed {seed}: compiled diverged"
+        );
+        assert_eq!(
+            interp.stats.source_faults.disconnects, compiled.stats.source_faults.disconnects,
+            "fault schedule itself diverged (test harness bug)"
+        );
+    }
 }
 
 /// The fast contains path never allocates per record: spot-check the

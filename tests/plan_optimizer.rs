@@ -1,10 +1,12 @@
 //! Differential tests for the verified plan optimizer: every query must
-//! produce bit-identical output with the optimizer on and off. The
-//! "off" engine lowers the plan exactly as written —
-//! no folding, fusion, pushdown rewriting, pruning, or reordering — and
-//! serves as the reference implementation. In debug builds (how CI runs
-//! this suite) the [`PlanVerifier`] is in strict mode, so any rule that
-//! breaks a plan invariant panics here instead of silently passing.
+//! produce bit-identical output on the default engine and on the
+//! reference configuration (`EngineBuilder::reference(true)`), which
+//! lowers the plan exactly as written — no folding, fusion, pushdown
+//! rewriting, pruning, or reordering — and interprets it. In debug
+//! builds (how CI runs this suite) the [`PlanVerifier`] is in strict
+//! mode, so any rule that breaks a plan invariant panics here instead of
+//! silently passing. `tests/batched_source.rs` holds the same two
+//! configurations to stats, gap windows and clock as well.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,9 +33,10 @@ fn corpus() -> &'static Vec<Tweet> {
     })
 }
 
+/// `optimize` runs the default engine, otherwise the reference.
 fn run(sql: &str, optimize: bool) -> QueryResult {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
-    let mut engine = Engine::builder(api).plan_optimizer(optimize).build();
+    let mut engine = Engine::builder(api).reference(!optimize).build();
     engine.execute(sql).expect(sql)
 }
 
