@@ -12,7 +12,8 @@
 //!
 //! The async query also runs against a flaky geocoder (timeouts and a
 //! circuit breaker whose cooldown is read off the virtual clock), which
-//! makes where the clock stands at each flush part of the output.
+//! makes where the clock stands at each flush part of the output. So
+//! does `named_entities`, pinned in its own table on the same service.
 //!
 //! The fast values were recorded before the engine and host loops were
 //! folded into one source cursor and batch filler, and the reference
@@ -255,6 +256,27 @@ const GOLDEN: &[u64] = &[
     0xb8c043ae9583f403, // host Grid { reference: true, chaos: true, batch: 256 }
 ];
 
+/// Panic with the recomputed table when `got` is not `golden`.
+fn assert_golden(name: &str, golden: &[u64], got: &[u64], labels: &[String]) {
+    if got != golden {
+        let mut report = format!("const {name}: &[u64] = &[\n");
+        for (d, label) in got.iter().zip(labels) {
+            report.push_str(&format!("    {d:#018x}, // {label}\n"));
+        }
+        report.push_str("];\n");
+        let diverged: Vec<&String> = labels
+            .iter()
+            .zip(got.iter().zip(golden.iter().chain(std::iter::repeat(&0))))
+            .filter(|(_, (a, b))| a != b)
+            .map(|(l, _)| l)
+            .collect();
+        panic!(
+            "{} digests diverge: {diverged:#?}\n{report}",
+            diverged.len()
+        );
+    }
+}
+
 #[test]
 fn drive_path_digests_are_unchanged() {
     let mut got = Vec::new();
@@ -268,21 +290,31 @@ fn drive_path_digests_are_unchanged() {
         got.push(host_digest(g));
         labels.push(format!("host {g:?}"));
     }
-    if got != GOLDEN {
-        let mut report = String::from("const GOLDEN: &[u64] = &[\n");
-        for (d, label) in got.iter().zip(&labels) {
-            report.push_str(&format!("    {d:#018x}, // {label}\n"));
-        }
-        report.push_str("];\n");
-        let diverged: Vec<&String> = labels
-            .iter()
-            .zip(got.iter().zip(GOLDEN.iter().chain(std::iter::repeat(&0))))
-            .filter(|(_, (a, b))| a != b)
-            .map(|(l, _)| l)
-            .collect();
-        panic!(
-            "{} digests diverge: {diverged:#?}\n{report}",
-            diverged.len()
-        );
-    }
+    assert_golden("GOLDEN", GOLDEN, &got, &labels);
+}
+
+/// The entity extractor on the flaky service: its own latency stream
+/// (seeded apart from the geocoder's), timeouts and breaker.
+const ENTITIES: &str = "SELECT named_entities(text) AS e FROM twitter WHERE text contains 'kw'";
+
+/// `ENTITIES`' engine digests over the grid, recorded before the entity
+/// extractor and the geocoder shared one simulated remote.
+const ENTITIES_GOLDEN: &[u64] = &[
+    0x7eee1a2e6f030d6e, // Grid { reference: false, chaos: false, batch: 1 }
+    0x1ede99e197daf8c5, // Grid { reference: false, chaos: false, batch: 256 }
+    0x0e91afcdaf5d4818, // Grid { reference: false, chaos: true, batch: 1 }
+    0x41c15bfc00af6c04, // Grid { reference: false, chaos: true, batch: 256 }
+    0xe6e079ff33a47c45, // Grid { reference: true, chaos: false, batch: 1 }
+    0x3fd78763dfb4868d, // Grid { reference: true, chaos: false, batch: 256 }
+    0x7d6d2ccdc6b0eb2a, // Grid { reference: true, chaos: true, batch: 1 }
+    0x79060d11b9664192, // Grid { reference: true, chaos: true, batch: 256 }
+];
+
+#[test]
+fn named_entities_digests_are_unchanged() {
+    let (got, labels): (Vec<u64>, Vec<String>) = grid()
+        .into_iter()
+        .map(|g| (engine_digest(ENTITIES, g, true), format!("{g:?}")))
+        .unzip();
+    assert_golden("ENTITIES_GOLDEN", ENTITIES_GOLDEN, &got, &labels);
 }
