@@ -6,11 +6,10 @@ use crate::error::QueryError;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
-use tweeql_geo::breaker::{BreakerConfig, CircuitBreaker, ServiceHealth};
+use tweeql_geo::breaker::{BreakerConfig, ServiceHealth};
 use tweeql_geo::cache::{CacheStats, LruCache};
-use tweeql_geo::geocoder::{GazetteerGeocoder, Geocoder, RemoteError, SimulatedRemoteGeocoder};
 use tweeql_geo::latency::LatencyModel;
-use tweeql_geo::GeoPoint;
+use tweeql_geo::{gazetteer, GeoPoint, RemoteService};
 use tweeql_model::{Duration, Timestamp, Value, VirtualClock};
 use tweeql_text::sentiment::{LexiconClassifier, SentimentClassifier};
 
@@ -39,14 +38,6 @@ pub trait AsyncUdf: Send {
     /// tuple to `out`. Failures map to `Null` (stream processing does
     /// not abort a long-running query on one bad web-service call).
     fn call_batch(&mut self, batch: ArgBatch<'_>, out: &mut Vec<Value>);
-    /// Remote requests issued so far.
-    fn requests_issued(&self) -> u64;
-    /// Total modeled service latency so far.
-    fn modeled_service_time(&self) -> Duration;
-    /// Cache statistics, when the UDF caches.
-    fn cache_stats(&self) -> Option<CacheStats> {
-        None
-    }
     /// Health counters of the backing remote service, when there is one.
     fn health(&self) -> Option<ServiceHealth> {
         None
@@ -128,6 +119,23 @@ impl Default for ServiceConfig {
             retries: 0,
             breaker: BreakerConfig::default(),
         }
+    }
+}
+
+impl ServiceConfig {
+    /// The simulated remote these knobs describe, its latency and
+    /// failures drawn from `seed`.
+    fn remote(&self, seed: u64, clock: Arc<VirtualClock>) -> RemoteService {
+        RemoteService::new(
+            self.latency.clone(),
+            seed,
+            clock,
+            self.breaker.clone(),
+            self.retries,
+        )
+        .with_failure_rate(self.failure_rate)
+        .with_batching(self.max_batch, self.batch_per_item)
+        .with_timeout(self.timeout)
     }
 }
 
@@ -274,26 +282,15 @@ impl ScalarUdf for SentimentUdf {
 // latitude(loc) / longitude(loc) over one shared geocoding service
 
 /// Shared mutable state behind the engine's geocoding service: the
-/// simulated remote, the LRU cache, and the fault-tolerance layer
-/// (circuit breaker + health counters). The cache sits *outside* the
-/// failure path on purpose: a timed-out or short-circuited request must
-/// never poison the cache with a transient NULL.
+/// simulated remote (with its breaker and health counters) and the LRU
+/// cache. The cache sits *outside* the failure path on purpose: a
+/// timed-out or short-circuited request must never poison the cache
+/// with a transient NULL.
 struct GeoInner {
-    remote: SimulatedRemoteGeocoder<GazetteerGeocoder>,
-    /// Normalized location → coordinate (negatives included). Only the
-    /// point is kept: it is all `latitude`/`longitude` read, and a hit
-    /// copies two floats where a whole result carried a `String`.
+    remote: RemoteService,
+    /// Normalized location → coordinate (negatives included).
     cache: LruCache<String, Option<GeoPoint>>,
-    breaker: CircuitBreaker,
-    health: ServiceHealth,
     scratch: GeoScratch,
-}
-
-impl GeoInner {
-    fn refresh_health(&mut self) {
-        self.health.state = self.breaker.state();
-        self.health.breaker_opens = self.breaker.opens();
-    }
 }
 
 /// Per-batch working state of [`SharedGeoService::geocode_batch_by`],
@@ -309,10 +306,9 @@ struct GeoScratch {
     /// position of its key in that list.
     distinct: Vec<usize>,
     miss_slot: Vec<usize>,
-    /// Per distinct key: what the service returned (`None` = no
-    /// answer), and whether its chunk was given up on.
+    /// Per distinct key: what the service returned (`None` = its chunk
+    /// was given up on).
     fetched: Vec<Option<Option<GeoPoint>>>,
-    degraded: Vec<bool>,
 }
 
 impl GeoScratch {
@@ -344,33 +340,18 @@ impl GeoScratch {
 pub struct SharedGeoService {
     inner: Arc<Mutex<GeoInner>>,
     cache_disabled: bool,
-    retries: u32,
 }
 
 impl SharedGeoService {
     /// Build from config.
     pub fn new(config: &ServiceConfig, clock: Arc<VirtualClock>) -> SharedGeoService {
-        let mut remote = SimulatedRemoteGeocoder::with_model(
-            GazetteerGeocoder::new(),
-            Arc::clone(&clock),
-            config.latency.clone(),
-            config.seed,
-        )
-        .with_failure_rate(config.failure_rate)
-        .with_batching(config.max_batch.max(1), config.batch_per_item);
-        if let Some(timeout) = config.timeout {
-            remote = remote.with_timeout(timeout);
-        }
         SharedGeoService {
             inner: Arc::new(Mutex::new(GeoInner {
-                remote,
+                remote: config.remote(config.seed, clock),
                 cache: LruCache::new(config.cache_capacity.max(1)),
-                breaker: CircuitBreaker::new(config.breaker.clone(), clock),
-                health: ServiceHealth::default(),
                 scratch: GeoScratch::default(),
             })),
             cache_disabled: config.cache_capacity == 0,
-            retries: config.retries,
         }
     }
 
@@ -384,8 +365,9 @@ impl SharedGeoService {
 
     /// Geocode the `n` location strings `loc(0..n)`, appending one
     /// result each to `out`: cache hits first, then the distinct misses
-    /// in `max_batch`-sized requests through the breaker/retry layer.
-    /// Unavailable chunks degrade to NULL and are NOT cached.
+    /// in `max_batch`-sized requests to the remote, each answered by a
+    /// gazetteer lookup. Unavailable chunks degrade to NULL and are NOT
+    /// cached.
     pub fn geocode_batch_by<'a>(
         &self,
         n: usize,
@@ -396,8 +378,6 @@ impl SharedGeoService {
         let GeoInner {
             remote,
             cache,
-            breaker,
-            health,
             scratch: s,
         } = &mut *guard;
         let base = out.len();
@@ -417,7 +397,6 @@ impl SharedGeoService {
             }
         }
         if s.misses.is_empty() {
-            guard.refresh_health();
             return;
         }
 
@@ -438,83 +417,45 @@ impl SharedGeoService {
             }
         }
 
-        let max_batch = remote.max_batch();
         s.fetched.clear();
         s.fetched.resize(s.distinct.len(), None);
-        s.degraded.clear();
-        s.degraded.resize(s.distinct.len(), false);
-        let mut pos = 0;
-        while pos < s.distinct.len() {
-            let end = (pos + max_batch).min(s.distinct.len());
-            let mut give_up = |health: &mut ServiceHealth| {
-                if self.cache_disabled {
-                    health.degraded_rows += (end - pos) as u64;
-                } else {
-                    s.degraded[pos..end].fill(true);
-                }
-            };
-            if !breaker.allow() {
-                health.short_circuits += 1;
-                give_up(health);
-                pos = end;
-                continue;
-            }
-            let chunk: Vec<&str> = s.distinct[pos..end].iter().map(|&i| loc(i)).collect();
-            let mut attempt = 0;
-            loop {
-                health.requests += 1;
-                match remote.try_request(&chunk) {
-                    Ok(results) => {
-                        breaker.on_success();
-                        for (slot, res) in (pos..end).zip(results) {
-                            s.fetched[slot] = Some(res.map(|r| r.point));
-                        }
-                        break;
-                    }
-                    Err(e) => {
-                        health.failures += 1;
-                        if e == RemoteError::Timeout {
-                            health.timeouts += 1;
-                        }
-                        breaker.on_failure();
-                        if attempt < self.retries && breaker.allow() {
-                            attempt += 1;
-                            health.retries += 1;
-                        } else {
-                            give_up(health);
-                            break;
-                        }
-                    }
+        for (chunk, fetched) in s
+            .distinct
+            .chunks(remote.max_batch())
+            .zip(s.fetched.chunks_mut(remote.max_batch()))
+        {
+            if remote.request(chunk.len()) {
+                for (&i, slot) in chunk.iter().zip(fetched) {
+                    *slot = Some(gazetteer::global().resolve(loc(i)).map(|c| c.center));
                 }
             }
-            pos = end;
         }
 
         // Write back: cache successful lookups (negatives included —
-        // unresolvable repeats just as often), fill output slots.
-        for (slot, &i) in s.distinct.iter().enumerate() {
-            if let Some(res) = s.fetched[slot] {
-                if self.cache_disabled {
-                    out[base + i] = res;
-                } else {
+        // unresolvable repeats just as often), fill output slots. A
+        // degraded row is a miss whose chunk was given up on.
+        if !self.cache_disabled {
+            for (slot, &i) in s.distinct.iter().enumerate() {
+                if let Some(res) = s.fetched[slot] {
                     cache.put(s.key(i).to_string(), res);
                 }
             }
         }
-        if !self.cache_disabled {
-            for (&i, &slot) in s.misses.iter().zip(&s.miss_slot) {
-                if s.degraded[slot] {
-                    health.degraded_rows += 1;
-                }
-                out[base + i] = cache.get(s.key(i)).unwrap_or(None);
-            }
+        let mut degraded = 0;
+        for (&i, &slot) in s.misses.iter().zip(&s.miss_slot) {
+            degraded += usize::from(s.fetched[slot].is_none());
+            out[base + i] = if self.cache_disabled {
+                s.fetched[slot].flatten()
+            } else {
+                cache.get(s.key(i)).unwrap_or(None)
+            };
         }
-        guard.refresh_health();
+        remote.degrade(degraded);
     }
 
     /// Remote requests issued.
     pub fn requests_issued(&self) -> u64 {
-        self.inner.lock().remote.requests_issued()
+        self.inner.lock().remote.health().requests
     }
 
     /// Modeled service latency.
@@ -527,11 +468,9 @@ impl SharedGeoService {
         self.inner.lock().cache.stats()
     }
 
-    /// Current health counters (breaker state refreshed).
+    /// Current health counters.
     pub fn health(&self) -> ServiceHealth {
-        let mut g = self.inner.lock();
-        g.refresh_health();
-        g.health
+        self.inner.lock().remote.health()
     }
 }
 
@@ -540,7 +479,7 @@ impl SharedGeoService {
 ///
 /// The service (cache, breaker, counters) is shared across queries on
 /// the same engine, but a UDF instance is built fresh per query by its
-/// registry factory — so it snapshots the service counters at
+/// registry factory — so it snapshots the service's health at
 /// construction and reports *per-query deltas*, keeping `OpStats`
 /// health from leaking a previous query's traffic.
 pub struct GeocodeUdf {
@@ -548,29 +487,19 @@ pub struct GeocodeUdf {
     service: SharedGeoService,
     want_lat: bool,
     base_health: ServiceHealth,
-    base_cache: CacheStats,
-    base_requests: u64,
-    base_service_ms: i64,
     /// The service's answers for the batch in hand (reused).
     points: Vec<Option<GeoPoint>>,
 }
 
 impl GeocodeUdf {
-    /// Construct, snapshotting the shared service's counters as this
+    /// Construct, snapshotting the shared service's health as this
     /// query's zero point.
     pub fn new(name: &'static str, service: SharedGeoService, want_lat: bool) -> GeocodeUdf {
-        let base_health = service.health();
-        let base_cache = service.cache_stats();
-        let base_requests = service.requests_issued();
-        let base_service_ms = service.modeled_service_time().millis();
         GeocodeUdf {
             name,
+            base_health: service.health(),
             service,
             want_lat,
-            base_health,
-            base_cache,
-            base_requests,
-            base_service_ms,
             points: Vec::new(),
         }
     }
@@ -595,22 +524,6 @@ impl AsyncUdf for GeocodeUdf {
         }));
     }
 
-    fn requests_issued(&self) -> u64 {
-        self.service
-            .requests_issued()
-            .saturating_sub(self.base_requests)
-    }
-
-    fn modeled_service_time(&self) -> Duration {
-        Duration::from_millis(
-            (self.service.modeled_service_time().millis() - self.base_service_ms).max(0),
-        )
-    }
-
-    fn cache_stats(&self) -> Option<CacheStats> {
-        Some(self.service.cache_stats().delta_since(&self.base_cache))
-    }
-
     fn health(&self) -> Option<ServiceHealth> {
         Some(self.service.health().delta_since(&self.base_health))
     }
@@ -620,59 +533,31 @@ impl AsyncUdf for GeocodeUdf {
 // named_entities(text) — the OpenCalais stand-in
 
 /// `named_entities(text)`: dictionary NER behind the same simulated
-/// web-service latency as geocoding (the paper's OpenCalais UDF), with
-/// the same timeout/retry/breaker protection.
+/// remote as geocoding (the paper's OpenCalais UDF) — one remote per
+/// instance, its latency and failures seeded apart from the geocoder's.
 pub struct EntityUdf {
-    sampler: tweeql_geo::latency::LatencySampler,
-    clock: Arc<VirtualClock>,
-    per_item: Duration,
-    max_batch: usize,
-    timeout: Option<Duration>,
-    retries: u32,
-    breaker: CircuitBreaker,
-    health: ServiceHealth,
-    requests: u64,
-    service_ms: i64,
+    remote: RemoteService,
 }
 
 impl EntityUdf {
     /// Construct from service config.
     pub fn new(config: &ServiceConfig, clock: Arc<VirtualClock>) -> EntityUdf {
         EntityUdf {
-            sampler: tweeql_geo::latency::LatencySampler::new(
-                config.latency.clone(),
-                config.seed.wrapping_add(17),
-            ),
-            breaker: CircuitBreaker::new(config.breaker.clone(), Arc::clone(&clock)),
-            clock,
-            per_item: config.batch_per_item,
-            max_batch: config.max_batch.max(1),
-            timeout: config.timeout,
-            retries: config.retries,
-            health: ServiceHealth::default(),
-            requests: 0,
-            service_ms: 0,
+            remote: config.remote(config.seed.wrapping_add(17), clock),
         }
     }
+}
 
-    /// Attempt one chunk round trip; false means timeout (the clock is
-    /// charged the timeout, not the full latency).
-    fn charge_chunk(&mut self, n: usize) -> bool {
-        self.requests += 1;
-        self.health.requests += 1;
-        let latency = self.sampler.sample() + self.per_item * (n as i64 - 1).max(0);
-        if let Some(timeout) = self.timeout {
-            if latency > timeout {
-                self.clock.advance(timeout);
-                self.service_ms += timeout.millis();
-                self.health.timeouts += 1;
-                self.health.failures += 1;
-                return false;
-            }
-        }
-        self.clock.advance(latency);
-        self.service_ms += latency.millis();
-        true
+/// What the entity service answers for one argument tuple.
+fn entities(args: &[Value]) -> Value {
+    match args.first() {
+        Some(Value::Str(s)) => Value::List(
+            tweeql_text::entity::extract_entities(s)
+                .into_iter()
+                .map(|e| Value::Str(e.name.into()))
+                .collect(),
+        ),
+        _ => Value::Null,
     }
 }
 
@@ -682,83 +567,40 @@ impl AsyncUdf for EntityUdf {
     }
 
     fn call_batch(&mut self, batch: ArgBatch<'_>, out: &mut Vec<Value>) {
-        for start in (0..batch.rows()).step_by(self.max_batch) {
-            let chunk = start..(start + self.max_batch).min(batch.rows());
-            if !self.breaker.allow() {
-                self.health.short_circuits += 1;
-                self.health.degraded_rows += chunk.len() as u64;
+        let max_batch = self.remote.max_batch();
+        for start in (0..batch.rows()).step_by(max_batch) {
+            let chunk = start..(start + max_batch).min(batch.rows());
+            if self.remote.request(chunk.len()) {
+                out.extend(chunk.map(|r| entities(batch.row(r))));
+            } else {
+                self.remote.degrade(chunk.len());
                 out.extend(chunk.map(|_| Value::Null));
-                continue;
-            }
-            let mut ok = false;
-            let mut attempt = 0;
-            loop {
-                if self.charge_chunk(chunk.len()) {
-                    self.breaker.on_success();
-                    ok = true;
-                    break;
-                }
-                self.breaker.on_failure();
-                if attempt < self.retries && self.breaker.allow() {
-                    attempt += 1;
-                    self.health.retries += 1;
-                } else {
-                    break;
-                }
-            }
-            if !ok {
-                self.health.degraded_rows += chunk.len() as u64;
-                out.extend(chunk.map(|_| Value::Null));
-                continue;
-            }
-            for r in chunk {
-                let v = match batch.row(r).first() {
-                    Some(Value::Str(s)) => Value::List(
-                        tweeql_text::entity::extract_entities(s)
-                            .into_iter()
-                            .map(|e| Value::Str(e.name.into()))
-                            .collect(),
-                    ),
-                    _ => Value::Null,
-                };
-                out.push(v);
             }
         }
-        self.health.state = self.breaker.state();
-        self.health.breaker_opens = self.breaker.opens();
-    }
-
-    fn requests_issued(&self) -> u64 {
-        self.requests
-    }
-
-    fn modeled_service_time(&self) -> Duration {
-        Duration::from_millis(self.service_ms)
     }
 
     fn health(&self) -> Option<ServiceHealth> {
-        let mut h = self.health;
-        h.state = self.breaker.state();
-        h.breaker_opens = self.breaker.opens();
-        Some(h)
+        Some(self.remote.health())
     }
 }
 
 /// The geocoding service and UDF as they were before the batch path
 /// stopped allocating per item: a `Vec` of argument `Vec`s in, a key
-/// `String` and a cloned `GeocodeResult` per item, fresh working
-/// vectors per batch. Kept as the reference the operator and service
-/// are compared against (rows, request counts, cache statistics,
-/// health, virtual clock).
+/// `String` per item and a location `Vec` per chunk, fresh working
+/// vectors per batch, and a breaker/retry loop of its own around single
+/// remote attempts. Kept as the reference the operator and service are
+/// compared against (rows, request counts, cache statistics, health,
+/// virtual clock).
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
     use std::collections::HashSet;
-    use tweeql_geo::geocoder::GeocodeResult;
+    use tweeql_geo::breaker::CircuitBreaker;
+    use tweeql_geo::RemoteError;
 
     struct Inner {
-        remote: SimulatedRemoteGeocoder<GazetteerGeocoder>,
-        cache: LruCache<String, Option<GeocodeResult>>,
+        remote: RemoteService,
+        cache: LruCache<String, Option<GeoPoint>>,
         breaker: CircuitBreaker,
         health: ServiceHealth,
     }
@@ -772,20 +614,9 @@ pub(crate) mod oracle {
 
     impl Service {
         pub fn new(config: &ServiceConfig, clock: Arc<VirtualClock>) -> Service {
-            let mut remote = SimulatedRemoteGeocoder::with_model(
-                GazetteerGeocoder::new(),
-                Arc::clone(&clock),
-                config.latency.clone(),
-                config.seed,
-            )
-            .with_failure_rate(config.failure_rate)
-            .with_batching(config.max_batch.max(1), config.batch_per_item);
-            if let Some(timeout) = config.timeout {
-                remote = remote.with_timeout(timeout);
-            }
             Service {
                 inner: Arc::new(Mutex::new(Inner {
-                    remote,
+                    remote: config.remote(config.seed, Arc::clone(&clock)),
                     cache: LruCache::new(config.cache_capacity.max(1)),
                     breaker: CircuitBreaker::new(config.breaker.clone(), clock),
                     health: ServiceHealth::default(),
@@ -799,7 +630,7 @@ pub(crate) mod oracle {
             let mut guard = self.inner.lock();
             let g = &mut *guard;
             let keys: Vec<String> = locs.iter().map(|l| l.trim().to_lowercase()).collect();
-            let mut out: Vec<Option<Option<GeocodeResult>>> = vec![None; locs.len()];
+            let mut out: Vec<Option<Option<GeoPoint>>> = vec![None; locs.len()];
             let mut misses: Vec<usize> = Vec::new();
             if self.cache_disabled {
                 misses.extend(0..locs.len());
@@ -824,7 +655,7 @@ pub(crate) mod oracle {
             };
 
             let max_batch = g.remote.max_batch();
-            let mut fetched: Vec<Option<Option<GeocodeResult>>> = vec![None; distinct.len()];
+            let mut fetched: Vec<Option<Option<GeoPoint>>> = vec![None; distinct.len()];
             let mut degraded_keys: HashSet<&str> = HashSet::new();
             let mut pos = 0;
             while pos < distinct.len() {
@@ -843,11 +674,12 @@ pub(crate) mod oracle {
                 let mut attempt = 0;
                 loop {
                     g.health.requests += 1;
-                    match g.remote.try_request(&chunk) {
-                        Ok(results) => {
+                    match g.remote.attempt(chunk.len()) {
+                        Ok(()) => {
                             g.breaker.on_success();
-                            for (slot, res) in (pos..end).zip(results) {
-                                fetched[slot] = Some(res);
+                            for (slot, l) in (pos..end).zip(&chunk) {
+                                fetched[slot] =
+                                    Some(gazetteer::global().resolve(l).map(|c| c.center));
                             }
                             break;
                         }
@@ -895,13 +727,11 @@ pub(crate) mod oracle {
             }
             g.health.state = g.breaker.state();
             g.health.breaker_opens = g.breaker.opens();
-            out.into_iter()
-                .map(|o| o.flatten().map(|r| r.point))
-                .collect()
+            out.into_iter().map(Option::flatten).collect()
         }
 
         pub fn requests_issued(&self) -> u64 {
-            self.inner.lock().remote.requests_issued()
+            self.inner.lock().remote.health().requests
         }
 
         pub fn cache_stats(&self) -> CacheStats {
@@ -994,9 +824,53 @@ mod tests {
         assert!(matches!(lon_v[0], Value::Float(v) if (v - 139.65).abs() < 0.1));
         // The longitude call hit the latitude call's cache entry: only
         // one remote request total, 100ms of modeled time.
-        assert_eq!(lat.requests_issued(), 1);
-        assert_eq!(lon.requests_issued(), 1);
+        assert_eq!(lat.health().unwrap().requests, 1);
+        assert_eq!(lon.health().unwrap().requests, 1);
         assert_eq!(clock.now().millis(), 100);
+    }
+
+    /// A shared service with a constant 10 ms latency.
+    fn service(max_batch: usize, clock: Arc<VirtualClock>) -> SharedGeoService {
+        let cfg = ServiceConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(10)),
+            max_batch,
+            ..ServiceConfig::default()
+        };
+        SharedGeoService::new(&cfg, clock)
+    }
+
+    #[test]
+    fn cache_folds_keys_and_caches_negatives() {
+        let svc = service(25, VirtualClock::new());
+        for loc in ["  Tokyo ", "tokyo", "TOKYO"] {
+            assert!(svc.geocode_batch(&[loc])[0].is_some());
+        }
+        assert_eq!(svc.requests_issued(), 1);
+        for _ in 0..2 {
+            assert_eq!(svc.geocode_batch(&["unresolvable place"]), vec![None]);
+        }
+        assert_eq!(svc.requests_issued(), 2);
+    }
+
+    #[test]
+    fn batch_forwards_only_distinct_misses() {
+        let svc = service(25, VirtualClock::new());
+        svc.geocode_batch(&["nyc"]);
+        let res = svc.geocode_batch(&["nyc", "tokyo", "tokyo", "london", "nyc"]);
+        assert!(res.iter().all(|r| r.is_some()));
+        // One prior request + one batch for {tokyo, london}.
+        assert_eq!(svc.requests_issued(), 2);
+        assert_eq!(res[1], res[2]);
+    }
+
+    #[test]
+    fn batch_splits_at_max_batch() {
+        let clock = VirtualClock::new();
+        let svc = service(2, Arc::clone(&clock));
+        svc.geocode_batch(&["tokyo", "nyc", "london"]);
+        assert_eq!(svc.requests_issued(), 2);
+        // 10 + 5 for the pair, 10 for the single.
+        assert_eq!(clock.now().millis(), 25);
     }
 
     #[test]
@@ -1034,7 +908,7 @@ mod tests {
         for _ in 0..5 {
             call(&mut udf, &[Value::Str("nyc".into())]);
         }
-        assert_eq!(udf.requests_issued(), 5);
+        assert_eq!(udf.health().unwrap().requests, 5);
         assert_eq!(clock.now().millis(), 250);
     }
 
@@ -1055,8 +929,26 @@ mod tests {
             }
             other => panic!("{other:?}"),
         }
-        assert_eq!(udf.requests_issued(), 1);
+        assert_eq!(udf.health().unwrap().requests, 1);
         assert!(clock.now().millis() >= 150);
+    }
+
+    #[test]
+    fn entity_udf_rolls_transient_failures() {
+        let cfg = ServiceConfig {
+            latency: LatencyModel::Constant(Duration::from_millis(10)),
+            failure_rate: 1.0,
+            ..ServiceConfig::default()
+        };
+        let mut udf = EntityUdf::new(&cfg, VirtualClock::new());
+        let args: Vec<Value> = (0..5)
+            .map(|i| Value::Str(format!("obama in tokyo {i}").into()))
+            .collect();
+        assert!(call(&mut udf, &args).iter().all(|v| *v == Value::Null));
+        let h = udf.health().unwrap();
+        assert!(h.requests > 0);
+        assert_eq!(h.failures, h.requests);
+        assert_eq!(h.degraded_rows, 5);
     }
 
     #[test]

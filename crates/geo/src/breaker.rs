@@ -174,20 +174,6 @@ pub struct ServiceHealth {
 }
 
 impl ServiceHealth {
-    /// Merge another snapshot's counters into this one (for worker
-    /// stats folding). Takes the other's state: the merged-in snapshot
-    /// is the more recent one.
-    pub fn absorb(&mut self, other: &ServiceHealth) {
-        self.requests += other.requests;
-        self.failures += other.failures;
-        self.timeouts += other.timeouts;
-        self.retries += other.retries;
-        self.short_circuits += other.short_circuits;
-        self.degraded_rows += other.degraded_rows;
-        self.breaker_opens += other.breaker_opens;
-        self.state = other.state;
-    }
-
     /// Counters accumulated since `base` was snapshotted, keeping this
     /// snapshot's (more recent) breaker state. Lets a per-query view be
     /// carved out of a service that is shared across queries.
@@ -280,35 +266,6 @@ mod tests {
         clock.advance(Duration::from_secs(10));
         assert!(b.allow());
         assert_eq!(b.state(), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn health_absorb_sums_counters() {
-        let mut a = ServiceHealth {
-            requests: 10,
-            failures: 2,
-            timeouts: 1,
-            retries: 1,
-            short_circuits: 0,
-            degraded_rows: 3,
-            breaker_opens: 1,
-            state: BreakerState::Closed,
-        };
-        let b = ServiceHealth {
-            requests: 5,
-            failures: 1,
-            timeouts: 0,
-            retries: 0,
-            short_circuits: 4,
-            degraded_rows: 4,
-            breaker_opens: 0,
-            state: BreakerState::Open,
-        };
-        a.absorb(&b);
-        assert_eq!(a.requests, 15);
-        assert_eq!(a.degraded_rows, 7);
-        assert_eq!(a.short_circuits, 4);
-        assert_eq!(a.state, BreakerState::Open);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!
 //! * [`gazetteer`] — an embedded table of world cities with aliases and
 //!   fuzzy free-text lookup (`"NYC"`, `"new york, ny"`, `"Tokyo!"`);
-//! * [`geocoder`] — the [`geocoder::Geocoder`] trait, an in-process
-//!   [`geocoder::GazetteerGeocoder`], and a
-//!   [`geocoder::SimulatedRemoteGeocoder`] wrapping any geocoder in a
-//!   configurable latency model on a virtual clock (the paper's
-//!   web-service substitution — see DESIGN.md);
+//! * [`remote`] — [`remote::RemoteService`], one simulated web service
+//!   (the paper's geocoder and entity extractor — see DESIGN.md): a
+//!   configurable latency model on a virtual clock, timeouts, transient
+//!   failures, and the circuit breaker and retries around them;
+//! * [`latency`] — the latency models it samples;
+//! * [`breaker`] — the circuit breaker and its health counters;
 //! * [`cache`] — a generic LRU cache with hit/miss statistics;
 //! * [`batch`] — a request batcher for APIs that accept multiple
 //!   simultaneous requests;
@@ -26,16 +27,14 @@ pub mod bbox;
 pub mod breaker;
 pub mod cache;
 pub mod gazetteer;
-pub mod geocoder;
 pub mod latency;
 pub mod point;
+pub mod remote;
 
 pub use bbox::BoundingBox;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, ServiceHealth};
 pub use cache::LruCache;
 pub use gazetteer::{City, Gazetteer};
-pub use geocoder::{
-    GazetteerGeocoder, GeocodeResult, Geocoder, RemoteError, SimulatedRemoteGeocoder,
-};
 pub use latency::LatencyModel;
 pub use point::GeoPoint;
+pub use remote::{RemoteError, RemoteService};
