@@ -89,10 +89,11 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
     buf.freeze()
 }
 
-/// Smallest encoded tweet: 28 bytes of fixed fields (`id`,
-/// `created_at`, `user_id`, `followers`), five string length prefixes
-/// and four flag bytes.
-const MIN_RECORD_BYTES: usize = 52;
+/// Bytes of records [`decode_log`] builds between two releases of its
+/// input: the raw and the decoded log are alive together for this much
+/// of the log, not for the whole of it. A run costs two `mremap`s (the
+/// output grows, the input shrinks); a 37 MiB log is ~150 runs.
+const CHUNK_BYTES: usize = 256 << 10;
 
 /// A cursor over the borrowed log; every read is bounds-checked and
 /// answers [`ReplayError::Truncated`].
@@ -136,92 +137,210 @@ impl<'a> Reader<'a> {
         Ok(f64::from_le_bytes(self.array()?))
     }
 
-    /// A length-prefixed string, validated where it lies.
-    fn str(&mut self) -> Result<&'a str, ReplayError> {
+    /// A length-prefixed string, checked as UTF-8 where it lies when
+    /// `utf8` is set.
+    fn str(&mut self, utf8: bool) -> Result<&'a [u8], ReplayError> {
         let len = self.u32()? as usize;
-        std::str::from_utf8(self.bytes(len)?).map_err(|_| ReplayError::BadUtf8)
+        let s = self.bytes(len)?;
+        if utf8 {
+            as_str(s)?;
+        }
+        Ok(s)
     }
 }
 
-/// Decode a tweet log in one pass over the borrowed input.
-///
-/// A tweet costs one allocation, its text, plus its box of rare fields
-/// when one of them is present (see [`Tweet`]). Authors are shared: the
-/// first tweet of a `user_id` allocates the [`User`], later ones clone
-/// the `Arc` — but only after comparing every profile field, so an
-/// author whose followers, location or language change mid-log gets a
-/// fresh `User` from that tweet on. A tweet's `lang` is its author's
-/// allocation when the two are equal, as [`crate::generate`] builds it,
-/// and is then not stored in the row at all.
-pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
-    let mut r = Reader { rest: &buf };
-    if r.rest.len() < 12 || r.u32()? != MAGIC {
-        return Err(ReplayError::BadHeader);
-    }
-    // The count is untrusted: reserve for no more records than the
-    // bytes present could hold, and let a short log end in `Truncated`.
-    let n = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
-    let mut out = Vec::with_capacity(n.min(r.rest.len() / MIN_RECORD_BYTES));
-    let mut authors: HashMap<UserId, Arc<User>> = HashMap::new();
-    for _ in 0..n {
-        let id = r.u64()?;
-        let created_at = Timestamp::from_millis(r.i64()?);
-        let text = r.str()?;
-        let user_id = r.u64()?;
-        let screen_name = r.str()?;
-        let location = r.str()?;
-        let followers = r.u32()?;
-        let user_lang = r.str()?;
-        let lang = r.str()?;
+fn as_str(s: &[u8]) -> Result<&str, ReplayError> {
+    std::str::from_utf8(s).map_err(|_| ReplayError::BadUtf8)
+}
 
-        let user = match authors.get(&user_id) {
+/// One record as it lies in the log, its strings still bytes.
+struct Raw<'a> {
+    id: u64,
+    created_at: i64,
+    text: &'a [u8],
+    user_id: u64,
+    screen_name: &'a [u8],
+    location: &'a [u8],
+    followers: u32,
+    user_lang: &'a [u8],
+    lang: &'a [u8],
+    coordinates: Option<(f64, f64)>,
+    retweet_of: Option<u64>,
+    truth_polarity: Option<TruthPolarity>,
+    truth_burst: Option<u32>,
+}
+
+impl<'a> Raw<'a> {
+    /// Read one record field by field, in the order of the format. With
+    /// `utf8`, each string is checked as it is read, so the error is the
+    /// first one a forward decoder meets.
+    fn parse(r: &mut Reader<'a>, utf8: bool) -> Result<Raw<'a>, ReplayError> {
+        // Fields are evaluated in the order they are written.
+        Ok(Raw {
+            id: r.u64()?,
+            created_at: r.i64()?,
+            text: r.str(utf8)?,
+            user_id: r.u64()?,
+            screen_name: r.str(utf8)?,
+            location: r.str(utf8)?,
+            followers: r.u32()?,
+            user_lang: r.str(utf8)?,
+            lang: r.str(utf8)?,
+            coordinates: if r.u8()? == 1 {
+                Some((r.f64()?, r.f64()?))
+            } else {
+                None
+            },
+            retweet_of: if r.u8()? == 1 { Some(r.u64()?) } else { None },
+            truth_polarity: match r.u8()? {
+                1 => Some(TruthPolarity::Positive),
+                2 => Some(TruthPolarity::Negative),
+                3 => Some(TruthPolarity::Neutral),
+                _ => None,
+            },
+            truth_burst: if r.u8()? == 1 { Some(r.u32()?) } else { None },
+        })
+    }
+
+    /// The tweet, its author shared through `authors` when every
+    /// profile field matches. A string that equals one already checked
+    /// is valid UTF-8, so only the others are checked here.
+    fn build(self, authors: &mut HashMap<UserId, Arc<User>>) -> Result<Tweet, ReplayError> {
+        let user = match authors.get(&self.user_id) {
             Some(u)
-                if &*u.screen_name == screen_name
-                    && &*u.location == location
-                    && u.followers == followers
-                    && &*u.lang == user_lang =>
+                if u.screen_name.as_bytes() == self.screen_name
+                    && u.location.as_bytes() == self.location
+                    && u.followers == self.followers
+                    && u.lang.as_bytes() == self.user_lang =>
             {
                 Arc::clone(u)
             }
             _ => {
                 let fresh = Arc::new(User {
-                    id: user_id,
-                    screen_name: screen_name.into(),
-                    location: location.into(),
-                    followers,
-                    lang: user_lang.into(),
+                    id: self.user_id,
+                    screen_name: as_str(self.screen_name)?.into(),
+                    location: as_str(self.location)?.into(),
+                    followers: self.followers,
+                    lang: as_str(self.user_lang)?.into(),
                 });
-                authors.insert(user_id, Arc::clone(&fresh));
+                authors.insert(self.user_id, Arc::clone(&fresh));
                 fresh
             }
         };
-        let lang = if lang == &*user.lang {
+        let lang = if self.lang == user.lang.as_bytes() {
             Arc::clone(&user.lang)
         } else {
-            Arc::from(lang)
+            Arc::from(as_str(self.lang)?)
         };
-        let mut tweet = TweetBuilder::new(id, text)
+        let mut tweet = TweetBuilder::new(self.id, as_str(self.text)?)
             .user(user)
-            .at(created_at)
+            .at(Timestamp::from_millis(self.created_at))
             .lang(lang);
-
-        if r.u8()? == 1 {
-            tweet = tweet.coordinates(r.f64()?, r.f64()?);
+        if let Some((lat, lon)) = self.coordinates {
+            tweet = tweet.coordinates(lat, lon);
         }
-        if r.u8()? == 1 {
-            tweet = tweet.retweet_of(r.u64()?);
+        if let Some(id) = self.retweet_of {
+            tweet = tweet.retweet_of(id);
         }
-        tweet = match r.u8()? {
-            1 => tweet.truth_polarity(TruthPolarity::Positive),
-            2 => tweet.truth_polarity(TruthPolarity::Negative),
-            3 => tweet.truth_polarity(TruthPolarity::Neutral),
-            _ => tweet,
-        };
-        if r.u8()? == 1 {
-            tweet = tweet.truth_burst(r.u32()? as usize);
+        if let Some(p) = self.truth_polarity {
+            tweet = tweet.truth_polarity(p);
         }
-        out.push(tweet.build());
+        if let Some(b) = self.truth_burst {
+            tweet = tweet.truth_burst(b as usize);
+        }
+        Ok(tweet.build())
     }
+}
+
+/// Where a forward walk found the records.
+struct Layout {
+    /// The record count the header claims, every record present.
+    count: usize,
+    /// Where each run of about a chunk of records starts: its byte
+    /// offset and the index of its first record.
+    runs: Vec<(usize, usize)>,
+    /// The byte offset just past the last record.
+    end: usize,
+}
+
+/// Walk the header and every record forward, starting a new run once
+/// the current one holds `chunk` bytes.
+fn walk(raw: &[u8], chunk: usize, utf8: bool) -> Result<Layout, ReplayError> {
+    let mut r = Reader { rest: raw };
+    if raw.len() < 12 || r.u32()? != MAGIC {
+        return Err(ReplayError::BadHeader);
+    }
+    // The count is untrusted: a count the bytes cannot back ends in
+    // `Truncated` before anything is reserved for it.
+    let count = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+    let mut runs: Vec<(usize, usize)> = Vec::new();
+    for i in 0..count {
+        let at = raw.len() - r.rest.len();
+        if runs.last().is_none_or(|&(start, _)| at - start >= chunk) {
+            runs.push((at, i));
+        }
+        Raw::parse(&mut r, utf8)?;
+    }
+    Ok(Layout {
+        count,
+        runs,
+        end: raw.len() - r.rest.len(),
+    })
+}
+
+/// Decode a tweet log, giving the input back as it goes.
+///
+/// Pass 1 walks the log forward with every bounds check but no UTF-8
+/// check, and marks where each 256 KiB run of records starts. When it
+/// fails, a second forward walk that also checks UTF-8 finds the first
+/// error, so a log answers what a one-pass decoder would. Pass 2 builds
+/// the runs from the last to the first, and after each one truncates
+/// the input to the runs not yet built and shrinks it: raw and decoded
+/// log are alive together for one run, not the whole log. Once pass 1
+/// has succeeded, pass 2 can only fail on UTF-8, as a forward decoder
+/// would.
+///
+/// A tweet costs one allocation, its text, plus its box of rare fields
+/// when one of them is present (see [`Tweet`]). Authors are shared: the
+/// first tweet built for a `user_id` allocates the [`User`], later ones
+/// clone the `Arc` — but only after comparing every profile field, so
+/// an author whose followers, location or language change mid-log gets
+/// a fresh `User` for the tweets that differ. A tweet's `lang` is its
+/// author's allocation when the two are equal, as [`crate::generate`]
+/// builds it, and is then not stored in the row at all.
+pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
+    decode_log_chunked(buf, CHUNK_BYTES)
+}
+
+/// [`decode_log`] with runs of `chunk` bytes.
+fn decode_log_chunked(buf: Bytes, chunk: usize) -> Result<Vec<Tweet>, ReplayError> {
+    let mut raw = Vec::from(buf);
+    let layout = match walk(&raw, chunk, false) {
+        Ok(layout) => layout,
+        // The checking walk meets the same error, or a string that is
+        // not UTF-8 before it.
+        Err(e) => return Err(walk(&raw, chunk, true).err().unwrap_or(e)),
+    };
+    let mut out = Vec::new();
+    let mut authors: HashMap<UserId, Arc<User>> = HashMap::new();
+    let (mut end, mut next) = (layout.end, layout.count);
+    for &(start, first) in layout.runs.iter().rev() {
+        // Grown a run at a time, so the rows reserved never run ahead
+        // of the input given back.
+        out.reserve_exact(next - first);
+        let built = out.len();
+        let mut r = Reader {
+            rest: &raw[start..end],
+        };
+        for _ in first..next {
+            out.push(Raw::parse(&mut r, false)?.build(&mut authors)?);
+        }
+        out[built..].reverse();
+        raw.truncate(start);
+        raw.shrink_to_fit();
+        (end, next) = (start, first);
+    }
+    out.reverse();
     Ok(out)
 }
 
@@ -420,21 +539,6 @@ mod tests {
         assert_eq!(decode_log(Bytes::from(raw)), Err(ReplayError::Truncated));
     }
 
-    #[test]
-    fn the_smallest_record_is_min_record_bytes() {
-        let smallest = TweetBuilder::new(0, "")
-            .user(User {
-                id: 0,
-                screen_name: "".into(),
-                location: "".into(),
-                followers: 0,
-                lang: "".into(),
-            })
-            .lang("")
-            .build();
-        assert_eq!(encode_log(&[smallest]).len(), 12 + MIN_RECORD_BYTES);
-    }
-
     /// The profiles the differential logs draw authors from: id 1 under
     /// four profiles that differ in one field each, ids 2 and 3 with
     /// one profile between them (and an empty location), id 4 in
@@ -497,13 +601,83 @@ mod tests {
             .collect()
     }
 
-    /// New against old on the same bytes: equal tweets or equal error,
-    /// and equal bytes once encoded again.
+    /// The run sizes the differential tests decode at: one record a
+    /// run, a few records a run, and the default, which holds every log
+    /// these tests write in one run.
+    const CHUNKS: [usize; 3] = [1, 64, CHUNK_BYTES];
+
+    /// New at every run size against old on the same bytes: equal
+    /// tweets or equal error, and equal bytes once encoded again.
     fn assert_decoders_agree(raw: &Bytes) {
-        let new = decode_log(raw.clone());
         let old = oracle::decode_log(raw.clone());
-        assert_eq!(new, old);
-        assert_eq!(new.map(|t| encode_log(&t)), old.map(|t| encode_log(&t)));
+        for chunk in CHUNKS {
+            let new = decode_log_chunked(raw.clone(), chunk);
+            assert_eq!(new, old, "runs of {chunk} bytes");
+            assert_eq!(
+                new.map(|t| encode_log(&t)),
+                old.clone().map(|t| encode_log(&t)),
+                "runs of {chunk} bytes"
+            );
+        }
+    }
+
+    /// The oracle's answer and each run size's, encoded again: a
+    /// corrupted coordinate may be a NaN, which is not equal to itself.
+    fn encoded_answers(
+        raw: &Bytes,
+    ) -> (Result<Bytes, ReplayError>, Vec<Result<Bytes, ReplayError>>) {
+        let old = oracle::decode_log(raw.clone()).map(|t| encode_log(&t));
+        let new = CHUNKS
+            .iter()
+            .map(|&chunk| decode_log_chunked(raw.clone(), chunk).map(|t| encode_log(&t)))
+            .collect();
+        (old, new)
+    }
+
+    /// The first byte of record `i`'s text in `log`'s encoding: past
+    /// the records before it, its id, time and the text's length prefix.
+    fn text_offset(log: &[Tweet], i: usize) -> usize {
+        encode_log(&log[..i]).len() + 20
+    }
+
+    #[test]
+    fn bad_utf8_before_a_truncated_record_is_bad_utf8_at_every_run_size() {
+        let log = profile_log(&[(0, 0), (6, 0b01_0110), (4, 0), (2, 1)]);
+        let mut raw = encode_log(&log).to_vec();
+        raw[text_offset(&log, 0)] = 0xFF;
+        raw.truncate(raw.len() - 3);
+        let raw = Bytes::from(raw);
+        for chunk in CHUNKS {
+            assert_eq!(
+                decode_log_chunked(raw.clone(), chunk),
+                Err(ReplayError::BadUtf8),
+                "runs of {chunk} bytes"
+            );
+        }
+        assert_decoders_agree(&raw);
+    }
+
+    #[test]
+    fn bad_utf8_in_the_last_run_only_is_bad_utf8() {
+        let rows: Vec<(u8, u8)> = (0..12u8).map(|k| (k % 7, k)).collect();
+        let log = profile_log(&rows);
+        let raw = encode_log(&log).to_vec();
+        // The last record's text, and then its author's screen name,
+        // past the text, the user id and the name's length prefix.
+        let text = text_offset(&log, 11);
+        for at in [text, text + log[11].text.len() + 12] {
+            let mut bad = raw.clone();
+            bad[at] = 0xC0;
+            let bad = Bytes::from(bad);
+            for chunk in CHUNKS {
+                assert_eq!(
+                    decode_log_chunked(bad.clone(), chunk),
+                    Err(ReplayError::BadUtf8),
+                    "byte {at}, runs of {chunk} bytes"
+                );
+            }
+            assert_decoders_agree(&bad);
+        }
     }
 
     #[test]
@@ -687,12 +861,61 @@ mod tests {
             let mut raw = encode_log(&profile_log(&rows)).to_vec();
             let at = 12 + at % (raw.len() - 12);
             raw[at] = byte;
-            let raw = Bytes::from(raw);
-            // Compared encoded: a corrupted coordinate may be a NaN.
-            prop_assert_eq!(
-                decode_log(raw.clone()).map(|t| encode_log(&t)),
-                oracle::decode_log(raw).map(|t| encode_log(&t))
-            );
+            let (old, new) = encoded_answers(&Bytes::from(raw));
+            prop_assert_eq!(new, vec![old; CHUNKS.len()]);
+        }
+
+        /// A valid header and then anything at all, written field by
+        /// field in the format's order so that records parse deep
+        /// before they break. A field is a string of one repeated byte
+        /// up to 7 long (not UTF-8 one time in 32), a flag of 0 or 1
+        /// with its payload, a polarity code up to 4, or fixed-width
+        /// bytes; one token in 16 is instead one arbitrary byte, which
+        /// shifts every field after it. (The count is at most 64:
+        /// the oracle reserves for it unchecked.)
+        #[test]
+        fn decoder_equals_the_oracle_on_hostile_bytes(
+            count in 0u64..=64,
+            tokens in collection::vec((0u8..16, 0u8..=255, 0u8..=255), 0..512),
+        ) {
+            let mut raw = header_only(count).to_vec();
+            let mut field = 0;
+            for (kind, a, b) in tokens {
+                if kind == 15 {
+                    raw.push(a);
+                    continue;
+                }
+                match field {
+                    // id, created_at, user_id
+                    0 | 1 | 3 => raw.extend([a; 8]),
+                    // text, screen_name, location, user lang, lang
+                    2 | 4 | 5 | 7 | 8 => {
+                        raw.extend(u32::from(a % 8).to_le_bytes());
+                        let byte = if b < 0xF8 { b & 0x7F } else { b };
+                        raw.extend(std::iter::repeat_n(byte, usize::from(a % 8)));
+                    }
+                    // followers
+                    6 => raw.extend([a; 4]),
+                    // coordinates, retweet_of, truth_burst: a flag
+                    // and, when it is set, the payload
+                    9 | 10 | 12 => {
+                        raw.push(a & 1);
+                        let payload = match field {
+                            9 => 16,
+                            10 => 8,
+                            _ => 4,
+                        };
+                        if a & 1 == 1 {
+                            raw.extend(std::iter::repeat_n(b, payload));
+                        }
+                    }
+                    // truth_polarity
+                    _ => raw.push(a % 5),
+                }
+                field = (field + 1) % 13;
+            }
+            let (old, new) = encoded_answers(&Bytes::from(raw));
+            prop_assert_eq!(new, vec![old; CHUNKS.len()]);
         }
     }
 }
