@@ -6,8 +6,10 @@
 //! the Popular Links panel is dominated by the scripted goal URLs, and
 //! the sentiment pie leans positive (a 3-0 home win).
 
-use tweeql_firehose::{generate, scenarios};
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::VirtualClock;
 use twitinfo::event::EventSpec;
+use twitinfo::logger::event_tweets;
 use twitinfo::store::{analyze, AnalysisConfig, EventAnalysis};
 
 /// The measurable outcomes of the Figure-1 reproduction.
@@ -34,7 +36,7 @@ pub struct E1Result {
 /// Run E1.
 pub fn run(seed: u64) -> E1Result {
     let scenario = scenarios::soccer_match();
-    let tweets = generate(&scenario, seed);
+    let api = StreamingApi::new(generate(&scenario, seed), VirtualClock::new());
     let spec = EventSpec::new(
         "Soccer: Manchester City vs. Liverpool",
         &[
@@ -46,6 +48,7 @@ pub fn run(seed: u64) -> E1Result {
         ],
     );
     let config = AnalysisConfig::default();
+    let tweets = event_tweets(&api, &spec).expect("the event query runs");
     let analysis = analyze(&spec, &tweets, &config);
 
     let bin_ms = config.bin.millis();

@@ -3,9 +3,10 @@
 //! of all three canned scenarios, with a τ (threshold) sweep as the
 //! ablation for the design choice.
 
-use tweeql_firehose::{generate, scenarios, Scenario};
-use tweeql_model::Duration;
+use tweeql_firehose::{generate, scenarios, Scenario, StreamingApi};
+use tweeql_model::{Duration, VirtualClock};
 use twitinfo::event::EventSpec;
+use twitinfo::logger::event_tweets;
 use twitinfo::peaks::{score_against_truth, PeakDetector, PeakDetectorConfig, PeakScore};
 use twitinfo::timeline::Timeline;
 
@@ -45,15 +46,9 @@ pub fn event_timeline(
     slug: &str,
     seed: u64,
 ) -> (Timeline, Vec<(usize, usize)>) {
-    let tweets = generate(scenario, seed);
-    let spec = spec_for(slug);
-    let matcher = spec.matcher();
+    let api = StreamingApi::new(generate(scenario, seed), VirtualClock::new());
+    let matched = event_tweets(&api, &spec_for(slug)).expect("the event query runs");
     let bin = Duration::from_mins(1);
-    let matched: Vec<_> = tweets
-        .iter()
-        .filter(|t| spec.matches(t, &matcher))
-        .cloned()
-        .collect();
     let timeline = Timeline::from_tweets(&matched, bin);
     let truth = scenario
         .bursts

@@ -16,9 +16,7 @@ use crate::exec::supervise::{RetryPolicy, SourceFaultStats};
 use crate::exec::{OpStats, Pipeline};
 use crate::plan::{prepare, PlanConfig, PlannedQuery};
 use crate::selectivity::{choose_filter, PushdownDecision};
-use crate::udf::{
-    AsyncFactory, Registry, ScalarUdf, ServiceConfig, SharedGeoService, StatefulFactory,
-};
+use crate::udf::{Registry, ServiceConfig, SharedGeoService};
 use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::fault::FaultPlan;
@@ -382,35 +380,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Register a scalar UDF on top of the standard registry.
-    pub fn register_udf(mut self, udf: Arc<dyn ScalarUdf>) -> Self {
-        self.registry_fns
-            .push(Box::new(move |r| r.register_scalar(Arc::clone(&udf))));
-        self
-    }
-
-    /// Register a stateful UDF factory.
-    pub fn register_stateful(mut self, name: &str, factory: StatefulFactory) -> Self {
-        let name = name.to_string();
-        self.registry_fns.push(Box::new(move |r| {
-            r.register_stateful(&name, Arc::clone(&factory))
-        }));
-        self
-    }
-
-    /// Register an async (web-service) UDF factory.
-    pub fn register_async(mut self, name: &str, factory: AsyncFactory) -> Self {
-        let name = name.to_string();
-        self.registry_fns.push(Box::new(move |r| {
-            r.register_async(&name, Arc::clone(&factory))
-        }));
-        self
-    }
-
-    /// Escape hatch: arbitrary registry setup (e.g. a whole UDF pack
-    /// like TwitInfo's `udfs::register`). The closure may run more than
-    /// once: the standing-query host applies it to every registered
-    /// query's private registry.
+    /// Registry setup: scalar, stateful and async UDFs, or a whole UDF
+    /// pack like TwitInfo's `udfs::register`. The closure may run more
+    /// than once: the standing-query host applies it to every
+    /// registered query's private registry.
     pub fn configure_registry(mut self, f: impl Fn(&mut Registry) + Send + 'static) -> Self {
         self.registry_fns.push(Box::new(f));
         self

@@ -171,6 +171,7 @@ pub fn render(analysis: &EventAnalysis, opts: &DashboardOptions) -> String {
 mod tests {
     use super::*;
     use crate::event::EventSpec;
+    use crate::logger::event_tweets;
     use crate::store::{analyze, AnalysisConfig};
     use tweeql_model::{Duration, Timestamp};
 
@@ -179,15 +180,16 @@ mod tests {
         s.duration = Duration::from_mins(45);
         s.bursts.retain(|b| b.end() <= Timestamp::ZERO + s.duration);
         s.population_size = 500;
-        let tweets = tweeql_firehose::generate(&s, 4);
-        analyze(
-            &EventSpec::new(
-                "Soccer: Manchester City vs. Liverpool",
-                &["soccer", "football", "manchester", "liverpool"],
-            ),
-            &tweets,
-            &AnalysisConfig::default(),
-        )
+        let api = tweeql_firehose::StreamingApi::new(
+            tweeql_firehose::generate(&s, 4),
+            tweeql_model::VirtualClock::new(),
+        );
+        let spec = EventSpec::new(
+            "Soccer: Manchester City vs. Liverpool",
+            &["soccer", "football", "manchester", "liverpool"],
+        );
+        let tweets = event_tweets(&api, &spec).unwrap();
+        analyze(&spec, &tweets, &AnalysisConfig::default())
     }
 
     #[test]

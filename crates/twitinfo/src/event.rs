@@ -4,8 +4,7 @@
 //! query ... Users give the event a human-readable name ... as well as
 //! an optional time window."
 
-use tweeql_model::{Timestamp, Tweet};
-use tweeql_text::ac::AhoCorasick;
+use tweeql_model::Timestamp;
 
 /// A user-defined event to track.
 #[derive(Debug, Clone)]
@@ -34,23 +33,9 @@ impl EventSpec {
         self
     }
 
-    /// Compile the keyword matcher (one automaton pass per tweet).
-    pub fn matcher(&self) -> AhoCorasick {
-        AhoCorasick::new(&self.keywords)
-    }
-
-    /// Does this tweet belong to the event (keyword + window)?
-    pub fn matches(&self, tweet: &Tweet, matcher: &AhoCorasick) -> bool {
-        if let Some((s, e)) = self.window {
-            if tweet.created_at < s || tweet.created_at > e {
-                return false;
-            }
-        }
-        matcher.is_match(&tweet.text)
-    }
-
-    /// The equivalent TweeQL WHERE clause — TwitInfo "begins logging
-    /// tweets matching the query" through the stream processor.
+    /// The event's TweeQL WHERE clause — TwitInfo "begins logging
+    /// tweets matching the query" through the stream processor
+    /// ([`crate::logger::event_tweets`]).
     pub fn tweeql_predicate(&self) -> String {
         self.keywords
             .iter()
@@ -63,32 +48,6 @@ impl EventSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tweeql_model::TweetBuilder;
-
-    #[test]
-    fn keyword_matching() {
-        let spec = EventSpec::new("soccer", &["soccer", "MANCHESTER"]);
-        let m = spec.matcher();
-        let yes = TweetBuilder::new(1, "watching Manchester tonight").build();
-        let no = TweetBuilder::new(2, "eating lunch").build();
-        assert!(spec.matches(&yes, &m));
-        assert!(!spec.matches(&no, &m));
-    }
-
-    #[test]
-    fn window_restricts() {
-        let spec = EventSpec::new("e", &["goal"])
-            .with_window(Timestamp::from_mins(10), Timestamp::from_mins(20));
-        let m = spec.matcher();
-        let inside = TweetBuilder::new(1, "goal")
-            .at(Timestamp::from_mins(15))
-            .build();
-        let before = TweetBuilder::new(2, "goal")
-            .at(Timestamp::from_mins(5))
-            .build();
-        assert!(spec.matches(&inside, &m));
-        assert!(!spec.matches(&before, &m));
-    }
 
     #[test]
     fn tweeql_predicate_renders_or_chain() {

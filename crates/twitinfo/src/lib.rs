@@ -15,9 +15,10 @@
 //!
 //! ```
 //! use twitinfo::event::EventSpec;
+//! use twitinfo::logger::event_tweets;
 //! use twitinfo::store::analyze;
-//! use tweeql_firehose::{scenarios, generate};
-//! use tweeql_model::Timestamp;
+//! use tweeql_firehose::{scenarios, generate, StreamingApi};
+//! use tweeql_model::{Timestamp, VirtualClock};
 //!
 //! let mut scenario = scenarios::soccer_match();
 //! scenario.duration = tweeql_model::Duration::from_mins(45);
@@ -25,11 +26,12 @@
 //!     .bursts
 //!     .retain(|b| b.end() <= Timestamp::ZERO + scenario.duration);
 //! scenario.population_size = 500;
-//! let tweets = generate(&scenario, 7);
+//! let api = StreamingApi::new(generate(&scenario, 7), VirtualClock::new());
 //! let spec = EventSpec::new(
 //!     "Soccer: Manchester City vs. Liverpool",
 //!     &["soccer", "football", "manchester", "liverpool"],
 //! );
+//! let tweets = event_tweets(&api, &spec).unwrap();
 //! let analysis = analyze(&spec, &tweets, &Default::default());
 //! assert!(!analysis.timeline.bins.is_empty());
 //! ```
@@ -50,6 +52,7 @@ pub mod timeline;
 pub mod udfs;
 
 pub use event::EventSpec;
+pub use logger::event_tweets;
 pub use peaks::{Peak, PeakDetector, PeakDetectorConfig};
 pub use store::{analyze, AnalysisConfig, EventAnalysis, EventStore};
 pub use timeline::Timeline;

@@ -1,20 +1,27 @@
 //! Real-time event monitoring (§3.2: "Once users have created an event,
 //! they can monitor the event in realtime").
 //!
-//! [`LiveEvent`] is the incremental counterpart of
-//! [`crate::store::analyze`]: it consumes matched tweets one at a time,
-//! maintains the timeline bins, the *streaming* peak detector, running
-//! sentiment counts and link tallies, and can snapshot the dashboard
-//! panels at any stream time — O(1) amortized per tweet, no re-scan.
+//! [`LiveEvent`] registers the event's TweeQL query on a standing-query
+//! host, pumps the stream forward on request and bins the query's rows
+//! into the *streaming* peak detector. Peak labels, sentiment and links
+//! come from the batch analysis' own code over the tweets matched so far.
 
 use crate::event::EventSpec;
-use crate::peaks::{Peak, PeakDetector, PeakDetectorConfig};
+use crate::keyterms::{background_df, peak_terms};
+use crate::links::{popular_links, PopularLink};
+use crate::logger::{event_query, row_tweet};
+use crate::peaks::{Peak, PeakDetector};
+use crate::sentiment_agg::summarize;
+use crate::store::AnalysisConfig;
 use crate::timeline::Timeline;
-use std::collections::HashMap;
-use tweeql_model::{Duration, Timestamp, Tweet};
-use tweeql_text::ac::AhoCorasick;
-use tweeql_text::sentiment::{Polarity, SentimentClassifier};
-use tweeql_text::tfidf::{DocumentFrequency, KeyTerm};
+use std::sync::Arc;
+use tweeql::engine::Engine;
+use tweeql::error::QueryError;
+use tweeql::{QueryHost, QueryId};
+use tweeql_firehose::StreamingApi;
+use tweeql_model::{Timestamp, Tweet};
+use tweeql_text::sentiment::RecallStats;
+use tweeql_text::tfidf::KeyTerm;
 
 /// A peak finalized during live monitoring, with its labels.
 #[derive(Debug, Clone)]
@@ -30,172 +37,166 @@ pub struct LivePeak {
 /// Incremental event monitor.
 pub struct LiveEvent {
     spec: EventSpec,
-    matcher: AhoCorasick,
-    classifier: Box<dyn SentimentClassifier>,
-    bin: Duration,
+    config: AnalysisConfig,
+    host: QueryHost,
+    /// The event query; `None` for an event without keywords.
+    query: Option<QueryId>,
+    log: Arc<Vec<Tweet>>,
+    /// Tweets matched so far, in stream order.
+    matched: Vec<Tweet>,
     /// Completed-bin counts (the live timeline).
     bins: Vec<u64>,
     /// Tweets of the in-progress bin.
-    current_bin: usize,
-    current_count: u64,
+    open: u64,
     detector: PeakDetector,
-    /// Background DF for key-term scoring, updated online.
-    df: DocumentFrequency,
-    /// Recent tweets kept for peak labeling (ring of the last N).
-    recent: Vec<Tweet>,
-    recent_cap: usize,
-    /// Running totals.
-    pub matched: u64,
-    positive: u64,
-    negative: u64,
-    neutral: u64,
-    link_counts: HashMap<String, u64>,
     /// Peaks finalized so far.
     pub peaks: Vec<LivePeak>,
 }
 
 impl LiveEvent {
-    /// Start monitoring with per-minute bins and the given classifier.
+    /// Start monitoring `spec` on a standing-query host over `api`,
+    /// with the bin width, detector, term count and classifier of
+    /// `config`.
     pub fn new(
+        api: &StreamingApi,
         spec: EventSpec,
-        classifier: Box<dyn SentimentClassifier>,
-        config: PeakDetectorConfig,
-    ) -> LiveEvent {
-        let matcher = spec.matcher();
-        LiveEvent {
+        config: AnalysisConfig,
+    ) -> Result<LiveEvent, QueryError> {
+        let mut host = Engine::builder(api.clone()).build_host();
+        let query = event_query(&spec)
+            .map(|sql| host.register(&sql))
+            .transpose()?;
+        Ok(LiveEvent {
             spec,
-            matcher,
-            classifier,
-            bin: Duration::from_mins(1),
+            detector: PeakDetector::new(config.peaks),
+            config,
+            host,
+            query,
+            log: Arc::clone(api.log()),
+            matched: Vec::new(),
             bins: Vec::new(),
-            current_bin: 0,
-            current_count: 0,
-            detector: PeakDetector::new(config),
-            df: DocumentFrequency::new(),
-            recent: Vec::new(),
-            recent_cap: 4000,
-            matched: 0,
-            positive: 0,
-            negative: 0,
-            neutral: 0,
-            link_counts: HashMap::new(),
+            open: 0,
             peaks: Vec::new(),
-        }
-    }
-
-    /// Bin width accessor.
-    pub fn bin(&self) -> Duration {
-        self.bin
-    }
-
-    /// Feed the next firehose tweet (any tweet — non-matching ones are
-    /// ignored). Returns a finalized peak if one closed on this bin.
-    pub fn push(&mut self, tweet: &Tweet) -> Option<LivePeak> {
-        // Advance bins up to the tweet's bin, feeding the detector one
-        // completed bin at a time.
-        let tweet_bin = (tweet.created_at.millis().max(0) / self.bin.millis()) as usize;
-        let mut flagged = None;
-        while self.current_bin < tweet_bin {
-            if let Some(p) = self.close_bin() {
-                flagged = Some(p);
-            }
-        }
-        if !self.spec.matches(tweet, &self.matcher) {
-            return flagged;
-        }
-        self.matched += 1;
-        self.current_count += 1;
-        match self.classifier.classify(&tweet.text) {
-            Polarity::Positive => self.positive += 1,
-            Polarity::Negative => self.negative += 1,
-            Polarity::Neutral => self.neutral += 1,
-        }
-        for u in tweet.entities().urls {
-            *self.link_counts.entry(u.url).or_insert(0) += 1;
-        }
-        self.df.add_document(&tweet.text);
-        if self.recent.len() == self.recent_cap {
-            self.recent.remove(0);
-        }
-        self.recent.push(tweet.clone());
-        flagged
-    }
-
-    fn close_bin(&mut self) -> Option<LivePeak> {
-        let count = self.current_count;
-        self.bins.push(count);
-        self.current_count = 0;
-        self.current_bin += 1;
-        self.detector.push(count).map(|peak| {
-            let live = self.annotate(peak);
-            self.peaks.push(live.clone());
-            live
         })
     }
 
-    fn annotate(&self, peak: Peak) -> LivePeak {
-        let timeline = self.timeline();
-        let (start, end) = peak.window(&timeline);
-        let docs = self
-            .recent
-            .iter()
-            .filter(|t| t.created_at >= start && t.created_at < end)
-            .map(|t| &*t.text);
-        let terms = tweeql_text::tfidf::top_terms(docs, &self.df, 4, &self.spec.keywords);
-        LivePeak {
-            peak,
-            terms,
-            flagged_at: Timestamp::from_millis(self.current_bin as i64 * self.bin.millis()),
+    /// Tweets matched so far, in stream order.
+    pub fn matched(&self) -> &[Tweet] {
+        &self.matched
+    }
+
+    /// Pump the stream through `until` (inclusive) and take the event
+    /// query's rows. Returns the peaks flagged on the way.
+    pub fn advance_to(&mut self, until: Timestamp) -> Result<Vec<LivePeak>, QueryError> {
+        let flagged = self.peaks.len();
+        self.host.pump_until(until)?;
+        self.take_rows()?;
+        Ok(self.peaks[flagged..].to_vec())
+    }
+
+    /// End of stream: run the host to the end, then close the
+    /// in-progress bin and any open peak. Returns the peaks flagged on
+    /// the way.
+    pub fn finish(&mut self) -> Result<Vec<LivePeak>, QueryError> {
+        let flagged = self.peaks.len();
+        self.host.run_to_end()?;
+        self.take_rows()?;
+        self.close_bin();
+        if let Some(peak) = self.detector.finish() {
+            self.flag(peak);
+        }
+        Ok(self.peaks[flagged..].to_vec())
+    }
+
+    /// Count the query's new rows, closing bins as stream time passes
+    /// them: up to each row's bin before counting it, and last up to
+    /// the bin the host has reached.
+    fn take_rows(&mut self) -> Result<(), QueryError> {
+        if let Some(id) = self.query {
+            for row in self.host.take_output(id)? {
+                let Some(tweet) = row_tweet(&self.log, &self.spec, &row).cloned() else {
+                    continue;
+                };
+                self.close_bins_before(tweet.created_at);
+                self.open += 1;
+                self.matched.push(tweet);
+            }
+        }
+        self.close_bins_before(self.host.position());
+        Ok(())
+    }
+
+    /// Close every bin that ends at or before `at`'s bin.
+    fn close_bins_before(&mut self, at: Timestamp) {
+        let bin = (at.millis().max(0) / self.config.bin.millis()) as usize;
+        while self.bins.len() < bin {
+            self.close_bin();
         }
     }
 
-    /// End of stream: close the in-progress bin and any open peak.
-    pub fn finish(&mut self) -> Option<LivePeak> {
-        let mut last = self.close_bin();
-        if let Some(peak) = self.detector.finish() {
-            let live = self.annotate(peak);
-            self.peaks.push(live.clone());
-            last = Some(live);
+    fn close_bin(&mut self) {
+        let count = std::mem::take(&mut self.open);
+        self.bins.push(count);
+        if let Some(peak) = self.detector.push(count) {
+            self.flag(peak);
         }
-        last
+    }
+
+    /// Label a peak by the key terms of the tweets matched so far.
+    fn flag(&mut self, peak: Peak) {
+        let timeline = self.timeline();
+        let df = background_df(&self.matched);
+        let terms = peak_terms(
+            &peak,
+            &timeline,
+            &self.matched,
+            &df,
+            &self.spec,
+            self.config.terms_per_peak,
+        );
+        self.peaks.push(LivePeak {
+            peak,
+            terms,
+            flagged_at: timeline.bin_start(self.bins.len()),
+        });
     }
 
     /// Snapshot of the timeline so far (completed bins only).
     pub fn timeline(&self) -> Timeline {
         Timeline {
             start: Timestamp::ZERO,
-            bin: self.bin,
+            bin: self.config.bin,
             bins: self.bins.clone(),
         }
     }
 
     /// Recall-less sentiment counts so far: (positive, negative, neutral).
     pub fn sentiment_counts(&self) -> (u64, u64, u64) {
-        (self.positive, self.negative, self.neutral)
+        let classifier = self.config.classifier.as_ref();
+        let uncorrected = RecallStats::measure(classifier, []);
+        let s = summarize(
+            &self.matched,
+            Timestamp::ZERO,
+            Timestamp::MAX,
+            classifier,
+            uncorrected,
+        );
+        (s.positive, s.negative, s.neutral)
     }
 
     /// Top `k` links so far.
-    pub fn top_links(&self, k: usize) -> Vec<(String, u64)> {
-        let mut v: Vec<(String, u64)> = self
-            .link_counts
-            .iter()
-            .map(|(u, c)| (u.clone(), *c))
-            .collect();
-        v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        v.truncate(k);
-        v
+    pub fn top_links(&self, k: usize) -> Vec<PopularLink> {
+        popular_links(&self.matched, Timestamp::ZERO, Timestamp::MAX, k)
     }
 
     /// One-line live status (what a ticker UI would show).
     pub fn status_line(&self) -> String {
+        let (pos, neg, neu) = self.sentiment_counts();
         format!(
-            "[{}] {} tweets | {} peaks | +{} −{} ·{}",
-            Timestamp::from_millis(self.current_bin as i64 * self.bin.millis()),
-            self.matched,
+            "[{}] {} tweets | {} peaks | +{pos} −{neg} ·{neu}",
+            self.timeline().bin_start(self.bins.len()),
+            self.matched.len(),
             self.peaks.len(),
-            self.positive,
-            self.negative,
-            self.neutral
         )
     }
 }
@@ -203,14 +204,20 @@ impl LiveEvent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{analyze, AnalysisConfig};
+    use crate::logger::event_tweets;
+    use crate::store::analyze;
     use tweeql_firehose::{generate, scenarios};
-    use tweeql_text::sentiment::LexiconClassifier;
+    use tweeql_model::{Duration, VirtualClock};
 
-    fn live_over_soccer() -> (LiveEvent, Vec<Tweet>) {
-        let scenario = scenarios::soccer_match();
-        let tweets = generate(&scenario, 42);
-        let spec = EventSpec::new(
+    fn soccer_api() -> StreamingApi {
+        StreamingApi::new(
+            generate(&scenarios::soccer_match(), 42),
+            VirtualClock::new(),
+        )
+    }
+
+    fn soccer_spec() -> EventSpec {
+        EventSpec::new(
             "soccer",
             &[
                 "soccer",
@@ -219,36 +226,33 @@ mod tests {
                 "manchester",
                 "liverpool",
             ],
-        );
-        let live = LiveEvent::new(
-            spec,
-            Box::new(LexiconClassifier::new()),
-            PeakDetectorConfig::default(),
-        );
-        (live, tweets)
+        )
+    }
+
+    /// Monitor the soccer event to the end, advancing `step` at a time.
+    fn live_over_soccer(step: Duration) -> (LiveEvent, Vec<LivePeak>) {
+        let api = soccer_api();
+        let mut live = LiveEvent::new(&api, soccer_spec(), AnalysisConfig::default()).unwrap();
+        let end = api.log().last().unwrap().created_at;
+        let mut flagged = Vec::new();
+        let mut until = Timestamp::ZERO;
+        while until <= end {
+            until += step;
+            flagged.extend(live.advance_to(until).unwrap());
+        }
+        flagged.extend(live.finish().unwrap());
+        (live, flagged)
     }
 
     #[test]
     fn live_matches_batch_analysis() {
-        let (mut live, tweets) = live_over_soccer();
-        for t in &tweets {
-            live.push(t);
-        }
-        live.finish();
+        let (live, _) = live_over_soccer(Duration::from_mins(15));
+        let api = soccer_api();
+        let spec = soccer_spec();
+        let event = event_tweets(&api, &spec).unwrap();
+        let batch = analyze(&spec, &event, &AnalysisConfig::default());
 
-        let spec = EventSpec::new(
-            "soccer",
-            &[
-                "soccer",
-                "football",
-                "premierleague",
-                "manchester",
-                "liverpool",
-            ],
-        );
-        let batch = analyze(&spec, &tweets, &AnalysisConfig::default());
-
-        assert_eq!(live.matched as usize, batch.matched.len());
+        assert_eq!(live.matched(), &batch.matched[..]);
         // Same peak apexes (the detector is the same algorithm fed the
         // same bins).
         let live_apexes: Vec<usize> = live.peaks.iter().map(|p| p.peak.apex).collect();
@@ -258,37 +262,45 @@ mod tests {
         assert_eq!(live.timeline().total(), batch.timeline.total());
     }
 
-    /// Counts recorded when every tweet stored its parsed entities;
-    /// the panel now parses each matched tweet as it is pushed.
+    /// How far each call pumps does not change what the monitor sees:
+    /// bins, peaks, their labels and when they were flagged.
+    #[test]
+    fn step_size_does_not_change_the_monitor() {
+        let (one, flagged_one) = live_over_soccer(Duration::from_mins(1));
+        for mins in [15, 240] {
+            let (live, flagged) = live_over_soccer(Duration::from_mins(mins));
+            assert_eq!(live.bins, one.bins, "{mins}");
+            assert_eq!(format!("{:?}", live.peaks), format!("{:?}", one.peaks));
+            assert_eq!(format!("{flagged:?}"), format!("{flagged_one:?}"));
+        }
+        assert_eq!(one.bins.len(), 120);
+        assert_eq!(one.peaks.len(), 5);
+    }
+
+    /// Counts recorded when every tweet stored its parsed entities.
     #[test]
     fn links_panel_counts_what_stored_entities_counted() {
-        let (mut live, tweets) = live_over_soccer();
-        for t in &tweets {
-            live.push(t);
-        }
-        live.finish();
-        let want = [
-            ("http://bbc.in/mcfc-goal3", 958),
-            ("http://bbc.in/mcfc-goal2", 592),
-            ("http://bbc.in/mcfc-goal1", 565),
-            ("http://t.co/00070b", 1),
-            ("http://t.co/007ef7", 1),
-        ]
-        .map(|(url, n)| (url.to_string(), n));
-        assert_eq!(live.top_links(5), want);
+        let (live, _) = live_over_soccer(Duration::from_mins(15));
+        let link = |url: &str, count| PopularLink {
+            url: url.to_string(),
+            count,
+        };
+        assert_eq!(
+            live.top_links(5),
+            [
+                link("http://bbc.in/mcfc-goal3", 958),
+                link("http://bbc.in/mcfc-goal2", 592),
+                link("http://bbc.in/mcfc-goal1", 565),
+                link("http://t.co/00070b", 1),
+                link("http://t.co/007ef7", 1),
+            ]
+        );
     }
 
     #[test]
     fn peaks_are_flagged_incrementally_with_labels() {
-        let (mut live, tweets) = live_over_soccer();
-        let mut flagged_during_stream = 0;
-        for t in &tweets {
-            if live.push(t).is_some() {
-                flagged_during_stream += 1;
-            }
-        }
-        live.finish();
-        assert!(flagged_during_stream >= 4, "{flagged_during_stream}");
+        let (live, flagged) = live_over_soccer(Duration::from_mins(15));
+        assert!(flagged.len() >= 4, "{}", flagged.len());
         // The Tevez peak is labeled at detection time.
         let labels: Vec<String> = live
             .peaks
@@ -303,30 +315,25 @@ mod tests {
 
     #[test]
     fn running_totals_and_links() {
-        let (mut live, tweets) = live_over_soccer();
-        for t in &tweets {
-            live.push(t);
-        }
-        live.finish();
+        let (live, _) = live_over_soccer(Duration::from_mins(15));
         let (pos, neg, neu) = live.sentiment_counts();
-        assert_eq!(pos + neg + neu, live.matched);
+        assert_eq!((pos + neg + neu) as usize, live.matched().len());
         let links = live.top_links(3);
         assert_eq!(links.len(), 3);
-        assert!(links[0].1 >= links[1].1);
-        assert!(links[0].0.contains("bbc.in"));
+        assert!(links[0].count >= links[1].count);
+        assert!(links[0].url.contains("bbc.in"));
         assert!(live.status_line().contains("peaks"));
     }
 
     #[test]
     fn empty_stream_finishes_cleanly() {
-        let spec = EventSpec::new("e", &["kw"]);
-        let mut live = LiveEvent::new(
-            spec,
-            Box::new(LexiconClassifier::new()),
-            PeakDetectorConfig::default(),
-        );
-        assert!(live.finish().is_none());
-        assert_eq!(live.matched, 0);
-        assert_eq!(live.timeline().bins.len(), 1);
+        let api = StreamingApi::new(Vec::new(), VirtualClock::new());
+        for keywords in [&["kw"][..], &[]] {
+            let spec = EventSpec::new("e", keywords);
+            let mut live = LiveEvent::new(&api, spec, AnalysisConfig::default()).unwrap();
+            assert!(live.finish().unwrap().is_empty());
+            assert!(live.matched().is_empty());
+            assert_eq!(live.timeline().bins.len(), 1);
+        }
     }
 }

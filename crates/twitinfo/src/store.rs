@@ -131,16 +131,11 @@ impl EventAnalysis {
     }
 }
 
-/// Run the full TwitInfo analysis: filter → bin → detect peaks → label →
-/// rank → aggregate.
-pub fn analyze(spec: &EventSpec, firehose: &[Tweet], config: &AnalysisConfig) -> EventAnalysis {
-    let matcher = spec.matcher();
-    let matched: Vec<Tweet> = firehose
-        .iter()
-        .filter(|t| spec.matches(t, &matcher))
-        .cloned()
-        .collect();
-
+/// Run the full TwitInfo analysis over the event's tweets (what
+/// [`crate::logger::event_tweets`] selects): bin → detect peaks → label
+/// → rank → aggregate.
+pub fn analyze(spec: &EventSpec, tweets: &[Tweet], config: &AnalysisConfig) -> EventAnalysis {
+    let matched = tweets.to_vec();
     let timeline = Timeline::from_tweets(&matched, config.bin);
     let raw_peaks = PeakDetector::detect(&timeline, config.peaks);
 
@@ -234,33 +229,11 @@ impl EventStore {
         self.next_id
     }
 
-    /// Log into event `id` the tweets that match its keywords within its
-    /// window (the TweeQL logger pushes the event's query output here).
-    /// Unknown ids log nothing.
+    /// Append `tweets` to event `id`'s log (the TweeQL logger pushes
+    /// the event query's output here). Unknown ids log nothing.
     pub fn log(&mut self, id: u64, tweets: &[Tweet]) {
-        let Some((spec, log)) = self.events.get_mut(&id) else {
-            return;
-        };
-        let matcher = spec.matcher();
-        log.extend(tweets.iter().filter(|t| spec.matches(t, &matcher)).cloned());
-    }
-
-    /// Bulk-log a stream.
-    pub fn log_stream<'a>(&mut self, tweets: impl IntoIterator<Item = &'a Tweet>) {
-        // Compile each event's matcher once for the whole batch.
-        let mut compiled: Vec<(u64, tweeql_text::ac::AhoCorasick)> = self
-            .events
-            .iter()
-            .map(|(&id, (spec, _))| (id, spec.matcher()))
-            .collect();
-        compiled.sort_by_key(|(id, _)| *id);
-        for tweet in tweets {
-            for (id, matcher) in &compiled {
-                let (spec, log) = self.events.get_mut(id).expect("event exists");
-                if spec.matches(tweet, matcher) {
-                    log.push(tweet.clone());
-                }
-            }
+        if let Some((_, log)) = self.events.get_mut(&id) {
+            log.extend_from_slice(tweets);
         }
     }
 
@@ -284,14 +257,16 @@ impl EventStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tweeql_firehose::{generate, scenarios};
+    use crate::logger::{event_tweets, log_event_via_tweeql};
+    use tweeql_firehose::{generate, scenarios, StreamingApi};
+    use tweeql_model::VirtualClock;
 
-    fn soccer_tweets() -> Vec<Tweet> {
+    fn soccer_api() -> StreamingApi {
         let mut s = scenarios::soccer_match();
         s.duration = Duration::from_mins(60);
         s.bursts.retain(|b| b.end() <= Timestamp::ZERO + s.duration);
         s.population_size = 800;
-        generate(&s, 21)
+        StreamingApi::new(generate(&s, 21), VirtualClock::new())
     }
 
     fn soccer_spec() -> EventSpec {
@@ -305,6 +280,10 @@ mod tests {
                 "liverpool",
             ],
         )
+    }
+
+    fn soccer_tweets() -> Vec<Tweet> {
+        event_tweets(&soccer_api(), &soccer_spec()).unwrap()
     }
 
     #[test]
@@ -364,11 +343,13 @@ mod tests {
 
     #[test]
     fn store_create_log_analyze() {
-        let tweets = soccer_tweets();
+        let api = soccer_api();
         let mut store = EventStore::new();
         let id = store.create_event(soccer_spec());
         let other = store.create_event(EventSpec::new("quakes", &["earthquake"]));
-        store.log_stream(tweets.iter());
+        for event in [id, other] {
+            log_event_via_tweeql(&api, &mut store, event).unwrap();
+        }
         assert!(store.logged_count(id).unwrap() > 500);
         assert_eq!(store.logged_count(other), Some(0));
         assert!(store.logged_count(999).is_none());
@@ -377,15 +358,18 @@ mod tests {
         assert!(store.analyze(999, &AnalysisConfig::default()).is_none());
     }
 
+    /// The store appends what it is given: which tweets belong to the
+    /// event is the event query's decision.
     #[test]
-    fn log_keeps_the_events_matches_only() {
+    fn log_appends_to_that_event_only() {
         let mut store = EventStore::new();
         let id = store.create_event(EventSpec::new("e", &["goal"]));
         let other = store.create_event(EventSpec::new("o", &["goal", "lunch"]));
         let hit = tweeql_model::TweetBuilder::new(1, "GOAL by tevez").build();
         let miss = tweeql_model::TweetBuilder::new(2, "lunch").build();
         store.log(id, &[hit, miss]);
-        assert_eq!(store.logged_count(id), Some(1));
+        store.log(999, &[]);
+        assert_eq!(store.logged_count(id), Some(2));
         assert_eq!(store.logged_count(other), Some(0), "another event's log");
         assert_eq!(store.spec(id).unwrap().keywords, vec!["goal"]);
     }
@@ -420,11 +404,9 @@ mod tests {
 
     #[test]
     fn empty_event_analyzes_cleanly() {
-        let analysis = analyze(
-            &EventSpec::new("nothing", &["zzzznomatch"]),
-            &soccer_tweets(),
-            &AnalysisConfig::default(),
-        );
+        let spec = EventSpec::new("nothing", &["zzzznomatch"]);
+        let tweets = event_tweets(&soccer_api(), &spec).unwrap();
+        let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
         assert!(analysis.matched.is_empty());
         assert!(analysis.peaks.is_empty());
         assert!(analysis.relevant.is_empty());

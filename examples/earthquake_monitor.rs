@@ -11,6 +11,7 @@ use tweeql_firehose::{generate, scenarios, StreamingApi};
 use tweeql_model::VirtualClock;
 use twitinfo::dashboard::{render, DashboardOptions};
 use twitinfo::event::EventSpec;
+use twitinfo::logger::event_tweets;
 use twitinfo::peaks::PeakDetectorConfig;
 use twitinfo::store::{analyze, AnalysisConfig};
 use twitinfo::udfs;
@@ -27,8 +28,8 @@ fn main() {
 
     // --- live monitoring through TweeQL ---
     let clock = VirtualClock::new();
-    let api = StreamingApi::new(tweets.clone(), clock);
-    let mut engine = Engine::builder(api)
+    let api = StreamingApi::new(tweets, clock);
+    let mut engine = Engine::builder(api.clone())
         .configure_registry(|r| udfs::register(r, PeakDetectorConfig::default()))
         .build();
 
@@ -59,7 +60,8 @@ fn main() {
         "Earthquake timeline",
         &["earthquake", "quake", "tsunami", "sendai"],
     );
-    let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
+    let event = event_tweets(&api, &spec).expect("the event query runs");
+    let analysis = analyze(&spec, &event, &AnalysisConfig::default());
     print!(
         "\n{}",
         render(

@@ -1,42 +1,38 @@
 //! Real-time monitoring (§3.2): "they can monitor the event in
 //! realtime by navigating to a web page that TwitInfo creates for the
-//! event." This example drives the incremental [`twitinfo::live`]
-//! monitor over the earthquake scenario, printing a ticker line every
-//! simulated 15 minutes and a flash line the moment each peak is
-//! flagged and labeled.
+//! event." This example drives the [`twitinfo::live`] monitor, a
+//! standing TweeQL query, over the earthquake scenario: it advances the
+//! stream to each simulated 15-minute tick, printing a flash line for
+//! each peak flagged and labeled on the way, then a ticker line.
 //!
 //! Run with `cargo run --release --example live_ticker`.
 
-use tweeql_firehose::{generate, scenarios};
-use tweeql_model::Timestamp;
-use tweeql_text::sentiment::LexiconClassifier;
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::{Duration, Timestamp, VirtualClock};
 use twitinfo::event::EventSpec;
 use twitinfo::live::LiveEvent;
-use twitinfo::peaks::PeakDetectorConfig;
+use twitinfo::store::AnalysisConfig;
 
 fn main() {
     let scenario = scenarios::earthquakes();
     println!("generating {} …\n", scenario.name);
-    let tweets = generate(&scenario, 311);
+    let api = StreamingApi::new(generate(&scenario, 311), VirtualClock::new());
+    let last = api.log().last().expect("a non-empty stream").created_at;
 
     let spec = EventSpec::new(
         "Earthquake timeline (live)",
         &["earthquake", "quake", "tsunami", "sendai"],
     );
-    let mut live = LiveEvent::new(
-        spec,
-        Box::new(LexiconClassifier::new()),
-        PeakDetectorConfig::default(),
-    );
+    let mut live = LiveEvent::new(&api, spec, AnalysisConfig::default()).expect("query registers");
 
-    let tick = tweeql_model::Duration::from_mins(15);
+    // At each tick, take everything before it, then show the status.
+    let tick = Duration::from_mins(15);
     let mut next_tick = Timestamp::ZERO + tick;
-    for tweet in &tweets {
-        if tweet.created_at >= next_tick {
-            println!("{}", live.status_line());
-            next_tick += tick;
-        }
-        if let Some(peak) = live.push(tweet) {
+    while next_tick <= last {
+        let flagged = live
+            .advance_to(next_tick - Duration::from_millis(1))
+            .expect("stream pumps");
+        for peak in flagged {
             let terms = peak
                 .terms
                 .iter()
@@ -48,15 +44,17 @@ fn main() {
                 peak.peak.label, peak.flagged_at, peak.peak.max_count, terms
             );
         }
+        println!("{}", live.status_line());
+        next_tick += tick;
     }
-    live.finish();
+    live.finish().expect("stream drains");
 
     println!("\nfinal timeline: {}", live.timeline().sparkline(96));
     let (pos, neg, neu) = live.sentiment_counts();
     println!("sentiment: +{pos} −{neg} ·{neu}");
     println!("top links:");
-    for (url, n) in live.top_links(3) {
-        println!("  {n:>4}× {url}");
+    for link in live.top_links(3) {
+        println!("  {:>4}× {}", link.count, link.url);
     }
     println!(
         "\nscripted ground truth: {} bursts at {}",

@@ -4,9 +4,11 @@
 //!
 //! Run with `cargo run --release --example obama_month`.
 
-use tweeql_firehose::{generate, scenarios};
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::VirtualClock;
 use twitinfo::event::EventSpec;
 use twitinfo::keyterms::render_terms;
+use twitinfo::logger::event_tweets;
 use twitinfo::sentiment_agg::render_pie;
 use twitinfo::store::{analyze, AnalysisConfig};
 
@@ -21,7 +23,9 @@ fn main() {
     );
 
     let spec = EventSpec::new("A month in Barack Obama's life", &["obama"]);
-    let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
+    let api = StreamingApi::new(tweets, VirtualClock::new());
+    let event = event_tweets(&api, &spec).expect("the event query runs");
+    let analysis = analyze(&spec, &event, &AnalysisConfig::default());
 
     println!("timeline: {}\n", analysis.timeline.sparkline(96));
 

@@ -5,10 +5,12 @@
 //! Run with `cargo run --release --example soccer_dashboard`.
 //! Pass `--html dashboard.html` to also write the web version.
 
-use tweeql_firehose::{generate, scenarios};
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::VirtualClock;
 use twitinfo::dashboard::{render, DashboardOptions};
 use twitinfo::event::EventSpec;
 use twitinfo::html::render_html;
+use twitinfo::logger::event_tweets;
 use twitinfo::store::{analyze, AnalysisConfig};
 
 fn main() {
@@ -33,7 +35,10 @@ fn main() {
         ],
     );
 
-    let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
+    // TwitInfo logs the tweets the event's TweeQL query selects.
+    let api = StreamingApi::new(tweets, VirtualClock::new());
+    let event = event_tweets(&api, &spec).expect("the event query runs");
+    let analysis = analyze(&spec, &event, &AnalysisConfig::default());
     print!("{}", render(&analysis, &DashboardOptions::default()));
 
     // Compare detected peaks to the scripted ground truth.

@@ -3,21 +3,27 @@
 //! Boston during a Red Sox-Yankees baseball game, with sentiment toward
 //! a given peak (e.g., a home run) varying by region."
 
-use tweeql_firehose::{generate, scenarios};
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::{Tweet, VirtualClock};
 use tweeql_text::sentiment::LexiconClassifier;
 use twitinfo::event::EventSpec;
+use twitinfo::logger::event_tweets;
 use twitinfo::mapview::{clusters, markers};
 use twitinfo::store::{analyze, AnalysisConfig};
 
+/// The event's tweets in the seed-1918 baseball stream.
+fn baseball_event(spec: &EventSpec) -> Vec<Tweet> {
+    let api = StreamingApi::new(generate(&scenarios::baseball(), 1918), VirtualClock::new());
+    event_tweets(&api, spec).expect("the event query runs")
+}
+
 #[test]
 fn baseball_clusters_around_boston_and_new_york() {
-    let scenario = scenarios::baseball();
-    let tweets = generate(&scenario, 1918);
     let spec = EventSpec::new(
         "Baseball: Red Sox vs. Yankees",
         &["redsox", "yankees", "baseball", "fenway"],
     );
-    let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
+    let analysis = analyze(&spec, &baseball_event(&spec), &AnalysisConfig::default());
 
     assert!(analysis.matched.len() > 2000);
     assert!(analysis.clusters.len() >= 2, "{:?}", analysis.clusters);
@@ -51,10 +57,8 @@ fn sentiment_varies_by_region_during_a_home_run() {
     // The Red Sox homer is scripted positive-biased overall; this test
     // checks the *mechanism* the paper describes — per-peak, per-region
     // sentiment is computable and the map colors markers by it.
-    let scenario = scenarios::baseball();
-    let tweets = generate(&scenario, 1918);
     let spec = EventSpec::new("baseball", &["redsox", "yankees", "baseball", "fenway"]);
-    let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
+    let analysis = analyze(&spec, &baseball_event(&spec), &AnalysisConfig::default());
 
     let hr_peak = analysis
         .peaks

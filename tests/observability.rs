@@ -400,11 +400,10 @@ fn prometheus_exposition_parses_and_covers_all_subsystems() {
 
     // The TwitInfo dashboard shares the registry: its peak-detector
     // counters sit next to the engine's families.
-    let analysis = twitinfo::analyze(
-        &twitinfo::EventSpec::new("soccer", &["soccer", "liverpool", "manchester"]),
-        soccer_corpus(),
-        &twitinfo::AnalysisConfig::default(),
-    );
+    let spec = twitinfo::EventSpec::new("soccer", &["soccer", "liverpool", "manchester"]);
+    let api = StreamingApi::new(soccer_corpus().clone(), VirtualClock::new());
+    let event = twitinfo::event_tweets(&api, &spec).expect("the event query runs");
+    let analysis = twitinfo::analyze(&spec, &event, &twitinfo::AnalysisConfig::default());
     analysis.publish_metrics(&registry);
 
     let text = registry.render_prometheus();

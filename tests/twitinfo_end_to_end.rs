@@ -2,9 +2,10 @@
 //! canned demo scenarios (§4), checking the peak detector against the
 //! generator's scripted ground truth.
 
-use tweeql_firehose::{generate, scenarios};
-use tweeql_model::{Timestamp, Tweet};
+use tweeql_firehose::{generate, scenarios, StreamingApi};
+use tweeql_model::{Timestamp, Tweet, VirtualClock};
 use twitinfo::event::EventSpec;
+use twitinfo::logger::event_tweets;
 use twitinfo::peaks::score_against_truth;
 use twitinfo::store::{analyze, AnalysisConfig};
 
@@ -34,7 +35,9 @@ fn run_scenario(
     let tweets = generate(&scenario, seed);
     let config = AnalysisConfig::default();
     let truth = truth_bins(&scenario, config.bin.millis());
-    let analysis = analyze(&spec, &tweets, &config);
+    let api = StreamingApi::new(tweets.clone(), VirtualClock::new());
+    let event = event_tweets(&api, &spec).expect("the event query runs");
+    let analysis = analyze(&spec, &event, &config);
     (analysis, truth, tweets)
 }
 
@@ -176,10 +179,9 @@ fn burst_urls_win_the_popular_links_panel() {
 #[test]
 fn window_restriction_cuts_the_event() {
     let scenario = scenarios::soccer_match();
-    let tweets = generate(&scenario, 42);
     let spec = EventSpec::new("first half", &["manchester", "liverpool"])
         .with_window(Timestamp::ZERO, Timestamp::from_mins(60));
-    let analysis = analyze(&spec, &tweets, &AnalysisConfig::default());
+    let (analysis, _, _) = run_scenario(scenario, spec, 42);
     assert!(analysis
         .matched
         .iter()

@@ -10,21 +10,22 @@
 //!
 //! The digests were recorded while TwitInfo still matched event tweets
 //! with its own keyword automaton and the live monitor was fed one
-//! firehose tweet at a time, so any change in which tweets an event
-//! gets, or in what the panels make of them, shows up here.
+//! firehose tweet at a time. Event tweets now come from the event's
+//! TweeQL query and the monitor is a standing-query client pumped 15
+//! minutes at a time; any change in which tweets an event gets, or in
+//! what the panels make of them, shows up here.
 
 use std::sync::OnceLock;
-use tweeql_firehose::{generate, scenarios, Scenario};
-use tweeql_model::{Timestamp, Tweet};
-use tweeql_text::sentiment::LexiconClassifier;
+use tweeql_firehose::{generate, scenarios, Scenario, StreamingApi};
+use tweeql_model::{Duration, Timestamp, Tweet, VirtualClock};
 use twitinfo::event::EventSpec;
 use twitinfo::live::LiveEvent;
-use twitinfo::peaks::PeakDetectorConfig;
+use twitinfo::logger::event_tweets;
 use twitinfo::store::{analyze, AnalysisConfig};
 
 const SEED: u64 = 42;
 
-fn corpus(slug: &str) -> &'static [Tweet] {
+fn corpus(slug: &str) -> &'static Vec<Tweet> {
     static SOCCER: OnceLock<Vec<Tweet>> = OnceLock::new();
     static EARTHQUAKES: OnceLock<Vec<Tweet>> = OnceLock::new();
     static OBAMA: OnceLock<Vec<Tweet>> = OnceLock::new();
@@ -63,6 +64,10 @@ fn spec(slug: &str) -> EventSpec {
     }
 }
 
+fn api(slug: &str) -> StreamingApi {
+    StreamingApi::new(corpus(slug).clone(), VirtualClock::new())
+}
+
 fn fnv(text: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in text.bytes() {
@@ -73,28 +78,29 @@ fn fnv(text: &str) -> u64 {
 }
 
 fn analysis_digest(slug: &str, spec: &EventSpec) -> u64 {
-    let analysis = analyze(spec, corpus(slug), &AnalysisConfig::default());
+    let tweets = event_tweets(&api(slug), spec).expect("the event query runs");
+    let analysis = analyze(spec, &tweets, &AnalysisConfig::default());
     fnv(&format!("{analysis:?}"))
 }
 
 fn live_digest(slug: &str) -> u64 {
-    let mut live = LiveEvent::new(
-        spec(slug),
-        Box::new(LexiconClassifier::new()),
-        PeakDetectorConfig::default(),
-    );
-    for tweet in corpus(slug) {
-        live.push(tweet);
+    let api = api(slug);
+    let mut live =
+        LiveEvent::new(&api, spec(slug), AnalysisConfig::default()).expect("query registers");
+    let mut until = Timestamp::ZERO;
+    while until <= corpus(slug).last().unwrap().created_at {
+        until += Duration::from_mins(15);
+        live.advance_to(until).expect("stream pumps");
     }
-    live.finish();
+    live.finish().expect("stream drains");
     let mut text = format!(
         "{:?}\n{:?}\n{:?}\n",
         live.peaks,
         live.timeline().bins,
         live.sentiment_counts()
     );
-    for (url, n) in live.top_links(5) {
-        text.push_str(&format!("{url} {n}\n"));
+    for link in live.top_links(5) {
+        text.push_str(&format!("{} {}\n", link.url, link.count));
     }
     fnv(&text)
 }
