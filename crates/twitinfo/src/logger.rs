@@ -208,8 +208,8 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// What `EventSpec::matches` decided before TweeQL did: a keyword
-    /// in any case, inside the window.
+    /// An event gets a tweet holding one of its keywords in any case,
+    /// when the tweet lies inside the window, both ends included.
     #[test]
     fn keywords_in_any_case_within_the_window() {
         let (start, end) = (Timestamp::from_mins(10), Timestamp::from_mins(20));
