@@ -202,7 +202,7 @@ fn main() {
     );
 
     // ---- E6 ----
-    println!("## E6 — engine throughput (wall clock)\n");
+    println!("## E6 — engine: tweets scanned and rows out\n");
     let e6 = e6_engine::run(seed);
     let rows: Vec<Vec<String>> = e6
         .iter()
@@ -211,23 +211,12 @@ fn main() {
                 r.query.to_string(),
                 r.scanned.to_string(),
                 r.rows.to_string(),
-                format!("{:.2}s", r.wall_secs),
-                format!("{:.0}", r.tweets_per_sec),
             ]
         })
         .collect();
     println!(
         "{}",
-        markdown_table(
-            &[
-                "query",
-                "tweets scanned",
-                "rows out",
-                "wall time",
-                "tweets/sec"
-            ],
-            &rows,
-        )
+        markdown_table(&["query", "tweets scanned", "rows out"], &rows)
     );
 
     // ---- E7 ----

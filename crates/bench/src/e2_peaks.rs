@@ -123,24 +123,30 @@ pub fn run_noise_gate_ablation(seed: u64) -> Vec<E2Row> {
 mod tests {
     use super::*;
 
+    /// Detected peaks are scored against the generator's ground truth,
+    /// so the seed-42 scores repeat exactly: at τ = 2.0 recall is 1.00
+    /// everywhere and only obama flags a false peak. Compared at the
+    /// precision `report` prints.
     #[test]
     fn default_tau_scores_well_everywhere() {
-        let rows = run(42, &[2.0]);
-        assert_eq!(rows.len(), 3);
-        for r in &rows {
-            assert!(
-                r.score.recall() >= 0.6,
-                "{}: recall {}",
-                r.scenario,
-                r.score.recall()
-            );
-            assert!(
-                r.score.precision() >= 0.6,
-                "{}: precision {}",
-                r.scenario,
-                r.score.precision()
-            );
-        }
+        let rows: Vec<_> = run(42, &[2.0])
+            .iter()
+            .map(|r| {
+                (
+                    r.scenario,
+                    format!("{:.2}", r.score.precision()),
+                    format!("{:.2}", r.score.recall()),
+                )
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                ("soccer", "1.00".into(), "1.00".into()),
+                ("earthquakes", "1.00".into(), "1.00".into()),
+                ("obama", "0.83".into(), "1.00".into()),
+            ]
+        );
     }
 
     #[test]

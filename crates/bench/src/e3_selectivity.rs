@@ -121,9 +121,7 @@ pub fn run(seed: u64) -> Vec<E3Row> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn sampling_matches_oracle_in_opposite_regimes() {
-        let rows = run(7);
+    fn assert_shape(rows: &[E3Row]) {
         assert_eq!(rows.len(), 3);
         // Paper's case: location is pushed down.
         assert!(rows[0].chose.contains("locations"), "{:?}", rows[0]);
@@ -133,9 +131,27 @@ mod tests {
         assert!(rows[2].matched_oracle);
         // The sampled choice always does no more work than the worst
         // fixed strategy.
-        for r in &rows {
+        for r in rows {
             assert!(r.work_sampled <= r.work_keyword.max(r.work_location));
         }
+    }
+
+    #[test]
+    fn sampling_matches_oracle_in_opposite_regimes() {
+        assert_shape(&run(7));
+    }
+
+    /// The seed-42 table `report` prints: every regime matches the
+    /// oracle, and the regimes flip which filter is the rarer one.
+    #[test]
+    fn seed_42_pushes_down_the_rarer_filter() {
+        let rows = run(42);
+        assert_shape(&rows);
+        assert!(rows.iter().all(|r| r.matched_oracle), "{rows:?}");
+        assert!(rows[0].regime.starts_with("location rare"));
+        assert_eq!(rows[0].chose, "locations(nyc)");
+        assert!(rows[2].regime.starts_with("keyword rare"));
+        assert_eq!(rows[2].chose, "track(obama)");
     }
 
     #[test]

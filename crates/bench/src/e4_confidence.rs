@@ -133,9 +133,7 @@ pub fn run(seed: u64) -> Vec<E4Row> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn skew_story_reproduces() {
-        let rows = run(5);
+    fn assert_skew_story(rows: &[E4Row]) {
         let fixed = &rows[0];
         let count = &rows[1];
         let conf = &rows[2];
@@ -173,5 +171,31 @@ mod tests {
             conf_first < fixed_first,
             "confidence first emission {conf_first} not earlier than fixed {fixed_first}"
         );
+    }
+
+    #[test]
+    fn skew_story_reproduces() {
+        assert_skew_story(&run(5));
+    }
+
+    /// The seed-42 table `report` prints. Emissions are counted on the
+    /// virtual clock, so the figures repeat exactly; first emissions
+    /// compare in whole seconds, as printed.
+    #[test]
+    fn seed_42_confidence_emits_the_dense_group_early() {
+        let rows = run(42);
+        assert_skew_story(&rows);
+        let first = |b: &BucketOutcome| b.first_emission.expect("emitted").to_string();
+        let (fixed, count, conf) = (&rows[0], &rows[1], &rows[2]);
+        assert_eq!(conf.strategy, "confidence ε=0.15 max 3h");
+        assert_eq!(conf.total_emissions, 473);
+        assert_eq!(conf.tokyo.emissions, 23);
+        assert_eq!(first(&conf.tokyo), "00:00:48");
+        assert_eq!(conf.cape_town.emissions, 3);
+        assert_eq!(first(&fixed.tokyo), "02:59:50");
+        assert_eq!(first(&count.tokyo), "01:04:18");
+        // Fixed-width clock times order as strings.
+        assert!(first(&conf.tokyo) < first(&fixed.tokyo));
+        assert!(first(&conf.tokyo) < first(&count.tokyo));
     }
 }

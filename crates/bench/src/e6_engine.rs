@@ -1,8 +1,9 @@
-//! E6 — engine throughput: wall-clock tweets/second of the TweeQL
-//! processor on the paper's three example queries plus a raw scan
-//! baseline, with per-stage tuple counts.
+//! E6 — the engine on the paper's three example queries plus a raw
+//! scan baseline: tweets scanned and rows out. These are counts, so
+//! they repeat exactly. A run over this 30-minute stream takes
+//! milliseconds, too short to time; the paper's three queries are
+//! timed by the `adhoc` workload of the benchmark under `benchmark/`.
 
-use std::time::Instant;
 use tweeql::engine::{Engine, QueryResult};
 use tweeql::udf::ServiceConfig;
 use tweeql_firehose::scenario::{Scenario, Topic};
@@ -10,7 +11,7 @@ use tweeql_firehose::{generate, StreamingApi};
 use tweeql_geo::latency::LatencyModel;
 use tweeql_model::{Duration, Tweet, VirtualClock};
 
-/// One query's throughput measurement.
+/// One query's measurement.
 #[derive(Debug, Clone)]
 pub struct E6Row {
     /// Query label.
@@ -19,10 +20,6 @@ pub struct E6Row {
     pub scanned: u64,
     /// Output rows.
     pub rows: usize,
-    /// Wall-clock seconds.
-    pub wall_secs: f64,
-    /// Firehose tweets processed per wall-clock second.
-    pub tweets_per_sec: f64,
 }
 
 /// The benchmark's standard firehose (generated once, reused).
@@ -84,15 +81,11 @@ pub fn run(seed: u64) -> Vec<E6Row> {
     QUERIES
         .iter()
         .map(|(label, sql)| {
-            let t0 = Instant::now();
             let result = run_query(tweets.clone(), sql);
-            let wall = t0.elapsed().as_secs_f64();
             E6Row {
                 query: label,
                 scanned: result.stats.source.scanned,
                 rows: result.rows.len(),
-                wall_secs: wall,
-                tweets_per_sec: result.stats.source.scanned as f64 / wall.max(1e-9),
             }
         })
         .collect()
@@ -109,9 +102,14 @@ mod tests {
         for r in &rows {
             assert!(r.scanned > 5000, "{r:?}");
             assert!(r.rows > 0, "{r:?}");
-            assert!(r.tweets_per_sec > 100.0, "{r:?}");
         }
-        // Scan is the fastest; Q1 (regex-free but UDF-heavy) is slower.
-        assert!(rows[0].tweets_per_sec > rows[1].tweets_per_sec);
+    }
+
+    /// The seed-42 table `report` prints: every query scans the whole
+    /// stream, and the rows out are counts.
+    #[test]
+    fn seed_42_counts() {
+        let got: Vec<_> = run(42).iter().map(|r| (r.scanned, r.rows)).collect();
+        assert_eq!(got, [(7861, 7861), (7861, 1820), (7861, 81), (7861, 213)]);
     }
 }

@@ -1,8 +1,8 @@
 //! Experiment harness for the reproduction: one module per experiment
 //! in DESIGN.md's index (E1–E8). Each returns structured results; the
 //! `report` binary renders them as the tables recorded in
-//! EXPERIMENTS.md, and the Criterion benches reuse the same runners for
-//! wall-time measurement.
+//! EXPERIMENTS.md, and each module's tests gate the seed-42 figures of
+//! its table.
 
 pub mod e1_dashboard;
 pub mod e2_peaks;

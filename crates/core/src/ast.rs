@@ -232,14 +232,6 @@ impl Expr {
         })
     }
 
-    /// Convenience: qualified column.
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
-        Expr::dummy(ExprKind::Column {
-            qualifier: Some(qualifier.to_lowercase()),
-            name: name.to_lowercase(),
-        })
-    }
-
     /// Convenience: literal.
     pub fn lit(v: impl Into<Value>) -> Expr {
         Expr::dummy(ExprKind::Literal(v.into()))

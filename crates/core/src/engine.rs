@@ -39,9 +39,9 @@ const SELECTIVITY_SAMPLE: usize = 2000;
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Simulated web-service knobs (latency, cache, batching, breaker).
+    /// Async-UDF operators release batches of the service's
+    /// `max_batch`.
     pub service: ServiceConfig,
-    /// Async-UDF batch release bounds.
-    pub async_max_batch: usize,
     /// Max stream-time a tuple waits in a partial async batch.
     pub async_max_delay: Duration,
     /// Tweets buffered before a flush through the pipeline: the
@@ -75,7 +75,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             service: ServiceConfig::default(),
-            async_max_batch: 25,
             async_max_delay: Duration::from_secs(2),
             batch_size: 256,
             fault: None,
@@ -94,7 +93,7 @@ impl EngineConfig {
         PlanConfig {
             reference: self.reference,
             selectivity_hints,
-            async_max_batch: self.async_max_batch,
+            async_max_batch: self.service.max_batch,
             async_max_delay: self.async_max_delay,
         }
     }

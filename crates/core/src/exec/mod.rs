@@ -233,16 +233,6 @@ pub struct OpStats {
     pub health: Option<ServiceHealth>,
 }
 
-impl OpStats {
-    /// Input records per second of busy time (0.0 when untimed).
-    pub fn records_per_sec(&self) -> f64 {
-        if self.busy_nanos == 0 {
-            return 0.0;
-        }
-        self.records_in as f64 / (self.busy_nanos as f64 / 1e9)
-    }
-}
-
 /// Open trace spans for one pipeline run.
 struct TraceCtx {
     tracer: Tracer,

@@ -350,7 +350,10 @@ mod cadence_oracle {
             marks in collection::vec((0u8..6, 0i64..9000), 80..81),
         ) {
             let config = EngineConfig {
-                async_max_batch: [1, 3, 25][knobs.0],
+                service: crate::udf::ServiceConfig {
+                    max_batch: [1, 3, 25][knobs.0],
+                    ..Default::default()
+                },
                 async_max_delay: Duration::from_secs([0, 2, 10][knobs.1]),
                 ..EngineConfig::default()
             };
@@ -417,7 +420,10 @@ mod cadence_oracle {
             let (batch_pick, async_batch, async_delay, reference) = knobs;
             let mut config = EngineConfig {
                 batch_size: [1, 16, 256][batch_pick],
-                async_max_batch: [1, 3, 25][async_batch],
+                service: crate::udf::ServiceConfig {
+                    max_batch: [1, 3, 25][async_batch],
+                    ..Default::default()
+                },
                 async_max_delay: Duration::from_secs([0, 2, 10][async_delay]),
                 reference: reference == 1,
                 allow_pushdown: false,

@@ -248,11 +248,6 @@ impl SentimentUdf {
             classifier: Arc::new(LexiconClassifier::new()),
         }
     }
-
-    /// Wrap any classifier.
-    pub fn with_classifier(classifier: Arc<dyn SentimentClassifier>) -> SentimentUdf {
-        SentimentUdf { classifier }
-    }
 }
 
 impl ScalarUdf for SentimentUdf {

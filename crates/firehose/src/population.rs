@@ -205,11 +205,6 @@ impl Population {
             .min(self.users.len() - 1);
         &self.users[idx]
     }
-
-    /// Users whose home is city `index`.
-    pub fn city_user_indices(&self, index: usize) -> &[usize] {
-        self.by_city.get(index).map(|v| v.as_slice()).unwrap_or(&[])
-    }
 }
 
 #[cfg(test)]

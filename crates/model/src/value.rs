@@ -185,11 +185,6 @@ impl Value {
         ValueRef::from(self).compare(ValueRef::from(other))
     }
 
-    /// SQL equality via [`Value::compare`]; `None` means unknown.
-    pub fn sql_eq(&self, other: &Value) -> Option<bool> {
-        self.compare(other).map(|o| o == Ordering::Equal)
-    }
-
     /// Data-type tag for planning/diagnostics.
     pub fn data_type_name(&self) -> &'static str {
         match self {

@@ -1,28 +1,36 @@
 //! The real `tweeql-server` binary over real sockets: what a large
-//! `POLL` puts on the wire, and what a peer that walks away in the
-//! middle of one does to the server (nothing).
+//! `POLL` puts on the wire, what a peer that walks away in the middle
+//! of one does to the server (nothing), the `tweeql-client` CLI, two
+//! sessions at once, and a SIGKILL with a restart on the same data
+//! directory.
 
+use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use tweeql::sink;
 use tweeql_server::protocol::Response;
 use tweeql_server::scenario_host;
+use tweeql_wal::TempDir;
 
+const GOAL: &str = "SELECT text FROM twitter WHERE text contains 'goal'";
 const EXPORT: &str = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
 const SEED: u64 = 42;
 
-/// `tweeql-server --scenario soccer` on a free port.
+/// `tweeql-server --scenario soccer` on a free port. Dropping it
+/// kills the process with SIGKILL.
 struct Server {
     child: Child,
     port: u16,
 }
 
 impl Server {
-    fn start() -> Server {
+    /// Start the binary with `extra` arguments after the defaults.
+    fn start(extra: &[&OsStr]) -> Server {
         let mut child = Command::new(env!("CARGO_BIN_EXE_tweeql-server"))
             .args(["--port", "0", "--scenario", "soccer", "--seed"])
             .arg(SEED.to_string())
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::piped())
             .spawn()
@@ -45,6 +53,20 @@ impl Server {
             reader: BufReader::new(stream.try_clone().expect("clone socket")),
             writer: stream,
         }
+    }
+
+    /// `tweeql-client --port <port> <words>`: its stdout, after a zero
+    /// exit.
+    fn client(&self, words: &[&str]) -> String {
+        let out = Command::new(env!("CARGO_BIN_EXE_tweeql-client"))
+            .arg("--port")
+            .arg(self.port.to_string())
+            .args(words)
+            .output()
+            .expect("run tweeql-client");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "tweeql-client {words:?}: {stderr}");
+        String::from_utf8(out.stdout).expect("UTF-8 stdout")
     }
 
     /// Wait for the exit a `SHUTDOWN` was answered with; returns whether
@@ -97,6 +119,17 @@ impl Session {
         }
         text
     }
+
+    /// `request`'s body.
+    fn ask_body(&mut self, request: &str) -> String {
+        let (n, _) = self.ask(request);
+        self.body(n)
+    }
+}
+
+/// Does `text` hold a JSON row?
+fn has_rows(text: &str) -> bool {
+    text.lines().any(|line| line.starts_with('{'))
 }
 
 #[test]
@@ -109,7 +142,7 @@ fn large_poll_is_byte_equal_to_the_in_process_sink() {
     assert!(rows.len() >= 20_000, "{} rows", rows.len());
     let expected = sink::to_json_lines(&schema, &rows);
 
-    let server = Server::start();
+    let server = Server::start(&[]);
     let mut s = server.connect();
     let (_, qid) = s.ask(&format!("REGISTER {EXPORT}"));
     s.ask("RUN");
@@ -128,7 +161,7 @@ fn large_poll_is_byte_equal_to_the_in_process_sink() {
 
 #[test]
 fn peer_that_leaves_mid_poll_ends_its_own_session_only() {
-    let server = Server::start();
+    let server = Server::start(&[]);
     let mut leaver = server.connect();
     let (_, qid) = leaver.ask(&format!("REGISTER {EXPORT}"));
     leaver.ask("RUN");
@@ -159,7 +192,7 @@ fn peer_that_leaves_mid_poll_ends_its_own_session_only() {
 
 #[test]
 fn a_step_past_the_end_of_time_runs_to_the_end_on_a_live_service() {
-    let server = Server::start();
+    let server = Server::start(&[]);
     let mut s = server.connect();
     s.ask(&format!("REGISTER {EXPORT}"));
     s.ask("STEP 60");
@@ -179,4 +212,97 @@ fn a_step_past_the_end_of_time_runs_to_the_end_on_a_live_service() {
     assert_eq!(s.ask("SHUTDOWN").1, "bye");
     let (clean, stderr) = server.wait();
     assert!(clean, "{stderr}");
+}
+
+#[test]
+fn the_client_cli_drives_a_standing_query_round_trip() {
+    let server = Server::start(&[]);
+    assert_eq!(server.client(&["ping"]), "pong\n");
+    let registered = server.client(&["register", GOAL]);
+    let qid = registered.split_whitespace().next().expect("query id");
+    assert!(server.client(&["list"]).contains(qid));
+    assert!(server.client(&["schema", qid]).contains("text"));
+    // Minute 40 is past the scenario's first goal burst.
+    server.client(&["step", "2400"]);
+    assert!(
+        has_rows(&server.client(&["poll", qid])),
+        "no rows after the first goal burst"
+    );
+    assert!(server.client(&["stats"]).contains("tweets="));
+    server.client(&["drop", qid]);
+    assert!(
+        !server.client(&["list"]).contains(qid),
+        "dropped query still listed"
+    );
+    // A windowed self-join stands like any other query: its join stage
+    // reads the host's one connection.
+    let registered = server.client(&[
+        "register",
+        "SELECT id, id_r FROM twitter JOIN twitter ON screen_name = screen_name WINDOW 60 seconds",
+    ]);
+    let jid = registered.split_whitespace().next().expect("query id");
+    server.client(&["step", "120"]);
+    assert!(
+        has_rows(&server.client(&["poll", jid])),
+        "the self-join produced no rows"
+    );
+    server.client(&["shutdown"]);
+    let (clean, stderr) = server.wait();
+    assert!(clean, "{stderr}");
+}
+
+#[test]
+fn two_open_sessions_share_one_host() {
+    let server = Server::start(&[]);
+    let (mut a, mut b) = (server.connect(), server.connect());
+    assert_eq!(a.ask("PING").1, "pong");
+    assert_eq!(b.ask("PING").1, "pong");
+    let (_, qid) = a.ask(&format!("REGISTER {GOAL}"));
+    // B sees A's registration while both sessions are open.
+    assert!(b.ask_body("LIST").contains(&qid));
+    a.ask("STEP 2400");
+    assert!(
+        has_rows(&b.ask_body(&format!("POLL {qid}"))),
+        "session B saw no rows from session A's query"
+    );
+    assert!(a.ask("STATS").1.contains("tweets="));
+    assert_eq!(b.ask("SHUTDOWN").1, "bye");
+    // The server joins every open session before it exits.
+    drop((a, b));
+    let (clean, stderr) = server.wait();
+    assert!(clean, "{stderr}");
+}
+
+#[test]
+fn a_standing_query_survives_sigkill_without_redelivering_rows() {
+    let dir = TempDir::new("tweeql-wire-kill");
+    let durable = [OsStr::new("--data-dir"), dir.path().as_os_str()];
+    let server = Server::start(&durable);
+    let mut s = server.connect();
+    let (_, qid) = s.ask(&format!("REGISTER {GOAL}"));
+    // Pump past the first goal burst and externalize some rows.
+    s.ask("STEP 2400");
+    let poll = format!("POLL {qid}");
+    assert!(has_rows(&s.ask_body(&poll)), "no rows before the kill");
+    drop(server);
+
+    // Restart on the same data directory: the registration is back,
+    // and none of the polled rows reappear.
+    let server = Server::start(&durable);
+    let mut s = server.connect();
+    assert!(
+        s.ask_body("LIST").contains(&qid),
+        "standing query lost across the kill"
+    );
+    assert_eq!(s.ask(&poll).0, 0, "polled rows re-delivered after restart");
+    // The recovered host keeps producing: finish the stream.
+    s.ask("RUN");
+    assert!(has_rows(&s.ask_body(&poll)), "no rows after recovery");
+    assert_eq!(s.ask("SHUTDOWN").1, "bye");
+    let (clean, stderr) = server.wait();
+    assert!(clean, "{stderr}");
+    assert!(
+        dir.path().join("checkpoint.bin").exists(),
+        "SHUTDOWN left no checkpoint"
+    );
 }
