@@ -1,19 +1,20 @@
 //! The TweeQL engine: parse → plan → optimize → choose pushdown →
 //! stream → collect.
 //!
-//! Every query is one `Feed` (the supervised source, its cursor and the
-//! batch it fills; shared with the standing-query host) drained into
-//! one pipeline; LIMIT stops the pull. A join is that pipeline's head
-//! stage, both of its sides fed by the one connection.
+//! A query runs on a one-query [`crate::host::QueryHost`], subscribed
+//! with the pushdown filter the engine chose: the same feed and
+//! dispatcher a standing-query server runs. LIMIT stops the pull. A
+//! join is the pipeline's head stage, both of its sides fed by the one
+//! connection.
 //!
 //! Engines are assembled with the fluent [`EngineBuilder`]
 //! (`Engine::builder(api).seed(7).fault_policy(plan).build()`).
 
 use crate::catalog::Catalog;
 use crate::error::QueryError;
-use crate::exec::feed::{Drain, Feed};
 use crate::exec::supervise::{RetryPolicy, SourceFaultStats};
-use crate::exec::{OpStats, Pipeline};
+use crate::exec::OpStats;
+use crate::host::QueryHost;
 use crate::plan::{prepare, PlanConfig, PlannedQuery};
 use crate::selectivity::{choose_filter, PushdownDecision};
 use crate::udf::{Registry, ServiceConfig, SharedGeoService};
@@ -22,9 +23,7 @@ use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_geo::cache::CacheStats;
-use tweeql_model::{
-    Crossing, DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, VirtualClock,
-};
+use tweeql_model::{DecodeStats, Duration, Record, SchemaRef, Timestamp, Value, VirtualClock};
 use tweeql_obs::{
     MetricsRegistry, QueryId, QueryProfile, SpanKind, StageProfile, TraceSink, Tracer,
 };
@@ -53,11 +52,11 @@ pub struct EngineConfig {
     pub retry: RetryPolicy,
     /// Engine seed: backoff jitter and other engine-level randomness.
     pub seed: u64,
-    /// Probe WHERE-derived connection-filter candidates and push the
-    /// best one into the source subscription. `false` always reads the
-    /// full stream (`sample(1.0)`) and filters client-side — the mode
-    /// the standing-query host runs in, since one shared connection
-    /// cannot serve per-query pushdowns.
+    /// [`Engine::execute`] only: probe WHERE-derived connection-filter
+    /// candidates and subscribe its one-query host with the best one.
+    /// `false` reads the full stream (`sample(1.0)`) and filters
+    /// client-side, as a standing host always does: one shared
+    /// connection cannot serve per-query pushdowns.
     pub allow_pushdown: bool,
     /// Run the reference implementation every fast layer is
     /// differentially tested against: the plan exactly as written (no
@@ -435,7 +434,7 @@ impl EngineBuilder {
     /// same fault policy, UDF registrations, metrics, and optimizer
     /// settings this builder carries.
     pub fn build_host(self) -> crate::host::QueryHost {
-        crate::host::QueryHost::from_builder(self)
+        crate::host::QueryHost::from_builder(self, FilterSpec::Sample(1.0))
     }
 
     /// Build a **durable** standing-query host backed by `dir`: WAL
@@ -563,24 +562,9 @@ impl Engine {
         prepare(sql, &self.catalog, &self.registry, &config)
     }
 
-    /// Parse, plan, run to end of stream, and collect all output rows.
+    /// Parse, plan, run to end of stream or LIMIT, and collect all
+    /// output rows.
     pub fn execute(&mut self, sql: &str) -> Result<QueryResult, QueryError> {
-        let mut rows = Vec::new();
-        let (schema, stats) =
-            self.execute_with_sink(sql, &mut |r: &Record| rows.push(r.clone()))?;
-        Ok(QueryResult {
-            schema,
-            rows,
-            stats,
-        })
-    }
-
-    /// Parse, plan, run, pushing each output record into `sink`.
-    pub fn execute_with_sink(
-        &mut self,
-        sql: &str,
-        sink: &mut dyn FnMut(&Record),
-    ) -> Result<(SchemaRef, QueryStats), QueryError> {
         let mut planned = self.checked_plan(sql)?;
         self.queries_run += 1;
         let query_id = QueryId::new(self.queries_run);
@@ -633,9 +617,14 @@ impl Engine {
             started_at.millis(),
         );
 
-        let run_result = self.run_single(&mut planned, filter, sink);
+        // ---- the run: one query on a host of its own ----
+        let mut host =
+            QueryHost::one_query(&self.api, filter, &self.config, query_id, sql, planned);
+        let run_result = host.run_query();
+        let (source_stats, source_faults) = host.source_stats().unwrap_or_default();
+        let (mut planned, rows) = host.into_query();
         let obs = planned.pipeline.close_obs();
-        let (source_stats, source_faults) = run_result?;
+        run_result?;
 
         let ended_at = {
             use tweeql_model::Clock;
@@ -684,7 +673,11 @@ impl Engine {
         };
         self.publish_metrics(&stats, &stage_counters);
         self.last_profile = Some(build_profile(sql, &stats, &stage_counters, &decision));
-        Ok((planned.output_schema.clone(), stats))
+        Ok(QueryResult {
+            schema: planned.output_schema.clone(),
+            rows,
+            stats,
+        })
     }
 
     /// Publish one finished run's typed statistics into the metrics
@@ -768,93 +761,6 @@ impl Engine {
             .add(stats.geo_cache.evictions);
         m.counter("tweeql_geo_requests_total", &[])
             .add(stats.geo_requests);
-    }
-
-    /// One feed drained into the query's one pipeline; LIMIT stops the
-    /// pull (`LIMIT 0` before the first). The reference configuration
-    /// decodes rows at the feed's reference cadence.
-    fn run_single(
-        &mut self,
-        planned: &mut PlannedQuery,
-        filter: FilterSpec,
-        sink: &mut dyn FnMut(&Record),
-    ) -> Result<(ConnectionStats, SourceFaultStats), QueryError> {
-        let reference = self.config.reference;
-        let mut feed = Feed::new(&self.api, filter, &self.config);
-        feed.set_live(planned.live_columns.clone());
-        feed.reference_cadence = reference;
-        let mut run = Run {
-            pipeline: &mut planned.pipeline,
-            row_decode: reference,
-            rows: Vec::new(),
-            out: Vec::new(),
-            sink,
-        };
-        while !run.pipeline.done() {
-            let Some(next) = feed.peek() else { break };
-            feed.take(next, &mut run)?;
-        }
-        // LIMIT or the end of the stream: either way the pull is over.
-        feed.stop();
-        if !run.pipeline.done() {
-            feed.flush(&mut run)?;
-        }
-        let finished = run.pipeline.finish(&mut run.out);
-        run.emit(finished)?;
-        Ok(feed
-            .source()
-            .map(|s| (s.stats(), s.fault_stats()))
-            .unwrap_or_default())
-    }
-}
-
-/// The engine's side of the feed: the query's one pipeline, its output
-/// handed to the sink as it is produced.
-struct Run<'a> {
-    pipeline: &'a mut Pipeline,
-    /// Build a [`Record`] per row at flush: row decode, the reference
-    /// the columnar path is differentially tested against.
-    row_decode: bool,
-    rows: Vec<Record>,
-    out: Vec<Record>,
-    sink: &'a mut dyn FnMut(&Record),
-}
-
-impl Run<'_> {
-    fn emit(&mut self, produced: Result<(), QueryError>) -> Result<(), QueryError> {
-        produced?;
-        for r in self.out.drain(..) {
-            (self.sink)(&r);
-        }
-        Ok(())
-    }
-}
-
-impl Drain for Run<'_> {
-    fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError> {
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let produced = if self.row_decode {
-            batch.append_records(&mut self.rows);
-            batch.reset();
-            self.pipeline.push_batch(&mut self.rows, &mut self.out)
-        } else {
-            self.pipeline.drain_tweet_batch(batch, &mut self.out)
-        };
-        self.emit(produced)
-    }
-
-    fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
-        let produced = self.pipeline.gap(from, to, &mut self.out);
-        self.emit(produced)
-    }
-
-    fn boundaries(&mut self, crossed: Crossing) -> Result<(), QueryError> {
-        let produced = crossed
-            .boundaries()
-            .try_for_each(|wm| self.pipeline.watermark(wm, &mut self.out));
-        self.emit(produced)
     }
 }
 

@@ -412,6 +412,15 @@ impl AggregateOp {
         }
     }
 
+    /// Keep the columnar head (`true`), or take rows only: the
+    /// reference plan's row decode.
+    pub(crate) fn columnar(mut self, on: bool) -> AggregateOp {
+        if !on {
+            self.columns = None;
+        }
+        self
+    }
+
     fn emit_group(&self, key: &[Value], g: &Group, out: &mut Vec<Record>) {
         let mut values = Vec::with_capacity(self.schema.len());
         values.extend(key.iter().cloned());

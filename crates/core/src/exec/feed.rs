@@ -1,48 +1,35 @@
-//! The one way a tweet travels from the supervised source into a batch:
-//! the source half of [`crate::engine::Engine::execute`] and of
-//! [`crate::host::QueryHost`] (live pumps and durable replay alike).
+//! The one way a tweet travels from the supervised source to the
+//! queries: the source half of [`crate::host::QueryHost`], whose
+//! dispatcher ([`Dispatch`]) is the feed's one consumer. Standing
+//! pumps, durable replay and [`crate::engine::Engine::execute`] (a host
+//! with one query) all drive it.
 //!
 //! A [`Feed`] owns the [`SupervisedSource`], the cursor into it (the
 //! block being consumed, or the event the per-tweet iterator delivered
 //! ahead; the per-tweet source is the reference configuration's), and
 //! the [`TweetBatch`] the tweets fill with its [`Cadence`].
-//! The consumer [`peek`](Feed::peek)s the next event and
-//! [`take`](Feed::take)s it or stops; what a flushed batch means is its
-//! [`Drain`]'s. The rules kept for every consumer:
+//! The host [`peek`](Feed::peek)s the next event and
+//! [`take`](Feed::take)s it or stops. The rules:
 //!
 //! * the batch is flushed when it holds `batch_size` tweets, before a
-//!   source gap, and when the consumer asks;
+//!   source gap, and when the host asks;
 //! * a flush first moves the virtual clock to the latest buffered tweet
 //!   ([`Cadence::high`]), where the per-tweet source has it anyway; the
-//!   end of a block-mode stream, or a consumer leaving early, moves it
-//!   to the source frontier, where the per-tweet scan ends;
+//!   end of a block-mode stream, or a drive leaving early, moves it to
+//!   the source frontier, where the per-tweet scan ends;
 //! * a watermark-boundary crossing rides in the batch
 //!   ([`TweetBatch::cross`]). Under the reference cadence it cuts the
-//!   batch and each boundary goes to the drain instead: the reference
-//!   engine runs it, and the host's cadence oracle tests the riding
-//!   cadence against it.
+//!   batch and each boundary goes to the dispatcher instead: the
+//!   reference configuration of `Engine::execute` runs it, and the
+//!   differential tests hold the riding cadence to it.
 
 use crate::engine::{EngineConfig, WATERMARK_INTERVAL};
 use crate::error::QueryError;
 use crate::exec::supervise::{SourceBlock, SourceEvent, SupervisedSource};
+use crate::host::Dispatch;
 use std::sync::Arc;
 use tweeql_firehose::{FilterSpec, StreamingApi};
-use tweeql_model::{Cadence, Crossing, Timestamp, Tweet, TweetBatch};
-
-/// What a consumer does with what its [`Feed`] delivers.
-pub(crate) trait Drain {
-    /// Run the buffered rows (possibly none) through and leave the
-    /// batch reset.
-    fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError>;
-
-    /// The source lost coverage over `[from, to)`; everything before it
-    /// has been flushed.
-    fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError>;
-
-    /// Reference cadence only: each boundary in `crossed`, after the
-    /// flush that cut the batch there.
-    fn boundaries(&mut self, crossed: Crossing) -> Result<(), QueryError>;
-}
+use tweeql_model::{Cadence, Timestamp, Tweet, TweetBatch};
 
 /// The next stream event, as [`Feed::peek`] sees it.
 #[derive(Debug, Clone, Copy)]
@@ -80,7 +67,7 @@ pub(crate) struct Feed {
     batch: TweetBatch,
     batch_size: usize,
     /// Cut the batch at every crossing and hand each boundary to the
-    /// drain.
+    /// dispatcher.
     pub(crate) reference_cadence: bool,
 }
 
@@ -187,22 +174,26 @@ impl Feed {
     /// Take `next`, the event [`peek`](Feed::peek) just returned: a
     /// tweet joins the batch after the boundaries crossed to reach it,
     /// and a full batch is flushed; a gap flushes the batch and goes to
-    /// the drain. Returns how many boundaries were crossed.
-    pub(crate) fn take(&mut self, next: Next, drain: &mut impl Drain) -> Result<u64, QueryError> {
+    /// the dispatcher. Returns how many boundaries were crossed.
+    pub(crate) fn take(
+        &mut self,
+        next: Next,
+        dispatch: &mut Dispatch<'_>,
+    ) -> Result<u64, QueryError> {
         let ts = match next {
             Next::Tweet(ts) => ts,
             Next::Gap(from, to) => {
                 self.ahead = None;
-                self.flush(drain)?;
-                drain.gap(from, to)?;
+                self.flush(dispatch)?;
+                dispatch.gap(from, to)?;
                 return Ok(0);
             }
         };
         let crossed = self.cadence.advance(ts);
         match crossed {
             Some(c) if self.reference_cadence => {
-                self.flush(drain)?;
-                drain.boundaries(c)?;
+                self.flush(dispatch)?;
+                dispatch.boundaries(c)?;
             }
             Some(c) => self.batch.cross(c),
             None => {}
@@ -214,19 +205,19 @@ impl Feed {
             self.batch.push(t);
         }
         if self.batch.len() >= self.batch_size {
-            self.flush(drain)?;
+            self.flush(dispatch)?;
         }
         Ok(crossed.map_or(0, |c| c.count()))
     }
 
-    /// Flush the batch into `drain`, the clock first moved to the
+    /// Flush the batch into `dispatch`, the clock first moved to the
     /// latest buffered tweet.
-    pub(crate) fn flush(&mut self, drain: &mut impl Drain) -> Result<(), QueryError> {
+    pub(crate) fn flush(&mut self, dispatch: &mut Dispatch<'_>) -> Result<(), QueryError> {
         self.source.clock().advance_to(self.cadence.high());
-        drain.flush(&mut self.batch)
+        dispatch.flush(&mut self.batch)
     }
 
-    /// The consumer pulls no more (LIMIT reached, or the end): in block
+    /// The host pulls no more (LIMIT reached, or the end): in block
     /// mode the clock moves to the source frontier, where the end of the
     /// stream puts it too.
     pub(crate) fn stop(&mut self) {

@@ -8,7 +8,7 @@
 // (E8 drives its conjunct re-ranker directly) and `supervise`
 // (fault-tolerance tests build `RetryPolicy` / consume `SourceEvent`s).
 // The rest are lowering details reachable only through `plan::plan`,
-// and `feed`, the source half both the engine and the host drive.
+// and `feed`, the source half of the host's one drive loop.
 pub(crate) mod aggregate;
 pub(crate) mod asyncop;
 pub(crate) mod confidence;
@@ -472,8 +472,8 @@ impl Pipeline {
 
     /// Push the rows of a columnar [`TweetBatch`] listed in `sel`
     /// (ascending) through every stage — the one columnar entry point:
-    /// the engine passes the full selection, the standing-query host
-    /// each query's share of the batch it holds for all of them.
+    /// a lone query gets the full selection, and a host with several
+    /// queries gives each its share of the batch it holds for all.
     ///
     /// Punctuation rides in the batch ([`TweetBatch::crossings`]) and is
     /// resolved here, against this pipeline's own deadline

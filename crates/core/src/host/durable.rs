@@ -41,6 +41,7 @@ use crate::error::QueryError;
 use crate::exec::feed::Next;
 use std::collections::HashMap;
 use std::path::PathBuf;
+use tweeql_firehose::FilterSpec;
 use tweeql_obs::QueryId;
 use tweeql_wal::{
     put_i64, put_str, put_u32, put_u64, put_u8, read_checkpoint, Dec, Digest, Wal, WalError,
@@ -672,7 +673,7 @@ pub(crate) fn recover(b: EngineBuilder, cfg: DurabilityConfig) -> Result<QueryHo
         }
     }
 
-    let mut host = QueryHost::from_builder(b);
+    let mut host = QueryHost::from_builder(b, FilterSpec::Sample(1.0));
     host.durable = Some(DurableState {
         wal,
         cfg,

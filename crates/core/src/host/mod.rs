@@ -1,13 +1,16 @@
 //! The standing-query host: one supervised firehose connection, many
 //! live queries.
 //!
-//! [`QueryHost`] is the multi-query counterpart of [`crate::engine::Engine`].
-//! Where an engine drains its feed into one query's pipeline, a host
-//! owns a **single** full-stream `Feed` — the same source cursor and
-//! batch filler the engine uses — and dispatches every batch it
-//! flushes to all registered queries through a shared-scan dispatcher
-//! (`Dispatch`). `pump_until`, `run_to_end` and durable replay are
-//! one loop each over that feed, differing only in where they stop.
+//! [`QueryHost`] is the one drive from source to operators: a host owns
+//! a **single** `Feed` (the source cursor and batch filler) and
+//! dispatches every batch it flushes to its registered queries through
+//! a shared-scan dispatcher (`Dispatch`). `pump_until`, `run_to_end`,
+//! durable replay and [`crate::engine::Engine::execute`]'s
+//! `run_query` are one loop each over that feed, differing only in
+//! where they stop. `Engine::execute` runs its query on a host of its
+//! own ([`QueryHost::one_query`]): one query, subscribed with the
+//! pushdown filter the engine chose. A standing host subscribes to the
+//! full stream.
 //! The dispatcher:
 //!
 //! * **Common-filter index** ([`index`]) — every query's `contains`
@@ -59,15 +62,15 @@ mod tests;
 use crate::catalog::Catalog;
 use crate::engine::{Diagnostics, EngineBuilder, EngineConfig, RegistryFn};
 use crate::error::QueryError;
-use crate::exec::feed::{Drain, Feed, Next};
+use crate::exec::feed::{Feed, Next};
 use crate::exec::supervise::SourceFaultStats;
 use crate::exec::Pipeline;
-use crate::plan::prepare;
+use crate::plan::{prepare, PlannedQuery};
 use crate::udf::Registry;
 use index::{FilterIndex, NeedleGroups};
 use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
-use tweeql_firehose::FilterSpec;
+use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_model::batch::col;
 use tweeql_model::{Clock, Crossing, Record, SchemaRef, Timestamp, TweetBatch, VirtualClock};
 use tweeql_obs::{MetricsRegistry, QueryId, SpanKind, Tracer};
@@ -141,7 +144,7 @@ pub struct HostStats {
 struct HostQuery {
     id: QueryId,
     sql: String,
-    planned: crate::plan::PlannedQuery,
+    planned: PlannedQuery,
     /// Whether any pipeline stage reacts to watermarks/gaps; cached at
     /// registration so punctuation skips the (typically vast)
     /// stateless majority.
@@ -164,6 +167,11 @@ struct HostQuery {
     tracer: Option<Tracer>,
     span: Option<u64>,
     retired: bool,
+    /// [`crate::engine::Engine::execute`]'s query: the engine attached
+    /// its obs and publishes its stats, and its drive
+    /// ([`QueryHost::run_query`]) finishes it only after the pull has
+    /// stopped.
+    held: bool,
 }
 
 impl HostQuery {
@@ -183,10 +191,10 @@ impl HostQuery {
     }
 
     /// After any push: when the pipeline reports done (LIMIT reached),
-    /// finish it immediately — exactly where the serial engine breaks
-    /// its loop and finishes.
+    /// finish it immediately, so a standing query's final output is
+    /// pollable at once. A held query is left to its drive.
     fn check_done(&mut self) -> Result<(), QueryError> {
-        if self.state == QueryState::Running && self.planned.pipeline.done() {
+        if self.state == QueryState::Running && !self.held && self.planned.pipeline.done() {
             self.finish()?;
         }
         Ok(())
@@ -209,7 +217,7 @@ impl HostQuery {
     /// a row publish nothing — an absent per-query series reads as
     /// zero, and skipping it keeps retiring a quiet long tail cheap.
     fn retire(&mut self) {
-        if self.retired {
+        if self.retired || self.held {
             return;
         }
         self.retired = true;
@@ -349,14 +357,14 @@ pub struct QueryHost {
 }
 
 impl QueryHost {
-    /// Assemble from a configured [`EngineBuilder`] (the public entry
-    /// point is [`EngineBuilder::build_host`]).
-    pub(crate) fn from_builder(b: EngineBuilder) -> QueryHost {
-        let clock = b.api.clock();
+    /// Assemble from a configured [`EngineBuilder`], subscribed with
+    /// `filter` (the public entry point is [`EngineBuilder::build_host`],
+    /// which subscribes to the full stream).
+    pub(crate) fn from_builder(b: EngineBuilder, filter: FilterSpec) -> QueryHost {
         QueryHost {
-            feed: Feed::new(&b.api, FilterSpec::Sample(1.0), &b.config),
+            feed: Feed::new(&b.api, filter, &b.config),
+            clock: b.api.clock(),
             config: b.config,
-            clock,
             catalog: Catalog::with_twitter(),
             registry_fns: b.registry_fns,
             metrics: b.metrics.unwrap_or_default(),
@@ -373,6 +381,26 @@ impl QueryHost {
             host_metrics_published: false,
             durable: None,
         }
+    }
+
+    /// The host [`crate::engine::Engine::execute`] runs `planned` on: one
+    /// held query, subscribed with the pushdown `filter`, a private
+    /// metrics registry and no tracer. The reference configuration cuts the
+    /// batch at every watermark boundary.
+    pub(crate) fn one_query(
+        api: &StreamingApi,
+        filter: FilterSpec,
+        config: &EngineConfig,
+        id: QueryId,
+        sql: &str,
+        planned: PlannedQuery,
+    ) -> QueryHost {
+        let b = crate::engine::Engine::builder(api.clone()).config(config.clone());
+        let mut host = QueryHost::from_builder(b, filter);
+        host.feed.reference_cadence = config.reference;
+        let now = host.clock.now();
+        host.admit(id, sql, planned, now, true);
+        host
     }
 
     // ---- session/catalog layer -------------------------------------
@@ -422,6 +450,12 @@ impl QueryHost {
         planned
             .pipeline
             .attach_obs(None, &self.metrics, now.millis());
+        self.admit(id, sql, planned, now, false);
+        Ok(id)
+    }
+
+    /// Add a planned query to the dispatcher's set.
+    fn admit(&mut self, id: QueryId, sql: &str, planned: PlannedQuery, now: Timestamp, held: bool) {
         let span = self
             .tracer
             .as_ref()
@@ -446,9 +480,9 @@ impl QueryHost {
             tracer: self.tracer.clone(),
             span,
             retired: false,
+            held,
         });
         self.index_changed();
-        Ok(id)
     }
 
     /// Drop a query: finish its pipeline (final aggregate windows) and
@@ -551,6 +585,32 @@ impl QueryHost {
         // No event is past the end of time, so the pump stops only at
         // the end of the stream, which finishes every query.
         self.pump_until(Timestamp::MAX)
+    }
+
+    /// [`crate::engine::Engine::execute`]'s drive: pump until the stream
+    /// ends or the held query is done (LIMIT reached; `LIMIT 0` before
+    /// the first pull), stop the pull, which moves the clock to the
+    /// source frontier, then flush the batch unless the query is done,
+    /// and finish it.
+    pub(crate) fn run_query(&mut self) -> Result<(), QueryError> {
+        self.ensure_index();
+        let done = |host: &QueryHost| host.queries[0].planned.pipeline.done();
+        while !done(self) {
+            let Some(next) = self.feed.peek() else { break };
+            self.take_next(next)?;
+        }
+        self.feed.stop();
+        if !done(self) {
+            self.flush_batch()?;
+        }
+        self.queries[0].finish()
+    }
+
+    /// The held query's plan and output rows, after
+    /// [`QueryHost::run_query`].
+    pub(crate) fn into_query(mut self) -> (PlannedQuery, Vec<Record>) {
+        let q = self.queries.swap_remove(0);
+        (q.planned, q.pending)
     }
 
     /// High-water stream time of the events processed so far.
@@ -754,7 +814,7 @@ impl QueryHost {
 /// The host's side of the feed: everything a flush, a gap or a
 /// boundary touches, borrowed apart from the [`Feed`] that calls it
 /// ([`QueryHost::split`]).
-struct Dispatch<'a> {
+pub(crate) struct Dispatch<'a> {
     queries: &'a mut [HostQuery],
     filter_index: &'a mut FilterIndex,
     table: &'a mut DispatchTable,
@@ -782,13 +842,11 @@ impl Dispatch<'_> {
         }
         Ok(())
     }
-}
 
-impl Drain for Dispatch<'_> {
     /// Dispatch the buffered batch: one prefilter scan per row, one
     /// build of the columns the selecting queries read, then every one
     /// of those pipelines over the same batch with its own selection.
-    fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError> {
+    pub(crate) fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError> {
         let n = batch.len();
         if n == 0 {
             return Ok(());
@@ -796,9 +854,9 @@ impl Drain for Dispatch<'_> {
         self.stats.batches += 1;
         // Single-query fast path: with exactly one running query there
         // is nothing to share, so the prefilter scan is pure overhead.
-        // Hand the whole batch straight to the pipeline, exactly like a
-        // dedicated engine. Register/drop flush first, so the condition
-        // cannot flip mid-batch.
+        // Hand the whole batch straight to the pipeline; this is the arm
+        // `Engine::execute`'s host takes. Register/drop flush first, so
+        // the condition cannot flip mid-batch.
         if self.queries.len() == 1 && self.queries[0].state == QueryState::Running {
             let q = &mut self.queries[0];
             q.rows_in += n as u64;
@@ -931,14 +989,15 @@ impl Drain for Dispatch<'_> {
         result
     }
 
-    /// A source coverage gap reaches the time-sensitive queries.
-    fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
+    /// A source coverage gap reaches the time-sensitive queries; the
+    /// batch before it has been flushed.
+    pub(crate) fn gap(&mut self, from: Timestamp, to: Timestamp) -> Result<(), QueryError> {
         self.punctuate(|pipeline, out| pipeline.gap(from, to, out))
     }
 
     /// The reference cadence: every crossed boundary through every
-    /// time-sensitive query.
-    fn boundaries(&mut self, crossed: Crossing) -> Result<(), QueryError> {
+    /// time-sensitive query, after the flush that cut the batch there.
+    pub(crate) fn boundaries(&mut self, crossed: Crossing) -> Result<(), QueryError> {
         self.punctuate(|pipeline, out| {
             crossed
                 .boundaries()

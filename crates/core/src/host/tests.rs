@@ -89,6 +89,32 @@ fn a_lone_query_takes_every_batch_whole() {
     assert_eq!(host.take_output(id).expect("output").len(), 240);
 }
 
+/// A standing host keeps reading after its only query reached its
+/// LIMIT (a client may register another); the one-query host
+/// `Engine::execute` drives stops the pull there.
+#[test]
+fn only_the_one_query_drive_stops_at_a_limit() {
+    let sql = "SELECT text FROM twitter WHERE text contains 'kw0' LIMIT 3";
+    let mut host = builder(stream()).build_host();
+    let id = host.register(sql).expect("registers");
+    host.pump_until(Timestamp::from_mins(5)).expect("pumps");
+    assert_eq!(host.list()[0].state, QueryState::Finished);
+    assert_eq!(host.stats().tweets_delivered, 601, "read to the pump's end");
+    assert_eq!(host.take_output(id).expect("output").len(), 3);
+
+    let engine = builder(stream()).build();
+    let planned = engine.checked_plan(sql).expect("plans");
+    let (api, config) = (&engine.api, &engine.config);
+    let mut one = QueryHost::one_query(api, FilterSpec::Sample(1.0), config, id, sql, planned);
+    one.run_query().expect("runs");
+    assert_eq!(
+        one.stats().tweets_delivered,
+        16,
+        "the first batch ends the pull"
+    );
+    assert_eq!(one.into_query().1.len(), 3);
+}
+
 /// Register and drop between pumps, on the fast or the reference
 /// configuration. Returns every row handed out, in a fixed order.
 fn churn(reference: bool) -> Vec<Vec<Record>> {

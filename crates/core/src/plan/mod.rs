@@ -456,15 +456,18 @@ fn lower(
             key_names.join(", "),
             policy,
         ));
-        ops.push(Box::new(AggregateOp::new(
-            ckeys,
-            cags,
-            ctx,
-            policy,
-            &working_schema,
-            agg_schema.clone(),
-            confidence_target,
-        )));
+        ops.push(Box::new(
+            AggregateOp::new(
+                ckeys,
+                cags,
+                ctx,
+                policy,
+                &working_schema,
+                agg_schema.clone(),
+                confidence_target,
+            )
+            .columnar(!config.reference),
+        ));
 
         // HAVING filters aggregate output before the final projection.
         if let Some(h) = &having_expr {

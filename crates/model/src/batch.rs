@@ -802,19 +802,9 @@ impl TweetBatch {
         }
     }
 
-    /// Append every row as a [`Record`].
-    pub fn append_records(&self, out: &mut Vec<Record>) {
-        out.reserve(self.len());
-        for i in 0..self.len() {
-            out.push(self.record_at(i));
-        }
-    }
-
     /// All rows as [`Record`]s.
     pub fn to_records(&self) -> Vec<Record> {
-        let mut out = Vec::new();
-        self.append_records(&mut out);
-        out
+        (0..self.len()).map(|i| self.record_at(i)).collect()
     }
 
     /// Drop rows, columns and crossings, keeping the row-store

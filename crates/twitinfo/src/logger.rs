@@ -60,12 +60,13 @@ fn run_event_query(
         return Ok((Vec::new(), None));
     };
     let log = api.log();
-    let mut tweets = Vec::new();
-    let mut engine = Engine::builder(api.clone()).build();
-    let (_schema, stats) = engine.execute_with_sink(&sql, &mut |row| {
-        tweets.extend(row_tweet(log, spec, row).cloned());
-    })?;
-    Ok((tweets, Some(stats)))
+    let result = Engine::builder(api.clone()).build().execute(&sql)?;
+    let tweets = result
+        .rows
+        .iter()
+        .filter_map(|row| row_tweet(log, spec, row).cloned())
+        .collect();
+    Ok((tweets, Some(result.stats)))
 }
 
 /// The event's tweets, in stream order: the firehose tweets its TweeQL

@@ -1,0 +1,73 @@
+//! Retired entry points stay retired.
+//!
+//! `EngineBuilder::reference` replaced the four per-layer mode flags;
+//! they and `workers` remain only as hidden aliases for `benchmark/`,
+//! which cannot change in the same commit as the engine. Every query
+//! runs on a `QueryHost`, so `Engine::execute_with_sink` and the
+//! engine's own `run_single` drive are gone. No Rust source outside
+//! `benchmark/` may call any of them.
+
+use std::path::Path;
+
+/// Called as methods: `.name(`.
+const RETIRED_METHODS: &[&str] = &[
+    "columnar_decode",
+    "compiled_expressions",
+    "plan_optimizer",
+    "batched_source",
+    "workers",
+];
+
+/// Called or defined anywhere: `name(`.
+const RETIRED_FNS: &[&str] = &["execute_with_sink", "run_single"];
+
+/// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
+/// output (`target/`) and hidden directories.
+fn rust_sources(root: &Path, dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).expect("readable source tree") {
+        let path = entry.expect("readable directory entry").path();
+        let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("");
+        if path.is_dir() {
+            let skipped =
+                name.starts_with('.') || name == "target" || (dir == root && name == "benchmark");
+            if !skipped {
+                rust_sources(root, &path, out);
+            }
+        } else if name.ends_with(".rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn retired_switches_have_no_caller_outside_benchmark() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut files = Vec::new();
+    rust_sources(root, root, &mut files);
+    assert!(
+        files
+            .iter()
+            .any(|f| f.ends_with("crates/core/src/engine.rs")),
+        "the walk must reach the engine's source"
+    );
+    let needles: Vec<String> = RETIRED_METHODS
+        .iter()
+        .map(|m| format!(".{m}("))
+        .chain(RETIRED_FNS.iter().map(|f| format!("{f}(")))
+        .collect();
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source file");
+        for (n, line) in text.lines().enumerate() {
+            if needles.iter().any(|needle| line.contains(needle.as_str())) {
+                let at = file.strip_prefix(root).unwrap_or(file);
+                hits.push(format!("{}:{}: {}", at.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(
+        hits.is_empty(),
+        "call the reference switch or `Engine::execute` instead:\n{}",
+        hits.join("\n")
+    );
+}
