@@ -15,7 +15,7 @@
 //! projection to restore SELECT order.
 
 use super::confidence::ConfidenceTracker;
-use super::keys::{KeyParts, KeyTable};
+use super::keys::{key_hash, KeyParts, KeyTable, StrSet};
 use super::topk::SpaceSaving;
 use super::{earlier, Operator};
 use crate::ast::AggFunc;
@@ -23,8 +23,11 @@ use crate::error::QueryError;
 use crate::expr::{CExpr, EvalCtx};
 use std::borrow::Borrow;
 use std::sync::Arc;
+use tweeql_model::batch::col;
 use tweeql_model::record::twitter_schema;
-use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, ValueRef};
+use tweeql_model::{
+    Column, ColumnView, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, ValueRef,
+};
 
 /// Window policy (compiled form of [`crate::ast::WindowSpec`]).
 #[derive(Debug, Clone, PartialEq)]
@@ -67,7 +70,7 @@ enum AggState {
     Min(Option<Value>),
     Max(Option<Value>),
     StdDev(ConfidenceTracker),
-    CountDistinct(KeyTable<Value, ()>),
+    CountDistinct(Distinct),
     TopK { sketch: SpaceSaving, k: usize },
 }
 
@@ -83,7 +86,7 @@ impl AggState {
             AggFunc::Min => AggState::Min(None),
             AggFunc::Max => AggState::Max(None),
             AggFunc::StdDev => AggState::StdDev(ConfidenceTracker::new()),
-            AggFunc::CountDistinct => AggState::CountDistinct(KeyTable::default()),
+            AggFunc::CountDistinct => AggState::CountDistinct(Distinct::default()),
             AggFunc::TopK(k) => AggState::TopK {
                 // 8× headroom keeps heavy hitters accurate under churn.
                 sketch: SpaceSaving::new((k as usize) * 8 + 8),
@@ -123,8 +126,8 @@ impl AggState {
                 }
             }
             AggState::CountDistinct(set) => {
-                if let Some(x) = v.filter(|x| !x.is_null()) {
-                    set.get_or_insert_with(&x, own, || ());
+                if let Some(x) = v {
+                    set.insert(x, own);
                 }
             }
             AggState::TopK { sketch, .. } => match v {
@@ -171,6 +174,36 @@ impl AggState {
                     .collect(),
             ),
         }
+    }
+}
+
+/// `count(distinct …)`'s members: strings in a set that owns their
+/// bytes, every other member as a `Value` (`Int(1)` and `Float(1.0)` one
+/// member). A string never equals a non-string, so the two sets never
+/// share a member.
+#[derive(Default)]
+struct Distinct {
+    strs: StrSet,
+    other: KeyTable<Value, ()>,
+}
+
+impl Distinct {
+    /// Add `v` unless it is NULL; `own` builds a non-string member that
+    /// is new.
+    fn insert(&mut self, v: ValueRef<'_>, own: impl FnOnce() -> Value) {
+        match v {
+            ValueRef::Null => {}
+            ValueRef::Str(s) => {
+                self.strs.insert(s);
+            }
+            x => {
+                self.other.get_or_insert_with(key_hash(&x), &x, own, || ());
+            }
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.strs.len() + self.other.len()
     }
 }
 
@@ -230,6 +263,9 @@ struct TweetColumns {
     keys: Vec<usize>,
     /// `None` for `COUNT(*)`.
     args: Vec<Option<usize>>,
+    /// Every column a key or an argument reads: what the head asks the
+    /// batch to materialize.
+    needed: [bool; col::COUNT],
 }
 
 impl TweetColumns {
@@ -241,16 +277,70 @@ impl TweetColumns {
             CExpr::Column(c) => Some(*c),
             _ => None,
         };
-        Some(TweetColumns {
-            keys: key_exprs.iter().map(column).collect::<Option<_>>()?,
-            args: aggs
-                .iter()
-                .map(|a| match &a.arg {
-                    Some(e) => column(e).map(Some),
-                    None => Some(None),
-                })
-                .collect::<Option<_>>()?,
-        })
+        let keys: Vec<usize> = key_exprs.iter().map(column).collect::<Option<_>>()?;
+        let args: Vec<Option<usize>> = aggs
+            .iter()
+            .map(|a| match &a.arg {
+                Some(e) => column(e).map(Some),
+                None => Some(None),
+            })
+            .collect::<Option<_>>()?;
+        let mut needed = [false; col::COUNT];
+        for &c in keys.iter().chain(args.iter().flatten()) {
+            needed[c] = true;
+        }
+        Some(TweetColumns { keys, args, needed })
+    }
+}
+
+/// One segment's key and argument columns, each resolved once — what
+/// a [`Tuple::Views`] reads its row from.
+struct Views<'a> {
+    batch: &'a TweetBatch,
+    cols: &'a TweetColumns,
+    /// By column index; [`ColumnView::Null`] for a column no key or
+    /// argument reads.
+    views: [ColumnView<'a>; col::COUNT],
+    /// A key that is one dictionary column: its codes, and each code's
+    /// [`key_hash`].
+    dict_key: Option<(&'a [u32], &'a [u64])>,
+}
+
+impl<'a> Views<'a> {
+    /// Resolve `cols` over `batch`. A column the caller did not
+    /// materialize is built into `spare`; `code_hashes` is filled for
+    /// a dictionary key.
+    fn resolve(
+        batch: &'a TweetBatch,
+        cols: &'a TweetColumns,
+        spare: &'a mut [Column; col::COUNT],
+        code_hashes: &'a mut Vec<u64>,
+    ) -> Views<'a> {
+        for (c, slot) in spare.iter_mut().enumerate() {
+            if cols.needed[c] && batch.view(c).is_none() {
+                *slot = batch.decode_column(c);
+            }
+        }
+        let spare = &*spare;
+        let views = std::array::from_fn(|c| match batch.view(c) {
+            _ if !cols.needed[c] => ColumnView::Null,
+            Some(view) => view,
+            None => spare[c].view(),
+        });
+        code_hashes.clear();
+        let mut dict_key = None;
+        if let [k] = cols.keys[..] {
+            if let ColumnView::Dict { codes, dict } = views[k] {
+                code_hashes.extend(dict.iter().map(|s| key_hash(&ValueRef::Str(s))));
+                dict_key = Some((codes, &code_hashes[..]));
+            }
+        }
+        Views {
+            batch,
+            cols,
+            views,
+            dict_key,
+        }
     }
 }
 
@@ -266,22 +356,33 @@ enum Tuple<'a> {
         key: &'a [Value],
         args: &'a [Option<Value>],
     },
-    /// Plain columns of one row of a batch (dead columns read NULL, as
-    /// in the pruned row decode).
-    Row {
-        batch: &'a TweetBatch,
-        row: usize,
-        cols: &'a TweetColumns,
-    },
+    /// One row of a segment's resolved columns (dead columns read
+    /// NULL, as in the pruned row decode).
+    Views { seg: &'a Views<'a>, row: usize },
 }
 
 impl Tuple<'_> {
+    /// The key's [`key_hash`]: for a dictionary key, its code's.
+    fn key_hash(&self) -> u64 {
+        match *self {
+            Tuple::Views {
+                seg:
+                    Views {
+                        dict_key: Some((codes, hashes)),
+                        ..
+                    },
+                row,
+            } => hashes[codes[row] as usize],
+            _ => key_hash(self),
+        }
+    }
+
     fn key_values(&self) -> Vec<Value> {
         match *self {
             Tuple::Values { key, .. } => key.to_vec(),
-            Tuple::Row { batch, row, cols } => {
-                cols.keys.iter().map(|&c| batch.value_at(row, c)).collect()
-            }
+            Tuple::Views { seg, row } => (seg.cols.keys.iter())
+                .map(|&c| seg.batch.value_at(row, c))
+                .collect(),
         }
     }
 
@@ -289,15 +390,17 @@ impl Tuple<'_> {
     fn arg(&self, a: usize) -> Option<ValueRef<'_>> {
         match *self {
             Tuple::Values { args, .. } => args[a].as_ref().map(ValueRef::from),
-            Tuple::Row { batch, row, cols } => cols.args[a].map(|c| batch.view_at(row, c)),
+            Tuple::Views { seg, row } => seg.cols.args[a].map(|c| seg.views[c].get(row)),
         }
     }
 
+    /// Argument `a` as a `Value`; one read off the batch shares the
+    /// tweet's own allocation.
     fn arg_value(&self, a: usize) -> Value {
         match *self {
             Tuple::Values { args, .. } => args[a].clone().unwrap_or(Value::Null),
-            Tuple::Row { batch, row, cols } => {
-                cols.args[a].map_or(Value::Null, |c| batch.value_at(row, c))
+            Tuple::Views { seg, row } => {
+                seg.cols.args[a].map_or(Value::Null, |c| seg.batch.value_at(row, c))
             }
         }
     }
@@ -307,14 +410,14 @@ impl KeyParts for Tuple<'_> {
     fn len(&self) -> usize {
         match *self {
             Tuple::Values { key, .. } => key.len(),
-            Tuple::Row { cols, .. } => cols.keys.len(),
+            Tuple::Views { seg, .. } => seg.cols.keys.len(),
         }
     }
 
     fn part(&self, k: usize) -> ValueRef<'_> {
         match *self {
             Tuple::Values { key, .. } => ValueRef::from(&key[k]),
-            Tuple::Row { batch, row, cols } => batch.view_at(row, cols.keys[k]),
+            Tuple::Views { seg, row } => seg.views[seg.cols.keys[k]].get(row),
         }
     }
 }
@@ -372,6 +475,8 @@ pub struct AggregateOp {
     /// Columnar head: set when the input is the `twitter` stream and
     /// every key and argument is a plain column of it.
     columns: Option<TweetColumns>,
+    /// A dictionary key's per-code hashes, reused across segments.
+    code_hashes: Vec<u64>,
     /// The evaluated group key and aggregate arguments of the record in
     /// `on_record`, reused across records.
     key: Vec<Value>,
@@ -395,6 +500,7 @@ impl AggregateOp {
         debug_assert_eq!(schema.len(), key_exprs.len() + aggs.len());
         AggregateOp {
             columns: TweetColumns::of(&key_exprs, &aggs, input_schema),
+            code_hashes: Vec::new(),
             key: Vec::new(),
             arg_values: Vec::new(),
             key_exprs,
@@ -497,7 +603,14 @@ impl AggregateOp {
     }
 
     /// Feed one tuple into every sliding window covering its timestamp.
-    fn sliding_update(&mut self, t: &Tuple<'_>, ts: Timestamp, size: Duration, slide: Duration) {
+    fn sliding_update(
+        &mut self,
+        t: &Tuple<'_>,
+        hash: u64,
+        ts: Timestamp,
+        size: Duration,
+        slide: Duration,
+    ) {
         let slide_ms = slide.millis().max(1);
         // Window starts are multiples of `slide`; the tuple belongs to
         // starts in (ts - size, ts].
@@ -510,8 +623,12 @@ impl AggregateOp {
                 continue;
             }
             let groups = self.sliding.entry(start).or_default();
-            let group =
-                groups.get_or_insert_with(t, || t.key_values(), || Group::new(&self.aggs, ts));
+            let group = groups.get_or_insert_with(
+                hash,
+                t,
+                || t.key_values(),
+                || Group::new(&self.aggs, ts),
+            );
             group.update(t, ts);
         }
     }
@@ -528,14 +645,19 @@ impl AggregateOp {
     /// Fold one tuple into its group and emit whatever the window
     /// policy says is due.
     fn ingest(&mut self, t: &Tuple<'_>, ts: Timestamp, out: &mut Vec<Record>) {
+        let hash = t.key_hash();
         if let WindowPolicy::Sliding { size, slide } = self.policy {
-            self.sliding_update(t, ts, size, slide);
+            self.sliding_update(t, hash, ts, size, slide);
             return;
         }
         // A tuple of an existing group builds no `Value`: its key
         // becomes `Value`s only here, when the group is new.
-        let group =
-            (self.groups).get_or_insert_with(t, || t.key_values(), || Group::new(&self.aggs, ts));
+        let group = (self.groups).get_or_insert_with(
+            hash,
+            t,
+            || t.key_values(),
+            || Group::new(&self.aggs, ts),
+        );
         group.update(t, ts);
 
         let closed = match &self.policy {
@@ -552,7 +674,7 @@ impl AggregateOp {
             _ => false,
         };
         if closed {
-            if let Some((key, g)) = self.groups.remove(t) {
+            if let Some((key, g)) = self.groups.remove(hash, t) {
                 self.windows_emitted += 1;
                 self.emit_group(&key, &g, out);
             }
@@ -745,9 +867,7 @@ impl Operator for AggregateOp {
     }
 
     fn wants_tweet_batch(&self) -> Option<&[bool]> {
-        // Plain column reads go through the batch's row store: nothing
-        // needs materializing.
-        self.columns.as_ref().map(|_| &[][..])
+        self.columns.as_ref().map(|c| &c.needed[..])
     }
 
     fn on_tweet_batch(
@@ -759,19 +879,20 @@ impl Operator for AggregateOp {
         let Some(cols) = self.columns.take() else {
             return super::row_shim(self, batch, sel, out);
         };
-        // Per row exactly what `on_record` does, minus the `Record`
-        // and minus the `Value`s: key and arguments are read where the
-        // batch keeps them.
-        for &i in sel {
-            let row = i as usize;
-            let ts = batch.ts(row);
-            self.open_window(ts, out);
-            let tuple = Tuple::Row {
-                batch,
-                row,
-                cols: &cols,
-            };
-            self.ingest(&tuple, ts, out);
+        if !sel.is_empty() {
+            // Per row exactly what `on_record` does, minus the `Record`
+            // and minus the `Value`s: key and arguments are read off
+            // columns resolved once for the segment.
+            let mut code_hashes = std::mem::take(&mut self.code_hashes);
+            let mut spare = [const { Column::Missing }; col::COUNT];
+            let seg = Views::resolve(batch, &cols, &mut spare, &mut code_hashes);
+            for &i in sel {
+                let row = i as usize;
+                let ts = batch.ts(row);
+                self.open_window(ts, out);
+                self.ingest(&Tuple::Views { seg: &seg, row }, ts, out);
+            }
+            self.code_hashes = code_hashes;
         }
         self.columns = Some(cols);
         Ok(())
@@ -803,7 +924,10 @@ impl Operator for AggregateOp {
                 .filter(|(_, g)| g.confidence.should_emit(epsilon, Some(max_age), wm))
                 .map(|(k, _)| k.clone())
                 .collect();
-            let emitted = sorted_groups(due.iter().filter_map(|k| self.groups.remove(k)));
+            let removed = due
+                .iter()
+                .filter_map(|k| self.groups.remove(key_hash(k), k));
+            let emitted = sorted_groups(removed);
             for (k, g) in emitted {
                 self.windows_emitted += 1;
                 self.confidence_emits += 1;
@@ -1235,9 +1359,7 @@ mod tests {
                 }
                 AggState::CountDistinct(set) => {
                     if let Some(x) = v {
-                        if !x.is_null() {
-                            set.get_or_insert_with(x, || x.clone(), || ());
-                        }
+                        set.insert(ValueRef::from(x), || x.clone());
                     }
                 }
                 AggState::TopK { sketch, .. } => {
@@ -1284,6 +1406,7 @@ mod tests {
                         continue;
                     }
                     let group = op.sliding.entry(start).or_default().get_or_insert_with(
+                        key_hash(key),
                         key,
                         || key.clone(),
                         || Group::new(&op.aggs, ts),
@@ -1292,12 +1415,16 @@ mod tests {
                 }
                 return;
             }
-            let group =
-                (op.groups).get_or_insert_with(key, || key.clone(), || Group::new(&op.aggs, ts));
+            let group = (op.groups).get_or_insert_with(
+                key_hash(key),
+                key,
+                || key.clone(),
+                || Group::new(&op.aggs, ts),
+            );
             update_group(group, arg_values, ts);
             match &op.policy {
                 WindowPolicy::Count(n) if group.n >= *n => {
-                    if let Some((_, g)) = op.groups.remove(key) {
+                    if let Some((_, g)) = op.groups.remove(key_hash(key), key) {
                         op.windows_emitted += 1;
                         op.emit_group(key, &g, out);
                     }
@@ -1309,7 +1436,7 @@ mod tests {
                         }
                     }
                     if group.confidence.should_emit(*epsilon, *max_age, ts) {
-                        if let Some((_, g)) = op.groups.remove(key) {
+                        if let Some((_, g)) = op.groups.remove(key_hash(key), key) {
                             op.windows_emitted += 1;
                             op.confidence_emits += 1;
                             op.emit_group(key, &g, out);
@@ -1548,27 +1675,61 @@ mod tests {
         use super::*;
         use crate::exec::Pipeline;
         use proptest::prelude::*;
-        use tweeql_model::batch::col as tcol;
         use tweeql_model::{Tweet, User};
 
-        /// 60 tweets, two seconds apart, three languages, seven authors.
-        fn tweets() -> Vec<Tweet> {
-            (0..60u64)
+        /// How [`tweets`] builds its stream.
+        #[derive(Debug, Clone, Copy)]
+        struct Stream {
+            /// `lang` and `loc` share one `Arc<str>` per distinct value
+            /// (as the sources build them), or every tweet owns its own.
+            interned: bool,
+            /// Every `loc` distinct, so a 100-row batch holds more than
+            /// a dictionary takes and the column bails to an arena.
+            unique_loc: bool,
+        }
+
+        /// 200 tweets, two seconds apart: three languages, seven
+        /// authors, followers 0–3, a third geotagged at latitude 0.0 or
+        /// 1.0, a fifth retweets of tweet 0 or 1.
+        fn tweets(stream: Stream) -> Vec<Tweet> {
+            let langs: [Arc<str>; 3] = ["en", "ja", "es"].map(Arc::from);
+            let locs: [Arc<str>; 4] = ["Tokyo", "Boston", "", "earth"].map(Arc::from);
+            let text = |pool: &[Arc<str>], i: u64| match stream.interned {
+                true => Arc::clone(&pool[i as usize % pool.len()]),
+                false => Arc::from(&*pool[i as usize % pool.len()]),
+            };
+            (0..200u64)
                 .map(|i| {
                     let mut user = User::new(i % 7, format!("user{}", i % 7));
-                    user.followers = (i * 5 % 37) as u32;
-                    Tweet::builder(i, format!("tweet {i}"))
+                    user.followers = (i * 5 % 4) as u32;
+                    user.location = match stream.unique_loc {
+                        true => format!("place {i}").into(),
+                        false => text(&locs, i % 7),
+                    };
+                    let mut t = Tweet::builder(i, format!("tweet {i}"))
                         .user(user)
                         .at(Timestamp::from_secs(100 + 2 * i as i64))
-                        .lang(["en", "ja", "es"][i as usize % 3])
-                        .build()
+                        .lang(text(&langs, i));
+                    if i % 3 == 0 {
+                        t = t.coordinates((i % 2) as f64, 1.0);
+                    }
+                    if i % 5 == 0 {
+                        t = t.retweet_of(i % 2);
+                    }
+                    t.build()
                 })
                 .collect()
         }
 
-        /// `lang, count(*), count(distinct screen_name), avg(followers),
-        /// min(<last>)` over the twitter stream.
-        fn op(policy: WindowPolicy, last: &str) -> AggregateOp {
+        /// Group keys tried: a dictionary string, one that may bail to
+        /// an arena, a nullable float, two columns, none.
+        const KEYS: &[&[&str]] = &[&["lang"], &["loc"], &["lat"], &["lang", "followers"], &[]];
+
+        /// `avg(followers)` first (the confidence target), then a
+        /// count, distinct counts over a string, an int (`1` among
+        /// them), a float (`1.0` and NULL among them) and a nullable
+        /// int, the extremes of a string and a float, and a top-k.
+        fn op(policy: WindowPolicy, keys: &[&str], columnar: bool) -> AggregateOp {
             let mut reg = Registry::empty();
             crate::expr::functions::register_builtins(&mut reg);
             let mut ctx = EvalCtx::default();
@@ -1576,33 +1737,31 @@ mod tests {
             let mut c = |src: &str| {
                 compile_into(&parse_expr(src).unwrap(), &input, &reg, &mut ctx).unwrap()
             };
-            let key = c("lang");
-            let aggs = vec![
-                AggExpr {
-                    func: AggFunc::Count,
-                    arg: None,
-                },
-                AggExpr {
-                    func: AggFunc::CountDistinct,
-                    arg: Some(c("screen_name")),
-                },
-                AggExpr {
-                    func: AggFunc::Avg,
-                    arg: Some(c("followers")),
-                },
-                AggExpr {
-                    func: AggFunc::Min,
-                    arg: Some(c(last)),
-                },
-            ];
-            let schema = Schema::shared(&[
-                ("lang", DataType::Str),
-                ("n", DataType::Int),
-                ("authors", DataType::Int),
-                ("reach", DataType::Float),
-                ("lo", DataType::Any),
-            ]);
-            AggregateOp::new(vec![key], aggs, ctx, policy, &input, schema, 0)
+            let key_exprs: Vec<CExpr> = keys.iter().map(|k| c(k)).collect();
+            let aggs: Vec<AggExpr> = [
+                (AggFunc::Avg, Some("followers")),
+                (AggFunc::Count, None),
+                (AggFunc::CountDistinct, Some("screen_name")),
+                (AggFunc::CountDistinct, Some("followers")),
+                (AggFunc::CountDistinct, Some("lat")),
+                (AggFunc::CountDistinct, Some("retweet_of")),
+                (AggFunc::Min, Some("loc")),
+                (AggFunc::Max, Some("lat")),
+                (AggFunc::TopK(2), Some("lang")),
+            ]
+            .into_iter()
+            .map(|(func, arg)| AggExpr {
+                func,
+                arg: arg.map(&mut c),
+            })
+            .collect();
+            let fields: Vec<(String, DataType)> = (0..keys.len() + aggs.len())
+                .map(|i| (format!("c{i}"), DataType::Any))
+                .collect();
+            let fields: Vec<(&str, DataType)> =
+                fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
+            let schema = Schema::shared(&fields);
+            AggregateOp::new(key_exprs, aggs, ctx, policy, &input, schema, 0).columnar(columnar)
         }
 
         fn policy(which: usize) -> WindowPolicy {
@@ -1612,19 +1771,40 @@ mod tests {
                     size: Duration::from_secs(30),
                     slide: Duration::from_secs(10),
                 },
-                _ => WindowPolicy::Count(3),
+                2 => WindowPolicy::Count(3),
+                3 => WindowPolicy::Confidence {
+                    epsilon: 0.5,
+                    max_age: Some(Duration::from_secs(25)),
+                },
+                _ => WindowPolicy::Unbounded,
             }
         }
 
         #[test]
         fn only_plain_twitter_columns_take_the_columnar_head() {
             let unbounded = || WindowPolicy::Unbounded;
+            let mut wants = [false; col::COUNT];
+            let read = [
+                col::LANG,
+                col::FOLLOWERS,
+                col::SCREEN_NAME,
+                col::LAT,
+                col::RETWEET_OF,
+                col::LOC,
+            ];
+            for c in read {
+                wants[c] = true;
+            }
             assert_eq!(
-                op(unbounded(), "followers").wants_tweet_batch(),
-                Some(&[][..]),
-                "reads the row store: nothing to materialize"
+                op(unbounded(), &["lang"], true).wants_tweet_batch(),
+                Some(&wants[..]),
+                "every key and argument column, once"
             );
-            assert_eq!(op(unbounded(), "followers * 2").wants_tweet_batch(), None);
+            assert_eq!(op(unbounded(), &["lang"], false).wants_tweet_batch(), None);
+            assert_eq!(
+                op(unbounded(), &["followers * 2"], true).wants_tweet_batch(),
+                None
+            );
             assert_eq!(
                 make_op(unbounded(), AggFunc::Count).wants_tweet_batch(),
                 None,
@@ -1639,36 +1819,53 @@ mod tests {
         }
 
         proptest! {
-            /// `on_tweet_batch(batch, sel)` is `on_record` over the
-            /// selected rows decoded one by one — rows, order, stage
-            /// counts and `state_digest` — across two batches (window
-            /// state carries over), for tumbling, sliding and count
-            /// windows, empty to full selections, any liveness mask.
+            /// The columnar head is the row path (`columnar(false)`:
+            /// every selected row decoded and evaluated) — rows, order,
+            /// stage counts and `state_digest` — across two batches
+            /// (window state carries over), for all five window
+            /// policies and every key shape; with the head's columns
+            /// materialized, all columns, or none (read off the row
+            /// store); interned or per-tweet strings; a `loc`
+            /// dictionary or one that bails to an arena; empty to full
+            /// selections; any liveness mask.
             #[test]
             fn selection_ingest_matches_row_ingest(
-                which in 0usize..3,
+                which in 0usize..5,
+                keys in 0usize..KEYS.len(),
+                interned in 0u8..2,
+                unique_loc in 0u8..2,
+                materialize in 0u8..3,
                 density in 0u8..=10,
-                draws in collection::vec(0u8..10, 60..61),
+                draws in collection::vec(0u8..10, 200..201),
                 live_bits in 0u32..(1 << 12),
             ) {
                 let live: Option<Arc<[bool]>> = (live_bits >> 11 == 0)
-                    .then(|| (0..tcol::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
-                let mut rows = Pipeline::new(vec![Box::new(op(policy(which), "followers"))]);
-                let mut cols = Pipeline::new(vec![Box::new(op(policy(which), "followers"))]);
+                    .then(|| (0..col::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
+                let keys = KEYS[keys];
+                let mut rows = Pipeline::new(vec![Box::new(op(policy(which), keys, false))]);
+                let mut cols = Pipeline::new(vec![Box::new(op(policy(which), keys, true))]);
                 let (mut row_out, mut col_out) = (Vec::new(), Vec::new());
-                for half in tweets().chunks(30) {
+                let stream = Stream { interned: interned == 1, unique_loc: unique_loc == 1 };
+                for half in tweets(stream).chunks(100) {
                     let mut batch = TweetBatch::with_live(live.clone());
                     for t in half {
                         batch.push(t.clone());
                     }
+                    match materialize {
+                        0 => {}
+                        1 => drop(batch.materialize(cols.tweet_columns())),
+                        _ => drop(batch.materialize(&tweeql_model::batch::all_columns())),
+                    }
                     let first = half[0].id as usize;
-                    let sel: Vec<u32> = (0..30u32)
+                    let sel: Vec<u32> = (0..100u32)
                         .filter(|&i| draws[first + i as usize] < density)
                         .collect();
-                    let mut recs: Vec<Record> =
-                        sel.iter().map(|&i| batch.record_at(i as usize)).collect();
-                    rows.push_batch(&mut recs, &mut row_out).unwrap();
+                    rows.push_tweet_batch(&batch, &sel, &mut row_out).unwrap();
                     cols.push_tweet_batch(&batch, &sel, &mut col_out).unwrap();
+                    prop_assert_eq!(digest(&rows), digest(&cols));
+                    let wm = batch.last_ts().unwrap();
+                    rows.watermark(wm, &mut row_out).unwrap();
+                    cols.watermark(wm, &mut col_out).unwrap();
                     prop_assert_eq!(digest(&rows), digest(&cols));
                 }
                 rows.finish(&mut row_out).unwrap();

@@ -10,11 +10,13 @@
 //! no `Value`, bumps no `Arc` and allocates nothing. The owned key is
 //! built only to insert.
 //!
-//! [`KeyTable`] hashes a probe once with [`WordHasher`] — deterministic,
-//! a word at a time — and keeps that hash as the key of a std `HashMap`
-//! that does not hash again: hit or miss is one probe (the entry API
-//! works, the key being a `u64`), and a growing table re-buckets the
-//! stored hashes without touching a string. Nothing observable depends
+//! [`KeyTable`] takes the probe's hash from the caller — [`key_hash`],
+//! [`WordHasher`] a word at a time, deterministic; or one the caller
+//! worked out once for many probes, such as one per dictionary code of
+//! a batch column — and keeps it as the key of a std `HashMap` that
+//! does not hash again: hit or miss is one probe (the entry API works,
+//! the key being a `u64`), and a growing table re-buckets the stored
+//! hashes without touching a string. Nothing observable depends
 //! on iteration order — flushes and digests sort their groups — so a
 //! fixed seed costs nothing and saves the 20 ns a short key spent in
 //! SipHash. It does give up SipHash's resistance to crafted collisions:
@@ -63,6 +65,16 @@ impl KeyParts for ValueRef<'_> {
     }
 }
 
+/// The hash [`KeyTable`] files `probe` under. Keys of one table all
+/// have the same length, so it is not hashed.
+pub(super) fn key_hash(probe: &impl KeyParts) -> u64 {
+    let mut state = WordHasher::default();
+    for k in 0..probe.len() {
+        probe.part(k).hash(&mut state);
+    }
+    state.finish()
+}
+
 fn same_key(a: &impl KeyParts, b: &impl KeyParts) -> bool {
     a.len() == b.len() && (0..a.len()).all(|k| a.part(k) == b.part(k))
 }
@@ -102,17 +114,12 @@ impl<K: KeyParts, V> KeyTable<K, V> {
         self.len() == 0
     }
 
-    fn hash_of(&self, probe: &impl KeyParts) -> u64 {
-        // Keys of one table all have the same length, so it is not
-        // hashed.
-        let mut state = WordHasher::default();
-        for k in 0..probe.len() {
-            probe.part(k).hash(&mut state);
-        }
+    /// The bits of `hash` the table keys on.
+    fn kept(&self, hash: u64) -> u64 {
         #[cfg(test)]
-        return state.finish() & self.hash_mask;
+        return hash & self.hash_mask;
         #[cfg(not(test))]
-        state.finish()
+        hash
     }
 
     fn overflowed(&self, probe: &impl KeyParts) -> Option<usize> {
@@ -122,17 +129,18 @@ impl<K: KeyParts, V> KeyTable<K, V> {
     /// The value under the key `probe` shows, if any.
     #[cfg(test)]
     pub fn get(&self, probe: &impl KeyParts) -> Option<&V> {
-        match self.by_hash.get(&self.hash_of(probe)) {
+        match self.by_hash.get(&self.kept(key_hash(probe))) {
             Some((k, v)) if same_key(k, probe) => Some(v),
             _ => self.overflowed(probe).map(|at| &self.overflow[at].1),
         }
     }
 
-    /// The value under the key `probe` shows; when there is none, the
-    /// entry `key()`/`value()` build is inserted first — the only time
-    /// the key is built.
+    /// The value under the key `probe` shows, `hash` being its
+    /// [`key_hash`]; when there is none, the entry `key()`/`value()`
+    /// build is inserted first — the only time the key is built.
     pub fn get_or_insert_with(
         &mut self,
+        hash: u64,
         probe: &impl KeyParts,
         key: impl FnOnce() -> K,
         value: impl FnOnce() -> V,
@@ -140,8 +148,7 @@ impl<K: KeyParts, V> KeyTable<K, V> {
         if let Some(at) = self.overflowed(probe) {
             return &mut self.overflow[at].1;
         }
-        let hash = self.hash_of(probe);
-        match self.by_hash.entry(hash) {
+        match self.by_hash.entry(self.kept(hash)) {
             Entry::Vacant(slot) => &mut slot.insert((key(), value())).1,
             Entry::Occupied(slot) if same_key(&slot.get().0, probe) => &mut slot.into_mut().1,
             Entry::Occupied(_) => {
@@ -151,10 +158,10 @@ impl<K: KeyParts, V> KeyTable<K, V> {
         }
     }
 
-    /// Remove and return the entry under the key `probe` shows.
-    pub fn remove(&mut self, probe: &impl KeyParts) -> Option<(K, V)> {
-        let hash = self.hash_of(probe);
-        if let Entry::Occupied(slot) = self.by_hash.entry(hash) {
+    /// Remove and return the entry under the key `probe` shows, `hash`
+    /// being its [`key_hash`].
+    pub fn remove(&mut self, hash: u64, probe: &impl KeyParts) -> Option<(K, V)> {
+        if let Entry::Occupied(slot) = self.by_hash.entry(self.kept(hash)) {
             if same_key(&slot.get().0, probe) {
                 return Some(slot.remove());
             }
@@ -174,6 +181,82 @@ impl<K: KeyParts, V> KeyTable<K, V> {
     pub fn into_entries(self) -> impl Iterator<Item = (K, V)> {
         self.by_hash.into_values().chain(self.overflow)
     }
+}
+
+/// A set of strings that owns their bytes — `count(distinct …)`'s
+/// string members. Every member lies in one buffer, back to back, found
+/// through an open-addressed table (a std `HashMap` that does not hash
+/// again, as in [`KeyTable`]) of `hash → (start, len)`: a new member is
+/// a copy into the buffer, not an allocation of its own, and dropping
+/// the set frees two buffers whatever it held. A member whose hash
+/// another already holds goes to a scanned overflow list.
+#[derive(Debug, Default)]
+pub(super) struct StrSet {
+    bytes: Vec<u8>,
+    by_hash: HashMap<u64, (usize, usize), BuildHasherDefault<HashIsKey>>,
+    overflow: Vec<(usize, usize)>,
+    /// Hash bits the set throws away; tests set most of them to make
+    /// members collide.
+    #[cfg(test)]
+    hash_clear: u64,
+}
+
+impl StrSet {
+    /// Members.
+    pub fn len(&self) -> usize {
+        self.by_hash.len() + self.overflow.len()
+    }
+
+    /// Add `s`; true when it was not a member.
+    pub fn insert(&mut self, s: &str) -> bool {
+        let b = s.as_bytes();
+        let held = |&(start, len): &(usize, usize)| self.bytes[start..start + len] == *b;
+        let member = (self.bytes.len(), b.len());
+        #[cfg(test)]
+        let hash = str_hash(b) & !self.hash_clear;
+        #[cfg(not(test))]
+        let hash = str_hash(b);
+        match self.by_hash.entry(hash) {
+            Entry::Vacant(slot) => {
+                slot.insert(member);
+            }
+            Entry::Occupied(slot) if held(slot.get()) => return false,
+            Entry::Occupied(_) if self.overflow.iter().any(held) => return false,
+            Entry::Occupied(_) => self.overflow.push(member),
+        }
+        self.bytes.extend_from_slice(b);
+        true
+    }
+}
+
+/// A string's hash for [`StrSet`]: up to 16 bytes read as two
+/// overlapping words, longer ones folded by [`WordHasher`], then one
+/// folded multiply.
+fn str_hash(b: &[u8]) -> u64 {
+    let word = |at: usize| u64::from_le_bytes(b[at..at + 8].try_into().expect("8 bytes"));
+    let half = |at: usize| {
+        u64::from(u32::from_le_bytes(
+            b[at..at + 4].try_into().expect("4 bytes"),
+        ))
+    };
+    let n = b.len();
+    let (x, y) = match n {
+        0 => (0, 0),
+        1..=3 => (
+            u64::from(b[0]) | u64::from(b[n / 2]) << 8 | u64::from(b[n - 1]) << 16,
+            0,
+        ),
+        4..=7 => (half(0), half(n - 4)),
+        8..=16 => (word(0), word(n - 8)),
+        _ => {
+            let mut state = WordHasher::default();
+            state.write(b);
+            (state.finish(), 0)
+        }
+    };
+    let product =
+        u128::from(x ^ 0x243f_6a88_85a3_08d3) * u128::from(y ^ n as u64 ^ 0x1319_8a2e_0370_7344);
+    (product as u64) ^ (product >> 64) as u64
 }
 
 /// The hasher of a map whose keys already are hashes.
@@ -316,9 +399,11 @@ mod tests {
                     .collect();
                 prop_assert_eq!(fast.get(&probe), plain.get(&key));
                 if op == 0 {
-                    prop_assert_eq!(fast.remove(&probe), plain.remove_entry(&key));
+                    let hash = key_hash(&probe);
+                    prop_assert_eq!(fast.remove(hash, &probe), plain.remove_entry(&key));
                 } else {
-                    let got = *fast.get_or_insert_with(&probe, || key.clone(), || n);
+                    let hash = key_hash(&probe);
+                    let got = *fast.get_or_insert_with(hash, &probe, || key.clone(), || n);
                     prop_assert_eq!(got, *plain.entry(key).or_insert(n));
                 }
                 prop_assert_eq!(fast.len(), plain.len());
@@ -348,6 +433,7 @@ mod tests {
                 let v = value(p);
                 let mut built = false;
                 fast.get_or_insert_with(
+                    key_hash(&ValueRef::from(&v)),
                     &ValueRef::from(&v),
                     || {
                         built = true;
@@ -357,6 +443,34 @@ mod tests {
                 );
                 // The key is built exactly when the member is new.
                 prop_assert_eq!(built, plain.insert(v.clone()));
+                prop_assert_eq!(fast.len(), plain.len());
+            }
+        }
+    }
+
+    proptest! {
+        /// A `StrSet` is a `HashSet<String>`: same answer to every
+        /// insert, same size, across growth — the empty string, shared
+        /// prefixes and strings longer than a word included; also with
+        /// all but one bit of the hash thrown away, which sends most
+        /// members through the overflow list.
+        #[test]
+        fn str_set_is_a_string_hash_set(
+            picks in collection::vec(0u16..300, 0..400),
+            collide in 0u8..2,
+        ) {
+            let mut fast = StrSet {
+                hash_clear: [0, !1][collide as usize],
+                ..StrSet::default()
+            };
+            let mut plain = std::collections::HashSet::new();
+            for p in picks {
+                let s = match p % 3 {
+                    0 => format!("{p}"),
+                    1 => format!("a shared prefix longer than a word {}", p / 3),
+                    _ => "x".repeat(usize::from(p % 11)),
+                };
+                prop_assert_eq!(fast.insert(&s), plain.insert(s));
                 prop_assert_eq!(fast.len(), plain.len());
             }
         }

@@ -6,9 +6,14 @@
 //! free-text profile location — canonical name, alias, decorated
 //! variant, garbage, or empty — exactly the input distribution the
 //! geocoding UDF has to survive.
+//!
+//! Profile `location` and `lang` strings are interned: one `Arc<str>`
+//! per distinct value, shared by every author that carries it, so a
+//! columnar batch's dictionary resolves a repeat by pointer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 use std::sync::Arc;
 use tweeql_geo::gazetteer::{self, City};
 use tweeql_geo::point::GeoPoint;
@@ -47,6 +52,16 @@ const SUFFIX: &[&str] = &[
     "", "_", "x", "xx", "123", "2011", "99", "_tw", "official", "real", "the", "mr", "ms", "dj",
 ];
 
+/// The one `Arc<str>` for `s` in `pool`, added on first sight.
+pub(crate) fn intern(pool: &mut HashSet<Arc<str>>, s: &str) -> Arc<str> {
+    if let Some(shared) = pool.get(s) {
+        return Arc::clone(shared);
+    }
+    let fresh: Arc<str> = Arc::from(s);
+    pool.insert(Arc::clone(&fresh));
+    fresh
+}
+
 impl Population {
     /// Generate `n` users deterministically from `seed`.
     pub fn generate(n: usize, seed: u64) -> Population {
@@ -59,6 +74,7 @@ impl Population {
         let mut by_city = vec![Vec::new(); cities.len()];
         let mut cumulative_activity = Vec::with_capacity(n);
         let mut acc = 0.0;
+        let (mut locations, mut langs) = (HashSet::new(), HashSet::new());
 
         for i in 0..n {
             // Weighted city choice.
@@ -118,9 +134,9 @@ impl Population {
                 user: Arc::new(User {
                     id: (i as UserId) + 1,
                     screen_name: screen_name.into(),
-                    location: location.into(),
+                    location: intern(&mut locations, &location),
                     followers,
-                    lang: lang.into(),
+                    lang: intern(&mut langs, lang),
                 }),
                 city_index,
                 home,
@@ -227,6 +243,24 @@ mod tests {
             .iter()
             .zip(c.users())
             .any(|(x, y)| x.user != y.user));
+    }
+
+    #[test]
+    fn location_and_lang_are_interned() {
+        let pop = Population::generate(2000, 5);
+        for field in [
+            |u: &User| Arc::clone(&u.location),
+            |u: &User| Arc::clone(&u.lang),
+        ] {
+            let values: Vec<Arc<str>> = pop.users().iter().map(|u| field(&u.user)).collect();
+            let distinct: HashSet<&str> = values.iter().map(|v| &**v).collect();
+            let allocations: HashSet<*const u8> = values.iter().map(|v| v.as_ptr()).collect();
+            assert_eq!(
+                allocations.len(),
+                distinct.len(),
+                "one Arc per distinct value"
+            );
+        }
     }
 
     #[test]

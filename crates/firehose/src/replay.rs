@@ -6,8 +6,9 @@
 //! prefixed record layout over [`bytes`] — no schema evolution needed
 //! for an experiment artifact.
 
+use crate::population::intern;
 use bytes::{BufMut, Bytes, BytesMut};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use tweeql_model::{Timestamp, TruthPolarity, Tweet, TweetBuilder, User, UserId};
 
@@ -203,9 +204,14 @@ impl<'a> Raw<'a> {
     }
 
     /// The tweet, its author shared through `authors` when every
-    /// profile field matches. A string that equals one already checked
-    /// is valid UTF-8, so only the others are checked here.
-    fn build(self, authors: &mut HashMap<UserId, Arc<User>>) -> Result<Tweet, ReplayError> {
+    /// profile field matches, its `location` and `lang` strings through
+    /// `pool`. A string that equals one already checked is valid UTF-8,
+    /// so only the others are checked here.
+    fn build(
+        self,
+        authors: &mut HashMap<UserId, Arc<User>>,
+        pool: &mut Interned,
+    ) -> Result<Tweet, ReplayError> {
         let user = match authors.get(&self.user_id) {
             Some(u)
                 if u.screen_name.as_bytes() == self.screen_name
@@ -219,9 +225,9 @@ impl<'a> Raw<'a> {
                 let fresh = Arc::new(User {
                     id: self.user_id,
                     screen_name: as_str(self.screen_name)?.into(),
-                    location: as_str(self.location)?.into(),
+                    location: intern(&mut pool.locations, as_str(self.location)?),
                     followers: self.followers,
-                    lang: as_str(self.user_lang)?.into(),
+                    lang: intern(&mut pool.langs, as_str(self.user_lang)?),
                 });
                 authors.insert(self.user_id, Arc::clone(&fresh));
                 fresh
@@ -230,7 +236,7 @@ impl<'a> Raw<'a> {
         let lang = if self.lang == user.lang.as_bytes() {
             Arc::clone(&user.lang)
         } else {
-            Arc::from(as_str(self.lang)?)
+            intern(&mut pool.langs, as_str(self.lang)?)
         };
         let mut tweet = TweetBuilder::new(self.id, as_str(self.text)?)
             .user(user)
@@ -250,6 +256,14 @@ impl<'a> Raw<'a> {
         }
         Ok(tweet.build())
     }
+}
+
+/// The `location` and `lang` values decoded so far, one `Arc<str>`
+/// each.
+#[derive(Default)]
+struct Interned {
+    locations: HashSet<Arc<str>>,
+    langs: HashSet<Arc<str>>,
 }
 
 /// Where a forward walk found the records.
@@ -302,12 +316,15 @@ fn walk(raw: &[u8], chunk: usize, utf8: bool) -> Result<Layout, ReplayError> {
 ///
 /// A tweet costs one allocation, its text, plus its box of rare fields
 /// when one of them is present (see [`Tweet`]). Authors are shared: the
-/// first tweet built for a `user_id` allocates the [`User`], later ones
-/// clone the `Arc` — but only after comparing every profile field, so
-/// an author whose followers, location or language change mid-log gets
-/// a fresh `User` for the tweets that differ. A tweet's `lang` is its
-/// author's allocation when the two are equal, as [`crate::generate`]
-/// builds it, and is then not stored in the row at all.
+/// first tweet built for a `user_id` allocates the [`User`] and its
+/// screen name, later ones clone the `Arc` — but only after comparing
+/// every profile field, so an author whose followers, location or
+/// language change mid-log gets a fresh `User` for the tweets that
+/// differ. Profile locations and languages are interned, as
+/// [`crate::generate`] builds them: one `Arc<str>` per distinct value
+/// in the whole log, whichever authors carry it. A tweet's `lang` is its
+/// author's allocation when the two are equal, and is then not stored in
+/// the row at all; otherwise it is the interned one.
 pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
     decode_log_chunked(buf, CHUNK_BYTES)
 }
@@ -323,6 +340,7 @@ fn decode_log_chunked(buf: Bytes, chunk: usize) -> Result<Vec<Tweet>, ReplayErro
     };
     let mut out = Vec::new();
     let mut authors: HashMap<UserId, Arc<User>> = HashMap::new();
+    let mut pool = Interned::default();
     let (mut end, mut next) = (layout.end, layout.count);
     for &(start, first) in layout.runs.iter().rev() {
         // Grown a run at a time, so the rows reserved never run ahead
@@ -333,7 +351,7 @@ fn decode_log_chunked(buf: Bytes, chunk: usize) -> Result<Vec<Tweet>, ReplayErro
             rest: &raw[start..end],
         };
         for _ in first..next {
-            out.push(Raw::parse(&mut r, false)?.build(&mut authors)?);
+            out.push(Raw::parse(&mut r, false)?.build(&mut authors, &mut pool)?);
         }
         out[built..].reverse();
         raw.truncate(start);
@@ -719,6 +737,42 @@ mod tests {
         assert!(!Arc::ptr_eq(&got[2].user, &got[3].user));
         assert_eq!(got[3].user.followers, 10);
         assert!(!Arc::ptr_eq(&got[4].user, &got[5].user));
+    }
+
+    /// Allocations and distinct values of one string field over `log`.
+    fn allocations_and_values(log: &[Tweet], field: fn(&Tweet) -> &Arc<str>) -> (usize, usize) {
+        let ptrs: HashSet<*const u8> = log.iter().map(|t| field(t).as_ptr()).collect();
+        let values: HashSet<&str> = log.iter().map(|t| &**field(t)).collect();
+        (ptrs.len(), values.len())
+    }
+
+    #[test]
+    fn generated_and_decoded_logs_hold_one_string_per_location_and_language() {
+        let generated = sample_log();
+        let decoded = decode_log(encode_log(&generated)).unwrap();
+        // A tweet whose `lang` is not its author's, but another
+        // author's, is interned too.
+        let mut mixed = generated.clone();
+        let author = Arc::clone(&mixed[1].user);
+        let other = (mixed.iter().map(|t| &t.user.lang))
+            .find(|l| **l != author.lang)
+            .expect("two languages")
+            .to_string();
+        mixed[0] = TweetBuilder::new(0, "x").user(author).lang(other).build();
+        let mixed = decode_log(encode_log(&mixed)).unwrap();
+        let fields: [fn(&Tweet) -> &Arc<str>; 3] =
+            [|t| &t.user.location, |t| &t.user.lang, |t| t.lang()];
+        for log in [&generated, &decoded, &mixed] {
+            for field in fields {
+                let (ptrs, values) = allocations_and_values(log, field);
+                assert!(values > 1, "a field with one value shows nothing");
+                assert_eq!(ptrs, values, "one Arc<str> per distinct value");
+            }
+            let langs = log.iter().flat_map(|t| [t.lang(), &t.user.lang]);
+            let ptrs: HashSet<*const u8> = langs.clone().map(|l| l.as_ptr()).collect();
+            let values: HashSet<&str> = langs.map(|l| &**l).collect();
+            assert_eq!(ptrs.len(), values.len(), "tweet and author languages share");
+        }
     }
 
     #[test]

@@ -9,24 +9,27 @@
 //!   [`Bitmap`] — no per-value heap traffic at all;
 //! * variable-width text (`text`, `screen_name`) as an **arena**: one
 //!   byte buffer per column plus `u32` offsets, so a batch of 256
-//!   texts is two allocations instead of 256 `Arc` bumps;
+//!   texts is two buffers (kept across batches) instead of 256 `Arc`
+//!   bumps;
 //! * low-cardinality strings (`loc`, `lang`) **dictionary-encoded**:
 //!   per-row `u32` codes into a small distinct-value table, with a
 //!   pointer-identity fast path (the generator and the log decoder
-//!   both share one `Arc<User>` per author, and a tweet's `lang` is
-//!   its author's allocation when the two are equal, so an author's
-//!   second row in a batch resolves without hashing a byte; two
-//!   authors with equal strings still hash once each). The
-//!   encoding is *adaptive*: if a batch proves high-cardinality (more
-//!   than `DICT_MAX_ENTRIES` distinct values, e.g. `loc` over a
-//!   large messy-location population), the builder bails out to the
-//!   plain arena layout — readers are agnostic because both shapes are
-//!   served through the same `str_at` accessor.
+//!   both intern `lang` and `loc`: one `Arc<str>` per distinct value,
+//!   shared by every author and tweet that carries it, so every row
+//!   after a value's first in a batch resolves without hashing a
+//!   byte). The encoding is *adaptive*: if a batch proves
+//!   high-cardinality (more than `DICT_MAX_ENTRIES` distinct values,
+//!   e.g. `loc` over a large messy-location population), the builder
+//!   bails out to the plain arena layout — readers are agnostic because
+//!   both shapes are served through the same accessors (`str_at`,
+//!   [`ColumnView::get`]).
 //!
 //! Decode is *lazy per column*: [`TweetBatch::materialize`] builds only
 //! the columns the optimized plan touches, composing with the
 //! optimizer's liveness-based projection pruning — a column that is
 //! pruned dead or never referenced is counted as skipped, not decoded.
+//! A reader that walks many rows of a column resolves it once with
+//! [`TweetBatch::view`] and reads rows off the typed [`ColumnView`].
 //! Operators that still think in rows cross the boundary through
 //! [`TweetBatch::to_records`] / [`TweetBatch::record_at`], which defer
 //! to `Record::from_tweet{,_pruned}` so the row shim is differentially
@@ -36,7 +39,7 @@
 //! no `source` (client application) field, so the low-cardinality
 //! dictionary columns here are `lang` and `loc` — `loc` plays the
 //! `source` role from the original design (small distinct set, heavy
-//! reuse of per-author `Arc<str>` values).
+//! reuse of interned `Arc<str>` values).
 
 use crate::record::Record;
 use crate::time::{Crossing, Timestamp};
@@ -91,13 +94,21 @@ impl Bitmap {
     /// Bitmap of `n` bits, all set (trailing word masked so
     /// [`count_ones`](Bitmap::count_ones) stays exact).
     pub fn all_true(n: usize) -> Bitmap {
-        let mut words = vec![u64::MAX; n.div_ceil(64)];
+        let mut all = Bitmap::default();
+        all.set_all(n);
+        all
+    }
+
+    /// Make this `n` bits, all set, in the allocation it has.
+    fn set_all(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), u64::MAX);
         if !n.is_multiple_of(64) {
-            if let Some(last) = words.last_mut() {
+            if let Some(last) = self.words.last_mut() {
                 *last = (1u64 << (n % 64)) - 1;
             }
         }
-        Bitmap { words, len: n }
+        self.len = n;
     }
 
     /// Append one bit.
@@ -140,10 +151,11 @@ impl Bitmap {
 }
 
 /// One materialized (or not-yet-materialized) column of a batch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub enum Column {
     /// Not decoded: either the plan never touched it, liveness pruning
     /// killed it, or `materialize` has not run yet.
+    #[default]
     Missing,
     /// Contiguous `i64`s with per-row validity.
     Int { vals: Vec<i64>, valid: Bitmap },
@@ -165,6 +177,65 @@ impl Column {
     /// True when the column has been materialized.
     pub fn is_built(&self) -> bool {
         !matches!(self, Column::Missing)
+    }
+
+    /// The column's rows as a [`ColumnView`]; [`ColumnView::Null`] for
+    /// [`Column::Missing`].
+    pub fn view(&self) -> ColumnView<'_> {
+        match self {
+            Column::Missing => ColumnView::Null,
+            Column::Int { vals, valid } => ColumnView::Int { vals, valid },
+            Column::Float { vals, valid } => ColumnView::Float { vals, valid },
+            Column::Time { vals } => ColumnView::Time { vals },
+            Column::Str { arena, offsets } => ColumnView::Str { arena, offsets },
+            Column::Dict { codes, dict } => ColumnView::Dict { codes, dict },
+        }
+    }
+}
+
+/// One column of a batch resolved for row reads: the materialized
+/// vectors borrowed as they are, so reading row `i` is an index and no
+/// match on the batch's decode state.
+#[derive(Debug, Clone, Copy)]
+pub enum ColumnView<'a> {
+    /// Every row NULL: a column pruned dead.
+    Null,
+    /// `i64`s; a row whose validity bit is clear is NULL.
+    Int { vals: &'a [i64], valid: &'a Bitmap },
+    /// `f64`s; a row whose validity bit is clear is NULL.
+    Float { vals: &'a [f64], valid: &'a Bitmap },
+    /// Timestamps, never NULL.
+    Time { vals: &'a [Timestamp] },
+    /// Arena text (see [`Column::Str`]).
+    Str { arena: &'a str, offsets: &'a [u32] },
+    /// Dictionary text: row `i` is `dict[codes[i]]`.
+    Dict {
+        codes: &'a [u32],
+        dict: &'a [Arc<str>],
+    },
+}
+
+impl<'a> ColumnView<'a> {
+    /// Row `i`, borrowed: the same value and variant as
+    /// [`TweetBatch::value_at`] for the column viewed.
+    #[inline]
+    pub fn get(&self, i: usize) -> ValueRef<'a> {
+        match *self {
+            ColumnView::Null => ValueRef::Null,
+            ColumnView::Int { vals, valid } => match valid.get(i) {
+                true => ValueRef::Int(vals[i]),
+                false => ValueRef::Null,
+            },
+            ColumnView::Float { vals, valid } => match valid.get(i) {
+                true => ValueRef::Float(vals[i]),
+                false => ValueRef::Null,
+            },
+            ColumnView::Time { vals } => ValueRef::Time(vals[i]),
+            ColumnView::Str { arena, offsets } => {
+                ValueRef::Str(&arena[offsets[i] as usize..offsets[i + 1] as usize])
+            }
+            ColumnView::Dict { codes, dict } => ValueRef::Str(&dict[codes[i] as usize]),
+        }
     }
 }
 
@@ -210,10 +281,9 @@ impl DecodeStats {
 }
 
 /// A borrowed view of a batch's rows: either a plain slice (owned row
-/// store, and the public [`decode_columns`] entry point) or a
-/// selection-vector view into a shared firehose log (the zero-copy
-/// batched source path). Builders are written against this so both row
-/// stores decode through the identical kernels.
+/// store) or a selection-vector view into a shared firehose log (the
+/// zero-copy batched source path). Builders are written against this so
+/// both row stores decode through the identical kernels.
 #[derive(Clone, Copy)]
 enum RowsRef<'a> {
     Slice(&'a [Tweet]),
@@ -238,58 +308,32 @@ impl<'a> RowsRef<'a> {
     }
 }
 
-/// Build the requested columns over a slice of tweets.
-///
-/// This is the core decode kernel: column-at-a-time loops over the row
-/// store, no per-value allocation. `needed[i] && alive(i)` columns are
-/// built; everything else stays [`Column::Missing`] and is counted as
-/// skipped. `live` follows `from_tweet_pruned` semantics: a mask of
-/// the wrong width decodes as if there were no mask (fail-open).
-pub fn decode_columns(
-    tweets: &[Tweet],
-    needed: &[bool],
-    live: Option<&[bool]>,
-) -> (Vec<Column>, DecodeStats) {
-    decode_rows(RowsRef::Slice(tweets), needed, live)
-}
-
-fn decode_rows(
-    rows: RowsRef<'_>,
-    needed: &[bool],
-    live: Option<&[bool]>,
-) -> (Vec<Column>, DecodeStats) {
-    let live = live.filter(|l| l.len() == col::COUNT);
-    let mut stats = DecodeStats::default();
-    let cols = (0..col::COUNT)
-        .map(|c| {
-            let wanted = needed.get(c).copied().unwrap_or(false);
-            let alive = live.is_none_or(|l| l[c]);
-            if !(wanted && alive) {
-                stats.columns_skipped += 1;
-                return Column::Missing;
-            }
-            stats.columns_materialized += 1;
-            build_column(c, rows, &mut stats)
-        })
-        .collect();
-    (cols, stats)
-}
-
-fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats) -> Column {
+/// Build column `c` over `rows` — the core decode kernel: one
+/// column-at-a-time loop over the row store, no per-value allocation.
+/// The build reuses `old`'s buffers when it is a column of the same
+/// shape (the one a previous batch built), so a batch buffer that is
+/// reset and refilled allocates nothing for its columns once warm.
+fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats, old: Column) -> Column {
     match c {
-        col::ID => dense_int_column(rows, |t| t.id as i64),
-        col::TEXT => str_column(rows, |t| &t.text),
-        col::USER_ID => dense_int_column(rows, |t| t.user.id as i64),
-        col::SCREEN_NAME => str_column(rows, |t| &t.user.screen_name),
-        col::LOC => dict_column(rows, |t| &t.user.location, stats),
-        col::LAT => float_column(rows, |t| t.coordinates().map(|(la, _)| la)),
-        col::LON => float_column(rows, |t| t.coordinates().map(|(_, lo)| lo)),
-        col::CREATED_AT => Column::Time {
-            vals: (0..rows.len()).map(|i| rows.get(i).created_at).collect(),
-        },
-        col::LANG => dict_column(rows, |t| t.lang(), stats),
-        col::FOLLOWERS => dense_int_column(rows, |t| t.user.followers as i64),
-        col::RETWEET_OF => int_column(rows, |t| t.retweet_of().map(|id| id as i64)),
+        col::ID => dense_int_column(rows, |t| t.id as i64, old),
+        col::TEXT => str_column(rows, |t| &t.text, old),
+        col::USER_ID => dense_int_column(rows, |t| t.user.id as i64, old),
+        col::SCREEN_NAME => str_column(rows, |t| &t.user.screen_name, old),
+        col::LOC => dict_column(rows, |t| &t.user.location, stats, old),
+        col::LAT => float_column(rows, |t| t.coordinates().map(|(la, _)| la), old),
+        col::LON => float_column(rows, |t| t.coordinates().map(|(_, lo)| lo), old),
+        col::CREATED_AT => {
+            let mut vals = match old {
+                Column::Time { vals } => vals,
+                _ => Vec::new(),
+            };
+            vals.clear();
+            vals.extend((0..rows.len()).map(|i| rows.get(i).created_at));
+            Column::Time { vals }
+        }
+        col::LANG => dict_column(rows, |t| t.lang(), stats, old),
+        col::FOLLOWERS => dense_int_column(rows, |t| t.user.followers as i64, old),
+        col::RETWEET_OF => int_column(rows, |t| t.retweet_of().map(|id| id as i64), old),
         _ => {
             debug_assert!(false, "column index {c} out of twitter schema");
             Column::Missing
@@ -297,58 +341,80 @@ fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats) -> Column 
     }
 }
 
-/// Always-valid integer column: straight collect, validity filled in
-/// whole words instead of a per-row branch.
-fn dense_int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> i64) -> Column {
-    Column::Int {
-        vals: (0..rows.len()).map(|i| f(rows.get(i))).collect(),
-        valid: Bitmap::all_true(rows.len()),
+/// `old`'s values and validity if it is an integer column, emptied;
+/// new ones otherwise.
+fn int_buffers(old: Column) -> (Vec<i64>, Bitmap) {
+    match old {
+        Column::Int {
+            mut vals,
+            mut valid,
+        } => {
+            vals.clear();
+            valid.clear();
+            (vals, valid)
+        }
+        _ => Default::default(),
     }
 }
 
-fn int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<i64>) -> Column {
-    let n = rows.len();
-    let mut vals = Vec::with_capacity(n);
-    let mut valid = Bitmap::with_capacity(n);
-    for i in 0..n {
-        match f(rows.get(i)) {
-            Some(v) => {
-                vals.push(v);
-                valid.push(true);
-            }
-            None => {
-                vals.push(0);
-                valid.push(false);
-            }
-        }
+/// Always-valid integer column: straight collect, validity filled in
+/// whole words instead of a per-row branch.
+fn dense_int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> i64, old: Column) -> Column {
+    let (mut vals, mut valid) = int_buffers(old);
+    vals.extend((0..rows.len()).map(|i| f(rows.get(i))));
+    valid.set_all(rows.len());
+    Column::Int { vals, valid }
+}
+
+fn int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<i64>, old: Column) -> Column {
+    let (mut vals, mut valid) = int_buffers(old);
+    vals.reserve(rows.len());
+    valid.words.reserve(rows.len().div_ceil(64));
+    for i in 0..rows.len() {
+        let v = f(rows.get(i));
+        vals.push(v.unwrap_or(0));
+        valid.push(v.is_some());
     }
     Column::Int { vals, valid }
 }
 
-fn float_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<f64>) -> Column {
-    let n = rows.len();
-    let mut vals = Vec::with_capacity(n);
-    let mut valid = Bitmap::with_capacity(n);
-    for i in 0..n {
-        match f(rows.get(i)) {
-            Some(v) => {
-                vals.push(v);
-                valid.push(true);
-            }
-            None => {
-                vals.push(0.0);
-                valid.push(false);
-            }
+fn float_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<f64>, old: Column) -> Column {
+    let (mut vals, mut valid) = match old {
+        Column::Float {
+            mut vals,
+            mut valid,
+        } => {
+            vals.clear();
+            valid.clear();
+            (vals, valid)
         }
+        _ => Default::default(),
+    };
+    vals.reserve(rows.len());
+    valid.words.reserve(rows.len().div_ceil(64));
+    for i in 0..rows.len() {
+        let v = f(rows.get(i));
+        vals.push(v.unwrap_or(0.0));
+        valid.push(v.is_some());
     }
     Column::Float { vals, valid }
 }
 
-fn str_column<'t>(rows: RowsRef<'t>, f: impl Fn(&'t Tweet) -> &'t Arc<str>) -> Column {
+fn str_column<'t>(rows: RowsRef<'t>, f: impl Fn(&'t Tweet) -> &'t Arc<str>, old: Column) -> Column {
+    let (mut arena, mut offsets) = match old {
+        Column::Str {
+            mut arena,
+            mut offsets,
+        } => {
+            arena.clear();
+            offsets.clear();
+            (arena, offsets)
+        }
+        _ => Default::default(),
+    };
     let n = rows.len();
-    let total: usize = (0..n).map(|i| f(rows.get(i)).len()).sum();
-    let mut arena = String::with_capacity(total);
-    let mut offsets = Vec::with_capacity(n + 1);
+    arena.reserve((0..n).map(|i| f(rows.get(i)).len()).sum());
+    offsets.reserve(n + 1);
     offsets.push(0u32);
     for i in 0..n {
         arena.push_str(f(rows.get(i)));
@@ -364,8 +430,9 @@ fn str_column<'t>(rows: RowsRef<'t>, f: impl Fn(&'t Tweet) -> &'t Arc<str>) -> C
 /// way, so the two encodings are interchangeable).
 const DICT_MAX_ENTRIES: usize = 64;
 
-/// Direct-mapped pointer-cache slots (power of two). Collisions just
-/// evict — the value table stays authoritative.
+/// Pointer-cache slots (power of two), linear probing. At most half of
+/// them are ever filled: a pointer first seen past that is resolved
+/// through the value table and not cached.
 const DICT_PTR_SLOTS: usize = 256;
 
 /// Value-table slots (power of two). The entry cap keeps load ≤ 25%,
@@ -394,31 +461,56 @@ fn val_hash(s: &str) -> u64 {
 
 /// Build a dictionary column, or bail to an arena [`Column::Str`] when
 /// the batch proves high-cardinality. No string hashing on the hot
-/// path: interned values share one allocation, so a direct-mapped
-/// cache keyed on the data pointer resolves repeat rows in one load;
-/// only first-seen pointers hash their bytes, and distinct allocations
-/// with equal content still collapse to one entry.
+/// path: the sources intern these values (one allocation per distinct
+/// string), so a cache keyed on the data pointer resolves repeat rows
+/// in one probe; only first-seen pointers hash their bytes, and
+/// distinct allocations with equal content still collapse to one
+/// entry. The cache never evicts, so which rows hit depends on the
+/// order pointers first appear in, never on where they lie in memory:
+/// over interned values every repeat row hits.
 fn dict_column<'t>(
     rows: RowsRef<'t>,
     f: impl Fn(&'t Tweet) -> &'t Arc<str>,
     stats: &mut DecodeStats,
+    old: Column,
 ) -> Column {
+    // An arena a previous batch bailed to is kept for this one's bail.
+    let (mut codes, mut dict, bail_to) = match old {
+        Column::Dict {
+            mut codes,
+            mut dict,
+        } => {
+            codes.clear();
+            dict.clear();
+            (codes, dict, Column::Missing)
+        }
+        other => (Vec::new(), Vec::new(), other),
+    };
     let n = rows.len();
-    let mut codes = Vec::with_capacity(n);
-    let mut dict: Vec<Arc<str>> = Vec::new();
-    // `(data pointer, code + 1)`; code 0 marks an empty slot.
-    let mut ptr_cache = [(0usize, 0u32); DICT_PTR_SLOTS];
+    codes.reserve(n);
+    // Sized for the cap once, not grown a value at a time.
+    dict.reserve(DICT_MAX_ENTRIES.min(n));
+    // `(data pointer, code + 1)`, linear probing; code 0 marks an
+    // empty slot.
+    let mut ptr_slots = [(0usize, 0u32); DICT_PTR_SLOTS];
+    let mut ptrs_cached = 0usize;
     // `code + 1`, linear probing; 0 marks an empty slot.
     let mut val_slots = [0u32; DICT_VAL_SLOTS];
     let mut ptr_hits = 0u64;
     for row in 0..n {
         let s = f(rows.get(row));
         let p = s.as_ptr() as usize;
-        let ci = fib(p as u64) & (DICT_PTR_SLOTS - 1);
-        let (cp, cc) = ptr_cache[ci];
-        let code = if cp == p && cc != 0 {
+        let mut ci = fib(p as u64) & (DICT_PTR_SLOTS - 1);
+        let cached = loop {
+            match ptr_slots[ci] {
+                (_, 0) => break None,
+                (cp, cc) if cp == p => break Some(cc - 1),
+                _ => ci = (ci + 1) & (DICT_PTR_SLOTS - 1),
+            }
+        };
+        let code = if let Some(code) = cached {
             ptr_hits += 1;
-            cc - 1
+            code
         } else {
             let mut i = fib(val_hash(s)) & (DICT_VAL_SLOTS - 1);
             let code = loop {
@@ -427,7 +519,7 @@ fn dict_column<'t>(
                     if dict.len() >= DICT_MAX_ENTRIES {
                         // High cardinality: stop paying per-row lookup
                         // cost, re-encode the whole column as an arena.
-                        return str_column(rows, f);
+                        return str_column(rows, f, bail_to);
                     }
                     let code = dict.len() as u32;
                     dict.push(Arc::clone(s));
@@ -439,7 +531,11 @@ fn dict_column<'t>(
                 }
                 i = (i + 1) & (DICT_VAL_SLOTS - 1);
             };
-            ptr_cache[ci] = (p, code + 1);
+            // `ci` is the empty slot the probe above stopped at.
+            if ptrs_cached < DICT_PTR_SLOTS / 2 {
+                ptr_slots[ci] = (p, code + 1);
+                ptrs_cached += 1;
+            }
             code
         };
         codes.push(code);
@@ -490,6 +586,9 @@ pub struct TweetBatch {
     /// Either empty (nothing materialized) or exactly [`col::COUNT`]
     /// entries.
     cols: Vec<Column>,
+    /// The columns earlier rows built, by index, for the next build of
+    /// each to reuse the buffers of: empty or [`col::COUNT`] entries.
+    spare: Vec<Column>,
     live: Option<Arc<[bool]>>,
     /// Punctuation riding with the rows: the watermark boundaries
     /// stream time crossed just before row `.0` (ascending rows).
@@ -505,10 +604,8 @@ impl TweetBatch {
     /// Empty batch carrying the plan's live-column mask.
     pub fn with_live(live: Option<Arc<[bool]>>) -> TweetBatch {
         TweetBatch {
-            rows: RowStore::default(),
-            cols: Vec::new(),
             live,
-            crossings: Vec::new(),
+            ..TweetBatch::default()
         }
     }
 
@@ -529,7 +626,7 @@ impl TweetBatch {
     /// no `Tweet` is cloned. Rebinding to the same log (recycled batch
     /// buffers) keeps the selection allocation.
     pub fn bind_log(&mut self, log: &Arc<Vec<Tweet>>) {
-        self.cols.clear();
+        self.drop_columns();
         self.crossings.clear();
         match &mut self.rows {
             RowStore::Shared { log: bound, sel } if Arc::ptr_eq(bound, log) => sel.clear(),
@@ -550,9 +647,7 @@ impl TweetBatch {
     /// Append one tweet. Pushing into a batch that already has
     /// materialized columns drops them (they would go stale).
     pub fn push(&mut self, t: Tweet) {
-        if !self.cols.is_empty() {
-            self.cols.clear();
-        }
+        self.drop_columns();
         match &mut self.rows {
             RowStore::Owned(tweets) => tweets.push(t),
             RowStore::Shared { .. } => panic!("push of an owned Tweet into a log-bound batch"),
@@ -562,9 +657,7 @@ impl TweetBatch {
     /// Append one log row by index (shared-log mode only; see
     /// [`bind_log`](TweetBatch::bind_log)).
     pub fn push_index(&mut self, idx: u32) {
-        if !self.cols.is_empty() {
-            self.cols.clear();
-        }
+        self.drop_columns();
         match &mut self.rows {
             RowStore::Shared { sel, .. } => sel.push(idx),
             RowStore::Owned(_) => panic!("push_index into a batch with no bound log"),
@@ -573,9 +666,7 @@ impl TweetBatch {
 
     /// Append many log rows by index (shared-log mode only).
     pub fn extend_indices(&mut self, idxs: &[u32]) {
-        if !self.cols.is_empty() {
-            self.cols.clear();
-        }
+        self.drop_columns();
         match &mut self.rows {
             RowStore::Shared { sel, .. } => sel.extend_from_slice(idxs),
             RowStore::Owned(_) => panic!("extend_indices into a batch with no bound log"),
@@ -611,10 +702,9 @@ impl TweetBatch {
         self.len() == 0
     }
 
-    /// The row store as a slice — owned mode only. Shared-log batches
-    /// have no contiguous row slice; use
-    /// [`tweet_at`](TweetBatch::tweet_at).
-    pub fn tweets(&self) -> &[Tweet] {
+    /// The row store as a slice — owned mode only.
+    #[cfg(test)]
+    fn tweets(&self) -> &[Tweet] {
         match &self.rows {
             RowStore::Owned(tweets) => tweets,
             RowStore::Shared { .. } => panic!("tweets() on a log-bound batch; use tweet_at"),
@@ -658,31 +748,73 @@ impl TweetBatch {
 
     /// Materialize the columns marked in `needed` (intersected with
     /// the liveness mask); already-built columns are not rebuilt and
-    /// not recounted. Returns what this call actually did.
+    /// not recounted. The first call for the rows counts every column
+    /// it leaves unbuilt as skipped. Returns what this call actually
+    /// did.
     pub fn materialize(&mut self, needed: &[bool]) -> DecodeStats {
-        if self.cols.is_empty() {
-            let (cols, stats) = decode_rows(self.rows_ref(), needed, self.live());
-            self.cols = cols;
-            return stats;
-        }
-        // Incremental: build only still-missing requested columns.
         let mut stats = DecodeStats::default();
+        let first = self.cols.is_empty();
+        if first {
+            self.cols.resize_with(col::COUNT, Column::default);
+        }
         for c in 0..col::COUNT {
             if self.cols[c].is_built() {
                 continue;
             }
             if needed.get(c).copied().unwrap_or(false) && self.alive(c) {
                 stats.columns_materialized += 1;
-                let built = build_column(c, self.rows_ref(), &mut stats);
+                let old = self.spare.get_mut(c).map(std::mem::take);
+                let built = build_column(c, self.rows_ref(), &mut stats, old.unwrap_or_default());
                 self.cols[c] = built;
+            } else if first {
+                stats.columns_skipped += 1;
             }
         }
         stats
     }
 
+    /// Drop the built columns, which go stale with the rows, keeping
+    /// their buffers for the next build.
+    fn drop_columns(&mut self) {
+        if self.cols.is_empty() {
+            return;
+        }
+        if self.spare.is_empty() {
+            self.spare.resize_with(col::COUNT, Column::default);
+        }
+        for (spare, built) in self.spare.iter_mut().zip(&mut self.cols) {
+            if built.is_built() {
+                *spare = std::mem::take(built);
+            }
+        }
+        self.cols.clear();
+    }
+
     /// The materialized column `c`, if any.
     pub fn column(&self, c: usize) -> Option<&Column> {
         self.cols.get(c).filter(|col| col.is_built())
+    }
+
+    /// Column `c` resolved for row reads: the materialized column's
+    /// view, [`ColumnView::Null`] when the column is pruned dead or not
+    /// in the schema, and `None` when it is live but not materialized
+    /// (see [`decode_column`](TweetBatch::decode_column)).
+    pub fn view(&self, c: usize) -> Option<ColumnView<'_>> {
+        if c >= col::COUNT || !self.alive(c) {
+            return Some(ColumnView::Null);
+        }
+        self.column(c).map(Column::view)
+    }
+
+    /// Column `c` built over every row but not kept, for a reader
+    /// given a batch that materialized less than it reads.
+    pub fn decode_column(&self, c: usize) -> Column {
+        build_column(
+            c,
+            self.rows_ref(),
+            &mut DecodeStats::default(),
+            Column::Missing,
+        )
     }
 
     /// Zero-copy string access for the text-typed columns (`text`,
@@ -765,32 +897,6 @@ impl TweetBatch {
         }
     }
 
-    /// [`value_at`](TweetBatch::value_at) without the `Value`: the
-    /// same slot borrowed from the row store, so a reader that only
-    /// hashes, compares or sums it bumps no `Arc`.
-    pub fn view_at(&self, i: usize, c: usize) -> ValueRef<'_> {
-        if !self.alive(c) {
-            return ValueRef::Null;
-        }
-        let t = self.tweet_at(i);
-        let int = |o: Option<u64>| o.map_or(ValueRef::Null, |x| ValueRef::Int(x as i64));
-        let float = |o: Option<f64>| o.map_or(ValueRef::Null, ValueRef::Float);
-        match c {
-            col::ID => ValueRef::Int(t.id as i64),
-            col::TEXT => ValueRef::Str(&t.text),
-            col::USER_ID => ValueRef::Int(t.user.id as i64),
-            col::SCREEN_NAME => ValueRef::Str(&t.user.screen_name),
-            col::LOC => ValueRef::Str(&t.user.location),
-            col::LAT => float(t.coordinates().map(|(la, _)| la)),
-            col::LON => float(t.coordinates().map(|(_, lo)| lo)),
-            col::CREATED_AT => ValueRef::Time(t.created_at),
-            col::LANG => ValueRef::Str(t.lang()),
-            col::FOLLOWERS => ValueRef::Int(t.user.followers as i64),
-            col::RETWEET_OF => int(t.retweet_of()),
-            _ => ValueRef::Null,
-        }
-    }
-
     /// Row `i` as a [`Record`] — the row-shim boundary. Defers to
     /// `Record::from_tweet{,_pruned}` so shim output is identical to
     /// the row pipeline by construction.
@@ -808,14 +914,14 @@ impl TweetBatch {
     }
 
     /// Drop rows, columns and crossings, keeping the row-store
-    /// allocation, the log binding (in shared mode), and the liveness
-    /// mask for reuse.
+    /// allocation, the column buffers, the log binding (in shared
+    /// mode), and the liveness mask for reuse.
     pub fn reset(&mut self) {
         match &mut self.rows {
             RowStore::Owned(tweets) => tweets.clear(),
             RowStore::Shared { sel, .. } => sel.clear(),
         }
-        self.cols.clear();
+        self.drop_columns();
         self.crossings.clear();
     }
 }
@@ -998,22 +1104,35 @@ mod tests {
     }
 
     #[test]
-    fn view_at_is_value_at_borrowed() {
+    fn column_views_are_value_at_borrowed() {
         // Same variant, same payload, dead columns NULL, out of range
         // NULL: `Debug` tells `Int(1)` from `Float(1.0)` where `==`
-        // would not.
+        // would not. A live column has no view until it is built, and
+        // one built aside (`decode_column`) reads as the row does.
         let dead_text: Arc<[bool]> = (0..col::COUNT).map(|c| c != col::TEXT).collect();
-        for live in [None, Some(dead_text)] {
-            let b = batch(23, live);
+        let same = |view: ColumnView<'_>, b: &TweetBatch, c: usize| {
             for i in 0..b.len() {
-                for c in 0..=col::COUNT {
-                    let owned = b.value_at(i, c);
-                    assert_eq!(
-                        format!("{:?}", b.view_at(i, c)),
-                        format!("{:?}", ValueRef::from(&owned)),
-                        "row {i} col {c}"
-                    );
+                let owned = b.value_at(i, c);
+                let want = ValueRef::from(&owned);
+                assert_eq!(
+                    format!("{:?}", view.get(i)),
+                    format!("{want:?}"),
+                    "row {i} col {c}"
+                );
+            }
+        };
+        for live in [None, Some(dead_text)] {
+            let mut b = batch(23, live);
+            for c in 0..col::COUNT {
+                let dead = b.live().is_some_and(|l| !l[c]);
+                assert_eq!(b.view(c).is_none(), !dead, "col {c} unbuilt");
+                if !dead {
+                    same(b.decode_column(c).view(), &b, c);
                 }
+            }
+            b.materialize(&all_columns());
+            for c in 0..=col::COUNT {
+                same(b.view(c).expect("built, dead or out of range"), &b, c);
             }
         }
     }
@@ -1163,6 +1282,37 @@ mod tests {
         assert!(b.live().is_some(), "mask survives reset");
         b.push(tweet(1));
         assert_eq!(b.value_at(0, col::TEXT), Value::Null);
+    }
+
+    #[test]
+    fn a_reset_batch_builds_its_columns_in_the_buffers_it_kept() {
+        let log: Arc<Vec<Tweet>> = Arc::new((0..64).map(tweet).collect());
+        let mut b = TweetBatch::new();
+        b.bind_log(&log);
+        let text = |b: &TweetBatch| match b.column(col::TEXT) {
+            Some(Column::Str { arena, .. }) => arena.as_ptr(),
+            other => panic!("text should arena-encode, got {other:?}"),
+        };
+        let mut first = None;
+        // Longer rows first, so the later builds fit what was kept.
+        for rows in [40..64u32, 0..20, 20..40] {
+            b.reset();
+            b.extend_indices(&rows.collect::<Vec<_>>());
+            let stats = b.materialize(&all_columns());
+            assert_eq!(stats.columns_materialized, col::COUNT as u64);
+            for i in 0..b.len() {
+                let want = Record::from_tweet(b.tweet_at(i));
+                for c in 0..col::COUNT {
+                    let view = b.view(c).expect("materialized");
+                    assert_eq!(
+                        view.get(i),
+                        ValueRef::from(want.value(c)),
+                        "row {i} col {c}"
+                    );
+                }
+            }
+            assert_eq!(*first.get_or_insert(text(&b)), text(&b), "arena reused");
+        }
     }
 
     #[test]

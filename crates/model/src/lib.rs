@@ -25,7 +25,7 @@ pub mod tweet;
 pub mod user;
 pub mod value;
 
-pub use batch::{Bitmap, Column, DecodeStats, RowCache, TweetBatch};
+pub use batch::{Bitmap, Column, ColumnView, DecodeStats, RowCache, TweetBatch};
 pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
 pub use entities::{Entities, Hashtag, Mention, UrlEntity};
 pub use error::ModelError;

@@ -11,6 +11,11 @@ pub type UserId = u64;
 /// Mirrors the subset of the Twitter user object the paper's examples
 /// rely on: the free-text profile `location` (input to the geocoding UDF)
 /// plus follower count used by the synthetic population's Zipf model.
+///
+/// `location` and `lang` repeat across many authors, and the stream's
+/// producers (the generator's population, the log decoder) intern them:
+/// one `Arc<str>` per distinct value, which a columnar batch's
+/// dictionary then resolves by pointer.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct User {
     /// Stable numeric id (the streaming API `follow` filter matches this).

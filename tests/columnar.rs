@@ -142,9 +142,9 @@ proptest! {
 }
 
 /// A replayed log decodes to the columns its generated stream does:
-/// same values, same dictionaries in the same order, same counters.
-/// Only `dict_ptr_hits` may differ — it counts pointer-cache hits, and
-/// the two streams' strings live at different addresses.
+/// same values, same dictionaries in the same order, same counters —
+/// `dict_ptr_hits` too, though the two streams' strings live at
+/// different addresses: both sources intern `lang` and `loc`.
 #[test]
 fn decoded_log_and_generated_stream_materialize_identical_columns() {
     use tweeql_firehose::replay::{decode_log, encode_log};
@@ -155,8 +155,8 @@ fn decoded_log_and_generated_stream_materialize_identical_columns() {
         let (mut from_gen, mut from_log) = (TweetBatch::new(), TweetBatch::new());
         a.iter().for_each(|t| from_gen.push(t.clone()));
         b.iter().for_each(|t| from_log.push(t.clone()));
-        let mut gen_stats = from_gen.materialize(&tweeql_model::batch::all_columns());
-        let mut log_stats = from_log.materialize(&tweeql_model::batch::all_columns());
+        let gen_stats = from_gen.materialize(&tweeql_model::batch::all_columns());
+        let log_stats = from_log.materialize(&tweeql_model::batch::all_columns());
         for c in 0..col::COUNT {
             assert_eq!(
                 format!("{:?}", from_gen.column(c)),
@@ -165,8 +165,30 @@ fn decoded_log_and_generated_stream_materialize_identical_columns() {
             );
         }
         assert!(gen_stats.dict_rows > 0);
-        (gen_stats.dict_ptr_hits, log_stats.dict_ptr_hits) = (0, 0);
         assert_eq!(gen_stats, log_stats);
+    }
+}
+
+/// Over interned strings a dictionary's pointer cache resolves every
+/// repeat row: in each 256-row batch, of the generated stream and of
+/// its decoded log, `lang` hashes one row per distinct value and no
+/// more — a count that repeats exactly, wherever the strings lie.
+#[test]
+fn a_batch_lang_column_resolves_every_repeat_row_by_pointer() {
+    use tweeql_firehose::replay::{decode_log, encode_log};
+    let generated = corpus();
+    let decoded = decode_log(encode_log(generated)).expect("a log this suite encoded");
+    let mut lang = [false; col::COUNT];
+    lang[col::LANG] = true;
+    for log in [generated, &decoded] {
+        for chunk in log.chunks_exact(256) {
+            let mut batch = TweetBatch::new();
+            chunk.iter().for_each(|t| batch.push(t.clone()));
+            let stats = batch.materialize(&lang);
+            assert_eq!(stats.dict_rows, 256);
+            assert!(stats.dict_entries > 1);
+            assert_eq!(stats.dict_ptr_hits, stats.dict_rows - stats.dict_entries);
+        }
     }
 }
 

@@ -188,13 +188,17 @@ fn host_digest(g: Grid) -> u64 {
 }
 
 /// Every digest: the fast ones recorded before the drive loops were
-/// unified, the reference ones before the one `reference` switch.
+/// unified, the reference ones before the one `reference` switch. The
+/// four fast `engine q4` values were re-recorded when the aggregate's
+/// columnar head began naming its columns for the batch to
+/// materialize: with `QueryStats::decode` and the `tweeql_decode_*`
+/// metrics drawn from it left out, they equal the values before.
 const GOLDEN: &[u64] = &[
     0x471ce39465446abf, // engine q0 Grid { reference: false, chaos: false, batch: 1 }
     0xb0c7a14c223abb31, // engine q1 Grid { reference: false, chaos: false, batch: 1 }
     0x1c4f5a03be815eee, // engine q2 Grid { reference: false, chaos: false, batch: 1 }
     0xc491d1aaa3e9d9e5, // engine q3 Grid { reference: false, chaos: false, batch: 1 }
-    0xba229d50a28195b9, // engine q4 Grid { reference: false, chaos: false, batch: 1 }
+    0xc4c3fc287e7ea64f, // engine q4 Grid { reference: false, chaos: false, batch: 1 }
     0x103633ca13b01e70, // engine q5 Grid { reference: false, chaos: false, batch: 1 }
     0xd49953d7dc2c58e8, // engine q5 flaky Grid { reference: false, chaos: false, batch: 1 }
     0x39049216b12f2539, // host Grid { reference: false, chaos: false, batch: 1 }
@@ -202,7 +206,7 @@ const GOLDEN: &[u64] = &[
     0x642e7e764f2a2e8f, // engine q1 Grid { reference: false, chaos: false, batch: 256 }
     0x46fee8354a940afb, // engine q2 Grid { reference: false, chaos: false, batch: 256 }
     0xa4e0168a9ccdcd50, // engine q3 Grid { reference: false, chaos: false, batch: 256 }
-    0x025aa8246b03e90a, // engine q4 Grid { reference: false, chaos: false, batch: 256 }
+    0xd9fc1f7bdab1f6bc, // engine q4 Grid { reference: false, chaos: false, batch: 256 }
     0x73f48d9fcece370b, // engine q5 Grid { reference: false, chaos: false, batch: 256 }
     0xce0f2ab31527a522, // engine q5 flaky Grid { reference: false, chaos: false, batch: 256 }
     0x8c1da060f16fc646, // host Grid { reference: false, chaos: false, batch: 256 }
@@ -210,7 +214,7 @@ const GOLDEN: &[u64] = &[
     0xe0bcf805e50c4ccc, // engine q1 Grid { reference: false, chaos: true, batch: 1 }
     0xdbe05e00d3abfd61, // engine q2 Grid { reference: false, chaos: true, batch: 1 }
     0xf653def007f2675a, // engine q3 Grid { reference: false, chaos: true, batch: 1 }
-    0x12bf8576bed2ba5e, // engine q4 Grid { reference: false, chaos: true, batch: 1 }
+    0x448efe2be8ca5624, // engine q4 Grid { reference: false, chaos: true, batch: 1 }
     0x8b9038471e0a0d6f, // engine q5 Grid { reference: false, chaos: true, batch: 1 }
     0x2d51960a241e154f, // engine q5 flaky Grid { reference: false, chaos: true, batch: 1 }
     0x82b1208b67004c51, // host Grid { reference: false, chaos: true, batch: 1 }
@@ -218,7 +222,7 @@ const GOLDEN: &[u64] = &[
     0x62c9ed57d9f6fd16, // engine q1 Grid { reference: false, chaos: true, batch: 256 }
     0xbee4e821fd3d5d92, // engine q2 Grid { reference: false, chaos: true, batch: 256 }
     0x2f246e4bf07502cf, // engine q3 Grid { reference: false, chaos: true, batch: 256 }
-    0xcbdfff1b60168a9b, // engine q4 Grid { reference: false, chaos: true, batch: 256 }
+    0x57b0786bc352780d, // engine q4 Grid { reference: false, chaos: true, batch: 256 }
     0xbd92e673f79f302e, // engine q5 Grid { reference: false, chaos: true, batch: 256 }
     0x170bd303b45eee31, // engine q5 flaky Grid { reference: false, chaos: true, batch: 256 }
     0xd790477f4e0b519e, // host Grid { reference: false, chaos: true, batch: 256 }

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tweeql_firehose::replay::{decode_log, encode_log};
 use tweeql_firehose::{generate, scenarios};
-use tweeql_model::Duration;
+use tweeql_model::{Duration, Tweet};
 
 /// `alloc` + `realloc` calls.
 static CALLS: AtomicU64 = AtomicU64::new(0);
@@ -179,8 +179,9 @@ fn a_held_stream_stays_inside_its_memory_budget() {
 
     // Without geotags, retweets, bursts or a tweet `lang` that is not
     // its author's, no tweet boxes anything: what the decoded log holds
-    // is its `Vec`, one text per tweet, and per distinct author the
-    // `User` and its three strings.
+    // is its `Vec`, one text per tweet, per distinct author the `User`
+    // and its screen name, and one string per distinct location and
+    // language, however many authors share it.
     scenario.geotag_rate = 0.0;
     scenario.duration = Duration::from_mins(30);
     let raw = encode_log(&generate(&scenario, 7)).to_vec();
@@ -195,10 +196,15 @@ fn a_held_stream_stays_inside_its_memory_budget() {
         .map(|t| Arc::as_ptr(&t.user))
         .collect::<HashSet<_>>()
         .len() as u64;
+    let distinct =
+        |field: fn(&Tweet) -> &str| plain.iter().map(field).collect::<HashSet<_>>().len();
+    let locations = distinct(|t| &t.user.location) as u64;
+    let langs = distinct(|t| &t.user.lang) as u64;
     let (allocs, _) = held_by(plain);
     assert_eq!(
         allocs,
-        1 + n + 4 * authors,
-        "{n} plain tweets by {authors} authors hold a box of rare fields"
+        1 + n + 2 * authors + locations + langs,
+        "{n} plain tweets by {authors} authors, {locations} locations and {langs} languages \
+         hold a box of rare fields or a string more than once"
     );
 }
