@@ -58,7 +58,7 @@ fn run_arm(strategy: &str, n_per_phase: usize, rerank_every: Option<u64>) -> E8R
         .iter()
         .map(|src| compile_into(&parse_expr(src).unwrap(), &s, &reg, &mut ctx).unwrap())
         .collect();
-    let mut op = FusedScanOp::try_new(&conjuncts, None, s.clone(), "where").unwrap();
+    let mut op = FusedScanOp::new(&conjuncts, None, ctx, s.clone(), "where").unwrap();
     if let Some(every) = rerank_every {
         op = op.with_rerank_every(every);
     }

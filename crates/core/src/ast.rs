@@ -352,61 +352,29 @@ impl Expr {
         }
     }
 
-    /// Does this expression (transitively) call any function?
+    /// Does this expression (transitively) call the function `name`?
     pub fn calls_function(&self, name: &str) -> bool {
-        match &self.kind {
-            ExprKind::Call { name: n, args } => {
-                n == name || args.iter().any(|a| a.calls_function(name))
-            }
-            ExprKind::Binary { left, right, .. } => {
-                left.calls_function(name) || right.calls_function(name)
-            }
-            ExprKind::Not(e) | ExprKind::Neg(e) => e.calls_function(name),
-            ExprKind::Contains { expr, pattern } => {
-                expr.calls_function(name) || pattern.calls_function(name)
-            }
-            ExprKind::Matches { expr, .. } => expr.calls_function(name),
-            ExprKind::InList { expr, .. } | ExprKind::IsNull { expr, .. } => {
-                expr.calls_function(name)
-            }
-            _ => false,
-        }
+        self.any(|n| matches!(&n.kind, ExprKind::Call { name: f, .. } if f == name))
+    }
+
+    /// Does any node of the tree satisfy `f`?
+    pub fn any(&self, f: impl Fn(&Expr) -> bool) -> bool {
+        let mut found = false;
+        self.walk(&mut |n| found |= f(n));
+        found
     }
 
     /// Column names referenced (unqualified), in first-seen order.
     pub fn referenced_columns(&self) -> Vec<String> {
         let mut out = Vec::new();
-        self.collect_columns(&mut out);
-        out
-    }
-
-    fn collect_columns(&self, out: &mut Vec<String>) {
-        match &self.kind {
-            ExprKind::Column { name, .. } => {
+        self.walk(&mut |n| {
+            if let ExprKind::Column { name, .. } = &n.kind {
                 if !out.contains(name) {
                     out.push(name.clone());
                 }
             }
-            ExprKind::Call { args, .. } => {
-                for a in args {
-                    a.collect_columns(out);
-                }
-            }
-            ExprKind::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
-            }
-            ExprKind::Not(e) | ExprKind::Neg(e) => e.collect_columns(out),
-            ExprKind::Contains { expr, pattern } => {
-                expr.collect_columns(out);
-                pattern.collect_columns(out);
-            }
-            ExprKind::Matches { expr, .. } => expr.collect_columns(out),
-            ExprKind::InList { expr, .. } | ExprKind::IsNull { expr, .. } => {
-                expr.collect_columns(out)
-            }
-            ExprKind::Literal(_) | ExprKind::InBoundingBox { .. } => {}
-        }
+        });
+        out
     }
 
     /// Visit every node in the expression tree, parents before children.
@@ -432,6 +400,47 @@ impl Expr {
             | ExprKind::IsNull { expr, .. } => expr.walk(f),
             ExprKind::Column { .. } | ExprKind::Literal(_) | ExprKind::InBoundingBox { .. } => {}
         }
+    }
+
+    /// Rebuild this node with `f` applied to each direct child, keeping
+    /// the node's own fields and span. Every planner rewrite is written
+    /// on this (or on [`Expr::walk`]), so none of them lists the
+    /// expression shapes again.
+    pub(crate) fn map_children(self, mut f: impl FnMut(Expr) -> Expr) -> Expr {
+        let mut child = |e: Box<Expr>| Box::new(f(*e));
+        let kind = match self.kind {
+            ExprKind::Call { name, args } => ExprKind::Call {
+                name,
+                args: args.into_iter().map(&mut f).collect(),
+            },
+            ExprKind::Binary { op, left, right } => ExprKind::Binary {
+                op,
+                left: child(left),
+                right: child(right),
+            },
+            ExprKind::Not(e) => ExprKind::Not(child(e)),
+            ExprKind::Neg(e) => ExprKind::Neg(child(e)),
+            ExprKind::Contains { expr, pattern } => ExprKind::Contains {
+                expr: child(expr),
+                pattern: child(pattern),
+            },
+            ExprKind::Matches { expr, pattern } => ExprKind::Matches {
+                expr: child(expr),
+                pattern,
+            },
+            ExprKind::InList { expr, list } => ExprKind::InList {
+                expr: child(expr),
+                list,
+            },
+            ExprKind::IsNull { expr, negated } => ExprKind::IsNull {
+                expr: child(expr),
+                negated,
+            },
+            leaf @ (ExprKind::Column { .. }
+            | ExprKind::Literal(_)
+            | ExprKind::InBoundingBox { .. }) => leaf,
+        };
+        Expr::new(kind, self.span)
     }
 }
 

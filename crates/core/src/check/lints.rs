@@ -239,7 +239,7 @@ fn w107_limit_without_order(stmt: &SelectStmt, diags: &mut Vec<Diagnostic>) {
     }
     let has_topk = stmt.select.iter().any(|i| {
         matches!(i, SelectItem::Expr { expr, .. }
-            if expr_calls(expr, "topk"))
+            if expr.calls_function("topk"))
     });
     let aggregating = !stmt.group_by.is_empty()
         || stmt
@@ -323,18 +323,6 @@ fn w109_unused_group_key(
             );
         }
     }
-}
-
-fn expr_calls(e: &Expr, target: &str) -> bool {
-    let mut found = false;
-    e.walk(&mut |n| {
-        if let ExprKind::Call { name, .. } = &n.kind {
-            if name == target {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 #[cfg(test)]

@@ -242,7 +242,7 @@ pub fn check(stmt: &SelectStmt, catalog: &Catalog, registry: &Registry) -> Vec<D
         let has_avg = stmt
             .select
             .iter()
-            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if calls_avg(expr)));
+            .any(|i| matches!(i, SelectItem::Expr { expr, .. } if expr.calls_function("avg")));
         if !has_avg {
             diags.push(
                 Diagnostic::error(
@@ -260,18 +260,6 @@ pub fn check(stmt: &SelectStmt, catalog: &Catalog, registry: &Registry) -> Vec<D
     // Errors before warnings, then source order, then code.
     diags.sort_by_key(|d| (!d.is_error(), d.span.is_dummy(), d.span.start, d.code));
     diags
-}
-
-fn calls_avg(e: &Expr) -> bool {
-    let mut found = false;
-    e.walk(&mut |n| {
-        if let crate::ast::ExprKind::Call { name, .. } = &n.kind {
-            if name == "avg" {
-                found = true;
-            }
-        }
-    });
-    found
 }
 
 // Re-exported for external tools that classify call names.

@@ -20,11 +20,19 @@
 //!
 //! A later conjunct's pass rate is measured over the rows earlier ones
 //! let through; a rank flip re-conditions it.
+//!
+//! A WHERE that calls a stateful UDF reaches this operator as one
+//! conjunct (the planner joins it into one program), so it is never
+//! re-ranked: the rows such a call sees are observable.
+//!
+//! The operator is every scan stage of a non-reference plan: `WHERE`,
+//! the plain projection, and over an aggregate's output `HAVING` and
+//! the projection back to SELECT order (on the row path there, since
+//! that input is not the `twitter` schema).
 
 use super::Operator;
 use crate::error::QueryError;
-use crate::expr::compile::Unsupported;
-use crate::expr::{BatchVm, CExpr, ExprProgram};
+use crate::expr::{BatchVm, CExpr, EvalCtx, ExprProgram};
 use std::sync::Arc;
 use std::time::Instant;
 use tweeql_model::batch::col as tcol;
@@ -108,15 +116,16 @@ pub struct FusedScanOp {
 }
 
 impl FusedScanOp {
-    /// Lower compiled conjuncts and an optional projection. Returns
-    /// `Err` when any expression is uncompilable (stateful UDF), in
-    /// which case the planner falls back to the interpreted operators.
-    pub fn try_new(
+    /// Lower compiled conjuncts and an optional projection, both
+    /// compiled into `ctx` (which the operator then owns). Fails only
+    /// on an expression too large for the VM's indexes.
+    pub fn new(
         conjuncts: &[CExpr],
         project: Option<(&[CExpr], SchemaRef)>,
+        ctx: EvalCtx,
         input_schema: SchemaRef,
         label: impl Into<String>,
-    ) -> Result<FusedScanOp, Unsupported> {
+    ) -> Result<FusedScanOp, QueryError> {
         let lowered: Vec<Conjunct> = conjuncts
             .iter()
             .map(|c| {
@@ -126,13 +135,13 @@ impl FusedScanOp {
                     cost_ewma: 0.0,
                 })
             })
-            .collect::<Result<_, Unsupported>>()?;
+            .collect::<Result<_, QueryError>>()?;
         let project = match project {
             Some((exprs, schema)) => {
                 let cols = exprs
                     .iter()
                     .map(ExprProgram::lower)
-                    .collect::<Result<Vec<_>, Unsupported>>()?;
+                    .collect::<Result<Vec<_>, QueryError>>()?;
                 Some(Projection { cols, schema })
             }
             None => None,
@@ -162,7 +171,7 @@ impl FusedScanOp {
             project,
             schema,
             label: label.into(),
-            vm: BatchVm::new(),
+            vm: BatchVm::with_ctx(ctx),
             sel_a: Vec::new(),
             sel_b: Vec::new(),
             col_scratch: Vec::new(),
@@ -461,9 +470,14 @@ mod tests {
         let conj = cexprs(&["text contains 'obama'", "followers > 10"]);
         let proj = cexprs(&["upper(lang)", "followers * 2"]);
         let out_schema = Schema::shared(&[("l", DataType::Str), ("f2", DataType::Int)]);
-        let mut op =
-            FusedScanOp::try_new(&conj, Some((&proj, out_schema)), schema(), "where+project")
-                .unwrap();
+        let mut op = FusedScanOp::new(
+            &conj,
+            Some((&proj, out_schema)),
+            EvalCtx::default(),
+            schema(),
+            "where+project",
+        )
+        .unwrap();
         let mut batch = vec![
             rec("Obama speaks", 100),
             rec("obama again", 5), // fails followers
@@ -483,7 +497,7 @@ mod tests {
     #[test]
     fn pure_filter_moves_records() {
         let conj = cexprs(&["followers > 10"]);
-        let mut op = FusedScanOp::try_new(&conj, None, schema(), "where").unwrap();
+        let mut op = FusedScanOp::new(&conj, None, EvalCtx::default(), schema(), "where").unwrap();
         let mut batch = vec![rec("a", 100), rec("b", 1), rec("c", 50)];
         let mut out = Vec::new();
         op.on_batch(&mut batch, &mut out).unwrap();
@@ -496,7 +510,7 @@ mod tests {
     fn adaptive_order_puts_selective_conjunct_first() {
         // Conjunct 0 passes everything; conjunct 1 drops everything.
         let conj = cexprs(&["followers >= 0", "followers > 1000000"]);
-        let mut op = FusedScanOp::try_new(&conj, None, schema(), "where")
+        let mut op = FusedScanOp::new(&conj, None, EvalCtx::default(), schema(), "where")
             .unwrap()
             .with_rerank_every(4);
         let mut out = Vec::new();
@@ -521,7 +535,7 @@ mod tests {
         // Conjunct 0 drops everything, so conjunct 1 never sees a row
         // and keeps only its prior: re-ranking must not promote it.
         let conj = cexprs(&["followers < 0", "followers >= 0"]);
-        let mut op = FusedScanOp::try_new(&conj, None, schema(), "where")
+        let mut op = FusedScanOp::new(&conj, None, EvalCtx::default(), schema(), "where")
             .unwrap()
             .with_rerank_every(4);
         let mut out = Vec::new();
@@ -539,8 +553,14 @@ mod tests {
         let conj = cexprs(&["text contains 'kw'"]);
         let proj = cexprs(&["followers + 1"]);
         let out_schema = Schema::shared(&[("f", DataType::Int)]);
-        let mut op =
-            FusedScanOp::try_new(&conj, Some((&proj, out_schema)), schema(), "wp").unwrap();
+        let mut op = FusedScanOp::new(
+            &conj,
+            Some((&proj, out_schema)),
+            EvalCtx::default(),
+            schema(),
+            "wp",
+        )
+        .unwrap();
         let mut out = Vec::new();
         op.on_record(rec("has kw here", 7), &mut out).unwrap();
         op.on_record(rec("nope", 7), &mut out).unwrap();
@@ -623,9 +643,10 @@ mod tests {
             let conj = tcexprs(&["text contains 'obama'", "followers > 10"]);
             let proj = tcexprs(&["upper(lang)", "followers * 2"]);
             let out_schema = Schema::shared(&[("l", DataType::Str), ("f2", DataType::Int)]);
-            let op = FusedScanOp::try_new(
+            let op = FusedScanOp::new(
                 &conj,
                 Some((&proj, out_schema)),
+                EvalCtx::default(),
                 twitter_schema(),
                 "where+project",
             )
@@ -638,7 +659,8 @@ mod tests {
         #[test]
         fn pure_filter_matches_row_path_under_liveness_mask() {
             let conj = tcexprs(&["lang = 'en'"]);
-            let op = FusedScanOp::try_new(&conj, None, twitter_schema(), "where").unwrap();
+            let op = FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where")
+                .unwrap();
             // Keep only the columns the filter reads plus a couple of
             // extras; everything else decodes to Null on both paths.
             let mut live = vec![false; tcol::COUNT];
@@ -653,7 +675,8 @@ mod tests {
         #[test]
         fn pipeline_materializes_only_what_the_head_reads() {
             let conj = tcexprs(&["lang = 'en'", "followers >= 0"]);
-            let op = FusedScanOp::try_new(&conj, None, twitter_schema(), "where").unwrap();
+            let op = FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where")
+                .unwrap();
             let mut wants = [false; tcol::COUNT];
             wants[tcol::LANG] = true;
             wants[tcol::FOLLOWERS] = true;
@@ -673,7 +696,7 @@ mod tests {
         #[test]
         fn non_twitter_schema_stays_on_row_path() {
             let conj = cexprs(&["followers > 10"]);
-            let op = FusedScanOp::try_new(&conj, None, schema(), "where").unwrap();
+            let op = FusedScanOp::new(&conj, None, EvalCtx::default(), schema(), "where").unwrap();
             assert_eq!(op.wants_tweet_batch(), None);
         }
 
@@ -687,9 +710,21 @@ mod tests {
                 ("loc", DataType::Str),
             ]);
             match which {
-                0 => FusedScanOp::try_new(&conj, None, twitter_schema(), "where"),
-                1 => FusedScanOp::try_new(&[], Some((&proj, out_schema)), twitter_schema(), "p"),
-                _ => FusedScanOp::try_new(&conj, Some((&proj, out_schema)), twitter_schema(), "wp"),
+                0 => FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where"),
+                1 => FusedScanOp::new(
+                    &[],
+                    Some((&proj, out_schema)),
+                    EvalCtx::default(),
+                    twitter_schema(),
+                    "p",
+                ),
+                _ => FusedScanOp::new(
+                    &conj,
+                    Some((&proj, out_schema)),
+                    EvalCtx::default(),
+                    twitter_schema(),
+                    "wp",
+                ),
             }
             .unwrap()
         }

@@ -17,15 +17,20 @@
 //! `followers > 0 OR 1/0 > x` errors on exactly the same rows under
 //! both engines.
 //!
+//! Stateful UDF calls lower to [`Instr::CallStateful`], which calls
+//! the instance once per row of the current selection in ascending row
+//! order — the order the interpreter calls it in, since the masks above
+//! hand it exactly the rows the interpreter's short-circuit reaches.
+//!
 //! Compilation happens **after** the check pass has accepted the query
 //! (the planner only lowers `checked_plan` output), so E-codes remain
-//! the authoritative source of semantic errors; `Unsupported` here is
-//! not an error surface, it simply routes the operator back to the
-//! interpreted reference implementation (stateful UDFs are the one
-//! unsupported construct — their call order is observable).
+//! the authoritative source of semantic errors. Every checked
+//! expression lowers; the one refusal is a program too large for the
+//! `u16` register and pool indexes, a [`QueryError::Plan`].
 
 use super::CExpr;
 use crate::ast::BinOp;
+use crate::error::QueryError;
 use crate::udf::ScalarUdf;
 use std::sync::Arc;
 use tweeql_geo::BoundingBox;
@@ -107,6 +112,15 @@ pub enum Instr {
         argc: u16,
         dst: Reg,
     },
+    /// Stateful UDF call on the instance in the VM's context `slot`,
+    /// once per selected row in ascending row order, with that row's
+    /// timestamp; arguments as for [`Instr::CallScalar`].
+    CallStateful {
+        slot: u16,
+        args_at: u16,
+        argc: u16,
+        dst: Reg,
+    },
 }
 
 /// A single pre-folded literal needle with a pre-built bad-character
@@ -170,17 +184,6 @@ impl MultiMatcher {
     }
 }
 
-/// Why an expression could not be lowered. Not a user-visible error:
-/// the planner falls back to the interpreted operator.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Unsupported {
-    /// Stateful UDF calls have observable evaluation order and stay on
-    /// the interpreted path.
-    StatefulUdf,
-    /// Program shape exceeded a `u16` index (registers, pools).
-    TooLarge,
-}
-
 /// A compiled, immutable expression program.
 pub struct ExprProgram {
     pub(crate) instrs: Vec<Instr>,
@@ -212,18 +215,26 @@ struct Lowerer {
 }
 
 impl Lowerer {
-    fn alloc(&mut self) -> Result<Reg, Unsupported> {
+    fn alloc(&mut self) -> Result<Reg, QueryError> {
         let r = self.prog.num_regs;
-        self.prog.num_regs = self
-            .prog
-            .num_regs
-            .checked_add(1)
-            .ok_or(Unsupported::TooLarge)?;
+        self.prog.num_regs = self.prog.num_regs.checked_add(1).ok_or_else(too_large)?;
         Ok(r)
     }
 
-    fn pool_idx(len: usize) -> Result<u16, Unsupported> {
-        u16::try_from(len).map_err(|_| Unsupported::TooLarge)
+    fn pool_idx(len: usize) -> Result<u16, QueryError> {
+        u16::try_from(len).map_err(|_| too_large())
+    }
+
+    /// Lower `args` into the flat `call_args` pool: `(args_at, argc)`.
+    fn call_args(&mut self, args: &[CExpr]) -> Result<(u16, u16), QueryError> {
+        let mut arg_regs = Vec::with_capacity(args.len());
+        for a in args {
+            arg_regs.push(self.lower(a)?);
+        }
+        let args_at = Self::pool_idx(self.prog.call_args.len())?;
+        let argc = Self::pool_idx(args.len())?;
+        self.prog.call_args.extend(arg_regs);
+        Ok((args_at, argc))
     }
 
     fn bin_const(
@@ -232,7 +243,7 @@ impl Lowerer {
         a: Reg,
         c: &Value,
         const_right: bool,
-    ) -> Result<Reg, Unsupported> {
+    ) -> Result<Reg, QueryError> {
         let idx = Self::pool_idx(self.prog.consts.len())?;
         self.prog.consts.push(c.clone());
         let dst = self.alloc()?;
@@ -246,7 +257,7 @@ impl Lowerer {
         Ok(dst)
     }
 
-    fn lower(&mut self, e: &CExpr) -> Result<Reg, Unsupported> {
+    fn lower(&mut self, e: &CExpr) -> Result<Reg, QueryError> {
         match e {
             CExpr::Column(idx) => {
                 let dst = self.alloc()?;
@@ -261,13 +272,7 @@ impl Lowerer {
                 Ok(dst)
             }
             CExpr::Scalar { udf, args } => {
-                let mut arg_regs = Vec::with_capacity(args.len());
-                for a in args {
-                    arg_regs.push(self.lower(a)?);
-                }
-                let args_at = Self::pool_idx(self.prog.call_args.len())?;
-                let argc = Self::pool_idx(args.len())?;
-                self.prog.call_args.extend(arg_regs);
+                let (args_at, argc) = self.call_args(args)?;
                 let udf_idx = Self::pool_idx(self.prog.udfs.len())?;
                 self.prog.udfs.push(Arc::clone(udf));
                 let dst = self.alloc()?;
@@ -279,7 +284,18 @@ impl Lowerer {
                 });
                 Ok(dst)
             }
-            CExpr::Stateful { .. } => Err(Unsupported::StatefulUdf),
+            CExpr::Stateful { slot, args } => {
+                let (args_at, argc) = self.call_args(args)?;
+                let slot = Self::pool_idx(*slot)?;
+                let dst = self.alloc()?;
+                self.prog.instrs.push(Instr::CallStateful {
+                    slot,
+                    args_at,
+                    argc,
+                    dst,
+                });
+                Ok(dst)
+            }
             CExpr::Binary { op, left, right } => match op {
                 BinOp::And => {
                     // Try the multi-needle OR fusion inside each side
@@ -410,7 +426,7 @@ impl Lowerer {
     /// the OR of column-contains is 3VL-equivalent to "any needle
     /// matches" (NULL column → every leaf NULL → OR is NULL; non-NULL
     /// column → plain boolean any()).
-    fn try_fuse_or_contains(&mut self, e: &CExpr) -> Result<Option<Reg>, Unsupported> {
+    fn try_fuse_or_contains(&mut self, e: &CExpr) -> Result<Option<Reg>, QueryError> {
         fn collect(e: &CExpr, col: &mut Option<usize>, needles: &mut Vec<String>) -> bool {
             match e {
                 CExpr::Binary {
@@ -454,7 +470,7 @@ impl Lowerer {
 
 impl ExprProgram {
     /// Lower a compiled expression tree into a flat program.
-    pub fn lower(expr: &CExpr) -> Result<ExprProgram, Unsupported> {
+    pub fn lower(expr: &CExpr) -> Result<ExprProgram, QueryError> {
         let mut l = Lowerer {
             prog: ExprProgram {
                 instrs: Vec::new(),
@@ -510,4 +526,8 @@ impl ExprProgram {
             }
         }
     }
+}
+
+fn too_large() -> QueryError {
+    QueryError::Plan("expression too large to compile (over 65,535 registers or constants)".into())
 }

@@ -38,6 +38,32 @@ fn value_as_str<'a>(v: &'a Value, buf: &'a mut SmallBuf) -> &'a str {
     }
 }
 
+/// `l op r` for a non-logical operator: arithmetic, or a SQL comparison
+/// (NULL when either side is NULL or the two do not compare). The
+/// interpreter, the VM and constant folding all evaluate through it.
+#[inline]
+pub(crate) fn binary_value(op: BinOp, l: &Value, r: &Value) -> Result<Value, QueryError> {
+    Ok(match op {
+        BinOp::Add => l.add(r)?,
+        BinOp::Sub => l.sub(r)?,
+        BinOp::Mul => l.mul(r)?,
+        BinOp::Div => l.div(r)?,
+        BinOp::Mod => l.rem(r)?,
+        BinOp::And | BinOp::Or => unreachable!("logical operators short-circuit"),
+        cmp => match l.compare(r) {
+            None => Value::Null,
+            Some(ord) => Value::Bool(match cmp {
+                BinOp::Eq => ord.is_eq(),
+                BinOp::Ne => ord.is_ne(),
+                BinOp::Lt => ord.is_lt(),
+                BinOp::Le => ord.is_le(),
+                BinOp::Gt => ord.is_gt(),
+                _ => ord.is_ge(),
+            }),
+        },
+    })
+}
+
 /// Per-query mutable evaluation context: instances of stateful UDFs.
 #[derive(Default)]
 pub struct EvalCtx {
@@ -189,27 +215,10 @@ impl CExpr {
                         }
                         Ok(Value::Bool(false))
                     }
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                    _ => {
                         let l = left.eval(rec, ctx)?;
-                        let r = right.eval(rec, ctx)?;
-                        Ok(match l.compare(&r) {
-                            None => Value::Null,
-                            Some(ord) => Value::Bool(match op {
-                                BinOp::Eq => ord.is_eq(),
-                                BinOp::Ne => ord.is_ne(),
-                                BinOp::Lt => ord.is_lt(),
-                                BinOp::Le => ord.is_le(),
-                                BinOp::Gt => ord.is_gt(),
-                                BinOp::Ge => ord.is_ge(),
-                                _ => unreachable!(),
-                            }),
-                        })
+                        binary_value(*op, &l, &right.eval(rec, ctx)?)
                     }
-                    BinOp::Add => Ok(left.eval(rec, ctx)?.add(&right.eval(rec, ctx)?)?),
-                    BinOp::Sub => Ok(left.eval(rec, ctx)?.sub(&right.eval(rec, ctx)?)?),
-                    BinOp::Mul => Ok(left.eval(rec, ctx)?.mul(&right.eval(rec, ctx)?)?),
-                    BinOp::Div => Ok(left.eval(rec, ctx)?.div(&right.eval(rec, ctx)?)?),
-                    BinOp::Mod => Ok(left.eval(rec, ctx)?.rem(&right.eval(rec, ctx)?)?),
                 }
             }
             CExpr::Not(e) => {

@@ -16,11 +16,11 @@
 //! string render buffers) lives in the [`BatchVm`] and is reused across
 //! batches: steady-state evaluation performs no heap allocation beyond
 //! what the expressions themselves demand (e.g. `upper()` building its
-//! output string).
+//! output string). So do the owning operator's stateful UDF instances,
+//! the [`EvalCtx`] its programs were compiled into.
 
 use super::compile::{ExprProgram, Instr};
-use super::value_as_str;
-use crate::ast::BinOp;
+use super::{binary_value, value_as_str, EvalCtx};
 use crate::error::QueryError;
 use tweeql_model::{Record, TweetBatch, Value};
 use tweeql_text::fold::{contains_fold_both, SmallBuf};
@@ -43,6 +43,8 @@ pub struct BatchVm {
     argv: Vec<Value>,
     hbuf: SmallBuf,
     nbuf: SmallBuf,
+    /// Stateful UDF instances the `CallStateful` slots index.
+    ctx: EvalCtx,
 }
 
 impl Default for BatchVm {
@@ -52,14 +54,21 @@ impl Default for BatchVm {
 }
 
 impl BatchVm {
-    /// Fresh VM with no scratch allocated yet.
+    /// Fresh VM with no scratch allocated yet, for stateless programs.
     pub fn new() -> Self {
+        Self::with_ctx(EvalCtx::default())
+    }
+
+    /// A VM for programs compiled into `ctx`: it owns their stateful
+    /// UDF instances from here on.
+    pub(crate) fn with_ctx(ctx: EvalCtx) -> Self {
         BatchVm {
             regs: Vec::new(),
             masks: Vec::new(),
             argv: Vec::new(),
             hbuf: SmallBuf::new(),
             nbuf: SmallBuf::new(),
+            ctx,
         }
     }
 
@@ -231,55 +240,9 @@ impl BatchVm {
             Instr::Bin { op, a, b, .. } => {
                 let acol = &self.regs[*a as usize];
                 let bcol = &self.regs[*b as usize];
-                match op {
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = match acol[row].compare(&bcol[row]) {
-                                None => Value::Null,
-                                Some(ord) => Value::Bool(match op {
-                                    BinOp::Eq => ord.is_eq(),
-                                    BinOp::Ne => ord.is_ne(),
-                                    BinOp::Lt => ord.is_lt(),
-                                    BinOp::Le => ord.is_le(),
-                                    BinOp::Gt => ord.is_gt(),
-                                    BinOp::Ge => ord.is_ge(),
-                                    _ => unreachable!(),
-                                }),
-                            };
-                        }
-                    }
-                    BinOp::Add => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = acol[row].add(&bcol[row])?;
-                        }
-                    }
-                    BinOp::Sub => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = acol[row].sub(&bcol[row])?;
-                        }
-                    }
-                    BinOp::Mul => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = acol[row].mul(&bcol[row])?;
-                        }
-                    }
-                    BinOp::Div => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = acol[row].div(&bcol[row])?;
-                        }
-                    }
-                    BinOp::Mod => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = acol[row].rem(&bcol[row])?;
-                        }
-                    }
-                    BinOp::And | BinOp::Or => unreachable!("lowered to mask instructions"),
+                for &i in cur {
+                    let row = i as usize;
+                    dstv[row] = binary_value(*op, &acol[row], &bcol[row])?;
                 }
             }
             Instr::BinConst {
@@ -291,48 +254,14 @@ impl BatchVm {
             } => {
                 let c = &prog.consts[*idx as usize];
                 let acol = &self.regs[*a as usize];
-                match op {
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        for &i in cur {
-                            let row = i as usize;
-                            let (l, r) = if *const_right {
-                                (&acol[row], c)
-                            } else {
-                                (c, &acol[row])
-                            };
-                            dstv[row] = match l.compare(r) {
-                                None => Value::Null,
-                                Some(ord) => Value::Bool(match op {
-                                    BinOp::Eq => ord.is_eq(),
-                                    BinOp::Ne => ord.is_ne(),
-                                    BinOp::Lt => ord.is_lt(),
-                                    BinOp::Le => ord.is_le(),
-                                    BinOp::Gt => ord.is_gt(),
-                                    BinOp::Ge => ord.is_ge(),
-                                    _ => unreachable!(),
-                                }),
-                            };
-                        }
-                    }
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod => {
-                        for &i in cur {
-                            let row = i as usize;
-                            let (l, r) = if *const_right {
-                                (&acol[row], c)
-                            } else {
-                                (c, &acol[row])
-                            };
-                            dstv[row] = match op {
-                                BinOp::Add => l.add(r)?,
-                                BinOp::Sub => l.sub(r)?,
-                                BinOp::Mul => l.mul(r)?,
-                                BinOp::Div => l.div(r)?,
-                                BinOp::Mod => l.rem(r)?,
-                                _ => unreachable!(),
-                            };
-                        }
-                    }
-                    BinOp::And | BinOp::Or => unreachable!("lowered to mask instructions"),
+                for &i in cur {
+                    let row = i as usize;
+                    let (l, r) = if *const_right {
+                        (&acol[row], c)
+                    } else {
+                        (c, &acol[row])
+                    };
+                    dstv[row] = binary_value(*op, l, r)?;
                 }
             }
             Instr::Not { a, .. } => {
@@ -366,80 +295,16 @@ impl BatchVm {
                 let acol = &self.regs[*a as usize];
                 for &i in cur {
                     let row = i as usize;
-                    dstv[row] = match &acol[row] {
-                        Value::Null => Value::Null,
-                        Value::Str(s) => Value::Bool(m.is_match(s)),
-                        other => Value::Bool(m.is_match(value_as_str(other, &mut self.hbuf))),
-                    };
+                    dstv[row] = match_value(&acol[row], &mut self.hbuf, |s| m.is_match(s));
                 }
             }
             Instr::ContainsCol { col, matcher, .. } => {
                 let m = &prog.matchers[*matcher as usize];
-                match input {
-                    Input::Rows(recs) => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = match recs[row].value(*col) {
-                                Value::Null => Value::Null,
-                                Value::Str(s) => Value::Bool(m.is_match(s)),
-                                other => {
-                                    Value::Bool(m.is_match(value_as_str(other, &mut self.hbuf)))
-                                }
-                            };
-                        }
-                    }
-                    Input::Batch(b) => {
-                        for &i in cur {
-                            let row = i as usize;
-                            // Zero-copy scan of the arena slice /
-                            // dictionary entry / tweet buffer; the
-                            // fallback mirrors the row arm exactly
-                            // (pruned-dead → NULL via `value_at`).
-                            dstv[row] = match b.str_at(row, *col) {
-                                Some(s) => Value::Bool(m.is_match(s)),
-                                None => match b.value_at(row, *col) {
-                                    Value::Null => Value::Null,
-                                    Value::Str(s) => Value::Bool(m.is_match(&s)),
-                                    other => Value::Bool(
-                                        m.is_match(value_as_str(&other, &mut self.hbuf)),
-                                    ),
-                                },
-                            };
-                        }
-                    }
-                }
+                contains_col(input, *col, cur, dstv, &mut self.hbuf, |s| m.is_match(s));
             }
             Instr::MultiContains { col, matcher, .. } => {
                 let m = &prog.multis[*matcher as usize];
-                match input {
-                    Input::Rows(recs) => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = match recs[row].value(*col) {
-                                Value::Null => Value::Null,
-                                Value::Str(s) => Value::Bool(m.is_match(s)),
-                                other => {
-                                    Value::Bool(m.is_match(value_as_str(other, &mut self.hbuf)))
-                                }
-                            };
-                        }
-                    }
-                    Input::Batch(b) => {
-                        for &i in cur {
-                            let row = i as usize;
-                            dstv[row] = match b.str_at(row, *col) {
-                                Some(s) => Value::Bool(m.is_match(s)),
-                                None => match b.value_at(row, *col) {
-                                    Value::Null => Value::Null,
-                                    Value::Str(s) => Value::Bool(m.is_match(&s)),
-                                    other => Value::Bool(
-                                        m.is_match(value_as_str(&other, &mut self.hbuf)),
-                                    ),
-                                },
-                            };
-                        }
-                    }
-                }
+                contains_col(input, *col, cur, dstv, &mut self.hbuf, |s| m.is_match(s));
             }
             Instr::ContainsDyn { a, b, .. } => {
                 let acol = &self.regs[*a as usize];
@@ -462,10 +327,7 @@ impl BatchVm {
                 let acol = &self.regs[*a as usize];
                 for &i in cur {
                     let row = i as usize;
-                    dstv[row] = match &acol[row] {
-                        Value::Null => Value::Null,
-                        other => Value::Bool(re.is_match(value_as_str(other, &mut self.hbuf))),
-                    };
+                    dstv[row] = match_value(&acol[row], &mut self.hbuf, |s| re.is_match(s));
                 }
             }
             Instr::InBBox { lat, lon, bbox, .. } => {
@@ -503,10 +365,7 @@ impl BatchVm {
                     };
                 }
             }
-            Instr::CallScalar {
-                udf, args_at, argc, ..
-            } => {
-                let f = &prog.udfs[*udf as usize];
+            Instr::CallScalar { args_at, argc, .. } | Instr::CallStateful { args_at, argc, .. } => {
                 let arg_regs = &prog.call_args[*args_at as usize..(*args_at + *argc) as usize];
                 for &i in cur {
                     let row = i as usize;
@@ -514,7 +373,19 @@ impl BatchVm {
                     for &r in arg_regs {
                         self.argv.push(self.regs[r as usize][row].clone());
                     }
-                    dstv[row] = f.call(&self.argv)?;
+                    dstv[row] = match instr {
+                        Instr::CallScalar { udf, .. } => {
+                            prog.udfs[*udf as usize].call(&self.argv)?
+                        }
+                        Instr::CallStateful { slot, .. } => {
+                            let ts = match input {
+                                Input::Rows(recs) => recs[row].timestamp(),
+                                Input::Batch(b) => b.ts(row),
+                            };
+                            self.ctx.stateful[*slot as usize].call(&self.argv, ts)?
+                        }
+                        _ => unreachable!("a call instruction"),
+                    };
                 }
             }
             Instr::AndRhs { .. }
@@ -583,6 +454,48 @@ impl BatchVm {
     }
 }
 
+/// A `contains` result for one haystack value: NULL stays NULL,
+/// anything else is matched as text.
+#[inline]
+fn match_value(v: &Value, buf: &mut SmallBuf, is_match: impl Fn(&str) -> bool) -> Value {
+    match v {
+        Value::Null => Value::Null,
+        other => Value::Bool(is_match(value_as_str(other, buf))),
+    }
+}
+
+/// `contains` on input column `col` for the rows in `cur`. A columnar
+/// batch scans the arena slice, dictionary entry or tweet buffer in
+/// place; its fallback mirrors the row path exactly (a pruned-dead
+/// column reads NULL via `value_at`).
+#[inline]
+fn contains_col(
+    input: Input<'_>,
+    col: usize,
+    cur: &[u32],
+    dstv: &mut [Value],
+    buf: &mut SmallBuf,
+    is_match: impl Fn(&str) -> bool,
+) {
+    match input {
+        Input::Rows(recs) => {
+            for &i in cur {
+                let row = i as usize;
+                dstv[row] = match_value(recs[row].value(col), buf, &is_match);
+            }
+        }
+        Input::Batch(b) => {
+            for &i in cur {
+                let row = i as usize;
+                dstv[row] = match b.str_at(row, col) {
+                    Some(s) => Value::Bool(is_match(s)),
+                    None => match_value(&b.value_at(row, col), buf, &is_match),
+                };
+            }
+        }
+    }
+}
+
 fn dst_of(instr: &Instr) -> u16 {
     match instr {
         Instr::Col { dst, .. }
@@ -601,7 +514,8 @@ fn dst_of(instr: &Instr) -> u16 {
         | Instr::Matches { dst, .. }
         | Instr::InBBox { dst, .. }
         | Instr::InList { dst, .. }
-        | Instr::CallScalar { dst, .. } => *dst,
+        | Instr::CallScalar { dst, .. }
+        | Instr::CallStateful { dst, .. } => *dst,
         Instr::AndRhs { .. } | Instr::OrRhs { .. } => unreachable!("mask push has no dst"),
     }
 }
@@ -718,25 +632,72 @@ mod tests {
         );
     }
 
+    /// A stateful call under an `AND` is called for exactly the rows
+    /// the interpreter calls it for, in the same order, with the same
+    /// timestamps.
     #[test]
-    fn stateful_udf_is_unsupported() {
-        use crate::expr::compile_into;
+    fn stateful_call_sees_the_interpreters_rows_in_order() {
         use crate::udf::StatefulUdf;
-        struct S;
-        impl StatefulUdf for S {
-            fn call(&mut self, _: &[Value], _: Timestamp) -> Result<Value, QueryError> {
-                Ok(Value::Null)
+        use std::sync::{Arc, Mutex};
+        type Log = Arc<Mutex<Vec<(i64, Timestamp)>>>;
+        struct Counter(Log);
+        impl StatefulUdf for Counter {
+            fn call(&mut self, args: &[Value], ts: Timestamp) -> Result<Value, QueryError> {
+                let mut log = self.0.lock().unwrap();
+                log.push((args[0].as_int()?, ts));
+                Ok(Value::Int(log.len() as i64))
             }
         }
-        let mut reg = Registry::empty();
-        reg.register_stateful("s", std::sync::Arc::new(|| Box::new(S)));
-        let ast = parse_expr("s()").unwrap();
-        let mut ctx = crate::expr::EvalCtx::default();
-        let c = compile_into(&ast, &schema(), &reg, &mut ctx).unwrap();
-        assert_eq!(
-            ExprProgram::lower(&c).unwrap_err(),
-            crate::expr::compile::Unsupported::StatefulUdf
-        );
+        let run = |log: &Log, compiled: bool| {
+            let mut reg = Registry::empty();
+            let l = Arc::clone(log);
+            reg.register_stateful("counter", Arc::new(move || Box::new(Counter(l.clone()))));
+            let ast = parse_expr("followers > 0 and counter(followers) % 2 = 0").unwrap();
+            let (c, mut ctx) = compile(&ast, &schema(), &reg).unwrap();
+            let recs: Vec<Record> = [5, 0, 7, -1, 9, 3]
+                .iter()
+                .enumerate()
+                .map(|(i, &f)| {
+                    let values = rec("x", f, None).values().to_vec();
+                    Record::new(schema(), values, Timestamp::from_secs(i as i64)).unwrap()
+                })
+                .collect();
+            if compiled {
+                let prog = ExprProgram::lower(&c).unwrap();
+                let mut vm = BatchVm::with_ctx(ctx);
+                let sel: Vec<u32> = (0..recs.len() as u32).collect();
+                vm.eval_into(&prog, &recs, &sel).unwrap();
+                sel.iter().map(|&i| vm.result(&prog, i).clone()).collect()
+            } else {
+                recs.iter()
+                    .map(|r| c.eval(r, &mut ctx).unwrap())
+                    .collect::<Vec<_>>()
+            }
+        };
+        let (interp_log, vm_log) = (Log::default(), Log::default());
+        let interp = run(&interp_log, false);
+        let vm = run(&vm_log, true);
+        assert_eq!(vm, interp);
+        let calls = vm_log.lock().unwrap().clone();
+        assert_eq!(calls, *interp_log.lock().unwrap());
+        let rows: Vec<i64> = calls.iter().map(|(f, _)| *f).collect();
+        assert_eq!(rows, vec![5, 7, 9, 3], "only rows the AND lets through");
+        assert_eq!(calls[1].1, Timestamp::from_secs(2));
+    }
+
+    /// A program past the `u16` register space is a plan error, not a
+    /// fallback to the interpreter.
+    #[test]
+    fn oversized_program_is_a_plan_error() {
+        let reg = Registry::standard(&ServiceConfig::default(), VirtualClock::new());
+        let wide = crate::expr::CExpr::Scalar {
+            udf: reg.scalar("coalesce").unwrap(),
+            args: vec![crate::expr::CExpr::Literal(Value::Int(1)); 70_000],
+        };
+        assert!(matches!(
+            ExprProgram::lower(&wide),
+            Err(QueryError::Plan(m)) if m.contains("too large")
+        ));
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use crate::ast::{Expr, ExprKind, JoinClause, SelectItem, SelectStmt, WindowSpec};
 use crate::catalog::Catalog;
 use crate::error::QueryError;
+use crate::udf::Registry;
 use std::sync::Arc;
 use tweeql_model::SchemaRef;
 
@@ -117,6 +118,18 @@ impl LogicalPlan {
             .enumerate()
             .map(|(i, s)| super::output_name(&s.expr, s.alias.as_deref(), i))
             .collect()
+    }
+
+    /// How many WHERE conjuncts precede the first one that calls a
+    /// stateful UDF (all of them when none does). Such a call's results
+    /// depend on which rows reach it, so only this prefix may be
+    /// reordered or pushed into the connection: nothing written after
+    /// the call may run before it.
+    pub fn stateful_fence(&self, registry: &Registry) -> usize {
+        self.filter
+            .iter()
+            .take_while(|c| !super::calls_stateful(c, registry))
+            .count()
     }
 
     /// Every expression the plan evaluates, in clause order.

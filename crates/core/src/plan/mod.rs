@@ -17,11 +17,12 @@
 //!    hoisted** into [`crate::exec::asyncop::AsyncUdfOp`] stages
 //!    (calls WHERE needs run before the filter, all others after, so
 //!    tuples the filter drops never cost a web-service call; §2
-//!    "High-latency Operators"), filters compile into
-//!    [`crate::exec::fused::FusedScanOp`] scans (which re-rank their
-//!    conjuncts adaptively), and windowed aggregation uses
-//!    a canonical `[keys…, aggs…]` layout plus a post-projection
-//!    restoring SELECT order.
+//!    "High-latency Operators"), every scan stage (WHERE, SELECT,
+//!    HAVING, the post-aggregate projection) compiles into one
+//!    [`crate::exec::fused::FusedScanOp`] (which re-ranks its conjuncts
+//!    adaptively), and windowed aggregation uses a canonical
+//!    `[keys…, aggs…]` layout plus a post-projection restoring SELECT
+//!    order.
 //!
 //! The engine and the standing-query host consume the same
 //! [`PlannedQuery`]; `explain` carries one `rule <name>: …` line per
@@ -43,7 +44,7 @@ use crate::exec::join::SymmetricHashJoin;
 use crate::exec::limit::LimitOp;
 use crate::exec::project::ProjectOp;
 use crate::exec::{Operator, Pipeline};
-use crate::expr::{compile_into, EvalCtx};
+use crate::expr::{compile_into, CExpr, EvalCtx};
 use crate::udf::Registry;
 use std::sync::Arc;
 use tweeql_firehose::FilterSpec;
@@ -59,10 +60,10 @@ pub struct PlanConfig {
     /// operators: no rewrite rules (folding, fusion, pushdown
     /// extraction, pruning, conjunct ordering) and no compiled batch
     /// programs. The reference the optimized, compiled plans are
-    /// differentially tested against. Otherwise stateless WHERE/SELECT
-    /// expressions lower into [`crate::exec::fused::FusedScanOp`]s, and
-    /// what the lowering rejects (stateful UDFs) falls back to the
-    /// interpreted operators stage by stage.
+    /// differentially tested against. Otherwise every scan stage —
+    /// WHERE, SELECT, HAVING and the projection over an aggregate —
+    /// lowers into a compiled [`crate::exec::fused::FusedScanOp`],
+    /// stateful UDF calls included.
     pub reference: bool,
     /// Async operator batch size (1 = unbatched).
     pub async_max_batch: usize,
@@ -253,7 +254,6 @@ fn lower(
         )));
     }
 
-    let mut conjuncts: Vec<Expr> = lp.filter.clone();
     let api_candidates: Vec<ApiCandidate> = lp.candidates.iter().map(|(_, c)| c.clone()).collect();
     for c in &api_candidates {
         explain.push(format!("api candidate: {}", c.description));
@@ -261,18 +261,29 @@ fn lower(
 
     // ---- hoist async UDFs ----
     let mut hoists: Vec<Hoist> = Vec::new();
-    for c in conjuncts.iter_mut() {
-        *c = rewrite_async(c, registry, &mut hoists)?;
-    }
+    let conjuncts: Vec<Expr> = lp
+        .filter
+        .into_iter()
+        .map(|c| rewrite_async(c, registry, &mut hoists))
+        .collect();
     let where_hoists = hoists.len();
 
     // Rewrite SELECT items; keep the pre-hoist expression for output
     // naming (the user wrote `latitude(loc)`, not `__a0`).
     let mut select_exprs: Vec<(Expr, Expr, Option<String>)> = Vec::new();
-    for s in &lp.select {
-        let rewritten = rewrite_async(&s.expr, registry, &mut hoists)?;
-        select_exprs.push((rewritten, s.expr.clone(), s.alias.clone()));
+    for s in lp.select {
+        let rewritten = rewrite_async(s.expr.clone(), registry, &mut hoists);
+        select_exprs.push((rewritten, s.expr, s.alias));
     }
+    let output_schema = Arc::new(Schema::new(dedupe_names(
+        select_exprs
+            .iter()
+            .enumerate()
+            .map(|(i, (_, original, alias))| {
+                Field::new(output_name(original, alias.as_deref(), i), DataType::Any)
+            })
+            .collect(),
+    )));
 
     // Pre-collect SELECT aggregates: the fusion decision below needs
     // to know whether the query takes the aggregation path.
@@ -324,40 +335,19 @@ fn lower(
 
     // WHERE fuses into the final projection scan only when nothing —
     // async stage, aggregation — sits between filter and project.
-    // Decided upfront (conjunct order is already final: the ordering
-    // rule ran at the logical level).
-    let fuse_where =
-        !conjuncts.is_empty() && !config.reference && plain_select && hoists.len() == where_hoists;
-
+    // Conjunct order is already final: the ordering rule ran at the
+    // logical level.
+    let fuse_where = !config.reference && plain_select && hoists.len() == where_hoists;
     if !conjuncts.is_empty() && !fuse_where {
-        let mut fused = None;
-        if !config.reference {
-            let mut ctx = EvalCtx::default();
-            let mut compiled = Vec::with_capacity(conjuncts.len());
-            for c in &conjuncts {
-                compiled.push(compile_into(c, &working_schema, registry, &mut ctx)?);
-            }
-            // Stateful UDFs fail lowering → interpreted fallback.
-            fused = FusedScanOp::try_new(&compiled, None, working_schema.clone(), "where").ok();
-            if fused.is_some() {
-                explain.push(format!(
-                    "compiled filter ({} conjuncts, adaptive order)",
-                    compiled.len()
-                ));
-            }
-        }
-        match fused {
-            Some(op) => ops.push(Box::new(op)),
-            None => {
-                let expr = Expr::and_all(conjuncts.clone());
-                let mut ctx = EvalCtx::default();
-                let compiled = compile_into(&expr, &working_schema, registry, &mut ctx)?;
-                explain.push("filter (cost-ordered conjuncts)".to_string());
-                ops.push(Box::new(
-                    FilterOp::new(compiled, ctx, working_schema.clone()).with_label("where"),
-                ));
-            }
-        }
+        ops.extend(scan(
+            &conjuncts,
+            None,
+            &working_schema,
+            "where",
+            registry,
+            config,
+            &mut explain,
+        )?);
     }
 
     add_async(
@@ -370,10 +360,7 @@ fn lower(
     // HAVING: async-rewritten like SELECT items (its hoists land in
     // the post-filter set, i.e. before aggregation; constant folding
     // already happened at the rule level).
-    let having_expr = match &lp.having {
-        Some(h) => Some(rewrite_async(h, registry, &mut hoists)?),
-        None => None,
-    };
+    let having_expr = lp.having.map(|h| rewrite_async(h, registry, &mut hoists));
 
     // ---- aggregation or projection ----
     if let Some(h) = &having_expr {
@@ -386,32 +373,26 @@ fn lower(
         ));
     }
 
-    let output_schema;
     if !aggs.is_empty() || !lp.group_by.is_empty() {
         // Group keys: aliases resolve to their select expressions.
-        let alias_of = |name: &str| -> Option<Expr> {
-            select_exprs
-                .iter()
-                .find(|(_, _, a)| a.as_deref() == Some(name))
-                .map(|(e, _, _)| e.clone())
-        };
-        let mut key_names = Vec::new();
-        let mut key_exprs = Vec::new();
+        let mut keys: Vec<(Expr, String)> = Vec::new();
         for g in &lp.group_by {
-            let e = alias_of(g).unwrap_or_else(|| Expr::col(g));
-            if collect_aggs(&e, &mut Vec::new()).is_err() || expr_has_agg(&e) {
+            let e = select_exprs
+                .iter()
+                .find(|(_, _, a)| a.as_deref() == Some(g.as_str()))
+                .map_or_else(|| Expr::col(g), |(e, _, _)| e.clone());
+            if has_agg(&e) {
                 return Err(QueryError::Plan(format!(
                     "GROUP BY {g} must not contain aggregates"
                 )));
             }
-            key_names.push(g.clone());
-            key_exprs.push(e);
+            keys.push((e, g.clone()));
         }
 
         // Canonical agg schema: [keys…, agg0…].
-        let mut fields: Vec<Field> = key_names
+        let mut fields: Vec<Field> = keys
             .iter()
-            .map(|n| Field::new(n.clone(), DataType::Any))
+            .map(|(_, n)| Field::new(n.clone(), DataType::Any))
             .collect();
         for (i, _) in aggs.iter().enumerate() {
             fields.push(Field::new(format!("agg{i}"), DataType::Any));
@@ -433,8 +414,8 @@ fn lower(
         };
 
         let mut ctx = EvalCtx::default();
-        let mut ckeys = Vec::with_capacity(key_exprs.len());
-        for k in &key_exprs {
+        let mut ckeys = Vec::with_capacity(keys.len());
+        for (k, _) in &keys {
             ckeys.push(compile_into(k, &working_schema, registry, &mut ctx)?);
         }
         let mut cags = Vec::with_capacity(aggs.len());
@@ -453,7 +434,7 @@ fn lower(
                 .map(|(f, _)| f.name())
                 .collect::<Vec<_>>()
                 .join(", "),
-            key_names.join(", "),
+            lp.group_by.join(", "),
             policy,
         ));
         ops.push(Box::new(
@@ -470,119 +451,61 @@ fn lower(
         ));
 
         // HAVING filters aggregate output before the final projection.
-        if let Some(h) = &having_expr {
-            let mut mapped = replace_aggs(h, &aggs);
-            for (k_expr, k_name) in key_exprs.iter().zip(&key_names) {
-                mapped = replace_subtree(&mapped, k_expr, &Expr::col(k_name));
+        let ungrouped = |what: &'static str| {
+            move |err| match err {
+                QueryError::UnknownColumn(c) => QueryError::Plan(format!(
+                    "{what} {c} must appear in GROUP BY or inside an aggregate"
+                )),
+                other => other,
             }
-            let mut ctx = EvalCtx::default();
-            let compiled = compile_into(&mapped, &agg_schema, registry, &mut ctx).map_err(
-                |err| match err {
-                    QueryError::UnknownColumn(c) => QueryError::Plan(format!(
-                        "HAVING column {c} must appear in GROUP BY or an aggregate"
-                    )),
-                    other => other,
-                },
-            )?;
-            explain.push("having filter".to_string());
-            ops.push(Box::new(
-                FilterOp::new(compiled, ctx, agg_schema.clone()).with_label("having"),
-            ));
+        };
+        if let Some(h) = having_expr {
+            let mapped = onto_agg_schema(h, &keys, &aggs);
+            ops.extend(
+                scan(
+                    &[mapped],
+                    None,
+                    &agg_schema,
+                    "having",
+                    registry,
+                    config,
+                    &mut explain,
+                )
+                .map_err(ungrouped("HAVING column"))?,
+            );
         }
 
         // Post-projection back to SELECT order.
-        let mut out_fields = Vec::new();
-        let mut pexprs = Vec::new();
-        let mut ctx = EvalCtx::default();
-        for (i, (e, original, alias)) in select_exprs.iter().enumerate() {
-            let mut mapped = replace_aggs(e, &aggs);
-            for (k_expr, k_name) in key_exprs.iter().zip(&key_names) {
-                mapped = replace_subtree(&mapped, k_expr, &Expr::col(k_name));
-            }
-            let compiled = compile_into(&mapped, &agg_schema, registry, &mut ctx).map_err(
-                |err| match err {
-                    QueryError::UnknownColumn(c) => QueryError::Plan(format!(
-                        "column {c} must appear in GROUP BY or inside an aggregate"
-                    )),
-                    other => other,
-                },
-            )?;
-            pexprs.push(compiled);
-            out_fields.push(Field::new(
-                output_name(original, alias.as_deref(), i),
-                DataType::Any,
-            ));
-        }
-        let schema = Arc::new(Schema::new(dedupe_names(out_fields)));
-        ops.push(Box::new(ProjectOp::new(pexprs, ctx, schema.clone())));
-        output_schema = schema;
-    } else {
-        let mut out_fields = Vec::new();
-        let mut pexprs = Vec::new();
-        let mut ctx = EvalCtx::default();
-        for (i, (e, original, alias)) in select_exprs.iter().enumerate() {
-            pexprs.push(compile_into(e, &working_schema, registry, &mut ctx)?);
-            out_fields.push(Field::new(
-                output_name(original, alias.as_deref(), i),
-                DataType::Any,
-            ));
-        }
-        let schema = Arc::new(Schema::new(dedupe_names(out_fields)));
-
-        // Compiled scan: deferred WHERE conjuncts (if any) fused with
-        // the projection into a single batch operator.
-        let mut fused = None;
-        if !config.reference {
-            let mut cwhere = Vec::new();
-            if fuse_where {
-                let mut fctx = EvalCtx::default();
-                for c in &conjuncts {
-                    cwhere.push(compile_into(c, &working_schema, registry, &mut fctx)?);
-                }
-            }
-            let label = if cwhere.is_empty() {
-                "project"
-            } else {
-                "where+project"
-            };
-            fused = FusedScanOp::try_new(
-                &cwhere,
-                Some((&pexprs, schema.clone())),
-                working_schema.clone(),
-                label,
+        let pexprs: Vec<Expr> = select_exprs
+            .into_iter()
+            .map(|(e, _, _)| onto_agg_schema(e, &keys, &aggs))
+            .collect();
+        ops.extend(
+            scan(
+                &[],
+                Some((&pexprs, output_schema.clone())),
+                &agg_schema,
+                "where",
+                registry,
+                config,
+                &mut explain,
             )
-            .ok();
-            if fused.is_some() {
-                if cwhere.is_empty() {
-                    explain.push(format!("compiled project {} columns", schema.len()));
-                } else {
-                    explain.push(format!(
-                        "compiled fused where+project ({} conjuncts, {} columns)",
-                        cwhere.len(),
-                        schema.len()
-                    ));
-                }
-            }
-        }
-        match fused {
-            Some(op) => ops.push(Box::new(op)),
-            None => {
-                // Interpreted fallback; a deferred WHERE re-emerges as
-                // its own filter stage.
-                if fuse_where {
-                    let expr = Expr::and_all(conjuncts.clone());
-                    let mut fctx = EvalCtx::default();
-                    let compiled = compile_into(&expr, &working_schema, registry, &mut fctx)?;
-                    explain.push("filter (cost-ordered conjuncts)".to_string());
-                    ops.push(Box::new(
-                        FilterOp::new(compiled, fctx, working_schema.clone()).with_label("where"),
-                    ));
-                }
-                explain.push(format!("project {} columns", schema.len()));
-                ops.push(Box::new(ProjectOp::new(pexprs, ctx, schema.clone())));
-            }
-        }
-        output_schema = schema;
+            .map_err(ungrouped("column"))?,
+        );
+    } else {
+        // The projection, with the WHERE conjuncts when they were
+        // deferred to fuse with it.
+        let pexprs: Vec<Expr> = select_exprs.into_iter().map(|(e, _, _)| e).collect();
+        let deferred: &[Expr] = if fuse_where { &conjuncts } else { &[] };
+        ops.extend(scan(
+            deferred,
+            Some((&pexprs, output_schema.clone())),
+            &working_schema,
+            "where",
+            registry,
+            config,
+            &mut explain,
+        )?);
     }
 
     if let Some(n) = lp.limit {
@@ -705,101 +628,121 @@ fn as_follow_ids(e: &Expr) -> Option<Vec<u64>> {
     }
 }
 
-/// Post-order rewrite replacing async UDF calls with hoisted columns.
-fn rewrite_async(
-    expr: &Expr,
+/// One scan stage over `input`: keep the rows every conjunct holds for,
+/// then map each survivor through `project` when given. The reference
+/// plan lowers it onto the interpreted [`FilterOp`] and [`ProjectOp`];
+/// every other plan onto one compiled [`FusedScanOp`].
+fn scan(
+    conjuncts: &[Expr],
+    project: Option<(&[Expr], SchemaRef)>,
+    input: &SchemaRef,
+    filter_label: &str,
     registry: &Registry,
-    hoists: &mut Vec<Hoist>,
-) -> Result<Expr, QueryError> {
-    let span = expr.span;
-    Ok(match &expr.kind {
-        ExprKind::Call { name, args } => {
-            let new_args: Result<Vec<Expr>, QueryError> = args
-                .iter()
-                .map(|a| rewrite_async(a, registry, hoists))
-                .collect();
-            let new_args = new_args?;
-            if registry.async_udf(name).is_some() {
-                // Reuse an identical hoist.
-                if let Some(h) = hoists
-                    .iter()
-                    .find(|h| h.name == *name && h.args == new_args)
-                {
-                    return Ok(Expr::col(&h.col).with_span(span));
-                }
-                let col = format!("__a{}", hoists.len());
-                hoists.push(Hoist {
-                    name: name.clone(),
-                    args: new_args,
-                    col: col.clone(),
-                });
-                Expr::col(&col).with_span(span)
-            } else {
-                Expr::new(
-                    ExprKind::Call {
-                        name: name.clone(),
-                        args: new_args,
-                    },
-                    span,
-                )
-            }
+    config: &PlanConfig,
+    explain: &mut Vec<String>,
+) -> Result<Vec<Box<dyn Operator>>, QueryError> {
+    let compile_all = |exprs: &[Expr], ctx: &mut EvalCtx| -> Result<Vec<CExpr>, QueryError> {
+        exprs
+            .iter()
+            .map(|e| compile_into(e, input, registry, ctx))
+            .collect()
+    };
+    let n = conjuncts.len();
+    if config.reference {
+        let mut ops: Vec<Box<dyn Operator>> = Vec::new();
+        if n > 0 {
+            let mut ctx = EvalCtx::default();
+            let pred = compile_into(
+                &Expr::and_all(conjuncts.to_vec()),
+                input,
+                registry,
+                &mut ctx,
+            )?;
+            explain.push(format!(
+                "interpreted {filter_label} filter, {n} conjunct(s)"
+            ));
+            ops.push(Box::new(
+                FilterOp::new(pred, ctx, input.clone()).with_label(filter_label),
+            ));
         }
-        ExprKind::Binary { op, left, right } => Expr::new(
-            ExprKind::Binary {
-                op: *op,
-                left: Box::new(rewrite_async(left, registry, hoists)?),
-                right: Box::new(rewrite_async(right, registry, hoists)?),
-            },
-            span,
+        if let Some((exprs, schema)) = project {
+            let mut ctx = EvalCtx::default();
+            let cols = compile_all(exprs, &mut ctx)?;
+            explain.push(format!("interpreted project {} columns", schema.len()));
+            ops.push(Box::new(ProjectOp::new(cols, ctx, schema)));
+        }
+        return Ok(ops);
+    }
+    // A WHERE with a stateful call lowers as one program: its AND masks
+    // call it on exactly the rows the interpreter's short-circuit does
+    // (NULL on the left included), and a single conjunct never re-ranks.
+    let joined;
+    let conjuncts = if n > 1 && conjuncts.iter().any(|c| calls_stateful(c, registry)) {
+        joined = [Expr::and_all(conjuncts.to_vec())];
+        &joined[..]
+    } else {
+        conjuncts
+    };
+    let n = conjuncts.len();
+    let mut ctx = EvalCtx::default();
+    let cwhere = compile_all(conjuncts, &mut ctx)?;
+    let cproject = match &project {
+        Some((exprs, _)) => compile_all(exprs, &mut ctx)?,
+        None => Vec::new(),
+    };
+    let (label, line) = match &project {
+        None => (
+            filter_label,
+            format!("compiled {filter_label} filter, {n} conjunct(s)"),
         ),
-        ExprKind::Not(e) => Expr::new(
-            ExprKind::Not(Box::new(rewrite_async(e, registry, hoists)?)),
-            span,
+        Some((_, schema)) if n == 0 => (
+            "project",
+            format!("compiled project {} columns", schema.len()),
         ),
-        ExprKind::Neg(e) => Expr::new(
-            ExprKind::Neg(Box::new(rewrite_async(e, registry, hoists)?)),
-            span,
+        Some((_, schema)) => (
+            "where+project",
+            format!(
+                "compiled fused where+project ({n} conjuncts, {} columns)",
+                schema.len()
+            ),
         ),
-        ExprKind::Contains { expr, pattern } => Expr::new(
-            ExprKind::Contains {
-                expr: Box::new(rewrite_async(expr, registry, hoists)?),
-                pattern: Box::new(rewrite_async(pattern, registry, hoists)?),
-            },
-            span,
-        ),
-        ExprKind::Matches { expr, pattern } => Expr::new(
-            ExprKind::Matches {
-                expr: Box::new(rewrite_async(expr, registry, hoists)?),
-                pattern: pattern.clone(),
-            },
-            span,
-        ),
-        ExprKind::InList { expr, list } => Expr::new(
-            ExprKind::InList {
-                expr: Box::new(rewrite_async(expr, registry, hoists)?),
-                list: list.clone(),
-            },
-            span,
-        ),
-        ExprKind::IsNull { expr, negated } => Expr::new(
-            ExprKind::IsNull {
-                expr: Box::new(rewrite_async(expr, registry, hoists)?),
-                negated: *negated,
-            },
-            span,
-        ),
-        _ => expr.clone(),
-    })
+    };
+    explain.push(line);
+    let project = project.map(|(_, schema)| (&cproject[..], schema));
+    let op = FusedScanOp::new(&cwhere, project, ctx, input.clone(), label)?;
+    Ok(vec![Box::new(op)])
 }
 
-fn expr_has_agg(e: &Expr) -> bool {
-    let mut v = Vec::new();
-    collect_aggs(e, &mut v).is_err() || !v.is_empty()
+/// Replace async UDF calls with hoisted columns, innermost first, so
+/// identical calls share one hoist.
+fn rewrite_async(expr: Expr, registry: &Registry, hoists: &mut Vec<Hoist>) -> Expr {
+    let e = expr.map_children(|c| rewrite_async(c, registry, hoists));
+    match e.kind {
+        ExprKind::Call { name, args } if registry.async_udf(&name).is_some() => {
+            let col = match hoists.iter().find(|h| h.name == name && h.args == args) {
+                Some(h) => h.col.clone(),
+                None => {
+                    let col = format!("__a{}", hoists.len());
+                    hoists.push(Hoist {
+                        name,
+                        args,
+                        col: col.clone(),
+                    });
+                    col
+                }
+            };
+            Expr::col(&col).with_span(e.span)
+        }
+        kind => Expr::new(kind, e.span),
+    }
 }
 
-/// Interpret a call as an aggregate, handling `topk(expr, k)`'s extra
-/// literal argument.
-fn agg_from_call(name: &str, args: &[Expr]) -> Option<(AggFunc, Option<Expr>)> {
+/// The aggregate `e` calls at its root, if any, handling `topk(expr,
+/// k)`'s extra literal argument.
+fn agg_of(e: &Expr) -> Option<(AggFunc, Option<Expr>)> {
+    let ExprKind::Call { name, args } = &e.kind else {
+        return None;
+    };
     if name == "topk" {
         let k = match args.get(1).map(|a| &a.kind) {
             Some(ExprKind::Literal(v)) => v.as_int().ok().filter(|k| *k > 0)? as u32,
@@ -810,114 +753,48 @@ fn agg_from_call(name: &str, args: &[Expr]) -> Option<(AggFunc, Option<Expr>)> {
     AggFunc::from_name(name).map(|f| (f, args.first().cloned()))
 }
 
-/// Collect aggregate calls (deduplicated); error on nesting.
+fn has_agg(e: &Expr) -> bool {
+    e.any(|n| agg_of(n).is_some())
+}
+
+/// Does `e` call a stateful UDF anywhere? Such a call's results depend
+/// on which rows reach it.
+pub(crate) fn calls_stateful(e: &Expr, registry: &Registry) -> bool {
+    e.any(|n| matches!(&n.kind, ExprKind::Call { name, .. } if registry.stateful(name).is_some()))
+}
+
+/// Collect aggregate calls (deduplicated, first-seen order); error on
+/// nesting.
 fn collect_aggs(e: &Expr, out: &mut Vec<(AggFunc, Option<Expr>)>) -> Result<(), QueryError> {
-    match &e.kind {
-        ExprKind::Call { name, args } => {
-            if let Some((func, arg)) = agg_from_call(name, args) {
-                if let Some(a) = &arg {
-                    let mut nested = Vec::new();
-                    collect_aggs(a, &mut nested)?;
-                    if !nested.is_empty() {
-                        return Err(QueryError::Plan(format!(
-                            "nested aggregate inside {name}()"
-                        )));
-                    }
-                }
-                if !out.iter().any(|(f, a)| *f == func && *a == arg) {
-                    out.push((func, arg));
-                }
-            } else {
-                for a in args {
-                    collect_aggs(a, out)?;
-                }
-            }
+    let mut nested = None;
+    e.walk(&mut |n| {
+        let Some(agg) = agg_of(n) else {
+            return;
+        };
+        if agg.1.as_ref().is_some_and(has_agg) {
+            nested.get_or_insert(agg.0.name());
         }
-        ExprKind::Binary { left, right, .. } => {
-            collect_aggs(left, out)?;
-            collect_aggs(right, out)?;
+        if !out.contains(&agg) {
+            out.push(agg);
         }
-        ExprKind::Not(inner) | ExprKind::Neg(inner) => collect_aggs(inner, out)?,
-        ExprKind::Contains { expr, pattern } => {
-            collect_aggs(expr, out)?;
-            collect_aggs(pattern, out)?;
-        }
-        ExprKind::Matches { expr, .. }
-        | ExprKind::InList { expr, .. }
-        | ExprKind::IsNull { expr, .. } => collect_aggs(expr, out)?,
-        _ => {}
-    }
-    Ok(())
-}
-
-/// Replace aggregate calls with their canonical output columns.
-fn replace_aggs(e: &Expr, aggs: &[(AggFunc, Option<Expr>)]) -> Expr {
-    let span = e.span;
-    if let ExprKind::Call { name, args } = &e.kind {
-        if let Some((func, arg)) = agg_from_call(name, args) {
-            if let Some(i) = aggs.iter().position(|(f, a)| *f == func && *a == arg) {
-                return Expr::col(&format!("agg{i}")).with_span(span);
-            }
-        }
-    }
-    match &e.kind {
-        ExprKind::Call { name, args } => Expr::new(
-            ExprKind::Call {
-                name: name.clone(),
-                args: args.iter().map(|a| replace_aggs(a, aggs)).collect(),
-            },
-            span,
-        ),
-        ExprKind::Binary { op, left, right } => Expr::new(
-            ExprKind::Binary {
-                op: *op,
-                left: Box::new(replace_aggs(left, aggs)),
-                right: Box::new(replace_aggs(right, aggs)),
-            },
-            span,
-        ),
-        ExprKind::Not(inner) => Expr::new(ExprKind::Not(Box::new(replace_aggs(inner, aggs))), span),
-        ExprKind::Neg(inner) => Expr::new(ExprKind::Neg(Box::new(replace_aggs(inner, aggs))), span),
-        _ => e.clone(),
+    });
+    match nested {
+        Some(f) => Err(QueryError::Plan(format!("nested aggregate inside {f}()"))),
+        None => Ok(()),
     }
 }
 
-/// Replace every subtree equal to `target` with `replacement`
-/// (span-insensitive comparison; see [`Expr`]'s `PartialEq`).
-fn replace_subtree(e: &Expr, target: &Expr, replacement: &Expr) -> Expr {
-    if e == target {
-        return replacement.clone();
+/// Map `e` onto the aggregate's `[keys…, agg0…]` output, top-down: a
+/// GROUP BY key expression or an aggregate call becomes its column
+/// before any part of it can, so the largest matching subtree wins.
+fn onto_agg_schema(e: Expr, keys: &[(Expr, String)], aggs: &[(AggFunc, Option<Expr>)]) -> Expr {
+    if let Some((_, name)) = keys.iter().find(|(k, _)| *k == e) {
+        return Expr::col(name).with_span(e.span);
     }
-    let span = e.span;
-    match &e.kind {
-        ExprKind::Call { name, args } => Expr::new(
-            ExprKind::Call {
-                name: name.clone(),
-                args: args
-                    .iter()
-                    .map(|a| replace_subtree(a, target, replacement))
-                    .collect(),
-            },
-            span,
-        ),
-        ExprKind::Binary { op, left, right } => Expr::new(
-            ExprKind::Binary {
-                op: *op,
-                left: Box::new(replace_subtree(left, target, replacement)),
-                right: Box::new(replace_subtree(right, target, replacement)),
-            },
-            span,
-        ),
-        ExprKind::Not(inner) => Expr::new(
-            ExprKind::Not(Box::new(replace_subtree(inner, target, replacement))),
-            span,
-        ),
-        ExprKind::Neg(inner) => Expr::new(
-            ExprKind::Neg(Box::new(replace_subtree(inner, target, replacement))),
-            span,
-        ),
-        _ => e.clone(),
+    if let Some(i) = agg_of(&e).and_then(|a| aggs.iter().position(|b| *b == a)) {
+        return Expr::col(&format!("agg{i}")).with_span(e.span);
     }
+    e.map_children(|c| onto_agg_schema(c, keys, aggs))
 }
 
 /// Derive an output column name.
@@ -1212,6 +1089,74 @@ mod tests {
         assert!(p.api_candidates.is_empty(), "pushdown extraction is a rule");
         assert!(!p.explain.contains("rule "), "{}", p.explain);
         assert!(!p.explain.contains("compiled"), "{}", p.explain);
+    }
+
+    fn stages(p: &PlannedQuery) -> Vec<String> {
+        p.pipeline
+            .stage_stats()
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect()
+    }
+
+    /// HAVING and the projection over an aggregate keep the reference
+    /// plan's stages, compiled; a stateful call lets WHERE fuse with
+    /// the projection like any other.
+    #[test]
+    fn every_scan_stage_compiles_under_its_reference_name() {
+        struct Counter;
+        impl crate::udf::StatefulUdf for Counter {
+            fn call(
+                &mut self,
+                _: &[Value],
+                _: tweeql_model::Timestamp,
+            ) -> Result<Value, QueryError> {
+                Ok(Value::Null)
+            }
+        }
+        let (c, mut r, cfg) = setup();
+        r.register_stateful("counter", Arc::new(|| Box::new(Counter)));
+        let reference = PlanConfig {
+            reference: true,
+            ..PlanConfig::default()
+        };
+        for (sql, fast, interpreted) in [
+            (
+                "SELECT lang, count(*) + 1 AS n FROM twitter GROUP BY lang \
+                 HAVING count(*) > 1 WINDOW 1 minutes",
+                &["aggregate", "having", "project"][..],
+                &["aggregate", "having", "project"][..],
+            ),
+            (
+                "SELECT counter(followers) AS k FROM twitter WHERE followers > 1",
+                &["where+project"],
+                &["where", "project"],
+            ),
+        ] {
+            let stmt = parse(sql).unwrap();
+            let p = plan(&stmt, &c, &r, &cfg).unwrap();
+            assert_eq!(stages(&p), fast, "{}", p.explain);
+            assert!(!p.explain.contains("interpreted"), "{}", p.explain);
+            let p = plan(&stmt, &c, &r, &reference).unwrap();
+            assert_eq!(stages(&p), interpreted, "{}", p.explain);
+            assert!(!p.explain.contains("compiled"), "{}", p.explain);
+        }
+        // A WHERE with a stateful call is one program (so one conjunct,
+        // never re-ranked); without one it keeps a conjunct each.
+        for (sql, line) in [
+            (
+                "SELECT text FROM twitter WHERE followers > 1 AND counter(followers) > 0 \
+                 AND lang = 'en'",
+                "where+project (1 conjuncts",
+            ),
+            (
+                "SELECT text FROM twitter WHERE followers > 1 AND lang = 'en'",
+                "where+project (2 conjuncts",
+            ),
+        ] {
+            let p = plan(&parse(sql).unwrap(), &c, &r, &cfg).unwrap();
+            assert!(p.explain.contains(line), "{}", p.explain);
+        }
     }
 
     #[test]

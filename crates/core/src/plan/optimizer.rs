@@ -1,155 +1,81 @@
 //! Expression-level rewrites: constant folding, trivial-conjunct
-//! elimination, and a cost heuristic for ordering local predicates.
+//! elimination, and a cost heuristic for ordering local predicates
+//! (the `order-conjuncts` rule applies it).
 
-use crate::ast::{BinOp, Expr, ExprKind};
+use crate::ast::{BinOp, Expr, ExprKind, Span};
+use crate::expr::binary_value;
 use tweeql_model::Value;
 
 /// Fold constant subexpressions (`1 + 2` → `3`, `NOT false` → `true`,
-/// `x AND true` → `x`). Folded nodes keep the span of the expression
-/// they replaced so diagnostics still point at the source.
+/// `x AND true` → `x`), children first. Folded nodes keep the span of
+/// the expression they replaced so diagnostics still point at the
+/// source.
 pub fn fold_constants(expr: &Expr) -> Expr {
-    let span = expr.span;
-    match &expr.kind {
-        ExprKind::Binary { op, left, right } => {
-            let l = fold_constants(left);
-            let r = fold_constants(right);
-            // Logical identity simplifications.
-            match op {
-                BinOp::And => {
-                    if let ExprKind::Literal(v) = &l.kind {
-                        if !v.is_null() {
-                            return if v.is_truthy() {
-                                r
-                            } else {
-                                Expr::lit(false).with_span(span)
-                            };
-                        }
-                    }
-                    if let ExprKind::Literal(v) = &r.kind {
-                        if !v.is_null() {
-                            return if v.is_truthy() {
-                                l
-                            } else {
-                                Expr::lit(false).with_span(span)
-                            };
-                        }
-                    }
-                }
-                BinOp::Or => {
-                    if let ExprKind::Literal(v) = &l.kind {
-                        if !v.is_null() {
-                            return if v.is_truthy() {
-                                Expr::lit(true).with_span(span)
-                            } else {
-                                r
-                            };
-                        }
-                    }
-                    if let ExprKind::Literal(v) = &r.kind {
-                        if !v.is_null() {
-                            return if v.is_truthy() {
-                                Expr::lit(true).with_span(span)
-                            } else {
-                                l
-                            };
-                        }
-                    }
-                }
-                _ => {}
-            }
-            // Pure arithmetic/comparison on literals.
-            if let (ExprKind::Literal(a), ExprKind::Literal(b)) = (&l.kind, &r.kind) {
-                let folded = match op {
-                    BinOp::Add => a.add(b).ok(),
-                    BinOp::Sub => a.sub(b).ok(),
-                    BinOp::Mul => a.mul(b).ok(),
-                    BinOp::Div => a.div(b).ok(),
-                    BinOp::Mod => a.rem(b).ok(),
-                    BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                        match a.compare(b) {
-                            None => Some(Value::Null),
-                            Some(ord) => Some(Value::Bool(match op {
-                                BinOp::Eq => ord.is_eq(),
-                                BinOp::Ne => ord.is_ne(),
-                                BinOp::Lt => ord.is_lt(),
-                                BinOp::Le => ord.is_le(),
-                                BinOp::Gt => ord.is_gt(),
-                                BinOp::Ge => ord.is_ge(),
-                                _ => unreachable!(),
-                            })),
-                        }
-                    }
-                    BinOp::And | BinOp::Or => None,
+    fold(expr.clone())
+}
+
+fn fold(expr: Expr) -> Expr {
+    let e = expr.map_children(fold);
+    let span = e.span;
+    match e.kind {
+        ExprKind::Binary { op, left, right } => fold_binary(op, *left, *right, span),
+        ExprKind::Not(inner) => match &inner.kind {
+            ExprKind::Literal(v) => {
+                let not = if v.is_null() {
+                    Value::Null
+                } else {
+                    Value::Bool(!v.is_truthy())
                 };
-                if let Some(v) = folded {
-                    return Expr::new(ExprKind::Literal(v), span);
-                }
+                Expr::new(ExprKind::Literal(not), span)
             }
-            Expr::new(
-                ExprKind::Binary {
-                    op: *op,
-                    left: Box::new(l),
-                    right: Box::new(r),
-                },
-                span,
-            )
-        }
-        ExprKind::Not(e) => {
-            let inner = fold_constants(e);
-            if let ExprKind::Literal(v) = &inner.kind {
-                if v.is_null() {
-                    return Expr::new(ExprKind::Literal(Value::Null), span);
-                }
-                return Expr::lit(!v.is_truthy()).with_span(span);
-            }
-            Expr::new(ExprKind::Not(Box::new(inner)), span)
-        }
-        ExprKind::Neg(e) => {
-            let inner = fold_constants(e);
-            if let ExprKind::Literal(v) = &inner.kind {
-                if let Ok(n) = v.neg() {
-                    return Expr::new(ExprKind::Literal(n), span);
-                }
-            }
-            Expr::new(ExprKind::Neg(Box::new(inner)), span)
-        }
-        ExprKind::Call { name, args } => Expr::new(
-            ExprKind::Call {
-                name: name.clone(),
-                args: args.iter().map(fold_constants).collect(),
+            _ => Expr::new(ExprKind::Not(inner), span),
+        },
+        ExprKind::Neg(inner) => match &inner.kind {
+            ExprKind::Literal(v) => match v.neg() {
+                Ok(n) => Expr::new(ExprKind::Literal(n), span),
+                Err(_) => Expr::new(ExprKind::Neg(inner), span),
             },
-            span,
-        ),
-        ExprKind::Contains { expr, pattern } => Expr::new(
-            ExprKind::Contains {
-                expr: Box::new(fold_constants(expr)),
-                pattern: Box::new(fold_constants(pattern)),
-            },
-            span,
-        ),
-        ExprKind::Matches { expr, pattern } => Expr::new(
-            ExprKind::Matches {
-                expr: Box::new(fold_constants(expr)),
-                pattern: pattern.clone(),
-            },
-            span,
-        ),
-        ExprKind::InList { expr, list } => Expr::new(
-            ExprKind::InList {
-                expr: Box::new(fold_constants(expr)),
-                list: list.clone(),
-            },
-            span,
-        ),
-        ExprKind::IsNull { expr, negated } => Expr::new(
-            ExprKind::IsNull {
-                expr: Box::new(fold_constants(expr)),
-                negated: *negated,
-            },
-            span,
-        ),
-        _ => expr.clone(),
+            _ => Expr::new(ExprKind::Neg(inner), span),
+        },
+        kind => Expr::new(kind, span),
     }
+}
+
+/// Fold one binary node whose operands are already folded. An operand
+/// returned whole keeps its own span; anything new gets the node's.
+fn fold_binary(op: BinOp, l: Expr, r: Expr, span: Span) -> Expr {
+    // A non-NULL literal's truth value: the logical identities.
+    let truth = |e: &Expr| match &e.kind {
+        ExprKind::Literal(v) if !v.is_null() => Some(v.is_truthy()),
+        _ => None,
+    };
+    match (op, truth(&l), truth(&r)) {
+        (BinOp::And, Some(true), _) | (BinOp::Or, Some(false), _) => return r,
+        (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => {
+            return Expr::lit(false).with_span(span)
+        }
+        (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => {
+            return Expr::lit(true).with_span(span)
+        }
+        (BinOp::And, _, Some(true)) | (BinOp::Or, _, Some(false)) => return l,
+        _ => {}
+    }
+    // Pure arithmetic/comparison on literals.
+    if let (ExprKind::Literal(a), ExprKind::Literal(b)) = (&l.kind, &r.kind) {
+        if !matches!(op, BinOp::And | BinOp::Or) {
+            if let Ok(v) = binary_value(op, a, b) {
+                return Expr::new(ExprKind::Literal(v), span);
+            }
+        }
+    }
+    Expr::new(
+        ExprKind::Binary {
+            op,
+            left: Box::new(l),
+            right: Box::new(r),
+        },
+        span,
+    )
 }
 
 /// Heuristic evaluation cost of a predicate (the plan order the fused
@@ -177,17 +103,6 @@ pub fn predicate_cost(expr: &Expr) -> u32 {
         ExprKind::Matches { .. } => 20,
         ExprKind::Call { args, .. } => 30 + args.iter().map(predicate_cost).sum::<u32>(),
     }
-}
-
-/// Order conjuncts cheapest-first (stable for equal costs).
-pub fn order_conjuncts(conjuncts: Vec<Expr>) -> Vec<Expr> {
-    let mut indexed: Vec<(u32, usize, Expr)> = conjuncts
-        .into_iter()
-        .enumerate()
-        .map(|(i, e)| (predicate_cost(&e), i, e))
-        .collect();
-    indexed.sort_by_key(|(c, i, _)| (*c, *i));
-    indexed.into_iter().map(|(_, _, e)| e).collect()
 }
 
 #[cfg(test)]
@@ -249,14 +164,17 @@ mod tests {
 
     #[test]
     fn ordering_is_stable_cheapest_first() {
-        let conjuncts = vec![
+        // The order-conjuncts rule's static pass: a stable sort on cost.
+        let mut conjuncts = [
             parse_expr("text matches 'a+'").unwrap(),
             parse_expr("followers > 5").unwrap(),
             parse_expr("text contains 'b'").unwrap(),
+            parse_expr("followers > 7").unwrap(),
         ];
-        let ordered = order_conjuncts(conjuncts);
-        assert!(matches!(ordered[0].kind, ExprKind::Binary { .. }));
-        assert!(matches!(ordered[1].kind, ExprKind::Contains { .. }));
-        assert!(matches!(ordered[2].kind, ExprKind::Matches { .. }));
+        conjuncts.sort_by_key(predicate_cost);
+        assert_eq!(conjuncts[0], parse_expr("followers > 5").unwrap());
+        assert_eq!(conjuncts[1], parse_expr("followers > 7").unwrap());
+        assert!(matches!(conjuncts[2].kind, ExprKind::Contains { .. }));
+        assert!(matches!(conjuncts[3].kind, ExprKind::Matches { .. }));
     }
 }

@@ -125,7 +125,10 @@ pub(crate) fn rewrite(
 /// collapse the whole filter when a conjunct is always false. Under
 /// 3VL a conjunct folding to `NULL` also rejects every row (`WHERE`
 /// keeps only *true* rows), so it collapses the filter too.
-fn fold_constants_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
+pub(super) fn fold_constants_rule(
+    p: &LogicalPlan,
+    _ctx: &RuleCtx<'_>,
+) -> Option<(LogicalPlan, String)> {
     let mut q = p.clone();
     let mut changed = false;
     let mut dropped = 0usize;
@@ -226,7 +229,10 @@ fn rebuild_chain(col: &str, needles: &[String], span: Span) -> Expr {
 /// canonical, deduplicated form — the shape the compiled pipeline
 /// lowers to a single multi-pattern matcher and the pushdown rule
 /// turns into one multi-keyword `track` filter.
-fn fuse_multicontains_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
+pub(super) fn fuse_multicontains_rule(
+    p: &LogicalPlan,
+    _ctx: &RuleCtx<'_>,
+) -> Option<(LogicalPlan, String)> {
     let mut q = p.clone();
     let mut fused = Vec::new();
     for c in &mut q.filter {
@@ -260,12 +266,15 @@ fn fuse_multicontains_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(Logic
 /// Joins get none: their WHERE holds only after the join, and a
 /// connection filter — or the standing-query host's prefilter, built
 /// from these candidates — would drop rows the other side still needs.
-fn pushdown_filter_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
+/// Nor does a conjunct written after a stateful call: the call must
+/// see every row the conjuncts before it pass.
+fn pushdown_filter_rule(p: &LogicalPlan, ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
     if p.join.is_some() || !p.stream.eq_ignore_ascii_case("twitter") || p.filter.is_empty() {
         return None;
     }
+    let fence = p.stateful_fence(ctx.registry);
     let mut cands = Vec::new();
-    for c in &p.filter {
+    for c in &p.filter[..fence] {
         for cand in super::extract_api_candidates(std::slice::from_ref(c)) {
             cands.push((c.clone(), cand));
         }
@@ -322,9 +331,12 @@ fn prune_projection_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(Logical
 /// Cost-based conjunct ordering. The static cost model ranks cheap
 /// predicates first; when a previous run probed this query's pushdown
 /// candidates, their measured selectivities scale the score so a rare
-/// predicate overtakes a cheap-but-unselective one.
+/// predicate overtakes a cheap-but-unselective one. Only the conjuncts
+/// written before the first stateful call move; it and the rest keep
+/// their written order behind them.
 fn order_conjuncts_rule(p: &LogicalPlan, ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
-    if p.filter.len() < 2 {
+    let fence = p.stateful_fence(ctx.registry);
+    if fence < 2 {
         return None;
     }
     let hint = |c: &Expr| -> Option<f64> {
@@ -335,8 +347,7 @@ fn order_conjuncts_rule(p: &LogicalPlan, ctx: &RuleCtx<'_>) -> Option<(LogicalPl
             .map(|(_, s)| s.clamp(0.0, 1.0))
     };
     let mut seeded = false;
-    let mut scored: Vec<(f64, usize, Expr)> = p
-        .filter
+    let mut scored: Vec<(f64, usize, Expr)> = p.filter[..fence]
         .iter()
         .enumerate()
         .map(|(i, c)| {
@@ -349,7 +360,11 @@ fn order_conjuncts_rule(p: &LogicalPlan, ctx: &RuleCtx<'_>) -> Option<(LogicalPl
         })
         .collect();
     scored.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap_or(std::cmp::Ordering::Equal));
-    let ordered: Vec<Expr> = scored.into_iter().map(|(_, _, c)| c).collect();
+    let ordered: Vec<Expr> = scored
+        .into_iter()
+        .map(|(_, _, c)| c)
+        .chain(p.filter[fence..].iter().cloned())
+        .collect();
     if ordered == p.filter && !seeded {
         return None;
     }
@@ -457,6 +472,63 @@ mod tests {
         );
         // Comparison (cost 4) beats contains-literal (cost 6).
         assert_eq!(render_expr(&out.plan.filter[0]), "(followers > 1000)");
+        // ... which beats a regex (cost 20), whatever the written order.
+        let out = apply_all(
+            "SELECT text FROM twitter WHERE text matches 'a+' AND followers > 5 \
+             AND text contains 'b'",
+            &[],
+        );
+        let order: Vec<String> = out.plan.filter.iter().map(render_expr).collect();
+        assert_eq!(
+            order,
+            ["(followers > 5)", "text contains b", "text matches 'a+'"]
+        );
+    }
+
+    /// Conjuncts written before a stateful call are ordered and pushed
+    /// down as usual; the call and everything after it keep their
+    /// written order and stay out of the connection.
+    #[test]
+    fn stateful_conjunct_fences_ordering_and_pushdown() {
+        struct Counter;
+        impl crate::udf::StatefulUdf for Counter {
+            fn call(
+                &mut self,
+                _: &[Value],
+                _: tweeql_model::Timestamp,
+            ) -> Result<Value, crate::error::QueryError> {
+                Ok(Value::Int(0))
+            }
+        }
+        let mut registry = registry();
+        registry.register_stateful("counter", std::sync::Arc::new(|| Box::new(Counter)));
+        let ctx = RuleCtx {
+            registry: &registry,
+            hints: &[],
+        };
+        let written = logical(
+            "SELECT text FROM twitter WHERE text matches 'a+' AND text contains 'obama' \
+             AND followers > 5 AND counter(followers) % 3 = 0 AND text contains 'kw' \
+             AND lang = 'en'",
+        );
+        let out = rewrite(written.clone(), &standard_rules(), &ctx, true);
+        let order: Vec<String> = out.plan.filter[..3].iter().map(render_expr).collect();
+        assert_eq!(
+            order,
+            [
+                "(followers > 5)",
+                "text contains obama",
+                "text matches 'a+'"
+            ]
+        );
+        assert_eq!(out.plan.filter[3..], written.filter[3..]);
+        let cands: Vec<&str> = out
+            .plan
+            .candidates
+            .iter()
+            .map(|(_, c)| c.description.as_str())
+            .collect();
+        assert_eq!(cands, ["track(obama)"]);
     }
 
     #[test]

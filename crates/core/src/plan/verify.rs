@@ -6,11 +6,15 @@
 //! expression, and (b) checks plan invariants no rewrite may break:
 //! output names and arity, grouping keys, window/watermark semantics,
 //! LIMIT, join shape, liveness coverage of every referenced column,
-//! and pushdown-candidate consistency. Violations are surfaced by
+//! pushdown-candidate consistency, and that no WHERE conjunct moves
+//! across a stateful call or is reordered behind one (the call's
+//! results depend on the rows it sees).
+//! Violations are surfaced by
 //! [`super::rules::rewrite`] with rule-name attribution.
 
 use super::logical::{render_expr, LogicalPlan};
-use crate::ast::WindowSpec;
+use super::rules::{fold_constants_rule, fuse_multicontains_rule, RuleCtx};
+use crate::ast::{Expr, WindowSpec};
 use crate::check::typecheck::{infer, InferCtx, Mode, TypeEnv};
 use crate::udf::Registry;
 use std::collections::HashSet;
@@ -26,6 +30,9 @@ pub(crate) struct PlanVerifier {
     has_join: bool,
     stream: String,
     schema_names: Vec<String>,
+    /// The WHERE conjuncts from the first stateful call onward, as the
+    /// in-place rules leave them (see [`stateful_tail`]).
+    stateful_tail: Vec<Expr>,
     /// Type issues already present before any rewrite. The planner can
     /// be handed an unchecked statement (tests, tooling), so the
     /// verifier only rejects issues a rule *introduces*, never ones the
@@ -45,6 +52,7 @@ impl PlanVerifier {
             has_join: p.join.is_some(),
             stream: p.stream.clone(),
             schema_names: p.schema.names().iter().map(|n| n.to_string()).collect(),
+            stateful_tail: stateful_tail(p, registry),
             baseline_issues: type_issues(p, registry)
                 .into_iter()
                 .map(|(key, _)| key)
@@ -125,17 +133,51 @@ impl PlanVerifier {
             }
         }
 
+        // ---- stateful order: nothing moves across or after the call ---
+        if stateful_tail(p, registry) != self.stateful_tail {
+            return Err("a WHERE conjunct moved across a stateful call or behind it".into());
+        }
+        let fence = p.stateful_fence(registry);
+
         // ---- pushdown-candidate consistency -----------------------------
         for (e, c) in &p.candidates {
-            if !p.filter.iter().any(|f| f == e) {
-                return Err(format!(
-                    "pushdown candidate {} no longer matches any WHERE conjunct",
-                    c.description
-                ));
+            match p.filter.iter().position(|f| f == e) {
+                None => {
+                    return Err(format!(
+                        "pushdown candidate {} no longer matches any WHERE conjunct",
+                        c.description
+                    ))
+                }
+                Some(i) if i >= fence => {
+                    return Err(format!(
+                        "pushdown candidate {} comes from a conjunct after a stateful call",
+                        c.description
+                    ))
+                }
+                Some(_) => {}
             }
         }
         Ok(())
     }
+}
+
+/// The WHERE conjuncts from the first stateful call onward (none when
+/// no conjunct calls one), in the form the in-place rules leave them:
+/// constants folded, `contains` chains fused. Those rules rewrite a
+/// conjunct where it stands; any other change to this tail moves a
+/// conjunct ahead of the call, or reorders the rows a later one sees.
+fn stateful_tail(p: &LogicalPlan, registry: &Registry) -> Vec<Expr> {
+    if p.stateful_fence(registry) == p.filter.len() {
+        return Vec::new();
+    }
+    let ctx = RuleCtx {
+        registry,
+        hints: &[],
+    };
+    let q = fold_constants_rule(p, &ctx).map_or_else(|| p.clone(), |(q, _)| q);
+    let mut q = fuse_multicontains_rule(&q, &ctx).map_or(q, |(fused, _)| fused);
+    let fence = q.stateful_fence(registry);
+    q.filter.split_off(fence)
 }
 
 /// Re-run the checker's type inference over every plan expression.
@@ -311,6 +353,66 @@ mod tests {
         broken.window = None;
         let err = v.verify(&broken, &reg).unwrap_err();
         assert!(err.contains("window"), "{err}");
+    }
+
+    #[test]
+    fn conjunct_moved_ahead_of_a_stateful_call_is_rejected() {
+        struct Counter;
+        impl crate::udf::StatefulUdf for Counter {
+            fn call(
+                &mut self,
+                _: &[tweeql_model::Value],
+                _: tweeql_model::Timestamp,
+            ) -> Result<tweeql_model::Value, crate::error::QueryError> {
+                Ok(tweeql_model::Value::Int(0))
+            }
+        }
+        let mut reg = registry();
+        reg.register_stateful("counter", std::sync::Arc::new(|| Box::new(Counter)));
+        let rejects = |sql: &str, breaks: &dyn Fn(&mut LogicalPlan)| {
+            let p = logical(sql);
+            let v = PlanVerifier::capture(&p, &reg);
+            let mut broken = p.clone();
+            breaks(&mut broken);
+            let err = v.verify(&broken, &reg).unwrap_err();
+            assert!(err.contains("stateful"), "{sql}: {err}");
+        };
+        // A conjunct written after the call moves ahead of it.
+        let after = "SELECT text FROM twitter WHERE counter(followers) > 1 AND text contains 'kw'";
+        rejects(after, &|p| p.filter.reverse());
+        // The call moves ahead of a conjunct written before it.
+        rejects(
+            "SELECT text FROM twitter WHERE text contains 'kw' AND counter(followers) > 1",
+            &|p| p.filter.reverse(),
+        );
+        // Behind the first call, a second one moves ahead of a filter.
+        rejects(
+            "SELECT text FROM twitter WHERE counter(followers) > 1 AND lang = 'en' \
+             AND counter(user_id) > 1",
+            &|p| p.filter.swap(1, 2),
+        );
+        // A candidate taken from a conjunct after the call.
+        rejects(after, &|p| {
+            p.candidates = vec![(
+                p.filter[1].clone(),
+                super::super::ApiCandidate {
+                    spec: tweeql_firehose::FilterSpec::Track(vec!["kw".into()]),
+                    description: "track(kw)".into(),
+                },
+            )]
+        });
+        // The in-place rules may still rewrite a conjunct behind it.
+        let p = logical(
+            "SELECT text FROM twitter WHERE 1 = 1 AND counter(followers) > 1 + 1 \
+             AND (text contains 'a' OR text contains 'a') AND 2 > 1",
+        );
+        let ctx = super::super::rules::RuleCtx {
+            registry: &reg,
+            hints: &[],
+        };
+        let out =
+            super::super::rules::rewrite(p, &super::super::rules::standard_rules(), &ctx, true);
+        assert_eq!(out.plan.filter.len(), 2, "{:?}", out.attributions);
     }
 
     #[test]

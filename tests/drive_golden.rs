@@ -22,6 +22,9 @@
 //! delivers — rows, counters, where the clock stands — shows up here as
 //! a changed digest.
 
+mod drive_queries;
+
+use drive_queries::QUERIES;
 use std::sync::{Arc, OnceLock};
 use tweeql::engine::Engine;
 use tweeql::exec::supervise::RetryPolicy;
@@ -48,20 +51,6 @@ fn corpus() -> &'static Vec<Tweet> {
         generate(&s, 90210)
     })
 }
-
-/// `tests/batched_source.rs`'s three queries, LIMIT, a confidence
-/// window and an async UDF.
-const QUERIES: &[&str] = &[
-    "SELECT text FROM twitter WHERE text contains 'kw'",
-    "SELECT count(*) AS n, lang FROM twitter \
-     WHERE text contains 'kw' GROUP BY lang WINDOW 2 minutes",
-    "SELECT sentiment(text) AS s, followers FROM twitter WHERE followers > 2000",
-    "SELECT text FROM twitter WHERE text contains 'kw' LIMIT 25",
-    "SELECT avg(followers) AS a, lang FROM twitter GROUP BY lang \
-     WINDOW CONFIDENCE 40.0 MAX 90 seconds",
-    "SELECT latitude(loc) AS la, longitude(loc) AS lo \
-     FROM twitter WHERE text contains 'kw'",
-];
 
 /// The async query.
 const GEO: usize = 5;

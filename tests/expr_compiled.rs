@@ -5,16 +5,19 @@
 //! non-ASCII text, empty needles, and error cases. A second suite runs
 //! whole queries through the default engine (compiled) and the
 //! interpreting reference configuration (`EngineBuilder::reference`),
-//! clean and under fault injection.
+//! clean and under fault injection: WHERE, SELECT, HAVING and the
+//! projection over an aggregate, stateful UDF calls in each of them
+//! included.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::OnceLock;
-use tweeql::engine::{Engine, QueryResult};
+use std::sync::{Arc, OnceLock};
+use tweeql::engine::{Engine, EngineBuilder, QueryResult};
+use tweeql::error::QueryError;
 use tweeql::expr::{compile_into, BatchVm, CExpr, EvalCtx, ExprProgram};
 use tweeql::parser::parse_expr;
-use tweeql::udf::{Registry, ServiceConfig};
+use tweeql::udf::{Registry, ServiceConfig, StatefulUdf};
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::scenario::{Scenario, Topic};
 use tweeql_firehose::StreamingApi;
@@ -275,13 +278,35 @@ fn corpus() -> &'static Vec<Tweet> {
     })
 }
 
+/// A stateful UDF whose every answer depends on how many rows it has
+/// seen: its call count.
+struct Counter(i64);
+
+impl StatefulUdf for Counter {
+    fn call(&mut self, _: &[Value], _: Timestamp) -> Result<Value, QueryError> {
+        self.0 += 1;
+        Ok(Value::Int(self.0))
+    }
+}
+
+/// The corpus on a fresh builder with `counter` and TwitInfo's
+/// `detect_peak`/`in_peak` registered.
+fn builder(compiled: bool) -> EngineBuilder {
+    let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
+    Engine::builder(api)
+        .reference(!compiled)
+        .configure_registry(|r| {
+            twitinfo::udfs::register(r, twitinfo::PeakDetectorConfig::default());
+            r.register_stateful("counter", Arc::new(|| Box::new(Counter(0))));
+        })
+}
+
 /// `compiled` runs the default engine, otherwise the reference. The
 /// reference pushes no filter into the connection, so neither does the
 /// default engine here: a fault plan rolls per delivered tweet, and both
 /// must see the same stream.
 fn run_engine(sql: &str, compiled: bool, fault: Option<FaultPlan>) -> QueryResult {
-    let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
-    let mut b = Engine::builder(api).reference(!compiled).push_down(false);
+    let mut b = builder(compiled).push_down(false);
     if let Some(plan) = fault {
         b = b.fault_policy(plan);
     }
@@ -289,16 +314,48 @@ fn run_engine(sql: &str, compiled: bool, fault: Option<FaultPlan>) -> QueryResul
     engine.execute(sql).expect(sql)
 }
 
+/// A stateful conjunct written before a pushdown candidate: the call
+/// must see every row, so `text contains 'kw'` may neither run before
+/// it nor narrow the connection or the host's prefilter.
+const STATEFUL_WHERE: &str =
+    "SELECT text FROM twitter WHERE counter(followers) % 3 = 0 AND text contains 'kw'";
+
+/// A stateful conjunct behind one that is NULL on every row without
+/// `kw` (no tweet in this corpus is geotagged, so `lat` is NULL): `AND`
+/// evaluates its right side when the left is NULL, so the call sees
+/// every row, not only the `kw` rows.
+const STATEFUL_AFTER_NULL: &str = "SELECT text FROM twitter \
+     WHERE (text contains 'kw' OR lat > 0) AND counter(followers) % 3 = 0";
+
 const ENGINE_QUERIES: &[&str] = &[
     // Fused where+project.
     "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter WHERE text contains 'kw'",
     // Multi-needle OR (compiles to one multi-pattern matcher).
     "SELECT text FROM twitter WHERE text contains 'kw' OR text contains 'speech' OR text contains 'news'",
-    // Solo fused filter in front of an interpreted aggregate.
+    // Solo fused filter in front of an aggregate.
     "SELECT count(*) AS c, lang FROM twitter WHERE text contains 'kw' AND followers >= 0 \
      GROUP BY lang WINDOW 2 minutes",
     // Pure compiled projection, no WHERE.
     "SELECT lower(screen_name) AS s, followers + 1 AS f1 FROM twitter",
+    // HAVING over the aggregate's output.
+    "SELECT lang, count(*) AS n FROM twitter WHERE text contains 'kw' GROUP BY lang \
+     HAVING count(*) > 2 AND avg(followers) >= 0 WINDOW 2 minutes",
+    // Arithmetic over aggregates and keys in the post-aggregate SELECT.
+    "SELECT upper(lang) AS u, count(*) * 2 + 1 AS n2, max(followers) - min(followers) AS spread \
+     FROM twitter GROUP BY u WINDOW 3 minutes",
+    // Stateful calls in SELECT, in WHERE, and in both HAVING and the
+    // post-aggregate SELECT.
+    "SELECT counter(followers) AS c, text FROM twitter WHERE text contains 'kw'",
+    STATEFUL_WHERE,
+    STATEFUL_AFTER_NULL,
+    "SELECT lang, counter(lang) AS k FROM twitter GROUP BY lang \
+     HAVING counter(lang) % 2 = 1 WINDOW 2 minutes",
+    // TwitInfo's peak detector on the aggregate count, and `in_peak`
+    // as a HAVING filter.
+    "SELECT count(*) AS c, detect_peak(count(*)) AS peak FROM twitter \
+     WHERE text contains 'kw' WINDOW 1 minutes",
+    "SELECT count(*) AS c FROM twitter GROUP BY lang HAVING NOT in_peak(count(*)) \
+     WINDOW 1 minutes",
 ];
 
 /// Same query, same stream: compiled output must equal interpreted
@@ -309,6 +366,7 @@ fn compiled_engine_matches_interpreted() {
         let reference = run_engine(sql, false, None);
         let compiled = run_engine(sql, true, None);
         assert_eq!(reference.schema.names(), compiled.schema.names(), "{sql}");
+        assert!(!reference.rows.is_empty(), "{sql} selects nothing");
         assert_eq!(
             reference.rows, compiled.rows,
             "compiled diverged from interpreted: {sql}"
@@ -321,18 +379,47 @@ fn compiled_engine_matches_interpreted() {
 /// — the compiled pipeline cannot change fault-recovery behavior.
 #[test]
 fn compiled_engine_matches_interpreted_under_chaos() {
-    let sql = "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter \
-               WHERE text contains 'kw'";
-    for seed in [3u64, 17] {
-        let interp = run_engine(sql, false, Some(FaultPlan::chaos(seed)));
-        let compiled = run_engine(sql, true, Some(FaultPlan::chaos(seed)));
+    for sql in ENGINE_QUERIES {
+        for seed in [3u64, 17] {
+            let interp = run_engine(sql, false, Some(FaultPlan::chaos(seed)));
+            let compiled = run_engine(sql, true, Some(FaultPlan::chaos(seed)));
+            assert_eq!(
+                interp.rows, compiled.rows,
+                "chaos seed {seed}: compiled diverged: {sql}"
+            );
+            assert_eq!(
+                interp.stats.source_faults.disconnects, compiled.stats.source_faults.disconnects,
+                "fault schedule itself diverged (test harness bug)"
+            );
+        }
+    }
+}
+
+/// A stateful WHERE conjunct sees the rows the reference shows it, with
+/// pushdown on and off and on a standing host next to a query whose
+/// `kw` needle the host's prefilter indexes.
+#[test]
+fn stateful_conjunct_keeps_its_written_order() {
+    for sql in [STATEFUL_WHERE, STATEFUL_AFTER_NULL] {
+        let reference = run_engine(sql, false, None);
+        assert!(!reference.rows.is_empty(), "{sql}");
+        for push_down in [false, true] {
+            let fast = builder(true)
+                .push_down(push_down)
+                .build()
+                .execute(sql)
+                .unwrap();
+            assert_eq!(fast.rows, reference.rows, "push_down({push_down}): {sql}");
+        }
+        let mut host = builder(true).build_host();
+        let id = host.register(sql).unwrap();
+        host.register("SELECT text FROM twitter WHERE text contains 'kw'")
+            .unwrap();
+        host.run_to_end().unwrap();
         assert_eq!(
-            interp.rows, compiled.rows,
-            "chaos seed {seed}: compiled diverged"
-        );
-        assert_eq!(
-            interp.stats.source_faults.disconnects, compiled.stats.source_faults.disconnects,
-            "fault schedule itself diverged (test harness bug)"
+            host.take_output(id).unwrap(),
+            reference.rows,
+            "standing host: {sql}"
         );
     }
 }

@@ -2,7 +2,7 @@
 //! printed examples: HAVING, sliding windows, COUNT(DISTINCT),
 //! geo-distance, and failure injection on the simulated web service.
 
-use tweeql::engine::Engine;
+use tweeql::engine::{Engine, EngineBuilder};
 use tweeql::udf::ServiceConfig;
 use tweeql_firehose::scenario::{Scenario, Topic};
 use tweeql_firehose::{generate, StreamingApi};
@@ -10,6 +10,10 @@ use tweeql_geo::latency::LatencyModel;
 use tweeql_model::{Duration, Value, VirtualClock};
 
 fn engine_with(minutes: i64, service: ServiceConfig) -> Engine {
+    builder_with(minutes, service).build()
+}
+
+fn builder_with(minutes: i64, service: ServiceConfig) -> EngineBuilder {
     let mut topic = Topic::new("obama", vec!["obama"], 40.0);
     topic.sentiment_bias = 0.2;
     let scenario = Scenario {
@@ -22,7 +26,7 @@ fn engine_with(minutes: i64, service: ServiceConfig) -> Engine {
         population_size: 800,
     };
     let api = StreamingApi::new(generate(&scenario, 77), VirtualClock::new());
-    Engine::builder(api).service(service).build()
+    Engine::builder(api).service(service)
 }
 
 fn engine(minutes: i64) -> Engine {
@@ -70,6 +74,51 @@ fn having_can_use_aggregates_not_in_select() {
         .unwrap();
     assert!(!r.rows.is_empty());
     assert_eq!(r.schema.names(), vec!["lang"]);
+}
+
+/// Aggregates and GROUP BY key expressions under `IN`, `IS [NOT] NULL`
+/// and `contains` map onto the aggregate's output like anywhere else:
+/// both configurations plan each query, agree on its rows, and match a
+/// form that does not nest them.
+#[test]
+fn aggregates_and_keys_nest_under_in_is_null_and_contains() {
+    let run = |sql: &str, reference: bool| {
+        builder_with(10, ServiceConfig::default())
+            .reference(reference)
+            .build()
+            .execute(sql)
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+            .rows
+    };
+    for (nested, plain) in [
+        (
+            "SELECT lang, count(*) AS n FROM twitter GROUP BY lang \
+             HAVING count(*) IN (1, 2, 3) WINDOW 2 minutes",
+            "SELECT lang, count(*) AS n FROM twitter GROUP BY lang \
+             HAVING count(*) >= 1 AND count(*) <= 3 WINDOW 2 minutes",
+        ),
+        (
+            "SELECT lang, count(*) AS n FROM twitter GROUP BY lang \
+             HAVING avg(followers) IS NOT NULL WINDOW 2 minutes",
+            "SELECT lang, count(*) AS n FROM twitter GROUP BY lang \
+             HAVING avg(followers) = avg(followers) WINDOW 2 minutes",
+        ),
+        (
+            "SELECT upper(lang) AS u, count(*) AS n FROM twitter GROUP BY u \
+             HAVING upper(lang) contains 'E' WINDOW 2 minutes",
+            "SELECT upper(lang) AS u, count(*) AS n FROM twitter GROUP BY u \
+             HAVING u contains 'E' WINDOW 2 minutes",
+        ),
+        (
+            "SELECT lang, count(*) IS NULL AS z FROM twitter GROUP BY lang WINDOW 2 minutes",
+            "SELECT lang, count(*) < 0 AS z FROM twitter GROUP BY lang WINDOW 2 minutes",
+        ),
+    ] {
+        let fast = run(nested, false);
+        assert!(!fast.is_empty(), "{nested} selects nothing");
+        assert_eq!(fast, run(nested, true), "{nested}");
+        assert_eq!(fast, run(plain, false), "{nested}");
+    }
 }
 
 #[test]
