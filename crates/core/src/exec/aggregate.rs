@@ -20,7 +20,6 @@ use super::topk::SpaceSaving;
 use super::{earlier, Operator};
 use crate::ast::AggFunc;
 use crate::error::QueryError;
-use crate::expr::{CExpr, EvalCtx};
 use std::borrow::Borrow;
 use std::sync::Arc;
 use tweeql_model::batch::col;
@@ -58,8 +57,8 @@ pub enum WindowPolicy {
 pub struct AggExpr {
     /// Which function.
     pub func: AggFunc,
-    /// Argument (None only for COUNT(*)).
-    pub arg: Option<CExpr>,
+    /// The input column holding its argument (None only for COUNT(*)).
+    pub arg: Option<usize>,
 }
 
 /// Running state for one aggregate in one group.
@@ -237,9 +236,9 @@ struct Group {
 }
 
 impl Group {
-    fn new(aggs: &[AggExpr], ts: Timestamp) -> Group {
+    fn new(funcs: &[AggFunc], ts: Timestamp) -> Group {
         Group {
-            states: aggs.iter().map(|a| AggState::new(a.func)).collect(),
+            states: funcs.iter().map(|&f| AggState::new(f)).collect(),
             n: 0,
             confidence: ConfidenceTracker::new(),
             last_ts: ts,
@@ -256,40 +255,29 @@ impl Group {
     }
 }
 
-/// Group keys and aggregate arguments that are all plain columns of the
-/// `twitter` stream: what lets the operator read a [`TweetBatch`]
-/// without a [`Record`] per row.
-struct TweetColumns {
+/// The input columns holding the group key and each aggregate's
+/// argument: what a [`Tuple`] reads its row through.
+#[derive(Default)]
+struct Columns {
     keys: Vec<usize>,
     /// `None` for `COUNT(*)`.
     args: Vec<Option<usize>>,
-    /// Every column a key or an argument reads: what the head asks the
-    /// batch to materialize.
-    needed: [bool; col::COUNT],
+    /// The columnar head, on the `twitter` stream: every column a key
+    /// or an argument reads, what the head asks the batch to
+    /// materialize.
+    needed: Option<[bool; col::COUNT]>,
 }
 
-impl TweetColumns {
-    fn of(key_exprs: &[CExpr], aggs: &[AggExpr], input_schema: &SchemaRef) -> Option<Self> {
-        if !Arc::ptr_eq(input_schema, &twitter_schema()) {
-            return None;
-        }
-        let column = |e: &CExpr| match e {
-            CExpr::Column(c) => Some(*c),
-            _ => None,
-        };
-        let keys: Vec<usize> = key_exprs.iter().map(column).collect::<Option<_>>()?;
-        let args: Vec<Option<usize>> = aggs
-            .iter()
-            .map(|a| match &a.arg {
-                Some(e) => column(e).map(Some),
-                None => Some(None),
-            })
-            .collect::<Option<_>>()?;
-        let mut needed = [false; col::COUNT];
-        for &c in keys.iter().chain(args.iter().flatten()) {
-            needed[c] = true;
-        }
-        Some(TweetColumns { keys, args, needed })
+impl Columns {
+    fn of(keys: Vec<usize>, args: Vec<Option<usize>>, input_schema: &SchemaRef) -> Columns {
+        let needed = Arc::ptr_eq(input_schema, &twitter_schema()).then(|| {
+            let mut needed = [false; col::COUNT];
+            for &c in keys.iter().chain(args.iter().flatten()) {
+                needed[c] = true;
+            }
+            needed
+        });
+        Columns { keys, args, needed }
     }
 }
 
@@ -297,7 +285,7 @@ impl TweetColumns {
 /// a [`Tuple::Views`] reads its row from.
 struct Views<'a> {
     batch: &'a TweetBatch,
-    cols: &'a TweetColumns,
+    cols: &'a Columns,
     /// By column index; [`ColumnView::Null`] for a column no key or
     /// argument reads.
     views: [ColumnView<'a>; col::COUNT],
@@ -312,18 +300,19 @@ impl<'a> Views<'a> {
     /// a dictionary key.
     fn resolve(
         batch: &'a TweetBatch,
-        cols: &'a TweetColumns,
+        cols: &'a Columns,
+        needed: &[bool; col::COUNT],
         spare: &'a mut [Column; col::COUNT],
         code_hashes: &'a mut Vec<u64>,
     ) -> Views<'a> {
         for (c, slot) in spare.iter_mut().enumerate() {
-            if cols.needed[c] && batch.view(c).is_none() {
+            if needed[c] && batch.view(c).is_none() {
                 *slot = batch.decode_column(c);
             }
         }
         let spare = &*spare;
         let views = std::array::from_fn(|c| match batch.view(c) {
-            _ if !cols.needed[c] => ColumnView::Null,
+            _ if !needed[c] => ColumnView::Null,
             Some(view) => view,
             None => spare[c].view(),
         });
@@ -351,11 +340,8 @@ impl<'a> Views<'a> {
 /// build the owned `Value`s and are called only when a table keeps one.
 #[derive(Clone, Copy)]
 enum Tuple<'a> {
-    /// Evaluated key and argument expressions.
-    Values {
-        key: &'a [Value],
-        args: &'a [Option<Value>],
-    },
+    /// One input record, read by column.
+    Values(&'a Record, &'a Columns),
     /// One row of a segment's resolved columns (dead columns read
     /// NULL, as in the pruned row decode).
     Views { seg: &'a Views<'a>, row: usize },
@@ -379,7 +365,7 @@ impl Tuple<'_> {
 
     fn key_values(&self) -> Vec<Value> {
         match *self {
-            Tuple::Values { key, .. } => key.to_vec(),
+            Tuple::Values(rec, cols) => cols.keys.iter().map(|&c| rec.value(c).clone()).collect(),
             Tuple::Views { seg, row } => (seg.cols.keys.iter())
                 .map(|&c| seg.batch.value_at(row, c))
                 .collect(),
@@ -389,7 +375,7 @@ impl Tuple<'_> {
     /// Argument `a`; `None` for `COUNT(*)`.
     fn arg(&self, a: usize) -> Option<ValueRef<'_>> {
         match *self {
-            Tuple::Values { args, .. } => args[a].as_ref().map(ValueRef::from),
+            Tuple::Values(rec, cols) => cols.args[a].map(|c| ValueRef::from(rec.value(c))),
             Tuple::Views { seg, row } => seg.cols.args[a].map(|c| seg.views[c].get(row)),
         }
     }
@@ -398,7 +384,7 @@ impl Tuple<'_> {
     /// tweet's own allocation.
     fn arg_value(&self, a: usize) -> Value {
         match *self {
-            Tuple::Values { args, .. } => args[a].clone().unwrap_or(Value::Null),
+            Tuple::Values(rec, cols) => cols.args[a].map_or(Value::Null, |c| rec.value(c).clone()),
             Tuple::Views { seg, row } => {
                 seg.cols.args[a].map_or(Value::Null, |c| seg.batch.value_at(row, c))
             }
@@ -409,14 +395,14 @@ impl Tuple<'_> {
 impl KeyParts for Tuple<'_> {
     fn len(&self) -> usize {
         match *self {
-            Tuple::Values { key, .. } => key.len(),
+            Tuple::Values(_, cols) => cols.keys.len(),
             Tuple::Views { seg, .. } => seg.cols.keys.len(),
         }
     }
 
     fn part(&self, k: usize) -> ValueRef<'_> {
         match *self {
-            Tuple::Values { key, .. } => ValueRef::from(&key[k]),
+            Tuple::Values(rec, cols) => ValueRef::from(rec.value(cols.keys[k])),
             Tuple::Views { seg, row } => seg.views[seg.cols.keys[k]].get(row),
         }
     }
@@ -453,9 +439,8 @@ fn sorted_groups<K: Borrow<Vec<Value>>, G>(
 
 /// The aggregation operator.
 pub struct AggregateOp {
-    key_exprs: Vec<CExpr>,
-    aggs: Vec<AggExpr>,
-    ctx: EvalCtx,
+    funcs: Vec<AggFunc>,
+    columns: Columns,
     policy: WindowPolicy,
     schema: SchemaRef,
     groups: Groups,
@@ -472,40 +457,29 @@ pub struct AggregateOp {
     windows_emitted: u64,
     /// Confidence-window emissions (CI target met or deadline hit).
     confidence_emits: u64,
-    /// Columnar head: set when the input is the `twitter` stream and
-    /// every key and argument is a plain column of it.
-    columns: Option<TweetColumns>,
     /// A dictionary key's per-code hashes, reused across segments.
     code_hashes: Vec<u64>,
-    /// The evaluated group key and aggregate arguments of the record in
-    /// `on_record`, reused across records.
-    key: Vec<Value>,
-    arg_values: Vec<Option<Value>>,
 }
 
 impl AggregateOp {
-    /// Build. `schema` must be `[keys..., aggs...]`; `input_schema` is
-    /// what `key_exprs` and the aggregate arguments were compiled
-    /// against. For `WindowPolicy::Confidence`, `confidence_target` is
-    /// the index (into `aggs`) of the AVG whose CI is tracked.
+    /// Build. `schema` must be `[keys..., aggs...]`; `keys` and the
+    /// aggregate arguments are columns of `input_schema`. For
+    /// `WindowPolicy::Confidence`, `confidence_target` is the index
+    /// (into `aggs`) of the AVG whose CI is tracked.
     pub fn new(
-        key_exprs: Vec<CExpr>,
+        keys: Vec<usize>,
         aggs: Vec<AggExpr>,
-        ctx: EvalCtx,
         policy: WindowPolicy,
         input_schema: &SchemaRef,
         schema: SchemaRef,
         confidence_target: usize,
     ) -> AggregateOp {
-        debug_assert_eq!(schema.len(), key_exprs.len() + aggs.len());
+        debug_assert_eq!(schema.len(), keys.len() + aggs.len());
+        let (funcs, args) = aggs.into_iter().map(|a| (a.func, a.arg)).unzip();
         AggregateOp {
-            columns: TweetColumns::of(&key_exprs, &aggs, input_schema),
+            funcs,
+            columns: Columns::of(keys, args, input_schema),
             code_hashes: Vec::new(),
-            key: Vec::new(),
-            arg_values: Vec::new(),
-            key_exprs,
-            aggs,
-            ctx,
             policy,
             schema,
             groups: Groups::default(),
@@ -522,7 +496,7 @@ impl AggregateOp {
     /// reference plan's row decode.
     pub(crate) fn columnar(mut self, on: bool) -> AggregateOp {
         if !on {
-            self.columns = None;
+            self.columns.needed = None;
         }
         self
     }
@@ -627,7 +601,7 @@ impl AggregateOp {
                 hash,
                 t,
                 || t.key_values(),
-                || Group::new(&self.aggs, ts),
+                || Group::new(&self.funcs, ts),
             );
             group.update(t, ts);
         }
@@ -656,7 +630,7 @@ impl AggregateOp {
             hash,
             t,
             || t.key_values(),
-            || Group::new(&self.aggs, ts),
+            || Group::new(&self.funcs, ts),
         );
         group.update(t, ts);
 
@@ -842,32 +816,14 @@ impl Operator for AggregateOp {
         let ts = rec.timestamp();
         // A record past the current window closes it first.
         self.open_window(ts, out);
-        self.key.clear();
-        for e in &self.key_exprs {
-            self.key.push(e.eval(&rec, &mut self.ctx)?);
-        }
-        self.arg_values.clear();
-        for a in &self.aggs {
-            self.arg_values.push(match &a.arg {
-                Some(e) => Some(e.eval(&rec, &mut self.ctx)?),
-                None => None,
-            });
-        }
-        let (key, args) = (
-            std::mem::take(&mut self.key),
-            std::mem::take(&mut self.arg_values),
-        );
-        let tuple = Tuple::Values {
-            key: &key,
-            args: &args,
-        };
-        self.ingest(&tuple, ts, out);
-        (self.key, self.arg_values) = (key, args);
+        let cols = std::mem::take(&mut self.columns);
+        self.ingest(&Tuple::Values(&rec, &cols), ts, out);
+        self.columns = cols;
         Ok(())
     }
 
     fn wants_tweet_batch(&self) -> Option<&[bool]> {
-        self.columns.as_ref().map(|c| &c.needed[..])
+        self.columns.needed.as_ref().map(|n| &n[..])
     }
 
     fn on_tweet_batch(
@@ -876,16 +832,17 @@ impl Operator for AggregateOp {
         sel: &[u32],
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        let Some(cols) = self.columns.take() else {
+        let Some(needed) = self.columns.needed else {
             return super::row_shim(self, batch, sel, out);
         };
+        let cols = std::mem::take(&mut self.columns);
         if !sel.is_empty() {
             // Per row exactly what `on_record` does, minus the `Record`
             // and minus the `Value`s: key and arguments are read off
             // columns resolved once for the segment.
             let mut code_hashes = std::mem::take(&mut self.code_hashes);
             let mut spare = [const { Column::Missing }; col::COUNT];
-            let seg = Views::resolve(batch, &cols, &mut spare, &mut code_hashes);
+            let seg = Views::resolve(batch, &cols, &needed, &mut spare, &mut code_hashes);
             for &i in sel {
                 let row = i as usize;
                 let ts = batch.ts(row);
@@ -894,7 +851,7 @@ impl Operator for AggregateOp {
             }
             self.code_hashes = code_hashes;
         }
-        self.columns = Some(cols);
+        self.columns = cols;
         Ok(())
     }
 
@@ -950,9 +907,6 @@ impl Operator for AggregateOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::compile_into;
-    use crate::parser::parse_expr;
-    use crate::udf::Registry;
     use tweeql_model::{DataType, Schema};
 
     fn in_schema() -> SchemaRef {
@@ -972,19 +926,15 @@ mod tests {
         .unwrap()
     }
 
+    /// The columns of `input` named in `names`.
+    fn cols(input: &SchemaRef, names: &[&str]) -> Vec<usize> {
+        names.iter().map(|n| input.index_of(n).unwrap()).collect()
+    }
+
     fn make_op(policy: WindowPolicy, func: AggFunc) -> AggregateOp {
-        let mut reg = Registry::empty();
-        crate::expr::functions::register_builtins(&mut reg);
-        let mut ctx = EvalCtx::default();
-        let key = compile_into(&parse_expr("k").unwrap(), &in_schema(), &reg, &mut ctx).unwrap();
-        let arg = compile_into(&parse_expr("x").unwrap(), &in_schema(), &reg, &mut ctx).unwrap();
         AggregateOp::new(
-            vec![key],
-            vec![AggExpr {
-                func,
-                arg: Some(arg),
-            }],
-            ctx,
+            cols(&in_schema(), &["k"]),
+            vec![AggExpr { func, arg: Some(1) }],
             policy,
             &in_schema(),
             out_schema(),
@@ -1090,12 +1040,7 @@ mod tests {
 
     #[test]
     fn min_max_stddev_count_distinct() {
-        let mut reg = Registry::empty();
-        crate::expr::functions::register_builtins(&mut reg);
-        let mut ctx = EvalCtx::default();
-        let arg = |s: &str, ctx: &mut EvalCtx| {
-            compile_into(&parse_expr(s).unwrap(), &in_schema(), &reg, ctx).unwrap()
-        };
+        let arg = |s: &str| in_schema().index_of(s);
         let schema = Schema::shared(&[
             ("mn", DataType::Float),
             ("mx", DataType::Float),
@@ -1107,22 +1052,21 @@ mod tests {
             vec![
                 AggExpr {
                     func: AggFunc::Min,
-                    arg: Some(arg("x", &mut ctx)),
+                    arg: arg("x"),
                 },
                 AggExpr {
                     func: AggFunc::Max,
-                    arg: Some(arg("x", &mut ctx)),
+                    arg: arg("x"),
                 },
                 AggExpr {
                     func: AggFunc::StdDev,
-                    arg: Some(arg("x", &mut ctx)),
+                    arg: arg("x"),
                 },
                 AggExpr {
                     func: AggFunc::CountDistinct,
-                    arg: Some(arg("k", &mut ctx)),
+                    arg: arg("k"),
                 },
             ],
-            ctx,
             WindowPolicy::Unbounded,
             &in_schema(),
             schema,
@@ -1249,17 +1193,12 @@ mod tests {
             Value::from("NULL"),
         ];
         let run = |order: &[usize]| {
-            let mut reg = Registry::empty();
-            crate::expr::functions::register_builtins(&mut reg);
-            let mut ctx = EvalCtx::default();
-            let key = compile_into(&parse_expr("k").unwrap(), &schema, &reg, &mut ctx).unwrap();
             let mut op = AggregateOp::new(
-                vec![key],
+                cols(&schema, &["k"]),
                 vec![AggExpr {
                     func: AggFunc::Count,
                     arg: None,
                 }],
-                ctx,
                 WindowPolicy::Unbounded,
                 &schema,
                 out_schema.clone(),
@@ -1409,7 +1348,7 @@ mod tests {
                         key_hash(key),
                         key,
                         || key.clone(),
-                        || Group::new(&op.aggs, ts),
+                        || Group::new(&op.funcs, ts),
                     );
                     update_group(group, arg_values, ts);
                 }
@@ -1419,7 +1358,7 @@ mod tests {
                 key_hash(key),
                 key,
                 || key.clone(),
-                || Group::new(&op.aggs, ts),
+                || Group::new(&op.funcs, ts),
             );
             update_group(group, arg_values, ts);
             match &op.policy {
@@ -1447,16 +1386,17 @@ mod tests {
             }
         }
 
-        /// The old `on_record`.
+        /// The old `on_record`: key and arguments read off the record
+        /// as `Value`s.
         pub fn on_record(op: &mut AggregateOp, rec: &Record, out: &mut Vec<Record>) {
             let ts = rec.timestamp();
             op.open_window(ts, out);
-            let key: Vec<Value> = (op.key_exprs.iter())
-                .map(|e| e.eval(rec, &mut op.ctx).unwrap())
+            let cols = std::mem::take(&mut op.columns);
+            let key: Vec<Value> = cols.keys.iter().map(|&c| rec.value(c).clone()).collect();
+            let args: Vec<Option<Value>> = (cols.args.iter())
+                .map(|a| a.map(|c| rec.value(c).clone()))
                 .collect();
-            let args: Vec<Option<Value>> = (op.aggs.iter())
-                .map(|a| a.arg.as_ref().map(|e| e.eval(rec, &mut op.ctx).unwrap()))
-                .collect();
+            op.columns = cols;
             ingest(op, &key, &args, ts, out);
         }
 
@@ -1467,7 +1407,8 @@ mod tests {
             sel: &[u32],
             out: &mut Vec<Record>,
         ) {
-            let cols = op.columns.take().expect("columnar head");
+            let cols = std::mem::take(&mut op.columns);
+            assert!(cols.needed.is_some(), "columnar head");
             for &i in sel {
                 let i = i as usize;
                 let ts = batch.ts(i);
@@ -1478,7 +1419,7 @@ mod tests {
                     .collect();
                 ingest(op, &key, &args, ts, out);
             }
-            op.columns = Some(cols);
+            op.columns = cols;
         }
     }
 
@@ -1506,12 +1447,7 @@ mod tests {
         /// `avg(<x>)` first (the confidence target), then a count, a
         /// distinct count and both extremes over `<s>`.
         fn op(which: usize, input: &SchemaRef, keys: &[&str], x: &str, s: &str) -> AggregateOp {
-            let mut reg = Registry::empty();
-            crate::expr::functions::register_builtins(&mut reg);
-            let mut ctx = EvalCtx::default();
-            let mut c =
-                |src: &str| compile_into(&parse_expr(src).unwrap(), input, &reg, &mut ctx).unwrap();
-            let key_exprs: Vec<CExpr> = keys.iter().map(|k| c(k)).collect();
+            let c = |name: &str| input.index_of(name).unwrap();
             let aggs: Vec<AggExpr> = [
                 (AggFunc::Avg, Some(x)),
                 (AggFunc::Count, None),
@@ -1526,7 +1462,7 @@ mod tests {
             .into_iter()
             .map(|(func, arg)| AggExpr {
                 func,
-                arg: arg.map(&mut c),
+                arg: arg.map(c),
             })
             .collect();
             let fields: Vec<(String, DataType)> = (0..keys.len() + aggs.len())
@@ -1535,7 +1471,7 @@ mod tests {
             let fields: Vec<(&str, DataType)> =
                 fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
             let schema = Schema::shared(&fields);
-            AggregateOp::new(key_exprs, aggs, ctx, policy(which), input, schema, 0)
+            AggregateOp::new(cols(input, keys), aggs, policy(which), input, schema, 0)
         }
 
         fn digest(op: &AggregateOp) -> u64 {
@@ -1635,8 +1571,8 @@ mod tests {
                 prop_assert_eq!(new_out, old_out);
             }
 
-            /// Record path: keys and arguments of mixed type in `Any`
-            /// columns — `Int(1)` and `Float(1.0)` are one group and one
+            /// Record path: keys and arguments read off the record, of
+            /// mixed type in `Any` columns — `Int(1)` and `Float(1.0)` are one group and one
             /// distinct member, NULL is a group of its own.
             #[test]
             fn evaluated_keys_ingest_as_values_did(
@@ -1730,14 +1666,16 @@ mod tests {
         /// them), a float (`1.0` and NULL among them) and a nullable
         /// int, the extremes of a string and a float, and a top-k.
         fn op(policy: WindowPolicy, keys: &[&str], columnar: bool) -> AggregateOp {
-            let mut reg = Registry::empty();
-            crate::expr::functions::register_builtins(&mut reg);
-            let mut ctx = EvalCtx::default();
-            let input = twitter_schema();
-            let mut c = |src: &str| {
-                compile_into(&parse_expr(src).unwrap(), &input, &reg, &mut ctx).unwrap()
-            };
-            let key_exprs: Vec<CExpr> = keys.iter().map(|k| c(k)).collect();
+            op_over(&twitter_schema(), policy, keys, columnar)
+        }
+
+        fn op_over(
+            input: &SchemaRef,
+            policy: WindowPolicy,
+            keys: &[&str],
+            columnar: bool,
+        ) -> AggregateOp {
+            let c = |name: &str| input.index_of(name).unwrap();
             let aggs: Vec<AggExpr> = [
                 (AggFunc::Avg, Some("followers")),
                 (AggFunc::Count, None),
@@ -1752,7 +1690,7 @@ mod tests {
             .into_iter()
             .map(|(func, arg)| AggExpr {
                 func,
-                arg: arg.map(&mut c),
+                arg: arg.map(c),
             })
             .collect();
             let fields: Vec<(String, DataType)> = (0..keys.len() + aggs.len())
@@ -1761,7 +1699,7 @@ mod tests {
             let fields: Vec<(&str, DataType)> =
                 fields.iter().map(|(n, t)| (n.as_str(), *t)).collect();
             let schema = Schema::shared(&fields);
-            AggregateOp::new(key_exprs, aggs, ctx, policy, &input, schema, 0).columnar(columnar)
+            AggregateOp::new(cols(input, keys), aggs, policy, input, schema, 0).columnar(columnar)
         }
 
         fn policy(which: usize) -> WindowPolicy {
@@ -1801,8 +1739,11 @@ mod tests {
                 "every key and argument column, once"
             );
             assert_eq!(op(unbounded(), &["lang"], false).wants_tweet_batch(), None);
+            // A computed key reaches the aggregate as a column of the
+            // projection before it: a schema that is not the stream's.
+            let projected = Arc::new(Schema::new(twitter_schema().fields().to_vec()));
             assert_eq!(
-                op(unbounded(), &["followers * 2"], true).wants_tweet_batch(),
+                op_over(&projected, unbounded(), &["lang"], true).wants_tweet_batch(),
                 None
             );
             assert_eq!(

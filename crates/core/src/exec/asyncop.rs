@@ -10,7 +10,6 @@
 
 use super::{earlier, Operator};
 use crate::error::QueryError;
-use crate::expr::{CExpr, EvalCtx};
 use crate::udf::{ArgBatch, AsyncUdf};
 use tweeql_geo::batch::Batcher;
 use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
@@ -18,12 +17,12 @@ use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
 /// Appends `udf(args…)` as the last column of each record.
 pub struct AsyncUdfOp {
     udf: Box<dyn AsyncUdf>,
-    arg_exprs: Vec<CExpr>,
-    ctx: EvalCtx,
+    /// The input columns holding the call's arguments.
+    arg_cols: Vec<usize>,
     schema: SchemaRef,
     batcher: Batcher<Record>,
-    /// The pending records' arguments, evaluated as each arrived:
-    /// `arg_exprs.len()` values per record, in the batcher's order.
+    /// The pending records' arguments, read as each arrived:
+    /// `arg_cols.len()` values per record, in the batcher's order.
     args: Vec<Value>,
     /// The results of the batch being emitted.
     results: Vec<Value>,
@@ -34,14 +33,13 @@ pub struct AsyncUdfOp {
 }
 
 impl AsyncUdfOp {
-    /// Build. `schema` is the input schema plus the result column.
-    /// `max_batch` of 1 disables batching (every tuple is an immediate
-    /// request); `max_delay` bounds how long a tuple waits for batch
-    /// peers in stream time.
+    /// Build. `arg_cols` are input columns; `schema` is the input
+    /// schema plus the result column. `max_batch` of 1 disables
+    /// batching (every tuple is an immediate request); `max_delay`
+    /// bounds how long a tuple waits for batch peers in stream time.
     pub fn new(
         udf: Box<dyn AsyncUdf>,
-        arg_exprs: Vec<CExpr>,
-        ctx: EvalCtx,
+        arg_cols: Vec<usize>,
         schema: SchemaRef,
         max_batch: usize,
         max_delay: Duration,
@@ -49,8 +47,7 @@ impl AsyncUdfOp {
         let label = format!("async:{}", udf.name());
         AsyncUdfOp {
             udf,
-            arg_exprs,
-            ctx,
+            arg_cols,
             schema,
             batcher: Batcher::new(max_batch, max_delay),
             args: Vec::new(),
@@ -60,25 +57,15 @@ impl AsyncUdfOp {
         }
     }
 
-    /// Evaluate `rec`'s arguments and queue it; a batch this fills is
+    /// Read `rec`'s arguments and queue it; a batch this fills is
     /// issued at once.
-    fn push(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        let evaluated = self.args.len();
-        for e in &self.arg_exprs {
-            match e.eval(&rec, &mut self.ctx) {
-                Ok(v) => self.args.push(v),
-                Err(err) => {
-                    self.args.truncate(evaluated);
-                    return Err(err);
-                }
-            }
-        }
+    fn push(&mut self, rec: Record, out: &mut Vec<Record>) {
+        (self.args).extend(self.arg_cols.iter().map(|&c| rec.value(c).clone()));
         let ts = rec.timestamp();
         self.held_since = Some(self.held_since.map_or(ts, |held| held.min(ts)));
         if let Some(batch) = self.batcher.push(rec, ts) {
             self.run_batch(batch, out);
         }
-        Ok(())
     }
 
     /// Issue one request for `items` — always everything pending, so
@@ -89,7 +76,7 @@ impl AsyncUdfOp {
             return;
         }
         self.held_since = None;
-        let batch = ArgBatch::new(&self.args, self.arg_exprs.len(), items.len());
+        let batch = ArgBatch::new(&self.args, self.arg_cols.len(), items.len());
         self.udf.call_batch(batch, &mut self.results);
         self.args.clear();
         debug_assert_eq!(self.results.len(), items.len());
@@ -137,7 +124,8 @@ impl Operator for AsyncUdfOp {
     }
 
     fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        self.push(rec, out)
+        self.push(rec, out);
+        Ok(())
     }
 
     fn on_batch(
@@ -149,7 +137,7 @@ impl Operator for AsyncUdfOp {
         // batcher form full service batches even when the engine's
         // micro-batch is larger than `max_batch`.
         for rec in recs.drain(..) {
-            self.push(rec, out)?;
+            self.push(rec, out);
         }
         Ok(())
     }
@@ -175,8 +163,6 @@ impl Operator for AsyncUdfOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::compile;
-    use crate::parser::parse_expr;
     use crate::udf::{Registry, ServiceConfig};
     use std::sync::Arc;
     use tweeql_geo::latency::LatencyModel;
@@ -193,14 +179,11 @@ mod tests {
         let reg = Registry::standard(&cfg, clock);
         let in_schema = Schema::shared(&[("loc", DataType::Str)]);
         let out_schema = Schema::shared(&[("loc", DataType::Str), ("lat", DataType::Float)]);
-        let ast = parse_expr("loc").unwrap();
-        let (c, ctx) = compile(&ast, &in_schema, &reg).unwrap();
         let udf = (reg.async_udf("latitude").unwrap())();
         (
             AsyncUdfOp::new(
                 udf,
-                vec![c],
-                ctx,
+                vec![0],
                 out_schema.clone(),
                 max_batch,
                 Duration::from_secs(10),
@@ -306,8 +289,7 @@ mod tests {
         pub struct OldOp {
             pub service: Service,
             pub want_lat: bool,
-            pub arg_exprs: Vec<CExpr>,
-            pub ctx: EvalCtx,
+            pub arg_cols: Vec<usize>,
             pub schema: SchemaRef,
             pub batcher: Batcher<(Record, Vec<Value>)>,
         }
@@ -328,9 +310,9 @@ mod tests {
 
             pub fn on_batch(&mut self, recs: &mut Vec<Record>, out: &mut Vec<Record>) {
                 for rec in recs.drain(..) {
-                    let mut args = Vec::with_capacity(self.arg_exprs.len());
-                    for e in &self.arg_exprs {
-                        args.push(e.eval(&rec, &mut self.ctx).unwrap());
+                    let mut args = Vec::with_capacity(self.arg_cols.len());
+                    for &c in &self.arg_cols {
+                        args.push(rec.value(c).clone());
                     }
                     let ts = rec.timestamp();
                     if let Some(batch) = self.batcher.push((rec, args), ts) {
@@ -428,8 +410,7 @@ mod tests {
                     ("lat", DataType::Any),
                     ("lon", DataType::Any),
                 ]);
-                let reg = Registry::empty();
-                let arg = |schema: &SchemaRef| compile(&parse_expr("loc").unwrap(), schema, &reg).unwrap();
+                let arg = |schema: &SchemaRef| schema.index_of("loc").unwrap();
 
                 let new_clock = VirtualClock::new();
                 let new_service = SharedGeoService::new(&cfg, Arc::clone(&new_clock));
@@ -437,9 +418,8 @@ mod tests {
                     ("longitude", false, &lat_schema, &lon_schema)]
                     .into_iter()
                     .map(|(name, want_lat, input, output)| {
-                        let (c, ctx) = arg(input);
                         let udf = GeocodeUdf::new(name, new_service.clone(), want_lat);
-                        AsyncUdfOp::new(Box::new(udf), vec![c], ctx, output.clone(), max_batch, max_delay)
+                        AsyncUdfOp::new(Box::new(udf), vec![arg(input)], output.clone(), max_batch, max_delay)
                     })
                     .collect();
 
@@ -449,12 +429,10 @@ mod tests {
                     (false, &lat_schema, &lon_schema)]
                     .into_iter()
                     .map(|(want_lat, input, output)| {
-                        let (c, ctx) = arg(input);
                         OldOp {
                             service: old_service.clone(),
                             want_lat,
-                            arg_exprs: vec![c],
-                            ctx,
+                            arg_cols: vec![arg(input)],
                             schema: output.clone(),
                             batcher: Batcher::new(max_batch, max_delay),
                         }

@@ -65,7 +65,7 @@ impl Operator for FilterOp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::compile;
+    use crate::expr::compile_into;
     use crate::parser::parse_expr;
     use crate::udf::Registry;
     use tweeql_model::{DataType, Schema, Timestamp, Value};
@@ -75,7 +75,8 @@ mod tests {
         let mut reg = Registry::empty();
         crate::expr::functions::register_builtins(&mut reg);
         let ast = parse_expr(pred).unwrap();
-        let (c, ctx) = compile(&ast, &schema, &reg).unwrap();
+        let mut ctx = EvalCtx::default();
+        let c = compile_into(&ast, &schema, &reg, &mut ctx).unwrap();
         (FilterOp::new(c, ctx, schema.clone()), schema)
     }
 

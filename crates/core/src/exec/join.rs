@@ -15,7 +15,6 @@
 
 use super::Operator;
 use crate::error::QueryError;
-use crate::expr::{CExpr, EvalCtx};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
@@ -31,9 +30,10 @@ enum Side {
 
 /// A windowed symmetric hash join.
 pub struct SymmetricHashJoin {
-    left_key: CExpr,
-    right_key: CExpr,
-    ctx: EvalCtx,
+    /// The key column of a left-side row.
+    left_key: usize,
+    /// The key column of a right-side row.
+    right_key: usize,
     window: Duration,
     schema: SchemaRef,
     /// The source columns the query reads (`None`: all); only these
@@ -48,9 +48,8 @@ impl SymmetricHashJoin {
     /// Build. `schema` must be the concatenation of the left and right
     /// schemas (see [`tweeql_model::Schema::concat`]).
     pub fn new(
-        left_key: CExpr,
-        right_key: CExpr,
-        ctx: EvalCtx,
+        left_key: usize,
+        right_key: usize,
         window: Duration,
         schema: SchemaRef,
         live: Option<Arc<[bool]>>,
@@ -58,7 +57,6 @@ impl SymmetricHashJoin {
         SymmetricHashJoin {
             left_key,
             right_key,
-            ctx,
             window,
             schema,
             live,
@@ -68,17 +66,17 @@ impl SymmetricHashJoin {
     }
 
     /// Push one record into `side`, joined outputs into `out`.
-    fn push(&mut self, side: Side, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
+    fn push(&mut self, side: Side, rec: Record, out: &mut Vec<Record>) {
         let ts = rec.timestamp();
         self.expire(ts);
 
         let key = match side {
-            Side::Left => self.left_key.eval(&rec, &mut self.ctx)?,
-            Side::Right => self.right_key.eval(&rec, &mut self.ctx)?,
+            Side::Left => rec.value(self.left_key).clone(),
+            Side::Right => rec.value(self.right_key).clone(),
         };
         if key.is_null() {
             // NULL keys never join, and are not retained.
-            return Ok(());
+            return;
         }
 
         let (opposite, own) = match side {
@@ -103,7 +101,6 @@ impl SymmetricHashJoin {
             }
         }
         own.entry(key).or_default().push(rec);
-        Ok(())
     }
 
     /// Drop buffered tuples older than the window relative to `now`.
@@ -154,8 +151,9 @@ impl Operator for SymmetricHashJoin {
     }
 
     fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        self.push(Side::Left, rec.clone(), out)?;
-        self.push(Side::Right, rec, out)
+        self.push(Side::Left, rec.clone(), out);
+        self.push(Side::Right, rec, out);
+        Ok(())
     }
 
     fn state_digest(&self, d: &mut tweeql_wal::Digest) {
@@ -168,21 +166,15 @@ impl Operator for SymmetricHashJoin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::compile_into;
-    use crate::parser::parse_expr;
-    use crate::udf::Registry;
     use tweeql_model::{DataType, Schema};
 
     fn setup(window_s: i64) -> (SymmetricHashJoin, SchemaRef, SchemaRef) {
         let left = Schema::shared(&[("k", DataType::Str), ("lv", DataType::Int)]);
         let right = Schema::shared(&[("k", DataType::Str), ("rv", DataType::Int)]);
         let out = std::sync::Arc::new(left.concat(&right));
-        let reg = Registry::empty();
-        let mut ctx = EvalCtx::default();
-        let lk = compile_into(&parse_expr("k").unwrap(), &left, &reg, &mut ctx).unwrap();
-        let rk = compile_into(&parse_expr("k").unwrap(), &right, &reg, &mut ctx).unwrap();
+        let (lk, rk) = (left.index_of("k").unwrap(), right.index_of("k").unwrap());
         (
-            SymmetricHashJoin::new(lk, rk, ctx, Duration::from_secs(window_s), out, None),
+            SymmetricHashJoin::new(lk, rk, Duration::from_secs(window_s), out, None),
             left,
             right,
         )
@@ -199,7 +191,7 @@ mod tests {
 
     fn push(j: &mut SymmetricHashJoin, side: Side, rec: Record) -> Vec<Record> {
         let mut out = Vec::new();
-        j.push(side, rec, &mut out).unwrap();
+        j.push(side, rec, &mut out);
         out
     }
 

@@ -296,21 +296,9 @@ impl CExpr {
     }
 }
 
-/// Compile `expr` against `schema`, resolving functions in `registry`.
-/// Returns the compiled expression and the evaluation context carrying
-/// any stateful UDF instances it created.
-pub fn compile(
-    expr: &Expr,
-    schema: &Schema,
-    registry: &Registry,
-) -> Result<(CExpr, EvalCtx), QueryError> {
-    let mut ctx = EvalCtx::default();
-    let c = compile_into(expr, schema, registry, &mut ctx)?;
-    Ok((c, ctx))
-}
-
-/// Compile, appending stateful instances into an existing context (used
-/// when one operator owns several expressions).
+/// Compile `expr` against `schema`, resolving functions in `registry`;
+/// stateful UDF instances it creates are appended to `ctx` (one context
+/// serves every expression an operator owns).
 pub fn compile_into(
     expr: &Expr,
     schema: &Schema,
@@ -456,7 +444,8 @@ mod tests {
 
     fn eval(expr_src: &str, record: &Record) -> Value {
         let ast = parse_expr(expr_src).unwrap();
-        let (c, mut ctx) = compile(&ast, &schema(), &registry()).unwrap();
+        let mut ctx = EvalCtx::default();
+        let c = compile_into(&ast, &schema(), &registry(), &mut ctx).unwrap();
         c.eval(record, &mut ctx).unwrap()
     }
 
@@ -493,7 +482,7 @@ mod tests {
     #[test]
     fn bad_regex_fails_at_compile() {
         let ast = parse_expr("text matches '('").unwrap();
-        assert!(compile(&ast, &schema(), &registry()).is_err());
+        assert!(compile_into(&ast, &schema(), &registry(), &mut EvalCtx::default()).is_err());
     }
 
     #[test]
@@ -543,12 +532,12 @@ mod tests {
         let reg = registry();
         let ast = parse_expr("missing_col + 1").unwrap();
         assert!(matches!(
-            compile(&ast, &schema(), &reg),
+            compile_into(&ast, &schema(), &reg, &mut EvalCtx::default()),
             Err(QueryError::UnknownColumn(_))
         ));
         let ast = parse_expr("frobnicate(text)").unwrap();
         assert!(matches!(
-            compile(&ast, &schema(), &reg),
+            compile_into(&ast, &schema(), &reg, &mut EvalCtx::default()),
             Err(QueryError::UnknownFunction(_))
         ));
     }
@@ -557,7 +546,7 @@ mod tests {
     fn async_udf_rejected_in_direct_compile() {
         let reg = registry();
         let ast = parse_expr("latitude(text)").unwrap();
-        match compile(&ast, &schema(), &reg) {
+        match compile_into(&ast, &schema(), &reg, &mut EvalCtx::default()) {
             Err(QueryError::Plan(m)) => assert!(m.contains("hoisted")),
             other => panic!("{other:?}"),
         }
@@ -575,7 +564,8 @@ mod tests {
         let mut reg = Registry::empty();
         reg.register_stateful("counter", StdArc::new(|| Box::new(Counter(0))));
         let ast = parse_expr("counter()").unwrap();
-        let (c, mut ctx) = compile(&ast, &schema(), &reg).unwrap();
+        let mut ctx = EvalCtx::default();
+        let c = compile_into(&ast, &schema(), &reg, &mut ctx).unwrap();
         let r = rec("x", 1, None, None);
         assert_eq!(c.eval(&r, &mut ctx).unwrap(), Value::Int(1));
         assert_eq!(c.eval(&r, &mut ctx).unwrap(), Value::Int(2));
@@ -586,7 +576,8 @@ mod tests {
     fn predicate_null_is_false() {
         let r = rec("x", 1, None, None);
         let ast = parse_expr("lat > 10").unwrap();
-        let (c, mut ctx) = compile(&ast, &schema(), &registry()).unwrap();
+        let mut ctx = EvalCtx::default();
+        let c = compile_into(&ast, &schema(), &registry(), &mut ctx).unwrap();
         assert!(!c.eval_predicate(&r, &mut ctx).unwrap());
     }
 }

@@ -523,7 +523,7 @@ fn dst_of(instr: &Instr) -> u16 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{compile, ExprProgram};
+    use crate::expr::{compile_into, EvalCtx, ExprProgram};
     use crate::parser::parse_expr;
     use crate::udf::{Registry, ServiceConfig};
     use tweeql_model::{DataType, Record, Schema, Timestamp, VirtualClock};
@@ -554,7 +554,7 @@ mod tests {
     fn program(src: &str) -> ExprProgram {
         let ast = parse_expr(src).unwrap();
         let reg = Registry::standard(&ServiceConfig::default(), VirtualClock::new());
-        let (c, _ctx) = compile(&ast, &schema(), &reg).unwrap();
+        let c = compile_into(&ast, &schema(), &reg, &mut EvalCtx::default()).unwrap();
         ExprProgram::lower(&c).unwrap()
     }
 
@@ -583,7 +583,8 @@ mod tests {
         let mut vm = BatchVm::new();
         for src in exprs {
             let ast = parse_expr(src).unwrap();
-            let (c, mut ctx) = compile(&ast, &schema(), &reg).unwrap();
+            let mut ctx = EvalCtx::default();
+            let c = compile_into(&ast, &schema(), &reg, &mut ctx).unwrap();
             let prog = ExprProgram::lower(&c).unwrap();
             let sel: Vec<u32> = (0..recs.len() as u32).collect();
             vm.eval_into(&prog, &recs, &sel).unwrap();
@@ -653,7 +654,8 @@ mod tests {
             let l = Arc::clone(log);
             reg.register_stateful("counter", Arc::new(move || Box::new(Counter(l.clone()))));
             let ast = parse_expr("followers > 0 and counter(followers) % 2 = 0").unwrap();
-            let (c, mut ctx) = compile(&ast, &schema(), &reg).unwrap();
+            let mut ctx = EvalCtx::default();
+            let c = compile_into(&ast, &schema(), &reg, &mut ctx).unwrap();
             let recs: Vec<Record> = [5, 0, 7, -1, 9, 3]
                 .iter()
                 .enumerate()
@@ -754,7 +756,7 @@ mod tests {
                 let Ok(ast) = parse_expr(src) else {
                     continue; // geo predicate syntax may differ
                 };
-                let Ok((c, _)) = compile(&ast, &schema, &reg) else {
+                let Ok(c) = compile_into(&ast, &schema, &reg, &mut EvalCtx::default()) else {
                     continue;
                 };
                 let prog = ExprProgram::lower(&c).unwrap();
@@ -773,7 +775,7 @@ mod tests {
         }
         // Filter parity too.
         let ast = parse_expr("text contains 'obama' and followers >= 0").unwrap();
-        let (c, _) = compile(&ast, &schema, &reg).unwrap();
+        let c = compile_into(&ast, &schema, &reg, &mut EvalCtx::default()).unwrap();
         let prog = ExprProgram::lower(&c).unwrap();
         let (mut rows_out, mut cols_out) = (Vec::new(), Vec::new());
         vm.filter(&prog, &recs, &sel, &mut rows_out).unwrap();

@@ -11,18 +11,23 @@
 //!    Selectivities"), column-liveness projection pruning, and
 //!    cost-based conjunct ordering — with the
 //!    [`verify::PlanVerifier`] re-checking the plan after every rule;
-//! 3. lowering emits the operator pipeline: a join becomes its head
-//!    stage ([`crate::exec::join::SymmetricHashJoin`], both sides fed
-//!    by the one source), **async UDF calls are
-//!    hoisted** into [`crate::exec::asyncop::AsyncUdfOp`] stages
-//!    (calls WHERE needs run before the filter, all others after, so
-//!    tuples the filter drops never cost a web-service call; §2
-//!    "High-latency Operators"), every scan stage (WHERE, SELECT,
-//!    HAVING, the post-aggregate projection) compiles into one
-//!    [`crate::exec::fused::FusedScanOp`] (which re-ranks its conjuncts
-//!    adaptively), and windowed aggregation uses a canonical
+//! 3. lowering emits the operator pipeline, where only scan stages
+//!    evaluate expressions and every other stage reads input columns:
+//!    a join becomes its head stage
+//!    ([`crate::exec::join::SymmetricHashJoin`], both sides fed by the
+//!    one source), **async UDF calls are hoisted** into
+//!    [`crate::exec::asyncop::AsyncUdfOp`] stages (calls WHERE needs
+//!    run before the filter, all others after, so tuples the filter
+//!    drops never cost a web-service call; §2 "High-latency
+//!    Operators"), and windowed aggregation uses a canonical
 //!    `[keys…, aggs…]` layout plus a post-projection restoring SELECT
-//!    order.
+//!    order. A computed aggregate key or argument, or async argument,
+//!    is projected as a column by a scan stage before the stage that
+//!    reads it, the WHERE fused in when nothing sits between. Every
+//!    scan stage (WHERE, SELECT, HAVING, those projections) compiles
+//!    into one [`crate::exec::fused::FusedScanOp`] (which re-ranks its
+//!    conjuncts adaptively), or in the reference plan the interpreted
+//!    operators.
 //!
 //! The engine and the standing-query host consume the same
 //! [`PlannedQuery`]; `explain` carries one `rule <name>: …` line per
@@ -202,19 +207,10 @@ fn lower(
             Some(WindowSpec::Time(d)) => *d,
             _ => DEFAULT_JOIN_WINDOW,
         };
-        let mut ctx = EvalCtx::default();
-        let lk = compile_into(
-            &Expr::col(&jc.left_col),
-            &lp.left_schema,
-            registry,
-            &mut ctx,
-        )?;
-        let rk = compile_into(
-            &Expr::col(&jc.right_col),
-            &lp.left_schema,
-            registry,
-            &mut ctx,
-        )?;
+        let key = |c: &str| {
+            (lp.left_schema.index_of(c)).ok_or_else(|| QueryError::UnknownColumn(c.to_string()))
+        };
+        let (lk, rk) = (key(&jc.left_col)?, key(&jc.right_col)?);
         explain.push(format!(
             "join {} ⋈ {} on {} = {} within {}",
             lp.stream, jc.stream, jc.left_col, jc.right_col, window
@@ -247,7 +243,6 @@ fn lower(
         ops.push(Box::new(SymmetricHashJoin::new(
             lk,
             rk,
-            ctx,
             window,
             Arc::clone(&lp.schema),
             live_columns.clone(),
@@ -285,92 +280,63 @@ fn lower(
             .collect(),
     )));
 
-    // Pre-collect SELECT aggregates: the fusion decision below needs
-    // to know whether the query takes the aggregation path.
+    // HAVING: async-rewritten like SELECT items before any stage is
+    // built, so its hoists land in the post-filter set, i.e. before
+    // aggregation (constant folding already happened at the rule level).
+    let having_expr = lp.having.map(|h| rewrite_async(h, registry, &mut hoists));
     let mut aggs: Vec<(AggFunc, Option<Expr>)> = Vec::new();
-    for (e, _, _) in &select_exprs {
+    for e in select_exprs.iter().map(|(e, _, _)| e).chain(&having_expr) {
         collect_aggs(e, &mut aggs)?;
     }
-    // A "plain select": final stage is a straight projection (no
-    // aggregation, grouping, or HAVING) — the shape the compiled
-    // `where+project` fusion applies to.
-    let plain_select = lp.having.is_none() && aggs.is_empty() && lp.group_by.is_empty();
-
-    let add_async = |range: std::ops::Range<usize>,
-                     schema: &mut SchemaRef,
-                     ops: &mut Vec<Box<dyn Operator>>,
-                     explain: &mut Vec<String>|
-     -> Result<(), QueryError> {
-        for h in &hoists[range] {
-            let factory = registry
-                .async_udf(&h.name)
-                .ok_or_else(|| QueryError::UnknownFunction(h.name.clone()))?;
-            let mut ctx = EvalCtx::default();
-            let mut cargs = Vec::with_capacity(h.args.len());
-            for a in &h.args {
-                cargs.push(compile_into(a, schema, registry, &mut ctx)?);
-            }
-            let mut fields: Vec<Field> = schema.fields().to_vec();
-            fields.push(Field::new(h.col.clone(), DataType::Any));
-            let out_schema = Arc::new(Schema::new(fields));
-            ops.push(Box::new(AsyncUdfOp::new(
-                factory(),
-                cargs,
-                ctx,
-                out_schema.clone(),
-                config.async_max_batch,
-                config.async_max_delay,
-            )));
-            explain.push(format!(
-                "async {}(…) → {} (batch ≤ {})",
-                h.name, h.col, config.async_max_batch
-            ));
-            *schema = out_schema;
-        }
-        Ok(())
-    };
-
-    // Async calls WHERE needs, then the filter, then the rest.
-    add_async(0..where_hoists, &mut working_schema, &mut ops, &mut explain)?;
-
-    // WHERE fuses into the final projection scan only when nothing —
-    // async stage, aggregation — sits between filter and project.
-    // Conjunct order is already final: the ordering rule ran at the
-    // logical level.
-    let fuse_where = !config.reference && plain_select && hoists.len() == where_hoists;
-    if !conjuncts.is_empty() && !fuse_where {
-        ops.extend(scan(
-            &conjuncts,
-            None,
-            &working_schema,
-            "where",
-            registry,
-            config,
-            &mut explain,
-        )?);
-    }
-
-    add_async(
-        where_hoists..hoists.len(),
-        &mut working_schema,
-        &mut ops,
-        &mut explain,
-    )?;
-
-    // HAVING: async-rewritten like SELECT items (its hoists land in
-    // the post-filter set, i.e. before aggregation; constant folding
-    // already happened at the rule level).
-    let having_expr = lp.having.map(|h| rewrite_async(h, registry, &mut hoists));
-
-    // ---- aggregation or projection ----
-    if let Some(h) = &having_expr {
-        collect_aggs(h, &mut aggs)?;
-    }
-
     if having_expr.is_some() && aggs.is_empty() && lp.group_by.is_empty() {
         return Err(QueryError::Plan(
             "HAVING requires GROUP BY or an aggregate".into(),
         ));
+    }
+
+    let add_async = |h: &Hoist,
+                     conjuncts: Vec<Expr>,
+                     schema: &mut SchemaRef,
+                     ops: &mut Vec<Box<dyn Operator>>,
+                     explain: &mut Vec<String>|
+     -> Result<(), QueryError> {
+        let factory = registry
+            .async_udf(&h.name)
+            .ok_or_else(|| QueryError::UnknownFunction(h.name.clone()))?;
+        let args: Vec<&Expr> = h.args.iter().collect();
+        let cols = columns_for(
+            &args, true, conjuncts, schema, ops, registry, config, explain,
+        )?;
+        let mut fields: Vec<Field> = schema.fields().to_vec();
+        fields.push(Field::new(h.col.clone(), DataType::Any));
+        let out_schema = Arc::new(Schema::new(fields));
+        ops.push(Box::new(AsyncUdfOp::new(
+            factory(),
+            cols,
+            out_schema.clone(),
+            config.async_max_batch,
+            config.async_max_delay,
+        )));
+        explain.push(format!(
+            "async {}(…) → {} (batch ≤ {})",
+            h.name, h.col, config.async_max_batch
+        ));
+        *schema = out_schema;
+        Ok(())
+    };
+
+    // Async calls WHERE needs, then the filter, then the rest. The
+    // filter waits to fuse into the next scan stage built, and runs as
+    // its own stage when a stage that reads columns comes first.
+    // Conjunct order is already final: the ordering rule ran at the
+    // logical level.
+    for h in &hoists[..where_hoists] {
+        add_async(h, Vec::new(), &mut working_schema, &mut ops, &mut explain)?;
+    }
+    let mut deferred = conjuncts;
+    for h in &hoists[where_hoists..] {
+        let conjuncts = std::mem::take(&mut deferred);
+        add_async(h, conjuncts, &mut working_schema, &mut ops, &mut explain)?;
     }
 
     if !aggs.is_empty() || !lp.group_by.is_empty() {
@@ -413,21 +379,28 @@ fn lower(
             0
         };
 
-        let mut ctx = EvalCtx::default();
-        let mut ckeys = Vec::with_capacity(keys.len());
-        for (k, _) in &keys {
-            ckeys.push(compile_into(k, &working_schema, registry, &mut ctx)?);
-        }
-        let mut cags = Vec::with_capacity(aggs.len());
-        for (f, arg) in &aggs {
-            cags.push(AggExpr {
-                func: *f,
-                arg: match arg {
-                    Some(a) => Some(compile_into(a, &working_schema, registry, &mut ctx)?),
-                    None => None,
-                },
-            });
-        }
+        // The aggregate reads its keys and arguments as columns.
+        let inputs: Vec<&Expr> = (keys.iter().map(|(k, _)| k))
+            .chain(aggs.iter().filter_map(|(_, a)| a.as_ref()))
+            .collect();
+        let mut cols = columns_for(
+            &inputs,
+            false,
+            deferred,
+            &mut working_schema,
+            &mut ops,
+            registry,
+            config,
+            &mut explain,
+        )?
+        .into_iter();
+        let ckeys: Vec<usize> = cols.by_ref().take(keys.len()).collect();
+        let cags = (aggs.iter())
+            .map(|(func, arg)| AggExpr {
+                func: *func,
+                arg: arg.as_ref().and_then(|_| cols.next()),
+            })
+            .collect();
         explain.push(format!(
             "aggregate [{}] by [{}] window {:?}",
             aggs.iter()
@@ -441,7 +414,6 @@ fn lower(
             AggregateOp::new(
                 ckeys,
                 cags,
-                ctx,
                 policy,
                 &working_schema,
                 agg_schema.clone(),
@@ -493,12 +465,10 @@ fn lower(
             .map_err(ungrouped("column"))?,
         );
     } else {
-        // The projection, with the WHERE conjuncts when they were
-        // deferred to fuse with it.
+        // The projection, with the WHERE fused in.
         let pexprs: Vec<Expr> = select_exprs.into_iter().map(|(e, _, _)| e).collect();
-        let deferred: &[Expr] = if fuse_where { &conjuncts } else { &[] };
         ops.extend(scan(
-            deferred,
+            &deferred,
             Some((&pexprs, output_schema.clone())),
             &working_schema,
             "where",
@@ -713,6 +683,70 @@ fn scan(
     Ok(vec![Box::new(op)])
 }
 
+/// The columns of `*schema` holding `exprs`, in order. Plain columns
+/// are read where they are. When any expression is computed, one scan
+/// stage projects the distinct expressions — after `*schema`'s own
+/// columns when `append` is set, where a plain column stays — and
+/// `*schema` becomes its output. The deferred WHERE `conjuncts` fuse
+/// into that stage, or run as their own when none is built.
+#[allow(clippy::too_many_arguments)]
+fn columns_for(
+    exprs: &[&Expr],
+    append: bool,
+    conjuncts: Vec<Expr>,
+    schema: &mut SchemaRef,
+    ops: &mut Vec<Box<dyn Operator>>,
+    registry: &Registry,
+    config: &PlanConfig,
+    explain: &mut Vec<String>,
+) -> Result<Vec<usize>, QueryError> {
+    let input = schema.clone();
+    let plain = |e: &Expr| match &e.kind {
+        ExprKind::Column { name, .. } => input.index_of(name),
+        _ => None,
+    };
+    let mut project: Option<Vec<Expr>> = None;
+    let cols = match exprs
+        .iter()
+        .map(|e| plain(e))
+        .collect::<Option<Vec<usize>>>()
+    {
+        Some(cols) => cols,
+        None => {
+            let mut fields = if append {
+                input.fields().to_vec()
+            } else {
+                Vec::new()
+            };
+            let base = fields.len();
+            let out = project.insert(fields.iter().map(|f| Expr::col(&f.name)).collect());
+            let mut cols = Vec::with_capacity(exprs.len());
+            for &e in exprs {
+                cols.push(match plain(e).filter(|_| append) {
+                    Some(c) => c,
+                    None => match out[base..].iter().position(|p| p == e) {
+                        Some(i) => base + i,
+                        None => {
+                            out.push(e.clone());
+                            out.len() - 1
+                        }
+                    },
+                });
+            }
+            fields.extend((base..out.len()).map(|i| Field::new(format!("__c{i}"), DataType::Any)));
+            *schema = Arc::new(Schema::new(fields));
+            cols
+        }
+    };
+    if project.is_some() || !conjuncts.is_empty() {
+        let project = project.as_deref().map(|p| (p, schema.clone()));
+        ops.extend(scan(
+            &conjuncts, project, &input, "where", registry, config, explain,
+        )?);
+    }
+    Ok(cols)
+}
+
 /// Replace async UDF calls with hoisted columns, innermost first, so
 /// identical calls share one hoist.
 fn rewrite_async(expr: Expr, registry: &Registry, hoists: &mut Vec<Hoist>) -> Expr {
@@ -921,8 +955,26 @@ mod tests {
         assert_eq!(p.output_schema.names(), vec!["avg", "lat", "long"]);
         assert!(p.explain.contains("aggregate"));
         assert!(p.explain.contains("Time"));
-        // where, async lat, async lon, aggregate, project.
-        assert_eq!(p.pipeline.len(), 5, "{}", p.explain);
+        // The computed key and argument are projected for the aggregate
+        // to read as columns.
+        assert_eq!(
+            stages(&p),
+            [
+                "where",
+                "async:latitude",
+                "async:longitude",
+                "project",
+                "aggregate",
+                "project"
+            ],
+            "{}",
+            p.explain
+        );
+        assert!(
+            p.explain.contains("compiled project 3 columns"),
+            "{}",
+            p.explain
+        );
     }
 
     #[test]
@@ -1101,7 +1153,10 @@ mod tests {
 
     /// HAVING and the projection over an aggregate keep the reference
     /// plan's stages, compiled; a stateful call lets WHERE fuse with
-    /// the projection like any other.
+    /// the projection like any other. A computed aggregate key or
+    /// argument, or async argument, is projected as a column by a scan
+    /// stage before the stage that reads it, with the WHERE fused in
+    /// when nothing sits between; plain columns add no stage.
     #[test]
     fn every_scan_stage_compiles_under_its_reference_name() {
         struct Counter;
@@ -1131,6 +1186,32 @@ mod tests {
                 "SELECT counter(followers) AS k FROM twitter WHERE followers > 1",
                 &["where+project"],
                 &["where", "project"],
+            ),
+            (
+                "SELECT lang, count(*) FROM twitter WHERE followers > 1 GROUP BY lang",
+                &["where", "aggregate", "project"],
+                &["where", "aggregate", "project"],
+            ),
+            (
+                "SELECT upper(lang) AS l, avg(followers + 1) FROM twitter \
+                 WHERE followers > 1 GROUP BY l",
+                &["where+project", "aggregate", "project"],
+                &["where", "project", "aggregate", "project"],
+            ),
+            (
+                "SELECT avg(latitude(loc) + 1) FROM twitter WHERE followers > 1",
+                &["where", "async:latitude", "project", "aggregate", "project"],
+                &["where", "async:latitude", "project", "aggregate", "project"],
+            ),
+            (
+                "SELECT latitude(loc) FROM twitter WHERE followers > 1",
+                &["where", "async:latitude", "project"],
+                &["where", "async:latitude", "project"],
+            ),
+            (
+                "SELECT latitude(lower(loc)) FROM twitter WHERE followers > 1",
+                &["where+project", "async:latitude", "project"],
+                &["where", "project", "async:latitude", "project"],
             ),
         ] {
             let stmt = parse(sql).unwrap();

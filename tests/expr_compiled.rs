@@ -356,6 +356,19 @@ const ENGINE_QUERIES: &[&str] = &[
      WHERE text contains 'kw' WINDOW 1 minutes",
     "SELECT count(*) AS c FROM twitter GROUP BY lang HAVING NOT in_peak(count(*)) \
      WINDOW 1 minutes",
+    // Computed keys and arguments, projected for the aggregate to read
+    // as columns: a key, an argument behind a WHERE (which fuses into
+    // that projection), the confidence window's AVG, an argument over
+    // a self-join's output.
+    "SELECT upper(lang) AS l, count(*) AS n FROM twitter GROUP BY l WINDOW 2 minutes",
+    "SELECT lang, count(distinct upper(screen_name)) AS d FROM twitter \
+     WHERE text contains 'kw' GROUP BY lang WINDOW 2 minutes",
+    "SELECT lang, avg(sentiment(text)) AS s FROM twitter GROUP BY lang \
+     WINDOW CONFIDENCE 0.2 MAX 2 minutes",
+    "SELECT lang, avg(followers_r + 1) AS f FROM twitter \
+     JOIN twitter ON screen_name = screen_name GROUP BY lang WINDOW 1 minutes",
+    // A computed async argument, appended as a column before the call.
+    "SELECT latitude(lower(loc)) AS lat, loc FROM twitter WHERE text contains 'kw'",
 ];
 
 /// Same query, same stream: compiled output must equal interpreted

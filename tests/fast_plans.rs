@@ -107,3 +107,41 @@ fn dashboard_panels_match_the_reference() {
         assert_eq!(fast, run(true), "{sql}");
     }
 }
+
+/// Only scan stages evaluate expressions: outside the reference
+/// `FilterOp` and `ProjectOp` and the compiled `FusedScanOp`, no
+/// operator's non-test code names a compiled expression (`CExpr`) or
+/// its evaluation context (`EvalCtx`). The aggregate, async-UDF and
+/// join stages read columns of their input.
+#[test]
+fn only_scan_stages_hold_expressions() {
+    fn walk(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+        for entry in std::fs::read_dir(dir).expect("readable exec/") {
+            let path = entry.expect("readable entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let exec = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/core/src/exec");
+    let mut files = Vec::new();
+    walk(&exec, &mut files);
+    assert!(files.len() >= 10, "{files:?}");
+    let scan_stages = ["filter.rs", "project.rs", "fused.rs"];
+    let mut offenders = Vec::new();
+    for file in files {
+        if scan_stages.iter().any(|s| file.ends_with(s)) {
+            continue;
+        }
+        let text = std::fs::read_to_string(&file).expect("readable source file");
+        let code = text.lines().take_while(|l| !l.starts_with("#[cfg(test)]"));
+        for (n, line) in code.enumerate() {
+            if line.contains("CExpr") || line.contains("EvalCtx") {
+                offenders.push(format!("{}:{}: {}", file.display(), n + 1, line.trim()));
+            }
+        }
+    }
+    assert!(offenders.is_empty(), "{}", offenders.join("\n"));
+}

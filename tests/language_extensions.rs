@@ -121,6 +121,26 @@ fn aggregates_and_keys_nest_under_in_is_null_and_contains() {
     }
 }
 
+/// An async UDF called only inside HAVING is hoisted before the
+/// aggregate like one in SELECT: both configurations plan the query
+/// and agree on its rows.
+#[test]
+fn async_udf_only_in_having_runs_before_the_aggregate() {
+    let sql = "SELECT lang, count(*) AS n FROM twitter GROUP BY lang \
+               HAVING avg(latitude(loc)) > 0 WINDOW 5 minutes";
+    let run = |reference: bool| {
+        builder_with(10, ServiceConfig::default())
+            .reference(reference)
+            .build()
+            .execute(sql)
+            .unwrap_or_else(|e| panic!("reference({reference}): {e}"))
+            .rows
+    };
+    let fast = run(false);
+    assert!(!fast.is_empty(), "{sql} selects nothing");
+    assert_eq!(fast, run(true));
+}
+
 #[test]
 fn having_without_group_by_rejected() {
     let mut e = engine(5);
