@@ -1611,12 +1611,12 @@ mod tests {
         use super::*;
         use crate::exec::Pipeline;
         use proptest::prelude::*;
-        use tweeql_model::{Tweet, User};
+        use tweeql_model::{Text, Tweet, User};
 
         /// How [`tweets`] builds its stream.
         #[derive(Debug, Clone, Copy)]
         struct Stream {
-            /// `lang` and `loc` share one `Arc<str>` per distinct value
+            /// `lang` and `loc` share one `Text` per distinct value
             /// (as the sources build them), or every tweet owns its own.
             interned: bool,
             /// Every `loc` distinct, so a 100-row batch holds more than
@@ -1628,11 +1628,11 @@ mod tests {
         /// authors, followers 0–3, a third geotagged at latitude 0.0 or
         /// 1.0, a fifth retweets of tweet 0 or 1.
         fn tweets(stream: Stream) -> Vec<Tweet> {
-            let langs: [Arc<str>; 3] = ["en", "ja", "es"].map(Arc::from);
-            let locs: [Arc<str>; 4] = ["Tokyo", "Boston", "", "earth"].map(Arc::from);
-            let text = |pool: &[Arc<str>], i: u64| match stream.interned {
-                true => Arc::clone(&pool[i as usize % pool.len()]),
-                false => Arc::from(&*pool[i as usize % pool.len()]),
+            let langs: [Text; 3] = ["en", "ja", "es"].map(Text::from);
+            let locs: [Text; 4] = ["Tokyo", "Boston", "", "earth"].map(Text::from);
+            let text = |pool: &[Text], i: u64| match stream.interned {
+                true => pool[i as usize % pool.len()].clone(),
+                false => Text::from(pool[i as usize % pool.len()].as_str()),
             };
             (0..200u64)
                 .map(|i| {

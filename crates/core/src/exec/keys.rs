@@ -334,7 +334,6 @@ impl Hasher for WordHasher {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::sync::Arc;
     use tweeql_model::Timestamp;
 
     /// A small value space dense in the cases that matter: ints and
@@ -393,7 +392,7 @@ mod tests {
                 let probe: Vec<Value> = key
                     .iter()
                     .map(|v| match v {
-                        Value::Str(s) => Value::Str(Arc::from(&**s)),
+                        Value::Str(s) => Value::Str(s.as_str().into()),
                         other => other.clone(),
                     })
                     .collect();

@@ -759,8 +759,8 @@ impl Pipeline {
             self.next.clear();
             self.stats[i].records_in += self.cur.len() as u64;
             let t0 = Instant::now();
-            for rec in self.cur.drain(..) {
-                op.on_record(rec, &mut self.next)?;
+            if !self.cur.is_empty() {
+                op.on_batch(&mut self.cur, &mut self.next)?;
             }
             if let Some((from, to)) = gap {
                 op.on_gap(from, to, &mut self.next)?;
@@ -783,6 +783,8 @@ impl Pipeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
     use tweeql_model::{DataType, Schema, Value};
 
     /// Doubles every record's single int column; drops odd inputs.
@@ -806,7 +808,7 @@ mod tests {
         }
     }
 
-    /// Buffers everything until finish.
+    /// Buffers everything until a watermark or finish.
     struct Buffered {
         schema: SchemaRef,
         held: Vec<Record>,
@@ -823,8 +825,49 @@ mod tests {
             self.held.push(rec);
             Ok(())
         }
+        fn on_watermark(
+            &mut self,
+            _wm: Timestamp,
+            out: &mut Vec<Record>,
+        ) -> Result<(), QueryError> {
+            out.append(&mut self.held);
+            Ok(())
+        }
         fn finish(&mut self, out: &mut Vec<Record>) -> Result<(), QueryError> {
             out.append(&mut self.held);
+            Ok(())
+        }
+    }
+
+    /// Passes records through, logging the size of each `on_batch`
+    /// call with rows and counting `on_record` calls.
+    struct Calls {
+        schema: SchemaRef,
+        batches: Arc<Mutex<Vec<usize>>>,
+        records: Arc<Mutex<usize>>,
+    }
+
+    impl Operator for Calls {
+        fn name(&self) -> &str {
+            "calls"
+        }
+        fn schema(&self) -> SchemaRef {
+            self.schema.clone()
+        }
+        fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
+            *self.records.lock() += 1;
+            out.push(rec);
+            Ok(())
+        }
+        fn on_batch(
+            &mut self,
+            recs: &mut Vec<Record>,
+            out: &mut Vec<Record>,
+        ) -> Result<(), QueryError> {
+            if !recs.is_empty() {
+                self.batches.lock().push(recs.len());
+            }
+            out.append(recs);
             Ok(())
         }
     }
@@ -880,6 +923,36 @@ mod tests {
         p.finish(&mut out).unwrap();
         let vals: Vec<i64> = out.iter().map(|r| r.value(0).as_int().unwrap()).collect();
         assert_eq!(vals, vec![4, 8]);
+    }
+
+    #[test]
+    fn a_watermark_release_reaches_the_next_stage_as_one_batch() {
+        let (batches, records) = (Arc::default(), Arc::default());
+        let mut p = Pipeline::new(vec![
+            Box::new(Buffered {
+                schema: int_schema(),
+                held: vec![],
+            }),
+            Box::new(Calls {
+                schema: int_schema(),
+                batches: Arc::clone(&batches),
+                records: Arc::clone(&records),
+            }),
+        ]);
+        let mut out = Vec::new();
+        for v in 0..3 {
+            p.push_batch(&mut vec![rec(v), rec(v + 10)], &mut out)
+                .unwrap();
+        }
+        assert!(out.is_empty() && batches.lock().is_empty());
+        p.watermark(Timestamp::from_secs(1), &mut out).unwrap();
+        assert_eq!(out.len(), 6);
+        // A watermark that releases nothing calls no stage with rows.
+        p.watermark(Timestamp::from_secs(2), &mut out).unwrap();
+        p.push_batch(&mut vec![rec(7)], &mut out).unwrap();
+        p.watermark(Timestamp::from_secs(3), &mut out).unwrap();
+        assert_eq!(*batches.lock(), vec![6, 1], "one on_batch per release");
+        assert_eq!(*records.lock(), 0, "no row-at-a-time calls");
     }
 
     #[test]

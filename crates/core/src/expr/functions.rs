@@ -9,7 +9,7 @@ use crate::error::QueryError;
 use crate::udf::{Registry, ScalarUdf};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use tweeql_model::{Timestamp, Value};
 use tweeql_text::fold::SmallBuf;
 use tweeql_text::Regex;
@@ -321,23 +321,13 @@ fn f_hour_of(args: &[Value]) -> Result<Value, QueryError> {
 
 /// `regex_extract(text, pattern, group)`: text of capture `group` in the
 /// leftmost match, or NULL. Patterns are compiled once per UDF instance.
+#[derive(Default)]
 pub struct RegexExtractUdf {
-    cache: Mutex<HashMap<String, Arc<Regex>>>,
-}
-
-impl RegexExtractUdf {
-    /// Construct with an empty pattern cache.
-    pub fn new() -> RegexExtractUdf {
-        RegexExtractUdf {
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl Default for RegexExtractUdf {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// The first pattern called with, compiled. A query's pattern is a
+    /// literal, so every later call reads it here without a lock.
+    first: OnceLock<(String, Regex)>,
+    /// Any other pattern: one that changes from row to row.
+    others: Mutex<HashMap<String, Regex>>,
 }
 
 impl ScalarUdf for RegexExtractUdf {
@@ -356,23 +346,28 @@ impl ScalarUdf for RegexExtractUdf {
         let text = value_as_str(&args[0], &mut tbuf);
         let pattern = value_as_str(&args[1], &mut pbuf);
         let group = args[2].as_int()? as usize;
-        let regex = {
-            let mut cache = self.cache.lock();
-            match cache.get(pattern) {
-                Some(r) => Arc::clone(r),
-                None => {
-                    let r = Arc::new(
-                        Regex::new(pattern).map_err(|e| err("regex_extract", e.to_string()))?,
-                    );
-                    cache.insert(pattern.to_string(), Arc::clone(&r));
-                    r
-                }
+        let compile = |p: &str| Regex::new(p).map_err(|e| err("regex_extract", e.to_string()));
+        // A match in a string value is cut from it: no copy.
+        let extract = |regex: &Regex| match (regex.extract_span(text, group), &args[0]) {
+            (None, _) => Value::Null,
+            (Some((s, e)), Value::Str(t)) => Value::Str(t.slice(s..e)),
+            (Some((s, e)), _) => Value::Str(text[s..e].into()),
+        };
+        let first = match self.first.get() {
+            Some(first) => first,
+            None => {
+                let regex = compile(pattern)?;
+                self.first.get_or_init(|| (pattern.to_string(), regex))
             }
         };
-        Ok(regex
-            .extract(text, group)
-            .map(|s| Value::Str(s.into()))
-            .unwrap_or(Value::Null))
+        if first.0 == pattern {
+            return Ok(extract(&first.1));
+        }
+        let mut others = self.others.lock();
+        if !others.contains_key(pattern) {
+            others.insert(pattern.to_string(), compile(pattern)?);
+        }
+        Ok(extract(&others[pattern]))
     }
 }
 
@@ -419,7 +414,7 @@ pub fn register_builtins(registry: &mut Registry) {
             f: *f,
         }));
     }
-    registry.register_scalar(Arc::new(RegexExtractUdf::new()));
+    registry.register_scalar(Arc::new(RegexExtractUdf::default()));
 }
 
 #[cfg(test)]
@@ -589,6 +584,25 @@ mod tests {
         // Bad pattern errors, not panics.
         let bad = [Value::from("x"), Value::from("("), Value::Int(0)];
         assert!(udf.call(&bad).is_err());
+        // A second pattern goes through the map; the first still holds.
+        let words = [
+            Value::from("obama wins"),
+            Value::from("[a-z]+"),
+            Value::Int(0),
+        ];
+        assert_eq!(udf.call(&words).unwrap(), Value::from("obama"));
+        assert_eq!(udf.call(&args).unwrap(), Value::from("3"));
+        // A match is cut from the string it lies in; a non-string is
+        // rendered first.
+        let Value::Str(text) = &args[0] else {
+            unreachable!()
+        };
+        let Value::Str(m) = udf.call(&args).unwrap() else {
+            unreachable!()
+        };
+        assert_eq!(m.chunk_addr(), text.chunk_addr());
+        let number = [Value::Int(2011), Value::from("1+"), Value::Int(0)];
+        assert_eq!(udf.call(&number).unwrap(), Value::from("11"));
     }
 
     #[test]

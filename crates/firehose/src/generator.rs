@@ -7,7 +7,9 @@
 //! a topic, or a burst proportionally to their instantaneous rate
 //! contributions, then rendered into text by [`crate::textgen`].
 
+use crate::pack::Packer;
 use crate::population::Population;
+use crate::replay::CHUNK_BYTES;
 use crate::scenario::Scenario;
 use crate::textgen::{generate_text, TextSpec};
 use rand::rngs::StdRng;
@@ -16,7 +18,8 @@ use std::sync::Arc;
 use tweeql_model::{Timestamp, TruthPolarity, Tweet, TweetBuilder};
 
 /// Generate the full tweet log for `scenario`, deterministically from
-/// `seed`. Tweets are returned in nondecreasing timestamp order.
+/// `seed`. Tweets are returned in nondecreasing timestamp order, their
+/// texts packed into shared chunks of about 256 KiB.
 pub fn generate(scenario: &Scenario, seed: u64) -> Vec<Tweet> {
     let problems = scenario.validate();
     assert!(problems.is_empty(), "invalid scenario: {problems:?}");
@@ -41,6 +44,8 @@ pub fn generate(scenario: &Scenario, seed: u64) -> Vec<Tweet> {
     let mut t_ms = 0.0f64;
     let end_ms = scenario.duration.millis() as f64;
     let mut id: u64 = 1;
+    // The tweets from `packed` on still own their texts.
+    let (mut packed, mut unpacked_bytes) = (0, 0);
 
     while t_ms < end_ms {
         // Exponential inter-arrival at the majorizing rate.
@@ -95,9 +100,15 @@ pub fn generate(scenario: &Scenario, seed: u64) -> Vec<Tweet> {
                 id,
             )
         };
+        unpacked_bytes += tweet.text.len();
         out.push(tweet);
         id += 1;
+        if unpacked_bytes >= CHUNK_BYTES {
+            pack_texts(&mut out[packed..], unpacked_bytes);
+            (packed, unpacked_bytes) = (out.len(), 0);
+        }
     }
+    pack_texts(&mut out[packed..], unpacked_bytes);
 
     // Geotag a fraction with the author's home coordinate.
     let n = out.len();
@@ -113,6 +124,16 @@ pub fn generate(scenario: &Scenario, seed: u64) -> Vec<Tweet> {
     // would leave up to a second log's worth of unused rows behind it.
     out.shrink_to_fit();
     out
+}
+
+/// Move the texts of `tweets`, `bytes` in all, into one chunk.
+fn pack_texts(tweets: &mut [Tweet], bytes: usize) {
+    let mut pack = Packer::with_capacity(bytes);
+    let spans: Vec<_> = tweets.iter().map(|t| pack.push(&t.text)).collect();
+    let chunk = pack.seal();
+    for (tweet, span) in tweets.iter_mut().zip(spans) {
+        tweet.text = chunk.slice(span);
+    }
 }
 
 fn sample_polarity(rng: &mut StdRng, bias: f64) -> TruthPolarity {
@@ -176,7 +197,7 @@ fn build_background_tweet(
     TweetBuilder::new(id, text)
         .user(Arc::clone(&author.user))
         .at(ts)
-        .lang(Arc::clone(&author.user.lang))
+        .lang(author.user.lang.clone())
         .truth_polarity(polarity)
         .build()
 }
@@ -214,7 +235,7 @@ fn build_topic_tweet(
     let mut builder = TweetBuilder::new(id, text)
         .user(Arc::clone(&author.user))
         .at(ts)
-        .lang(Arc::clone(&author.user.lang))
+        .lang(author.user.lang.clone())
         .truth_polarity(polarity);
     if let Some(bi) = burst_idx {
         builder = builder.truth_burst(bi);

@@ -29,6 +29,7 @@
 pub mod api;
 pub mod fault;
 pub mod generator;
+mod pack;
 pub mod population;
 pub mod replay;
 pub mod scenario;

@@ -7,13 +7,15 @@
 //! variant, garbage, or empty — exactly the input distribution the
 //! geocoding UDF has to survive.
 //!
-//! Profile `location` and `lang` strings are interned: one `Arc<str>`
-//! per distinct value, shared by every author that carries it, so a
-//! columnar batch's dictionary resolves a repeat by pointer.
+//! Every user's strings lie in one shared chunk, and profile `location`
+//! and `lang` strings are interned: one string per distinct value,
+//! shared by every author that carries it, so a columnar batch's
+//! dictionary resolves a repeat by pointer.
 
+use crate::pack::Packer;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashSet;
+use std::ops::Range;
 use std::sync::Arc;
 use tweeql_geo::gazetteer::{self, City};
 use tweeql_geo::point::GeoPoint;
@@ -52,14 +54,14 @@ const SUFFIX: &[&str] = &[
     "", "_", "x", "xx", "123", "2011", "99", "_tw", "official", "real", "the", "mr", "ms", "dj",
 ];
 
-/// The one `Arc<str>` for `s` in `pool`, added on first sight.
-pub(crate) fn intern(pool: &mut HashSet<Arc<str>>, s: &str) -> Arc<str> {
-    if let Some(shared) = pool.get(s) {
-        return Arc::clone(shared);
-    }
-    let fresh: Arc<str> = Arc::from(s);
-    pool.insert(Arc::clone(&fresh));
-    fresh
+/// A user before its strings are packed.
+struct Draft {
+    city_index: usize,
+    home: GeoPoint,
+    followers: u32,
+    screen_name: String,
+    location: String,
+    lang: &'static str,
 }
 
 impl Population {
@@ -70,11 +72,10 @@ impl Population {
         let cities = g.cities();
         let total_w: f64 = g.total_twitter_weight();
 
-        let mut users = Vec::with_capacity(n);
+        let mut drafts = Vec::with_capacity(n);
         let mut by_city = vec![Vec::new(); cities.len()];
         let mut cumulative_activity = Vec::with_capacity(n);
         let mut acc = 0.0;
-        let (mut locations, mut langs) = (HashSet::new(), HashSet::new());
 
         for i in 0..n {
             // Weighted city choice.
@@ -130,18 +131,44 @@ impl Population {
             cumulative_activity.push(acc);
             by_city[city_index].push(i);
 
-            users.push(SyntheticUser {
-                user: Arc::new(User {
-                    id: (i as UserId) + 1,
-                    screen_name: screen_name.into(),
-                    location: intern(&mut locations, &location),
-                    followers,
-                    lang: intern(&mut langs, lang),
-                }),
+            drafts.push(Draft {
                 city_index,
                 home,
+                followers,
+                screen_name,
+                location,
+                lang,
             });
         }
+
+        let mut pack = Packer::default();
+        let spans: Vec<[Range<usize>; 3]> = drafts
+            .iter()
+            .map(|d| {
+                [
+                    pack.push(&d.screen_name),
+                    pack.intern(&d.location),
+                    pack.intern(d.lang),
+                ]
+            })
+            .collect();
+        let chunk = pack.seal();
+        let users = drafts
+            .into_iter()
+            .zip(spans)
+            .enumerate()
+            .map(|(i, (d, [name, location, lang]))| SyntheticUser {
+                user: Arc::new(User {
+                    id: (i as UserId) + 1,
+                    screen_name: chunk.slice(name),
+                    location: chunk.slice(location),
+                    followers: d.followers,
+                    lang: chunk.slice(lang),
+                }),
+                city_index: d.city_index,
+                home: d.home,
+            })
+            .collect();
 
         Population {
             users,
@@ -226,7 +253,8 @@ impl Population {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::{HashMap, HashSet};
+    use tweeql_model::Text;
 
     #[test]
     fn deterministic_from_seed() {
@@ -248,19 +276,18 @@ mod tests {
     #[test]
     fn location_and_lang_are_interned() {
         let pop = Population::generate(2000, 5);
-        for field in [
-            |u: &User| Arc::clone(&u.location),
-            |u: &User| Arc::clone(&u.lang),
-        ] {
-            let values: Vec<Arc<str>> = pop.users().iter().map(|u| field(&u.user)).collect();
-            let distinct: HashSet<&str> = values.iter().map(|v| &**v).collect();
-            let allocations: HashSet<*const u8> = values.iter().map(|v| v.as_ptr()).collect();
-            assert_eq!(
-                allocations.len(),
-                distinct.len(),
-                "one Arc per distinct value"
-            );
+        let fields: [fn(&User) -> &Text; 3] = [|u| &u.screen_name, |u| &u.location, |u| &u.lang];
+        for field in fields {
+            let values: Vec<&Text> = pop.users().iter().map(|u| field(&u.user)).collect();
+            let distinct: HashSet<&str> = values.iter().map(|v| v.as_str()).collect();
+            let copies: HashSet<_> = values.iter().map(|v| (v.as_ptr(), v.len())).collect();
+            assert_eq!(copies.len(), distinct.len(), "one copy per distinct value");
         }
+        let chunks: HashSet<usize> = (pop.users().iter())
+            .flat_map(|u| fields.map(|f| f(&u.user).chunk_addr()))
+            .flatten()
+            .collect();
+        assert_eq!(chunks.len(), 1, "every user's strings share one chunk");
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! prefixed record layout over [`bytes`] — no schema evolution needed
 //! for an experiment artifact.
 
-use crate::population::intern;
+use crate::pack::Packer;
 use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 use std::sync::Arc;
-use tweeql_model::{Timestamp, TruthPolarity, Tweet, TweetBuilder, User, UserId};
+use tweeql_model::{Text, Timestamp, TruthPolarity, Tweet, TweetBuilder, User, UserId};
 
 /// File magic: "TWEEQL log, version 1".
 const MAGIC: u32 = 0x7EE1_0001;
@@ -93,8 +94,10 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
 /// Bytes of records [`decode_log`] builds between two releases of its
 /// input: the raw and the decoded log are alive together for this much
 /// of the log, not for the whole of it. A run costs two `mremap`s (the
-/// output grows, the input shrinks); a 37 MiB log is ~150 runs.
-const CHUNK_BYTES: usize = 256 << 10;
+/// output grows, the input shrinks) and one chunk for its texts; a
+/// 37 MiB log is ~150 runs. The generator packs its texts in chunks of
+/// this many bytes too.
+pub(crate) const CHUNK_BYTES: usize = 256 << 10;
 
 /// A cursor over the borrowed log; every read is bounds-checked and
 /// answers [`ReplayError::Truncated`].
@@ -154,16 +157,33 @@ fn as_str(s: &[u8]) -> Result<&str, ReplayError> {
     std::str::from_utf8(s).map_err(|_| ReplayError::BadUtf8)
 }
 
+/// An author as a record carries it, its strings still bytes.
+#[derive(Clone, Copy, PartialEq)]
+struct Profile<'a> {
+    id: UserId,
+    screen_name: &'a [u8],
+    location: &'a [u8],
+    followers: u32,
+    lang: &'a [u8],
+}
+
+impl Profile<'_> {
+    /// True when `user` has every field of this profile.
+    fn is(&self, user: &User) -> bool {
+        user.id == self.id
+            && user.screen_name.as_bytes() == self.screen_name
+            && user.location.as_bytes() == self.location
+            && user.followers == self.followers
+            && user.lang.as_bytes() == self.lang
+    }
+}
+
 /// One record as it lies in the log, its strings still bytes.
 struct Raw<'a> {
     id: u64,
     created_at: i64,
     text: &'a [u8],
-    user_id: u64,
-    screen_name: &'a [u8],
-    location: &'a [u8],
-    followers: u32,
-    user_lang: &'a [u8],
+    author: Profile<'a>,
     lang: &'a [u8],
     coordinates: Option<(f64, f64)>,
     retweet_of: Option<u64>,
@@ -181,11 +201,13 @@ impl<'a> Raw<'a> {
             id: r.u64()?,
             created_at: r.i64()?,
             text: r.str(utf8)?,
-            user_id: r.u64()?,
-            screen_name: r.str(utf8)?,
-            location: r.str(utf8)?,
-            followers: r.u32()?,
-            user_lang: r.str(utf8)?,
+            author: Profile {
+                id: r.u64()?,
+                screen_name: r.str(utf8)?,
+                location: r.str(utf8)?,
+                followers: r.u32()?,
+                lang: r.str(utf8)?,
+            },
             lang: r.str(utf8)?,
             coordinates: if r.u8()? == 1 {
                 Some((r.f64()?, r.f64()?))
@@ -203,42 +225,27 @@ impl<'a> Raw<'a> {
         })
     }
 
-    /// The tweet, its author shared through `authors` when every
-    /// profile field matches, its `location` and `lang` strings through
-    /// `pool`. A string that equals one already checked is valid UTF-8,
-    /// so only the others are checked here.
+    /// The tweet by `user` with `text`. A `lang` that is not the
+    /// author's is interned through `pool`, the `location` and `lang`
+    /// values decoded so far.
     fn build(
         self,
-        authors: &mut HashMap<UserId, Arc<User>>,
-        pool: &mut Interned,
+        text: Text,
+        user: Arc<User>,
+        pool: &mut HashSet<Text>,
     ) -> Result<Tweet, ReplayError> {
-        let user = match authors.get(&self.user_id) {
-            Some(u)
-                if u.screen_name.as_bytes() == self.screen_name
-                    && u.location.as_bytes() == self.location
-                    && u.followers == self.followers
-                    && u.lang.as_bytes() == self.user_lang =>
-            {
-                Arc::clone(u)
-            }
-            _ => {
-                let fresh = Arc::new(User {
-                    id: self.user_id,
-                    screen_name: as_str(self.screen_name)?.into(),
-                    location: intern(&mut pool.locations, as_str(self.location)?),
-                    followers: self.followers,
-                    lang: intern(&mut pool.langs, as_str(self.user_lang)?),
-                });
-                authors.insert(self.user_id, Arc::clone(&fresh));
-                fresh
-            }
-        };
-        let lang = if self.lang == user.lang.as_bytes() {
-            Arc::clone(&user.lang)
+        // The profile matched `user`, so its language is the user's.
+        let lang = if self.lang == self.author.lang {
+            user.lang.clone()
         } else {
-            intern(&mut pool.langs, as_str(self.lang)?)
+            let lang = as_str(self.lang)?;
+            pool.get(lang).cloned().unwrap_or_else(|| {
+                let fresh = Text::from(lang);
+                pool.insert(fresh.clone());
+                fresh
+            })
         };
-        let mut tweet = TweetBuilder::new(self.id, as_str(self.text)?)
+        let mut tweet = TweetBuilder::new(self.id, text)
             .user(user)
             .at(Timestamp::from_millis(self.created_at))
             .lang(lang);
@@ -258,21 +265,30 @@ impl<'a> Raw<'a> {
     }
 }
 
-/// The `location` and `lang` values decoded so far, one `Arc<str>`
-/// each.
-#[derive(Default)]
-struct Interned {
-    locations: HashSet<Arc<str>>,
-    langs: HashSet<Arc<str>>,
+/// What the decoder holds for a `user_id`: the `User` of its last
+/// profile, or that profile first met in the run being built, as an
+/// index into the run's fresh profiles.
+enum Author {
+    Built(Arc<User>),
+    Fresh(usize),
+}
+
+/// A run of about a chunk of records.
+struct Run {
+    /// Byte offset of its first record.
+    start: usize,
+    /// Index of its first record.
+    first: usize,
+    /// Bytes of its records' texts and author strings: the most its
+    /// chunk can hold.
+    string_bytes: usize,
 }
 
 /// Where a forward walk found the records.
 struct Layout {
     /// The record count the header claims, every record present.
     count: usize,
-    /// Where each run of about a chunk of records starts: its byte
-    /// offset and the index of its first record.
-    runs: Vec<(usize, usize)>,
+    runs: Vec<Run>,
     /// The byte offset just past the last record.
     end: usize,
 }
@@ -287,13 +303,21 @@ fn walk(raw: &[u8], chunk: usize, utf8: bool) -> Result<Layout, ReplayError> {
     // The count is untrusted: a count the bytes cannot back ends in
     // `Truncated` before anything is reserved for it.
     let count = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
-    let mut runs: Vec<(usize, usize)> = Vec::new();
+    let mut runs: Vec<Run> = Vec::new();
     for i in 0..count {
         let at = raw.len() - r.rest.len();
-        if runs.last().is_none_or(|&(start, _)| at - start >= chunk) {
-            runs.push((at, i));
+        if runs.last().is_none_or(|run| at - run.start >= chunk) {
+            runs.push(Run {
+                start: at,
+                first: i,
+                string_bytes: 0,
+            });
         }
-        Raw::parse(&mut r, utf8)?;
+        let Raw { text, author, .. } = Raw::parse(&mut r, utf8)?;
+        if let Some(run) = runs.last_mut() {
+            run.string_bytes +=
+                text.len() + author.screen_name.len() + author.location.len() + author.lang.len();
+        }
     }
     Ok(Layout {
         count,
@@ -314,17 +338,20 @@ fn walk(raw: &[u8], chunk: usize, utf8: bool) -> Result<Layout, ReplayError> {
 /// has succeeded, pass 2 can only fail on UTF-8, as a forward decoder
 /// would.
 ///
-/// A tweet costs one allocation, its text, plus its box of rare fields
-/// when one of them is present (see [`Tweet`]). Authors are shared: the
-/// first tweet built for a `user_id` allocates the [`User`] and its
-/// screen name, later ones clone the `Arc` — but only after comparing
-/// every profile field, so an author whose followers, location or
-/// language change mid-log gets a fresh `User` for the tweets that
-/// differ. Profile locations and languages are interned, as
-/// [`crate::generate`] builds them: one `Arc<str>` per distinct value
-/// in the whole log, whichever authors carry it. A tweet's `lang` is its
-/// author's allocation when the two are equal, and is then not stored in
-/// the row at all; otherwise it is the interned one.
+/// Strings are packed, not allocated one by one (see [`Text`]): a run
+/// is built in two sweeps. The first writes its texts into one chunk,
+/// and with them the strings of each author it meets first; the second
+/// builds the tweets, each cutting its text out of the chunk. A tweet
+/// costs its row plus its box of rare fields when one of them is
+/// present (see [`Tweet`]). Authors are shared: the first tweet built
+/// for a `user_id` makes the [`User`], later ones clone the `Arc` — but
+/// only after comparing every profile field, so an author whose
+/// followers, location or language change mid-log gets a fresh `User`
+/// for the tweets that differ. Profile locations and languages are
+/// interned, as [`crate::generate`] builds them: one string per
+/// distinct value in the whole log, whichever authors carry it. A
+/// tweet's `lang` is its author's string when the two are equal, and is
+/// then not stored in the row at all; otherwise it is the interned one.
 pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
     decode_log_chunked(buf, CHUNK_BYTES)
 }
@@ -339,24 +366,93 @@ fn decode_log_chunked(buf: Bytes, chunk: usize) -> Result<Vec<Tweet>, ReplayErro
         Err(e) => return Err(walk(&raw, chunk, true).err().unwrap_or(e)),
     };
     let mut out = Vec::new();
-    let mut authors: HashMap<UserId, Arc<User>> = HashMap::new();
-    let mut pool = Interned::default();
+    let mut authors: HashMap<UserId, Author> = HashMap::new();
+    // The `location` and `lang` values decoded so far, one string each.
+    let mut pool: HashSet<Text> = HashSet::new();
+    // Kept across runs: where each record of the run starts, where its
+    // text starts in the run's chunk, and its author: a `User` built
+    // before the run, or one of the run's fresh profiles.
+    let mut sweep: Vec<(usize, usize, Result<Arc<User>, usize>)> = Vec::new();
     let (mut end, mut next) = (layout.end, layout.count);
-    for &(start, first) in layout.runs.iter().rev() {
+    for run in layout.runs.iter().rev() {
         // Grown a run at a time, so the rows reserved never run ahead
         // of the input given back.
-        out.reserve_exact(next - first);
-        let built = out.len();
-        let mut r = Reader {
-            rest: &raw[start..end],
+        out.reserve_exact(next - run.first);
+        sweep.reserve_exact(next - run.first);
+        let records = &raw[run.start..end];
+        // Sweep 1: each text into one chunk, and with them the strings
+        // of each profile first met here (those not pooled yet).
+        let mut pack = Packer::with_capacity(run.string_bytes);
+        // Each fresh profile: where the record that carries it first
+        // starts, and where its screen name lies.
+        let mut fresh: Vec<(usize, Range<usize>)> = Vec::new();
+        let record_at = |at: usize| {
+            Raw::parse(
+                &mut Reader {
+                    rest: &records[at..],
+                },
+                false,
+            )
         };
-        for _ in first..next {
-            out.push(Raw::parse(&mut r, false)?.build(&mut authors, &mut pool)?);
+        let mut r = Reader { rest: records };
+        for _ in run.first..next {
+            let at = records.len() - r.rest.len();
+            let record = Raw::parse(&mut r, false)?;
+            let text = pack.push(as_str(record.text)?);
+            let p = record.author;
+            let author = match authors.get(&p.id) {
+                Some(Author::Built(user)) if p.is(user) => Ok(Arc::clone(user)),
+                Some(&Author::Fresh(k)) if record_at(fresh[k].0)?.author == p => Err(k),
+                _ => {
+                    for s in [p.location, p.lang] {
+                        let s = as_str(s)?;
+                        if !pool.contains(s) {
+                            pack.intern(s);
+                        }
+                    }
+                    fresh.push((at, pack.push(as_str(p.screen_name)?)));
+                    authors.insert(p.id, Author::Fresh(fresh.len() - 1));
+                    Err(fresh.len() - 1)
+                }
+            };
+            sweep.push((at, text.start, author));
         }
-        out[built..].reverse();
-        raw.truncate(start);
+        let (chunk, interned) = pack.seal_interned();
+        for at in interned.into_values() {
+            pool.insert(chunk.slice(at));
+        }
+        let pooled = |s: &[u8]| -> Result<Text, ReplayError> {
+            Ok(pool
+                .get(as_str(s)?)
+                .cloned()
+                .expect("pooled when its profile was met"))
+        };
+        let mut users = Vec::with_capacity(fresh.len());
+        for (k, (at, name)) in fresh.into_iter().enumerate() {
+            let p = record_at(at)?.author;
+            let user = Arc::new(User {
+                id: p.id,
+                screen_name: chunk.slice(name),
+                location: pooled(p.location)?,
+                followers: p.followers,
+                lang: pooled(p.lang)?,
+            });
+            if matches!(authors.get(&p.id), Some(&Author::Fresh(last)) if last == k) {
+                authors.insert(p.id, Author::Built(Arc::clone(&user)));
+            }
+            users.push(user);
+        }
+        // Sweep 2, last record first (the whole output is reversed at
+        // the end): the tweets, each cutting its text out of the chunk.
+        for (at, text_at, author) in sweep.drain(..).rev() {
+            let record = record_at(at)?;
+            let text = chunk.slice(text_at..text_at + record.text.len());
+            let user = author.unwrap_or_else(|k| Arc::clone(&users[k]));
+            out.push(record.build(text, user, &mut pool)?);
+        }
+        raw.truncate(run.start);
         raw.shrink_to_fit();
-        (end, next) = (start, first);
+        (end, next) = (run.start, run.first);
     }
     out.reverse();
     Ok(out)
@@ -586,9 +682,9 @@ mod tests {
     fn tweet(i: usize, k: u8, flags: u8, text: &str) -> Tweet {
         let user = profile(k);
         let lang = if flags & 32 != 0 {
-            Arc::from("pt")
+            Text::from("pt")
         } else {
-            Arc::clone(&user.lang)
+            user.lang.clone()
         };
         let mut b = TweetBuilder::new(i as u64, text)
             .user(user)
@@ -730,7 +826,7 @@ mod tests {
         let got = decode_log(encode_log(&log)).unwrap();
         assert_eq!(got, log);
         assert!(Arc::ptr_eq(&got[0].user, &got[1].user));
-        assert!(Arc::ptr_eq(got[0].lang(), &got[0].user.lang));
+        assert_eq!(copy(got[0].lang()), copy(&got[0].user.lang));
         assert_eq!(&**got[1].lang(), "pt");
         assert!(!Arc::ptr_eq(&got[1].user, &got[2].user));
         assert_eq!(got[2].user.followers, 11);
@@ -739,11 +835,16 @@ mod tests {
         assert!(!Arc::ptr_eq(&got[4].user, &got[5].user));
     }
 
-    /// Allocations and distinct values of one string field over `log`.
-    fn allocations_and_values(log: &[Tweet], field: fn(&Tweet) -> &Arc<str>) -> (usize, usize) {
-        let ptrs: HashSet<*const u8> = log.iter().map(|t| field(t).as_ptr()).collect();
-        let values: HashSet<&str> = log.iter().map(|t| &**field(t)).collect();
-        (ptrs.len(), values.len())
+    /// Which bytes a string is: two texts with equal ones share them.
+    fn copy(s: &Text) -> (*const u8, usize) {
+        (s.as_ptr(), s.len())
+    }
+
+    /// Copies and distinct values of one string field over `log`.
+    fn copies_and_values(log: &[Tweet], field: fn(&Tweet) -> &Text) -> (usize, usize) {
+        let copies: HashSet<_> = log.iter().map(|t| copy(field(t))).collect();
+        let values: HashSet<&str> = log.iter().map(|t| field(t).as_str()).collect();
+        (copies.len(), values.len())
     }
 
     #[test]
@@ -760,18 +861,48 @@ mod tests {
             .to_string();
         mixed[0] = TweetBuilder::new(0, "x").user(author).lang(other).build();
         let mixed = decode_log(encode_log(&mixed)).unwrap();
-        let fields: [fn(&Tweet) -> &Arc<str>; 3] =
+        let fields: [fn(&Tweet) -> &Text; 3] =
             [|t| &t.user.location, |t| &t.user.lang, |t| t.lang()];
         for log in [&generated, &decoded, &mixed] {
             for field in fields {
-                let (ptrs, values) = allocations_and_values(log, field);
+                let (copies, values) = copies_and_values(log, field);
                 assert!(values > 1, "a field with one value shows nothing");
-                assert_eq!(ptrs, values, "one Arc<str> per distinct value");
+                assert_eq!(copies, values, "one copy per distinct value");
             }
             let langs = log.iter().flat_map(|t| [t.lang(), &t.user.lang]);
-            let ptrs: HashSet<*const u8> = langs.clone().map(|l| l.as_ptr()).collect();
-            let values: HashSet<&str> = langs.map(|l| &**l).collect();
-            assert_eq!(ptrs.len(), values.len(), "tweet and author languages share");
+            let copies: HashSet<_> = langs.clone().map(copy).collect();
+            let values: HashSet<&str> = langs.map(|l| l.as_str()).collect();
+            assert_eq!(
+                copies.len(),
+                values.len(),
+                "tweet and author languages share"
+            );
+        }
+    }
+
+    #[test]
+    fn a_run_of_records_holds_its_strings_in_one_chunk() {
+        let log = sample_log();
+        let raw = encode_log(&log);
+        for chunk in CHUNKS {
+            let runs = walk(&raw, chunk, false).unwrap().runs.len();
+            let decoded = decode_log_chunked(raw.clone(), chunk).unwrap();
+            assert_eq!(decoded, log, "runs of {chunk} bytes");
+            let chunks: HashSet<usize> =
+                decoded.iter().filter_map(|t| t.text.chunk_addr()).collect();
+            assert!(
+                chunks.len() <= runs,
+                "runs of {chunk} bytes: {} chunks for {runs} runs",
+                chunks.len()
+            );
+            let authors: HashSet<usize> = (decoded.iter())
+                .flat_map(|t| [&t.user.screen_name, &t.user.location, &t.user.lang])
+                .filter_map(Text::chunk_addr)
+                .collect();
+            assert!(
+                authors.is_subset(&chunks),
+                "runs of {chunk} bytes: an author's strings lie in a chunk of texts"
+            );
         }
     }
 

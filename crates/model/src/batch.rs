@@ -9,15 +9,15 @@
 //!   [`Bitmap`] — no per-value heap traffic at all;
 //! * variable-width text (`text`, `screen_name`) as an **arena**: one
 //!   byte buffer per column plus `u32` offsets, so a batch of 256
-//!   texts is two buffers (kept across batches) instead of 256 `Arc`
-//!   bumps;
+//!   texts is two buffers (kept across batches) instead of 256
+//!   refcount bumps;
 //! * low-cardinality strings (`loc`, `lang`) **dictionary-encoded**:
 //!   per-row `u32` codes into a small distinct-value table, with a
 //!   pointer-identity fast path (the generator and the log decoder
-//!   both intern `lang` and `loc`: one `Arc<str>` per distinct value,
+//!   both intern `lang` and `loc`: one [`Text`] per distinct value,
 //!   shared by every author and tweet that carries it, so every row
-//!   after a value's first in a batch resolves without hashing a
-//!   byte). The encoding is *adaptive*: if a batch proves
+//!   after a value's first in a batch resolves by its data pointer
+//!   without hashing a byte). The encoding is *adaptive*: if a batch proves
 //!   high-cardinality (more than `DICT_MAX_ENTRIES` distinct values,
 //!   e.g. `loc` over a large messy-location population), the builder
 //!   bails out to the plain arena layout — readers are agnostic because
@@ -39,9 +39,10 @@
 //! no `source` (client application) field, so the low-cardinality
 //! dictionary columns here are `lang` and `loc` — `loc` plays the
 //! `source` role from the original design (small distinct set, heavy
-//! reuse of interned `Arc<str>` values).
+//! reuse of interned [`Text`] values).
 
 use crate::record::Record;
+use crate::text::Text;
 use crate::time::{Crossing, Timestamp};
 use crate::tweet::Tweet;
 use crate::value::{Value, ValueRef};
@@ -167,10 +168,7 @@ pub enum Column {
     /// `arena[offsets[i]..offsets[i+1]]` (`offsets.len() == rows + 1`).
     Str { arena: String, offsets: Vec<u32> },
     /// Dictionary text: per-row codes into the distinct-value table.
-    Dict {
-        codes: Vec<u32>,
-        dict: Vec<Arc<str>>,
-    },
+    Dict { codes: Vec<u32>, dict: Vec<Text> },
 }
 
 impl Column {
@@ -209,10 +207,7 @@ pub enum ColumnView<'a> {
     /// Arena text (see [`Column::Str`]).
     Str { arena: &'a str, offsets: &'a [u32] },
     /// Dictionary text: row `i` is `dict[codes[i]]`.
-    Dict {
-        codes: &'a [u32],
-        dict: &'a [Arc<str>],
-    },
+    Dict { codes: &'a [u32], dict: &'a [Text] },
 }
 
 impl<'a> ColumnView<'a> {
@@ -254,7 +249,7 @@ pub struct DecodeStats {
     pub dict_rows: u64,
     /// Distinct dictionary entries created (summed over batches).
     pub dict_entries: u64,
-    /// Dictionary rows resolved by `Arc` pointer identity, without
+    /// Dictionary rows resolved by data pointer identity, without
     /// hashing the string.
     pub dict_ptr_hits: u64,
 }
@@ -400,7 +395,7 @@ fn float_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<f64>, old: Colum
     Column::Float { vals, valid }
 }
 
-fn str_column<'t>(rows: RowsRef<'t>, f: impl Fn(&'t Tweet) -> &'t Arc<str>, old: Column) -> Column {
+fn str_column<'t>(rows: RowsRef<'t>, f: impl Fn(&'t Tweet) -> &'t Text, old: Column) -> Column {
     let (mut arena, mut offsets) = match old {
         Column::Str {
             mut arena,
@@ -470,7 +465,7 @@ fn val_hash(s: &str) -> u64 {
 /// over interned values every repeat row hits.
 fn dict_column<'t>(
     rows: RowsRef<'t>,
-    f: impl Fn(&'t Tweet) -> &'t Arc<str>,
+    f: impl Fn(&'t Tweet) -> &'t Text,
     stats: &mut DecodeStats,
     old: Column,
 ) -> Column {
@@ -490,21 +485,22 @@ fn dict_column<'t>(
     codes.reserve(n);
     // Sized for the cap once, not grown a value at a time.
     dict.reserve(DICT_MAX_ENTRIES.min(n));
-    // `(data pointer, code + 1)`, linear probing; code 0 marks an
-    // empty slot.
-    let mut ptr_slots = [(0usize, 0u32); DICT_PTR_SLOTS];
+    // `(data pointer, length, code + 1)`, linear probing; code 0 marks
+    // an empty slot. The length is part of the key: texts cut from one
+    // chunk can start at the same byte when one of them is empty.
+    let mut ptr_slots = [(0usize, 0u32, 0u32); DICT_PTR_SLOTS];
     let mut ptrs_cached = 0usize;
     // `code + 1`, linear probing; 0 marks an empty slot.
     let mut val_slots = [0u32; DICT_VAL_SLOTS];
     let mut ptr_hits = 0u64;
     for row in 0..n {
         let s = f(rows.get(row));
-        let p = s.as_ptr() as usize;
+        let (p, len) = (s.as_bytes().as_ptr() as usize, s.len() as u32);
         let mut ci = fib(p as u64) & (DICT_PTR_SLOTS - 1);
         let cached = loop {
             match ptr_slots[ci] {
-                (_, 0) => break None,
-                (cp, cc) if cp == p => break Some(cc - 1),
+                (_, _, 0) => break None,
+                (cp, cl, cc) if cp == p && cl == len => break Some(cc - 1),
                 _ => ci = (ci + 1) & (DICT_PTR_SLOTS - 1),
             }
         };
@@ -522,7 +518,7 @@ fn dict_column<'t>(
                         return str_column(rows, f, bail_to);
                     }
                     let code = dict.len() as u32;
-                    dict.push(Arc::clone(s));
+                    dict.push(s.clone());
                     val_slots[i] = code + 1;
                     break code;
                 }
@@ -533,7 +529,7 @@ fn dict_column<'t>(
             };
             // `ci` is the empty slot the probe above stopped at.
             if ptrs_cached < DICT_PTR_SLOTS / 2 {
-                ptr_slots[ci] = (p, code + 1);
+                ptr_slots[ci] = (p, len, code + 1);
                 ptrs_cached += 1;
             }
             code
@@ -874,10 +870,10 @@ impl TweetBatch {
         let t = self.tweet_at(i);
         match c {
             col::ID => Value::Int(t.id as i64),
-            col::TEXT => Value::Str(Arc::clone(&t.text)),
+            col::TEXT => Value::Str(t.text.clone()),
             col::USER_ID => Value::Int(t.user.id as i64),
-            col::SCREEN_NAME => Value::Str(Arc::clone(&t.user.screen_name)),
-            col::LOC => Value::Str(Arc::clone(&t.user.location)),
+            col::SCREEN_NAME => Value::Str(t.user.screen_name.clone()),
+            col::LOC => Value::Str(t.user.location.clone()),
             col::LAT => t
                 .coordinates()
                 .map(|(la, _)| Value::Float(la))
@@ -887,7 +883,7 @@ impl TweetBatch {
                 .map(|(_, lo)| Value::Float(lo))
                 .unwrap_or(Value::Null),
             col::CREATED_AT => Value::Time(t.created_at),
-            col::LANG => Value::Str(Arc::clone(t.lang())),
+            col::LANG => Value::Str(t.lang().clone()),
             col::FOLLOWERS => Value::Int(t.user.followers as i64),
             col::RETWEET_OF => t
                 .retweet_of()

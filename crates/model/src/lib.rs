@@ -6,6 +6,9 @@
 //!   types every other crate consumes;
 //! * [`Value`], [`Schema`], and [`Record`] — the dynamically-typed tuple
 //!   representation flowing through the TweeQL stream processor;
+//! * [`Text`] — the one string type of both: a 16-byte handle to a
+//!   slice of a shared chunk, so a held log's texts are a few chunks
+//!   rather than an allocation each;
 //! * [`Timestamp`] / [`Duration`] and the [`Clock`] abstraction — all
 //!   stream time in this workspace is *virtual* by default so hours of
 //!   firehose replay in milliseconds of wall time.
@@ -20,6 +23,7 @@ pub mod entities;
 pub mod error;
 pub mod record;
 pub mod schema;
+pub mod text;
 pub mod time;
 pub mod tweet;
 pub mod user;
@@ -31,6 +35,7 @@ pub use entities::{Entities, Hashtag, Mention, UrlEntity};
 pub use error::ModelError;
 pub use record::Record;
 pub use schema::{DataType, Field, Schema, SchemaRef};
+pub use text::Text;
 pub use time::{Cadence, Crossing, Duration, Timestamp};
 pub use tweet::{TruthPolarity, Tweet, TweetBuilder, TweetId};
 pub use user::{User, UserId};

@@ -148,7 +148,7 @@ pub fn twitter_schema() -> SchemaRef {
 impl Record {
     /// Project a [`Tweet`] onto the `twitter` schema.
     ///
-    /// String columns share the tweet's `Arc<str>` buffers — decoding a
+    /// String columns share the tweet's [`Text`](crate::Text) chunks — decoding a
     /// tweet into a record performs no string copies, which keeps the
     /// per-record cost on the hot decode path at one `Vec` allocation.
     pub fn from_tweet(tweet: &Tweet) -> Record {
@@ -160,14 +160,14 @@ impl Record {
             twitter_schema(),
             vec![
                 Value::Int(tweet.id as i64),
-                Value::Str(Arc::clone(&tweet.text)),
+                Value::Str(tweet.text.clone()),
                 Value::Int(tweet.user.id as i64),
-                Value::Str(Arc::clone(&tweet.user.screen_name)),
-                Value::Str(Arc::clone(&tweet.user.location)),
+                Value::Str(tweet.user.screen_name.clone()),
+                Value::Str(tweet.user.location.clone()),
                 lat,
                 lon,
                 Value::Time(tweet.created_at),
-                Value::Str(Arc::clone(tweet.lang())),
+                Value::Str(tweet.lang().clone()),
                 Value::Int(tweet.user.followers as i64),
                 tweet
                     .retweet_of()
@@ -183,7 +183,7 @@ impl Record {
     /// become `Null`.
     ///
     /// The record keeps the full schema width so positional references
-    /// stay valid — the win is skipping the `Arc` refcount traffic and
+    /// stay valid — the win is skipping the refcount traffic and
     /// value construction of columns the plan never reads. The record
     /// timestamp is set from the tweet independently of the
     /// `created_at` column, so that column prunes like any other. A
@@ -194,7 +194,7 @@ impl Record {
             return Record::from_tweet(tweet);
         }
         // Dead columns must not even construct their value — for the
-        // string columns that construction is an `Arc` refcount bump.
+        // string columns that construction is a refcount bump.
         macro_rules! col {
             ($idx:expr, $v:expr) => {
                 if live[$idx] {
@@ -206,10 +206,10 @@ impl Record {
         }
         let values = vec![
             col!(0, Value::Int(tweet.id as i64)),
-            col!(1, Value::Str(Arc::clone(&tweet.text))),
+            col!(1, Value::Str(tweet.text.clone())),
             col!(2, Value::Int(tweet.user.id as i64)),
-            col!(3, Value::Str(Arc::clone(&tweet.user.screen_name))),
-            col!(4, Value::Str(Arc::clone(&tweet.user.location))),
+            col!(3, Value::Str(tweet.user.screen_name.clone())),
+            col!(4, Value::Str(tweet.user.location.clone())),
             col!(
                 5,
                 tweet
@@ -225,7 +225,7 @@ impl Record {
                     .unwrap_or(Value::Null)
             ),
             col!(7, Value::Time(tweet.created_at)),
-            col!(8, Value::Str(Arc::clone(tweet.lang()))),
+            col!(8, Value::Str(tweet.lang().clone())),
             col!(9, Value::Int(tweet.user.followers as i64)),
             col!(
                 10,

@@ -2,8 +2,10 @@
 //! workspace — and its builder.
 
 use crate::entities::Entities;
+use crate::text::Text;
 use crate::time::Timestamp;
 use crate::user::User;
+use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, OnceLock};
 
@@ -37,10 +39,11 @@ pub struct Tweet {
     pub id: TweetId,
     /// Stream time of creation.
     pub created_at: Timestamp,
-    /// Raw tweet text (≤ 140 chars in 2011-era streams). Shared so
-    /// cloning a tweet (per-connection delivery) and projecting it onto
-    /// a record are refcount bumps, not copies.
-    pub text: Arc<str>,
+    /// Raw tweet text (≤ 140 chars in 2011-era streams). A slice of a
+    /// chunk the producer shares among many tweets' texts, so cloning
+    /// a tweet (per-connection delivery) and projecting it onto a
+    /// record are refcount bumps, not copies.
+    pub text: Text,
     /// The author, shared by every tweet of theirs a source holds:
     /// the generator and the log decoder allocate one `User` per
     /// distinct author, and a tweet costs a pointer.
@@ -62,7 +65,7 @@ pub struct Tweet {
 struct TweetExtra {
     coordinates: Option<(f64, f64)>,
     retweet_of: Option<TweetId>,
-    lang: Option<Arc<str>>,
+    lang: Option<Text>,
     truth_burst: Option<usize>,
 }
 
@@ -77,7 +80,7 @@ impl TweetExtra {
 
 impl Tweet {
     /// Start building a tweet.
-    pub fn builder(id: TweetId, text: impl Into<Arc<str>>) -> TweetBuilder {
+    pub fn builder(id: TweetId, text: impl Into<Text>) -> TweetBuilder {
         TweetBuilder::new(id, text)
     }
 
@@ -90,10 +93,10 @@ impl Tweet {
         self.text.to_lowercase().contains(&needle.to_lowercase())
     }
 
-    /// BCP-47-ish language code: the author's allocation unless this
+    /// BCP-47-ish language code: the author's string unless this
     /// tweet's differs.
     #[inline]
-    pub fn lang(&self) -> &Arc<str> {
+    pub fn lang(&self) -> &Text {
         match self.extra.as_deref() {
             Some(TweetExtra {
                 lang: Some(lang), ..
@@ -144,6 +147,10 @@ impl Tweet {
 /// The stream is held as one `Vec<Tweet>`: its stride is a quarter of
 /// the peak resident set of every server, so growth here is a decision.
 const _: () = assert!(std::mem::size_of::<Tweet>() <= 56);
+/// A string is two words wherever the model holds one, so a `Value`
+/// that carries it stays as wide as a `Vec`.
+const _: () = assert!(std::mem::size_of::<Text>() == 16);
+const _: () = assert!(std::mem::size_of::<Value>() <= 24);
 
 /// The placeholder author every builder starts from, allocated once.
 fn anon() -> Arc<User> {
@@ -156,11 +163,11 @@ fn anon() -> Arc<User> {
 pub struct TweetBuilder {
     id: TweetId,
     created_at: Timestamp,
-    text: Arc<str>,
+    text: Text,
     /// The placeholder author until set.
     user: Option<Arc<User>>,
     /// The placeholder author's `"en"` until set.
-    lang: Option<Arc<str>>,
+    lang: Option<Text>,
     truth_polarity: Option<TruthPolarity>,
     extra: TweetExtra,
 }
@@ -169,7 +176,7 @@ impl TweetBuilder {
     /// New builder with required fields; everything else defaulted.
     /// The default author and language are one shared static, read
     /// only by a build that leaves them unset.
-    pub fn new(id: TweetId, text: impl Into<Arc<str>>) -> TweetBuilder {
+    pub fn new(id: TweetId, text: impl Into<Text>) -> TweetBuilder {
         TweetBuilder {
             id,
             created_at: Timestamp::ZERO,
@@ -203,8 +210,8 @@ impl TweetBuilder {
     }
 
     /// Set language (default `"en"`). One equal to the author's is not
-    /// stored: the tweet reads the author's allocation.
-    pub fn lang(mut self, lang: impl Into<Arc<str>>) -> Self {
+    /// stored: the tweet reads the author's string.
+    pub fn lang(mut self, lang: impl Into<Text>) -> Self {
         self.lang = Some(lang.into());
         self
     }
@@ -234,9 +241,9 @@ impl TweetBuilder {
     #[inline]
     pub fn build(self) -> Tweet {
         let user = self.user.unwrap_or_else(anon);
-        let lang = self.lang.unwrap_or_else(|| Arc::clone(&anon().lang));
+        let lang = self.lang.unwrap_or_else(|| anon().lang.clone());
         let mut extra = self.extra;
-        if !Arc::ptr_eq(&lang, &user.lang) && *lang != *user.lang {
+        if lang != user.lang {
             extra.lang = Some(lang);
         }
         let burst = extra.truth_burst.and_then(|b| u16::try_from(b).ok());
@@ -276,8 +283,8 @@ mod tests {
         let a = Tweet::builder(1, "a").build();
         let b = Tweet::builder(2, "b").build();
         assert!(Arc::ptr_eq(&a.user, &b.user));
-        assert!(Arc::ptr_eq(a.lang(), b.lang()));
-        assert!(Arc::ptr_eq(a.lang(), &a.user.lang));
+        assert_eq!(a.lang().as_ptr(), b.lang().as_ptr());
+        assert_eq!(a.lang().as_ptr(), a.user.lang.as_ptr());
     }
 
     #[test]
@@ -321,7 +328,7 @@ mod tests {
             .truth_burst(usize::from(u16::MAX))
             .build();
         assert!(plain.extra.is_none());
-        assert!(Arc::ptr_eq(plain.lang(), &ja.lang));
+        assert_eq!(plain.lang().as_ptr(), ja.lang.as_ptr());
         assert_eq!(plain.truth_burst(), Some(usize::from(u16::MAX)));
 
         // The default language stays "en" under a "ja" author.

@@ -1,7 +1,7 @@
 //! Twitter user accounts as carried in the stream payload.
 
+use crate::text::Text;
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 
 /// Numeric account identifier.
 pub type UserId = u64;
@@ -14,35 +14,36 @@ pub type UserId = u64;
 ///
 /// `location` and `lang` repeat across many authors, and the stream's
 /// producers (the generator's population, the log decoder) intern them:
-/// one `Arc<str>` per distinct value, which a columnar batch's
-/// dictionary then resolves by pointer.
+/// one [`Text`] per distinct value, which a columnar batch's dictionary
+/// then resolves by data pointer. The producers also pack authors'
+/// strings into shared chunks rather than an allocation each.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct User {
     /// Stable numeric id (the streaming API `follow` filter matches this).
     pub id: UserId,
-    /// Handle without the leading `@`. An `Arc<str>` so projecting it
+    /// Handle without the leading `@`. A [`Text`] so projecting it
     /// onto a record is a refcount bump; the `User` itself is shared
     /// behind [`Tweet::user`](crate::Tweet::user).
-    pub screen_name: Arc<str>,
+    pub screen_name: Text,
     /// Free-text, user-provided profile location, e.g. `"NYC"`,
     /// `"Tokyo, Japan"`, or empty. This is *not* a coordinate: the
     /// `latitude()` / `longitude()` UDFs must geocode it.
-    pub location: Arc<str>,
+    pub location: Text,
     /// Follower count; drives retweet probability in the generator.
     pub followers: u32,
     /// Language code the account mostly tweets in (`"en"`, `"ja"`, ...).
-    pub lang: Arc<str>,
+    pub lang: Text,
 }
 
 impl User {
     /// Convenience constructor for tests.
-    pub fn new(id: UserId, screen_name: impl Into<Arc<str>>) -> User {
+    pub fn new(id: UserId, screen_name: impl Into<Text>) -> User {
         User {
             id,
             screen_name: screen_name.into(),
-            location: Arc::from(""),
+            location: Text::default(),
             followers: 0,
-            lang: Arc::from("en"),
+            lang: Text::from("en"),
         }
     }
 

@@ -2,20 +2,21 @@
 //! expressions, with the coercion and comparison rules the engine uses.
 
 use crate::error::ModelError;
+use crate::text::Text;
 use crate::time::Timestamp;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::fmt;
-use std::sync::Arc;
 
 /// A runtime scalar value.
 ///
 /// TweeQL is dynamically typed at the tuple level (tweets are messy);
 /// `Value` carries the small closed set of types the language exposes.
-/// Strings are reference-counted (`Arc<str>`) so the hot decode path —
-/// every tweet becomes a record carrying text, screen name, location,
-/// and language — shares buffers instead of copying them, and so
-/// records can cross worker-thread boundaries without reallocation.
+/// Strings are [`Text`] handles, the type the tweet holds them in, so
+/// the hot decode path — every tweet becomes a record carrying text,
+/// screen name, location, and language — bumps a refcount instead of
+/// copying, and records can cross worker-thread boundaries without
+/// reallocation. A string value keeps the chunk it was cut from alive.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// SQL NULL — absent / unknown.
@@ -27,7 +28,7 @@ pub enum Value {
     /// 64-bit float.
     Float(f64),
     /// UTF-8 string (shared).
-    Str(Arc<str>),
+    Str(Text),
     /// Stream timestamp.
     Time(Timestamp),
     /// Homogeneous-ish list (used by e.g. named-entity UDFs).
@@ -218,7 +219,7 @@ impl std::hash::Hash for Value {
 }
 
 /// A [`Value`] borrowed from wherever it lives — a record slot, a
-/// tweet's own fields — without an `Arc` bump or an allocation.
+/// tweet's own fields — without a refcount bump or an allocation.
 ///
 /// It *is* the grouping equality, hash, comparison and float coercion
 /// of `Value` (whose impls go through it), so a table keyed by `Value`s
@@ -398,7 +399,7 @@ impl From<f64> for Value {
 }
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
-        Value::Str(Arc::from(s))
+        Value::Str(s.into())
     }
 }
 impl From<String> for Value {
@@ -406,14 +407,14 @@ impl From<String> for Value {
         Value::Str(s.into())
     }
 }
-impl From<Arc<str>> for Value {
-    fn from(s: Arc<str>) -> Self {
+impl From<Text> for Value {
+    fn from(s: Text) -> Self {
         Value::Str(s)
     }
 }
-impl From<&Arc<str>> for Value {
-    fn from(s: &Arc<str>) -> Self {
-        Value::Str(Arc::clone(s))
+impl From<&Text> for Value {
+    fn from(s: &Text) -> Self {
+        Value::Str(s.clone())
     }
 }
 impl From<Timestamp> for Value {

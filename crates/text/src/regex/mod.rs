@@ -195,12 +195,18 @@ impl Regex {
 
     /// Text of capture group `idx` in the leftmost match.
     pub fn extract<'t>(&self, text: &'t str, idx: usize) -> Option<&'t str> {
-        let (s, e) = if idx == 0 {
-            self.find(text)?
-        } else {
-            (*self.captures(text)?.get(idx)?)?
-        };
+        let (s, e) = self.extract_span(text, idx)?;
         Some(&text[s..e])
+    }
+
+    /// Span of capture group `idx` in the leftmost match: what
+    /// [`Regex::extract`] returns, as byte offsets into `text`.
+    pub fn extract_span(&self, text: &str, idx: usize) -> Option<Span> {
+        if idx == 0 {
+            self.find(text)
+        } else {
+            *self.captures(text)?.get(idx)?
+        }
     }
 
     /// All non-overlapping match spans (leftmost, then continuing after
