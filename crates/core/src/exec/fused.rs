@@ -109,9 +109,10 @@ pub struct FusedScanOp {
     reranks: u64,
     alpha: f64,
     /// `Some(needed)` when the input is the twitter stream: the union
-    /// of input columns any conjunct or projection reads, i.e. exactly
-    /// what a columnar batch must materialize. `None` (non-twitter
-    /// input schema) keeps the operator on the row path.
+    /// of input columns any conjunct or projection reads from a built
+    /// column, i.e. exactly what a columnar batch must materialize.
+    /// `None` (non-twitter input schema) keeps the operator on the row
+    /// path.
     columnar: Option<Vec<bool>>,
 }
 
@@ -149,11 +150,11 @@ impl FusedScanOp {
         let columnar = if Arc::ptr_eq(&input_schema, &twitter_schema()) {
             let mut needed = vec![false; tcol::COUNT];
             for c in &lowered {
-                c.prog.columns_touched(&mut needed);
+                c.prog.columns_to_materialize(&mut needed);
             }
             if let Some(p) = &project {
                 for prog in &p.cols {
-                    prog.columns_touched(&mut needed);
+                    prog.columns_to_materialize(&mut needed);
                 }
             }
             Some(needed)
@@ -672,23 +673,25 @@ mod tests {
             assert_eq!(row_out, col_out);
         }
 
+        /// Only a `contains` reads a built column; `followers >= 0`
+        /// reads the row and asks for nothing.
         #[test]
         fn pipeline_materializes_only_what_the_head_reads() {
-            let conj = tcexprs(&["lang = 'en'", "followers >= 0"]);
+            let conj = tcexprs(&["lang contains 'en'", "followers >= 0"]);
             let op = FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where")
                 .unwrap();
             let mut wants = [false; tcol::COUNT];
             wants[tcol::LANG] = true;
-            wants[tcol::FOLLOWERS] = true;
             assert_eq!(op.wants_tweet_batch(), Some(&wants[..]));
             let mut pipeline = Pipeline::new(vec![Box::new(op)]);
             let mut batch = batch_of(tweets(), None);
             let mut out = Vec::new();
             pipeline.drain_tweet_batch(&mut batch, &mut out).unwrap();
+            assert_eq!(out.len(), 20);
             assert!(batch.is_empty(), "drain resets the batch");
             let stats = pipeline.decode_stats();
-            assert_eq!(stats.columns_materialized, 2, "lang + followers only");
-            assert_eq!(stats.columns_skipped, (tcol::COUNT - 2) as u64);
+            assert_eq!(stats.columns_materialized, 1, "lang only");
+            assert_eq!(stats.columns_skipped, (tcol::COUNT - 1) as u64);
             assert!(stats.dict_rows >= 40, "lang decodes via dictionary");
             assert!(stats.dict_reuse_permille().unwrap() > 900);
         }

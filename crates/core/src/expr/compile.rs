@@ -502,27 +502,19 @@ impl ExprProgram {
         self.instrs.is_empty()
     }
 
-    /// Mark every input column this program reads in `mask` (indexed
-    /// by schema position). Only four instructions touch the input;
-    /// everything else is register-to-register. Drives lazy columnar
-    /// decode: a batch materializes exactly the union of these masks
-    /// across a scan's programs.
-    pub fn columns_touched(&self, mask: &mut [bool]) {
-        let mut mark = |c: usize| {
-            if let Some(m) = mask.get_mut(c) {
-                *m = true;
-            }
-        };
+    /// Mark in `mask` (indexed by schema position) every input column
+    /// this program reads from a materialized batch column: the
+    /// `contains` forms, through `TweetBatch::str_at`. Every other read
+    /// (`Col`, `InBBox`) takes the value from the row, so a column built
+    /// for it would go unread. Drives lazy columnar decode: a batch
+    /// materializes exactly the union of these masks across a scan's
+    /// programs.
+    pub fn columns_to_materialize(&self, mask: &mut [bool]) {
         for instr in &self.instrs {
-            match instr {
-                Instr::Col { col, .. }
-                | Instr::ContainsCol { col, .. }
-                | Instr::MultiContains { col, .. } => mark(*col),
-                Instr::InBBox { lat, lon, .. } => {
-                    mark(*lat);
-                    mark(*lon);
+            if let Instr::ContainsCol { col, .. } | Instr::MultiContains { col, .. } = instr {
+                if let Some(m) = mask.get_mut(*col) {
+                    *m = true;
                 }
-                _ => {}
             }
         }
     }

@@ -628,6 +628,12 @@ impl QueryHost {
         self.filter_index.needle_count()
     }
 
+    /// Rows produced but not yet taken, summed over every query: the
+    /// backlog that `take_output` and `drop_query` hand out.
+    pub fn pending_rows(&self) -> usize {
+        self.queries.iter().map(|q| q.pending.len()).sum()
+    }
+
     /// Shared-source connection and supervisor statistics (None until
     /// the first pump).
     pub fn source_stats(&self) -> Option<(ConnectionStats, SourceFaultStats)> {

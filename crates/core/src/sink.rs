@@ -3,8 +3,9 @@
 //! output (hand-rolled — the sanctioned crate set has no serde_json).
 //!
 //! The writers append to one `String` and allocate nothing per row or
-//! per field; [`write_json_lines`] takes the caller's, so the server
-//! renders straight into the buffer it writes to the socket.
+//! per field; [`JsonLines`] appends one row at a time to the caller's,
+//! so the server renders a reply in bounded chunks straight into the
+//! buffer it writes to the socket.
 
 use std::fmt::{self, Write};
 use tweeql_model::{Record, SchemaRef, Value};
@@ -122,26 +123,33 @@ fn write_json_value(out: &mut String, v: &Value) -> fmt::Result {
     }
 }
 
-/// Append records to `out` as JSON lines: one object per row, each
-/// newline-terminated, no raw newline inside a row.
-pub fn write_json_lines(out: &mut String, schema: &SchemaRef, rows: &[Record]) {
-    if rows.is_empty() {
-        return;
+/// A JSON-lines writer for one schema: `"name":` per column, escaped
+/// once when the writer is made and not once per row.
+pub struct JsonLines {
+    keys: Vec<String>,
+}
+
+impl JsonLines {
+    /// The writer for rows of `schema`.
+    pub fn new(schema: &SchemaRef) -> JsonLines {
+        let keys = schema
+            .fields()
+            .iter()
+            .map(|f| {
+                let mut key = String::from("\"");
+                write_json_str(&mut key, &f.name).expect(INFALLIBLE);
+                key.push_str("\":");
+                key
+            })
+            .collect();
+        JsonLines { keys }
     }
-    // `"name":` per column, escaped once per call and not once per row.
-    let keys: Vec<String> = schema
-        .fields()
-        .iter()
-        .map(|f| {
-            let mut key = String::from("\"");
-            write_json_str(&mut key, &f.name).expect(INFALLIBLE);
-            key.push_str("\":");
-            key
-        })
-        .collect();
-    for r in rows {
+
+    /// Append `row` to `out` as one object and its newline, with no raw
+    /// newline inside it.
+    pub fn write_row(&self, out: &mut String, row: &Record) {
         out.push('{');
-        for (i, (key, v)) in keys.iter().zip(r.values()).enumerate() {
+        for (i, (key, v)) in self.keys.iter().zip(row.values()).enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -150,6 +158,13 @@ pub fn write_json_lines(out: &mut String, schema: &SchemaRef, rows: &[Record]) {
         }
         out.push_str("}\n");
     }
+}
+
+/// Append records to `out` as JSON lines: one object per row, each
+/// newline-terminated, no raw newline inside a row.
+pub fn write_json_lines(out: &mut String, schema: &SchemaRef, rows: &[Record]) {
+    let json = JsonLines::new(schema);
+    rows.iter().for_each(|r| json.write_row(out, r));
 }
 
 /// Render records as JSON lines (one object per row).

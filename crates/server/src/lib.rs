@@ -64,29 +64,48 @@ enum Reply {
     },
 }
 
+/// How many rendered bytes a session holds before it writes them: a
+/// reply goes to the socket in writes of about this size, so a session
+/// never holds more of its text than one chunk and one row.
+const CHUNK: usize = 64 << 10;
+
 impl Reply {
     /// The reply as a response, rows rendered as its JSON body.
     fn into_response(self) -> Response {
         match self {
             Reply::Done(r) => r,
             Reply::Rows { id, schema, rows } => {
-                let mut text = String::new();
-                sink::write_json_lines(&mut text, &schema, &rows);
+                let text = sink::to_json_lines(&schema, &rows);
                 Response::with_body(id.to_string(), Body::from_json_lines(text, rows.len()))
             }
         }
     }
 
-    /// Append the reply's whole frame to `out`; rows go from the
-    /// records into `out` and nowhere else.
-    fn render_into(&self, out: &mut String) {
+    /// Write the reply's frame to `out` while rendering it: the header
+    /// and the rows go into `buf`, which is written out whenever it
+    /// holds [`CHUNK`] bytes or more, and once more at the end. Rows are
+    /// consumed as they are rendered, so each chunk's records are freed
+    /// before the next chunk is built.
+    fn write_to(self, out: &mut impl Write, buf: &mut String) -> io::Result<()> {
+        buf.clear();
         match self {
-            Reply::Done(r) => r.render_into(out),
+            Reply::Done(r) => {
+                protocol::write_header(buf, r.ok, r.body.len(), &r.detail);
+                buf.push_str(r.body.as_str());
+            }
             Reply::Rows { id, schema, rows } => {
-                protocol::write_header(out, true, rows.len(), id);
-                sink::write_json_lines(out, schema, rows);
+                protocol::write_header(buf, true, rows.len(), id);
+                let json = sink::JsonLines::new(&schema);
+                for row in rows {
+                    json.write_row(buf, &row);
+                    if buf.len() >= CHUNK {
+                        out.write_all(buf.as_bytes())?;
+                        buf.clear();
+                    }
+                }
             }
         }
+        out.write_all(buf.as_bytes())
     }
 }
 
@@ -162,14 +181,15 @@ impl Service {
             Request::Stats => {
                 let s = self.host.stats();
                 Response::ok(format!(
-                    "tweets={} batches={} dispatched={} decoded={} shared={} needles={} position={}",
+                    "tweets={} batches={} dispatched={} decoded={} shared={} needles={} position={} pending={}",
                     s.tweets_delivered,
                     s.batches,
                     s.rows_dispatched,
                     s.rows_decoded,
                     s.rows_shared,
                     self.host.needle_count(),
-                    self.host.position().millis()
+                    self.host.position().millis(),
+                    self.host.pending_rows()
                 ))
             }
             Request::Ping => Response::ok("pong"),
@@ -281,13 +301,17 @@ fn join_session(session: thread::JoinHandle<io::Result<()>>) {
 ///
 /// The service lock is held while a request executes against the host
 /// and released before its reply is rendered: a large `POLL` is turned
-/// into JSON in this connection's own `frame` buffer while other
-/// sessions already use the host. One `write_all` per reply, so a
-/// header never travels as a small segment ahead of its body.
+/// into JSON by this session alone while other sessions already use
+/// the host. The reply is written as it is rendered, in chunks of about
+/// [`CHUNK`] bytes from one reused buffer, so a session holds one chunk
+/// of a reply and not all of it. The socket is set to `TCP_NODELAY`:
+/// a body sent in several writes never waits on Nagle's algorithm for
+/// the peer's ACK of the previous one.
 fn handle_connection(mut stream: TcpStream, service: &Mutex<Service>) -> io::Result<bool> {
+    stream.set_nodelay(true)?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut line = String::new();
-    let mut frame = String::new();
+    let mut buf = String::new();
     loop {
         line.clear();
         let limit = MAX_REQUEST_LINE as u64;
@@ -321,9 +345,7 @@ fn handle_connection(mut stream: TcpStream, service: &Mutex<Service>) -> io::Res
             },
             Err(e) => Reply::Done(Response::err(e)),
         };
-        frame.clear();
-        reply.render_into(&mut frame);
-        stream.write_all(frame.as_bytes())?;
+        reply.write_to(&mut stream, &mut buf)?;
         if shutdown {
             return Ok(true);
         }
@@ -396,14 +418,68 @@ mod tests {
         assert_eq!(r.render().lines().count(), 1, "diagnostics collapse");
     }
 
-    /// The frame the TCP loop writes (`execute`, then `render_into` a
-    /// buffer that already served another reply) is the frame `handle`
-    /// renders, for every verb and for its error.
+    /// A `Write` that keeps each call's bytes apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+            self.0.push(bytes.to_vec());
+            Ok(bytes.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Run `session` on two services: `handle` on `whole`, and on
+    /// `split` what the TCP loop does, `execute` and then `write_to` a
+    /// recording writer through a buffer that already served another
+    /// reply. For every request the writes concatenate to the frame
+    /// `handle` renders, the first begins with its header, each but the
+    /// last holds at least [`CHUNK`] bytes and none holds more than
+    /// `CHUNK` plus the frame's longest line. Returns the body lines.
+    fn writes_compose_to_handle(
+        whole: &mut Service,
+        split: &mut Service,
+        session: &[Request],
+    ) -> usize {
+        let mut buf = String::from("left over from the last reply");
+        let mut bodies = 0;
+        for req in session {
+            let frame = whole.handle(req.clone()).render();
+            let mut writes = Writes::default();
+            split
+                .execute(req.clone())
+                .write_to(&mut writes, &mut buf)
+                .unwrap();
+            let writes = writes.0;
+            assert!(writes.concat() == frame.as_bytes(), "{req}");
+            let header = frame.split_inclusive('\n').next().unwrap();
+            assert!(writes[0].starts_with(header.as_bytes()), "{req}");
+            let longest = frame.split_inclusive('\n').map(str::len).max().unwrap();
+            let full = &writes[..writes.len() - 1];
+            assert!(full.iter().all(|w| w.len() >= CHUNK), "{req}");
+            assert!(
+                writes.iter().all(|w| w.len() <= CHUNK + longest),
+                "{req}: {:?}",
+                writes.iter().map(Vec::len).collect::<Vec<_>>()
+            );
+            let (_, n, _) = Response::parse_header(header).unwrap();
+            assert_eq!(frame.lines().count(), 1 + n, "{req}");
+            bodies += n;
+        }
+        bodies
+    }
+
+    /// The TCP loop's frame is the frame `handle` renders, for every
+    /// verb and for its error.
     #[test]
     fn split_steps_compose_to_handle_for_every_verb() {
         let (mut whole, mut split) = (tiny_service(), tiny_service());
         let q = |n| QueryId::new(n);
-        let session = vec![
+        let session = [
             Request::Ping,
             Request::Register("SELECT text FROM twitter WHERE text contains 'kw'".into()),
             Request::Register("SELECT screen_name, text, lang FROM twitter".into()),
@@ -425,24 +501,74 @@ mod tests {
             Request::List,
             Request::Shutdown,
         ];
-        let mut frame = String::from("left over from the last reply");
-        let mut bodies = 0;
-        for req in session {
-            let response = whole.handle(req.clone());
-            frame.clear();
-            split.execute(req.clone()).render_into(&mut frame);
-            assert_eq!(frame, response.render(), "{req}");
-            let (ok, n, detail) = Response::parse_header(frame.lines().next().unwrap()).unwrap();
-            // A diagnostic ends in a newline, sanitized to a space that
-            // `parse_header` trims.
-            assert_eq!(
-                (ok, n, detail.as_str()),
-                (response.ok, response.body.len(), response.detail.trim_end())
-            );
-            assert_eq!(frame.lines().count(), 1 + n, "{req}");
-            bodies += n;
-        }
+        let bodies = writes_compose_to_handle(&mut whole, &mut split, &session);
         assert!(bodies > 100, "the session must move rows: {bodies}");
+    }
+
+    /// A `POLL` and a `DROP` of tens of thousands of rows go out in
+    /// chunks, as the same bytes `handle` renders.
+    #[test]
+    fn large_replies_are_written_in_bounded_chunks() {
+        const EXPORT: &str = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
+        let soccer = || Service::new(scenario_host("soccer", 42).unwrap());
+        let (mut whole, mut split) = (soccer(), soccer());
+        let q = |n| QueryId::new(n);
+        let session = [
+            Request::Register(EXPORT.into()),
+            Request::Register(EXPORT.into()),
+            Request::Run,
+            Request::Poll(q(1)),
+            Request::Drop(q(2)),
+        ];
+        let bodies = writes_compose_to_handle(&mut whole, &mut split, &session);
+        assert!(
+            bodies >= 40_000,
+            "two replies of 20k rows or more: {bodies}"
+        );
+    }
+
+    /// `STATS` counts the rows produced and not yet polled.
+    #[test]
+    fn stats_report_the_rows_no_poll_has_taken() {
+        let mut svc = tiny_service();
+        let field = |detail: &str, key: &str| -> usize {
+            let value = detail
+                .split(' ')
+                .find_map(|kv| kv.strip_prefix(key)?.strip_prefix('='));
+            value
+                .unwrap_or_else(|| panic!("no {key} in {detail}"))
+                .parse()
+                .unwrap()
+        };
+        let stats = |svc: &mut Service| ok(svc.handle(Request::Stats)).detail;
+        let keys: Vec<_> = stats(&mut svc)
+            .split(' ')
+            .map(|kv| kv.split('=').next().unwrap().to_string())
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                "tweets",
+                "batches",
+                "dispatched",
+                "decoded",
+                "shared",
+                "needles",
+                "position",
+                "pending"
+            ]
+        );
+        let r = ok(svc.handle(Request::Register("SELECT text FROM twitter".into())));
+        let id: QueryId = r.detail.parse().unwrap();
+        let n = field(&ok(svc.handle(Request::Step(60))).detail, "tweets");
+        assert!(n > 0);
+        assert_eq!(
+            field(&stats(&mut svc), "pending"),
+            n,
+            "every tweet is a row"
+        );
+        assert_eq!(ok(svc.handle(Request::Poll(id))).body.len(), n);
+        assert_eq!(field(&stats(&mut svc), "pending"), 0);
     }
 
     #[test]

@@ -41,7 +41,8 @@ pub enum Request {
     Step(i64),
     /// Run the stream to exhaustion; responds `OK 0 tweets=<n>`.
     Run,
-    /// Host dispatcher statistics; responds `OK 0 key=value ...`.
+    /// Host dispatcher statistics; responds `OK 0 key=value ...`, the
+    /// last being `pending=<n>`, the rows no `POLL` has taken yet.
     Stats,
     /// Liveness check; responds `OK 0 pong`.
     Ping,
@@ -199,14 +200,9 @@ impl Response {
     /// Render the full frame, every line newline-terminated.
     pub fn render(&self) -> String {
         let mut frame = String::new();
-        self.render_into(&mut frame);
+        write_header(&mut frame, self.ok, self.body.len(), &self.detail);
+        frame.push_str(self.body.as_str());
         frame
-    }
-
-    /// Append the full frame to `out`.
-    pub fn render_into(&self, out: &mut String) {
-        write_header(out, self.ok, self.body.len(), &self.detail);
-        out.push_str(self.body.as_str());
     }
 
     /// Parse a header line; the caller reads the returned body-line

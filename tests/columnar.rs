@@ -305,7 +305,10 @@ fn columnar_matches_row_engine_under_chaos() {
 /// repeats exactly run to run.
 #[test]
 fn decode_counters_deterministic_run_to_run() {
-    let sql = QUERIES[1]; // reads text, lang, followers
+    // Reads `text` and `lang` through built columns; `followers`
+    // comes from the row.
+    let sql = "SELECT upper(lang) AS l, followers * 2 AS f2 FROM twitter \
+               WHERE text contains 'kw' AND lang contains 'e'";
     let d = run(sql, true, None).stats.decode;
     assert!(d.columns_materialized > 0, "fused scan decodes columns");
     assert!(d.columns_skipped > 0, "untouched columns stay cold");

@@ -181,11 +181,14 @@ fn host_digest(g: Grid) -> u64 {
 /// four fast `engine q4` values were re-recorded when the aggregate's
 /// columnar head began naming its columns for the batch to
 /// materialize: with `QueryStats::decode` and the `tweeql_decode_*`
-/// metrics drawn from it left out, they equal the values before.
+/// metrics drawn from it left out, they equal the values before. The
+/// four fast `engine q2` values were re-recorded when a scan stage
+/// stopped asking for columns it reads from the row (`followers`): with
+/// the same left out, every digest equals the value before.
 const GOLDEN: &[u64] = &[
     0x471ce39465446abf, // engine q0 Grid { reference: false, chaos: false, batch: 1 }
     0xb0c7a14c223abb31, // engine q1 Grid { reference: false, chaos: false, batch: 1 }
-    0x1c4f5a03be815eee, // engine q2 Grid { reference: false, chaos: false, batch: 1 }
+    0x7c8fd92bc1c6ad24, // engine q2 Grid { reference: false, chaos: false, batch: 1 }
     0xc491d1aaa3e9d9e5, // engine q3 Grid { reference: false, chaos: false, batch: 1 }
     0xc4c3fc287e7ea64f, // engine q4 Grid { reference: false, chaos: false, batch: 1 }
     0x103633ca13b01e70, // engine q5 Grid { reference: false, chaos: false, batch: 1 }
@@ -193,7 +196,7 @@ const GOLDEN: &[u64] = &[
     0x39049216b12f2539, // host Grid { reference: false, chaos: false, batch: 1 }
     0x17f7410498335929, // engine q0 Grid { reference: false, chaos: false, batch: 256 }
     0x642e7e764f2a2e8f, // engine q1 Grid { reference: false, chaos: false, batch: 256 }
-    0x46fee8354a940afb, // engine q2 Grid { reference: false, chaos: false, batch: 256 }
+    0xd947ed4612aa356b, // engine q2 Grid { reference: false, chaos: false, batch: 256 }
     0xa4e0168a9ccdcd50, // engine q3 Grid { reference: false, chaos: false, batch: 256 }
     0xd9fc1f7bdab1f6bc, // engine q4 Grid { reference: false, chaos: false, batch: 256 }
     0x73f48d9fcece370b, // engine q5 Grid { reference: false, chaos: false, batch: 256 }
@@ -201,7 +204,7 @@ const GOLDEN: &[u64] = &[
     0x8c1da060f16fc646, // host Grid { reference: false, chaos: false, batch: 256 }
     0x4617af6dcc4ee74c, // engine q0 Grid { reference: false, chaos: true, batch: 1 }
     0xe0bcf805e50c4ccc, // engine q1 Grid { reference: false, chaos: true, batch: 1 }
-    0xdbe05e00d3abfd61, // engine q2 Grid { reference: false, chaos: true, batch: 1 }
+    0x03f23563da135a5f, // engine q2 Grid { reference: false, chaos: true, batch: 1 }
     0xf653def007f2675a, // engine q3 Grid { reference: false, chaos: true, batch: 1 }
     0x448efe2be8ca5624, // engine q4 Grid { reference: false, chaos: true, batch: 1 }
     0x8b9038471e0a0d6f, // engine q5 Grid { reference: false, chaos: true, batch: 1 }
@@ -209,7 +212,7 @@ const GOLDEN: &[u64] = &[
     0x82b1208b67004c51, // host Grid { reference: false, chaos: true, batch: 1 }
     0xe371538aff381f38, // engine q0 Grid { reference: false, chaos: true, batch: 256 }
     0x62c9ed57d9f6fd16, // engine q1 Grid { reference: false, chaos: true, batch: 256 }
-    0xbee4e821fd3d5d92, // engine q2 Grid { reference: false, chaos: true, batch: 256 }
+    0xd4efb3518a5ce252, // engine q2 Grid { reference: false, chaos: true, batch: 256 }
     0x2f246e4bf07502cf, // engine q3 Grid { reference: false, chaos: true, batch: 256 }
     0x57b0786bc352780d, // engine q4 Grid { reference: false, chaos: true, batch: 256 }
     0xbd92e673f79f302e, // engine q5 Grid { reference: false, chaos: true, batch: 256 }

@@ -117,10 +117,11 @@ fn e1_publishes_columnar_decode_metrics() {
     );
 
     // E1 never touches `lang` or `loc`, so no dictionary is built and
-    // the reuse gauge stays unpublished. A projection over `lang`
-    // drives the dictionary path; its gauge is published and repeats
-    // run to run.
-    let lang_sql = "SELECT upper(lang) AS l FROM twitter WHERE text contains 'soccer'";
+    // the reuse gauge stays unpublished. A GROUP BY over `lang` at the
+    // head of the plan drives the dictionary path; its gauge is
+    // published and repeats run to run. (A projection over `lang`
+    // reads it from the row and builds no column.)
+    let lang_sql = "SELECT count(*) AS n, lang FROM twitter GROUP BY lang WINDOW 2 minutes";
     let run_lang = || {
         let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
         let registry = MetricsRegistry::new();

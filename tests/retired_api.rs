@@ -4,8 +4,10 @@
 //! they and `workers` remain only as hidden aliases for `benchmark/`,
 //! which cannot change in the same commit as the engine. Every query
 //! runs on a `QueryHost`, so `Engine::execute_with_sink` and the
-//! engine's own `run_single` drive are gone. No Rust source outside
-//! `benchmark/` may call any of them.
+//! engine's own `run_single` drive are gone. The server writes a reply
+//! to its socket in bounded chunks as it renders it, so `render_into`,
+//! which built a whole reply in one `String` first, is gone too. No
+//! Rust source outside `benchmark/` may call or define any of them.
 
 use std::path::Path;
 
@@ -19,7 +21,7 @@ const RETIRED_METHODS: &[&str] = &[
 ];
 
 /// Called or defined anywhere: `name(`.
-const RETIRED_FNS: &[&str] = &["execute_with_sink", "run_single"];
+const RETIRED_FNS: &[&str] = &["execute_with_sink", "run_single", "render_into"];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
 /// output (`target/`) and hidden directories.
@@ -67,7 +69,7 @@ fn retired_switches_have_no_caller_outside_benchmark() {
     }
     assert!(
         hits.is_empty(),
-        "call the reference switch or `Engine::execute` instead:\n{}",
+        "call the reference switch, `Engine::execute` or the server's chunked reply writer instead:\n{}",
         hits.join("\n")
     );
 }
