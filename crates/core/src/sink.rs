@@ -160,17 +160,12 @@ impl JsonLines {
     }
 }
 
-/// Append records to `out` as JSON lines: one object per row, each
+/// Render records as JSON lines: one object per row, each
 /// newline-terminated, no raw newline inside a row.
-pub fn write_json_lines(out: &mut String, schema: &SchemaRef, rows: &[Record]) {
-    let json = JsonLines::new(schema);
-    rows.iter().for_each(|r| json.write_row(out, r));
-}
-
-/// Render records as JSON lines (one object per row).
 pub fn to_json_lines(schema: &SchemaRef, rows: &[Record]) -> String {
+    let json = JsonLines::new(schema);
     let mut out = String::new();
-    write_json_lines(&mut out, schema, rows);
+    rows.iter().for_each(|r| json.write_row(&mut out, r));
     out
 }
 
@@ -344,7 +339,8 @@ mod tests {
     fn write_json_lines_appends_and_keeps_what_was_there() {
         let (schema, rows) = sample();
         let mut out = String::from("OK 2 q1\n");
-        write_json_lines(&mut out, &schema, &rows);
+        let json = JsonLines::new(&schema);
+        rows.iter().for_each(|r| json.write_row(&mut out, r));
         assert_eq!(
             out,
             format!("OK 2 q1\n{}", oracle::to_json_lines(&schema, &rows))

@@ -89,10 +89,7 @@ impl Reply {
     fn write_to(self, out: &mut impl Write, buf: &mut String) -> io::Result<()> {
         buf.clear();
         match self {
-            Reply::Done(r) => {
-                protocol::write_header(buf, r.ok, r.body.len(), &r.detail);
-                buf.push_str(r.body.as_str());
-            }
+            Reply::Done(r) => r.write_frame(buf),
             Reply::Rows { id, schema, rows } => {
                 protocol::write_header(buf, true, rows.len(), id);
                 let json = sink::JsonLines::new(&schema);
@@ -448,7 +445,8 @@ mod tests {
         let mut buf = String::from("left over from the last reply");
         let mut bodies = 0;
         for req in session {
-            let frame = whole.handle(req.clone()).render();
+            let response = whole.handle(req.clone());
+            let frame = response.render();
             let mut writes = Writes::default();
             split
                 .execute(req.clone())
@@ -466,7 +464,14 @@ mod tests {
                 "{req}: {:?}",
                 writes.iter().map(Vec::len).collect::<Vec<_>>()
             );
-            let (_, n, _) = Response::parse_header(header).unwrap();
+            let (ok, n, detail) = Response::parse_header(header).unwrap();
+            // A diagnostic ends in a newline, sanitized to a space that
+            // `parse_header` trims.
+            assert_eq!(
+                (ok, n, detail.as_str()),
+                (response.ok, response.body.len(), response.detail.trim_end()),
+                "{req}"
+            );
             assert_eq!(frame.lines().count(), 1 + n, "{req}");
             bodies += n;
         }

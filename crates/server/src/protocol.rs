@@ -200,9 +200,14 @@ impl Response {
     /// Render the full frame, every line newline-terminated.
     pub fn render(&self) -> String {
         let mut frame = String::new();
-        write_header(&mut frame, self.ok, self.body.len(), &self.detail);
-        frame.push_str(self.body.as_str());
+        self.write_frame(&mut frame);
         frame
+    }
+
+    /// Append the full frame to `out`: the header, then the body.
+    pub(crate) fn write_frame(&self, out: &mut String) {
+        write_header(out, self.ok, self.body.len(), &self.detail);
+        out.push_str(self.body.as_str());
     }
 
     /// Parse a header line; the caller reads the returned body-line
