@@ -108,13 +108,14 @@ pub struct FusedScanOp {
     /// Adaptive re-orderings performed (surfaced as a metric counter).
     reranks: u64,
     alpha: f64,
-    /// `Some(needed)` when the input is the twitter stream: the union
-    /// of input columns any conjunct or projection reads from a built
-    /// column, i.e. exactly what a columnar batch must materialize.
-    /// `None` (non-twitter input schema) keeps the operator on the row
-    /// path.
-    columnar: Option<Vec<bool>>,
+    /// The input is the twitter stream: the operator takes columnar
+    /// batches and reads every value from their tweets, so it asks for
+    /// no column. Any other input keeps it on the row path.
+    twitter: bool,
 }
+
+/// A columnar head's mask that names no column.
+const NO_COLUMNS: [bool; tcol::COUNT] = [false; tcol::COUNT];
 
 impl FusedScanOp {
     /// Lower compiled conjuncts and an optional projection, both
@@ -147,20 +148,7 @@ impl FusedScanOp {
             }
             None => None,
         };
-        let columnar = if Arc::ptr_eq(&input_schema, &twitter_schema()) {
-            let mut needed = vec![false; tcol::COUNT];
-            for c in &lowered {
-                c.prog.columns_to_materialize(&mut needed);
-            }
-            if let Some(p) = &project {
-                for prog in &p.cols {
-                    prog.columns_to_materialize(&mut needed);
-                }
-            }
-            Some(needed)
-        } else {
-            None
-        };
+        let twitter = Arc::ptr_eq(&input_schema, &twitter_schema());
         let schema = project
             .as_ref()
             .map(|p| p.schema.clone())
@@ -181,7 +169,7 @@ impl FusedScanOp {
             rerank_every: 64,
             reranks: 0,
             alpha: 0.2,
-            columnar,
+            twitter,
         })
     }
 
@@ -360,7 +348,7 @@ impl Operator for FusedScanOp {
     }
 
     fn wants_tweet_batch(&self) -> Option<&[bool]> {
-        self.columnar.as_deref()
+        self.twitter.then_some(&NO_COLUMNS[..])
     }
 
     fn on_tweet_batch(
@@ -369,7 +357,7 @@ impl Operator for FusedScanOp {
         sel: &[u32],
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        if self.columnar.is_none() {
+        if !self.twitter {
             // Non-twitter input.
             return super::row_shim(self, batch, sel, out);
         }
@@ -673,16 +661,14 @@ mod tests {
             assert_eq!(row_out, col_out);
         }
 
-        /// Only a `contains` reads a built column; `followers >= 0`
-        /// reads the row and asks for nothing.
+        /// A scan reads every value from the tweets, a `contains`
+        /// included: its head takes the batch and asks for no column.
         #[test]
         fn pipeline_materializes_only_what_the_head_reads() {
             let conj = tcexprs(&["lang contains 'en'", "followers >= 0"]);
             let op = FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where")
                 .unwrap();
-            let mut wants = [false; tcol::COUNT];
-            wants[tcol::LANG] = true;
-            assert_eq!(op.wants_tweet_batch(), Some(&wants[..]));
+            assert_eq!(op.wants_tweet_batch(), Some(&[false; tcol::COUNT][..]));
             let mut pipeline = Pipeline::new(vec![Box::new(op)]);
             let mut batch = batch_of(tweets(), None);
             let mut out = Vec::new();
@@ -690,10 +676,9 @@ mod tests {
             assert_eq!(out.len(), 20);
             assert!(batch.is_empty(), "drain resets the batch");
             let stats = pipeline.decode_stats();
-            assert_eq!(stats.columns_materialized, 1, "lang only");
-            assert_eq!(stats.columns_skipped, (tcol::COUNT - 1) as u64);
-            assert!(stats.dict_rows >= 40, "lang decodes via dictionary");
-            assert!(stats.dict_reuse_permille().unwrap() > 900);
+            assert_eq!(stats.columns_materialized, 0, "nothing built");
+            assert_eq!(stats.columns_skipped, tcol::COUNT as u64);
+            assert_eq!(stats.dict_rows, 0, "no dictionary either");
         }
 
         #[test]

@@ -63,9 +63,10 @@ pub trait Operator: Send {
     /// `Some` when this operator consumes columnar [`TweetBatch`]es
     /// natively via [`Operator::on_tweet_batch`]: the mask of columns
     /// it reads through the batch's materialized form, which whoever
-    /// owns the batch builds before the call (an empty mask asks for
-    /// none). Only source-side stages over the `twitter` stream opt
-    /// in; a pipeline whose head returns `None` gets rows instead.
+    /// owns the batch builds before the call (a mask with no column
+    /// set asks for none, as a scan's does: it reads the tweets). Only
+    /// source-side stages over the `twitter` stream opt in; a pipeline
+    /// whose head returns `None` gets rows instead.
     fn wants_tweet_batch(&self) -> Option<&[bool]> {
         None
     }

@@ -501,23 +501,6 @@ impl ExprProgram {
     pub fn is_empty(&self) -> bool {
         self.instrs.is_empty()
     }
-
-    /// Mark in `mask` (indexed by schema position) every input column
-    /// this program reads from a materialized batch column: the
-    /// `contains` forms, through `TweetBatch::str_at`. Every other read
-    /// (`Col`, `InBBox`) takes the value from the row, so a column built
-    /// for it would go unread. Drives lazy columnar decode: a batch
-    /// materializes exactly the union of these masks across a scan's
-    /// programs.
-    pub fn columns_to_materialize(&self, mask: &mut [bool]) {
-        for instr in &self.instrs {
-            if let Instr::ContainsCol { col, .. } | Instr::MultiContains { col, .. } = instr {
-                if let Some(m) = mask.get_mut(*col) {
-                    *m = true;
-                }
-            }
-        }
-    }
 }
 
 fn too_large() -> QueryError {

@@ -98,8 +98,8 @@ impl BatchVm {
     }
 
     /// [`Self::eval_into`] over a columnar [`TweetBatch`] — input
-    /// columns are read zero-copy (arena slices, dictionary entries)
-    /// instead of from materialized [`Record`]s.
+    /// values are read from the batch's tweets instead of from
+    /// materialized [`Record`]s.
     pub fn eval_cols(
         &mut self,
         prog: &ExprProgram,
@@ -465,9 +465,9 @@ fn match_value(v: &Value, buf: &mut SmallBuf, is_match: impl Fn(&str) -> bool) -
 }
 
 /// `contains` on input column `col` for the rows in `cur`. A columnar
-/// batch scans the arena slice, dictionary entry or tweet buffer in
-/// place; its fallback mirrors the row path exactly (a pruned-dead
-/// column reads NULL via `value_at`).
+/// batch scans the tweet's own string in place; its fallback mirrors
+/// the row path exactly (a pruned-dead column reads NULL via
+/// `value_at`).
 #[inline]
 fn contains_col(
     input: Input<'_>,

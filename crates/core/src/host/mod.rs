@@ -27,7 +27,8 @@
 //! * **Union liveness mask + shared columnar dispatch** — the host's
 //!   [`TweetBatch`] carries the union of all queries' live-column
 //!   masks. Each flush builds, once, the columns the selecting
-//!   queries' head stages read, then hands every one of those
+//!   queries' aggregate heads name (a scan head reads the tweets and
+//!   names none), then hands every one of those
 //!   pipelines the same batch and its own selection vector
 //!   ([`crate::exec::Pipeline::push_tweet_batch`]). A columnar head
 //!   (fused scan, plain-column aggregate) never sees a [`Record`]; a
@@ -940,7 +941,7 @@ impl Dispatch<'_> {
                 decoded = n as u64;
             }
         }
-        // ---- build, once, the columns the selecting heads read ----
+        // ---- build, once, the columns the selecting aggregate heads name ----
         let mut columns = [false; col::COUNT];
         for &slot in self.active.iter() {
             let pipeline = &self.queries[slot as usize].planned.pipeline;

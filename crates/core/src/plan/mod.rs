@@ -1131,27 +1131,18 @@ mod tests {
         assert!(p.live_columns.is_none(), "wildcard reads everything");
     }
 
-    /// A fast plan's scan head asks its batch to build only the
-    /// columns a `contains` reads: every other read takes the value
-    /// from the row, so a column built for it would go unread.
+    /// A fast plan's scan head takes the batch but asks it to build no
+    /// column: every read, a `contains` included, takes the value from
+    /// the tweet, so a column built for it would go unread.
     #[test]
     fn scan_head_asks_only_for_the_columns_a_contains_reads() {
-        let schema = tweeql_model::record::twitter_schema();
-        let names = schema.names();
+        let width = tweeql_model::record::twitter_schema().names().len();
         let export = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
-        for (filter, wanted) in [
-            ("", &[][..]),
-            (" WHERE text contains 'x'", &["text"][..]),
-            (" WHERE followers > 10000", &[][..]),
-        ] {
+        for filter in ["", " WHERE text contains 'x'", " WHERE followers > 10000"] {
             let p = plan_sql(&format!("{export}{filter}"));
             let mask = p.pipeline.tweet_columns();
-            assert_eq!(mask.len(), names.len(), "a columnar head: {}", p.explain);
-            let built: Vec<&str> = (0..mask.len())
-                .filter(|&c| mask[c])
-                .map(|c| names[c])
-                .collect();
-            assert_eq!(built, wanted, "{filter}");
+            assert_eq!(mask.len(), width, "a columnar head: {}", p.explain);
+            assert!(!mask.contains(&true), "{filter}: {mask:?}");
         }
     }
 

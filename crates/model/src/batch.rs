@@ -7,10 +7,11 @@
 //! * fixed-width columns (`id`, `user_id`, `followers`, `lat`, `lon`,
 //!   `created_at`, `retweet_of`) as contiguous vectors with a validity
 //!   [`Bitmap`] — no per-value heap traffic at all;
-//! * variable-width text (`text`, `screen_name`) as an **arena**: one
-//!   byte buffer per column plus `u32` offsets, so a batch of 256
-//!   texts is two buffers (kept across batches) instead of 256
-//!   refcount bumps;
+//! * variable-width text (`text`, `screen_name`) is **never copied**:
+//!   each tweet holds its strings once, as [`Text`] handles into
+//!   shared chunks, and a reader reads them there
+//!   ([`ColumnView::Str`], [`TweetBatch::str_at`]) with no build and no
+//!   buffer;
 //! * low-cardinality strings (`loc`, `lang`) **dictionary-encoded**:
 //!   per-row `u32` codes into a small distinct-value table, with a
 //!   pointer-identity fast path (the generator and the log decoder
@@ -20,9 +21,9 @@
 //!   without hashing a byte). The encoding is *adaptive*: if a batch proves
 //!   high-cardinality (more than `DICT_MAX_ENTRIES` distinct values,
 //!   e.g. `loc` over a large messy-location population), the builder
-//!   bails out to the plain arena layout — readers are agnostic because
-//!   both shapes are served through the same accessors (`str_at`,
-//!   [`ColumnView::get`]).
+//!   bails out and the column reads the tweet like `text` does —
+//!   readers are agnostic because both shapes are served through
+//!   [`TweetBatch::view`].
 //!
 //! Decode is *lazy per column*: [`TweetBatch::materialize`] builds only
 //! the columns the optimized plan touches, composing with the
@@ -164,9 +165,6 @@ pub enum Column {
     Float { vals: Vec<f64>, valid: Bitmap },
     /// Contiguous timestamps (always valid on the twitter schema).
     Time { vals: Vec<Timestamp> },
-    /// Arena text: all values back-to-back in one buffer; row `i` is
-    /// `arena[offsets[i]..offsets[i+1]]` (`offsets.len() == rows + 1`).
-    Str { arena: String, offsets: Vec<u32> },
     /// Dictionary text: per-row codes into the distinct-value table.
     Dict { codes: Vec<u32>, dict: Vec<Text> },
 }
@@ -185,7 +183,6 @@ impl Column {
             Column::Int { vals, valid } => ColumnView::Int { vals, valid },
             Column::Float { vals, valid } => ColumnView::Float { vals, valid },
             Column::Time { vals } => ColumnView::Time { vals },
-            Column::Str { arena, offsets } => ColumnView::Str { arena, offsets },
             Column::Dict { codes, dict } => ColumnView::Dict { codes, dict },
         }
     }
@@ -204,8 +201,12 @@ pub enum ColumnView<'a> {
     Float { vals: &'a [f64], valid: &'a Bitmap },
     /// Timestamps, never NULL.
     Time { vals: &'a [Timestamp] },
-    /// Arena text (see [`Column::Str`]).
-    Str { arena: &'a str, offsets: &'a [u32] },
+    /// A string column read in place: row `i` is `field` of the
+    /// batch's tweet `i`.
+    Str {
+        batch: &'a TweetBatch,
+        field: fn(&Tweet) -> &Text,
+    },
     /// Dictionary text: row `i` is `dict[codes[i]]`.
     Dict { codes: &'a [u32], dict: &'a [Text] },
 }
@@ -226,9 +227,7 @@ impl<'a> ColumnView<'a> {
                 false => ValueRef::Null,
             },
             ColumnView::Time { vals } => ValueRef::Time(vals[i]),
-            ColumnView::Str { arena, offsets } => {
-                ValueRef::Str(&arena[offsets[i] as usize..offsets[i + 1] as usize])
-            }
+            ColumnView::Str { batch, field } => ValueRef::Str(field(batch.tweet_at(i))),
             ColumnView::Dict { codes, dict } => ValueRef::Str(&dict[codes[i] as usize]),
         }
     }
@@ -303,22 +302,34 @@ impl<'a> RowsRef<'a> {
     }
 }
 
+/// The tweet field that string column `c` reads; `None` for a column
+/// that is not one of the `twitter` schema's four strings.
+fn str_field(c: usize) -> Option<fn(&Tweet) -> &Text> {
+    match c {
+        col::TEXT => Some(|t| &t.text),
+        col::SCREEN_NAME => Some(|t| &t.user.screen_name),
+        col::LOC => Some(|t| &t.user.location),
+        col::LANG => Some(|t| t.lang()),
+        _ => None,
+    }
+}
+
 /// Build column `c` over `rows` — the core decode kernel: one
 /// column-at-a-time loop over the row store, no per-value allocation.
-/// The build reuses `old`'s buffers when it is a column of the same
+/// The build takes `old`'s buffers when it is a column of the same
 /// shape (the one a previous batch built), so a batch buffer that is
 /// reset and refilled allocates nothing for its columns once warm.
-fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats, old: Column) -> Column {
+/// [`Column::Missing`] for `text` and `screen_name`, which are read
+/// from the tweet, and for a dictionary that bails out.
+fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats, old: &mut Column) -> Column {
     match c {
         col::ID => dense_int_column(rows, |t| t.id as i64, old),
-        col::TEXT => str_column(rows, |t| &t.text, old),
         col::USER_ID => dense_int_column(rows, |t| t.user.id as i64, old),
-        col::SCREEN_NAME => str_column(rows, |t| &t.user.screen_name, old),
         col::LOC => dict_column(rows, |t| &t.user.location, stats, old),
         col::LAT => float_column(rows, |t| t.coordinates().map(|(la, _)| la), old),
         col::LON => float_column(rows, |t| t.coordinates().map(|(_, lo)| lo), old),
         col::CREATED_AT => {
-            let mut vals = match old {
+            let mut vals = match std::mem::take(old) {
                 Column::Time { vals } => vals,
                 _ => Vec::new(),
             };
@@ -329,17 +340,14 @@ fn build_column(c: usize, rows: RowsRef<'_>, stats: &mut DecodeStats, old: Colum
         col::LANG => dict_column(rows, |t| t.lang(), stats, old),
         col::FOLLOWERS => dense_int_column(rows, |t| t.user.followers as i64, old),
         col::RETWEET_OF => int_column(rows, |t| t.retweet_of().map(|id| id as i64), old),
-        _ => {
-            debug_assert!(false, "column index {c} out of twitter schema");
-            Column::Missing
-        }
+        _ => Column::Missing,
     }
 }
 
 /// `old`'s values and validity if it is an integer column, emptied;
 /// new ones otherwise.
-fn int_buffers(old: Column) -> (Vec<i64>, Bitmap) {
-    match old {
+fn int_buffers(old: &mut Column) -> (Vec<i64>, Bitmap) {
+    match std::mem::take(old) {
         Column::Int {
             mut vals,
             mut valid,
@@ -354,14 +362,14 @@ fn int_buffers(old: Column) -> (Vec<i64>, Bitmap) {
 
 /// Always-valid integer column: straight collect, validity filled in
 /// whole words instead of a per-row branch.
-fn dense_int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> i64, old: Column) -> Column {
+fn dense_int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> i64, old: &mut Column) -> Column {
     let (mut vals, mut valid) = int_buffers(old);
     vals.extend((0..rows.len()).map(|i| f(rows.get(i))));
     valid.set_all(rows.len());
     Column::Int { vals, valid }
 }
 
-fn int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<i64>, old: Column) -> Column {
+fn int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<i64>, old: &mut Column) -> Column {
     let (mut vals, mut valid) = int_buffers(old);
     vals.reserve(rows.len());
     valid.words.reserve(rows.len().div_ceil(64));
@@ -373,8 +381,8 @@ fn int_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<i64>, old: Column)
     Column::Int { vals, valid }
 }
 
-fn float_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<f64>, old: Column) -> Column {
-    let (mut vals, mut valid) = match old {
+fn float_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<f64>, old: &mut Column) -> Column {
+    let (mut vals, mut valid) = match std::mem::take(old) {
         Column::Float {
             mut vals,
             mut valid,
@@ -395,34 +403,11 @@ fn float_column(rows: RowsRef<'_>, f: impl Fn(&Tweet) -> Option<f64>, old: Colum
     Column::Float { vals, valid }
 }
 
-fn str_column<'t>(rows: RowsRef<'t>, f: impl Fn(&'t Tweet) -> &'t Text, old: Column) -> Column {
-    let (mut arena, mut offsets) = match old {
-        Column::Str {
-            mut arena,
-            mut offsets,
-        } => {
-            arena.clear();
-            offsets.clear();
-            (arena, offsets)
-        }
-        _ => Default::default(),
-    };
-    let n = rows.len();
-    arena.reserve((0..n).map(|i| f(rows.get(i)).len()).sum());
-    offsets.reserve(n + 1);
-    offsets.push(0u32);
-    for i in 0..n {
-        arena.push_str(f(rows.get(i)));
-        offsets.push(arena.len() as u32);
-    }
-    Column::Str { arena, offsets }
-}
-
 /// Distinct-value cap for dictionary columns. A dictionary only pays
 /// when codes repeat; past this many distinct values the column is not
-/// low-cardinality in this batch and the build bails out to the arena
-/// representation (readers go through [`TweetBatch::str_at`] either
-/// way, so the two encodings are interchangeable).
+/// low-cardinality in this batch and the build bails out: the column
+/// is left unbuilt and read from the tweet, like `text` (readers go
+/// through [`TweetBatch::view`] either way).
 const DICT_MAX_ENTRIES: usize = 64;
 
 /// Pointer-cache slots (power of two), linear probing. At most half of
@@ -454,8 +439,9 @@ fn val_hash(s: &str) -> u64 {
     u64::from_le_bytes(first) ^ u64::from_le_bytes(last).rotate_left(31) ^ (b.len() as u64)
 }
 
-/// Build a dictionary column, or bail to an arena [`Column::Str`] when
-/// the batch proves high-cardinality. No string hashing on the hot
+/// Build a dictionary column, or bail out ([`Column::Missing`], with
+/// `old` left holding the buffers for the next batch) when the batch
+/// proves high-cardinality. No string hashing on the hot
 /// path: the sources intern these values (one allocation per distinct
 /// string), so a cache keyed on the data pointer resolves repeat rows
 /// in one probe; only first-seen pointers hash their bytes, and
@@ -467,19 +453,18 @@ fn dict_column<'t>(
     rows: RowsRef<'t>,
     f: impl Fn(&'t Tweet) -> &'t Text,
     stats: &mut DecodeStats,
-    old: Column,
+    old: &mut Column,
 ) -> Column {
-    // An arena a previous batch bailed to is kept for this one's bail.
-    let (mut codes, mut dict, bail_to) = match old {
+    let (mut codes, mut dict) = match std::mem::take(old) {
         Column::Dict {
             mut codes,
             mut dict,
         } => {
             codes.clear();
             dict.clear();
-            (codes, dict, Column::Missing)
+            (codes, dict)
         }
-        other => (Vec::new(), Vec::new(), other),
+        _ => Default::default(),
     };
     let n = rows.len();
     codes.reserve(n);
@@ -514,8 +499,9 @@ fn dict_column<'t>(
                 if c == 0 {
                     if dict.len() >= DICT_MAX_ENTRIES {
                         // High cardinality: stop paying per-row lookup
-                        // cost, re-encode the whole column as an arena.
-                        return str_column(rows, f, bail_to);
+                        // cost and read the column from the tweets.
+                        *old = Column::Dict { codes, dict };
+                        return Column::Missing;
                     }
                     let code = dict.len() as u32;
                     dict.push(s.clone());
@@ -553,6 +539,15 @@ enum RowStore {
     Shared { log: Arc<Vec<Tweet>>, sel: Vec<u32> },
 }
 
+impl RowStore {
+    fn rows(&self) -> RowsRef<'_> {
+        match self {
+            RowStore::Owned(tweets) => RowsRef::Slice(tweets),
+            RowStore::Shared { log, sel } => RowsRef::View { log, sel },
+        }
+    }
+}
+
 impl Default for RowStore {
     fn default() -> RowStore {
         RowStore::Owned(Vec::new())
@@ -565,11 +560,10 @@ impl Default for RowStore {
 /// selection view into the shared firehose log (see
 /// [`bind_log`](TweetBatch::bind_log)) — so any row can always be
 /// projected to a [`Record`] (the shim for unported operators) and any
-/// column can be read row-wise even before materialization. The
-/// columnar accessors ([`str_at`](TweetBatch::str_at),
-/// [`float_at`](TweetBatch::float_at), [`value_at`](TweetBatch::value_at))
-/// serve from the materialized column when one exists and fall back to
-/// the row store otherwise, so callers never branch on decode state.
+/// column can be read row-wise even before materialization. The row
+/// accessors ([`str_at`](TweetBatch::str_at),
+/// [`value_at`](TweetBatch::value_at)) read the tweet, so callers
+/// never branch on decode state.
 ///
 /// A liveness mask (from the optimizer's projection pruning) attaches
 /// to the whole batch: accessors treat dead columns as NULL and
@@ -716,13 +710,6 @@ impl TweetBatch {
         }
     }
 
-    fn rows_ref(&self) -> RowsRef<'_> {
-        match &self.rows {
-            RowStore::Owned(tweets) => RowsRef::Slice(tweets),
-            RowStore::Shared { log, sel } => RowsRef::View { log, sel },
-        }
-    }
-
     /// Stream timestamp of row `i`.
     pub fn ts(&self, i: usize) -> Timestamp {
         self.tweet_at(i).created_at
@@ -745,23 +732,26 @@ impl TweetBatch {
     /// Materialize the columns marked in `needed` (intersected with
     /// the liveness mask); already-built columns are not rebuilt and
     /// not recounted. The first call for the rows counts every column
-    /// it leaves unbuilt as skipped. Returns what this call actually
-    /// did.
+    /// it leaves unbuilt as skipped: the string columns a reader takes
+    /// from the tweet (`text`, `screen_name`, and a dictionary that
+    /// bailed out) among them. Returns what this call actually did.
     pub fn materialize(&mut self, needed: &[bool]) -> DecodeStats {
         let mut stats = DecodeStats::default();
         let first = self.cols.is_empty();
         if first {
             self.cols.resize_with(col::COUNT, Column::default);
+            self.spare.resize_with(col::COUNT, Column::default);
         }
         for c in 0..col::COUNT {
             if self.cols[c].is_built() {
                 continue;
             }
             if needed.get(c).copied().unwrap_or(false) && self.alive(c) {
+                let rows = self.rows.rows();
+                self.cols[c] = build_column(c, rows, &mut stats, &mut self.spare[c]);
+            }
+            if self.cols[c].is_built() {
                 stats.columns_materialized += 1;
-                let old = self.spare.get_mut(c).map(std::mem::take);
-                let built = build_column(c, self.rows_ref(), &mut stats, old.unwrap_or_default());
-                self.cols[c] = built;
             } else if first {
                 stats.columns_skipped += 1;
             }
@@ -772,12 +762,6 @@ impl TweetBatch {
     /// Drop the built columns, which go stale with the rows, keeping
     /// their buffers for the next build.
     fn drop_columns(&mut self) {
-        if self.cols.is_empty() {
-            return;
-        }
-        if self.spare.is_empty() {
-            self.spare.resize_with(col::COUNT, Column::default);
-        }
         for (spare, built) in self.spare.iter_mut().zip(&mut self.cols) {
             if built.is_built() {
                 *spare = std::mem::take(built);
@@ -792,72 +776,37 @@ impl TweetBatch {
     }
 
     /// Column `c` resolved for row reads: the materialized column's
-    /// view, [`ColumnView::Null`] when the column is pruned dead or not
-    /// in the schema, and `None` when it is live but not materialized
-    /// (see [`decode_column`](TweetBatch::decode_column)).
+    /// view; for a string column that is not a built dictionary, the
+    /// strings read in place from the tweets ([`ColumnView::Str`]);
+    /// [`ColumnView::Null`] when the column is pruned dead or not in
+    /// the schema; and `None` when a fixed-width column is live but not
+    /// materialized (see [`decode_column`](TweetBatch::decode_column)).
     pub fn view(&self, c: usize) -> Option<ColumnView<'_>> {
         if c >= col::COUNT || !self.alive(c) {
             return Some(ColumnView::Null);
         }
-        self.column(c).map(Column::view)
+        match (self.column(c), str_field(c)) {
+            (Some(built), _) => Some(built.view()),
+            (None, Some(field)) => Some(ColumnView::Str { batch: self, field }),
+            (None, None) => None,
+        }
     }
 
     /// Column `c` built over every row but not kept, for a reader
     /// given a batch that materialized less than it reads.
     pub fn decode_column(&self, c: usize) -> Column {
-        build_column(
-            c,
-            self.rows_ref(),
-            &mut DecodeStats::default(),
-            Column::Missing,
-        )
+        let stats = &mut DecodeStats::default();
+        build_column(c, self.rows.rows(), stats, &mut Column::Missing)
     }
 
     /// Zero-copy string access for the text-typed columns (`text`,
-    /// `screen_name`, `loc`, `lang`): the arena slice or dictionary
-    /// entry when materialized, the tweet's own buffer otherwise.
-    /// `None` when the column is pruned dead or not string-typed —
-    /// the columnar VM maps that to NULL, exactly like the pruned row
-    /// decode.
+    /// `screen_name`, `loc`, `lang`): the tweet's own string, whatever
+    /// the batch has built. `None` when the column is pruned dead or
+    /// not string-typed — the columnar VM maps that to NULL, exactly
+    /// like the pruned row decode.
     pub fn str_at(&self, i: usize, c: usize) -> Option<&str> {
-        if !self.alive(c) {
-            return None;
-        }
-        match self.column(c) {
-            Some(Column::Str { arena, offsets }) => {
-                Some(&arena[offsets[i] as usize..offsets[i + 1] as usize])
-            }
-            Some(Column::Dict { codes, dict }) => Some(&dict[codes[i] as usize]),
-            _ => {
-                let t = self.tweet_at(i);
-                match c {
-                    col::TEXT => Some(&t.text),
-                    col::SCREEN_NAME => Some(&t.user.screen_name),
-                    col::LOC => Some(&t.user.location),
-                    col::LANG => Some(t.lang()),
-                    _ => None,
-                }
-            }
-        }
-    }
-
-    /// Float access for `lat` / `lon`: `None` when pruned dead, the
-    /// row is ungeotagged, or the column is not float-typed.
-    pub fn float_at(&self, i: usize, c: usize) -> Option<f64> {
-        if !self.alive(c) {
-            return None;
-        }
-        match self.column(c) {
-            Some(Column::Float { vals, valid }) => valid.get(i).then(|| vals[i]),
-            _ => {
-                let t = self.tweet_at(i);
-                match c {
-                    col::LAT => t.coordinates().map(|(la, _)| la),
-                    col::LON => t.coordinates().map(|(_, lo)| lo),
-                    _ => None,
-                }
-            }
-        }
+        let field = str_field(c).filter(|_| self.alive(c))?;
+        Some(field(self.tweet_at(i)))
     }
 
     /// Row `i`, column `c` as a [`Value`], with identical semantics to
@@ -1103,8 +1052,9 @@ mod tests {
     fn column_views_are_value_at_borrowed() {
         // Same variant, same payload, dead columns NULL, out of range
         // NULL: `Debug` tells `Int(1)` from `Float(1.0)` where `==`
-        // would not. A live column has no view until it is built, and
-        // one built aside (`decode_column`) reads as the row does.
+        // would not. A live fixed-width column has no view until it is
+        // built, and one built aside (`decode_column`) reads as the row
+        // does; a string column reads the tweets before any build.
         let dead_text: Arc<[bool]> = (0..col::COUNT).map(|c| c != col::TEXT).collect();
         let same = |view: ColumnView<'_>, b: &TweetBatch, c: usize| {
             for i in 0..b.len() {
@@ -1121,14 +1071,19 @@ mod tests {
             let mut b = batch(23, live);
             for c in 0..col::COUNT {
                 let dead = b.live().is_some_and(|l| !l[c]);
-                assert_eq!(b.view(c).is_none(), !dead, "col {c} unbuilt");
-                if !dead {
-                    same(b.decode_column(c).view(), &b, c);
+                let unbuilt = !dead && str_field(c).is_none();
+                assert_eq!(b.view(c).is_none(), unbuilt, "col {c} unbuilt");
+                match b.view(c) {
+                    Some(view) => same(view, &b, c),
+                    None => same(b.decode_column(c).view(), &b, c),
                 }
             }
             b.materialize(&all_columns());
             for c in 0..=col::COUNT {
-                same(b.view(c).expect("built, dead or out of range"), &b, c);
+                let view = b
+                    .view(c)
+                    .expect("built, read in place, dead or out of range");
+                same(view, &b, c);
             }
         }
     }
@@ -1147,9 +1102,12 @@ mod tests {
                 assert_eq!(b.str_at(i, col::LOC), Some(&*t.user.location));
                 assert_eq!(b.str_at(i, col::LANG), Some(&**t.lang()));
                 assert_eq!(b.str_at(i, col::ID), None, "non-string col");
-                assert_eq!(b.float_at(i, col::LAT), t.coordinates().map(|(la, _)| la));
-                assert_eq!(b.float_at(i, col::LON), t.coordinates().map(|(_, lo)| lo));
-                assert_eq!(b.float_at(i, col::TEXT), None, "non-float col");
+                let coord = |f: fn((f64, f64)) -> f64| {
+                    t.coordinates().map_or(Value::Null, |c| Value::Float(f(c)))
+                };
+                assert_eq!(b.value_at(i, col::LAT), coord(|(la, _)| la));
+                assert_eq!(b.value_at(i, col::LON), coord(|(_, lo)| lo));
+                assert_eq!(b.value_at(i, col::COUNT), Value::Null, "out of schema");
             }
         }
     }
@@ -1163,7 +1121,7 @@ mod tests {
         for i in 0..b.len() {
             assert_eq!(b.value_at(i, col::TEXT), Value::Null);
             assert_eq!(b.str_at(i, col::TEXT), None);
-            assert_eq!(b.float_at(i, col::LAT), None);
+            assert_eq!(b.value_at(i, col::LAT), Value::Null);
             // Live columns still read through.
             assert_eq!(b.str_at(i, col::LANG), Some(&**b.tweets()[i].lang()));
         }
@@ -1186,11 +1144,11 @@ mod tests {
         assert!(b.column(col::FOLLOWERS).is_some());
         // Incremental second call builds only the new column.
         let mut more = [false; col::COUNT];
-        more[col::SCREEN_NAME] = true;
+        more[col::LAT] = true;
         more[col::LANG] = true; // already built: not recounted
         let stats2 = b.materialize(&more);
         assert_eq!(stats2.columns_materialized, 1);
-        assert!(b.column(col::SCREEN_NAME).is_some());
+        assert!(b.column(col::LAT).is_some());
     }
 
     #[test]
@@ -1235,24 +1193,44 @@ mod tests {
     }
 
     #[test]
-    fn arena_layout_is_contiguous() {
-        let mut b = batch(8, None);
-        let mut needed = [false; col::COUNT];
-        needed[col::TEXT] = true;
-        b.materialize(&needed);
-        match b.column(col::TEXT).unwrap() {
-            Column::Str { arena, offsets } => {
-                assert_eq!(offsets.len(), 9);
-                assert_eq!(offsets[0], 0);
-                assert_eq!(*offsets.last().unwrap() as usize, arena.len());
-                for i in 0..8 {
-                    assert_eq!(
-                        &arena[offsets[i] as usize..offsets[i + 1] as usize],
-                        &*b.tweets()[i].text
-                    );
-                }
-            }
-            other => panic!("text should arena-encode, got {other:?}"),
+    fn string_columns_read_the_tweets_own_bytes() {
+        // `text` and `screen_name` are never copied: a reader gets the
+        // very bytes the tweet's `Text` holds, built mask or not.
+        let mut b = batch(12, None);
+        let stats = b.materialize(&all_columns());
+        assert_eq!(stats.columns_materialized, col::COUNT as u64 - 2);
+        assert_eq!(stats.columns_skipped, 2, "text and screen_name");
+        let ptr = |v: Option<ColumnView<'_>>, i: usize| match v.map(|v| v.get(i)) {
+            Some(ValueRef::Str(s)) => s.as_ptr(),
+            other => panic!("a string view, got {other:?}"),
+        };
+        for i in 0..b.len() {
+            let t = b.tweet_at(i);
+            assert_eq!(
+                b.str_at(i, col::TEXT).map(str::as_ptr),
+                Some(t.text.as_ptr())
+            );
+            assert_eq!(ptr(b.view(col::TEXT), i), t.text.as_ptr());
+            assert_eq!(
+                ptr(b.view(col::SCREEN_NAME), i),
+                t.user.screen_name.as_ptr()
+            );
+        }
+        // A `loc` past the dictionary cap bails out and reads the tweet.
+        let mut wide = TweetBatch::new();
+        for i in 0..(DICT_MAX_ENTRIES as u64 + 8) {
+            let mut t = tweet(i);
+            Arc::make_mut(&mut t.user).location = format!("town {i}").into();
+            wide.push(t);
+        }
+        let stats = wide.materialize(&all_columns());
+        assert!(wide.column(col::LOC).is_none(), "bailed out");
+        assert_eq!(stats.columns_skipped, 3, "text, screen_name and loc");
+        for i in 0..wide.len() {
+            let loc = &wide.tweet_at(i).user.location;
+            assert_eq!(wide.view(col::LOC).unwrap().get(i), ValueRef::Str(loc));
+            assert_eq!(wide.str_at(i, col::LOC), Some(&**loc));
+            assert_eq!(ptr(wide.view(col::LOC), i), loc.as_ptr());
         }
     }
 
@@ -1260,9 +1238,9 @@ mod tests {
     fn push_after_materialize_invalidates_columns() {
         let mut b = batch(4, None);
         b.materialize(&all_columns());
-        assert!(b.column(col::TEXT).is_some());
+        assert!(b.column(col::ID).is_some());
         b.push(tweet(99));
-        assert!(b.column(col::TEXT).is_none(), "stale columns must drop");
+        assert!(b.column(col::ID).is_none(), "stale columns must drop");
         assert_eq!(b.len(), 5);
         assert_eq!(b.record_at(4), Record::from_tweet(&b.tweets()[4]));
     }
@@ -1285,9 +1263,9 @@ mod tests {
         let log: Arc<Vec<Tweet>> = Arc::new((0..64).map(tweet).collect());
         let mut b = TweetBatch::new();
         b.bind_log(&log);
-        let text = |b: &TweetBatch| match b.column(col::TEXT) {
-            Some(Column::Str { arena, .. }) => arena.as_ptr(),
-            other => panic!("text should arena-encode, got {other:?}"),
+        let ids = |b: &TweetBatch| match b.column(col::ID) {
+            Some(Column::Int { vals, .. }) => vals.as_ptr(),
+            other => panic!("id should build as integers, got {other:?}"),
         };
         let mut first = None;
         // Longer rows first, so the later builds fit what was kept.
@@ -1295,11 +1273,11 @@ mod tests {
             b.reset();
             b.extend_indices(&rows.collect::<Vec<_>>());
             let stats = b.materialize(&all_columns());
-            assert_eq!(stats.columns_materialized, col::COUNT as u64);
+            assert_eq!(stats.columns_materialized, col::COUNT as u64 - 2);
             for i in 0..b.len() {
                 let want = Record::from_tweet(b.tweet_at(i));
                 for c in 0..col::COUNT {
-                    let view = b.view(c).expect("materialized");
+                    let view = b.view(c).expect("materialized or read in place");
                     assert_eq!(
                         view.get(i),
                         ValueRef::from(want.value(c)),
@@ -1307,7 +1285,7 @@ mod tests {
                     );
                 }
             }
-            assert_eq!(*first.get_or_insert(text(&b)), text(&b), "arena reused");
+            assert_eq!(*first.get_or_insert(ids(&b)), ids(&b), "buffer reused");
         }
     }
 
@@ -1360,7 +1338,6 @@ mod tests {
                     assert_eq!(shared.value_at(i, c), owned.value_at(i, c));
                 }
                 assert_eq!(shared.str_at(i, col::TEXT), owned.str_at(i, col::TEXT));
-                assert_eq!(shared.float_at(i, col::LAT), owned.float_at(i, col::LAT));
             }
         }
         // Reset keeps the log binding; rebinding is a no-op clear.

@@ -99,16 +99,18 @@ fn e1_two_same_seeded_runs_publish_identical_registries() {
 #[test]
 fn e1_publishes_columnar_decode_metrics() {
     // The E1 dashboard runs on the default columnar path, so the decode
-    // counters must land in the registry: the fused scan materializes
-    // the columns the query touches and skips the rest.
+    // counters must land in the registry: its fused scan reads every
+    // value, `text` included, from the tweets, so it builds no column
+    // and counts every one skipped.
     let (_, metrics) = run_e1(7);
-    assert!(
-        metrics.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
-        "columnar run materialized no columns"
+    assert_eq!(
+        metrics.counter_value("tweeql_decode_columns_materialized_total", &[]),
+        0,
+        "a scan head builds no column"
     );
     assert!(
         metrics.counter_value("tweeql_decode_columns_skipped_total", &[]) > 0,
-        "E1 touches a strict subset of columns, so some must be skipped"
+        "E1 builds no column, so every one must be skipped"
     );
     assert_eq!(
         decode_series(&metrics),
@@ -118,9 +120,10 @@ fn e1_publishes_columnar_decode_metrics() {
 
     // E1 never touches `lang` or `loc`, so no dictionary is built and
     // the reuse gauge stays unpublished. A GROUP BY over `lang` at the
-    // head of the plan drives the dictionary path; its gauge is
-    // published and repeats run to run. (A projection over `lang`
-    // reads it from the row and builds no column.)
+    // head of the plan drives the dictionary path: it materializes the
+    // column, and its gauge is published and repeats run to run. (A
+    // projection over `lang` reads it from the row and builds no
+    // column.)
     let lang_sql = "SELECT count(*) AS n, lang FROM twitter GROUP BY lang WINDOW 2 minutes";
     let run_lang = || {
         let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
@@ -129,7 +132,12 @@ fn e1_publishes_columnar_decode_metrics() {
         engine.execute(lang_sql).expect("lang query runs");
         registry
     };
-    let lang_decode = decode_series(&run_lang());
+    let lang_registry = run_lang();
+    assert!(
+        lang_registry.counter_value("tweeql_decode_columns_materialized_total", &[]) > 0,
+        "the GROUP BY head materialized no column"
+    );
+    let lang_decode = decode_series(&lang_registry);
     let gauge = lang_decode
         .iter()
         .find(|(k, _)| k.starts_with("tweeql_decode_dict_reuse_permille"));

@@ -6,8 +6,11 @@
 //! runs on a `QueryHost`, so `Engine::execute_with_sink` and the
 //! engine's own `run_single` drive are gone. The server writes a reply
 //! to its socket in bounded chunks as it renders it, so `render_into`,
-//! which built a whole reply in one `String` first, is gone too. No
-//! Rust source outside `benchmark/` may call or define any of them.
+//! which built a whole reply in one `String` first, is gone too. A scan
+//! reads strings from the tweet, so the scan column mask
+//! (`columns_to_materialize`), the text arena (`str_column`) and the
+//! column-first `float_at` are gone. No Rust source outside
+//! `benchmark/` may call or define any of them.
 
 use std::path::Path;
 
@@ -21,7 +24,14 @@ const RETIRED_METHODS: &[&str] = &[
 ];
 
 /// Called or defined anywhere: `name(`.
-const RETIRED_FNS: &[&str] = &["execute_with_sink", "run_single", "render_into"];
+const RETIRED_FNS: &[&str] = &[
+    "execute_with_sink",
+    "run_single",
+    "render_into",
+    "columns_to_materialize",
+    "str_column",
+    "float_at",
+];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
 /// output (`target/`) and hidden directories.
@@ -69,7 +79,8 @@ fn retired_switches_have_no_caller_outside_benchmark() {
     }
     assert!(
         hits.is_empty(),
-        "call the reference switch, `Engine::execute` or the server's chunked reply writer instead:\n{}",
+        "call the reference switch, `Engine::execute`, the server's chunked reply writer \
+         or the tweet's own strings instead:\n{}",
         hits.join("\n")
     );
 }
