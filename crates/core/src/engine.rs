@@ -175,8 +175,10 @@ pub struct QueryStats {
     pub geo_cache: CacheStats,
     /// Stream time consumed by the run.
     pub stream_time: Duration,
-    /// Columnar decode counters (zero when the run decoded row-at-a-
-    /// time).
+    /// What the query's head built of its batches' columns, as its host
+    /// counted it ([`crate::host::HostStats::decode`]): zero when the
+    /// head viewed no column (a scan reads the tweets) or the run
+    /// decoded row-at-a-time.
     pub decode: DecodeStats,
 }
 
@@ -622,6 +624,7 @@ impl Engine {
             QueryHost::one_query(&self.api, filter, &self.config, query_id, sql, planned);
         let run_result = host.run_query();
         let (source_stats, source_faults) = host.source_stats().unwrap_or_default();
+        let decode = host.stats().decode;
         let (mut planned, rows) = host.into_query();
         let obs = planned.pipeline.close_obs();
         run_result?;
@@ -633,7 +636,6 @@ impl Engine {
         let gap_windows = planned.pipeline.gap_windows();
         let stages = planned.pipeline.stage_stats();
         let stage_counters = planned.pipeline.stage_metric_counters();
-        let decode = planned.pipeline.decode_stats();
         if let (Some(t), Some(span)) = (&tracer, query_span) {
             // Close the query span at the last *stream* timestamp the
             // pipeline saw.
@@ -743,14 +745,7 @@ impl Engine {
             }
         }
 
-        m.counter("tweeql_decode_columns_materialized_total", &[])
-            .add(stats.decode.columns_materialized);
-        m.counter("tweeql_decode_columns_skipped_total", &[])
-            .add(stats.decode.columns_skipped);
-        if let Some(p) = stats.decode.dict_reuse_permille() {
-            m.gauge("tweeql_decode_dict_reuse_permille", &[])
-                .set(p as i64);
-        }
+        publish_decode(m, &stats.decode);
 
         let geo = [("service", "geocode")];
         m.counter("tweeql_service_cache_hits_total", &geo)
@@ -761,6 +756,18 @@ impl Engine {
             .add(stats.geo_cache.evictions);
         m.counter("tweeql_geo_requests_total", &[])
             .add(stats.geo_requests);
+    }
+}
+
+/// Publish what a run's batches built of their columns.
+pub(crate) fn publish_decode(m: &MetricsRegistry, decode: &DecodeStats) {
+    m.counter("tweeql_decode_columns_materialized_total", &[])
+        .add(decode.columns_materialized);
+    m.counter("tweeql_decode_columns_skipped_total", &[])
+        .add(decode.columns_skipped);
+    if let Some(p) = decode.dict_reuse_permille() {
+        m.gauge("tweeql_decode_dict_reuse_permille", &[])
+            .set(p as i64);
     }
 }
 

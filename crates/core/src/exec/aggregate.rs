@@ -25,7 +25,7 @@ use std::sync::Arc;
 use tweeql_model::batch::col;
 use tweeql_model::record::twitter_schema;
 use tweeql_model::{
-    Column, ColumnView, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, ValueRef,
+    ColumnView, Duration, Record, SchemaRef, Timestamp, TweetBatch, Value, ValueRef,
 };
 
 /// Window policy (compiled form of [`crate::ast::WindowSpec`]).
@@ -263,8 +263,7 @@ struct Columns {
     /// `None` for `COUNT(*)`.
     args: Vec<Option<usize>>,
     /// The columnar head, on the `twitter` stream: every column a key
-    /// or an argument reads, what the head asks the batch to
-    /// materialize.
+    /// or an argument reads, what the head views of the batch.
     needed: Option<[bool; col::COUNT]>,
 }
 
@@ -295,26 +294,18 @@ struct Views<'a> {
 }
 
 impl<'a> Views<'a> {
-    /// Resolve `cols` over `batch`. A column the caller did not
-    /// materialize is built into `spare`; `code_hashes` is filled for
-    /// a dictionary key.
+    /// Resolve `cols` over `batch`, viewing each column they read (the
+    /// batch builds it if no reader has yet); `code_hashes` is filled
+    /// for a dictionary key.
     fn resolve(
         batch: &'a TweetBatch,
         cols: &'a Columns,
         needed: &[bool; col::COUNT],
-        spare: &'a mut [Column; col::COUNT],
         code_hashes: &'a mut Vec<u64>,
     ) -> Views<'a> {
-        for (c, slot) in spare.iter_mut().enumerate() {
-            if needed[c] && batch.view(c).is_none() {
-                *slot = batch.decode_column(c);
-            }
-        }
-        let spare = &*spare;
-        let views = std::array::from_fn(|c| match batch.view(c) {
-            _ if !needed[c] => ColumnView::Null,
-            Some(view) => view,
-            None => spare[c].view(),
+        let views = std::array::from_fn(|c| match needed[c] {
+            true => batch.view(c),
+            false => ColumnView::Null,
         });
         code_hashes.clear();
         let mut dict_key = None;
@@ -840,8 +831,8 @@ impl Operator for AggregateOp {
         Ok(())
     }
 
-    fn wants_tweet_batch(&self) -> Option<&[bool]> {
-        self.columns.needed.as_ref().map(|n| &n[..])
+    fn reads_tweet_batch(&self) -> bool {
+        self.columns.needed.is_some()
     }
 
     fn on_tweet_batch(
@@ -859,8 +850,7 @@ impl Operator for AggregateOp {
             // and minus the `Value`s: key and arguments are read off
             // columns resolved once for the segment.
             let mut code_hashes = std::mem::take(&mut self.code_hashes);
-            let mut spare = [const { Column::Missing }; col::COUNT];
-            let seg = Views::resolve(batch, &cols, &needed, &mut spare, &mut code_hashes);
+            let seg = Views::resolve(batch, &cols, &needed, &mut code_hashes);
             seg.touch_strings(sel);
             for &i in sel {
                 let row = i as usize;
@@ -1565,7 +1555,7 @@ mod tests {
                 let input = twitter_schema();
                 let mut new = op(which, &input, keys, x, s);
                 let mut old = op(which, &input, keys, x, s);
-                prop_assert!(new.wants_tweet_batch().is_some());
+                prop_assert!(new.reads_tweet_batch());
                 let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
                 for chunk in tweets().chunks(15) {
                     let mut batch = TweetBatch::new();
@@ -1605,7 +1595,7 @@ mod tests {
                 ]);
                 let mut new = op(which, &input, &["k"], "x", "s");
                 let mut old = op(which, &input, &["k"], "x", "s");
-                prop_assert!(new.wants_tweet_batch().is_none());
+                prop_assert!(!new.reads_tweet_batch());
                 let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
                 for (n, &(k, x, s)) in rows.iter().enumerate() {
                     let rec = Record::new(
@@ -1680,6 +1670,16 @@ mod tests {
         /// out to the tweets, a nullable float, two columns, none.
         const KEYS: &[&[&str]] = &[&["lang"], &["loc"], &["lat"], &["lang", "followers"], &[]];
 
+        /// A partial prebuild: two of the head's columns (`lang`, `lat`)
+        /// and one it does not read (`id`).
+        const PARTIAL: [bool; col::COUNT] = {
+            let mut partial = [false; col::COUNT];
+            partial[col::LANG] = true;
+            partial[col::LAT] = true;
+            partial[col::ID] = true;
+            partial
+        };
+
         /// `avg(followers)` first (the confidence target), then a
         /// count, distinct counts over a string, an int (`1` among
         /// them), a float (`1.0` and NULL among them) and a nullable
@@ -1752,21 +1752,25 @@ mod tests {
             for c in read {
                 wants[c] = true;
             }
+            let needed = |op: AggregateOp| {
+                assert_eq!(op.reads_tweet_batch(), op.columns.needed.is_some());
+                op.columns.needed
+            };
             assert_eq!(
-                op(unbounded(), &["lang"], true).wants_tweet_batch(),
-                Some(&wants[..]),
+                needed(op(unbounded(), &["lang"], true)),
+                Some(wants),
                 "every key and argument column, once"
             );
-            assert_eq!(op(unbounded(), &["lang"], false).wants_tweet_batch(), None);
+            assert_eq!(needed(op(unbounded(), &["lang"], false)), None);
             // A computed key reaches the aggregate as a column of the
             // projection before it: a schema that is not the stream's.
             let projected = Arc::new(Schema::new(twitter_schema().fields().to_vec()));
             assert_eq!(
-                op_over(&projected, unbounded(), &["lang"], true).wants_tweet_batch(),
+                needed(op_over(&projected, unbounded(), &["lang"], true)),
                 None
             );
             assert_eq!(
-                make_op(unbounded(), AggFunc::Count).wants_tweet_batch(),
+                needed(make_op(unbounded(), AggFunc::Count)),
                 None,
                 "non-twitter input"
             );
@@ -1783,9 +1787,9 @@ mod tests {
             /// every selected row decoded and evaluated) — rows, order,
             /// stage counts and `state_digest` — across two batches
             /// (window state carries over), for all five window
-            /// policies and every key shape; with the head's columns
-            /// materialized, all columns, or none (read off the row
-            /// store); interned or per-tweet strings; a `loc`
+            /// policies and every key shape; with none of the columns
+            /// built before the head views them, some, or all;
+            /// interned or per-tweet strings; a `loc`
             /// dictionary or one that bails out; empty to full
             /// selections; any liveness mask.
             #[test]
@@ -1811,9 +1815,11 @@ mod tests {
                     for t in half {
                         batch.push(t.clone());
                     }
+                    // Prebuilt by an earlier reader: nothing, some of
+                    // the head's columns, or every column.
                     match materialize {
                         0 => {}
-                        1 => drop(batch.materialize(cols.tweet_columns())),
+                        1 => drop(batch.materialize(&PARTIAL)),
                         _ => drop(batch.materialize(&tweeql_model::batch::all_columns())),
                     }
                     let first = half[0].id as usize;

@@ -35,7 +35,6 @@ use crate::error::QueryError;
 use crate::expr::{BatchVm, CExpr, EvalCtx, ExprProgram};
 use std::sync::Arc;
 use std::time::Instant;
-use tweeql_model::batch::col as tcol;
 use tweeql_model::record::twitter_schema;
 use tweeql_model::{Record, SchemaRef, TweetBatch, Value};
 
@@ -109,13 +108,10 @@ pub struct FusedScanOp {
     reranks: u64,
     alpha: f64,
     /// The input is the twitter stream: the operator takes columnar
-    /// batches and reads every value from their tweets, so it asks for
+    /// batches and reads every value from their tweets, so it builds
     /// no column. Any other input keeps it on the row path.
     twitter: bool,
 }
-
-/// A columnar head's mask that names no column.
-const NO_COLUMNS: [bool; tcol::COUNT] = [false; tcol::COUNT];
 
 impl FusedScanOp {
     /// Lower compiled conjuncts and an optional projection, both
@@ -347,8 +343,8 @@ impl Operator for FusedScanOp {
         Ok(())
     }
 
-    fn wants_tweet_batch(&self) -> Option<&[bool]> {
-        self.twitter.then_some(&NO_COLUMNS[..])
+    fn reads_tweet_batch(&self) -> bool {
+        self.twitter
     }
 
     fn on_tweet_batch(
@@ -561,6 +557,7 @@ mod tests {
         use super::*;
         use crate::exec::Pipeline;
         use proptest::prelude::*;
+        use tweeql_model::batch::col as tcol;
         use tweeql_model::{Tweet, TweetBatch, User};
 
         fn tweets() -> Vec<Tweet> {
@@ -619,8 +616,8 @@ mod tests {
             let mut row_out = Vec::new();
             op.on_batch(&mut rows, &mut row_out).unwrap();
 
-            let mut batch = batch_of(src, live);
-            batch.materialize(op.wants_tweet_batch().expect("twitter input must opt in"));
+            assert!(op.reads_tweet_batch(), "twitter input must opt in");
+            let batch = batch_of(src, live);
             let full: Vec<u32> = (0..batch.len() as u32).collect();
             let mut col_out = Vec::new();
             op.on_tweet_batch(&batch, &full, &mut col_out).unwrap();
@@ -662,22 +659,22 @@ mod tests {
         }
 
         /// A scan reads every value from the tweets, a `contains`
-        /// included: its head takes the batch and asks for no column.
+        /// included: its head takes the batch and views no column.
         #[test]
         fn pipeline_materializes_only_what_the_head_reads() {
             let conj = tcexprs(&["lang contains 'en'", "followers >= 0"]);
             let op = FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where")
                 .unwrap();
-            assert_eq!(op.wants_tweet_batch(), Some(&[false; tcol::COUNT][..]));
+            assert!(op.reads_tweet_batch());
             let mut pipeline = Pipeline::new(vec![Box::new(op)]);
-            let mut batch = batch_of(tweets(), None);
+            let batch = batch_of(tweets(), None);
+            let full: Vec<u32> = (0..batch.len() as u32).collect();
             let mut out = Vec::new();
-            pipeline.drain_tweet_batch(&mut batch, &mut out).unwrap();
+            pipeline.push_tweet_batch(&batch, &full, &mut out).unwrap();
             assert_eq!(out.len(), 20);
-            assert!(batch.is_empty(), "drain resets the batch");
-            let stats = pipeline.decode_stats();
+            let stats = batch.decode_stats();
             assert_eq!(stats.columns_materialized, 0, "nothing built");
-            assert_eq!(stats.columns_skipped, tcol::COUNT as u64);
+            assert_eq!(stats.columns_skipped, 0, "nothing viewed");
             assert_eq!(stats.dict_rows, 0, "no dictionary either");
         }
 
@@ -685,7 +682,7 @@ mod tests {
         fn non_twitter_schema_stays_on_row_path() {
             let conj = cexprs(&["followers > 10"]);
             let op = FusedScanOp::new(&conj, None, EvalCtx::default(), schema(), "where").unwrap();
-            assert_eq!(op.wants_tweet_batch(), None);
+            assert!(!op.reads_tweet_batch());
         }
 
         /// The three operator shapes the planner lowers to.
@@ -743,7 +740,7 @@ mod tests {
                 let live: Option<Arc<[bool]>> = (live_bits >> 11 == 0)
                     .then(|| (0..tcol::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
                 let sel: Vec<u32> = (0..40u32).filter(|&i| draws[i as usize] < density).collect();
-                let mut batch = batch_of(tweets(), live);
+                let batch = batch_of(tweets(), live);
 
                 let mut rows = Pipeline::new(vec![Box::new(shape(which))]);
                 let mut recs: Vec<Record> =
@@ -752,7 +749,6 @@ mod tests {
                 rows.push_batch(&mut recs, &mut row_out).unwrap();
 
                 let mut cols = Pipeline::new(vec![Box::new(shape(which))]);
-                batch.materialize(cols.tweet_columns());
                 let mut col_out = Vec::new();
                 cols.push_tweet_batch(&batch, &sel, &mut col_out).unwrap();
 

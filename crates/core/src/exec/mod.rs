@@ -25,7 +25,7 @@ pub(crate) mod topk;
 use crate::error::QueryError;
 use std::time::Instant;
 use tweeql_geo::breaker::ServiceHealth;
-use tweeql_model::{DecodeStats, Duration, Record, SchemaRef, Timestamp, TweetBatch};
+use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch};
 use tweeql_obs::{Histogram, SpanKind, Tracer};
 
 /// A streaming operator.
@@ -60,15 +60,12 @@ pub trait Operator: Send {
         Ok(())
     }
 
-    /// `Some` when this operator consumes columnar [`TweetBatch`]es
-    /// natively via [`Operator::on_tweet_batch`]: the mask of columns
-    /// it reads through the batch's materialized form, which whoever
-    /// owns the batch builds before the call (a mask with no column
-    /// set asks for none, as a scan's does: it reads the tweets). Only
-    /// source-side stages over the `twitter` stream opt in; a pipeline
-    /// whose head returns `None` gets rows instead.
-    fn wants_tweet_batch(&self) -> Option<&[bool]> {
-        None
+    /// True when this operator consumes columnar [`TweetBatch`]es
+    /// natively via [`Operator::on_tweet_batch`]. Only source-side
+    /// stages over the `twitter` stream opt in; a pipeline whose head
+    /// returns `false` gets rows instead.
+    fn reads_tweet_batch(&self) -> bool {
+        false
     }
 
     /// Consume the rows of a columnar tweet batch listed in `sel`
@@ -76,10 +73,12 @@ pub trait Operator: Send {
     ///
     /// The batch is shared and read-only — the standing-query host
     /// hands the same one to every query that selected rows from it —
-    /// and the caller resets it afterward. The default is the row
-    /// shim: materialize the selected rows as [`Record`]s (honoring the
-    /// batch's liveness mask) and take the ordinary batch path; native
-    /// implementations filter *before* materializing, which is where
+    /// and the caller resets it afterward. A column the operator reads
+    /// through [`TweetBatch::view`] is built by the first reader of
+    /// the batch to view it and shared with the rest. The default is
+    /// the row shim: decode the selected rows as [`Record`]s (honoring
+    /// the batch's liveness mask) and take the ordinary batch path;
+    /// native implementations filter *before* decoding, which is where
     /// the columnar win comes from.
     fn on_tweet_batch(
         &mut self,
@@ -209,15 +208,6 @@ pub(crate) fn row_shim<O: Operator + ?Sized>(
     op.on_batch(&mut recs, out)
 }
 
-/// The selection `0..n`, served from an identity vector that only ever
-/// grows (its prefixes never change, so nothing is rewritten per batch).
-pub(crate) fn full_sel(identity: &mut Vec<u32>, n: usize) -> &[u32] {
-    if identity.len() < n {
-        identity.extend(identity.len() as u32..n as u32);
-    }
-    &identity[..n]
-}
-
 /// Per-operator tuple counters and timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
@@ -282,11 +272,7 @@ pub struct Pipeline {
     next: Vec<Record>,
     /// Head-stage output (or shimmed rows) of a tweet batch in flight.
     staged: Vec<Record>,
-    /// Identity selection for [`Pipeline::drain_tweet_batch`].
-    full_sel: Vec<u32>,
     obs: Option<PipelineObs>,
-    /// Columns this pipeline materialized for its head stage.
-    decode: DecodeStats,
     /// Whether any stage reacts to punctuation (fixed at construction).
     time_sensitive: bool,
     /// Watermarks run through the stages (not the ones skipped as
@@ -306,9 +292,7 @@ impl Pipeline {
             cur: Vec::new(),
             next: Vec::new(),
             staged: Vec::new(),
-            full_sel: Vec::new(),
             obs: None,
-            decode: DecodeStats::default(),
         }
     }
 
@@ -398,22 +382,6 @@ impl Pipeline {
         self.ops.iter().map(|o| o.metric_counters()).collect()
     }
 
-    /// Columnar decode counters: what [`Pipeline::drain_tweet_batch`]
-    /// materialized for the head stage.
-    pub fn decode_stats(&self) -> DecodeStats {
-        self.decode
-    }
-
-    /// The columns the head stage reads from a materialized
-    /// [`TweetBatch`] (see [`Operator::wants_tweet_batch`]); empty for
-    /// a head that takes rows or reads nothing materialized.
-    pub fn tweet_columns(&self) -> &[bool] {
-        self.ops
-            .first()
-            .and_then(|o| o.wants_tweet_batch())
-            .unwrap_or(&[])
-    }
-
     /// True once the pipeline will never produce more output.
     pub fn done(&self) -> bool {
         self.ops.iter().any(|o| o.done())
@@ -489,8 +457,7 @@ impl Pipeline {
     /// pipeline that is [`done`](Pipeline::done) takes nothing further.
     ///
     /// Per segment: when the first stage consumes tweet batches
-    /// natively ([`Operator::wants_tweet_batch`]; the caller has
-    /// materialized the columns it names), it reads the columns
+    /// natively ([`Operator::reads_tweet_batch`]), it reads the batch
     /// directly and only its output becomes records for the downstream
     /// stages. Otherwise the selected rows cross the row shim first —
     /// behaviorally identical to decoding rows at the source, including
@@ -562,10 +529,7 @@ impl Pipeline {
         let batch_ts = self.observe_batch(sel.len(), last_ts);
         let mut staged = std::mem::take(&mut self.staged);
         staged.clear();
-        let columnar = self
-            .ops
-            .first()
-            .is_some_and(|o| o.wants_tweet_batch().is_some());
+        let columnar = self.ops.first().is_some_and(|o| o.reads_tweet_batch());
         let res = if columnar {
             self.stage(0, batch_ts, sel.len(), &mut staged, |op, next| {
                 op.on_tweet_batch(batch, sel, next)
@@ -578,26 +542,6 @@ impl Pipeline {
             res.and_then(|()| self.batch_stages(usize::from(columnar), &mut staged, batch_ts, out));
         staged.clear();
         self.staged = staged;
-        res
-    }
-
-    /// Push a whole [`TweetBatch`] the caller owns: materialize the
-    /// columns the head stage reads (counted into
-    /// [`Pipeline::decode_stats`]), push every row, and reset the batch
-    /// — even on error — so the caller keeps the allocation.
-    pub fn drain_tweet_batch(
-        &mut self,
-        batch: &mut TweetBatch,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        if !self.tweet_columns().is_empty() {
-            let built = batch.materialize(self.tweet_columns());
-            self.decode.merge(&built);
-        }
-        let mut full = std::mem::take(&mut self.full_sel);
-        let res = self.push_tweet_batch(batch, full_sel(&mut full, batch.len()), out);
-        self.full_sel = full;
-        batch.reset();
         res
     }
 

@@ -26,11 +26,14 @@
 //!   whenever a batch is non-empty.
 //! * **Union liveness mask + shared columnar dispatch** — the host's
 //!   [`TweetBatch`] carries the union of all queries' live-column
-//!   masks. Each flush builds, once, the columns the selecting
-//!   queries' aggregate heads name (a scan head reads the tweets and
-//!   names none), then hands every one of those
-//!   pipelines the same batch and its own selection vector
-//!   ([`crate::exec::Pipeline::push_tweet_batch`]). A columnar head
+//!   masks. Each flush hands every selecting pipeline the same batch
+//!   and its own selection vector
+//!   ([`crate::exec::Pipeline::push_tweet_batch`]). A column an
+//!   aggregate head reads is built by the first head to view it and
+//!   shared with the rest (a scan head reads the tweets and views
+//!   none); the dispatcher counts what was built
+//!   ([`HostStats::decode`]) before it resets the batch. A lone query
+//!   takes every row without the prefilter scan. A columnar head
 //!   (fused scan, plain-column aggregate) never sees a [`Record`]; a
 //!   row-only head gets one for each row it selected, no more.
 //! * **Punctuation rides in the batch** — the feed only fills: each
@@ -72,8 +75,9 @@ use index::{FilterIndex, NeedleGroups};
 use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::{FilterSpec, StreamingApi};
-use tweeql_model::batch::col;
-use tweeql_model::{Clock, Crossing, Record, SchemaRef, Timestamp, TweetBatch, VirtualClock};
+use tweeql_model::{
+    Clock, Crossing, DecodeStats, Record, SchemaRef, Timestamp, TweetBatch, VirtualClock,
+};
 use tweeql_obs::{MetricsRegistry, QueryId, SpanKind, Tracer};
 
 /// Lifecycle of a registered query.
@@ -139,6 +143,9 @@ pub struct HostStats {
     pub gaps: u64,
     /// Times the filter automaton and dispatch table were built.
     pub index_rebuilds: u64,
+    /// The batch columns the queries' heads built, summed over batches
+    /// ([`TweetBatch::decode_stats`], read before each reset).
+    pub decode: DecodeStats,
 }
 
 /// One registered standing query.
@@ -806,6 +813,7 @@ impl QueryHost {
             .set(self.filter_index.table_bytes() as i64);
         m.counter("tweeql_host_filter_index_rebuilds_total", &[])
             .add(self.stats.index_rebuilds);
+        crate::engine::publish_decode(m, &self.stats.decode);
         if let Some(s) = self.wal_stats() {
             m.counter("tweeql_wal_records_total", &[]).add(s.records);
             m.counter("tweeql_wal_bytes_total", &[]).add(s.bytes);
@@ -850,33 +858,16 @@ impl Dispatch<'_> {
         Ok(())
     }
 
-    /// Dispatch the buffered batch: one prefilter scan per row, one
-    /// build of the columns the selecting queries read, then every one
-    /// of those pipelines over the same batch with its own selection.
+    /// Dispatch the buffered batch: one prefilter scan per row (none
+    /// for a lone query), then every selecting pipeline over the same
+    /// batch with its own selection. The columns their heads view are built once, by the
+    /// first of them, and counted into [`HostStats::decode`].
     pub(crate) fn flush(&mut self, batch: &mut TweetBatch) -> Result<(), QueryError> {
         let n = batch.len();
         if n == 0 {
             return Ok(());
         }
         self.stats.batches += 1;
-        // Single-query fast path: with exactly one running query there
-        // is nothing to share, so the prefilter scan is pure overhead.
-        // Hand the whole batch straight to the pipeline; this is the arm
-        // `Engine::execute`'s host takes. Register/drop flush first, so
-        // the condition cannot flip mid-batch.
-        if self.queries.len() == 1 && self.queries[0].state == QueryState::Running {
-            let q = &mut self.queries[0];
-            q.rows_in += n as u64;
-            self.stats.rows_dispatched += n as u64;
-            self.stats.rows_decoded += n as u64;
-            // `drain_tweet_batch` resets the batch itself (binding
-            // preserved), even on error.
-            q.planned
-                .pipeline
-                .drain_tweet_batch(batch, &mut q.scratch_out)?;
-            q.deliver();
-            return q.check_done();
-        }
         // ---- select: which rows does each query want? ----
         // Invariant: every `sel` and the `active` slot list are empty
         // between flushes. Selection records a slot in `active` the
@@ -885,7 +876,11 @@ impl Dispatch<'_> {
         // O(queries registered).
         // Rows at least one query selected.
         let mut decoded = 0u64;
-        if !self.filter_index.is_empty() {
+        // A lone query has nothing to share the scan with, so it takes
+        // every row, as a query without needles does; `Engine::execute`'s
+        // host is one. Register and drop flush first, so the count
+        // cannot change mid-batch.
+        if !self.filter_index.is_empty() && self.queries.len() > 1 {
             let DispatchTable {
                 ref always,
                 ref group_count,
@@ -941,17 +936,6 @@ impl Dispatch<'_> {
                 decoded = n as u64;
             }
         }
-        // ---- build, once, the columns the selecting aggregate heads name ----
-        let mut columns = [false; col::COUNT];
-        for &slot in self.active.iter() {
-            let pipeline = &self.queries[slot as usize].planned.pipeline;
-            for (have, want) in columns.iter_mut().zip(pipeline.tweet_columns()) {
-                *have |= *want;
-            }
-        }
-        if columns.contains(&true) {
-            batch.materialize(&columns);
-        }
         // A batch that carries a crossing also goes to the time-sensitive
         // queries that selected none of its rows: a window of theirs may
         // be due all the same.
@@ -985,6 +969,7 @@ impl Dispatch<'_> {
         self.stats.rows_dispatched += dispatched;
         self.stats.rows_decoded += decoded;
         self.stats.rows_shared += dispatched - decoded;
+        self.stats.decode.merge(&batch.decode_stats());
         batch.reset();
         // Restore the between-flush invariant even on error: register
         // and drop flush first, and `Vec::remove` shifts slot indices,

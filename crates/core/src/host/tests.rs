@@ -89,6 +89,45 @@ fn a_lone_query_takes_every_batch_whole() {
     assert_eq!(host.take_output(id).expect("output").len(), 240);
 }
 
+/// A standing host counts the columns its queries' heads build, adds
+/// them into `HostStats::decode` before each reset and publishes the
+/// sum, and a one-query host counts what `Engine::execute` reports.
+#[test]
+fn a_standing_host_counts_and_publishes_the_columns_its_queries_build() {
+    let group = "SELECT lang, count(*) AS n FROM twitter GROUP BY lang WINDOW 2 minutes";
+    let langs = || -> Vec<Tweet> {
+        let langs = ["en", "es", "ja"];
+        (stream().into_iter().enumerate())
+            .map(|(i, t)| {
+                Tweet::builder(t.id, t.text.to_string())
+                    .at(t.created_at)
+                    .lang(langs[i % 3])
+                    .build()
+            })
+            .collect()
+    };
+    let mut host = builder(langs()).build_host();
+    host.register(group).expect("registers");
+    host.register(&kw_query(1)).expect("registers");
+    host.run_to_end().expect("drains");
+    let decode = host.stats().decode;
+    assert!(decode.columns_materialized > 0, "{decode:?}");
+    assert!(decode.dict_rows > 0, "{decode:?}");
+    assert_eq!(
+        host.metrics()
+            .counter_value("tweeql_decode_columns_materialized_total", &[]),
+        decode.columns_materialized
+    );
+
+    let mut lone = builder(langs()).build_host();
+    lone.register(group).expect("registers");
+    lone.run_to_end().expect("drains");
+    let mut engine = builder(langs()).build();
+    let run = engine.execute(group).expect("runs");
+    assert!(run.stats.decode.columns_materialized > 0);
+    assert_eq!(run.stats.decode, lone.stats().decode);
+}
+
 /// A standing host keeps reading after its only query reached its
 /// LIMIT (a client may register another); the one-query host
 /// `Engine::execute` drives stops the pull there.

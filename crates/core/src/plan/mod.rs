@@ -1131,18 +1131,25 @@ mod tests {
         assert!(p.live_columns.is_none(), "wildcard reads everything");
     }
 
-    /// A fast plan's scan head takes the batch but asks it to build no
-    /// column: every read, a `contains` included, takes the value from
-    /// the tweet, so a column built for it would go unread.
+    /// A fast plan's scan head takes the batch but builds no column:
+    /// every read, a `contains` included, takes the value from the
+    /// tweet, so a column built for it would go unread.
     #[test]
     fn scan_head_asks_only_for_the_columns_a_contains_reads() {
-        let width = tweeql_model::record::twitter_schema().names().len();
+        let tweets: Vec<_> = (0..8u64)
+            .map(|i| tweeql_model::Tweet::builder(i, format!("x {i}")).build())
+            .collect();
         let export = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
         for filter in ["", " WHERE text contains 'x'", " WHERE followers > 10000"] {
-            let p = plan_sql(&format!("{export}{filter}"));
-            let mask = p.pipeline.tweet_columns();
-            assert_eq!(mask.len(), width, "a columnar head: {}", p.explain);
-            assert!(!mask.contains(&true), "{filter}: {mask:?}");
+            let mut p = plan_sql(&format!("{export}{filter}"));
+            let mut batch = tweeql_model::TweetBatch::with_live(p.live_columns.clone());
+            tweets.iter().for_each(|t| batch.push(t.clone()));
+            let all: Vec<u32> = (0..batch.len() as u32).collect();
+            let mut out = Vec::new();
+            p.pipeline.push_tweet_batch(&batch, &all, &mut out).unwrap();
+            assert!(p.explain.contains("compiled"), "a fast plan: {}", p.explain);
+            let built = batch.decode_stats().columns_materialized;
+            assert_eq!(built, 0, "{filter}: {}", p.explain);
         }
     }
 

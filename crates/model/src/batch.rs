@@ -25,12 +25,15 @@
 //!   readers are agnostic because both shapes are served through
 //!   [`TweetBatch::view`].
 //!
-//! Decode is *lazy per column*: [`TweetBatch::materialize`] builds only
-//! the columns the optimized plan touches, composing with the
-//! optimizer's liveness-based projection pruning — a column that is
-//! pruned dead or never referenced is counted as skipped, not decoded.
-//! A reader that walks many rows of a column resolves it once with
-//! [`TweetBatch::view`] and reads rows off the typed [`ColumnView`].
+//! Decode is *lazy per column*: the first reader to call
+//! [`TweetBatch::view`] for a column builds it, and the batch keeps it
+//! until its rows change, so a batch shared read-only among several
+//! queries builds each column at most once, for whichever reads it
+//! first. A column pruned dead by the optimizer's liveness mask reads
+//! as NULL and is never built. The batch counts what its readers built
+//! ([`TweetBatch::decode_stats`]); nothing outside it decides which
+//! columns to build. A reader that walks many rows of a column views it
+//! once and reads rows off the typed [`ColumnView`].
 //! Operators that still think in rows cross the boundary through
 //! [`TweetBatch::to_records`] / [`TweetBatch::record_at`], which defer
 //! to `Record::from_tweet{,_pruned}` so the row shim is differentially
@@ -47,6 +50,7 @@ use crate::text::Text;
 use crate::time::{Crossing, Timestamp};
 use crate::tweet::Tweet;
 use crate::value::{Value, ValueRef};
+use std::cell::{Cell, OnceCell, RefCell};
 use std::sync::Arc;
 
 /// Column indexes of the `twitter` schema, in schema order.
@@ -152,11 +156,12 @@ impl Bitmap {
     }
 }
 
-/// One materialized (or not-yet-materialized) column of a batch.
+/// One built column of a batch, or none.
 #[derive(Debug, Clone, Default)]
 pub enum Column {
-    /// Not decoded: either the plan never touched it, liveness pruning
-    /// killed it, or `materialize` has not run yet.
+    /// No values: a column read from its tweets (`text`,
+    /// `screen_name`, a dictionary that bailed out), or a spare slot
+    /// that holds no buffers.
     #[default]
     Missing,
     /// Contiguous `i64`s with per-row validity.
@@ -170,7 +175,7 @@ pub enum Column {
 }
 
 impl Column {
-    /// True when the column has been materialized.
+    /// True when the column holds values.
     pub fn is_built(&self) -> bool {
         !matches!(self, Column::Missing)
     }
@@ -233,16 +238,16 @@ impl<'a> ColumnView<'a> {
     }
 }
 
-/// Counters describing what a columnar decode actually did; merged per
-/// query and surfaced through the metrics registry. All values are
-/// deterministic for a fixed seed and worker count — batch boundaries
-/// are cut in virtual stream time.
+/// Counters describing what a columnar decode actually did; summed
+/// over batches and surfaced through the metrics registry. All values
+/// are deterministic for a fixed seed and worker count — batch
+/// boundaries are cut in virtual stream time.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// Columns built by `materialize` calls.
+    /// Columns built by the batch's readers.
     pub columns_materialized: u64,
-    /// Columns a batch carried but never decoded (unreferenced by the
-    /// plan, or pruned dead by liveness analysis).
+    /// Columns left unbuilt in a batch some reader viewed a column of:
+    /// unread, pruned dead, or read from the tweets.
     pub columns_skipped: u64,
     /// Rows written through dictionary-encoded columns.
     pub dict_rows: u64,
@@ -554,13 +559,13 @@ impl Default for RowStore {
     }
 }
 
-/// A micro-batch of tweets with lazily materialized columns.
+/// A micro-batch of tweets with lazily built columns.
 ///
 /// The batch carries a row store — owned tweets, or a zero-copy
 /// selection view into the shared firehose log (see
 /// [`bind_log`](TweetBatch::bind_log)) — so any row can always be
 /// projected to a [`Record`] (the shim for unported operators) and any
-/// column can be read row-wise even before materialization. The row
+/// column can be read row-wise without building it. The row
 /// accessors ([`str_at`](TweetBatch::str_at),
 /// [`value_at`](TweetBatch::value_at)) read the tweet, so callers
 /// never branch on decode state.
@@ -573,12 +578,19 @@ impl Default for RowStore {
 #[derive(Debug, Clone, Default)]
 pub struct TweetBatch {
     rows: RowStore,
-    /// Either empty (nothing materialized) or exactly [`col::COUNT`]
-    /// entries.
-    cols: Vec<Column>,
+    /// Column `c` as the first [`view`](TweetBatch::view) of it since
+    /// the rows last changed built it ([`Column::Missing`] for one read
+    /// from the tweets); empty until then.
+    cols: [OnceCell<Column>; col::COUNT],
     /// The columns earlier rows built, by index, for the next build of
-    /// each to reuse the buffers of: empty or [`col::COUNT`] entries.
-    spare: Vec<Column>,
+    /// each to reuse the buffers of.
+    spare: RefCell<[Column; col::COUNT]>,
+    /// Some column has been viewed since the rows last changed; while
+    /// it is false a push leaves the slots alone.
+    viewed: Cell<bool>,
+    /// The dictionary counters of the builds since the rows last
+    /// changed.
+    dict_stats: Cell<DecodeStats>,
     live: Option<Arc<[bool]>>,
     /// Punctuation riding with the rows: the watermark boundaries
     /// stream time crossed just before row `.0` (ascending rows).
@@ -634,8 +646,8 @@ impl TweetBatch {
         matches!(self.rows, RowStore::Shared { .. })
     }
 
-    /// Append one tweet. Pushing into a batch that already has
-    /// materialized columns drops them (they would go stale).
+    /// Append one tweet. Pushing into a batch that already has built
+    /// columns drops them (they would go stale).
     pub fn push(&mut self, t: Tweet) {
         self.drop_columns();
         match &mut self.rows {
@@ -729,74 +741,74 @@ impl TweetBatch {
             .is_none_or(|l| l.get(c).copied().unwrap_or(true))
     }
 
-    /// Materialize the columns marked in `needed` (intersected with
-    /// the liveness mask); already-built columns are not rebuilt and
-    /// not recounted. The first call for the rows counts every column
-    /// it leaves unbuilt as skipped: the string columns a reader takes
-    /// from the tweet (`text`, `screen_name`, and a dictionary that
-    /// bailed out) among them. Returns what this call actually did.
-    pub fn materialize(&mut self, needed: &[bool]) -> DecodeStats {
-        let mut stats = DecodeStats::default();
-        let first = self.cols.is_empty();
-        if first {
-            self.cols.resize_with(col::COUNT, Column::default);
-            self.spare.resize_with(col::COUNT, Column::default);
+    /// View every column marked in `needed` (see
+    /// [`view`](TweetBatch::view)) and return
+    /// [`decode_stats`](TweetBatch::decode_stats).
+    pub fn materialize(&self, needed: &[bool]) -> DecodeStats {
+        for c in (0..col::COUNT).filter(|&c| needed.get(c) == Some(&true)) {
+            self.view(c);
         }
-        for c in 0..col::COUNT {
-            if self.cols[c].is_built() {
-                continue;
-            }
-            if needed.get(c).copied().unwrap_or(false) && self.alive(c) {
-                let rows = self.rows.rows();
-                self.cols[c] = build_column(c, rows, &mut stats, &mut self.spare[c]);
-            }
-            if self.cols[c].is_built() {
-                stats.columns_materialized += 1;
-            } else if first {
-                stats.columns_skipped += 1;
-            }
+        self.decode_stats()
+    }
+
+    /// What the readers of the current rows built: the columns built,
+    /// and — once any column has been viewed — every other column as
+    /// skipped; the dictionary counters of the builds. A batch no
+    /// reader viewed counts nothing.
+    pub fn decode_stats(&self) -> DecodeStats {
+        if !self.viewed.get() {
+            return DecodeStats::default();
         }
-        stats
+        let built = self.cols.iter().filter_map(OnceCell::get);
+        let built = built.filter(|c| c.is_built()).count() as u64;
+        DecodeStats {
+            columns_materialized: built,
+            columns_skipped: col::COUNT as u64 - built,
+            ..self.dict_stats.get()
+        }
     }
 
     /// Drop the built columns, which go stale with the rows, keeping
     /// their buffers for the next build.
     fn drop_columns(&mut self) {
-        for (spare, built) in self.spare.iter_mut().zip(&mut self.cols) {
-            if built.is_built() {
-                *spare = std::mem::take(built);
+        if !std::mem::take(self.viewed.get_mut()) {
+            return;
+        }
+        for (spare, cell) in self.spare.get_mut().iter_mut().zip(&mut self.cols) {
+            if let Some(built) = cell.take().filter(Column::is_built) {
+                *spare = built;
             }
         }
-        self.cols.clear();
+        self.dict_stats.set(DecodeStats::default());
     }
 
-    /// The materialized column `c`, if any.
+    /// The built column `c`, if a reader has built it.
     pub fn column(&self, c: usize) -> Option<&Column> {
-        self.cols.get(c).filter(|col| col.is_built())
+        self.cols.get(c)?.get().filter(|built| built.is_built())
     }
 
-    /// Column `c` resolved for row reads: the materialized column's
-    /// view; for a string column that is not a built dictionary, the
-    /// strings read in place from the tweets ([`ColumnView::Str`]);
-    /// [`ColumnView::Null`] when the column is pruned dead or not in
-    /// the schema; and `None` when a fixed-width column is live but not
-    /// materialized (see [`decode_column`](TweetBatch::decode_column)).
-    pub fn view(&self, c: usize) -> Option<ColumnView<'_>> {
+    /// Column `c` resolved for row reads, built by the first call for
+    /// it since the rows last changed and kept for every later reader:
+    /// the built column's view; for a string column that is not a
+    /// built dictionary, the strings read in place from the tweets
+    /// ([`ColumnView::Str`]); [`ColumnView::Null`] when the column is
+    /// pruned dead or not in the schema.
+    pub fn view(&self, c: usize) -> ColumnView<'_> {
         if c >= col::COUNT || !self.alive(c) {
-            return Some(ColumnView::Null);
+            return ColumnView::Null;
         }
-        match (self.column(c), str_field(c)) {
-            (Some(built), _) => Some(built.view()),
-            (None, Some(field)) => Some(ColumnView::Str { batch: self, field }),
-            (None, None) => None,
+        self.viewed.set(true);
+        let built = self.cols[c].get_or_init(|| {
+            let mut stats = self.dict_stats.get();
+            let old = &mut self.spare.borrow_mut()[c];
+            let built = build_column(c, self.rows.rows(), &mut stats, old);
+            self.dict_stats.set(stats);
+            built
+        });
+        match (built, str_field(c)) {
+            (Column::Missing, Some(field)) => ColumnView::Str { batch: self, field },
+            (built, _) => built.view(),
         }
-    }
-
-    /// Column `c` built over every row but not kept, for a reader
-    /// given a batch that materialized less than it reads.
-    pub fn decode_column(&self, c: usize) -> Column {
-        let stats = &mut DecodeStats::default();
-        build_column(c, self.rows.rows(), stats, &mut Column::Missing)
     }
 
     /// Zero-copy string access for the text-typed columns (`text`,
@@ -1033,7 +1045,7 @@ mod tests {
 
     #[test]
     fn value_at_matches_record_slots() {
-        let mut b = batch(23, None);
+        let b = batch(23, None);
         // Both before and after materialization.
         for round in 0..2 {
             if round == 1 {
@@ -1052,9 +1064,8 @@ mod tests {
     fn column_views_are_value_at_borrowed() {
         // Same variant, same payload, dead columns NULL, out of range
         // NULL: `Debug` tells `Int(1)` from `Float(1.0)` where `==`
-        // would not. A live fixed-width column has no view until it is
-        // built, and one built aside (`decode_column`) reads as the row
-        // does; a string column reads the tweets before any build.
+        // would not. The first view of a column builds it; a later one
+        // reads what that built.
         let dead_text: Arc<[bool]> = (0..col::COUNT).map(|c| c != col::TEXT).collect();
         let same = |view: ColumnView<'_>, b: &TweetBatch, c: usize| {
             for i in 0..b.len() {
@@ -1068,29 +1079,18 @@ mod tests {
             }
         };
         for live in [None, Some(dead_text)] {
-            let mut b = batch(23, live);
-            for c in 0..col::COUNT {
-                let dead = b.live().is_some_and(|l| !l[c]);
-                let unbuilt = !dead && str_field(c).is_none();
-                assert_eq!(b.view(c).is_none(), unbuilt, "col {c} unbuilt");
-                match b.view(c) {
-                    Some(view) => same(view, &b, c),
-                    None => same(b.decode_column(c).view(), &b, c),
+            let b = batch(23, live);
+            for _ in 0..2 {
+                for c in 0..=col::COUNT {
+                    same(b.view(c), &b, c);
                 }
-            }
-            b.materialize(&all_columns());
-            for c in 0..=col::COUNT {
-                let view = b
-                    .view(c)
-                    .expect("built, read in place, dead or out of range");
-                same(view, &b, c);
             }
         }
     }
 
     #[test]
     fn str_and_float_accessors_agree_with_rows() {
-        let mut b = batch(23, None);
+        let b = batch(23, None);
         for round in 0..2 {
             if round == 1 {
                 b.materialize(&all_columns());
@@ -1131,7 +1131,7 @@ mod tests {
     fn materialize_respects_need_and_liveness() {
         let mut live = vec![true; col::COUNT];
         live[col::TEXT] = false;
-        let mut b = batch(10, Some(live.into()));
+        let b = batch(10, Some(live.into()));
         let mut needed = [false; col::COUNT];
         needed[col::TEXT] = true; // pruned dead: must be skipped
         needed[col::LANG] = true;
@@ -1142,18 +1142,21 @@ mod tests {
         assert!(b.column(col::TEXT).is_none());
         assert!(b.column(col::LANG).is_some());
         assert!(b.column(col::FOLLOWERS).is_some());
-        // Incremental second call builds only the new column.
+        // A second call builds only the new column; the counts are the
+        // rows' so far.
         let mut more = [false; col::COUNT];
         more[col::LAT] = true;
         more[col::LANG] = true; // already built: not recounted
         let stats2 = b.materialize(&more);
-        assert_eq!(stats2.columns_materialized, 1);
+        assert_eq!(stats2.columns_materialized, 3);
+        assert_eq!(stats2.columns_skipped, (col::COUNT - 3) as u64);
+        assert_eq!(stats2.dict_rows, stats.dict_rows, "lang built once");
         assert!(b.column(col::LAT).is_some());
     }
 
     #[test]
     fn dictionary_encodes_low_cardinality_columns() {
-        let mut b = batch(50, None);
+        let b = batch(50, None);
         let mut needed = [false; col::COUNT];
         needed[col::LANG] = true;
         needed[col::LOC] = true;
@@ -1196,12 +1199,12 @@ mod tests {
     fn string_columns_read_the_tweets_own_bytes() {
         // `text` and `screen_name` are never copied: a reader gets the
         // very bytes the tweet's `Text` holds, built mask or not.
-        let mut b = batch(12, None);
+        let b = batch(12, None);
         let stats = b.materialize(&all_columns());
         assert_eq!(stats.columns_materialized, col::COUNT as u64 - 2);
         assert_eq!(stats.columns_skipped, 2, "text and screen_name");
-        let ptr = |v: Option<ColumnView<'_>>, i: usize| match v.map(|v| v.get(i)) {
-            Some(ValueRef::Str(s)) => s.as_ptr(),
+        let ptr = |v: ColumnView<'_>, i: usize| match v.get(i) {
+            ValueRef::Str(s) => s.as_ptr(),
             other => panic!("a string view, got {other:?}"),
         };
         for i in 0..b.len() {
@@ -1228,7 +1231,7 @@ mod tests {
         assert_eq!(stats.columns_skipped, 3, "text, screen_name and loc");
         for i in 0..wide.len() {
             let loc = &wide.tweet_at(i).user.location;
-            assert_eq!(wide.view(col::LOC).unwrap().get(i), ValueRef::Str(loc));
+            assert_eq!(wide.view(col::LOC).get(i), ValueRef::Str(loc));
             assert_eq!(wide.str_at(i, col::LOC), Some(&**loc));
             assert_eq!(ptr(wide.view(col::LOC), i), loc.as_ptr());
         }
@@ -1241,6 +1244,11 @@ mod tests {
         assert!(b.column(col::ID).is_some());
         b.push(tweet(99));
         assert!(b.column(col::ID).is_none(), "stale columns must drop");
+        assert_eq!(b.decode_stats(), DecodeStats::default(), "and their counts");
+        match b.view(col::ID).get(4) {
+            ValueRef::Int(id) => assert_eq!(id, 99, "rebuilt over the new rows"),
+            other => panic!("an id, got {other:?}"),
+        }
         assert_eq!(b.len(), 5);
         assert_eq!(b.record_at(4), Record::from_tweet(&b.tweets()[4]));
     }
@@ -1277,9 +1285,8 @@ mod tests {
             for i in 0..b.len() {
                 let want = Record::from_tweet(b.tweet_at(i));
                 for c in 0..col::COUNT {
-                    let view = b.view(c).expect("materialized or read in place");
                     assert_eq!(
-                        view.get(i),
+                        b.view(c).get(i),
                         ValueRef::from(want.value(c)),
                         "row {i} col {c}"
                     );
@@ -1287,6 +1294,58 @@ mod tests {
             }
             assert_eq!(*first.get_or_insert(ids(&b)), ids(&b), "buffer reused");
         }
+        // A refill no one materializes: the first reader's view builds
+        // `id` in the buffer the batch kept, and nothing else.
+        b.reset();
+        b.extend_indices(&[3, 5, 8]);
+        assert_eq!(b.view(col::ID).get(2), ValueRef::Int(log[8].id as i64));
+        assert_eq!(first, Some(ids(&b)), "buffer reused by a view");
+        assert_eq!(b.decode_stats().columns_materialized, 1);
+    }
+
+    #[test]
+    fn readers_share_the_columns_the_first_of_them_built() {
+        let b = batch(30, None);
+        assert_eq!(b.decode_stats(), DecodeStats::default(), "none viewed");
+        let followers = |b: &TweetBatch| match b.column(col::FOLLOWERS) {
+            Some(Column::Int { vals, .. }) => vals.as_ptr(),
+            other => panic!("followers should build as integers, got {other:?}"),
+        };
+        // Two readers of one shared batch, with overlapping columns.
+        for c in [col::LANG, col::FOLLOWERS, col::ID] {
+            b.view(c);
+        }
+        let first = b.decode_stats();
+        assert_eq!(first.columns_materialized, 3);
+        assert_eq!(first.dict_rows, 30);
+        let built = followers(&b);
+        for c in [col::FOLLOWERS, col::LAT, col::LANG, col::TEXT] {
+            b.view(c);
+        }
+        let both = b.decode_stats();
+        assert_eq!(both.columns_materialized, 4, "each column built once");
+        assert_eq!(both.columns_skipped, (col::COUNT - 4) as u64);
+        assert_eq!(both.dict_rows, 30, "lang's dictionary counted once");
+        assert_eq!(followers(&b), built, "the second reader read the first's");
+        // A `loc` past the dictionary cap is tried once: the bail-out is
+        // kept, so a later view neither builds it again nor counts it.
+        let mut wide = TweetBatch::new();
+        for i in 0..(DICT_MAX_ENTRIES as u64 + 8) {
+            let mut t = tweet(i);
+            Arc::make_mut(&mut t.user).location = format!("town {i}").into();
+            wide.push(t);
+        }
+        assert!(matches!(wide.view(col::LOC), ColumnView::Str { .. }));
+        assert!(matches!(wide.spare.borrow()[col::LOC], Column::Dict { .. }));
+        wide.spare.borrow_mut()[col::LOC] = Column::Missing;
+        assert!(matches!(wide.view(col::LOC), ColumnView::Str { .. }));
+        assert!(
+            matches!(wide.spare.borrow()[col::LOC], Column::Missing),
+            "a second build would have left its buffers here"
+        );
+        let stats = wide.decode_stats();
+        assert_eq!(stats.columns_materialized, 0);
+        assert_eq!(stats.dict_rows, 0, "a bailed dictionary counts no rows");
     }
 
     #[test]

@@ -9,8 +9,12 @@
 //! which built a whole reply in one `String` first, is gone too. A scan
 //! reads strings from the tweet, so the scan column mask
 //! (`columns_to_materialize`), the text arena (`str_column`) and the
-//! column-first `float_at` are gone. No Rust source outside
-//! `benchmark/` may call or define any of them.
+//! column-first `float_at` are gone. A batch builds a column at its
+//! first reader's view, so the head's column mask
+//! (`wants_tweet_batch`, `tweet_columns`), the pipeline's own batch
+//! drain (`drain_tweet_batch`) and the build beside the batch
+//! (`decode_column`) are gone. No Rust source outside `benchmark/` may
+//! call or define any of them.
 
 use std::path::Path;
 
@@ -31,6 +35,10 @@ const RETIRED_FNS: &[&str] = &[
     "columns_to_materialize",
     "str_column",
     "float_at",
+    "wants_tweet_batch",
+    "tweet_columns",
+    "drain_tweet_batch",
+    "decode_column",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
