@@ -1620,7 +1620,7 @@ mod tests {
         use super::*;
         use crate::exec::Pipeline;
         use proptest::prelude::*;
-        use tweeql_model::{Text, Tweet, User};
+        use tweeql_model::{RowBatch, Text, Tweet, User};
 
         /// How [`tweets`] builds its stream.
         #[derive(Debug, Clone, Copy)]
@@ -1808,7 +1808,9 @@ mod tests {
                 let keys = KEYS[keys];
                 let mut rows = Pipeline::new(vec![Box::new(op(policy(which), keys, false))]);
                 let mut cols = Pipeline::new(vec![Box::new(op(policy(which), keys, true))]);
-                let (mut row_out, mut col_out) = (Vec::new(), Vec::new());
+                let schema = rows.output_schema().unwrap();
+                let (mut row_out, mut col_out) =
+                    (RowBatch::new(schema.clone()), RowBatch::new(schema));
                 let stream = Stream { interned: interned == 1, unique_loc: unique_loc == 1 };
                 for half in tweets(stream).chunks(100) {
                     let mut batch = TweetBatch::with_live(live.clone());
@@ -1836,7 +1838,7 @@ mod tests {
                 }
                 rows.finish(&mut row_out).unwrap();
                 cols.finish(&mut col_out).unwrap();
-                prop_assert_eq!(row_out, col_out);
+                prop_assert_eq!(row_out.into_records(), col_out.into_records());
                 let counts = |p: &Pipeline| -> Vec<(u64, u64)> {
                     p.stage_stats()
                         .iter()

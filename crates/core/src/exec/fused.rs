@@ -5,7 +5,11 @@
 //! [`FusedScanOp`]: each conjunct is its own [`ExprProgram`] that
 //! shrinks the batch's selection vector, the projection programs run
 //! only over the survivors, and output records materialize once at the
-//! end — no intermediate `Record` vector between the stages.
+//! end — no intermediate `Record` vector between the stages. As a
+//! pipeline's last stage over the `twitter` stream it builds no record
+//! at all: it appends each output column straight onto the pipeline's
+//! [`RowBatch`] ([`Operator::on_tweet_batch_rows`]), a bare column
+//! reference copied from the tweets and a computed one through the VM.
 //!
 //! **Adaptive conjunct ordering** (§2's Eddies-style reordering for
 //! drifting selectivities, batched): every conjunct carries a
@@ -36,7 +40,7 @@ use crate::expr::{BatchVm, CExpr, EvalCtx, ExprProgram};
 use std::sync::Arc;
 use std::time::Instant;
 use tweeql_model::record::twitter_schema;
-use tweeql_model::{Record, SchemaRef, TweetBatch, Value};
+use tweeql_model::{Record, RowBatch, SchemaRef, TweetBatch, Value};
 
 /// Per-conjunct runtime statistics.
 #[derive(Debug, Clone, Copy)]
@@ -270,6 +274,36 @@ impl FusedScanOp {
         }
         Ok(())
     }
+
+    /// Append the rows in `self.sel_a` to `out`, one column at a time:
+    /// a bare column reference is copied from the tweets, a computed
+    /// one evaluated by the VM and moved in. A failed evaluation leaves
+    /// the columns of unequal length; the caller truncates.
+    fn write_rows(&mut self, batch: &TweetBatch, out: &mut RowBatch) -> Result<(), QueryError> {
+        let sel = &self.sel_a;
+        match &self.project {
+            None => {
+                for (c, col) in out.columns_mut().iter_mut().enumerate() {
+                    col.extend_from(batch, c, sel);
+                }
+            }
+            Some(p) => {
+                for (prog, col) in p.cols.iter().zip(out.columns_mut()) {
+                    match prog.column() {
+                        Some(c) => col.extend_from(batch, c, sel),
+                        None => {
+                            self.vm.eval_cols(prog, batch, sel)?;
+                            for &i in sel {
+                                col.push_value(self.vm.take_result(prog, i));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out.extend_ts(batch, sel);
+        Ok(())
+    }
 }
 
 impl Operator for FusedScanOp {
@@ -401,6 +435,24 @@ impl Operator for FusedScanOp {
             }
         }
         Ok(())
+    }
+
+    fn on_tweet_batch_rows(
+        &mut self,
+        batch: &TweetBatch,
+        sel: &[u32],
+        rows: &mut Vec<Record>,
+        out: &mut RowBatch,
+    ) -> Result<(), QueryError> {
+        // Asked only of a stage that reads the batch: a twitter scan.
+        debug_assert!(self.twitter && rows.is_empty());
+        self.run_filters_cols(batch, sel)?;
+        let before = out.len();
+        let res = self.write_rows(batch, out);
+        if res.is_err() {
+            out.truncate(before);
+        }
+        res
     }
 
     fn metric_counters(&self) -> Vec<(&'static str, u64)> {
@@ -669,7 +721,7 @@ mod tests {
             let mut pipeline = Pipeline::new(vec![Box::new(op)]);
             let batch = batch_of(tweets(), None);
             let full: Vec<u32> = (0..batch.len() as u32).collect();
-            let mut out = Vec::new();
+            let mut out = RowBatch::new(twitter_schema());
             pipeline.push_tweet_batch(&batch, &full, &mut out).unwrap();
             assert_eq!(out.len(), 20);
             let stats = batch.decode_stats();
@@ -685,14 +737,28 @@ mod tests {
             assert!(!op.reads_tweet_batch());
         }
 
-        /// The three operator shapes the planner lowers to.
+        /// The three operator shapes the planner lowers to. The
+        /// projection mixes computed columns with bare references of
+        /// every type the `twitter` schema has.
         fn shape(which: usize) -> FusedScanOp {
             let conj = tcexprs(&["text contains 'obama'", "followers > 10"]);
-            let proj = tcexprs(&["upper(lang)", "followers * 2", "loc"]);
+            let proj = tcexprs(&[
+                "upper(lang)",
+                "followers * 2",
+                "loc",
+                "text",
+                "created_at",
+                "lat",
+                "retweet_of",
+            ]);
             let out_schema = Schema::shared(&[
                 ("l", DataType::Str),
                 ("f2", DataType::Int),
                 ("loc", DataType::Str),
+                ("text", DataType::Str),
+                ("created_at", DataType::Time),
+                ("lat", DataType::Float),
+                ("retweet_of", DataType::Int),
             ]);
             match which {
                 0 => FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where"),
@@ -722,11 +788,12 @@ mod tests {
         }
 
         proptest! {
-            /// `on_tweet_batch(batch, sel)` is `on_batch` over the
-            /// selected rows decoded one by one: same rows, same order,
-            /// same stage counts — for empty, full and sparse
-            /// selections, with any liveness mask (dead columns read
-            /// NULL on both sides, even ones the programs touch).
+            /// A lone scan's columns written straight into the output
+            /// batch are `on_batch` over the selected rows decoded one
+            /// by one: same rows, same order, same stage counts — for
+            /// empty, full and sparse selections, with any liveness mask
+            /// (dead columns read NULL on both sides, even ones the
+            /// programs touch).
             #[test]
             fn selection_ingest_matches_row_ingest(
                 which in 0usize..3,
@@ -745,14 +812,16 @@ mod tests {
                 let mut rows = Pipeline::new(vec![Box::new(shape(which))]);
                 let mut recs: Vec<Record> =
                     sel.iter().map(|&i| batch.record_at(i as usize)).collect();
-                let mut row_out = Vec::new();
+                let schema = rows.output_schema().unwrap();
+                let mut row_out = RowBatch::new(schema.clone());
                 rows.push_batch(&mut recs, &mut row_out).unwrap();
 
                 let mut cols = Pipeline::new(vec![Box::new(shape(which))]);
-                let mut col_out = Vec::new();
+                let mut col_out = RowBatch::new(schema);
                 cols.push_tweet_batch(&batch, &sel, &mut col_out).unwrap();
 
-                prop_assert_eq!(row_out, col_out);
+                let (row_out, col_out) = (row_out.into_records(), col_out.into_records());
+                prop_assert_eq!(format!("{row_out:?}"), format!("{col_out:?}"));
                 prop_assert_eq!(counts(&rows), counts(&cols));
             }
         }

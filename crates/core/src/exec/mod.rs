@@ -25,7 +25,7 @@ pub(crate) mod topk;
 use crate::error::QueryError;
 use std::time::Instant;
 use tweeql_geo::breaker::ServiceHealth;
-use tweeql_model::{Duration, Record, SchemaRef, Timestamp, TweetBatch};
+use tweeql_model::{Duration, Record, RowBatch, SchemaRef, Timestamp, TweetBatch};
 use tweeql_obs::{Histogram, SpanKind, Tracer};
 
 /// A streaming operator.
@@ -87,6 +87,23 @@ pub trait Operator: Send {
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
         row_shim(self, batch, sel, out)
+    }
+
+    /// [`Operator::on_tweet_batch`] for the last stage of a pipeline:
+    /// the rows go onto the pipeline's output batch. The default takes
+    /// the row path through `rows` (scratch, left empty) and appends
+    /// each row; a scan that reads the batch natively writes its
+    /// columns straight into `out`.
+    fn on_tweet_batch_rows(
+        &mut self,
+        batch: &TweetBatch,
+        sel: &[u32],
+        rows: &mut Vec<Record>,
+        out: &mut RowBatch,
+    ) -> Result<(), QueryError> {
+        self.on_tweet_batch(batch, sel, rows)?;
+        emit(rows, out);
+        Ok(())
     }
 
     /// Stream time has advanced to `wm`; flush anything due.
@@ -196,6 +213,12 @@ pub(crate) fn earlier(a: Option<Timestamp>, b: Option<Timestamp>) -> Option<Time
     }
 }
 
+/// Append `rows` to `out` (draining them): where a last stage's records
+/// become the pipeline's output.
+pub(crate) fn emit(rows: &mut Vec<Record>, out: &mut RowBatch) {
+    rows.drain(..).for_each(|r| out.push_record(&r));
+}
+
 /// The row shim behind [`Operator::on_tweet_batch`]: decode the selected
 /// rows (honoring the batch's liveness mask) and take the batch path.
 pub(crate) fn row_shim<O: Operator + ?Sized>(
@@ -262,9 +285,11 @@ impl PipelineObs {
 
 /// A linear chain of operators with per-stage stats.
 ///
-/// The pipeline owns two scratch buffers that ping-pong between stages,
-/// so steady-state record pushes allocate nothing beyond what operators
-/// themselves allocate.
+/// Its output is a [`RowBatch`] the caller owns: every entry point
+/// appends the rows the last stage emits. Between stages rows are
+/// records, in two scratch buffers that ping-pong, so steady-state
+/// pushes allocate nothing beyond what operators themselves allocate;
+/// a last stage's records are copied into the output as they leave.
 pub struct Pipeline {
     ops: Vec<Box<dyn Operator>>,
     stats: Vec<OpStats>,
@@ -429,10 +454,10 @@ impl Pipeline {
     pub fn push_batch(
         &mut self,
         recs: &mut Vec<Record>,
-        out: &mut Vec<Record>,
+        out: &mut RowBatch,
     ) -> Result<(), QueryError> {
         if self.ops.is_empty() {
-            out.append(recs);
+            emit(recs, out);
             return Ok(());
         }
         let batch_ts = self.observe_batch(recs.len(), recs.last().map(Record::timestamp));
@@ -459,15 +484,17 @@ impl Pipeline {
     /// Per segment: when the first stage consumes tweet batches
     /// natively ([`Operator::reads_tweet_batch`]), it reads the batch
     /// directly and only its output becomes records for the downstream
-    /// stages. Otherwise the selected rows cross the row shim first —
-    /// behaviorally identical to decoding rows at the source, including
-    /// stats, batch spans, and the batch-rows histogram (observed once
-    /// per segment, like [`Pipeline::push_batch`]).
+    /// stages; when it is also the last stage, its rows go straight
+    /// into `out` ([`Operator::on_tweet_batch_rows`]). Otherwise the
+    /// selected rows cross the row shim first — behaviorally identical
+    /// to decoding rows at the source, including stats, batch spans,
+    /// and the batch-rows histogram (observed once per segment, like
+    /// [`Pipeline::push_batch`]).
     pub fn push_tweet_batch(
         &mut self,
         batch: &TweetBatch,
         sel: &[u32],
-        out: &mut Vec<Record>,
+        out: &mut RowBatch,
     ) -> Result<(), QueryError> {
         let crossings = batch.crossings();
         if crossings.is_empty() || !self.time_sensitive {
@@ -523,20 +550,24 @@ impl Pipeline {
         &mut self,
         batch: &TweetBatch,
         sel: &[u32],
-        out: &mut Vec<Record>,
+        out: &mut RowBatch,
     ) -> Result<(), QueryError> {
         let last_ts = sel.last().map(|&i| batch.ts(i as usize));
         let batch_ts = self.observe_batch(sel.len(), last_ts);
         let mut staged = std::mem::take(&mut self.staged);
         staged.clear();
         let columnar = self.ops.first().is_some_and(|o| o.reads_tweet_batch());
-        let res = if columnar {
-            self.stage(0, batch_ts, sel.len(), &mut staged, |op, next| {
+        let res = match (columnar, self.ops.len()) {
+            (true, 1) => self.stage(0, batch_ts, sel.len(), out, RowBatch::len, |op, out| {
+                op.on_tweet_batch_rows(batch, sel, &mut staged, out)
+            }),
+            (true, _) => self.stage(0, batch_ts, sel.len(), &mut staged, Vec::len, |op, next| {
                 op.on_tweet_batch(batch, sel, next)
-            })
-        } else {
-            staged.extend(sel.iter().map(|&i| batch.record_at(i as usize)));
-            Ok(())
+            }),
+            (false, _) => {
+                staged.extend(sel.iter().map(|&i| batch.record_at(i as usize)));
+                Ok(())
+            }
         };
         let res =
             res.and_then(|()| self.batch_stages(usize::from(columnar), &mut staged, batch_ts, out));
@@ -566,10 +597,10 @@ impl Pipeline {
         start: usize,
         recs: &mut Vec<Record>,
         batch_ts: i64,
-        out: &mut Vec<Record>,
+        out: &mut RowBatch,
     ) -> Result<(), QueryError> {
         if start >= self.ops.len() {
-            out.append(recs);
+            emit(recs, out);
             return Ok(());
         }
         let mut cur = std::mem::take(&mut self.cur);
@@ -578,7 +609,7 @@ impl Pipeline {
         for i in start..self.ops.len() {
             let input: &mut Vec<Record> = if i == start { recs } else { &mut cur };
             next.clear();
-            res = self.stage(i, batch_ts, input.len(), &mut next, |op, next| {
+            res = self.stage(i, batch_ts, input.len(), &mut next, Vec::len, |op, next| {
                 op.on_batch(input, next)
             });
             if res.is_err() {
@@ -587,7 +618,7 @@ impl Pipeline {
             std::mem::swap(&mut cur, &mut next);
         }
         if res.is_ok() {
-            out.append(&mut cur);
+            emit(&mut cur, out);
         }
         self.cur = cur;
         self.next = next;
@@ -595,23 +626,27 @@ impl Pipeline {
     }
 
     /// One batch-path call into stage `i`, with its stats, busy time
-    /// and batch span.
-    fn stage(
+    /// and batch span. The stage's rows out are what it added to
+    /// `next` (rows counted by `len`).
+    fn stage<T>(
         &mut self,
         i: usize,
         batch_ts: i64,
         rows_in: usize,
-        next: &mut Vec<Record>,
-        call: impl FnOnce(&mut dyn Operator, &mut Vec<Record>) -> Result<(), QueryError>,
+        next: &mut T,
+        len: fn(&T) -> usize,
+        call: impl FnOnce(&mut dyn Operator, &mut T) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
         self.stats[i].records_in += rows_in as u64;
         self.stats[i].batches += 1;
         let span = Self::batch_span_open(&self.obs, i, batch_ts);
+        let before = len(next);
         let t0 = Instant::now();
         let res = call(self.ops[i].as_mut(), next);
         self.stats[i].busy_nanos += t0.elapsed().as_nanos() as u64;
-        self.stats[i].records_out += next.len() as u64;
-        Self::batch_span_close(&self.obs, span, batch_ts, next.len() as u64);
+        let rows_out = len(next).saturating_sub(before) as u64;
+        self.stats[i].records_out += rows_out;
+        Self::batch_span_close(&self.obs, span, batch_ts, rows_out);
         res
     }
 
@@ -646,7 +681,7 @@ impl Pipeline {
     }
 
     /// Propagate a watermark through every stage.
-    pub fn watermark(&mut self, wm: Timestamp, out: &mut Vec<Record>) -> Result<(), QueryError> {
+    pub fn watermark(&mut self, wm: Timestamp, out: &mut RowBatch) -> Result<(), QueryError> {
         self.cur.clear();
         self.watermarks_delivered += 1;
         self.advance_obs_ts(wm);
@@ -671,7 +706,7 @@ impl Pipeline {
         &mut self,
         from: Timestamp,
         to: Timestamp,
-        out: &mut Vec<Record>,
+        out: &mut RowBatch,
     ) -> Result<(), QueryError> {
         self.cur.clear();
         self.advance_obs_ts(to);
@@ -685,7 +720,7 @@ impl Pipeline {
     }
 
     /// End of stream: flush every stage in order.
-    pub fn finish(&mut self, out: &mut Vec<Record>) -> Result<(), QueryError> {
+    pub fn finish(&mut self, out: &mut RowBatch) -> Result<(), QueryError> {
         self.cur.clear();
         self.run(None, None, true, out)
     }
@@ -697,7 +732,7 @@ impl Pipeline {
         gap: Option<(Timestamp, Timestamp)>,
         wm: Option<Timestamp>,
         finishing: bool,
-        out: &mut Vec<Record>,
+        out: &mut RowBatch,
     ) -> Result<(), QueryError> {
         for i in 0..self.ops.len() {
             let op = &mut self.ops[i];
@@ -720,7 +755,7 @@ impl Pipeline {
             self.stats[i].records_out += self.next.len() as u64;
             std::mem::swap(&mut self.cur, &mut self.next);
         }
-        out.append(&mut self.cur);
+        emit(&mut self.cur, out);
         Ok(())
     }
 }
@@ -835,12 +870,14 @@ mod tests {
                 schema: int_schema(),
             }),
         ]);
-        let mut out = Vec::new();
+        let mut out = RowBatch::new(int_schema());
         let mut batch = vec![rec(1), rec(2), rec(3), rec(4)];
         p.push_batch(&mut batch, &mut out).unwrap();
         assert!(batch.is_empty(), "the batch is drained");
         // 2→4→8, 4→8→16 (all doubles stay even).
-        let vals: Vec<i64> = out.iter().map(|r| r.value(0).as_int().unwrap()).collect();
+        let vals: Vec<i64> = (out.into_records().iter())
+            .map(|r| r.value(0).as_int().unwrap())
+            .collect();
         assert_eq!(vals, vec![8, 16]);
         let stats = p.stage_stats();
         assert_eq!(stats[0].1.records_in, 4);
@@ -861,12 +898,14 @@ mod tests {
                 schema: int_schema(),
             }),
         ]);
-        let mut out = Vec::new();
+        let mut out = RowBatch::new(int_schema());
         p.push_batch(&mut vec![rec(2)], &mut out).unwrap();
         p.push_batch(&mut vec![rec(4)], &mut out).unwrap();
         assert!(out.is_empty(), "buffered stage holds records");
         p.finish(&mut out).unwrap();
-        let vals: Vec<i64> = out.iter().map(|r| r.value(0).as_int().unwrap()).collect();
+        let vals: Vec<i64> = (out.into_records().iter())
+            .map(|r| r.value(0).as_int().unwrap())
+            .collect();
         assert_eq!(vals, vec![4, 8]);
     }
 
@@ -884,7 +923,7 @@ mod tests {
                 records: Arc::clone(&records),
             }),
         ]);
-        let mut out = Vec::new();
+        let mut out = RowBatch::new(int_schema());
         for v in 0..3 {
             p.push_batch(&mut vec![rec(v), rec(v + 10)], &mut out)
                 .unwrap();
@@ -904,7 +943,7 @@ mod tests {
     fn empty_pipeline_passes_through() {
         let mut p = Pipeline::new(vec![]);
         assert!(p.is_empty());
-        let mut out = Vec::new();
+        let mut out = RowBatch::new(int_schema());
         p.push_batch(&mut vec![rec(7)], &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert!(p.output_schema().is_none());

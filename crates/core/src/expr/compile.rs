@@ -469,6 +469,15 @@ impl Lowerer {
 }
 
 impl ExprProgram {
+    /// The input column this program does nothing but load (`SELECT
+    /// text`), if that is all it does.
+    pub(crate) fn column(&self) -> Option<usize> {
+        match self.instrs[..] {
+            [Instr::Col { col, .. }] => Some(col),
+            _ => None,
+        }
+    }
+
     /// Lower a compiled expression tree into a flat program.
     pub fn lower(expr: &CExpr) -> Result<ExprProgram, QueryError> {
         let mut l = Lowerer {

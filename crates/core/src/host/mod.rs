@@ -76,7 +76,7 @@ use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_model::{
-    Clock, Crossing, DecodeStats, Record, SchemaRef, Timestamp, TweetBatch, VirtualClock,
+    Clock, Crossing, DecodeStats, Record, RowBatch, SchemaRef, Timestamp, TweetBatch, VirtualClock,
 };
 use tweeql_obs::{MetricsRegistry, QueryId, SpanKind, Tracer};
 
@@ -161,11 +161,12 @@ struct HostQuery {
     state: QueryState,
     /// Row indices selected from the current batch (dispatch scratch).
     sel: Vec<u32>,
-    scratch_out: Vec<Record>,
-    pending: Vec<Record>,
+    /// The rows emitted and not yet taken: the pipeline's output batch,
+    /// appended to where the rows are made.
+    pending: RowBatch,
     rows_in: u64,
     rows_out: u64,
-    /// Rows to swallow before anything reaches `pending`:
+    /// Rows to swallow before anything stays in `pending`:
     /// set during recovery to the query's logged cumulative
     /// `take_output` count, so a restart never re-delivers output the
     /// caller already took. Counted rows still increment `rows_out`.
@@ -183,19 +184,25 @@ struct HostQuery {
 }
 
 impl HostQuery {
-    /// Move freshly produced rows to the pending buffer.
-    fn deliver(&mut self) {
-        if self.scratch_out.is_empty() {
-            return;
+    /// Run `push` on the pipeline with `pending` as its output, then
+    /// count the rows it added and swallow the ones still suppressed.
+    /// Rows are suppressed from the first ever emitted on, so while any
+    /// are, `pending` holds nothing before them.
+    fn push(
+        &mut self,
+        push: impl FnOnce(&mut Pipeline, &mut RowBatch) -> Result<(), QueryError>,
+    ) -> Result<(), QueryError> {
+        let before = self.pending.len();
+        let res = push(&mut self.planned.pipeline, &mut self.pending);
+        let fresh = (self.pending.len() - before) as u64;
+        self.rows_out += fresh;
+        if self.suppress > 0 && fresh > 0 {
+            debug_assert_eq!(before, 0, "rows kept before a suppressed one");
+            let swallowed = self.suppress.min(fresh);
+            self.pending.drop_front(swallowed as usize);
+            self.suppress -= swallowed;
         }
-        self.rows_out += self.scratch_out.len() as u64;
-        for r in self.scratch_out.drain(..) {
-            if self.suppress > 0 {
-                self.suppress -= 1;
-                continue;
-            }
-            self.pending.push(r);
-        }
+        res
     }
 
     /// After any push: when the pipeline reports done (LIMIT reached),
@@ -214,8 +221,7 @@ impl HostQuery {
             return Ok(());
         }
         self.state = QueryState::Finished;
-        self.planned.pipeline.finish(&mut self.scratch_out)?;
-        self.deliver();
+        self.push(|pipeline, out| pipeline.finish(out))?;
         self.retire();
         Ok(())
     }
@@ -470,6 +476,7 @@ impl QueryHost {
             .map(|t| t.start(SpanKind::Query, "standing", None, now.millis()));
         let time_sensitive = planned.pipeline.time_sensitive();
         let groups = self.filter_index.groups_for(&planned.api_candidates);
+        let pending = RowBatch::new(planned.output_schema.clone());
         self.queries.push(HostQuery {
             id,
             sql: sql.to_string(),
@@ -478,8 +485,7 @@ impl QueryHost {
             groups,
             state: QueryState::Running,
             sel: Vec::new(),
-            scratch_out: Vec::new(),
-            pending: Vec::new(),
+            pending,
             rows_in: 0,
             rows_out: 0,
             suppress: 0,
@@ -496,6 +502,12 @@ impl QueryHost {
     /// Drop a query: finish its pipeline (final aggregate windows) and
     /// return everything it had pending plus the finish output.
     pub fn drop_query(&mut self, id: QueryId) -> Result<Vec<Record>, QueryError> {
+        self.drop_batch(id).map(RowBatch::into_records)
+    }
+
+    /// [`QueryHost::drop_query`]'s rows as the one batch they are held
+    /// in: the server's entry, which renders them without a [`Record`].
+    pub fn drop_batch(&mut self, id: QueryId) -> Result<RowBatch, QueryError> {
         let rows = self.drop_inner(id)?;
         // Logged and synced before the rows cross the API boundary, so
         // recovery discards them instead of re-delivering.
@@ -504,7 +516,7 @@ impl QueryHost {
     }
 
     /// Drop body, shared with recovery (which must not re-log).
-    fn drop_inner(&mut self, id: QueryId) -> Result<Vec<Record>, QueryError> {
+    fn drop_inner(&mut self, id: QueryId) -> Result<RowBatch, QueryError> {
         self.flush_batch()?;
         let idx = self
             .queries
@@ -521,7 +533,7 @@ impl QueryHost {
         }
         self.index_changed();
         q.finish()?;
-        Ok(std::mem::take(&mut q.pending))
+        Ok(q.pending)
     }
 
     /// Every registered query, in registration order.
@@ -542,8 +554,15 @@ impl QueryHost {
 
     /// Drain the query's pending output buffer.
     pub fn take_output(&mut self, id: QueryId) -> Result<Vec<Record>, QueryError> {
+        self.take_batch(id).map(RowBatch::into_records)
+    }
+
+    /// [`QueryHost::take_output`]'s rows as the one batch they are held
+    /// in: the server's entry, which renders them without a [`Record`].
+    pub fn take_batch(&mut self, id: QueryId) -> Result<RowBatch, QueryError> {
         let q = self.query_mut(id)?;
-        let rows = std::mem::take(&mut q.pending);
+        let empty = RowBatch::new(q.pending.schema().clone());
+        let rows = std::mem::replace(&mut q.pending, empty);
         // The cumulative taken-count is synced before the rows are
         // returned: a crash after this call replays with these rows
         // suppressed.
@@ -618,7 +637,7 @@ impl QueryHost {
     /// [`QueryHost::run_query`].
     pub(crate) fn into_query(mut self) -> (PlannedQuery, Vec<Record>) {
         let q = self.queries.swap_remove(0);
-        (q.planned, q.pending)
+        (q.planned, q.pending.into_records())
     }
 
     /// High-water stream time of the events processed so far.
@@ -640,6 +659,12 @@ impl QueryHost {
     /// backlog that `take_output` and `drop_query` hand out.
     pub fn pending_rows(&self) -> usize {
         self.queries.iter().map(|q| q.pending.len()).sum()
+    }
+
+    /// Heap bytes that backlog holds, summed over every query
+    /// ([`RowBatch::heap_bytes`]).
+    pub fn pending_bytes(&self) -> usize {
+        self.queries.iter().map(|q| q.pending.heap_bytes()).sum()
     }
 
     /// Shared-source connection and supervisor statistics (None until
@@ -842,7 +867,7 @@ impl Dispatch<'_> {
     /// Show punctuation to every running time-sensitive query.
     fn punctuate(
         &mut self,
-        mut show: impl FnMut(&mut Pipeline, &mut Vec<Record>) -> Result<(), QueryError>,
+        mut show: impl FnMut(&mut Pipeline, &mut RowBatch) -> Result<(), QueryError>,
     ) -> Result<(), QueryError> {
         if self.punctual.is_empty() {
             return Ok(());
@@ -851,8 +876,7 @@ impl Dispatch<'_> {
             if q.state != QueryState::Running || !q.time_sensitive {
                 continue;
             }
-            show(&mut q.planned.pipeline, &mut q.scratch_out)?;
-            q.deliver();
+            q.push(&mut show)?;
             q.check_done()?;
         }
         Ok(())
@@ -960,10 +984,10 @@ impl Dispatch<'_> {
                 return Ok(());
             }
             q.rows_in += q.sel.len() as u64;
-            q.planned
-                .pipeline
-                .push_tweet_batch(shared, &q.sel, &mut q.scratch_out)?;
-            q.deliver();
+            let sel = std::mem::take(&mut q.sel);
+            let res = q.push(|pipeline, out| pipeline.push_tweet_batch(shared, &sel, out));
+            q.sel = sel;
+            res?;
             q.check_done()
         });
         self.stats.rows_dispatched += dispatched;

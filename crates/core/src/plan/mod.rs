@@ -1145,7 +1145,7 @@ mod tests {
             let mut batch = tweeql_model::TweetBatch::with_live(p.live_columns.clone());
             tweets.iter().for_each(|t| batch.push(t.clone()));
             let all: Vec<u32> = (0..batch.len() as u32).collect();
-            let mut out = Vec::new();
+            let mut out = tweeql_model::RowBatch::new(p.output_schema.clone());
             p.pipeline.push_tweet_batch(&batch, &all, &mut out).unwrap();
             assert!(p.explain.contains("compiled"), "a fast plan: {}", p.explain);
             let built = batch.decode_stats().columns_materialized;

@@ -3,12 +3,15 @@
 //! output (hand-rolled — the sanctioned crate set has no serde_json).
 //!
 //! The writers append to one `String` and allocate nothing per row or
-//! per field; [`JsonLines`] appends one row at a time to the caller's,
-//! so the server renders a reply in bounded chunks straight into the
-//! buffer it writes to the socket.
+//! per field. A query's output reaches the server as a [`RowBatch`];
+//! [`JsonLines`] renders it a line at a time by reading each column's
+//! cell, with the keys escaped once a batch, so the server writes a
+//! reply in bounded chunks straight from the batch to the socket and
+//! builds no [`Record`]. [`to_json_lines`] renders records through the
+//! same cell writer, so both give the same bytes for the same rows.
 
-use std::fmt::{self, Write};
-use tweeql_model::{Record, SchemaRef, Value};
+use std::fmt::Write;
+use tweeql_model::{Record, RowBatch, SchemaRef, Value, ValueRef};
 
 /// Why the `fmt::Result`s below are not returned to the caller.
 const INFALLIBLE: &str = "writing to a String cannot fail";
@@ -76,12 +79,40 @@ const fn needs_escape() -> [bool; 256] {
 }
 static NEEDS_ESCAPE: [bool; 256] = needs_escape();
 
+/// The index of the first byte in `bytes` a JSON string body cannot
+/// hold as it is, read eight bytes at a time.
+///
+/// Per word, each mask sets the high bit of a byte that is below 0x20,
+/// `"` or `\`. The subtraction's borrow can also mark a byte *above* a
+/// marked one, never one below, so the lowest mark is exact.
+fn find_escape(bytes: &[u8]) -> Option<usize> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let zero_byte = |w: u64| w.wrapping_sub(ONES) & !w & HIGH;
+    let mut words = bytes.chunks_exact(8);
+    let mut at = 0;
+    for word in &mut words {
+        let w = u64::from_le_bytes(word.try_into().expect("chunks of eight"));
+        let marks = (w.wrapping_sub(ONES * 0x20) & !w & HIGH)
+            | zero_byte(w ^ (ONES * u64::from(b'"')))
+            | zero_byte(w ^ (ONES * u64::from(b'\\')));
+        if marks != 0 {
+            return Some(at + marks.trailing_zeros() as usize / 8);
+        }
+        at += 8;
+    }
+    let tail = words.remainder();
+    tail.iter()
+        .position(|&b| NEEDS_ESCAPE[b as usize])
+        .map(|i| at + i)
+}
+
 /// Append the body of a JSON string: runs of clean bytes are copied
 /// whole, escapes go between them. Every escaped byte is ASCII, so each
 /// cut falls on a character boundary.
-fn write_json_str(out: &mut String, s: &str) -> fmt::Result {
+fn write_json_str(out: &mut String, s: &str) {
     let mut rest = s;
-    while let Some(i) = rest.bytes().position(|b| NEEDS_ESCAPE[b as usize]) {
+    while let Some(i) = find_escape(rest.as_bytes()) {
         out.push_str(&rest[..i]);
         match rest.as_bytes()[i] {
             b'"' => out.push_str("\\\""),
@@ -89,41 +120,62 @@ fn write_json_str(out: &mut String, s: &str) -> fmt::Result {
             b'\n' => out.push_str("\\n"),
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
-            b => write!(out, "\\u{b:04x}")?,
+            b => write!(out, "\\u{b:04x}").expect(INFALLIBLE),
         }
         rest = &rest[i + 1..];
     }
     out.push_str(rest);
-    Ok(())
 }
 
-fn write_json_value(out: &mut String, v: &Value) -> fmt::Result {
-    match v {
-        Value::Bool(b) => write!(out, "{b}"),
-        Value::Int(i) => write!(out, "{i}"),
-        // `{:?}` keeps floats round-trippable; JSON has no NaN or inf.
-        Value::Float(f) if f.is_finite() => write!(out, "{f:?}"),
-        Value::Null | Value::Float(_) => out.write_str("null"),
-        Value::Str(s) => {
-            out.push('"');
-            write_json_str(out, s)?;
-            out.write_char('"')
+/// Append `v` in decimal, as `{v}` writes it, without the formatter.
+fn write_int(out: &mut String, v: i64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut n = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
         }
-        Value::Time(t) => write!(out, "{}", t.millis()),
-        Value::List(l) => {
+    }
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Append one cell as a JSON value.
+fn write_json_cell(out: &mut String, v: ValueRef<'_>) {
+    match v {
+        ValueRef::Null => out.push_str("null"),
+        ValueRef::Bool(b) => out.push_str(if b { "true" } else { "false" }),
+        ValueRef::Int(i) => write_int(out, i),
+        // `{:?}` keeps floats round-trippable; JSON has no NaN or inf.
+        ValueRef::Float(f) if f.is_finite() => write!(out, "{f:?}").expect(INFALLIBLE),
+        ValueRef::Float(_) => out.push_str("null"),
+        ValueRef::Str(s) => {
+            out.push('"');
+            write_json_str(out, s);
+            out.push('"');
+        }
+        ValueRef::Time(t) => write_int(out, t.millis()),
+        ValueRef::List(l) => {
             out.push('[');
             for (i, v) in l.iter().enumerate() {
                 if i > 0 {
                     out.push(',');
                 }
-                write_json_value(out, v)?;
+                write_json_cell(out, ValueRef::from(v));
             }
-            out.write_char(']')
+            out.push(']');
         }
     }
 }
 
-/// A JSON-lines writer for one schema: `"name":` per column, escaped
+/// A JSON-lines writer for one schema: what goes before each column's
+/// value — `{"name":` for the first, `,"name":` for the rest — escaped
 /// once when the writer is made and not once per row.
 pub struct JsonLines {
     keys: Vec<String>,
@@ -132,12 +184,10 @@ pub struct JsonLines {
 impl JsonLines {
     /// The writer for rows of `schema`.
     pub fn new(schema: &SchemaRef) -> JsonLines {
-        let keys = schema
-            .fields()
-            .iter()
-            .map(|f| {
-                let mut key = String::from("\"");
-                write_json_str(&mut key, &f.name).expect(INFALLIBLE);
+        let keys = (schema.fields().iter().enumerate())
+            .map(|(i, f)| {
+                let mut key = String::from(if i == 0 { "{\"" } else { ",\"" });
+                write_json_str(&mut key, &f.name);
                 key.push_str("\":");
                 key
             })
@@ -145,27 +195,49 @@ impl JsonLines {
         JsonLines { keys }
     }
 
-    /// Append `row` to `out` as one object and its newline, with no raw
-    /// newline inside it.
-    pub fn write_row(&self, out: &mut String, row: &Record) {
-        out.push('{');
-        for (i, (key, v)) in self.keys.iter().zip(row.values()).enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// Append rows of `rows` from row `from` on to `out`, each as one
+    /// object and its newline with no raw newline inside it, until
+    /// `out` holds `limit` bytes or more or the rows run out; returns
+    /// the first row not written. Each cell is read where the batch
+    /// holds it.
+    pub fn write_lines(
+        &self,
+        out: &mut String,
+        rows: &RowBatch,
+        from: usize,
+        limit: usize,
+    ) -> usize {
+        let mut i = from;
+        while i < rows.len() && out.len() < limit {
+            for (key, col) in self.keys.iter().zip(rows.columns()) {
+                out.push_str(key);
+                write_json_cell(out, col.get(i));
             }
-            out.push_str(key);
-            write_json_value(out, v).expect(INFALLIBLE);
+            self.end_line(out);
+            i += 1;
         }
-        out.push_str("}\n");
+        i
+    }
+
+    /// Close a line whose fields are written.
+    fn end_line(&self, out: &mut String) {
+        out.push_str(if self.keys.is_empty() { "{}\n" } else { "}\n" });
     }
 }
 
 /// Render records as JSON lines: one object per row, each
-/// newline-terminated, no raw newline inside a row.
+/// newline-terminated, no raw newline inside a row — the bytes
+/// [`JsonLines::write_lines`] gives for a batch of the same rows.
 pub fn to_json_lines(schema: &SchemaRef, rows: &[Record]) -> String {
     let json = JsonLines::new(schema);
     let mut out = String::new();
-    rows.iter().for_each(|r| json.write_row(&mut out, r));
+    for r in rows {
+        for (key, v) in json.keys.iter().zip(r.values()) {
+            out.push_str(key);
+            write_json_cell(&mut out, ValueRef::from(v));
+        }
+        json.end_line(&mut out);
+    }
     out
 }
 
@@ -324,7 +396,7 @@ mod tests {
     #[test]
     fn json_escapes_control_chars() {
         let mut out = String::new();
-        write_json_str(&mut out, "a\nb\tc\u{1}").unwrap();
+        write_json_str(&mut out, "a\nb\tc\u{1}");
         assert_eq!(out, "a\\nb\\tc\\u0001");
     }
 
@@ -335,16 +407,52 @@ mod tests {
         assert_eq!(to_json_lines(&schema, &[]), "");
     }
 
+    /// The rows as one [`RowBatch`], rendered a line at a time onto
+    /// `out`.
+    fn write_batch(out: &mut String, schema: &SchemaRef, rows: &[Record]) {
+        let mut batch = RowBatch::new(schema.clone());
+        rows.iter().for_each(|r| batch.push_record(r));
+        JsonLines::new(schema).write_lines(out, &batch, 0, usize::MAX);
+    }
+
     #[test]
     fn write_json_lines_appends_and_keeps_what_was_there() {
         let (schema, rows) = sample();
         let mut out = String::from("OK 2 q1\n");
-        let json = JsonLines::new(&schema);
-        rows.iter().for_each(|r| json.write_row(&mut out, r));
+        write_batch(&mut out, &schema, &rows);
         assert_eq!(
             out,
             format!("OK 2 q1\n{}", oracle::to_json_lines(&schema, &rows))
         );
+    }
+
+    /// Every byte a JSON string escapes, at every offset of the first
+    /// two 8-byte words and in the tail after them, behind ASCII or
+    /// behind a multi-byte character that straddles a word edge: the
+    /// batch renderer gives the oracle's bytes.
+    #[test]
+    fn batch_lines_equal_the_oracle_across_word_edges() {
+        let schema = Schema::shared(&[("s", DataType::Str), ("n", DataType::Int)]);
+        let specials = (0u8..0x20).chain([b'"', b'\\', b'a']).map(char::from);
+        let mut rows = Vec::new();
+        for special in specials {
+            for lead in ["", "é", "日", "\u{1F600}"] {
+                for at in 0..19 {
+                    let mut s: String = "x".repeat(at);
+                    s.push_str(lead);
+                    s.push(special);
+                    s.push_str("ü tail");
+                    let sign = if at % 2 == 0 { -1 } else { 1 };
+                    let n = Value::Int((at as i64 * sign) << 40);
+                    let r = Record::new(schema.clone(), vec![Value::from(s), n], Timestamp::ZERO);
+                    rows.push(r.unwrap());
+                }
+            }
+        }
+        let mut out = String::new();
+        write_batch(&mut out, &schema, &rows);
+        assert_eq!(out, oracle::to_json_lines(&schema, &rows));
+        assert_eq!(to_json_lines(&schema, &rows), out);
     }
 
     /// Text with everything either format escapes or quotes: control
@@ -420,14 +528,18 @@ mod tests {
             cells in collection::vec((0u8..=255, i64::MIN..=i64::MAX, TEXT), 0..40),
         ) {
             let (schema, rows) = table(&names, &cells);
-            prop_assert_eq!(to_json_lines(&schema, &rows), oracle::to_json_lines(&schema, &rows));
+            let oracle = oracle::to_json_lines(&schema, &rows);
+            prop_assert_eq!(&to_json_lines(&schema, &rows), &oracle);
+            let mut lines = String::new();
+            write_batch(&mut lines, &schema, &rows);
+            prop_assert_eq!(&lines, &oracle);
             prop_assert_eq!(to_csv(&schema, &rows), oracle::to_csv(&schema, &rows));
         }
 
         #[test]
         fn json_strings_equal_the_oracle(text in TEXT) {
             let mut out = String::new();
-            write_json_str(&mut out, &text).unwrap();
+            write_json_str(&mut out, &text);
             prop_assert_eq!(out, oracle::json_escape(&text));
         }
     }

@@ -117,7 +117,13 @@ impl Bitmap {
         self.len = n;
     }
 
+    /// Append `n` set bits.
+    pub fn push_set(&mut self, n: usize) {
+        (0..n).for_each(|_| self.push(true));
+    }
+
     /// Append one bit.
+    #[inline]
     pub fn push(&mut self, set: bool) {
         let bit = self.len % 64;
         if bit == 0 {
@@ -130,6 +136,7 @@ impl Bitmap {
     }
 
     /// Bit `i`, or `false` out of range.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         i < self.len && self.words[i / 64] & (1 << (i % 64)) != 0
     }
@@ -153,6 +160,25 @@ impl Bitmap {
     pub fn clear(&mut self) {
         self.words.clear();
         self.len = 0;
+    }
+
+    /// Keep the first `n` bits.
+    pub fn truncate(&mut self, n: usize) {
+        if n >= self.len {
+            return;
+        }
+        self.words.truncate(n.div_ceil(64));
+        if !n.is_multiple_of(64) {
+            if let Some(last) = self.words.last_mut() {
+                *last &= (1u64 << (n % 64)) - 1;
+            }
+        }
+        self.len = n;
+    }
+
+    /// Heap bytes of the word buffer, at capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.words.capacity() * std::mem::size_of::<u64>()
     }
 }
 
@@ -723,6 +749,7 @@ impl TweetBatch {
     }
 
     /// Stream timestamp of row `i`.
+    #[inline]
     pub fn ts(&self, i: usize) -> Timestamp {
         self.tweet_at(i).created_at
     }
@@ -736,7 +763,7 @@ impl TweetBatch {
     }
 
     /// True when column `c` survives the liveness mask.
-    fn alive(&self, c: usize) -> bool {
+    pub(crate) fn alive(&self, c: usize) -> bool {
         self.live()
             .is_none_or(|l| l.get(c).copied().unwrap_or(true))
     }
@@ -823,34 +850,41 @@ impl TweetBatch {
 
     /// Row `i`, column `c` as a [`Value`], with identical semantics to
     /// the corresponding `Record::from_tweet_pruned` slot (dead and
-    /// out-of-range columns are NULL).
+    /// out-of-range columns are NULL). A string shares the tweet's
+    /// chunk.
     pub fn value_at(&self, i: usize, c: usize) -> Value {
+        match str_field(c).filter(|_| self.alive(c)) {
+            Some(field) => Value::Str(field(self.tweet_at(i)).clone()),
+            None => self.value_ref_at(i, c).to_value(),
+        }
+    }
+
+    /// [`TweetBatch::value_at`], borrowed from the tweet: no refcount
+    /// bump and no allocation.
+    #[inline]
+    pub fn value_ref_at(&self, i: usize, c: usize) -> ValueRef<'_> {
         if !self.alive(c) {
-            return Value::Null;
+            return ValueRef::Null;
         }
         let t = self.tweet_at(i);
+        let int = |v: u64| ValueRef::Int(v as i64);
         match c {
-            col::ID => Value::Int(t.id as i64),
-            col::TEXT => Value::Str(t.text.clone()),
-            col::USER_ID => Value::Int(t.user.id as i64),
-            col::SCREEN_NAME => Value::Str(t.user.screen_name.clone()),
-            col::LOC => Value::Str(t.user.location.clone()),
+            col::ID => int(t.id),
+            col::TEXT => ValueRef::Str(&t.text),
+            col::USER_ID => int(t.user.id),
+            col::SCREEN_NAME => ValueRef::Str(&t.user.screen_name),
+            col::LOC => ValueRef::Str(&t.user.location),
             col::LAT => t
                 .coordinates()
-                .map(|(la, _)| Value::Float(la))
-                .unwrap_or(Value::Null),
+                .map_or(ValueRef::Null, |(la, _)| ValueRef::Float(la)),
             col::LON => t
                 .coordinates()
-                .map(|(_, lo)| Value::Float(lo))
-                .unwrap_or(Value::Null),
-            col::CREATED_AT => Value::Time(t.created_at),
-            col::LANG => Value::Str(t.lang().clone()),
-            col::FOLLOWERS => Value::Int(t.user.followers as i64),
-            col::RETWEET_OF => t
-                .retweet_of()
-                .map(|id| Value::Int(id as i64))
-                .unwrap_or(Value::Null),
-            _ => Value::Null,
+                .map_or(ValueRef::Null, |(_, lo)| ValueRef::Float(lo)),
+            col::CREATED_AT => ValueRef::Time(t.created_at),
+            col::LANG => ValueRef::Str(t.lang()),
+            col::FOLLOWERS => int(t.user.followers.into()),
+            col::RETWEET_OF => t.retweet_of().map_or(ValueRef::Null, int),
+            _ => ValueRef::Null,
         }
     }
 

@@ -5,7 +5,8 @@
 //! * [`Tweet`], [`User`], and tweet [`entities`] — the microblog record
 //!   types every other crate consumes;
 //! * [`Value`], [`Schema`], and [`Record`] — the dynamically-typed tuple
-//!   representation flowing through the TweeQL stream processor;
+//!   representation flowing through the TweeQL stream processor, and
+//!   [`RowBatch`], the same rows held by column as a query's output;
 //! * [`Text`] — the one string type of both: a 16-byte handle to a
 //!   slice of a shared chunk, so a held log's texts are a few chunks
 //!   rather than an allocation each;
@@ -22,6 +23,7 @@ pub mod clock;
 pub mod entities;
 pub mod error;
 pub mod record;
+pub mod rows;
 pub mod schema;
 pub mod text;
 pub mod time;
@@ -34,6 +36,7 @@ pub use clock::{Clock, SharedClock, SystemClock, VirtualClock};
 pub use entities::{Entities, Hashtag, Mention, UrlEntity};
 pub use error::ModelError;
 pub use record::Record;
+pub use rows::{RowBatch, RowColumn};
 pub use schema::{DataType, Field, Schema, SchemaRef};
 pub use text::Text;
 pub use time::{Cadence, Crossing, Duration, Timestamp};

@@ -257,6 +257,20 @@ impl<'a> From<&'a Value> for ValueRef<'a> {
 }
 
 impl ValueRef<'_> {
+    /// The value, owned: a string is copied into a chunk of its own, a
+    /// list cloned.
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Bool(b) => Value::Bool(b),
+            ValueRef::Int(i) => Value::Int(i),
+            ValueRef::Float(f) => Value::Float(f),
+            ValueRef::Str(s) => Value::Str(s.into()),
+            ValueRef::Time(t) => Value::Time(t),
+            ValueRef::List(l) => Value::List(l.to_vec()),
+        }
+    }
+
     /// True when `Null`.
     pub fn is_null(&self) -> bool {
         matches!(self, ValueRef::Null)

@@ -13,7 +13,10 @@
 //!   its own session thread; the shared host is locked while a request
 //!   executes and released before its reply is rendered, so concurrent
 //!   clients interleave freely while stream progress stays serialized
-//!   through the one host.
+//!   through the one host. A `POLL` or `DROP` takes the query's output
+//!   whole, as the one [`RowBatch`] the pump appended it to, and the
+//!   session renders it from its columns straight into the socket in
+//!   bounded chunks: no row is ever a `Record` on the way out.
 //! * `tweeql-client` — a one-shot CLI: renders its arguments as a
 //!   request line, prints the response, exits non-zero on `ERR`.
 //!
@@ -41,7 +44,7 @@ use std::thread;
 use tweeql::prelude::*;
 use tweeql::sink;
 use tweeql_firehose::{generate, scenarios, StreamingApi};
-use tweeql_model::{Duration, Record, SchemaRef, VirtualClock};
+use tweeql_model::{Duration, RowBatch, VirtualClock};
 
 /// Executes protocol requests against a [`QueryHost`]. Transport-free:
 /// the TCP loop ([`serve`]) and tests drive the same entry points.
@@ -56,12 +59,9 @@ pub struct Service {
 enum Reply {
     /// A response that was complete when the host was done.
     Done(Response),
-    /// Rows taken from query `id`'s output queue, still to be rendered.
-    Rows {
-        id: QueryId,
-        schema: SchemaRef,
-        rows: Vec<Record>,
-    },
+    /// The batch taken from query `id`'s output queue, still to be
+    /// rendered.
+    Rows { id: QueryId, rows: RowBatch },
 }
 
 /// How many rendered bytes a session holds before it writes them: a
@@ -74,8 +74,9 @@ impl Reply {
     fn into_response(self) -> Response {
         match self {
             Reply::Done(r) => r,
-            Reply::Rows { id, schema, rows } => {
-                let text = sink::to_json_lines(&schema, &rows);
+            Reply::Rows { id, rows } => {
+                let mut text = String::new();
+                sink::JsonLines::new(rows.schema()).write_lines(&mut text, &rows, 0, usize::MAX);
                 Response::with_body(id.to_string(), Body::from_json_lines(text, rows.len()))
             }
         }
@@ -83,18 +84,19 @@ impl Reply {
 
     /// Write the reply's frame to `out` while rendering it: the header
     /// and the rows go into `buf`, which is written out whenever it
-    /// holds [`CHUNK`] bytes or more, and once more at the end. Rows are
-    /// consumed as they are rendered, so each chunk's records are freed
-    /// before the next chunk is built.
+    /// holds [`CHUNK`] bytes or more, and once more at the end. The
+    /// rows are read from the batch's columns where they lie; the batch
+    /// is freed, a few buffers, when the reply is out.
     fn write_to(self, out: &mut impl Write, buf: &mut String) -> io::Result<()> {
         buf.clear();
         match self {
             Reply::Done(r) => r.write_frame(buf),
-            Reply::Rows { id, schema, rows } => {
+            Reply::Rows { id, rows } => {
                 protocol::write_header(buf, true, rows.len(), id);
-                let json = sink::JsonLines::new(&schema);
-                for row in rows {
-                    json.write_row(buf, &row);
+                let json = sink::JsonLines::new(rows.schema());
+                let mut next = 0;
+                while next < rows.len() {
+                    next = json.write_lines(buf, &rows, next, CHUNK);
                     if buf.len() >= CHUNK {
                         out.write_all(buf.as_bytes())?;
                         buf.clear();
@@ -135,9 +137,8 @@ impl Service {
         let response = match req {
             Request::Register(sql) => Response::ok(self.host.register(&sql)?.to_string()),
             Request::Drop(id) => {
-                let schema = self.host.schema(id)?;
-                let rows = self.host.drop_query(id)?;
-                return Ok(Reply::Rows { id, schema, rows });
+                let rows = self.host.drop_batch(id)?;
+                return Ok(Reply::Rows { id, rows });
             }
             Request::List => {
                 let queries = self.host.list();
@@ -151,9 +152,8 @@ impl Service {
             }
             Request::Schema(id) => Response::ok(self.host.schema(id)?.names().join(",")),
             Request::Poll(id) => {
-                let schema = self.host.schema(id)?;
-                let rows = self.host.take_output(id)?;
-                return Ok(Reply::Rows { id, schema, rows });
+                let rows = self.host.take_batch(id)?;
+                return Ok(Reply::Rows { id, rows });
             }
             Request::Step(secs) => {
                 // Saturating: a `STEP` past the end of time runs to the
@@ -178,7 +178,7 @@ impl Service {
             Request::Stats => {
                 let s = self.host.stats();
                 Response::ok(format!(
-                    "tweets={} batches={} dispatched={} decoded={} shared={} needles={} position={} pending={}",
+                    "tweets={} batches={} dispatched={} decoded={} shared={} needles={} position={} pending={} pending_bytes={}",
                     s.tweets_delivered,
                     s.batches,
                     s.rows_dispatched,
@@ -186,7 +186,8 @@ impl Service {
                     s.rows_shared,
                     self.host.needle_count(),
                     self.host.position().millis(),
-                    self.host.pending_rows()
+                    self.host.pending_rows(),
+                    self.host.pending_bytes()
                 ))
             }
             Request::Ping => Response::ok("pong"),
@@ -249,14 +250,23 @@ const MAX_REQUEST_LINE: usize = 1 << 20;
 /// interleave against the same host state (registrations made by one
 /// client are visible to the next `LIST` from another). A session that
 /// ends in an I/O error — its peer went away in the middle of a reply —
-/// is reported on stderr and ends alone.
+/// is reported on stderr and ends alone, and so does a connection whose
+/// accept failed on its own account ([`peer_gone`]); any other accept
+/// error ends the server.
 pub fn serve(listener: TcpListener, service: Service) -> io::Result<()> {
     let addr = listener.local_addr()?;
     let service = Arc::new(Mutex::new(service));
     let shutdown = Arc::new(AtomicBool::new(false));
     let mut sessions: Vec<thread::JoinHandle<io::Result<()>>> = Vec::new();
     for stream in listener.incoming() {
-        let stream = stream?;
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) if peer_gone(&e) => {
+                eprintln!("tweeql-server: accept: {e}");
+                continue;
+            }
+            Err(e) => return Err(e),
+        };
         if shutdown.load(Ordering::SeqCst) {
             break;
         }
@@ -279,6 +289,18 @@ pub fn serve(listener: TcpListener, service: Service) -> io::Result<()> {
     }
     sessions.into_iter().for_each(join_session);
     Ok(())
+}
+
+/// Whether an accept error concerns one connection and not the
+/// listener: the peer aborted or reset between its handshake and the
+/// accept, or a signal interrupted the call. The next accept is good.
+fn peer_gone(e: &io::Error) -> bool {
+    matches!(
+        e.kind(),
+        io::ErrorKind::ConnectionAborted
+            | io::ErrorKind::ConnectionReset
+            | io::ErrorKind::Interrupted
+    )
 }
 
 /// Join one session thread. Its I/O error is its own; its panic is a
@@ -407,6 +429,19 @@ mod tests {
         assert!(r.detail.contains("unknown query"), "{}", r.detail);
     }
 
+    /// A peer that gives up before its connection is accepted ends only
+    /// that connection; a listener that fails ends the server.
+    #[test]
+    fn accept_errors_of_one_peer_keep_the_server_accepting() {
+        use io::ErrorKind::*;
+        for kind in [ConnectionAborted, ConnectionReset, Interrupted] {
+            assert!(peer_gone(&io::Error::from(kind)), "{kind:?}");
+        }
+        for kind in [PermissionDenied, InvalidInput, OutOfMemory, Other] {
+            assert!(!peer_gone(&io::Error::from(kind)), "{kind:?}");
+        }
+    }
+
     #[test]
     fn bad_sql_is_an_err_frame_not_a_crash() {
         let mut svc = tiny_service();
@@ -436,14 +471,15 @@ mod tests {
     /// reply. For every request the writes concatenate to the frame
     /// `handle` renders, the first begins with its header, each but the
     /// last holds at least [`CHUNK`] bytes and none holds more than
-    /// `CHUNK` plus the frame's longest line. Returns the body lines.
+    /// `CHUNK` plus the frame's longest line. Returns `handle`'s
+    /// responses.
     fn writes_compose_to_handle(
         whole: &mut Service,
         split: &mut Service,
         session: &[Request],
-    ) -> usize {
+    ) -> Vec<Response> {
         let mut buf = String::from("left over from the last reply");
-        let mut bodies = 0;
+        let mut responses = Vec::new();
         for req in session {
             let response = whole.handle(req.clone());
             let frame = response.render();
@@ -473,9 +509,13 @@ mod tests {
                 "{req}"
             );
             assert_eq!(frame.lines().count(), 1 + n, "{req}");
-            bodies += n;
+            responses.push(response);
         }
-        bodies
+        responses
+    }
+
+    fn body_lines(responses: &[Response]) -> usize {
+        responses.iter().map(|r| r.body.len()).sum()
     }
 
     /// The TCP loop's frame is the frame `handle` renders, for every
@@ -506,7 +546,7 @@ mod tests {
             Request::List,
             Request::Shutdown,
         ];
-        let bodies = writes_compose_to_handle(&mut whole, &mut split, &session);
+        let bodies = body_lines(&writes_compose_to_handle(&mut whole, &mut split, &session));
         assert!(bodies > 100, "the session must move rows: {bodies}");
     }
 
@@ -525,11 +565,96 @@ mod tests {
             Request::Poll(q(1)),
             Request::Drop(q(2)),
         ];
-        let bodies = writes_compose_to_handle(&mut whole, &mut split, &session);
+        let bodies = body_lines(&writes_compose_to_handle(&mut whole, &mut split, &session));
         assert!(
             bodies >= 40_000,
             "two replies of 20k rows or more: {bodies}"
         );
+    }
+
+    /// Tweets whose texts and screen names hold every byte a JSON
+    /// string escapes, behind ASCII runs of every length up to two
+    /// words and behind multi-byte characters that straddle a word
+    /// edge.
+    fn awkward_tweets() -> Vec<tweeql_model::Tweet> {
+        let specials = (0u8..0x20).chain([b'"', b'\\']).map(char::from);
+        let mut tweets = Vec::new();
+        for special in specials {
+            for lead in ["", "é", "日", "\u{1F600}"] {
+                for at in 0..17 {
+                    let id = tweets.len() as u64;
+                    let text = format!("{}{lead}{special}ü kw {id}", "x".repeat(at));
+                    let name = format!("{lead}{special}{}", "n".repeat(16 - at));
+                    let mut user = tweeql_model::User::new(id % 50, name);
+                    user.followers = (id * 37) as u32;
+                    let tweet = tweeql_model::Tweet::builder(id, text)
+                        .user(user)
+                        .at(Timestamp::from_millis(id as i64 * 250))
+                        .lang(if id.is_multiple_of(3) { "ja" } else { "en" })
+                        .build();
+                    tweets.push(tweet);
+                }
+            }
+        }
+        tweets
+    }
+
+    /// Over a stream of awkward strings, the bytes `write_to` sends
+    /// for a `POLL` or a `DROP` are the frame `handle` renders, and its
+    /// body is what `to_json_lines` renders from the host's records:
+    /// for columns copied from the tweets, computed by the VM, and
+    /// appended as records behind a `LIMIT`.
+    #[test]
+    fn batch_replies_equal_the_record_rendering_over_awkward_strings() {
+        const QUERIES: [&str; 3] = [
+            "SELECT screen_name, text, lang, followers, created_at FROM twitter",
+            "SELECT upper(screen_name) AS shout, text, followers / 3 AS f FROM twitter WHERE text contains 'kw'",
+            "SELECT text, screen_name FROM twitter LIMIT 500",
+        ];
+        let service = || {
+            let api = StreamingApi::new(awkward_tweets(), VirtualClock::new());
+            Service::new(Engine::builder(api).build_host())
+        };
+        let (mut whole, mut split) = (service(), service());
+        let q = |n| QueryId::new(n);
+        let mut session: Vec<Request> = QUERIES.map(|sql| Request::Register(sql.into())).into();
+        session.extend([
+            Request::Step(60),
+            Request::Poll(q(1)),
+            Request::Poll(q(2)),
+            Request::Run,
+            Request::Poll(q(1)),
+            Request::Drop(q(2)),
+            Request::Drop(q(3)),
+        ]);
+        let responses = writes_compose_to_handle(&mut whole, &mut split, &session);
+
+        let api = StreamingApi::new(awkward_tweets(), VirtualClock::new());
+        let mut host = Engine::builder(api).build_host();
+        for sql in QUERIES {
+            host.register(sql).unwrap();
+        }
+        let json = |host: &QueryHost, id, rows: Vec<tweeql_model::Record>| {
+            sink::to_json_lines(&host.schema(id).unwrap(), &rows)
+        };
+        host.pump_until(Timestamp::from_secs(60)).unwrap();
+        let mut expected: Vec<String> = Vec::new();
+        for id in [q(1), q(2)] {
+            let rows = host.take_output(id).unwrap();
+            expected.push(json(&host, id, rows));
+        }
+        host.run_to_end().unwrap();
+        let rows = host.take_output(q(1)).unwrap();
+        expected.push(json(&host, q(1), rows));
+        for id in [q(2), q(3)] {
+            let schema = host.schema(id).unwrap();
+            expected.push(sink::to_json_lines(&schema, &host.drop_query(id).unwrap()));
+        }
+        // The replies to the two POLLs, the POLL after RUN and the DROPs.
+        let got = [4, 5, 7, 8, 9].map(|i| responses[i].body.as_str());
+        assert_eq!(got.to_vec(), expected);
+        assert!(got.iter().all(|body| !body.is_empty()), "{got:?}");
+        assert!(body_lines(&responses) > 2_000, "{}", body_lines(&responses));
     }
 
     /// `STATS` counts the rows produced and not yet polled.
@@ -560,20 +685,30 @@ mod tests {
                 "shared",
                 "needles",
                 "position",
-                "pending"
+                "pending",
+                "pending_bytes"
             ]
         );
+        assert_eq!(field(&stats(&mut svc), "pending_bytes"), 0);
         let r = ok(svc.handle(Request::Register("SELECT text FROM twitter".into())));
         let id: QueryId = r.detail.parse().unwrap();
         let n = field(&ok(svc.handle(Request::Step(60))).detail, "tweets");
         assert!(n > 0);
+        let pending = stats(&mut svc);
+        assert_eq!(field(&pending, "pending"), n, "every tweet is a row");
         assert_eq!(
-            field(&stats(&mut svc), "pending"),
-            n,
-            "every tweet is a row"
+            field(&pending, "pending_bytes"),
+            svc.host().pending_bytes(),
+            "the batch's own count"
+        );
+        assert!(
+            field(&pending, "pending_bytes") > n,
+            "each row holds its text: {pending}"
         );
         assert_eq!(ok(svc.handle(Request::Poll(id))).body.len(), n);
-        assert_eq!(field(&stats(&mut svc), "pending"), 0);
+        let polled = stats(&mut svc);
+        assert_eq!(field(&polled, "pending"), 0);
+        assert_eq!(field(&polled, "pending_bytes"), 0);
     }
 
     #[test]

@@ -42,7 +42,9 @@ pub enum Request {
     /// Run the stream to exhaustion; responds `OK 0 tweets=<n>`.
     Run,
     /// Host dispatcher statistics; responds `OK 0 key=value ...`, the
-    /// last being `pending=<n>`, the rows no `POLL` has taken yet.
+    /// last two being `pending=<n>`, the rows no `POLL` has taken yet,
+    /// and `pending_bytes=<n>`, the heap bytes the batches holding them
+    /// take.
     Stats,
     /// Liveness check; responds `OK 0 pong`.
     Ping,

@@ -13,8 +13,10 @@
 //! first reader's view, so the head's column mask
 //! (`wants_tweet_batch`, `tweet_columns`), the pipeline's own batch
 //! drain (`drain_tweet_batch`) and the build beside the batch
-//! (`decode_column`) are gone. No Rust source outside `benchmark/` may
-//! call or define any of them.
+//! (`decode_column`) are gone. Query output reaches the server as a
+//! column batch that the JSON writer reads line by line, so the
+//! writer's per-`Record` `write_row` is gone. No Rust source outside
+//! `benchmark/` may call or define any of them.
 
 use std::path::Path;
 
@@ -39,6 +41,7 @@ const RETIRED_FNS: &[&str] = &[
     "tweet_columns",
     "drain_tweet_batch",
     "decode_column",
+    "write_row",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
