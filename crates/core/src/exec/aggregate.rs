@@ -351,8 +351,7 @@ impl<'a> Views<'a> {
 enum Tuple<'a> {
     /// One input record, read by column.
     Values(&'a Record, &'a Columns),
-    /// One row of a segment's resolved columns (dead columns read
-    /// NULL, as in the pruned row decode).
+    /// One row of a segment's resolved columns.
     Views { seg: &'a Views<'a>, row: usize },
 }
 
@@ -1791,7 +1790,7 @@ mod tests {
             /// built before the head views them, some, or all;
             /// interned or per-tweet strings; a `loc`
             /// dictionary or one that bails out; empty to full
-            /// selections; any liveness mask.
+            /// selections.
             #[test]
             fn selection_ingest_matches_row_ingest(
                 which in 0usize..5,
@@ -1801,10 +1800,7 @@ mod tests {
                 materialize in 0u8..3,
                 density in 0u8..=10,
                 draws in collection::vec(0u8..10, 200..201),
-                live_bits in 0u32..(1 << 12),
             ) {
-                let live: Option<Arc<[bool]>> = (live_bits >> 11 == 0)
-                    .then(|| (0..col::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
                 let keys = KEYS[keys];
                 let mut rows = Pipeline::new(vec![Box::new(op(policy(which), keys, false))]);
                 let mut cols = Pipeline::new(vec![Box::new(op(policy(which), keys, true))]);
@@ -1813,7 +1809,7 @@ mod tests {
                     (RowBatch::new(schema.clone()), RowBatch::new(schema));
                 let stream = Stream { interned: interned == 1, unique_loc: unique_loc == 1 };
                 for half in tweets(stream).chunks(100) {
-                    let mut batch = TweetBatch::with_live(live.clone());
+                    let mut batch = TweetBatch::new();
                     for t in half {
                         batch.push(t.clone());
                     }

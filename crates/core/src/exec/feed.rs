@@ -120,11 +120,6 @@ impl Feed {
         &self.cadence
     }
 
-    /// Set the batch's live-column mask (between flushes).
-    pub(crate) fn set_live(&mut self, live: Option<Arc<[bool]>>) {
-        self.batch.set_live(live);
-    }
-
     /// The next stream event, pulling the source when the cursor is
     /// spent; `None` at the end of the stream.
     pub(crate) fn peek(&mut self) -> Option<Next> {

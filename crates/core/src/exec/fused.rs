@@ -609,7 +609,6 @@ mod tests {
         use super::*;
         use crate::exec::Pipeline;
         use proptest::prelude::*;
-        use tweeql_model::batch::col as tcol;
         use tweeql_model::{Tweet, TweetBatch, User};
 
         fn tweets() -> Vec<Tweet> {
@@ -648,28 +647,22 @@ mod tests {
                 .collect()
         }
 
-        fn batch_of(src: Vec<Tweet>, live: Option<Arc<[bool]>>) -> TweetBatch {
-            let mut batch = TweetBatch::with_live(live);
+        fn batch_of(src: Vec<Tweet>) -> TweetBatch {
+            let mut batch = TweetBatch::new();
             for t in src {
                 batch.push(t);
             }
             batch
         }
 
-        fn run_both(mut op: FusedScanOp, live: Option<Arc<[bool]>>) -> (Vec<Record>, Vec<Record>) {
+        fn run_both(mut op: FusedScanOp) -> (Vec<Record>, Vec<Record>) {
             let src = tweets();
-            let mut rows: Vec<Record> = src
-                .iter()
-                .map(|t| match &live {
-                    Some(l) => Record::from_tweet_pruned(t, l),
-                    None => Record::from_tweet(t),
-                })
-                .collect();
+            let mut rows: Vec<Record> = src.iter().map(Record::from_tweet).collect();
             let mut row_out = Vec::new();
             op.on_batch(&mut rows, &mut row_out).unwrap();
 
             assert!(op.reads_tweet_batch(), "twitter input must opt in");
-            let batch = batch_of(src, live);
+            let batch = batch_of(src);
             let full: Vec<u32> = (0..batch.len() as u32).collect();
             let mut col_out = Vec::new();
             op.on_tweet_batch(&batch, &full, &mut col_out).unwrap();
@@ -689,23 +682,17 @@ mod tests {
                 "where+project",
             )
             .unwrap();
-            let (row_out, col_out) = run_both(op, None);
+            let (row_out, col_out) = run_both(op);
             assert!(!row_out.is_empty(), "query must select something");
             assert_eq!(row_out, col_out);
         }
 
         #[test]
-        fn pure_filter_matches_row_path_under_liveness_mask() {
+        fn pure_filter_matches_row_path() {
             let conj = tcexprs(&["lang = 'en'"]);
             let op = FusedScanOp::new(&conj, None, EvalCtx::default(), twitter_schema(), "where")
                 .unwrap();
-            // Keep only the columns the filter reads plus a couple of
-            // extras; everything else decodes to Null on both paths.
-            let mut live = vec![false; tcol::COUNT];
-            live[tcol::LANG] = true;
-            live[tcol::TEXT] = true;
-            live[tcol::FOLLOWERS] = true;
-            let (row_out, col_out) = run_both(op, Some(Arc::from(live)));
+            let (row_out, col_out) = run_both(op);
             assert_eq!(row_out.len(), 20);
             assert_eq!(row_out, col_out);
         }
@@ -719,7 +706,7 @@ mod tests {
                 .unwrap();
             assert!(op.reads_tweet_batch());
             let mut pipeline = Pipeline::new(vec![Box::new(op)]);
-            let batch = batch_of(tweets(), None);
+            let batch = batch_of(tweets());
             let full: Vec<u32> = (0..batch.len() as u32).collect();
             let mut out = RowBatch::new(twitter_schema());
             pipeline.push_tweet_batch(&batch, &full, &mut out).unwrap();
@@ -791,9 +778,7 @@ mod tests {
             /// A lone scan's columns written straight into the output
             /// batch are `on_batch` over the selected rows decoded one
             /// by one: same rows, same order, same stage counts — for
-            /// empty, full and sparse selections, with any liveness mask
-            /// (dead columns read NULL on both sides, even ones the
-            /// programs touch).
+            /// empty, full and sparse selections.
             #[test]
             fn selection_ingest_matches_row_ingest(
                 which in 0usize..3,
@@ -801,13 +786,9 @@ mod tests {
                 // selection, 10 the full one, 1 a sparse one.
                 density in 0u8..=10,
                 draws in collection::vec(0u8..10, 40..41),
-                // Bit 11 set: no mask. Else bits 0..11 are the mask.
-                live_bits in 0u32..(1 << 12),
             ) {
-                let live: Option<Arc<[bool]>> = (live_bits >> 11 == 0)
-                    .then(|| (0..tcol::COUNT).map(|c| live_bits >> c & 1 == 1).collect());
                 let sel: Vec<u32> = (0..40u32).filter(|&i| draws[i as usize] < density).collect();
-                let batch = batch_of(tweets(), live);
+                let batch = batch_of(tweets());
 
                 let mut rows = Pipeline::new(vec![Box::new(shape(which))]);
                 let mut recs: Vec<Record> =

@@ -16,7 +16,6 @@
 use super::Operator;
 use crate::error::QueryError;
 use std::collections::HashMap;
-use std::sync::Arc;
 use tweeql_model::{Duration, Record, SchemaRef, Timestamp, Value};
 
 /// Which table a record goes into.
@@ -36,10 +35,6 @@ pub struct SymmetricHashJoin {
     right_key: usize,
     window: Duration,
     schema: SchemaRef,
-    /// The source columns the query reads (`None`: all); only these
-    /// enter [`Operator::state_digest`], since the rest of a stored row
-    /// depends on what else shares the batch.
-    live: Option<Arc<[bool]>>,
     left_table: HashMap<Value, Vec<Record>>,
     right_table: HashMap<Value, Vec<Record>>,
 }
@@ -52,14 +47,12 @@ impl SymmetricHashJoin {
         right_key: usize,
         window: Duration,
         schema: SchemaRef,
-        live: Option<Arc<[bool]>>,
     ) -> SymmetricHashJoin {
         SymmetricHashJoin {
             left_key,
             right_key,
             window,
             schema,
-            live,
             left_table: HashMap::new(),
             right_table: HashMap::new(),
         }
@@ -122,16 +115,14 @@ impl SymmetricHashJoin {
     }
 
     /// One table's rows, folded independently of insertion and hash
-    /// order: a sum of per-row digests over the live columns.
+    /// order: a sum of per-row digests over every column.
     fn digest_table(&self, table: &HashMap<Value, Vec<Record>>, d: &mut tweeql_wal::Digest) {
         let (mut rows, mut mix) = (0u64, 0u64);
         for rec in table.values().flatten() {
             let mut h = tweeql_wal::Digest::new();
             h.write_i64(rec.timestamp().millis());
-            for (i, v) in rec.values().iter().enumerate() {
-                if self.live.as_ref().is_none_or(|l| l.get(i) != Some(&false)) {
-                    h.write_str(&v.to_string());
-                }
+            for v in rec.values() {
+                h.write_str(&v.to_string());
             }
             rows += 1;
             mix = mix.wrapping_add(h.finish());
@@ -174,7 +165,7 @@ mod tests {
         let out = std::sync::Arc::new(left.concat(&right));
         let (lk, rk) = (left.index_of("k").unwrap(), right.index_of("k").unwrap());
         (
-            SymmetricHashJoin::new(lk, rk, Duration::from_secs(window_s), out, None),
+            SymmetricHashJoin::new(lk, rk, Duration::from_secs(window_s), out),
             left,
             right,
         )
@@ -294,14 +285,12 @@ mod tests {
     }
 
     #[test]
-    fn state_digest_reads_only_live_columns() {
+    fn state_digest_covers_every_column() {
         let (mut a, l, _) = setup(600);
         let (mut b, _, _) = setup(600);
-        a.live = Some(Arc::from([true, false]));
-        b.live = Some(Arc::from([true, false]));
         let mut out = Vec::new();
         a.on_record(rec(&l, "a", 1, 0), &mut out).unwrap();
         b.on_record(rec(&l, "a", 2, 0), &mut out).unwrap();
-        assert_eq!(digest(&a), digest(&b), "a dead column is not state");
+        assert_ne!(digest(&a), digest(&b), "a non-key column is state");
     }
 }

@@ -76,8 +76,8 @@ pub trait Operator: Send {
     /// and the caller resets it afterward. A column the operator reads
     /// through [`TweetBatch::view`] is built by the first reader of
     /// the batch to view it and shared with the rest. The default is
-    /// the row shim: decode the selected rows as [`Record`]s (honoring
-    /// the batch's liveness mask) and take the ordinary batch path;
+    /// the row shim: decode the selected rows as [`Record`]s and take
+    /// the ordinary batch path;
     /// native implementations filter *before* decoding, which is where
     /// the columnar win comes from.
     fn on_tweet_batch(
@@ -220,7 +220,7 @@ pub(crate) fn emit(rows: &mut Vec<Record>, out: &mut RowBatch) {
 }
 
 /// The row shim behind [`Operator::on_tweet_batch`]: decode the selected
-/// rows (honoring the batch's liveness mask) and take the batch path.
+/// rows and take the batch path.
 pub(crate) fn row_shim<O: Operator + ?Sized>(
     op: &mut O,
     batch: &TweetBatch,

@@ -24,11 +24,9 @@
 //!   the dispatch table are built once at the next pump entry, so a
 //!   burst of registrations costs one build. The index is clean
 //!   whenever a batch is non-empty.
-//! * **Union liveness mask + shared columnar dispatch** — the host's
-//!   [`TweetBatch`] carries the union of all queries' live-column
-//!   masks. Each flush hands every selecting pipeline the same batch
-//!   and its own selection vector
-//!   ([`crate::exec::Pipeline::push_tweet_batch`]). A column an
+//! * **Shared columnar dispatch** — each flush hands every selecting
+//!   pipeline the host's one [`TweetBatch`] and its own selection
+//!   vector ([`crate::exec::Pipeline::push_tweet_batch`]). A column an
 //!   aggregate head reads is built by the first head to view it and
 //!   shared with the rest (a scan head reads the tweets and views
 //!   none); the dispatcher counts what was built
@@ -710,12 +708,11 @@ impl QueryHost {
     }
 
     /// Every pump entry: if the query set changed, build the filter
-    /// automaton, the dispatch table, the union liveness mask and the
-    /// punctuation interest, once for however many register/drop calls
-    /// came since. Register and drop flush first and rows enter the
-    /// batch only inside a pump, so this runs on an empty batch (the
-    /// mask change never splits a batch's decode) and a non-empty batch
-    /// always meets a clean index.
+    /// automaton, the dispatch table and the punctuation interest, once
+    /// for however many register/drop calls came since. Register and
+    /// drop flush first and rows enter the batch only inside a pump, so
+    /// this runs on an empty batch and a non-empty batch always meets a
+    /// clean index.
     fn ensure_index(&mut self) {
         if !self.index_dirty {
             return;
@@ -725,31 +722,6 @@ impl QueryHost {
         self.filter_index.build();
         self.dispatch
             .rebuild(&self.queries, self.filter_index.needle_count());
-        // Union of per-query live-column masks: any query without a
-        // mask (or no queries at all) decodes everything.
-        let mut acc: Option<Vec<bool>> = None;
-        let mut any_full = self.queries.is_empty();
-        for q in &self.queries {
-            if q.state != QueryState::Running {
-                continue;
-            }
-            match &q.planned.live_columns {
-                None => {
-                    any_full = true;
-                    break;
-                }
-                Some(m) => match &mut acc {
-                    None => acc = Some(m.to_vec()),
-                    Some(a) => {
-                        for (ai, mi) in a.iter_mut().zip(m.iter()) {
-                            *ai |= *mi;
-                        }
-                    }
-                },
-            }
-        }
-        let union: Option<Arc<[bool]>> = if any_full { None } else { acc.map(Into::into) };
-        self.feed.set_live(union);
         // Cached punctuation interest, so a flush never scans the
         // registered queries for it. A time-sensitive query that
         // finishes mid-stream stays listed until the next rebuild; its

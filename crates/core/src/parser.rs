@@ -4,6 +4,10 @@
 //! bytes it was parsed from, so later passes (the [`crate::check`]
 //! analyzer in particular) can render caret-underlined diagnostics
 //! pointing at the exact fragment.
+//!
+//! The expression trees it builds are at most [`MAX_DEPTH`] levels
+//! deep: the checker, the rewrite rules and VM lowering all recurse
+//! over them, on a session thread's default stack.
 
 use crate::ast::*;
 use crate::error::QueryError;
@@ -17,14 +21,18 @@ const RESERVED: &[&str] = &[
     "is", "null", "join", "on",
 ];
 
+/// The deepest expression the parser builds, counting one level per
+/// parenthesis (a call's included), unary operator and binary
+/// operator. A deeper one is a parse error at the token past the cap.
+/// A query at the cap registers and runs on a 2 MiB thread in a debug
+/// build, where 100 levels fit and 128 overflow the stack: nested
+/// parentheses while parsing, a long operator chain in the passes
+/// after.
+pub const MAX_DEPTH: usize = 64;
+
 /// Parse one TweeQL statement.
 pub fn parse(input: &str) -> Result<SelectStmt, QueryError> {
-    let toks = lex(input)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        last_end: 0,
-    };
+    let mut p = Parser::new(lex(input)?);
     let stmt = p.select_stmt()?;
     p.eat_tok(&Tok::Semi); // optional trailing ;
     p.expect_eof()?;
@@ -33,12 +41,7 @@ pub fn parse(input: &str) -> Result<SelectStmt, QueryError> {
 
 /// Parse just an expression (used by tests and the REPL's EXPLAIN).
 pub fn parse_expr(input: &str) -> Result<Expr, QueryError> {
-    let toks = lex(input)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        last_end: 0,
-    };
+    let mut p = Parser::new(lex(input)?);
     let e = p.expr()?;
     p.expect_eof()?;
     Ok(e)
@@ -49,9 +52,54 @@ struct Parser {
     pos: usize,
     /// End offset of the most recently consumed token.
     last_end: usize,
+    /// Parentheses and unary operators open around the current token.
+    opened: usize,
+    /// Levels of the expression the last expression method returned.
+    depth: usize,
 }
 
 impl Parser {
+    fn new(toks: Vec<SpannedTok>) -> Parser {
+        Parser {
+            toks,
+            pos: 0,
+            last_end: 0,
+            opened: 0,
+            depth: 0,
+        }
+    }
+
+    /// Open a parenthesis or unary operator at `pos`: refused past
+    /// [`MAX_DEPTH`], before the parser recurses any deeper.
+    fn open(&mut self, pos: usize) -> Result<(), QueryError> {
+        self.opened += 1;
+        Self::within_cap(self.opened, pos)
+    }
+
+    /// Close what [`Parser::open`] opened at `pos` around `e`.
+    fn close(&mut self, e: Expr, pos: usize) -> Result<Expr, QueryError> {
+        self.opened -= 1;
+        self.level(e, self.depth, pos)
+    }
+
+    /// `e` (an operator at `pos`, or a parenthesis), one level above
+    /// its deepest operand, `below` levels deep.
+    fn level(&mut self, e: Expr, below: usize, pos: usize) -> Result<Expr, QueryError> {
+        self.depth = below + 1;
+        Self::within_cap(self.depth, pos)?;
+        Ok(e)
+    }
+
+    fn within_cap(depth: usize, pos: usize) -> Result<(), QueryError> {
+        if depth > MAX_DEPTH {
+            return Err(QueryError::parse(
+                format!("expression nests deeper than {MAX_DEPTH} levels"),
+                pos,
+            ));
+        }
+        Ok(())
+    }
+
     fn peek(&self) -> &Tok {
         &self.toks[self.pos].tok
     }
@@ -341,29 +389,47 @@ impl Parser {
     }
 
     fn or_expr(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.and_expr()?;
-        while self.eat_kw("or") {
-            let right = self.and_expr()?;
-            left = Expr::binary(BinOp::Or, left, right);
-        }
-        Ok(left)
+        self.chain(Self::and_expr, |p| p.eat_kw("or").then_some(BinOp::Or))
     }
 
     fn and_expr(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.not_expr()?;
-        while self.eat_kw("and") {
-            let right = self.not_expr()?;
-            left = Expr::binary(BinOp::And, left, right);
+        self.chain(Self::not_expr, |p| p.eat_kw("and").then_some(BinOp::And))
+    }
+
+    /// A left-deep chain of `operand`s joined by the operators `op`
+    /// eats, one level each.
+    fn chain(
+        &mut self,
+        operand: fn(&mut Parser) -> Result<Expr, QueryError>,
+        op: fn(&mut Parser) -> Option<BinOp>,
+    ) -> Result<Expr, QueryError> {
+        let mut left = operand(self)?;
+        loop {
+            let pos = self.peek_pos();
+            let Some(op) = op(self) else {
+                return Ok(left);
+            };
+            let below = self.depth;
+            let right = operand(self)?;
+            let e = Expr::binary(op, left, right);
+            left = self.level(e, below.max(self.depth), pos)?;
         }
-        Ok(left)
+    }
+
+    /// Eat the next token if `ops` names it, giving its operator.
+    fn eat_op(&mut self, ops: &[(Tok, BinOp)]) -> Option<BinOp> {
+        let &(_, op) = ops.iter().find(|(t, _)| t == self.peek())?;
+        self.bump();
+        Some(op)
     }
 
     fn not_expr(&mut self) -> Result<Expr, QueryError> {
         let start = self.peek_pos();
         if self.eat_kw("not") {
+            self.open(start)?;
             let inner = self.not_expr()?;
             let span = Span::new(start, inner.span.end.max(start));
-            Ok(Expr::not(inner).with_span(span))
+            self.close(Expr::not(inner).with_span(span), start)
         } else {
             self.comparison()
         }
@@ -371,6 +437,8 @@ impl Parser {
 
     fn comparison(&mut self) -> Result<Expr, QueryError> {
         let left = self.additive()?;
+        let below = self.depth;
+        let pos = self.peek_pos();
         let op = match self.peek() {
             Tok::Eq => Some(BinOp::Eq),
             Tok::Ne => Some(BinOp::Ne),
@@ -383,23 +451,25 @@ impl Parser {
         if let Some(op) = op {
             self.bump();
             let right = self.additive()?;
-            return Ok(Expr::binary(op, left, right));
+            let e = Expr::binary(op, left, right);
+            return self.level(e, below.max(self.depth), pos);
         }
         if self.eat_kw("contains") {
             let pattern = self.additive()?;
-            return Ok(Expr::contains(left, pattern));
+            let e = Expr::contains(left, pattern);
+            return self.level(e, below.max(self.depth), pos);
         }
         if self.eat_kw("matches") {
-            let pos = self.peek_pos();
+            let pat_pos = self.peek_pos();
             match self.bump() {
                 Tok::Str(pat) => {
                     let span = Span::new(left.span.start, self.last_end);
-                    return Ok(Expr::matches(left, pat).with_span(span));
+                    return self.level(Expr::matches(left, pat).with_span(span), below, pos);
                 }
                 other => {
                     return Err(QueryError::parse(
                         format!("MATCHES wants a string pattern, found {other}"),
-                        pos,
+                        pat_pos,
                     ))
                 }
             }
@@ -408,7 +478,7 @@ impl Parser {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
             let span = Span::new(left.span.start, self.last_end);
-            return Ok(Expr::is_null(left, negated).with_span(span));
+            return self.level(Expr::is_null(left, negated).with_span(span), below, pos);
         }
         let negated_in = {
             // `NOT IN` is handled by not_expr for prefix NOT; support the
@@ -424,12 +494,12 @@ impl Parser {
         };
         if self.eat_kw("in") {
             let e = self.in_rhs(left)?;
-            return Ok(if negated_in {
+            return if negated_in {
                 let span = e.span;
-                Expr::not(e).with_span(span)
+                self.level(Expr::not(e).with_span(span), below + 1, pos)
             } else {
-                e
-            });
+                self.level(e, below, pos)
+            };
         } else if negated_in {
             return Err(QueryError::parse("expected IN after NOT", self.peek_pos()));
         }
@@ -499,42 +569,27 @@ impl Parser {
     }
 
     fn additive(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.multiplicative()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Plus => BinOp::Add,
-                Tok::Minus => BinOp::Sub,
-                _ => break,
-            };
-            self.bump();
-            let right = self.multiplicative()?;
-            left = Expr::binary(op, left, right);
-        }
-        Ok(left)
+        let ops = |p: &mut Parser| p.eat_op(&[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)]);
+        self.chain(Self::multiplicative, ops)
     }
 
     fn multiplicative(&mut self) -> Result<Expr, QueryError> {
-        let mut left = self.unary()?;
-        loop {
-            let op = match self.peek() {
-                Tok::Star => BinOp::Mul,
-                Tok::Slash => BinOp::Div,
-                Tok::Percent => BinOp::Mod,
-                _ => break,
-            };
-            self.bump();
-            let right = self.unary()?;
-            left = Expr::binary(op, left, right);
-        }
-        Ok(left)
+        self.chain(Self::unary, |p| {
+            p.eat_op(&[
+                (Tok::Star, BinOp::Mul),
+                (Tok::Slash, BinOp::Div),
+                (Tok::Percent, BinOp::Mod),
+            ])
+        })
     }
 
     fn unary(&mut self) -> Result<Expr, QueryError> {
         let start = self.peek_pos();
         if self.eat_tok(&Tok::Minus) {
+            self.open(start)?;
             let inner = self.unary()?;
             let span = Span::new(start, inner.span.end.max(start));
-            Ok(Expr::neg(inner).with_span(span))
+            self.close(Expr::neg(inner).with_span(span), start)
         } else {
             self.primary()
         }
@@ -543,6 +598,8 @@ impl Parser {
     fn primary(&mut self) -> Result<Expr, QueryError> {
         let pos = self.peek_pos();
         let tok_span = self.peek_span();
+        // A leaf; a parenthesis or call sets the depth it closes at.
+        self.depth = 0;
         match self.peek().clone() {
             Tok::Int(i) => {
                 self.bump();
@@ -558,9 +615,10 @@ impl Parser {
             }
             Tok::LParen => {
                 self.bump();
+                self.open(pos)?;
                 let e = self.expr()?;
                 self.expect_tok(Tok::RParen)?;
-                Ok(e)
+                self.close(e, pos)
             }
             Tok::Ident(name) => {
                 if name == "null" {
@@ -584,32 +642,34 @@ impl Parser {
                 self.bump();
                 // Function call?
                 if self.eat_tok(&Tok::LParen) {
+                    self.open(pos)?;
                     // COUNT(*) / COUNT(DISTINCT expr) special cases.
                     if name == "count" && self.eat_tok(&Tok::Star) {
                         self.expect_tok(Tok::RParen)?;
-                        return Ok(Expr::call("count", vec![]).with_span(self.span_from(pos)));
+                        let e = Expr::call("count", vec![]).with_span(self.span_from(pos));
+                        return self.close(e, pos);
                     }
                     if name == "count" && self.eat_kw("distinct") {
                         let arg = self.expr()?;
                         self.expect_tok(Tok::RParen)?;
-                        return Ok(
-                            Expr::call("count_distinct", vec![arg]).with_span(self.span_from(pos))
-                        );
+                        let e = Expr::call("count_distinct", vec![arg]);
+                        return self.close(e.with_span(self.span_from(pos)), pos);
                     }
                     let mut args = Vec::new();
+                    let mut below = 0;
                     if !self.eat_tok(&Tok::RParen) {
                         loop {
                             args.push(self.expr()?);
+                            below = below.max(self.depth);
                             if !self.eat_tok(&Tok::Comma) {
                                 break;
                             }
                         }
                         self.expect_tok(Tok::RParen)?;
                     }
-                    return Ok(Expr::new(
-                        ExprKind::Call { name, args },
-                        self.span_from(pos),
-                    ));
+                    self.depth = below;
+                    let e = Expr::new(ExprKind::Call { name, args }, self.span_from(pos));
+                    return self.close(e, pos);
                 }
                 // Qualified column?
                 if self.eat_tok(&Tok::Dot) {
@@ -840,6 +900,52 @@ mod tests {
         assert!(parse("SELECT text FROM twitter GROUP lat").is_err());
         assert!(parse("SELECT text FROM twitter; extra").is_err());
         assert!(parse("SELECT text FROM twitter WHERE text matches 5").is_err());
+    }
+
+    /// One level per parenthesis, unary operator and binary operator:
+    /// a tree at the cap parses, one a level deeper is refused at the
+    /// token that opens the extra level.
+    #[test]
+    fn expressions_nest_up_to_the_cap_and_no_deeper() {
+        let shapes: [fn(usize) -> String; 4] = [
+            |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("1{}", " + 1".repeat(n)),
+            |n| format!("{}1", "- ".repeat(n)),
+            |n| format!("{}true", "NOT ".repeat(n)),
+        ];
+        for shape in shapes {
+            let sql = |n| format!("SELECT {} FROM twitter", shape(n));
+            assert!(parse(&sql(MAX_DEPTH)).is_ok(), "{}", sql(MAX_DEPTH));
+            let deeper = sql(MAX_DEPTH + 1);
+            match parse(&deeper) {
+                Err(QueryError::Parse { message, position }) => {
+                    assert!(message.contains("deeper than 64 levels"), "{message}");
+                    let at = &deeper[position..];
+                    assert!(
+                        ["(", "+", "-", "NOT"].iter().any(|t| at.starts_with(t)),
+                        "points at an operator: {at:.8}"
+                    );
+                }
+                other => panic!("{deeper:.40}: {other:?}"),
+            }
+        }
+        // A call's parenthesis is a level; so is each operand chain.
+        let calls = format!(
+            "{}text{}",
+            "upper(".repeat(MAX_DEPTH),
+            ")".repeat(MAX_DEPTH)
+        );
+        assert!(parse_expr(&calls).is_ok());
+        assert!(parse_expr(&format!("upper({calls})")).is_err());
+        let wide = format!(
+            "({}) + ({})",
+            shapes[1](MAX_DEPTH - 2),
+            shapes[1](MAX_DEPTH - 2)
+        );
+        assert!(parse_expr(&wide).is_ok(), "siblings do not add up");
+        // A hostile line fails fast instead of exhausting the stack.
+        assert!(parse_expr(&shapes[0](100_000)).is_err());
+        assert!(parse_expr(&shapes[1](100_000)).is_err());
     }
 
     #[test]

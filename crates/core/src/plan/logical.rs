@@ -53,9 +53,6 @@ pub(crate) struct LogicalPlan {
     /// later rules that reorder or rewrite conjuncts stay accountable
     /// to the verifier).
     pub candidates: Vec<(Expr, super::ApiCandidate)>,
-    /// Live source columns in `schema` order — `None` means decode
-    /// everything (filled by the projection-pruning rule).
-    pub live: Option<Vec<bool>>,
 }
 
 impl LogicalPlan {
@@ -106,7 +103,6 @@ impl LogicalPlan {
             window: stmt.window.clone(),
             limit: stmt.limit,
             candidates: Vec::new(),
-            live: None,
         })
     }
 
@@ -132,53 +128,32 @@ impl LogicalPlan {
             .count()
     }
 
-    /// Every expression the plan evaluates, in clause order.
-    pub fn exprs(&self) -> impl Iterator<Item = &Expr> {
-        self.filter
-            .iter()
-            .chain(self.select.iter().map(|s| &s.expr))
-            .chain(self.having.iter())
-    }
-
     /// Column-liveness dataflow: which source-schema columns any plan
-    /// expression can read. Returns `None` when every column is live.
+    /// expression reads (`None`: all of them). Only
+    /// [`super::PlannedQuery::live_columns`] keeps it.
     ///
     /// `location in [bbox]` compiles to a [`crate::expr::CExpr`] that
     /// reads `lat`/`lon` by name without mentioning them in the AST, so
-    /// bounding boxes force those two columns live explicitly.
+    /// a bounding box marks those two columns itself. An alias GROUP BY
+    /// key is covered by its select item; a plain column key marks
+    /// itself.
     pub fn live_columns(&self) -> Option<Vec<bool>> {
         let mut live = vec![false; self.schema.len()];
-        let mut mark = |e: &Expr| {
-            for col in e.referenced_columns() {
-                if let Some(i) = self.schema.index_of(&col) {
-                    live[i] = true;
-                }
-            }
-            e.walk(&mut |n| {
-                if matches!(n.kind, ExprKind::InBoundingBox { .. }) {
-                    for c in ["lat", "lon"] {
-                        if let Some(i) = self.schema.index_of(c) {
-                            live[i] = true;
-                        }
-                    }
-                }
-            });
-        };
-        for e in self.exprs() {
-            mark(e);
-        }
-        for g in &self.group_by {
-            // Alias keys are covered by their defining select item;
-            // plain column keys must stay live themselves.
-            if let Some(i) = self.schema.index_of(g) {
+        let mut mark = |c: &str| {
+            if let Some(i) = self.schema.index_of(c) {
                 live[i] = true;
             }
+        };
+        let selected = self.select.iter().map(|s| &s.expr);
+        for e in self.filter.iter().chain(selected).chain(&self.having) {
+            e.walk(&mut |n| match &n.kind {
+                ExprKind::Column { name, .. } => mark(name),
+                ExprKind::InBoundingBox { .. } => ["lat", "lon"].into_iter().for_each(&mut mark),
+                _ => {}
+            });
         }
-        if live.iter().all(|&b| b) {
-            None
-        } else {
-            Some(live)
-        }
+        self.group_by.iter().for_each(|g| mark(g));
+        (!live.iter().all(|&b| b)).then_some(live)
     }
 }
 
@@ -242,7 +217,6 @@ mod tests {
         let p = build("SELECT * FROM twitter WHERE text contains 'a' AND followers > 5");
         assert_eq!(p.filter.len(), 2);
         assert_eq!(p.select.len(), p.schema.len());
-        assert!(p.live.is_none());
         assert!(p.candidates.is_empty());
     }
 

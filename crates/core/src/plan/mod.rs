@@ -8,8 +8,7 @@
 //!    folding, multi-`contains` fusion, connection-filter pushdown
 //!    extraction (`text contains 'kw'` → `track`, `location in [bbox]`
 //!    → `locations`, `user_id = n` → `follow`; §2 "Uncertain
-//!    Selectivities"), column-liveness projection pruning, and
-//!    cost-based conjunct ordering — with the
+//!    Selectivities"), and cost-based conjunct ordering — with the
 //!    [`verify::PlanVerifier`] re-checking the plan after every rule;
 //! 3. lowering emits the operator pipeline, where only scan stages
 //!    evaluate expressions and every other stage reads input columns:
@@ -113,10 +112,12 @@ pub struct PlannedQuery {
     /// Analyzer warnings attached by [`prepare`] (empty when planning
     /// is invoked directly).
     pub warnings: Vec<crate::check::Diagnostic>,
-    /// Live source columns (`None` ⇒ decode every column), indexed
-    /// against the source stream's schema: the projection-pruning
-    /// rule's mask, or for a join the union of both sides' columns with
-    /// both keys forced live.
+    // The source columns the plan's expressions read (`None`: all of
+    // them, a join, or the reference plan); nothing in the workspace
+    // reads it. `benchmark/**` (frozen to source PRs) still reads it in
+    // `ladder.rs`; it goes when a `[benchmark]` PR replaces the ladder's
+    // mask rungs (ROADMAP 1(a)).
+    #[doc(hidden)]
     pub live_columns: Option<Arc<[bool]>>,
     /// Optimizer notices — verifier fallbacks in release builds. The
     /// engine merges these into the run's diagnostics.
@@ -192,7 +193,10 @@ fn lower(
 
     let mut ops: Vec<Box<dyn Operator>> = Vec::new();
     let mut working_schema = Arc::clone(&lp.schema);
-    let mut live_columns = lp.live.clone().map(Arc::from);
+    let live_columns = (!config.reference && lp.join.is_none())
+        .then(|| lp.live_columns())
+        .flatten()
+        .map(Arc::from);
 
     // ---- join: the head stage, both sides over the one feed ----
     if let Some(jc) = &lp.join {
@@ -215,37 +219,11 @@ fn lower(
             "join {} ⋈ {} on {} = {} within {}",
             lp.stream, jc.stream, jc.left_col, jc.right_col, window
         ));
-        // The projection-pruning *rule* skips join plans (its verifier
-        // only models single-stream scans), so the decode mask is built
-        // here: combined-schema liveness folded onto the one source
-        // schema, with both join keys forced live for the join itself.
-        if !config.reference {
-            let width = lp.left_schema.len();
-            let mut live = lp.live_columns().unwrap_or_else(|| vec![true; 2 * width]);
-            let (l, r) = live.split_at_mut(width);
-            for (a, b) in l.iter_mut().zip(r.iter()) {
-                *a |= *b;
-            }
-            for key in [&jc.left_col, &jc.right_col] {
-                if let Some(i) = lp.left_schema.index_of(key) {
-                    live[i] = true;
-                }
-            }
-            live.truncate(width);
-            if !live.iter().all(|&b| b) {
-                explain.push(format!(
-                    "prune decode to {}/{width} columns (both join sides)",
-                    live.iter().filter(|b| **b).count(),
-                ));
-                live_columns = Some(Arc::from(live));
-            }
-        }
         ops.push(Box::new(SymmetricHashJoin::new(
             lk,
             rk,
             window,
             Arc::clone(&lp.schema),
-            live_columns.clone(),
         )));
     }
 
@@ -1045,24 +1023,6 @@ mod tests {
     }
 
     #[test]
-    fn join_decode_is_the_union_of_both_sides_with_keys_forced_live() {
-        let p = plan_sql(
-            "SELECT text, lang_r FROM twitter JOIN twitter ON user_id = retweet_of \
-             WHERE followers > 10 WINDOW 5 minutes",
-        );
-        let live = p.live_columns.as_ref().expect("narrow join prunes");
-        let schema = tweeql_model::record::twitter_schema();
-        let is_live = |c: &str| live[schema.index_of(c).unwrap()];
-        // Left side reads text and followers, the right side lang; the
-        // keys come from one side each.
-        for c in ["text", "followers", "lang", "user_id", "retweet_of"] {
-            assert!(is_live(c), "{c} must be live");
-        }
-        assert!(!is_live("loc"));
-        assert!(p.explain.contains("prune decode to 5/11"), "{}", p.explain);
-    }
-
-    #[test]
     fn join_of_two_streams_is_refused() {
         let (mut c, r, cfg) = setup();
         c.register("news", Schema::shared(&[("screen_name", DataType::Str)]));
@@ -1114,11 +1074,6 @@ mod tests {
         let p = plan_sql("SELECT text FROM twitter WHERE 1 = 1 AND text contains 'obama'");
         assert!(p.explain.contains("rule fold-constants:"), "{}", p.explain);
         assert!(p.explain.contains("rule pushdown-filter:"), "{}", p.explain);
-        assert!(
-            p.explain.contains("rule prune-projection:"),
-            "{}",
-            p.explain
-        );
     }
 
     #[test]
@@ -1142,7 +1097,7 @@ mod tests {
         let export = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
         for filter in ["", " WHERE text contains 'x'", " WHERE followers > 10000"] {
             let mut p = plan_sql(&format!("{export}{filter}"));
-            let mut batch = tweeql_model::TweetBatch::with_live(p.live_columns.clone());
+            let mut batch = tweeql_model::TweetBatch::new();
             tweets.iter().for_each(|t| batch.push(t.clone()));
             let all: Vec<u32> = (0..batch.len() as u32).collect();
             let mut out = tweeql_model::RowBatch::new(p.output_schema.clone());

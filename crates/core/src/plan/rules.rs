@@ -3,9 +3,8 @@
 //! Each rule is a classic static analysis expressed as a plan-to-plan
 //! transform: constant folding (abstract interpretation under SQL's
 //! three-valued logic), multi-keyword `contains` fusion, connection
-//! filter pushdown, column-liveness projection pruning, and cost-based
-//! conjunct ordering seeded from measured selectivities. The driver
-//! [`rewrite`] runs the [`PlanVerifier`](super::verify::PlanVerifier)
+//! filter pushdown, and cost-based conjunct ordering seeded from
+//! measured selectivities. [`rewrite`] runs the [`PlanVerifier`]
 //! after *every* rule application: a rule that breaks type, schema, or
 //! window semantics is rejected with rule-name attribution — debug
 //! builds panic, release builds fall back to the unoptimized plan and
@@ -50,10 +49,6 @@ pub(crate) fn standard_rules() -> Vec<Rule> {
         Rule {
             name: "pushdown-filter",
             apply: pushdown_filter_rule,
-        },
-        Rule {
-            name: "prune-projection",
-            apply: prune_projection_rule,
         },
         Rule {
             name: "order-conjuncts",
@@ -296,36 +291,6 @@ fn pushdown_filter_rule(p: &LogicalPlan, ctx: &RuleCtx<'_>) -> Option<(LogicalPl
     Some((q, note))
 }
 
-// ---- prune-projection ---------------------------------------------------
-
-/// Column-liveness dataflow: record exactly which source columns the
-/// plan reads so decode can skip the rest. Joins keep the full decode
-/// (both sides feed the hash join), and only the `twitter` stream has
-/// a pruned decode path.
-fn prune_projection_rule(p: &LogicalPlan, _ctx: &RuleCtx<'_>) -> Option<(LogicalPlan, String)> {
-    if p.join.is_some() || !p.stream.eq_ignore_ascii_case("twitter") || p.live.is_some() {
-        return None;
-    }
-    let live = p.live_columns()?;
-    let kept: Vec<&str> = p
-        .schema
-        .fields()
-        .iter()
-        .zip(&live)
-        .filter(|(_, l)| **l)
-        .map(|(f, _)| f.name.as_str())
-        .collect();
-    let note = format!(
-        "decode {}/{} source columns ({})",
-        kept.len(),
-        p.schema.len(),
-        kept.join(", ")
-    );
-    let mut q = p.clone();
-    q.live = Some(live);
-    Some((q, note))
-}
-
 // ---- order-conjuncts ----------------------------------------------------
 
 /// Cost-based conjunct ordering. The static cost model ranks cheap
@@ -454,17 +419,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_records_live_columns() {
-        let out = apply_all("SELECT lang FROM twitter WHERE followers > 10", &[]);
-        let live = out.plan.live.as_ref().expect("narrow query prunes");
-        assert_eq!(live.iter().filter(|l| **l).count(), 2);
-        assert!(out
-            .attributions
-            .iter()
-            .any(|a| a.contains("rule prune-projection: decode 2/11")));
-    }
-
-    #[test]
     fn order_prefers_static_cost_without_hints() {
         let out = apply_all(
             "SELECT text FROM twitter WHERE text contains 'hot' AND followers > 1000",
@@ -551,15 +505,15 @@ mod tests {
             .any(|a| a.contains("seeded from measured selectivities")));
     }
 
-    /// A deliberately broken rule: prunes every column, including ones
-    /// the plan reads — the verifier must reject it by name.
+    /// A deliberately broken rule: renames the first output column —
+    /// the verifier must reject it by name.
     fn broken_rules() -> Vec<Rule> {
         vec![Rule {
-            name: "break-liveness",
+            name: "break-output-names",
             apply: |p, _| {
                 let mut q = p.clone();
-                q.live = Some(vec![false; q.schema.len()]);
-                Some((q, "prune everything".into()))
+                q.select[0].alias = Some("renamed".into());
+                Some((q, "rename an output".into()))
             },
         }]
     }
@@ -574,11 +528,15 @@ mod tests {
         let plan = logical("SELECT text FROM twitter WHERE followers > 10");
         let out = rewrite(plan, &broken_rules(), &ctx, false);
         // Release-mode semantics: unoptimized plan + notice.
-        assert!(out.plan.live.is_none(), "fallback keeps the original plan");
+        assert_eq!(
+            out.plan.output_names(),
+            ["text"],
+            "fallback keeps the original plan"
+        );
         assert!(out.attributions.is_empty());
         assert_eq!(out.notices.len(), 1);
         assert!(
-            out.notices[0].contains("rule break-liveness"),
+            out.notices[0].contains("rule break-output-names"),
             "{}",
             out.notices[0]
         );
@@ -590,7 +548,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "break-liveness")]
+    #[should_panic(expected = "break-output-names")]
     fn broken_rule_panics_in_strict_mode() {
         let registry = registry();
         let ctx = RuleCtx {

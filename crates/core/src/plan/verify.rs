@@ -5,12 +5,10 @@
 //! [`crate::check`] typechecker's inference over every plan
 //! expression, and (b) checks plan invariants no rewrite may break:
 //! output names and arity, grouping keys, window/watermark semantics,
-//! LIMIT, join shape, liveness coverage of every referenced column,
-//! pushdown-candidate consistency, and that no WHERE conjunct moves
-//! across a stateful call or is reordered behind one (the call's
-//! results depend on the rows it sees).
-//! Violations are surfaced by
-//! [`super::rules::rewrite`] with rule-name attribution.
+//! LIMIT, join shape, pushdown-candidate consistency, and that no
+//! WHERE conjunct moves across a stateful call or is reordered behind
+//! one (the call's results depend on the rows it sees). Violations are
+//! surfaced by [`super::rules::rewrite`] with rule-name attribution.
 
 use super::logical::{render_expr, LogicalPlan};
 use super::rules::{fold_constants_rule, fuse_multicontains_rule, RuleCtx};
@@ -105,31 +103,6 @@ impl PlanVerifier {
         for (key, detail) in type_issues(p, registry) {
             if !self.baseline_issues.contains(&key) {
                 return Err(detail);
-            }
-        }
-
-        // ---- liveness invariant -----------------------------------------
-        if let Some(live) = &p.live {
-            if self.has_join {
-                return Err("projection pruning is not valid for join plans".into());
-            }
-            if live.len() != p.schema.len() {
-                return Err(format!(
-                    "live-column mask width {} does not match schema width {}",
-                    live.len(),
-                    p.schema.len()
-                ));
-            }
-            let required = p
-                .live_columns()
-                .unwrap_or_else(|| vec![true; p.schema.len()]);
-            for (i, (req, l)) in required.iter().zip(live).enumerate() {
-                if *req && !*l {
-                    let name = p.schema.field(i).map(|f| f.name.as_str()).unwrap_or("?");
-                    return Err(format!(
-                        "column `{name}` is read by the plan but pruned from decode"
-                    ));
-                }
             }
         }
 
@@ -329,19 +302,6 @@ mod tests {
         )];
         let err = v.verify(&broken, &reg).unwrap_err();
         assert!(err.contains("non-boolean"), "{err}");
-    }
-
-    #[test]
-    fn under_pruned_live_mask_is_rejected() {
-        let p = logical("SELECT lang FROM twitter WHERE followers > 10");
-        let reg = registry();
-        let v = PlanVerifier::capture(&p, &reg);
-        let mut broken = p.clone();
-        let mut live = vec![false; broken.schema.len()];
-        live[broken.schema.index_of("lang").unwrap()] = true;
-        broken.live = Some(live); // `followers` is read by WHERE but pruned
-        let err = v.verify(&broken, &reg).unwrap_err();
-        assert!(err.contains("followers"), "{err}");
     }
 
     #[test]

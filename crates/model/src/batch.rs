@@ -29,14 +29,14 @@
 //! [`TweetBatch::view`] for a column builds it, and the batch keeps it
 //! until its rows change, so a batch shared read-only among several
 //! queries builds each column at most once, for whichever reads it
-//! first. A column pruned dead by the optimizer's liveness mask reads
-//! as NULL and is never built. The batch counts what its readers built
+//! first, and a column no reader views is never built. The batch
+//! counts what its readers built
 //! ([`TweetBatch::decode_stats`]); nothing outside it decides which
 //! columns to build. A reader that walks many rows of a column views it
 //! once and reads rows off the typed [`ColumnView`].
 //! Operators that still think in rows cross the boundary through
 //! [`TweetBatch::to_records`] / [`TweetBatch::record_at`], which defer
-//! to `Record::from_tweet{,_pruned}` so the row shim is differentially
+//! to [`Record::from_tweet`] so the row shim is differentially
 //! identical to the row pipeline by construction.
 //!
 //! The schema note vs the paper: the reproduction's [`Tweet`] carries
@@ -224,7 +224,7 @@ impl Column {
 /// match on the batch's decode state.
 #[derive(Debug, Clone, Copy)]
 pub enum ColumnView<'a> {
-    /// Every row NULL: a column pruned dead.
+    /// Every row NULL: a column outside the schema.
     Null,
     /// `i64`s; a row whose validity bit is clear is NULL.
     Int { vals: &'a [i64], valid: &'a Bitmap },
@@ -273,7 +273,7 @@ pub struct DecodeStats {
     /// Columns built by the batch's readers.
     pub columns_materialized: u64,
     /// Columns left unbuilt in a batch some reader viewed a column of:
-    /// unread, pruned dead, or read from the tweets.
+    /// unread, or read from the tweets.
     pub columns_skipped: u64,
     /// Rows written through dictionary-encoded columns.
     pub dict_rows: u64,
@@ -595,12 +595,6 @@ impl Default for RowStore {
 /// accessors ([`str_at`](TweetBatch::str_at),
 /// [`value_at`](TweetBatch::value_at)) read the tweet, so callers
 /// never branch on decode state.
-///
-/// A liveness mask (from the optimizer's projection pruning) attaches
-/// to the whole batch: accessors treat dead columns as NULL and
-/// `record_at` defers to [`Record::from_tweet_pruned`], keeping the
-/// columnar path differentially identical to the row path under
-/// pruning as well.
 #[derive(Debug, Clone, Default)]
 pub struct TweetBatch {
     rows: RowStore,
@@ -617,37 +611,23 @@ pub struct TweetBatch {
     /// The dictionary counters of the builds since the rows last
     /// changed.
     dict_stats: Cell<DecodeStats>,
-    live: Option<Arc<[bool]>>,
     /// Punctuation riding with the rows: the watermark boundaries
     /// stream time crossed just before row `.0` (ascending rows).
     crossings: Vec<(u32, Crossing)>,
 }
 
 impl TweetBatch {
-    /// Empty batch with no liveness mask.
+    /// Empty batch.
     pub fn new() -> TweetBatch {
         TweetBatch::default()
     }
 
-    /// Empty batch carrying the plan's live-column mask.
-    pub fn with_live(live: Option<Arc<[bool]>>) -> TweetBatch {
-        TweetBatch {
-            live,
-            ..TweetBatch::default()
-        }
-    }
-
-    /// Replace the liveness mask (used when recycling batch buffers).
-    pub fn set_live(&mut self, live: Option<Arc<[bool]>>) {
-        self.live = live;
-    }
-
-    /// The liveness mask, already fail-open-normalized: `None` unless
-    /// it matches the twitter schema width (mirrors
-    /// [`Record::from_tweet_pruned`]).
-    pub fn live(&self) -> Option<&[bool]> {
-        self.live.as_deref().filter(|l| l.len() == col::COUNT)
-    }
+    // Accepted and ignored: a batch builds only the columns its readers
+    // view, so no column mask is left to set. `benchmark/**` (frozen to
+    // source PRs) still calls it in `ladder.rs`; it goes when a
+    // `[benchmark]` PR replaces the ladder's mask rungs (ROADMAP 1(a)).
+    #[doc(hidden)]
+    pub fn set_live(&mut self, _: Option<Arc<[bool]>>) {}
 
     /// Switch the batch to zero-copy mode over `log`: rows are log
     /// indices appended with [`push_index`](TweetBatch::push_index) and
@@ -762,12 +742,6 @@ impl TweetBatch {
         }
     }
 
-    /// True when column `c` survives the liveness mask.
-    pub(crate) fn alive(&self, c: usize) -> bool {
-        self.live()
-            .is_none_or(|l| l.get(c).copied().unwrap_or(true))
-    }
-
     /// View every column marked in `needed` (see
     /// [`view`](TweetBatch::view)) and return
     /// [`decode_stats`](TweetBatch::decode_stats).
@@ -819,9 +793,9 @@ impl TweetBatch {
     /// the built column's view; for a string column that is not a
     /// built dictionary, the strings read in place from the tweets
     /// ([`ColumnView::Str`]); [`ColumnView::Null`] when the column is
-    /// pruned dead or not in the schema.
+    /// not in the schema.
     pub fn view(&self, c: usize) -> ColumnView<'_> {
-        if c >= col::COUNT || !self.alive(c) {
+        if c >= col::COUNT {
             return ColumnView::Null;
         }
         self.viewed.set(true);
@@ -840,20 +814,18 @@ impl TweetBatch {
 
     /// Zero-copy string access for the text-typed columns (`text`,
     /// `screen_name`, `loc`, `lang`): the tweet's own string, whatever
-    /// the batch has built. `None` when the column is pruned dead or
-    /// not string-typed — the columnar VM maps that to NULL, exactly
-    /// like the pruned row decode.
+    /// the batch has built. `None` when the column is not
+    /// string-typed.
     pub fn str_at(&self, i: usize, c: usize) -> Option<&str> {
-        let field = str_field(c).filter(|_| self.alive(c))?;
+        let field = str_field(c)?;
         Some(field(self.tweet_at(i)))
     }
 
     /// Row `i`, column `c` as a [`Value`], with identical semantics to
-    /// the corresponding `Record::from_tweet_pruned` slot (dead and
-    /// out-of-range columns are NULL). A string shares the tweet's
-    /// chunk.
+    /// the corresponding [`Record::from_tweet`] slot (out-of-range
+    /// columns are NULL). A string shares the tweet's chunk.
     pub fn value_at(&self, i: usize, c: usize) -> Value {
-        match str_field(c).filter(|_| self.alive(c)) {
+        match str_field(c) {
             Some(field) => Value::Str(field(self.tweet_at(i)).clone()),
             None => self.value_ref_at(i, c).to_value(),
         }
@@ -863,9 +835,6 @@ impl TweetBatch {
     /// bump and no allocation.
     #[inline]
     pub fn value_ref_at(&self, i: usize, c: usize) -> ValueRef<'_> {
-        if !self.alive(c) {
-            return ValueRef::Null;
-        }
         let t = self.tweet_at(i);
         let int = |v: u64| ValueRef::Int(v as i64);
         match c {
@@ -889,14 +858,10 @@ impl TweetBatch {
     }
 
     /// Row `i` as a [`Record`] — the row-shim boundary. Defers to
-    /// `Record::from_tweet{,_pruned}` so shim output is identical to
-    /// the row pipeline by construction.
+    /// [`Record::from_tweet`] so shim output is identical to the row
+    /// pipeline by construction.
     pub fn record_at(&self, i: usize) -> Record {
-        let t = self.tweet_at(i);
-        match self.live.as_deref() {
-            Some(l) => Record::from_tweet_pruned(t, l),
-            None => Record::from_tweet(t),
-        }
+        Record::from_tweet(self.tweet_at(i))
     }
 
     /// All rows as [`Record`]s.
@@ -905,8 +870,8 @@ impl TweetBatch {
     }
 
     /// Drop rows, columns and crossings, keeping the row-store
-    /// allocation, the column buffers, the log binding (in shared
-    /// mode), and the liveness mask for reuse.
+    /// allocation, the column buffers and the log binding (in shared
+    /// mode) for reuse.
     pub fn reset(&mut self) {
         match &mut self.rows {
             RowStore::Owned(tweets) => tweets.clear(),
@@ -925,8 +890,8 @@ pub fn all_columns() -> [bool; col::COUNT] {
 /// A per-batch row materialization cache for multi-consumer dispatch.
 ///
 /// When several consumers read the same [`TweetBatch`] as rows, each
-/// row is decoded into a [`Record`] at most **once** — under the
-/// batch's liveness mask — and later consumers get a cheap clone
+/// row is decoded into a [`Record`] at most **once**, and later
+/// consumers get a cheap clone
 /// (`Record` values are `Arc`-backed, so a clone is reference bumps,
 /// not string copies).
 ///
@@ -1012,8 +977,8 @@ mod tests {
         b.build()
     }
 
-    fn batch(n: u64, live: Option<Arc<[bool]>>) -> TweetBatch {
-        let mut b = TweetBatch::with_live(live);
+    fn batch(n: u64) -> TweetBatch {
+        let mut b = TweetBatch::new();
         for i in 0..n {
             b.push(tweet(i));
         }
@@ -1022,7 +987,7 @@ mod tests {
 
     #[test]
     fn to_records_matches_from_tweet() {
-        let b = batch(17, None);
+        let b = batch(17);
         for (i, t) in b.tweets().iter().enumerate() {
             assert_eq!(b.record_at(i), Record::from_tweet(t));
         }
@@ -1034,20 +999,8 @@ mod tests {
     }
 
     #[test]
-    fn to_records_matches_pruned_decode() {
-        let mut live = vec![false; col::COUNT];
-        live[col::LANG] = true;
-        live[col::FOLLOWERS] = true;
-        let mask: Arc<[bool]> = live.clone().into();
-        let b = batch(17, Some(Arc::clone(&mask)));
-        for (i, t) in b.tweets().iter().enumerate() {
-            assert_eq!(b.record_at(i), Record::from_tweet_pruned(t, &live));
-        }
-    }
-
-    #[test]
     fn row_cache_decodes_once_and_clones_after() {
-        let b = batch(10, None);
+        let b = batch(10);
         let mut cache = RowCache::new();
         cache.begin(b.len());
         // Three consumers read overlapping row sets.
@@ -1065,21 +1018,8 @@ mod tests {
     }
 
     #[test]
-    fn wrong_width_mask_fails_open() {
-        let mask: Arc<[bool]> = vec![false; 3].into();
-        let b = batch(5, Some(mask));
-        assert!(b.live().is_none(), "short mask must normalize away");
-        for (i, t) in b.tweets().iter().enumerate() {
-            assert_eq!(b.record_at(i), Record::from_tweet(t));
-            for c in 0..col::COUNT {
-                assert_eq!(b.value_at(i, c), *Record::from_tweet(t).value(c));
-            }
-        }
-    }
-
-    #[test]
     fn value_at_matches_record_slots() {
-        let b = batch(23, None);
+        let b = batch(23);
         // Both before and after materialization.
         for round in 0..2 {
             if round == 1 {
@@ -1096,11 +1036,9 @@ mod tests {
 
     #[test]
     fn column_views_are_value_at_borrowed() {
-        // Same variant, same payload, dead columns NULL, out of range
-        // NULL: `Debug` tells `Int(1)` from `Float(1.0)` where `==`
-        // would not. The first view of a column builds it; a later one
-        // reads what that built.
-        let dead_text: Arc<[bool]> = (0..col::COUNT).map(|c| c != col::TEXT).collect();
+        // Same variant, same payload, out of range NULL: `Debug` tells
+        // `Int(1)` from `Float(1.0)` where `==` would not. The first
+        // view of a column builds it; a later one reads what that built.
         let same = |view: ColumnView<'_>, b: &TweetBatch, c: usize| {
             for i in 0..b.len() {
                 let owned = b.value_at(i, c);
@@ -1112,19 +1050,17 @@ mod tests {
                 );
             }
         };
-        for live in [None, Some(dead_text)] {
-            let b = batch(23, live);
-            for _ in 0..2 {
-                for c in 0..=col::COUNT {
-                    same(b.view(c), &b, c);
-                }
+        let b = batch(23);
+        for _ in 0..2 {
+            for c in 0..=col::COUNT {
+                same(b.view(c), &b, c);
             }
         }
     }
 
     #[test]
     fn str_and_float_accessors_agree_with_rows() {
-        let b = batch(23, None);
+        let b = batch(23);
         for round in 0..2 {
             if round == 1 {
                 b.materialize(&all_columns());
@@ -1147,27 +1083,10 @@ mod tests {
     }
 
     #[test]
-    fn pruned_columns_read_as_null() {
-        let mut live = vec![true; col::COUNT];
-        live[col::TEXT] = false;
-        live[col::LAT] = false;
-        let b = batch(9, Some(live.clone().into()));
-        for i in 0..b.len() {
-            assert_eq!(b.value_at(i, col::TEXT), Value::Null);
-            assert_eq!(b.str_at(i, col::TEXT), None);
-            assert_eq!(b.value_at(i, col::LAT), Value::Null);
-            // Live columns still read through.
-            assert_eq!(b.str_at(i, col::LANG), Some(&**b.tweets()[i].lang()));
-        }
-    }
-
-    #[test]
-    fn materialize_respects_need_and_liveness() {
-        let mut live = vec![true; col::COUNT];
-        live[col::TEXT] = false;
-        let b = batch(10, Some(live.into()));
+    fn materialize_respects_need() {
+        let b = batch(10);
         let mut needed = [false; col::COUNT];
-        needed[col::TEXT] = true; // pruned dead: must be skipped
+        needed[col::TEXT] = true; // read in place: never built
         needed[col::LANG] = true;
         needed[col::FOLLOWERS] = true;
         let stats = b.materialize(&needed);
@@ -1190,7 +1109,7 @@ mod tests {
 
     #[test]
     fn dictionary_encodes_low_cardinality_columns() {
-        let b = batch(50, None);
+        let b = batch(50);
         let mut needed = [false; col::COUNT];
         needed[col::LANG] = true;
         needed[col::LOC] = true;
@@ -1233,7 +1152,7 @@ mod tests {
     fn string_columns_read_the_tweets_own_bytes() {
         // `text` and `screen_name` are never copied: a reader gets the
         // very bytes the tweet's `Text` holds, built mask or not.
-        let b = batch(12, None);
+        let b = batch(12);
         let stats = b.materialize(&all_columns());
         assert_eq!(stats.columns_materialized, col::COUNT as u64 - 2);
         assert_eq!(stats.columns_skipped, 2, "text and screen_name");
@@ -1273,7 +1192,7 @@ mod tests {
 
     #[test]
     fn push_after_materialize_invalidates_columns() {
-        let mut b = batch(4, None);
+        let mut b = batch(4);
         b.materialize(&all_columns());
         assert!(b.column(col::ID).is_some());
         b.push(tweet(99));
@@ -1288,16 +1207,15 @@ mod tests {
     }
 
     #[test]
-    fn reset_keeps_mask_and_clears_rows() {
-        let mut live = vec![true; col::COUNT];
-        live[col::TEXT] = false;
-        let mut b = batch(4, Some(live.into()));
+    fn reset_clears_rows_and_columns() {
+        let mut b = batch(4);
         b.materialize(&all_columns());
         b.reset();
         assert!(b.is_empty());
-        assert!(b.live().is_some(), "mask survives reset");
+        assert!(b.column(col::ID).is_none(), "columns go with the rows");
+        assert_eq!(b.decode_stats(), DecodeStats::default());
         b.push(tweet(1));
-        assert_eq!(b.value_at(0, col::TEXT), Value::Null);
+        assert_eq!(b.value_at(0, col::TEXT), Value::Str(tweet(1).text));
     }
 
     #[test]
@@ -1339,7 +1257,7 @@ mod tests {
 
     #[test]
     fn readers_share_the_columns_the_first_of_them_built() {
-        let b = batch(30, None);
+        let b = batch(30);
         assert_eq!(b.decode_stats(), DecodeStats::default(), "none viewed");
         let followers = |b: &TweetBatch| match b.column(col::FOLLOWERS) {
             Some(Column::Int { vals, .. }) => vals.as_ptr(),

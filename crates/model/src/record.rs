@@ -177,66 +177,6 @@ impl Record {
             tweet.created_at,
         )
     }
-
-    /// Project a [`Tweet`] onto the `twitter` schema, decoding only
-    /// the columns marked live in `live` (schema order); dead columns
-    /// become `Null`.
-    ///
-    /// The record keeps the full schema width so positional references
-    /// stay valid — the win is skipping the refcount traffic and
-    /// value construction of columns the plan never reads. The record
-    /// timestamp is set from the tweet independently of the
-    /// `created_at` column, so that column prunes like any other. A
-    /// mask of the wrong width decodes everything (fail-open).
-    pub fn from_tweet_pruned(tweet: &Tweet, live: &[bool]) -> Record {
-        let schema = twitter_schema();
-        if live.len() != schema.len() {
-            return Record::from_tweet(tweet);
-        }
-        // Dead columns must not even construct their value — for the
-        // string columns that construction is a refcount bump.
-        macro_rules! col {
-            ($idx:expr, $v:expr) => {
-                if live[$idx] {
-                    $v
-                } else {
-                    Value::Null
-                }
-            };
-        }
-        let values = vec![
-            col!(0, Value::Int(tweet.id as i64)),
-            col!(1, Value::Str(tweet.text.clone())),
-            col!(2, Value::Int(tweet.user.id as i64)),
-            col!(3, Value::Str(tweet.user.screen_name.clone())),
-            col!(4, Value::Str(tweet.user.location.clone())),
-            col!(
-                5,
-                tweet
-                    .coordinates()
-                    .map(|(la, _)| Value::Float(la))
-                    .unwrap_or(Value::Null)
-            ),
-            col!(
-                6,
-                tweet
-                    .coordinates()
-                    .map(|(_, lo)| Value::Float(lo))
-                    .unwrap_or(Value::Null)
-            ),
-            col!(7, Value::Time(tweet.created_at)),
-            col!(8, Value::Str(tweet.lang().clone())),
-            col!(9, Value::Int(tweet.user.followers as i64)),
-            col!(
-                10,
-                tweet
-                    .retweet_of()
-                    .map(|id| Value::Int(id as i64))
-                    .unwrap_or(Value::Null)
-            ),
-        ];
-        Record::new_unchecked(schema, values, tweet.created_at)
-    }
 }
 
 #[cfg(test)]
@@ -291,38 +231,6 @@ mod tests {
         let r = Record::from_tweet(&t);
         assert_eq!(r.get("lat").unwrap(), &Value::Null);
         assert_eq!(r.get("lon").unwrap(), &Value::Null);
-    }
-
-    #[test]
-    fn pruned_decode_nulls_dead_columns_and_keeps_live_ones() {
-        let mut user = User::new(77, "madden");
-        user.followers = 500;
-        let t = Tweet::builder(5, "obama in town")
-            .user(user)
-            .at(Timestamp::from_secs(12))
-            .coordinates(40.7, -74.0)
-            .build();
-        let schema = twitter_schema();
-        let mut live = vec![false; schema.len()];
-        for c in ["text", "followers"] {
-            live[schema.index_of(c).unwrap()] = true;
-        }
-        let r = Record::from_tweet_pruned(&t, &live);
-        assert_eq!(r.schema().len(), schema.len(), "full width kept");
-        assert_eq!(r.get("text").unwrap(), &Value::from("obama in town"));
-        assert_eq!(r.get("followers").unwrap(), &Value::Int(500));
-        for dead in ["id", "screen_name", "loc", "lat", "lon", "lang"] {
-            assert_eq!(r.get(dead).unwrap(), &Value::Null, "{dead} pruned");
-        }
-        // Event time survives even though created_at is pruned.
-        assert_eq!(r.timestamp(), Timestamp::from_secs(12));
-    }
-
-    #[test]
-    fn pruned_decode_with_bad_mask_falls_back_to_full_decode() {
-        let t = Tweet::builder(1, "hello").build();
-        let r = Record::from_tweet_pruned(&t, &[true, false]);
-        assert_eq!(r, Record::from_tweet(&t));
     }
 
     #[test]

@@ -342,7 +342,6 @@ impl RowColumn {
     pub fn extend_from(&mut self, batch: &TweetBatch, c: usize, sel: &[u32]) {
         let rows = sel.iter().map(|&i| batch.tweet_at(i as usize));
         match c {
-            _ if !batch.alive(c) => sel.iter().for_each(|_| self.push(ValueRef::Null)),
             col::TEXT => self.extend_strs(rows.map(|t| &t.text)),
             col::SCREEN_NAME => self.extend_strs(rows.map(|t| &t.user.screen_name)),
             col::LOC => self.extend_strs(rows.map(|t| &t.user.location)),

@@ -1,8 +1,8 @@
 //! The real `tweeql-server` binary over real sockets: what a large
 //! `POLL` puts on the wire, what a peer that walks away in the middle
 //! of one does to the server (nothing), the `tweeql-client` CLI, two
-//! sessions at once, and a SIGKILL with a restart on the same data
-//! directory.
+//! sessions at once, hostile queries, and a SIGKILL with a restart on
+//! the same data directory.
 
 use std::ffi::OsStr;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -99,16 +99,29 @@ struct Session {
 }
 
 impl Session {
-    /// Send `request`; return the reply's body-line count and detail.
-    fn ask(&mut self, request: &str) -> (usize, String) {
+    /// Send `request`; return the reply's status, body-line count and
+    /// detail.
+    fn send(&mut self, request: &str) -> (bool, usize, String) {
         self.writer
             .write_all(format!("{request}\n").as_bytes())
             .expect("send request");
         let mut header = String::new();
         self.reader.read_line(&mut header).expect("read header");
-        let (ok, n, detail) = Response::parse_header(&header).expect("well-formed header");
-        assert!(ok, "{request} -> {header}");
+        Response::parse_header(&header).expect("well-formed header")
+    }
+
+    /// Send `request`; return the reply's body-line count and detail.
+    fn ask(&mut self, request: &str) -> (usize, String) {
+        let (ok, n, detail) = self.send(request);
+        assert!(ok, "{request} -> {detail}");
         (n, detail)
+    }
+
+    /// Send `request`, which must be refused; return the error detail.
+    fn refused(&mut self, request: &str) -> String {
+        let (ok, _, detail) = self.send(request);
+        assert!(!ok, "{request:.60} -> {detail}");
+        detail
     }
 
     /// The next `n` body lines, as they came.
@@ -209,6 +222,56 @@ fn a_step_past_the_end_of_time_runs_to_the_end_on_a_live_service() {
     assert_eq!(other.ask("RUN").1, format!("tweets=0 position={position}"));
     // The server joins every open session before it exits.
     drop(other);
+    assert_eq!(s.ask("SHUTDOWN").1, "bye");
+    let (clean, stderr) = server.wait();
+    assert!(clean, "{stderr}");
+}
+
+/// Queries nested to the parser's cap register and run on a session
+/// thread's default stack. One nested past it, a regex count past its
+/// limit and a regex nested past its limit are refused, and the server
+/// answers on.
+#[test]
+fn hostile_queries_are_refused_and_the_server_lives_on() {
+    let server = Server::start(&[]);
+    let mut s = server.connect();
+    let cap = tweeql::parser::MAX_DEPTH;
+    let nested = |n: usize| {
+        let (open, close) = ("(".repeat(n), ")".repeat(n));
+        format!("SELECT {open}followers{close} AS f FROM twitter")
+    };
+    let at_cap = [
+        nested(cap),
+        format!("SELECT followers{} AS f FROM twitter", " + 1".repeat(cap)),
+        format!(
+            "SELECT text FROM twitter WHERE followers > 0{}",
+            " OR followers > 0".repeat(cap - 1)
+        ),
+        format!(
+            "SELECT text FROM twitter WHERE {}true",
+            "NOT NOT ".repeat(cap / 2)
+        ),
+    ];
+    let ids: Vec<String> = at_cap
+        .iter()
+        .map(|sql| s.ask(&format!("REGISTER {sql}")).1)
+        .collect();
+    s.ask("STEP 60");
+    for id in &ids {
+        assert!(has_rows(&s.ask_body(&format!("POLL {id}"))), "{id}");
+    }
+
+    let deep = s.refused(&format!("REGISTER {}", nested(1000)));
+    assert!(deep.contains("deeper than"), "{deep}");
+    let groups = format!("{}a{}", "(".repeat(1000), ")".repeat(1000));
+    for pattern in ["a{1001}", groups.as_str()] {
+        let refused = s.refused(&format!(
+            "REGISTER SELECT text FROM twitter WHERE text matches '{pattern}'"
+        ));
+        assert!(refused.contains("E010"), "{refused}");
+    }
+    assert_eq!(s.ask("PING").1, "pong");
+    assert_eq!(server.connect().ask("PING").1, "pong");
     assert_eq!(s.ask("SHUTDOWN").1, "bye");
     let (clean, stderr) = server.wait();
     assert!(clean, "{stderr}");

@@ -20,7 +20,10 @@
 //! and escaped metacharacters), character classes `[a-z0-9_]` /
 //! `[^...]`, repetition `* + ? {m} {m,} {m,n}` (greedy and lazy `*?` etc.),
 //! alternation `|`, capture groups `(...)`, non-capturing `(?:...)`,
-//! anchors `^ $`, and a leading `(?i)` case-insensitivity flag.
+//! anchors `^ $`, and a leading `(?i)` case-insensitivity flag. A count
+//! is at most 1,000, groups nest at most 64 deep, and a compiled program
+//! has at most 10,000 instructions, so compiling a pattern takes bounded
+//! time and stack.
 //!
 //! The Pike VM guarantees linear time in `pattern × input` — no
 //! exponential backtracking, which matters for a stream processor fed
@@ -86,6 +89,17 @@ impl Regex {
     /// Parse and compile `pattern`.
     pub fn new(pattern: &str) -> Result<Regex, RegexError> {
         let (ast, n_groups, case_insensitive) = parser::parse(pattern)?;
+        // The skip loop and `Save(0)` before the body, `Save(1)` and
+        // `Match` after it.
+        if nfa::size(&ast).saturating_add(6) > nfa::MAX_INSTS {
+            return Err(RegexError {
+                message: format!(
+                    "pattern compiles to more than {} instructions",
+                    nfa::MAX_INSTS
+                ),
+                position: 0,
+            });
+        }
         let program = nfa::compile(&ast, n_groups, case_insensitive);
         let prefix = if case_insensitive {
             String::new()
@@ -305,6 +319,18 @@ mod tests {
 
     fn cap<'t>(pat: &str, text: &'t str, g: usize) -> Option<&'t str> {
         Regex::new(pat).unwrap().extract(text, g)
+    }
+
+    #[test]
+    fn counts_and_program_size_are_bounded() {
+        assert!(Regex::new("a{1000}").unwrap().is_match(&"a".repeat(1000)));
+        let nested = format!("{}a{}", "(".repeat(64), ")".repeat(64));
+        assert_eq!(Regex::new(&nested).unwrap().extract("xa", 64), Some("a"));
+        for pattern in ["a{1001}", "(a{1000}){1000}", "((a{1000}){1000}){1000}"] {
+            assert!(Regex::new(pattern).is_err(), "{pattern}");
+        }
+        let err = Regex::new("(a{1000}){1000}").unwrap_err();
+        assert!(err.message.contains("10000 instructions"), "{err}");
     }
 
     #[test]

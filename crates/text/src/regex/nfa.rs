@@ -51,6 +51,35 @@ pub struct Program {
 /// prefix loop: entering here runs the program anchored.
 pub const PATTERN_ENTRY: usize = 3;
 
+/// The most instructions a program may have. Counts within
+/// [`super::parser::MAX_REPEAT`] can still nest: `(a{1000}){1000}`
+/// would be a million.
+pub const MAX_INSTS: usize = 10_000;
+
+/// How many instructions [`compile`] emits for `ast`, saturating.
+pub fn size(ast: &Ast) -> usize {
+    match ast {
+        Ast::Empty => 0,
+        Ast::Concat(parts) => parts.iter().map(size).fold(0, usize::saturating_add),
+        // A Split and a Jmp before every branch but the last.
+        Ast::Alternate(branches) => branches
+            .iter()
+            .map(|b| size(b).saturating_add(2))
+            .fold(0, usize::saturating_add)
+            .saturating_sub(2),
+        Ast::Group { index, node } => size(node).saturating_add(2 * usize::from(index.is_some())),
+        Ast::Repeat { node, min, max, .. } => {
+            let body = size(node);
+            let tail = match max {
+                None => body.saturating_add(2),
+                Some(mx) => body.saturating_add(1).saturating_mul((mx - min) as usize),
+            };
+            body.saturating_mul(*min as usize).saturating_add(tail)
+        }
+        _ => 1,
+    }
+}
+
 /// Compile `ast` (with `n_groups` capture groups) into a program.
 ///
 /// The emitted program is *unanchored*: it begins with a lazy skip
@@ -255,6 +284,28 @@ mod tests {
         assert_eq!(p.insts.len(), 3 + 1 + 2 + 1 + 1);
         assert!(matches!(p.insts[4], Inst::Char('a')));
         assert!(matches!(p.insts[5], Inst::Char('b')));
+    }
+
+    #[test]
+    fn size_is_what_compile_emits() {
+        for pat in [
+            "",
+            "ab",
+            "a|b|c",
+            "(a)(?:b)",
+            "a*",
+            "a+?",
+            "a?",
+            "a{3}",
+            "(ab){2,5}",
+            "[a-z]{1,}",
+            "^a|b$",
+            r"\bx\B",
+            "(a|(b|c)*){0,2}d",
+        ] {
+            let (ast, _, _) = parse(pat).unwrap();
+            assert_eq!(size(&ast) + 6, program(pat).insts.len(), "{pat:?}");
+        }
     }
 
     #[test]

@@ -12,6 +12,14 @@
 
 use std::fmt;
 
+/// The largest count a `{m,n}` repetition may give, RE2's limit: the
+/// compiler emits one copy of the body per count.
+pub const MAX_REPEAT: u32 = 1000;
+
+/// The deepest groups may nest: the parser and every pass over the
+/// [`Ast`] recurse once a level.
+pub const MAX_NEST: usize = 64;
+
 /// Parse error with byte position in the pattern.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegexError {
@@ -104,6 +112,8 @@ struct Parser<'a> {
     pos: usize,
     pattern: &'a str,
     next_group: u32,
+    /// Groups open around the current position.
+    open: usize,
 }
 
 /// Parse `pattern`. Returns `(ast, n_capture_groups, case_insensitive)`.
@@ -126,6 +136,7 @@ pub fn parse(pattern: &str) -> Result<(Ast, usize, bool), RegexError> {
         pos: 0,
         pattern,
         next_group: 1,
+        open: 0,
     };
     let ast = p.alternation()?;
     if !p.at_end() {
@@ -256,9 +267,9 @@ impl<'a> Parser<'a> {
             self.pos = start;
             return None;
         }
-        let min: u32 = match min_s.parse() {
+        let min = match self.count(&min_s) {
             Ok(v) => v,
-            Err(_) => return Some(Err(self.err("repetition count too large"))),
+            Err(e) => return Some(Err(e)),
         };
         if self.eat('}') {
             return Some(Ok((min, Some(min))));
@@ -283,9 +294,9 @@ impl<'a> Parser<'a> {
             self.pos = start;
             return None;
         }
-        let max: u32 = match max_s.parse() {
+        let max = match self.count(&max_s) {
             Ok(v) => v,
-            Err(_) => return Some(Err(self.err("repetition count too large"))),
+            Err(e) => return Some(Err(e)),
         };
         if max < min {
             return Some(Err(self.err("repetition {m,n} with n < m")));
@@ -293,10 +304,19 @@ impl<'a> Parser<'a> {
         Some(Ok((min, Some(max))))
     }
 
+    /// A repetition count's digits, at most [`MAX_REPEAT`].
+    fn count(&self, digits: &str) -> Result<u32, RegexError> {
+        let n = digits.parse().ok().filter(|&n| n <= MAX_REPEAT);
+        n.ok_or_else(|| self.err(&format!("repetition count above {MAX_REPEAT}")))
+    }
+
     fn atom(&mut self) -> Result<Ast, RegexError> {
         match self.peek() {
             None => Ok(Ast::Empty),
             Some('(') => {
+                if self.open == MAX_NEST {
+                    return Err(self.err(&format!("groups nest deeper than {MAX_NEST}")));
+                }
                 self.bump();
                 let index = if self.peek() == Some('?') {
                     // Only (?:...) is supported.
@@ -310,7 +330,9 @@ impl<'a> Parser<'a> {
                     self.next_group += 1;
                     Some(idx)
                 };
+                self.open += 1;
                 let body = self.alternation()?;
+                self.open -= 1;
                 if !self.eat(')') {
                     return Err(self.err("unclosed group"));
                 }
@@ -482,6 +504,28 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn repetition_counts_stop_at_the_limit() {
+        assert!(parse("a{1000}").is_ok());
+        assert!(parse("a{0,1000}").is_ok());
+        for pattern in ["a{1001}", "a{1,1001}", "a{1001,}", "a{99999999999}"] {
+            let err = parse(pattern).unwrap_err();
+            assert!(err.message.contains("above 1000"), "{pattern}: {err}");
+        }
+    }
+
+    #[test]
+    fn groups_nest_up_to_the_limit() {
+        let nested = |n: usize| format!("{}a{}", "(?:".repeat(n), ")".repeat(n));
+        assert!(parse(&nested(MAX_NEST)).is_ok());
+        let err = parse(&nested(MAX_NEST + 1)).unwrap_err();
+        assert!(err.message.contains("nest deeper than 64"), "{err}");
+        assert!(
+            parse(&nested(100_000)).is_err(),
+            "refused before it recurses"
+        );
     }
 
     #[test]

@@ -4,10 +4,8 @@
 //!
 //! 1. **Decode-level**: a [`TweetBatch`]'s row views (`to_records`,
 //!    `value_at` and the column views) agree with the row decoder
-//!    `Record::from_tweet` / `from_tweet_pruned` for every tweet shape —
-//!    missing coordinates, retweet links, unicode text, empty
-//!    locations — under every liveness mask, including the fail-open
-//!    wrong-width masks.
+//!    `Record::from_tweet` for every tweet shape — missing
+//!    coordinates, retweet links, unicode text, empty locations.
 //! 2. **Engine-level**: the default engine (columnar decode) and the
 //!    reference configuration (`EngineBuilder::reference(true)`: row
 //!    decode, as-written plan) produce byte-identical rows and read the
@@ -65,39 +63,18 @@ fn make_tweet(
     b.build()
 }
 
-/// Decode `mask_bits`/`width_pick` into the liveness mask under test:
-/// correct-width masks prune, wrong-width masks must fail open.
-fn make_mask(mask_bits: u32, width_pick: u8) -> Option<Vec<bool>> {
-    match width_pick % 4 {
-        0 => None,
-        1 => Some((0..col::COUNT).map(|i| mask_bits & (1 << i) != 0).collect()),
-        2 => Some(vec![false; 3]),             // wrong width: fail open
-        _ => Some(vec![true; col::COUNT + 2]), // wrong width: fail open
-    }
-}
-
-/// The row-decoder reference for a mask (honoring fail-open).
-fn reference(t: &Tweet, mask: &Option<Vec<bool>>) -> Record {
-    match mask {
-        Some(m) => Record::from_tweet_pruned(t, m),
-        None => Record::from_tweet(t),
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `TweetBatch::to_records` and per-column `value_at` agree with
-    /// the row decoder for arbitrary tweets and masks, both before and
-    /// after column materialization.
+    /// the row decoder for arbitrary tweets, both before and after
+    /// column materialization.
     #[test]
     fn batch_views_match_row_decoder(
         texts in proptest::collection::vec(".{0,40}", 1..12),
         names in proptest::collection::vec("[a-z_]{1,10}", 1..12),
         locs in proptest::collection::vec("[A-Za-z ,]{0,12}", 1..12),
         seeds in proptest::collection::vec(0u64..1_000_000, 1..12),
-        mask_bits in 0u32..(1 << col::COUNT),
-        width_pick in 0u8..8,
     ) {
         let n = texts.len().min(names.len()).min(locs.len()).min(seeds.len());
         let tweets: Vec<Tweet> = (0..n)
@@ -116,11 +93,9 @@ proptest! {
                 )
             })
             .collect();
-        let mask = make_mask(mask_bits, width_pick);
-        let expected: Vec<Record> = tweets.iter().map(|t| reference(t, &mask)).collect();
+        let expected: Vec<Record> = tweets.iter().map(Record::from_tweet).collect();
 
         let mut batch = TweetBatch::new();
-        batch.set_live(mask.clone().map(std::sync::Arc::from));
         for t in &tweets {
             batch.push(t.clone());
         }

@@ -47,14 +47,14 @@ const QUERIES: &[&str] = &[
     "SELECT text FROM twitter WHERE 2 < 1 AND text contains 'kw'",
     // fuse-multicontains: OR-of-contains on one column.
     "SELECT text FROM twitter WHERE text contains 'kw' OR text contains 'speech' OR text contains 'zzz'",
-    // prune-projection: narrow select over the wide tweet schema.
+    // A narrow select over the wide tweet schema.
     "SELECT lang, followers FROM twitter WHERE text contains 'kw'",
     // order-conjuncts: mixed-cost conjunction.
     "SELECT text FROM twitter WHERE text contains 'kw' AND followers > 40 AND lang = 'en'",
     // pushdown-filter feeding an aggregate with HAVING.
     "SELECT lang, count(*) AS n FROM twitter WHERE text contains 'kw' \
      GROUP BY lang HAVING count(*) > 2 WINDOW 2 minutes",
-    // Geo predicate keeps lat/lon live through pruning.
+    // A geo predicate reads lat/lon without naming them.
     "SELECT text FROM twitter WHERE location in [bounding box for NYC]",
     // LIMIT interacts with every rewrite downstream of it.
     "SELECT upper(lang) AS l, followers + 1 AS f1 FROM twitter WHERE followers >= 0 LIMIT 25",

@@ -15,7 +15,11 @@
 //! drain (`drain_tweet_batch`) and the build beside the batch
 //! (`decode_column`) are gone. Query output reaches the server as a
 //! column batch that the JSON writer reads line by line, so the
-//! writer's per-`Record` `write_row` is gone. No Rust source outside
+//! writer's per-`Record` `write_row` is gone. A batch builds only the
+//! columns its readers view, so the projection-pruning mask is gone:
+//! its rule (`prune_projection_rule`), the masked batch (`with_live`,
+//! and `set_live`, a hidden no-op the benchmark still calls) and the
+//! pruned row decode (`from_tweet_pruned`). No Rust source outside
 //! `benchmark/` may call or define any of them.
 
 use std::path::Path;
@@ -27,6 +31,7 @@ const RETIRED_METHODS: &[&str] = &[
     "plan_optimizer",
     "batched_source",
     "workers",
+    "set_live",
 ];
 
 /// Called or defined anywhere: `name(`.
@@ -42,6 +47,9 @@ const RETIRED_FNS: &[&str] = &[
     "drain_tweet_batch",
     "decode_column",
     "write_row",
+    "from_tweet_pruned",
+    "with_live",
+    "prune_projection_rule",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build

@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 /// Non-test lines `crates/core` may have.
-const CORE_CEILING: usize = 14_879;
+const CORE_CEILING: usize = 14_787;
 
 /// Every `.rs` file under `dir`.
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
