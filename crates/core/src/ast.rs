@@ -50,13 +50,10 @@ impl Span {
     }
 }
 
-/// Binary operators.
+/// Binary operators. AND and OR are chains, [`ExprKind::And`] and
+/// [`ExprKind::Or`], not binary nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BinOp {
-    /// Logical AND.
-    And,
-    /// Logical OR.
-    Or,
     /// `=`
     Eq,
     /// `!=`
@@ -85,8 +82,6 @@ impl BinOp {
     /// Display form of the operator.
     pub fn symbol(&self) -> &'static str {
         match self {
-            BinOp::And => "AND",
-            BinOp::Or => "OR",
             BinOp::Eq => "=",
             BinOp::Ne => "!=",
             BinOp::Lt => "<",
@@ -106,14 +101,6 @@ impl BinOp {
         matches!(
             self,
             BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
-
-    /// True for arithmetic operators.
-    pub fn is_arithmetic(&self) -> bool {
-        matches!(
-            self,
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Mod
         )
     }
 }
@@ -162,6 +149,12 @@ pub enum ExprKind {
         /// Right operand.
         right: Box<Expr>,
     },
+    /// `a AND b AND …`: a whole chain is one node, its operands in
+    /// written order (at least two). A chain written in parentheses is
+    /// an operand of its own.
+    And(Vec<Expr>),
+    /// `a OR b OR …`, shaped as [`ExprKind::And`].
+    Or(Vec<Expr>),
     /// Logical NOT.
     Not(Box<Expr>),
     /// Unary minus.
@@ -322,34 +315,40 @@ impl Expr {
         )
     }
 
-    /// Flatten a conjunction into its conjuncts (a single non-AND
-    /// expression yields itself).
+    /// A conjunction's conjuncts, an AND operand written in
+    /// parentheses spliced in (a single non-AND expression yields
+    /// itself).
     pub fn conjuncts(&self) -> Vec<&Expr> {
         match &self.kind {
-            ExprKind::Binary {
-                op: BinOp::And,
-                left,
-                right,
-            } => {
-                let mut v = left.conjuncts();
-                v.extend(right.conjuncts());
-                v
-            }
+            ExprKind::And(items) => items.iter().flat_map(Expr::conjuncts).collect(),
             _ => vec![self],
         }
     }
 
-    /// Rebuild a conjunction from conjuncts. Empty input yields TRUE.
-    pub fn and_all(mut exprs: Vec<Expr>) -> Expr {
+    /// A conjunction of `exprs`. Empty input yields TRUE.
+    pub fn and_all(exprs: Vec<Expr>) -> Expr {
         match exprs.len() {
             0 => Expr::lit(true),
-            1 => exprs.pop().unwrap(),
-            _ => {
-                let mut it = exprs.into_iter();
-                let first = it.next().unwrap();
-                it.fold(first, |acc, e| Expr::binary(BinOp::And, acc, e))
-            }
+            _ => Expr::chain(ExprKind::And, exprs),
         }
+    }
+
+    /// `AND` or `OR`, for a chain.
+    pub(crate) fn chain_word(&self) -> &'static str {
+        match self.kind {
+            ExprKind::And(_) => "AND",
+            _ => "OR",
+        }
+    }
+
+    /// An AND or OR chain over `items`, spanning all of them; a single
+    /// item is itself.
+    pub fn chain(kind: fn(Vec<Expr>) -> ExprKind, mut items: Vec<Expr>) -> Expr {
+        if items.len() == 1 {
+            return items.pop().expect("one item");
+        }
+        let span = items.iter().fold(Span::DUMMY, |s, e| s.to(e.span));
+        Expr::new(kind(items), span)
     }
 
     /// Does this expression (transitively) call the function `name`?
@@ -381,7 +380,7 @@ impl Expr {
     pub fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Expr)) {
         f(self);
         match &self.kind {
-            ExprKind::Call { args, .. } => {
+            ExprKind::Call { args, .. } | ExprKind::And(args) | ExprKind::Or(args) => {
                 for a in args {
                     a.walk(f);
                 }
@@ -418,6 +417,8 @@ impl Expr {
                 left: child(left),
                 right: child(right),
             },
+            ExprKind::And(items) => ExprKind::And(items.into_iter().map(&mut f).collect()),
+            ExprKind::Or(items) => ExprKind::Or(items.into_iter().map(&mut f).collect()),
             ExprKind::Not(e) => ExprKind::Not(child(e)),
             ExprKind::Neg(e) => ExprKind::Neg(child(e)),
             ExprKind::Contains { expr, pattern } => ExprKind::Contains {
@@ -608,11 +609,10 @@ mod tests {
 
     #[test]
     fn referenced_columns_deduplicated_in_order() {
-        let e = Expr::binary(
-            BinOp::And,
+        let e = Expr::and_all(vec![
             Expr::contains(Expr::col("text"), Expr::lit("obama")),
             Expr::binary(BinOp::Gt, Expr::col("followers"), Expr::col("text")),
-        );
+        ]);
         assert_eq!(e.referenced_columns(), vec!["text", "followers"]);
     }
 
@@ -642,11 +642,10 @@ mod tests {
 
     #[test]
     fn walk_visits_every_node() {
-        let e = Expr::binary(
-            BinOp::And,
+        let e = Expr::and_all(vec![
             Expr::contains(Expr::col("text"), Expr::lit("x")),
             Expr::not(Expr::col("flag")),
-        );
+        ]);
         let mut n = 0;
         e.walk(&mut |_| n += 1);
         assert_eq!(n, 6);

@@ -177,7 +177,7 @@ pub(crate) fn infer(
                     );
                 }
                 DataType::Bool
-            } else if op.is_arithmetic() {
+            } else {
                 if !numeric(lt) || !numeric(rt) {
                     diags.push(Diagnostic::error(
                         "E005",
@@ -195,19 +195,21 @@ pub(crate) fn infer(
                     _ if lt == DataType::Any || rt == DataType::Any => DataType::Any,
                     _ => DataType::Int,
                 }
-            } else {
-                // AND / OR
-                for (t, side) in [(lt, left), (rt, right)] {
-                    if !boolish(t) {
-                        diags.push(Diagnostic::error(
-                            "E005",
-                            side.span,
-                            format!("operator {} needs boolean operands, got {t}", op.symbol()),
-                        ));
-                    }
-                }
-                DataType::Bool
             }
+        }
+        ExprKind::And(items) | ExprKind::Or(items) => {
+            for item in items {
+                let t = infer(item, cx, diags, mode, in_agg);
+                if !boolish(t) {
+                    let op = e.chain_word();
+                    diags.push(Diagnostic::error(
+                        "E005",
+                        item.span,
+                        format!("operator {op} needs boolean operands, got {t}"),
+                    ));
+                }
+            }
+            DataType::Bool
         }
         ExprKind::Not(inner) => {
             let t = infer(inner, cx, diags, mode, in_agg);

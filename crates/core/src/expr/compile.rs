@@ -296,46 +296,47 @@ impl Lowerer {
                 });
                 Ok(dst)
             }
-            CExpr::Binary { op, left, right } => match op {
-                BinOp::And => {
-                    // Try the multi-needle OR fusion inside each side
-                    // first, then the generic masked form.
-                    let lhs = self.lower(left)?;
-                    self.prog.instrs.push(Instr::AndRhs { lhs });
-                    let rhs = self.lower(right)?;
-                    let dst = self.alloc()?;
-                    self.prog.instrs.push(Instr::AndEnd { lhs, rhs, dst });
-                    Ok(dst)
-                }
-                BinOp::Or => {
-                    if let Some(fused) = self.try_fuse_or_contains(e)? {
-                        return Ok(fused);
-                    }
-                    let lhs = self.lower(left)?;
-                    self.prog.instrs.push(Instr::OrRhs { lhs });
-                    let rhs = self.lower(right)?;
-                    let dst = self.alloc()?;
-                    self.prog.instrs.push(Instr::OrEnd { lhs, rhs, dst });
-                    Ok(dst)
-                }
-                _ => {
-                    // Literal operands read from the constant pool in
-                    // place of a register full of per-row clones.
-                    if let CExpr::Literal(v) = &**right {
-                        let a = self.lower(left)?;
-                        return self.bin_const(*op, a, v, true);
-                    }
-                    if let CExpr::Literal(v) = &**left {
-                        let a = self.lower(right)?;
-                        return self.bin_const(*op, a, v, false);
-                    }
+            CExpr::Binary { op, left, right } => {
+                // Literal operands read from the constant pool in place
+                // of a register full of per-row clones.
+                if let CExpr::Literal(v) = &**right {
                     let a = self.lower(left)?;
-                    let b = self.lower(right)?;
-                    let dst = self.alloc()?;
-                    self.prog.instrs.push(Instr::Bin { op: *op, a, b, dst });
-                    Ok(dst)
+                    return self.bin_const(*op, a, v, true);
                 }
-            },
+                if let CExpr::Literal(v) = &**left {
+                    let a = self.lower(right)?;
+                    return self.bin_const(*op, a, v, false);
+                }
+                let a = self.lower(left)?;
+                let b = self.lower(right)?;
+                let dst = self.alloc()?;
+                self.prog.instrs.push(Instr::Bin { op: *op, a, b, dst });
+                Ok(dst)
+            }
+            CExpr::And(items) | CExpr::Or(items) => {
+                // Read as `((a ∘ b) ∘ c)`: each operand after the head
+                // runs under an `AndRhs`/`OrRhs` mask and joins the
+                // chain so far with an `AndEnd`/`OrEnd`.
+                let or = matches!(e, CExpr::Or(_));
+                let (mut acc, done) = self.chain_head(items, or)?;
+                for item in &items[done..] {
+                    let lhs = acc;
+                    self.prog.instrs.push(if or {
+                        Instr::OrRhs { lhs }
+                    } else {
+                        Instr::AndRhs { lhs }
+                    });
+                    let rhs = self.lower(item)?;
+                    acc = self.alloc()?;
+                    let dst = acc;
+                    self.prog.instrs.push(if or {
+                        Instr::OrEnd { lhs, rhs, dst }
+                    } else {
+                        Instr::AndEnd { lhs, rhs, dst }
+                    });
+                }
+                Ok(acc)
+            }
             CExpr::Not(inner) => {
                 let a = self.lower(inner)?;
                 let dst = self.alloc()?;
@@ -420,27 +421,20 @@ impl Lowerer {
         }
     }
 
-    /// `text contains 'a' OR text contains 'b' [OR ...]` over the same
-    /// plain column fuses into one multi-needle scan. Only fires when
-    /// every leaf is a non-empty literal needle on the same column —
-    /// the OR of column-contains is 3VL-equivalent to "any needle
-    /// matches" (NULL column → every leaf NULL → OR is NULL; non-NULL
-    /// column → plain boolean any()).
-    fn try_fuse_or_contains(&mut self, e: &CExpr) -> Result<Option<Reg>, QueryError> {
+    /// A chain's first operand lowered, or an OR chain's longest prefix
+    /// of two or more `contains` with a non-empty literal needle on one
+    /// plain column (an operand in parentheses counts when all of it
+    /// is) as one multi-needle scan: its register and how many operands
+    /// it covers. The OR of column-contains is 3VL-equivalent to "any
+    /// needle matches" (NULL column → every leaf NULL → OR is NULL;
+    /// non-NULL column → plain boolean any()).
+    fn chain_head(&mut self, items: &[CExpr], or: bool) -> Result<(Reg, usize), QueryError> {
         fn collect(e: &CExpr, col: &mut Option<usize>, needles: &mut Vec<String>) -> bool {
             match e {
-                CExpr::Binary {
-                    op: BinOp::Or,
-                    left,
-                    right,
-                } => collect(left, col, needles) && collect(right, col, needles),
+                CExpr::Or(items) => items.iter().all(|i| collect(i, col, needles)),
                 CExpr::ContainsLiteral { expr, needle, .. } if !needle.is_empty() => {
-                    match (&**expr, &col) {
-                        (CExpr::Column(i), Some(c)) if i == c => {
-                            needles.push(needle.clone());
-                            true
-                        }
-                        (CExpr::Column(i), None) => {
+                    match (&**expr, *col) {
+                        (CExpr::Column(i), c) if c.is_none_or(|c| c == *i) => {
                             *col = Some(*i);
                             needles.push(needle.clone());
                             true
@@ -453,8 +447,17 @@ impl Lowerer {
         }
         let mut col = None;
         let mut needles = Vec::new();
-        if !collect(e, &mut col, &mut needles) || needles.len() < 2 {
-            return Ok(None);
+        let mut fused = 0;
+        for item in items.iter().take_while(|_| or) {
+            let had = needles.len();
+            if !collect(item, &mut col, &mut needles) {
+                needles.truncate(had);
+                break;
+            }
+            fused += 1;
+        }
+        if fused < 2 {
+            return Ok((self.lower(&items[0])?, 1));
         }
         let matcher = Self::pool_idx(self.prog.multis.len())?;
         self.prog.multis.push(MultiMatcher::new(needles));
@@ -464,7 +467,7 @@ impl Lowerer {
             matcher,
             dst,
         });
-        Ok(Some(dst))
+        Ok((dst, fused))
     }
 }
 

@@ -38,9 +38,9 @@ fn value_as_str<'a>(v: &'a Value, buf: &'a mut SmallBuf) -> &'a str {
     }
 }
 
-/// `l op r` for a non-logical operator: arithmetic, or a SQL comparison
-/// (NULL when either side is NULL or the two do not compare). The
-/// interpreter, the VM and constant folding all evaluate through it.
+/// `l op r`: arithmetic, or a SQL comparison (NULL when either side is
+/// NULL or the two do not compare). The interpreter, the VM and
+/// constant folding all evaluate through it.
 #[inline]
 pub(crate) fn binary_value(op: BinOp, l: &Value, r: &Value) -> Result<Value, QueryError> {
     Ok(match op {
@@ -49,7 +49,6 @@ pub(crate) fn binary_value(op: BinOp, l: &Value, r: &Value) -> Result<Value, Que
         BinOp::Mul => l.mul(r)?,
         BinOp::Div => l.div(r)?,
         BinOp::Mod => l.rem(r)?,
-        BinOp::And | BinOp::Or => unreachable!("logical operators short-circuit"),
         cmp => match l.compare(r) {
             None => Value::Null,
             Some(ord) => Value::Bool(match cmp {
@@ -110,6 +109,10 @@ pub enum CExpr {
         /// Right operand.
         right: Box<CExpr>,
     },
+    /// AND chain, operands in written order.
+    And(Vec<CExpr>),
+    /// OR chain, operands in written order.
+    Or(Vec<CExpr>),
     /// Logical NOT.
     Not(Box<CExpr>),
     /// Numeric negation.
@@ -185,42 +188,11 @@ impl CExpr {
                 ctx.stateful[*slot].call(&argv, ts)
             }
             CExpr::Binary { op, left, right } => {
-                // Short-circuit logical operators with SQL 3VL.
-                match op {
-                    BinOp::And => {
-                        let l = left.eval(rec, ctx)?;
-                        if !l.is_null() && !l.is_truthy() {
-                            return Ok(Value::Bool(false));
-                        }
-                        let r = right.eval(rec, ctx)?;
-                        if !r.is_null() && !r.is_truthy() {
-                            return Ok(Value::Bool(false));
-                        }
-                        if l.is_null() || r.is_null() {
-                            return Ok(Value::Null);
-                        }
-                        Ok(Value::Bool(true))
-                    }
-                    BinOp::Or => {
-                        let l = left.eval(rec, ctx)?;
-                        if l.is_truthy() {
-                            return Ok(Value::Bool(true));
-                        }
-                        let r = right.eval(rec, ctx)?;
-                        if r.is_truthy() {
-                            return Ok(Value::Bool(true));
-                        }
-                        if l.is_null() || r.is_null() {
-                            return Ok(Value::Null);
-                        }
-                        Ok(Value::Bool(false))
-                    }
-                    _ => {
-                        let l = left.eval(rec, ctx)?;
-                        binary_value(*op, &l, &right.eval(rec, ctx)?)
-                    }
-                }
+                let l = left.eval(rec, ctx)?;
+                binary_value(*op, &l, &right.eval(rec, ctx)?)
             }
+            CExpr::And(items) => eval_chain(items, false, rec, ctx),
+            CExpr::Or(items) => eval_chain(items, true, rec, ctx),
             CExpr::Not(e) => {
                 let v = e.eval(rec, ctx)?;
                 if v.is_null() {
@@ -296,6 +268,26 @@ impl CExpr {
     }
 }
 
+/// An AND or OR chain under SQL three-valued logic, left to right: the
+/// first non-NULL operand whose truth is `or` settles the chain, and no
+/// operand after it runs.
+fn eval_chain(
+    items: &[CExpr],
+    or: bool,
+    rec: &Record,
+    ctx: &mut EvalCtx,
+) -> Result<Value, QueryError> {
+    let mut null = false;
+    for e in items {
+        let v = e.eval(rec, ctx)?;
+        if !v.is_null() && v.is_truthy() == or {
+            return Ok(Value::Bool(or));
+        }
+        null |= v.is_null();
+    }
+    Ok(if null { Value::Null } else { Value::Bool(!or) })
+}
+
 /// Compile `expr` against `schema`, resolving functions in `registry`;
 /// stateful UDF instances it creates are appended to `ctx` (one context
 /// serves every expression an operator owns).
@@ -314,10 +306,7 @@ pub fn compile_into(
         }
         ExprKind::Literal(v) => CExpr::Literal(v.clone()),
         ExprKind::Call { name, args } => {
-            let mut cargs = Vec::with_capacity(args.len());
-            for a in args {
-                cargs.push(compile_into(a, schema, registry, ctx)?);
-            }
+            let cargs = compile_all(args, schema, registry, ctx)?;
             if let Some(udf) = registry.scalar(name) {
                 CExpr::Scalar { udf, args: cargs }
             } else if let Some(factory) = registry.stateful(name) {
@@ -337,6 +326,8 @@ pub fn compile_into(
             left: Box::new(compile_into(left, schema, registry, ctx)?),
             right: Box::new(compile_into(right, schema, registry, ctx)?),
         },
+        ExprKind::And(items) => CExpr::And(compile_all(items, schema, registry, ctx)?),
+        ExprKind::Or(items) => CExpr::Or(compile_all(items, schema, registry, ctx)?),
         ExprKind::Not(e) => CExpr::Not(Box::new(compile_into(e, schema, registry, ctx)?)),
         ExprKind::Neg(e) => CExpr::Neg(Box::new(compile_into(e, schema, registry, ctx)?)),
         ExprKind::Contains { expr, pattern } => {
@@ -384,6 +375,18 @@ pub fn compile_into(
     })
 }
 
+fn compile_all(
+    exprs: &[Expr],
+    schema: &Schema,
+    registry: &Registry,
+    ctx: &mut EvalCtx,
+) -> Result<Vec<CExpr>, QueryError> {
+    exprs
+        .iter()
+        .map(|e| compile_into(e, schema, registry, ctx))
+        .collect()
+}
+
 impl std::fmt::Debug for CExpr {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let kind = match self {
@@ -392,6 +395,8 @@ impl std::fmt::Debug for CExpr {
             CExpr::Scalar { udf, .. } => return write!(f, "Scalar({})", udf.name()),
             CExpr::Stateful { slot, .. } => return write!(f, "Stateful(slot {slot})"),
             CExpr::Binary { op, .. } => return write!(f, "Binary({op:?})"),
+            CExpr::And(_) => "And",
+            CExpr::Or(_) => "Or",
             CExpr::Not(_) => "Not",
             CExpr::Neg(_) => "Neg",
             CExpr::ContainsLiteral { .. } => "ContainsLiteral",

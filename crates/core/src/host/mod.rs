@@ -171,7 +171,8 @@ struct HostQuery {
     suppress: u64,
     registered_at: Timestamp,
     metrics: MetricsRegistry,
-    tracer: Option<Tracer>,
+    /// The tracer, and the host clock whose time the query span ends at.
+    tracer: Option<(Tracer, Arc<VirtualClock>)>,
     span: Option<u64>,
     retired: bool,
     /// [`crate::engine::Engine::execute`]'s query: the engine attached
@@ -250,15 +251,9 @@ impl HostQuery {
                 publish("tweeql_host_watermarks_delivered_total", delivered);
             }
         }
-        if let (Some(t), Some(span)) = (&self.tracer, self.span.take()) {
-            t.end(
-                span,
-                None,
-                SpanKind::Query,
-                "standing",
-                self.registered_at.millis(),
-                self.rows_out,
-            );
+        if let (Some((t, clock)), Some(span)) = (&self.tracer, self.span.take()) {
+            let now = clock.now().millis();
+            t.end(span, None, SpanKind::Query, "standing", now, self.rows_out);
         }
     }
 }
@@ -489,7 +484,7 @@ impl QueryHost {
             suppress: 0,
             registered_at: now,
             metrics: self.metrics.clone(),
-            tracer: self.tracer.clone(),
+            tracer: self.tracer.clone().map(|t| (t, Arc::clone(&self.clock))),
             span,
             retired: false,
             held,

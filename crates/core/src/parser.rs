@@ -22,12 +22,12 @@ const RESERVED: &[&str] = &[
 ];
 
 /// The deepest expression the parser builds, counting one level per
-/// parenthesis (a call's included), unary operator and binary
-/// operator. A deeper one is a parse error at the token past the cap.
-/// A query at the cap registers and runs on a 2 MiB thread in a debug
-/// build, where 100 levels fit and 128 overflow the stack: nested
-/// parentheses while parsing, a long operator chain in the passes
-/// after.
+/// parenthesis (a call's included), unary operator, arithmetic or
+/// comparison operator, and AND or OR chain of any length. A deeper
+/// one is a parse error at the token past the cap. A query at the cap
+/// registers and runs on a 2 MiB thread in a debug build, where 100
+/// levels fit and 128 overflow the stack: nested parentheses while
+/// parsing, a long `+` chain in the passes after.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parse one TweeQL statement.
@@ -385,19 +385,36 @@ impl Parser {
     // ---- expressions ----
 
     fn expr(&mut self) -> Result<Expr, QueryError> {
-        self.or_expr()
+        let and = |p: &mut Parser| p.logic_chain(Parser::not_expr, "and", ExprKind::And);
+        self.logic_chain(and, "or", ExprKind::Or)
     }
 
-    fn or_expr(&mut self) -> Result<Expr, QueryError> {
-        self.chain(Self::and_expr, |p| p.eat_kw("or").then_some(BinOp::Or))
-    }
-
-    fn and_expr(&mut self) -> Result<Expr, QueryError> {
-        self.chain(Self::not_expr, |p| p.eat_kw("and").then_some(BinOp::And))
+    /// `operand`s joined by the keyword `kw`: one chain node, one level
+    /// above its deepest operand however many there are, opened at its
+    /// first `kw`.
+    fn logic_chain(
+        &mut self,
+        operand: fn(&mut Parser) -> Result<Expr, QueryError>,
+        kw: &str,
+        kind: fn(Vec<Expr>) -> ExprKind,
+    ) -> Result<Expr, QueryError> {
+        let first = operand(self)?;
+        let (pos, mut below) = (self.peek_pos(), self.depth);
+        if !self.eat_kw(kw) {
+            return Ok(first);
+        }
+        let mut items = vec![first];
+        loop {
+            items.push(operand(self)?);
+            below = below.max(self.depth);
+            if !self.eat_kw(kw) {
+                return self.level(Expr::chain(kind, items), below, pos);
+            }
+        }
     }
 
     /// A left-deep chain of `operand`s joined by the operators `op`
-    /// eats, one level each.
+    /// eats, one level each: arithmetic.
     fn chain(
         &mut self,
         operand: fn(&mut Parser) -> Result<Expr, QueryError>,
@@ -824,7 +841,7 @@ mod tests {
         let e = parse_expr("1 + 2 * 3 = 7 AND NOT x > 4 OR y").unwrap();
         // ((1+(2*3))=7 AND NOT(x>4)) OR y
         match e.kind {
-            ExprKind::Binary { op: BinOp::Or, .. } => {}
+            ExprKind::Or(_) => {}
             other => panic!("top must be OR: {other:?}"),
         }
         let e = parse_expr("1 + 2 * 3").unwrap();
@@ -902,16 +919,18 @@ mod tests {
         assert!(parse("SELECT text FROM twitter WHERE text matches 5").is_err());
     }
 
-    /// One level per parenthesis, unary operator and binary operator:
-    /// a tree at the cap parses, one a level deeper is refused at the
-    /// token that opens the extra level.
+    /// One level per parenthesis, unary operator, arithmetic operator
+    /// and AND or OR chain: a tree at the cap parses, one a level deeper
+    /// is refused at the token that opens the extra level.
     #[test]
     fn expressions_nest_up_to_the_cap_and_no_deeper() {
-        let shapes: [fn(usize) -> String; 4] = [
+        let shapes: [fn(usize) -> String; 5] = [
             |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
             |n| format!("1{}", " + 1".repeat(n)),
             |n| format!("{}1", "- ".repeat(n)),
             |n| format!("{}true", "NOT ".repeat(n)),
+            // A chain one level above a parenthesised operand.
+            |n| format!("{}true{} OR true", "(".repeat(n - 1), ")".repeat(n - 1)),
         ];
         for shape in shapes {
             let sql = |n| format!("SELECT {} FROM twitter", shape(n));
@@ -922,7 +941,9 @@ mod tests {
                     assert!(message.contains("deeper than 64 levels"), "{message}");
                     let at = &deeper[position..];
                     assert!(
-                        ["(", "+", "-", "NOT"].iter().any(|t| at.starts_with(t)),
+                        ["(", "+", "-", "NOT", "OR"]
+                            .iter()
+                            .any(|t| at.starts_with(t)),
                         "points at an operator: {at:.8}"
                     );
                 }
@@ -946,6 +967,31 @@ mod tests {
         // A hostile line fails fast instead of exhausting the stack.
         assert!(parse_expr(&shapes[0](100_000)).is_err());
         assert!(parse_expr(&shapes[1](100_000)).is_err());
+    }
+
+    /// An AND or OR chain is one node and one level however many
+    /// operands it joins; a chain in parentheses stays an operand of its
+    /// own, and every chain renders left-nested as before.
+    #[test]
+    fn boolean_chains_are_one_level_however_long() {
+        let or = vec!["text contains 'kw'"; 1000].join(" OR ");
+        let and = vec!["followers > 1"; 200].join(" AND ");
+        for (src, n) in [(&or, 1000), (&and, 200)] {
+            let e = parse_expr(src).unwrap();
+            match &e.kind {
+                ExprKind::Or(items) | ExprKind::And(items) => assert_eq!(items.len(), n),
+                other => panic!("{other:?}"),
+            }
+            assert_eq!(&src[e.span.start..e.span.end], src.as_str());
+        }
+        let deep = format!("{}{and}{} OR {or}", "(".repeat(61), ")".repeat(61));
+        assert!(parse_expr(&deep).is_ok(), "a chain nests like any operand");
+        assert!(parse_expr(&format!("({deep})")).is_err());
+        let render = |src| crate::plan::logical::render_expr(&parse_expr(src).unwrap());
+        assert_eq!(render("a OR b OR c"), "((a OR b) OR c)");
+        assert_eq!(render("(a OR b) OR c"), "((a OR b) OR c)");
+        assert_eq!(render("a OR (b OR c)"), "(a OR (b OR c))");
+        assert_eq!(render("a AND b OR c AND d"), "((a AND b) OR (c AND d))");
     }
 
     #[test]

@@ -178,6 +178,11 @@ pub(crate) fn render_expr(e: &Expr) -> String {
                 render_expr(right)
             )
         }
+        // Left-nested, as `((a OR b) OR c)`.
+        ExprKind::And(items) | ExprKind::Or(items) => items[1..].iter().fold(
+            "(".repeat(items.len() - 1) + &render_expr(&items[0]),
+            |out, item| out + " " + e.chain_word() + " " + &render_expr(item) + ")",
+        ),
         ExprKind::Not(inner) => format!("NOT {}", render_expr(inner)),
         ExprKind::Neg(inner) => format!("-{}", render_expr(inner)),
         ExprKind::Contains { expr, pattern } => {

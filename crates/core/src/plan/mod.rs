@@ -497,7 +497,7 @@ fn window_policy(spec: &Option<WindowSpec>, is_join: bool) -> WindowPolicy {
 pub(crate) fn extract_api_candidates(conjuncts: &[Expr]) -> Vec<ApiCandidate> {
     let mut out = Vec::new();
     for c in conjuncts {
-        if let Some(kws) = as_track_keywords(c) {
+        if let Some((_, kws)) = contains_chain(c).filter(|(col, _)| col == "text") {
             out.push(ApiCandidate {
                 description: format!("track({})", kws.join(", ")),
                 spec: FilterSpec::Track(kws),
@@ -521,26 +521,26 @@ pub(crate) fn extract_api_candidates(conjuncts: &[Expr]) -> Vec<ApiCandidate> {
     out
 }
 
-/// `text contains 'kw'`, or an OR-tree of them, as track keywords.
-fn as_track_keywords(e: &Expr) -> Option<Vec<String>> {
+/// `col contains 'a' OR col contains 'b' …` on a single column, an
+/// operand in parentheses spliced in, as `(column, needles)`.
+pub(crate) fn contains_chain(e: &Expr) -> Option<(String, Vec<String>)> {
     match &e.kind {
         ExprKind::Contains { expr, pattern } => match (&expr.kind, &pattern.kind) {
-            (ExprKind::Column { name, .. }, ExprKind::Literal(Value::Str(s)))
-                if name == "text" && !s.is_empty() =>
-            {
-                Some(vec![s.to_string()])
+            (ExprKind::Column { name, .. }, ExprKind::Literal(Value::Str(s))) if !s.is_empty() => {
+                Some((name.clone(), vec![s.to_string()]))
             }
             _ => None,
         },
-        ExprKind::Binary {
-            op: BinOp::Or,
-            left,
-            right,
-        } => {
-            let mut l = as_track_keywords(left)?;
-            let r = as_track_keywords(right)?;
-            l.extend(r);
-            Some(l)
+        ExprKind::Or(items) => {
+            let (col, mut needles) = contains_chain(&items[0])?;
+            for item in &items[1..] {
+                let (c, k) = contains_chain(item)?;
+                if c != col {
+                    return None;
+                }
+                needles.extend(k);
+            }
+            Some((col, needles))
         }
         _ => None,
     }

@@ -2,7 +2,7 @@
 //! elimination, and a cost heuristic for ordering local predicates
 //! (the `order-conjuncts` rule applies it).
 
-use crate::ast::{BinOp, Expr, ExprKind, Span};
+use crate::ast::{Expr, ExprKind, Span};
 use crate::expr::binary_value;
 use tweeql_model::Value;
 
@@ -18,7 +18,16 @@ fn fold(expr: Expr) -> Expr {
     let e = expr.map_children(fold);
     let span = e.span;
     match e.kind {
-        ExprKind::Binary { op, left, right } => fold_binary(op, *left, *right, span),
+        ExprKind::Binary { op, left, right } => {
+            if let (ExprKind::Literal(a), ExprKind::Literal(b)) = (&left.kind, &right.kind) {
+                if let Ok(v) = binary_value(op, a, b) {
+                    return Expr::new(ExprKind::Literal(v), span);
+                }
+            }
+            Expr::new(ExprKind::Binary { op, left, right }, span)
+        }
+        ExprKind::And(items) => fold_chain(items, false, span),
+        ExprKind::Or(items) => fold_chain(items, true, span),
         ExprKind::Not(inner) => match &inner.kind {
             ExprKind::Literal(v) => {
                 let not = if v.is_null() {
@@ -41,41 +50,27 @@ fn fold(expr: Expr) -> Expr {
     }
 }
 
-/// Fold one binary node whose operands are already folded. An operand
-/// returned whole keeps its own span; anything new gets the node's.
-fn fold_binary(op: BinOp, l: Expr, r: Expr, span: Span) -> Expr {
-    // A non-NULL literal's truth value: the logical identities.
+/// Fold an AND or OR chain whose operands are already folded, by the
+/// logical identities: a non-NULL literal whose truth is `or` settles
+/// the chain, and one of the other truth drops out. An operand
+/// returned whole keeps its own span; anything new gets the chain's.
+fn fold_chain(items: Vec<Expr>, or: bool, span: Span) -> Expr {
     let truth = |e: &Expr| match &e.kind {
         ExprKind::Literal(v) if !v.is_null() => Some(v.is_truthy()),
         _ => None,
     };
-    match (op, truth(&l), truth(&r)) {
-        (BinOp::And, Some(true), _) | (BinOp::Or, Some(false), _) => return r,
-        (BinOp::And, Some(false), _) | (BinOp::And, _, Some(false)) => {
-            return Expr::lit(false).with_span(span)
-        }
-        (BinOp::Or, Some(true), _) | (BinOp::Or, _, Some(true)) => {
-            return Expr::lit(true).with_span(span)
-        }
-        (BinOp::And, _, Some(true)) | (BinOp::Or, _, Some(false)) => return l,
-        _ => {}
+    if items.iter().any(|e| truth(e) == Some(or)) {
+        return Expr::lit(or).with_span(span);
     }
-    // Pure arithmetic/comparison on literals.
-    if let (ExprKind::Literal(a), ExprKind::Literal(b)) = (&l.kind, &r.kind) {
-        if !matches!(op, BinOp::And | BinOp::Or) {
-            if let Ok(v) = binary_value(op, a, b) {
-                return Expr::new(ExprKind::Literal(v), span);
-            }
-        }
+    if items.iter().all(|e| truth(e).is_some()) {
+        return items.into_iter().last().expect("a chain has operands");
     }
-    Expr::new(
-        ExprKind::Binary {
-            op,
-            left: Box::new(l),
-            right: Box::new(r),
-        },
-        span,
-    )
+    let mut kept: Vec<Expr> = items.into_iter().filter(|e| truth(e).is_none()).collect();
+    match kept.len() {
+        1 => kept.pop().expect("one operand"),
+        _ if or => Expr::new(ExprKind::Or(kept), span),
+        _ => Expr::new(ExprKind::And(kept), span),
+    }
 }
 
 /// Heuristic evaluation cost of a predicate (the plan order the fused
@@ -85,12 +80,14 @@ pub fn predicate_cost(expr: &Expr) -> u32 {
         ExprKind::Literal(_) => 0,
         ExprKind::Column { .. } => 1,
         ExprKind::IsNull { .. } | ExprKind::InBoundingBox { .. } => 2,
-        ExprKind::Binary { op, left, right } => match op {
-            BinOp::Eq | BinOp::Ne | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                3 + predicate_cost(left) + predicate_cost(right)
-            }
-            _ => 2 + predicate_cost(left) + predicate_cost(right),
-        },
+        ExprKind::Binary { op, left, right } => {
+            let own = if op.is_comparison() { 3 } else { 2 };
+            own + predicate_cost(left) + predicate_cost(right)
+        }
+        // 2 an operator, as `((a OR b) OR c)` has two.
+        ExprKind::And(items) | ExprKind::Or(items) => {
+            items.iter().map(predicate_cost).sum::<u32>() + 2 * (items.len() as u32 - 1)
+        }
         ExprKind::InList { .. } => 4,
         ExprKind::Not(e) | ExprKind::Neg(e) => 1 + predicate_cost(e),
         ExprKind::Contains { pattern, .. } => {
@@ -129,6 +126,10 @@ mod tests {
         assert_eq!(fold("x or true"), Expr::lit(true));
         assert_eq!(fold("x or false"), Expr::col("x"));
         assert_eq!(fold("not false"), Expr::lit(true));
+        let xy = Expr::and_all(vec![Expr::col("x"), Expr::col("y")]);
+        assert_eq!(fold("x and true and y and true"), xy);
+        assert_eq!(fold("x and null and false and y"), Expr::lit(false));
+        assert_eq!(fold("true or false or true"), Expr::lit(true));
     }
 
     #[test]

@@ -10,12 +10,13 @@
 //! builds panic, release builds fall back to the unoptimized plan and
 //! surface a notice.
 
+use super::contains_chain;
 use super::logical::LogicalPlan;
 use super::optimizer;
 use super::verify::PlanVerifier;
-use crate::ast::{BinOp, Expr, ExprKind, Span};
+use crate::ast::{Expr, ExprKind};
 use crate::udf::Registry;
-use tweeql_model::Value;
+use std::collections::HashSet;
 
 /// Shared context rules may consult.
 pub(crate) struct RuleCtx<'a> {
@@ -182,44 +183,6 @@ pub(super) fn fold_constants_rule(
 
 // ---- fuse-multicontains -------------------------------------------------
 
-/// `col contains 'a' OR col contains 'b' …` on a single column, as
-/// `(column, needles)`.
-fn contains_chain(e: &Expr) -> Option<(String, Vec<String>)> {
-    match &e.kind {
-        ExprKind::Contains { expr, pattern } => match (&expr.kind, &pattern.kind) {
-            (ExprKind::Column { name, .. }, ExprKind::Literal(Value::Str(s))) if !s.is_empty() => {
-                Some((name.clone(), vec![s.to_string()]))
-            }
-            _ => None,
-        },
-        ExprKind::Binary {
-            op: BinOp::Or,
-            left,
-            right,
-        } => {
-            let (lc, mut lk) = contains_chain(left)?;
-            let (rc, rk) = contains_chain(right)?;
-            if lc != rc {
-                return None;
-            }
-            lk.extend(rk);
-            Some((lc, lk))
-        }
-        _ => None,
-    }
-}
-
-/// Canonical left-deep OR chain over deduplicated needles.
-fn rebuild_chain(col: &str, needles: &[String], span: Span) -> Expr {
-    let mk = |n: &str| Expr::contains(Expr::col(col), Expr::lit(Value::from(n)));
-    let mut it = needles.iter();
-    let mut acc = mk(it.next().expect("chain has at least one needle"));
-    for n in it {
-        acc = Expr::binary(BinOp::Or, acc, mk(n));
-    }
-    acc.with_span(span)
-}
-
 /// Promote OR-chains of `contains` literals on one column to a
 /// canonical, deduplicated form — the shape the compiled pipeline
 /// lowers to a single multi-pattern matcher and the pushdown rule
@@ -231,20 +194,16 @@ pub(super) fn fuse_multicontains_rule(
     let mut q = p.clone();
     let mut fused = Vec::new();
     for c in &mut q.filter {
-        let Some((col, needles)) = contains_chain(c) else {
+        let Some((col, mut needles)) = contains_chain(c).filter(|(_, k)| k.len() > 1) else {
             continue;
         };
-        if needles.len() < 2 {
-            continue;
-        }
-        let mut deduped: Vec<String> = Vec::with_capacity(needles.len());
-        for n in needles {
-            if !deduped.contains(&n) {
-                deduped.push(n);
-            }
-        }
-        fused.push(format!("{} needles on {col}", deduped.len()));
-        *c = rebuild_chain(&col, &deduped, c.span);
+        let mut seen = HashSet::new();
+        needles.retain(|n| seen.insert(n.clone()));
+        fused.push(format!("{} needles on {col}", needles.len()));
+        let items = needles
+            .iter()
+            .map(|n| Expr::contains(Expr::col(&col), Expr::lit(n.as_str())));
+        *c = Expr::chain(ExprKind::Or, items.collect()).with_span(c.span);
     }
     if fused.is_empty() {
         return None;
@@ -354,7 +313,7 @@ mod tests {
     use crate::parser::parse;
     use crate::plan::logical::render_expr;
     use crate::udf::{Registry, ServiceConfig};
-    use tweeql_model::VirtualClock;
+    use tweeql_model::{Value, VirtualClock};
 
     fn registry() -> Registry {
         Registry::standard(&ServiceConfig::default(), VirtualClock::new())

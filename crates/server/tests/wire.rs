@@ -113,7 +113,7 @@ impl Session {
     /// Send `request`; return the reply's body-line count and detail.
     fn ask(&mut self, request: &str) -> (usize, String) {
         let (ok, n, detail) = self.send(request);
-        assert!(ok, "{request} -> {detail}");
+        assert!(ok, "{request:.200} -> {detail}");
         (n, detail)
     }
 
@@ -243,9 +243,13 @@ fn hostile_queries_are_refused_and_the_server_lives_on() {
     let at_cap = [
         nested(cap),
         format!("SELECT followers{} AS f FROM twitter", " + 1".repeat(cap)),
+        // An OR chain is one level above its deepest operand, however
+        // many it joins.
         format!(
-            "SELECT text FROM twitter WHERE followers > 0{}",
-            " OR followers > 0".repeat(cap - 1)
+            "SELECT text FROM twitter WHERE {}followers > 0{}{}",
+            "(".repeat(cap - 2),
+            ")".repeat(cap - 2),
+            " OR followers > 0".repeat(1000)
         ),
         format!(
             "SELECT text FROM twitter WHERE {}true",
@@ -272,6 +276,38 @@ fn hostile_queries_are_refused_and_the_server_lives_on() {
     }
     assert_eq!(s.ask("PING").1, "pong");
     assert_eq!(server.connect().ask("PING").1, "pong");
+    assert_eq!(s.ask("SHUTDOWN").1, "bye");
+    let (clean, stderr) = server.wait();
+    assert!(clean, "{stderr}");
+}
+
+/// A standing query names as many keywords as a track connection
+/// takes: an OR of 200 `contains` registers on a session thread's
+/// default stack and polls the rows a query naming only its live
+/// keywords does; the rest are phantom needles no tweet contains.
+#[test]
+fn a_wide_keyword_chain_polls_the_rows_of_its_live_keywords() {
+    let live = ["goal", "liverpool", "manchester"];
+    let mut keywords: Vec<String> = (0..197).map(|i| format!("zqxneedle{i:04}")).collect();
+    for (i, kw) in live.iter().enumerate() {
+        keywords.insert(i * 90, kw.to_string());
+    }
+    let or_of = |kws: &[String]| {
+        let terms: Vec<String> = kws.iter().map(|k| format!("text contains '{k}'")).collect();
+        format!(
+            "SELECT screen_name, text FROM twitter WHERE {}",
+            terms.join(" OR ")
+        )
+    };
+    let server = Server::start(&[]);
+    let mut s = server.connect();
+    let (_, wide) = s.ask(&format!("REGISTER {}", or_of(&keywords)));
+    let live: Vec<String> = live.iter().map(|k| k.to_string()).collect();
+    let (_, narrow) = s.ask(&format!("REGISTER {}", or_of(&live)));
+    s.ask("STEP 2400");
+    let rows = s.ask_body(&format!("POLL {wide}"));
+    assert!(has_rows(&rows), "no rows after the first goal burst");
+    assert!(rows == s.ask_body(&format!("POLL {narrow}")), "rows differ");
     assert_eq!(s.ask("SHUTDOWN").1, "bye");
     let (clean, stderr) = server.wait();
     assert!(clean, "{stderr}");

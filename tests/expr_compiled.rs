@@ -461,3 +461,192 @@ fn contains_case_folds_like_interpreter_on_unicode() {
         check_record(&cexpr, &mut ctx, &prog, &mut vm, &rec);
     }
 }
+
+// ---- AND/OR chains against a nested-binary oracle ----
+
+/// One operand of a generated AND/OR chain.
+#[derive(Debug)]
+enum Operand {
+    /// Evaluated alone by the interpreter: a column predicate, a
+    /// literal, or [`FAILS`].
+    Leaf(&'static str),
+    Not(Box<Operand>),
+    /// A chain written in parentheses: OR when true, then its operands.
+    Chain(bool, Vec<Operand>),
+}
+
+/// Column predicates and the three truth literals.
+const LEAVES: &[&str] = &[
+    "n > 0",
+    "m < 10",
+    "b",
+    "f >= 0.5",
+    "t is null",
+    "true",
+    "false",
+    "null",
+];
+
+/// Literal `contains` on either string column: the operands an OR
+/// chain's fused multi-needle prefix is made of.
+const CONTAINS: &[&str] = &[
+    "t contains 'kw'",
+    "t contains 'i'",
+    "u contains 'K'",
+    "u contains 'aab'",
+    "t contains ''",
+];
+
+/// The operand that errors at runtime: text times two, on every row
+/// where `t` is not NULL.
+const FAILS: &str = "t * 2 > 0";
+
+fn gen_operand(rng: &mut StdRng, depth: u32) -> Operand {
+    match rng.random_range(0u32..10) {
+        0 if depth > 0 => {
+            let n = rng.random_range(2usize..6);
+            Operand::Chain(rng.random_bool(0.5), gen_items(rng, n, depth - 1))
+        }
+        1 => Operand::Not(Box::new(gen_operand(rng, depth))),
+        2 => Operand::Leaf(CONTAINS[rng.random_range(0usize..CONTAINS.len())]),
+        _ => Operand::Leaf(LEAVES[rng.random_range(0usize..LEAVES.len())]),
+    }
+}
+
+/// `n` operands, half the time opening with a run of `contains`.
+fn gen_items(rng: &mut StdRng, n: usize, depth: u32) -> Vec<Operand> {
+    let run = if rng.random_bool(0.5) {
+        rng.random_range(0..=n)
+    } else {
+        0
+    };
+    (0..n)
+        .map(|i| {
+            if i < run {
+                Operand::Leaf(CONTAINS[rng.random_range(0usize..CONTAINS.len())])
+            } else {
+                gen_operand(rng, depth)
+            }
+        })
+        .collect()
+}
+
+/// A top-level chain of 2–40 operands, one of them [`FAILS`].
+fn gen_chain(rng: &mut StdRng) -> (bool, Vec<Operand>) {
+    let n = rng.random_range(2usize..=40);
+    let mut items = gen_items(rng, n, 2);
+    items[rng.random_range(0..n)] = Operand::Leaf(FAILS);
+    (rng.random_bool(0.5), items)
+}
+
+fn render_chain(or: bool, items: &[Operand]) -> String {
+    let parts: Vec<String> = items.iter().map(render_operand).collect();
+    parts.join(if or { " OR " } else { " AND " })
+}
+
+fn render_operand(op: &Operand) -> String {
+    match op {
+        Operand::Leaf(src) => src.to_string(),
+        Operand::Not(inner) => format!("NOT {}", render_operand(inner)),
+        Operand::Chain(or, items) => format!("({})", render_chain(*or, items)),
+    }
+}
+
+/// The chain read as the nested binary tree `((a ∘ b) ∘ c)`, each node
+/// under SQL three-valued logic, its left side first: an operand after
+/// the one that decides a node never runs, so its error is never
+/// raised.
+fn oracle_chain(or: bool, items: &[Operand], rec: &Record) -> Result<Value, QueryError> {
+    let decided = |v: &Value| !v.is_null() && v.is_truthy() == or;
+    let mut acc = oracle(&items[0], rec)?;
+    for item in &items[1..] {
+        if decided(&acc) {
+            continue;
+        }
+        let rhs = oracle(item, rec)?;
+        acc = if decided(&rhs) {
+            rhs
+        } else if acc.is_null() || rhs.is_null() {
+            Value::Null
+        } else {
+            Value::Bool(!or)
+        };
+    }
+    Ok(match acc {
+        Value::Null => Value::Null,
+        v => Value::Bool(v.is_truthy()),
+    })
+}
+
+fn oracle(op: &Operand, rec: &Record) -> Result<Value, QueryError> {
+    match op {
+        Operand::Leaf(src) => {
+            let ast = parse_expr(src).unwrap();
+            let mut ctx = EvalCtx::default();
+            compile_into(&ast, &schema(), &registry(), &mut ctx)?.eval(rec, &mut ctx)
+        }
+        Operand::Not(inner) => Ok(match oracle(inner, rec)? {
+            Value::Null => Value::Null,
+            v => Value::Bool(!v.is_truthy()),
+        }),
+        Operand::Chain(or, items) => oracle_chain(*or, items, rec),
+    }
+}
+
+/// Does `chain` agree with the oracle on every record: the interpreter
+/// exactly, the VM with the interpreter, and the folded chain on every
+/// value? Folding may drop the error of an operand a literal settles,
+/// never a value. Returns how many records the oracle errored on.
+fn check_chain(seed: u64) -> usize {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let (or, items) = gen_chain(&mut rng);
+    let src = render_chain(or, &items);
+    let ast = parse_expr(&src).unwrap_or_else(|e| panic!("{src}: {e}"));
+    let (reg, schema) = (registry(), schema());
+    let mut ctx = EvalCtx::default();
+    let cexpr = compile_into(&ast, &schema, &reg, &mut ctx).unwrap();
+    let prog = ExprProgram::lower(&cexpr).unwrap();
+    let folded = tweeql::plan::optimizer::fold_constants(&ast);
+    let cfolded = compile_into(&folded, &schema, &reg, &mut ctx).unwrap();
+    let mut vm = BatchVm::new();
+    let mut errors = 0;
+    for _ in 0..12 {
+        let rec = random_record(&mut rng, &schema);
+        let want = oracle_chain(or, &items, &rec);
+        match (&want, cexpr.eval(&rec, &mut ctx)) {
+            (Ok(w), Ok(got)) => assert_eq!(*w, got, "{src} on {rec:?}"),
+            (Err(_), Err(_)) => errors += 1,
+            (w, got) => panic!("{src} on {rec:?}: oracle {w:?}, interpreter {got:?}"),
+        }
+        check_record(&cexpr, &mut ctx, &prog, &mut vm, &rec);
+        if let Ok(w) = &want {
+            let got = cfolded.eval(&rec, &mut ctx);
+            assert_eq!(got.as_ref().ok(), Some(w), "folded {src} on {rec:?}");
+        }
+    }
+    errors
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    /// Random AND/OR chains of 2–40 operands, nested parenthesised
+    /// chains, NOT, truth literals and one operand that errors: every
+    /// evaluator reads them as the nested binary tree would.
+    #[test]
+    fn chains_evaluate_as_nested_binary_trees(seed in 0u64..100_000) {
+        check_chain(seed);
+    }
+}
+
+/// Guard against the chain generator rotting: the erroring operand
+/// must both run (its error raised) and be skipped behind a deciding
+/// operand in a healthy share of records.
+#[test]
+fn chain_generator_reaches_errors_and_skips_them() {
+    let errors: usize = (0..100).map(check_chain).sum();
+    assert!(
+        (100..1100).contains(&errors),
+        "{errors} of 1200 records errored"
+    );
+}

@@ -352,3 +352,28 @@ fn sliding_window_with_group_by() {
     let langs = r.column("lang").unwrap();
     assert!(langs.iter().any(|v| v == &Value::from("en")));
 }
+
+/// An AND or OR chain is one level toward the parser's depth cap,
+/// however long: an OR of 1,000 `contains` and an AND of 200
+/// comparisons parse, check, plan and run, and return the rows of their
+/// live operands alone.
+#[test]
+fn wide_boolean_chains_run_like_their_live_operands() {
+    let rows = |sql: &str| engine(10).execute(sql).unwrap().rows;
+    let needles: Vec<String> = (0..999)
+        .map(|i| format!("text contains 'zqxneedle{i:04}'"))
+        .collect();
+    let wide_or = format!(
+        "SELECT text FROM twitter WHERE {} OR text contains 'obama'",
+        needles.join(" OR ")
+    );
+    let obama = rows("SELECT text FROM twitter WHERE text contains 'obama'");
+    assert!(!obama.is_empty());
+    assert_eq!(rows(&wide_or), obama);
+    let bounds: Vec<String> = (0..200).map(|i| format!("followers > {}", -i)).collect();
+    let wide_and = format!("SELECT text FROM twitter WHERE {}", bounds.join(" AND "));
+    assert_eq!(
+        rows(&wide_and),
+        rows("SELECT text FROM twitter WHERE followers > 0")
+    );
+}

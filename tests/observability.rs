@@ -14,7 +14,7 @@ use tweeql_firehose::{generate, scenarios, StreamingApi};
 use tweeql_geo::latency::LatencyModel;
 use tweeql_model::{Duration, Tweet, VirtualClock};
 use tweeql_obs::trace::validate_span_tree;
-use tweeql_obs::{MetricsRegistry, SpanEvent, SpanKind, VecSink};
+use tweeql_obs::{MetricsRegistry, Phase, SpanEvent, SpanKind, VecSink};
 
 const E1_SQL: &str = "SELECT count(*) AS n FROM twitter \
                       WHERE text contains 'soccer' OR text contains 'liverpool' \
@@ -284,6 +284,42 @@ fn profiler_reports_every_stage_of_every_fixture() {
             json.matches(']').count(),
             "{name}"
         );
+    }
+}
+
+/// A standing query's span runs from its registration to its retiring,
+/// on the host clock: registrations a minute apart, a drop and the end
+/// of the stream give a trace whose stamps never go backwards.
+#[test]
+fn standing_query_spans_end_when_the_query_retires() {
+    let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
+    let sink = Arc::new(VecSink::new(1 << 16));
+    let mut host = Engine::builder(api).trace_sink(sink.clone()).build_host();
+    host.register("SELECT text FROM twitter WHERE text contains 'goal'")
+        .unwrap();
+    host.pump_until(tweeql_model::Timestamp::ZERO + Duration::from_mins(1))
+        .unwrap();
+    let q2 = host.register("SELECT lang FROM twitter").unwrap();
+    host.pump_until(tweeql_model::Timestamp::ZERO + Duration::from_mins(2))
+        .unwrap();
+    host.register("SELECT screen_name FROM twitter").unwrap();
+    host.drop_query(q2).unwrap();
+    host.run_to_end().unwrap();
+    let events = sink.events();
+    if let Some(err) = validate_span_tree(&events) {
+        panic!("malformed host trace: {err}");
+    }
+    let queries: Vec<_> = events
+        .iter()
+        .filter(|e| e.kind == SpanKind::Query)
+        .collect();
+    assert_eq!(queries.len(), 6, "one start and one end per query");
+    for start in queries.iter().filter(|e| e.phase == Phase::Start) {
+        let end = queries
+            .iter()
+            .find(|e| e.id == start.id && e.phase == Phase::End)
+            .expect("every query span ends");
+        assert!(end.ts_ms > start.ts_ms, "span {} has no length", start.id);
     }
 }
 

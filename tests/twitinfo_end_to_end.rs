@@ -220,3 +220,41 @@ fn html_and_terminal_renderings_agree_on_content() {
         assert!(html.contains(&l.url));
     }
 }
+
+/// An event may name as many keywords as a track connection takes: 200
+/// phantom keywords beside the scenario's, which no tweet contains,
+/// change no tweet the event matches, live or in the batch analysis.
+#[test]
+fn phantom_keywords_change_no_matched_tweet() {
+    let mut scenario = scenarios::soccer_match();
+    scenario.duration = tweeql_model::Duration::from_mins(30);
+    scenario
+        .bursts
+        .retain(|b| b.end() <= Timestamp::from_mins(30));
+    let tweets = generate(&scenario, 42);
+    let live = ["soccer", "football", "manchester", "liverpool"];
+    let phantoms: Vec<String> = (0..200).map(|i| format!("zqxneedle{i:04}")).collect();
+    let mut wide: Vec<&str> = phantoms.iter().map(String::as_str).collect();
+    for (i, kw) in live.iter().enumerate() {
+        wide.insert(i * 60, kw);
+    }
+    let config = AnalysisConfig::default();
+    let matched = |keywords: &[&str]| {
+        let spec = EventSpec::new("soccer", keywords);
+        let api = || StreamingApi::new(tweets.clone(), VirtualClock::new());
+        let batch = event_tweets(&api(), &spec).expect("the event query runs");
+        let analysis = analyze(&spec, &batch, &config);
+        let mut event = twitinfo::live::LiveEvent::new(&api(), spec, config.clone()).unwrap();
+        event.finish().unwrap();
+        let ids = |ts: &[Tweet]| ts.iter().map(|t| t.id).collect::<Vec<_>>();
+        (
+            ids(&analysis.matched),
+            analysis.timeline,
+            ids(event.matched()),
+        )
+    };
+    let (batch, timeline, streamed) = matched(&live);
+    assert!(!batch.is_empty(), "the scenario's keywords match tweets");
+    assert_eq!(batch, streamed, "live and batch agree");
+    assert_eq!(matched(&wide), (batch, timeline, streamed));
+}
