@@ -1,11 +1,13 @@
 //! The TweeQL engine: parse → plan → optimize → choose pushdown →
 //! stream → collect.
 //!
-//! A query runs on a one-query [`crate::host::QueryHost`], subscribed
-//! with the pushdown filter the engine chose: the same feed and
-//! dispatcher a standing-query server runs. LIMIT stops the pull. A
-//! join is the pipeline's head stage, both of its sides fed by the one
-//! connection.
+//! A query runs on a [`crate::host::QueryHost`] of its own, subscribed
+//! with the pushdown filter the engine chose: the same feed, dispatcher
+//! and query lifecycle a standing-query server runs. The engine plans
+//! the query, admits it under its own [`QueryId`], drives the host until
+//! the query has finished (its LIMIT stops the pull) and drops it to
+//! take its plan and rows back. A join is the pipeline's head stage,
+//! both of its sides fed by the one connection.
 //!
 //! Engines are assembled with the fluent [`EngineBuilder`]
 //! (`Engine::builder(api).seed(7).fault_policy(plan).build()`).
@@ -63,9 +65,10 @@ pub struct EngineConfig {
     /// rewrite rules), the interpreted operators, row decode
     /// (`Record::from_tweet`) cut at every watermark boundary, and the
     /// per-tweet source facade. Output, gap windows and (with pushdown
-    /// off) source statistics equal the default configuration's. A
-    /// standing-query host keeps its columnar dispatch and cadence; its
-    /// as-written plans have no index needles, so every row reaches
+    /// off) source statistics equal the default configuration's. Only
+    /// the host [`Engine::execute`] builds cuts at every boundary; a
+    /// standing-query host keeps its columnar dispatch and cadence, and
+    /// its as-written plans have no index needles, so every row reaches
     /// every query.
     pub reference: bool,
 }
@@ -620,14 +623,16 @@ impl Engine {
         );
 
         // ---- the run: one query on a host of its own ----
-        let mut host =
-            QueryHost::one_query(&self.api, filter, &self.config, query_id, sql, planned);
-        let run_result = host.run_query();
+        // The reference configuration cuts this host's batches at every
+        // watermark boundary.
+        let b = Engine::builder(self.api.clone()).config(self.config.clone());
+        let mut host = QueryHost::from_builder(b, filter);
+        host.feed.reference_cadence = self.config.reference;
+        host.admit(query_id, sql, planned, started_at);
+        host.run_until_finished(query_id)?;
         let (source_stats, source_faults) = host.source_stats().unwrap_or_default();
         let decode = host.stats().decode;
-        let (mut planned, rows) = host.into_query();
-        let obs = planned.pipeline.close_obs();
-        run_result?;
+        let (mut planned, rows) = host.drop_inner(query_id)?;
 
         let ended_at = {
             use tweeql_model::Clock;
@@ -639,9 +644,9 @@ impl Engine {
         if let (Some(t), Some(span)) = (&tracer, query_span) {
             // Close the query span at the last *stream* timestamp the
             // pipeline saw.
-            let end_ts = obs
-                .as_ref()
-                .map(|o| o.last_ts())
+            let end_ts = planned
+                .pipeline
+                .last_ts()
                 .unwrap_or_else(|| started_at.millis());
             let rows_out = stages.last().map(|(_, s)| s.records_out).unwrap_or(0);
             t.end(span, None, SpanKind::Query, "select", end_ts, rows_out);
@@ -677,7 +682,7 @@ impl Engine {
         self.last_profile = Some(build_profile(sql, &stats, &stage_counters, &decision));
         Ok(QueryResult {
             schema: planned.output_schema.clone(),
-            rows,
+            rows: rows.into_records(),
             stats,
         })
     }
@@ -1187,6 +1192,43 @@ mod tests {
         let e = b.build();
         assert_eq!(e.config.batch_size, 64);
         assert!(e.config.reference);
+    }
+
+    /// Fails on its hundredth call.
+    struct Boom(u32);
+
+    impl crate::udf::StatefulUdf for Boom {
+        fn call(&mut self, _: &[Value], _: Timestamp) -> Result<Value, QueryError> {
+            self.0 += 1;
+            match self.0 {
+                100 => Err(QueryError::Exec("boom".into())),
+                n => Ok(Value::Int(i64::from(n))),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_run_returns_its_error_and_closes_its_operator_spans() {
+        let sink = Arc::new(tweeql_obs::VecSink::new(1 << 16));
+        let mut e = Engine::builder(small_api(VirtualClock::new()))
+            .configure_registry(|r| r.register_stateful("boom", Arc::new(|| Box::new(Boom(0)))))
+            .trace_sink(sink.clone())
+            .build();
+        let err = e
+            .execute("SELECT boom(followers) AS b FROM twitter")
+            .unwrap_err();
+        assert!(err.to_string().contains("boom"), "{err}");
+        let events = sink.events();
+        let phases = |phase| {
+            (events.iter())
+                .filter(|ev| ev.kind == SpanKind::Operator && ev.phase == phase)
+                .count()
+        };
+        assert!(phases(tweeql_obs::Phase::Start) > 0);
+        assert_eq!(
+            phases(tweeql_obs::Phase::Start),
+            phases(tweeql_obs::Phase::End)
+        );
     }
 
     #[test]

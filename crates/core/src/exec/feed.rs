@@ -2,7 +2,7 @@
 //! queries: the source half of [`crate::host::QueryHost`], whose
 //! dispatcher ([`Dispatch`]) is the feed's one consumer. Standing
 //! pumps, durable replay and [`crate::engine::Engine::execute`] (a host
-//! with one query) all drive it.
+//! of its own, pulled until its query has finished) all drive it.
 //!
 //! A [`Feed`] owns the [`SupervisedSource`], the cursor into it (the
 //! block being consumed, or the event the per-tweet iterator delivered

@@ -264,7 +264,7 @@ struct TraceCtx {
 /// batch's last record timestamp and punctuation advances `last_ts`, so
 /// a seeded replay emits byte-identical traces (a wall clock never
 /// leaks in).
-pub struct PipelineObs {
+struct PipelineObs {
     trace: Option<TraceCtx>,
     /// Rows per pipeline entry (`tweeql_batch_rows`): one observation
     /// per record batch and per *segment* of a tweet batch — the rows
@@ -273,14 +273,6 @@ pub struct PipelineObs {
     batch_rows: Histogram,
     /// High-water stream time seen by this run, milliseconds.
     last_ts: i64,
-}
-
-impl PipelineObs {
-    /// Latest stream time the run has reached (for closing the query
-    /// span at a deterministic timestamp).
-    pub fn last_ts(&self) -> i64 {
-        self.last_ts
-    }
 }
 
 /// A linear chain of operators with per-stage stats.
@@ -350,12 +342,11 @@ impl Pipeline {
         });
     }
 
-    /// Close the run's operator spans (at the last stream time seen)
-    /// and detach the observability hooks, returning them so the engine
-    /// can close the query span at the same timestamp.
-    pub fn close_obs(&mut self) -> Option<PipelineObs> {
-        let obs = self.obs.take()?;
-        if let Some(ctx) = &obs.trace {
+    /// Close the run's operator spans at the last stream time seen,
+    /// once; that time stays readable ([`Pipeline::last_ts`]).
+    pub fn close_obs(&mut self) {
+        let Some(obs) = self.obs.as_mut() else { return };
+        if let Some(ctx) = obs.trace.take() {
             for (i, &span) in ctx.op_spans.iter().enumerate() {
                 ctx.tracer.end(
                     span,
@@ -367,7 +358,12 @@ impl Pipeline {
                 );
             }
         }
-        Some(obs)
+    }
+
+    /// The latest stream time the run has reached, in milliseconds, once
+    /// observability is attached: where the engine ends its query span.
+    pub fn last_ts(&self) -> Option<i64> {
+        self.obs.as_ref().map(|o| o.last_ts)
     }
 
     /// Number of stages.

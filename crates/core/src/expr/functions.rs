@@ -88,7 +88,7 @@ fn f_abs(args: &[Value]) -> Result<Value, QueryError> {
         return Ok(Value::Null);
     }
     match &args[0] {
-        Value::Int(i) => Ok(Value::Int(i.abs())),
+        Value::Int(i) => Ok(Value::Int(i.wrapping_abs())),
         other => Ok(Value::Float(other.as_float()?.abs())),
     }
 }

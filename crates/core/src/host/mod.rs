@@ -6,11 +6,13 @@
 //! dispatches every batch it flushes to its registered queries through
 //! a shared-scan dispatcher (`Dispatch`). `pump_until`, `run_to_end`,
 //! durable replay and [`crate::engine::Engine::execute`]'s
-//! `run_query` are one loop each over that feed, differing only in
-//! where they stop. `Engine::execute` runs its query on a host of its
-//! own ([`QueryHost::one_query`]): one query, subscribed with the
-//! pushdown filter the engine chose. A standing host subscribes to the
-//! full stream.
+//! `run_until_finished` are one loop each over that feed, differing
+//! only in where they stop. Every query has one lifecycle: it finishes
+//! inside the flush or punctuation that makes its pipeline done (LIMIT
+//! reached), at its drop, or at the end of the stream. `Engine::execute`
+//! runs its query on a host of its own, subscribed with the pushdown
+//! filter the engine chose, and stops the pull once that query has
+//! finished; a standing host subscribes to the full stream and reads on.
 //! The dispatcher:
 //!
 //! * **Common-filter index** ([`index`]) — every query's `contains`
@@ -72,7 +74,7 @@ use crate::udf::Registry;
 use index::{FilterIndex, NeedleGroups};
 use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
-use tweeql_firehose::{FilterSpec, StreamingApi};
+use tweeql_firehose::FilterSpec;
 use tweeql_model::{
     Clock, Crossing, DecodeStats, Record, RowBatch, SchemaRef, Timestamp, TweetBatch, VirtualClock,
 };
@@ -175,11 +177,6 @@ struct HostQuery {
     tracer: Option<(Tracer, Arc<VirtualClock>)>,
     span: Option<u64>,
     retired: bool,
-    /// [`crate::engine::Engine::execute`]'s query: the engine attached
-    /// its obs and publishes its stats, and its drive
-    /// ([`QueryHost::run_query`]) finishes it only after the pull has
-    /// stopped.
-    held: bool,
 }
 
 impl HostQuery {
@@ -205,10 +202,10 @@ impl HostQuery {
     }
 
     /// After any push: when the pipeline reports done (LIMIT reached),
-    /// finish it immediately, so a standing query's final output is
-    /// pollable at once. A held query is left to its drive.
+    /// finish it immediately, so its final output is pollable at once
+    /// and it takes no further row.
     fn check_done(&mut self) -> Result<(), QueryError> {
-        if self.state == QueryState::Running && !self.held && self.planned.pipeline.done() {
+        if self.state == QueryState::Running && self.planned.pipeline.done() {
             self.finish()?;
         }
         Ok(())
@@ -230,7 +227,7 @@ impl HostQuery {
     /// a row publish nothing — an absent per-query series reads as
     /// zero, and skipping it keeps retiring a quiet long tail cheap.
     fn retire(&mut self) {
-        if self.retired || self.held {
+        if self.retired {
             return;
         }
         self.retired = true;
@@ -339,7 +336,7 @@ pub struct QueryHost {
     metrics: MetricsRegistry,
     tracer: Option<Tracer>,
     /// The shared connection, its cursor, and the batch it fills.
-    feed: Feed,
+    pub(crate) feed: Feed,
     next_id: u64,
     queries: Vec<HostQuery>,
     filter_index: FilterIndex,
@@ -390,26 +387,6 @@ impl QueryHost {
         }
     }
 
-    /// The host [`crate::engine::Engine::execute`] runs `planned` on: one
-    /// held query, subscribed with the pushdown `filter`, a private
-    /// metrics registry and no tracer. The reference configuration cuts the
-    /// batch at every watermark boundary.
-    pub(crate) fn one_query(
-        api: &StreamingApi,
-        filter: FilterSpec,
-        config: &EngineConfig,
-        id: QueryId,
-        sql: &str,
-        planned: PlannedQuery,
-    ) -> QueryHost {
-        let b = crate::engine::Engine::builder(api.clone()).config(config.clone());
-        let mut host = QueryHost::from_builder(b, filter);
-        host.feed.reference_cadence = config.reference;
-        let now = host.clock.now();
-        host.admit(id, sql, planned, now, true);
-        host
-    }
-
     // ---- session/catalog layer -------------------------------------
 
     /// Register a standing query; it sees every stream event from the
@@ -457,12 +434,14 @@ impl QueryHost {
         planned
             .pipeline
             .attach_obs(None, &self.metrics, now.millis());
-        self.admit(id, sql, planned, now, false);
+        self.admit(id, sql, planned, now);
         Ok(id)
     }
 
-    /// Add a planned query to the dispatcher's set.
-    fn admit(&mut self, id: QueryId, sql: &str, planned: PlannedQuery, now: Timestamp, held: bool) {
+    /// Add a planned query to the dispatcher's set under `id`: the last
+    /// step of every registration, of its replay in recovery, and of
+    /// [`crate::engine::Engine::execute`], which plans its query itself.
+    pub(crate) fn admit(&mut self, id: QueryId, sql: &str, planned: PlannedQuery, now: Timestamp) {
         let span = self
             .tracer
             .as_ref()
@@ -487,7 +466,6 @@ impl QueryHost {
             tracer: self.tracer.clone().map(|t| (t, Arc::clone(&self.clock))),
             span,
             retired: false,
-            held,
         });
         self.index_changed();
     }
@@ -501,22 +479,22 @@ impl QueryHost {
     /// [`QueryHost::drop_query`]'s rows as the one batch they are held
     /// in: the server's entry, which renders them without a [`Record`].
     pub fn drop_batch(&mut self, id: QueryId) -> Result<RowBatch, QueryError> {
-        let rows = self.drop_inner(id)?;
+        let (_, rows) = self.drop_inner(id)?;
         // Logged and synced before the rows cross the API boundary, so
         // recovery discards them instead of re-delivering.
         self.log_drop(id)?;
         Ok(rows)
     }
 
-    /// Drop body, shared with recovery (which must not re-log).
-    fn drop_inner(&mut self, id: QueryId) -> Result<RowBatch, QueryError> {
+    /// Drop body, shared with recovery (which must not re-log) and
+    /// [`crate::engine::Engine::execute`]: the query's plan, and its
+    /// rows not yet taken.
+    pub(crate) fn drop_inner(
+        &mut self,
+        id: QueryId,
+    ) -> Result<(PlannedQuery, RowBatch), QueryError> {
         self.flush_batch()?;
-        let idx = self
-            .queries
-            .iter()
-            .position(|q| q.id == id)
-            .ok_or_else(|| QueryError::UnknownQuery(id.to_string()))?;
-        let mut q = self.queries.remove(idx);
+        let mut q = self.queries.remove(self.slot(id)?);
         // Needle ids are dense: re-intern what the survivors still use.
         self.filter_index.clear();
         for q in &mut self.queries {
@@ -526,7 +504,7 @@ impl QueryHost {
         }
         self.index_changed();
         q.finish()?;
-        Ok(q.pending)
+        Ok((q.planned, q.pending))
     }
 
     /// Every registered query, in registration order.
@@ -608,29 +586,28 @@ impl QueryHost {
     }
 
     /// [`crate::engine::Engine::execute`]'s drive: pump until the stream
-    /// ends or the held query is done (LIMIT reached; `LIMIT 0` before
-    /// the first pull), stop the pull, which moves the clock to the
-    /// source frontier, then flush the batch unless the query is done,
-    /// and finish it.
-    pub(crate) fn run_query(&mut self) -> Result<(), QueryError> {
+    /// ends or query `id` has finished (LIMIT reached; `LIMIT 0` before
+    /// the first pull), then stop the pull, which moves the clock to the
+    /// source frontier. Unlike [`QueryHost::pump_until`], it reads no
+    /// further than its query needs. A failed run still retires the
+    /// query, closing its operator spans.
+    pub(crate) fn run_until_finished(&mut self, id: QueryId) -> Result<(), QueryError> {
+        let slot = self.slot(id)?;
         self.ensure_index();
-        let done = |host: &QueryHost| host.queries[0].planned.pipeline.done();
-        while !done(self) {
-            let Some(next) = self.feed.peek() else { break };
+        self.drive(slot)
+            .inspect_err(|_| self.queries[slot].retire())
+    }
+
+    fn drive(&mut self, slot: usize) -> Result<(), QueryError> {
+        self.queries[slot].check_done()?;
+        while self.queries[slot].state == QueryState::Running {
+            let Some(next) = self.feed.peek() else {
+                return self.finish_stream();
+            };
             self.take_next(next)?;
         }
         self.feed.stop();
-        if !done(self) {
-            self.flush_batch()?;
-        }
-        self.queries[0].finish()
-    }
-
-    /// The held query's plan and output rows, after
-    /// [`QueryHost::run_query`].
-    pub(crate) fn into_query(mut self) -> (PlannedQuery, Vec<Record>) {
-        let q = self.queries.swap_remove(0);
-        (q.planned, q.pending.into_records())
+        Ok(())
     }
 
     /// High-water stream time of the events processed so far.
@@ -678,18 +655,19 @@ impl QueryHost {
 
     // ---- internals --------------------------------------------------
 
-    fn query(&self, id: QueryId) -> Result<&HostQuery, QueryError> {
+    fn slot(&self, id: QueryId) -> Result<usize, QueryError> {
         self.queries
             .iter()
-            .find(|q| q.id == id)
+            .position(|q| q.id == id)
             .ok_or_else(|| QueryError::UnknownQuery(id.to_string()))
     }
 
+    fn query(&self, id: QueryId) -> Result<&HostQuery, QueryError> {
+        self.slot(id).map(|slot| &self.queries[slot])
+    }
+
     fn query_mut(&mut self, id: QueryId) -> Result<&mut HostQuery, QueryError> {
-        self.queries
-            .iter_mut()
-            .find(|q| q.id == id)
-            .ok_or_else(|| QueryError::UnknownQuery(id.to_string()))
+        self.slot(id).map(|slot| &mut self.queries[slot])
     }
 
     /// After a register/drop interned or released needles: the needle

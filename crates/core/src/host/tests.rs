@@ -129,8 +129,8 @@ fn a_standing_host_counts_and_publishes_the_columns_its_queries_build() {
 }
 
 /// A standing host keeps reading after its only query reached its
-/// LIMIT (a client may register another); the one-query host
-/// `Engine::execute` drives stops the pull there.
+/// LIMIT (a client may register another); the drive `Engine::execute`
+/// runs stops the pull there.
 #[test]
 fn only_the_one_query_drive_stops_at_a_limit() {
     let sql = "SELECT text FROM twitter WHERE text contains 'kw0' LIMIT 3";
@@ -141,17 +141,15 @@ fn only_the_one_query_drive_stops_at_a_limit() {
     assert_eq!(host.stats().tweets_delivered, 601, "read to the pump's end");
     assert_eq!(host.take_output(id).expect("output").len(), 3);
 
-    let engine = builder(stream()).build();
-    let planned = engine.checked_plan(sql).expect("plans");
-    let (api, config) = (&engine.api, &engine.config);
-    let mut one = QueryHost::one_query(api, FilterSpec::Sample(1.0), config, id, sql, planned);
-    one.run_query().expect("runs");
+    let mut one = builder(stream()).build_host();
+    let id = one.register(sql).expect("registers");
+    one.run_until_finished(id).expect("runs");
     assert_eq!(
         one.stats().tweets_delivered,
         16,
         "the first batch ends the pull"
     );
-    assert_eq!(one.into_query().1.len(), 3);
+    assert_eq!(one.take_output(id).expect("output").len(), 3);
 }
 
 /// Register and drop between pumps, on the fast or the reference

@@ -154,7 +154,8 @@ impl Value {
         }
     }
 
-    /// Modulo on integers; `Null` on zero divisor.
+    /// Modulo on integers; `Null` on zero divisor. Wraps like `+`, `-`
+    /// and `*`: `i64::MIN % -1` is 0, never a panic.
     pub fn rem(&self, other: &Value) -> Result<Value, ModelError> {
         match (self, other) {
             (Value::Null, _) | (_, Value::Null) => Ok(Value::Null),
@@ -163,17 +164,17 @@ impl Value {
                 if d == 0 {
                     Ok(Value::Null)
                 } else {
-                    Ok(Value::Int(a.as_int()?.rem_euclid(d)))
+                    Ok(Value::Int(a.as_int()?.wrapping_rem_euclid(d)))
                 }
             }
         }
     }
 
-    /// Unary numeric negation.
+    /// Unary numeric negation; `-i64::MIN` wraps to itself.
     pub fn neg(&self) -> Result<Value, ModelError> {
         match self {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => Ok(Value::Int(i.wrapping_neg())),
             Value::Float(f) => Ok(Value::Float(-f)),
             _ => Err(ModelError::Arithmetic(format!("cannot negate {self:?}"))),
         }
@@ -482,6 +483,18 @@ mod tests {
         );
         assert_eq!(Value::Int(1).rem(&Value::Int(0)).unwrap(), Value::Null);
         assert_eq!(Value::Int(7).rem(&Value::Int(3)).unwrap(), Value::Int(1));
+    }
+
+    #[test]
+    fn integer_overflow_wraps_instead_of_panicking() {
+        let min = Value::Int(i64::MIN);
+        assert_eq!(min.rem(&Value::Int(-1)).unwrap(), Value::Int(0));
+        assert_eq!(min.neg().unwrap(), min);
+        assert_eq!(min.sub(&Value::Int(1)).unwrap(), Value::Int(i64::MAX));
+        assert_eq!(
+            Value::Int(i64::MAX).mul(&Value::Int(2)).unwrap(),
+            Value::Int(-2)
+        );
     }
 
     #[test]

@@ -256,8 +256,15 @@ fn hostile_queries_are_refused_and_the_server_lives_on() {
             "NOT NOT ".repeat(cap / 2)
         ),
     ];
-    let ids: Vec<String> = at_cap
-        .iter()
+    // Integer overflow wraps, as `+`, `-` and `*` do, whether the plan
+    // folds it or the VM meets it in a row.
+    let min = "(followers - followers - 9223372036854775807 - 1)";
+    let overflow = [
+        "SELECT (-9223372036854775807 - 1) % -1 AS x FROM twitter".to_string(),
+        format!("SELECT text FROM twitter WHERE {min} % -1 = 0"),
+        format!("SELECT abs({min}) AS a, -{min} AS n FROM twitter"),
+    ];
+    let ids: Vec<String> = (at_cap.iter().chain(&overflow))
         .map(|sql| s.ask(&format!("REGISTER {sql}")).1)
         .collect();
     s.ask("STEP 60");

@@ -28,9 +28,12 @@ use std::sync::{Arc, OnceLock};
 use tweeql::engine::{Engine, QueryResult};
 use tweeql::exec::supervise::RetryPolicy;
 use tweeql::host::HostStats;
+use tweeql::udf::ServiceConfig;
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::scenario::{Burst, Scenario, Topic};
 use tweeql_firehose::{generate, StreamingApi};
+use tweeql_geo::breaker::BreakerConfig;
+use tweeql_geo::latency::LatencyModel;
 use tweeql_model::{Clock, DecodeStats, Duration, Record, Timestamp, Tweet, VirtualClock};
 
 /// A keyword topic with a burst, geotagged tweets for the bounding-box
@@ -105,6 +108,27 @@ const LIMITED: &[&str] = &[
 const ASYNC: &str = "SELECT latitude(loc) AS la, longitude(loc) AS lo \
                      FROM twitter WHERE text contains 'kw'";
 
+/// An async stage ahead of a LIMIT: the boundary that releases the
+/// stage's batch can fill the LIMIT.
+const ASYNC_LIMIT: &str = "SELECT latitude(loc) AS la FROM twitter LIMIT 40";
+
+/// `tests/drive_golden.rs`'s flaky geocoder: uniform 100–500 ms latency
+/// against a 420 ms deadline, no cache, and a breaker that opens after
+/// three failures, so where the clock stands at each call is part of
+/// the output.
+fn flaky_geocoder() -> ServiceConfig {
+    ServiceConfig {
+        latency: LatencyModel::Uniform(Duration::from_millis(100), Duration::from_millis(500)),
+        timeout: Some(Duration::from_millis(420)),
+        cache_capacity: 0,
+        breaker: BreakerConfig {
+            failure_threshold: 3,
+            ..BreakerConfig::default()
+        },
+        ..ServiceConfig::default()
+    }
+}
+
 fn chaos_policy() -> RetryPolicy {
     RetryPolicy {
         replay_overlap: Duration::from_secs(20),
@@ -129,12 +153,23 @@ struct EngineRun {
 }
 
 fn run_engine(sql: &str, batch_size: usize, plan: Option<FaultPlan>, mode: Mode) -> EngineRun {
+    run_engine_on(sql, batch_size, plan, mode, ServiceConfig::default())
+}
+
+fn run_engine_on(
+    sql: &str,
+    batch_size: usize,
+    plan: Option<FaultPlan>,
+    mode: Mode,
+    service: ServiceConfig,
+) -> EngineRun {
     let clock = VirtualClock::new();
     let api = StreamingApi::new(corpus().clone(), Arc::clone(&clock));
     let mut b = Engine::builder(api)
         .batch_size(batch_size)
         .reference(mode == Mode::Reference)
-        .push_down(mode == Mode::FastPushdown);
+        .push_down(mode == Mode::FastPushdown)
+        .service(service);
     if let Some(p) = plan {
         b = b.fault_policy(p).retry_policy(chaos_policy());
     }
@@ -224,6 +259,28 @@ fn engine_batched_matches_rows_under_limit() {
 #[test]
 fn engine_batched_matches_with_async_udf() {
     assert_engine_matches(ASYNC, 256, None);
+}
+
+/// A query finishes inside the flush or punctuation that fills its
+/// LIMIT, so neither engine sends its async stage a row past it. At
+/// batch size 1 a source block is one tweet, so both stop the pull at
+/// the same tweet: the stages, the geocoder calls and the final clock
+/// agree too, not only the rows.
+#[test]
+fn engine_batched_matches_with_async_udf_ahead_of_a_limit() {
+    let run = |mode| run_engine_on(ASYNC_LIMIT, 1, None, mode, flaky_geocoder());
+    let (reference, fast) = (run(Mode::Reference), run(Mode::Fast));
+    let (r, f) = (&reference.result.stats, &fast.result.stats);
+    assert_eq!(fast.result.rows, reference.result.rows, "rows diverge");
+    let counts = |s: &tweeql::engine::QueryStats| -> Vec<(String, u64, u64)> {
+        (s.stages.iter())
+            .map(|(name, st)| (name.clone(), st.records_in, st.records_out))
+            .collect()
+    };
+    assert_eq!(counts(f), counts(r), "stage counts diverge");
+    assert_eq!(f.geo_requests, r.geo_requests, "geocoder requests diverge");
+    assert_eq!(f.source, r.source, "source stats diverge");
+    assert_eq!(fast.clock, reference.clock, "clock diverges");
 }
 
 struct HostRun {

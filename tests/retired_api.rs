@@ -19,8 +19,11 @@
 //! columns its readers view, so the projection-pruning mask is gone:
 //! its rule (`prune_projection_rule`), the masked batch (`with_live`,
 //! and `set_live`, a hidden no-op the benchmark still calls) and the
-//! pruned row decode (`from_tweet_pruned`). No Rust source outside
-//! `benchmark/` may call or define any of them.
+//! pruned row decode (`from_tweet_pruned`). `Engine::execute` admits
+//! its query to a host of its own and drops it like any other, so the
+//! one-query host constructor (`one_query`) and its plan hand-back
+//! (`into_query`) are gone. No Rust source outside `benchmark/` may
+//! call or define any of them.
 
 use std::path::Path;
 
@@ -50,6 +53,8 @@ const RETIRED_FNS: &[&str] = &[
     "from_tweet_pruned",
     "with_live",
     "prune_projection_rule",
+    "one_query",
+    "into_query",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
