@@ -23,17 +23,18 @@
 //! happened) and *before* rows cross the API boundary for drops and
 //! polls (an externalized row is always covered by a synced record).
 //!
-//! A checkpoint compacts the log: it persists the live registrations
-//! (with their frontiers and taken-counts) plus replay-validation
-//! assertions — the host frontier, stream position, watermark cursor,
-//! and two state digests (per-pipeline operator state, supervised
-//! source state). Recovery replays the checkpoint's registrations,
-//! pumps the rebuilt host to the checkpoint frontier, and **verifies**
-//! the digests before applying the WAL tail; a divergence is reported
-//! as [`QueryError::Durability`] instead of silently continuing from
-//! corrupt state. Digests only include cadence-*invariant* state
-//! (operator windows, rows emitted, source dedup/heal state), never
-//! micro-batch bookkeeping, so recovery is exact at any batch cadence.
+//! A checkpoint is a record that compacts the log: it persists the live
+//! registrations (with their frontiers and taken-counts) plus
+//! replay-validation assertions — the host frontier, stream position,
+//! watermark cursor, and two state digests (per-pipeline operator
+//! state, supervised source state) — and the segments before it are
+//! pruned. Recovery replays the last checkpoint's registrations (a torn
+//! one falls back to the one before), pumps to its frontier, and
+//! **verifies** the digests before applying the records after it; a
+//! divergence is a [`QueryError::Durability`], never silently corrupt
+//! state. Digests only include cadence-*invariant* state (operator
+//! windows, rows emitted, source dedup/heal state), never micro-batch
+//! bookkeeping, so recovery is exact at any batch cadence.
 
 use super::{QueryHost, QueryState};
 use crate::engine::{EngineBuilder, EngineConfig, WATERMARK_INTERVAL};
@@ -44,14 +45,14 @@ use std::path::PathBuf;
 use tweeql_firehose::FilterSpec;
 use tweeql_obs::QueryId;
 use tweeql_wal::{
-    put_i64, put_str, put_u32, put_u64, put_u8, read_checkpoint, Dec, Digest, Wal, WalError,
-    WalStats,
+    put_i64, put_str, put_u32, put_u64, put_u8, Dec, Digest, Wal, WalError, WalStats,
 };
 
 /// Record tags in the WAL payload's first byte.
 const TAG_REGISTER: u8 = 1;
 const TAG_DROP: u8 = 2;
 const TAG_TAKEN: u8 = 3;
+const TAG_CHECKPOINT: u8 = 4;
 
 /// Checkpoint payload format version.
 const CHECKPOINT_VERSION: u32 = 1;
@@ -63,7 +64,7 @@ fn dur(e: WalError) -> QueryError {
 /// Where and how the host persists its write-ahead log and checkpoints.
 #[derive(Debug, Clone)]
 pub struct DurabilityConfig {
-    /// Directory holding `wal-*.log` segments and `checkpoint.bin`.
+    /// Directory holding the `wal-*.log` segments, checkpoints included.
     pub dir: PathBuf,
     /// Segment rotation threshold in bytes.
     pub segment_bytes: u64,
@@ -242,7 +243,6 @@ struct CkptQuery {
 /// A decoded checkpoint payload.
 struct Checkpoint {
     fingerprint: u64,
-    last_lsn: u64,
     fr: Frontier,
     position: i64,
     next_wm: Option<i64>,
@@ -253,8 +253,9 @@ struct Checkpoint {
     queries: Vec<CkptQuery>,
 }
 
-fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, QueryError> {
-    let mut d = Dec::new(bytes);
+/// Decode the checkpoint record logged at `lsn`.
+fn decode_checkpoint(lsn: u64, bytes: &[u8]) -> Result<Checkpoint, QueryError> {
+    let mut d = Dec::new(&bytes[1..]); // past the tag
     let version = d.u32().map_err(dur)?;
     if version != CHECKPOINT_VERSION {
         return Err(QueryError::Durability(format!(
@@ -263,6 +264,11 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, QueryError> {
     }
     let fingerprint = d.u64().map_err(dur)?;
     let last_lsn = d.u64().map_err(dur)?;
+    if last_lsn != lsn - 1 {
+        return Err(QueryError::Durability(format!(
+            "checkpoint at lsn {lsn} says it follows lsn {last_lsn}"
+        )));
+    }
     let fr = dec_frontier(&mut d).map_err(dur)?;
     let position = d.i64().map_err(dur)?;
     let has_wm = d.u8().map_err(dur)? != 0;
@@ -289,7 +295,6 @@ fn decode_checkpoint(bytes: &[u8]) -> Result<Checkpoint, QueryError> {
     }
     Ok(Checkpoint {
         fingerprint,
-        last_lsn,
         fr,
         position,
         next_wm: has_wm.then_some(wm),
@@ -423,11 +428,11 @@ impl QueryHost {
         Ok(())
     }
 
-    /// Write a checkpoint now: flush the in-flight batch, persist every
-    /// live registration with its frontier and taken-count plus the
-    /// replay-validation digests, then rotate and prune the WAL so the
-    /// log stays bounded. Returns `false` when the host has no
-    /// durability layer.
+    /// Write a checkpoint now: flush the in-flight batch, log every live
+    /// registration with its frontier and taken-count plus the
+    /// replay-validation digests as one synced record, then prune the
+    /// segments before it so the log stays bounded. Returns `false`
+    /// when the host has no durability layer.
     pub fn checkpoint(&mut self) -> Result<bool, QueryError> {
         if self.durable.is_none() {
             return Ok(false);
@@ -439,23 +444,17 @@ impl QueryHost {
         let source_digest = self.source_digest();
         let fingerprint = config_fingerprint(&self.config);
         let d = self.durable.as_ref().expect("checked above");
-        let last_lsn = d.wal.next_lsn().saturating_sub(1);
+        let last_lsn = d.wal.next_lsn() - 1; // the checkpoint is the next record
         let mut buf = Vec::with_capacity(128);
+        put_u8(&mut buf, TAG_CHECKPOINT);
         put_u32(&mut buf, CHECKPOINT_VERSION);
         put_u64(&mut buf, fingerprint);
         put_u64(&mut buf, last_lsn);
         put_frontier(&mut buf, self.current_frontier());
         put_i64(&mut buf, self.position.millis());
-        match self.feed.cadence().next() {
-            Some(t) => {
-                put_u8(&mut buf, 1);
-                put_i64(&mut buf, t.millis());
-            }
-            None => {
-                put_u8(&mut buf, 0);
-                put_i64(&mut buf, 0);
-            }
-        }
+        let next_wm = self.feed.cadence().next();
+        put_u8(&mut buf, next_wm.is_some() as u8);
+        put_i64(&mut buf, next_wm.map_or(0, |t| t.millis()));
         put_u64(&mut buf, self.next_id);
         put_u64(&mut buf, self.stats.watermarks);
         put_u64(&mut buf, host_digest);
@@ -474,9 +473,6 @@ impl QueryHost {
         d.wal
             .write_checkpoint(&buf)
             .map_err(|e| QueryError::Durability(format!("write_checkpoint: {e}")))?;
-        d.wal
-            .rotate()
-            .map_err(|e| QueryError::Durability(format!("rotate: {e}")))?;
         d.wal
             .prune(last_lsn)
             .map_err(|e| QueryError::Durability(format!("prune: {e}")))?;
@@ -627,16 +623,26 @@ impl QueryHost {
 }
 
 /// Open (or create) the durability directory and rebuild a host from
-/// it: load the checkpoint, replay its registrations to their
-/// frontiers, verify the state digests, then apply the WAL tail in LSN
-/// order. An empty directory yields a fresh host with logging armed.
-/// The entry points are [`EngineBuilder::recover_from`] and
-/// [`EngineBuilder::recover_with`].
+/// it: find the last checkpoint record, replay its registrations to
+/// their frontiers, verify the state digests, then apply the records
+/// after it in LSN order. An empty directory yields a fresh host with
+/// logging armed. The entry points are [`EngineBuilder::recover_from`]
+/// and [`EngineBuilder::recover_with`].
 pub(crate) fn recover(b: EngineBuilder, cfg: DurabilityConfig) -> Result<QueryHost, QueryError> {
     let fingerprint = config_fingerprint(&b.config);
-    let (wal, tail) = Wal::open(&cfg.dir, cfg.segment_bytes, cfg.fsync).map_err(dur)?;
-    let ckpt = match read_checkpoint(&cfg.dir).map_err(dur)? {
-        Some(bytes) => Some(decode_checkpoint(&bytes)?),
+    let (wal, log) = Wal::open(&cfg.dir, cfg.segment_bytes, cfg.fsync).map_err(dur)?;
+    // The records before the last checkpoint are compacted into it, and
+    // only a checkpoint lets the log's start be pruned.
+    let last = log
+        .iter()
+        .rposition(|(_, r)| r.first() == Some(&TAG_CHECKPOINT));
+    let ckpt = match last {
+        Some(i) => Some(decode_checkpoint(log[i].0, &log[i].1)?),
+        None if wal.next_lsn() != log.len() as u64 + 1 => {
+            return Err(QueryError::Durability(
+                "the log was pruned but holds no checkpoint".into(),
+            ))
+        }
         None => None,
     };
     if let Some(c) = &ckpt {
@@ -648,15 +654,9 @@ pub(crate) fn recover(b: EngineBuilder, cfg: DurabilityConfig) -> Result<QueryHo
             )));
         }
     }
-    // Records at or before the checkpoint's LSN are already compacted
-    // into it (a crash between checkpoint write and prune leaves them
-    // on disk); skip them.
-    let ckpt_lsn = ckpt.as_ref().map_or(0, |c| c.last_lsn);
     let mut records = Vec::new();
-    for (lsn, bytes) in &tail {
-        if *lsn > ckpt_lsn {
-            records.push(decode_record(bytes)?);
-        }
+    for (_, bytes) in &log[last.map_or(0, |i| i + 1)..] {
+        records.push(decode_record(bytes)?);
     }
     // The final cumulative taken-count per query (checkpoint value
     // overridden by later Taken records) drives output suppression at

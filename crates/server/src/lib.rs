@@ -910,8 +910,11 @@ mod tests {
         assert!(!polled.body.is_empty(), "two minutes of 'goal' traffic");
         let bye = ok(svc.handle(Request::Shutdown));
         assert_eq!(bye.detail, "bye");
-        assert!(
-            dir.path().join("checkpoint.bin").exists(),
+        // The host's checkpoint records begin with its tag byte, 4.
+        let (_, log) = tweeql_wal::Wal::open(dir.path(), 1 << 20, false).unwrap();
+        assert_eq!(
+            log.last().and_then(|(_, r)| r.first()),
+            Some(&4),
             "SHUTDOWN must flush a checkpoint"
         );
         drop(svc);

@@ -11,7 +11,7 @@ use std::process::{Child, Command, Stdio};
 use tweeql::sink;
 use tweeql_server::protocol::Response;
 use tweeql_server::scenario_host;
-use tweeql_wal::TempDir;
+use tweeql_wal::{TempDir, Wal};
 
 const GOAL: &str = "SELECT text FROM twitter WHERE text contains 'goal'";
 const EXPORT: &str = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
@@ -407,8 +407,11 @@ fn a_standing_query_survives_sigkill_without_redelivering_rows() {
     assert_eq!(s.ask("SHUTDOWN").1, "bye");
     let (clean, stderr) = server.wait();
     assert!(clean, "{stderr}");
-    assert!(
-        dir.path().join("checkpoint.bin").exists(),
+    // The host's checkpoint records begin with its tag byte, 4.
+    let (_, log) = Wal::open(dir.path(), 1 << 20, false).unwrap();
+    assert_eq!(
+        log.last().and_then(|(_, r)| r.first()),
+        Some(&4),
         "SHUTDOWN left no checkpoint"
     );
 }

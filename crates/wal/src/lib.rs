@@ -1,5 +1,4 @@
-//! Append-only, checksummed, segment-rotating write-ahead log plus an
-//! atomic checkpoint store.
+//! Append-only, checksummed, segment-rotating write-ahead log.
 //!
 //! The crate is deliberately policy-free: payloads are opaque byte
 //! strings and the host layer above decides what to log and how to
@@ -9,12 +8,16 @@
 //!   a global monotone LSN starting at 1;
 //! * segments are named `wal-<start_lsn:016x>.log` and begin with an
 //!   8-byte magic so a stray file can never be mistaken for a segment;
+//!   a segment rotates only when it fills `segment_bytes`, and with
+//!   fsync on a new segment's directory entry is synced with it;
 //! * [`Wal::open`] validates every record on the way in and truncates a
 //!   torn or corrupted tail back to the last valid record — a crash
 //!   mid-`write` loses at most the record that was being written;
-//! * checkpoints are written to a temp file, synced, then renamed over
-//!   `checkpoint.bin`, so a crash mid-checkpoint leaves the previous
-//!   checkpoint intact.
+//! * a checkpoint is one more record ([`Wal::write_checkpoint`]): an
+//!   append and one device sync of the active segment. A crash
+//!   mid-checkpoint tears only that record, so the previous checkpoint
+//!   and every record after it are still in the log; [`Wal::prune`]
+//!   then drops the segments a durable checkpoint covers.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -26,21 +29,17 @@ pub type RecoveredRecords = Vec<(u64, Vec<u8>)>;
 
 /// 8-byte magic prefix of every WAL segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"TQWAL001";
-/// 8-byte magic prefix of the checkpoint file.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"TQCKPT01";
-/// File name of the (single, atomically replaced) checkpoint.
-pub const CHECKPOINT_FILE: &str = "checkpoint.bin";
 
 // ---------------------------------------------------------------------------
 // Errors
 // ---------------------------------------------------------------------------
 
-/// Errors surfaced by the WAL and checkpoint store.
+/// Errors surfaced by the WAL.
 #[derive(Debug)]
 pub enum WalError {
     /// An underlying filesystem operation failed.
     Io(std::io::Error),
-    /// A record, segment, or checkpoint failed validation in a way that
+    /// A record or segment failed validation in a way that
     /// cannot be repaired by tail truncation.
     Corrupt(String),
 }
@@ -249,7 +248,7 @@ pub struct WalStats {
     pub segments: u64,
     /// Checkpoints written since open.
     pub checkpoints: u64,
-    /// Payload bytes of the most recent checkpoint.
+    /// Payload bytes of every checkpoint written since open.
     pub checkpoint_bytes: u64,
 }
 
@@ -285,6 +284,21 @@ fn parse_segment_name(name: &str) -> Option<u64> {
     u64::from_str_radix(hex, 16).ok()
 }
 
+/// Create the segment that starts at `start_lsn`, holding only the
+/// magic. With `fsync` on the directory is synced too: on POSIX a new
+/// file's name is durable only once its directory is, and the records
+/// of a segment whose name is lost are lost with it.
+fn create_segment(dir: &Path, start_lsn: u64, fsync: bool) -> Result<Segment, WalError> {
+    let path = segment_path(dir, start_lsn);
+    let mut f = File::create(&path)?;
+    f.write_all(SEGMENT_MAGIC)?;
+    f.sync_data()?;
+    if fsync {
+        File::open(dir)?.sync_all()?;
+    }
+    Ok(Segment { start_lsn, path })
+}
+
 impl Wal {
     /// Open (or create) the log in `dir`, validating every existing
     /// record. Returns the log positioned for append plus all valid
@@ -300,6 +314,15 @@ impl Wal {
         fsync: bool,
     ) -> Result<(Wal, RecoveredRecords), WalError> {
         fs::create_dir_all(dir)?;
+        // An older format kept its checkpoint in this file and pruned
+        // the log up to it, so its log alone lacks what it covered.
+        let old = dir.join("checkpoint.bin");
+        if old.exists() {
+            return Err(WalError::Corrupt(format!(
+                "{} is a checkpoint of an older log format, which this version cannot read",
+                old.display()
+            )));
+        }
         let mut starts: Vec<u64> = fs::read_dir(dir)?
             .filter_map(|e| e.ok())
             .filter_map(|e| parse_segment_name(&e.file_name().to_string_lossy()))
@@ -338,15 +361,7 @@ impl Wal {
         }
 
         if segments.is_empty() {
-            let start = 1u64;
-            let path = segment_path(dir, start);
-            let mut f = File::create(&path)?;
-            f.write_all(SEGMENT_MAGIC)?;
-            f.sync_data()?;
-            segments.push(Segment {
-                start_lsn: start,
-                path,
-            });
+            segments.push(create_segment(dir, 1, fsync)?);
         }
 
         let active = segments.last().unwrap();
@@ -405,26 +420,15 @@ impl Wal {
         Ok(())
     }
 
-    /// Close the active segment and start a new one at `next_lsn`.
-    /// A no-op when the active segment holds no records: a fresh
-    /// segment would start at the same LSN (and the same path),
-    /// leaving duplicate entries for `prune` to double-delete.
-    pub fn rotate(&mut self) -> Result<(), WalError> {
-        if self.seg_len <= SEGMENT_MAGIC.len() as u64 {
-            return self.sync();
-        }
+    /// Close the full active segment and start a new one at
+    /// `next_lsn`. Only [`Wal::append`] calls this, and only on a
+    /// segment that holds a record, so no two segments share a start.
+    fn rotate(&mut self) -> Result<(), WalError> {
         self.sync()?;
-        let start = self.next_lsn;
-        let path = segment_path(&self.dir, start);
-        let mut f = File::create(&path)?;
-        f.write_all(SEGMENT_MAGIC)?;
-        f.sync_data()?;
-        self.file = OpenOptions::new().append(true).read(true).open(&path)?;
+        let seg = create_segment(&self.dir, self.next_lsn, self.fsync)?;
+        self.file = OpenOptions::new().append(true).read(true).open(&seg.path)?;
         self.seg_len = SEGMENT_MAGIC.len() as u64;
-        self.segments.push(Segment {
-            start_lsn: start,
-            path,
-        });
+        self.segments.push(seg);
         self.stats.segments = self.segments.len() as u64;
         Ok(())
     }
@@ -454,17 +458,18 @@ impl Wal {
         self.stats
     }
 
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Atomically replace the checkpoint: write to a temp file, sync,
-    /// rename over `checkpoint.bin`, then sync the directory so the
-    /// rename itself is durable.
+    /// Append `payload` as a checkpoint record (at LSN
+    /// [`Wal::next_lsn`]) and sync the active segment to the device
+    /// whatever `fsync` says: the caller prunes the records the
+    /// checkpoint covers, so it must be on the device first. One sync,
+    /// and no file is created or renamed unless the append fills the
+    /// segment.
     pub fn write_checkpoint(&mut self, payload: &[u8]) -> Result<(), WalError> {
-        write_checkpoint(&self.dir, payload)?;
+        self.append(payload)?;
+        self.file.sync_data()?;
+        self.stats.fsyncs += 1;
         self.stats.checkpoints += 1;
-        self.stats.checkpoint_bytes = payload.len() as u64;
+        self.stats.checkpoint_bytes += payload.len() as u64;
         Ok(())
     }
 }
@@ -504,63 +509,6 @@ fn read_segment(path: &Path, start_lsn: u64) -> Result<(RecoveredRecords, u64, b
         lsn += 1;
         pos = body + len;
     }
-}
-
-// ---------------------------------------------------------------------------
-// Checkpoint store
-// ---------------------------------------------------------------------------
-
-/// Write `payload` as the checkpoint for `dir`, atomically.
-pub fn write_checkpoint(dir: &Path, payload: &[u8]) -> Result<(), WalError> {
-    fs::create_dir_all(dir)?;
-    let tmp = dir.join("checkpoint.tmp");
-    let fin = dir.join(CHECKPOINT_FILE);
-    let mut f = File::create(&tmp)?;
-    f.write_all(CHECKPOINT_MAGIC)?;
-    f.write_all(&crc32(payload).to_le_bytes())?;
-    f.write_all(&(payload.len() as u32).to_le_bytes())?;
-    f.write_all(payload)?;
-    f.sync_data()?;
-    drop(f);
-    fs::rename(&tmp, &fin)?;
-    // Make the rename durable; not all platforms allow fsync on a
-    // directory handle, so failure here is non-fatal.
-    if let Ok(d) = File::open(dir) {
-        let _ = d.sync_all();
-    }
-    Ok(())
-}
-
-/// Read the checkpoint payload for `dir`, if one exists.
-pub fn read_checkpoint(dir: &Path) -> Result<Option<Vec<u8>>, WalError> {
-    let path = dir.join(CHECKPOINT_FILE);
-    let mut buf = Vec::new();
-    match File::open(&path) {
-        Ok(mut f) => f.read_to_end(&mut buf)?,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e.into()),
-    };
-    let hdr = CHECKPOINT_MAGIC.len() + 8;
-    if buf.len() < hdr || &buf[..CHECKPOINT_MAGIC.len()] != CHECKPOINT_MAGIC {
-        return Err(WalError::Corrupt(format!(
-            "bad checkpoint magic in {}",
-            path.display()
-        )));
-    }
-    let m = CHECKPOINT_MAGIC.len();
-    let crc = u32::from_le_bytes(buf[m..m + 4].try_into().unwrap());
-    let len = u32::from_le_bytes(buf[m + 4..m + 8].try_into().unwrap()) as usize;
-    if buf.len() != hdr + len {
-        return Err(WalError::Corrupt(format!(
-            "checkpoint length mismatch: header says {len}, file holds {}",
-            buf.len() - hdr
-        )));
-    }
-    let payload = &buf[hdr..];
-    if crc32(payload) != crc {
-        return Err(WalError::Corrupt("checkpoint crc mismatch".into()));
-    }
-    Ok(Some(payload.to_vec()))
 }
 
 // ---------------------------------------------------------------------------
@@ -809,40 +757,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_round_trip_and_atomic_replace() {
-        let tmp = TempDir::new("wal-ckpt");
-        assert!(read_checkpoint(tmp.path()).unwrap().is_none());
-        write_checkpoint(tmp.path(), b"state-v1").unwrap();
-        assert_eq!(read_checkpoint(tmp.path()).unwrap().unwrap(), b"state-v1");
-        write_checkpoint(tmp.path(), b"state-v2-longer").unwrap();
-        assert_eq!(
-            read_checkpoint(tmp.path()).unwrap().unwrap(),
-            b"state-v2-longer"
-        );
-        // A leftover tmp file from a crashed checkpoint is harmless.
-        fs::write(tmp.path().join("checkpoint.tmp"), b"garbage").unwrap();
-        assert_eq!(
-            read_checkpoint(tmp.path()).unwrap().unwrap(),
-            b"state-v2-longer"
-        );
-    }
-
-    #[test]
-    fn corrupt_checkpoint_is_detected() {
-        let tmp = TempDir::new("wal-ckpt-bad");
-        write_checkpoint(tmp.path(), b"important state").unwrap();
-        let path = tmp.path().join(CHECKPOINT_FILE);
-        let mut buf = fs::read(&path).unwrap();
-        let last = buf.len() - 1;
-        buf[last] ^= 0x01;
-        fs::write(&path, &buf).unwrap();
-        assert!(matches!(
-            read_checkpoint(tmp.path()),
-            Err(WalError::Corrupt(_))
-        ));
-    }
-
-    #[test]
     fn wal_checkpoint_method_counts_stats() {
         let tmp = TempDir::new("wal-ckpt-stats");
         let (mut wal, _) = open(tmp.path());
@@ -850,7 +764,39 @@ mod tests {
         wal.write_checkpoint(b"defgh").unwrap();
         let s = wal.stats();
         assert_eq!(s.checkpoints, 2);
-        assert_eq!(s.checkpoint_bytes, 5);
+        assert_eq!(s.checkpoint_bytes, 8, "a counter, not the last size");
+        assert_eq!((s.records, s.fsyncs), (2, 2), "one record, one sync each");
+    }
+
+    /// A checkpoint is a record in the active segment: it reopens in
+    /// LSN order with the records around it, and the directory holds
+    /// nothing but that segment, under either `fsync` setting.
+    #[test]
+    fn checkpoint_is_a_record_in_the_active_segment() {
+        for fsync in [true, false] {
+            let tmp = TempDir::new("wal-ckpt-rec");
+            {
+                let (mut wal, _) = Wal::open(tmp.path(), 1 << 20, fsync).unwrap();
+                wal.append(b"before").unwrap();
+                assert_eq!(wal.next_lsn(), 2);
+                wal.write_checkpoint(b"state").unwrap();
+                wal.append(b"after").unwrap();
+                wal.sync().unwrap();
+                assert_eq!(wal.stats().segments, 1);
+            }
+            let names: Vec<String> = fs::read_dir(tmp.path())
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            assert_eq!(names, vec!["wal-0000000000000001.log".to_string()]);
+            let (_, recs) = open(tmp.path());
+            let expect: Vec<(u64, Vec<u8>)> = vec![
+                (1, b"before".to_vec()),
+                (2, b"state".to_vec()),
+                (3, b"after".to_vec()),
+            ];
+            assert_eq!(recs, expect);
+        }
     }
 
     #[test]
@@ -869,48 +815,39 @@ mod compaction {
     use super::*;
 
     /// The checkpoint compaction cycle (append* / write_checkpoint /
-    /// rotate / prune) must survive arbitrarily many rounds, including
-    /// rounds with zero interleaved appends. An empty-segment rotate
-    /// used to push a duplicate `start_lsn` (and path) onto the segment
-    /// list, which a later prune would double-delete (ENOENT).
+    /// prune below the checkpoint) must survive arbitrarily many
+    /// rounds, including rounds with zero interleaved appends, on
+    /// segments small enough that appends rotate them by size: after
+    /// each round only the segment holding the checkpoint is left.
     #[test]
     fn repeated_checkpoint_rotate_prune_survives_empty_rounds() {
         let td = TempDir::new("walcompact");
-        let (mut w, _) = Wal::open(td.path(), 1 << 20, false).unwrap();
+        let (mut w, _) = Wal::open(td.path(), 64, false).unwrap();
+        let mut ckpt = 0;
         for round in 0..6 {
-            // Rounds 2 and 4 checkpoint with nothing new in the log.
+            // Rounds 1, 3 and 5 checkpoint with nothing new in the log.
             if round % 2 == 0 {
                 for i in 0..10u64 {
                     w.append(&i.to_le_bytes()).unwrap();
                     w.sync().unwrap();
                 }
             }
-            let last = w.next_lsn() - 1;
+            ckpt = w.next_lsn();
             w.write_checkpoint(b"payload").unwrap();
-            w.rotate().unwrap();
-            w.prune(last).unwrap();
+            w.prune(ckpt - 1).unwrap();
             assert_eq!(w.stats().segments, 1, "round {round}");
         }
-        // The surviving log must still be readable and empty of
-        // records at or below the last cutoff.
+        // The surviving log must still be readable, end with the last
+        // checkpoint, and hold nothing from a pruned segment.
         let next = w.next_lsn();
+        let start = w.segments[0].start_lsn;
         drop(w);
-        let (w2, records) = Wal::open(td.path(), 1 << 20, false).unwrap();
+        let (w2, records) = Wal::open(td.path(), 64, false).unwrap();
         assert_eq!(w2.next_lsn(), next);
-        assert!(records.is_empty(), "pruned records resurfaced: {records:?}");
-    }
-
-    #[test]
-    fn empty_rotate_is_a_noop() {
-        let td = TempDir::new("walemptyrot");
-        let (mut w, _) = Wal::open(td.path(), 1 << 20, false).unwrap();
-        w.rotate().unwrap();
-        w.rotate().unwrap();
-        assert_eq!(w.stats().segments, 1);
-        let lsn = w.append(b"x").unwrap();
-        w.sync().unwrap();
-        drop(w);
-        let (_, records) = Wal::open(td.path(), 1 << 20, false).unwrap();
-        assert_eq!(records, vec![(lsn, b"x".to_vec())]);
+        assert_eq!(records.last(), Some(&(ckpt, b"payload".to_vec())));
+        assert!(
+            records.iter().all(|(l, _)| *l >= start),
+            "pruned records resurfaced: {records:?}"
+        );
     }
 }

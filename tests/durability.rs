@@ -12,12 +12,13 @@
 //! batch cadence.
 //!
 //! Fixed regressions cover each recovery shape (WAL-only, checkpoint +
-//! tail, post-checkpoint churn, drops, multi-kill); a proptest sweeps
-//! seeds × chaos plans × kill schedules × batch sizes × checkpoint
-//! cadences.
+//! tail, post-checkpoint churn, drops, multi-kill, a checkpoint torn
+//! mid-write, a log on small segments); a proptest sweeps seeds × chaos
+//! plans × kill schedules × batch sizes × checkpoint cadences.
 
 use proptest::prelude::*;
 use std::collections::VecDeque;
+use std::fs;
 use std::path::Path;
 use std::sync::OnceLock;
 use tweeql::prelude::*;
@@ -26,7 +27,7 @@ use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::scenario::{Burst, Scenario, Topic};
 use tweeql_firehose::StreamingApi;
 use tweeql_model::{Clock, Duration, Record, Timestamp, Tweet, VirtualClock};
-use tweeql_wal::TempDir;
+use tweeql_wal::{TempDir, Wal};
 
 /// Deterministic firehose shared by every run: keyword topic, a burst,
 /// a quiet tail (same shape as the standing-host battery).
@@ -74,16 +75,22 @@ const CORPUS: &[&str] = &[
      WINDOW 2 minutes",
 ];
 
-/// Host-construction knobs a whole differential comparison shares.
+/// Host-construction knobs a whole differential comparison shares, and
+/// what its runs do beside the schedule.
 #[derive(Clone)]
 struct Params {
     fault: Option<FaultPlan>,
     batch: usize,
     ckpt_every: u64,
+    segment_bytes: u64,
     /// The reference configuration (`EngineBuilder::reference`): its
     /// per-tweet source, which recovery replays through the same feed,
     /// and its as-written, interpreted plans.
     reference: bool,
+    /// Runs at each kill point, just before the crash.
+    at_kill: Option<fn(&mut QueryHost, &Path)>,
+    /// Runs after each pump that wrote a checkpoint.
+    after_checkpoint: Option<fn(&QueryHost)>,
 }
 
 impl Params {
@@ -92,9 +99,24 @@ impl Params {
             fault: None,
             batch: 16,
             ckpt_every: 64,
+            segment_bytes: 1 << 20,
             reference: false,
+            at_kill: None,
+            after_checkpoint: None,
         }
     }
+}
+
+/// Whether a log record is the host's checkpoint: its payload begins
+/// with the checkpoint tag, 4.
+fn is_checkpoint(payload: &[u8]) -> bool {
+    payload.first() == Some(&4)
+}
+
+/// How many checkpoint records `dir`'s log holds.
+fn checkpoint_records(dir: &Path) -> usize {
+    let (_, records) = Wal::open(dir, 1 << 20, false).expect("open log");
+    records.iter().filter(|(_, r)| is_checkpoint(r)).count()
 }
 
 /// Open (or recover) a durable host over the shared stream. fsync is
@@ -113,6 +135,7 @@ fn durable_host(dir: &Path, p: &Params) -> QueryHost {
     b.recover_with(
         DurabilityConfig::new(dir)
             .checkpoint_every(p.ckpt_every)
+            .segment_bytes(p.segment_bytes)
             .fsync(false),
     )
     .expect("open durable host")
@@ -169,9 +192,29 @@ fn run(dir: &Path, p: &Params, sched: &Schedule, kills: &[Timestamp]) -> Observe
     let mut outcomes: Vec<QueryOutcome> = Vec::new();
     let mut live: Vec<bool> = Vec::new();
 
-    // Pump to `t`, crashing at every kill point on the way. A crash is
-    // dropping the host on the floor: no checkpoint, no flush; the next
-    // `durable_host` call replays the directory.
+    // Drive the host with `f`, then run `after_checkpoint` if that
+    // wrote a checkpoint.
+    fn pump(
+        host: &mut QueryHost,
+        p: &Params,
+        f: impl FnOnce(&mut QueryHost) -> Result<u64, QueryError>,
+    ) {
+        let checkpoints = |h: &QueryHost| h.wal_stats().expect("durable host").checkpoints;
+        let before = checkpoints(host);
+        f(host).expect("pump");
+        if let Some(check) = p.after_checkpoint.filter(|_| checkpoints(host) > before) {
+            check(host);
+        }
+    }
+    // A crash is dropping the host on the floor: no checkpoint, no
+    // flush; the next `durable_host` call replays the directory.
+    fn crash(host: &mut QueryHost, dir: &Path, p: &Params) {
+        if let Some(at_kill) = p.at_kill {
+            at_kill(host, dir);
+        }
+        *host = durable_host(dir, p); // old host dropped: crash
+    }
+    // Pump to `t`, crashing at every kill point on the way.
     fn advance(
         host: &mut QueryHost,
         dir: &Path,
@@ -184,10 +227,10 @@ fn run(dir: &Path, p: &Params, sched: &Schedule, kills: &[Timestamp]) -> Observe
                 break;
             }
             kills.pop_front();
-            host.pump_until(k).expect("pump to kill point");
-            *host = durable_host(dir, p); // old host dropped: crash
+            pump(host, p, |h| h.pump_until(k));
+            crash(host, dir, p);
         }
-        host.pump_until(t).expect("pump");
+        pump(host, p, |h| h.pump_until(t));
     }
 
     for &(t, act) in sched {
@@ -219,10 +262,10 @@ fn run(dir: &Path, p: &Params, sched: &Schedule, kills: &[Timestamp]) -> Observe
     }
     // Remaining kills land during the run-out to end-of-stream.
     while let Some(k) = kills.pop_front() {
-        host.pump_until(k).expect("pump to kill point");
-        host = durable_host(dir, p);
+        pump(&mut host, p, |h| h.pump_until(k));
+        crash(&mut host, dir, p);
     }
-    host.run_to_end().expect("run to end");
+    pump(&mut host, p, |h| h.run_to_end());
 
     let infos = host.list();
     for (n, &id) in ids.iter().enumerate() {
@@ -389,10 +432,12 @@ fn wal_only_recovery_before_any_checkpoint() {
     assert_crash_equivalent(&p, &sched, &[mins(3)]);
 
     let dir = TempDir::new("tweeql-dur-walonly");
+    let _ = run(dir.path(), &p, &sched, &[mins(3)]);
     let host = durable_host(dir.path(), &p);
     assert!(host.wal_stats().is_some(), "host must be durable");
-    assert!(
-        !dir.path().join("checkpoint.bin").exists(),
+    assert_eq!(
+        checkpoint_records(dir.path()),
+        0,
         "this shape must not have checkpointed"
     );
 }
@@ -416,11 +461,125 @@ fn checkpoint_plus_tail_with_post_checkpoint_register() {
     let dir = TempDir::new("tweeql-dur-tail");
     let _ = run(dir.path(), &p, &sched, &[mins(5)]);
     assert!(
-        dir.path().join("checkpoint.bin").exists(),
+        checkpoint_records(dir.path()) > 0,
         "this shape must have checkpointed"
     );
     let host = durable_host(dir.path(), &p);
     assert_eq!(host.list().len(), 2, "both registrations recovered");
+}
+
+/// A crash inside a checkpoint's write: the log's last record, that
+/// checkpoint, is torn by a few bytes. `Wal::open` truncates it, and
+/// recovery starts from the checkpoint before it plus the records
+/// after that one, here the `Taken` records of the poll at the kill.
+#[test]
+fn a_checkpoint_torn_mid_write_falls_back_to_the_one_before() {
+    fn checkpoint_then_tear(host: &mut QueryHost, dir: &Path) {
+        assert!(host.checkpoint().expect("checkpoint"));
+        let (_, records) = Wal::open(dir, 1 << 20, false).expect("open log");
+        let n = records.len();
+        assert!(
+            is_checkpoint(&records[n - 1].1),
+            "the last record is the checkpoint"
+        );
+        assert!(
+            !is_checkpoint(&records[n - 2].1),
+            "records follow the one before"
+        );
+        let checkpoints = records.iter().filter(|(_, r)| is_checkpoint(r)).count();
+        assert!(checkpoints >= 2, "a checkpoint to fall back to");
+        let mut segments: Vec<_> = fs::read_dir(dir)
+            .expect("read dir")
+            .map(|e| e.expect("dir entry").path())
+            .collect();
+        segments.sort();
+        let last = segments.last().expect("a segment");
+        let len = fs::metadata(last).expect("segment metadata").len();
+        let f = fs::OpenOptions::new()
+            .write(true)
+            .open(last)
+            .expect("open segment");
+        f.set_len(len - 3).expect("tear the checkpoint");
+    }
+    let sched = vec![
+        (mins(0), Act::Reg(1)),
+        (mins(0), Act::Reg(0)),
+        (mins(2), Act::PollAll),
+        (mins(5), Act::PollAll),
+        (mins(7), Act::PollAll),
+    ];
+    let p = Params {
+        at_kill: Some(checkpoint_then_tear),
+        ..Params::base()
+    };
+    assert_crash_equivalent(&p, &sched, &[mins(5)]);
+}
+
+/// On segments smaller than a checkpoint, every checkpoint prunes the
+/// log down to at most two segments, and kills between them still
+/// recover the run without kills. Only checkpoints append during a
+/// pump, so the log after a pump is the log after its last checkpoint.
+#[test]
+fn the_log_stays_bounded_on_small_segments_across_kills() {
+    fn bounded(host: &QueryHost) {
+        let s = host.wal_stats().expect("durable host");
+        assert!(
+            s.segments <= 2,
+            "{} segments after a checkpoint",
+            s.segments
+        );
+    }
+    let sched = vec![
+        (mins(0), Act::Reg(1)),
+        (mins(0), Act::Reg(0)),
+        (mins(1), Act::PollAll),
+        (mins(3), Act::Reg(2)),
+        (mins(3), Act::PollAll),
+        (mins(5), Act::PollAll),
+        (mins(8), Act::PollAll),
+    ];
+    let p = Params {
+        ckpt_every: 32,
+        segment_bytes: 256,
+        after_checkpoint: Some(bounded),
+        ..Params::base()
+    };
+    assert_crash_equivalent(
+        &p,
+        &sched,
+        &[
+            Timestamp::from_millis(2 * 60_000 + 7_000),
+            Timestamp::from_millis(4 * 60_000 + 51_000),
+            mins(6),
+        ],
+    );
+}
+
+/// A directory whose checkpoint is a `checkpoint.bin` file, as an older
+/// log format kept it, is refused: that format pruned the log up to its
+/// checkpoint, so replaying the log alone would lose registrations.
+#[test]
+fn a_directory_in_the_old_checkpoint_format_is_refused() {
+    let dir = TempDir::new("tweeql-dur-old");
+    // The older file: magic, crc32 and length of the payload, payload.
+    let payload = b"older checkpoint";
+    let mut file = b"TQCKPT01".to_vec();
+    file.extend(tweeql_wal::crc32(payload).to_le_bytes());
+    file.extend((payload.len() as u32).to_le_bytes());
+    file.extend(payload);
+    fs::write(dir.path().join("checkpoint.bin"), file).unwrap();
+
+    let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
+    let err = match tweeql::Engine::builder(api)
+        .recover_with(DurabilityConfig::new(dir.path()).fsync(false))
+    {
+        Err(e) => e,
+        Ok(_) => panic!("a directory in the old format must be refused"),
+    };
+    assert!(
+        matches!(err, QueryError::Durability(ref m) if m.contains("checkpoint.bin")),
+        "{err}"
+    );
 }
 
 #[test]
@@ -575,6 +734,7 @@ proptest! {
             batch: [7, 16, 64][batch_sel],
             ckpt_every: [0, 32, 256][ckpt_sel],
             reference: reference == 1,
+            ..Params::base()
         };
         let sched = vec![
             (mins(0), Act::Reg(qa)),

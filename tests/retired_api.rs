@@ -22,8 +22,9 @@
 //! pruned row decode (`from_tweet_pruned`). `Engine::execute` admits
 //! its query to a host of its own and drops it like any other, so the
 //! one-query host constructor (`one_query`) and its plan hand-back
-//! (`into_query`) are gone. No Rust source outside `benchmark/` may
-//! call or define any of them.
+//! (`into_query`) are gone. A checkpoint is a record in the log, so
+//! the checkpoint file's reader (`read_checkpoint`) is gone. No Rust
+//! source outside `benchmark/` may call or define any of them.
 
 use std::path::Path;
 
@@ -55,6 +56,7 @@ const RETIRED_FNS: &[&str] = &[
     "prune_projection_rule",
     "one_query",
     "into_query",
+    "read_checkpoint",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
