@@ -820,12 +820,18 @@ impl Operator for AggregateOp {
         d.write_u64(self.confidence_emits);
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        let ts = rec.timestamp();
-        // A record past the current window closes it first.
-        self.open_window(ts, out);
+    fn on_batch(
+        &mut self,
+        recs: &mut Vec<Record>,
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
         let cols = std::mem::take(&mut self.columns);
-        self.ingest(&Tuple::Values(&rec, &cols), ts, out);
+        for rec in recs.drain(..) {
+            let ts = rec.timestamp();
+            // A record past the current window closes it first.
+            self.open_window(ts, out);
+            self.ingest(&Tuple::Values(&rec, &cols), ts, out);
+        }
         self.columns = cols;
         Ok(())
     }
@@ -840,25 +846,25 @@ impl Operator for AggregateOp {
         sel: &[u32],
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        let Some(needed) = self.columns.needed else {
-            return super::row_shim(self, batch, sel, out);
+        // Asked only of a stage that reads the batch, so `needed` is set.
+        debug_assert!(self.reads_tweet_batch());
+        let (Some(needed), false) = (self.columns.needed, sel.is_empty()) else {
+            return Ok(());
         };
+        // Per row exactly what `on_batch` does, minus the `Record` and
+        // minus the `Value`s: key and arguments are read off columns
+        // resolved once for the segment.
         let cols = std::mem::take(&mut self.columns);
-        if !sel.is_empty() {
-            // Per row exactly what `on_record` does, minus the `Record`
-            // and minus the `Value`s: key and arguments are read off
-            // columns resolved once for the segment.
-            let mut code_hashes = std::mem::take(&mut self.code_hashes);
-            let seg = Views::resolve(batch, &cols, &needed, &mut code_hashes);
-            seg.touch_strings(sel);
-            for &i in sel {
-                let row = i as usize;
-                let ts = batch.ts(row);
-                self.open_window(ts, out);
-                self.ingest(&Tuple::Views { seg: &seg, row }, ts, out);
-            }
-            self.code_hashes = code_hashes;
+        let mut code_hashes = std::mem::take(&mut self.code_hashes);
+        let seg = Views::resolve(batch, &cols, &needed, &mut code_hashes);
+        seg.touch_strings(sel);
+        for &i in sel {
+            let row = i as usize;
+            let ts = batch.ts(row);
+            self.open_window(ts, out);
+            self.ingest(&Tuple::Views { seg: &seg, row }, ts, out);
         }
+        self.code_hashes = code_hashes;
         self.columns = cols;
         Ok(())
     }
@@ -965,9 +971,9 @@ mod tests {
     fn unbounded_avg_flushes_at_finish() {
         let mut op = make_op(WindowPolicy::Unbounded, AggFunc::Avg);
         let mut out = Vec::new();
-        op.on_record(rec("a", 1.0, 0), &mut out).unwrap();
-        op.on_record(rec("a", 3.0, 1), &mut out).unwrap();
-        op.on_record(rec("b", 10.0, 2), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 1.0, 0)], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 3.0, 1)], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("b", 10.0, 2)], &mut out).unwrap();
         assert!(out.is_empty());
         op.finish(&mut out).unwrap();
         assert_eq!(vals(&out), vec![("a".into(), 2.0), ("b".into(), 10.0)]);
@@ -977,11 +983,11 @@ mod tests {
     fn time_window_flushes_on_boundary() {
         let mut op = make_op(WindowPolicy::Time(Duration::from_secs(60)), AggFunc::Count);
         let mut out = Vec::new();
-        op.on_record(rec("a", 1.0, 10), &mut out).unwrap();
-        op.on_record(rec("a", 1.0, 30), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 1.0, 10)], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 1.0, 30)], &mut out).unwrap();
         assert!(out.is_empty());
         // A record in the next window forces the flush first.
-        op.on_record(rec("a", 1.0, 70), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 1.0, 70)], &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value(1), &Value::Int(2));
         // Watermark closes the second window.
@@ -996,14 +1002,14 @@ mod tests {
     fn count_window_emits_per_group() {
         let mut op = make_op(WindowPolicy::Count(2), AggFunc::Sum);
         let mut out = Vec::new();
-        op.on_record(rec("a", 1.0, 0), &mut out).unwrap();
-        op.on_record(rec("b", 5.0, 1), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 1.0, 0)], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("b", 5.0, 1)], &mut out).unwrap();
         assert!(out.is_empty());
-        op.on_record(rec("a", 2.0, 2), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 2.0, 2)], &mut out).unwrap();
         assert_eq!(vals(&out), vec![("a".into(), 3.0)]);
         // Group b still pending; a restarted.
         out.clear();
-        op.on_record(rec("b", 7.0, 3), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("b", 7.0, 3)], &mut out).unwrap();
         assert_eq!(vals(&out), vec![("b".into(), 12.0)]);
     }
 
@@ -1019,9 +1025,12 @@ mod tests {
         let mut out = Vec::new();
         // Dense group "tokyo": identical values → zero variance → emits
         // at the 2nd sample. Sparse group "capetown": one sample, holds.
-        op.on_record(rec("capetown", 1.0, 0), &mut out).unwrap();
-        op.on_record(rec("tokyo", 0.5, 1), &mut out).unwrap();
-        op.on_record(rec("tokyo", 0.5, 2), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("capetown", 1.0, 0)], &mut out)
+            .unwrap();
+        op.on_batch(&mut vec![rec("tokyo", 0.5, 1)], &mut out)
+            .unwrap();
+        op.on_batch(&mut vec![rec("tokyo", 0.5, 2)], &mut out)
+            .unwrap();
         assert_eq!(vals(&out), vec![("tokyo".into(), 0.5)]);
         out.clear();
         op.finish(&mut out).unwrap();
@@ -1038,7 +1047,8 @@ mod tests {
             AggFunc::Avg,
         );
         let mut out = Vec::new();
-        op.on_record(rec("capetown", 1.0, 0), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("capetown", 1.0, 0)], &mut out)
+            .unwrap();
         op.on_watermark(Timestamp::from_secs(50), &mut out).unwrap();
         assert!(out.is_empty());
         op.on_watermark(Timestamp::from_secs(100), &mut out)
@@ -1081,9 +1091,9 @@ mod tests {
             0,
         );
         let mut out = Vec::new();
-        op.on_record(rec("a", 2.0, 0), &mut out).unwrap();
-        op.on_record(rec("b", 4.0, 1), &mut out).unwrap();
-        op.on_record(rec("a", 6.0, 2), &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 2.0, 0)], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("b", 4.0, 1)], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 6.0, 2)], &mut out).unwrap();
         op.finish(&mut out).unwrap();
         let r = &out[0];
         assert_eq!(r.value(0), &Value::Float(2.0));
@@ -1102,8 +1112,8 @@ mod tests {
             Timestamp::ZERO,
         )
         .unwrap();
-        op.on_record(null_rec, &mut out).unwrap();
-        op.on_record(rec("a", 4.0, 1), &mut out).unwrap();
+        op.on_batch(&mut vec![null_rec], &mut out).unwrap();
+        op.on_batch(&mut vec![rec("a", 4.0, 1)], &mut out).unwrap();
         op.finish(&mut out).unwrap();
         assert_eq!(vals(&out), vec![("a".into(), 4.0)]);
     }
@@ -1220,7 +1230,7 @@ mod tests {
                     Timestamp::ZERO,
                 )
                 .unwrap();
-                op.on_record(rec, &mut out).unwrap();
+                op.on_batch(&mut vec![rec], &mut out).unwrap();
             }
             let mut d = tweeql_wal::Digest::new();
             op.state_digest(&mut d);
@@ -1394,9 +1404,9 @@ mod tests {
             }
         }
 
-        /// The old `on_record`: key and arguments read off the record
-        /// as `Value`s.
-        pub fn on_record(op: &mut AggregateOp, rec: &Record, out: &mut Vec<Record>) {
+        /// The old per-record entry: key and arguments read off the
+        /// record as `Value`s.
+        pub fn ingest_record(op: &mut AggregateOp, rec: &Record, out: &mut Vec<Record>) {
             let ts = rec.timestamp();
             op.open_window(ts, out);
             let cols = std::mem::take(&mut op.columns);
@@ -1603,8 +1613,8 @@ mod tests {
                         Timestamp::from_secs(100 + 3 * n as i64),
                     )
                     .unwrap();
-                    new.on_record(rec.clone(), &mut new_out).unwrap();
-                    oracle::on_record(&mut old, &rec, &mut old_out);
+                    new.on_batch(&mut vec![rec.clone()], &mut new_out).unwrap();
+                    oracle::ingest_record(&mut old, &rec, &mut old_out);
                     prop_assert_eq!(digest(&new), digest(&old));
                     prop_assert_eq!(&new_out, &old_out);
                 }

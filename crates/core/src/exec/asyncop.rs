@@ -123,11 +123,6 @@ impl Operator for AsyncUdfOp {
         self.schema.clone()
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        self.push(rec, out);
-        Ok(())
-    }
-
     fn on_batch(
         &mut self,
         recs: &mut Vec<Record>,
@@ -211,8 +206,10 @@ mod tests {
         let clock = VirtualClock::new();
         let (mut op, schema) = setup(1, 0, Arc::clone(&clock));
         let mut out = Vec::new();
-        op.on_record(rec(&schema, "tokyo", 0), &mut out).unwrap();
-        op.on_record(rec(&schema, "nyc", 1), &mut out).unwrap();
+        op.on_batch(&mut vec![rec(&schema, "tokyo", 0)], &mut out)
+            .unwrap();
+        op.on_batch(&mut vec![rec(&schema, "nyc", 1)], &mut out)
+            .unwrap();
         assert_eq!(out.len(), 2);
         assert_eq!(requests(&op), 2);
         assert_eq!(clock.now().millis(), 400);
@@ -225,7 +222,8 @@ mod tests {
         let (mut op, schema) = setup(4, 0, Arc::clone(&clock));
         let mut out = Vec::new();
         for (i, loc) in ["tokyo", "nyc", "london", "boston"].iter().enumerate() {
-            op.on_record(rec(&schema, loc, i as i64), &mut out).unwrap();
+            op.on_batch(&mut vec![rec(&schema, loc, i as i64)], &mut out)
+                .unwrap();
         }
         assert_eq!(out.len(), 4, "batch released on size");
         assert_eq!(requests(&op), 1);
@@ -239,7 +237,8 @@ mod tests {
         let (mut op, schema) = setup(100, 0, clock);
         // max_delay is 10s in setup().
         let mut out = Vec::new();
-        op.on_record(rec(&schema, "tokyo", 0), &mut out).unwrap();
+        op.on_batch(&mut vec![rec(&schema, "tokyo", 0)], &mut out)
+            .unwrap();
         op.on_watermark(Timestamp::from_secs(5), &mut out).unwrap();
         assert!(out.is_empty(), "not old enough");
         op.on_watermark(Timestamp::from_secs(10), &mut out).unwrap();
@@ -251,7 +250,8 @@ mod tests {
         let clock = VirtualClock::new();
         let (mut op, schema) = setup(100, 0, clock);
         let mut out = Vec::new();
-        op.on_record(rec(&schema, "tokyo", 0), &mut out).unwrap();
+        op.on_batch(&mut vec![rec(&schema, "tokyo", 0)], &mut out)
+            .unwrap();
         op.finish(&mut out).unwrap();
         assert_eq!(out.len(), 1);
     }
@@ -262,7 +262,8 @@ mod tests {
         let (mut op, schema) = setup(1, 1024, Arc::clone(&clock));
         let mut out = Vec::new();
         for i in 0..50 {
-            op.on_record(rec(&schema, "nyc", i), &mut out).unwrap();
+            op.on_batch(&mut vec![rec(&schema, "nyc", i)], &mut out)
+                .unwrap();
         }
         assert_eq!(out.len(), 50);
         assert_eq!(requests(&op), 1, "49 cache hits");
@@ -274,7 +275,8 @@ mod tests {
         let clock = VirtualClock::new();
         let (mut op, schema) = setup(1, 0, clock);
         let mut out = Vec::new();
-        op.on_record(rec(&schema, "the moon", 0), &mut out).unwrap();
+        op.on_batch(&mut vec![rec(&schema, "the moon", 0)], &mut out)
+            .unwrap();
         assert_eq!(out[0].value(1), &Value::Null);
     }
 

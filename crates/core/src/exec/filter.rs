@@ -40,13 +40,6 @@ impl Operator for FilterOp {
         self.schema.clone()
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        if self.predicate.eval_predicate(&rec, &mut self.ctx)? {
-            out.push(rec);
-        }
-        Ok(())
-    }
-
     fn on_batch(
         &mut self,
         recs: &mut Vec<Record>,
@@ -88,9 +81,9 @@ mod tests {
     fn passes_and_drops() {
         let (mut f, schema) = setup("x > 5");
         let mut out = Vec::new();
-        f.on_record(rec(&schema, Value::Int(10), "a"), &mut out)
+        f.on_batch(&mut vec![rec(&schema, Value::Int(10), "a")], &mut out)
             .unwrap();
-        f.on_record(rec(&schema, Value::Int(3), "b"), &mut out)
+        f.on_batch(&mut vec![rec(&schema, Value::Int(3), "b")], &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get("s").unwrap(), &Value::from("a"));
@@ -100,7 +93,7 @@ mod tests {
     fn null_predicate_drops() {
         let (mut f, schema) = setup("x > 5");
         let mut out = Vec::new();
-        f.on_record(rec(&schema, Value::Null, "a"), &mut out)
+        f.on_batch(&mut vec![rec(&schema, Value::Null, "a")], &mut out)
             .unwrap();
         assert!(out.is_empty());
     }
@@ -109,9 +102,12 @@ mod tests {
     fn contains_filter() {
         let (mut f, schema) = setup("s contains 'obama'");
         let mut out = Vec::new();
-        f.on_record(rec(&schema, Value::Int(0), "OBAMA rally"), &mut out)
-            .unwrap();
-        f.on_record(rec(&schema, Value::Int(0), "other"), &mut out)
+        f.on_batch(
+            &mut vec![rec(&schema, Value::Int(0), "OBAMA rally")],
+            &mut out,
+        )
+        .unwrap();
+        f.on_batch(&mut vec![rec(&schema, Value::Int(0), "other")], &mut out)
             .unwrap();
         assert_eq!(out.len(), 1);
     }

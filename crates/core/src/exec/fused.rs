@@ -40,7 +40,7 @@ use crate::expr::{BatchVm, CExpr, EvalCtx, ExprProgram};
 use std::sync::Arc;
 use std::time::Instant;
 use tweeql_model::record::twitter_schema;
-use tweeql_model::{Record, RowBatch, SchemaRef, TweetBatch, Value};
+use tweeql_model::{Record, RowBatch, SchemaRef, Timestamp, TweetBatch, Value};
 
 /// Per-conjunct runtime statistics.
 #[derive(Debug, Clone, Copy)]
@@ -104,8 +104,7 @@ pub struct FusedScanOp {
     sel_a: Vec<u32>,
     sel_b: Vec<u32>,
     /// Per-column projection results, indexed `[col][row]`.
-    col_scratch: Vec<Vec<tweeql_model::Value>>,
-    one: Vec<Record>,
+    col_scratch: Vec<Vec<Value>>,
     batches: u64,
     rerank_every: u64,
     /// Adaptive re-orderings performed (surfaced as a metric counter).
@@ -164,7 +163,6 @@ impl FusedScanOp {
             sel_a: Vec::new(),
             sel_b: Vec::new(),
             col_scratch: Vec::new(),
-            one: Vec::new(),
             batches: 0,
             rerank_every: 64,
             reranks: 0,
@@ -275,6 +273,43 @@ impl FusedScanOp {
         Ok(())
     }
 
+    /// Push one projected record per row in `self.sel_a`, of an input
+    /// `rows` long: each output column is evaluated over the survivors
+    /// (`eval` runs one program) into `col_scratch`, and each record
+    /// then takes its values from there, stamped `ts(row)`.
+    fn project_rows(
+        &mut self,
+        rows: usize,
+        mut eval: impl FnMut(&mut BatchVm, &ExprProgram, &[u32]) -> Result<(), QueryError>,
+        ts: impl Fn(usize) -> Timestamp,
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        let Some(p) = &self.project else {
+            return Ok(());
+        };
+        if self.col_scratch.len() < p.cols.len() {
+            self.col_scratch.resize_with(p.cols.len(), Vec::new);
+        }
+        for (prog, buf) in p.cols.iter().zip(&mut self.col_scratch) {
+            eval(&mut self.vm, prog, &self.sel_a)?;
+            if buf.len() < rows {
+                buf.resize(rows, Value::Null);
+            }
+            for &i in &self.sel_a {
+                buf[i as usize] = self.vm.take_result(prog, i);
+            }
+        }
+        out.reserve(self.sel_a.len());
+        for &i in &self.sel_a {
+            let i = i as usize;
+            let values = (self.col_scratch.iter_mut().take(p.cols.len()))
+                .map(|col| std::mem::replace(&mut col[i], Value::Null))
+                .collect();
+            out.push(Record::new_unchecked(p.schema.clone(), values, ts(i)));
+        }
+        Ok(())
+    }
+
     /// Append the rows in `self.sel_a` to `out`, one column at a time:
     /// a bare column reference is copied from the tweets, a computed
     /// one evaluated by the VM and moved in. A failed evaluation leaves
@@ -315,15 +350,6 @@ impl Operator for FusedScanOp {
         self.schema.clone()
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        let mut one = std::mem::take(&mut self.one);
-        one.clear();
-        one.push(rec);
-        let res = self.on_batch(&mut one, out);
-        self.one = one;
-        res
-    }
-
     fn on_batch(
         &mut self,
         recs: &mut Vec<Record>,
@@ -342,36 +368,15 @@ impl Operator for FusedScanOp {
                     }
                 }
             }
-            Some(p) => {
-                // Evaluate each output column over the survivors, then
-                // materialize rows once.
-                if self.col_scratch.len() < p.cols.len() {
-                    self.col_scratch.resize_with(p.cols.len(), Vec::new);
-                }
-                for (c, prog) in p.cols.iter().enumerate() {
-                    self.vm.eval_into(prog, recs, &self.sel_a)?;
-                    let buf = &mut self.col_scratch[c];
-                    if buf.len() < recs.len() {
-                        buf.resize(recs.len(), tweeql_model::Value::Null);
-                    }
-                    for &i in &self.sel_a {
-                        buf[i as usize] = self.vm.take_result(prog, i);
-                    }
-                }
-                out.reserve(self.sel_a.len());
-                let mut keep = self.sel_a.iter().peekable();
-                for (i, rec) in recs.drain(..).enumerate() {
-                    if keep.peek() == Some(&&(i as u32)) {
-                        keep.next();
-                        let values = self
-                            .col_scratch
-                            .iter_mut()
-                            .take(p.cols.len())
-                            .map(|col| std::mem::replace(&mut col[i], Value::Null))
-                            .collect();
-                        out.push(rec.with_shape(p.schema.clone(), values));
-                    }
-                }
+            Some(_) => {
+                let rows = &recs[..];
+                self.project_rows(
+                    rows.len(),
+                    |vm, prog, sel| vm.eval_into(prog, rows, sel),
+                    |i| rows[i].timestamp(),
+                    out,
+                )?;
+                recs.clear();
             }
         }
         Ok(())
@@ -387,10 +392,8 @@ impl Operator for FusedScanOp {
         sel: &[u32],
         out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        if !self.twitter {
-            // Non-twitter input.
-            return super::row_shim(self, batch, sel, out);
-        }
+        // Asked only of a stage that reads the batch: a twitter scan.
+        debug_assert!(self.twitter);
         self.run_filters_cols(batch, sel)?;
         match &self.project {
             None => {
@@ -401,38 +404,13 @@ impl Operator for FusedScanOp {
                     out.push(batch.record_at(i as usize));
                 }
             }
-            Some(p) => {
-                // Evaluate each output column over the survivors, then
-                // materialize projected rows once. Input rows are never
-                // materialized.
-                if self.col_scratch.len() < p.cols.len() {
-                    self.col_scratch.resize_with(p.cols.len(), Vec::new);
-                }
-                for (c, prog) in p.cols.iter().enumerate() {
-                    self.vm.eval_cols(prog, batch, &self.sel_a)?;
-                    let buf = &mut self.col_scratch[c];
-                    if buf.len() < batch.len() {
-                        buf.resize(batch.len(), Value::Null);
-                    }
-                    for &i in &self.sel_a {
-                        buf[i as usize] = self.vm.take_result(prog, i);
-                    }
-                }
-                out.reserve(self.sel_a.len());
-                for &i in &self.sel_a {
-                    let values = self
-                        .col_scratch
-                        .iter_mut()
-                        .take(p.cols.len())
-                        .map(|col| std::mem::replace(&mut col[i as usize], Value::Null))
-                        .collect();
-                    out.push(Record::new_unchecked(
-                        p.schema.clone(),
-                        values,
-                        batch.ts(i as usize),
-                    ));
-                }
-            }
+            // Input rows are never materialized.
+            Some(_) => self.project_rows(
+                batch.len(),
+                |vm, prog, sel| vm.eval_cols(prog, batch, sel),
+                |i| batch.ts(i),
+                out,
+            )?,
         }
         Ok(())
     }
@@ -583,26 +561,6 @@ mod tests {
         assert!(out.is_empty());
         assert_eq!(op.current_order(), &[0, 1]);
         assert_eq!(op.conjunct_stats()[1].evaluations, 0);
-    }
-
-    #[test]
-    fn on_record_path_agrees_with_batch() {
-        let conj = cexprs(&["text contains 'kw'"]);
-        let proj = cexprs(&["followers + 1"]);
-        let out_schema = Schema::shared(&[("f", DataType::Int)]);
-        let mut op = FusedScanOp::new(
-            &conj,
-            Some((&proj, out_schema)),
-            EvalCtx::default(),
-            schema(),
-            "wp",
-        )
-        .unwrap();
-        let mut out = Vec::new();
-        op.on_record(rec("has kw here", 7), &mut out).unwrap();
-        op.on_record(rec("nope", 7), &mut out).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].value(0), &Value::Int(8));
     }
 
     mod columnar {

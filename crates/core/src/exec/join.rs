@@ -141,9 +141,15 @@ impl Operator for SymmetricHashJoin {
         self.schema.clone()
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        self.push(Side::Left, rec.clone(), out);
-        self.push(Side::Right, rec, out);
+    fn on_batch(
+        &mut self,
+        recs: &mut Vec<Record>,
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        for rec in recs.drain(..) {
+            self.push(Side::Left, rec.clone(), out);
+            self.push(Side::Right, rec, out);
+        }
         Ok(())
     }
 
@@ -231,10 +237,10 @@ mod tests {
     fn a_row_on_the_one_feed_meets_earlier_rows_on_both_sides_and_itself() {
         let (mut j, l, _r) = setup(60);
         let mut out = Vec::new();
-        j.on_record(rec(&l, "a", 1, 0), &mut out).unwrap();
+        j.on_batch(&mut vec![rec(&l, "a", 1, 0)], &mut out).unwrap();
         assert_eq!(out.len(), 1, "(a1, a1)");
         out.clear();
-        j.on_record(rec(&l, "a", 2, 5), &mut out).unwrap();
+        j.on_batch(&mut vec![rec(&l, "a", 2, 5)], &mut out).unwrap();
         let pairs: Vec<(i64, i64)> = out
             .iter()
             .map(|o| (o.value(1).as_int().unwrap(), o.value(3).as_int().unwrap()))
@@ -274,13 +280,13 @@ mod tests {
         let (mut b, _, _) = setup(600);
         let mut out = Vec::new();
         for &(k, v, t) in &rows {
-            a.on_record(rec(&l, k, v, t), &mut out).unwrap();
+            a.on_batch(&mut vec![rec(&l, k, v, t)], &mut out).unwrap();
         }
         for &(k, v, t) in rows.iter().rev() {
-            b.on_record(rec(&l, k, v, t), &mut out).unwrap();
+            b.on_batch(&mut vec![rec(&l, k, v, t)], &mut out).unwrap();
         }
         assert_eq!(digest(&a), digest(&b), "same contents, other order");
-        b.on_record(rec(&l, "a", 5, 4), &mut out).unwrap();
+        b.on_batch(&mut vec![rec(&l, "a", 5, 4)], &mut out).unwrap();
         assert_ne!(digest(&a), digest(&b), "one more row");
     }
 
@@ -289,8 +295,8 @@ mod tests {
         let (mut a, l, _) = setup(600);
         let (mut b, _, _) = setup(600);
         let mut out = Vec::new();
-        a.on_record(rec(&l, "a", 1, 0), &mut out).unwrap();
-        b.on_record(rec(&l, "a", 2, 0), &mut out).unwrap();
+        a.on_batch(&mut vec![rec(&l, "a", 1, 0)], &mut out).unwrap();
+        b.on_batch(&mut vec![rec(&l, "a", 2, 0)], &mut out).unwrap();
         assert_ne!(digest(&a), digest(&b), "a non-key column is state");
     }
 }

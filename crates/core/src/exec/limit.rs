@@ -29,11 +29,14 @@ impl Operator for LimitOp {
         self.schema.clone()
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        if self.remaining > 0 {
-            self.remaining -= 1;
-            out.push(rec);
-        }
+    fn on_batch(
+        &mut self,
+        recs: &mut Vec<Record>,
+        out: &mut Vec<Record>,
+    ) -> Result<(), QueryError> {
+        let taken = self.remaining.min(recs.len() as u64);
+        self.remaining -= taken;
+        out.extend(recs.drain(..).take(taken as usize));
         Ok(())
     }
 
@@ -57,11 +60,8 @@ mod tests {
         let mut l = LimitOp::new(2, schema.clone());
         let mut out = Vec::new();
         for i in 0..5 {
-            l.on_record(
-                Record::new(schema.clone(), vec![Value::Int(i)], Timestamp::ZERO).unwrap(),
-                &mut out,
-            )
-            .unwrap();
+            let rec = Record::new(schema.clone(), vec![Value::Int(i)], Timestamp::ZERO).unwrap();
+            l.on_batch(&mut vec![rec], &mut out).unwrap();
         }
         assert_eq!(out.len(), 2);
         assert!(l.done());

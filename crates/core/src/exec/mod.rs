@@ -36,29 +36,17 @@ pub trait Operator: Send {
     /// Output schema.
     fn schema(&self) -> SchemaRef;
 
-    /// Consume one record, pushing any outputs.
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError>;
-
-    /// Consume a micro-batch of records, pushing any outputs.
+    /// Consume a micro-batch of records, pushing any outputs: the one
+    /// way rows enter an operator.
     ///
     /// The operator takes the records by draining `recs` — it must
     /// leave the vector empty — so the *caller keeps the allocation*
     /// and can refill it for the next batch instead of allocating a
-    /// fresh `Vec` per flush.
-    ///
-    /// The default loops [`Operator::on_record`]; operators with a
-    /// cheaper vectorized path (filter, project, fused scans, async
-    /// UDFs) override it to amortize dispatch and pre-size buffers.
-    fn on_batch(
-        &mut self,
-        recs: &mut Vec<Record>,
-        out: &mut Vec<Record>,
-    ) -> Result<(), QueryError> {
-        for rec in recs.drain(..) {
-            self.on_record(rec, out)?;
-        }
-        Ok(())
-    }
+    /// fresh `Vec` per flush. Where a batch is cut must not show: the
+    /// rows as one batch or as several, in the same order, give the
+    /// same output and [`Operator::state_digest`].
+    fn on_batch(&mut self, recs: &mut Vec<Record>, out: &mut Vec<Record>)
+        -> Result<(), QueryError>;
 
     /// True when this operator consumes columnar [`TweetBatch`]es
     /// natively via [`Operator::on_tweet_batch`]. Only source-side
@@ -69,24 +57,28 @@ pub trait Operator: Send {
     }
 
     /// Consume the rows of a columnar tweet batch listed in `sel`
-    /// (ascending row indexes), pushing row outputs.
+    /// (ascending row indexes), pushing row outputs. A pipeline asks
+    /// this only of a head stage that
+    /// [reads tweet batches](Operator::reads_tweet_batch), and every
+    /// other stage refuses it: anywhere else the rows reach the
+    /// operator as records, through [`Operator::on_batch`].
     ///
     /// The batch is shared and read-only — the standing-query host
     /// hands the same one to every query that selected rows from it —
     /// and the caller resets it afterward. A column the operator reads
     /// through [`TweetBatch::view`] is built by the first reader of
-    /// the batch to view it and shared with the rest. The default is
-    /// the row shim: decode the selected rows as [`Record`]s and take
-    /// the ordinary batch path;
-    /// native implementations filter *before* decoding, which is where
-    /// the columnar win comes from.
+    /// the batch to view it and shared with the rest. A reader filters
+    /// *before* it decodes, which is where the columnar win comes from.
     fn on_tweet_batch(
         &mut self,
-        batch: &TweetBatch,
-        sel: &[u32],
-        out: &mut Vec<Record>,
+        _batch: &TweetBatch,
+        _sel: &[u32],
+        _out: &mut Vec<Record>,
     ) -> Result<(), QueryError> {
-        row_shim(self, batch, sel, out)
+        Err(QueryError::Exec(format!(
+            "{} does not read tweet batches",
+            self.name()
+        )))
     }
 
     /// [`Operator::on_tweet_batch`] for the last stage of a pipeline:
@@ -219,18 +211,6 @@ pub(crate) fn emit(rows: &mut Vec<Record>, out: &mut RowBatch) {
     rows.drain(..).for_each(|r| out.push_record(&r));
 }
 
-/// The row shim behind [`Operator::on_tweet_batch`]: decode the selected
-/// rows and take the batch path.
-pub(crate) fn row_shim<O: Operator + ?Sized>(
-    op: &mut O,
-    batch: &TweetBatch,
-    sel: &[u32],
-    out: &mut Vec<Record>,
-) -> Result<(), QueryError> {
-    let mut recs = sel.iter().map(|&i| batch.record_at(i as usize)).collect();
-    op.on_batch(&mut recs, out)
-}
-
 /// Per-operator tuple counters and timing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpStats {
@@ -238,8 +218,10 @@ pub struct OpStats {
     pub records_in: u64,
     /// Records emitted.
     pub records_out: u64,
-    /// Micro-batches consumed via the vectorized path (0 for purely
-    /// record-at-a-time stages).
+    /// Row pushes the stage took part in: one per
+    /// [`Pipeline::push_batch`] and per segment of a tweet batch, empty
+    /// ones included. Rows that punctuation or `finish` releases to it
+    /// are not counted.
     pub batches: u64,
     /// Wall time spent inside the operator, in nanoseconds.
     pub busy_nanos: u64,
@@ -287,7 +269,7 @@ pub struct Pipeline {
     stats: Vec<OpStats>,
     cur: Vec<Record>,
     next: Vec<Record>,
-    /// Head-stage output (or shimmed rows) of a tweet batch in flight.
+    /// Head-stage output (or decoded rows) of a tweet batch in flight.
     staged: Vec<Record>,
     obs: Option<PipelineObs>,
     /// Whether any stage reacts to punctuation (fixed at construction).
@@ -482,10 +464,10 @@ impl Pipeline {
     /// directly and only its output becomes records for the downstream
     /// stages; when it is also the last stage, its rows go straight
     /// into `out` ([`Operator::on_tweet_batch_rows`]). Otherwise the
-    /// selected rows cross the row shim first — behaviorally identical
-    /// to decoding rows at the source, including stats, batch spans,
-    /// and the batch-rows histogram (observed once per segment, like
-    /// [`Pipeline::push_batch`]).
+    /// selected rows are decoded as records here and take the batch
+    /// path — behaviorally identical to decoding rows at the source,
+    /// including stats, batch spans, and the batch-rows histogram
+    /// (observed once per segment, like [`Pipeline::push_batch`]).
     pub fn push_tweet_batch(
         &mut self,
         batch: &TweetBatch,
@@ -775,10 +757,16 @@ mod tests {
         fn schema(&self) -> SchemaRef {
             self.schema.clone()
         }
-        fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-            let v = rec.value(0).as_int().unwrap_or(0);
-            if v % 2 == 0 {
-                out.push(rec.with_shape(self.schema.clone(), vec![Value::Int(v * 2)]));
+        fn on_batch(
+            &mut self,
+            recs: &mut Vec<Record>,
+            out: &mut Vec<Record>,
+        ) -> Result<(), QueryError> {
+            for rec in recs.drain(..) {
+                let v = rec.value(0).as_int().unwrap_or(0);
+                if v % 2 == 0 {
+                    out.push(rec.with_shape(self.schema.clone(), vec![Value::Int(v * 2)]));
+                }
             }
             Ok(())
         }
@@ -797,8 +785,12 @@ mod tests {
         fn schema(&self) -> SchemaRef {
             self.schema.clone()
         }
-        fn on_record(&mut self, rec: Record, _out: &mut Vec<Record>) -> Result<(), QueryError> {
-            self.held.push(rec);
+        fn on_batch(
+            &mut self,
+            recs: &mut Vec<Record>,
+            _out: &mut Vec<Record>,
+        ) -> Result<(), QueryError> {
+            self.held.append(recs);
             Ok(())
         }
         fn on_watermark(
@@ -816,11 +808,10 @@ mod tests {
     }
 
     /// Passes records through, logging the size of each `on_batch`
-    /// call with rows and counting `on_record` calls.
+    /// call with rows.
     struct Calls {
         schema: SchemaRef,
         batches: Arc<Mutex<Vec<usize>>>,
-        records: Arc<Mutex<usize>>,
     }
 
     impl Operator for Calls {
@@ -829,11 +820,6 @@ mod tests {
         }
         fn schema(&self) -> SchemaRef {
             self.schema.clone()
-        }
-        fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-            *self.records.lock() += 1;
-            out.push(rec);
-            Ok(())
         }
         fn on_batch(
             &mut self,
@@ -907,7 +893,7 @@ mod tests {
 
     #[test]
     fn a_watermark_release_reaches_the_next_stage_as_one_batch() {
-        let (batches, records) = (Arc::default(), Arc::default());
+        let batches = Arc::default();
         let mut p = Pipeline::new(vec![
             Box::new(Buffered {
                 schema: int_schema(),
@@ -916,7 +902,6 @@ mod tests {
             Box::new(Calls {
                 schema: int_schema(),
                 batches: Arc::clone(&batches),
-                records: Arc::clone(&records),
             }),
         ]);
         let mut out = RowBatch::new(int_schema());
@@ -932,7 +917,6 @@ mod tests {
         p.push_batch(&mut vec![rec(7)], &mut out).unwrap();
         p.watermark(Timestamp::from_secs(3), &mut out).unwrap();
         assert_eq!(*batches.lock(), vec![6, 1], "one on_batch per release");
-        assert_eq!(*records.lock(), 0, "no row-at-a-time calls");
     }
 
     #[test]
@@ -943,5 +927,127 @@ mod tests {
         p.push_batch(&mut vec![rec(7)], &mut out).unwrap();
         assert_eq!(out.len(), 1);
         assert!(p.output_schema().is_none());
+    }
+
+    /// Where a batch is cut must not show: for each operator that takes
+    /// rows, the rows as one batch give the same output and state
+    /// digest as the same rows fed one at a time.
+    mod batch_cuts {
+        use super::*;
+        use crate::ast::AggFunc;
+        use crate::expr::{compile_into, CExpr, EvalCtx};
+        use crate::parser::parse_expr;
+        use crate::udf::Registry;
+        use aggregate::{AggExpr, AggregateOp, WindowPolicy};
+        use proptest::prelude::*;
+        use tweeql_model::Duration;
+
+        fn input() -> SchemaRef {
+            Schema::shared(&[("k", DataType::Str), ("x", DataType::Int)])
+        }
+
+        /// `srcs` compiled over [`input`] into one context.
+        fn compiled(srcs: &[&str]) -> (Vec<CExpr>, EvalCtx) {
+            let mut reg = Registry::empty();
+            crate::expr::functions::register_builtins(&mut reg);
+            let mut ctx = EvalCtx::default();
+            let exprs = (srcs.iter())
+                .map(|s| compile_into(&parse_expr(s).unwrap(), &input(), &reg, &mut ctx).unwrap())
+                .collect();
+            (exprs, ctx)
+        }
+
+        /// Operator `which`: filter, project, fused scan, `LIMIT`, join,
+        /// then the row-path aggregate under a tumbling, a count and a
+        /// sliding window.
+        fn op(which: usize) -> Box<dyn Operator> {
+            let projected = || Schema::shared(&[("x1", DataType::Int), ("u", DataType::Str)]);
+            match which {
+                0 => {
+                    let (mut e, ctx) = compiled(&["x > 2"]);
+                    Box::new(filter::FilterOp::new(e.remove(0), ctx, input()))
+                }
+                1 => {
+                    let (e, ctx) = compiled(&["x + 1", "upper(k)"]);
+                    Box::new(project::ProjectOp::new(e, ctx, projected()))
+                }
+                2 => {
+                    let (e, ctx) = compiled(&["x > 0", "k <> 'b'", "x + 1", "upper(k)"]);
+                    let proj = Some((&e[2..], projected()));
+                    let op = fused::FusedScanOp::new(&e[..2], proj, ctx, input(), "wp").unwrap();
+                    Box::new(op.with_rerank_every(2))
+                }
+                3 => Box::new(limit::LimitOp::new(7, input())),
+                4 => Box::new(join::SymmetricHashJoin::new(
+                    0,
+                    0,
+                    Duration::from_secs(60),
+                    Arc::new(input().concat(&input())),
+                )),
+                _ => {
+                    let policy = match which {
+                        5 => WindowPolicy::Time(Duration::from_secs(60)),
+                        6 => WindowPolicy::Count(3),
+                        _ => WindowPolicy::Sliding {
+                            size: Duration::from_secs(60),
+                            slide: Duration::from_secs(20),
+                        },
+                    };
+                    let aggs = vec![
+                        AggExpr {
+                            func: AggFunc::Count,
+                            arg: None,
+                        },
+                        AggExpr {
+                            func: AggFunc::Sum,
+                            arg: Some(1),
+                        },
+                    ];
+                    let out = Schema::shared(&[
+                        ("k", DataType::Str),
+                        ("n", DataType::Int),
+                        ("s", DataType::Int),
+                    ]);
+                    Box::new(AggregateOp::new(vec![0], aggs, policy, &input(), out, 0))
+                }
+            }
+        }
+
+        fn digest(op: &dyn Operator) -> u64 {
+            let mut d = tweeql_wal::Digest::new();
+            op.state_digest(&mut d);
+            d.finish()
+        }
+
+        proptest! {
+            #[test]
+            fn one_batch_equals_one_row_batches(
+                which in 0usize..8,
+                // (key, x, seconds since the row before)
+                rows in collection::vec((0usize..4, -3i64..10, 0i64..30), 0..40),
+            ) {
+                let mut ts = 0;
+                let recs: Vec<Record> = (rows.iter())
+                    .map(|&(k, x, dt)| {
+                        ts += dt;
+                        let values = vec![Value::from(["a", "b", "c", "d"][k]), Value::Int(x)];
+                        Record::new(input(), values, Timestamp::from_secs(ts)).unwrap()
+                    })
+                    .collect();
+                let (mut whole, mut cut) = (op(which), op(which));
+                let (mut whole_out, mut cut_out) = (Vec::new(), Vec::new());
+                let mut batch = recs.clone();
+                whole.on_batch(&mut batch, &mut whole_out).unwrap();
+                prop_assert!(batch.is_empty(), "on_batch drains its input");
+                for rec in recs {
+                    cut.on_batch(&mut vec![rec], &mut cut_out).unwrap();
+                }
+                prop_assert_eq!(digest(&*whole), digest(&*cut));
+                whole.finish(&mut whole_out).unwrap();
+                cut.finish(&mut cut_out).unwrap();
+                prop_assert_eq!(digest(&*whole), digest(&*cut));
+                prop_assert_eq!(whole_out, cut_out);
+            }
+        }
     }
 }

@@ -30,15 +30,6 @@ impl Operator for ProjectOp {
         self.schema.clone()
     }
 
-    fn on_record(&mut self, rec: Record, out: &mut Vec<Record>) -> Result<(), QueryError> {
-        let mut values = Vec::with_capacity(self.exprs.len());
-        for e in &self.exprs {
-            values.push(e.eval(&rec, &mut self.ctx)?);
-        }
-        out.push(rec.with_shape(self.schema.clone(), values));
-        Ok(())
-    }
-
     fn on_batch(
         &mut self,
         recs: &mut Vec<Record>,
@@ -83,7 +74,7 @@ mod tests {
         )
         .unwrap();
         let mut out = Vec::new();
-        p.on_record(rec, &mut out).unwrap();
+        p.on_batch(&mut vec![rec], &mut out).unwrap();
         assert_eq!(out[0].get("double_x").unwrap(), &Value::Int(42));
         assert_eq!(out[0].get("u").unwrap(), &Value::from("AB"));
         assert_eq!(out[0].timestamp(), Timestamp::from_secs(9));

@@ -446,8 +446,7 @@ impl BatchVm {
         }
     }
 
-    /// Evaluate against a single record (differential tests, the
-    /// serial `on_record` path).
+    /// Evaluate against a single record (differential tests).
     pub fn eval_record(&mut self, prog: &ExprProgram, rec: &Record) -> Result<Value, QueryError> {
         self.eval_into(prog, std::slice::from_ref(rec), &[0])?;
         Ok(self.take_result(prog, 0))

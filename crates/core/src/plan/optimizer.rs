@@ -52,25 +52,40 @@ fn fold(expr: Expr) -> Expr {
 
 /// Fold an AND or OR chain whose operands are already folded, by the
 /// logical identities: a non-NULL literal whose truth is `or` settles
-/// the chain, and one of the other truth drops out. An operand
-/// returned whole keeps its own span; anything new gets the chain's.
-fn fold_chain(items: Vec<Expr>, or: bool, span: Span) -> Expr {
+/// the chain, and one of the other truth drops out. A settling literal
+/// drops every operand after it, and the ones before it only when none
+/// of them calls a function: the chain runs left to right, so a call
+/// ahead of the literal still runs, and may fail or count its rows. An
+/// operand returned whole keeps its own span; anything new gets the
+/// chain's.
+fn fold_chain(mut items: Vec<Expr>, or: bool, span: Span) -> Expr {
     let truth = |e: &Expr| match &e.kind {
         ExprKind::Literal(v) if !v.is_null() => Some(v.is_truthy()),
         _ => None,
     };
-    if items.iter().any(|e| truth(e) == Some(or)) {
-        return Expr::lit(or).with_span(span);
+    if let Some(settles) = items.iter().position(|e| truth(e) == Some(or)) {
+        items.truncate(settles + 1);
+        if !items.iter().any(has_call) {
+            return Expr::lit(or).with_span(span);
+        }
     }
     if items.iter().all(|e| truth(e).is_some()) {
         return items.into_iter().last().expect("a chain has operands");
     }
-    let mut kept: Vec<Expr> = items.into_iter().filter(|e| truth(e).is_none()).collect();
+    let mut kept: Vec<Expr> = items
+        .into_iter()
+        .filter(|e| truth(e) != Some(!or))
+        .collect();
     match kept.len() {
         1 => kept.pop().expect("one operand"),
         _ if or => Expr::new(ExprKind::Or(kept), span),
         _ => Expr::new(ExprKind::And(kept), span),
     }
+}
+
+/// Does `e` call a function anywhere?
+pub(crate) fn has_call(e: &Expr) -> bool {
+    e.any(|n| matches!(n.kind, ExprKind::Call { .. }))
 }
 
 /// Heuristic evaluation cost of a predicate (the plan order the fused
@@ -130,6 +145,22 @@ mod tests {
         assert_eq!(fold("x and true and y and true"), xy);
         assert_eq!(fold("x and null and false and y"), Expr::lit(false));
         assert_eq!(fold("true or false or true"), Expr::lit(true));
+        // A settling literal keeps a call written before it.
+        let call = || parse_expr("f(x) > 0").unwrap();
+        let or = |items| Expr::dummy(ExprKind::Or(items));
+        let and = |items| Expr::dummy(ExprKind::And(items));
+        assert_eq!(fold("f(x) > 0 or true"), or(vec![call(), Expr::lit(true)]));
+        assert_eq!(
+            fold("f(x) > 0 and true and false and g(y)"),
+            and(vec![call(), Expr::lit(false)])
+        );
+        assert_eq!(
+            fold("x or f(x) > 0 or false or true"),
+            or(vec![Expr::col("x"), call(), Expr::lit(true)])
+        );
+        // A call after the literal drops.
+        assert_eq!(fold("x or true or f(x) > 0"), Expr::lit(true));
+        assert_eq!(fold("false and f(x) > 0"), Expr::lit(false));
     }
 
     #[test]

@@ -120,7 +120,10 @@ pub(crate) fn rewrite(
 /// constant subexpression, drop always-true WHERE conjuncts, and
 /// collapse the whole filter when a conjunct is always false. Under
 /// 3VL a conjunct folding to `NULL` also rejects every row (`WHERE`
-/// keeps only *true* rows), so it collapses the filter too.
+/// keeps only *true* rows), so it collapses the filter too. As in a
+/// chain ([`optimizer::fold_constants`]), a conjunct that calls a
+/// function ahead of that one still runs: the filter then ends at the
+/// constant instead.
 pub(super) fn fold_constants_rule(
     p: &LogicalPlan,
     _ctx: &RuleCtx<'_>,
@@ -137,19 +140,20 @@ pub(super) fn fold_constants_rule(
             changed = true;
         }
         if let ExprKind::Literal(v) = &folded.kind {
+            changed = true;
             if !v.is_null() && v.is_truthy() {
                 dropped += 1;
-                changed = true;
+                continue;
+            }
+            if kept.iter().any(optimizer::has_call) {
+                kept.push(folded);
             } else {
                 collapsed = true;
-                changed = true;
+                kept = vec![Expr::lit(false)];
             }
-            continue;
+            break;
         }
         kept.push(folded);
-    }
-    if collapsed {
-        kept = vec![Expr::lit(false)];
     }
     q.filter = kept;
 

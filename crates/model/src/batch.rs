@@ -34,9 +34,9 @@
 //! ([`TweetBatch::decode_stats`]); nothing outside it decides which
 //! columns to build. A reader that walks many rows of a column views it
 //! once and reads rows off the typed [`ColumnView`].
-//! Operators that still think in rows cross the boundary through
+//! Operators that take rows get them decoded through
 //! [`TweetBatch::to_records`] / [`TweetBatch::record_at`], which defer
-//! to [`Record::from_tweet`] so the row shim is differentially
+//! to [`Record::from_tweet`], so that decode is differentially
 //! identical to the row pipeline by construction.
 //!
 //! The schema note vs the paper: the reproduction's [`Tweet`] carries

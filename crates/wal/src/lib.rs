@@ -307,7 +307,10 @@ impl Wal {
     /// A torn or corrupted tail is truncated back to the last valid
     /// record; any later segments (which can only hold records written
     /// after the corruption point) are deleted so the LSN sequence
-    /// stays gap-free.
+    /// stays gap-free. A last segment shorter than [`SEGMENT_MAGIC`] is
+    /// a create torn before its magic was written (a crash mid-rotation):
+    /// it holds no record, so its magic is written again, at the same
+    /// start LSN. A shorter segment anywhere else is corrupt.
     pub fn open(
         dir: &Path,
         segment_bytes: u64,
@@ -345,6 +348,11 @@ impl Wal {
                     "segment {} starts at lsn {start}, expected {expect}",
                     path.display()
                 )));
+            }
+            let last = i + 1 == starts.len();
+            if last && fs::metadata(&path)?.len() < SEGMENT_MAGIC.len() as u64 {
+                segments.push(create_segment(dir, start, fsync)?);
+                continue;
             }
             let (recs, valid_len, clean) = read_segment(&path, start)?;
             if !clean {
@@ -721,6 +729,47 @@ mod tests {
         assert_eq!(wal.next_lsn(), 1);
         let lsn = wal.append(b"fresh").unwrap();
         assert_eq!(lsn, 1);
+    }
+
+    /// A valid 3-record log, then a next segment cut to `torn` bytes
+    /// of its magic, as a crash mid-rotation leaves it.
+    fn log_with_torn_segment(tmp: &TempDir, torn: usize) -> PathBuf {
+        let (mut wal, _) = open(tmp.path());
+        for i in 0..3u8 {
+            wal.append(&[i; 4]).unwrap();
+        }
+        wal.sync().unwrap();
+        let seg = segment_path(tmp.path(), 4);
+        fs::write(&seg, &SEGMENT_MAGIC[..torn]).unwrap();
+        seg
+    }
+
+    #[test]
+    fn a_torn_last_segment_gets_its_magic_back() {
+        for torn in [0, 5] {
+            let tmp = TempDir::new("wal-torn-create");
+            let seg = log_with_torn_segment(&tmp, torn);
+            let (mut wal, recs) = open(tmp.path());
+            assert_eq!(recs.len(), 3, "{torn} bytes");
+            assert_eq!(fs::read(&seg).unwrap(), SEGMENT_MAGIC, "{torn} bytes");
+            assert_eq!(wal.stats().segments, 2);
+            assert_eq!(wal.append(b"next").unwrap(), 4);
+            wal.sync().unwrap();
+            drop(wal);
+            let (_, recs) = open(tmp.path());
+            assert_eq!(recs.last().unwrap(), &(4, b"next".to_vec()), "{torn} bytes");
+        }
+    }
+
+    #[test]
+    fn a_short_segment_that_is_not_last_is_corrupt() {
+        let tmp = TempDir::new("wal-short-middle");
+        log_with_torn_segment(&tmp, 0);
+        fs::write(segment_path(tmp.path(), 5), SEGMENT_MAGIC).unwrap();
+        match Wal::open(tmp.path(), 1 << 20, true) {
+            Err(WalError::Corrupt(msg)) => assert!(msg.contains("bad segment magic"), "{msg}"),
+            other => panic!("expected Corrupt, got {:?}", other.map(|(_, recs)| recs)),
+        }
     }
 
     #[test]

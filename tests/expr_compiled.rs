@@ -289,7 +289,20 @@ impl StatefulUdf for Counter {
     }
 }
 
-/// The corpus on a fresh builder with `counter` and TwitInfo's
+/// A stateful UDF that fails on its third call.
+struct Boom(u32);
+
+impl StatefulUdf for Boom {
+    fn call(&mut self, _: &[Value], _: Timestamp) -> Result<Value, QueryError> {
+        self.0 += 1;
+        match self.0 {
+            3 => Err(QueryError::Exec("boom".into())),
+            n => Ok(Value::Int(n.into())),
+        }
+    }
+}
+
+/// The corpus on a fresh builder with `counter`, `boom` and TwitInfo's
 /// `detect_peak`/`in_peak` registered.
 fn builder(compiled: bool) -> EngineBuilder {
     let api = StreamingApi::new(corpus().clone(), VirtualClock::new());
@@ -298,6 +311,7 @@ fn builder(compiled: bool) -> EngineBuilder {
         .configure_registry(|r| {
             twitinfo::udfs::register(r, twitinfo::PeakDetectorConfig::default());
             r.register_stateful("counter", Arc::new(|| Box::new(Counter(0))));
+            r.register_stateful("boom", Arc::new(|| Box::new(Boom(0))));
         })
 }
 
@@ -434,6 +448,25 @@ fn stateful_conjunct_keeps_its_written_order() {
             reference.rows,
             "standing host: {sql}"
         );
+    }
+}
+
+/// A call ahead of a literal that settles its chain runs in the fast
+/// plan as it does in the reference: `boom` fails on its third call,
+/// so both fail, whatever the literal says.
+#[test]
+fn a_settling_literal_keeps_the_call_before_it() {
+    for sql in [
+        "SELECT text FROM twitter WHERE boom(followers) > 0 OR true",
+        "SELECT text FROM twitter WHERE boom(followers) > 0 AND false",
+    ] {
+        let run = |compiled| {
+            let result = builder(compiled).build().execute(sql);
+            result.map(|r| r.rows).map_err(|e| e.to_string())
+        };
+        let reference = run(false);
+        assert!(reference.is_err(), "{sql}: {reference:?}");
+        assert_eq!(run(true), reference, "{sql}");
     }
 }
 

@@ -23,8 +23,11 @@
 //! its query to a host of its own and drops it like any other, so the
 //! one-query host constructor (`one_query`) and its plan hand-back
 //! (`into_query`) are gone. A checkpoint is a record in the log, so
-//! the checkpoint file's reader (`read_checkpoint`) is gone. No Rust
-//! source outside `benchmark/` may call or define any of them.
+//! the checkpoint file's reader (`read_checkpoint`) is gone. Rows
+//! enter an operator only as a batch, so the per-row entry
+//! (`on_record`) and the tweet-batch decode behind it (`row_shim`) are
+//! gone. No Rust source outside `benchmark/` may call or define any of
+//! them.
 
 use std::path::Path;
 
@@ -57,6 +60,8 @@ const RETIRED_FNS: &[&str] = &[
     "one_query",
     "into_query",
     "read_checkpoint",
+    "on_record",
+    "row_shim",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
