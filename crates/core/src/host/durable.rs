@@ -17,6 +17,8 @@
 //! * `Taken` — the **cumulative** count of rows a query has handed out
 //!   through [`QueryHost::take_output`]. Replay suppresses exactly that
 //!   many leading rows, so a restart never re-delivers output.
+//! * `Source` — a new log's first record: the stream it was written
+//!   against. A log without a checkpoint recovers only against it.
 //!
 //! Every record is appended and fsynced *after* the in-memory effect
 //! for registrations (an unlogged registration is as if it never
@@ -53,12 +55,17 @@ const TAG_REGISTER: u8 = 1;
 const TAG_DROP: u8 = 2;
 const TAG_TAKEN: u8 = 3;
 const TAG_CHECKPOINT: u8 = 4;
+const TAG_SOURCE: u8 = 5;
 
 /// Checkpoint payload format version.
 const CHECKPOINT_VERSION: u32 = 1;
 
 fn dur(e: WalError) -> QueryError {
     QueryError::Durability(e.to_string())
+}
+
+fn refuse<T>(message: impl Into<String>) -> Result<T, QueryError> {
+    Err(QueryError::Durability(message.into()))
 }
 
 /// Where and how the host persists its write-ahead log and checkpoints.
@@ -217,18 +224,27 @@ fn decode_record(bytes: &[u8]) -> Result<WalRecord, QueryError> {
             id: d.u64().map_err(dur)?,
             total: d.u64().map_err(dur)?,
         },
-        tag => {
-            return Err(QueryError::Durability(format!(
-                "unknown WAL record tag {tag}"
-            )))
-        }
+        tag => return refuse(format!("unknown WAL record tag {tag}")),
     };
     if !d.done() {
-        return Err(QueryError::Durability(
-            "trailing bytes after WAL record".into(),
-        ));
+        return refuse("trailing bytes after WAL record");
     }
     Ok(rec)
+}
+
+/// The first record of a log: the stream it was written against, as
+/// the builder's [`config_fingerprint`], the API log's length, and its
+/// first and last tweets' ids and timestamps.
+fn source_header(b: &EngineBuilder) -> Vec<u8> {
+    let log = b.api.log();
+    let mut buf = vec![TAG_SOURCE];
+    put_u64(&mut buf, config_fingerprint(&b.config));
+    put_u64(&mut buf, log.len() as u64);
+    for t in [log.first(), log.last()].into_iter().flatten() {
+        put_u64(&mut buf, t.id);
+        put_i64(&mut buf, t.created_at.millis());
+    }
+    buf
 }
 
 /// One live registration inside a checkpoint.
@@ -258,16 +274,14 @@ fn decode_checkpoint(lsn: u64, bytes: &[u8]) -> Result<Checkpoint, QueryError> {
     let mut d = Dec::new(&bytes[1..]); // past the tag
     let version = d.u32().map_err(dur)?;
     if version != CHECKPOINT_VERSION {
-        return Err(QueryError::Durability(format!(
-            "unsupported checkpoint version {version}"
-        )));
+        return refuse(format!("unsupported checkpoint version {version}"));
     }
     let fingerprint = d.u64().map_err(dur)?;
     let last_lsn = d.u64().map_err(dur)?;
     if last_lsn != lsn - 1 {
-        return Err(QueryError::Durability(format!(
+        return refuse(format!(
             "checkpoint at lsn {lsn} says it follows lsn {last_lsn}"
-        )));
+        ));
     }
     let fr = dec_frontier(&mut d).map_err(dur)?;
     let position = d.i64().map_err(dur)?;
@@ -289,9 +303,7 @@ fn decode_checkpoint(lsn: u64, bytes: &[u8]) -> Result<Checkpoint, QueryError> {
         });
     }
     if !d.done() {
-        return Err(QueryError::Durability(
-            "trailing bytes after checkpoint payload".into(),
-        ));
+        return refuse("trailing bytes after checkpoint payload");
     }
     Ok(Checkpoint {
         fingerprint,
@@ -516,10 +528,10 @@ impl QueryHost {
     /// stream exhaustion, finish the same way.
     fn pump_to_frontier(&mut self, fr: Frontier) -> Result<(), QueryError> {
         if self.stats.tweets_delivered > fr.delivered || self.stats.gaps > fr.gaps {
-            return Err(QueryError::Durability(format!(
+            return refuse(format!(
                 "log frontier regression: host is at {}t/{}g, record wants {}t/{}g",
                 self.stats.tweets_delivered, self.stats.gaps, fr.delivered, fr.gaps
-            )));
+            ));
         }
         // Replayed registrations that share a frontier (a burst) reach
         // here with nothing to pump and must not each pay a build.
@@ -562,9 +574,7 @@ impl QueryHost {
         self.pump_to_frontier(fr)?;
         let got = self.register_inner(sql, Some((QueryId::new(id), at)))?;
         if got.raw() != id {
-            return Err(QueryError::Durability(format!(
-                "replayed registration got {got}, log says q{id}"
-            )));
+            return refuse(format!("replayed registration got {got}, log says q{id}"));
         }
         if let Some(q) = self.queries.last_mut() {
             q.suppress = suppress;
@@ -579,41 +589,34 @@ impl QueryHost {
     fn ckpt_verify(&mut self, c: &Checkpoint) -> Result<(), QueryError> {
         self.flush_batch()?;
         let mut bad = Vec::new();
-        if self.position.millis() != c.position {
-            bad.push(format!(
-                "position {} != logged {}",
-                self.position.millis(),
-                c.position
-            ));
+        let position = self.position.millis();
+        if position != c.position {
+            bad.push(format!("position {position} != logged {}", c.position));
         }
         if self.feed.cadence().next().map(|t| t.millis()) != c.next_wm {
             bad.push("watermark cursor diverged".into());
         }
-        if self.stats.watermarks != c.watermarks {
+        let (watermarks, logged) = (self.stats.watermarks, c.watermarks);
+        if watermarks != logged {
+            bad.push(format!("watermarks {watermarks} != logged {logged}"));
+        }
+        let (hd, logged) = (self.host_digest(), c.host_digest);
+        if hd != logged {
             bad.push(format!(
-                "watermarks {} != logged {}",
-                self.stats.watermarks, c.watermarks
+                "query state digest {hd:#018x} != logged {logged:#018x}"
             ));
         }
-        let hd = self.host_digest();
-        if hd != c.host_digest {
+        let (sd, logged) = (self.source_digest(), c.source_digest);
+        if sd != logged {
             bad.push(format!(
-                "query state digest {:#018x} != logged {:#018x}",
-                hd, c.host_digest
-            ));
-        }
-        let sd = self.source_digest();
-        if sd != c.source_digest {
-            bad.push(format!(
-                "source state digest {:#018x} != logged {:#018x}",
-                sd, c.source_digest
+                "source state digest {sd:#018x} != logged {logged:#018x}"
             ));
         }
         if !bad.is_empty() {
-            return Err(QueryError::Durability(format!(
+            return refuse(format!(
                 "replay diverged from checkpoint: {}",
                 bad.join("; ")
-            )));
+            ));
         }
         if let Some(d) = self.durable.as_mut() {
             d.last_checkpoint = c.fr.delivered;
@@ -630,7 +633,8 @@ impl QueryHost {
 /// and [`EngineBuilder::recover_with`].
 pub(crate) fn recover(b: EngineBuilder, cfg: DurabilityConfig) -> Result<QueryHost, QueryError> {
     let fingerprint = config_fingerprint(&b.config);
-    let (wal, log) = Wal::open(&cfg.dir, cfg.segment_bytes, cfg.fsync).map_err(dur)?;
+    let source = source_header(&b);
+    let (mut wal, log) = Wal::open(&cfg.dir, cfg.segment_bytes, cfg.fsync).map_err(dur)?;
     // The records before the last checkpoint are compacted into it, and
     // only a checkpoint lets the log's start be pruned.
     let last = log
@@ -639,23 +643,41 @@ pub(crate) fn recover(b: EngineBuilder, cfg: DurabilityConfig) -> Result<QueryHo
     let ckpt = match last {
         Some(i) => Some(decode_checkpoint(log[i].0, &log[i].1)?),
         None if wal.next_lsn() != log.len() as u64 + 1 => {
-            return Err(QueryError::Durability(
-                "the log was pruned but holds no checkpoint".into(),
-            ))
+            return refuse("the log was pruned but holds no checkpoint")
         }
         None => None,
     };
     if let Some(c) = &ckpt {
         if c.fingerprint != fingerprint {
-            return Err(QueryError::Durability(format!(
+            return refuse(format!(
                 "checkpoint was written under a different engine configuration \
                  (logged fingerprint {:#018x}, this builder {:#018x})",
                 c.fingerprint, fingerprint
-            )));
+            ));
         }
     }
+    // A log that holds no checkpoint is checked against the source its
+    // header names; a log written before headers existed has none.
+    let header = log.first().filter(|(_, r)| r.first() == Some(&TAG_SOURCE));
+    if let (None, Some((_, logged))) = (&ckpt, header) {
+        let values = |h: &[u8]| {
+            let mut d = Dec::new(&h[1..]);
+            std::iter::from_fn(|| d.u64().ok()).collect::<Vec<_>>()
+        };
+        let (logged, ours) = (values(logged), values(&source));
+        if logged != ours {
+            return refuse(format!(
+                "the log was written against another source: logged {logged:?}, this builder \
+                 {ours:?} (fingerprint, tweets, first and last tweet's id and ms)"
+            ));
+        }
+    }
+    if wal.next_lsn() == 1 {
+        wal.append(&source).map_err(dur)?;
+        wal.sync().map_err(dur)?;
+    }
     let mut records = Vec::new();
-    for (_, bytes) in &log[last.map_or(0, |i| i + 1)..] {
+    for (_, bytes) in &log[last.map_or(usize::from(header.is_some()), |i| i + 1)..] {
         records.push(decode_record(bytes)?);
     }
     // The final cumulative taken-count per query (checkpoint value

@@ -1,4 +1,8 @@
-//! Recursive-descent parser: token stream → [`SelectStmt`].
+//! Parser: token stream → [`SelectStmt`], statements by recursive
+//! descent and expressions by precedence climbing (Pratt 1973): one
+//! loop holds each operator on a stack until its right operand is read,
+//! and a table of binding powers decides when the next one applies, so
+//! only a parenthesis or a call's argument list recurses.
 //!
 //! Every expression the parser builds carries the [`Span`] of the source
 //! bytes it was parsed from, so later passes (the [`crate::check`]
@@ -25,9 +29,9 @@ const RESERVED: &[&str] = &[
 /// parenthesis (a call's included), unary operator, arithmetic or
 /// comparison operator, and AND or OR chain of any length. A deeper
 /// one is a parse error at the token past the cap. A query at the cap
-/// registers and runs on a 2 MiB thread in a debug build, where 100
-/// levels fit and 128 overflow the stack: nested parentheses while
-/// parsing, a long `+` chain in the passes after.
+/// registers and runs on a 2 MiB thread in a debug build, where 460
+/// levels fit and 476 overflow the stack in the passes after the
+/// parser; the parser takes 4 KiB a parenthesis.
 pub const MAX_DEPTH: usize = 64;
 
 /// Parse one TweeQL statement.
@@ -47,6 +51,66 @@ pub fn parse_expr(input: &str) -> Result<Expr, QueryError> {
     Ok(e)
 }
 
+/// Binding powers, loosest first.
+const OR: u8 = 1;
+const AND: u8 = 2;
+const NOT: u8 = 3;
+const CMP: u8 = 4;
+const SUM: u8 = 5;
+const PRODUCT: u8 = 6;
+const UNARY: u8 = 7;
+
+/// An operator of the expression grammar.
+#[derive(Clone, Copy, PartialEq)]
+enum Op {
+    Or,
+    And,
+    Not,
+    Neg,
+    Bin(BinOp),
+    Contains,
+    /// `MATCHES`, `IS [NOT] NULL` and `[NOT] IN`: no right operand.
+    Postfix,
+}
+
+/// An operator waiting for its right operand.
+struct Pending {
+    op: Op,
+    power: u8,
+    /// Where the operator, or a chain's first keyword, stands.
+    pos: usize,
+    /// The operands before the right one: none for a prefix operator.
+    operands: Vec<Expr>,
+    /// The levels of the deepest of `operands`.
+    below: usize,
+}
+
+impl Pending {
+    fn new(op: Op, power: u8, pos: usize, operands: Vec<Expr>, below: usize) -> Pending {
+        Pending {
+            op,
+            power,
+            pos,
+            operands,
+            below,
+        }
+    }
+}
+
+/// The literal `tok` spells, if it spells one.
+fn literal(tok: &Tok) -> Option<Value> {
+    Some(match tok {
+        Tok::Int(i) => Value::Int(*i),
+        Tok::Float(f) => Value::Float(*f),
+        Tok::Str(s) => Value::from(s.as_str()),
+        Tok::Ident(w) if w == "null" => Value::Null,
+        Tok::Ident(w) if w == "true" => Value::Bool(true),
+        Tok::Ident(w) if w == "false" => Value::Bool(false),
+        _ => return None,
+    })
+}
+
+#[derive(Default)]
 struct Parser {
     toks: Vec<SpannedTok>,
     pos: usize,
@@ -54,7 +118,7 @@ struct Parser {
     last_end: usize,
     /// Parentheses and unary operators open around the current token.
     opened: usize,
-    /// Levels of the expression the last expression method returned.
+    /// Levels of the expression read last.
     depth: usize,
 }
 
@@ -62,10 +126,7 @@ impl Parser {
     fn new(toks: Vec<SpannedTok>) -> Parser {
         Parser {
             toks,
-            pos: 0,
-            last_end: 0,
-            opened: 0,
-            depth: 0,
+            ..Parser::default()
         }
     }
 
@@ -91,13 +152,11 @@ impl Parser {
     }
 
     fn within_cap(depth: usize, pos: usize) -> Result<(), QueryError> {
-        if depth > MAX_DEPTH {
-            return Err(QueryError::parse(
-                format!("expression nests deeper than {MAX_DEPTH} levels"),
-                pos,
-            ));
+        if depth <= MAX_DEPTH {
+            return Ok(());
         }
-        Ok(())
+        let deep = format!("expression nests deeper than {MAX_DEPTH} levels");
+        Err(QueryError::parse(deep, pos))
     }
 
     fn peek(&self) -> &Tok {
@@ -106,6 +165,11 @@ impl Parser {
 
     fn peek_pos(&self) -> usize {
         self.toks[self.pos].pos
+    }
+
+    /// A parse error at the next token.
+    fn fail<T>(&self, message: impl Into<String>) -> Result<T, QueryError> {
+        Err(QueryError::parse(message, self.peek_pos()))
     }
 
     fn peek_span(&self) -> Span {
@@ -127,44 +191,56 @@ impl Parser {
     }
 
     fn eat_tok(&mut self, t: &Tok) -> bool {
-        if self.peek() == t {
+        let at = self.peek() == t;
+        if at {
             self.bump();
-            true
-        } else {
-            false
         }
+        at
     }
 
-    /// Consume an identifier equal to `kw` (keywords are contextual).
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if matches!(self.peek(), Tok::Ident(s) if s == kw) {
-            self.bump();
-            true
-        } else {
-            false
+    /// One or more `item`s separated by commas.
+    fn list<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, QueryError>,
+    ) -> Result<Vec<T>, QueryError> {
+        let mut items = vec![item(self)?];
+        while self.eat_tok(&Tok::Comma) {
+            items.push(item(self)?);
         }
+        Ok(items)
+    }
+
+    /// Is the token `ahead` past the next one an identifier equal to
+    /// `kw`? Keywords are contextual.
+    fn at_kw(&self, ahead: usize, kw: &str) -> bool {
+        matches!(self.toks.get(self.pos + ahead).map(|t| &t.tok), Some(Tok::Ident(s)) if s == kw)
+    }
+
+    /// Consume an identifier equal to `kw`.
+    fn eat_kw(&mut self, kw: &str) -> bool {
+        let at = self.at_kw(0, kw);
+        if at {
+            self.bump();
+        }
+        at
     }
 
     fn expect_kw(&mut self, kw: &str) -> Result<(), QueryError> {
         if self.eat_kw(kw) {
-            Ok(())
-        } else {
-            Err(QueryError::parse(
-                format!("expected {}, found {}", kw.to_uppercase(), self.peek()),
-                self.peek_pos(),
-            ))
+            return Ok(());
         }
+        self.fail(format!(
+            "expected {}, found {}",
+            kw.to_uppercase(),
+            self.peek()
+        ))
     }
 
     fn expect_tok(&mut self, t: Tok) -> Result<(), QueryError> {
         if self.eat_tok(&t) {
-            Ok(())
-        } else {
-            Err(QueryError::parse(
-                format!("expected {t}, found {}", self.peek()),
-                self.peek_pos(),
-            ))
+            return Ok(());
         }
+        self.fail(format!("expected {t}, found {}", self.peek()))
     }
 
     fn expect_ident(&mut self) -> Result<String, QueryError> {
@@ -178,22 +254,15 @@ impl Parser {
                 self.bump();
                 Ok((s, span))
             }
-            other => Err(QueryError::parse(
-                format!("expected identifier, found {other}"),
-                self.peek_pos(),
-            )),
+            other => self.fail(format!("expected identifier, found {other}")),
         }
     }
 
     fn expect_eof(&mut self) -> Result<(), QueryError> {
         if matches!(self.peek(), Tok::Eof) {
-            Ok(())
-        } else {
-            Err(QueryError::parse(
-                format!("unexpected trailing input: {}", self.peek()),
-                self.peek_pos(),
-            ))
+            return Ok(());
         }
+        self.fail(format!("unexpected trailing input: {}", self.peek()))
     }
 
     fn select_stmt(&mut self) -> Result<SelectStmt, QueryError> {
@@ -222,56 +291,32 @@ impl Parser {
             None
         };
 
-        let where_clause = if self.eat_kw("where") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
+        let where_clause = self.eat_kw("where").then(|| self.expr()).transpose()?;
 
-        let mut group_by = Vec::new();
-        let mut group_by_spans = Vec::new();
+        let (mut group_by, mut group_by_spans) = (Vec::new(), Vec::new());
         if self.eat_kw("group") {
             self.expect_kw("by")?;
-            loop {
-                let (name, span) = self.expect_ident_spanned()?;
-                group_by.push(name);
-                group_by_spans.push(span);
-                if !self.eat_tok(&Tok::Comma) {
-                    break;
-                }
-            }
+            let names = self.list(Self::expect_ident_spanned)?;
+            (group_by, group_by_spans) = names.into_iter().unzip();
         }
 
-        let having = if self.eat_kw("having") {
-            Some(self.expr()?)
-        } else {
-            None
-        };
+        let having = self.eat_kw("having").then(|| self.expr()).transpose()?;
 
         let window_start = self.peek_pos();
-        let window = if self.eat_kw("window") {
-            Some(self.window_spec()?)
-        } else {
-            None
-        };
-        let window_span = if window.is_some() {
-            self.span_from(window_start)
-        } else {
-            Span::DUMMY
-        };
+        let window = self
+            .eat_kw("window")
+            .then(|| self.window_spec())
+            .transpose()?;
+        let window_span = window
+            .as_ref()
+            .map_or(Span::DUMMY, |_| self.span_from(window_start));
 
-        let limit = if self.eat_kw("limit") {
-            match self.bump() {
-                Tok::Int(n) if n >= 0 => Some(n as u64),
-                other => {
-                    return Err(QueryError::parse(
-                        format!("LIMIT wants a nonnegative integer, found {other}"),
-                        self.peek_pos(),
-                    ))
-                }
+        let limit = match self.eat_kw("limit").then(|| self.bump()) {
+            None => None,
+            Some(Tok::Int(n)) if n >= 0 => Some(n as u64),
+            Some(other) => {
+                return self.fail(format!("LIMIT wants a nonnegative integer, found {other}"))
             }
-        } else {
-            None
         };
 
         Ok(SelectStmt {
@@ -300,24 +345,14 @@ impl Parser {
     }
 
     fn select_list(&mut self) -> Result<Vec<SelectItem>, QueryError> {
-        let mut items = Vec::new();
-        loop {
-            if self.eat_tok(&Tok::Star) {
-                items.push(SelectItem::Wildcard);
-            } else {
-                let expr = self.expr()?;
-                let alias = if self.eat_kw("as") {
-                    Some(self.expect_ident()?)
-                } else {
-                    None
-                };
-                items.push(SelectItem::Expr { expr, alias });
+        self.list(|p| {
+            if p.eat_tok(&Tok::Star) {
+                return Ok(SelectItem::Wildcard);
             }
-            if !self.eat_tok(&Tok::Comma) {
-                break;
-            }
-        }
-        Ok(items)
+            let expr = p.expr()?;
+            let alias = p.eat_kw("as").then(|| p.expect_ident()).transpose()?;
+            Ok(SelectItem::Expr { expr, alias })
+        })
     }
 
     fn window_spec(&mut self) -> Result<WindowSpec, QueryError> {
@@ -326,41 +361,25 @@ impl Parser {
                 Tok::Float(f) => f,
                 Tok::Int(i) => i as f64,
                 other => {
-                    return Err(QueryError::parse(
-                        format!("WINDOW CONFIDENCE wants a number, found {other}"),
-                        self.peek_pos(),
-                    ))
+                    return self.fail(format!("WINDOW CONFIDENCE wants a number, found {other}"))
                 }
             };
-            let max_age = if self.eat_kw("max") {
-                Some(self.duration()?)
-            } else {
-                None
-            };
+            let max_age = self.eat_kw("max").then(|| self.duration()).transpose()?;
             return Ok(WindowSpec::Confidence { epsilon, max_age });
         }
         let n = match self.bump() {
             Tok::Int(n) if n > 0 => n,
-            other => {
-                return Err(QueryError::parse(
-                    format!("WINDOW wants a positive count, found {other}"),
-                    self.peek_pos(),
-                ))
-            }
+            other => return self.fail(format!("WINDOW wants a positive count, found {other}")),
         };
         let unit = self.expect_ident()?;
         if unit == "tuples" || unit == "tuple" || unit == "rows" {
             return Ok(WindowSpec::Count(n as u64));
         }
-        let d = Duration::parse(&format!("{n} {unit}"))
-            .map_err(|e| QueryError::parse(e.to_string(), self.peek_pos()))?;
+        let d = Duration::parse(&format!("{n} {unit}")).or_else(|e| self.fail(e.to_string()))?;
         if self.eat_kw("slide") {
             let slide = self.duration()?;
             if slide.millis() <= 0 || slide > d {
-                return Err(QueryError::parse(
-                    "SLIDE must be positive and no longer than the window",
-                    self.peek_pos(),
-                ));
+                return self.fail("SLIDE must be positive and no longer than the window");
             }
             return Ok(WindowSpec::Sliding { size: d, slide });
         }
@@ -370,162 +389,165 @@ impl Parser {
     fn duration(&mut self) -> Result<Duration, QueryError> {
         let n = match self.bump() {
             Tok::Int(n) if n > 0 => n,
-            other => {
-                return Err(QueryError::parse(
-                    format!("expected duration count, found {other}"),
-                    self.peek_pos(),
-                ))
-            }
+            other => return self.fail(format!("expected duration count, found {other}")),
         };
         let unit = self.expect_ident()?;
-        Duration::parse(&format!("{n} {unit}"))
-            .map_err(|e| QueryError::parse(e.to_string(), self.peek_pos()))
+        Duration::parse(&format!("{n} {unit}")).or_else(|e| self.fail(e.to_string()))
     }
 
     // ---- expressions ----
 
+    /// One expression, by precedence climbing: an operator waits on
+    /// `ops` for its right operand, and an operand's operators are
+    /// applied as soon as the next one binds no tighter, so only a
+    /// parenthesis or a call's arguments recurse.
     fn expr(&mut self) -> Result<Expr, QueryError> {
-        let and = |p: &mut Parser| p.logic_chain(Parser::not_expr, "and", ExprKind::And);
-        self.logic_chain(and, "or", ExprKind::Or)
-    }
-
-    /// `operand`s joined by the keyword `kw`: one chain node, one level
-    /// above its deepest operand however many there are, opened at its
-    /// first `kw`.
-    fn logic_chain(
-        &mut self,
-        operand: fn(&mut Parser) -> Result<Expr, QueryError>,
-        kw: &str,
-        kind: fn(Vec<Expr>) -> ExprKind,
-    ) -> Result<Expr, QueryError> {
-        let first = operand(self)?;
-        let (pos, mut below) = (self.peek_pos(), self.depth);
-        if !self.eat_kw(kw) {
-            return Ok(first);
-        }
-        let mut items = vec![first];
+        let mut ops = Vec::new();
         loop {
-            items.push(operand(self)?);
-            below = below.max(self.depth);
-            if !self.eat_kw(kw) {
-                return self.level(Expr::chain(kind, items), below, pos);
+            self.prefixes(&mut ops)?;
+            let e = self.primary()?;
+            if let Some(e) = self.infix(&mut ops, e)? {
+                return Ok(e);
             }
         }
     }
 
-    /// A left-deep chain of `operand`s joined by the operators `op`
-    /// eats, one level each: arithmetic.
-    fn chain(
-        &mut self,
-        operand: fn(&mut Parser) -> Result<Expr, QueryError>,
-        op: fn(&mut Parser) -> Option<BinOp>,
-    ) -> Result<Expr, QueryError> {
-        let mut left = operand(self)?;
+    /// Prefix minuses, after NOTs where a NOT may stand.
+    fn prefixes(&mut self, ops: &mut Vec<Pending>) -> Result<(), QueryError> {
+        loop {
+            let top = ops.last().map_or(0, |p| p.power);
+            let (op, power) = match self.peek() {
+                Tok::Minus => (Op::Neg, UNARY),
+                Tok::Ident(w) if w == "not" && top <= NOT => (Op::Not, NOT),
+                _ => return Ok(()),
+            };
+            let pos = self.peek_pos();
+            self.bump();
+            self.open(pos)?;
+            ops.push(Pending::new(op, power, pos, Vec::new(), 0));
+        }
+    }
+
+    /// The operators after the operand `e`: `None` once one waits for
+    /// its right operand, the whole expression once none is left.
+    fn infix(&mut self, ops: &mut Vec<Pending>, mut e: Expr) -> Result<Option<Expr>, QueryError> {
+        let mut power = UNARY;
         loop {
             let pos = self.peek_pos();
-            let Some(op) = op(self) else {
-                return Ok(left);
-            };
-            let below = self.depth;
-            let right = operand(self)?;
-            let e = Expr::binary(op, left, right);
-            left = self.level(e, below.max(self.depth), pos)?;
-        }
-    }
-
-    /// Eat the next token if `ops` names it, giving its operator.
-    fn eat_op(&mut self, ops: &[(Tok, BinOp)]) -> Option<BinOp> {
-        let &(_, op) = ops.iter().find(|(t, _)| t == self.peek())?;
-        self.bump();
-        Some(op)
-    }
-
-    fn not_expr(&mut self) -> Result<Expr, QueryError> {
-        let start = self.peek_pos();
-        if self.eat_kw("not") {
-            self.open(start)?;
-            let inner = self.not_expr()?;
-            let span = Span::new(start, inner.span.end.max(start));
-            self.close(Expr::not(inner).with_span(span), start)
-        } else {
-            self.comparison()
-        }
-    }
-
-    fn comparison(&mut self) -> Result<Expr, QueryError> {
-        let left = self.additive()?;
-        let below = self.depth;
-        let pos = self.peek_pos();
-        let op = match self.peek() {
-            Tok::Eq => Some(BinOp::Eq),
-            Tok::Ne => Some(BinOp::Ne),
-            Tok::Lt => Some(BinOp::Lt),
-            Tok::Le => Some(BinOp::Le),
-            Tok::Gt => Some(BinOp::Gt),
-            Tok::Ge => Some(BinOp::Ge),
-            _ => None,
-        };
-        if let Some(op) = op {
-            self.bump();
-            let right = self.additive()?;
-            let e = Expr::binary(op, left, right);
-            return self.level(e, below.max(self.depth), pos);
-        }
-        if self.eat_kw("contains") {
-            let pattern = self.additive()?;
-            let e = Expr::contains(left, pattern);
-            return self.level(e, below.max(self.depth), pos);
-        }
-        if self.eat_kw("matches") {
-            let pat_pos = self.peek_pos();
-            match self.bump() {
-                Tok::Str(pat) => {
-                    let span = Span::new(left.span.start, self.last_end);
-                    return self.level(Expr::matches(left, pat).with_span(span), below, pos);
-                }
-                other => {
-                    return Err(QueryError::parse(
-                        format!("MATCHES wants a string pattern, found {other}"),
-                        pat_pos,
-                    ))
+            let next = self.peek_op();
+            if let (Some((op, _)), Some(top)) = (next, ops.last_mut()) {
+                // The keyword of the chain on top: one more operand.
+                if top.op == op && matches!(op, Op::And | Op::Or) {
+                    top.below = top.below.max(self.depth);
+                    top.operands.push(e);
+                    self.bump();
+                    return Ok(None);
                 }
             }
+            let top = ops.last().map_or(0, |p| p.power);
+            match next {
+                // Chains and comparisons take a left operand that binds
+                // tighter than they do, arithmetic one that binds as
+                // tightly.
+                Some((op, p)) if p > top && power >= p + u8::from(p < SUM) => {
+                    if op == Op::Postfix {
+                        e = self.postfix(e, pos)?;
+                        power = CMP;
+                        continue;
+                    }
+                    self.bump();
+                    ops.push(Pending::new(op, p, pos, vec![e], self.depth));
+                    return Ok(None);
+                }
+                _ => {
+                    let Some(done) = ops.pop() else {
+                        return Ok(Some(e));
+                    };
+                    power = done.power;
+                    e = self.reduce(done, e)?;
+                }
+            }
+        }
+    }
+
+    /// The binding-power table: the operator the next token starts, if
+    /// any, and how tightly it binds.
+    fn peek_op(&self) -> Option<(Op, u8)> {
+        Some(match self.peek() {
+            Tok::Ident(w) => match w.as_str() {
+                "or" => (Op::Or, OR),
+                "and" => (Op::And, AND),
+                "contains" => (Op::Contains, CMP),
+                "matches" | "is" | "in" => (Op::Postfix, CMP),
+                "not" if self.at_kw(1, "in") => (Op::Postfix, CMP),
+                _ => return None,
+            },
+            Tok::Eq => (Op::Bin(BinOp::Eq), CMP),
+            Tok::Ne => (Op::Bin(BinOp::Ne), CMP),
+            Tok::Lt => (Op::Bin(BinOp::Lt), CMP),
+            Tok::Le => (Op::Bin(BinOp::Le), CMP),
+            Tok::Gt => (Op::Bin(BinOp::Gt), CMP),
+            Tok::Ge => (Op::Bin(BinOp::Ge), CMP),
+            Tok::Plus => (Op::Bin(BinOp::Add), SUM),
+            Tok::Minus => (Op::Bin(BinOp::Sub), SUM),
+            Tok::Star => (Op::Bin(BinOp::Mul), PRODUCT),
+            Tok::Slash => (Op::Bin(BinOp::Div), PRODUCT),
+            Tok::Percent => (Op::Bin(BinOp::Mod), PRODUCT),
+            _ => return None,
+        })
+    }
+
+    /// Apply `p` to its last operand `e`: one level above the deepest
+    /// of its operands, checked at the operator.
+    fn reduce(&mut self, mut p: Pending, e: Expr) -> Result<Expr, QueryError> {
+        let below = p.below.max(self.depth);
+        let node = match p.op {
+            Op::Not | Op::Neg => {
+                self.opened -= 1;
+                let span = Span::new(p.pos, e.span.end.max(p.pos));
+                let not = p.op == Op::Not;
+                let node = if not { Expr::not(e) } else { Expr::neg(e) };
+                node.with_span(span)
+            }
+            Op::And | Op::Or => {
+                p.operands.push(e);
+                let and = p.op == Op::And;
+                Expr::chain(if and { ExprKind::And } else { ExprKind::Or }, p.operands)
+            }
+            Op::Bin(b) => Expr::binary(b, p.operands.remove(0), e),
+            Op::Contains => Expr::contains(p.operands.remove(0), e),
+            Op::Postfix => unreachable!("a postfix form is complete where it is read"),
+        };
+        self.level(node, below, p.pos)
+    }
+
+    /// The rest of a comparison that takes no right operand, at `pos`:
+    /// `MATCHES 'pattern'`, `IS [NOT] NULL` or `[NOT] IN` a list or
+    /// bounding box.
+    fn postfix(&mut self, left: Expr, pos: usize) -> Result<Expr, QueryError> {
+        let (start, below) = (left.span.start, self.depth);
+        if self.eat_kw("matches") {
+            let pat_pos = self.peek_pos();
+            let pat = match self.bump() {
+                Tok::Str(pat) => pat,
+                other => {
+                    let msg = format!("MATCHES wants a string pattern, found {other}");
+                    return Err(QueryError::parse(msg, pat_pos));
+                }
+            };
+            let e = Expr::matches(left, pat).with_span(self.span_from(start));
+            return self.level(e, below, pos);
         }
         if self.eat_kw("is") {
             let negated = self.eat_kw("not");
             self.expect_kw("null")?;
-            let span = Span::new(left.span.start, self.last_end);
-            return self.level(Expr::is_null(left, negated).with_span(span), below, pos);
+            let e = Expr::is_null(left, negated).with_span(self.span_from(start));
+            return self.level(e, below, pos);
         }
-        let negated_in = {
-            // `NOT IN` is handled by not_expr for prefix NOT; support the
-            // infix form too.
-            if matches!(self.peek(), Tok::Ident(s) if s == "not")
-                && matches!(self.toks.get(self.pos + 1).map(|t| &t.tok), Some(Tok::Ident(s)) if s == "in")
-            {
-                self.bump();
-                true
-            } else {
-                false
-            }
-        };
-        if self.eat_kw("in") {
-            let e = self.in_rhs(left)?;
-            return if negated_in {
-                let span = e.span;
-                self.level(Expr::not(e).with_span(span), below + 1, pos)
-            } else {
-                self.level(e, below, pos)
-            };
-        } else if negated_in {
-            return Err(QueryError::parse("expected IN after NOT", self.peek_pos()));
-        }
-        Ok(left)
-    }
-
-    fn in_rhs(&mut self, left: Expr) -> Result<Expr, QueryError> {
+        let negated = self.eat_kw("not");
+        self.bump(); // IN
         let bracket_start = self.peek_pos();
-        if self.eat_tok(&Tok::LBracket) {
+        let e = if self.eat_tok(&Tok::LBracket) {
             // [bounding box for <name...>]
             self.expect_kw("bounding")?;
             self.expect_kw("box")?;
@@ -542,74 +564,27 @@ impl Parser {
                 .ok_or_else(|| QueryError::parse(format!("unknown bounding box {name:?}"), pos))?;
             // The paper writes `location in [...]`; any left expression
             // is accepted but only the tweet's coordinates are tested.
-            let span = Span::new(left.span.start.min(bracket_start), self.last_end);
-            let _ = left;
-            Ok(Expr::new(ExprKind::InBoundingBox { bbox, name }, span))
+            let span = Span::new(start.min(bracket_start), self.last_end);
+            Expr::new(ExprKind::InBoundingBox { bbox, name }, span)
         } else {
             self.expect_tok(Tok::LParen)?;
-            let mut list = Vec::new();
-            loop {
-                let pos = self.peek_pos();
-                let v = match self.bump() {
-                    Tok::Int(i) => Value::Int(i),
-                    Tok::Float(f) => Value::Float(f),
-                    Tok::Str(s) => Value::Str(s.into()),
-                    Tok::Ident(s) if s == "null" => Value::Null,
-                    Tok::Ident(s) if s == "true" => Value::Bool(true),
-                    Tok::Ident(s) if s == "false" => Value::Bool(false),
-                    Tok::Minus => match self.bump() {
-                        Tok::Int(i) => Value::Int(-i),
-                        Tok::Float(f) => Value::Float(-f),
-                        other => {
-                            return Err(QueryError::parse(
-                                format!("bad literal in IN list: -{other}"),
-                                pos,
-                            ))
-                        }
-                    },
-                    other => {
-                        return Err(QueryError::parse(
-                            format!("IN list wants literals, found {other}"),
-                            pos,
-                        ))
+            let list = self.list(|p| {
+                let pos = p.peek_pos();
+                match (p.eat_tok(&Tok::Minus), p.bump()) {
+                    (true, Tok::Int(i)) => Ok(Value::Int(-i)),
+                    (true, Tok::Float(f)) => Ok(Value::Float(-f)),
+                    (true, other) => Err(format!("bad literal in IN list: -{other}")),
+                    (false, tok) => {
+                        literal(&tok).ok_or_else(|| format!("IN list wants literals, found {tok}"))
                     }
-                };
-                list.push(v);
-                if !self.eat_tok(&Tok::Comma) {
-                    break;
                 }
-            }
+                .map_err(|msg| QueryError::parse(msg, pos))
+            })?;
             self.expect_tok(Tok::RParen)?;
-            let span = Span::new(left.span.start, self.last_end);
-            Ok(Expr::in_list(left, list).with_span(span))
-        }
-    }
-
-    fn additive(&mut self) -> Result<Expr, QueryError> {
-        let ops = |p: &mut Parser| p.eat_op(&[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)]);
-        self.chain(Self::multiplicative, ops)
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, QueryError> {
-        self.chain(Self::unary, |p| {
-            p.eat_op(&[
-                (Tok::Star, BinOp::Mul),
-                (Tok::Slash, BinOp::Div),
-                (Tok::Percent, BinOp::Mod),
-            ])
-        })
-    }
-
-    fn unary(&mut self) -> Result<Expr, QueryError> {
-        let start = self.peek_pos();
-        if self.eat_tok(&Tok::Minus) {
-            self.open(start)?;
-            let inner = self.unary()?;
-            let span = Span::new(start, inner.span.end.max(start));
-            self.close(Expr::neg(inner).with_span(span), start)
-        } else {
-            self.primary()
-        }
+            Expr::in_list(left, list).with_span(self.span_from(start))
+        };
+        let e = if negated { Expr::not(e) } else { e };
+        self.level(e, below + usize::from(negated), pos)
     }
 
     fn primary(&mut self) -> Result<Expr, QueryError> {
@@ -617,19 +592,11 @@ impl Parser {
         let tok_span = self.peek_span();
         // A leaf; a parenthesis or call sets the depth it closes at.
         self.depth = 0;
+        if let Some(v) = literal(self.peek()) {
+            self.bump();
+            return Ok(Expr::lit(v).with_span(tok_span));
+        }
         match self.peek().clone() {
-            Tok::Int(i) => {
-                self.bump();
-                Ok(Expr::lit(i).with_span(tok_span))
-            }
-            Tok::Float(f) => {
-                self.bump();
-                Ok(Expr::lit(f).with_span(tok_span))
-            }
-            Tok::Str(s) => {
-                self.bump();
-                Ok(Expr::lit(s).with_span(tok_span))
-            }
             Tok::LParen => {
                 self.bump();
                 self.open(pos)?;
@@ -638,55 +605,13 @@ impl Parser {
                 self.close(e, pos)
             }
             Tok::Ident(name) => {
-                if name == "null" {
-                    self.bump();
-                    return Ok(Expr::dummy(ExprKind::Literal(Value::Null)).with_span(tok_span));
-                }
-                if name == "true" {
-                    self.bump();
-                    return Ok(Expr::lit(true).with_span(tok_span));
-                }
-                if name == "false" {
-                    self.bump();
-                    return Ok(Expr::lit(false).with_span(tok_span));
-                }
                 if RESERVED.contains(&name.as_str()) {
-                    return Err(QueryError::parse(
-                        format!("expected expression, found keyword {}", name.to_uppercase()),
-                        pos,
-                    ));
+                    let upper = name.to_uppercase();
+                    return self.fail(format!("expected expression, found keyword {upper}"));
                 }
                 self.bump();
-                // Function call?
                 if self.eat_tok(&Tok::LParen) {
-                    self.open(pos)?;
-                    // COUNT(*) / COUNT(DISTINCT expr) special cases.
-                    if name == "count" && self.eat_tok(&Tok::Star) {
-                        self.expect_tok(Tok::RParen)?;
-                        let e = Expr::call("count", vec![]).with_span(self.span_from(pos));
-                        return self.close(e, pos);
-                    }
-                    if name == "count" && self.eat_kw("distinct") {
-                        let arg = self.expr()?;
-                        self.expect_tok(Tok::RParen)?;
-                        let e = Expr::call("count_distinct", vec![arg]);
-                        return self.close(e.with_span(self.span_from(pos)), pos);
-                    }
-                    let mut args = Vec::new();
-                    let mut below = 0;
-                    if !self.eat_tok(&Tok::RParen) {
-                        loop {
-                            args.push(self.expr()?);
-                            below = below.max(self.depth);
-                            if !self.eat_tok(&Tok::Comma) {
-                                break;
-                            }
-                        }
-                        self.expect_tok(Tok::RParen)?;
-                    }
-                    self.depth = below;
-                    let e = Expr::new(ExprKind::Call { name, args }, self.span_from(pos));
-                    return self.close(e, pos);
+                    return self.call(name, pos);
                 }
                 // Qualified column?
                 if self.eat_tok(&Tok::Dot) {
@@ -701,11 +626,37 @@ impl Parser {
                 }
                 Ok(Expr::col(&name).with_span(tok_span))
             }
-            other => Err(QueryError::parse(
-                format!("expected expression, found {other}"),
-                pos,
-            )),
+            other => self.fail(format!("expected expression, found {other}")),
         }
+    }
+
+    /// A call of `name` at `pos`, past its opening parenthesis.
+    fn call(&mut self, name: String, pos: usize) -> Result<Expr, QueryError> {
+        self.open(pos)?;
+        // COUNT(*) / COUNT(DISTINCT expr) special cases.
+        if name == "count" && self.eat_tok(&Tok::Star) {
+            self.expect_tok(Tok::RParen)?;
+            let e = Expr::call("count", vec![]).with_span(self.span_from(pos));
+            return self.close(e, pos);
+        }
+        if name == "count" && self.eat_kw("distinct") {
+            let arg = self.expr()?;
+            self.expect_tok(Tok::RParen)?;
+            let e = Expr::call("count_distinct", vec![arg]);
+            return self.close(e.with_span(self.span_from(pos)), pos);
+        }
+        let (mut args, mut below) = (Vec::new(), 0);
+        if !self.eat_tok(&Tok::RParen) {
+            args = self.list(|p| {
+                let arg = p.expr()?;
+                below = below.max(p.depth);
+                Ok(arg)
+            })?;
+            self.expect_tok(Tok::RParen)?;
+        }
+        self.depth = below;
+        let e = Expr::new(ExprKind::Call { name, args }, self.span_from(pos));
+        self.close(e, pos)
     }
 }
 
@@ -969,6 +920,35 @@ mod tests {
         assert!(parse_expr(&shapes[1](100_000)).is_err());
     }
 
+    /// The shapes above, at the cap, parse on a 768 KiB thread in a
+    /// debug build: three times the 256 KiB the deepest (64
+    /// parentheses) takes, measured as the smallest stack in 64 KiB
+    /// steps, and less than the 1,216 KiB a parser with a function per
+    /// precedence level needs.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn at_cap_shapes_parse_on_a_small_stack() {
+        let shapes: [fn(usize) -> String; 5] = [
+            |n| format!("{}1{}", "(".repeat(n), ")".repeat(n)),
+            |n| format!("1{}", " + 1".repeat(n)),
+            |n| format!("{}1", "- ".repeat(n)),
+            |n| format!("{}true", "NOT ".repeat(n)),
+            |n| format!("{}true{} OR true", "(".repeat(n - 1), ")".repeat(n - 1)),
+        ];
+        let parsed = std::thread::Builder::new()
+            .stack_size(768 << 10)
+            .spawn(move || {
+                let sql = |shape: fn(usize) -> String| {
+                    format!("SELECT {} FROM twitter", shape(MAX_DEPTH))
+                };
+                shapes.map(|shape| parse(&sql(shape)).is_ok())
+            })
+            .expect("a parser thread")
+            .join()
+            .expect("no panic");
+        assert_eq!(parsed, [true; 5]);
+    }
+
     /// An AND or OR chain is one node and one level however many
     /// operands it joins; a chain in parentheses stays an operand of its
     /// own, and every chain renders left-nested as before.
@@ -1094,6 +1074,311 @@ mod tests {
                 assert_eq!(&src[left.span.start..left.span.end], "sentiment(text)");
             }
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Window and slide lengths past `i64` milliseconds are a parse
+    /// error, not an overflow.
+    #[test]
+    fn overlong_durations_are_refused() {
+        for sql in [
+            "SELECT count(*) FROM twitter WINDOW 9223372036854775807 hours",
+            "SELECT count(*) FROM twitter WINDOW 3 hours SLIDE 9223372036854775807 days",
+            "SELECT avg(x) FROM twitter WINDOW CONFIDENCE 0.1 MAX 9223372036854775807 minutes",
+        ] {
+            match parse(sql) {
+                Err(QueryError::Parse { message, .. }) => assert!(message.contains("duration")),
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+    }
+
+    /// Seeded generators of front-end input and the properties over
+    /// them. The vendored proptest seeds each test from its name, so
+    /// every run draws the same cases.
+    mod props {
+        use super::*;
+        use crate::catalog::Catalog;
+        use crate::check::check_sql;
+        use crate::plan::logical::render_expr;
+        use crate::udf::{Registry, ServiceConfig};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        use tweeql_model::VirtualClock;
+
+        /// Single tokens a soup draws from: every keyword and operator,
+        /// literals at the lexer's limits, and text it refuses.
+        const TOKENS: &str = "select from where group by having window limit as join on and \
+            or not in is null true false contains matches distinct count ( ) [ ] , ; . * = != \
+            <> < <= > >= + - / % text lang followers lat twitter t sentiment upper 0 7 42 3.25 \
+            1. 9223372036854775807 99999999999999999999 'obama' 'it''s' '' 'open tuples minutes \
+            hours days slide confidence max 0.1 bounding box for nyc new york atlantis -- ! ? \
+            é 日本 \u{1F600}";
+
+        /// Fragments of several tokens a soup draws from.
+        const FRAGMENTS: &[&str] = &[
+            "\n",
+            "SELECT text FROM twitter",
+            "WHERE",
+            "GROUP BY lang",
+            "LIMIT 5",
+            "WINDOW 3 minutes",
+            "WINDOW 9223372036854775807 hours",
+            "SLIDE 2 minutes",
+            "count(*)",
+            "count(distinct",
+            "[bounding box for new york]",
+            "NOT IN (1, -2.5, 'x', null)",
+        ];
+
+        /// Up to 40 tokens and fragments, spaced or glued, after
+        /// `SELECT` or a whole `SELECT … FROM` a third of the time each;
+        /// now and then one repeated past the depth cap.
+        fn soup(rng: &mut StdRng) -> String {
+            let words: Vec<&str> = TOKENS
+                .split_whitespace()
+                .chain(FRAGMENTS.iter().copied())
+                .collect();
+            let mut out = pick(rng, &["", "SELECT ", "SELECT text FROM twitter "]).to_string();
+            for _ in 0..rng.random_range(0..40) {
+                let word = pick(rng, &words);
+                let n = if rng.random_bool(0.02) {
+                    rng.random_range(60..70)
+                } else {
+                    1
+                };
+                for _ in 0..n {
+                    out.push_str(word);
+                    out.push_str(if rng.random_bool(0.9) { " " } else { "" });
+                }
+            }
+            out
+        }
+
+        fn pick<T: Copy>(rng: &mut StdRng, from: &[T]) -> T {
+            from[rng.random_range(0..from.len())]
+        }
+
+        /// A literal the lexer can spell, negative numbers aside.
+        fn literal(rng: &mut StdRng) -> Value {
+            match rng.random_range(0..6) {
+                0 => Value::Int(rng.random_range(0..1000)),
+                1 => Value::Int(i64::MAX),
+                2 => Value::Float(rng.random_range(0..80) as f64 / 8.0),
+                3 => Value::from(pick(rng, &["obama", "it's", "", "a b", "select", "日本"])),
+                4 => Value::Bool(rng.random_bool(0.5)),
+                _ => Value::Null,
+            }
+        }
+
+        /// A column, a literal, `count(*)`, a call without arguments or
+        /// a bounding box: the forms without an operand.
+        fn leaf(rng: &mut StdRng) -> Expr {
+            let name = pick(rng, &["text", "lang", "followers", "lat", "screen_name"]);
+            let call = |name: &str| Expr::call(name, vec![]);
+            match rng.random_range(0..8) {
+                0 => Expr::col(name),
+                1 => Expr::dummy(ExprKind::Column {
+                    qualifier: Some("t".into()),
+                    name: name.into(),
+                }),
+                2 => call("count"),
+                3 => call(pick(rng, &["now", "random"])),
+                4 => {
+                    let name = pick(rng, &["nyc", "new york city", "tokyo"]);
+                    let bbox = BoundingBox::named(name).expect("a known box");
+                    let name = name.into();
+                    Expr::dummy(ExprKind::InBoundingBox { bbox, name })
+                }
+                _ => Expr::lit(literal(rng)),
+            }
+        }
+
+        /// An expression tree `height` nodes tall, one operand of each
+        /// node as tall as allowed and the others short, over every
+        /// `ExprKind` form: `count(*)`, `count(distinct …)`, NOT and minus
+        /// runs, arithmetic, every comparison form and AND and OR chains.
+        fn tree(rng: &mut StdRng, height: usize) -> Expr {
+            if height == 0 {
+                return leaf(rng);
+            }
+            let mut tall = true;
+            let mut sub = |rng: &mut StdRng| {
+                let short = rng.random_range(0..height.min(4));
+                let tall = std::mem::take(&mut tall);
+                Box::new(tree(rng, if tall { height - 1 } else { short }))
+            };
+            let kind = match rng.random_range(0..10) {
+                0 => ExprKind::Call {
+                    name: pick(rng, &["upper", "abs", "count_distinct", "sentiment"]).into(),
+                    args: (0..rng.random_range(1..3)).map(|_| *sub(rng)).collect(),
+                },
+                1 => {
+                    use BinOp::*;
+                    ExprKind::Binary {
+                        op: pick(rng, &[Eq, Ne, Lt, Le, Gt, Ge, Add, Sub, Mul, Div, Mod]),
+                        left: sub(rng),
+                        right: sub(rng),
+                    }
+                }
+                2 => {
+                    let items = (0..rng.random_range(2..5)).map(|_| *sub(rng)).collect();
+                    let and = rng.random_bool(0.5);
+                    if and {
+                        ExprKind::And(items)
+                    } else {
+                        ExprKind::Or(items)
+                    }
+                }
+                3 | 4 => {
+                    let mut e = *sub(rng);
+                    for _ in 0..rng.random_range(1..4) {
+                        e = if rng.random_bool(0.5) {
+                            Expr::not(e)
+                        } else {
+                            Expr::neg(e)
+                        };
+                    }
+                    return e;
+                }
+                5 => ExprKind::Contains {
+                    expr: sub(rng),
+                    pattern: sub(rng),
+                },
+                6 => ExprKind::Matches {
+                    expr: sub(rng),
+                    pattern: pick(rng, &["a+", "\\d+-\\d+", "it's", "[a-z]*"]).into(),
+                },
+                7 => ExprKind::InList {
+                    expr: sub(rng),
+                    list: (0..rng.random_range(1..4))
+                        .map(|_| match (literal(rng), rng.random_bool(0.3)) {
+                            (Value::Int(i), true) => Value::Int(-i),
+                            (Value::Float(f), true) => Value::Float(-f),
+                            (v, _) => v,
+                        })
+                        .collect(),
+                },
+                _ => ExprKind::IsNull {
+                    expr: sub(rng),
+                    negated: rng.random_bool(0.5),
+                },
+            };
+            Expr::dummy(kind)
+        }
+
+        /// The levels the parser counts in `render_expr(e)`: one per
+        /// parenthesis, call, operator and chain. An operand of
+        /// arithmetic, a comparison form or a minus that is a NOT or a
+        /// comparison form renders in parentheses, and so does a minus
+        /// under a minus; a chain renders left-nested, a parenthesis per
+        /// operand after the first.
+        fn levels(e: &Expr) -> usize {
+            let operand = |e: &Expr| {
+                let parens = matches!(
+                    e.kind,
+                    ExprKind::Not(_)
+                        | ExprKind::Contains { .. }
+                        | ExprKind::Matches { .. }
+                        | ExprKind::InList { .. }
+                        | ExprKind::IsNull { .. }
+                        | ExprKind::InBoundingBox { .. }
+                );
+                levels(e) + usize::from(parens)
+            };
+            match &e.kind {
+                ExprKind::Column { .. } | ExprKind::Literal(_) => 0,
+                ExprKind::Call { args, .. } => 1 + args.iter().map(levels).max().unwrap_or(0),
+                ExprKind::Binary { left, right, .. } => 2 + operand(left).max(operand(right)),
+                ExprKind::And(items) | ExprKind::Or(items) => items[1..]
+                    .iter()
+                    .fold(levels(&items[0]), |d, item| 2 + d.max(levels(item))),
+                ExprKind::Not(inner) => 1 + levels(inner),
+                ExprKind::Neg(inner) => {
+                    1 + operand(inner) + usize::from(matches!(inner.kind, ExprKind::Neg(_)))
+                }
+                ExprKind::Contains { expr, pattern } => 1 + operand(expr).max(operand(pattern)),
+                ExprKind::Matches { expr, .. }
+                | ExprKind::InList { expr, .. }
+                | ExprKind::IsNull { expr, .. } => 1 + operand(expr),
+                ExprKind::InBoundingBox { .. } => 1,
+            }
+        }
+
+        /// `s` nested `k` levels deeper in parentheses, NOTs or calls.
+        fn wrap(s: &str, k: usize, how: usize) -> String {
+            match how {
+                0 => format!("{}{s}{}", "(".repeat(k), ")".repeat(k)),
+                1 => format!("{}{s}", "NOT ".repeat(k)),
+                _ => format!("{}{s}{}", "upper(".repeat(k), ")".repeat(k)),
+            }
+        }
+
+        fn refused(s: &str) -> bool {
+            matches!(parse_expr(s), Err(QueryError::Parse { message, .. })
+                if message == format!("expression nests deeper than {MAX_DEPTH} levels"))
+        }
+
+        /// Lex, parse and check `s`: errors are fine and panics are not,
+        /// and a parse error points at a character of `s` or its end.
+        fn total(s: &str) -> Result<(), String> {
+            let inside = |r: Result<(), QueryError>| match r {
+                Err(QueryError::Parse { position, message })
+                    if position > s.len() || !s.is_char_boundary(position) =>
+                {
+                    Err(format!("{message:?} at {position}, outside {s:?}"))
+                }
+                _ => Ok(()),
+            };
+            inside(lex(s).map(drop))?;
+            inside(parse_expr(s).map(drop))?;
+            match parse(s) {
+                Ok(_) => {
+                    let registry =
+                        Registry::standard(&ServiceConfig::default(), VirtualClock::new());
+                    check_sql(s, &Catalog::with_twitter(), &registry).map_err(|e| e.to_string())?;
+                    Ok(())
+                }
+                Err(e) => inside(Err(e)),
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            #[test]
+            fn the_front_end_is_total_on_token_soups(seed in 0u64..u64::MAX) {
+                total(&soup(&mut StdRng::seed_from_u64(seed)))?;
+            }
+
+            #[test]
+            fn the_front_end_is_total_on_arbitrary_text(s in ".{0,120}") {
+                total(&s)?;
+            }
+
+            /// A tree's rendering parses back to one that renders the
+            /// same; nested to exactly the cap it parses, one level past
+            /// it it is refused. A rendering past the cap is refused.
+            #[test]
+            fn every_expression_form_reparses_from_its_rendering(
+                seed in 0u64..u64::MAX,
+                height in 0usize..48,
+                how in 0usize..3,
+            ) {
+                let t = tree(&mut StdRng::seed_from_u64(seed), height);
+                let (s, d) = (render_expr(&t), levels(&t));
+                if d > MAX_DEPTH {
+                    prop_assert!(refused(&s), "{d} levels, not refused: {s}");
+                } else {
+                    let back = parse_expr(&s).map_err(|e| format!("{s}: {e}"))?;
+                    prop_assert_eq!(render_expr(&back), s.clone());
+                    let at_cap = wrap(&s, MAX_DEPTH - d, how);
+                    prop_assert!(parse_expr(&at_cap).is_ok(), "{d} levels, at the cap: {at_cap}");
+                    let past = wrap(&s, MAX_DEPTH + 1 - d, how);
+                    prop_assert!(refused(&past), "{d} levels, past the cap: {past}");
+                }
+            }
         }
     }
 }

@@ -12,7 +12,7 @@ use crate::catalog::Catalog;
 use crate::error::QueryError;
 use crate::udf::Registry;
 use std::sync::Arc;
-use tweeql_model::SchemaRef;
+use tweeql_model::{SchemaRef, Value};
 
 /// One SELECT output expression (wildcards already expanded).
 #[derive(Debug, Clone)]
@@ -157,26 +157,21 @@ impl LogicalPlan {
     }
 }
 
-/// Compact source-level rendering of an expression, for rule
-/// attribution lines and selectivity-hint keys.
+/// Source-level rendering of an expression, for the verifier's
+/// messages: it parses back to an expression that renders the same.
 pub(crate) fn render_expr(e: &Expr) -> String {
     match &e.kind {
         ExprKind::Column { qualifier, name } => match qualifier {
             Some(q) => format!("{q}.{name}"),
             None => name.clone(),
         },
-        ExprKind::Literal(v) => v.to_string(),
+        ExprKind::Literal(v) => literal(v),
         ExprKind::Call { name, args } => format!(
             "{name}({})",
             args.iter().map(render_expr).collect::<Vec<_>>().join(", ")
         ),
         ExprKind::Binary { op, left, right } => {
-            format!(
-                "({} {} {})",
-                render_expr(left),
-                op.symbol(),
-                render_expr(right)
-            )
+            format!("({} {} {})", operand(left), op.symbol(), operand(right))
         }
         // Left-nested, as `((a OR b) OR c)`.
         ExprKind::And(items) | ExprKind::Or(items) => items[1..].iter().fold(
@@ -184,27 +179,54 @@ pub(crate) fn render_expr(e: &Expr) -> String {
             |out, item| out + " " + e.chain_word() + " " + &render_expr(item) + ")",
         ),
         ExprKind::Not(inner) => format!("NOT {}", render_expr(inner)),
-        ExprKind::Neg(inner) => format!("-{}", render_expr(inner)),
+        // `--` opens a comment.
+        ExprKind::Neg(inner) => match operand(inner) {
+            s if s.starts_with('-') => format!("-({s})"),
+            s => format!("-{s}"),
+        },
         ExprKind::Contains { expr, pattern } => {
-            format!("{} contains {}", render_expr(expr), render_expr(pattern))
+            format!("{} contains {}", operand(expr), operand(pattern))
         }
         ExprKind::Matches { expr, pattern } => {
-            format!("{} matches '{pattern}'", render_expr(expr))
+            format!(
+                "{} matches {}",
+                operand(expr),
+                literal(&pattern.as_str().into())
+            )
         }
         ExprKind::InList { expr, list } => format!(
             "{} in ({})",
-            render_expr(expr),
-            list.iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
+            operand(expr),
+            list.iter().map(literal).collect::<Vec<_>>().join(", ")
         ),
         ExprKind::IsNull { expr, negated } => format!(
             "{} is {}null",
-            render_expr(expr),
+            operand(expr),
             if *negated { "not " } else { "" }
         ),
         ExprKind::InBoundingBox { name, .. } => format!("location in [bounding box for {name}]"),
+    }
+}
+
+/// `e` as an operand of arithmetic, a comparison form or a minus: a
+/// NOT or a comparison form goes in parentheses.
+fn operand(e: &Expr) -> String {
+    match e.kind {
+        ExprKind::Not(_)
+        | ExprKind::Contains { .. }
+        | ExprKind::Matches { .. }
+        | ExprKind::InList { .. }
+        | ExprKind::IsNull { .. }
+        | ExprKind::InBoundingBox { .. } => format!("({})", render_expr(e)),
+        _ => render_expr(e),
+    }
+}
+
+/// A literal as TweeQL spells it, a string's `'` doubled.
+fn literal(v: &Value) -> String {
+    match v {
+        Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
+        v => v.to_string(),
     }
 }
 
@@ -269,7 +291,42 @@ mod tests {
              WHERE (text contains 'a' OR text contains 'b') AND followers > 5",
         );
         let rendered: Vec<String> = p.filter.iter().map(render_expr).collect();
-        assert_eq!(rendered[0], "(text contains a OR text contains b)");
+        assert_eq!(rendered[0], "(text contains 'a' OR text contains 'b')");
         assert_eq!(rendered[1], "(followers > 5)");
+    }
+
+    /// Forms that parse back only quoted or in parentheses: strings, a
+    /// minus over a minus or a NOT, and a NOT or a comparison form as
+    /// an operand.
+    #[test]
+    fn render_expr_parses_back() {
+        use crate::ast::BinOp;
+        use crate::parser::parse_expr;
+        let (a, b) = (Expr::col("a"), Expr::col("b"));
+        let cases = [
+            (Expr::lit("it's a b"), "'it''s a b'"),
+            (Expr::neg(Expr::neg(a.clone())), "-(-a)"),
+            (Expr::neg(Expr::not(a.clone())), "-(NOT a)"),
+            (
+                Expr::binary(
+                    BinOp::Eq,
+                    Expr::contains(a.clone(), b.clone()),
+                    Expr::lit(true),
+                ),
+                "((a contains b) = true)",
+            ),
+            (
+                Expr::binary(BinOp::Add, Expr::not(a.clone()), b.clone()),
+                "((NOT a) + b)",
+            ),
+            (
+                Expr::in_list(b, vec!["x y".into(), Value::Int(-1)]),
+                "b in ('x y', -1)",
+            ),
+        ];
+        for (e, text) in cases {
+            assert_eq!(render_expr(&e), text);
+            assert_eq!(render_expr(&parse_expr(text).unwrap()), text);
+        }
     }
 }

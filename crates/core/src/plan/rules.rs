@@ -398,7 +398,7 @@ mod tests {
         let order: Vec<String> = out.plan.filter.iter().map(render_expr).collect();
         assert_eq!(
             order,
-            ["(followers > 5)", "text contains b", "text matches 'a+'"]
+            ["(followers > 5)", "text contains 'b'", "text matches 'a+'"]
         );
     }
 
@@ -434,7 +434,7 @@ mod tests {
             order,
             [
                 "(followers > 5)",
-                "text contains obama",
+                "text contains 'obama'",
                 "text matches 'a+'"
             ]
         );
@@ -458,7 +458,7 @@ mod tests {
         // A 1% selective keyword overtakes the cheap comparison.
         assert_eq!(
             render_expr(&out.plan.filter[0]),
-            "text contains hot",
+            "text contains 'hot'",
             "attributions: {:?}",
             out.attributions
         );

@@ -289,15 +289,18 @@ impl Duration {
             .parse()
             .map_err(|_| ModelError::BadDuration(s.to_string()))?;
         let unit = s[digits_end..].trim().to_ascii_lowercase();
-        let ms = match unit.as_str() {
-            "ms" | "millisecond" | "milliseconds" => n,
-            "s" | "sec" | "secs" | "second" | "seconds" => n * 1000,
-            "min" | "mins" | "minute" | "minutes" | "m" => n * 60_000,
-            "h" | "hr" | "hrs" | "hour" | "hours" => n * 3_600_000,
-            "d" | "day" | "days" => n * 86_400_000,
+        let ms_per = match unit.as_str() {
+            "ms" | "millisecond" | "milliseconds" => 1,
+            "s" | "sec" | "secs" | "second" | "seconds" => 1000,
+            "min" | "mins" | "minute" | "minutes" | "m" => 60_000,
+            "h" | "hr" | "hrs" | "hour" | "hours" => 3_600_000,
+            "d" | "day" | "days" => 86_400_000,
             _ => return Err(ModelError::BadDuration(s.to_string())),
         };
-        Ok(Duration(ms))
+        // Past `i64` milliseconds is no duration either.
+        n.checked_mul(ms_per)
+            .map(Duration)
+            .ok_or_else(|| ModelError::BadDuration(s.to_string()))
     }
 }
 
@@ -374,6 +377,9 @@ mod tests {
         assert!(Duration::parse("hours").is_err());
         assert!(Duration::parse("3 fortnights").is_err());
         assert!(Duration::parse("x3 hours").is_err());
+        // Past i64 milliseconds: refused, not overflowed.
+        assert!(Duration::parse("9223372036854775807 hours").is_err());
+        assert!(Duration::parse("9223372036854775807 ms").is_ok());
     }
 
     #[test]

@@ -956,6 +956,28 @@ mod tests {
         assert!(err.contains("recovery"), "{err}");
     }
 
+    /// Before its first checkpoint the log's header names the stream:
+    /// a restart with another seed or scenario is refused.
+    #[test]
+    fn restart_before_a_checkpoint_on_another_stream_is_an_error() {
+        let dir = tweeql_wal::TempDir::new("tweeql-server-source");
+        let mut svc = Service::new(scenario_host_in("soccer", 7, Some(dir.path())).unwrap());
+        ok(svc.handle(Request::Register(
+            "SELECT text FROM twitter WHERE text contains 'goal'".into(),
+        )));
+        ok(svc.handle(Request::Step(10)));
+        drop(svc);
+
+        for (name, seed) in [("soccer", 8), ("earthquakes", 7)] {
+            let err = match scenario_host_in(name, seed, Some(dir.path())) {
+                Err(e) => e,
+                Ok(_) => panic!("{name} seed {seed} recovered a soccer seed 7 log"),
+            };
+            assert!(err.contains("another source"), "{err}");
+        }
+        assert!(scenario_host_in("soccer", 7, Some(dir.path())).is_ok());
+    }
+
     #[test]
     fn scenario_host_lookup() {
         assert!(scenario_host("soccer", 1).is_ok());

@@ -359,4 +359,69 @@ mod tests {
         let r = Response::err("line one\nline two\r\nthree");
         assert_eq!(r.render().lines().count(), 1);
     }
+
+    /// The vendored proptest seeds each test from its name, so every
+    /// run draws the same lines.
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        const VERBS: [&str; 11] = [
+            "REGISTER", "drop", "List", "SCHEMA", "poll", "STEP", "run", "STATS", "PING",
+            "SHUTDOWN", "FLY",
+        ];
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(3000))]
+
+            #[test]
+            fn any_line_parses_or_is_refused(line in ".{0,80}") {
+                let _ = Request::parse(&line);
+            }
+
+            #[test]
+            fn any_verb_and_rest_parse_or_are_refused(verb in 0usize..11, rest in ".{0,40}") {
+                let _ = Request::parse(&format!("{} {rest}", VERBS[verb]));
+            }
+
+            /// A request renders to one line that parses back to it.
+            /// REGISTER's SQL goes on the line as one trimmed line, so
+            /// what comes back is that; SQL of nothing but blanks goes
+            /// as a bare REGISTER, which is refused.
+            #[test]
+            fn every_request_survives_render_then_parse(
+                kind in 0usize..10,
+                n in 0u64..u64::MAX,
+                sql in ".{0,60}",
+            ) {
+                let id = QueryId::new(n);
+                let req = match kind {
+                    0 => Request::Register(sql),
+                    1 => Request::Drop(id),
+                    2 => Request::List,
+                    3 => Request::Schema(id),
+                    4 => Request::Poll(id),
+                    5 => Request::Step((n >> 1).max(1) as i64),
+                    6 => Request::Run,
+                    7 => Request::Stats,
+                    8 => Request::Ping,
+                    _ => Request::Shutdown,
+                };
+                let back = Request::parse(&req.to_string());
+                match req {
+                    Request::Register(sql) => {
+                        let sent = sanitize(&sql).trim().to_string();
+                        if sent.is_empty() {
+                            prop_assert!(back.is_err());
+                        } else {
+                            let sent = Request::Register(sent);
+                            prop_assert_eq!(back, Ok(sent.clone()));
+                            prop_assert_eq!(Request::parse(&sent.to_string()), Ok(sent));
+                        }
+                    }
+                    req => prop_assert_eq!(back, Ok(req)),
+                }
+            }
+        }
+    }
 }

@@ -701,6 +701,53 @@ fn recovery_rejects_a_different_engine_configuration() {
     );
 }
 
+/// A log with no checkpoint yet names its source in its first record,
+/// so recovering it with another seed or over another scenario's
+/// stream is refused instead of replaying the log against other tweets.
+#[test]
+fn recovery_without_a_checkpoint_rejects_another_source() {
+    let p = Params {
+        ckpt_every: 1 << 40,
+        ..Params::base()
+    };
+    let dir = TempDir::new("tweeql-dur-source");
+    let mut host = durable_host(dir.path(), &p);
+    host.register(CORPUS[0]).unwrap();
+    host.pump_until(mins(2)).unwrap();
+    assert_eq!(host.wal_stats().unwrap().checkpoints, 0);
+    drop(host);
+
+    let other = Scenario {
+        name: "another".into(),
+        duration: Duration::from_mins(10),
+        background_rate_per_min: 40.0,
+        topics: vec![Topic::new("kw", vec!["kw"], 22.0)],
+        bursts: vec![],
+        geotag_rate: 0.2,
+        population_size: 100,
+    };
+    for (what, tweets, seed) in [
+        ("seed", tweets().clone(), 100),
+        ("scenario", tweeql_firehose::generate(&other, 4251), 99),
+    ] {
+        let api = StreamingApi::new(tweets, VirtualClock::new());
+        let err = match tweeql::Engine::builder(api)
+            .batch_size(p.batch)
+            .seed(seed)
+            .recover_with(DurabilityConfig::new(dir.path()).fsync(false))
+        {
+            Err(e) => e,
+            Ok(_) => panic!("a log recovered with another {what}"),
+        };
+        assert!(
+            matches!(err, QueryError::Durability(ref m) if m.contains("another source")),
+            "{err}"
+        );
+    }
+    let host = durable_host(dir.path(), &p);
+    assert_eq!(host.list().len(), 1, "the logged source still recovers");
+}
+
 #[test]
 fn non_durable_host_reports_no_wal() {
     let api = StreamingApi::new(tweets().clone(), VirtualClock::new());

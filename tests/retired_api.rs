@@ -26,8 +26,10 @@
 //! the checkpoint file's reader (`read_checkpoint`) is gone. Rows
 //! enter an operator only as a batch, so the per-row entry
 //! (`on_record`) and the tweet-batch decode behind it (`row_shim`) are
-//! gone. No Rust source outside `benchmark/` may call or define any of
-//! them.
+//! gone. One precedence loop parses an expression, so the functions
+//! that each parsed one level (`logic_chain`, `not_expr`, `additive`,
+//! `multiplicative`, their `eat_op`, and `in_rhs`) are gone. No Rust
+//! source outside `benchmark/` may call or define any of them.
 
 use std::path::Path;
 
@@ -62,6 +64,12 @@ const RETIRED_FNS: &[&str] = &[
     "read_checkpoint",
     "on_record",
     "row_shim",
+    "logic_chain",
+    "not_expr",
+    "additive",
+    "multiplicative",
+    "eat_op",
+    "in_rhs",
 ];
 
 /// Every `.rs` file under `dir`, skipping the root's `benchmark/`, build
