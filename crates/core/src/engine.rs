@@ -7,7 +7,9 @@
 //! the query, admits it under its own [`QueryId`], drives the host until
 //! the query has finished (its LIMIT stops the pull) and drops it to
 //! take its plan and rows back. A join is the pipeline's head stage,
-//! both of its sides fed by the one connection.
+//! both of its sides fed by the one connection. The host publishes the
+//! run's counters into the engine's registry; the engine publishes only
+//! its shared geo service's.
 //!
 //! Engines are assembled with the fluent [`EngineBuilder`]
 //! (`Engine::builder(api).seed(7).fault_policy(plan).build()`).
@@ -26,9 +28,7 @@ use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::{FilterSpec, StreamingApi};
 use tweeql_geo::cache::CacheStats;
 use tweeql_model::{DecodeStats, Duration, Record, SchemaRef, Timestamp, Value, VirtualClock};
-use tweeql_obs::{
-    MetricsRegistry, QueryId, QueryProfile, SpanKind, StageProfile, TraceSink, Tracer,
-};
+use tweeql_obs::{MetricsRegistry, QueryId, QueryProfile, StageProfile, TraceSink, Tracer};
 
 /// Stream-time spacing of the watermark boundaries (punctuation).
 pub(crate) const WATERMARK_INTERVAL: Duration = Duration::from_secs(1);
@@ -613,26 +613,28 @@ impl Engine {
 
         // ---- observability: query span + per-stage instrumentation ----
         let tracer = self.trace.as_ref().map(|s| Tracer::new(Arc::clone(s)));
-        let query_span = tracer
-            .as_ref()
-            .map(|t| t.start(SpanKind::Query, "select", None, started_at.millis()));
-        planned.pipeline.attach_obs(
-            tracer.clone().zip(query_span),
-            &self.metrics,
-            started_at.millis(),
-        );
+        planned
+            .pipeline
+            .attach_obs(tracer, &self.metrics, started_at.millis());
 
         // ---- the run: one query on a host of its own ----
-        // The reference configuration cuts this host's batches at every
-        // watermark boundary.
-        let b = Engine::builder(self.api.clone()).config(self.config.clone());
+        // The host publishes the query's counters and its own into the
+        // engine's registry. The reference configuration cuts its
+        // batches at every watermark boundary.
+        let b = Engine::builder(self.api.clone())
+            .config(self.config.clone())
+            .metrics(self.metrics.clone());
         let mut host = QueryHost::from_builder(b, filter);
         host.feed.reference_cadence = self.config.reference;
         host.admit(query_id, sql, planned, started_at);
-        host.run_until_finished(query_id)?;
+        let run = host.run_until_finished(query_id);
         let (source_stats, source_faults) = host.source_stats().unwrap_or_default();
         let decode = host.stats().decode;
-        let (mut planned, rows) = host.drop_inner(query_id)?;
+        // A failed run is dropped too: the drop retires the query, which
+        // closes its trace spans.
+        let dropped = host.drop_inner(query_id);
+        run?;
+        let (mut planned, rows) = dropped?;
 
         let ended_at = {
             use tweeql_model::Clock;
@@ -641,22 +643,25 @@ impl Engine {
         let gap_windows = planned.pipeline.gap_windows();
         let stages = planned.pipeline.stage_stats();
         let stage_counters = planned.pipeline.stage_metric_counters();
-        if let (Some(t), Some(span)) = (&tracer, query_span) {
-            // Close the query span at the last *stream* timestamp the
-            // pipeline saw.
-            let end_ts = planned
-                .pipeline
-                .last_ts()
-                .unwrap_or_else(|| started_at.millis());
-            let rows_out = stages.last().map(|(_, s)| s.records_out).unwrap_or(0);
-            t.end(span, None, SpanKind::Query, "select", end_ts, rows_out);
-        }
 
+        // The shared geo service is the engine's alone, so it publishes
+        // the service's counters itself; every value here derives from
+        // deterministic run data (never wall time).
         let geo_requests = self.geo.requests_issued().saturating_sub(geo_base_requests);
         let geo_service_time = Duration::from_millis(
             (self.geo.modeled_service_time().millis() - geo_base_service_ms).max(0),
         );
         let geo_cache = self.geo.cache_stats().delta_since(&geo_base_cache);
+        let m = &self.metrics;
+        let geo = [("service", "geocode")];
+        m.counter("tweeql_service_cache_hits_total", &geo)
+            .add(geo_cache.hits);
+        m.counter("tweeql_service_cache_misses_total", &geo)
+            .add(geo_cache.misses);
+        m.counter("tweeql_service_cache_evictions_total", &geo)
+            .add(geo_cache.evictions);
+        m.counter("tweeql_geo_requests_total", &[])
+            .add(geo_requests);
 
         let mut notices = std::mem::take(&mut planned.notices);
         notices.extend(degradation_notices(&source_faults, &gap_windows, &stages));
@@ -678,101 +683,12 @@ impl Engine {
             stream_time: ended_at.since(started_at),
             decode,
         };
-        self.publish_metrics(&stats, &stage_counters);
         self.last_profile = Some(build_profile(sql, &stats, &stage_counters, &decision));
         Ok(QueryResult {
             schema: planned.output_schema.clone(),
             rows: rows.into_records(),
             stats,
         })
-    }
-
-    /// Publish one finished run's typed statistics into the metrics
-    /// registry. Every value here derives from deterministic run data
-    /// (never wall time), so seeded runs publish identical counters.
-    fn publish_metrics(&self, stats: &QueryStats, stage_counters: &[Vec<(&'static str, u64)>]) {
-        let m = &self.metrics;
-        m.counter("tweeql_queries_total", &[]).inc();
-        // Per-query labeled family (new in the host redesign): existing
-        // families keep their label sets unchanged so cross-run counter
-        // equality still holds.
-        let qlabel = stats.query.label();
-        let rows_out = stats.stages.last().map(|(_, s)| s.records_out).unwrap_or(0);
-        m.counter("tweeql_query_rows_out_total", &[("query", qlabel.as_str())])
-            .add(rows_out);
-        m.counter("tweeql_records_decoded_total", &[])
-            .add(stats.source.delivered);
-        m.counter("tweeql_gap_windows_total", &[])
-            .add(stats.gap_windows.len() as u64);
-
-        let f = &stats.source_faults;
-        for (name, v) in [
-            ("tweeql_source_disconnects_total", f.disconnects),
-            ("tweeql_source_reconnects_total", f.reconnects),
-            (
-                "tweeql_source_duplicates_dropped_total",
-                f.duplicates_dropped,
-            ),
-            ("tweeql_source_malformed_skipped_total", f.malformed_skipped),
-            ("tweeql_source_gaps_total", f.gaps.len() as u64),
-        ] {
-            m.counter(name, &[]).add(v);
-        }
-
-        for (i, (name, s)) in stats.stages.iter().enumerate() {
-            let labels = [("op", name.as_str())];
-            m.counter("tweeql_op_records_in_total", &labels)
-                .add(s.records_in);
-            m.counter("tweeql_op_records_out_total", &labels)
-                .add(s.records_out);
-            for (key, v) in stage_counters.get(i).into_iter().flatten() {
-                m.counter(&format!("tweeql_{key}_total"), &labels).add(*v);
-            }
-            if let Some(h) = &s.health {
-                let svc = [("service", name.as_str())];
-                for (metric, v) in [
-                    ("tweeql_service_requests_total", h.requests),
-                    ("tweeql_service_failures_total", h.failures),
-                    ("tweeql_service_timeouts_total", h.timeouts),
-                    ("tweeql_service_retries_total", h.retries),
-                    ("tweeql_service_short_circuits_total", h.short_circuits),
-                    ("tweeql_service_degraded_rows_total", h.degraded_rows),
-                    ("tweeql_service_breaker_opens_total", h.breaker_opens),
-                ] {
-                    m.counter(metric, &svc).add(v);
-                }
-                m.gauge("tweeql_service_breaker_state", &svc)
-                    .set(match h.state {
-                        tweeql_geo::breaker::BreakerState::Closed => 0,
-                        tweeql_geo::breaker::BreakerState::Open => 1,
-                        tweeql_geo::breaker::BreakerState::HalfOpen => 2,
-                    });
-            }
-        }
-
-        publish_decode(m, &stats.decode);
-
-        let geo = [("service", "geocode")];
-        m.counter("tweeql_service_cache_hits_total", &geo)
-            .add(stats.geo_cache.hits);
-        m.counter("tweeql_service_cache_misses_total", &geo)
-            .add(stats.geo_cache.misses);
-        m.counter("tweeql_service_cache_evictions_total", &geo)
-            .add(stats.geo_cache.evictions);
-        m.counter("tweeql_geo_requests_total", &[])
-            .add(stats.geo_requests);
-    }
-}
-
-/// Publish what a run's batches built of their columns.
-pub(crate) fn publish_decode(m: &MetricsRegistry, decode: &DecodeStats) {
-    m.counter("tweeql_decode_columns_materialized_total", &[])
-        .add(decode.columns_materialized);
-    m.counter("tweeql_decode_columns_skipped_total", &[])
-        .add(decode.columns_skipped);
-    if let Some(p) = decode.dict_reuse_permille() {
-        m.gauge("tweeql_decode_dict_reuse_permille", &[])
-            .set(p as i64);
     }
 }
 
@@ -893,6 +809,7 @@ mod tests {
     use tweeql_firehose::{generate, scenarios};
     use tweeql_geo::latency::LatencyModel;
     use tweeql_model::Clock;
+    use tweeql_obs::SpanKind;
 
     fn small_api(clock: Arc<VirtualClock>) -> StreamingApi {
         let s = Scenario {
@@ -1219,6 +1136,7 @@ mod tests {
             .unwrap_err();
         assert!(err.to_string().contains("boom"), "{err}");
         let events = sink.events();
+        assert_eq!(tweeql_obs::trace::validate_span_tree(&events), None);
         let phases = |phase| {
             (events.iter())
                 .filter(|ev| ev.kind == SpanKind::Operator && ev.phase == phase)

@@ -295,16 +295,17 @@ impl Pipeline {
         }
     }
 
-    /// Attach metrics/tracing for one run. When `trace` carries a
-    /// tracer and an open query span, one Operator span per stage is
-    /// opened at `start_ts_ms` (virtual stream time).
+    /// Attach metrics/tracing for one run. With a tracer, a `select`
+    /// query span and one Operator span per stage under it are opened at
+    /// `start_ts_ms` (virtual stream time).
     pub fn attach_obs(
         &mut self,
-        trace: Option<(Tracer, u64)>,
+        tracer: Option<Tracer>,
         registry: &tweeql_obs::MetricsRegistry,
         start_ts_ms: i64,
     ) {
-        let trace = trace.map(|(tracer, query_span)| {
+        let trace = tracer.map(|tracer| {
+            let query_span = tracer.start(SpanKind::Query, "select", None, start_ts_ms);
             let op_names: Vec<String> = self.ops.iter().map(|o| o.name().to_string()).collect();
             let op_spans = op_names
                 .iter()
@@ -324,8 +325,8 @@ impl Pipeline {
         });
     }
 
-    /// Close the run's operator spans at the last stream time seen,
-    /// once; that time stays readable ([`Pipeline::last_ts`]).
+    /// Close the run's operator spans, then its query span, at the last
+    /// stream time seen, once.
     pub fn close_obs(&mut self) {
         let Some(obs) = self.obs.as_mut() else { return };
         if let Some(ctx) = obs.trace.take() {
@@ -339,13 +340,16 @@ impl Pipeline {
                     self.stats[i].records_out,
                 );
             }
+            let rows_out = self.stats.last().map_or(0, |s| s.records_out);
+            ctx.tracer.end(
+                ctx.query_span,
+                None,
+                SpanKind::Query,
+                "select",
+                obs.last_ts,
+                rows_out,
+            );
         }
-    }
-
-    /// The latest stream time the run has reached, in milliseconds, once
-    /// observability is attached: where the engine ends its query span.
-    pub fn last_ts(&self) -> Option<i64> {
-        self.obs.as_ref().map(|o| o.last_ts)
     }
 
     /// Number of stages.

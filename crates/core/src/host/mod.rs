@@ -51,7 +51,9 @@
 //! Hosts are assembled through the same [`EngineBuilder`]
 //! (`Engine::builder(api).fault_policy(plan).build_host()`), so fault
 //! policy, UDF packs, metrics, tracing, and the `reference` switch
-//! carry over unchanged.
+//! carry over unchanged. The host is the one metrics publisher, a
+//! standing host and `Engine::execute`'s alike: a query's counters go
+//! out when it retires, the connection's when the pull ends.
 //!
 //! Each registered query gets a **private** registry and geo service,
 //! so aggregate windows, dedup state, and service caches start fresh on
@@ -75,6 +77,7 @@ use index::{FilterIndex, NeedleGroups};
 use std::sync::Arc;
 use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::FilterSpec;
+use tweeql_geo::breaker::BreakerState;
 use tweeql_model::{
     Clock, Crossing, DecodeStats, Record, RowBatch, SchemaRef, Timestamp, TweetBatch, VirtualClock,
 };
@@ -211,46 +214,88 @@ impl HostQuery {
         Ok(())
     }
 
-    /// Finish the pipeline (final aggregate windows etc.) and retire.
+    /// Finish the pipeline (final aggregate windows etc.) and retire,
+    /// whether or not the finish fails.
     fn finish(&mut self) -> Result<(), QueryError> {
         if self.state == QueryState::Finished {
             return Ok(());
         }
         self.state = QueryState::Finished;
-        self.push(|pipeline, out| pipeline.finish(out))?;
+        let res = self.push(|pipeline, out| pipeline.finish(out));
         self.retire();
-        Ok(())
+        res
     }
 
-    /// Publish the query's per-id labeled counters and close its trace
-    /// span; runs exactly once per registration. Queries that never saw
-    /// a row publish nothing — an absent per-query series reads as
-    /// zero, and skipping it keeps retiring a quiet long tail cheap.
+    /// Close the query's trace spans and publish its counters: the one
+    /// place a query's counters reach the registry, for a standing query
+    /// and an engine run alike. Runs exactly once per registration. A
+    /// quiet query (no row in or out, no watermark) publishes nothing:
+    /// an absent series reads as zero, and skipping it keeps retiring a
+    /// quiet long tail cheap.
     fn retire(&mut self) {
         if self.retired {
             return;
         }
         self.retired = true;
-        self.planned.pipeline.close_obs();
-        // `tweeql_host_watermarks_delivered_total` against
-        // `tweeql_host_watermarks_total` (boundaries crossed) is the
-        // share of punctuation this query had any use for.
-        let delivered = self.planned.pipeline.watermarks_delivered();
-        if self.rows_in > 0 || self.rows_out > 0 || delivered > 0 {
-            let label = self.id.label();
-            let l = [("query", label.as_str())];
-            let publish = |name, n| self.metrics.counter(name, &l).add(n);
-            if self.rows_in > 0 || self.rows_out > 0 {
-                publish("tweeql_host_rows_in_total", self.rows_in);
-                publish("tweeql_host_rows_out_total", self.rows_out);
-            }
-            if delivered > 0 {
-                publish("tweeql_host_watermarks_delivered_total", delivered);
-            }
-        }
+        let pipeline = &mut self.planned.pipeline;
+        pipeline.close_obs();
         if let (Some((t, clock)), Some(span)) = (&self.tracer, self.span.take()) {
             let now = clock.now().millis();
             t.end(span, None, SpanKind::Query, "standing", now, self.rows_out);
+        }
+        // `tweeql_host_watermarks_delivered_total` against
+        // `tweeql_host_watermarks_total` (boundaries crossed) is the
+        // share of punctuation this query had any use for.
+        let delivered = pipeline.watermarks_delivered();
+        if self.rows_in == 0 && self.rows_out == 0 && delivered == 0 {
+            return;
+        }
+        let m = &self.metrics;
+        let label = self.id.label();
+        let query = [("query", label.as_str())];
+        if self.rows_in > 0 || self.rows_out > 0 {
+            m.counter("tweeql_host_rows_in_total", &query)
+                .add(self.rows_in);
+            m.counter("tweeql_host_rows_out_total", &query)
+                .add(self.rows_out);
+        }
+        if delivered > 0 {
+            m.counter("tweeql_host_watermarks_delivered_total", &query)
+                .add(delivered);
+        }
+        m.counter("tweeql_query_rows_out_total", &query)
+            .add(self.rows_out);
+        m.counter("tweeql_gap_windows_total", &[])
+            .add(pipeline.gap_windows().len() as u64);
+        let counters = pipeline.stage_metric_counters();
+        for ((name, s), counters) in pipeline.stage_stats().iter().zip(counters) {
+            let op = [("op", name.as_str())];
+            m.counter("tweeql_op_records_in_total", &op)
+                .add(s.records_in);
+            m.counter("tweeql_op_records_out_total", &op)
+                .add(s.records_out);
+            for (key, v) in counters {
+                m.counter(&format!("tweeql_{key}_total"), &op).add(v);
+            }
+            let Some(h) = &s.health else { continue };
+            let service = [("service", name.as_str())];
+            for (family, v) in [
+                ("tweeql_service_requests_total", h.requests),
+                ("tweeql_service_failures_total", h.failures),
+                ("tweeql_service_timeouts_total", h.timeouts),
+                ("tweeql_service_retries_total", h.retries),
+                ("tweeql_service_short_circuits_total", h.short_circuits),
+                ("tweeql_service_degraded_rows_total", h.degraded_rows),
+                ("tweeql_service_breaker_opens_total", h.breaker_opens),
+            ] {
+                m.counter(family, &service).add(v);
+            }
+            m.gauge("tweeql_service_breaker_state", &service)
+                .set(match h.state {
+                    BreakerState::Closed => 0,
+                    BreakerState::Open => 1,
+                    BreakerState::HalfOpen => 2,
+                });
         }
     }
 }
@@ -449,6 +494,7 @@ impl QueryHost {
         let time_sensitive = planned.pipeline.time_sensitive();
         let groups = self.filter_index.groups_for(&planned.api_candidates);
         let pending = RowBatch::new(planned.output_schema.clone());
+        self.metrics.counter("tweeql_queries_total", &[]).inc();
         self.queries.push(HostQuery {
             id,
             sql: sql.to_string(),
@@ -588,17 +634,12 @@ impl QueryHost {
     /// [`crate::engine::Engine::execute`]'s drive: pump until the stream
     /// ends or query `id` has finished (LIMIT reached; `LIMIT 0` before
     /// the first pull), then stop the pull, which moves the clock to the
-    /// source frontier. Unlike [`QueryHost::pump_until`], it reads no
-    /// further than its query needs. A failed run still retires the
-    /// query, closing its operator spans.
+    /// source frontier, and publish the host's counters. Unlike
+    /// [`QueryHost::pump_until`], it reads no further than its query
+    /// needs.
     pub(crate) fn run_until_finished(&mut self, id: QueryId) -> Result<(), QueryError> {
         let slot = self.slot(id)?;
         self.ensure_index();
-        self.drive(slot)
-            .inspect_err(|_| self.queries[slot].retire())
-    }
-
-    fn drive(&mut self, slot: usize) -> Result<(), QueryError> {
         self.queries[slot].check_done()?;
         while self.queries[slot].state == QueryState::Running {
             let Some(next) = self.feed.peek() else {
@@ -607,6 +648,7 @@ impl QueryHost {
             self.take_next(next)?;
         }
         self.feed.stop();
+        self.publish_host_metrics();
         Ok(())
     }
 
@@ -746,8 +788,8 @@ impl QueryHost {
         (&mut self.feed, dispatch)
     }
 
-    /// End of stream: flush, finish every running query, publish host
-    /// metrics. Idempotent.
+    /// End of stream: flush, finish every running query, publish the
+    /// host's counters. Idempotent.
     fn finish_stream(&mut self) -> Result<(), QueryError> {
         self.flush_batch()?;
         for q in &mut self.queries {
@@ -759,39 +801,67 @@ impl QueryHost {
         Ok(())
     }
 
+    /// Publish the connection's counters, once: the dispatcher's, the
+    /// source's, the batch columns built and the log's. The end of the
+    /// stream publishes them, and so does a pull stopped at its query's
+    /// LIMIT.
     fn publish_host_metrics(&mut self) {
         if self.host_metrics_published {
             return;
         }
         self.host_metrics_published = true;
-        let m = &self.metrics;
-        m.counter("tweeql_host_tweets_total", &[])
-            .add(self.stats.tweets_delivered);
-        m.counter("tweeql_host_rows_dispatched_total", &[])
-            .add(self.stats.rows_dispatched);
-        m.counter("tweeql_host_rows_decoded_total", &[])
-            .add(self.stats.rows_decoded);
-        m.counter("tweeql_host_rows_shared_total", &[])
-            .add(self.stats.rows_shared);
-        m.counter("tweeql_host_watermarks_total", &[])
-            .add(self.stats.watermarks);
-        m.gauge("tweeql_host_prefilter_needles", &[])
-            .set(self.filter_index.needle_count() as i64);
-        m.gauge("tweeql_host_filter_index_states", &[])
-            .set(self.filter_index.states() as i64);
-        m.gauge("tweeql_host_filter_index_bytes", &[])
-            .set(self.filter_index.table_bytes() as i64);
-        m.counter("tweeql_host_filter_index_rebuilds_total", &[])
-            .add(self.stats.index_rebuilds);
-        crate::engine::publish_decode(m, &self.stats.decode);
-        if let Some(s) = self.wal_stats() {
-            m.counter("tweeql_wal_records_total", &[]).add(s.records);
-            m.counter("tweeql_wal_bytes_total", &[]).add(s.bytes);
-            m.counter("tweeql_wal_fsyncs_total", &[]).add(s.fsyncs);
-            m.counter("tweeql_wal_checkpoints_total", &[])
-                .add(s.checkpoints);
-            m.counter("tweeql_wal_checkpoint_bytes_total", &[])
-                .add(s.checkpoint_bytes);
+        let (m, s, index) = (&self.metrics, &self.stats, &self.filter_index);
+        let (source, faults) = self.source_stats().unwrap_or_default();
+        let counters = [
+            ("tweeql_host_tweets_total", s.tweets_delivered),
+            ("tweeql_host_rows_dispatched_total", s.rows_dispatched),
+            ("tweeql_host_rows_decoded_total", s.rows_decoded),
+            ("tweeql_host_rows_shared_total", s.rows_shared),
+            ("tweeql_host_watermarks_total", s.watermarks),
+            ("tweeql_host_filter_index_rebuilds_total", s.index_rebuilds),
+            (
+                "tweeql_decode_columns_materialized_total",
+                s.decode.columns_materialized,
+            ),
+            (
+                "tweeql_decode_columns_skipped_total",
+                s.decode.columns_skipped,
+            ),
+            ("tweeql_records_decoded_total", source.delivered),
+            ("tweeql_source_disconnects_total", faults.disconnects),
+            ("tweeql_source_reconnects_total", faults.reconnects),
+            (
+                "tweeql_source_duplicates_dropped_total",
+                faults.duplicates_dropped,
+            ),
+            (
+                "tweeql_source_malformed_skipped_total",
+                faults.malformed_skipped,
+            ),
+            ("tweeql_source_gaps_total", faults.gaps.len() as u64),
+        ];
+        let wal = self.wal_stats().map(|w| {
+            [
+                ("tweeql_wal_records_total", w.records),
+                ("tweeql_wal_bytes_total", w.bytes),
+                ("tweeql_wal_fsyncs_total", w.fsyncs),
+                ("tweeql_wal_checkpoints_total", w.checkpoints),
+                ("tweeql_wal_checkpoint_bytes_total", w.checkpoint_bytes),
+            ]
+        });
+        for (family, v) in counters.into_iter().chain(wal.into_iter().flatten()) {
+            m.counter(family, &[]).add(v);
+        }
+        // `index_changed` keeps `tweeql_host_prefilter_needles` current.
+        for (family, v) in [
+            ("tweeql_host_filter_index_states", index.states()),
+            ("tweeql_host_filter_index_bytes", index.table_bytes()),
+        ] {
+            m.gauge(family, &[]).set(v as i64);
+        }
+        if let Some(p) = s.decode.dict_reuse_permille() {
+            m.gauge("tweeql_decode_dict_reuse_permille", &[])
+                .set(p as i64);
         }
     }
 }

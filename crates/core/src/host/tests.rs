@@ -4,7 +4,7 @@ use super::*;
 use crate::engine::Engine;
 use crate::host::durable::DurabilityConfig;
 use tweeql_firehose::StreamingApi;
-use tweeql_model::{Duration, Tweet};
+use tweeql_model::{Duration, Tweet, Value};
 use tweeql_wal::TempDir;
 
 /// Ten minutes, two tweets a second, keywords `kw0`..`kw4` in rotation.
@@ -559,4 +559,38 @@ mod cadence_oracle {
             prop_assert!(new.stats.batches <= old.stats.batches);
         }
     }
+}
+
+/// Fails on every call.
+struct Boom;
+
+impl crate::udf::StatefulUdf for Boom {
+    fn call(&mut self, _: &[Value], _: Timestamp) -> Result<Value, QueryError> {
+        Err(QueryError::Exec("boom".into()))
+    }
+}
+
+/// A query whose final flush fails still retires: its drop returns the
+/// error, and its trace span is closed and its counters published all
+/// the same.
+#[test]
+fn a_query_whose_finish_fails_still_retires() {
+    let sink = Arc::new(tweeql_obs::VecSink::new(1 << 12));
+    let mut host = builder(stream())
+        .configure_registry(|r| r.register_stateful("boom", Arc::new(|| Box::new(Boom))))
+        .trace_sink(sink.clone())
+        .build_host();
+    let sql = "SELECT count(*) AS n FROM twitter GROUP BY lang HAVING boom(count(*)) > 0";
+    let id = host.register(sql).expect("registers");
+    host.pump_until(Timestamp::from_mins(1)).expect("pumps");
+    let err = host.drop_query(id).expect_err("the final flush fails");
+    assert!(
+        matches!(&err, QueryError::Exec(m) if m == "boom"),
+        "{err:?}"
+    );
+    assert_eq!(tweeql_obs::trace::validate_span_tree(&sink.events()), None);
+    let rows_in = host
+        .metrics()
+        .counter_value("tweeql_host_rows_in_total", &[("query", "q1")]);
+    assert_eq!(rows_in, 121, "one minute of tweets, two a second");
 }

@@ -617,6 +617,149 @@ mod tests {
             }
         }
 
+        /// One generated pattern tree, rendered: classes, counts,
+        /// groups, alternation, anchors, lazy forms and `\b`, at most
+        /// four levels deep and counts at most three, so every pattern
+        /// is far inside the compiler's caps.
+        struct PatternTree;
+
+        impl PatternTree {
+            fn node(rng: &mut TestRng, depth: u32) -> String {
+                let pick = |rng: &mut TestRng, n: usize| (0..n).generate(rng);
+                const LEAVES: &[&str] = &[
+                    "a", "b", "é", "A", " ", ".", "[ab]", "[^a]", "[a-cé]", "[^é ]", r"\d", r"\w",
+                    r"\s", r"\W", r"[\w-]", "^", "$", r"\b", r"\B", "",
+                ];
+                const COUNTS: &[&str] = &["*", "+", "?", "{2}", "{0,2}", "{1,3}", "{2,}"];
+                let kinds = if depth == 0 { 1 } else { 5 };
+                match pick(rng, kinds) {
+                    0 => LEAVES[pick(rng, LEAVES.len())].to_string(),
+                    1 => (0..2 + pick(rng, 2))
+                        .map(|_| Self::node(rng, depth - 1))
+                        .collect(),
+                    2 => (0..2 + pick(rng, 2))
+                        .map(|_| Self::node(rng, depth - 1))
+                        .collect::<Vec<_>>()
+                        .join("|"),
+                    3 => {
+                        let open = ["(", "(?:"][pick(rng, 2)];
+                        format!("{open}{})", Self::node(rng, depth - 1))
+                    }
+                    _ => {
+                        let lazy = ["", "?"][pick(rng, 2)];
+                        let count = COUNTS[pick(rng, COUNTS.len())];
+                        format!("(?:{}){count}{lazy}", Self::node(rng, depth - 1))
+                    }
+                }
+            }
+        }
+
+        impl Strategy for PatternTree {
+            type Value = String;
+            fn generate(&self, rng: &mut TestRng) -> String {
+                let flags = ["", "(?i)"][(0..2usize).generate(rng)];
+                format!("{flags}{}", Self::node(rng, 4))
+            }
+        }
+
+        /// Pieces of pattern syntax, well-formed or not: soups of them
+        /// reach the parser's and compiler's error paths and caps.
+        const SOUP: &[&str] = &[
+            "(",
+            ")",
+            "(?:",
+            "(?i)",
+            "(?",
+            "|",
+            "*",
+            "+",
+            "?",
+            "*?",
+            "{",
+            "}",
+            "{2}",
+            "{1,3}",
+            "{3,1}",
+            "{1000}",
+            "{1001}",
+            "{,2}",
+            "{99999999999}",
+            ",",
+            "[",
+            "]",
+            "[^",
+            "-",
+            "^",
+            "$",
+            ".",
+            r"\",
+            r"\b",
+            r"\B",
+            r"\d",
+            r"\w",
+            r"\q",
+            "a",
+            "é",
+            "0",
+            "9",
+        ];
+
+        /// Compile `pattern`, then search `text` through every entry
+        /// point; a panic anywhere is reported with its pattern.
+        fn compiles_without_panic(pattern: &str, text: &str) -> Result<(), String> {
+            let run = std::panic::catch_unwind(|| {
+                if let Ok(re) = Regex::new(pattern) {
+                    re.is_match(text);
+                    re.find_all(text);
+                    re.captures(text);
+                    re.extract(text, 1);
+                }
+            });
+            run.map_err(|_| format!("{pattern:?} panicked on {text:?}"))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(4096))]
+
+            /// `Regex::new` returns a regex or a `RegexError` on any
+            /// text, and what it returns searches without a panic.
+            #[test]
+            fn arbitrary_text_compiles_or_errs(pattern in ".{0,24}", text in ".{0,12}") {
+                compiles_without_panic(&pattern, &text)?;
+            }
+
+            /// The same on soups of metacharacters, counts and groups.
+            #[test]
+            fn metacharacter_soup_compiles_or_errs(
+                pieces in collection::vec(0usize..SOUP.len(), 0..24),
+                text in "[aé09 \n]{0,10}",
+            ) {
+                let pattern: String = pieces.iter().map(|&i| SOUP[i]).collect();
+                compiles_without_panic(&pattern, &text)?;
+            }
+
+            /// Every entry point answers as the plain Pike search does on
+            /// generated pattern trees, over arbitrary text and over
+            /// text drawn from the patterns' own alphabet.
+            #[test]
+            fn generated_patterns_equal_plain_pike_search(
+                pattern in PatternTree,
+                pick in 0usize..2,
+                wild in ".{0,10}",
+                tame in "[abAé É_1\n]{0,12}",
+            ) {
+                let text = if pick == 0 { wild } else { tame };
+                let fast = Regex::new(&pattern).map_err(|e| format!("{pattern:?}: {e}"))?;
+                let plain = plain(&fast);
+                prop_assert_eq!(fast.is_match(&text), plain.is_match(&text));
+                prop_assert_eq!(fast.find(&text), plain.find(&text));
+                prop_assert_eq!(fast.captures(&text), plain.captures(&text));
+                prop_assert_eq!(fast.extract(&text, 0), plain.extract(&text, 0));
+                prop_assert_eq!(fast.extract(&text, 1), plain.extract(&text, 1));
+                prop_assert_eq!(fast.find_all(&text), plain.find_all(&text));
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(2048))]
 

@@ -1,14 +1,18 @@
 //! Deterministic test battery for the observability layer: the E1
 //! dashboard workload (faulted source + flaky geocoder) must publish
-//! identical counters across two same-seeded runs; traces must form well-formed span trees stamped in virtual
-//! stream time; the profiler must report every stage of every fixture
+//! identical counters across two same-seeded runs, and so must a
+//! standing host, whose registry carries its live query's operator and
+//! service counters and its connection's; traces must form well-formed
+//! span trees stamped in virtual stream time; the profiler must report every stage of every fixture
 //! plan shape; and the Prometheus exposition must parse.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use tweeql::engine::{Engine, QueryResult};
+use tweeql::exec::supervise::SourceFaultStats;
 use tweeql::udf::ServiceConfig;
+use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::{generate, scenarios, StreamingApi};
 use tweeql_geo::latency::LatencyModel;
@@ -321,6 +325,138 @@ fn standing_query_spans_end_when_the_query_retires() {
             .expect("every query span ends");
         assert!(end.ts_ms > start.ts_ms, "span {} has no length", start.id);
     }
+}
+
+// ---- a standing host publishes what an engine run does ----
+
+/// The live query: needle-free, so the host dispatches it every row as
+/// a lone engine run does, with an async stage behind the flaky
+/// geocoder and a windowed aggregate.
+const LIVE_SQL: &str = "SELECT lang, count(*) AS n, avg(latitude(loc)) AS lat FROM twitter \
+                        GROUP BY lang WINDOW 5 minutes";
+
+fn faulted_builder(api: StreamingApi) -> tweeql::EngineBuilder {
+    Engine::builder(api)
+        .fault_policy(FaultPlan {
+            disconnect_rate: 0.003,
+            max_disconnects: 7,
+            ..FaultPlan::chaos(7)
+        })
+        .service(flaky_service(7))
+}
+
+/// One live query and three whose needles never occur, through
+/// `run_to_end` on a faulted stream: the host's registry and source
+/// statistics.
+fn standing_run() -> (MetricsRegistry, ConnectionStats, SourceFaultStats) {
+    let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
+    let mut host = faulted_builder(api).build_host();
+    host.register(LIVE_SQL).expect("the live query registers");
+    for i in 0..3 {
+        let phantom = format!("SELECT text FROM twitter WHERE text contains 'zz{i}phantom'");
+        host.register(&phantom).expect("a phantom query registers");
+    }
+    host.run_to_end().expect("the stream drains");
+    let (source, faults) = host.source_stats().expect("the host pulled");
+    (host.metrics().clone(), source, faults)
+}
+
+#[test]
+fn a_standing_host_publishes_its_queries_and_its_connection() {
+    let (registry, source, faults) = standing_run();
+    let counter = |name: &str, labels: &[(&str, &str)]| registry.counter_value(name, labels);
+
+    // The live query's stages, as a lone engine run over the same
+    // stream with pushdown off reports them (`Pipeline::stage_stats`).
+    let api = StreamingApi::new(short_corpus().clone(), VirtualClock::new());
+    let run = faulted_builder(api)
+        .push_down(false)
+        .build()
+        .execute(LIVE_SQL)
+        .expect("the engine run");
+    let mut ops: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
+    for (name, s) in &run.stats.stages {
+        let op = ops.entry(name.as_str()).or_default();
+        op.0 += s.records_in;
+        op.1 += s.records_out;
+    }
+    assert!(ops.contains_key("async:latitude"), "{ops:?}");
+    for (&name, &(records_in, records_out)) in &ops {
+        let op = [("op", name)];
+        assert_eq!(
+            counter("tweeql_op_records_in_total", &op),
+            records_in,
+            "{name}"
+        );
+        assert_eq!(
+            counter("tweeql_op_records_out_total", &op),
+            records_out,
+            "{name}"
+        );
+    }
+    let published_ops = registry
+        .snapshot()
+        .into_iter()
+        .filter(|(name, _, _)| name.starts_with("tweeql_op_records_in_total"))
+        .count();
+    assert_eq!(published_ops, ops.len(), "an op series no stage explains");
+    for (name, s) in &run.stats.stages {
+        let Some(h) = &s.health else { continue };
+        let service = [("service", name.as_str())];
+        assert!(h.requests > 0, "{name} made no request");
+        assert_eq!(
+            counter("tweeql_service_requests_total", &service),
+            h.requests
+        );
+        assert_eq!(
+            counter("tweeql_service_timeouts_total", &service),
+            h.timeouts
+        );
+        assert_eq!(
+            counter("tweeql_service_degraded_rows_total", &service),
+            h.degraded_rows
+        );
+    }
+
+    // The connection's families are the host's source statistics.
+    assert!(faults.disconnects > 0, "the stream was not faulted");
+    assert_eq!(
+        counter("tweeql_records_decoded_total", &[]),
+        source.delivered
+    );
+    for (name, v) in [
+        ("tweeql_source_disconnects_total", faults.disconnects),
+        ("tweeql_source_reconnects_total", faults.reconnects),
+        (
+            "tweeql_source_duplicates_dropped_total",
+            faults.duplicates_dropped,
+        ),
+        (
+            "tweeql_source_malformed_skipped_total",
+            faults.malformed_skipped,
+        ),
+        ("tweeql_source_gaps_total", faults.gaps.len() as u64),
+    ] {
+        assert_eq!(counter(name, &[]), v, "{name}");
+    }
+
+    // Every query counts at admission; only the live one publishes.
+    assert_eq!(counter("tweeql_queries_total", &[]), 4);
+    let live = registry
+        .snapshot()
+        .into_iter()
+        .filter(|(_, labels, _)| labels.contains("query="))
+        .inspect(|(name, labels, _)| {
+            assert!(
+                labels.contains("query=\"q1\""),
+                "{name}{labels}: a quiet query published"
+            );
+        })
+        .count();
+    assert!(live > 0, "the live query published nothing");
+
+    // Two same-seeded runs publish identical registries.
+    assert_eq!(registry.snapshot(), standing_run().0.snapshot());
 }
 
 // ---- stale per-run state on reused engines ----
