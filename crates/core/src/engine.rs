@@ -634,7 +634,7 @@ impl Engine {
         // closes its trace spans.
         let dropped = host.drop_inner(query_id);
         run?;
-        let (mut planned, rows) = dropped?;
+        let (mut planned, rows) = dropped.and_then(|(planned, rows)| Ok((planned, rows?)))?;
 
         let ended_at = {
             use tweeql_model::Clock;

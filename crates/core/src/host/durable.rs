@@ -725,7 +725,7 @@ pub(crate) fn recover(b: EngineBuilder, cfg: DurabilityConfig) -> Result<QueryHo
             }
             WalRecord::Drop { id, fr } => {
                 host.pump_to_frontier(fr)?;
-                host.drop_inner(QueryId::new(id))?;
+                let _ = host.drop_inner(QueryId::new(id))?;
                 final_taken.remove(&id);
                 if let Some(d) = host.durable.as_mut() {
                     d.frontiers.remove(&id);

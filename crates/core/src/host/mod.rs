@@ -529,16 +529,16 @@ impl QueryHost {
         // Logged and synced before the rows cross the API boundary, so
         // recovery discards them instead of re-delivering.
         self.log_drop(id)?;
-        Ok(rows)
+        rows
     }
 
     /// Drop body, shared with recovery (which must not re-log) and
-    /// [`crate::engine::Engine::execute`]: the query's plan, and its
-    /// rows not yet taken.
+    /// [`crate::engine::Engine::execute`]: the query's plan, and its rows
+    /// or its finish's error (gone either way; an outer error keeps it).
     pub(crate) fn drop_inner(
         &mut self,
         id: QueryId,
-    ) -> Result<(PlannedQuery, RowBatch), QueryError> {
+    ) -> Result<(PlannedQuery, Result<RowBatch, QueryError>), QueryError> {
         self.flush_batch()?;
         let mut q = self.queries.remove(self.slot(id)?);
         // Needle ids are dense: re-intern what the survivors still use.
@@ -549,8 +549,8 @@ impl QueryHost {
                 .flatten();
         }
         self.index_changed();
-        q.finish()?;
-        Ok((q.planned, q.pending))
+        let finished = q.finish();
+        Ok((q.planned, finished.map(|()| q.pending)))
     }
 
     /// Every registered query, in registration order.

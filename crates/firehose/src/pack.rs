@@ -45,11 +45,6 @@ impl<'a> Packer<'a> {
 
     /// The chunk, trimmed to what was written.
     pub(crate) fn seal(self) -> Text {
-        self.seal_interned().0
-    }
-
-    /// The chunk, and where each interned value lies in it.
-    pub(crate) fn seal_interned(self) -> (Text, HashMap<&'a str, Range<usize>>) {
-        (Text::from(self.buf), self.interned)
+        Text::from(self.buf)
     }
 }

@@ -2,9 +2,23 @@
 //!
 //! Expensive scenarios (hours of stream, thousands of users) can be
 //! generated once, encoded with [`encode_log`], and replayed across
-//! bench runs with [`decode_log`]. The format is a simple length-
-//! prefixed record layout over [`bytes`] — no schema evolution needed
-//! for an experiment artifact.
+//! bench runs with [`decode_log`]. The format, version 2, is
+//! little-endian with every string a `u32` length and its bytes:
+//!
+//! - the magic `0x7EE1_0002`;
+//! - the author table: a `u32` count, then each distinct profile (id,
+//!   screen name, location, followers, language) once, in order of
+//!   first appearance;
+//! - a `u64` tweet count, then one record a tweet: id, time, text, a
+//!   `u32` index into the table, the tweet's language (a flag, and a
+//!   string only when it is not its author's), then coordinates,
+//!   `retweet_of`, polarity and burst, each optional one behind a flag.
+//!
+//! Version 1 repeated the author's profile in every record, which made
+//! the log 1.8 times larger and its decode a hash lookup and a profile
+//! compare a tweet; it is refused as [`ReplayError::BadHeader`]. The
+//! log is an experiment artifact, encoded afresh from a generated
+//! stream: there is one decoder and no schema evolution.
 
 use crate::pack::Packer;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -13,8 +27,8 @@ use std::ops::Range;
 use std::sync::Arc;
 use tweeql_model::{Text, Timestamp, TruthPolarity, Tweet, TweetBuilder, User, UserId};
 
-/// File magic: "TWEEQL log, version 1".
-const MAGIC: u32 = 0x7EE1_0001;
+/// File magic: "TWEEQL log, version 2".
+const MAGIC: u32 = 0x7EE1_0002;
 
 /// Errors from decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -25,6 +39,8 @@ pub enum ReplayError {
     Truncated,
     /// A string field was not valid UTF-8.
     BadUtf8,
+    /// A record named an author past the table.
+    BadAuthor,
 }
 
 impl std::fmt::Display for ReplayError {
@@ -33,6 +49,7 @@ impl std::fmt::Display for ReplayError {
             ReplayError::BadHeader => write!(f, "bad replay log header"),
             ReplayError::Truncated => write!(f, "truncated replay log"),
             ReplayError::BadUtf8 => write!(f, "invalid utf-8 in replay log"),
+            ReplayError::BadAuthor => write!(f, "author index past the replay log's table"),
         }
     }
 }
@@ -44,21 +61,76 @@ fn put_str(buf: &mut BytesMut, s: &str) {
     buf.put_slice(s.as_bytes());
 }
 
+/// Bytes [`put_str`] writes for `s`.
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
+/// The tweet's language when it is not its author's.
+fn own_lang(t: &Tweet) -> Option<&Text> {
+    (*t.lang() != t.user.lang).then(|| t.lang())
+}
+
+/// Bytes of `t`'s record.
+fn record_len(t: &Tweet) -> usize {
+    let some = |present: bool, bytes: usize| if present { bytes } else { 0 };
+    8 + 8
+        + str_len(&t.text)
+        + 4
+        + 1
+        + own_lang(t).map_or(0, |l| str_len(l))
+        + 1
+        + some(t.coordinates().is_some(), 16)
+        + 1
+        + some(t.retweet_of().is_some(), 8)
+        + 1
+        + 1
+        + some(t.truth_burst().is_some(), 4)
+}
+
 /// Encode a tweet log.
 pub fn encode_log(tweets: &[Tweet]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(tweets.len() * 160 + 16);
-    buf.put_u32_le(MAGIC);
-    buf.put_u64_le(tweets.len() as u64);
+    // Each distinct profile once, compared by every field, in order of
+    // first appearance; each tweet's index into the table; and the
+    // bytes all of it takes.
+    let mut index: HashMap<(UserId, &str, &str, u32, &str), u32> = HashMap::new();
+    let mut table: Vec<&User> = Vec::new();
+    let mut authors = Vec::with_capacity(tweets.len());
+    let mut len = 4 + 4 + 8;
     for t in tweets {
+        let u = &*t.user;
+        let profile = (u.id, &*u.screen_name, &*u.location, u.followers, &*u.lang);
+        let author = *index.entry(profile).or_insert_with(|| {
+            table.push(u);
+            len += 8 + str_len(&u.screen_name) + str_len(&u.location) + 4 + str_len(&u.lang);
+            u32::try_from(table.len() - 1).expect("fewer than 2^32 profiles")
+        });
+        authors.push(author);
+        len += record_len(t);
+    }
+    let mut buf = BytesMut::with_capacity(len);
+    buf.put_u32_le(MAGIC);
+    buf.put_u32_le(table.len() as u32);
+    for u in table {
+        buf.put_u64_le(u.id);
+        put_str(&mut buf, &u.screen_name);
+        put_str(&mut buf, &u.location);
+        buf.put_u32_le(u.followers);
+        put_str(&mut buf, &u.lang);
+    }
+    buf.put_u64_le(tweets.len() as u64);
+    for (t, author) in tweets.iter().zip(authors) {
         buf.put_u64_le(t.id);
         buf.put_i64_le(t.created_at.millis());
         put_str(&mut buf, &t.text);
-        buf.put_u64_le(t.user.id);
-        put_str(&mut buf, &t.user.screen_name);
-        put_str(&mut buf, &t.user.location);
-        buf.put_u32_le(t.user.followers);
-        put_str(&mut buf, &t.user.lang);
-        put_str(&mut buf, t.lang());
+        buf.put_u32_le(author);
+        match own_lang(t) {
+            Some(lang) => {
+                buf.put_u8(1);
+                put_str(&mut buf, lang);
+            }
+            None => buf.put_u8(0),
+        }
         match t.coordinates() {
             Some((lat, lon)) => {
                 buf.put_u8(1);
@@ -88,6 +160,7 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
             None => buf.put_u8(0),
         }
     }
+    debug_assert_eq!(buf.len(), len, "the buffer is sized from what is written");
     buf.freeze()
 }
 
@@ -95,7 +168,7 @@ pub fn encode_log(tweets: &[Tweet]) -> Bytes {
 /// input: the raw and the decoded log are alive together for this much
 /// of the log, not for the whole of it. A run costs two `mremap`s (the
 /// output grows, the input shrinks) and one chunk for its texts; a
-/// 37 MiB log is ~150 runs. The generator packs its texts in chunks of
+/// 21 MiB log is ~80 runs. The generator packs its texts in chunks of
 /// this many bytes too.
 pub(crate) const CHUNK_BYTES: usize = 256 << 10;
 
@@ -151,31 +224,26 @@ impl<'a> Reader<'a> {
         }
         Ok(s)
     }
+
+    /// One profile of the table.
+    fn profile(&mut self, utf8: bool) -> Result<Entry<'a>, ReplayError> {
+        // A tuple's fields are evaluated in the order they are written.
+        Ok((
+            self.u64()?,
+            self.str(utf8)?,
+            self.str(utf8)?,
+            self.u32()?,
+            self.str(utf8)?,
+        ))
+    }
 }
+
+/// A profile as the table holds it, its strings still bytes: id,
+/// screen name, location, followers, language.
+type Entry<'a> = (UserId, &'a [u8], &'a [u8], u32, &'a [u8]);
 
 fn as_str(s: &[u8]) -> Result<&str, ReplayError> {
     std::str::from_utf8(s).map_err(|_| ReplayError::BadUtf8)
-}
-
-/// An author as a record carries it, its strings still bytes.
-#[derive(Clone, Copy, PartialEq)]
-struct Profile<'a> {
-    id: UserId,
-    screen_name: &'a [u8],
-    location: &'a [u8],
-    followers: u32,
-    lang: &'a [u8],
-}
-
-impl Profile<'_> {
-    /// True when `user` has every field of this profile.
-    fn is(&self, user: &User) -> bool {
-        user.id == self.id
-            && user.screen_name.as_bytes() == self.screen_name
-            && user.location.as_bytes() == self.location
-            && user.followers == self.followers
-            && user.lang.as_bytes() == self.lang
-    }
 }
 
 /// One record as it lies in the log, its strings still bytes.
@@ -183,8 +251,10 @@ struct Raw<'a> {
     id: u64,
     created_at: i64,
     text: &'a [u8],
-    author: Profile<'a>,
-    lang: &'a [u8],
+    /// Index into the table, checked against its length.
+    author: usize,
+    /// The tweet's language when it is not its author's.
+    lang: Option<&'a [u8]>,
     coordinates: Option<(f64, f64)>,
     retweet_of: Option<u64>,
     truth_polarity: Option<TruthPolarity>,
@@ -192,23 +262,25 @@ struct Raw<'a> {
 }
 
 impl<'a> Raw<'a> {
-    /// Read one record field by field, in the order of the format. With
-    /// `utf8`, each string is checked as it is read, so the error is the
-    /// first one a forward decoder meets.
-    fn parse(r: &mut Reader<'a>, utf8: bool) -> Result<Raw<'a>, ReplayError> {
+    /// Read one record field by field, in the order of the format, for
+    /// a table of `profiles` authors. With `utf8`, each string is
+    /// checked as it is read, so the error is the first one a forward
+    /// decoder meets.
+    fn parse(r: &mut Reader<'a>, profiles: usize, utf8: bool) -> Result<Raw<'a>, ReplayError> {
         // Fields are evaluated in the order they are written.
         Ok(Raw {
             id: r.u64()?,
             created_at: r.i64()?,
             text: r.str(utf8)?,
-            author: Profile {
-                id: r.u64()?,
-                screen_name: r.str(utf8)?,
-                location: r.str(utf8)?,
-                followers: r.u32()?,
-                lang: r.str(utf8)?,
+            author: match r.u32()? as usize {
+                author if author < profiles => author,
+                _ => return Err(ReplayError::BadAuthor),
             },
-            lang: r.str(utf8)?,
+            lang: if r.u8()? == 1 {
+                Some(r.str(utf8)?)
+            } else {
+                None
+            },
             coordinates: if r.u8()? == 1 {
                 Some((r.f64()?, r.f64()?))
             } else {
@@ -225,26 +297,8 @@ impl<'a> Raw<'a> {
         })
     }
 
-    /// The tweet by `user` with `text`. A `lang` that is not the
-    /// author's is interned through `pool`, the `location` and `lang`
-    /// values decoded so far.
-    fn build(
-        self,
-        text: Text,
-        user: Arc<User>,
-        pool: &mut HashSet<Text>,
-    ) -> Result<Tweet, ReplayError> {
-        // The profile matched `user`, so its language is the user's.
-        let lang = if self.lang == self.author.lang {
-            user.lang.clone()
-        } else {
-            let lang = as_str(self.lang)?;
-            pool.get(lang).cloned().unwrap_or_else(|| {
-                let fresh = Text::from(lang);
-                pool.insert(fresh.clone());
-                fresh
-            })
-        };
+    /// The tweet by `user` with `text` and `lang`.
+    fn build(self, text: Text, user: Arc<User>, lang: Text) -> Tweet {
         let mut tweet = TweetBuilder::new(self.id, text)
             .user(user)
             .at(Timestamp::from_millis(self.created_at))
@@ -261,16 +315,8 @@ impl<'a> Raw<'a> {
         if let Some(b) = self.truth_burst {
             tweet = tweet.truth_burst(b as usize);
         }
-        Ok(tweet.build())
+        tweet.build()
     }
-}
-
-/// What the decoder holds for a `user_id`: the `User` of its last
-/// profile, or that profile first met in the run being built, as an
-/// index into the run's fresh profiles.
-enum Author {
-    Built(Arc<User>),
-    Fresh(usize),
 }
 
 /// A run of about a chunk of records.
@@ -279,13 +325,16 @@ struct Run {
     start: usize,
     /// Index of its first record.
     first: usize,
-    /// Bytes of its records' texts and author strings: the most its
-    /// chunk can hold.
-    string_bytes: usize,
+    /// Bytes of its records' texts: what its chunk holds.
+    text_bytes: usize,
 }
 
-/// Where a forward walk found the records.
+/// Where a forward walk found the table and the records.
 struct Layout {
+    /// The profile count the header claims, every profile present.
+    profiles: usize,
+    /// The bytes the profiles lie in.
+    table: Range<usize>,
     /// The record count the header claims, every record present.
     count: usize,
     runs: Vec<Run>,
@@ -293,65 +342,119 @@ struct Layout {
     end: usize,
 }
 
-/// Walk the header and every record forward, starting a new run once
-/// the current one holds `chunk` bytes.
+/// Walk the header, the table and every record forward, starting a new
+/// run once the current one holds `chunk` bytes.
 fn walk(raw: &[u8], chunk: usize, utf8: bool) -> Result<Layout, ReplayError> {
     let mut r = Reader { rest: raw };
-    if raw.len() < 12 || r.u32()? != MAGIC {
+    if raw.len() < 4 || r.u32()? != MAGIC {
         return Err(ReplayError::BadHeader);
     }
-    // The count is untrusted: a count the bytes cannot back ends in
+    let at = |r: &Reader| raw.len() - r.rest.len();
+    // Both counts are untrusted: one the bytes cannot back ends in
     // `Truncated` before anything is reserved for it.
+    let profiles = r.u32()? as usize;
+    let table_start = at(&r);
+    for _ in 0..profiles {
+        r.profile(utf8)?;
+    }
+    let table = table_start..at(&r);
     let count = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
     let mut runs: Vec<Run> = Vec::new();
     for i in 0..count {
-        let at = raw.len() - r.rest.len();
-        if runs.last().is_none_or(|run| at - run.start >= chunk) {
+        let start = at(&r);
+        // The first run is filled from byte 0: the header and the table
+        // are given back with it, last, so they count toward it.
+        let filled_from = runs
+            .get(1..)
+            .and_then(<[Run]>::last)
+            .map_or(0, |run| run.start);
+        if runs.is_empty() || start - filled_from >= chunk {
             runs.push(Run {
-                start: at,
+                start,
                 first: i,
-                string_bytes: 0,
+                text_bytes: 0,
             });
         }
-        let Raw { text, author, .. } = Raw::parse(&mut r, utf8)?;
+        let text = Raw::parse(&mut r, profiles, utf8)?.text;
         if let Some(run) = runs.last_mut() {
-            run.string_bytes +=
-                text.len() + author.screen_name.len() + author.location.len() + author.lang.len();
+            run.text_bytes += text.len();
         }
     }
     Ok(Layout {
+        profiles,
+        table,
         count,
         runs,
-        end: raw.len() - r.rest.len(),
+        end: at(&r),
     })
+}
+
+/// The table's `User`s by index, their strings in one chunk: each
+/// screen name, and each distinct location and language once.
+fn users(table: &[u8], profiles: usize) -> Result<Vec<Arc<User>>, ReplayError> {
+    let mut r = Reader { rest: table };
+    let mut pack = Packer::with_capacity(table.len());
+    let mut spans = Vec::with_capacity(profiles);
+    for _ in 0..profiles {
+        let (id, screen_name, location, followers, lang) = r.profile(false)?;
+        spans.push((
+            id,
+            pack.push(as_str(screen_name)?),
+            pack.intern(as_str(location)?),
+            followers,
+            pack.intern(as_str(lang)?),
+        ));
+    }
+    let chunk = pack.seal();
+    // Pushed into a `Vec` of their own: collected from `spans`, they
+    // would keep its eight times larger buffer for the whole decode.
+    let mut users = Vec::with_capacity(profiles);
+    for (id, screen_name, location, followers, lang) in spans {
+        users.push(Arc::new(User {
+            id,
+            screen_name: chunk.slice(screen_name),
+            location: chunk.slice(location),
+            followers,
+            lang: chunk.slice(lang),
+        }));
+    }
+    Ok(users)
+}
+
+/// `lang` as one string a value: the table's languages, and those of
+/// tweets not in their author's language, kept for the whole decode.
+fn interned(langs: &mut HashSet<Text>, lang: &str) -> Text {
+    if let Some(lang) = langs.get(lang) {
+        return lang.clone();
+    }
+    let fresh = Text::from(lang);
+    langs.insert(fresh.clone());
+    fresh
 }
 
 /// Decode a tweet log, giving the input back as it goes.
 ///
 /// Pass 1 walks the log forward with every bounds check but no UTF-8
-/// check, and marks where each 256 KiB run of records starts. When it
-/// fails, a second forward walk that also checks UTF-8 finds the first
-/// error, so a log answers what a one-pass decoder would. Pass 2 builds
-/// the runs from the last to the first, and after each one truncates
-/// the input to the runs not yet built and shrinks it: raw and decoded
-/// log are alive together for one run, not the whole log. Once pass 1
-/// has succeeded, pass 2 can only fail on UTF-8, as a forward decoder
-/// would.
+/// check, and marks where the table lies and where each 256 KiB run of
+/// records starts. When it fails, a second forward walk that also
+/// checks UTF-8 finds the first error, so a log answers what a one-pass
+/// decoder would. The table's `User`s are then built once: their
+/// strings in one chunk, each distinct location and language interned,
+/// as [`crate::generate`] builds them. Pass 2 builds the runs from the
+/// last to the first, and after each one truncates the input to the
+/// runs not yet built and shrinks it: raw and decoded log are alive
+/// together for one run, not the whole log. Once pass 1 has succeeded,
+/// only `BadUtf8` is left to fail on, as for a forward decoder.
 ///
-/// Strings are packed, not allocated one by one (see [`Text`]): a run
-/// is built in two sweeps. The first writes its texts into one chunk,
-/// and with them the strings of each author it meets first; the second
-/// builds the tweets, each cutting its text out of the chunk. A tweet
-/// costs its row plus its box of rare fields when one of them is
-/// present (see [`Tweet`]). Authors are shared: the first tweet built
-/// for a `user_id` makes the [`User`], later ones clone the `Arc` — but
-/// only after comparing every profile field, so an author whose
-/// followers, location or language change mid-log gets a fresh `User`
-/// for the tweets that differ. Profile locations and languages are
-/// interned, as [`crate::generate`] builds them: one string per
-/// distinct value in the whole log, whichever authors carry it. A
-/// tweet's `lang` is its author's string when the two are equal, and is
-/// then not stored in the row at all; otherwise it is the interned one.
+/// A run is built in two sweeps: the first writes its texts into one
+/// chunk, the second builds the tweets, each cutting its text out of
+/// the chunk and cloning its author's `Arc` from the table. Equal
+/// profiles are one table entry, so they share one [`User`] wherever
+/// they lie in the log; a profile that changes mid-log is a second
+/// entry, so `decode(encode(x)) == x`. A tweet costs its row plus its
+/// box of rare fields when one of them is present (see [`Tweet`]). Its
+/// `lang` is its author's string, not stored in the row, or an interned
+/// one when it differs.
 pub fn decode_log(buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
     decode_log_chunked(buf, CHUNK_BYTES)
 }
@@ -365,90 +468,47 @@ fn decode_log_chunked(buf: Bytes, chunk: usize) -> Result<Vec<Tweet>, ReplayErro
         // not UTF-8 before it.
         Err(e) => return Err(walk(&raw, chunk, true).err().unwrap_or(e)),
     };
+    let users = users(&raw[layout.table.clone()], layout.profiles)?;
+    // Seeded with the table's languages when a tweet first needs it.
+    let mut langs: Option<HashSet<Text>> = None;
     let mut out = Vec::new();
-    let mut authors: HashMap<UserId, Author> = HashMap::new();
-    // The `location` and `lang` values decoded so far, one string each.
-    let mut pool: HashSet<Text> = HashSet::new();
-    // Kept across runs: where each record of the run starts, where its
-    // text starts in the run's chunk, and its author: a `User` built
-    // before the run, or one of the run's fresh profiles.
-    let mut sweep: Vec<(usize, usize, Result<Arc<User>, usize>)> = Vec::new();
+    // Kept across runs: where each record of the run starts in it,
+    // less than a chunk past the run's first.
+    let mut starts: Vec<u32> = Vec::new();
     let (mut end, mut next) = (layout.end, layout.count);
     for run in layout.runs.iter().rev() {
         // Grown a run at a time, so the rows reserved never run ahead
         // of the input given back.
         out.reserve_exact(next - run.first);
-        sweep.reserve_exact(next - run.first);
+        starts.reserve_exact(next - run.first);
         let records = &raw[run.start..end];
-        // Sweep 1: each text into one chunk, and with them the strings
-        // of each profile first met here (those not pooled yet).
-        let mut pack = Packer::with_capacity(run.string_bytes);
-        // Each fresh profile: where the record that carries it first
-        // starts, and where its screen name lies.
-        let mut fresh: Vec<(usize, Range<usize>)> = Vec::new();
-        let record_at = |at: usize| {
-            Raw::parse(
-                &mut Reader {
-                    rest: &records[at..],
-                },
-                false,
-            )
-        };
+        // Sweep 1: each text into one chunk.
+        let mut pack = Packer::with_capacity(run.text_bytes);
         let mut r = Reader { rest: records };
         for _ in run.first..next {
-            let at = records.len() - r.rest.len();
-            let record = Raw::parse(&mut r, false)?;
-            let text = pack.push(as_str(record.text)?);
-            let p = record.author;
-            let author = match authors.get(&p.id) {
-                Some(Author::Built(user)) if p.is(user) => Ok(Arc::clone(user)),
-                Some(&Author::Fresh(k)) if record_at(fresh[k].0)?.author == p => Err(k),
-                _ => {
-                    for s in [p.location, p.lang] {
-                        let s = as_str(s)?;
-                        if !pool.contains(s) {
-                            pack.intern(s);
-                        }
-                    }
-                    fresh.push((at, pack.push(as_str(p.screen_name)?)));
-                    authors.insert(p.id, Author::Fresh(fresh.len() - 1));
-                    Err(fresh.len() - 1)
-                }
-            };
-            sweep.push((at, text.start, author));
+            starts.push((records.len() - r.rest.len()) as u32);
+            pack.push(as_str(Raw::parse(&mut r, users.len(), false)?.text)?);
         }
-        let (chunk, interned) = pack.seal_interned();
-        for at in interned.into_values() {
-            pool.insert(chunk.slice(at));
-        }
-        let pooled = |s: &[u8]| -> Result<Text, ReplayError> {
-            Ok(pool
-                .get(as_str(s)?)
-                .cloned()
-                .expect("pooled when its profile was met"))
-        };
-        let mut users = Vec::with_capacity(fresh.len());
-        for (k, (at, name)) in fresh.into_iter().enumerate() {
-            let p = record_at(at)?.author;
-            let user = Arc::new(User {
-                id: p.id,
-                screen_name: chunk.slice(name),
-                location: pooled(p.location)?,
-                followers: p.followers,
-                lang: pooled(p.lang)?,
-            });
-            if matches!(authors.get(&p.id), Some(&Author::Fresh(last)) if last == k) {
-                authors.insert(p.id, Author::Built(Arc::clone(&user)));
-            }
-            users.push(user);
-        }
+        let chunk = pack.seal();
         // Sweep 2, last record first (the whole output is reversed at
-        // the end): the tweets, each cutting its text out of the chunk.
-        for (at, text_at, author) in sweep.drain(..).rev() {
-            let record = record_at(at)?;
-            let text = chunk.slice(text_at..text_at + record.text.len());
-            let user = author.unwrap_or_else(|k| Arc::clone(&users[k]));
-            out.push(record.build(text, user, &mut pool)?);
+        // the end): the tweets, each cutting its text off the end of
+        // what is left of the chunk.
+        let mut text_end = chunk.len();
+        for at in starts.drain(..).rev() {
+            let rest = &records[at as usize..];
+            let record = Raw::parse(&mut Reader { rest }, users.len(), false)?;
+            let text_start = text_end - record.text.len();
+            let text = chunk.slice(text_start..text_end);
+            text_end = text_start;
+            let user = Arc::clone(&users[record.author]);
+            let lang = match record.lang {
+                None => user.lang.clone(),
+                Some(lang) => interned(
+                    langs.get_or_insert_with(|| users.iter().map(|u| u.lang.clone()).collect()),
+                    as_str(lang)?,
+                ),
+            };
+            out.push(record.build(text, user, lang));
         }
         raw.truncate(run.start);
         raw.shrink_to_fit();
@@ -458,102 +518,95 @@ fn decode_log_chunked(buf: Bytes, chunk: usize) -> Result<Vec<Tweet>, ReplayErro
     Ok(out)
 }
 
-/// The decoder this module shipped before [`decode_log`] borrowed its
-/// input: the reference the differential tests below hold it to.
+/// A plain forward decoder of the format, copying every field and
+/// building a `User` per tweet: the reference the differential tests
+/// below hold [`decode_log`] to.
 #[cfg(test)]
 mod oracle {
     use super::{ReplayError, MAGIC};
     use bytes::{Buf, Bytes};
     use tweeql_model::{Timestamp, TruthPolarity, Tweet, TweetBuilder, User};
 
+    fn need(buf: &Bytes, n: usize) -> Result<(), ReplayError> {
+        if buf.remaining() < n {
+            return Err(ReplayError::Truncated);
+        }
+        Ok(())
+    }
+
     fn get_str(buf: &mut Bytes) -> Result<String, ReplayError> {
-        if buf.remaining() < 4 {
-            return Err(ReplayError::Truncated);
-        }
+        need(buf, 4)?;
         let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return Err(ReplayError::Truncated);
-        }
+        need(buf, len)?;
         let raw = buf.copy_to_bytes(len);
         String::from_utf8(raw.to_vec()).map_err(|_| ReplayError::BadUtf8)
     }
 
     pub fn decode_log(mut buf: Bytes) -> Result<Vec<Tweet>, ReplayError> {
-        if buf.remaining() < 12 {
+        if buf.remaining() < 4 || buf.get_u32_le() != MAGIC {
             return Err(ReplayError::BadHeader);
         }
-        if buf.get_u32_le() != MAGIC {
-            return Err(ReplayError::BadHeader);
+        need(&buf, 4)?;
+        let profiles = buf.get_u32_le();
+        let mut table = Vec::new();
+        for _ in 0..profiles {
+            need(&buf, 8)?;
+            let id = buf.get_u64_le();
+            let screen_name = get_str(&mut buf)?;
+            let location = get_str(&mut buf)?;
+            need(&buf, 4)?;
+            let followers = buf.get_u32_le();
+            let lang = get_str(&mut buf)?;
+            table.push(User {
+                id,
+                screen_name: screen_name.into(),
+                location: location.into(),
+                followers,
+                lang: lang.into(),
+            });
         }
-        let n = buf.get_u64_le() as usize;
-        let mut out = Vec::with_capacity(n);
+        need(&buf, 8)?;
+        let n = buf.get_u64_le();
+        let mut out = Vec::new();
         for _ in 0..n {
-            if buf.remaining() < 16 {
-                return Err(ReplayError::Truncated);
-            }
+            need(&buf, 16)?;
             let id = buf.get_u64_le();
             let ts = Timestamp::from_millis(buf.get_i64_le());
             let text = get_str(&mut buf)?;
-            if buf.remaining() < 8 {
-                return Err(ReplayError::Truncated);
-            }
-            let user_id = buf.get_u64_le();
-            let screen_name = get_str(&mut buf)?;
-            let location = get_str(&mut buf)?;
-            if buf.remaining() < 4 {
-                return Err(ReplayError::Truncated);
-            }
-            let followers = buf.get_u32_le();
-            let user_lang = get_str(&mut buf)?;
-            let lang = get_str(&mut buf)?;
+            need(&buf, 4)?;
+            let author = (table.get(buf.get_u32_le() as usize))
+                .ok_or(ReplayError::BadAuthor)?
+                .clone();
+            need(&buf, 1)?;
+            let lang = if buf.get_u8() == 1 {
+                get_str(&mut buf)?
+            } else {
+                author.lang.to_string()
+            };
+            let mut builder = TweetBuilder::new(id, text).user(author).at(ts).lang(lang);
 
-            let mut builder = TweetBuilder::new(id, text)
-                .user(User {
-                    id: user_id,
-                    screen_name: screen_name.into(),
-                    location: location.into(),
-                    followers,
-                    lang: user_lang.into(),
-                })
-                .at(ts)
-                .lang(lang);
-
-            if buf.remaining() < 1 {
-                return Err(ReplayError::Truncated);
-            }
+            need(&buf, 1)?;
             if buf.get_u8() == 1 {
-                if buf.remaining() < 16 {
-                    return Err(ReplayError::Truncated);
-                }
+                need(&buf, 16)?;
                 let lat = buf.get_f64_le();
                 let lon = buf.get_f64_le();
                 builder = builder.coordinates(lat, lon);
             }
-            if buf.remaining() < 1 {
-                return Err(ReplayError::Truncated);
-            }
+            need(&buf, 1)?;
             if buf.get_u8() == 1 {
-                if buf.remaining() < 8 {
-                    return Err(ReplayError::Truncated);
-                }
+                need(&buf, 8)?;
                 builder = builder.retweet_of(buf.get_u64_le());
             }
-            if buf.remaining() < 1 {
-                return Err(ReplayError::Truncated);
-            }
+            need(&buf, 1)?;
             builder = match buf.get_u8() {
                 1 => builder.truth_polarity(TruthPolarity::Positive),
                 2 => builder.truth_polarity(TruthPolarity::Negative),
                 3 => builder.truth_polarity(TruthPolarity::Neutral),
                 _ => builder,
             };
-            if buf.remaining() < 1 {
-                return Err(ReplayError::Truncated);
-            }
+            need(&buf, 1)?;
             if buf.get_u8() == 1 {
-                if buf.remaining() < 4 {
-                    return Err(ReplayError::Truncated);
-                }
+                need(&buf, 4)?;
                 builder = builder.truth_burst(buf.get_u32_le() as usize);
             }
             out.push(builder.build());
@@ -621,10 +674,12 @@ mod tests {
         );
     }
 
-    /// A header and nothing else, claiming `count` records.
+    /// A header with an empty table and nothing else, claiming `count`
+    /// records.
     fn header_only(count: u64) -> Bytes {
-        let mut buf = BytesMut::with_capacity(12);
+        let mut buf = BytesMut::with_capacity(16);
         buf.put_u32_le(MAGIC);
+        buf.put_u32_le(0);
         buf.put_u64_le(count);
         buf.freeze()
     }
@@ -645,12 +700,96 @@ mod tests {
         );
     }
 
+    /// Where the walk finds `raw`'s table.
+    fn table_of(raw: &[u8]) -> Range<usize> {
+        walk(raw, CHUNK_BYTES, false).expect("a valid log").table
+    }
+
     #[test]
     fn a_count_one_larger_than_the_records_present_is_truncated() {
         let log = profile_log(&[(0, 0), (4, 1), (6, 2)]);
         let mut raw = encode_log(&log).to_vec();
-        raw[4..12].copy_from_slice(&4u64.to_le_bytes());
+        let count = table_of(&raw).end;
+        raw[count..count + 8].copy_from_slice(&4u64.to_le_bytes());
         assert_eq!(decode_log(Bytes::from(raw)), Err(ReplayError::Truncated));
+    }
+
+    #[test]
+    fn a_profile_count_the_bytes_cannot_back_is_truncated_before_anything_is_reserved() {
+        // A table of 2^32 - 1 `User`s would be 32 GiB of `Arc`s alone.
+        let mut raw = BytesMut::with_capacity(8);
+        raw.put_u32_le(MAGIC);
+        raw.put_u32_le(u32::MAX);
+        assert_eq!(decode_log(raw.freeze()), Err(ReplayError::Truncated));
+        // One profile more than the table holds: the tweet count is
+        // read as the next profile, which the records cannot back.
+        let mut raw = encode_log(&profile_log(&[(0, 0), (4, 1), (6, 2)])).to_vec();
+        raw[4..8].copy_from_slice(&4u32.to_le_bytes());
+        let raw = Bytes::from(raw);
+        assert_eq!(decode_log(raw.clone()), Err(ReplayError::Truncated));
+        assert_decoders_agree(&raw);
+    }
+
+    #[test]
+    fn an_author_index_past_the_table_is_bad_author() {
+        let log = profile_log(&[(0, 0), (4, 1), (6, 2)]);
+        let mut raw = encode_log(&log).to_vec();
+        // The last record's index, past its id, time and text: the
+        // table holds three profiles, so 3 is one past it.
+        let index = record_offset(&log, 2) + 20 + log[2].text.len();
+        assert_eq!(raw[index..index + 4], 2u32.to_le_bytes());
+        for past in [3, u32::MAX] {
+            raw[index..index + 4].copy_from_slice(&past.to_le_bytes());
+            let bad = Bytes::from(raw.clone());
+            for chunk in CHUNKS {
+                assert_eq!(
+                    decode_log_chunked(bad.clone(), chunk),
+                    Err(ReplayError::BadAuthor),
+                    "index {past}, runs of {chunk} bytes"
+                );
+            }
+            assert_decoders_agree(&bad);
+        }
+    }
+
+    #[test]
+    fn bad_utf8_in_a_table_string_is_bad_utf8() {
+        let log = profile_log(&[(0, 0), (6, 1), (4, 2)]);
+        let raw = encode_log(&log).to_vec();
+        let table = table_of(&raw);
+        // The first profile's screen name, past its id and the name's
+        // length prefix; the last byte of the table, in the last
+        // profile's language.
+        for at in [table.start + 12, table.end - 1] {
+            let mut bad = raw.clone();
+            bad[at] = 0xFF;
+            let bad = Bytes::from(bad);
+            for chunk in CHUNKS {
+                assert_eq!(
+                    decode_log_chunked(bad.clone(), chunk),
+                    Err(ReplayError::BadUtf8),
+                    "byte {at}, runs of {chunk} bytes"
+                );
+            }
+            assert_decoders_agree(&bad);
+        }
+    }
+
+    #[test]
+    fn a_truncation_inside_the_table_is_truncated() {
+        let raw = encode_log(&profile_log(&[(0, 0), (6, 1), (4, 2)]));
+        let table = table_of(&raw);
+        for cut in [table.start, (table.start + table.end) / 2, table.end - 1] {
+            let short = raw.slice(0..cut);
+            for chunk in CHUNKS {
+                assert_eq!(
+                    decode_log_chunked(short.clone(), chunk),
+                    Err(ReplayError::Truncated),
+                    "cut at {cut}, runs of {chunk} bytes"
+                );
+            }
+            assert_decoders_agree(&short);
+        }
     }
 
     /// The profiles the differential logs draw authors from: id 1 under
@@ -748,10 +887,16 @@ mod tests {
         (old, new)
     }
 
+    /// The byte offset of record `i` in `log`'s encoding: with runs of
+    /// one byte, each record starts a run of its own.
+    fn record_offset(log: &[Tweet], i: usize) -> usize {
+        walk(&encode_log(log), 1, false).expect("a valid log").runs[i].start
+    }
+
     /// The first byte of record `i`'s text in `log`'s encoding: past
-    /// the records before it, its id, time and the text's length prefix.
+    /// its id, time and the text's length prefix.
     fn text_offset(log: &[Tweet], i: usize) -> usize {
-        encode_log(&log[..i]).len() + 20
+        record_offset(log, i) + 20
     }
 
     #[test]
@@ -773,13 +918,15 @@ mod tests {
 
     #[test]
     fn bad_utf8_in_the_last_run_only_is_bad_utf8() {
-        let rows: Vec<(u8, u8)> = (0..12u8).map(|k| (k % 7, k)).collect();
+        // The last tweet is not in its author's language.
+        let rows: Vec<(u8, u8)> = (0..12u8).map(|k| (k % 7, k | (k / 11) << 5)).collect();
         let log = profile_log(&rows);
         let raw = encode_log(&log).to_vec();
-        // The last record's text, and then its author's screen name,
-        // past the text, the user id and the name's length prefix.
+        // The last record's text, and then its language, past the
+        // text, the author index, the flag and the length prefix.
         let text = text_offset(&log, 11);
-        for at in [text, text + log[11].text.len() + 12] {
+        assert_eq!(&**log[11].lang(), "pt");
+        for at in [text, text + log[11].text.len() + 9] {
             let mut bad = raw.clone();
             bad[at] = 0xC0;
             let bad = Bytes::from(bad);
@@ -808,7 +955,7 @@ mod tests {
         let raw = encode_log(&profile_log(&[(0, 0b11_1111), (6, 0b01_0110), (4, 0)]));
         for cut in 0..raw.len() {
             let short = raw.slice(0..cut);
-            let want = if cut < 12 {
+            let want = if cut < 4 {
                 ReplayError::BadHeader
             } else {
                 ReplayError::Truncated
@@ -823,7 +970,8 @@ mod tests {
         // alice, alice, alice with 11 followers, alice as before; then
         // bob under two ids.
         let log = profile_log(&[(0, 0), (0, 32), (2, 0), (0, 0), (4, 0), (5, 0)]);
-        let got = decode_log(encode_log(&log)).unwrap();
+        let raw = encode_log(&log);
+        let got = decode_log(raw.clone()).unwrap();
         assert_eq!(got, log);
         assert!(Arc::ptr_eq(&got[0].user, &got[1].user));
         assert_eq!(copy(got[0].lang()), copy(&got[0].user.lang));
@@ -832,7 +980,18 @@ mod tests {
         assert_eq!(got[2].user.followers, 11);
         assert!(!Arc::ptr_eq(&got[2].user, &got[3].user));
         assert_eq!(got[3].user.followers, 10);
+        // Back to the first profile after another: one table entry, so
+        // one `User`, at every run size.
+        assert!(Arc::ptr_eq(&got[0].user, &got[3].user));
         assert!(!Arc::ptr_eq(&got[4].user, &got[5].user));
+        assert_eq!(walk(&raw, CHUNK_BYTES, false).unwrap().profiles, 4);
+        for chunk in CHUNKS {
+            let got = decode_log_chunked(raw.clone(), chunk).unwrap();
+            assert!(
+                Arc::ptr_eq(&got[0].user, &got[3].user),
+                "runs of {chunk} bytes"
+            );
+        }
     }
 
     /// Which bytes a string is: two texts with equal ones share them.
@@ -899,16 +1058,32 @@ mod tests {
                 .flat_map(|t| [&t.user.screen_name, &t.user.location, &t.user.lang])
                 .filter_map(Text::chunk_addr)
                 .collect();
+            assert_eq!(
+                authors.len(),
+                1,
+                "runs of {chunk} bytes: the authors' strings lie in the table's chunk"
+            );
             assert!(
-                authors.is_subset(&chunks),
-                "runs of {chunk} bytes: an author's strings lie in a chunk of texts"
+                authors.is_disjoint(&chunks),
+                "runs of {chunk} bytes: the table's chunk holds no text"
             );
         }
     }
 
     #[test]
-    fn a_log_the_previous_encoder_wrote_decodes_to_the_same_tweets() {
+    fn a_version_1_log_is_bad_header() {
         let fixture: &[u8] = include_bytes!("../tests/fixtures/parent_log_3_tweets.bin");
+        assert_eq!(fixture[..4], 0x7EE1_0001u32.to_le_bytes());
+        assert_eq!(
+            decode_log(Bytes::from(fixture.to_vec())),
+            Err(ReplayError::BadHeader)
+        );
+        assert_decoders_agree(&Bytes::from(fixture.to_vec()));
+    }
+
+    #[test]
+    fn a_pinned_log_decodes_to_its_tweets_and_encodes_to_its_bytes() {
+        let fixture: &[u8] = include_bytes!("../tests/fixtures/log_v2_3_tweets.bin");
         let alice = User {
             id: 7,
             screen_name: "alice".into(),
@@ -993,6 +1168,22 @@ mod tests {
         )
     }
 
+    /// One field of a hostile log: a string of one repeated byte up to
+    /// 7 long, not UTF-8 one time in 32.
+    fn hostile_str(raw: &mut Vec<u8>, a: u8, b: u8) {
+        raw.extend(u32::from(a % 8).to_le_bytes());
+        let byte = if b < 0xF8 { b & 0x7F } else { b };
+        raw.extend(std::iter::repeat_n(byte, usize::from(a % 8)));
+    }
+
+    /// A flag of 0 or 1 and, when it is set, `payload` bytes of `b`.
+    fn hostile_flag(raw: &mut Vec<u8>, a: u8, b: u8, payload: usize) {
+        raw.push(a & 1);
+        if a & 1 == 1 {
+            raw.extend(std::iter::repeat_n(b, payload));
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -1033,10 +1224,10 @@ mod tests {
             );
         }
 
-        /// Any byte after the header may be anything: a flag that is
-        /// neither 0 nor 1, a length past the end, text that is not
-        /// UTF-8. (The count is left alone: the oracle reserves for it
-        /// unchecked, which is the defect the header tests pin.)
+        /// Any byte after the magic may be anything: a count the bytes
+        /// cannot back, a flag that is neither 0 nor 1, a length past
+        /// the end, an author index past the table, a string that is
+        /// not UTF-8.
         #[test]
         fn decoder_equals_the_oracle_on_corrupted_logs(
             rows in collection::vec((0u8..7, 0u8..64), 1..6),
@@ -1044,60 +1235,67 @@ mod tests {
             byte in 0u8..=255,
         ) {
             let mut raw = encode_log(&profile_log(&rows)).to_vec();
-            let at = 12 + at % (raw.len() - 12);
+            let at = 4 + at % (raw.len() - 4);
             raw[at] = byte;
             let (old, new) = encoded_answers(&Bytes::from(raw));
             prop_assert_eq!(new, vec![old; CHUNKS.len()]);
         }
 
-        /// A valid header and then anything at all, written field by
-        /// field in the format's order so that records parse deep
-        /// before they break. A field is a string of one repeated byte
-        /// up to 7 long (not UTF-8 one time in 32), a flag of 0 or 1
-        /// with its payload, a polarity code up to 4, or fixed-width
-        /// bytes; one token in 16 is instead one arbitrary byte, which
-        /// shifts every field after it. (The count is at most 64:
-        /// the oracle reserves for it unchecked.)
+        /// A valid magic and then anything at all, written field by
+        /// field in the format's order so that the table and the
+        /// records parse deep before they break: `profiles` table
+        /// entries, the tweet `count`, then records. A field is a
+        /// string (see [`hostile_str`]), a flag with its payload, an
+        /// author index up to two past the table, a polarity code up to
+        /// 4, or fixed-width bytes; one token in 16 is instead one
+        /// arbitrary byte, which shifts every field after it.
         #[test]
         fn decoder_equals_the_oracle_on_hostile_bytes(
+            profiles in 0u32..=4,
             count in 0u64..=64,
             tokens in collection::vec((0u8..16, 0u8..=255, 0u8..=255), 0..512),
         ) {
-            let mut raw = header_only(count).to_vec();
+            let mut raw = MAGIC.to_le_bytes().to_vec();
+            raw.extend(profiles.to_le_bytes());
+            let table_fields = 5 * profiles as usize;
             let mut field = 0;
             for (kind, a, b) in tokens {
                 if kind == 15 {
                     raw.push(a);
                     continue;
                 }
-                match field {
-                    // id, created_at, user_id
-                    0 | 1 | 3 => raw.extend([a; 8]),
-                    // text, screen_name, location, user lang, lang
-                    2 | 4 | 5 | 7 | 8 => {
-                        raw.extend(u32::from(a % 8).to_le_bytes());
-                        let byte = if b < 0xF8 { b & 0x7F } else { b };
-                        raw.extend(std::iter::repeat_n(byte, usize::from(a % 8)));
+                if field < table_fields {
+                    match field % 5 {
+                        // id
+                        0 => raw.extend([a; 8]),
+                        // followers
+                        3 => raw.extend([a; 4]),
+                        // screen_name, location, lang
+                        _ => hostile_str(&mut raw, a, b),
                     }
-                    // followers
-                    6 => raw.extend([a; 4]),
-                    // coordinates, retweet_of, truth_burst: a flag
-                    // and, when it is set, the payload
-                    9 | 10 | 12 => {
-                        raw.push(a & 1);
-                        let payload = match field {
-                            9 => 16,
-                            10 => 8,
-                            _ => 4,
-                        };
-                        if a & 1 == 1 {
-                            raw.extend(std::iter::repeat_n(b, payload));
+                } else if field == table_fields {
+                    raw.extend(count.to_le_bytes());
+                } else {
+                    match (field - table_fields - 1) % 9 {
+                        // id, created_at
+                        0 | 1 => raw.extend([a; 8]),
+                        2 => hostile_str(&mut raw, a, b),
+                        // author
+                        3 => raw.extend((u32::from(a) % (profiles + 2)).to_le_bytes()),
+                        // lang, when it is not the author's
+                        4 => {
+                            raw.push(a & 1);
+                            if a & 1 == 1 {
+                                hostile_str(&mut raw, b, a);
+                            }
                         }
+                        5 => hostile_flag(&mut raw, a, b, 16),
+                        6 => hostile_flag(&mut raw, a, b, 8),
+                        7 => raw.push(a % 5),
+                        _ => hostile_flag(&mut raw, a, b, 4),
                     }
-                    // truth_polarity
-                    _ => raw.push(a % 5),
                 }
-                field = (field + 1) % 13;
+                field += 1;
             }
             let (old, new) = encoded_answers(&Bytes::from(raw));
             prop_assert_eq!(new, vec![old; CHUNKS.len()]);

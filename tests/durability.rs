@@ -26,7 +26,7 @@ use tweeql_firehose::api::ConnectionStats;
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::scenario::{Burst, Scenario, Topic};
 use tweeql_firehose::StreamingApi;
-use tweeql_model::{Clock, Duration, Record, Timestamp, Tweet, VirtualClock};
+use tweeql_model::{Clock, Duration, Record, Timestamp, Tweet, Value, VirtualClock};
 use tweeql_wal::{TempDir, Wal};
 
 /// Deterministic firehose shared by every run: keyword topic, a burst,
@@ -598,6 +598,53 @@ fn dropped_queries_stay_dropped_across_recovery() {
     let listed = host.list();
     assert_eq!(listed.len(), 1, "dropped query must not resurrect");
     assert_eq!(listed[0].sql, CORPUS[2]);
+}
+
+/// A scalar function that fails on every call.
+struct Boom;
+
+impl tweeql::udf::ScalarUdf for Boom {
+    fn name(&self) -> &str {
+        "boom"
+    }
+
+    fn call(&self, _: &[Value]) -> Result<Value, QueryError> {
+        Err(QueryError::Exec("boom".into()))
+    }
+}
+
+/// A durable host over the shared stream whose registry has [`Boom`].
+fn boom_host(dir: &Path) -> QueryHost {
+    let api = StreamingApi::new(tweets().clone(), VirtualClock::new());
+    tweeql::Engine::builder(api)
+        .seed(99)
+        .configure_registry(|r| r.register_scalar(std::sync::Arc::new(Boom)))
+        .recover_with(DurabilityConfig::new(dir).fsync(false))
+        .expect("open durable host")
+}
+
+#[test]
+fn a_drop_whose_finish_fails_stays_dropped_across_recovery() {
+    let dir = TempDir::new("tweeql-dur-drop-fails");
+    let mut host = boom_host(dir.path());
+    // A global aggregate emits its one row, and calls `boom`, only
+    // when it is finished.
+    let sql = "SELECT count(*) AS c FROM twitter HAVING boom(count(*)) > 0";
+    let id = host.register(sql).expect(sql);
+    host.pump_until(mins(1)).expect("pump");
+    let err = host.drop_query(id).expect_err("the finish calls boom");
+    assert!(err.to_string().contains("boom"), "{err}");
+    assert!(host.list().is_empty(), "the failed drop removed the query");
+    drop(host);
+    let host = boom_host(dir.path());
+    assert_eq!(
+        host.list()
+            .iter()
+            .map(|q| (q.id, q.state))
+            .collect::<Vec<_>>(),
+        Vec::new(),
+        "a dropped query must not come back, however its finish went"
+    );
 }
 
 #[test]
