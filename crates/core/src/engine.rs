@@ -62,14 +62,17 @@ pub struct EngineConfig {
     pub allow_pushdown: bool,
     /// Run the reference implementation every fast layer is
     /// differentially tested against: the plan exactly as written (no
-    /// rewrite rules), the interpreted operators, row decode
-    /// (`Record::from_tweet`) cut at every watermark boundary, and the
-    /// per-tweet source facade. Output, gap windows and (with pushdown
-    /// off) source statistics equal the default configuration's. Only
-    /// the host [`Engine::execute`] builds cuts at every boundary; a
-    /// standing-query host keeps its columnar dispatch and cadence, and
-    /// its as-written plans have no index needles, so every row reaches
-    /// every query.
+    /// rewrite rules), the interpreted operators, and row decode
+    /// (`Record::from_tweet`) cut at every watermark boundary. The
+    /// source is not switched: every configuration pulls the same
+    /// zero-copy log-index blocks, whose per-tweet reference lives in
+    /// the supervisor's tests. Output, gap windows and (with pushdown
+    /// off) source statistics equal the default configuration's; under
+    /// LIMIT the statistics can differ by the block read past the flush
+    /// that fills it. Only the host [`Engine::execute`] builds cuts at
+    /// every boundary; a standing-query host keeps its columnar
+    /// dispatch and cadence, and its as-written plans have no index
+    /// needles, so every row reaches every query.
     pub reference: bool,
 }
 
@@ -321,8 +324,10 @@ impl EngineBuilder {
         self
     }
 
-    /// Run the reference implementation instead of the fast layers
-    /// (`false` by default); see [`EngineConfig::reference`].
+    /// Run the reference implementation (as-written plan, interpreter,
+    /// row decode at the reference cadence) instead of the fast layers;
+    /// `false` by default. The source is the same either way; see
+    /// [`EngineConfig::reference`].
     pub fn reference(mut self, on: bool) -> Self {
         self.config.reference = on;
         self

@@ -1567,10 +1567,10 @@ mod tests {
                 prop_assert!(new.reads_tweet_batch());
                 let (mut new_out, mut old_out) = (Vec::new(), Vec::new());
                 for chunk in tweets().chunks(15) {
+                    let log = std::sync::Arc::new(chunk.to_vec());
                     let mut batch = TweetBatch::new();
-                    for t in chunk {
-                        batch.push(t.clone());
-                    }
+                    batch.bind_log(&log);
+                    batch.extend_indices(&(0..log.len() as u32).collect::<Vec<_>>());
                     let first = chunk[0].id as usize;
                     let sel: Vec<u32> = (0..15u32)
                         .filter(|&i| draws[first + i as usize] < density)
@@ -1819,10 +1819,10 @@ mod tests {
                     (RowBatch::new(schema.clone()), RowBatch::new(schema));
                 let stream = Stream { interned: interned == 1, unique_loc: unique_loc == 1 };
                 for half in tweets(stream).chunks(100) {
+                    let log = std::sync::Arc::new(half.to_vec());
                     let mut batch = TweetBatch::new();
-                    for t in half {
-                        batch.push(t.clone());
-                    }
+                    batch.bind_log(&log);
+                    batch.extend_indices(&(0..log.len() as u32).collect::<Vec<_>>());
                     // Prebuilt by an earlier reader: nothing, some of
                     // the head's columns, or every column.
                     match materialize {

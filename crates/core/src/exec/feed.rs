@@ -5,18 +5,19 @@
 //! of its own, pulled until its query has finished) all drive it.
 //!
 //! A [`Feed`] owns the [`SupervisedSource`], the cursor into it (the
-//! block being consumed, or the event the per-tweet iterator delivered
-//! ahead; the per-tweet source is the reference configuration's), and
-//! the [`TweetBatch`] the tweets fill with its [`Cadence`].
+//! block of log indices being consumed, or a gap the source delivered
+//! ahead), and the [`TweetBatch`] the tweets fill with its [`Cadence`].
+//! The batch is bound to the source's log, so a tweet joins it as an
+//! index and is never cloned. Every configuration pulls this way.
 //! The host [`peek`](Feed::peek)s the next event and
 //! [`take`](Feed::take)s it or stops. The rules:
 //!
 //! * the batch is flushed when it holds `batch_size` tweets, before a
 //!   source gap, and when the host asks;
 //! * a flush first moves the virtual clock to the latest buffered tweet
-//!   ([`Cadence::high`]), where the per-tweet source has it anyway; the
-//!   end of a block-mode stream, or a drive leaving early, moves it to
-//!   the source frontier, where the per-tweet scan ends;
+//!   ([`Cadence::high`]); the end of the stream, or a drive leaving
+//!   early, moves it to the source frontier, the furthest tweet the
+//!   source scanned;
 //! * a watermark-boundary crossing rides in the batch
 //!   ([`TweetBatch::cross`]). Under the reference cadence it cuts the
 //!   batch and each boundary goes to the dispatcher instead: the
@@ -25,7 +26,7 @@
 
 use crate::engine::{EngineConfig, WATERMARK_INTERVAL};
 use crate::error::QueryError;
-use crate::exec::supervise::{SourceBlock, SourceEvent, SupervisedSource};
+use crate::exec::supervise::{SourceBlock, SupervisedSource};
 use crate::host::Dispatch;
 use std::sync::Arc;
 use tweeql_firehose::{FilterSpec, StreamingApi};
@@ -55,13 +56,10 @@ pub(crate) struct Feed {
     /// Whether the source has been pulled yet.
     opened: bool,
     exhausted: bool,
-    /// Pull blocks of log indices instead of cloned tweets.
-    blocks: bool,
     block: Vec<u32>,
     cursor: usize,
-    /// Delivered ahead of the block cursor: any per-tweet event, or a
-    /// gap in block mode.
-    ahead: Option<SourceEvent>,
+    /// A gap `[from, to)` delivered ahead of the block cursor.
+    ahead: Option<(Timestamp, Timestamp)>,
     log: Arc<Vec<Tweet>>,
     cadence: Cadence,
     batch: TweetBatch,
@@ -73,8 +71,8 @@ pub(crate) struct Feed {
 
 impl Feed {
     /// A feed over `api` subscribed with `filter`, under the config's
-    /// fault plan, retry policy, seed, batch size and source mode.
-    /// Nothing is pulled before the first [`peek`](Feed::peek).
+    /// fault plan, retry policy, seed and batch size. Nothing is pulled
+    /// before the first [`peek`](Feed::peek).
     pub(crate) fn new(api: &StreamingApi, filter: FilterSpec, config: &EngineConfig) -> Feed {
         let source = SupervisedSource::new(
             api.clone(),
@@ -83,18 +81,14 @@ impl Feed {
             config.retry.clone(),
             config.seed,
         );
-        let blocks = !config.reference;
+        // Rows are indices into the log; resets keep the binding.
         let mut batch = TweetBatch::new();
-        if blocks {
-            // Rows are indices into the log; resets keep the binding.
-            batch.bind_log(source.log());
-        }
+        batch.bind_log(source.log());
         Feed {
             log: Arc::clone(source.log()),
             source,
             opened: false,
             exhausted: false,
-            blocks,
             block: Vec::new(),
             cursor: 0,
             ahead: None,
@@ -137,27 +131,20 @@ impl Feed {
             if let Some(&i) = self.block.get(self.cursor) {
                 return Some(Next::Tweet(self.log[i as usize].created_at));
             }
-            match &self.ahead {
-                Some(SourceEvent::Tweet(t)) => return Some(Next::Tweet(t.created_at)),
-                Some(SourceEvent::Gap { from, to }) => return Some(Next::Gap(*from, *to)),
-                None if self.exhausted => return None,
-                None => {}
+            if let Some((from, to)) = self.ahead {
+                return Some(Next::Gap(from, to));
+            }
+            if self.exhausted {
+                return None;
             }
             self.opened = true;
-            if !self.blocks {
-                self.ahead = self.source.next();
-                self.exhausted = self.ahead.is_none();
-                continue;
-            }
             match self.source.next_block(self.batch_size) {
                 Some(SourceBlock::Tweets(b)) => {
                     self.block.clear();
                     self.block.extend_from_slice(&b.sel);
                     self.cursor = 0;
                 }
-                Some(SourceBlock::Gap { from, to }) => {
-                    self.ahead = Some(SourceEvent::Gap { from, to });
-                }
+                Some(SourceBlock::Gap { from, to }) => self.ahead = Some((from, to)),
                 None => {
                     self.exhausted = true;
                     self.stop();
@@ -193,12 +180,8 @@ impl Feed {
             Some(c) => self.batch.cross(c),
             None => {}
         }
-        if let Some(&i) = self.block.get(self.cursor) {
-            self.batch.push_index(i);
-            self.cursor += 1;
-        } else if let Some(SourceEvent::Tweet(t)) = self.ahead.take() {
-            self.batch.push(t);
-        }
+        self.batch.push_index(self.block[self.cursor]);
+        self.cursor += 1;
         if self.batch.len() >= self.batch_size {
             self.flush(dispatch)?;
         }
@@ -212,12 +195,10 @@ impl Feed {
         dispatch.flush(&mut self.batch)
     }
 
-    /// The host pulls no more (LIMIT reached, or the end): in block
-    /// mode the clock moves to the source frontier, where the end of the
-    /// stream puts it too.
+    /// The host pulls no more (LIMIT reached, or the end): the clock
+    /// moves to the source frontier, where the end of the stream puts
+    /// it too.
     pub(crate) fn stop(&mut self) {
-        if self.blocks {
-            self.source.clock().advance_to(self.source.frontier());
-        }
+        self.source.clock().advance_to(self.source.frontier());
     }
 }

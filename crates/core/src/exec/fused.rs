@@ -606,10 +606,10 @@ mod tests {
         }
 
         fn batch_of(src: Vec<Tweet>) -> TweetBatch {
+            let log = std::sync::Arc::new(src);
             let mut batch = TweetBatch::new();
-            for t in src {
-                batch.push(t);
-            }
+            batch.bind_log(&log);
+            batch.extend_indices(&(0..log.len() as u32).collect::<Vec<_>>());
             batch
         }
 

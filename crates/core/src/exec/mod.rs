@@ -5,8 +5,9 @@
 //! deterministic: time windows flush on watermark, not on wall clock.
 
 // Only the submodules external code actually needs stay public: `fused`
-// (E8 drives its conjunct re-ranker directly) and `supervise`
-// (fault-tolerance tests build `RetryPolicy` / consume `SourceEvent`s).
+// (E8 drives its conjunct re-ranker directly) and `supervise` (tests
+// build `RetryPolicy`, and the benchmark's ladder pulls
+// `SupervisedSource::next_block` directly).
 // The rest are lowering details reachable only through `plan::plan`,
 // and `feed`, the source half of the host's one drive loop.
 pub(crate) mod aggregate;

@@ -4,10 +4,13 @@
 //! ingest tier reconnects with capped exponential backoff, resubscribes
 //! the same pushed-down filter, and replays a short overlap to cover
 //! in-flight loss. [`SupervisedSource`] wraps the firehose API behind
-//! exactly that loop and yields [`SourceEvent`]s:
+//! exactly that loop and yields [`SourceBlock`]s
+//! ([`SupervisedSource::next_block`], the one way a tweet leaves the
+//! source):
 //!
-//! * `Tweet` — a delivered tweet, deduplicated by id across replay
-//!   overlaps and healed of small reorderings;
+//! * `Tweets` — delivered tweets as zero-copy indices into the shared
+//!   log, deduplicated by id across replay overlaps and healed of small
+//!   reorderings;
 //! * `Gap { from, to }` — the supervisor could not re-cover `[from,
 //!   to)` of stream time; windowed aggregates downstream flag windows
 //!   overlapping the interval as under-sampled instead of silently
@@ -15,7 +18,9 @@
 //!
 //! Everything is deterministic: backoff jitter comes from a seeded
 //! splitmix, delays advance the [`VirtualClock`], and the injected
-//! faults themselves come from a seeded [`FaultPlan`].
+//! faults themselves come from a seeded [`FaultPlan`]. The tests hold
+//! the block pull to a per-tweet supervisor over the firehose's
+//! per-tweet pull (`oracle`), which exists only there.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet, VecDeque};
@@ -25,25 +30,6 @@ use tweeql_firehose::fault::{
     FaultPlan, FaultStats, FaultyConnection, StreamConnection, StreamFault,
 };
 use tweeql_model::{Duration, Timestamp, Tweet, VirtualClock};
-
-/// What a supervised source yields.
-///
-/// Nearly every event is a `Tweet`; boxing it to shrink the rare `Gap`
-/// variant would cost an allocation per delivered tweet.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)]
-pub enum SourceEvent {
-    /// A delivered (deduplicated) tweet.
-    Tweet(Tweet),
-    /// Stream time `[from, to)` may be under-covered: a disconnect the
-    /// replay overlap did not fully heal.
-    Gap {
-        /// Inclusive start of the suspect interval.
-        from: Timestamp,
-        /// Exclusive end of the suspect interval.
-        to: Timestamp,
-    },
-}
 
 /// Reconnect policy: capped exponential backoff with deterministic
 /// jitter, plus how much stream time each reconnect replays.
@@ -121,13 +107,6 @@ enum Seg {
 }
 
 impl Seg {
-    fn try_next(&mut self) -> Result<Option<Tweet>, StreamFault> {
-        match self {
-            Seg::Plain(c) => c.try_next(),
-            Seg::Faulty(f) => f.try_next(),
-        }
-    }
-
     fn stats(&self) -> ConnectionStats {
         match self {
             Seg::Plain(c) => StreamConnection::stats(c),
@@ -143,42 +122,14 @@ impl Seg {
     }
 }
 
-/// A tweet held in the reorder-healing buffer, ordered by
-/// `(created_at, id)` — generator ids are monotone in log order, so
-/// this restores log order exactly.
-struct Held(Tweet);
-
-impl Held {
-    fn key(&self) -> (Timestamp, u64) {
-        (self.0.created_at, self.0.id)
-    }
-}
-
-impl PartialEq for Held {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Held {}
-impl PartialOrd for Held {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Held {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
-    }
-}
-
 /// How many tweets the reorder-healing buffer holds back when fault
 /// injection is active. Injected reorders are adjacent swaps; a few
 /// slots of lookahead re-sorts them.
 const REORDER_HOLD: usize = 4;
 
-/// A log index held in the batched reorder-healing buffer — the
-/// index-level mirror of [`Held`], ordered by the same `(created_at,
-/// id)` key.
+/// A log index held in the reorder-healing buffer, ordered by
+/// `(created_at, id)` — generator ids are monotone in log order, so
+/// this restores log order exactly.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct HeldIdx {
     ts: Timestamp,
@@ -186,7 +137,7 @@ struct HeldIdx {
     idx: u32,
 }
 
-/// A block yielded by the batched supervisor pull
+/// A block yielded by the supervisor's pull
 /// ([`SupervisedSource::next_block`]): zero-copy delivered tweets, or a
 /// coverage gap.
 #[derive(Debug)]
@@ -203,15 +154,16 @@ pub enum SourceBlock<'a> {
     },
 }
 
-/// A block queued for delivery by the batched path (held tweets drained
-/// at a disconnect, and gap markers).
+/// A block queued for delivery (held tweets drained at a disconnect,
+/// and gap markers).
 enum PendingBlock {
     Sel(Vec<u32>),
     Gap(Timestamp, Timestamp),
 }
 
-/// The supervised source. Iterate it like a connection; it reconnects,
-/// dedups, heals reorders, and emits gap markers internally.
+/// The supervised source. Pull it in blocks like a connection; it
+/// reconnects, dedups, heals reorders, and emits gap markers
+/// internally.
 ///
 /// With no fault plan (or an inactive one) it is a zero-overhead
 /// pass-through over a plain connection: no dedup set, no hold buffer,
@@ -229,25 +181,21 @@ pub struct SupervisedSource {
     stats_acc: ConnectionStats,
     fstats: SourceFaultStats,
     seen: HashSet<u64>,
-    heap: BinaryHeap<Reverse<Held>>,
     hold: usize,
-    pending: VecDeque<SourceEvent>,
     consecutive: u32,
     max_seen_ts: Timestamp,
     done: bool,
-    // --- batched-pull state (`next_block`); unused by the per-tweet
-    // --- iterator, which remains the reference implementation.
     /// Scratch for raw segment pulls.
     sbatch: SourceBatch,
     /// Output staging: the block handed to the consumer.
     obatch: SourceBatch,
-    /// Index-level reorder-healing buffer (mirror of `heap`).
+    /// The reorder-healing buffer.
     iheap: BinaryHeap<Reverse<HeldIdx>>,
-    /// Blocks queued behind the current one (mirror of `pending`).
+    /// Blocks queued behind the current one.
     pending_blocks: VecDeque<PendingBlock>,
     /// A disconnect observed at the end of a partial batch, deferred
     /// until the consumer has drained that batch; carries the faulted
-    /// segment's scan frontier (the per-tweet path's clock position at
+    /// segment's scan frontier (where a per-tweet scan has the clock at
     /// the disconnect).
     pending_disconnect: Option<Timestamp>,
     /// `created_at` of the furthest firehose tweet scanned.
@@ -279,8 +227,6 @@ impl SupervisedSource {
             stats_acc: ConnectionStats::default(),
             fstats: SourceFaultStats::default(),
             seen: HashSet::new(),
-            heap: BinaryHeap::new(),
-            pending: VecDeque::new(),
             consecutive: 0,
             max_seen_ts: Timestamp::ZERO,
             done: false,
@@ -355,16 +301,6 @@ impl SupervisedSource {
         }
     }
 
-    fn drain_heap_to_pending(&mut self) {
-        let mut held: Vec<Held> = Vec::with_capacity(self.heap.len());
-        while let Some(Reverse(h)) = self.heap.pop() {
-            held.push(h);
-        }
-        for h in held {
-            self.pending.push_back(SourceEvent::Tweet(h.0));
-        }
-    }
-
     /// Record the coverage gap `[from, to)` clamped to the log end;
     /// `None` when nothing is left of it.
     fn record_gap(&mut self, from: Timestamp, to: Timestamp) -> Option<(Timestamp, Timestamp)> {
@@ -375,11 +311,11 @@ impl SupervisedSource {
         })
     }
 
-    /// The reconnect machinery both pulls share: count the disconnect,
-    /// close the epoch, then give up after `max_attempts` or back off
-    /// and resubscribe. Returns the coverage gap the disconnect leaves
-    /// (already recorded), which the caller queues behind the tweets
-    /// the heal buffer held.
+    /// The reconnect machinery: count the disconnect, close the epoch,
+    /// then give up after `max_attempts` or back off and resubscribe.
+    /// Returns the coverage gap the disconnect leaves (already
+    /// recorded), which the caller queues behind the tweets the heal
+    /// buffer held.
     fn reconnect(&mut self) -> Option<(Timestamp, Timestamp)> {
         self.fstats.disconnects += 1;
         self.close_segment();
@@ -416,21 +352,6 @@ impl SupervisedSource {
         self.record_gap(t_d, resume)
     }
 
-    fn handle_disconnect(&mut self) {
-        self.drain_heap_to_pending();
-        if let Some((from, to)) = self.reconnect() {
-            self.pending.push_back(SourceEvent::Gap { from, to });
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Batched (zero-copy) pull. Same reconnect / dedup / heal / gap
-    // machinery as the per-tweet iterator, run over selection indices:
-    // the delivered tweet set, ConnectionStats, and gap windows are
-    // byte-identical to the iterator per seed, which stays as the
-    // reference path.
-    // ------------------------------------------------------------------
-
     /// The `Arc`-shared firehose log every block's indices point into.
     pub fn log(&self) -> &Arc<Vec<Tweet>> {
         self.api.log()
@@ -443,7 +364,7 @@ impl SupervisedSource {
 
     /// `created_at` of the furthest firehose tweet scanned so far. At
     /// end of stream the consumer advances the virtual clock here,
-    /// mirroring the per-tweet path's trailing scan.
+    /// where a per-tweet scan leaves it.
     pub fn frontier(&self) -> Timestamp {
         self.frontier
     }
@@ -451,8 +372,8 @@ impl SupervisedSource {
     /// Pull the next block: up to `max` delivered tweets as zero-copy
     /// log indices, or a gap marker. `None` means end of stream.
     ///
-    /// Clock protocol: the pull itself advances the clock only where
-    /// the per-tweet path does off-consumer work (stalls, reconnect
+    /// Clock protocol: the pull itself advances the clock only where a
+    /// per-tweet pull does off-consumer work (stalls, reconnect
     /// backoff — and a disconnect observed mid-batch is deferred until
     /// the consumer has drained the partial batch, so backoff never
     /// runs ahead of undelivered tweets). The consumer advances the
@@ -472,10 +393,14 @@ impl SupervisedSource {
             }
             if let Some(scan_end) = self.pending_disconnect.take() {
                 // The consumer has drained everything delivered before
-                // the drop; put the clock where the per-tweet scan left
-                // it, then run the reconnect machinery.
+                // the drop; put the clock where a per-tweet scan leaves
+                // it, then queue the held tweets and the gap the
+                // reconnect leaves, in that order.
                 self.clock.advance_to(scan_end);
-                self.handle_disconnect_batched();
+                self.drain_iheap_to_pending();
+                if let Some((from, to)) = self.reconnect() {
+                    self.pending_blocks.push_back(PendingBlock::Gap(from, to));
+                }
                 continue;
             }
             if self.done {
@@ -551,8 +476,7 @@ impl SupervisedSource {
         }
     }
 
-    /// Queue the index heal buffer, in stream order, as one block (the
-    /// index-level [`drain_heap_to_pending`](Self::drain_heap_to_pending)).
+    /// Queue the heal buffer, in stream order, as one block.
     fn drain_iheap_to_pending(&mut self) {
         let mut held = Vec::with_capacity(self.iheap.len());
         while let Some(Reverse(h)) = self.iheap.pop() {
@@ -560,16 +484,6 @@ impl SupervisedSource {
         }
         if !held.is_empty() {
             self.pending_blocks.push_back(PendingBlock::Sel(held));
-        }
-    }
-
-    /// [`handle_disconnect`](Self::handle_disconnect) over pending
-    /// *blocks*: the same reconnect, the same event order (held tweets
-    /// first, then the gap marker).
-    fn handle_disconnect_batched(&mut self) {
-        self.drain_iheap_to_pending();
-        if let Some((from, to)) = self.reconnect() {
-            self.pending_blocks.push_back(PendingBlock::Gap(from, to));
         }
     }
 
@@ -614,35 +528,24 @@ impl SupervisedSource {
         d.write_u64(self.consecutive as u64);
         d.write_bool(self.done);
         d.write_i64(self.frontier.millis());
-        // Heal-heap contents, in (ts, id) order — BinaryHeap iteration
-        // order is unspecified, so sort a copy of the keys.
-        let mut held: Vec<(i64, u64)> = self
-            .heap
+        // Heal-buffer contents, in (ts, id) order — BinaryHeap
+        // iteration order is unspecified, so sort a copy of the keys.
+        let mut held: Vec<_> = self
+            .iheap
             .iter()
-            .map(|Reverse(h)| (h.0.created_at.millis(), h.0.id))
+            .map(|Reverse(h)| (h.ts.millis(), h.id))
             .collect();
-        held.extend(self.iheap.iter().map(|Reverse(h)| (h.ts.millis(), h.id)));
         held.sort_unstable();
         d.write_u64(held.len() as u64);
         for (ts, id) in held {
             d.write_i64(ts);
             d.write_u64(id);
         }
-        // Queued-but-undelivered events (drained holds, gap markers).
-        d.write_u64(self.pending.len() as u64);
-        for ev in &self.pending {
-            match ev {
-                SourceEvent::Tweet(t) => {
-                    d.write_u32(1);
-                    d.write_u64(t.id);
-                }
-                SourceEvent::Gap { from, to } => {
-                    d.write_u32(2);
-                    d.write_i64(from.millis());
-                    d.write_i64(to.millis());
-                }
-            }
-        }
+        // The length of a queue of per-tweet events this source no
+        // longer has: always empty, and still written so that the
+        // checkpoints already logged keep verifying.
+        d.write_u64(0);
+        // Queued-but-undelivered blocks (drained holds, gap markers).
         d.write_u64(self.pending_blocks.len() as u64);
         for b in &self.pending_blocks {
             match b {
@@ -664,64 +567,9 @@ impl SupervisedSource {
     }
 }
 
-impl Iterator for SupervisedSource {
-    type Item = SourceEvent;
-
-    fn next(&mut self) -> Option<SourceEvent> {
-        loop {
-            if let Some(ev) = self.pending.pop_front() {
-                return Some(ev);
-            }
-            if self.done {
-                return None;
-            }
-            let Some(seg) = self.seg.as_mut() else {
-                self.done = true;
-                continue;
-            };
-            match seg.try_next() {
-                Ok(Some(t)) => {
-                    self.consecutive = 0;
-                    if self.hold > 0 {
-                        // Fault injection is active: dedup replays and
-                        // injected duplicates, heal small reorders.
-                        if !self.seen.insert(t.id) {
-                            self.fstats.duplicates_dropped += 1;
-                            continue;
-                        }
-                        if t.created_at > self.max_seen_ts {
-                            self.max_seen_ts = t.created_at;
-                        }
-                        self.heap.push(Reverse(Held(t)));
-                        if self.heap.len() > self.hold {
-                            let Reverse(h) = self.heap.pop().expect("non-empty heap");
-                            return Some(SourceEvent::Tweet(h.0));
-                        }
-                        continue;
-                    }
-                    if t.created_at > self.max_seen_ts {
-                        self.max_seen_ts = t.created_at;
-                    }
-                    return Some(SourceEvent::Tweet(t));
-                }
-                Ok(None) => {
-                    self.close_segment();
-                    self.drain_heap_to_pending();
-                    self.done = true;
-                }
-                Err(StreamFault::Malformed) => {
-                    self.fstats.malformed_skipped += 1;
-                }
-                Err(StreamFault::Disconnect) => {
-                    self.handle_disconnect();
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::oracle::{Event, PerTweet};
     use super::*;
     use tweeql_firehose::scenario::{Scenario, Topic};
     use tweeql_model::Clock;
@@ -754,18 +602,42 @@ mod tests {
         }
     }
 
+    /// Block size of the tests that do not sweep it: smaller than a
+    /// disconnect's spacing, so blocks end short at faults.
+    const BLOCK: usize = 64;
+
+    /// Pull `src` to the end in blocks of `max`, consumed as the feed
+    /// consumes them: the clock moves to each delivered tweet, and to
+    /// the source frontier at the end. Returns the delivered ids and
+    /// the gap markers, in order.
+    fn drain(src: &mut SupervisedSource, max: usize) -> (Vec<u64>, Vec<(Timestamp, Timestamp)>) {
+        let (log, clock) = (Arc::clone(src.log()), Arc::clone(src.clock()));
+        let (mut ids, mut gaps) = (Vec::new(), Vec::new());
+        loop {
+            match src.next_block(max) {
+                Some(SourceBlock::Tweets(b)) => {
+                    for &i in &b.sel {
+                        let t = &log[i as usize];
+                        clock.advance_to(t.created_at);
+                        ids.push(t.id);
+                    }
+                }
+                Some(SourceBlock::Gap { from, to }) => gaps.push((from, to)),
+                None => break,
+            }
+        }
+        clock.advance_to(src.frontier());
+        (ids, gaps)
+    }
+
     #[test]
     fn no_fault_plan_is_a_pure_passthrough() {
         let api = api(VirtualClock::new());
         let filter = FilterSpec::Track(vec!["obama".into()]);
         let expected = baseline_ids(&api, filter.clone());
-        let src = SupervisedSource::new(api.clone(), filter, None, RetryPolicy::default(), 0);
-        let got: Vec<u64> = src
-            .map(|e| match e {
-                SourceEvent::Tweet(t) => t.id,
-                SourceEvent::Gap { .. } => panic!("no gaps without faults"),
-            })
-            .collect();
+        let mut src = SupervisedSource::new(api.clone(), filter, None, RetryPolicy::default(), 0);
+        let (got, gaps) = drain(&mut src, BLOCK);
+        assert!(gaps.is_empty(), "no gaps without faults");
         assert_eq!(got, expected);
     }
 
@@ -777,7 +649,7 @@ mod tests {
         for _ in conn.by_ref() {}
         let expected = conn.stats();
         let mut src = SupervisedSource::new(api, filter, None, RetryPolicy::default(), 0);
-        for _ in src.by_ref() {}
+        drain(&mut src, BLOCK);
         assert_eq!(src.stats(), expected);
         let f = src.fault_stats();
         assert_eq!(f.disconnects, 0);
@@ -789,27 +661,19 @@ mod tests {
         let api = api(VirtualClock::new());
         let filter = FilterSpec::Sample(1.0);
         let expected = baseline_ids(&api, filter.clone());
-        let src = SupervisedSource::new(
+        let mut src = SupervisedSource::new(
             api,
             filter,
             Some(FaultPlan::chaos(1234)),
             heal_all_policy(),
             77,
         );
-        let mut got = Vec::new();
-        let mut gaps = 0;
-        let mut src = src;
-        for e in src.by_ref() {
-            match e {
-                SourceEvent::Tweet(t) => got.push(t.id),
-                SourceEvent::Gap { .. } => gaps += 1,
-            }
-        }
+        let (got, gaps) = drain(&mut src, BLOCK);
         let f = src.fault_stats();
         assert!(f.disconnects >= 1, "chaos plan must disconnect: {f:?}");
         assert_eq!(f.reconnects, f.disconnects);
         assert!(f.duplicates_dropped > 0);
-        assert_eq!(gaps, 0, "full overlap leaves no gaps");
+        assert!(gaps.is_empty(), "full overlap leaves no gaps");
         assert_eq!(got, expected, "dedup + reorder healing restore the log");
     }
 
@@ -826,20 +690,13 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut src = SupervisedSource::new(api.clone(), filter, Some(plan), policy, 9);
-        let mut got = Vec::new();
-        let mut gap_events: Vec<(Timestamp, Timestamp)> = Vec::new();
-        for e in src.by_ref() {
-            match e {
-                SourceEvent::Tweet(t) => got.push(t),
-                SourceEvent::Gap { from, to } => gap_events.push((from, to)),
-            }
-        }
+        let (got, gap_events) = drain(&mut src, BLOCK);
         let f = src.fault_stats();
         assert!(f.disconnects >= 1);
         assert_eq!(gap_events, f.gaps);
         assert!(!gap_events.is_empty(), "no overlap ⇒ losses become gaps");
         // Every baseline tweet either arrived or falls inside a gap.
-        let got_ids: HashSet<u64> = got.iter().map(|t| t.id).collect();
+        let got_ids: HashSet<u64> = got.iter().copied().collect();
         let by_id: std::collections::HashMap<u64, Timestamp> = api
             .ground_truth()
             .iter()
@@ -870,15 +727,11 @@ mod tests {
         };
         let mut src =
             SupervisedSource::new(api.clone(), FilterSpec::Sample(1.0), Some(plan), policy, 4);
-        let events: Vec<SourceEvent> = src.by_ref().collect();
+        let (_, gaps) = drain(&mut src, BLOCK);
         let f = src.fault_stats();
         assert!(f.gave_up);
         assert_eq!(f.disconnects, 4, "initial + 3 retries");
-        let last_gap = events.iter().rev().find_map(|e| match e {
-            SourceEvent::Gap { from, to } => Some((*from, *to)),
-            _ => None,
-        });
-        let (_, to) = last_gap.expect("terminal gap marker");
+        let (_, to) = *gaps.last().expect("terminal gap marker");
         let log_last = api.ground_truth().last().unwrap().created_at;
         assert_eq!(to, log_last + Duration::from_millis(1));
     }
@@ -895,7 +748,7 @@ mod tests {
                 heal_all_policy(),
                 seed,
             );
-            for _ in src.by_ref() {}
+            drain(&mut src, BLOCK);
             (src.fault_stats().backoff_total, clock.now())
         };
         let (b1, c1) = run(42);
@@ -908,16 +761,18 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Direct unit tests of the dedup set and reorder-healing heaps.
+    // Direct unit tests of the dedup set and the reorder-healing heap.
     // The engine-level differentials above exercise these only through
     // whole-stream runs; durability snapshots/restores this state, so
     // it gets a tight harness of its own.
     // ------------------------------------------------------------------
 
-    fn tweet(id: u64, ts_ms: i64) -> Tweet {
-        Tweet::builder(id, "direct-test")
-            .at(Timestamp::from_millis(ts_ms))
-            .build()
+    fn held(ts_ms: i64, id: u64, idx: u32) -> Reverse<HeldIdx> {
+        Reverse(HeldIdx {
+            ts: Timestamp::from_millis(ts_ms),
+            id,
+            idx,
+        })
     }
 
     /// A fresh source with fault machinery active (hold buffer and
@@ -937,21 +792,15 @@ mod tests {
     fn heal_heap_orders_by_timestamp_then_id() {
         let mut src = idle_faulty_source();
         assert_eq!(src.hold, REORDER_HOLD, "fault plan activates the hold");
-        // Push out of order, including a timestamp tie broken by id.
-        for (id, ts) in [(5u64, 300i64), (2, 100), (9, 200), (3, 200)] {
-            src.heap.push(Reverse(Held(tweet(id, ts))));
+        // Push out of order, including a timestamp tie broken by id. The
+        // log indices run against the key, so they decide nothing.
+        for (ts, id, idx) in [(300i64, 5u64, 10u32), (100, 2, 9), (200, 9, 8), (200, 3, 7)] {
+            src.iheap.push(held(ts, id, idx));
         }
-        src.drain_heap_to_pending();
-        let ids: Vec<u64> = src
-            .pending
-            .iter()
-            .map(|e| match e {
-                SourceEvent::Tweet(t) => t.id,
-                other => panic!("unexpected event {other:?}"),
-            })
+        let ids: Vec<u64> = std::iter::from_fn(|| src.iheap.pop())
+            .map(|Reverse(h)| h.id)
             .collect();
         assert_eq!(ids, vec![2, 3, 9, 5], "(ts, id) order restored");
-        assert!(src.heap.is_empty());
     }
 
     #[test]
@@ -963,11 +812,7 @@ mod tests {
             (200, 9, 90),
             (200, 3, 30),
         ] {
-            src.iheap.push(Reverse(HeldIdx {
-                ts: Timestamp::from_millis(ts),
-                id,
-                idx,
-            }));
+            src.iheap.push(held(ts, id, idx));
         }
         src.drain_iheap_to_pending();
         assert!(src.iheap.is_empty());
@@ -991,6 +836,12 @@ mod tests {
         assert_eq!(src.seen.len(), 2);
     }
 
+    fn digest(s: &SupervisedSource) -> u64 {
+        let mut d = tweeql_wal::Digest::new();
+        s.state_digest(&mut d);
+        d.finish()
+    }
+
     #[test]
     fn state_digest_is_insertion_order_independent_for_dedup() {
         let mut a = idle_faulty_source();
@@ -1001,33 +852,26 @@ mod tests {
         for id in [30u64, 10, 20] {
             b.seen.insert(id);
         }
-        let fin = |s: &SupervisedSource| {
-            let mut d = tweeql_wal::Digest::new();
-            s.state_digest(&mut d);
-            d.finish()
-        };
-        assert_eq!(fin(&a), fin(&b), "set digest must ignore insertion order");
+        assert_eq!(
+            digest(&a),
+            digest(&b),
+            "set digest must ignore insertion order"
+        );
         b.seen.insert(40);
-        assert_ne!(fin(&a), fin(&b), "different sets must digest apart");
+        assert_ne!(digest(&a), digest(&b), "different sets must digest apart");
     }
 
     #[test]
     fn state_digest_covers_heal_heap_and_pending_queue() {
         let mut a = idle_faulty_source();
-        let b = idle_faulty_source();
-        let fin = |s: &SupervisedSource| {
-            let mut d = tweeql_wal::Digest::new();
-            s.state_digest(&mut d);
-            d.finish()
-        };
-        let base = fin(&b);
-        assert_eq!(fin(&a), base, "identical fresh sources digest equal");
-        a.heap.push(Reverse(Held(tweet(1, 50))));
-        let with_held = fin(&a);
+        let base = digest(&idle_faulty_source());
+        assert_eq!(digest(&a), base, "identical fresh sources digest equal");
+        a.iheap.push(held(50, 1, 0));
+        let with_held = digest(&a);
         assert_ne!(with_held, base, "held tweet must show in the digest");
-        a.drain_heap_to_pending();
-        assert_ne!(fin(&a), with_held, "held vs pending are distinct states");
-        assert_ne!(fin(&a), base);
+        a.drain_iheap_to_pending();
+        assert_ne!(digest(&a), with_held, "held vs pending are distinct states");
+        assert_ne!(digest(&a), base);
     }
 
     #[test]
@@ -1047,10 +891,10 @@ mod tests {
         assert_eq!(src.fstats.gaps.len(), 1);
     }
 
-    /// The batched block pull must be byte-identical to the per-tweet
-    /// iterator: same delivered ids in order, same gap windows, same
-    /// connection + fault stats, same final virtual clock — across
-    /// fault plans and batch sizes.
+    /// The block pull must be byte-identical to the per-tweet oracle:
+    /// same delivered ids in order, same gap windows, same connection +
+    /// fault stats, same final virtual clock — across fault plans and
+    /// block sizes.
     #[test]
     fn batched_blocks_match_per_tweet_supervision() {
         let mut plan_gappy = FaultPlan::chaos(5);
@@ -1075,9 +919,9 @@ mod tests {
         ];
         for (plan, policy, seed) in cases {
             let filter = FilterSpec::Sample(1.0);
-            // Reference: the per-tweet iterator path.
+            // Reference: the per-tweet oracle.
             let ref_clock = VirtualClock::new();
-            let mut reference = SupervisedSource::new(
+            let mut reference = PerTweet::new(
                 api(Arc::clone(&ref_clock)),
                 filter.clone(),
                 plan.clone(),
@@ -1088,8 +932,8 @@ mod tests {
             let mut ref_gaps = Vec::new();
             for e in reference.by_ref() {
                 match e {
-                    SourceEvent::Tweet(t) => ref_ids.push(t.id),
-                    SourceEvent::Gap { from, to } => ref_gaps.push((from, to)),
+                    Event::Tweet(t) => ref_ids.push(t.id),
+                    Event::Gap { from, to } => ref_gaps.push((from, to)),
                 }
             }
             for max in [1usize, 7, 256] {
@@ -1101,23 +945,7 @@ mod tests {
                     policy.clone(),
                     seed,
                 );
-                let log = Arc::clone(src.log());
-                let mut ids = Vec::new();
-                let mut gaps = Vec::new();
-                loop {
-                    match src.next_block(max) {
-                        Some(SourceBlock::Tweets(b)) => {
-                            for &i in &b.sel {
-                                let t = &log[i as usize];
-                                clock.advance_to(t.created_at);
-                                ids.push(t.id);
-                            }
-                        }
-                        Some(SourceBlock::Gap { from, to }) => gaps.push((from, to)),
-                        None => break,
-                    }
-                }
-                clock.advance_to(src.frontier());
+                let (ids, gaps) = drain(&mut src, max);
                 let tag = format!("plan={plan:?} max={max}");
                 assert_eq!(ids, ref_ids, "delivered ids diverge: {tag}");
                 assert_eq!(gaps, ref_gaps, "gap windows diverge: {tag}");
@@ -1128,6 +956,147 @@ mod tests {
                     "fault stats diverge: {tag}"
                 );
                 assert_eq!(clock.now(), ref_clock.now(), "clock diverges: {tag}");
+            }
+        }
+    }
+}
+
+/// The per-tweet supervisor the block pull is held to: the source's own
+/// reconnect machinery ([`SupervisedSource::reconnect`]), dedup set and
+/// counters, driven one tweet at a time through the firehose's
+/// per-tweet pull, which moves the clock as it scans. Held tweets are
+/// whole tweets in a heap of their own, and what a disconnect releases
+/// queues as per-tweet events.
+#[cfg(test)]
+mod oracle {
+    use super::*;
+
+    /// What the per-tweet supervisor yields.
+    #[derive(Debug)]
+    pub(super) enum Event {
+        /// A delivered (deduplicated) tweet.
+        Tweet(Tweet),
+        /// Stream time `[from, to)` may be under-covered.
+        Gap { from: Timestamp, to: Timestamp },
+    }
+
+    /// A tweet in the heal heap, ordered by `(created_at, id)`.
+    struct Held(Tweet);
+
+    impl Held {
+        fn key(&self) -> (Timestamp, u64) {
+            (self.0.created_at, self.0.id)
+        }
+    }
+
+    impl PartialEq for Held {
+        fn eq(&self, other: &Self) -> bool {
+            self.key() == other.key()
+        }
+    }
+    impl Eq for Held {}
+    impl PartialOrd for Held {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for Held {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.key().cmp(&other.key())
+        }
+    }
+
+    pub(super) struct PerTweet {
+        src: SupervisedSource,
+        heap: BinaryHeap<Reverse<Held>>,
+        pending: VecDeque<Event>,
+    }
+
+    impl PerTweet {
+        pub(super) fn new(
+            api: StreamingApi,
+            filter: FilterSpec,
+            plan: Option<FaultPlan>,
+            retry: RetryPolicy,
+            seed: u64,
+        ) -> PerTweet {
+            PerTweet {
+                src: SupervisedSource::new(api, filter, plan, retry, seed),
+                heap: BinaryHeap::new(),
+                pending: VecDeque::new(),
+            }
+        }
+
+        pub(super) fn stats(&self) -> ConnectionStats {
+            self.src.stats()
+        }
+
+        pub(super) fn fault_stats(&self) -> SourceFaultStats {
+            self.src.fault_stats()
+        }
+
+        fn drain_heap_to_pending(&mut self) {
+            while let Some(Reverse(h)) = self.heap.pop() {
+                self.pending.push_back(Event::Tweet(h.0));
+            }
+        }
+    }
+
+    impl Iterator for PerTweet {
+        type Item = Event;
+
+        fn next(&mut self) -> Option<Event> {
+            loop {
+                if let Some(ev) = self.pending.pop_front() {
+                    return Some(ev);
+                }
+                let src = &mut self.src;
+                if src.done {
+                    return None;
+                }
+                let Some(seg) = src.seg.as_mut() else {
+                    src.done = true;
+                    continue;
+                };
+                let pulled = match seg {
+                    Seg::Plain(c) => c.try_next(),
+                    Seg::Faulty(f) => f.try_next(),
+                };
+                match pulled {
+                    Ok(Some(t)) => {
+                        src.consecutive = 0;
+                        if src.hold > 0 {
+                            // Fault injection is active: dedup replays
+                            // and injected duplicates, heal small
+                            // reorders.
+                            if !src.seen.insert(t.id) {
+                                src.fstats.duplicates_dropped += 1;
+                                continue;
+                            }
+                            src.max_seen_ts = src.max_seen_ts.max(t.created_at);
+                            self.heap.push(Reverse(Held(t)));
+                            if self.heap.len() > src.hold {
+                                let Reverse(h) = self.heap.pop().expect("non-empty heap");
+                                return Some(Event::Tweet(h.0));
+                            }
+                            continue;
+                        }
+                        src.max_seen_ts = src.max_seen_ts.max(t.created_at);
+                        return Some(Event::Tweet(t));
+                    }
+                    Ok(None) => {
+                        src.close_segment();
+                        src.done = true;
+                        self.drain_heap_to_pending();
+                    }
+                    Err(StreamFault::Malformed) => src.fstats.malformed_skipped += 1,
+                    Err(StreamFault::Disconnect) => {
+                        self.drain_heap_to_pending();
+                        if let Some((from, to)) = self.src.reconnect() {
+                            self.pending.push_back(Event::Gap { from, to });
+                        }
+                    }
+                }
             }
         }
     }

@@ -719,7 +719,7 @@ mod tests {
         use tweeql_model::record::twitter_schema;
         use tweeql_model::{TweetBatch, User};
 
-        let mut batch = TweetBatch::new();
+        let mut tweets = Vec::new();
         for i in 0..6u64 {
             let mut user = User::new(i, format!("u{i}"));
             user.location = "nyc".into();
@@ -731,8 +731,11 @@ mod tests {
             if i % 3 == 0 {
                 b = b.coordinates(40.7, -74.0);
             }
-            batch.push(b.build());
+            tweets.push(b.build());
         }
+        let mut batch = TweetBatch::new();
+        batch.bind_log(&std::sync::Arc::new(tweets));
+        batch.extend_indices(&[0, 1, 2, 3, 4, 5]);
         let recs = batch.to_records();
         let sel: Vec<u32> = (0..recs.len() as u32).collect();
         let schema = twitter_schema();

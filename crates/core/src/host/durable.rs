@@ -855,6 +855,41 @@ mod tests {
         assert_eq!(config_fingerprint(&reference), 0x852d_aa0f_007e_db81);
     }
 
+    /// The source digest a checkpoint logs, at two points of one fixed
+    /// chaos run: recovery compares it with the digest of the replayed
+    /// source, so checkpoints already logged verify only while its
+    /// byte layout and what it covers stay as they were.
+    #[test]
+    fn source_digests_of_older_checkpoints_are_unchanged() {
+        use crate::engine::Engine;
+        use tweeql_firehose::scenario::{Scenario, Topic};
+        use tweeql_firehose::{FaultPlan, StreamingApi};
+        use tweeql_model::{Duration, Timestamp, VirtualClock};
+        let s = Scenario {
+            name: "source-digest-pin".into(),
+            duration: Duration::from_mins(6),
+            background_rate_per_min: 120.0,
+            topics: vec![Topic::new("kw", vec!["kw"], 40.0)],
+            bursts: vec![],
+            geotag_rate: 0.3,
+            population_size: 200,
+        };
+        let api = StreamingApi::new(tweeql_firehose::generate(&s, 11), VirtualClock::new());
+        let mut host = Engine::builder(api)
+            .batch_size(16)
+            .fault_policy(FaultPlan::chaos(7))
+            .build_host();
+        assert_eq!(host.source_digest(), 0, "nothing pulled yet");
+        host.register("SELECT text FROM twitter WHERE text contains 'kw'")
+            .expect("registers");
+        host.pump_until(Timestamp::from_mins(3)).expect("pumps");
+        assert_eq!(host.source_digest(), 0x272f_9695_ba0c_1cce);
+        host.run_to_end().expect("drains");
+        let (_, faults) = host.source_stats().expect("pulled");
+        assert!(faults.disconnects > 0 && faults.duplicates_dropped > 0);
+        assert_eq!(host.source_digest(), 0xf01a_2e81_4c72_0482);
+    }
+
     #[test]
     fn kill_plan_is_deterministic_and_in_range() {
         use tweeql_model::Timestamp;

@@ -1091,15 +1091,18 @@ mod tests {
     /// tweet, so a column built for it would go unread.
     #[test]
     fn scan_head_asks_only_for_the_columns_a_contains_reads() {
-        let tweets: Vec<_> = (0..8u64)
-            .map(|i| tweeql_model::Tweet::builder(i, format!("x {i}")).build())
-            .collect();
+        let tweets: std::sync::Arc<Vec<_>> = std::sync::Arc::new(
+            (0..8u64)
+                .map(|i| tweeql_model::Tweet::builder(i, format!("x {i}")).build())
+                .collect(),
+        );
         let export = "SELECT screen_name, text, lang, followers, created_at FROM twitter";
         for filter in ["", " WHERE text contains 'x'", " WHERE followers > 10000"] {
             let mut p = plan_sql(&format!("{export}{filter}"));
             let mut batch = tweeql_model::TweetBatch::new();
-            tweets.iter().for_each(|t| batch.push(t.clone()));
-            let all: Vec<u32> = (0..batch.len() as u32).collect();
+            batch.bind_log(&tweets);
+            let all: Vec<u32> = (0..tweets.len() as u32).collect();
+            batch.extend_indices(&all);
             let mut out = tweeql_model::RowBatch::new(p.output_schema.clone());
             p.pipeline.push_tweet_batch(&batch, &all, &mut out).unwrap();
             assert!(p.explain.contains("compiled"), "a fast plan: {}", p.explain);

@@ -92,18 +92,24 @@ fn record_len(t: &Tweet) -> usize {
 pub fn encode_log(tweets: &[Tweet]) -> Bytes {
     // Each distinct profile once, compared by every field, in order of
     // first appearance; each tweet's index into the table; and the
-    // bytes all of it takes.
+    // bytes all of it takes. Tweets mostly share their author's `Arc`,
+    // so its address is looked up first: every `Arc` lives as long as
+    // `tweets`, so an address names one profile, and only the first
+    // tweet of each hashes the profile's fields.
+    let mut by_ptr: HashMap<*const User, u32> = HashMap::new();
     let mut index: HashMap<(UserId, &str, &str, u32, &str), u32> = HashMap::new();
     let mut table: Vec<&User> = Vec::new();
     let mut authors = Vec::with_capacity(tweets.len());
     let mut len = 4 + 4 + 8;
     for t in tweets {
         let u = &*t.user;
-        let profile = (u.id, &*u.screen_name, &*u.location, u.followers, &*u.lang);
-        let author = *index.entry(profile).or_insert_with(|| {
-            table.push(u);
-            len += 8 + str_len(&u.screen_name) + str_len(&u.location) + 4 + str_len(&u.lang);
-            u32::try_from(table.len() - 1).expect("fewer than 2^32 profiles")
+        let author = *by_ptr.entry(Arc::as_ptr(&t.user)).or_insert_with(|| {
+            let profile = (u.id, &*u.screen_name, &*u.location, u.followers, &*u.lang);
+            *index.entry(profile).or_insert_with(|| {
+                table.push(u);
+                len += 8 + str_len(&u.screen_name) + str_len(&u.location) + 4 + str_len(&u.lang);
+                u32::try_from(table.len() - 1).expect("fewer than 2^32 profiles")
+            })
         });
         authors.push(author);
         len += record_len(t);

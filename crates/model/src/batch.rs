@@ -1,8 +1,9 @@
 //! Columnar tweet batches: the decode format that replaces
 //! row-at-a-time [`Record::from_tweet`] on the hot path.
 //!
-//! A [`TweetBatch`] owns the tweets of one micro-batch as a row store
-//! and lazily builds per-column acceleration structures on top of it:
+//! A [`TweetBatch`] selects the tweets of one micro-batch from the
+//! shared firehose log, without cloning them, and lazily builds
+//! per-column acceleration structures on top of them:
 //!
 //! * fixed-width columns (`id`, `user_id`, `followers`, `lat`, `lon`,
 //!   `created_at`, `retweet_of`) as contiguous vectors with a validity
@@ -305,31 +306,23 @@ impl DecodeStats {
     }
 }
 
-/// A borrowed view of a batch's rows: either a plain slice (owned row
-/// store) or a selection-vector view into a shared firehose log (the
-/// zero-copy batched source path). Builders are written against this so
-/// both row stores decode through the identical kernels.
+/// A borrowed view of a batch's rows: a selection vector into the
+/// shared firehose log. The column builders are written against it.
 #[derive(Clone, Copy)]
-enum RowsRef<'a> {
-    Slice(&'a [Tweet]),
-    View { log: &'a [Tweet], sel: &'a [u32] },
+struct RowsRef<'a> {
+    log: &'a [Tweet],
+    sel: &'a [u32],
 }
 
 impl<'a> RowsRef<'a> {
     #[inline]
     fn len(&self) -> usize {
-        match self {
-            RowsRef::Slice(s) => s.len(),
-            RowsRef::View { sel, .. } => sel.len(),
-        }
+        self.sel.len()
     }
 
     #[inline]
     fn get(&self, i: usize) -> &'a Tweet {
-        match self {
-            RowsRef::Slice(s) => &s[i],
-            RowsRef::View { log, sel } => &log[sel[i] as usize],
-        }
+        &self.log[self.sel[i] as usize]
     }
 }
 
@@ -346,7 +339,7 @@ fn str_field(c: usize) -> Option<fn(&Tweet) -> &Text> {
 }
 
 /// Build column `c` over `rows` — the core decode kernel: one
-/// column-at-a-time loop over the row store, no per-value allocation.
+/// column-at-a-time loop over the rows, no per-value allocation.
 /// The build takes `old`'s buffers when it is a column of the same
 /// shape (the one a previous batch built), so a batch buffer that is
 /// reset and refilled allocates nothing for its columns once warm.
@@ -559,45 +552,21 @@ fn dict_column<'t>(
     Column::Dict { codes, dict }
 }
 
-/// The batch's row storage: owned tweets (the classic per-tweet source
-/// path, and anything that constructs batches by value) or a selection
-/// vector into an `Arc`-shared firehose log (the zero-copy batched
-/// source path — no `Tweet` is ever cloned between the generated log
-/// and columnar decode).
-#[derive(Debug, Clone)]
-enum RowStore {
-    Owned(Vec<Tweet>),
-    Shared { log: Arc<Vec<Tweet>>, sel: Vec<u32> },
-}
-
-impl RowStore {
-    fn rows(&self) -> RowsRef<'_> {
-        match self {
-            RowStore::Owned(tweets) => RowsRef::Slice(tweets),
-            RowStore::Shared { log, sel } => RowsRef::View { log, sel },
-        }
-    }
-}
-
-impl Default for RowStore {
-    fn default() -> RowStore {
-        RowStore::Owned(Vec::new())
-    }
-}
-
 /// A micro-batch of tweets with lazily built columns.
 ///
-/// The batch carries a row store — owned tweets, or a zero-copy
-/// selection view into the shared firehose log (see
-/// [`bind_log`](TweetBatch::bind_log)) — so any row can always be
-/// projected to a [`Record`] (the shim for unported operators) and any
-/// column can be read row-wise without building it. The row
-/// accessors ([`str_at`](TweetBatch::str_at),
-/// [`value_at`](TweetBatch::value_at)) read the tweet, so callers
-/// never branch on decode state.
+/// The rows are a selection of indices into the `Arc`-shared firehose
+/// log the batch is bound to (see [`bind_log`](TweetBatch::bind_log)):
+/// no `Tweet` is cloned between the log and columnar decode. Any row
+/// can always be projected to a [`Record`] and any column read
+/// row-wise without building it. The row accessors
+/// ([`str_at`](TweetBatch::str_at), [`value_at`](TweetBatch::value_at))
+/// read the tweet, so callers never branch on decode state.
 #[derive(Debug, Clone, Default)]
 pub struct TweetBatch {
-    rows: RowStore,
+    /// The log the rows index into; empty until a log is bound.
+    log: Arc<Vec<Tweet>>,
+    /// The rows, as indices into `log`.
+    sel: Vec<u32>,
     /// Column `c` as the first [`view`](TweetBatch::view) of it since
     /// the rows last changed built it ([`Column::Missing`] for one read
     /// from the tweets); empty until then.
@@ -629,56 +598,27 @@ impl TweetBatch {
     #[doc(hidden)]
     pub fn set_live(&mut self, _: Option<Arc<[bool]>>) {}
 
-    /// Switch the batch to zero-copy mode over `log`: rows are log
-    /// indices appended with [`push_index`](TweetBatch::push_index) and
-    /// no `Tweet` is cloned. Rebinding to the same log (recycled batch
-    /// buffers) keeps the selection allocation.
+    /// Empty the batch and bind it to `log`: rows are then log indices
+    /// appended with [`push_index`](TweetBatch::push_index). The
+    /// selection and column buffers keep their allocations.
     pub fn bind_log(&mut self, log: &Arc<Vec<Tweet>>) {
-        self.drop_columns();
-        self.crossings.clear();
-        match &mut self.rows {
-            RowStore::Shared { log: bound, sel } if Arc::ptr_eq(bound, log) => sel.clear(),
-            rows => {
-                *rows = RowStore::Shared {
-                    log: Arc::clone(log),
-                    sel: Vec::new(),
-                }
-            }
+        self.reset();
+        if !Arc::ptr_eq(&self.log, log) {
+            self.log = Arc::clone(log);
         }
     }
 
-    /// True when the batch is in zero-copy shared-log mode.
-    pub fn is_shared(&self) -> bool {
-        matches!(self.rows, RowStore::Shared { .. })
-    }
-
-    /// Append one tweet. Pushing into a batch that already has built
-    /// columns drops them (they would go stale).
-    pub fn push(&mut self, t: Tweet) {
-        self.drop_columns();
-        match &mut self.rows {
-            RowStore::Owned(tweets) => tweets.push(t),
-            RowStore::Shared { .. } => panic!("push of an owned Tweet into a log-bound batch"),
-        }
-    }
-
-    /// Append one log row by index (shared-log mode only; see
-    /// [`bind_log`](TweetBatch::bind_log)).
+    /// Append one log row by index. Appending to a batch that already
+    /// has built columns drops them (they would go stale).
     pub fn push_index(&mut self, idx: u32) {
         self.drop_columns();
-        match &mut self.rows {
-            RowStore::Shared { sel, .. } => sel.push(idx),
-            RowStore::Owned(_) => panic!("push_index into a batch with no bound log"),
-        }
+        self.sel.push(idx);
     }
 
-    /// Append many log rows by index (shared-log mode only).
+    /// Append many log rows by index.
     pub fn extend_indices(&mut self, idxs: &[u32]) {
         self.drop_columns();
-        match &mut self.rows {
-            RowStore::Shared { sel, .. } => sel.extend_from_slice(idxs),
-            RowStore::Owned(_) => panic!("extend_indices into a batch with no bound log"),
-        }
+        self.sel.extend_from_slice(idxs);
     }
 
     /// Record that stream time crossed the boundaries in `c` before
@@ -699,10 +639,7 @@ impl TweetBatch {
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        match &self.rows {
-            RowStore::Owned(tweets) => tweets.len(),
-            RowStore::Shared { sel, .. } => sel.len(),
-        }
+        self.sel.len()
     }
 
     /// True when the batch holds no rows.
@@ -710,22 +647,10 @@ impl TweetBatch {
         self.len() == 0
     }
 
-    /// The row store as a slice — owned mode only.
-    #[cfg(test)]
-    fn tweets(&self) -> &[Tweet] {
-        match &self.rows {
-            RowStore::Owned(tweets) => tweets,
-            RowStore::Shared { .. } => panic!("tweets() on a log-bound batch; use tweet_at"),
-        }
-    }
-
-    /// Row `i` of the batch, whichever row store backs it.
+    /// Row `i` of the batch.
     #[inline]
     pub fn tweet_at(&self, i: usize) -> &Tweet {
-        match &self.rows {
-            RowStore::Owned(tweets) => &tweets[i],
-            RowStore::Shared { log, sel } => &log[sel[i] as usize],
-        }
+        &self.log[self.sel[i] as usize]
     }
 
     /// Stream timestamp of row `i`.
@@ -802,7 +727,11 @@ impl TweetBatch {
         let built = self.cols[c].get_or_init(|| {
             let mut stats = self.dict_stats.get();
             let old = &mut self.spare.borrow_mut()[c];
-            let built = build_column(c, self.rows.rows(), &mut stats, old);
+            let rows = RowsRef {
+                log: &self.log,
+                sel: &self.sel,
+            };
+            let built = build_column(c, rows, &mut stats, old);
             self.dict_stats.set(stats);
             built
         });
@@ -869,14 +798,10 @@ impl TweetBatch {
         (0..self.len()).map(|i| self.record_at(i)).collect()
     }
 
-    /// Drop rows, columns and crossings, keeping the row-store
-    /// allocation, the column buffers and the log binding (in shared
-    /// mode) for reuse.
+    /// Drop rows, columns and crossings, keeping the selection
+    /// allocation, the column buffers and the log binding for reuse.
     pub fn reset(&mut self) {
-        match &mut self.rows {
-            RowStore::Owned(tweets) => tweets.clear(),
-            RowStore::Shared { sel, .. } => sel.clear(),
-        }
+        self.sel.clear();
         self.drop_columns();
         self.crossings.clear();
     }
@@ -977,24 +902,29 @@ mod tests {
         b.build()
     }
 
-    fn batch(n: u64) -> TweetBatch {
+    /// A batch of every tweet of a log of its own.
+    fn over(tweets: Vec<Tweet>) -> TweetBatch {
+        let log = Arc::new(tweets);
         let mut b = TweetBatch::new();
-        for i in 0..n {
-            b.push(tweet(i));
-        }
+        b.bind_log(&log);
+        b.extend_indices(&(0..log.len() as u32).collect::<Vec<_>>());
         b
+    }
+
+    fn batch(n: u64) -> TweetBatch {
+        over((0..n).map(tweet).collect())
     }
 
     #[test]
     fn to_records_matches_from_tweet() {
         let b = batch(17);
-        for (i, t) in b.tweets().iter().enumerate() {
-            assert_eq!(b.record_at(i), Record::from_tweet(t));
+        for i in 0..b.len() {
+            assert_eq!(b.record_at(i), Record::from_tweet(&tweet(i as u64)));
         }
         let recs = b.to_records();
         assert_eq!(recs.len(), 17);
-        for (i, t) in b.tweets().iter().enumerate() {
-            assert_eq!(recs[i], Record::from_tweet(t));
+        for (i, rec) in recs.iter().enumerate() {
+            assert_eq!(*rec, Record::from_tweet(&tweet(i as u64)));
         }
     }
 
@@ -1025,8 +955,8 @@ mod tests {
             if round == 1 {
                 b.materialize(&all_columns());
             }
-            for (i, t) in b.tweets().iter().enumerate() {
-                let rec = Record::from_tweet(t);
+            for i in 0..b.len() {
+                let rec = Record::from_tweet(&tweet(i as u64));
                 for c in 0..col::COUNT {
                     assert_eq!(b.value_at(i, c), *rec.value(c), "row {i} col {c}");
                 }
@@ -1066,7 +996,7 @@ mod tests {
                 b.materialize(&all_columns());
             }
             for i in 0..b.len() {
-                let t = &b.tweets()[i];
+                let t = &tweet(i as u64);
                 assert_eq!(b.str_at(i, col::TEXT), Some(&*t.text));
                 assert_eq!(b.str_at(i, col::SCREEN_NAME), Some(&*t.user.screen_name));
                 assert_eq!(b.str_at(i, col::LOC), Some(&*t.user.location));
@@ -1123,7 +1053,7 @@ mod tests {
                 assert_eq!(codes.len(), 50);
                 assert_eq!(dict.len(), 2);
                 for (i, code) in codes.iter().enumerate() {
-                    assert_eq!(&*dict[*code as usize], &**b.tweets()[i].lang());
+                    assert_eq!(&*dict[*code as usize], &**tweet(i as u64).lang());
                 }
             }
             other => panic!("lang should dictionary-encode, got {other:?}"),
@@ -1134,10 +1064,11 @@ mod tests {
     fn dict_ptr_fast_path_hits_on_shared_allocations() {
         // One author: every row reads the author's `lang` allocation.
         let author = Arc::new(User::new(1, "shared"));
-        let mut b = TweetBatch::new();
-        for i in 0..20u64 {
-            b.push(Tweet::builder(i, "x").user(Arc::clone(&author)).build());
-        }
+        let b = over(
+            (0..20u64)
+                .map(|i| Tweet::builder(i, "x").user(Arc::clone(&author)).build())
+                .collect(),
+        );
         let mut needed = [false; col::COUNT];
         needed[col::LANG] = true;
         let stats = b.materialize(&needed);
@@ -1146,6 +1077,19 @@ mod tests {
             stats.dict_ptr_hits, 19,
             "all but the first row hit by pointer"
         );
+    }
+
+    /// More distinct `loc` values than a dictionary takes.
+    fn wide_loc_batch() -> TweetBatch {
+        over(
+            (0..(DICT_MAX_ENTRIES as u64 + 8))
+                .map(|i| {
+                    let mut t = tweet(i);
+                    Arc::make_mut(&mut t.user).location = format!("town {i}").into();
+                    t
+                })
+                .collect(),
+        )
     }
 
     #[test]
@@ -1173,12 +1117,7 @@ mod tests {
             );
         }
         // A `loc` past the dictionary cap bails out and reads the tweet.
-        let mut wide = TweetBatch::new();
-        for i in 0..(DICT_MAX_ENTRIES as u64 + 8) {
-            let mut t = tweet(i);
-            Arc::make_mut(&mut t.user).location = format!("town {i}").into();
-            wide.push(t);
-        }
+        let wide = wide_loc_batch();
         let stats = wide.materialize(&all_columns());
         assert!(wide.column(col::LOC).is_none(), "bailed out");
         assert_eq!(stats.columns_skipped, 3, "text, screen_name and loc");
@@ -1192,10 +1131,13 @@ mod tests {
 
     #[test]
     fn push_after_materialize_invalidates_columns() {
-        let mut b = batch(4);
+        let log = Arc::new([0, 1, 2, 3, 99].map(tweet).to_vec());
+        let mut b = TweetBatch::new();
+        b.bind_log(&log);
+        b.extend_indices(&[0, 1, 2, 3]);
         b.materialize(&all_columns());
         assert!(b.column(col::ID).is_some());
-        b.push(tweet(99));
+        b.push_index(4);
         assert!(b.column(col::ID).is_none(), "stale columns must drop");
         assert_eq!(b.decode_stats(), DecodeStats::default(), "and their counts");
         match b.view(col::ID).get(4) {
@@ -1203,7 +1145,7 @@ mod tests {
             other => panic!("an id, got {other:?}"),
         }
         assert_eq!(b.len(), 5);
-        assert_eq!(b.record_at(4), Record::from_tweet(&b.tweets()[4]));
+        assert_eq!(b.record_at(4), Record::from_tweet(&tweet(99)));
     }
 
     #[test]
@@ -1214,7 +1156,7 @@ mod tests {
         assert!(b.is_empty());
         assert!(b.column(col::ID).is_none(), "columns go with the rows");
         assert_eq!(b.decode_stats(), DecodeStats::default());
-        b.push(tweet(1));
+        b.push_index(1);
         assert_eq!(b.value_at(0, col::TEXT), Value::Str(tweet(1).text));
     }
 
@@ -1281,12 +1223,7 @@ mod tests {
         assert_eq!(followers(&b), built, "the second reader read the first's");
         // A `loc` past the dictionary cap is tried once: the bail-out is
         // kept, so a later view neither builds it again nor counts it.
-        let mut wide = TweetBatch::new();
-        for i in 0..(DICT_MAX_ENTRIES as u64 + 8) {
-            let mut t = tweet(i);
-            Arc::make_mut(&mut t.user).location = format!("town {i}").into();
-            wide.push(t);
-        }
+        let wide = wide_loc_batch();
         assert!(matches!(wide.view(col::LOC), ColumnView::Str { .. }));
         assert!(matches!(wide.spare.borrow()[col::LOC], Column::Dict { .. }));
         wide.spare.borrow_mut()[col::LOC] = Column::Missing;
@@ -1331,11 +1268,8 @@ mod tests {
         let mut shared = TweetBatch::new();
         shared.bind_log(&log);
         shared.extend_indices(&sel);
-        assert!(shared.is_shared());
-        let mut owned = TweetBatch::new();
-        for &i in &sel {
-            owned.push(log[i as usize].clone());
-        }
+        // The same rows, cloned into a log of their own.
+        let owned = over(sel.iter().map(|&i| log[i as usize].clone()).collect());
         assert_eq!(shared.len(), owned.len());
         assert_eq!(shared.last_ts(), owned.last_ts());
         for round in 0..2 {
@@ -1353,7 +1287,7 @@ mod tests {
         }
         // Reset keeps the log binding; rebinding is a no-op clear.
         shared.reset();
-        assert!(shared.is_shared() && shared.is_empty());
+        assert!(shared.is_empty());
         shared.bind_log(&log);
         shared.push_index(5);
         assert_eq!(shared.tweet_at(0).id, log[5].id);

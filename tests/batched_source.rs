@@ -2,14 +2,16 @@
 //!
 //! `EngineBuilder::reference(true)` selects the implementation every
 //! fast layer is held to: the plan exactly as written, the interpreted
-//! operators, row decode cut at every watermark boundary, and the
-//! per-tweet source facade. The default engine — optimized plan,
-//! compiled batch programs, columnar decode, zero-copy source blocks —
-//! must match it byte for byte: same output rows, same gap windows,
-//! same `ConnectionStats` and supervisor fault stats, same final
-//! virtual clock, over fixed and random queries, chaos `FaultPlan`s and
-//! batch sizes, for the engine and the standing-query host. Two
-//! carve-outs, each explained where it is made: LIMIT and async UDFs.
+//! operators, and row decode cut at every watermark boundary. Both
+//! configurations pull the same zero-copy source blocks; the source
+//! layer has a per-tweet oracle of its own, in `exec/supervise.rs`'s
+//! tests. The default engine — optimized plan, compiled batch programs,
+//! columnar decode — must match the reference byte for byte: same
+//! output rows, same gap windows, same `ConnectionStats` and supervisor
+//! fault stats, same final virtual clock, over fixed and random
+//! queries, chaos `FaultPlan`s and batch sizes, for the engine and the
+//! standing-query host. Two carve-outs, each explained where it is
+//! made: LIMIT past one-tweet batches, and async UDFs.
 //! On a clean stream the default engine is also run with connection
 //! pushdown, which may change what is delivered but not the rows.
 //!
@@ -203,10 +205,13 @@ fn assert_engine_matches(sql: &str, batch_size: usize, plan: Option<FaultPlan>) 
         DecodeStats::default(),
         "row decode reports no columnar counters: {tag}"
     );
-    // LIMIT stops the pull where the source stands: a block source has
-    // read to the end of its block, the per-tweet source only to the
-    // tweet, so what was scanned, faulted and clocked differs.
-    if !sql.contains("LIMIT") {
+    // A LIMIT query finishes in the flush that fills it, and the pull
+    // stops at the end of that flush's block. The reference cuts a flush
+    // at every watermark boundary, the default engine only at a full
+    // batch, so past one-tweet batches the two flushes can fall in
+    // different blocks, and one engine scans, faults and clocks a block
+    // more than the other.
+    if !sql.contains("LIMIT") || batch_size == 1 {
         assert_eq!(f.stats.source, r.stats.source, "source stats: {tag}");
         assert_eq!(
             f.stats.source_faults, r.stats.source_faults,
@@ -253,6 +258,9 @@ fn engine_batched_matches_at_odd_batch_sizes() {
 fn engine_batched_matches_rows_under_limit() {
     for sql in LIMITED {
         assert_engine_matches(sql, 256, None);
+        // One-tweet blocks: the source stats and clock are held too.
+        assert_engine_matches(sql, 1, None);
+        assert_engine_matches(sql, 1, Some(FaultPlan::chaos(42)));
     }
 }
 
@@ -281,6 +289,26 @@ fn engine_batched_matches_with_async_udf_ahead_of_a_limit() {
     assert_eq!(f.geo_requests, r.geo_requests, "geocoder requests diverge");
     assert_eq!(f.source, r.source, "source stats diverge");
     assert_eq!(fast.clock, reference.clock, "clock diverges");
+}
+
+/// At batch size 1 each engine flushes every tweet, so even a geocoder
+/// whose answers depend on where the clock stands at each call answers
+/// both alike, on a chaos-faulted stream too: the source moves the
+/// clock the same way under both configurations, and never over tweets
+/// its heal buffer still holds back.
+#[test]
+fn engine_batched_matches_flaky_async_udf_at_batch_one() {
+    for plan in [None, Some(FaultPlan::chaos(7))] {
+        let run = |mode| run_engine_on(ASYNC, 1, plan.clone(), mode, flaky_geocoder());
+        let (reference, fast) = (run(Mode::Reference), run(Mode::Fast));
+        let (r, f) = (&reference.result.stats, &fast.result.stats);
+        let tag = format!("plan={plan:?}");
+        assert_eq!(fast.result.rows, reference.result.rows, "rows: {tag}");
+        assert_eq!(f.geo_requests, r.geo_requests, "geocoder requests: {tag}");
+        assert_eq!(f.source, r.source, "source stats: {tag}");
+        assert_eq!(f.source_faults, r.source_faults, "fault stats: {tag}");
+        assert_eq!(fast.clock, reference.clock, "clock: {tag}");
+    }
 }
 
 struct HostRun {

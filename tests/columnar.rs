@@ -15,7 +15,8 @@
 //!    two configurations to gap windows and clock as well.
 
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 use tweeql::engine::{Engine, QueryResult};
 use tweeql_firehose::fault::FaultPlan;
 use tweeql_firehose::scenario::{Burst, Scenario, Topic};
@@ -26,6 +27,14 @@ use tweeql_model::{Duration, Record, Timestamp, Tweet, TweetBatch, User, Virtual
 // ---------------------------------------------------------------------
 // Decode-level differential
 // ---------------------------------------------------------------------
+
+/// A batch of `log`'s rows `rows`, as the feed fills one.
+fn batch_of(log: &Arc<Vec<Tweet>>, rows: Range<usize>) -> TweetBatch {
+    let mut batch = TweetBatch::new();
+    batch.bind_log(log);
+    batch.extend_indices(&(rows.start as u32..rows.end as u32).collect::<Vec<_>>());
+    batch
+}
 
 /// Build one tweet from raw proptest scalars, covering every optional
 /// field and value edge the decoder distinguishes.
@@ -95,10 +104,8 @@ proptest! {
             .collect();
         let expected: Vec<Record> = tweets.iter().map(Record::from_tweet).collect();
 
-        let mut batch = TweetBatch::new();
-        for t in &tweets {
-            batch.push(t.clone());
-        }
+        let n = tweets.len();
+        let batch = batch_of(&Arc::new(tweets), 0..n);
 
         // Lazy path: row views before any column is built.
         prop_assert_eq!(&batch.to_records(), &expected);
@@ -126,10 +133,11 @@ fn decoded_log_and_generated_stream_materialize_identical_columns() {
     let generated = corpus();
     let decoded = decode_log(encode_log(generated)).expect("a log this suite encoded");
     assert_eq!(&decoded, generated);
-    for (a, b) in generated.chunks(256).zip(decoded.chunks(256)) {
-        let (mut from_gen, mut from_log) = (TweetBatch::new(), TweetBatch::new());
-        a.iter().for_each(|t| from_gen.push(t.clone()));
-        b.iter().for_each(|t| from_log.push(t.clone()));
+    let (generated, decoded) = (Arc::new(generated.clone()), Arc::new(decoded));
+    for start in (0..generated.len()).step_by(256) {
+        let rows = start..(start + 256).min(generated.len());
+        let from_gen = batch_of(&generated, rows.clone());
+        let from_log = batch_of(&decoded, rows);
         let gen_stats = from_gen.materialize(&tweeql_model::batch::all_columns());
         let log_stats = from_log.materialize(&tweeql_model::batch::all_columns());
         for c in 0..col::COUNT {
@@ -155,10 +163,9 @@ fn a_batch_lang_column_resolves_every_repeat_row_by_pointer() {
     let decoded = decode_log(encode_log(generated)).expect("a log this suite encoded");
     let mut lang = [false; col::COUNT];
     lang[col::LANG] = true;
-    for log in [generated, &decoded] {
-        for chunk in log.chunks_exact(256) {
-            let mut batch = TweetBatch::new();
-            chunk.iter().for_each(|t| batch.push(t.clone()));
+    for log in [Arc::new(generated.clone()), Arc::new(decoded)] {
+        for start in (0..log.len() / 256).map(|k| k * 256) {
+            let batch = batch_of(&log, start..start + 256);
             let stats = batch.materialize(&lang);
             assert_eq!(stats.dict_rows, 256);
             assert!(stats.dict_entries > 1);

@@ -18,9 +18,10 @@
 //! The fast values were recorded before the engine and host loops were
 //! folded into one source cursor and batch filler, and the reference
 //! values before the four per-layer mode flags became the one
-//! `reference` switch, so any change in what either drive path
-//! delivers — rows, counters, where the clock stands — shows up here as
-//! a changed digest.
+//! `reference` switch (seven of them again when the reference began
+//! pulling source blocks; `GOLDEN` says which and why), so any change
+//! in what either drive path delivers — rows, counters, where the
+//! clock stands — shows up here as a changed digest.
 
 mod drive_queries;
 
@@ -203,6 +204,19 @@ fn host_digest(g: Grid) -> u64 {
 /// `tweeql_host_*`, `tweeql_decode_*`, `tweeql_batch_rows*` and
 /// `tweeql_wal_*` left out, every digest equals the value before; no
 /// run here is a quiet query, so no zero-valued series went missing.
+/// Five reference values were re-recorded when the reference
+/// configuration stopped pulling tweets one at a time and began pulling
+/// the source blocks every other configuration pulls. The two `engine
+/// q3` (LIMIT) values at batch 256: the pull now reads to the end of
+/// the block that fills the LIMIT and stops the clock at the source
+/// frontier; clean, its source stats and clock now equal the fast
+/// engine's without pushdown. The `engine q5 flaky` values under chaos
+/// and the chaos `host` value at batch 1: the per-tweet pull had moved
+/// the clock over the tweets the heal buffer held back, so the flaky
+/// geocoder was called at a later clock than the one a flush sets; at
+/// batch 1 under chaos the reference's rows, source stats, geocoder
+/// requests and clock now equal the fast engine's without pushdown,
+/// which they did not before.
 const GOLDEN: &[u64] = &[
     0x5b819f55080e7d69, // engine q0 Grid { reference: false, chaos: false, batch: 1 }
     0xff220cb98731e420, // engine q1 Grid { reference: false, chaos: false, batch: 1 }
@@ -247,7 +261,7 @@ const GOLDEN: &[u64] = &[
     0x447ff3372f46423c, // engine q0 Grid { reference: true, chaos: false, batch: 256 }
     0x66eef4bce77d872a, // engine q1 Grid { reference: true, chaos: false, batch: 256 }
     0xe730c6e7eae89d56, // engine q2 Grid { reference: true, chaos: false, batch: 256 }
-    0xa451439d9a47443f, // engine q3 Grid { reference: true, chaos: false, batch: 256 }
+    0x48d73aab48e5cd6f, // engine q3 Grid { reference: true, chaos: false, batch: 256 }
     0x77f0335fd1b008d4, // engine q4 Grid { reference: true, chaos: false, batch: 256 }
     0xcab6bb6799ddf884, // engine q5 Grid { reference: true, chaos: false, batch: 256 }
     0x02983a0de9e6ad99, // engine q5 flaky Grid { reference: true, chaos: false, batch: 256 }
@@ -258,15 +272,15 @@ const GOLDEN: &[u64] = &[
     0x611cdfc4ca6a32c5, // engine q3 Grid { reference: true, chaos: true, batch: 1 }
     0x56664a445ca9d805, // engine q4 Grid { reference: true, chaos: true, batch: 1 }
     0x38f2beae68762cfd, // engine q5 Grid { reference: true, chaos: true, batch: 1 }
-    0x50190952d4975af2, // engine q5 flaky Grid { reference: true, chaos: true, batch: 1 }
-    0x0fe24e7717d2d277, // host Grid { reference: true, chaos: true, batch: 1 }
+    0x3966aa9a92869d10, // engine q5 flaky Grid { reference: true, chaos: true, batch: 1 }
+    0x65e33ae5d97f2b94, // host Grid { reference: true, chaos: true, batch: 1 }
     0xb602ab675482b541, // engine q0 Grid { reference: true, chaos: true, batch: 256 }
     0x092c8c4b42b45833, // engine q1 Grid { reference: true, chaos: true, batch: 256 }
     0x2b51e2e604a571db, // engine q2 Grid { reference: true, chaos: true, batch: 256 }
-    0xba14e5e22b8fb785, // engine q3 Grid { reference: true, chaos: true, batch: 256 }
+    0xf1c4a28f3ffe430f, // engine q3 Grid { reference: true, chaos: true, batch: 256 }
     0x2de1319144ade0dd, // engine q4 Grid { reference: true, chaos: true, batch: 256 }
     0xbf16bf4047de4b51, // engine q5 Grid { reference: true, chaos: true, batch: 256 }
-    0x44c88324852a053e, // engine q5 flaky Grid { reference: true, chaos: true, batch: 256 }
+    0xf0d4223f69fb294e, // engine q5 flaky Grid { reference: true, chaos: true, batch: 256 }
     0x3a67f7a19070c09f, // host Grid { reference: true, chaos: true, batch: 256 }
 ];
 
@@ -316,7 +330,9 @@ const ENTITIES: &str = "SELECT named_entities(text) AS e FROM twitter WHERE text
 /// fast values were re-recorded with `GOLDEN`'s scan-headed ones, for
 /// the same reason, and all eight with `GOLDEN`'s 64 when the host
 /// became the one publisher; under the same filter they equal the
-/// values before.
+/// values before. The two reference values under chaos were
+/// re-recorded when the reference configuration began pulling source
+/// blocks, for the reason `GOLDEN`'s `engine q5 flaky` ones were.
 const ENTITIES_GOLDEN: &[u64] = &[
     0xbbd5c076170bc173, // Grid { reference: false, chaos: false, batch: 1 }
     0x25cef3c2983122b6, // Grid { reference: false, chaos: false, batch: 256 }
@@ -324,8 +340,8 @@ const ENTITIES_GOLDEN: &[u64] = &[
     0xd99d23b606680c09, // Grid { reference: false, chaos: true, batch: 256 }
     0xb2b2c879945ea704, // Grid { reference: true, chaos: false, batch: 1 }
     0xa35fe9e96943fa3c, // Grid { reference: true, chaos: false, batch: 256 }
-    0x1d7529a2c78cec01, // Grid { reference: true, chaos: true, batch: 1 }
-    0x04629a45351f2319, // Grid { reference: true, chaos: true, batch: 256 }
+    0x1fbb9da970978591, // Grid { reference: true, chaos: true, batch: 1 }
+    0xbcbecfd3150e0081, // Grid { reference: true, chaos: true, batch: 256 }
 ];
 
 #[test]

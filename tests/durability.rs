@@ -84,8 +84,7 @@ struct Params {
     ckpt_every: u64,
     segment_bytes: u64,
     /// The reference configuration (`EngineBuilder::reference`): its
-    /// per-tweet source, which recovery replays through the same feed,
-    /// and its as-written, interpreted plans.
+    /// as-written, interpreted plans, over the same block source.
     reference: bool,
     /// Runs at each kill point, just before the crash.
     at_kill: Option<fn(&mut QueryHost, &Path)>,
@@ -367,9 +366,9 @@ fn chaos_faulted_windowed_aggregates_survive_kills() {
     }
 }
 
-/// The reference configuration, whose per-tweet source recovery replays
-/// through: the same kills, checkpoint verification and gap frontiers
-/// as the fast configuration's block source, over chaos.
+/// The reference configuration (which once pulled a per-tweet source,
+/// hence the name): the same kills, checkpoint verification and gap
+/// frontiers as the fast configuration's, over chaos.
 #[test]
 fn per_tweet_source_replays_chaos_to_the_same_output() {
     let sched = vec![
@@ -808,7 +807,7 @@ proptest! {
 
     /// Randomized crash-equivalence: seeds × clean/chaos
     /// × 1–3 seeded kill points × batch sizes × checkpoint cadences ×
-    /// block or per-tweet source × registration/poll schedules.
+    /// fast or reference configuration × registration/poll schedules.
     #[test]
     fn crash_equivalence_randomized(
         kill_seed in 0u64..1_000,

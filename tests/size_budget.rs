@@ -10,7 +10,7 @@
 use std::path::{Path, PathBuf};
 
 /// Non-test lines `crates/core` may have.
-const CORE_CEILING: usize = 14_707;
+const CORE_CEILING: usize = 14_541;
 
 /// Every `.rs` file under `dir`.
 fn rust_sources(dir: &Path, out: &mut Vec<PathBuf>) {
